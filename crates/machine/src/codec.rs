@@ -791,7 +791,7 @@ fn dec_wire(d: &mut Dec) -> R<Wire> {
         }),
         1 => Wire::Pack {
             run_ord: d.us()?,
-            values: d.f64s()?,
+            values: d.f64s()?.into(),
         },
         _ => return Err(bad("Wire tag")),
     })
@@ -1974,7 +1974,7 @@ mod tests {
                 check: 0xdead_beef,
                 payload: Wire::Pack {
                     run_ord: 2,
-                    values: vec![0.5, -0.5],
+                    values: vec![0.5, -0.5].into(),
                 },
             }),
             Frame::Data(Packet {

@@ -53,22 +53,22 @@
 
 use crate::darray::DistArray;
 use crate::error::MachineError;
+use crate::executor::{prepare_for, DistExecutor};
 use crate::net::ChaosPlan;
-use crate::obs::{trace_plan, EventKind, Phase, Tracer, NULL_TRACER};
+use crate::obs::{EventKind, Phase, Tracer, NULL_TRACER};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{
-    await_until, AwaitFail, Endpoint, FaultPlan, Frame, ProtoTimeouts, RetryPolicy, TransportKind,
+    await_until, AwaitFail, Endpoint, FaultPlan, ProtoTimeouts, RetryPolicy, TransportKind,
     WirePayload,
 };
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 use vcal_core::{BinOp, Clause, CmpOp, Expr, Guard, Ordering};
 use vcal_decomp::Decomp1;
 use vcal_spmd::{
-    simd, AccessPattern, CompiledKernel, CompiledNode, CompiledSchedule, ExecRun, FusedShape,
-    NodePlan, SimdPolicy, SlotAccess, SlotRef, SpmdPlan,
+    simd, AccessPattern, CompiledKernel, CompiledNode, ExecRun, FusedShape, NodePlan, SimdPolicy,
+    SlotAccess, SpmdPlan,
 };
 
 /// A tagged value message.
@@ -94,8 +94,10 @@ pub(crate) enum Wire {
     Elem(Msg),
     /// Vectorized mode: all values of one planned run, packed in run
     /// order. `run_ord` indexes the sender's run list for this pair,
-    /// which the plan guarantees is identical to the receiver's.
-    Pack { run_ord: usize, values: Vec<f64> },
+    /// which the plan guarantees is identical to the receiver's. The
+    /// values are shared, not copied, between the wire, the sender's
+    /// retransmit buffer and (in process) the receiver's staging.
+    Pack { run_ord: usize, values: Arc<[f64]> },
 }
 
 impl WirePayload for Wire {
@@ -115,7 +117,7 @@ impl WirePayload for Wire {
             Wire::Pack { run_ord, values } => {
                 h ^= 2;
                 h = h.rotate_left(7).wrapping_add(*run_ord as u64);
-                for v in values {
+                for v in values.iter() {
                     h = h.rotate_left(7).wrapping_add(v.to_bits());
                 }
             }
@@ -130,8 +132,11 @@ impl WirePayload for Wire {
             }
             Wire::Pack { values, .. } => {
                 if !values.is_empty() {
-                    let k = (bits as usize) % values.len();
-                    values[k] = f64::from_bits(values[k].to_bits() ^ (1 << (bits % 52)));
+                    // the clean payload stays shared with the retained copy
+                    let mut flipped = values.to_vec();
+                    let k = (bits as usize) % flipped.len();
+                    flipped[k] = f64::from_bits(flipped[k].to_bits() ^ (1 << (bits % 52)));
+                    *values = flipped.into();
                 }
             }
         }
@@ -353,13 +358,6 @@ pub(crate) type NodeOutcome = (
     Result<(), MachineError>,
 );
 
-/// Per-node worker state handed to its thread.
-struct Worker {
-    p: i64,
-    locals: BTreeMap<String, Vec<f64>>,
-    rx: Receiver<Frame<Wire>>,
-}
-
 /// A zero part of the right local size — the last-resort placeholder
 /// when a node thread died without returning its memories. A negative
 /// local count means the decomposition does not cover node `p` at all:
@@ -550,431 +548,16 @@ pub fn run_distributed_traced(
         // (persistent pools live in `DistSession`)
         return crate::proc::run_one_shot(plan, clause, arrays, opts, tracer);
     }
-    let pmax = plan.pmax;
-
-    // collect referenced arrays and their decompositions
-    let node0 = plan
-        .nodes
-        .first()
-        .ok_or_else(|| MachineError::PlanMismatch("plan has no nodes".into()))?;
-    let mut referenced: Vec<String> = vec![plan.lhs_array.clone()];
-    for rp in &node0.resides {
-        if !referenced.contains(&rp.array) {
-            referenced.push(rp.array.clone());
-        }
-    }
-    let mut decomps: BTreeMap<String, Decomp1> = BTreeMap::new();
-    for name in &referenced {
-        let da = arrays
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-        if da.decomp().pmax() != pmax {
-            return Err(MachineError::PlanMismatch(format!(
-                "array `{name}` decomposed over {} processors, plan has {pmax}",
-                da.decomp().pmax()
-            )));
-        }
-        decomps.insert(name.clone(), da.decomp().clone());
-    }
-    let dec_lhs = decomps[&plan.lhs_array].clone();
-
-    // resolve expressions/guards per node before touching the arrays,
-    // so a malformed plan is a clean typed error with state intact
-    let mut rexpr_per_node: Vec<RExpr> = Vec::with_capacity(plan.nodes.len());
-    let mut rguard_per_node: Vec<RGuard> = Vec::with_capacity(plan.nodes.len());
-    for n in &plan.nodes {
-        rexpr_per_node.push(resolve_expr(&clause.rhs, n)?);
-        rguard_per_node.push(resolve_guard(&clause.guard, n)?);
-    }
-
-    // compile the kernel + interior/boundary execution tables; a
-    // naive-guard plan yields no tables and keeps the legacy element
-    // path (identical to what the persistent executor does, so cold
-    // and warm runs execute — and trace — the same way)
-    let compiled = CompiledSchedule::compile_exec(plan, clause, &decomps);
-
-    // record which Table I row fired for every schedule (plan span)
-    trace_plan(tracer, plan);
-
-    // disassemble the distributed images into per-node local memories
-    let per_node = disassemble(arrays, &referenced, pmax)?;
-
-    // channels: one receiver per node, senders shared
-    let mut txs: Vec<Sender<Frame<Wire>>> = Vec::with_capacity(pmax as usize);
-    let mut workers: Vec<Worker> = Vec::with_capacity(pmax as usize);
-    for (p, locals) in per_node.into_iter().enumerate() {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        workers.push(Worker {
-            p: p as i64,
-            locals,
-            rx,
-        });
-    }
-
-    let mut results: Vec<NodeOutcome> = Vec::with_capacity(pmax as usize);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in workers {
-            let node = &plan.nodes[worker.p as usize];
-            let rexpr = &rexpr_per_node[worker.p as usize];
-            let rguard = &rguard_per_node[worker.p as usize];
-            let exec = match (&compiled.kernel, compiled.nodes.get(worker.p as usize)) {
-                (Some(kernel), Some(cn)) => Some((cn, kernel)),
-                _ => None,
-            };
-            let txs = txs.clone();
-            let decomps = &decomps;
-            let dec_lhs = &dec_lhs;
-            let plan = &plan;
-            handles.push(scope.spawn(move || {
-                run_node(
-                    worker, node, plan, exec, rexpr, rguard, txs, decomps, dec_lhs, opts, tracer,
-                )
-            }));
-        }
-        // drop the main thread's senders so lost messages cannot keep
-        // channels alive artificially (receives use timeouts anyway)
-        drop(txs);
-        for (p, h) in handles.into_iter().enumerate() {
-            // the supervisor: a panic that escaped the in-thread guard
-            // still becomes a typed error, never a host abort
-            results.push(h.join().unwrap_or_else(|_| {
-                (
-                    p as i64,
-                    BTreeMap::new(),
-                    Vec::new(),
-                    NodeStats::default(),
-                    vec![0u64; pmax as usize],
-                    Err(MachineError::NodePanicked { node: p as i64 }),
-                )
-            }));
-        }
-    });
-
-    finalize_run(
-        &plan.lhs_array,
-        &referenced,
-        &decomps,
-        results,
-        arrays,
-        tracer,
-    )
-}
-
-/// One node thread: run the SPMD phases under a panic guard, then
-/// announce completion and service late retransmit requests. A node
-/// that panicked announces completion (the reset analog) but services
-/// nothing — its unsent data is gone, and peers surface that as
-/// [`MachineError::Unrecoverable`].
-#[allow(clippy::too_many_arguments)]
-fn run_node(
-    worker: Worker,
-    node: &NodePlan,
-    plan: &SpmdPlan,
-    exec: Option<(&CompiledNode, &CompiledKernel)>,
-    rexpr: &RExpr,
-    rguard: &RGuard,
-    txs: Vec<Sender<Frame<Wire>>>,
-    decomps: &BTreeMap<String, Decomp1>,
-    dec_lhs: &Decomp1,
-    opts: DistOptions,
-    tracer: &dyn Tracer,
-) -> NodeOutcome {
-    let p = worker.p;
-    let mut locals = worker.locals;
-    let mut stats = NodeStats::default();
-    let mut sent_to = vec![0u64; txs.len()];
-    let mut writes: Vec<WriteOp> = Vec::new();
-    let mut ep = Endpoint::in_proc(p, txs, worker.rx, opts.faults, tracer);
-    let trace_on = tracer.enabled();
-
-    let phases = catch_unwind(AssertUnwindSafe(|| {
-        node_phases(
-            p,
-            &mut locals,
-            node,
-            plan,
-            exec,
-            rexpr,
-            rguard,
-            &mut ep,
-            decomps,
-            dec_lhs,
-            &opts,
-            &mut stats,
-            &mut sent_to,
-            &mut writes,
-            tracer,
-        )
-    }));
-    let res = match phases {
-        Ok(r) => {
-            ep.announce_done();
-            if trace_on {
-                tracer.record(p, EventKind::PhaseStart(Phase::Drain));
-                let t0 = std::time::Instant::now();
-                ep.drain(opts.recv_timeout, &mut stats);
-                tracer.timing(p, Phase::Drain, t0.elapsed());
-                tracer.record(p, EventKind::PhaseEnd(Phase::Drain));
-            } else {
-                ep.drain(opts.recv_timeout, &mut stats);
-            }
-            r
-        }
-        Err(_) => {
-            ep.announce_done();
-            Err(MachineError::NodePanicked { node: p })
-        }
-    };
-    if res.is_err() {
-        writes.clear();
-    }
-    (p, locals, writes, stats, sent_to, res)
-}
-
-/// The send + update phases of one node (panics are caught by the
-/// caller's supervisor). Local writes are *collected*, not applied —
-/// the host commits them only when the whole run succeeded.
-#[allow(clippy::too_many_arguments)]
-fn node_phases(
-    p: i64,
-    locals: &mut BTreeMap<String, Vec<f64>>,
-    node: &NodePlan,
-    plan: &SpmdPlan,
-    exec: Option<(&CompiledNode, &CompiledKernel)>,
-    rexpr: &RExpr,
-    rguard: &RGuard,
-    ep: &mut Endpoint<Wire>,
-    decomps: &BTreeMap<String, Decomp1>,
-    dec_lhs: &Decomp1,
-    opts: &DistOptions,
-    stats: &mut NodeStats,
-    sent_to: &mut [u64],
-    writes: &mut Vec<WriteOp>,
-    tracer: &dyn Tracer,
-) -> Result<(), MachineError> {
-    stats.guard_tests += node.modify.schedule.work_estimate();
-    let trace_on = tracer.enabled();
-
-    // ---- send phase: Reside_p ∩ Modify_q, q ≠ p -------------------------
-    if trace_on {
-        tracer.record(p, EventKind::PhaseStart(Phase::Send));
-    }
-    let send_t0 = trace_on.then(std::time::Instant::now);
-    match (opts.mode, exec) {
-        (CommMode::Element, Some((cn, _))) => {
-            // compiled: the pair runs know the destination — the
-            // per-element `proc_of(f(i))` owner test is hoisted to the
-            // pair (owner is constant across a pair's runs by
-            // construction: `Send_{p→q} = Reside_p ∩ Modify_q`)
-            send_phase_element_compiled(p, locals, node, cn, decomps, ep, stats, sent_to, tracer);
-        }
-        (CommMode::Element, None) => {
-            // literal template: per-element ownership test + tagged send
-            // (the naive-guard fallback — no compiled tables exist)
-            for (slot, rp) in node.resides.iter().enumerate() {
-                if rp.replicated {
-                    continue;
-                }
-                stats.guard_tests += rp.opt.schedule.work_estimate();
-                let dec_r = &decomps[&rp.array];
-                let local_part = &locals[&rp.array];
-                rp.opt.schedule.for_each(|i| {
-                    let owner = dec_lhs.proc_of(plan.f.eval(i));
-                    if owner != p {
-                        let g = rp.g.eval(i);
-                        let value = local_part[dec_r.local_of(g) as usize];
-                        // non-blocking send through the reliable transport
-                        ep.send(owner as usize, Wire::Elem(Msg { slot, i, value }));
-                        if trace_on {
-                            tracer.record(
-                                p,
-                                EventKind::ElemSend {
-                                    dst: owner,
-                                    slot,
-                                    i,
-                                },
-                            );
-                        }
-                        sent_to[owner as usize] += 1;
-                        stats.msgs_sent += 1;
-                        stats.packets_sent += 1;
-                        stats.bytes_sent += ELEM_MSG_BYTES;
-                        stats.max_packet_elems = stats.max_packet_elems.max(1);
-                    }
-                });
-            }
-        }
-        (CommMode::Vectorized, _) => {
-            // the plan already knows every destination and run: pack each
-            // run into one vector message, no run-time ownership tests
-            for pair in &node.comm.sends {
-                for (run_ord, run) in pair.runs.iter().enumerate() {
-                    let rp = &node.resides[run.slot];
-                    let dec_r = &decomps[&rp.array];
-                    let local_part = &locals[&rp.array];
-                    let mut values = Vec::with_capacity(run.count as usize);
-                    run.for_each(|i| {
-                        values.push(local_part[dec_r.local_of(rp.g.eval(i)) as usize]);
-                    });
-                    let elems = values.len() as u64;
-                    ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
-                    if trace_on {
-                        tracer.record(
-                            p,
-                            EventKind::PackSend {
-                                dst: pair.peer,
-                                run: run_ord,
-                                elems,
-                                bytes: PACK_HEADER_BYTES + 8 * elems,
-                            },
-                        );
-                    }
-                    sent_to[pair.peer as usize] += elems;
-                    stats.msgs_sent += elems;
-                    stats.packets_sent += 1;
-                    stats.bytes_sent += PACK_HEADER_BYTES + 8 * elems;
-                    stats.max_packet_elems = stats.max_packet_elems.max(elems);
-                }
-            }
-        }
-    }
-    ep.end_send_phase(); // flush delayed packets; crash point
-    if let Some(t0) = send_t0 {
-        tracer.timing(p, Phase::Send, t0.elapsed());
-        tracer.record(p, EventKind::PhaseEnd(Phase::Send));
-    }
-
-    // ---- update phase: Modify_p -----------------------------------------
-    if trace_on {
-        tracer.record(p, EventKind::PhaseStart(Phase::Update));
-    }
-    let update_t0 = trace_on.then(std::time::Instant::now);
-
-    // compiled path: fused/bytecode kernels over the interior/boundary
-    // exec runs — never touches the tree interpreter
-    if let Some((cn, kernel)) = exec {
-        let mut pending: BTreeMap<(usize, i64), f64> = BTreeMap::new();
-        let mut staging: Vec<Vec<Option<Vec<f64>>>> =
-            cn.staging_runs.iter().map(|&n| vec![None; n]).collect();
-        let mut rcv = RecvCtx::Single {
-            pending: &mut pending,
-            staging: &mut staging,
-        };
-        let mut vals = vec![0.0f64; node.resides.len()];
-        let mut stack: Vec<f64> = Vec::with_capacity(kernel.stack_capacity());
-        let res = exec_update_phase(
-            p, locals, node, cn, kernel, rguard, ep, &mut rcv, &mut vals, &mut stack, opts, stats,
-            writes, tracer,
-        );
-        if let Some(t0) = update_t0 {
-            tracer.timing(p, Phase::Update, t0.elapsed());
-            tracer.record(p, EventKind::PhaseEnd(Phase::Update));
-        }
-        return res;
-    }
-
-    let mut recv = RecvState::new(node, opts.mode, plan.pmax as usize);
-    writes.reserve(node.modify.schedule.count() as usize);
-    let mut vals = vec![0.0f64; node.resides.len()];
-    let mut err: Option<MachineError> = None;
-
-    let n_slots = node.resides.len();
-    node.modify.schedule.for_each(|i| {
-        if err.is_some() {
-            return;
-        }
-        stats.iterations += 1;
-        // gather all operand values for this iteration
-        #[allow(clippy::needless_range_loop)] // `vals[slot]` is written, not read
-        for slot in 0..n_slots {
-            let rp = &node.resides[slot];
-            let g = rp.g.eval(i);
-            let owner = if rp.replicated {
-                p
-            } else {
-                decomps[&rp.array].proc_of(g)
-            };
-            vals[slot] = if owner == p {
-                stats.local_reads += 1;
-                locals[&rp.array][decomps[&rp.array].local_of(g) as usize]
-            } else {
-                match recv.remote_value(ep, slot, i, owner, opts, stats) {
-                    Ok(v) => {
-                        if trace_on {
-                            tracer.record(
-                                p,
-                                EventKind::RecvValue {
-                                    src: owner,
-                                    slot,
-                                    i,
-                                },
-                            );
-                        }
-                        stats.msgs_received += 1;
-                        v
-                    }
-                    Err(RecvFail::Timeout) => {
-                        err = Some(MachineError::MissingMessage {
-                            node: p,
-                            array: rp.array.clone(),
-                            index: i,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::PacketTimeout { peer, run }) => {
-                        err = Some(MachineError::MissingPacket {
-                            node: p,
-                            peer,
-                            slot,
-                            run,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::Exhausted { peer, retries }) => {
-                        err = Some(MachineError::Unrecoverable {
-                            node: p,
-                            peer,
-                            retries,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::BadWire(why)) => {
-                        err = Some(MachineError::PlanMismatch(format!(
-                            "node {p}, array `{}`, i={i}: {why}",
-                            rp.array
-                        )));
-                        return;
-                    }
-                }
-            };
-        }
-        stats.data_guards += 1;
-        let guard_ok = match rguard {
-            RGuard::Always => true,
-            RGuard::Cmp { slot, op, rhs } => op.holds(vals[*slot], *rhs),
-        };
-        if guard_ok {
-            let v = eval_rexpr(rexpr, i, &vals);
-            let target = plan.f.eval(i);
-            writes.push(WriteOp::El(dec_lhs.local_of(target) as usize, v));
-        }
-    });
-    if let Some(t0) = update_t0 {
-        tracer.timing(p, Phase::Update, t0.elapsed());
-        tracer.record(p, EventKind::PhaseEnd(Phase::Update));
-    }
-
-    err.map_or(Ok(()), Err)
+    // a cold run is a warm run on a one-shot pool: same phase engine,
+    // same tables, same trace as a `DistSession` replaying the plan
+    let prepared = Arc::new(prepare_for(plan, clause, arrays)?);
+    DistExecutor::new(plan.pmax).run(&prepared, arrays, opts, tracer)
 }
 
 /// Element-mode send phase over the plan's pair runs: the wire multiset
 /// is identical to the literal template's reside scan (`Send_{p→q} =
 /// Reside_p ∩ Modify_q`), but the destination is the pair's peer — the
-/// per-element `proc_of(f(i))` owner recomputation is gone. Shared by
-/// the cold machine and the persistent executor.
+/// per-element `proc_of(f(i))` owner recomputation is gone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn send_phase_element_compiled(
     p: i64,
@@ -1029,18 +612,69 @@ pub(crate) fn send_phase_element_compiled(
     }
 }
 
+/// Vectorized send phase: the plan already knows every destination and
+/// run, so each run is packed into one vector message — copied out of
+/// the local part through the plan-time offsets (one slice copy when
+/// they are unit-stride), with no run-time ownership test or `local(g(i))`
+/// evaluation.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn send_phase_vectorized(
+    p: i64,
+    locals: &BTreeMap<String, Vec<f64>>,
+    node: &NodePlan,
+    cn: &CompiledNode,
+    ep: &mut Endpoint<Wire>,
+    stats: &mut NodeStats,
+    sent_to: &mut [u64],
+    tracer: &dyn Tracer,
+) {
+    let trace_on = tracer.enabled();
+    // compiled from this very plan, against decompositions that exist
+    assert_eq!(cn.sends.len(), node.comm.sends.len(), "no send tables");
+    for (pair, pats) in node.comm.sends.iter().zip(&cn.sends) {
+        for (run_ord, (run, pat)) in pair.runs.iter().zip(pats).enumerate() {
+            let local_part = &locals[&node.resides[run.slot].array];
+            let n = run.count.max(0) as usize;
+            let values: Arc<[f64]> = match pat {
+                AccessPattern::Affine { base, step: 1 } => {
+                    let base = *base as usize;
+                    Arc::from(&local_part[base..base + n])
+                }
+                _ => (0..n).map(|t| local_part[pat.offset(t) as usize]).collect(),
+            };
+            let elems = n as u64;
+            ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
+            if trace_on {
+                tracer.record(
+                    p,
+                    EventKind::PackSend {
+                        dst: pair.peer,
+                        run: run_ord,
+                        elems,
+                        bytes: PACK_HEADER_BYTES + 8 * elems,
+                    },
+                );
+            }
+            sent_to[pair.peer as usize] += elems;
+            stats.msgs_sent += elems;
+            stats.packets_sent += 1;
+            stats.bytes_sent += PACK_HEADER_BYTES + 8 * elems;
+            stats.max_packet_elems = stats.max_packet_elems.max(elems);
+        }
+    }
+}
+
 /// The compiled update phase: execute the node's [`ExecRun`] tables with
 /// the compiled kernel. With `opts.overlap` every *interior* run (all
 /// operands owner-local by the Table I dispatch) executes before any
 /// *boundary* run touches the transport, so compute proceeds while
 /// packets are in flight; without it, runs execute in schedule visit
-/// order. Writes are staged per run and flattened back into visit order
-/// before returning, so the commit order — and therefore the result,
-/// even for non-injective `f` — is identical either way.
+/// order. Writes are merged back into visit order before returning, so
+/// the commit order — and therefore the result, even for non-injective
+/// `f` — is identical either way.
 ///
-/// Shared verbatim by the cold machine and the persistent executor's
-/// warm path (the buffers come from the caller so the executor can
-/// reuse its scratch allocations).
+/// The buffers come from the caller so the executor can reuse its
+/// scratch allocations across runs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_update_phase(
     p: i64,
@@ -1075,61 +709,41 @@ pub(crate) fn exec_update_phase(
         stats.simd_lane_elems,
         stats.simd_tail_elems,
     );
-    let mut chunks: Vec<Vec<WriteOp>> = vec![Vec::new(); cn.exec.len()];
-    if opts.overlap {
+    let mut run = |k: usize, er: &ExecRun, stats: &mut NodeStats, out: &mut Vec<WriteOp>| {
+        exec_one_run(
+            p, k, er, &parts, node, cn, kernel, rguard, ep, rcv, vals, stack, opts, stats, out,
+            tracer,
+        )
+    };
+    if opts.overlap && cn.exec.iter().any(|er| er.boundary) {
         // interior first — boundary runs block on receives, interior
-        // runs never do
-        for boundary_pass in [false, true] {
+        // runs never do; the two passes are merged back by run ordinal
+        let mut counts = vec![0usize; cn.exec.len()];
+        let mut passes: [Vec<WriteOp>; 2] = [Vec::new(), Vec::new()];
+        for (boundary, ops) in [false, true].into_iter().zip(&mut passes) {
             for (k, er) in cn.exec.iter().enumerate() {
-                if er.boundary != boundary_pass {
-                    continue;
+                if er.boundary == boundary {
+                    let before = ops.len();
+                    run(k, er, stats, ops)?;
+                    counts[k] = ops.len() - before;
                 }
-                exec_one_run(
-                    p,
-                    k,
-                    er,
-                    &parts,
-                    node,
-                    cn,
-                    kernel,
-                    rguard,
-                    ep,
-                    rcv,
-                    vals,
-                    stack,
-                    opts,
-                    stats,
-                    &mut chunks[k],
-                    tracer,
-                )?;
+            }
+        }
+        let [mut interior, mut boundary] = passes.map(Vec::into_iter);
+        for (er, n) in cn.exec.iter().zip(counts) {
+            let ops = if er.boundary {
+                &mut boundary
+            } else {
+                &mut interior
+            };
+            for op in ops.by_ref().take(n) {
+                push_write(writes, op);
             }
         }
     } else {
         for (k, er) in cn.exec.iter().enumerate() {
-            exec_one_run(
-                p,
-                k,
-                er,
-                &parts,
-                node,
-                cn,
-                kernel,
-                rguard,
-                ep,
-                rcv,
-                vals,
-                stack,
-                opts,
-                stats,
-                &mut chunks[k],
-                tracer,
-            )?;
+            run(k, er, stats, writes)?;
         }
-    }
-    // flatten in visit order: commit order is overlap-independent
-    writes.reserve(chunks.iter().map(Vec::len).sum());
-    for c in &mut chunks {
-        writes.append(c);
     }
     if tracer.enabled() {
         tracer.record(
@@ -1145,16 +759,39 @@ pub(crate) fn exec_update_phase(
     Ok(())
 }
 
+/// Append one collected write in commit order. A dense span that starts
+/// where the previous one ends grows it instead: alternating interior
+/// and boundary runs of a unit-stride clause reach the host as one span
+/// per node, not one per run.
+fn push_write(writes: &mut Vec<WriteOp>, op: WriteOp) {
+    if let (
+        Some(WriteOp::Dense { base, values }),
+        WriteOp::Dense {
+            base: next,
+            values: more,
+        },
+    ) = (writes.last_mut(), &op)
+    {
+        if *base + values.len() == *next {
+            values.extend_from_slice(more);
+            return;
+        }
+    }
+    writes.push(op);
+}
+
+/// Read one operand element: `src` is a node's local part or a staged
+/// packet, `off` a plan-computed offset into it.
 #[inline]
-fn read_local(part: &[f64], off: i64, p: i64, array: &str) -> Result<f64, MachineError> {
+fn read_at(src: &[f64], off: i64, p: i64, array: &str) -> Result<f64, MachineError> {
     usize::try_from(off)
         .ok()
-        .and_then(|o| part.get(o))
+        .and_then(|o| src.get(o))
         .copied()
         .ok_or_else(|| {
             MachineError::PlanMismatch(format!(
-                "node {p}: local offset {off} outside `{array}` part (len {})",
-                part.len()
+                "node {p}: offset {off} outside `{array}` operand (len {})",
+                src.len()
             ))
         })
 }
@@ -1165,16 +802,7 @@ fn write_off(off: i64, p: i64) -> Result<usize, MachineError> {
         .map_err(|_| MachineError::PlanMismatch(format!("node {p}: negative write offset {off}")))
 }
 
-fn fused_local_pattern(er: &ExecRun, slot: usize, p: i64) -> Result<&AccessPattern, MachineError> {
-    match er.slots.get(slot) {
-        Some(SlotAccess::Local(pat)) => Ok(pat),
-        _ => Err(MachineError::PlanMismatch(format!(
-            "node {p}: fused kernel slot {slot} is not owner-local in an interior run"
-        ))),
-    }
-}
-
-fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
+pub(crate) fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
     match f {
         RecvFail::Timeout => MachineError::MissingMessage {
             node: p,
@@ -1198,8 +826,106 @@ fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> Machi
     }
 }
 
-/// Execute one compiled run: fused fast path for interior runs of
-/// recognized shapes, generic gather + bytecode everywhere else.
+/// How element-mode operands gathered for one boundary run are indexed:
+/// position `t` of the run is element `t` of the buffer.
+const GATHERED: AccessPattern = AccessPattern::Affine { base: 0, step: 1 };
+
+/// Make every remote operand of boundary run `er` available and account
+/// for it. Vectorized mode awaits each packet the run names *once* and
+/// checks the run's window lies inside it; element mode receives the
+/// tagged values one by one into per-slot buffers (returned; empty in
+/// vectorized mode). Either way one `RecvValue` is traced per consumed
+/// element, position-major then slot.
+#[allow(clippy::too_many_arguments)]
+fn receive_operands(
+    p: i64,
+    er: &ExecRun,
+    node: &NodePlan,
+    cn: &CompiledNode,
+    ep: &mut Endpoint<Wire>,
+    rcv: &mut RecvCtx<'_>,
+    opts: &DistOptions,
+    stats: &mut NodeStats,
+    tracer: &dyn Tracer,
+) -> Result<Vec<Vec<f64>>, MachineError> {
+    let trace_on = tracer.enabled();
+    let n = er.run.len() as usize;
+    fn remote(sa: &SlotAccess) -> Option<(usize, usize, &AccessPattern)> {
+        match sa {
+            SlotAccess::Packet {
+                src_ord,
+                run_ord,
+                pattern,
+            } => Some((*src_ord, *run_ord, pattern)),
+            SlotAccess::Local(_) => None,
+        }
+    }
+    let peer_of = |src_ord: usize| cn.src_peers.get(src_ord).copied().unwrap_or(-1);
+    let mut gathered: Vec<Vec<f64>> = Vec::new();
+    match opts.mode {
+        CommMode::Vectorized => {
+            for (slot, sa) in er.slots.iter().enumerate() {
+                let Some((so, ro, pattern)) = remote(sa) else {
+                    continue;
+                };
+                let array = &node.resides[slot].array;
+                let len = await_packet(ep, rcv, cn, so, ro, opts, stats)
+                    .map_err(|f| map_recv_fail(f, p, array, er.run.start, slot))?;
+                let inside = |off: i64| usize::try_from(off).is_ok_and(|o| o < len);
+                if n > 0 && !(inside(pattern.offset(0)) && inside(pattern.offset(n - 1))) {
+                    return Err(map_recv_fail(
+                        RecvFail::BadWire("packet shorter than its planned run"),
+                        p,
+                        array,
+                        er.run.start,
+                        slot,
+                    ));
+                }
+            }
+            stats.msgs_received += er.remote_elems;
+        }
+        CommMode::Element => {
+            gathered.resize_with(er.slots.len(), Vec::new);
+            let mut i = er.run.start;
+            for _ in 0..n {
+                for (slot, sa) in er.slots.iter().enumerate() {
+                    let Some((so, ..)) = remote(sa) else {
+                        continue;
+                    };
+                    let v = recv_element(ep, rcv, slot, i, peer_of(so), opts, stats)
+                        .map_err(|f| map_recv_fail(f, p, &node.resides[slot].array, i, slot))?;
+                    stats.msgs_received += 1;
+                    gathered[slot].push(v);
+                    if trace_on {
+                        let src = peer_of(so);
+                        tracer.record(p, EventKind::RecvValue { src, slot, i });
+                    }
+                }
+                i += er.run.step;
+            }
+        }
+    }
+    if trace_on && opts.mode == CommMode::Vectorized {
+        let mut i = er.run.start;
+        for _ in 0..n {
+            for (slot, sa) in er.slots.iter().enumerate() {
+                if let Some((so, ..)) = remote(sa) {
+                    let src = peer_of(so);
+                    tracer.record(p, EventKind::RecvValue { src, slot, i });
+                }
+            }
+            i += er.run.step;
+        }
+    }
+    Ok(gathered)
+}
+
+/// Execute one compiled run. Interior and boundary runs share one code
+/// path: a boundary run first makes its remote operands available
+/// ([`receive_operands`]), after which every slot is a slice plus a
+/// pattern — the local part or a staged packet — and the fused / SIMD
+/// arms cannot tell the difference. `Generic` shapes and guarded
+/// clauses gather per element and run the bytecode.
 #[allow(clippy::too_many_arguments)]
 fn exec_one_run(
     p: i64,
@@ -1219,79 +945,103 @@ fn exec_one_run(
     out: &mut Vec<WriteOp>,
     tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
-    let trace_on = tracer.enabled();
     let n = er.run.len() as usize;
     let n_slots = node.resides.len();
-    // fused paths need every operand owner-local and an always-true
-    // guard; the stats they charge are exactly what the per-element
-    // template would have charged (one gather per slot per iteration)
-    let fused = (!er.boundary && matches!(rguard, RGuard::Always) && n > 0)
+    let gathered = if er.boundary {
+        receive_operands(p, er, node, cn, ep, rcv, opts, stats, tracer)?
+    } else {
+        Vec::new()
+    };
+    let staging: &Staging = rcv.cur_staging();
+    // where slot `s` of this run reads from, and how it is indexed
+    let operand = |s: usize| -> (&[f64], &AccessPattern, &str) {
+        let array = node.resides[s].array.as_str();
+        match &er.slots[s] {
+            SlotAccess::Local(pat) => (parts[s], pat, array),
+            SlotAccess::Packet { .. } if !gathered.is_empty() => (&gathered[s], &GATHERED, array),
+            SlotAccess::Packet {
+                src_ord,
+                run_ord,
+                pattern,
+            } => (
+                staging[*src_ord][*run_ord].as_deref().unwrap_or(&[]),
+                pattern,
+                array,
+            ),
+        }
+    };
+    // fused paths need an always-true guard; the stats they charge are
+    // exactly what the per-element template would have charged (one
+    // gather per slot per iteration, local or received)
+    let fused = (matches!(rguard, RGuard::Always) && n > 0)
         .then_some(&kernel.fused)
         .filter(|f| !matches!(f, FusedShape::Generic));
+    let local_slots = (er.slots.iter())
+        .filter(|sa| matches!(sa, SlotAccess::Local(_)))
+        .count() as u64;
+    if fused.is_some() {
+        stats.iterations += n as u64;
+        stats.data_guards += n as u64;
+        stats.local_reads += n as u64 * local_slots;
+    }
     // SIMD lane tier: the plan-time predicate (unit-stride writes, all
-    // read slots local unit-stride) plus the runtime guard/policy. The
-    // lane kernels perform the exact per-element operation sequence of
-    // the scalar arms below, so results are bitwise identical; only the
+    // read slots unit-stride) plus the runtime guard/policy. The lane
+    // kernels perform the exact per-element operation sequence of the
+    // scalar arms below, so results are bitwise identical; only the
     // WriteOp batching differs (one Dense run instead of n Els), which
     // `finalize_run` commits identically.
     let simd_ok =
         opts.simd.enabled() && matches!(rguard, RGuard::Always) && er.simd_eligible(&kernel.fused);
+    // the slice a unit-stride run reads: `None` exactly when some
+    // per-element `read_at` of the scalar path would have failed
+    let seg = |s: usize| -> Result<&[f64], MachineError> {
+        let (src, pat, array) = operand(s);
+        usize::try_from(pat.offset(0))
+            .ok()
+            .and_then(|base| src.get(base..base + n))
+            .ok_or_else(|| {
+                MachineError::PlanMismatch(format!(
+                    "node {p}: compiled fused run reads outside `{array}` operand"
+                ))
+            })
+    };
+    let read = |s: usize, t: usize| -> Result<f64, MachineError> {
+        let (src, pat, array) = operand(s);
+        read_at(src, pat.offset(t), p, array)
+    };
+    let dense = |values: Vec<f64>| -> Result<WriteOp, MachineError> {
+        Ok(WriteOp::Dense {
+            base: write_off(er.lhs.offset(0), p)?,
+            values,
+        })
+    };
     let mut vectorized = false;
     match fused {
         Some(FusedShape::Copy { slot }) => {
-            stats.iterations += n as u64;
-            stats.data_guards += n as u64;
-            stats.local_reads += (n * n_slots) as u64;
-            let pat = fused_local_pattern(er, *slot, p)?;
-            let src = parts.get(*slot).copied().unwrap_or(&[]);
-            match (&er.lhs, pat) {
-                // both runs unit-stride: degrade to one slice copy
-                (
-                    AccessPattern::Affine { base: lb, step: 1 },
-                    AccessPattern::Affine { base: sb, step: 1 },
-                ) => {
-                    let sb_us =
-                        write_off(*sb, p).map_err(|_| read_oob(p, &node.resides[*slot].array))?;
-                    let seg = src
-                        .get(sb_us..sb_us + n)
-                        .ok_or_else(|| read_oob(p, &node.resides[*slot].array))?;
-                    let mut values = vec![0.0f64; n];
-                    values.copy_from_slice(seg);
-                    out.push(WriteOp::Dense {
-                        base: write_off(*lb, p)?,
-                        values,
-                    });
-                    // the slice copy predates the lane tier; the census
-                    // claims it only when the policy is on
-                    vectorized = simd_ok;
-                }
-                _ => {
-                    for t in 0..n {
-                        let v = read_local(src, pat.offset(t), p, &node.resides[*slot].array)?;
-                        out.push(WriteOp::El(write_off(er.lhs.offset(t), p)?, v));
-                    }
+            // both sides unit-stride: degrade to one slice copy. It
+            // predates the lane tier; the census claims it only when
+            // the policy is on
+            if er.lhs.is_unit_stride() && operand(*slot).1.is_unit_stride() {
+                out.push(dense(seg(*slot)?.to_vec())?);
+                vectorized = simd_ok;
+            } else {
+                for t in 0..n {
+                    out.push(WriteOp::El(
+                        write_off(er.lhs.offset(t), p)?,
+                        read(*slot, t)?,
+                    ));
                 }
             }
         }
         Some(FusedShape::Axpy { a, slot, b }) => {
-            stats.iterations += n as u64;
-            stats.data_guards += n as u64;
-            stats.local_reads += (n * n_slots) as u64;
-            let pat = fused_local_pattern(er, *slot, p)?;
-            let src = parts.get(*slot).copied().unwrap_or(&[]);
             if simd_ok {
-                let seg = fused_seg(src, pat, n)
-                    .ok_or_else(|| read_oob(p, &node.resides[*slot].array))?;
                 let mut values = vec![0.0f64; n];
-                simd::axpy(opts.simd, *a, *b, seg, &mut values);
-                out.push(WriteOp::Dense {
-                    base: write_off(er.lhs.offset(0), p)?,
-                    values,
-                });
+                simd::axpy(opts.simd, *a, *b, seg(*slot)?, &mut values);
+                out.push(dense(values)?);
                 vectorized = true;
             } else {
                 for t in 0..n {
-                    let mut v = read_local(src, pat.offset(t), p, &node.resides[*slot].array)?;
+                    let mut v = read(*slot, t)?;
                     if let Some(a) = a {
                         v *= *a;
                     }
@@ -1307,145 +1057,70 @@ fn exec_one_run(
             left_assoc,
             scale,
             offset,
-        }) => {
-            stats.iterations += n as u64;
-            stats.data_guards += n as u64;
-            stats.local_reads += (n * n_slots) as u64;
-            let mut pats = Vec::with_capacity(slots.len());
-            for s in slots {
-                pats.push((
-                    fused_local_pattern(er, *s, p)?,
-                    parts.get(*s).copied().unwrap_or(&[][..]),
-                    *s,
-                ));
+        }) => match (simd_ok, slots.as_slice()) {
+            (true, [s0, s1]) => {
+                let mut values = vec![0.0f64; n];
+                simd::stencil2(
+                    opts.simd,
+                    *scale,
+                    *offset,
+                    seg(*s0)?,
+                    seg(*s1)?,
+                    &mut values,
+                );
+                out.push(dense(values)?);
+                vectorized = true;
             }
-            let segs = if simd_ok {
-                pats.iter()
-                    .map(|(pat, src, s)| {
-                        fused_seg(src, pat, n).ok_or_else(|| read_oob(p, &node.resides[*s].array))
-                    })
-                    .collect::<Result<Vec<&[f64]>, _>>()?
-            } else {
-                Vec::new()
-            };
-            match segs.as_slice() {
-                [s0, s1] => {
-                    let mut values = vec![0.0f64; n];
-                    simd::stencil2(opts.simd, *scale, *offset, s0, s1, &mut values);
-                    out.push(WriteOp::Dense {
-                        base: write_off(er.lhs.offset(0), p)?,
-                        values,
-                    });
-                    vectorized = true;
-                }
-                [s0, s1, s2] => {
-                    let mut values = vec![0.0f64; n];
-                    simd::stencil3(
-                        opts.simd,
-                        *left_assoc,
-                        *scale,
-                        *offset,
-                        s0,
-                        s1,
-                        s2,
-                        &mut values,
-                    );
-                    out.push(WriteOp::Dense {
-                        base: write_off(er.lhs.offset(0), p)?,
-                        values,
-                    });
-                    vectorized = true;
-                }
-                _ => {
-                    for t in 0..n {
-                        let read = |j: usize| -> Result<f64, MachineError> {
-                            let (pat, src, s) = &pats[j];
-                            read_local(src, pat.offset(t), p, &node.resides[*s].array)
-                        };
-                        let x0 = read(0)?;
-                        let x1 = read(1)?;
-                        let mut v = if slots.len() == 3 {
-                            let x2 = read(2)?;
-                            if *left_assoc {
-                                (x0 + x1) + x2
-                            } else {
-                                x0 + (x1 + x2)
-                            }
+            (true, [s0, s1, s2]) => {
+                let mut values = vec![0.0f64; n];
+                simd::stencil3(
+                    opts.simd,
+                    *left_assoc,
+                    *scale,
+                    *offset,
+                    seg(*s0)?,
+                    seg(*s1)?,
+                    seg(*s2)?,
+                    &mut values,
+                );
+                out.push(dense(values)?);
+                vectorized = true;
+            }
+            _ => {
+                for t in 0..n {
+                    let x0 = read(slots[0], t)?;
+                    let x1 = read(slots[1], t)?;
+                    let mut v = if slots.len() == 3 {
+                        let x2 = read(slots[2], t)?;
+                        if *left_assoc {
+                            (x0 + x1) + x2
                         } else {
-                            x0 + x1
-                        };
-                        if let Some(s) = scale {
-                            v *= *s;
+                            x0 + (x1 + x2)
                         }
-                        if let Some(b) = offset {
-                            v += *b;
-                        }
-                        out.push(WriteOp::El(write_off(er.lhs.offset(t), p)?, v));
+                    } else {
+                        x0 + x1
+                    };
+                    if let Some(s) = scale {
+                        v *= *s;
                     }
+                    if let Some(b) = offset {
+                        v += *b;
+                    }
+                    out.push(WriteOp::El(write_off(er.lhs.offset(t), p)?, v));
                 }
             }
-        }
+        },
         Some(FusedShape::Generic) | None => {
-            // generic: gather every slot (local by precomputed offset,
-            // remote through the transport), then run the bytecode
+            // generic: gather every slot by its precomputed offset, from
+            // the local part or straight out of the packet, then run the
+            // bytecode
             let mut i = er.run.start;
             for t in 0..n {
                 stats.iterations += 1;
-                for slot in 0..n_slots {
-                    let rp = &node.resides[slot];
-                    let v = match &er.slots[slot] {
-                        SlotAccess::Local(pat) => {
-                            stats.local_reads += 1;
-                            read_local(parts[slot], pat.offset(t), p, &rp.array)?
-                        }
-                        SlotAccess::Mixed(refs) => {
-                            match refs.get(t).copied().unwrap_or(SlotRef::Local(0)) {
-                                SlotRef::Local(off) => {
-                                    stats.local_reads += 1;
-                                    read_local(parts[slot], off, p, &rp.array)?
-                                }
-                                SlotRef::Remote(owner) => {
-                                    let res = match opts.mode {
-                                        CommMode::Element => {
-                                            recv_element(ep, rcv, slot, i, owner, opts, stats)
-                                        }
-                                        CommMode::Vectorized => recv_packed(
-                                            ep,
-                                            rcv,
-                                            &cn.src_ord,
-                                            &cn.src_peers,
-                                            &cn.origin,
-                                            slot,
-                                            i,
-                                            opts,
-                                            stats,
-                                        ),
-                                    };
-                                    match res {
-                                        Ok(v) => {
-                                            if trace_on {
-                                                tracer.record(
-                                                    p,
-                                                    EventKind::RecvValue {
-                                                        src: owner,
-                                                        slot,
-                                                        i,
-                                                    },
-                                                );
-                                            }
-                                            stats.msgs_received += 1;
-                                            v
-                                        }
-                                        Err(f) => {
-                                            return Err(map_recv_fail(f, p, &rp.array, i, slot))
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    };
-                    vals[slot] = v;
+                for (s, v) in vals.iter_mut().enumerate().take(n_slots) {
+                    *v = read(s, t)?;
                 }
+                stats.local_reads += local_slots;
                 stats.data_guards += 1;
                 let guard_ok = match rguard {
                     RGuard::Always => true,
@@ -1472,7 +1147,7 @@ fn exec_one_run(
     } else {
         stats.simd_fallback_runs += 1;
     }
-    if trace_on {
+    if tracer.enabled() {
         tracer.record(
             p,
             if er.boundary {
@@ -1492,20 +1167,6 @@ fn exec_one_run(
     Ok(())
 }
 
-/// The owner-local slice a unit-stride fused run reads: `src[base..base+n]`.
-/// `None` exactly when any per-element `read_local` of the scalar path
-/// would have failed (the range check subsumes every element check).
-fn fused_seg<'a>(src: &'a [f64], pat: &AccessPattern, n: usize) -> Option<&'a [f64]> {
-    let base = usize::try_from(pat.offset(0)).ok()?;
-    src.get(base..base + n)
-}
-
-fn read_oob(p: i64, array: &str) -> MachineError {
-    MachineError::PlanMismatch(format!(
-        "node {p}: compiled fused run reads outside `{array}` part"
-    ))
-}
-
 /// Why a remote value could not be produced.
 pub(crate) enum RecvFail {
     /// The wire message never arrived within the timeout (recovery
@@ -1521,6 +1182,10 @@ pub(crate) enum RecvFail {
     BadWire(&'static str),
 }
 
+/// Vectorized-mode packet staging, `[source ordinal][run]`: the payload
+/// of every planned incoming packet that has landed.
+pub(crate) type Staging = Vec<Vec<Option<Arc<[f64]>>>>;
+
 /// One wave job's private receive buffers. Lanes are strictly per job:
 /// two jobs may await the same `(slot, i)` key from the same owner, so
 /// a shared map would overwrite one job's value and starve the other.
@@ -1530,8 +1195,8 @@ pub(crate) struct JobLane {
     pub src_ord: Vec<usize>,
     /// element-mode arrivals keyed `(slot, i)`.
     pub pending: BTreeMap<(usize, i64), f64>,
-    /// vectorized-mode packet staging, `[source ordinal][run]`.
-    pub staging: Vec<Vec<Option<Vec<f64>>>>,
+    /// vectorized-mode packet staging.
+    pub staging: Staging,
 }
 
 /// Wave-mode receive router. A wave is ONE transport run: every job's
@@ -1574,8 +1239,8 @@ pub(crate) enum RecvCtx<'a> {
     Single {
         /// element-mode arrivals keyed `(slot, i)`.
         pending: &'a mut BTreeMap<(usize, i64), f64>,
-        /// vectorized-mode packet staging, `[source ordinal][run]`.
-        staging: &'a mut Vec<Vec<Option<Vec<f64>>>>,
+        /// vectorized-mode packet staging.
+        staging: &'a mut Staging,
     },
     /// Many jobs sharing one transport run.
     Wave(&'a mut WaveRecv),
@@ -1591,7 +1256,7 @@ impl RecvCtx<'_> {
     }
 
     /// The staging rows the currently executing job reads from.
-    fn cur_staging(&mut self) -> &mut Vec<Vec<Option<Vec<f64>>>> {
+    fn cur_staging(&mut self) -> &mut Staging {
         match self {
             RecvCtx::Single { staging, .. } => staging,
             RecvCtx::Wave(w) => &mut w.lanes[w.cur].staging,
@@ -1622,7 +1287,7 @@ impl RecvCtx<'_> {
         src: i64,
         seq: u64,
         run_ord: usize,
-        values: Vec<f64>,
+        values: Arc<[f64]>,
         src_ord: &[usize],
     ) -> Result<(), &'static str> {
         let (ord, row_staging) = match self {
@@ -1659,104 +1324,29 @@ impl RecvCtx<'_> {
     }
 }
 
-/// Per-node receive-side state, by mode.
-enum RecvState {
-    /// Element mode: out-of-order arrivals buffered in an ordered map
-    /// keyed `(slot, i)`.
-    Element {
-        pending: BTreeMap<(usize, i64), f64>,
-    },
-    /// Vectorized mode: packets staged whole by `(source, run)`; each
-    /// remote element resolves to a plan-computed `(source, run,
-    /// offset)` address — no per-element tag matching.
-    Packed {
-        /// source processor id → ordinal in the recv pair list.
-        src_ord: Vec<usize>,
-        /// source ordinal → processor id (the NACK target).
-        peers: Vec<i64>,
-        /// `staging[source ordinal][run]` = the packet's values.
-        staging: Vec<Vec<Option<Vec<f64>>>>,
-        /// `(slot, i)` → `(source ordinal, run, offset)`, expanded from
-        /// the plan's receive runs before the update loop starts.
-        origin: BTreeMap<(usize, i64), (usize, usize, usize)>,
-    },
-}
+/// Per-element receive addressing `(slot, i)` → `(source ordinal, run,
+/// offset)` for plans *without* exec tables (naive-guard schedules): the
+/// element-at-a-time oracle path expands it per run. Compiled plans
+/// never build it — their run tables name whole packet windows.
+pub(crate) type Origin = BTreeMap<(usize, i64), (usize, usize, usize)>;
 
-impl RecvState {
-    fn new(node: &NodePlan, mode: CommMode, pmax: usize) -> RecvState {
-        match mode {
-            CommMode::Element => RecvState::Element {
-                pending: BTreeMap::new(),
-            },
-            CommMode::Vectorized => {
-                let mut src_ord = vec![usize::MAX; pmax];
-                let mut peers = Vec::with_capacity(node.comm.recvs.len());
-                let mut origin = BTreeMap::new();
-                let mut staging = Vec::with_capacity(node.comm.recvs.len());
-                for (ord, pc) in node.comm.recvs.iter().enumerate() {
-                    src_ord[pc.peer as usize] = ord;
-                    peers.push(pc.peer);
-                    staging.push(vec![None; pc.runs.len()]);
-                    for (run_ord, run) in pc.runs.iter().enumerate() {
-                        let mut off = 0usize;
-                        run.for_each(|i| {
-                            origin.insert((run.slot, i), (ord, run_ord, off));
-                            off += 1;
-                        });
-                    }
-                }
-                RecvState::Packed {
-                    src_ord,
-                    peers,
-                    staging,
-                    origin,
-                }
-            }
+pub(crate) fn expand_origin(node: &NodePlan) -> Origin {
+    let mut origin = BTreeMap::new();
+    for (ord, pc) in node.comm.recvs.iter().enumerate() {
+        for (run_ord, run) in pc.runs.iter().enumerate() {
+            let mut off = 0usize;
+            run.for_each(|i| {
+                origin.insert((run.slot, i), (ord, run_ord, off));
+                off += 1;
+            });
         }
     }
-
-    /// Produce the remote operand for `(slot, i)` owed by `owner`,
-    /// receiving (and recovering) through the transport as needed.
-    #[allow(clippy::too_many_arguments)]
-    fn remote_value(
-        &mut self,
-        ep: &mut Endpoint<Wire>,
-        slot: usize,
-        i: i64,
-        owner: i64,
-        opts: &DistOptions,
-        stats: &mut NodeStats,
-    ) -> Result<f64, RecvFail> {
-        match self {
-            RecvState::Element { pending } => {
-                let mut staging = Vec::new();
-                let mut rcv = RecvCtx::Single {
-                    pending,
-                    staging: &mut staging,
-                };
-                recv_element(ep, &mut rcv, slot, i, owner, opts, stats)
-            }
-            RecvState::Packed {
-                src_ord,
-                peers,
-                staging,
-                origin,
-            } => {
-                let mut pending = BTreeMap::new();
-                let mut rcv = RecvCtx::Single {
-                    pending: &mut pending,
-                    staging,
-                };
-                recv_packed(ep, &mut rcv, src_ord, peers, origin, slot, i, opts, stats)
-            }
-        }
-    }
+    origin
 }
 
 /// Element-mode blocking receive: stage tagged arrivals in `pending`
-/// until `(slot, i)` from `owner` is available. Shared by the per-run
-/// [`RecvState`] and the persistent executor (which keeps `pending`
-/// alive across runs, cleared, not reallocated).
+/// until `(slot, i)` from `owner` is available (`pending` lives in the
+/// worker's scratch, cleared per run, not reallocated).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn recv_element(
     ep: &mut Endpoint<Wire>,
@@ -1790,27 +1380,21 @@ pub(crate) fn recv_element(
     })
 }
 
-/// Vectorized-mode blocking receive: stage whole packets by
-/// `(source, run)` and resolve `(slot, i)` through the plan-computed
-/// `origin` addressing. Shared by the per-run [`RecvState`] (which
-/// expands `origin` on every execution) and the persistent executor
-/// (which reads it from the compiled schedule and reuses `staging`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn recv_packed(
+/// Vectorized-mode blocking receive of one whole planned packet: stage
+/// arrivals by `(source, run)` until packet `(so, ro)` has landed, and
+/// return its length. The compiled update phase calls this once per
+/// packet a boundary run names.
+pub(crate) fn await_packet(
     ep: &mut Endpoint<Wire>,
     rcv: &mut RecvCtx<'_>,
-    src_ord: &[usize],
-    peers: &[i64],
-    origin: &BTreeMap<(usize, i64), (usize, usize, usize)>,
-    slot: usize,
-    i: i64,
+    cn: &CompiledNode,
+    so: usize,
+    ro: usize,
     opts: &DistOptions,
     stats: &mut NodeStats,
-) -> Result<f64, RecvFail> {
-    let &(so, ro, off) = origin
-        .get(&(slot, i))
-        .ok_or(RecvFail::BadWire("no planned packet covers this element"))?;
-    let peer = peers
+) -> Result<usize, RecvFail> {
+    let peer = cn
+        .src_peers
         .get(so)
         .copied()
         .ok_or(RecvFail::BadWire("source ordinal out of range"))?;
@@ -1822,18 +1406,13 @@ pub(crate) fn recv_packed(
         stats,
         rcv,
         |rcv| {
-            rcv.cur_staging()
-                .get(so)
-                .and_then(|row| row.get(ro))
-                .and_then(Option::as_ref)
-                .map(|vals| {
-                    vals.get(off)
-                        .copied()
-                        .ok_or("packet shorter than its planned run")
-                })
+            let cell = rcv.cur_staging().get(so).and_then(|row| row.get(ro));
+            cell.and_then(Option::as_ref).map(|vals| Ok(vals.len()))
         },
         |rcv, src, seq, wire| match wire {
-            Wire::Pack { run_ord, values } => rcv.stage_pack(src, seq, run_ord, values, src_ord),
+            Wire::Pack { run_ord, values } => {
+                rcv.stage_pack(src, seq, run_ord, values, &cn.src_ord)
+            }
             Wire::Elem(_) => Err("element message in vectorized mode"),
         },
     )
@@ -1842,6 +1421,31 @@ pub(crate) fn recv_packed(
         AwaitFail::Exhausted { retries } => RecvFail::Exhausted { peer, retries },
         AwaitFail::BadWire(w) => RecvFail::BadWire(w),
     })
+}
+
+/// Vectorized-mode blocking receive of one element, for plans without
+/// exec tables: resolve `(slot, i)` through the per-element `origin`
+/// addressing, await its packet, and index it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn recv_packed(
+    ep: &mut Endpoint<Wire>,
+    rcv: &mut RecvCtx<'_>,
+    cn: &CompiledNode,
+    origin: &Origin,
+    slot: usize,
+    i: i64,
+    opts: &DistOptions,
+    stats: &mut NodeStats,
+) -> Result<f64, RecvFail> {
+    let &(so, ro, off) = origin
+        .get(&(slot, i))
+        .ok_or(RecvFail::BadWire("no planned packet covers this element"))?;
+    await_packet(ep, rcv, cn, so, ro, opts, stats)?;
+    rcv.cur_staging()[so][ro]
+        .as_deref()
+        .and_then(|vals| vals.get(off))
+        .copied()
+        .ok_or(RecvFail::BadWire("packet shorter than its planned run"))
 }
 
 #[cfg(test)]

@@ -2,28 +2,29 @@
 //! compiled schedules (paper Section 4's amortization discipline).
 //!
 //! [`run_distributed`](crate::run_distributed) pays the full setup bill
-//! on every call: fresh OS threads per clause, channels and staging
-//! reallocated, the closed-form enumerators re-walked into temporaries.
-//! That is the right shape for a one-shot clause and exactly the wrong
-//! shape for a timestep loop, where the same plan executes thousands of
-//! times. This module splits the cost:
+//! on every call: it prepares the plan and runs it on a one-shot pool —
+//! fresh OS threads, channels and staging per clause. That is the right
+//! shape for a one-shot clause and exactly the wrong shape for a
+//! timestep loop, where the same plan executes thousands of times. This
+//! module splits the cost:
 //!
 //! * [`prepare_run`] does everything that depends only on
-//!   `(plan, clause, decompositions)` — expression/guard resolution,
+//!   `(plan, clause, decompositions)` — expression/guard resolution and
 //!   the [`CompiledSchedule`] materialization of every Table I
-//!   enumeration and the vectorized receive addressing — and freezes it
-//!   in a shareable [`PreparedPlan`].
+//!   enumeration into run tables (iteration, send packing, and
+//!   run-granular receive addressing) — and freezes it in a shareable
+//!   [`PreparedPlan`].
 //! * [`DistExecutor`] owns `pmax` node threads spawned **once**; between
 //!   runs they park on their job channel. Transport endpoints (sequence
 //!   numbers, dedup windows), receive staging, and operand buffers are
 //!   *reset*, not reallocated, per run.
 //!
-//! The warm path threads the same [`Tracer`] and fault machinery as the
-//! cold path and must stay behaviorally identical to it: same results
-//! bit-for-bit, same statistics, same deterministic event stream (worker
-//! events are buffered thread-locally and replayed into the real tracer
-//! after the run — sound because [`CollectingTracer`] canonicalizes
-//! event order by `(class, node, per-node clock)`). A pooled worker that
+//! Cold and warm runs are the same phase engine ([`warm_phases`]) and so
+//! agree by construction: same results bit-for-bit, same statistics,
+//! same deterministic event stream (worker events are buffered
+//! thread-locally and replayed into the real tracer after the run —
+//! sound because [`CollectingTracer`] canonicalizes event order by
+//! `(class, node, per-node clock)`). A pooled worker that
 //! crashes is retired without poisoning the session: the caught panic
 //! becomes [`MachineError::NodePanicked`], uncommitted writes are
 //! discarded (the host's all-or-nothing commit restores pre-run state),
@@ -34,10 +35,10 @@
 
 use crate::darray::DistArray;
 use crate::distributed::{
-    disassemble, eval_rexpr, exec_update_phase, finalize_run, recv_element, recv_packed,
-    resolve_expr, resolve_guard, send_phase_element_compiled, CommMode, DistOptions, JobLane, Msg,
-    NodeOutcome, RExpr, RGuard, RecvCtx, RecvFail, WaveRecv, Wire, WriteOp, ELEM_MSG_BYTES,
-    PACK_HEADER_BYTES,
+    disassemble, eval_rexpr, exec_update_phase, expand_origin, finalize_run, map_recv_fail,
+    recv_element, recv_packed, resolve_expr, resolve_guard, send_phase_element_compiled,
+    send_phase_vectorized, CommMode, DistOptions, JobLane, Msg, NodeOutcome, RExpr, RGuard,
+    RecvCtx, Staging, WaveRecv, Wire, WriteOp, ELEM_MSG_BYTES,
 };
 use crate::error::MachineError;
 use crate::obs::{trace_plan, EventKind, Phase, Tracer};
@@ -88,21 +89,21 @@ impl PreparedPlan {
 
     /// Rough resident size of the prepared tables — the byte charge the
     /// bounded plan caches account against their budget. Dominated by
-    /// the compiled per-node run tables and the vectorized receive
-    /// addressing; a handful of machine words per run/origin entry, so
-    /// an estimate (not an allocator census) is plenty for LRU pressure.
+    /// the compiled per-node run tables, so it grows with the number of
+    /// runs (plus the explicit offsets of any non-affine pattern), not
+    /// with the number of elements; an estimate (not an allocator
+    /// census) is plenty for LRU pressure.
     pub fn approx_bytes(&self) -> usize {
         let mut b = std::mem::size_of::<PreparedPlan>();
         for node in &self.compiled.nodes {
-            b += node.modify.len() * 32;
-            for r in node.resides.iter().flatten() {
-                b += r.len() * 32;
-            }
-            b += node.origin.len() * 64;
-            b += (node.src_ord.len() + node.src_peers.len() + node.staging_runs.len()) * 8;
+            b += node.approx_bytes();
         }
         for np in &self.plan.nodes {
             b += np.resides.len() * 128;
+            let comm_runs: usize = (np.comm.sends.iter().chain(&np.comm.recvs))
+                .map(|pc| pc.runs.len())
+                .sum();
+            b += comm_runs * std::mem::size_of::<vcal_spmd::CommRun>();
         }
         b
     }
@@ -171,6 +172,20 @@ pub fn prepare_run(
         decomps: captured,
         dec_lhs,
     })
+}
+
+/// [`prepare_run`] against the decompositions of the live images in
+/// `arrays` — what a one-shot (cold) execution prepares.
+pub(crate) fn prepare_for(
+    plan: &SpmdPlan,
+    clause: &Clause,
+    arrays: &BTreeMap<String, DistArray>,
+) -> Result<PreparedPlan, MachineError> {
+    let decomps = arrays
+        .iter()
+        .map(|(name, da)| (name.clone(), da.decomp().clone()))
+        .collect();
+    prepare_run(plan.clone(), clause, &decomps)
 }
 
 /// Per-run context shared by every worker of one execution.
@@ -370,8 +385,7 @@ fn build_pool(pmax: usize) -> Vec<WorkerHandle> {
     workers
 }
 
-/// The placeholder outcome of a worker that died without replying —
-/// identical to the cold path's escaped-panic fallback.
+/// The placeholder outcome of a worker that died without replying.
 fn dead_outcome(p: i64, pmax: usize) -> NodeOutcome {
     (
         p,
@@ -1058,7 +1072,7 @@ pub(crate) struct Scratch {
     /// Element mode: out-of-order arrivals keyed `(slot, i)`.
     pending: BTreeMap<(usize, i64), f64>,
     /// Vectorized mode: `staging[source ordinal][run]` packet values.
-    staging: Vec<Vec<Option<Vec<f64>>>>,
+    staging: Staging,
     /// Operand values of the current iteration, one per read slot.
     vals: Vec<f64>,
     /// Kernel evaluation stack (compiled path), reused across runs.
@@ -1233,11 +1247,10 @@ pub(crate) enum PhaseSpan {
     UpdateOnly,
 }
 
-/// The send + update phases of one warm run. This mirrors the cold
-/// path's `node_phases` statement for statement — same events, same
-/// statistics, same error mapping — but drives every loop from the
-/// compiled run tables instead of re-deriving the closed forms, and
-/// receives through the persistent scratch instead of per-run state.
+/// The send + update phases of one run of one node — the 1-D phase
+/// engine behind pooled threads, wave jobs, socket workers and (on a
+/// one-shot pool) cold runs. Every loop is driven from the compiled run
+/// tables, and receives go through the worker's persistent scratch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn warm_phases(
     p: i64,
@@ -1272,10 +1285,9 @@ pub(crate) fn warm_phases(
         Some(w) => RecvCtx::Wave(w),
         None => RecvCtx::Single { pending, staging },
     };
-    // same gating as the cold machine: the kernel exists iff every
-    // schedule is closed-form and the expression compiled, so cold and
-    // warm runs take the same path (and record the same trace) per plan
-    let exec = prepared.compiled.kernel.as_ref().map(|k| (cn, k));
+    // the kernel exists iff every schedule is closed-form and the
+    // expression compiled; without it the element-at-a-time oracle runs
+    let kernel = prepared.compiled.kernel.as_ref();
 
     if span != PhaseSpan::SendOnly {
         // the modify guard work is charged to the update half, once
@@ -1289,8 +1301,8 @@ pub(crate) fn warm_phases(
             tracer.record(p, EventKind::PhaseStart(Phase::Send));
         }
         let send_t0 = trace_on.then(std::time::Instant::now);
-        match (opts.mode, exec) {
-            (CommMode::Element, Some((cn, _))) => {
+        match (opts.mode, kernel) {
+            (CommMode::Element, Some(_)) => {
                 send_phase_element_compiled(
                     p, locals, node, cn, decomps, ep, stats, sent_to, tracer,
                 );
@@ -1329,35 +1341,7 @@ pub(crate) fn warm_phases(
                 }
             }
             (CommMode::Vectorized, _) => {
-                for pair in &node.comm.sends {
-                    for (run_ord, run) in pair.runs.iter().enumerate() {
-                        let rp = &node.resides[run.slot];
-                        let dec_r = &decomps[&rp.array];
-                        let local_part = &locals[&rp.array];
-                        let mut values = Vec::with_capacity(run.count as usize);
-                        run.for_each(|i| {
-                            values.push(local_part[dec_r.local_of(rp.g.eval(i)) as usize]);
-                        });
-                        let elems = values.len() as u64;
-                        ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
-                        if trace_on {
-                            tracer.record(
-                                p,
-                                EventKind::PackSend {
-                                    dst: pair.peer,
-                                    run: run_ord,
-                                    elems,
-                                    bytes: PACK_HEADER_BYTES + 8 * elems,
-                                },
-                            );
-                        }
-                        sent_to[pair.peer as usize] += elems;
-                        stats.msgs_sent += elems;
-                        stats.packets_sent += 1;
-                        stats.bytes_sent += PACK_HEADER_BYTES + 8 * elems;
-                        stats.max_packet_elems = stats.max_packet_elems.max(elems);
-                    }
-                }
+                send_phase_vectorized(p, locals, node, cn, ep, stats, sent_to, tracer);
             }
         }
         ep.end_send_phase(); // flush delayed packets; crash point
@@ -1378,7 +1362,7 @@ pub(crate) fn warm_phases(
 
     // compiled path: fused/bytecode kernels over the interior/boundary
     // exec runs — never touches the tree interpreter
-    if let Some((cn, kernel)) = exec {
+    if let Some(kernel) = kernel {
         stack.clear();
         stack.reserve(kernel.stack_capacity());
         let res = exec_update_phase(
@@ -1394,6 +1378,12 @@ pub(crate) fn warm_phases(
 
     writes.reserve(cn.modify_iters as usize);
     let mut err: Option<MachineError> = None;
+    // no exec tables (a naive-guard plan): the element-at-a-time oracle
+    // path expands its own per-element receive addressing
+    let origin = match opts.mode {
+        CommMode::Vectorized => expand_origin(node),
+        CommMode::Element => Default::default(),
+    };
 
     let n_slots = node.resides.len();
     for_each_run(&cn.modify, |i| {
@@ -1416,17 +1406,9 @@ pub(crate) fn warm_phases(
             } else {
                 let got = match opts.mode {
                     CommMode::Element => recv_element(ep, &mut rcv, slot, i, owner, opts, stats),
-                    CommMode::Vectorized => recv_packed(
-                        ep,
-                        &mut rcv,
-                        &cn.src_ord,
-                        &cn.src_peers,
-                        &cn.origin,
-                        slot,
-                        i,
-                        opts,
-                        stats,
-                    ),
+                    CommMode::Vectorized => {
+                        recv_packed(ep, &mut rcv, cn, &origin, slot, i, opts, stats)
+                    }
                 };
                 match got {
                     Ok(v) => {
@@ -1443,36 +1425,8 @@ pub(crate) fn warm_phases(
                         stats.msgs_received += 1;
                         v
                     }
-                    Err(RecvFail::Timeout) => {
-                        err = Some(MachineError::MissingMessage {
-                            node: p,
-                            array: rp.array.clone(),
-                            index: i,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::PacketTimeout { peer, run }) => {
-                        err = Some(MachineError::MissingPacket {
-                            node: p,
-                            peer,
-                            slot,
-                            run,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::Exhausted { peer, retries }) => {
-                        err = Some(MachineError::Unrecoverable {
-                            node: p,
-                            peer,
-                            retries,
-                        });
-                        return;
-                    }
-                    Err(RecvFail::BadWire(why)) => {
-                        err = Some(MachineError::PlanMismatch(format!(
-                            "node {p}, array `{}`, i={i}: {why}",
-                            rp.array
-                        )));
+                    Err(f) => {
+                        err = Some(map_recv_fail(f, p, &rp.array, i, slot));
                         return;
                     }
                 }

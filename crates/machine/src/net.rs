@@ -1156,7 +1156,7 @@ mod tests {
                 check: 7,
                 payload: Wire::Pack {
                     run_ord: 1,
-                    values: vec![2.5, -1.0],
+                    values: vec![2.5, -1.0].into(),
                 },
             });
             (&mut &mut l0).send(1, f);
@@ -1174,7 +1174,7 @@ mod tests {
                     match p.payload {
                         Wire::Pack { run_ord, values } => {
                             assert_eq!(run_ord, 1);
-                            assert_eq!(values, vec![2.5, -1.0]);
+                            assert_eq!(*values, [2.5, -1.0]);
                         }
                         other => panic!("wrong payload: {other:?}"),
                     }

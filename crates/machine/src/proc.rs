@@ -34,7 +34,8 @@ use crate::darray::DistArray;
 use crate::distributed::{disassemble, finalize_run, DistOptions, NodeOutcome, Wire};
 use crate::error::MachineError;
 use crate::executor::{
-    prepare_run, reset_scratch, warm_phases, BufInner, BufTracer, PhaseSpan, PreparedPlan, Scratch,
+    prepare_for, prepare_run, reset_scratch, warm_phases, BufInner, BufTracer, PhaseSpan,
+    PreparedPlan, Scratch,
 };
 use crate::net::{ChaosProxy, Router, RouterEvent, SockLink};
 use crate::obs::{trace_plan, EventKind, Phase, Tracer};
@@ -596,24 +597,7 @@ pub(crate) fn run_one_shot(
     opts: DistOptions,
     tracer: &dyn Tracer,
 ) -> Result<ExecReport, MachineError> {
-    let node0 = plan
-        .nodes
-        .first()
-        .ok_or_else(|| MachineError::PlanMismatch("plan has no nodes".into()))?;
-    let mut decomps = BTreeMap::new();
-    let mut names = vec![plan.lhs_array.clone()];
-    for rp in &node0.resides {
-        if !names.contains(&rp.array) {
-            names.push(rp.array.clone());
-        }
-    }
-    for name in &names {
-        let da = arrays
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-        decomps.insert(name.clone(), da.decomp().clone());
-    }
-    let prepared = Arc::new(prepare_run(plan.clone(), clause, &decomps)?);
+    let prepared = Arc::new(prepare_for(plan, clause, arrays)?);
     let mut pool = ProcPool::new(
         opts.transport,
         plan.pmax.max(0) as usize,

@@ -1344,6 +1344,56 @@ mod tests {
                 "bounded cache changed results on `{name}`"
             );
         }
+
+        // the byte budget charges tables, and tables follow runs: a
+        // 1 Mi-element block-scatter(16) -> block copy (65 536 exec runs,
+        // half its elements remote) costs a few hundred bytes per run,
+        // where a per-element receive map cost 64 bytes per remote
+        // element (32 MiB) — so two such plans now share a 48 MiB budget
+        let n = 1i64 << 20;
+        let e = Bounds::range(0, n - 1);
+        let copy = |lhs: &str| Clause {
+            iter: IndexSet::range(0, n - 1),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1(lhs, Fn1::identity()),
+            rhs: Expr::Ref(ArrayRef::d1("U", Fn1::identity())),
+        };
+        let mut env = Env::new();
+        let mut dm = DecompMap::new();
+        for name in ["U", "V", "W"] {
+            env.insert(name, Array::from_fn(e, |i| i.scalar() as f64));
+            dm.insert(name.into(), Decomp1::block(2, e));
+        }
+        dm.insert("U".into(), Decomp1::block_scatter(16, 2, e));
+        let plan = SpmdPlan::build(&copy("V"), &dm).unwrap();
+        let prepared = prepare_run(plan, &copy("V"), &dm).unwrap();
+        let runs: usize = (prepared.compiled().nodes.iter())
+            .map(|cn| cn.exec.len())
+            .sum();
+        assert_eq!(runs as i64, n / 16);
+        let bytes = prepared.approx_bytes();
+        assert!(
+            (64 * runs..512 * runs).contains(&bytes),
+            "{bytes} B for {runs} runs is not a per-run charge"
+        );
+        let mut session = DistSession::new(&env, dm)
+            .unwrap()
+            .with_cache_budget(CacheBudget {
+                max_entries: 8,
+                max_bytes: 48 << 20,
+            });
+        session.run(&copy("V")).unwrap();
+        let rw = session.run(&copy("W")).unwrap();
+        assert_eq!(rw.evictions, 0, "both plans fit the byte budget");
+        assert_eq!(session.run(&copy("V")).unwrap().cache_hits, 1);
+        assert_eq!(
+            session
+                .gather("W")
+                .unwrap()
+                .max_abs_diff(env.get("U").unwrap()),
+            0.0
+        );
     }
 
     /// `retune_every` cuts the loop into rounds, every round re-profiles,

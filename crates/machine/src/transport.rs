@@ -146,6 +146,10 @@ impl<T> Transport<T> for ChannelTransport<T> {
     }
 
     fn recv(&mut self, slice: Duration) -> Option<Frame<T>> {
+        // a queued frame needs no deadline, so no clock read
+        if let Ok(frame) = self.rx.try_recv() {
+            return Some(frame);
+        }
         match self.rx.recv_timeout(slice) {
             Ok(frame) => Some(frame),
             Err(RecvTimeoutError::Timeout) => None,
@@ -902,7 +906,12 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
                     self.ack(src, stats); // re-ack so the sender prunes
                     return Step::Handled;
                 }
-                self.recv_ahead[src].insert(pkt.seq);
+                if pkt.seq == self.recv_next[src] {
+                    // in order — the common case never touches the window
+                    self.recv_next[src] += 1;
+                } else {
+                    self.recv_ahead[src].insert(pkt.seq);
+                }
                 while self.recv_ahead[src].remove(&self.recv_next[src]) {
                     self.recv_next[src] += 1;
                 }
@@ -1004,6 +1013,12 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
 /// Receive until `ready` produces a value, staging every fresh payload
 /// via `stage`, NACKing `peer` per the retry policy while waiting.
 ///
+/// A NACK means "I think a packet was lost". A fresh *in-order* frame
+/// from `peer` says the opposite — the flow is advancing and the awaited
+/// value is simply further back in a sender that is still mid-send — so
+/// it pushes the next NACK out by the current backoff. Frames behind a
+/// gap do not (the gap is the loss), and the hard deadline never moves.
+///
 /// `ready` and `stage` both operate on the caller's staging state
 /// `ctx` (passed explicitly so the two closures can share it without
 /// conflicting borrows). `ready` returning `Some(Err(why))` reports a
@@ -1034,6 +1049,7 @@ pub(crate) fn await_until<T: WirePayload, C, R>(
     } else {
         deadline
     };
+    let flow_next = |ep: &Endpoint<'_, T>| ep.recv_next.get(peer as usize).copied();
     loop {
         let now = Instant::now();
         if now >= deadline {
@@ -1059,11 +1075,16 @@ pub(crate) fn await_until<T: WirePayload, C, R>(
             .min(deadline)
             .saturating_duration_since(now)
             .max(Duration::from_millis(1));
+        let before = flow_next(ep);
         match ep.poll(slice, stats) {
             Step::Fresh { src, seq, payload } => {
                 stage(ctx, src, seq, payload).map_err(AwaitFail::BadWire)?;
                 if let Some(r) = ready(ctx) {
                     return r.map_err(AwaitFail::BadWire);
+                }
+                if retry.max_retries > 0 && src == peer && flow_next(ep) > before {
+                    next_nack =
+                        Instant::now() + jittered_backoff(backoff, retry.jitter_pct, peer, retries);
                 }
             }
             Step::Handled | Step::TimedOut => {}
@@ -1271,6 +1292,111 @@ mod tests {
             waited < Duration::from_secs(2),
             "deadline ignored: waited {waited:?}"
         );
+    }
+
+    /// A receiver endpoint (node 1) with a live inbound link, the raw
+    /// sender handle feeding it, and the channel its NACKs land on.
+    fn live_receiver() -> (
+        Endpoint<'static, f64>,
+        Sender<Frame<f64>>,
+        Receiver<Frame<f64>>,
+    ) {
+        let (tx0, rx0) = channel();
+        let (tx1, rx1) = channel();
+        let ep = Endpoint::in_proc(1, vec![tx0, tx1.clone()], rx1, None, &NULL_TRACER);
+        (ep, tx1, rx0)
+    }
+
+    fn data(seq: u64, v: f64) -> Frame<f64> {
+        Frame::Data(Packet {
+            src: 0,
+            seq,
+            check: packet_digest(0, seq, &v),
+            payload: v,
+        })
+    }
+
+    #[test]
+    fn progressing_sender_is_not_nacked() {
+        // the awaited value is the 15th frame of a sender that takes
+        // 300 ms to get there — longer than the 200 ms NACK timeout, but
+        // every in-order arrival shows the flow is alive
+        let (mut ep, tx, nacks) = live_receiver();
+        let retry = RetryPolicy {
+            nack_timeout: Duration::from_millis(200),
+            ..RetryPolicy::default()
+        };
+        let sender = std::thread::spawn(move || {
+            for seq in 0..15 {
+                std::thread::sleep(Duration::from_millis(20));
+                let _ = tx.send(data(seq, seq as f64));
+            }
+        });
+        let mut stats = NodeStats::default();
+        let mut staged = 0u64;
+        let got = await_until(
+            &mut ep,
+            0,
+            Duration::from_secs(10),
+            retry,
+            &mut stats,
+            &mut staged,
+            |staged| (*staged == 15).then_some(Ok(())),
+            |staged, _, _, _| {
+                *staged += 1;
+                Ok(())
+            },
+        );
+        sender.join().expect("sender thread");
+        assert!(got.is_ok());
+        assert_eq!(stats.nacks_sent, 0, "a mid-send peer was NACKed");
+        assert!(!nacks.try_iter().any(|f| matches!(f, Frame::Nack { .. })));
+    }
+
+    #[test]
+    fn silent_sender_is_nacked_on_schedule() {
+        // nothing arrives: the first NACK goes out one `nack_timeout`
+        // after the wait began, as it always did — and frames *behind a
+        // gap* are not progress, so they do not delay it either
+        for behind_gap in [false, true] {
+            let (mut ep, tx, nacks) = live_receiver();
+            let retry = RetryPolicy {
+                max_retries: 1,
+                nack_timeout: Duration::from_millis(100),
+                ..RetryPolicy::default()
+            };
+            let feeder = std::thread::spawn(move || {
+                if behind_gap {
+                    // seq 0 is lost; later frames keep arriving
+                    for seq in 1..8 {
+                        std::thread::sleep(Duration::from_millis(20));
+                        let _ = tx.send(data(seq, 0.0));
+                    }
+                }
+            });
+            let mut stats = NodeStats::default();
+            let t0 = Instant::now();
+            let got: Result<(), AwaitFail> = await_until(
+                &mut ep,
+                0,
+                Duration::from_secs(10),
+                retry,
+                &mut stats,
+                &mut (),
+                |_| None,
+                |_, _, _, _| Ok(()),
+            );
+            let gave_up = t0.elapsed();
+            feeder.join().expect("feeder thread");
+            assert!(matches!(got, Err(AwaitFail::Exhausted { retries: 1 })));
+            assert_eq!(stats.nacks_sent, 1);
+            assert!(nacks.try_iter().any(|f| matches!(f, Frame::Nack { .. })));
+            // NACK at 100 ms, give-up one doubled backoff (200 ms) later
+            assert!(
+                gave_up >= Duration::from_millis(300) && gave_up < Duration::from_millis(600),
+                "behind_gap={behind_gap}: gave up after {gave_up:?}"
+            );
+        }
     }
 
     #[test]

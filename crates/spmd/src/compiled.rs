@@ -11,23 +11,28 @@
 //! [`CompiledSchedule`] materializes that enumeration output exactly
 //! once, at plan time, into flat strided run tables ([`IterRun`]) — the
 //! same greedy coalescing the communication planner applies to pair
-//! sets — plus the receive-side addressing tables the vectorized
-//! machine otherwise rebuilds per run (`(slot, i)` →
-//! `(source, run, offset)`). A warm execution then iterates plain
-//! strided loops and does no closed-form re-derivation at all.
+//! sets — plus run-granular receive addressing: `Modify_p` is intersected
+//! with the plan's receive runs by interval algebra, so every
+//! [`ExecRun`] reads each slot either from owner-local memory or from an
+//! affine window of exactly one planned packet. Table size and compile
+//! cost follow the number of runs, not of elements, and a warm execution
+//! iterates plain strided loops with no closed-form re-derivation.
 //!
 //! The module also provides the plan-cache keys used by the machine's
 //! session layer: a [`clause_signature`] and a [`decomp_fingerprint`]
 //! (FNV-1a over the canonical debug rendering — stable within a
 //! process, which is all a session-lifetime cache needs).
 
+use crate::comm::{CommRun, PairComm};
 use crate::kernel::{CompiledKernel, FusedShape};
-use crate::program::{DecompMap, SpmdPlan};
+use crate::program::{DecompMap, NodePlan, SpmdPlan};
 use crate::schedule::Schedule;
 use crate::simd::{SimdCensus, SimdPolicy};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use vcal_core::func::Fn1;
 use vcal_core::{Clause, Guard};
+use vcal_decomp::{Decomp1, Distribution};
+use vcal_numth::{div_ceil, div_floor, solve_congruence};
 
 /// One strided run of loop iterations: `start + step·t` for
 /// `t ∈ [0, count)`. The steady-state analog of
@@ -202,35 +207,47 @@ impl AccessPattern {
     }
 }
 
-/// Where one element of one read slot comes from inside a boundary run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotRef {
-    /// Owner-local: read the local part at this offset.
-    Local(i64),
-    /// Remote: consume the value the named peer sends for this element.
-    Remote(i64),
-}
-
-/// How one read slot is addressed across a whole [`ExecRun`].
+/// How one read slot is addressed across a whole [`ExecRun`]. Runs are
+/// split at plan time so that every slot is homogeneous: all elements
+/// owner-local, or all elements inside one planned packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SlotAccess {
     /// Every element of the run reads owner-local memory (always the
-    /// case for interior runs and replicated slots).
+    /// case for interior runs and replicated slots); the pattern gives
+    /// offsets into the local part.
     Local(AccessPattern),
-    /// Boundary runs: a per-element mix of local reads and remote
-    /// consumptions.
-    Mixed(Vec<SlotRef>),
+    /// Every element of the run is carried by one planned packet: run
+    /// `run_ord` of the receive pair `src_ord`. The pattern gives
+    /// offsets into that packet's values.
+    Packet {
+        /// Ordinal of the source in the node's receive pair list.
+        src_ord: usize,
+        /// Run ordinal within the pair — the packet tag.
+        run_ord: usize,
+        /// Affine window into the packet.
+        pattern: AccessPattern,
+    },
+}
+
+impl SlotAccess {
+    /// The offsets of the run's elements, into the local part or into
+    /// the packet.
+    pub fn pattern(&self) -> &AccessPattern {
+        match self {
+            SlotAccess::Local(pattern) | SlotAccess::Packet { pattern, .. } => pattern,
+        }
+    }
 }
 
 /// One compiled update-phase run: a strided span of `Modify_p` whose
-/// elements all share the same locality class, with every address the
-/// inner loop needs resolved at plan time.
+/// elements all read every slot from the same place, with every address
+/// the inner loop needs resolved at plan time.
 ///
 /// *Interior* runs (`boundary == false`) read only owner-local memory —
 /// provable from the Table I dispatch, because the plan's receive runs
 /// (`Reside_q ∩ Modify_p` for `q ≠ p`) enumerate exactly the remote
-/// reads. *Boundary* runs consume at least one remote element and must
-/// wait for the matching receives.
+/// reads. *Boundary* runs read at least one slot from a packet and must
+/// wait for it to land.
 #[derive(Debug, Clone)]
 pub struct ExecRun {
     /// The loop indices of the run (same visit order as `modify`).
@@ -248,19 +265,20 @@ pub struct ExecRun {
 
 impl ExecRun {
     /// Whether the SIMD lane tier can take this run for `fused`: a
-    /// nonempty *interior* run with a recognized (non-Generic) shape,
-    /// unit-stride writes, and every slot the shape reads addressed
-    /// owner-local at unit stride. This is the single eligibility
-    /// predicate shared by the plan-time census and both machines'
-    /// runtime dispatch, so the two never disagree.
+    /// nonempty run with a recognized (non-Generic) shape, unit-stride
+    /// writes, and every slot the shape reads addressed at unit stride —
+    /// in the local part or in a packet alike. This is the single
+    /// eligibility predicate shared by the plan-time census and both
+    /// machines' runtime dispatch, so the two never disagree.
     pub fn simd_eligible(&self, fused: &FusedShape) -> bool {
-        !self.boundary
-            && !self.run.is_empty()
+        !self.run.is_empty()
             && !matches!(fused, FusedShape::Generic)
             && self.lhs.is_unit_stride()
-            && fused.read_slots().iter().all(
-                |s| matches!(self.slots.get(*s), Some(SlotAccess::Local(p)) if p.is_unit_stride()),
-            )
+            && fused.read_slots().iter().all(|s| {
+                self.slots
+                    .get(*s)
+                    .is_some_and(|sa| sa.pattern().is_unit_stride())
+            })
     }
 }
 
@@ -307,9 +325,12 @@ pub struct CompiledNode {
     /// source ordinal → number of planned incoming runs (the staging
     /// shape the receiver pre-sizes).
     pub staging_runs: Vec<usize>,
-    /// `(slot, i)` → `(source ordinal, run, offset)` — the vectorized
-    /// receive addressing, expanded once from the plan's receive runs.
-    pub origin: BTreeMap<(usize, i64), (usize, usize, usize)>,
+    /// Per outgoing pair, per run (same order as the plan's
+    /// `comm.sends`): the local offsets of the packed elements, so the
+    /// send phase copies slices instead of re-evaluating `local(g(i))`.
+    /// Empty when compiled without decompositions
+    /// ([`CompiledSchedule::compile`]).
+    pub sends: Vec<Vec<AccessPattern>>,
     /// The interior/boundary execution split of `modify`, with fully
     /// resolved addressing. Empty when the plan was compiled without
     /// execution tables ([`CompiledSchedule::compile`]) or contains a
@@ -319,6 +340,30 @@ pub struct CompiledNode {
 }
 
 impl CompiledNode {
+    /// Rough resident size of this node's tables: a fixed charge per
+    /// run plus the explicit offsets of every non-affine pattern. An
+    /// estimate for cache budgets, not an allocator census.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let table = |p: &AccessPattern| match p {
+            AccessPattern::Affine { .. } => 0,
+            AccessPattern::Table(offs) => offs.len() * size_of::<i64>(),
+        };
+        let mut b = self.modify.len() * size_of::<IterRun>();
+        for r in self.resides.iter().flatten() {
+            b += r.len() * size_of::<IterRun>();
+        }
+        b += (self.src_ord.len() + self.src_peers.len() + self.staging_runs.len()) * 8;
+        for pats in &self.sends {
+            b += pats.len() * size_of::<AccessPattern>() + pats.iter().map(table).sum::<usize>();
+        }
+        for er in &self.exec {
+            b += size_of::<ExecRun>() + er.slots.len() * size_of::<SlotAccess>() + table(&er.lhs);
+            b += er.slots.iter().map(|sa| table(sa.pattern())).sum::<usize>();
+        }
+        b
+    }
+
     /// Interior/boundary census of this node's exec table.
     pub fn census(&self) -> OverlapCensus {
         let mut c = OverlapCensus::default();
@@ -356,7 +401,7 @@ pub struct CompiledSchedule {
 
 impl CompiledSchedule {
     /// Materialize every node's Table I enumeration output and receive
-    /// addressing from `plan`.
+    /// staging shape from `plan`.
     pub fn compile(plan: &SpmdPlan) -> CompiledSchedule {
         let pmax = plan.pmax.max(0) as usize;
         let nodes = plan
@@ -378,20 +423,12 @@ impl CompiledSchedule {
                 let mut src_ord = vec![usize::MAX; pmax];
                 let mut src_peers = Vec::with_capacity(node.comm.recvs.len());
                 let mut staging_runs = Vec::with_capacity(node.comm.recvs.len());
-                let mut origin = BTreeMap::new();
                 for (ord, pc) in node.comm.recvs.iter().enumerate() {
                     if let Some(slot) = src_ord.get_mut(pc.peer as usize) {
                         *slot = ord;
                     }
                     src_peers.push(pc.peer);
                     staging_runs.push(pc.runs.len());
-                    for (run_ord, run) in pc.runs.iter().enumerate() {
-                        let mut off = 0usize;
-                        run.for_each(|i| {
-                            origin.insert((run.slot, i), (ord, run_ord, off));
-                            off += 1;
-                        });
-                    }
                 }
                 CompiledNode {
                     p: node.p,
@@ -403,7 +440,7 @@ impl CompiledSchedule {
                     src_ord,
                     src_peers,
                     staging_runs,
-                    origin,
+                    sends: Vec::new(),
                     exec: Vec::new(),
                 }
             })
@@ -415,9 +452,10 @@ impl CompiledSchedule {
         }
     }
 
-    /// Like [`CompiledSchedule::compile`], but additionally compile the
-    /// clause kernel and split every node's `Modify_p` into interior and
-    /// boundary [`ExecRun`]s with plan-time-resolved addressing.
+    /// Like [`CompiledSchedule::compile`], but additionally resolve where
+    /// every outgoing run is packed from, compile the clause kernel, and
+    /// split every node's `Modify_p` into interior and boundary
+    /// [`ExecRun`]s with plan-time-resolved addressing.
     ///
     /// The execution tables require every schedule of the plan to be
     /// closed-form: a naive-guard plan keeps empty tables and the
@@ -426,13 +464,36 @@ impl CompiledSchedule {
     pub fn compile_exec(plan: &SpmdPlan, clause: &Clause, decomps: &DecompMap) -> CompiledSchedule {
         let mut cs = Self::compile(plan);
         cs.guarded = !matches!(clause.guard, Guard::Always);
+        let Some(node0) = plan.nodes.first() else {
+            return cs;
+        };
+        // every table below addresses local parts: needs the layouts
+        let Some(dec_lhs) = decomps.get(&plan.lhs_array) else {
+            return cs;
+        };
+        let Some(dec_reads) = node0
+            .resides
+            .iter()
+            .map(|rp| decomps.get(&rp.array))
+            .collect::<Option<Vec<&Decomp1>>>()
+        else {
+            return cs;
+        };
+        for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
+            cn.sends = node
+                .comm
+                .sends
+                .iter()
+                .map(|pair| send_patterns(pair, node, &dec_reads))
+                .collect();
+        }
         let closed = plan.nodes.iter().all(|n| {
             n.modify.kind.is_closed_form()
                 && n.resides.iter().all(|rp| rp.opt.kind.is_closed_form())
         });
-        let (Some(node0), true) = (plan.nodes.first(), closed) else {
+        if !closed {
             return cs;
-        };
+        }
         let resolve = |r: &vcal_core::ArrayRef| {
             let g = r.map.as_fn1()?;
             node0
@@ -444,11 +505,8 @@ impl CompiledSchedule {
         else {
             return cs;
         };
-        let Some(dec_lhs) = decomps.get(&plan.lhs_array) else {
-            return cs;
-        };
         for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
-            cn.exec = build_exec(node, cn, plan, dec_lhs, decomps);
+            cn.exec = build_exec(node, &cn.modify, &plan.f, dec_lhs, &dec_reads);
         }
         cs.kernel = Some(kernel);
         cs
@@ -506,106 +564,330 @@ impl CompiledSchedule {
     }
 }
 
-/// Split one node's modify visit sequence into maximal same-class
-/// (interior vs boundary) strided runs and resolve every address.
-///
-/// Classification comes from the receive addressing already expanded in
-/// `cn.origin`: `(slot, i)` has an entry exactly when the plan routes
-/// that read over the wire, i.e. when `g_slot(i)` is owned elsewhere.
-/// An index is *boundary* iff any of its non-replicated reads has such
-/// an entry — no per-element `proc_of` is ever evaluated.
-fn build_exec(
-    node: &crate::program::NodePlan,
-    cn: &CompiledNode,
-    plan: &SpmdPlan,
-    dec_lhs: &vcal_decomp::Decomp1,
-    decomps: &DecompMap,
-) -> Vec<ExecRun> {
-    // indices with at least one remote read
-    let bset: BTreeSet<i64> = cn.origin.keys().map(|&(_, i)| i).collect();
-    let mut seq = Vec::with_capacity(cn.modify_iters as usize);
-    for_each_run(&cn.modify, |i| seq.push(i));
-
-    let mut exec = Vec::new();
-    let mut k = 0usize;
-    while k < seq.len() {
-        let boundary = bset.contains(&seq[k]);
-        let mut j = k + 1;
-        while j < seq.len() && bset.contains(&seq[j]) == boundary {
-            j += 1;
+/// The local offsets `local(h(i))` over `run`. Closed form when `h` is
+/// affine and the layout makes the composition affine over the run —
+/// the run stays inside one block, or strides whole scatter cycles —
+/// which is every run Table I produces for the block and scatter
+/// families; anything else is enumerated once and compressed.
+fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPattern {
+    if let (Fn1::Affine { a, c }, true) = (h, run.count > 2) {
+        let lo = dec.extent().lo()[0];
+        let x0 = a * run.start + c - lo;
+        let sx = a * run.step;
+        let xl = x0 + sx * (run.count - 1);
+        let same = |q: i64| div_floor(x0, q) == div_floor(xl, q);
+        let pmax = dec.pmax();
+        let step = match dec.dist() {
+            Distribution::Replicated => Some(sx),
+            Distribution::Block { b } if same(b) => Some(sx),
+            Distribution::Scatter if sx % pmax == 0 => Some(sx / pmax),
+            Distribution::BlockScatter { b } if same(b) => Some(sx),
+            Distribution::BlockScatter { b } if sx % (b * pmax) == 0 => Some(sx / pmax),
+            _ => None,
+        };
+        if let Some(step) = step {
+            return AccessPattern::Affine {
+                base: dec.local_of(x0 + lo),
+                step,
+            };
         }
-        let mut runs = Vec::new();
-        coalesce_ordered(&seq[k..j], &mut runs);
-        for run in runs {
-            exec.push(build_exec_run(
-                run, boundary, node, cn, plan, dec_lhs, decomps,
-            ));
-        }
-        k = j;
     }
-    exec
+    let mut offs = Vec::with_capacity(run.len() as usize);
+    run.for_each(|i| offs.push(dec.local_of(h.eval(i))));
+    AccessPattern::compress(offs)
 }
 
-fn build_exec_run(
-    run: IterRun,
-    boundary: bool,
-    node: &crate::program::NodePlan,
-    cn: &CompiledNode,
-    plan: &SpmdPlan,
-    dec_lhs: &vcal_decomp::Decomp1,
-    decomps: &DecompMap,
-) -> ExecRun {
-    let n = run.len() as usize;
-    let mut lhs_offs = Vec::with_capacity(n);
-    run.for_each(|i| lhs_offs.push(dec_lhs.local_of(plan.f.eval(i))));
-    let mut remote_elems = 0u64;
-    let slots = node
-        .resides
+/// Where the sender finds the elements of each run it packs for `pair`.
+fn send_patterns(pair: &PairComm, node: &NodePlan, dec_reads: &[&Decomp1]) -> Vec<AccessPattern> {
+    pair.runs
         .iter()
-        .enumerate()
-        .map(|(slot, rp)| {
-            let local_off = |i: i64| match decomps.get(&rp.array) {
-                Some(d) => d.local_of(rp.g.eval(i)),
-                None => 0,
+        .map(|r| {
+            let run = IterRun {
+                start: r.start,
+                step: r.step,
+                count: r.count,
             };
-            if !boundary || rp.replicated {
-                let mut offs = Vec::with_capacity(n);
-                run.for_each(|i| offs.push(local_off(i)));
-                SlotAccess::Local(AccessPattern::compress(offs))
-            } else {
-                let mut refs = Vec::with_capacity(n);
-                run.for_each(|i| {
-                    refs.push(match cn.origin.get(&(slot, i)) {
-                        Some(&(ord, _, _)) => {
-                            remote_elems += 1;
-                            SlotRef::Remote(cn.src_peers.get(ord).copied().unwrap_or(-1))
-                        }
-                        None => SlotRef::Local(local_off(i)),
+            local_pattern(run, &node.resides[r.slot].g, dec_reads[r.slot])
+        })
+        .collect()
+}
+
+/// The stride of a packet's loop indices (`1` for a single-element run,
+/// whose recorded step carries no information).
+fn packet_step(r: &CommRun) -> i64 {
+    if r.count > 1 {
+        r.step.max(1)
+    } else {
+        1
+    }
+}
+
+/// One planned incoming run, for interval lookup: its loop indices span
+/// `[run.start, hi]`.
+struct RecvSpan {
+    hi: i64,
+    /// Largest `hi` among this span and those sorted before it.
+    top_hi: i64,
+    /// `(source ordinal, run ordinal)`.
+    packet: (usize, usize),
+    run: CommRun,
+}
+
+/// A maximal stretch `t ∈ [t0, t1]` of one modify run whose reads of
+/// `slot` all fall inside one packet.
+struct Hit {
+    t0: i64,
+    t1: i64,
+    slot: usize,
+    packet: (usize, usize),
+}
+
+/// The node's receive runs, per slot, sorted by range start and
+/// carrying a running maximum of range ends: the spans overlapping a
+/// query range are found by two binary searches plus a scan of the
+/// candidates.
+struct RecvIndex {
+    by_slot: Vec<Vec<RecvSpan>>,
+}
+
+impl RecvIndex {
+    fn new(recvs: &[PairComm], n_slots: usize) -> RecvIndex {
+        let mut by_slot: Vec<Vec<RecvSpan>> = (0..n_slots).map(|_| Vec::new()).collect();
+        for (src_ord, pc) in recvs.iter().enumerate() {
+            for (run_ord, run) in pc.runs.iter().enumerate() {
+                if run.is_empty() {
+                    continue;
+                }
+                if let Some(spans) = by_slot.get_mut(run.slot) {
+                    let hi = run.start + packet_step(run) * (run.count - 1);
+                    spans.push(RecvSpan {
+                        hi,
+                        top_hi: hi,
+                        packet: (src_ord, run_ord),
+                        run: *run,
                     });
-                });
-                // a boundary run can still be all-local in one slot
-                if refs.iter().all(|r| matches!(r, SlotRef::Local(_))) {
-                    let offs = refs
-                        .iter()
-                        .map(|r| match r {
-                            SlotRef::Local(o) => *o,
-                            SlotRef::Remote(_) => 0,
-                        })
-                        .collect();
-                    SlotAccess::Local(AccessPattern::compress(offs))
-                } else {
-                    SlotAccess::Mixed(refs)
                 }
             }
-        })
-        .collect();
-    ExecRun {
-        run,
-        boundary,
-        lhs: AccessPattern::compress(lhs_offs),
-        slots,
-        remote_elems,
+        }
+        for spans in &mut by_slot {
+            spans.sort_by_key(|s| s.run.start);
+            let mut top = i64::MIN;
+            for s in spans {
+                top = top.max(s.hi);
+                s.top_hi = top;
+            }
+        }
+        RecvIndex { by_slot }
     }
+
+    /// Intersect modify run `m` with every receive run, in `t`-space.
+    fn hits(&self, m: &IterRun, out: &mut Vec<Hit>) {
+        let last = m.start + m.step * (m.count - 1);
+        let (mlo, mhi) = (m.start.min(last), m.start.max(last));
+        for (slot, spans) in self.by_slot.iter().enumerate() {
+            let end = spans.partition_point(|s| s.run.start <= mhi);
+            let begin = spans[..end].partition_point(|s| s.top_hi < mlo);
+            for s in &spans[begin..end] {
+                if s.hi < mlo {
+                    continue;
+                }
+                let Some((first, period, count)) = meet(m, &s.run) else {
+                    continue;
+                };
+                let packet = s.packet;
+                if period == 1 {
+                    out.push(Hit {
+                        t0: first,
+                        t1: first + count - 1,
+                        slot,
+                        packet,
+                    });
+                } else {
+                    // the runs interleave: isolated single-element hits
+                    out.extend((0..count).map(|k| Hit {
+                        t0: first + k * period,
+                        t1: first + k * period,
+                        slot,
+                        packet,
+                    }));
+                }
+            }
+        }
+    }
+}
+
+/// The positions `t` of modify run `m` whose index lies in packet `r`,
+/// as `(first, period, count)`: two arithmetic progressions meet in an
+/// arithmetic progression (a linear congruence, clipped to both ranges).
+fn meet(m: &IterRun, r: &CommRun) -> Option<(i64, i64, i64)> {
+    let rstep = packet_step(r);
+    let rhi = r.start + rstep * (r.count - 1);
+    if m.step == 0 || m.count == 1 {
+        let i = m.start;
+        let inside = (r.start..=rhi).contains(&i) && (i - r.start) % rstep == 0;
+        return inside.then_some((0, 1, m.count));
+    }
+    let cong = solve_congruence(m.step, r.start - m.start, rstep)?;
+    // r.start <= m.start + m.step·t <= rhi
+    let (a, b) = (r.start - m.start, rhi - m.start);
+    let (tlo, thi) = if m.step > 0 {
+        (div_ceil(a, m.step), div_floor(b, m.step))
+    } else {
+        (div_ceil(b, m.step), div_floor(a, m.step))
+    };
+    let (tlo, thi) = (tlo.max(0), thi.min(m.count - 1));
+    let first = cong.first_at_or_above(tlo);
+    (first <= thi).then(|| (first, cong.period, (thi - first) / cong.period + 1))
+}
+
+/// Per slot, the packet a piece reads (`None` = owner-local).
+type Sig = Vec<Option<(usize, usize)>>;
+
+/// Glue pieces with equal signatures back into maximal strided runs,
+/// exactly as a greedy element-at-a-time coalescing of the visit
+/// sequence would (two elements always form a run; a third joins only
+/// if it continues the stride), so the tiling does not depend on how
+/// the schedule happened to be cut into modify runs.
+#[derive(Default)]
+struct Tiling {
+    done: Vec<(IterRun, Sig)>,
+    cur: Option<(IterRun, Sig)>,
+}
+
+impl Tiling {
+    fn push(&mut self, mut piece: IterRun, sig: &[Option<(usize, usize)>]) {
+        if piece.count == 1 {
+            piece.step = 1;
+        }
+        let Some((run, _)) = self.cur.as_mut().filter(|(_, s)| s.as_slice() == sig) else {
+            self.flush();
+            self.cur = Some((piece, sig.to_vec()));
+            return;
+        };
+        // the piece's first element
+        if run.count == 1 {
+            run.step = piece.start - run.start;
+        } else if piece.start != run.start + run.step * run.count {
+            self.flush();
+            self.cur = Some((piece, sig.to_vec()));
+            return;
+        }
+        run.count += 1;
+        // ... and the rest of it
+        if piece.count == 1 {
+            return;
+        }
+        if piece.step == run.step {
+            run.count += piece.count - 1;
+            return;
+        }
+        let rest = IterRun {
+            start: piece.start + piece.step,
+            step: if piece.count > 2 { piece.step } else { 1 },
+            count: piece.count - 1,
+        };
+        self.flush();
+        self.cur = Some((rest, sig.to_vec()));
+    }
+
+    fn flush(&mut self) {
+        self.done.extend(self.cur.take());
+    }
+}
+
+/// Split one node's modify runs so that every [`ExecRun`] reads each
+/// slot from one place, and resolve every address.
+///
+/// `Modify_p` is intersected with the plan's receive runs
+/// (`Reside_q ∩ Modify_p`, `q ≠ p` — exactly the reads the plan routes
+/// over the wire) run against run: no per-element table is built and no
+/// `proc_of` is evaluated. The runs tile `Modify_p` in visit order.
+fn build_exec(
+    node: &NodePlan,
+    modify: &[IterRun],
+    f: &Fn1,
+    dec_lhs: &Decomp1,
+    dec_reads: &[&Decomp1],
+) -> Vec<ExecRun> {
+    let n_slots = node.resides.len();
+    let index = RecvIndex::new(&node.comm.recvs, n_slots);
+    let mut tiling = Tiling::default();
+    let mut hits: Vec<Hit> = Vec::new();
+    // per slot, the hit covering the current position: (t1, packet)
+    let mut active: Vec<Option<(i64, (usize, usize))>> = vec![None; n_slots];
+    let mut sig: Sig = vec![None; n_slots];
+    for m in modify {
+        hits.clear();
+        index.hits(m, &mut hits);
+        hits.sort_unstable_by_key(|h| (h.t0, h.slot));
+        active.fill(None);
+        let (mut t, mut next) = (0i64, 0usize);
+        while t < m.count {
+            for a in &mut active {
+                if a.is_some_and(|(t1, _)| t1 < t) {
+                    *a = None;
+                }
+            }
+            while let Some(h) = hits.get(next).filter(|h| h.t0 <= t) {
+                active[h.slot] = Some((h.t1, h.packet));
+                next += 1;
+            }
+            let mut end = hits.get(next).map_or(m.count, |h| h.t0);
+            for (a, s) in active.iter().zip(&mut sig) {
+                *s = a.map(|(t1, packet)| {
+                    end = end.min(t1 + 1);
+                    packet
+                });
+            }
+            let piece = IterRun {
+                start: m.start + m.step * t,
+                step: m.step,
+                count: end - t,
+            };
+            tiling.push(piece, &sig);
+            t = end;
+        }
+    }
+    tiling.flush();
+
+    tiling
+        .done
+        .into_iter()
+        .map(|(run, sig)| {
+            let mut remote_elems = 0u64;
+            let slots = sig
+                .iter()
+                .enumerate()
+                .map(|(slot, packet)| match *packet {
+                    None => SlotAccess::Local(local_pattern(
+                        run,
+                        &node.resides[slot].g,
+                        dec_reads[slot],
+                    )),
+                    Some((src_ord, run_ord)) => {
+                        remote_elems += run.len();
+                        let r = &node.comm.recvs[src_ord].runs[run_ord];
+                        let rstep = packet_step(r);
+                        SlotAccess::Packet {
+                            src_ord,
+                            run_ord,
+                            pattern: AccessPattern::Affine {
+                                base: (run.start - r.start) / rstep,
+                                step: if run.count > 1 { run.step / rstep } else { 0 },
+                            },
+                        }
+                    }
+                })
+                .collect();
+            ExecRun {
+                run,
+                boundary: remote_elems > 0,
+                lhs: local_pattern(run, f, dec_lhs),
+                slots,
+                remote_elems,
+            }
+        })
+        .collect()
 }
 
 /// FNV-1a over a formatted rendering, via `fmt::Write` — no
@@ -673,9 +955,8 @@ pub fn decomp_fingerprint<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcal_core::func::Fn1;
-    use vcal_core::{ArrayRef, Bounds, Clause, Expr, Guard, IndexSet, Ordering};
-    use vcal_decomp::Decomp1;
+    use std::collections::BTreeMap;
+    use vcal_core::{ArrayRef, Bounds, Clause, Expr, IndexSet, Ordering};
 
     fn copy_clause(imin: i64, imax: i64, f: Fn1, g: Fn1) -> Clause {
         Clause {
@@ -767,125 +1048,239 @@ mod tests {
         }
     }
 
-    #[test]
-    fn origin_tables_match_runtime_expansion() {
-        let n = 1024i64;
-        let clause = copy_clause(0, (n - 2) / 2, Fn1::affine(2, 1), Fn1::affine(3, 2));
-        let dm = decomps(
-            Decomp1::scatter(8, Bounds::range(0, n - 1)),
-            Decomp1::scatter(8, Bounds::range(0, 3 * n)),
-        );
-        let plan = SpmdPlan::build(&clause, &dm).unwrap();
-        let compiled = CompiledSchedule::compile(&plan);
+    /// `(slot, i)` → `(source ordinal, run, offset)`, expanded element
+    /// by element from the plan's receive runs: the table the machines
+    /// used to build, kept here as the oracle for the run algebra.
+    fn brute_origin(node: &NodePlan) -> BTreeMap<(usize, i64), (usize, usize, i64)> {
+        let mut origin = BTreeMap::new();
+        for (ord, pc) in node.comm.recvs.iter().enumerate() {
+            for (run_ord, run) in pc.runs.iter().enumerate() {
+                let mut off = 0;
+                run.for_each(|i| {
+                    origin.insert((run.slot, i), (ord, run_ord, off));
+                    off += 1;
+                });
+            }
+        }
+        origin
+    }
+
+    /// Check one compiled plan against per-element `proc_of`/`local_of`.
+    fn check_exec_tables(plan: &SpmdPlan, compiled: &CompiledSchedule, dm: &DecompMap, what: &str) {
+        let mut remote_total = 0u64;
         for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
-            // exactly the expansion the vectorized receiver performs
-            let mut want = BTreeMap::new();
-            for (ord, pc) in node.comm.recvs.iter().enumerate() {
-                assert_eq!(cn.src_ord[pc.peer as usize], ord);
-                assert_eq!(cn.src_peers[ord], pc.peer);
-                assert_eq!(cn.staging_runs[ord], pc.runs.len());
-                for (run_ord, run) in pc.runs.iter().enumerate() {
-                    let mut off = 0usize;
-                    run.for_each(|i| {
-                        want.insert((run.slot, i), (ord, run_ord, off));
-                        off += 1;
-                    });
+            let p = node.p;
+            let origin = brute_origin(node);
+            let seq = visit_order(&cn.modify);
+            // (a) the exec runs tile Modify_p in visit order ...
+            let mut got = Vec::new();
+            for er in &cn.exec {
+                assert!(!er.run.is_empty(), "{what} p={p}");
+                er.run.for_each(|i| got.push(i));
+            }
+            assert_eq!(got, seq, "{what} p={p}: tiling");
+            // ... and are the greedy coalescing of each same-source stretch
+            let sig = |i: i64| -> Vec<Option<(usize, usize)>> {
+                (0..node.resides.len())
+                    .map(|s| origin.get(&(s, i)).map(|&(so, ro, _)| (so, ro)))
+                    .collect()
+            };
+            let mut want_runs = Vec::new();
+            let mut k = 0;
+            while k < seq.len() {
+                let mut j = k + 1;
+                while j < seq.len() && sig(seq[j]) == sig(seq[k]) {
+                    j += 1;
+                }
+                coalesce_ordered(&seq[k..j], &mut want_runs);
+                k = j;
+            }
+            let got_runs: Vec<IterRun> = cn.exec.iter().map(|er| er.run).collect();
+            assert_eq!(got_runs, want_runs, "{what} p={p}: run shapes");
+
+            for er in &cn.exec {
+                let mut remote = 0u64;
+                let mut t = 0usize;
+                er.run.for_each(|i| {
+                    let at = format!("{what} p={p} i={i}");
+                    assert_eq!(
+                        er.lhs.offset(t),
+                        dm[&plan.lhs_array].local_of(plan.f.eval(i)),
+                        "{at}"
+                    );
+                    for (slot, rp) in node.resides.iter().enumerate() {
+                        let x = rp.g.eval(i);
+                        let dec = &dm[&rp.array];
+                        let owner = if rp.replicated { p } else { dec.proc_of(x) };
+                        match &er.slots[slot] {
+                            // (b) local reads resolve to the owner-local offset
+                            SlotAccess::Local(pat) => {
+                                assert_eq!(owner, p, "{at} slot={slot}: remote read marked local");
+                                assert_eq!(pat.offset(t), dec.local_of(x), "{at} slot={slot}");
+                            }
+                            // (b) remote reads to the element-wise (src, run, off)
+                            SlotAccess::Packet {
+                                src_ord,
+                                run_ord,
+                                pattern,
+                            } => {
+                                remote += 1;
+                                assert_ne!(owner, p, "{at} slot={slot}: local read marked remote");
+                                assert_eq!(cn.src_peers[*src_ord], owner, "{at} slot={slot}");
+                                assert_eq!(
+                                    origin.get(&(slot, i)),
+                                    Some(&(*src_ord, *run_ord, pattern.offset(t))),
+                                    "{at} slot={slot}"
+                                );
+                                // (c) the window stays inside its packet
+                                let len = node.comm.recvs[*src_ord].runs[*run_ord].count;
+                                assert!((0..len).contains(&pattern.offset(t)), "{at} slot={slot}");
+                                assert!(matches!(pattern, AccessPattern::Affine { .. }), "{at}");
+                            }
+                        }
+                    }
+                    t += 1;
+                });
+                assert_eq!(er.remote_elems, remote, "{what} p={p}");
+                assert_eq!(er.boundary, remote > 0, "{what} p={p}");
+                remote_total += remote;
+            }
+        }
+        let c = compiled.overlap_census();
+        assert_eq!(
+            c.interior_elems + c.boundary_elems,
+            compiled.total_iters(),
+            "{what}"
+        );
+        assert_eq!(c.remote_elems, remote_total, "{what}");
+        assert_eq!(
+            c.remote_elems,
+            plan.nodes.iter().map(|n| n.comm.recv_elems()).sum::<u64>(),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn exec_tables_match_brute_force_expansion() {
+        let n = 96i64;
+        let fns = [
+            (Fn1::Const(7), 0, n - 1),
+            (Fn1::identity(), 0, n - 1),
+            (Fn1::shift(5), 0, n - 6),
+            (Fn1::affine(2, 1), 0, (n - 2) / 2),
+            (Fn1::affine(3, 1), 0, (n - 2) / 3),
+            (Fn1::rotate(7, n), 0, n - 1),
+        ];
+        let e = Bounds::range(0, n - 1);
+        let mut checked = 0;
+        for pmax in [2, 3, 4, 8] {
+            let decs = [
+                Decomp1::block(pmax, e),
+                Decomp1::scatter(pmax, e),
+                Decomp1::block_scatter(3, pmax, e),
+                Decomp1::block_scatter(4, pmax, e),
+            ];
+            for da in &decs {
+                for db in &decs {
+                    let dm = decomps(da.clone(), db.clone());
+                    let mut clauses = Vec::new();
+                    for (f, flo, fhi) in &fns[1..] {
+                        for (g, glo, ghi) in &fns {
+                            let (lo, hi) = ((*flo).max(*glo), (*fhi).min(*ghi));
+                            clauses.push(copy_clause(lo, hi, f.clone(), g.clone()));
+                        }
+                    }
+                    // 3-point stencil: two read slots with 1-element halos
+                    let mut stencil = copy_clause(1, n - 2, Fn1::identity(), Fn1::identity());
+                    stencil.rhs = Expr::mul(
+                        Expr::Lit(0.5),
+                        Expr::add(
+                            Expr::Ref(ArrayRef::d1("B", Fn1::shift(-1))),
+                            Expr::Ref(ArrayRef::d1("B", Fn1::shift(1))),
+                        ),
+                    );
+                    clauses.push(stencil);
+                    for clause in &clauses {
+                        let plan = SpmdPlan::build(clause, &dm).unwrap();
+                        let compiled = CompiledSchedule::compile_exec(&plan, clause, &dm);
+                        if !compiled.has_exec() {
+                            continue; // a naive-guard row: no tables to check
+                        }
+                        let what = format!("pmax={pmax} A={da} B={db} {clause}");
+                        check_exec_tables(&plan, &compiled, &dm, &what);
+                        checked += 1;
+                    }
                 }
             }
-            assert_eq!(cn.origin, want, "p={}", node.p);
+        }
+        assert!(checked > 1000, "only {checked} closed-form plans checked");
+    }
+
+    #[test]
+    fn send_patterns_address_the_packed_elements() {
+        let n = 96i64;
+        let e = Bounds::range(0, n - 1);
+        for (da, db) in [
+            (Decomp1::block(4, e), Decomp1::block_scatter(3, 4, e)),
+            (Decomp1::scatter(4, e), Decomp1::block(4, e)),
+            (Decomp1::block_scatter(4, 3, e), Decomp1::scatter(3, e)),
+        ] {
+            let clause = copy_clause(0, (n - 2) / 3, Fn1::shift(2), Fn1::affine(3, 1));
+            let dm = decomps(da, db);
+            for naive in [false, true] {
+                let plan = if naive {
+                    SpmdPlan::build_naive(&clause, &dm).unwrap()
+                } else {
+                    SpmdPlan::build(&clause, &dm).unwrap()
+                };
+                let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
+                for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
+                    assert_eq!(cn.sends.len(), node.comm.sends.len());
+                    for (pair, pats) in node.comm.sends.iter().zip(&cn.sends) {
+                        assert_eq!(pats.len(), pair.runs.len());
+                        for (run, pat) in pair.runs.iter().zip(pats) {
+                            let mut t = 0;
+                            run.for_each(|i| {
+                                let rp = &node.resides[run.slot];
+                                assert_eq!(pat.offset(t), dm[&rp.array].local_of(rp.g.eval(i)));
+                                t += 1;
+                            });
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn exec_split_matches_proc_of_reference() {
-        // stencil-ish clause with remote neighbours at block edges
-        let n = 96i64;
-        let clause = Clause {
-            iter: IndexSet::range(1, n - 2),
-            ordering: Ordering::Par,
-            guard: Guard::Always,
-            lhs: ArrayRef::d1("A", Fn1::identity()),
-            rhs: Expr::mul(
-                Expr::Lit(0.5),
-                Expr::add(
-                    Expr::Ref(ArrayRef::d1("B", Fn1::shift(-1))),
-                    Expr::Ref(ArrayRef::d1("B", Fn1::shift(1))),
-                ),
-            ),
-        };
-        let e = Bounds::range(0, n - 1);
-        for (da, db) in [
-            (Decomp1::block(4, e), Decomp1::block(4, e)),
-            (Decomp1::block(4, e), Decomp1::scatter(4, e)),
-            (Decomp1::block_scatter(3, 4, e), Decomp1::block(4, e)),
-        ] {
-            let dm = decomps(da, db);
+    fn tables_grow_with_runs_not_elements() {
+        // block-scatter(16) -> block copy: each node alternates 16 local
+        // and 16 remote elements, so runs = n / 16 whatever n is
+        let bytes_per_run = |n: i64| {
+            let e = Bounds::range(0, n - 1);
+            let clause = copy_clause(0, n - 1, Fn1::identity(), Fn1::identity());
+            let dm = decomps(Decomp1::block(2, e), Decomp1::block_scatter(16, 2, e));
             let plan = SpmdPlan::build(&clause, &dm).unwrap();
             let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
-            assert!(compiled.has_exec());
-            let kernel = compiled.kernel.as_ref().unwrap();
-            assert!(matches!(
-                kernel.fused,
-                crate::kernel::FusedShape::Stencil { .. }
-            ));
-            for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
-                // exec covers modify exactly, in visit order
-                let mut got = Vec::new();
-                for er in &cn.exec {
-                    er.run.for_each(|i| got.push(i));
-                }
-                assert_eq!(got, visit_order(&cn.modify), "p={}", node.p);
-                // classification agrees with the brute-force proc_of test
-                for er in &cn.exec {
-                    let mut t = 0usize;
-                    er.run.for_each(|i| {
-                        let any_remote = node.resides.iter().any(|rp| {
-                            !rp.replicated && dm[&rp.array].proc_of(rp.g.eval(i)) != node.p
-                        });
-                        assert_eq!(er.boundary, any_remote, "p={} i={i}", node.p);
-                        // lhs addressing matches the runtime computation
-                        assert_eq!(
-                            er.lhs.offset(t),
-                            dm["A"].local_of(plan.f.eval(i)),
-                            "p={} i={i}",
-                            node.p
-                        );
-                        for (slot, rp) in node.resides.iter().enumerate() {
-                            let local = dm[&rp.array].local_of(rp.g.eval(i));
-                            let owner = dm[&rp.array].proc_of(rp.g.eval(i));
-                            match &er.slots[slot] {
-                                SlotAccess::Local(pat) => {
-                                    assert_eq!(owner, node.p, "p={} i={i}", node.p);
-                                    assert_eq!(pat.offset(t), local, "p={} i={i}", node.p);
-                                }
-                                SlotAccess::Mixed(refs) => match refs[t] {
-                                    SlotRef::Local(off) => {
-                                        assert_eq!(owner, node.p);
-                                        assert_eq!(off, local);
-                                    }
-                                    SlotRef::Remote(peer) => {
-                                        assert_eq!(peer, owner, "p={} i={i}", node.p)
-                                    }
-                                },
-                            }
-                        }
-                        t += 1;
-                    });
-                }
-            }
-            // census adds up
-            let c = compiled.overlap_census();
-            assert_eq!(c.interior_elems + c.boundary_elems, compiled.total_iters());
-            assert_eq!(
-                c.remote_elems,
-                plan.nodes.iter().map(|n| n.comm.recv_elems()).sum::<u64>()
-            );
-        }
-        // a naive plan keeps the legacy path
-        let dm = decomps(
-            Decomp1::block(4, Bounds::range(0, n - 1)),
-            Decomp1::block(4, Bounds::range(0, n - 1)),
+            let runs: usize = compiled.nodes.iter().map(|cn| cn.exec.len()).sum();
+            assert_eq!(runs as i64, n / 16);
+            let bytes: usize = compiled.nodes.iter().map(CompiledNode::approx_bytes).sum();
+            bytes / runs
+        };
+        let (small, large) = (bytes_per_run(1 << 10), bytes_per_run(1 << 16));
+        assert!(
+            large <= small,
+            "{large} B/run at 64 Ki vs {small} B/run at 1 Ki"
         );
+        assert!(large < 256, "{large} B/run");
+    }
+
+    #[test]
+    fn naive_plans_keep_the_element_path() {
+        let n = 96i64;
+        let e = Bounds::range(0, n - 1);
+        let clause = copy_clause(1, n - 2, Fn1::identity(), Fn1::shift(1));
+        let dm = decomps(Decomp1::block(4, e), Decomp1::block(4, e));
         let naive = SpmdPlan::build_naive(&clause, &dm).unwrap();
         let compiled = CompiledSchedule::compile_exec(&naive, &clause, &dm);
         assert!(!compiled.has_exec());

@@ -46,7 +46,6 @@ pub use comm::{plan_comm, CommRun, NodeCommPlan, PairComm};
 pub use compiled::{
     clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, for_each_run,
     AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, SlotAccess,
-    SlotRef,
 };
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;

@@ -36,9 +36,11 @@ use vcal_suite::core::{
 };
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    run_distributed, CommMode, DistArray, DistOptions, FaultPlan, RetryPolicy, SimdMode, SimdPolicy,
+    replay_check, run_distributed, run_distributed_traced, CollectingTracer, CommMode, DistArray,
+    DistOptions, DistSession, FaultPlan, RetryPolicy, ScheduleMode, SimdMode, SimdPolicy,
+    TransportKind, NULL_TRACER,
 };
-use vcal_suite::spmd::{CompiledKernel, CompiledSchedule, DecompMap, SpmdPlan};
+use vcal_suite::spmd::{CompiledKernel, CompiledSchedule, DecompMap, ProgramStep, SpmdPlan};
 
 const N: i64 = 64;
 const PMAX: i64 = 4;
@@ -462,6 +464,248 @@ fn simd_census_plan_matches_runtime() {
             assert_eq!(ran.lanes, planned.lanes, "lane width must agree");
         } else {
             assert_eq!(planned.vector_runs, 0, "off policy never vectorizes");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// boundary-heavy layouts: the run-granular receive path
+// ---------------------------------------------------------------------
+
+/// The layouts whose update phase is dominated by boundary runs: every
+/// other block remote (block-scatter → block), every other element
+/// remote through a stride-3 read (scatter → block), and a 3-point
+/// stencil whose only remote operands are 1-element halos. Array
+/// contents come from a fixed-seed LCG.
+fn boundary_cases() -> Vec<(&'static str, Clause, DecompMap, Env)> {
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % 2001) as f64 * 0.01 - 10.0
+    };
+    let mut case = |name: &'static str,
+                    iter: (i64, i64),
+                    rhs: Expr,
+                    a: Decomp1,
+                    b: Decomp1|
+     -> (&'static str, Clause, DecompMap, Env) {
+        let cl = Clause {
+            iter: IndexSet::range(iter.0, iter.1),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("A", Fn1::identity()),
+            rhs,
+        };
+        let mut env = Env::new();
+        env.insert("A", Array::zeros(a.extent()));
+        env.insert("B", Array::from_fn(b.extent(), |_| next()));
+        let mut dm = DecompMap::new();
+        dm.insert("A".into(), a);
+        dm.insert("B".into(), b);
+        (name, cl, dm, env)
+    };
+    let b_ref = |g: Fn1| Expr::Ref(ArrayRef::d1("B", g));
+    let (n, m, s) = (256i64, 96i64, 128i64);
+    vec![
+        case(
+            "bs_to_block",
+            (0, n - 1),
+            b_ref(Fn1::identity()),
+            Decomp1::block(2, Bounds::range(0, n - 1)),
+            Decomp1::block_scatter(8, 2, Bounds::range(0, n - 1)),
+        ),
+        case(
+            "scatter_stride3",
+            (0, m - 1),
+            Expr::add(b_ref(Fn1::affine(3, 1)), Expr::Lit(0.5)),
+            Decomp1::block(2, Bounds::range(0, m - 1)),
+            Decomp1::scatter(2, Bounds::range(0, 3 * m)),
+        ),
+        case(
+            "stencil_halo",
+            (1, s - 2),
+            Expr::mul(
+                Expr::Lit(0.5),
+                Expr::add(b_ref(Fn1::shift(-1)), b_ref(Fn1::shift(1))),
+            ),
+            Decomp1::block(4, Bounds::range(0, s - 1)),
+            Decomp1::block(4, Bounds::range(0, s - 1)),
+        ),
+    ]
+}
+
+fn scatter_ab(env0: &Env, dm: &DecompMap) -> BTreeMap<String, DistArray> {
+    ["A", "B"]
+        .into_iter()
+        .map(|name| {
+            (
+                name.to_string(),
+                DistArray::scatter_from(env0.get(name).unwrap(), dm[name].clone()),
+            )
+        })
+        .collect()
+}
+
+/// One traced cold run of a boundary case; returns the deterministic
+/// JSONL and the gathered `A`.
+fn traced_boundary_run(
+    cl: &Clause,
+    dm: &DecompMap,
+    env0: &Env,
+    opts: DistOptions,
+) -> (String, Array) {
+    let plan = SpmdPlan::build(cl, dm).unwrap();
+    let mut arrays = scatter_ab(env0, dm);
+    let tracer = CollectingTracer::new();
+    run_distributed_traced(&plan, cl, &mut arrays, opts, &tracer).unwrap();
+    let log = tracer.finish();
+    replay_check(&log, &plan, opts.mode, opts.retry).unwrap();
+    (log.to_jsonl(), arrays["A"].gather())
+}
+
+fn mode_name(mode: CommMode) -> &'static str {
+    match mode {
+        CommMode::Element => "element",
+        CommMode::Vectorized => "vectorized",
+    }
+}
+
+fn fixture_path(case: &str, mode: CommMode, overlap: bool) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(format!(
+            "{case}_{}_{}.jsonl",
+            mode_name(mode),
+            if overlap { "overlap" } else { "inorder" }
+        ))
+}
+
+/// The deterministic trace of every boundary case is byte-identical to
+/// the log the *parent* commit (per-element receive) wrote for the same
+/// configuration: `recv_value` per consumed element in the old order,
+/// one `boundary_run` per run with the same `recvs`, same `pack_send`s.
+/// The fixtures under `tests/data/` were captured from the parent with
+/// the SIMD tier off; with it on, the only lines allowed to differ are
+/// the `simd_census` ones — boundary runs moving from `fallback_runs`
+/// to `vector_runs` is the point of the change.
+#[test]
+fn boundary_traces_match_parent_commit_fixtures() {
+    std::env::set_var("VCAL_WORKER_BIN", env!("CARGO_BIN_EXE_vcalc"));
+    let without_census = |log: &str| -> String {
+        log.lines()
+            .filter(|l| !l.contains("\"simd_census\""))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for (name, cl, dm, env0) in boundary_cases() {
+        let mut reference = env0.clone();
+        reference.exec_clause(&cl);
+        let want_bits = bits(reference.get("A").unwrap());
+        for mode in [CommMode::Element, CommMode::Vectorized] {
+            for overlap in [true, false] {
+                let path = fixture_path(name, mode, overlap);
+                let want = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| panic!("fixture {}: {e}", path.display()));
+                for transport in [TransportKind::InProc, TransportKind::Uds] {
+                    let opts = DistOptions {
+                        recv_timeout: Duration::from_secs(10),
+                        mode,
+                        overlap,
+                        simd: SimdPolicy::off(),
+                        transport,
+                        ..DistOptions::default()
+                    };
+                    let what = format!("{name} {mode:?} overlap={overlap} {transport:?}");
+                    let (got, a) = traced_boundary_run(&cl, &dm, &env0, opts);
+                    assert_eq!(bits(&a), want_bits, "{what}: result");
+                    assert_eq!(got, want, "{what}: trace differs from the parent's");
+                    let simd_on = DistOptions {
+                        simd: SimdPolicy::auto(),
+                        ..opts
+                    };
+                    let (got, a) = traced_boundary_run(&cl, &dm, &env0, simd_on);
+                    assert_eq!(bits(&a), want_bits, "{what} simd: result");
+                    assert_eq!(
+                        without_census(&got),
+                        without_census(&want),
+                        "{what} simd: trace differs beyond the census line"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Bitwise differential sweep over the boundary-heavy layouts:
+/// `CommMode` × overlap × SIMD policy on the cold machine, then the same
+/// clause as a two-step program through a warm session under both
+/// schedulers — every combination equals the sequential machine bit for
+/// bit, and the runtime SIMD census equals the plan-time one.
+#[test]
+fn boundary_layouts_match_sequential_bitwise() {
+    // a block-scatter source at pmax = 4 too: three packets from three
+    // peers feed each contiguous boundary stretch
+    let mut cases = boundary_cases();
+    let (_, cl, dm, env0) = cases[0].clone();
+    let mut dm4 = dm.clone();
+    dm4.insert("A".into(), Decomp1::block(4, dm["A"].extent()));
+    dm4.insert("B".into(), Decomp1::block_scatter(8, 4, dm["B"].extent()));
+    cases.push(("bs_to_block_p4", cl, dm4, env0));
+
+    for (name, cl, dm, env0) in cases {
+        let mut reference = env0.clone();
+        reference.exec_clause(&cl);
+        let want = bits(reference.get("A").unwrap());
+        let plan = SpmdPlan::build(&cl, &dm).unwrap();
+        let cs = CompiledSchedule::compile_exec(&plan, &cl, &dm);
+        assert!(cs.has_exec(), "{name}: closed-form plan must compile");
+        for mode in modes() {
+            for overlap in [true, false] {
+                for simd in simd_policies(4) {
+                    let what = format!("{name} {mode:?} overlap={overlap} {simd:?}");
+                    let mut arrays = scatter_ab(&env0, &dm);
+                    let opts = DistOptions {
+                        mode,
+                        overlap,
+                        simd,
+                        ..DistOptions::default()
+                    };
+                    let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
+                    assert_eq!(bits(&arrays["A"].gather()), want, "{what}");
+                    let (ran, planned) = (report.simd_census(), cs.simd_census(simd));
+                    assert_eq!(ran.vector_runs, planned.vector_runs, "{what}");
+                    assert_eq!(ran.fallback_runs, planned.fallback_runs, "{what}");
+                    assert_eq!(ran.lane_elems, planned.lane_elems, "{what}");
+                    assert_eq!(ran.tail_elems, planned.tail_elems, "{what}");
+
+                    // warm pool, twice (the second run replays cached
+                    // tables through reset staging); under Dag the two
+                    // independent clauses share one wave, so each
+                    // receives through its own lane
+                    for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
+                        let mut cl2 = cl.clone();
+                        cl2.lhs = ArrayRef::d1("A2", Fn1::identity());
+                        let mut env2 = env0.clone();
+                        env2.insert("A2", Array::zeros(dm["A"].extent()));
+                        let mut dm2 = dm.clone();
+                        dm2.insert("A2".into(), dm["A"].clone());
+                        let mut session = DistSession::new(&env2, dm2).unwrap().with_options(opts);
+                        let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
+                        for _ in 0..2 {
+                            session.run_program(&steps, schedule, &NULL_TRACER).unwrap();
+                        }
+                        for out in ["A", "A2"] {
+                            assert_eq!(
+                                bits(&session.gather(out).unwrap()),
+                                want,
+                                "{what} {schedule:?} {out}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
