@@ -28,10 +28,11 @@
 //! * **Vectorized** (default) — the plan's communication schedule
 //!   ([`vcal_spmd::NodeCommPlan`], derived at plan time from
 //!   `Reside_p ∩ Modify_q`) drives the send phase directly: one vector
-//!   message per coalesced run, packed in run order. The receiver stages
-//!   each packet by its `(source, run)` tag — derived from the *same*
-//!   plan, so no per-element matching happens — and the update phase
-//!   reads values by plan-computed offsets.
+//!   message per planned packet (whole coalesced runs, grouped at plan
+//!   time up to `vcal_spmd::PACKET_ELEMS`), packed in run order. The
+//!   receiver stages each packet by its `(source, packet)` tag — derived
+//!   from the *same* plan, so no per-element matching happens — and the
+//!   update phase reads values by plan-computed offsets.
 //!
 //! Both modes ship their messages through the reliable transport of
 //! [`crate::transport`] (per-flow sequence numbers, checksums, duplicate
@@ -67,8 +68,8 @@ use std::time::Duration;
 use vcal_core::{BinOp, Clause, CmpOp, Expr, Guard, Ordering};
 use vcal_decomp::Decomp1;
 use vcal_spmd::{
-    simd, AccessPattern, CompiledKernel, CompiledNode, ExecRun, FusedShape, NodePlan, SimdPolicy,
-    SlotAccess, SpmdPlan,
+    simd, AccessPattern, CompiledKernel, CompiledNode, ExecRun, FusedShape, NodePlan, SendSeg,
+    SimdPolicy, SlotAccess, SpmdPlan,
 };
 
 /// A tagged value message.
@@ -84,7 +85,7 @@ pub(crate) struct Msg {
 
 /// Modeled wire cost of one element message (slot + index + value).
 pub(crate) const ELEM_MSG_BYTES: u64 = 24;
-/// Modeled header cost of one vector message (source + run tag).
+/// Modeled header cost of one vector message (source + packet tag).
 pub(crate) const PACK_HEADER_BYTES: u64 = 16;
 
 /// The machine-level payload of a wire packet.
@@ -92,9 +93,9 @@ pub(crate) const PACK_HEADER_BYTES: u64 = 16;
 pub(crate) enum Wire {
     /// Element mode: one tagged value.
     Elem(Msg),
-    /// Vectorized mode: all values of one planned run, packed in run
-    /// order. `run_ord` indexes the sender's run list for this pair,
-    /// which the plan guarantees is identical to the receiver's. The
+    /// Vectorized mode: all values of one planned packet, in run order.
+    /// `run_ord` (the wire name) is the packet's ordinal in the pair's
+    /// packet list, which the plan makes identical on both sides. The
     /// values are shared, not copied, between the wire, the sender's
     /// retransmit buffer and (in process) the receiver's staging.
     Pack { run_ord: usize, values: Arc<[f64]> },
@@ -149,28 +150,9 @@ pub enum CommMode {
     /// One tagged message per element (the literal Section 2.10
     /// template; kept as the baseline and fallback).
     Element,
-    /// One vector message per planned communication run.
+    /// One vector message per planned packet.
     #[default]
     Vectorized,
-}
-
-/// Legacy deterministic fault injection: drop one wire message of one
-/// node. Kept as a compatibility shim — convert it into the richer
-/// seed-driven [`FaultPlan`] via `From`/`Into`.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultInjection {
-    /// Node whose outgoing message is dropped.
-    pub drop_from: i64,
-    /// Which of its wire messages (0-based send order) to drop —
-    /// elements in [`CommMode::Element`], packets in
-    /// [`CommMode::Vectorized`].
-    pub drop_nth: u64,
-}
-
-impl From<FaultInjection> for FaultPlan {
-    fn from(f: FaultInjection) -> FaultPlan {
-        FaultPlan::drop_nth(f.drop_from, f.drop_nth)
-    }
 }
 
 /// Execution options for the distributed machine.
@@ -613,10 +595,10 @@ pub(crate) fn send_phase_element_compiled(
 }
 
 /// Vectorized send phase: the plan already knows every destination and
-/// run, so each run is packed into one vector message — copied out of
-/// the local part through the plan-time offsets (one slice copy when
-/// they are unit-stride), with no run-time ownership test or `local(g(i))`
-/// evaluation.
+/// packet, so each packet is built in one allocation — copied out of the
+/// local parts through the plan-time segments (one slice copy when the
+/// packet is a single unit-stride segment), with no run-time ownership
+/// test or `local(g(i))` evaluation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn send_phase_vectorized(
     p: i64,
@@ -631,16 +613,30 @@ pub(crate) fn send_phase_vectorized(
     let trace_on = tracer.enabled();
     // compiled from this very plan, against decompositions that exist
     assert_eq!(cn.sends.len(), node.comm.sends.len(), "no send tables");
-    for (pair, pats) in node.comm.sends.iter().zip(&cn.sends) {
-        for (run_ord, (run, pat)) in pair.runs.iter().zip(pats).enumerate() {
-            let local_part = &locals[&node.resides[run.slot].array];
-            let n = run.count.max(0) as usize;
-            let values: Arc<[f64]> = match pat {
-                AccessPattern::Affine { base, step: 1 } => {
-                    let base = *base as usize;
-                    Arc::from(&local_part[base..base + n])
+    let part = |seg: &SendSeg| locals[&node.resides[seg.slot].array].as_slice();
+    for (pair, packets) in node.comm.sends.iter().zip(&cn.sends) {
+        for (run_ord, segs) in packets.iter().enumerate() {
+            let n: usize = segs.iter().map(|seg| seg.count).sum();
+            let values: Arc<[f64]> = match segs.as_slice() {
+                [seg] if seg.pattern.is_unit_stride() => {
+                    let base = seg.pattern.offset(0) as usize;
+                    Arc::from(&part(seg)[base..base + n])
                 }
-                _ => (0..n).map(|t| local_part[pat.offset(t) as usize]).collect(),
+                // `RepeatN` reports an exact length, so this is the
+                // packet's one allocation; the segments fill it in place
+                _ => {
+                    let mut values: Arc<[f64]> = std::iter::repeat_n(0.0, n).collect();
+                    let mut out = Arc::get_mut(&mut values)
+                        .expect("not yet shared")
+                        .iter_mut();
+                    for seg in segs {
+                        let src = part(seg);
+                        for (t, v) in out.by_ref().take(seg.count).enumerate() {
+                            *v = src[seg.pattern.offset(t) as usize];
+                        }
+                    }
+                    values
+                }
             };
             let elems = n as u64;
             ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
@@ -854,9 +850,9 @@ fn receive_operands(
         match sa {
             SlotAccess::Packet {
                 src_ord,
-                run_ord,
+                pkt_ord,
                 pattern,
-            } => Some((*src_ord, *run_ord, pattern)),
+            } => Some((*src_ord, *pkt_ord, pattern)),
             SlotAccess::Local(_) => None,
         }
     }
@@ -865,16 +861,16 @@ fn receive_operands(
     match opts.mode {
         CommMode::Vectorized => {
             for (slot, sa) in er.slots.iter().enumerate() {
-                let Some((so, ro, pattern)) = remote(sa) else {
+                let Some((so, po, pattern)) = remote(sa) else {
                     continue;
                 };
                 let array = &node.resides[slot].array;
-                let len = await_packet(ep, rcv, cn, so, ro, opts, stats)
+                let len = await_packet(ep, rcv, cn, so, po, opts, stats)
                     .map_err(|f| map_recv_fail(f, p, array, er.run.start, slot))?;
                 let inside = |off: i64| usize::try_from(off).is_ok_and(|o| o < len);
                 if n > 0 && !(inside(pattern.offset(0)) && inside(pattern.offset(n - 1))) {
                     return Err(map_recv_fail(
-                        RecvFail::BadWire("packet shorter than its planned run"),
+                        RecvFail::BadWire("packet shorter than its planned runs"),
                         p,
                         array,
                         er.run.start,
@@ -961,10 +957,10 @@ fn exec_one_run(
             SlotAccess::Packet { .. } if !gathered.is_empty() => (&gathered[s], &GATHERED, array),
             SlotAccess::Packet {
                 src_ord,
-                run_ord,
+                pkt_ord,
                 pattern,
             } => (
-                staging[*src_ord][*run_ord].as_deref().unwrap_or(&[]),
+                staging[*src_ord][*pkt_ord].as_deref().unwrap_or(&[]),
                 pattern,
                 array,
             ),
@@ -1182,8 +1178,8 @@ pub(crate) enum RecvFail {
     BadWire(&'static str),
 }
 
-/// Vectorized-mode packet staging, `[source ordinal][run]`: the payload
-/// of every planned incoming packet that has landed.
+/// Vectorized-mode packet staging, `[source ordinal][packet]`: the
+/// payload of every planned incoming packet that has landed.
 pub(crate) type Staging = Vec<Vec<Option<Arc<[f64]>>>>;
 
 /// One wave job's private receive buffers. Lanes are strictly per job:
@@ -1324,21 +1320,23 @@ impl RecvCtx<'_> {
     }
 }
 
-/// Per-element receive addressing `(slot, i)` → `(source ordinal, run,
-/// offset)` for plans *without* exec tables (naive-guard schedules): the
-/// element-at-a-time oracle path expands it per run. Compiled plans
-/// never build it — their run tables name whole packet windows.
+/// Per-element receive addressing `(slot, i)` → `(source ordinal,
+/// packet, offset)` for plans *without* exec tables (naive-guard
+/// schedules): the element-at-a-time oracle path expands it per run.
+/// Compiled plans never build it — their run tables name packet windows.
 pub(crate) type Origin = BTreeMap<(usize, i64), (usize, usize, usize)>;
 
 pub(crate) fn expand_origin(node: &NodePlan) -> Origin {
     let mut origin = BTreeMap::new();
     for (ord, pc) in node.comm.recvs.iter().enumerate() {
-        for (run_ord, run) in pc.runs.iter().enumerate() {
+        for (pkt_ord, runs) in pc.packets().enumerate() {
             let mut off = 0usize;
-            run.for_each(|i| {
-                origin.insert((run.slot, i), (ord, run_ord, off));
-                off += 1;
-            });
+            for run in runs {
+                run.for_each(|i| {
+                    origin.insert((run.slot, i), (ord, pkt_ord, off));
+                    off += 1;
+                });
+            }
         }
     }
     origin
@@ -1381,15 +1379,15 @@ pub(crate) fn recv_element(
 }
 
 /// Vectorized-mode blocking receive of one whole planned packet: stage
-/// arrivals by `(source, run)` until packet `(so, ro)` has landed, and
-/// return its length. The compiled update phase calls this once per
+/// arrivals by `(source, packet)` until packet `(so, po)` has landed,
+/// and return its length. The compiled update phase calls this once per
 /// packet a boundary run names.
 pub(crate) fn await_packet(
     ep: &mut Endpoint<Wire>,
     rcv: &mut RecvCtx<'_>,
     cn: &CompiledNode,
     so: usize,
-    ro: usize,
+    po: usize,
     opts: &DistOptions,
     stats: &mut NodeStats,
 ) -> Result<usize, RecvFail> {
@@ -1406,7 +1404,7 @@ pub(crate) fn await_packet(
         stats,
         rcv,
         |rcv| {
-            let cell = rcv.cur_staging().get(so).and_then(|row| row.get(ro));
+            let cell = rcv.cur_staging().get(so).and_then(|row| row.get(po));
             cell.and_then(Option::as_ref).map(|vals| Ok(vals.len()))
         },
         |rcv, src, seq, wire| match wire {
@@ -1417,7 +1415,7 @@ pub(crate) fn await_packet(
         },
     )
     .map_err(|e| match e {
-        AwaitFail::Timeout => RecvFail::PacketTimeout { peer, run: ro },
+        AwaitFail::Timeout => RecvFail::PacketTimeout { peer, run: po },
         AwaitFail::Exhausted { retries } => RecvFail::Exhausted { peer, retries },
         AwaitFail::BadWire(w) => RecvFail::BadWire(w),
     })
@@ -1437,15 +1435,15 @@ pub(crate) fn recv_packed(
     opts: &DistOptions,
     stats: &mut NodeStats,
 ) -> Result<f64, RecvFail> {
-    let &(so, ro, off) = origin
+    let &(so, po, off) = origin
         .get(&(slot, i))
         .ok_or(RecvFail::BadWire("no planned packet covers this element"))?;
-    await_packet(ep, rcv, cn, so, ro, opts, stats)?;
-    rcv.cur_staging()[so][ro]
+    await_packet(ep, rcv, cn, so, po, opts, stats)?;
+    rcv.cur_staging()[so][po]
         .as_deref()
         .and_then(|vals| vals.get(off))
         .copied()
-        .ok_or(RecvFail::BadWire("packet shorter than its planned run"))
+        .ok_or(RecvFail::BadWire("packet shorter than its planned runs"))
 }
 
 #[cfg(test)]

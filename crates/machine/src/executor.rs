@@ -889,12 +889,12 @@ fn wave_worker_body(
             JobLane {
                 src_ord: cn.src_ord.clone(),
                 pending: BTreeMap::new(),
-                staging: cn.staging_runs.iter().map(|&n| vec![None; n]).collect(),
+                staging: cn.staging_packets.iter().map(|&n| vec![None; n]).collect(),
             }
         })
         .collect();
     // cumulative planned data frames per source: element mode sends one
-    // frame per element, vectorized one per planned run — mirrored
+    // frame per element, vectorized one per planned packet — mirrored
     // exactly by the sender's send phase, which walks the same pair
     // sets in the same order
     let mut cuts: Vec<Vec<u64>> = vec![vec![0]; pmax];
@@ -904,7 +904,7 @@ fn wave_worker_body(
         for pair in &node.comm.recvs {
             let frames = match ctx.opts.mode {
                 CommMode::Element => pair.runs.iter().map(|r| r.count.max(0) as u64).sum::<u64>(),
-                CommMode::Vectorized => pair.runs.len() as u64,
+                CommMode::Vectorized => pair.packets().len() as u64,
             };
             if let Ok(src) = usize::try_from(pair.peer) {
                 if src < pmax {
@@ -1071,7 +1071,7 @@ impl Drop for DistExecutor {
 pub(crate) struct Scratch {
     /// Element mode: out-of-order arrivals keyed `(slot, i)`.
     pending: BTreeMap<(usize, i64), f64>,
-    /// Vectorized mode: `staging[source ordinal][run]` packet values.
+    /// Vectorized mode: `staging[source ordinal][packet]` packet values.
     staging: Staging,
     /// Operand values of the current iteration, one per read slot.
     vals: Vec<f64>,
@@ -1087,13 +1087,12 @@ pub(crate) struct Scratch {
 pub(crate) fn reset_scratch(scratch: &mut Scratch, prepared: &PreparedPlan, p: i64) {
     let cn = &prepared.compiled.nodes[p as usize];
     scratch.pending.clear();
-    scratch.staging.resize_with(cn.staging_runs.len(), Vec::new);
-    for (row, &nruns) in scratch.staging.iter_mut().zip(&cn.staging_runs) {
-        row.resize(nruns, None);
-        row.truncate(nruns);
-        for cell in row.iter_mut() {
-            *cell = None;
-        }
+    scratch
+        .staging
+        .resize_with(cn.staging_packets.len(), Vec::new);
+    for (row, &npackets) in scratch.staging.iter_mut().zip(&cn.staging_packets) {
+        row.clear();
+        row.resize(npackets, None);
     }
     scratch.vals.clear();
     scratch

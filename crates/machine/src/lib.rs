@@ -47,9 +47,7 @@ pub mod transport;
 
 pub use darray::DistArray;
 pub use darray_nd::DistArrayNd;
-pub use distributed::{
-    run_distributed, run_distributed_traced, CommMode, DistOptions, FaultInjection,
-};
+pub use distributed::{run_distributed, run_distributed_traced, CommMode, DistOptions};
 pub use distributed_nd::{
     run_distributed_nd, run_distributed_nd_mode, run_distributed_nd_opts, run_distributed_nd_traced,
 };

@@ -355,8 +355,20 @@ impl FrameBuf {
 }
 
 /// Write one frame; `write_all` already loops over partial writes and
-/// retries `Interrupted`.
+/// retries `Interrupted`. A payload longer than [`MAX_FRAME`] is refused
+/// with `InvalidInput` and nothing is written: the peer's
+/// [`FrameBuf::pop`] would read its length as lost frame sync and
+/// poison a healthy stream.
 pub(crate) fn write_frame(sock: &mut Sock, kind: u8, payload: &[u8]) -> std::io::Result<()> {
+    if payload.len() > MAX_FRAME as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds the {MAX_FRAME}-byte frame limit",
+                payload.len()
+            ),
+        ));
+    }
     sock.write_all(&frame_bytes(kind, payload))
 }
 
@@ -708,13 +720,20 @@ impl SockLink {
 
     /// Send one frame, reconnecting once on a dead link. Data frames
     /// that still fail are dropped (the NACK protocol recovers them);
-    /// the caller decides whether a control frame failure is fatal.
+    /// the caller decides whether a control frame failure is fatal. A
+    /// frame the layer refuses to write is reported on stderr and
+    /// dropped without touching the healthy link.
     fn send_kind(&mut self, kind: u8, payload: &[u8]) -> bool {
         for _ in 0..2 {
             match self.sock.as_mut() {
                 Some(sock) => {
-                    if write_frame(sock, kind, payload).is_ok() {
-                        return true;
+                    match write_frame(sock, kind, payload) {
+                        Ok(()) => return true,
+                        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                            eprintln!("vcal worker {}: frame dropped: {e}", self.node);
+                            return false;
+                        }
+                        Err(_) => {}
                     }
                     if !self.reconnect() {
                         return false;
@@ -1257,6 +1276,23 @@ mod tests {
         let (kind, payload) = fbuf.pop().expect("no error").expect("complete now");
         assert_eq!(kind, K_DATA);
         assert_eq!(payload.len(), 100);
+    }
+
+    #[test]
+    fn oversize_payload_is_refused_before_it_reaches_the_wire() {
+        let (a, b) = UnixStream::pair().expect("socket pair");
+        let (mut tx, mut rx) = (Sock::Unix(a), Sock::Unix(b));
+        let too_long = vec![0u8; MAX_FRAME as usize + 1];
+        let err = write_frame(&mut tx, K_DATA, &too_long).expect_err("refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        // nothing was written: the next frame is the first the peer sees
+        write_frame(&mut tx, K_CTRL, &[9]).expect("link still usable");
+        let mut fbuf = FrameBuf::default();
+        let got = fbuf.next_frame(&mut rx, Duration::from_secs(5));
+        assert!(
+            matches!(&got, Ok(Some((K_CTRL, p))) if p == &[9]),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -682,20 +682,14 @@ pub struct ReplaySummary {
     pub nacks: u64,
 }
 
-/// Expand a node's planned send runs, in exact wire order, as
-/// `(peer, run_ord, slot, elems, bytes)` per packet.
-fn planned_packets(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, usize, u64, u64)> {
+/// Expand a node's planned send packets, in exact wire order, as
+/// `(peer, pkt_ord, elems, bytes)` per packet.
+fn planned_packets(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, u64, u64)> {
     let mut out = Vec::new();
     for pair in &plan.nodes[p].comm.sends {
-        for (run_ord, run) in pair.runs.iter().enumerate() {
-            let elems = run.len();
-            out.push((
-                pair.peer,
-                run_ord,
-                run.slot,
-                elems,
-                PACK_HEADER_BYTES + 8 * elems,
-            ));
+        for (pkt_ord, runs) in pair.packets().enumerate() {
+            let elems = runs.iter().map(|r| r.len()).sum::<u64>();
+            out.push((pair.peer, pkt_ord, elems, PACK_HEADER_BYTES + 8 * elems));
         }
     }
     out
@@ -735,9 +729,10 @@ fn planned_recv_elems(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, i64)> {
 ///    update span, and a boundary run may not complete before the
 ///    receives it depends on have been consumed (running count);
 /// 2. **sends vs plan** — vectorized packets appear in the plan's exact
-///    wire order with the planned run length and modeled byte size
-///    (`16 + 8·elems`); element-mode sends (24 modeled bytes each)
-///    match the plan's expansion as a multiset;
+///    wire order with the planned packet length (the runs the plan's
+///    packetisation groups) and modeled byte size (`16 + 8·elems`);
+///    element-mode sends (24 modeled bytes each) match the plan's
+///    expansion as a multiset;
 /// 3. **receives vs plan** — the consumed remote operands equal the
 ///    plan's incoming expansion exactly (every planned element matched
 ///    by exactly one receive — "every send matched by a recv");
@@ -923,7 +918,7 @@ pub fn replay_check(
                 }
                 for (got, want) in packets.iter().zip(&want) {
                     let (dst, run, elems, bytes) = *got;
-                    let (wdst, wrun, _slot, welems, wbytes) = *want;
+                    let (wdst, wrun, welems, wbytes) = *want;
                     if dst != wdst || run != wrun {
                         return Err(ReplayError::Send {
                             node,
@@ -1042,7 +1037,7 @@ pub fn replay_check(
                 .sends
                 .iter()
                 .filter(sends_to_d)
-                .map(|pc| pc.runs.len() as u64)
+                .map(|pc| pc.packets().len() as u64)
                 .sum();
             let elems: u64 = plan.nodes[s]
                 .comm

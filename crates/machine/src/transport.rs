@@ -275,8 +275,7 @@ pub struct FaultPlan {
     /// Restrict the random faults to packets sent *by* this node.
     pub from_only: Option<i64>,
     /// Deterministically drop the `n`-th (0-based, first transmissions
-    /// only) data packet of one node: `(node, n)`. The compat shim for
-    /// the old `FaultInjection { drop_from, drop_nth }`.
+    /// only) data packet of one node: `(node, n)`.
     pub drop_exact: Option<(i64, u64)>,
     /// Crash one node mid-run.
     pub crash: Option<CrashFault>,
@@ -350,9 +349,8 @@ impl FaultPlan {
         self
     }
 
-    /// Compat constructor reproducing the old `FaultInjection`
-    /// semantics: drop exactly the `nth` (0-based send order) data
-    /// packet of `from`, once. With retries enabled this is a transient
+    /// Drop exactly the `nth` (0-based send order) data packet of
+    /// `from`, once. With retries enabled this is a transient
     /// fault the transport recovers from; with [`RetryPolicy::none`] it
     /// reproduces the legacy `MissingMessage` / `MissingPacket` error.
     pub fn drop_nth(from: i64, nth: u64) -> FaultPlan {

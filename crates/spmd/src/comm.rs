@@ -18,10 +18,12 @@
 //! stores the result as strided runs ([`CommRun`]) on each node plan.
 //!
 //! Because the pair set is computed once and shared by sender and
-//! receiver, both sides agree on the exact packing order of every run:
-//! the executor can ship one vector message per run (`packets ≈ pairs`
-//! instead of `packets = elements`) and the receiver can unpack by
-//! `(source, run, offset)` with no per-element tag matching.
+//! receiver, both sides agree on the exact packing order of every run
+//! and on how the run stream is cut into wire packets ([`packetise`]):
+//! the executor ships whole runs grouped into packets of up to
+//! [`PACKET_ELEMS`] elements (`packets ≈ pairs` instead of
+//! `packets = elements`) and the receiver unpacks by
+//! `(source, packet, offset)` with no per-element tag matching.
 
 use crate::program::NodePlan;
 use crate::schedule::Schedule;
@@ -64,21 +66,75 @@ impl CommRun {
     }
 }
 
+/// Payload cap of one wire packet, in elements (64 KiB of `f64`).
+///
+/// §4 of the paper charges `t_startup` per message, so how a pair's
+/// element set is cut into messages is a planning decision: a packet
+/// costs ≈ 0.7 µs of fixed work (allocation, digest, channel hop, ack,
+/// retained-buffer prune) whatever it carries, and at 8192 elements that
+/// is < 0.1 ns per element. The cap stays under the allocator's mmap
+/// threshold, keeps a packet L2-resident while it is packed, digested
+/// and unpacked, and is four 16 KiB socket reads.
+pub const PACKET_ELEMS: u64 = 8192;
+
+/// Cut a pair's run stream into wire packets: consecutive whole runs,
+/// grouped greedily while the packet holds at most `cap` elements. A
+/// single run longer than `cap` is its own packet — runs are never
+/// split, so a receive window never crosses a packet. Returns the cut
+/// points: packet `k` is `runs[cuts[k]..cuts[k + 1]]`.
+pub fn packetise(runs: &[CommRun], cap: u64) -> Vec<usize> {
+    let mut cuts = vec![0];
+    let mut load = 0u64;
+    for (k, r) in runs.iter().enumerate() {
+        if load > 0 && load.saturating_add(r.len()) > cap {
+            cuts.push(k);
+            load = 0;
+        }
+        load += r.len();
+    }
+    if !runs.is_empty() {
+        cuts.push(runs.len());
+    }
+    cuts
+}
+
 /// All runs exchanged with one peer, ordered by slot then derivation
-/// order. `runs[k]` is the `k`-th packet on the wire for this pair —
-/// the index `k` is the packet tag, shared by sender and receiver.
+/// order, and their cut into wire packets. The packet ordinal is the
+/// packet tag, shared by sender and receiver.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PairComm {
     /// The other processor.
     pub peer: i64,
     /// The runs, in wire order.
     pub runs: Vec<CommRun>,
+    /// Packet boundaries ([`packetise`] at [`PACKET_ELEMS`]): packet `k`
+    /// carries `runs[cuts[k]..cuts[k + 1]]`, packed back to back.
+    pub cuts: Vec<usize>,
 }
 
 impl PairComm {
     /// Total elements across all runs of the pair.
     pub fn elems(&self) -> u64 {
         self.runs.iter().map(CommRun::len).sum()
+    }
+
+    /// The packets of the pair in wire order, each as the runs it carries.
+    pub fn packets(&self) -> impl ExactSizeIterator<Item = &[CommRun]> {
+        self.cuts.windows(2).map(|w| &self.runs[w[0]..w[1]])
+    }
+
+    /// Per run, the packet that carries it and the offset of the run's
+    /// first element inside that packet.
+    pub fn run_places(&self) -> Vec<(usize, u64)> {
+        let mut places = Vec::with_capacity(self.runs.len());
+        for (pkt_ord, runs) in self.packets().enumerate() {
+            let mut off = 0;
+            for r in runs {
+                places.push((pkt_ord, off));
+                off += r.len();
+            }
+        }
+        places
     }
 }
 
@@ -110,14 +166,14 @@ impl NodeCommPlan {
         self.recvs.iter().map(PairComm::elems).sum()
     }
 
-    /// Number of outgoing vector messages (one per run).
+    /// Number of outgoing vector messages (one per planned packet).
     pub fn send_packets(&self) -> u64 {
-        self.sends.iter().map(|pc| pc.runs.len() as u64).sum()
+        self.sends.iter().map(|pc| pc.packets().len() as u64).sum()
     }
 
     /// Number of incoming vector messages.
     pub fn recv_packets(&self) -> u64 {
-        self.recvs.iter().map(|pc| pc.runs.len() as u64).sum()
+        self.recvs.iter().map(|pc| pc.packets().len() as u64).sum()
     }
 }
 
@@ -128,6 +184,7 @@ fn push_runs(pairs: &mut Vec<PairComm>, peer: i64, runs: &[CommRun]) {
         None => pairs.push(PairComm {
             peer,
             runs: runs.to_vec(),
+            cuts: Vec::new(),
         }),
     }
 }
@@ -247,8 +304,9 @@ fn enumerate_slot(
 ///
 /// Each ordered pair set is derived exactly once and pushed to both the
 /// sender's `sends` and the receiver's `recvs`, so the two sides hold
-/// identical run lists in identical order — the invariant the vectorized
-/// executor's `(source, run, offset)` addressing relies on.
+/// identical run lists in identical order — and, the cut being a function
+/// of the run list alone, identical packets: the invariant the vectorized
+/// executor's `(source, packet, offset)` addressing relies on.
 pub fn plan_comm(nodes: &[NodePlan], f: &Fn1, dec_lhs: &Decomp1) -> Vec<NodeCommPlan> {
     let pmax = nodes.len();
     let mut plans: Vec<NodeCommPlan> = vec![NodeCommPlan::default(); pmax];
@@ -280,6 +338,9 @@ pub fn plan_comm(nodes: &[NodePlan], f: &Fn1, dec_lhs: &Decomp1) -> Vec<NodeComm
     for plan in &mut plans {
         plan.sends.sort_by_key(|pc| pc.peer);
         plan.recvs.sort_by_key(|pc| pc.peer);
+        for pc in plan.sends.iter_mut().chain(&mut plan.recvs) {
+            pc.cuts = packetise(&pc.runs, PACKET_ELEMS);
+        }
     }
     plans
 }
@@ -340,6 +401,53 @@ mod tests {
         out
     }
 
+    /// `cuts` partitions `runs` in order into greedy packets of at most
+    /// `cap` elements (a longer single run is its own packet).
+    fn check_cuts(runs: &[CommRun], cuts: &[usize], cap: u64) {
+        assert_eq!(cuts.first(), Some(&0));
+        assert_eq!(cuts.last(), Some(&runs.len()));
+        let elems = |w: &[usize]| runs[w[0]..w[1]].iter().map(CommRun::len).sum::<u64>();
+        for w in cuts.windows(2) {
+            assert!(w[0] < w[1], "empty packet: {cuts:?}");
+            assert!(elems(w) <= cap || w[1] - w[0] == 1, "cap={cap} {cuts:?}");
+            // greedy: the next run did not fit
+            if let Some(next) = runs.get(w[1]) {
+                assert!(elems(w) + next.len() > cap, "cap={cap} {cuts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn packetise_cuts_at_the_cap() {
+        let run = |count| CommRun {
+            slot: 0,
+            start: 0,
+            step: 1,
+            count,
+        };
+        let runs = [run(3), run(3), run(2), run(9), run(1), run(8)];
+        assert_eq!(packetise(&runs, 1), [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(packetise(&runs, 3), [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(packetise(&runs, 8), [0, 3, 4, 5, 6]);
+        assert_eq!(packetise(&runs, 9), [0, 3, 4, 6]);
+        assert_eq!(packetise(&runs, u64::MAX), [0, 6]);
+        assert_eq!(packetise(&[], 8), [0]);
+        for cap in [1, 3, 8, 9, u64::MAX] {
+            check_cuts(&runs, &packetise(&runs, cap), cap);
+        }
+        let pair = PairComm {
+            peer: 1,
+            runs: runs.to_vec(),
+            cuts: packetise(&runs, 8),
+        };
+        assert_eq!(pair.packets().len(), 4);
+        assert_eq!(
+            pair.run_places(),
+            [(0, 0), (0, 3), (0, 6), (1, 0), (2, 0), (3, 0)]
+        );
+        assert_eq!(PairComm::default().packets().len(), 0);
+    }
+
     fn check_plan(clause: &Clause, dm: &DecompMap, naive: bool) {
         let plan = if naive {
             SpmdPlan::build_naive(clause, dm).unwrap()
@@ -363,6 +471,14 @@ mod tests {
                     .find(|r| r.peer == p as i64)
                     .expect("receiver must expect this pair");
                 assert_eq!(pc.runs, back.runs, "pair ({p} -> {}) runs", pc.peer);
+                assert_eq!(pc.cuts, back.cuts, "pair ({p} -> {}) packets", pc.peer);
+                check_cuts(&pc.runs, &pc.cuts, PACKET_ELEMS);
+                // ... and would under any other cap
+                for cap in [1, 3, 8, u64::MAX] {
+                    let cuts = packetise(&pc.runs, cap);
+                    assert_eq!(cuts, packetise(&back.runs, cap));
+                    check_cuts(&pc.runs, &cuts, cap);
+                }
             }
         }
         // global conservation: every element sent is expected somewhere

@@ -14,9 +14,11 @@
 //! sets — plus run-granular receive addressing: `Modify_p` is intersected
 //! with the plan's receive runs by interval algebra, so every
 //! [`ExecRun`] reads each slot either from owner-local memory or from an
-//! affine window of exactly one planned packet. Table size and compile
-//! cost follow the number of runs, not of elements, and a warm execution
-//! iterates plain strided loops with no closed-form re-derivation.
+//! affine window of exactly one planned packet (a plan-time group of
+//! whole receive runs, see [`crate::comm::packetise`]). Table size and
+//! compile cost follow the number of runs, not of elements, and a warm
+//! execution iterates plain strided loops with no closed-form
+//! re-derivation.
 //!
 //! The module also provides the plan-cache keys used by the machine's
 //! session layer: a [`clause_signature`] and a [`decomp_fingerprint`]
@@ -216,14 +218,15 @@ pub enum SlotAccess {
     /// case for interior runs and replicated slots); the pattern gives
     /// offsets into the local part.
     Local(AccessPattern),
-    /// Every element of the run is carried by one planned packet: run
-    /// `run_ord` of the receive pair `src_ord`. The pattern gives
-    /// offsets into that packet's values.
+    /// Every element of the run is carried by one planned packet:
+    /// packet `pkt_ord` of the receive pair `src_ord`. The pattern gives
+    /// offsets into that packet's values (the offset of the carrying
+    /// receive run inside the packet is folded into its base).
     Packet {
         /// Ordinal of the source in the node's receive pair list.
         src_ord: usize,
-        /// Run ordinal within the pair — the packet tag.
-        run_ord: usize,
+        /// Packet ordinal within the pair — the packet tag.
+        pkt_ord: usize,
         /// Affine window into the packet.
         pattern: AccessPattern,
     },
@@ -282,6 +285,18 @@ impl ExecRun {
     }
 }
 
+/// One stretch of an outgoing packet's payload: `count` elements of read
+/// slot `slot`, found at `pattern` in the sender's local part.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SendSeg {
+    /// The read slot whose array the elements come from.
+    pub slot: usize,
+    /// Local offsets of the elements, in packing order.
+    pub pattern: AccessPattern,
+    /// Number of elements.
+    pub count: usize,
+}
+
 /// Interior/boundary census of a compiled schedule — printed by `vcalc`
 /// next to the Table I dispatch census.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -322,15 +337,16 @@ pub struct CompiledNode {
     pub src_ord: Vec<usize>,
     /// source ordinal → processor id (the NACK target).
     pub src_peers: Vec<i64>,
-    /// source ordinal → number of planned incoming runs (the staging
+    /// source ordinal → number of planned incoming packets (the staging
     /// shape the receiver pre-sizes).
-    pub staging_runs: Vec<usize>,
-    /// Per outgoing pair, per run (same order as the plan's
-    /// `comm.sends`): the local offsets of the packed elements, so the
-    /// send phase copies slices instead of re-evaluating `local(g(i))`.
-    /// Empty when compiled without decompositions
+    pub staging_packets: Vec<usize>,
+    /// Per outgoing pair, per packet (same order as the plan's
+    /// `comm.sends`): where the packed elements sit in the local parts,
+    /// so the send phase copies slices instead of re-evaluating
+    /// `local(g(i))`. Runs that continue one affine progression share a
+    /// segment. Empty when compiled without decompositions
     /// ([`CompiledSchedule::compile`]).
-    pub sends: Vec<Vec<AccessPattern>>,
+    pub sends: Vec<Vec<Vec<SendSeg>>>,
     /// The interior/boundary execution split of `modify`, with fully
     /// resolved addressing. Empty when the plan was compiled without
     /// execution tables ([`CompiledSchedule::compile`]) or contains a
@@ -353,9 +369,10 @@ impl CompiledNode {
         for r in self.resides.iter().flatten() {
             b += r.len() * size_of::<IterRun>();
         }
-        b += (self.src_ord.len() + self.src_peers.len() + self.staging_runs.len()) * 8;
-        for pats in &self.sends {
-            b += pats.len() * size_of::<AccessPattern>() + pats.iter().map(table).sum::<usize>();
+        b += (self.src_ord.len() + self.src_peers.len() + self.staging_packets.len()) * 8;
+        for segs in self.sends.iter().flatten() {
+            b += size_of::<Vec<SendSeg>>() + segs.len() * size_of::<SendSeg>();
+            b += segs.iter().map(|s| table(&s.pattern)).sum::<usize>();
         }
         for er in &self.exec {
             b += size_of::<ExecRun>() + er.slots.len() * size_of::<SlotAccess>() + table(&er.lhs);
@@ -422,13 +439,13 @@ impl CompiledSchedule {
                 }
                 let mut src_ord = vec![usize::MAX; pmax];
                 let mut src_peers = Vec::with_capacity(node.comm.recvs.len());
-                let mut staging_runs = Vec::with_capacity(node.comm.recvs.len());
+                let mut staging_packets = Vec::with_capacity(node.comm.recvs.len());
                 for (ord, pc) in node.comm.recvs.iter().enumerate() {
                     if let Some(slot) = src_ord.get_mut(pc.peer as usize) {
                         *slot = ord;
                     }
                     src_peers.push(pc.peer);
-                    staging_runs.push(pc.runs.len());
+                    staging_packets.push(pc.packets().len());
                 }
                 CompiledNode {
                     p: node.p,
@@ -439,7 +456,7 @@ impl CompiledSchedule {
                     reside_work,
                     src_ord,
                     src_peers,
-                    staging_runs,
+                    staging_packets,
                     sends: Vec::new(),
                     exec: Vec::new(),
                 }
@@ -597,24 +614,60 @@ fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPattern {
     AccessPattern::compress(offs)
 }
 
-/// Where the sender finds the elements of each run it packs for `pair`.
-fn send_patterns(pair: &PairComm, node: &NodePlan, dec_reads: &[&Decomp1]) -> Vec<AccessPattern> {
-    pair.runs
-        .iter()
-        .map(|r| {
+/// Where the sender finds the elements of each packet it packs for
+/// `pair`: one segment per run, with a run that continues its
+/// predecessor's affine progression in the same slot merged into it (a
+/// block-scatter source packs a whole packet with one slice copy).
+fn send_patterns(pair: &PairComm, node: &NodePlan, dec_reads: &[&Decomp1]) -> Vec<Vec<SendSeg>> {
+    let segs_of = |runs: &[CommRun]| {
+        let mut segs: Vec<SendSeg> = Vec::new();
+        for r in runs {
             let run = IterRun {
                 start: r.start,
                 step: r.step,
                 count: r.count,
             };
-            local_pattern(run, &node.resides[r.slot].g, dec_reads[r.slot])
-        })
-        .collect()
+            let pattern = local_pattern(run, &node.resides[r.slot].g, dec_reads[r.slot]);
+            let count = run.len() as usize;
+            let merged = (segs.last_mut()).is_some_and(|last| last.absorb(r.slot, &pattern, count));
+            if !merged {
+                segs.push(SendSeg {
+                    slot: r.slot,
+                    pattern,
+                    count,
+                });
+            }
+        }
+        segs
+    };
+    pair.packets().map(segs_of).collect()
 }
 
-/// The stride of a packet's loop indices (`1` for a single-element run,
-/// whose recorded step carries no information).
-fn packet_step(r: &CommRun) -> i64 {
+impl SendSeg {
+    /// Grow by `count` elements of `slot` at `next` when they continue
+    /// this segment's affine progression (a single element has no stride
+    /// of its own and adopts its neighbour's).
+    fn absorb(&mut self, slot: usize, next: &AccessPattern, count: usize) -> bool {
+        use AccessPattern::Affine;
+        let (Affine { base, step }, Affine { base: nb, step: ns }) = (&mut self.pattern, next)
+        else {
+            return false;
+        };
+        let stride = if self.count > 1 { *step } else { nb - *base };
+        let continues = self.slot == slot
+            && *nb == *base + stride * self.count as i64
+            && (count == 1 || *ns == stride);
+        if continues {
+            *step = stride;
+            self.count += count;
+        }
+        continues
+    }
+}
+
+/// The stride of a receive run's loop indices (`1` for a single-element
+/// run, whose recorded step carries no information).
+fn run_step(r: &CommRun) -> i64 {
     if r.count > 1 {
         r.step.max(1)
     } else {
@@ -629,17 +682,18 @@ struct RecvSpan {
     /// Largest `hi` among this span and those sorted before it.
     top_hi: i64,
     /// `(source ordinal, run ordinal)`.
-    packet: (usize, usize),
+    origin: (usize, usize),
     run: CommRun,
 }
 
 /// A maximal stretch `t ∈ [t0, t1]` of one modify run whose reads of
-/// `slot` all fall inside one packet.
+/// `slot` all fall inside one receive run.
 struct Hit {
     t0: i64,
     t1: i64,
     slot: usize,
-    packet: (usize, usize),
+    /// `(source ordinal, run ordinal)`.
+    origin: (usize, usize),
 }
 
 /// The node's receive runs, per slot, sorted by range start and
@@ -659,11 +713,11 @@ impl RecvIndex {
                     continue;
                 }
                 if let Some(spans) = by_slot.get_mut(run.slot) {
-                    let hi = run.start + packet_step(run) * (run.count - 1);
+                    let hi = run.start + run_step(run) * (run.count - 1);
                     spans.push(RecvSpan {
                         hi,
                         top_hi: hi,
-                        packet: (src_ord, run_ord),
+                        origin: (src_ord, run_ord),
                         run: *run,
                     });
                 }
@@ -694,13 +748,13 @@ impl RecvIndex {
                 let Some((first, period, count)) = meet(m, &s.run) else {
                     continue;
                 };
-                let packet = s.packet;
+                let origin = s.origin;
                 if period == 1 {
                     out.push(Hit {
                         t0: first,
                         t1: first + count - 1,
                         slot,
-                        packet,
+                        origin,
                     });
                 } else {
                     // the runs interleave: isolated single-element hits
@@ -708,7 +762,7 @@ impl RecvIndex {
                         t0: first + k * period,
                         t1: first + k * period,
                         slot,
-                        packet,
+                        origin,
                     }));
                 }
             }
@@ -716,11 +770,11 @@ impl RecvIndex {
     }
 }
 
-/// The positions `t` of modify run `m` whose index lies in packet `r`,
+/// The positions `t` of modify run `m` whose index lies in run `r`,
 /// as `(first, period, count)`: two arithmetic progressions meet in an
 /// arithmetic progression (a linear congruence, clipped to both ranges).
 fn meet(m: &IterRun, r: &CommRun) -> Option<(i64, i64, i64)> {
-    let rstep = packet_step(r);
+    let rstep = run_step(r);
     let rhi = r.start + rstep * (r.count - 1);
     if m.step == 0 || m.count == 1 {
         let i = m.start;
@@ -740,7 +794,9 @@ fn meet(m: &IterRun, r: &CommRun) -> Option<(i64, i64, i64)> {
     (first <= thi).then(|| (first, cong.period, (thi - first) / cong.period + 1))
 }
 
-/// Per slot, the packet a piece reads (`None` = owner-local).
+/// Per slot, the receive run `(source ordinal, run ordinal)` a piece
+/// reads (`None` = owner-local). Keyed by run, not by packet, so pieces
+/// are never glued across a run boundary inside one packet.
 type Sig = Vec<Option<(usize, usize)>>;
 
 /// Glue pieces with equal signatures back into maximal strided runs,
@@ -811,9 +867,12 @@ fn build_exec(
 ) -> Vec<ExecRun> {
     let n_slots = node.resides.len();
     let index = RecvIndex::new(&node.comm.recvs, n_slots);
+    // per source, per receive run: its packet and its offset inside it
+    let places: Vec<Vec<(usize, u64)>> =
+        (node.comm.recvs.iter()).map(PairComm::run_places).collect();
     let mut tiling = Tiling::default();
     let mut hits: Vec<Hit> = Vec::new();
-    // per slot, the hit covering the current position: (t1, packet)
+    // per slot, the hit covering the current position: (t1, origin)
     let mut active: Vec<Option<(i64, (usize, usize))>> = vec![None; n_slots];
     let mut sig: Sig = vec![None; n_slots];
     for m in modify {
@@ -829,14 +888,14 @@ fn build_exec(
                 }
             }
             while let Some(h) = hits.get(next).filter(|h| h.t0 <= t) {
-                active[h.slot] = Some((h.t1, h.packet));
+                active[h.slot] = Some((h.t1, h.origin));
                 next += 1;
             }
             let mut end = hits.get(next).map_or(m.count, |h| h.t0);
             for (a, s) in active.iter().zip(&mut sig) {
-                *s = a.map(|(t1, packet)| {
+                *s = a.map(|(t1, origin)| {
                     end = end.min(t1 + 1);
-                    packet
+                    origin
                 });
             }
             let piece = IterRun {
@@ -858,7 +917,7 @@ fn build_exec(
             let slots = sig
                 .iter()
                 .enumerate()
-                .map(|(slot, packet)| match *packet {
+                .map(|(slot, origin)| match *origin {
                     None => SlotAccess::Local(local_pattern(
                         run,
                         &node.resides[slot].g,
@@ -867,12 +926,13 @@ fn build_exec(
                     Some((src_ord, run_ord)) => {
                         remote_elems += run.len();
                         let r = &node.comm.recvs[src_ord].runs[run_ord];
-                        let rstep = packet_step(r);
+                        let (pkt_ord, run_off) = places[src_ord][run_ord];
+                        let rstep = run_step(r);
                         SlotAccess::Packet {
                             src_ord,
-                            run_ord,
+                            pkt_ord,
                             pattern: AccessPattern::Affine {
-                                base: (run.start - r.start) / rstep,
+                                base: run_off as i64 + (run.start - r.start) / rstep,
                                 step: if run.count > 1 { run.step / rstep } else { 0 },
                             },
                         }
@@ -1048,21 +1108,38 @@ mod tests {
         }
     }
 
-    /// `(slot, i)` → `(source ordinal, run, offset)`, expanded element
-    /// by element from the plan's receive runs: the table the machines
-    /// used to build, kept here as the oracle for the run algebra.
-    fn brute_origin(node: &NodePlan) -> BTreeMap<(usize, i64), (usize, usize, i64)> {
+    /// `(slot, i)` → `(source ordinal, run, packet, offset in packet)`,
+    /// expanded element by element from the plan's receive packets: the
+    /// table the machines used to build, kept here as the oracle for
+    /// the run algebra.
+    fn brute_origin(node: &NodePlan) -> BTreeMap<(usize, i64), (usize, usize, usize, i64)> {
         let mut origin = BTreeMap::new();
         for (ord, pc) in node.comm.recvs.iter().enumerate() {
-            for (run_ord, run) in pc.runs.iter().enumerate() {
+            let mut run_ord = 0;
+            for (pkt_ord, runs) in pc.packets().enumerate() {
                 let mut off = 0;
-                run.for_each(|i| {
-                    origin.insert((run.slot, i), (ord, run_ord, off));
-                    off += 1;
-                });
+                for run in runs {
+                    run.for_each(|i| {
+                        origin.insert((run.slot, i), (ord, run_ord, pkt_ord, off));
+                        off += 1;
+                    });
+                    run_ord += 1;
+                }
             }
+            assert_eq!(run_ord, pc.runs.len(), "packets partition the run list");
         }
         origin
+    }
+
+    /// Re-cut every pair of the plan at `cap` elements per packet, the
+    /// way `plan_comm` does at `PACKET_ELEMS`.
+    fn recut(plan: &mut SpmdPlan, cap: u64) {
+        for node in &mut plan.nodes {
+            let comm = &mut node.comm;
+            for pc in comm.sends.iter_mut().chain(&mut comm.recvs) {
+                pc.cuts = crate::comm::packetise(&pc.runs, cap);
+            }
+        }
     }
 
     /// Check one compiled plan against per-element `proc_of`/`local_of`.
@@ -1082,7 +1159,7 @@ mod tests {
             // ... and are the greedy coalescing of each same-source stretch
             let sig = |i: i64| -> Vec<Option<(usize, usize)>> {
                 (0..node.resides.len())
-                    .map(|s| origin.get(&(s, i)).map(|&(so, ro, _)| (so, ro)))
+                    .map(|s| origin.get(&(s, i)).map(|&(so, ro, ..)| (so, ro)))
                     .collect()
             };
             let mut want_runs = Vec::new();
@@ -1118,23 +1195,28 @@ mod tests {
                                 assert_eq!(owner, p, "{at} slot={slot}: remote read marked local");
                                 assert_eq!(pat.offset(t), dec.local_of(x), "{at} slot={slot}");
                             }
-                            // (b) remote reads to the element-wise (src, run, off)
+                            // (b) remote reads to the element-wise (src, packet, off)
                             SlotAccess::Packet {
                                 src_ord,
-                                run_ord,
+                                pkt_ord,
                                 pattern,
                             } => {
                                 remote += 1;
                                 assert_ne!(owner, p, "{at} slot={slot}: local read marked remote");
                                 assert_eq!(cn.src_peers[*src_ord], owner, "{at} slot={slot}");
                                 assert_eq!(
-                                    origin.get(&(slot, i)),
-                                    Some(&(*src_ord, *run_ord, pattern.offset(t))),
+                                    origin
+                                        .get(&(slot, i))
+                                        .map(|&(so, _, po, off)| (so, po, off)),
+                                    Some((*src_ord, *pkt_ord, pattern.offset(t))),
                                     "{at} slot={slot}"
                                 );
                                 // (c) the window stays inside its packet
-                                let len = node.comm.recvs[*src_ord].runs[*run_ord].count;
+                                let pair = &node.comm.recvs[*src_ord];
+                                let packet = pair.packets().nth(*pkt_ord).expect("planned packet");
+                                let len = packet.iter().map(|r| r.count).sum::<i64>();
                                 assert!((0..len).contains(&pattern.offset(t)), "{at} slot={slot}");
+                                assert!(*pkt_ord < cn.staging_packets[*src_ord], "{at}");
                                 assert!(matches!(pattern, AccessPattern::Affine { .. }), "{at}");
                             }
                         }
@@ -1201,19 +1283,25 @@ mod tests {
                     );
                     clauses.push(stencil);
                     for clause in &clauses {
-                        let plan = SpmdPlan::build(clause, &dm).unwrap();
-                        let compiled = CompiledSchedule::compile_exec(&plan, clause, &dm);
-                        if !compiled.has_exec() {
-                            continue; // a naive-guard row: no tables to check
+                        let mut plan = SpmdPlan::build(clause, &dm).unwrap();
+                        // every pair of these plans is one packet at the
+                        // production cap; small caps cut each run stream
+                        // into many, and the tables must follow the cut
+                        for cap in [crate::comm::PACKET_ELEMS, 1, 3, 8] {
+                            recut(&mut plan, cap);
+                            let compiled = CompiledSchedule::compile_exec(&plan, clause, &dm);
+                            if !compiled.has_exec() {
+                                break; // a naive-guard row: no tables to check
+                            }
+                            let what = format!("pmax={pmax} A={da} B={db} cap={cap} {clause}");
+                            check_exec_tables(&plan, &compiled, &dm, &what);
+                            checked += 1;
                         }
-                        let what = format!("pmax={pmax} A={da} B={db} {clause}");
-                        check_exec_tables(&plan, &compiled, &dm, &what);
-                        checked += 1;
                     }
                 }
             }
         }
-        assert!(checked > 1000, "only {checked} closed-form plans checked");
+        assert!(checked > 4000, "only {checked} closed-form plans checked");
     }
 
     #[test]
@@ -1227,27 +1315,61 @@ mod tests {
         ] {
             let clause = copy_clause(0, (n - 2) / 3, Fn1::shift(2), Fn1::affine(3, 1));
             let dm = decomps(da, db);
-            for naive in [false, true] {
-                let plan = if naive {
+            for (naive, cap) in [(false, u64::MAX), (true, u64::MAX), (false, 5), (true, 1)] {
+                let mut plan = if naive {
                     SpmdPlan::build_naive(&clause, &dm).unwrap()
                 } else {
                     SpmdPlan::build(&clause, &dm).unwrap()
                 };
+                recut(&mut plan, cap);
                 let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
                 for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
                     assert_eq!(cn.sends.len(), node.comm.sends.len());
-                    for (pair, pats) in node.comm.sends.iter().zip(&cn.sends) {
-                        assert_eq!(pats.len(), pair.runs.len());
-                        for (run, pat) in pair.runs.iter().zip(pats) {
-                            let mut t = 0;
-                            run.for_each(|i| {
+                    for (pair, pkts) in node.comm.sends.iter().zip(&cn.sends) {
+                        assert_eq!(pkts.len(), pair.packets().len());
+                        for (runs, segs) in pair.packets().zip(pkts) {
+                            // the segments, walked in order, name exactly
+                            // the elements the packet's runs pack
+                            let mut got = Vec::new();
+                            for seg in segs {
+                                let dec = &dm[&node.resides[seg.slot].array];
+                                assert!(seg.count > 0);
+                                got.extend((0..seg.count).map(|t| (dec, seg.pattern.offset(t))));
+                            }
+                            let mut want = Vec::new();
+                            for run in runs {
                                 let rp = &node.resides[run.slot];
-                                assert_eq!(pat.offset(t), dm[&rp.array].local_of(rp.g.eval(i)));
-                                t += 1;
-                            });
+                                let dec = &dm[&rp.array];
+                                run.for_each(|i| want.push((dec, dec.local_of(rp.g.eval(i)))));
+                            }
+                            assert_eq!(got, want, "naive={naive} cap={cap} p={}", node.p);
+                            assert!(segs.len() <= runs.len());
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn block_scatter_source_packs_each_packet_with_one_segment() {
+        // the acceptance layout: the sender's half of a block-scatter(16)
+        // array is contiguous in its local part, so 2 048 runs per pair
+        // collapse to one unit-stride segment per 8 192-element packet
+        let n = 128i64 << 10;
+        let e = Bounds::range(0, n - 1);
+        let clause = copy_clause(0, n - 1, Fn1::identity(), Fn1::identity());
+        let dm = decomps(Decomp1::block(2, e), Decomp1::block_scatter(16, 2, e));
+        let plan = SpmdPlan::build(&clause, &dm).unwrap();
+        let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
+        for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
+            assert_eq!(node.comm.sends[0].runs.len(), 2048);
+            assert_eq!(cn.sends[0].len(), 4);
+            assert_eq!(cn.staging_packets, [4]);
+            for segs in &cn.sends[0] {
+                assert_eq!(segs.len(), 1);
+                assert_eq!(segs[0].count, 8192);
+                assert!(segs[0].pattern.is_unit_stride());
             }
         }
     }

@@ -42,10 +42,11 @@ pub mod validate;
 
 pub use advisor::{advise, candidates_for, AdvisorOptions, Candidate};
 pub use cache::{BoundedLru, CacheBudget};
-pub use comm::{plan_comm, CommRun, NodeCommPlan, PairComm};
+pub use comm::{packetise, plan_comm, CommRun, NodeCommPlan, PairComm, PACKET_ELEMS};
 pub use compiled::{
     clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, for_each_run,
-    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, SlotAccess,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, SendSeg,
+    SlotAccess,
 };
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;

@@ -3,7 +3,7 @@
 //!
 //! For every (decomposition × access-function) combination of the
 //! paper's Table I shapes, element mode (one tagged message per remote
-//! value) and vectorized mode (one packet per planned run) must produce
+//! value) and vectorized mode (one packet per plan-time group of runs) must produce
 //! bit-identical arrays and identical element-traffic totals — the
 //! batching may only change *how* values travel, never *which* values.
 
@@ -180,6 +180,52 @@ fn scatter_affine_meets_ten_x_aggregation() {
         vect.packets_sent
     );
     assert!(vect.bytes_sent < elem.bytes_sent);
+}
+
+#[test]
+fn block_scatter_to_block_travels_as_64_kib_packets() {
+    // The packetisation acceptance row: block-scatter(16) → block,
+    // 128 Ki elements, pmax 2. Every other 16-element block crosses:
+    // 4 096 planned runs in all, shipped as 8 packets of 8 192 elements
+    // (one wire packet per run would be 4 096).
+    let n = 128i64 << 10;
+    let e = Bounds::range(0, n - 1);
+    let cl = Clause {
+        iter: IndexSet::range(0, n - 1),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1("A", Fn1::identity()),
+        rhs: Expr::Ref(ArrayRef::d1("B", Fn1::identity())),
+    };
+    let mut env0 = Env::new();
+    env0.insert("A", Array::zeros(e));
+    env0.insert("B", Array::from_fn(e, |i| (i.scalar() * 7 % 97) as f64));
+    let mut reference = env0.clone();
+    reference.exec_clause(&cl);
+    let mut dm = DecompMap::new();
+    dm.insert("A".into(), Decomp1::block(2, e));
+    dm.insert("B".into(), Decomp1::block_scatter(16, 2, e));
+    let plan = SpmdPlan::build(&cl, &dm).unwrap();
+    let runs: usize = (plan.nodes.iter().flat_map(|n| &n.comm.sends))
+        .map(|pc| pc.runs.len())
+        .sum();
+    let packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
+    assert_eq!((runs, packets), (4096, 8));
+    let ctx = "bs16 -> block acceptance";
+    let vect = run_mode(
+        &plan,
+        &cl,
+        &env0,
+        &dm,
+        &reference,
+        CommMode::Vectorized,
+        ctx,
+    );
+    assert_eq!(vect.msgs_sent, n as u64 / 2);
+    assert_eq!(vect.msgs_received, vect.msgs_sent);
+    assert_eq!(vect.packets_sent, 8);
+    assert_eq!(vect.max_packet_elems, 8192);
+    assert_eq!(vect.bytes_sent, 16 * 8 + 8 * vect.msgs_sent);
 }
 
 /// Shared setup for the packet-loss tests: a plan where node 1's first

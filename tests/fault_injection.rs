@@ -166,6 +166,72 @@ fn seeded_drop_reorder_sweep_is_bit_identical() {
     }
 }
 
+/// Multi-packet flows under the recoverable soup. The small fixtures
+/// above plan one packet per pair, so reorder / duplicate / go-back-N
+/// *across packets of one flow* would be left to element mode. A
+/// block-scatter(16) → block copy at 128 Ki elements on two nodes plans
+/// 2 048 runs per pair, cut into 4 packets of 8 192 elements.
+#[test]
+fn multi_packet_flows_survive_the_fault_soup() {
+    let n = 128i64 << 10;
+    let e = Bounds::range(0, n - 1);
+    let cl = Clause {
+        iter: IndexSet::range(0, n - 1),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1("A", Fn1::identity()),
+        rhs: Expr::Ref(ArrayRef::d1("B", Fn1::identity())),
+    };
+    let mut env0 = Env::new();
+    env0.insert("A", Array::zeros(e));
+    env0.insert(
+        "B",
+        Array::from_fn(e, |i| (i.scalar() * 13 % 1009) as f64 - 500.0),
+    );
+    let mut dm = DecompMap::new();
+    dm.insert("A".into(), Decomp1::block(2, e));
+    dm.insert("B".into(), Decomp1::block_scatter(16, 2, e));
+    let plan = SpmdPlan::build(&cl, &dm).unwrap();
+    for node in &plan.nodes {
+        assert_eq!(node.comm.sends[0].runs.len(), 2048);
+        assert_eq!(node.comm.send_packets(), 4);
+    }
+    let planned_packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
+    let mut reference = env0.clone();
+    reference.exec_clause(&cl);
+    let want: Vec<u64> = (reference.get("A").unwrap().data().iter())
+        .map(|v| v.to_bits())
+        .collect();
+
+    let mut repaired = 0u64;
+    for seed in [1u64, 7, 23, 1991, 4242] {
+        let fp = FaultPlan::seeded(seed)
+            .with_drop(0.15)
+            .with_duplicate(0.15)
+            .with_reorder(0.15)
+            .with_delay(0.1);
+        let (res, arrays) = run_faulty(
+            &plan,
+            &cl,
+            &env0,
+            &dm,
+            CommMode::Vectorized,
+            fp,
+            RetryPolicy::fast(),
+        );
+        let total = res.unwrap_or_else(|e| panic!("seed={seed}: {e}")).total();
+        let got: Vec<u64> = (arrays["A"].gather().data().iter())
+            .map(|v| v.to_bits())
+            .collect();
+        assert!(got == want, "seed={seed}: result differs from sequential");
+        assert_eq!(total.msgs_received, total.msgs_sent, "seed={seed}");
+        assert_eq!(total.packets_sent, planned_packets, "seed={seed}");
+        assert_eq!(total.max_packet_elems, 8192, "seed={seed}");
+        repaired += total.retransmits + total.dups_dropped;
+    }
+    assert!(repaired > 0, "the seed sweep never hit a multi-packet flow");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

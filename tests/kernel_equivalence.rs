@@ -583,13 +583,17 @@ fn fixture_path(case: &str, mode: CommMode, overlap: bool) -> std::path::PathBuf
 }
 
 /// The deterministic trace of every boundary case is byte-identical to
-/// the log the *parent* commit (per-element receive) wrote for the same
-/// configuration: `recv_value` per consumed element in the old order,
-/// one `boundary_run` per run with the same `recvs`, same `pack_send`s.
-/// The fixtures under `tests/data/` were captured from the parent with
-/// the SIMD tier off; with it on, the only lines allowed to differ are
-/// the `simd_census` ones — boundary runs moving from `fallback_runs`
-/// to `vector_runs` is the point of the change.
+/// the fixture under `tests/data/` for the same configuration:
+/// `recv_value` per consumed element in the per-element order, one
+/// `boundary_run` per run with the same `recvs`, one `pack_send` per
+/// planned packet. The element-mode fixtures are the logs the commit
+/// before run-granular receive wrote. The vectorized ones were
+/// regenerated when packets stopped being single runs; the parent's
+/// run-per-packet logs are kept under `tests/data/parent/` and must
+/// agree with them on everything but the `pack_send` lines and the `t`
+/// clock those lines shift. All fixtures were captured with the SIMD
+/// tier off; with it on, the only lines allowed to differ are the
+/// `simd_census` ones.
 #[test]
 fn boundary_traces_match_parent_commit_fixtures() {
     std::env::set_var("VCAL_WORKER_BIN", env!("CARGO_BIN_EXE_vcalc"));
@@ -598,6 +602,17 @@ fn boundary_traces_match_parent_commit_fixtures() {
             .filter(|l| !l.contains("\"simd_census\""))
             .collect::<Vec<_>>()
             .join("\n")
+    };
+    // every line but the `pack_send`s, with its `"t":<n>,` field cut out
+    let beyond_packets = |log: &str| -> Vec<String> {
+        log.lines()
+            .filter(|l| !l.contains("\"pack_send\""))
+            .map(|l| {
+                let (head, rest) = l.split_once("\"t\":").expect("clocked line");
+                let (_, tail) = rest.split_once(',').expect("fields after the clock");
+                format!("{head}{tail}")
+            })
+            .collect()
     };
     for (name, cl, dm, env0) in boundary_cases() {
         let mut reference = env0.clone();
@@ -608,6 +623,18 @@ fn boundary_traces_match_parent_commit_fixtures() {
                 let path = fixture_path(name, mode, overlap);
                 let want = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| panic!("fixture {}: {e}", path.display()));
+                if mode == CommMode::Vectorized {
+                    let name = path.file_name().expect("fixture file name");
+                    let parent = path.with_file_name("parent").join(name);
+                    let parent = std::fs::read_to_string(&parent)
+                        .unwrap_or_else(|e| panic!("fixture {}: {e}", parent.display()));
+                    assert_eq!(
+                        beyond_packets(&want),
+                        beyond_packets(&parent),
+                        "{}: differs from the parent's beyond pack_send and the clock",
+                        path.display()
+                    );
+                }
                 for transport in [TransportKind::InProc, TransportKind::Uds] {
                     let opts = DistOptions {
                         recv_timeout: Duration::from_secs(10),

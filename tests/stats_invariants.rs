@@ -9,8 +9,8 @@
 //! * identical *element* traffic (`msgs_sent` / `msgs_received`),
 //!   independent of how elements are batched onto the wire;
 //! * `bytes_sent` derivable from `packets_sent` and the planned
-//!   `CommRun` lengths (24 bytes per element message; 16-byte header
-//!   plus 8 bytes per element for packed runs);
+//!   packets (24 bytes per element message; 16-byte header per planned
+//!   packet plus 8 bytes per element for packed runs);
 //! * every reliability counter exactly zero when no `FaultPlan` is
 //!   installed ([`NodeStats::reliability_quiet`]).
 
@@ -116,8 +116,8 @@ fn bytes_consistent_with_packets_and_run_lengths() {
         assert_eq!(el.bytes_sent, ELEM_MSG_BYTES * el.msgs_sent, "g={g:?}");
         assert!(el.max_packet_elems <= 1, "g={g:?}");
 
-        // vectorized mode: packets = planned coalesced runs, bytes =
-        // header per packet + 8 per element
+        // vectorized mode: packets = the plan's packetisation of the
+        // coalesced runs, bytes = header per packet + 8 per element
         let vec = run_mode(&plan, &cl, &env0, &dm, CommMode::Vectorized).total();
         let planned_packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
         assert_eq!(vec.packets_sent, planned_packets, "g={g:?}");
@@ -126,16 +126,16 @@ fn bytes_consistent_with_packets_and_run_lengths() {
             PACK_HEADER_BYTES * vec.packets_sent + 8 * vec.msgs_sent,
             "g={g:?}"
         );
-        // the longest packet equals the longest planned run
-        let longest_run: u64 = plan
+        // the longest packet on the wire is the largest planned packet
+        let largest_packet: u64 = plan
             .nodes
             .iter()
             .flat_map(|n| n.comm.sends.iter())
-            .flat_map(|pc| pc.runs.iter())
-            .map(|r| r.len())
+            .flat_map(|pc| pc.packets())
+            .map(|runs| runs.iter().map(|r| r.len()).sum())
             .max()
             .unwrap_or(0);
-        assert_eq!(vec.max_packet_elems, longest_run, "g={g:?}");
+        assert_eq!(vec.max_packet_elems, largest_packet, "g={g:?}");
         // aggregation can only shrink wire traffic
         assert!(vec.packets_sent <= el.packets_sent, "g={g:?}");
         assert!(vec.bytes_sent <= el.bytes_sent, "g={g:?}");

@@ -185,6 +185,70 @@ fn trace_jsonl_byte_identical_across_backends() {
     }
 }
 
+/// Multi-packet flows over a real wire: a block-scatter(16) → block copy
+/// at 128 Ki elements on two worker processes plans 4 packets of 64 KiB
+/// per pair, so reorder, duplication and go-back-N across the packets of
+/// one flow — and frames several socket reads long — cross UDS and TCP.
+#[test]
+fn multi_packet_flows_survive_faults_over_the_wire() {
+    init();
+    let n = 128i64 << 10;
+    let e = Bounds::range(0, n - 1);
+    let copy = Clause {
+        iter: IndexSet::range(0, n - 1),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1("A", Fn1::identity()),
+        rhs: Expr::Ref(ArrayRef::d1("B", Fn1::identity())),
+    };
+    let mut env = Env::new();
+    env.insert("A", Array::zeros(e));
+    env.insert("B", Array::from_fn(e, |i| (i.scalar() * 13 % 1009) as f64));
+    let mut dm = DecompMap::new();
+    dm.insert("A".into(), Decomp1::block(2, e));
+    dm.insert("B".into(), Decomp1::block_scatter(16, 2, e));
+    let plan = vcal_suite::spmd::SpmdPlan::build(&copy, &dm).unwrap();
+    let planned_packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
+    assert_eq!(planned_packets, 8);
+    let reference = oracle(std::slice::from_ref(&copy), &env, 1);
+    let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    for kind in [TransportKind::Uds, TransportKind::Tcp] {
+        let mut arrays = BTreeMap::new();
+        for name in ["A", "B"] {
+            arrays.insert(
+                name.to_string(),
+                vcal_suite::machine::DistArray::scatter_from(
+                    env.get(name).unwrap(),
+                    dm[name].clone(),
+                ),
+            );
+        }
+        let opts = DistOptions {
+            recv_timeout: Duration::from_secs(10),
+            transport: kind,
+            faults: Some(
+                FaultPlan::seeded(23)
+                    .with_drop(0.15)
+                    .with_duplicate(0.15)
+                    .with_reorder(0.15)
+                    .with_delay(0.1),
+            ),
+            retry: RetryPolicy::fast(),
+            ..DistOptions::default()
+        };
+        let total = run_distributed(&plan, &copy, &mut arrays, opts)
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()))
+            .total();
+        assert!(
+            bits(&arrays["A"].gather()) == bits(reference.get("A").unwrap()),
+            "{}: wire run differs from the sequential oracle",
+            kind.name()
+        );
+        assert_eq!(total.msgs_received, total.msgs_sent, "{}", kind.name());
+        assert_eq!(total.packets_sent, planned_packets, "{}", kind.name());
+    }
+}
+
 /// Recoverable byte-level chaos — bit flips caught by the frame CRC and
 /// stalls — injected on the wire between workers and router: every run
 /// still ends bitwise-equal to the oracle, across a dirty-handshake
