@@ -16,7 +16,10 @@
 //!
 //! The iteration sets come from the plan's schedules (naive or
 //! closed-form), so the machine measures exactly the run-time the paper's
-//! compile-time optimizations buy.
+//! compile-time optimizations buy. Clauses of any rank run here:
+//! [`run_distributed_nd`] lowers a multi-dimensional clause onto the run
+//! tables a 1-D plan compiles to (`vcal_spmd::lower_nd`) and hands them
+//! to the same phase engine.
 //!
 //! Two communication modes implement the template
 //! ([`CommMode`], selected via [`DistOptions`]):
@@ -53,8 +56,9 @@
 //! `corrupt_detected`, `acks_sent`, `nacks_sent`).
 
 use crate::darray::DistArray;
+use crate::darray_nd::DistArrayNd;
 use crate::error::MachineError;
-use crate::executor::{prepare_for, DistExecutor};
+use crate::executor::{prepare_for, prepare_nd, DistExecutor};
 use crate::net::ChaosPlan;
 use crate::obs::{EventKind, Phase, Tracer, NULL_TRACER};
 use crate::stats::{ExecReport, NodeStats};
@@ -65,11 +69,11 @@ use crate::transport::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use vcal_core::{BinOp, Clause, CmpOp, Expr, Guard, Ordering};
-use vcal_decomp::Decomp1;
+use vcal_core::{ArrayRef, BinOp, Clause, CmpOp, Expr, Guard, Ordering};
+use vcal_decomp::{Decomp1, DecompNd};
 use vcal_spmd::{
-    simd, AccessPattern, CompiledKernel, CompiledNode, ExecRun, FusedShape, NodePlan, SendSeg,
-    SimdPolicy, SlotAccess, SpmdPlan,
+    simd, AccessPattern, CompiledNode, CompiledSchedule, ExecRun, FusedShape, NodePlan, SimdPolicy,
+    SlotAccess, SpmdPlan,
 };
 
 /// A tagged value message.
@@ -279,26 +283,21 @@ pub(crate) enum RGuard {
     Cmp { slot: usize, op: CmpOp, rhs: f64 },
 }
 
-pub(crate) fn resolve_guard(g: &Guard, node: &NodePlan) -> Result<RGuard, MachineError> {
+/// Resolve the clause guard against the read slots (`slot_of` names
+/// the slot of a read reference).
+pub(crate) fn resolve_guard(
+    g: &Guard,
+    slot_of: impl Fn(&ArrayRef) -> Option<usize>,
+) -> Result<RGuard, MachineError> {
     match g {
         Guard::Always => Ok(RGuard::Always),
         Guard::Cmp { lhs, op, rhs } => {
-            let gf = lhs.map.as_fn1().ok_or_else(|| {
+            let slot = slot_of(lhs).ok_or_else(|| {
                 MachineError::PlanMismatch(format!(
-                    "guard ref `{}` is not 1-D but the plan is",
+                    "guard ref `{}` missing from the plan's read slots",
                     lhs.array
                 ))
             })?;
-            let slot = node
-                .resides
-                .iter()
-                .position(|rp| rp.array == lhs.array && rp.g == *gf)
-                .ok_or_else(|| {
-                    MachineError::PlanMismatch(format!(
-                        "guard ref `{}` missing from the plan's reside list",
-                        lhs.array
-                    ))
-                })?;
             Ok(RGuard::Cmp {
                 slot,
                 op: *op,
@@ -355,16 +354,56 @@ pub(crate) fn zero_part(dec: &Decomp1, p: i64) -> Result<Vec<f64>, MachineError>
     Ok(vec![0.0; count as usize])
 }
 
+/// A distributed image as the host edge sees it: per-node parts under
+/// some decomposition, whatever its rank.
+pub(crate) trait Image: Sized {
+    /// The decomposition the parts were cut by.
+    type Decomp;
+    /// Split into the decomposition and the per-node parts.
+    fn into_parts(self) -> (Self::Decomp, Vec<Vec<f64>>);
+    /// Inverse of [`Image::into_parts`].
+    fn from_parts(decomp: Self::Decomp, parts: Vec<Vec<f64>>) -> Self;
+}
+
+impl Image for DistArray {
+    type Decomp = Decomp1;
+    fn into_parts(self) -> (Decomp1, Vec<Vec<f64>>) {
+        DistArray::into_parts(self)
+    }
+    fn from_parts(decomp: Decomp1, parts: Vec<Vec<f64>>) -> Self {
+        DistArray::from_parts(decomp, parts)
+    }
+}
+
+impl Image for DistArrayNd {
+    type Decomp = DecompNd;
+    fn into_parts(self) -> (DecompNd, Vec<Vec<f64>>) {
+        DistArrayNd::into_parts(self)
+    }
+    fn from_parts(decomp: DecompNd, parts: Vec<Vec<f64>>) -> Self {
+        DistArrayNd::from_parts(decomp, parts)
+    }
+}
+
+/// The referenced images of one run, taken apart: every node's local
+/// memories, and what [`finalize_run`] needs to put the images back.
+pub(crate) struct Disassembled<D> {
+    /// Per node, its part of every referenced array.
+    pub(crate) per_node: Vec<BTreeMap<String, Vec<f64>>>,
+    /// Per referenced array, its decomposition and part lengths.
+    pub(crate) shapes: Vec<(D, Vec<usize>)>,
+}
+
 /// Remove every referenced image from `arrays` and split it into
 /// per-node local memories. Two-phase: a missing array restores the
 /// already-removed images and reports a typed error, so the map is
 /// never left partially disassembled.
-pub(crate) fn disassemble(
-    arrays: &mut BTreeMap<String, DistArray>,
+pub(crate) fn disassemble<A: Image>(
+    arrays: &mut BTreeMap<String, A>,
     referenced: &[String],
     pmax: i64,
-) -> Result<Vec<BTreeMap<String, Vec<f64>>>, MachineError> {
-    let mut taken: Vec<(String, DistArray)> = Vec::with_capacity(referenced.len());
+) -> Result<Disassembled<A::Decomp>, MachineError> {
+    let mut taken: Vec<(String, A)> = Vec::with_capacity(referenced.len());
     for name in referenced {
         match arrays.remove(name) {
             Some(da) => taken.push((name.clone(), da)),
@@ -378,13 +417,15 @@ pub(crate) fn disassemble(
     }
     let mut per_node: Vec<BTreeMap<String, Vec<f64>>> =
         (0..pmax).map(|_| BTreeMap::new()).collect();
+    let mut shapes = Vec::with_capacity(taken.len());
     for (name, da) in taken {
-        let (_, parts) = da.into_parts();
+        let (dec, parts) = da.into_parts();
+        shapes.push((dec, parts.iter().map(Vec::len).collect()));
         for (p, part) in parts.into_iter().enumerate() {
             per_node[p].insert(name.clone(), part);
         }
     }
-    Ok(per_node)
+    Ok(Disassembled { per_node, shapes })
 }
 
 /// The host-side tail every distributed execution shares (cold scoped
@@ -392,12 +433,12 @@ pub(crate) fn disassemble(
 /// run's root-cause error, validate all writes, commit them
 /// all-or-nothing, and reassemble the distributed images — on error,
 /// from the *unmodified* local memories, restoring pre-run state.
-pub(crate) fn finalize_run(
+pub(crate) fn finalize_run<A: Image>(
     lhs_array: &str,
     referenced: &[String],
-    decomps: &BTreeMap<String, Decomp1>,
+    shapes: Vec<(A::Decomp, Vec<usize>)>,
     mut results: Vec<NodeOutcome>,
-    arrays: &mut BTreeMap<String, DistArray>,
+    arrays: &mut BTreeMap<String, A>,
     tracer: &dyn Tracer,
 ) -> Result<ExecReport, MachineError> {
     results.sort_by_key(|(p, ..)| *p);
@@ -447,7 +488,7 @@ pub(crate) fn finalize_run(
 
     // reassemble the distributed images (on error: pre-run state)
     let commit_t0 = tracer.enabled().then(std::time::Instant::now);
-    let mut parts_by_name: BTreeMap<String, Vec<Vec<f64>>> = BTreeMap::new();
+    let mut parts_by_name: Vec<Vec<Vec<f64>>> = vec![Vec::new(); referenced.len()];
     let mut report = ExecReport::default();
     for (p, mut locals, writes, stats, sent_to, _res) in results {
         if commit {
@@ -462,27 +503,17 @@ pub(crate) fn finalize_run(
                 }
             }
         }
-        for name in referenced {
-            let part = match locals.remove(name) {
-                Some(part) => part,
-                None => match zero_part(&decomps[name], p) {
-                    Ok(z) => z,
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        Vec::new()
-                    }
-                },
-            };
-            parts_by_name.entry(name.clone()).or_default().push(part);
+        for ((name, (_, lens)), parts) in referenced.iter().zip(&shapes).zip(&mut parts_by_name) {
+            // a node that died without returning its memories gets a
+            // zero part of the size it was handed
+            let part = locals.remove(name);
+            parts.push(part.unwrap_or_else(|| vec![0.0; lens.get(p as usize).map_or(0, |l| *l)]));
         }
         report.nodes.push(stats);
         report.traffic.push(sent_to);
     }
-    for (name, parts) in parts_by_name {
-        let dec = decomps[&name].clone();
-        arrays.insert(name, DistArray::from_parts(dec, parts));
+    for ((name, (dec, _)), parts) in referenced.iter().zip(shapes).zip(parts_by_name) {
+        arrays.insert(name.clone(), A::from_parts(dec, parts));
     }
     if let Some(t0) = commit_t0 {
         tracer.timing(crate::obs::HOST, Phase::Commit, t0.elapsed());
@@ -536,17 +567,69 @@ pub fn run_distributed_traced(
     DistExecutor::new(plan.pmax).run(&prepared, arrays, opts, tracer)
 }
 
-/// Element-mode send phase over the plan's pair runs: the wire multiset
-/// is identical to the literal template's reside scan (`Send_{p→q} =
-/// Reside_p ∩ Modify_q`), but the destination is the pair's peer — the
-/// per-element `proc_of(f(i))` owner recomputation is gone.
-#[allow(clippy::too_many_arguments)]
+/// Execute a `//` clause of any dimensionality on the distributed grid
+/// machine with default options. All referenced arrays must be in
+/// `arrays`, decomposed over grids with the same total processor count.
+pub fn run_distributed_nd(
+    clause: &Clause,
+    arrays: &mut BTreeMap<String, DistArrayNd>,
+    recv_timeout: Duration,
+) -> Result<ExecReport, MachineError> {
+    let opts = DistOptions {
+        recv_timeout,
+        ..DistOptions::default()
+    };
+    run_distributed_nd_traced(clause, arrays, opts, &NULL_TRACER)
+}
+
+/// Like [`run_distributed_nd`] but with full [`DistOptions`] and an
+/// observability hook. The clause is lowered onto the run tables
+/// (`vcal_spmd::lower_nd`) and executed by the engine that runs 1-D
+/// plans, on a one-shot in-process pool: same wire, same receive path,
+/// same commit, same trace events (indices are linearised loop
+/// indices). The socket backends and wire chaos are not available to
+/// n-D clauses; asking for them is a typed error.
+pub fn run_distributed_nd_traced(
+    clause: &Clause,
+    arrays: &mut BTreeMap<String, DistArrayNd>,
+    opts: DistOptions,
+    tracer: &dyn Tracer,
+) -> Result<ExecReport, MachineError> {
+    if opts.transport != TransportKind::InProc || opts.chaos.is_some() {
+        let what = match opts.transport {
+            TransportKind::InProc => "wire chaos".to_string(),
+            kind => format!("the {kind:?} transport"),
+        };
+        return Err(MachineError::Transport {
+            node: crate::obs::HOST,
+            detail: format!("n-D clauses run in-process only: {what} is not supported"),
+        });
+    }
+    let prepared = Arc::new(prepare_nd(clause, arrays)?);
+    DistExecutor::new(prepared.pmax).run_on(&prepared, arrays, opts, tracer)
+}
+
+/// Every read slot's local part.
+pub(crate) fn slot_parts<'a>(
+    locals: &'a BTreeMap<String, Vec<f64>>,
+    cs: &CompiledSchedule,
+) -> Result<Vec<&'a [f64]>, MachineError> {
+    (cs.slot_arrays.iter())
+        .map(|array| {
+            let part = locals.get(array).map(Vec::as_slice);
+            part.ok_or_else(|| MachineError::UnknownArray(array.clone()))
+        })
+        .collect()
+}
+
+/// Element-mode send phase over the compiled pair runs: the wire
+/// multiset is identical to the literal template's reside scan
+/// (`Send_{p→q} = Reside_p ∩ Modify_q`), but the destination is the
+/// pair's peer and every value sits at its plan-time segment address —
+/// no per-element `proc_of(f(i))` or `local_of(g(i))`.
 pub(crate) fn send_phase_element_compiled(
-    p: i64,
-    locals: &BTreeMap<String, Vec<f64>>,
-    node: &NodePlan,
     cn: &CompiledNode,
-    decomps: &BTreeMap<String, Decomp1>,
+    parts: &[&[f64]],
     ep: &mut Endpoint<Wire>,
     stats: &mut NodeStats,
     sent_to: &mut [u64],
@@ -555,28 +638,19 @@ pub(crate) fn send_phase_element_compiled(
     let trace_on = tracer.enabled();
     // the reside scans' loop-overhead accounting, unchanged from the
     // literal template (the scan itself is what the pair runs replace)
-    for (slot, rp) in node.resides.iter().enumerate() {
-        if !rp.replicated {
-            stats.guard_tests += cn.reside_work.get(slot).copied().unwrap_or(0);
-        }
-    }
-    for pair in &node.comm.sends {
+    stats.guard_tests += cn.reside_work.iter().sum::<u64>();
+    for pair in &cn.sends {
         let owner = pair.peer; // hoisted: constant across the pair's runs
+        let mut at = (pair.packets.iter().flatten())
+            .flat_map(|seg| (0..seg.count).map(move |t| seg.pattern.offset(t) as usize));
         for run in &pair.runs {
-            let Some(rp) = node.resides.get(run.slot) else {
-                continue;
-            };
             let slot = run.slot;
-            let (Some(dec_r), Some(local_part)) = (decomps.get(&rp.array), locals.get(&rp.array))
-            else {
-                continue;
-            };
             run.for_each(|i| {
-                let value = local_part[dec_r.local_of(rp.g.eval(i)) as usize];
+                let value = parts[slot][at.next().expect("segments cover the runs")];
                 ep.send(owner as usize, Wire::Elem(Msg { slot, i, value }));
                 if trace_on {
                     tracer.record(
-                        p,
+                        cn.p,
                         EventKind::ElemSend {
                             dst: owner,
                             slot,
@@ -599,28 +673,22 @@ pub(crate) fn send_phase_element_compiled(
 /// local parts through the plan-time segments (one slice copy when the
 /// packet is a single unit-stride segment), with no run-time ownership
 /// test or `local(g(i))` evaluation.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn send_phase_vectorized(
-    p: i64,
-    locals: &BTreeMap<String, Vec<f64>>,
-    node: &NodePlan,
     cn: &CompiledNode,
+    parts: &[&[f64]],
     ep: &mut Endpoint<Wire>,
     stats: &mut NodeStats,
     sent_to: &mut [u64],
     tracer: &dyn Tracer,
 ) {
     let trace_on = tracer.enabled();
-    // compiled from this very plan, against decompositions that exist
-    assert_eq!(cn.sends.len(), node.comm.sends.len(), "no send tables");
-    let part = |seg: &SendSeg| locals[&node.resides[seg.slot].array].as_slice();
-    for (pair, packets) in node.comm.sends.iter().zip(&cn.sends) {
-        for (run_ord, segs) in packets.iter().enumerate() {
+    for pair in &cn.sends {
+        for (run_ord, segs) in pair.packets.iter().enumerate() {
             let n: usize = segs.iter().map(|seg| seg.count).sum();
             let values: Arc<[f64]> = match segs.as_slice() {
                 [seg] if seg.pattern.is_unit_stride() => {
                     let base = seg.pattern.offset(0) as usize;
-                    Arc::from(&part(seg)[base..base + n])
+                    Arc::from(&parts[seg.slot][base..base + n])
                 }
                 // `RepeatN` reports an exact length, so this is the
                 // packet's one allocation; the segments fill it in place
@@ -630,7 +698,7 @@ pub(crate) fn send_phase_vectorized(
                         .expect("not yet shared")
                         .iter_mut();
                     for seg in segs {
-                        let src = part(seg);
+                        let src = parts[seg.slot];
                         for (t, v) in out.by_ref().take(seg.count).enumerate() {
                             *v = src[seg.pattern.offset(t) as usize];
                         }
@@ -642,7 +710,7 @@ pub(crate) fn send_phase_vectorized(
             ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
             if trace_on {
                 tracer.record(
-                    p,
+                    cn.p,
                     EventKind::PackSend {
                         dst: pair.peer,
                         run: run_ord,
@@ -673,11 +741,9 @@ pub(crate) fn send_phase_vectorized(
 /// scratch allocations across runs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_update_phase(
-    p: i64,
-    locals: &BTreeMap<String, Vec<f64>>,
-    node: &NodePlan,
+    cs: &CompiledSchedule,
     cn: &CompiledNode,
-    kernel: &CompiledKernel,
+    parts: &[&[f64]],
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
     rcv: &mut RecvCtx<'_>,
@@ -688,15 +754,7 @@ pub(crate) fn exec_update_phase(
     writes: &mut Vec<WriteOp>,
     tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
-    let mut parts: Vec<&[f64]> = Vec::with_capacity(node.resides.len());
-    for rp in &node.resides {
-        parts.push(
-            locals
-                .get(&rp.array)
-                .map(Vec::as_slice)
-                .ok_or_else(|| MachineError::UnknownArray(rp.array.clone()))?,
-        );
-    }
+    let p = cn.p;
     // baseline for the per-phase SIMD census event (the executor's warm
     // path may hand us stats that already carry earlier counts)
     let simd0 = (
@@ -707,8 +765,7 @@ pub(crate) fn exec_update_phase(
     );
     let mut run = |k: usize, er: &ExecRun, stats: &mut NodeStats, out: &mut Vec<WriteOp>| {
         exec_one_run(
-            p, k, er, &parts, node, cn, kernel, rguard, ep, rcv, vals, stack, opts, stats, out,
-            tracer,
+            k, er, parts, cs, cn, rguard, ep, rcv, vals, stack, opts, stats, out, tracer,
         )
     };
     if opts.overlap && cn.exec.iter().any(|er| er.boundary) {
@@ -834,9 +891,8 @@ const GATHERED: AccessPattern = AccessPattern::Affine { base: 0, step: 1 };
 /// element, position-major then slot.
 #[allow(clippy::too_many_arguments)]
 fn receive_operands(
-    p: i64,
     er: &ExecRun,
-    node: &NodePlan,
+    arrays: &[String],
     cn: &CompiledNode,
     ep: &mut Endpoint<Wire>,
     rcv: &mut RecvCtx<'_>,
@@ -844,6 +900,7 @@ fn receive_operands(
     stats: &mut NodeStats,
     tracer: &dyn Tracer,
 ) -> Result<Vec<Vec<f64>>, MachineError> {
+    let p = cn.p;
     let trace_on = tracer.enabled();
     let n = er.run.len() as usize;
     fn remote(sa: &SlotAccess) -> Option<(usize, usize, &AccessPattern)> {
@@ -864,7 +921,7 @@ fn receive_operands(
                 let Some((so, po, pattern)) = remote(sa) else {
                     continue;
                 };
-                let array = &node.resides[slot].array;
+                let array = &arrays[slot];
                 let len = await_packet(ep, rcv, cn, so, po, opts, stats)
                     .map_err(|f| map_recv_fail(f, p, array, er.run.start, slot))?;
                 let inside = |off: i64| usize::try_from(off).is_ok_and(|o| o < len);
@@ -889,7 +946,7 @@ fn receive_operands(
                         continue;
                     };
                     let v = recv_element(ep, rcv, slot, i, peer_of(so), opts, stats)
-                        .map_err(|f| map_recv_fail(f, p, &node.resides[slot].array, i, slot))?;
+                        .map_err(|f| map_recv_fail(f, p, &arrays[slot], i, slot))?;
                     stats.msgs_received += 1;
                     gathered[slot].push(v);
                     if trace_on {
@@ -924,13 +981,11 @@ fn receive_operands(
 /// clauses gather per element and run the bytecode.
 #[allow(clippy::too_many_arguments)]
 fn exec_one_run(
-    p: i64,
     k: usize,
     er: &ExecRun,
     parts: &[&[f64]],
-    node: &NodePlan,
+    cs: &CompiledSchedule,
     cn: &CompiledNode,
-    kernel: &CompiledKernel,
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
     rcv: &mut RecvCtx<'_>,
@@ -941,17 +996,24 @@ fn exec_one_run(
     out: &mut Vec<WriteOp>,
     tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
+    let p = cn.p;
+    let Some(kernel) = &cs.kernel else {
+        return Err(MachineError::PlanMismatch(
+            "exec tables without a compiled kernel".into(),
+        ));
+    };
+    let arrays = &cs.slot_arrays;
     let n = er.run.len() as usize;
-    let n_slots = node.resides.len();
+    let n_slots = arrays.len();
     let gathered = if er.boundary {
-        receive_operands(p, er, node, cn, ep, rcv, opts, stats, tracer)?
+        receive_operands(er, arrays, cn, ep, rcv, opts, stats, tracer)?
     } else {
         Vec::new()
     };
     let staging: &Staging = rcv.cur_staging();
     // where slot `s` of this run reads from, and how it is indexed
     let operand = |s: usize| -> (&[f64], &AccessPattern, &str) {
-        let array = node.resides[s].array.as_str();
+        let array = arrays[s].as_str();
         match &er.slots[s] {
             SlotAccess::Local(pat) => (parts[s], pat, array),
             SlotAccess::Packet { .. } if !gathered.is_empty() => (&gathered[s], &GATHERED, array),
@@ -1110,7 +1172,11 @@ fn exec_one_run(
             // generic: gather every slot by its precomputed offset, from
             // the local part or straight out of the packet, then run the
             // bytecode
-            let mut i = er.run.start;
+            // the loop point of the run's first element; a run stays in
+            // one row, so only the innermost coordinate moves along it
+            let inner = cs.loop_box.dims() - 1;
+            let row = (er.run.start - cs.loop_box.lo()[inner]) as usize;
+            let mut i = cs.loop_box.from_linear_offset(row);
             for t in 0..n {
                 stats.iterations += 1;
                 for (s, v) in vals.iter_mut().enumerate().take(n_slots) {
@@ -1125,10 +1191,10 @@ fn exec_one_run(
                     }
                 };
                 if guard_ok {
-                    let v = kernel.eval(&[i], vals, stack);
+                    let v = kernel.eval(i.coords(), vals, stack);
                     out.push(WriteOp::El(write_off(er.lhs.offset(t), p)?, v));
                 }
-                i += er.run.step;
+                i[inner] += er.run.step;
             }
         }
     }

@@ -34,11 +34,12 @@
 //! [`CollectingTracer`]: crate::obs::CollectingTracer
 
 use crate::darray::DistArray;
+use crate::darray_nd::DistArrayNd;
 use crate::distributed::{
     disassemble, eval_rexpr, exec_update_phase, expand_origin, finalize_run, map_recv_fail,
     recv_element, recv_packed, resolve_expr, resolve_guard, send_phase_element_compiled,
-    send_phase_vectorized, CommMode, DistOptions, JobLane, Msg, NodeOutcome, RExpr, RGuard,
-    RecvCtx, Staging, WaveRecv, Wire, WriteOp, ELEM_MSG_BYTES,
+    send_phase_vectorized, slot_parts, CommMode, DistOptions, Image, JobLane, Msg, NodeOutcome,
+    RExpr, RGuard, RecvCtx, Staging, WaveRecv, Wire, WriteOp, ELEM_MSG_BYTES,
 };
 use crate::error::MachineError;
 use crate::obs::{trace_plan, EventKind, Phase, Tracer};
@@ -51,32 +52,37 @@ use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vcal_core::{Clause, Ordering};
+use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_spmd::{for_each_run, CompiledSchedule, SpmdPlan};
+use vcal_spmd::{clause_arrays, for_each_run, lower_nd, CompiledSchedule, SpmdPlan};
 
 /// Everything a repeated execution needs that depends only on the
-/// `(plan, clause, decompositions)` triple: the plan itself, its
-/// compiled (flattened) schedules, per-node resolved expressions and
-/// guards, the referenced-array list, and the decompositions the plan
-/// was built against. Built once by [`prepare_run`]; shared read-only
-/// (via `Arc`) by the session cache and every pooled worker.
+/// `(clause, decompositions)` pair: the compiled run tables the phase
+/// engine executes, the resolved guard and the referenced-array list —
+/// plus, for a 1-D plan, the plan itself and the decompositions it was
+/// built against. Built once by [`prepare_run`]; shared read-only (via
+/// `Arc`) by the session cache and every pooled worker.
 pub struct PreparedPlan {
-    pub(crate) plan: SpmdPlan,
+    pub(crate) pmax: i64,
+    pub(crate) lhs_array: String,
     pub(crate) compiled: CompiledSchedule,
-    pub(crate) rexprs: Vec<RExpr>,
-    pub(crate) rguards: Vec<RGuard>,
+    pub(crate) rguard: RGuard,
     pub(crate) referenced: Vec<String>,
+    /// `None` for a lowered n-D clause, which has run tables only.
+    pub(crate) d1: Option<Plan1>,
+}
+
+/// The 1-D plan behind a [`PreparedPlan`]: what the no-exec-tables
+/// oracle path interprets, and what the host checks live images against
+/// and ships to socket workers.
+pub(crate) struct Plan1 {
+    pub(crate) plan: SpmdPlan,
+    pub(crate) rexprs: Vec<RExpr>,
     pub(crate) decomps: BTreeMap<String, Decomp1>,
     pub(crate) dec_lhs: Decomp1,
 }
 
 impl PreparedPlan {
-    /// The underlying SPMD plan.
-    pub fn plan(&self) -> &SpmdPlan {
-        &self.plan
-    }
-
     /// The compiled schedule tables.
     pub fn compiled(&self) -> &CompiledSchedule {
         &self.compiled
@@ -85,6 +91,14 @@ impl PreparedPlan {
     /// The arrays the plan references (lhs first).
     pub fn referenced(&self) -> &[String] {
         &self.referenced
+    }
+
+    /// The 1-D plan behind the tables; a typed error for a lowered n-D
+    /// clause, which the sessions, waves and socket pools do not run.
+    pub(crate) fn d1(&self) -> Result<&Plan1, MachineError> {
+        self.d1.as_ref().ok_or_else(|| {
+            MachineError::PlanMismatch("a lowered n-D clause has no 1-D plan behind it".into())
+        })
     }
 
     /// Rough resident size of the prepared tables — the byte charge the
@@ -98,7 +112,7 @@ impl PreparedPlan {
         for node in &self.compiled.nodes {
             b += node.approx_bytes();
         }
-        for np in &self.plan.nodes {
+        for np in self.d1.iter().flat_map(|d1| &d1.plan.nodes) {
             b += np.resides.len() * 128;
             let comm_runs: usize = (np.comm.sends.iter().chain(&np.comm.recvs))
                 .map(|pc| pc.runs.len())
@@ -112,8 +126,8 @@ impl PreparedPlan {
 impl std::fmt::Debug for PreparedPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedPlan")
-            .field("lhs", &self.plan.lhs_array)
-            .field("pmax", &self.plan.pmax)
+            .field("lhs", &self.lhs_array)
+            .field("pmax", &self.pmax)
             .field("referenced", &self.referenced)
             .finish_non_exhaustive()
     }
@@ -156,21 +170,26 @@ pub fn prepare_run(
         captured.insert(name.clone(), dec.clone());
     }
     let dec_lhs = captured[&plan.lhs_array].clone();
-    let mut rexprs = Vec::with_capacity(plan.nodes.len());
-    let mut rguards = Vec::with_capacity(plan.nodes.len());
-    for n in &plan.nodes {
-        rexprs.push(resolve_expr(&clause.rhs, n)?);
-        rguards.push(resolve_guard(&clause.guard, n)?);
-    }
+    let rexprs = (plan.nodes.iter())
+        .map(|n| resolve_expr(&clause.rhs, n))
+        .collect::<Result<_, _>>()?;
+    let rguard = resolve_guard(&clause.guard, |r: &ArrayRef| {
+        let g = r.map.as_fn1()?;
+        (node0.resides.iter()).position(|rp| rp.array == r.array && rp.g == *g)
+    })?;
     let compiled = CompiledSchedule::compile_exec(&plan, clause, &captured);
     Ok(PreparedPlan {
-        plan,
+        pmax: plan.pmax,
+        lhs_array: plan.lhs_array.clone(),
         compiled,
-        rexprs,
-        rguards,
+        rguard,
         referenced,
-        decomps: captured,
-        dec_lhs,
+        d1: Some(Plan1 {
+            plan,
+            rexprs,
+            decomps: captured,
+            dec_lhs,
+        }),
     })
 }
 
@@ -186,6 +205,43 @@ pub(crate) fn prepare_for(
         .map(|(name, da)| (name.clone(), da.decomp().clone()))
         .collect();
     prepare_run(plan.clone(), clause, &decomps)
+}
+
+/// Lower a clause of any dimensionality against the decompositions of
+/// the live images in `arrays`: run tables only, no 1-D plan.
+pub(crate) fn prepare_nd(
+    clause: &Clause,
+    arrays: &BTreeMap<String, DistArrayNd>,
+) -> Result<PreparedPlan, MachineError> {
+    if clause.ordering != Ordering::Par {
+        return Err(MachineError::SequentialClause);
+    }
+    let referenced = clause_arrays(clause);
+    let mut decomps = BTreeMap::new();
+    for name in &referenced {
+        let da = arrays
+            .get(name)
+            .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
+        decomps.insert(name.clone(), da.decomp().clone());
+    }
+    let compiled =
+        lower_nd(clause, &decomps).map_err(|e| MachineError::PlanMismatch(e.to_string()))?;
+    // slots are the distinct read references, in reference order
+    let mut slots: Vec<&ArrayRef> = Vec::new();
+    for r in clause.read_refs() {
+        if !slots.contains(&r) {
+            slots.push(r);
+        }
+    }
+    let rguard = resolve_guard(&clause.guard, |r| slots.iter().position(|s| *s == r))?;
+    Ok(PreparedPlan {
+        pmax: decomps[&clause.lhs.array].pmax(),
+        lhs_array: clause.lhs.array.clone(),
+        compiled,
+        rguard,
+        referenced,
+        d1: None,
+    })
 }
 
 /// Per-run context shared by every worker of one execution.
@@ -452,29 +508,42 @@ impl DistExecutor {
         opts: DistOptions,
         tracer: &dyn Tracer,
     ) -> Result<ExecReport, MachineError> {
-        if prepared.plan.pmax.max(0) as usize != self.pmax {
-            return Err(MachineError::PlanMismatch(format!(
-                "prepared plan spans {} processors, pool has {}",
-                prepared.plan.pmax, self.pmax
-            )));
-        }
-        if self.broken {
-            self.rebuild();
-        }
         // the plan was captured against specific decompositions; a run
         // against redistributed images would scatter garbage
+        let d1 = prepared.d1()?;
         for name in &prepared.referenced {
             let da = arrays
                 .get(name)
                 .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-            if da.decomp() != &prepared.decomps[name] {
+            if da.decomp() != &d1.decomps[name] {
                 return Err(MachineError::PlanMismatch(format!(
                     "array `{name}` was redistributed since the plan was prepared"
                 )));
             }
         }
-        trace_plan(tracer, &prepared.plan);
-        let per_node = disassemble(arrays, &prepared.referenced, prepared.plan.pmax)?;
+        trace_plan(tracer, &d1.plan);
+        self.run_on(prepared, arrays, opts, tracer)
+    }
+
+    /// [`DistExecutor::run`] on images of any rank, trusting the caller
+    /// that `prepared` was built against their current decompositions.
+    pub(crate) fn run_on<A: Image>(
+        &mut self,
+        prepared: &Arc<PreparedPlan>,
+        arrays: &mut BTreeMap<String, A>,
+        opts: DistOptions,
+        tracer: &dyn Tracer,
+    ) -> Result<ExecReport, MachineError> {
+        if prepared.pmax.max(0) as usize != self.pmax {
+            return Err(MachineError::PlanMismatch(format!(
+                "prepared plan spans {} processors, pool has {}",
+                prepared.pmax, self.pmax
+            )));
+        }
+        if self.broken {
+            self.rebuild();
+        }
+        let taken = disassemble(arrays, &prepared.referenced, prepared.pmax)?;
         let trace_on = tracer.enabled();
         let handshake = self.dirty;
         let ctx = Arc::new(RunCtx {
@@ -487,7 +556,7 @@ impl DistExecutor {
         // two-step handshake (see [`Cmd`]): every worker must finish its
         // purge before any worker starts sending.
         let mut running = vec![false; self.pmax];
-        for (p, locals) in per_node.into_iter().enumerate() {
+        for (p, locals) in taken.per_node.into_iter().enumerate() {
             let sent = self.workers[p]
                 .job_tx
                 .send(Cmd::Job(Job {
@@ -553,9 +622,9 @@ impl DistExecutor {
             }
         }
         finalize_run(
-            &prepared.plan.lhs_array,
+            &prepared.lhs_array,
             &prepared.referenced,
-            &prepared.decomps,
+            taken.shapes,
             results,
             arrays,
             tracer,
@@ -585,10 +654,10 @@ impl DistExecutor {
             return Ok(Vec::new());
         }
         for prepared in jobs {
-            if prepared.plan.pmax.max(0) as usize != self.pmax {
+            if prepared.pmax.max(0) as usize != self.pmax {
                 return Err(MachineError::PlanMismatch(format!(
                     "prepared plan spans {} processors, pool has {}",
-                    prepared.plan.pmax, self.pmax
+                    prepared.pmax, self.pmax
                 )));
             }
         }
@@ -600,24 +669,25 @@ impl DistExecutor {
         let mut referenced: Vec<String> = Vec::new();
         let mut decomps: BTreeMap<String, Decomp1> = BTreeMap::new();
         for prepared in jobs {
+            let d1 = prepared.d1()?;
             for name in &prepared.referenced {
                 let da = arrays
                     .get(name)
                     .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-                if da.decomp() != &prepared.decomps[name] {
+                if da.decomp() != &d1.decomps[name] {
                     return Err(MachineError::PlanMismatch(format!(
                         "array `{name}` was redistributed since the plan was prepared"
                     )));
                 }
                 if !referenced.contains(name) {
                     referenced.push(name.clone());
-                    decomps.insert(name.clone(), prepared.decomps[name].clone());
+                    decomps.insert(name.clone(), d1.decomps[name].clone());
                 }
             }
-            trace_plan(tracer, &prepared.plan);
+            trace_plan(tracer, &d1.plan);
         }
-        let pmax = jobs[0].plan.pmax;
-        let mut master = disassemble(arrays, &referenced, pmax)?;
+        let pmax = jobs[0].pmax;
+        let mut master = disassemble(arrays, &referenced, pmax)?.per_node;
         let trace_on = tracer.enabled();
         let handshake = self.dirty;
         let ctx = Arc::new(WaveCtx {
@@ -776,7 +846,7 @@ fn finalize_wave(
     // validate every write of every job before committing any
     if first_err.is_none() {
         'validate: for (j, job) in jobs.iter().enumerate() {
-            let lhs = &job.plan.lhs_array;
+            let lhs = &job.lhs_array;
             for (p, r) in replies.iter().enumerate() {
                 let Some(wr) = r else { continue };
                 let len = master[p].get(lhs).map_or(0, Vec::len);
@@ -806,7 +876,7 @@ fn finalize_wave(
     // schedules such jobs in one wave; this is defense in depth)
     if commit {
         for (j, job) in jobs.iter().enumerate() {
-            let lhs = &job.plan.lhs_array;
+            let lhs = &job.lhs_array;
             for (p, r) in replies.iter_mut().enumerate() {
                 let Some(wr) = r else { continue };
                 let Some(part) = master[p].get_mut(lhs) else {
@@ -899,17 +969,15 @@ fn wave_worker_body(
     // sets in the same order
     let mut cuts: Vec<Vec<u64>> = vec![vec![0]; pmax];
     for job in &ctx.jobs {
-        let node = &job.plan.nodes[pu];
+        let cn = &job.compiled.nodes[pu];
         let mut from = vec![0u64; pmax];
-        for pair in &node.comm.recvs {
+        for (ord, peer) in cn.src_peers.iter().enumerate() {
             let frames = match ctx.opts.mode {
-                CommMode::Element => pair.runs.iter().map(|r| r.count.max(0) as u64).sum::<u64>(),
-                CommMode::Vectorized => pair.packets().len() as u64,
+                CommMode::Element => cn.recv_elems[ord],
+                CommMode::Vectorized => cn.staging_packets[ord] as u64,
             };
-            if let Ok(src) = usize::try_from(pair.peer) {
-                if src < pmax {
-                    from[src] += frames;
-                }
+            if let Some(from) = usize::try_from(*peer).ok().and_then(|s| from.get_mut(s)) {
+                *from += frames;
             }
         }
         for (src, col) in cuts.iter_mut().enumerate() {
@@ -926,7 +994,6 @@ fn wave_worker_body(
     let mut jobs_out: Vec<JobReply> = Vec::with_capacity(njobs);
     let mut first_fail: Option<MachineError> = None;
     let mut panicked = false;
-    let mut locals = locals;
     let mut stats_v = vec![NodeStats::default(); njobs];
     let mut sent_v = vec![vec![0u64; pmax]; njobs];
     let mut send_buf: Vec<BufInner> = Vec::with_capacity(njobs);
@@ -935,7 +1002,7 @@ fn wave_worker_body(
     // k send→recv thread handoffs into one wave-wide exchange. The
     // per-source seq-window cuts route early frames to the right job
     // lane, so arrival before the consuming job starts is fine.
-    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(locals.iter_mut()).enumerate() {
+    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(&locals).enumerate() {
         let res = if first_fail.is_some() {
             Ok(())
         } else {
@@ -975,7 +1042,7 @@ fn wave_worker_body(
     // through its lane. Buffered per-job events replay host-side as
     // send-then-update per job, so the canonical trace is identical to
     // the interleaved schedule's.
-    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(locals.iter_mut()).enumerate() {
+    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(&locals).enumerate() {
         wr.cur = j;
         reset_scratch(scratch, prepared, p);
         let mut stats = std::mem::take(&mut stats_v[j]);
@@ -1097,7 +1164,7 @@ pub(crate) fn reset_scratch(scratch: &mut Scratch, prepared: &PreparedPlan, p: i
     scratch.vals.clear();
     scratch
         .vals
-        .resize(prepared.plan.nodes[p as usize].resides.len(), 0.0);
+        .resize(prepared.compiled.slot_arrays.len(), 0.0);
     scratch.writes.clear();
 }
 
@@ -1142,7 +1209,7 @@ fn worker_main(
             Cmd::Go => continue, // stray Go (host retired us mid-handshake)
         };
         let ctx = job.ctx;
-        let mut locals = job.locals;
+        let locals = job.locals;
         buf.set_enabled(ctx.trace_on);
         ep.reset(ctx.opts.faults, ctx.trace_on);
         if ctx.handshake {
@@ -1176,7 +1243,7 @@ fn worker_main(
         let phases = catch_unwind(AssertUnwindSafe(|| {
             warm_phases(
                 p,
-                &mut locals,
+                &locals,
                 prepared,
                 &ctx.opts,
                 &mut ep,
@@ -1246,14 +1313,16 @@ pub(crate) enum PhaseSpan {
     UpdateOnly,
 }
 
-/// The send + update phases of one run of one node — the 1-D phase
-/// engine behind pooled threads, wave jobs, socket workers and (on a
-/// one-shot pool) cold runs. Every loop is driven from the compiled run
-/// tables, and receives go through the worker's persistent scratch.
+/// The send + update phases of one run of one node — the phase engine
+/// behind pooled threads, wave jobs, socket workers and (on a one-shot
+/// pool) cold runs, for clauses of any rank. Every loop is driven from
+/// the compiled run tables, and receives go through the worker's
+/// persistent scratch. A 1-D plan without execution tables (a
+/// naive-guard plan) runs the element-at-a-time oracle instead.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn warm_phases(
     p: i64,
-    locals: &mut BTreeMap<String, Vec<f64>>,
+    locals: &BTreeMap<String, Vec<f64>>,
     prepared: &PreparedPlan,
     opts: &DistOptions,
     ep: &mut Endpoint<Wire>,
@@ -1264,13 +1333,9 @@ pub(crate) fn warm_phases(
     tracer: &dyn Tracer,
     span: PhaseSpan,
 ) -> Result<(), MachineError> {
-    let plan = &prepared.plan;
-    let node = &plan.nodes[p as usize];
-    let cn = &prepared.compiled.nodes[p as usize];
-    let rexpr = &prepared.rexprs[p as usize];
-    let rguard = &prepared.rguards[p as usize];
-    let decomps = &prepared.decomps;
-    let dec_lhs = &prepared.dec_lhs;
+    let cs = &prepared.compiled;
+    let cn = &cs.nodes[p as usize];
+    let rguard = &prepared.rguard;
     let Scratch {
         pending,
         staging,
@@ -1284,9 +1349,14 @@ pub(crate) fn warm_phases(
         Some(w) => RecvCtx::Wave(w),
         None => RecvCtx::Single { pending, staging },
     };
-    // the kernel exists iff every schedule is closed-form and the
-    // expression compiled; without it the element-at-a-time oracle runs
-    let kernel = prepared.compiled.kernel.as_ref();
+    // the run tables exist iff every schedule is closed-form and the
+    // expression compiled; without them the 1-D oracle interprets the plan
+    let oracle = if cs.has_exec() {
+        None
+    } else {
+        Some(prepared.d1()?)
+    };
+    let parts = slot_parts(locals, cs)?;
 
     if span != PhaseSpan::SendOnly {
         // the modify guard work is charged to the update half, once
@@ -1300,22 +1370,24 @@ pub(crate) fn warm_phases(
             tracer.record(p, EventKind::PhaseStart(Phase::Send));
         }
         let send_t0 = trace_on.then(std::time::Instant::now);
-        match (opts.mode, kernel) {
-            (CommMode::Element, Some(_)) => {
-                send_phase_element_compiled(
-                    p, locals, node, cn, decomps, ep, stats, sent_to, tracer,
-                );
+        match (opts.mode, oracle) {
+            (CommMode::Vectorized, _) => {
+                send_phase_vectorized(cn, &parts, ep, stats, sent_to, tracer);
             }
             (CommMode::Element, None) => {
+                send_phase_element_compiled(cn, &parts, ep, stats, sent_to, tracer);
+            }
+            (CommMode::Element, Some(d1)) => {
+                let node = &d1.plan.nodes[p as usize];
                 for (slot, rp) in node.resides.iter().enumerate() {
                     let Some(runs) = &cn.resides[slot] else {
                         continue; // replicated: never sent
                     };
                     stats.guard_tests += cn.reside_work[slot];
-                    let dec_r = &decomps[&rp.array];
-                    let local_part = &locals[&rp.array];
+                    let dec_r = &d1.decomps[&rp.array];
+                    let local_part = parts[slot];
                     for_each_run(runs, |i| {
-                        let owner = dec_lhs.proc_of(plan.f.eval(i));
+                        let owner = d1.dec_lhs.proc_of(d1.plan.f.eval(i));
                         if owner != p {
                             let g = rp.g.eval(i);
                             let value = local_part[dec_r.local_of(g) as usize];
@@ -1339,9 +1411,6 @@ pub(crate) fn warm_phases(
                     });
                 }
             }
-            (CommMode::Vectorized, _) => {
-                send_phase_vectorized(p, locals, node, cn, ep, stats, sent_to, tracer);
-            }
         }
         ep.end_send_phase(); // flush delayed packets; crash point
         if let Some(t0) = send_t0 {
@@ -1361,19 +1430,25 @@ pub(crate) fn warm_phases(
 
     // compiled path: fused/bytecode kernels over the interior/boundary
     // exec runs — never touches the tree interpreter
-    if let Some(kernel) = kernel {
+    let Some(d1) = oracle else {
         stack.clear();
-        stack.reserve(kernel.stack_capacity());
         let res = exec_update_phase(
-            p, locals, node, cn, kernel, rguard, ep, &mut rcv, vals, stack, opts, stats, writes,
-            tracer,
+            cs, cn, &parts, rguard, ep, &mut rcv, vals, stack, opts, stats, writes, tracer,
         );
         if let Some(t0) = update_t0 {
             tracer.timing(p, Phase::Update, t0.elapsed());
             tracer.record(p, EventKind::PhaseEnd(Phase::Update));
         }
         return res;
-    }
+    };
+    let Plan1 {
+        plan,
+        rexprs,
+        decomps,
+        dec_lhs,
+    } = d1;
+    let node = &plan.nodes[p as usize];
+    let rexpr = &rexprs[p as usize];
 
     writes.reserve(cn.modify_iters as usize);
     let mut err: Option<MachineError> = None;

@@ -9,9 +9,11 @@
 //! * [`distributed`] — the Section 2.10 message-passing machine: per-node
 //!   private memories, non-blocking sends / blocking receives over
 //!   channels, tagged-message pairing, fault injection, full statistics;
+//!   one phase engine ([`executor`]) for clauses of any rank — n-D
+//!   clauses are lowered onto the same run tables 1-D plans compile to;
 //! * [`sequential`] — the single-node reference executor;
-//! * [`darray`] — distributed array images (`A'` of Section 2.6) with
-//!   scatter/gather;
+//! * [`darray`], [`darray_nd`] — distributed array images (`A'` of
+//!   Section 2.6) with scatter/gather, per axis on processor grids;
 //! * [`stats`] — per-node counters (iterations, ownership tests,
 //!   messages) that make the paper's complexity claims measurable.
 //!
@@ -25,7 +27,6 @@ pub(crate) mod codec;
 pub mod darray;
 pub mod darray_nd;
 pub mod distributed;
-pub mod distributed_nd;
 pub mod doacross;
 pub mod error;
 pub mod executor;
@@ -47,9 +48,9 @@ pub mod transport;
 
 pub use darray::DistArray;
 pub use darray_nd::DistArrayNd;
-pub use distributed::{run_distributed, run_distributed_traced, CommMode, DistOptions};
-pub use distributed_nd::{
-    run_distributed_nd, run_distributed_nd_mode, run_distributed_nd_opts, run_distributed_nd_traced,
+pub use distributed::{
+    run_distributed, run_distributed_nd, run_distributed_nd_traced, run_distributed_traced,
+    CommMode, DistOptions,
 };
 pub use doacross::{carried_distances, run_doacross, run_doacross_with};
 pub use error::MachineError;

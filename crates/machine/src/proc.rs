@@ -31,7 +31,7 @@
 
 use crate::codec::{Ctrl, JobMsg, ResultMsg};
 use crate::darray::DistArray;
-use crate::distributed::{disassemble, finalize_run, DistOptions, NodeOutcome, Wire};
+use crate::distributed::{disassemble, finalize_run, Disassembled, DistOptions, NodeOutcome, Wire};
 use crate::error::MachineError;
 use crate::executor::{
     prepare_for, prepare_run, reset_scratch, warm_phases, BufInner, BufTracer, PhaseSpan,
@@ -270,17 +270,18 @@ impl ProcPool {
         tracer: &dyn Tracer,
     ) -> Result<ExecReport, MachineError> {
         let pmax = self.pmax;
-        if prepared.plan.pmax.max(0) as usize != pmax {
+        if prepared.pmax.max(0) as usize != pmax {
             return Err(MachineError::PlanMismatch(format!(
                 "prepared plan spans {} processors, pool has {pmax}",
-                prepared.plan.pmax
+                prepared.pmax
             )));
         }
+        let d1 = prepared.d1()?;
         for name in &prepared.referenced {
             let da = arrays
                 .get(name)
                 .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-            if da.decomp() != &prepared.decomps[name] {
+            if da.decomp() != &d1.decomps[name] {
                 return Err(MachineError::PlanMismatch(format!(
                     "array `{name}` was redistributed since the plan was prepared"
                 )));
@@ -301,8 +302,9 @@ impl ProcPool {
             self.await_hellos(&respawned)?;
         }
 
-        trace_plan(tracer, &prepared.plan);
-        let per_node = disassemble(arrays, &prepared.referenced, prepared.plan.pmax)?;
+        trace_plan(tracer, &d1.plan);
+        let Disassembled { per_node, shapes } =
+            disassemble(arrays, &prepared.referenced, prepared.pmax)?;
         let trace_on = tracer.enabled();
         let handshake = self.dirty;
 
@@ -354,7 +356,7 @@ impl ProcPool {
             .map(|locals| JobMsg {
                 run_id,
                 clause: clause.clone(),
-                decomps: prepared.decomps.clone(),
+                decomps: d1.decomps.clone(),
                 recv_timeout: opts.recv_timeout,
                 faults: opts.faults,
                 mode: opts.mode,
@@ -555,9 +557,9 @@ impl ProcPool {
             }
         }
         finalize_run(
-            &prepared.plan.lhs_array,
+            &prepared.lhs_array,
             &prepared.referenced,
-            &prepared.decomps,
+            shapes,
             results,
             arrays,
             tracer,
@@ -737,7 +739,7 @@ fn serve_job(
             ));
         }
     };
-    if prepared.plan.pmax.max(0) as usize != pmax || prepared.plan.nodes.len() != pmax {
+    if prepared.pmax.max(0) as usize != pmax || prepared.compiled.nodes.len() != pmax {
         return Ok(ship(
             link,
             ResultMsg {
@@ -749,7 +751,7 @@ fn serve_job(
                 sent_to: vec![0u64; pmax],
                 res: Err(MachineError::PlanMismatch(format!(
                     "job plan spans {} processors, session has {pmax}",
-                    prepared.plan.pmax
+                    prepared.pmax
                 ))),
                 events: Vec::new(),
                 timings: Vec::new(),
@@ -772,7 +774,7 @@ fn serve_job(
         timeouts: ProtoTimeouts::default(),
     };
     reset_scratch(scratch, &prepared, p);
-    let mut locals = job.locals;
+    let locals = job.locals;
     let mut stats = NodeStats::default();
     let mut sent_to = vec![0u64; pmax];
     let res = {
@@ -780,7 +782,7 @@ fn serve_job(
         let phases = catch_unwind(AssertUnwindSafe(|| {
             warm_phases(
                 p,
-                &mut locals,
+                &locals,
                 &prepared,
                 &opts,
                 &mut ep,

@@ -140,7 +140,7 @@ impl PoolState {
         opts: DistOptions,
         tracer: &dyn Tracer,
     ) -> Result<ExecReport, MachineError> {
-        let pmax = prepared.plan().pmax;
+        let pmax = prepared.pmax;
         if opts.transport != TransportKind::InProc {
             // socket backend: real worker processes behind the router;
             // the pool's identity is (backend, pmax, chaos plan, timeouts)
@@ -179,7 +179,7 @@ impl PoolState {
         opts: DistOptions,
         tracer: &dyn Tracer,
     ) -> Result<Vec<ExecReport>, MachineError> {
-        let pmax = jobs[0].plan().pmax;
+        let pmax = jobs[0].pmax;
         let pool = self.inproc(pmax);
         // a width-1 wave is just a single run — skip the wave machinery
         // (per-job snapshots, staged commits) it exists to coordinate

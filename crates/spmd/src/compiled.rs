@@ -32,7 +32,7 @@ use crate::schedule::Schedule;
 use crate::simd::{SimdCensus, SimdPolicy};
 use std::fmt::Write as _;
 use vcal_core::func::Fn1;
-use vcal_core::{Clause, Guard};
+use vcal_core::{Bounds, Clause, Guard};
 use vcal_decomp::{Decomp1, Distribution};
 use vcal_numth::{div_ceil, div_floor, solve_congruence};
 
@@ -84,7 +84,7 @@ pub fn for_each_run(runs: &[IterRun], mut visit: impl FnMut(i64)) {
 /// preserving the sequence order exactly (no sorting, no dedup — a
 /// schedule's visit order is part of its semantics, and
 /// `RepeatedScatter` visits in `t`-major order, not ascending).
-fn coalesce_ordered(v: &[i64], out: &mut Vec<IterRun>) {
+pub(crate) fn coalesce_ordered(v: &[i64], out: &mut Vec<IterRun>) {
     let mut k = 0usize;
     while k < v.len() {
         if k + 1 == v.len() {
@@ -144,6 +144,25 @@ fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
     }
 }
 
+/// The loop indices of a communication run.
+pub(crate) fn iter_run(r: &CommRun) -> IterRun {
+    IterRun {
+        start: r.start,
+        step: r.step,
+        count: r.count,
+    }
+}
+
+/// The run `r` as a communication run of read slot `slot`.
+pub(crate) fn comm_run(slot: usize, r: &IterRun) -> CommRun {
+    CommRun {
+        slot,
+        start: r.start,
+        step: r.step,
+        count: r.count,
+    }
+}
+
 /// Flatten a schedule into strided runs whose concatenated visit order
 /// is *identical* to [`Schedule::for_each`]. Arithmetic shapes convert
 /// directly; the repeated/guarded shapes pay their enumeration cost
@@ -187,7 +206,7 @@ impl AccessPattern {
     }
 
     /// Compress explicit offsets into an affine pattern when possible.
-    fn compress(offs: Vec<i64>) -> AccessPattern {
+    pub(crate) fn compress(offs: Vec<i64>) -> AccessPattern {
         match offs.len() {
             0 => AccessPattern::Affine { base: 0, step: 0 },
             1 => AccessPattern::Affine {
@@ -246,6 +265,10 @@ impl SlotAccess {
 /// elements all read every slot from the same place, with every address
 /// the inner loop needs resolved at plan time.
 ///
+/// The run's indices are linearised loop indices
+/// ([`CompiledSchedule::loop_box`]) and never leave one row of the loop
+/// box, so only the innermost loop coordinate varies along a run.
+///
 /// *Interior* runs (`boundary == false`) read only owner-local memory —
 /// provable from the Table I dispatch, because the plan's receive runs
 /// (`Reside_q ∩ Modify_p` for `q ≠ p`) enumerate exactly the remote
@@ -297,6 +320,21 @@ pub struct SendSeg {
     pub count: usize,
 }
 
+/// Everything one node sends to one peer: the loop indices in wire order
+/// (element mode tags each value with its index) and, per packet, where
+/// the values sit in the sender's local parts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SendPair {
+    /// The destination processor.
+    pub peer: i64,
+    /// The pair's runs in wire order — the same list, cut into the same
+    /// packets, as the peer's receive side.
+    pub runs: Vec<CommRun>,
+    /// Per packet, the segments that pack it. Runs that continue one
+    /// affine progression share a segment.
+    pub packets: Vec<Vec<SendSeg>>,
+}
+
 /// Interior/boundary census of a compiled schedule — printed by `vcalc`
 /// next to the Table I dispatch census.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -327,7 +365,8 @@ pub struct CompiledNode {
     /// the cold path charges via `Schedule::work_estimate`).
     pub modify_work: u64,
     /// Per read slot: the reside schedule as flat runs (`None` for
-    /// replicated slots, which never enter the send phase).
+    /// replicated slots, which never enter the send phase, and in
+    /// lowered n-D tables, whose send phase never scans a reside set).
     pub resides: Vec<Option<Vec<IterRun>>>,
     /// Per read slot: the reside schedule's loop-overhead estimate
     /// (zero for replicated slots).
@@ -340,13 +379,14 @@ pub struct CompiledNode {
     /// source ordinal → number of planned incoming packets (the staging
     /// shape the receiver pre-sizes).
     pub staging_packets: Vec<usize>,
-    /// Per outgoing pair, per packet (same order as the plan's
-    /// `comm.sends`): where the packed elements sit in the local parts,
-    /// so the send phase copies slices instead of re-evaluating
-    /// `local(g(i))`. Runs that continue one affine progression share a
-    /// segment. Empty when compiled without decompositions
+    /// source ordinal → number of planned incoming elements.
+    pub recv_elems: Vec<u64>,
+    /// Per outgoing pair, in ascending peer order: what is sent and
+    /// where the packed elements sit in the local parts, so the send
+    /// phase copies slices instead of re-evaluating `local(g(i))`.
+    /// Empty when compiled without decompositions
     /// ([`CompiledSchedule::compile`]).
-    pub sends: Vec<Vec<Vec<SendSeg>>>,
+    pub sends: Vec<SendPair>,
     /// The interior/boundary execution split of `modify`, with fully
     /// resolved addressing. Empty when the plan was compiled without
     /// execution tables ([`CompiledSchedule::compile`]) or contains a
@@ -369,10 +409,13 @@ impl CompiledNode {
         for r in self.resides.iter().flatten() {
             b += r.len() * size_of::<IterRun>();
         }
-        b += (self.src_ord.len() + self.src_peers.len() + self.staging_packets.len()) * 8;
-        for segs in self.sends.iter().flatten() {
-            b += size_of::<Vec<SendSeg>>() + segs.len() * size_of::<SendSeg>();
-            b += segs.iter().map(|s| table(&s.pattern)).sum::<usize>();
+        b += (self.src_ord.len() + self.src_peers.len() + 2 * self.staging_packets.len()) * 8;
+        for pair in &self.sends {
+            b += pair.runs.len() * size_of::<CommRun>();
+            for segs in &pair.packets {
+                b += size_of::<Vec<SendSeg>>() + segs.len() * size_of::<SendSeg>();
+                b += segs.iter().map(|s| table(&s.pattern)).sum::<usize>();
+            }
         }
         for er in &self.exec {
             b += size_of::<ExecRun>() + er.slots.len() * size_of::<SlotAccess>() + table(&er.lhs);
@@ -403,6 +446,13 @@ impl CompiledNode {
 /// read-only by every warm run.
 #[derive(Debug, Clone)]
 pub struct CompiledSchedule {
+    /// The loop box. A run index is the point's row-major offset in the
+    /// box plus the innermost lower bound: along a row it advances with
+    /// the innermost loop coordinate, and in one dimension it is the
+    /// loop index itself.
+    pub loop_box: Bounds,
+    /// Read slot → the array it reads.
+    pub slot_arrays: Vec<String>,
     /// Per-processor tables, indexed by processor id.
     pub nodes: Vec<CompiledNode>,
     /// The clause expression compiled to bytecode + fused shape, shared
@@ -440,12 +490,14 @@ impl CompiledSchedule {
                 let mut src_ord = vec![usize::MAX; pmax];
                 let mut src_peers = Vec::with_capacity(node.comm.recvs.len());
                 let mut staging_packets = Vec::with_capacity(node.comm.recvs.len());
+                let mut recv_elems = Vec::with_capacity(node.comm.recvs.len());
                 for (ord, pc) in node.comm.recvs.iter().enumerate() {
                     if let Some(slot) = src_ord.get_mut(pc.peer as usize) {
                         *slot = ord;
                     }
                     src_peers.push(pc.peer);
                     staging_packets.push(pc.packets().len());
+                    recv_elems.push(pc.elems());
                 }
                 CompiledNode {
                     p: node.p,
@@ -457,12 +509,18 @@ impl CompiledSchedule {
                     src_ord,
                     src_peers,
                     staging_packets,
+                    recv_elems,
                     sends: Vec::new(),
                     exec: Vec::new(),
                 }
             })
             .collect();
+        let slot_arrays = plan.nodes.first().map_or_else(Vec::new, |n| {
+            n.resides.iter().map(|rp| rp.array.clone()).collect()
+        });
         CompiledSchedule {
+            loop_box: Bounds::range(plan.loop_bounds.0, plan.loop_bounds.1),
+            slot_arrays,
             nodes,
             kernel: None,
             guarded: false,
@@ -497,11 +555,14 @@ impl CompiledSchedule {
             return cs;
         };
         for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
+            let at = |r: &CommRun| {
+                local_pattern(iter_run(r), &node.resides[r.slot].g, dec_reads[r.slot])
+            };
             cn.sends = node
                 .comm
                 .sends
                 .iter()
-                .map(|pair| send_patterns(pair, node, &dec_reads))
+                .map(|pair| send_pair(pair, at))
                 .collect();
         }
         let closed = plan.nodes.iter().all(|n| {
@@ -586,7 +647,7 @@ impl CompiledSchedule {
 /// the run stays inside one block, or strides whole scatter cycles —
 /// which is every run Table I produces for the block and scatter
 /// families; anything else is enumerated once and compressed.
-fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPattern {
+pub(crate) fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPattern {
     if let (Fn1::Affine { a, c }, true) = (h, run.count > 2) {
         let lo = dec.extent().lo()[0];
         let x0 = a * run.start + c - lo;
@@ -615,20 +676,19 @@ fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPattern {
 }
 
 /// Where the sender finds the elements of each packet it packs for
-/// `pair`: one segment per run, with a run that continues its
-/// predecessor's affine progression in the same slot merged into it (a
-/// block-scatter source packs a whole packet with one slice copy).
-fn send_patterns(pair: &PairComm, node: &NodePlan, dec_reads: &[&Decomp1]) -> Vec<Vec<SendSeg>> {
-    let segs_of = |runs: &[CommRun]| {
+/// `pair`, given each run's local offsets `at(run)`: one segment per run,
+/// with a run that continues its predecessor's affine progression in the
+/// same slot merged into it (a block-scatter source packs a whole packet
+/// with one slice copy).
+pub(crate) fn send_pair(
+    pair: &PairComm,
+    mut at: impl FnMut(&CommRun) -> AccessPattern,
+) -> SendPair {
+    let mut segs_of = |runs: &[CommRun]| {
         let mut segs: Vec<SendSeg> = Vec::new();
         for r in runs {
-            let run = IterRun {
-                start: r.start,
-                step: r.step,
-                count: r.count,
-            };
-            let pattern = local_pattern(run, &node.resides[r.slot].g, dec_reads[r.slot]);
-            let count = run.len() as usize;
+            let pattern = at(r);
+            let count = r.len() as usize;
             let merged = (segs.last_mut()).is_some_and(|last| last.absorb(r.slot, &pattern, count));
             if !merged {
                 segs.push(SendSeg {
@@ -640,7 +700,11 @@ fn send_patterns(pair: &PairComm, node: &NodePlan, dec_reads: &[&Decomp1]) -> Ve
         }
         segs
     };
-    pair.packets().map(segs_of).collect()
+    SendPair {
+        peer: pair.peer,
+        runs: pair.runs.clone(),
+        packets: pair.packets().map(&mut segs_of).collect(),
+    }
 }
 
 impl SendSeg {
@@ -700,12 +764,12 @@ struct Hit {
 /// carrying a running maximum of range ends: the spans overlapping a
 /// query range are found by two binary searches plus a scan of the
 /// candidates.
-struct RecvIndex {
+pub(crate) struct RecvIndex {
     by_slot: Vec<Vec<RecvSpan>>,
 }
 
 impl RecvIndex {
-    fn new(recvs: &[PairComm], n_slots: usize) -> RecvIndex {
+    pub(crate) fn new(recvs: &[PairComm], n_slots: usize) -> RecvIndex {
         let mut by_slot: Vec<Vec<RecvSpan>> = (0..n_slots).map(|_| Vec::new()).collect();
         for (src_ord, pc) in recvs.iter().enumerate() {
             for (run_ord, run) in pc.runs.iter().enumerate() {
@@ -770,6 +834,51 @@ impl RecvIndex {
     }
 }
 
+impl RecvIndex {
+    /// Cut `modify` wherever the receive run covering some slot changes,
+    /// and hand each maximal piece with its signature to `emit`, in
+    /// visit order.
+    pub(crate) fn pieces(&self, modify: &[IterRun], mut emit: impl FnMut(IterRun, &Sig)) {
+        let n_slots = self.by_slot.len();
+        let mut hits: Vec<Hit> = Vec::new();
+        // per slot, the hit covering the current position: (t1, origin)
+        let mut active: Vec<Option<(i64, (usize, usize))>> = vec![None; n_slots];
+        let mut sig: Sig = vec![None; n_slots];
+        for m in modify {
+            hits.clear();
+            self.hits(m, &mut hits);
+            hits.sort_unstable_by_key(|h| (h.t0, h.slot));
+            active.fill(None);
+            let (mut t, mut next) = (0i64, 0usize);
+            while t < m.count {
+                for a in &mut active {
+                    if a.is_some_and(|(t1, _)| t1 < t) {
+                        *a = None;
+                    }
+                }
+                while let Some(h) = hits.get(next).filter(|h| h.t0 <= t) {
+                    active[h.slot] = Some((h.t1, h.origin));
+                    next += 1;
+                }
+                let mut end = hits.get(next).map_or(m.count, |h| h.t0);
+                for (a, s) in active.iter().zip(&mut sig) {
+                    *s = a.map(|(t1, origin)| {
+                        end = end.min(t1 + 1);
+                        origin
+                    });
+                }
+                let piece = IterRun {
+                    start: m.start + m.step * t,
+                    step: m.step,
+                    count: end - t,
+                };
+                emit(piece, &sig);
+                t = end;
+            }
+        }
+    }
+}
+
 /// The positions `t` of modify run `m` whose index lies in run `r`,
 /// as `(first, period, count)`: two arithmetic progressions meet in an
 /// arithmetic progression (a linear congruence, clipped to both ranges).
@@ -797,7 +906,7 @@ fn meet(m: &IterRun, r: &CommRun) -> Option<(i64, i64, i64)> {
 /// Per slot, the receive run `(source ordinal, run ordinal)` a piece
 /// reads (`None` = owner-local). Keyed by run, not by packet, so pieces
 /// are never glued across a run boundary inside one packet.
-type Sig = Vec<Option<(usize, usize)>>;
+pub(crate) type Sig = Vec<Option<(usize, usize)>>;
 
 /// Glue pieces with equal signatures back into maximal strided runs,
 /// exactly as a greedy element-at-a-time coalescing of the visit
@@ -871,42 +980,7 @@ fn build_exec(
     let places: Vec<Vec<(usize, u64)>> =
         (node.comm.recvs.iter()).map(PairComm::run_places).collect();
     let mut tiling = Tiling::default();
-    let mut hits: Vec<Hit> = Vec::new();
-    // per slot, the hit covering the current position: (t1, origin)
-    let mut active: Vec<Option<(i64, (usize, usize))>> = vec![None; n_slots];
-    let mut sig: Sig = vec![None; n_slots];
-    for m in modify {
-        hits.clear();
-        index.hits(m, &mut hits);
-        hits.sort_unstable_by_key(|h| (h.t0, h.slot));
-        active.fill(None);
-        let (mut t, mut next) = (0i64, 0usize);
-        while t < m.count {
-            for a in &mut active {
-                if a.is_some_and(|(t1, _)| t1 < t) {
-                    *a = None;
-                }
-            }
-            while let Some(h) = hits.get(next).filter(|h| h.t0 <= t) {
-                active[h.slot] = Some((h.t1, h.origin));
-                next += 1;
-            }
-            let mut end = hits.get(next).map_or(m.count, |h| h.t0);
-            for (a, s) in active.iter().zip(&mut sig) {
-                *s = a.map(|(t1, origin)| {
-                    end = end.min(t1 + 1);
-                    origin
-                });
-            }
-            let piece = IterRun {
-                start: m.start + m.step * t,
-                step: m.step,
-                count: end - t,
-            };
-            tiling.push(piece, &sig);
-            t = end;
-        }
-    }
+    index.pieces(modify, |piece, sig| tiling.push(piece, sig));
     tiling.flush();
 
     tiling
@@ -1325,9 +1399,10 @@ mod tests {
                 let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
                 for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
                     assert_eq!(cn.sends.len(), node.comm.sends.len());
-                    for (pair, pkts) in node.comm.sends.iter().zip(&cn.sends) {
-                        assert_eq!(pkts.len(), pair.packets().len());
-                        for (runs, segs) in pair.packets().zip(pkts) {
+                    for (pair, sent) in node.comm.sends.iter().zip(&cn.sends) {
+                        assert_eq!((sent.peer, &sent.runs), (pair.peer, &pair.runs));
+                        assert_eq!(sent.packets.len(), pair.packets().len());
+                        for (runs, segs) in pair.packets().zip(&sent.packets) {
                             // the segments, walked in order, name exactly
                             // the elements the packet's runs pack
                             let mut got = Vec::new();
@@ -1364,9 +1439,9 @@ mod tests {
         let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
         for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
             assert_eq!(node.comm.sends[0].runs.len(), 2048);
-            assert_eq!(cn.sends[0].len(), 4);
+            assert_eq!(cn.sends[0].packets.len(), 4);
             assert_eq!(cn.staging_packets, [4]);
-            for segs in &cn.sends[0] {
+            for segs in &cn.sends[0].packets {
                 assert_eq!(segs.len(), 1);
                 assert_eq!(segs[0].count, 8192);
                 assert!(segs[0].pattern.is_unit_stride());

@@ -45,13 +45,13 @@ pub use cache::{BoundedLru, CacheBudget};
 pub use comm::{packetise, plan_comm, CommRun, NodeCommPlan, PairComm, PACKET_ELEMS};
 pub use compiled::{
     clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, for_each_run,
-    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, SendSeg,
-    SlotAccess,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, SendPair,
+    SendSeg, SlotAccess,
 };
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;
 pub use kernel::{CompiledKernel, FusedShape, KernelOp, ShapeMismatch};
-pub use nd::{optimize_nd, ScheduleNd};
+pub use nd::{lower_nd, optimize_nd, ScheduleNd};
 pub use obs::{NodeDispatch, PlanSummary, SlotDispatch};
 pub use optimizer::{naive_schedule, optimize, optimize_with, OptKind, OptOptions, Optimized};
 pub use program::{CommStats, DecompMap, NodePlan, PlanError, ResidePlan, SpmdPlan};

@@ -12,11 +12,26 @@
 //!
 //! so the per-processor iteration set is a *Cartesian product* of 1-D
 //! schedules, each produced by the Table I optimizer.
+//!
+//! [`lower_nd`] turns those products into the run tables of
+//! [`CompiledSchedule`]: loop indices are linearised row-major over the
+//! loop box, so every row of a product contributes the runs of its
+//! innermost axis, cut where a read changes owner along any axis. The
+//! machine executes the result with the engine it uses for 1-D plans.
 
+use crate::comm::{packetise, CommRun, PairComm, PACKET_ELEMS};
+use crate::compiled::{
+    coalesce_ordered, comm_run, flatten_schedule, iter_run, local_pattern, send_pair,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, RecvIndex, SendPair,
+    SlotAccess,
+};
+use crate::kernel::CompiledKernel;
 use crate::optimizer::{optimize, OptKind};
+use crate::program::PlanError;
 use crate::schedule::Schedule;
+use std::collections::BTreeMap;
 use vcal_core::map::IndexMap;
-use vcal_core::{Bounds, Ix};
+use vcal_core::{ArrayRef, Bounds, Clause, Guard, Ix};
 use vcal_decomp::DecompNd;
 
 /// A per-processor iteration schedule over a d-dimensional loop box:
@@ -92,6 +107,19 @@ impl ScheduleNd {
     }
 }
 
+/// Per loop dimension, the output axis of `map` it drives. `None` when
+/// some loop dimension drives two output axes: the ownership condition
+/// then couples them and does not factorize.
+fn drivers(map: &IndexMap) -> Option<Vec<Option<usize>>> {
+    let mut driver_of_loopdim: Vec<Option<usize>> = vec![None; map.d_in()];
+    for (out_axis, df) in map.dims().iter().enumerate() {
+        if driver_of_loopdim[df.src].replace(out_axis).is_some() {
+            return None;
+        }
+    }
+    Some(driver_of_loopdim)
+}
+
 /// Derive the d-dimensional schedule of
 /// `{ i ∈ loop_box | proc(map(i)) = p }` under `dec`.
 ///
@@ -108,13 +136,7 @@ pub fn optimize_nd(
     if map.d_out() != dec.dims() || map.d_in() != loop_box.dims() {
         return None;
     }
-    // each loop dim may drive at most one output axis
-    let mut driver_of_loopdim: Vec<Option<usize>> = vec![None; map.d_in()];
-    for (out_axis, df) in map.dims().iter().enumerate() {
-        if driver_of_loopdim[df.src].replace(out_axis).is_some() {
-            return None; // coupled axes: no factorization
-        }
-    }
+    let driver_of_loopdim = drivers(map)?;
     let grid = dec.grid_coords(p);
     let mut axes = vec![Schedule::Empty; map.d_in()];
     let mut kinds = vec![OptKind::EmptyLoop; map.d_in()];
@@ -138,11 +160,472 @@ pub fn optimize_nd(
     Some(ScheduleNd { axes, kinds })
 }
 
+/// One array access of the clause with the layout it addresses.
+struct Access<'a> {
+    aref: &'a ArrayRef,
+    dec: &'a DecompNd,
+    /// Per processor, the row-major strides of its local box.
+    strides: Vec<Vec<i64>>,
+}
+
+impl<'a> Access<'a> {
+    fn new(
+        aref: &'a ArrayRef,
+        decomps: &'a BTreeMap<String, DecompNd>,
+        bx: &Bounds,
+    ) -> Result<Self, PlanError> {
+        let ArrayRef { array, map } = aref;
+        let dec = decomps
+            .get(array)
+            .ok_or_else(|| PlanError::MissingDecomposition(array.clone()))?;
+        if map.d_in() != bx.dims() || map.d_out() != dec.dims() {
+            return Err(PlanError::RankMismatch(array.clone()));
+        }
+        let strides = (0..dec.pmax()).map(|p| {
+            let local = dec.local_bounds(p);
+            let mut strides = vec![1i64; dec.dims()];
+            for k in (1..dec.dims()).rev() {
+                strides[k - 1] = strides[k] * local.extent(k);
+            }
+            strides
+        });
+        Ok(Access {
+            aref,
+            dec,
+            strides: strides.collect(),
+        })
+    }
+}
+
+/// One loop dimension of a Modify set, cut so that along it every read
+/// slot has one owner per piece.
+struct AxisPiece {
+    run: IterRun,
+    /// Per read slot, the grid coordinate that owns the read on the
+    /// output axis this dimension drives (0 when it drives none).
+    owner: Vec<i64>,
+}
+
+/// The schedule's indices as ascending runs: a per-axis schedule may
+/// visit in another order, the lowered tables visit row-major.
+fn ascending(s: &Schedule) -> Vec<IterRun> {
+    let mut runs = flatten_schedule(s);
+    for r in &mut runs {
+        if r.step < 0 {
+            r.start += r.step * (r.count - 1);
+            r.step = -r.step;
+        }
+    }
+    let last = |r: &IterRun| r.start + r.step * (r.count - 1);
+    let sorted = runs.iter().all(|r| r.step > 0 || r.count == 1)
+        && runs.windows(2).all(|w| last(&w[0]) < w[1].start);
+    if !sorted {
+        let mut idx = s.to_sorted_vec();
+        idx.dedup();
+        runs.clear();
+        coalesce_ordered(&idx, &mut runs);
+    }
+    runs
+}
+
+/// The tables of every node while the clause's runs are pushed into
+/// them, in row-major order per node.
+struct Lowering<'a> {
+    bx: Bounds,
+    lhs: Access<'a>,
+    reads: Vec<Access<'a>>,
+    /// Per node, its exec runs so far. A remote slot names its source
+    /// processor and the run's ordinal in `recv[p][source][slot]` until
+    /// [`Lowering::finish`] has cut the pair into packets.
+    exec: Vec<Vec<ExecRun>>,
+    /// `recv[p][q][slot]`: the runs node `p` reads from `q`, in visit
+    /// order. Sender and receiver both take their tables from this one
+    /// list, so they agree on packing order and on the packet cut.
+    recv: Vec<Vec<Vec<Vec<CommRun>>>>,
+    /// Per node, the loop-overhead estimate of its Modify schedule.
+    work: Vec<u64>,
+}
+
+impl<'a> Lowering<'a> {
+    /// The linearised index of loop point `i`: its row-major offset in
+    /// the loop box plus the innermost lower bound, so that along a row
+    /// the index advances with the innermost loop coordinate (and in one
+    /// dimension is the loop index itself).
+    fn lin(&self, i: &Ix) -> i64 {
+        self.bx.linear_offset(i) as i64 + self.bx.lo()[self.bx.dims() - 1]
+    }
+
+    /// Inverse of [`Lowering::lin`].
+    fn point(&self, lin: i64) -> Ix {
+        let lo = self.bx.lo()[self.bx.dims() - 1];
+        self.bx.from_linear_offset((lin - lo) as usize)
+    }
+
+    /// The local offsets, in processor `q`'s part, of the elements `a`
+    /// addresses along `run`, whose first loop point is `at`. One row, so only the innermost loop
+    /// coordinate moves: the output axes it drives contribute their 1-D
+    /// pattern scaled by the local box's stride, the others a constant.
+    fn offsets(&self, a: &Access, q: i64, at: &Ix, run: IterRun) -> AccessPattern {
+        let inner = self.bx.dims() - 1;
+        let row = IterRun {
+            start: at[inner],
+            ..run
+        };
+        let (mut base, mut step) = (0i64, 0i64);
+        let mut table: Option<Vec<i64>> = None;
+        let axes = a.aref.map.dims().iter().zip(a.dec.axes());
+        for ((df, axis), stride) in axes.zip(&a.strides[q as usize]) {
+            if df.src != inner {
+                base += stride * axis.local_of(df.f.eval(at[df.src]));
+                continue;
+            }
+            match local_pattern(row, &df.f, axis) {
+                AccessPattern::Affine { base: b, step: s } => {
+                    base += stride * b;
+                    step += stride * s;
+                }
+                AccessPattern::Table(offs) => {
+                    let sum = table.get_or_insert_with(|| vec![0; offs.len()]);
+                    for (x, o) in sum.iter_mut().zip(offs) {
+                        *x += stride * o;
+                    }
+                }
+            }
+        }
+        match table {
+            None => AccessPattern::Affine { base, step },
+            Some(sum) => AccessPattern::compress(
+                (sum.iter().enumerate())
+                    .map(|(t, x)| base + step * t as i64 + x)
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Append one run of node `p`'s Modify set whose reads of slot `s`
+    /// all belong to processor `owners[s]`.
+    fn push(&mut self, p: usize, mut run: IterRun, owners: &[i64]) {
+        if run.count == 1 {
+            run.step = 1;
+        }
+        let at = self.point(run.start);
+        let mut remote_elems = 0;
+        let mut slots = Vec::with_capacity(owners.len());
+        for (slot, &q) in owners.iter().enumerate() {
+            if q == p as i64 {
+                let local = self.offsets(&self.reads[slot], q, &at, run);
+                slots.push(SlotAccess::Local(local));
+                continue;
+            }
+            let runs = &mut self.recv[p][q as usize][slot];
+            slots.push(SlotAccess::Packet {
+                src_ord: q as usize,
+                pkt_ord: runs.len(),
+                pattern: AccessPattern::Affine { base: 0, step: 1 },
+            });
+            runs.push(comm_run(slot, &run));
+            remote_elems += run.len();
+        }
+        let lhs = self.offsets(&self.lhs, p as i64, &at, run);
+        self.exec[p].push(ExecRun {
+            run,
+            boundary: remote_elems > 0,
+            lhs,
+            slots,
+            remote_elems,
+        });
+    }
+
+    /// Per-axis run algebra, for maps that factorize: tile every axis of
+    /// `Modify_p` by the owners of the reads along it, then emit one run
+    /// per row of the product and piece of its innermost axis.
+    fn product(&mut self) {
+        let dims = self.bx.dims();
+        let inner = dims - 1;
+        // per loop dimension, every read's reside runs along it, tagged
+        // by the grid coordinate that owns them
+        let index: Vec<RecvIndex> = (0..dims)
+            .map(|d| {
+                let (lo, hi) = (self.bx.lo()[d], self.bx.hi()[d]);
+                let mut by_coord: Vec<PairComm> = Vec::new();
+                for (slot, a) in self.reads.iter().enumerate() {
+                    let map = a.aref.map.dims();
+                    let Some(k) = map.iter().position(|df| df.src == d) else {
+                        continue;
+                    };
+                    let axis = &a.dec.axes()[k];
+                    for c in 0..axis.pmax() {
+                        if by_coord.len() <= c as usize {
+                            by_coord.resize_with(c as usize + 1, PairComm::default);
+                        }
+                        let owned = optimize(&map[k].f, axis, lo, hi, c).schedule;
+                        let owned = ascending(&owned);
+                        by_coord[c as usize]
+                            .runs
+                            .extend(owned.iter().map(|r| comm_run(slot, r)));
+                    }
+                }
+                RecvIndex::new(&by_coord, self.reads.len())
+            })
+            .collect();
+        let mut owners = vec![0i64; self.reads.len()];
+        for p in 0..self.exec.len() {
+            let map = &self.lhs.aref.map;
+            let Some(modify) = optimize_nd(map, self.lhs.dec, &self.bx, p as i64) else {
+                continue;
+            };
+            self.work[p] = modify.work_estimate();
+            let pieces: Vec<Vec<AxisPiece>> = (modify.axes.iter().zip(&index))
+                .map(|(axis, index)| {
+                    let mut pieces = Vec::new();
+                    index.pieces(&ascending(axis), |run, sig| {
+                        let owner = sig.iter().map(|o| o.map_or(0, |(c, _)| c as i64));
+                        pieces.push(AxisPiece {
+                            run,
+                            owner: owner.collect(),
+                        });
+                    });
+                    pieces
+                })
+                .collect();
+            if pieces.iter().any(Vec::is_empty) {
+                continue;
+            }
+            // odometer over the outer dimensions: (piece, position in it)
+            let mut at = vec![(0usize, 0i64); inner];
+            let mut i = self.bx.lo();
+            let mut grid = Vec::new();
+            loop {
+                for (d, &(piece, t)) in at.iter().enumerate() {
+                    let run = &pieces[d][piece].run;
+                    i[d] = run.start + run.step * t;
+                }
+                for row in &pieces[inner] {
+                    for (slot, (o, a)) in owners.iter_mut().zip(&self.reads).enumerate() {
+                        grid.clear();
+                        grid.extend(a.aref.map.dims().iter().map(|df| match at.get(df.src) {
+                            Some(&(piece, _)) => pieces[df.src][piece].owner[slot],
+                            None => row.owner[slot],
+                        }));
+                        *o = a.dec.flat_proc(&grid);
+                    }
+                    i[inner] = row.run.start;
+                    let run = IterRun {
+                        start: self.lin(&i),
+                        ..row.run
+                    };
+                    self.push(p, run, &owners);
+                }
+                // advance; done when the outermost dimension wraps
+                let wrapped = at.iter_mut().zip(&pieces).rev().all(|(at, pieces)| {
+                    at.1 += 1;
+                    if at.1 == pieces[at.0].run.count {
+                        *at = (at.0 + 1, 0);
+                    }
+                    let wrap = at.0 == pieces.len();
+                    if wrap {
+                        *at = (0, 0);
+                    }
+                    wrap
+                });
+                if wrapped {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Enumerate-and-coalesce, for coupled-axis maps: classify every
+    /// loop point by its owners and coalesce, per node and row, each
+    /// stretch with the same owners.
+    fn enumerate(&mut self) {
+        let inner = self.bx.dims() - 1;
+        // per node, the open stretch: its owners and its indices so far
+        let mut open: Vec<(Vec<i64>, Vec<i64>)> = vec![Default::default(); self.exec.len()];
+        let mut owners = vec![0i64; self.reads.len()];
+        let mut runs = Vec::new();
+        let mut close = |this: &mut Self, p: usize, open: &mut (Vec<i64>, Vec<i64>)| {
+            runs.clear();
+            coalesce_ordered(&open.1, &mut runs);
+            for run in &runs {
+                this.push(p, *run, &open.0);
+            }
+            open.1.clear();
+        };
+        for i in self.bx.iter() {
+            if i[inner] == self.bx.lo()[inner] {
+                for (p, open) in open.iter_mut().enumerate() {
+                    close(self, p, open);
+                }
+            }
+            let p = self.lhs.dec.proc_of(&self.lhs.aref.map.eval(&i)) as usize;
+            for (o, a) in owners.iter_mut().zip(&self.reads) {
+                *o = a.dec.proc_of(&a.aref.map.eval(&i));
+            }
+            if open[p].0 != owners {
+                close(self, p, &mut open[p]);
+                open[p].0.clone_from(&owners);
+            }
+            open[p].1.push(self.lin(&i));
+        }
+        for (p, open) in open.iter_mut().enumerate() {
+            close(self, p, open);
+        }
+        self.work.fill(self.bx.count());
+    }
+
+    /// Cut every pair's runs into packets of at most `cap` elements and
+    /// resolve both ends against the cut: the receiver's packet windows
+    /// and the sender's segments.
+    fn finish(mut self, cap: u64) -> Vec<CompiledNode> {
+        let pmax = self.exec.len();
+        let n_slots = self.reads.len();
+        let mut sends: Vec<Vec<SendPair>> = vec![Vec::new(); pmax];
+        let mut nodes = Vec::with_capacity(pmax);
+        for p in 0..pmax {
+            let mut src_ord = vec![usize::MAX; pmax];
+            let (mut src_peers, mut staging_packets, mut recv_elems) = (vec![], vec![], vec![]);
+            // per source: where each slot's runs start in the pair's run
+            // list, and each run's (packet, offset in it)
+            let mut first = vec![Vec::new(); pmax];
+            let mut places = vec![Vec::new(); pmax];
+            for (q, per_slot) in std::mem::take(&mut self.recv[p]).into_iter().enumerate() {
+                let mut runs = Vec::new();
+                for slot_runs in per_slot {
+                    first[q].push(runs.len());
+                    runs.extend(slot_runs);
+                }
+                if runs.is_empty() {
+                    continue;
+                }
+                let pair = PairComm {
+                    peer: p as i64,
+                    cuts: packetise(&runs, cap),
+                    runs,
+                };
+                src_ord[q] = src_peers.len();
+                src_peers.push(q as i64);
+                staging_packets.push(pair.packets().len());
+                recv_elems.push(pair.elems());
+                places[q] = pair.run_places();
+                let packed_from = |r: &CommRun| {
+                    let at = self.point(r.start);
+                    self.offsets(&self.reads[r.slot], q as i64, &at, iter_run(r))
+                };
+                sends[q].push(send_pair(&pair, packed_from));
+            }
+            let mut exec = std::mem::take(&mut self.exec[p]);
+            for er in &mut exec {
+                for (slot, sa) in er.slots.iter_mut().enumerate() {
+                    if let SlotAccess::Packet {
+                        src_ord: so,
+                        pkt_ord,
+                        pattern,
+                    } = sa
+                    {
+                        let (packet, off) = places[*so][first[*so][slot] + *pkt_ord];
+                        *so = src_ord[*so];
+                        *pkt_ord = packet;
+                        *pattern = AccessPattern::Affine {
+                            base: off as i64,
+                            step: 1,
+                        };
+                    }
+                }
+            }
+            nodes.push(CompiledNode {
+                p: p as i64,
+                modify: exec.iter().map(|er| er.run).collect(),
+                modify_iters: exec.iter().map(|er| er.run.len()).sum(),
+                modify_work: self.work[p],
+                resides: vec![None; n_slots],
+                reside_work: vec![0; n_slots],
+                src_ord,
+                src_peers,
+                staging_packets,
+                recv_elems,
+                sends: Vec::new(),
+                exec,
+            });
+        }
+        for (node, sends) in nodes.iter_mut().zip(sends) {
+            node.sends = sends;
+        }
+        nodes
+    }
+}
+
+/// Lower a `//` clause of any dimensionality onto the run tables the
+/// machine executes: every array the clause references must have a
+/// decomposition in `decomps`, over grids with one total processor
+/// count.
+pub fn lower_nd(
+    clause: &Clause,
+    decomps: &BTreeMap<String, DecompNd>,
+) -> Result<CompiledSchedule, PlanError> {
+    lower_capped(clause, decomps, PACKET_ELEMS)
+}
+
+/// [`lower_nd`] with packets of at most `cap` elements.
+fn lower_capped(
+    clause: &Clause,
+    decomps: &BTreeMap<String, DecompNd>,
+    cap: u64,
+) -> Result<CompiledSchedule, PlanError> {
+    if !clause.iter.pred.is_true() {
+        return Err(PlanError::PredicatedIteration);
+    }
+    let bx = clause.iter.bounds;
+    let lhs = Access::new(&clause.lhs, decomps, &bx)?;
+    let pmax = lhs.dec.pmax();
+    let mut reads: Vec<Access> = Vec::new();
+    for r in clause.read_refs() {
+        if !reads.iter().any(|a| a.aref == r) {
+            let a = Access::new(r, decomps, &bx)?;
+            if a.dec.pmax() != pmax {
+                return Err(PlanError::ProcessorCountMismatch);
+            }
+            reads.push(a);
+        }
+    }
+    let slot_of = |r: &ArrayRef| reads.iter().position(|a| a.aref == r);
+    let kernel = CompiledKernel::compile(&clause.rhs, reads.len(), slot_of);
+    let slot_arrays = reads.iter().map(|a| a.aref.array.clone()).collect();
+    let factorizes =
+        drivers(&lhs.aref.map).is_some() && reads.iter().all(|a| drivers(&a.aref.map).is_some());
+    let n = pmax as usize;
+    let mut lowering = Lowering {
+        bx,
+        exec: vec![Vec::new(); n],
+        recv: vec![vec![vec![Vec::new(); reads.len()]; n]; n],
+        work: vec![0; n],
+        lhs,
+        reads,
+    };
+    if bx.is_empty() {
+    } else if factorizes {
+        lowering.product();
+    } else {
+        lowering.enumerate();
+    }
+    Ok(CompiledSchedule {
+        loop_box: bx,
+        slot_arrays,
+        nodes: lowering.finish(cap),
+        kernel,
+        guarded: !matches!(clause.guard, Guard::Always),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::SendSeg;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vcal_core::func::Fn1;
     use vcal_core::map::DimFn;
+    use vcal_core::{Expr, IndexSet, Ordering};
     use vcal_decomp::Decomp1;
 
     fn grid(n0: i64, n1: i64, p0: i64, p1: i64) -> DecompNd {
@@ -294,5 +777,250 @@ mod tests {
         assert_eq!(s.count(), 32 * 32);
         assert!(s.work_estimate() >= s.count());
         assert!(s.work_estimate() < 4 * s.count());
+    }
+
+    /// A grid of `dims` axes whose sizes multiply to `pmax`.
+    fn grid_shape(rng: &mut StdRng, pmax: i64, dims: usize) -> Vec<i64> {
+        let mut shape = vec![1i64; dims];
+        let mut rest = pmax;
+        for prime in [2, 3] {
+            while rest % prime == 0 {
+                shape[rng.gen_range(0..dims)] *= prime;
+                rest /= prime;
+            }
+        }
+        shape
+    }
+
+    /// A random access of a `bx` loop and a layout that covers it:
+    /// every output axis an affine function of a loop dimension, the
+    /// dimensions permuted — or, `coupled`, two axes driven by one.
+    fn random_access(
+        rng: &mut StdRng,
+        name: &str,
+        bx: &Bounds,
+        pmax: i64,
+        coupled: bool,
+    ) -> (ArrayRef, DecompNd) {
+        let dims = bx.dims();
+        let mut srcs: Vec<usize> = (0..dims).collect();
+        for k in (1..dims).rev() {
+            srcs.swap(k, rng.gen_range(0..k + 1));
+        }
+        if coupled {
+            srcs[1] = srcs[0];
+        }
+        let shape = grid_shape(rng, pmax, dims);
+        let (mut fns, mut axes) = (Vec::new(), Vec::new());
+        for (&src, &procs) in srcs.iter().zip(&shape) {
+            let (a, c) = (rng.gen_range(1..3i64), rng.gen_range(-1..3i64));
+            let (lo, hi) = (a * bx.lo()[src] + c, a * bx.hi()[src] + c);
+            let extent = Bounds::range(lo - rng.gen_range(0..2i64), hi + rng.gen_range(0..3i64));
+            axes.push(match rng.gen_range(0..3) {
+                0 => Decomp1::block(procs, extent),
+                1 => Decomp1::scatter(procs, extent),
+                _ => Decomp1::block_scatter(rng.gen_range(1..4), procs, extent),
+            });
+            fns.push(DimFn {
+                src,
+                f: Fn1::affine(a, c),
+            });
+        }
+        let aref = ArrayRef::new(name, IndexMap::new(dims, fns));
+        (aref, DecompNd::new(axes))
+    }
+
+    /// A random clause `W[f(i)] := R0[g0(i)] + R1[g1(i)]` over a 2-D or
+    /// 3-D box, with its layouts.
+    fn random_clause(rng: &mut StdRng, coupled: bool) -> (Clause, BTreeMap<String, DecompNd>) {
+        let dims = rng.gen_range(2..4usize);
+        let lo: Vec<i64> = (0..dims).map(|_| rng.gen_range(0..3)).collect();
+        let hi: Vec<i64> = lo.iter().map(|l| l + rng.gen_range(2..9i64)).collect();
+        let bx = Bounds::new(Ix::new(&lo), Ix::new(&hi));
+        let pmax = [1, 2, 3, 4, 6][rng.gen_range(0..5usize)];
+        let mut decomps = BTreeMap::new();
+        let mut access = |rng: &mut StdRng, name: &str, coupled| {
+            let (aref, dec) = random_access(rng, name, &bx, pmax, coupled);
+            decomps.insert(name.to_string(), dec);
+            aref
+        };
+        let lhs = access(rng, "W", false);
+        let reads = [access(rng, "R0", coupled), access(rng, "R1", false)];
+        let clause = Clause {
+            iter: IndexSet::full(bx),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs,
+            rhs: Expr::add(Expr::Ref(reads[0].clone()), Expr::Ref(reads[1].clone())),
+        };
+        (clause, decomps)
+    }
+
+    /// Check lowered tables against per-element `proc_of`/`local_of`.
+    fn check_lowered(clause: &Clause, decomps: &BTreeMap<String, DecompNd>, cap: u64) {
+        let cs = lower_capped(clause, decomps, cap).unwrap();
+        let what = format!("cap={cap} {clause} {decomps:?}");
+        let bx = clause.iter.bounds;
+        let inner = bx.dims() - 1;
+        let point = |lin: i64| bx.from_linear_offset((lin - bx.lo()[inner]) as usize);
+        let dec_w = &decomps[&clause.lhs.array];
+        let mut reads: Vec<&ArrayRef> = clause.read_refs();
+        reads.dedup();
+        let arrays: Vec<&str> = reads.iter().map(|r| r.array.as_str()).collect();
+        assert_eq!(cs.slot_arrays, arrays);
+        // where `aref` finds loop point `i`: (owner, offset in its part)
+        let home = |aref: &ArrayRef, i: &Ix| {
+            let (dec, x) = (&decomps[&aref.array], aref.map.eval(i));
+            let owner = dec.proc_of(&x);
+            let off = dec.local_bounds(owner).linear_offset(&dec.local_of(&x));
+            (owner, off as i64)
+        };
+        // what each packet carries, read off the sender's segments
+        let sent = |q: i64, p: i64, packet: usize| -> Vec<(usize, i64)> {
+            let pair = cs.nodes[q as usize].sends.iter().find(|s| s.peer == p);
+            let segs = &pair.expect("planned pair").packets[packet];
+            let mut packed = Vec::new();
+            for seg in segs {
+                packed.extend((0..seg.count).map(|t| (seg.slot, seg.pattern.offset(t))));
+            }
+            packed
+        };
+        // per ordered pair, the (slot, index) reads the receiver routes to it
+        let mut routed: BTreeMap<(i64, i64), Vec<(usize, i64)>> = BTreeMap::new();
+        for cn in &cs.nodes {
+            let p = cn.p;
+            let want: Vec<Ix> = (bx.iter())
+                .filter(|i| dec_w.proc_of(&clause.lhs.map.eval(i)) == p)
+                .collect();
+            let mut got = Vec::new();
+            for er in &cn.exec {
+                let first = point(er.run.start);
+                let mut remote = 0;
+                let mut t = 0;
+                er.run.for_each(|lin| {
+                    let i = point(lin);
+                    // a run never leaves its row
+                    assert_eq!(i.coords()[..inner], first.coords()[..inner], "{what}");
+                    assert_eq!(i[inner], first[inner] + er.run.step * t as i64, "{what}");
+                    assert_eq!(
+                        er.lhs.offset(t),
+                        home(&clause.lhs, &i).1,
+                        "{what} p={p} {i}"
+                    );
+                    for (slot, aref) in reads.iter().enumerate() {
+                        let (owner, off) = home(aref, &i);
+                        match &er.slots[slot] {
+                            SlotAccess::Local(pattern) => {
+                                assert_eq!((owner, pattern.offset(t)), (p, off), "{what} {i}");
+                            }
+                            SlotAccess::Packet {
+                                src_ord,
+                                pkt_ord,
+                                pattern,
+                            } => {
+                                remote += 1;
+                                assert_ne!(owner, p, "{what} p={p} {i}: local read marked remote");
+                                assert_eq!(cn.src_peers[*src_ord], owner, "{what} p={p} {i}");
+                                assert!(*pkt_ord < cn.staging_packets[*src_ord], "{what}");
+                                let at = pattern.offset(t) as usize;
+                                let packet = sent(owner, p, *pkt_ord);
+                                assert_eq!(packet.get(at), Some(&(slot, off)), "{what} p={p} {i}");
+                                routed.entry((owner, p)).or_default().push((slot, lin));
+                            }
+                        }
+                    }
+                    got.push(i);
+                    t += 1;
+                });
+                assert_eq!(
+                    (er.remote_elems, er.boundary),
+                    (remote, remote > 0),
+                    "{what}"
+                );
+            }
+            // every Modify point exactly once, in row-major order
+            assert_eq!(got, want, "{what} p={p}");
+            assert_eq!(cn.modify_iters, want.len() as u64);
+        }
+        // send multiset = recv multiset per pair, cut into the same packets
+        for cn in &cs.nodes {
+            for pair in &cn.sends {
+                let mut packed = Vec::new();
+                for run in &pair.runs {
+                    run.for_each(|lin| packed.push((run.slot, lin)));
+                }
+                let mut want = routed.remove(&(cn.p, pair.peer)).unwrap_or_default();
+                want.sort_unstable();
+                packed.sort_unstable();
+                assert_eq!(packed, want, "{what} {} -> {}", cn.p, pair.peer);
+                let dst = &cs.nodes[pair.peer as usize];
+                let ord = dst.src_ord[cn.p as usize];
+                assert_eq!(dst.staging_packets[ord], pair.packets.len(), "{what}");
+                assert_eq!(dst.recv_elems[ord], packed.len() as u64, "{what}");
+                assert_eq!(pair.packets.len() + 1, packetise(&pair.runs, cap).len());
+            }
+        }
+        assert!(
+            routed.is_empty(),
+            "{what}: reads routed to pairs nobody sends"
+        );
+    }
+
+    #[test]
+    fn lowered_tables_match_brute_force() {
+        let mut rng = StdRng::seed_from_u64(0x10e5);
+        for trial in 0..120 {
+            let (clause, decomps) = random_clause(&mut rng, trial % 4 == 3);
+            for cap in [PACKET_ELEMS, 1, 3, 8] {
+                check_lowered(&clause, &decomps, cap);
+            }
+        }
+    }
+
+    #[test]
+    fn five_point_sweep_lowers_to_a_run_per_row() {
+        let side = 256i64;
+        let u = |di: i64, dj: i64| {
+            let map = IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]);
+            Expr::Ref(ArrayRef::new("U", map))
+        };
+        let clause = Clause {
+            iter: IndexSet::full(Bounds::range2(1, side - 2, 1, side - 2)),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::new("V", IndexMap::identity(2)),
+            rhs: Expr::mul(
+                Expr::add(Expr::add(u(-1, 0), u(1, 0)), Expr::add(u(0, -1), u(0, 1))),
+                Expr::Lit(0.25),
+            ),
+        };
+        let axis = Bounds::range(0, side - 1);
+        let dec = DecompNd::new(vec![Decomp1::block(2, axis), Decomp1::block(1, axis)]);
+        let decomps: BTreeMap<String, DecompNd> = [("U", dec.clone()), ("V", dec)]
+            .map(|(n, d)| (n.to_string(), d))
+            .into();
+        let cs = lower_nd(&clause, &decomps).unwrap();
+        assert!(cs.has_exec());
+        for cn in &cs.nodes {
+            // one unit-stride run per owned row, one halo row in one packet
+            assert_eq!(cn.exec.len() as i64, side / 2 - 1);
+            for er in &cn.exec {
+                assert_eq!(er.run.len() as i64, side - 2);
+                assert!(er.lhs.is_unit_stride());
+                assert!(er.slots.iter().all(|sa| sa.pattern().is_unit_stride()));
+            }
+            assert_eq!(cn.census().boundary_runs, 1);
+            assert_eq!(cn.staging_packets, [1]);
+            assert_eq!(
+                cn.sends[0].packets,
+                [vec![SendSeg {
+                    slot: if cn.p == 0 { 0 } else { 1 },
+                    pattern: cn.sends[0].packets[0][0].pattern.clone(),
+                    count: (side - 2) as usize,
+                }]]
+            );
+            assert!(cn.approx_bytes() < 64 * side as usize * 8);
+        }
+        check_lowered(&clause, &decomps, PACKET_ELEMS);
     }
 }

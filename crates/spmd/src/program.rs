@@ -80,6 +80,9 @@ pub enum PlanError {
     /// The iteration set carries a non-trivial compile-time predicate
     /// (not supported by the closed-form schedules).
     PredicatedIteration,
+    /// An array is indexed with a rank other than the loop's or its
+    /// decomposition's.
+    RankMismatch(String),
 }
 
 impl std::fmt::Display for PlanError {
@@ -100,6 +103,10 @@ impl std::fmt::Display for PlanError {
                     "iteration sets with compile-time predicates are not supported"
                 )
             }
+            PlanError::RankMismatch(a) => write!(
+                f,
+                "array `{a}` is indexed with a rank other than the loop's or its decomposition's"
+            ),
         }
     }
 }

@@ -1,6 +1,10 @@
 //! Multi-dimensional integration: per-axis schedule products are exact
 //! for randomized grids and access maps, and the grid machines agree
-//! with the sequential reference on randomized 2-D clauses.
+//! bitwise with the sequential reference (`Env::exec_clause`, the n-D
+//! oracle) on randomized 2-D and 3-D clauses.
+//!
+//! The CI fault matrix runs this suite once per communication mode via
+//! `VCAL_FAULT_MODE=element|vectorized`. Unset, both run.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -9,9 +13,15 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use vcal_suite::core::func::Fn1;
 use vcal_suite::core::map::{DimFn, IndexMap};
-use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
+use vcal_suite::core::{
+    Array, ArrayRef, Bounds, Clause, CmpOp, Env, Expr, Guard, IndexSet, Ix, Ordering,
+};
 use vcal_suite::decomp::{Decomp1, DecompNd};
-use vcal_suite::machine::{run_distributed_nd, run_shared_nd, DistArrayNd};
+use vcal_suite::machine::{
+    run_distributed_nd, run_distributed_nd_traced, run_shared_nd, ChaosPlan, CommMode, DistArrayNd,
+    DistOptions, ExecReport, FaultPlan, MachineError, RetryPolicy, SimdPolicy, TransportKind,
+    NULL_TRACER,
+};
 use vcal_suite::spmd::optimize_nd;
 
 fn axis_decomp(kind: u8, pmax: i64, n: i64) -> Decomp1 {
@@ -81,75 +91,393 @@ proptest! {
     }
 }
 
+/// Communication modes to exercise, honouring the CI matrix filter.
+fn modes() -> Vec<CommMode> {
+    match std::env::var("VCAL_FAULT_MODE").as_deref() {
+        Ok("element") => vec![CommMode::Element],
+        Ok("vectorized") => vec![CommMode::Vectorized],
+        _ => vec![CommMode::Element, CommMode::Vectorized],
+    }
+}
+
+/// A grid of `dims` axes whose sizes multiply to `pmax`.
+fn grid_shape(rng: &mut StdRng, pmax: i64, dims: usize) -> Vec<i64> {
+    let mut shape = vec![1i64; dims];
+    let mut rest = pmax;
+    for prime in [2, 3] {
+        while rest % prime == 0 {
+            shape[rng.gen_range(0..dims)] *= prime;
+            rest /= prime;
+        }
+    }
+    shape
+}
+
+/// One clause with inputs and a layout per array.
+struct Trial {
+    clause: Clause,
+    env: Env,
+    decs: BTreeMap<String, DecompNd>,
+}
+
+impl Trial {
+    /// A random access of the `bx` loop — every output axis `a·i + c`
+    /// of a loop dimension, the dimensions permuted or, `coupled`, two
+    /// axes driven by one — over a fresh array that covers it, laid out
+    /// on its own grid of `pmax` processors.
+    fn access(
+        &mut self,
+        rng: &mut StdRng,
+        name: &str,
+        bx: &Bounds,
+        pmax: i64,
+        coupled: bool,
+    ) -> ArrayRef {
+        let dims = bx.dims();
+        let mut srcs: Vec<usize> = (0..dims).collect();
+        for k in (1..dims).rev() {
+            srcs.swap(k, rng.gen_range(0..k + 1));
+        }
+        if coupled {
+            srcs[1] = srcs[0];
+        }
+        let shape = grid_shape(rng, pmax, dims);
+        let (mut fns, mut axes, mut lo, mut hi) = (vec![], vec![], vec![], vec![]);
+        for (&src, &procs) in srcs.iter().zip(&shape) {
+            let (a, c) = (rng.gen_range(1..3i64), rng.gen_range(-1..3i64));
+            lo.push(a * bx.lo()[src] + c - rng.gen_range(0..2i64));
+            hi.push(a * bx.hi()[src] + c + rng.gen_range(0..3i64));
+            let extent = Bounds::range(lo[lo.len() - 1], hi[hi.len() - 1]);
+            axes.push(match rng.gen_range(0..3) {
+                0 => Decomp1::block(procs, extent),
+                1 => Decomp1::scatter(procs, extent),
+                _ => Decomp1::block_scatter(rng.gen_range(1..4), procs, extent),
+            });
+            fns.push(DimFn {
+                src,
+                f: Fn1::affine(a, c),
+            });
+        }
+        let salt = rng.gen_range(1..50i64);
+        let value = |i: &Ix| {
+            let h = i.coords().iter().fold(salt, |h, x| h * 31 + x);
+            (h % 23 - 11) as f64 * 0.5
+        };
+        let extent = Bounds::new(Ix::new(&lo), Ix::new(&hi));
+        self.env.insert(name, Array::from_fn(extent, value));
+        self.decs.insert(name.to_string(), DecompNd::new(axes));
+        ArrayRef::new(name, IndexMap::new(dims, fns))
+    }
+
+    /// Trial `k`: a 2-D or 3-D box, `W[f(i)] := Expr(R0[g0(i)], R1[g1(i)])`
+    /// in one of six flavours — bytecode with a loop variable, the three
+    /// fused shapes, a coupled-axis read, a data guard.
+    fn random(rng: &mut StdRng, k: usize) -> Trial {
+        let dims = if k % 3 == 2 { 3 } else { 2 };
+        let lo: Vec<i64> = (0..dims).map(|_| rng.gen_range(0..3)).collect();
+        let hi: Vec<i64> = lo.iter().map(|l| l + rng.gen_range(2..9i64)).collect();
+        let bx = Bounds::new(Ix::new(&lo), Ix::new(&hi));
+        let pmax = [1, 2, 3, 4, 6][rng.gen_range(0..5usize)];
+        let mut t = Trial {
+            clause: Clause {
+                iter: IndexSet::full(bx),
+                ordering: Ordering::Par,
+                guard: Guard::Always,
+                lhs: ArrayRef::new("W", IndexMap::identity(dims)),
+                rhs: Expr::Lit(0.0),
+            },
+            env: Env::new(),
+            decs: BTreeMap::new(),
+        };
+        let flavour = k % 6;
+        t.clause.lhs = t.access(rng, "W", &bx, pmax, false);
+        let r0 = Expr::Ref(t.access(rng, "R0", &bx, pmax, flavour == 4));
+        let r1 = Expr::Ref(t.access(rng, "R1", &bx, pmax, false));
+        let loop_var = Expr::LoopVar {
+            dim: rng.gen_range(0..dims),
+        };
+        t.clause.rhs = match flavour {
+            0 => Expr::add(Expr::add(r0, r1), loop_var),
+            1 => r0,
+            2 => Expr::add(Expr::mul(r0, Expr::Lit(2.0)), Expr::Lit(1.0)),
+            3 => Expr::mul(Expr::add(r0, r1), Expr::Lit(0.5)),
+            4 => Expr::add(r0, loop_var),
+            _ => {
+                t.clause.guard = Guard::Cmp {
+                    lhs: t.access(rng, "C", &bx, pmax, false),
+                    op: CmpOp::Gt,
+                    rhs: 0.0,
+                };
+                Expr::add(r0, r1)
+            }
+        };
+        t
+    }
+
+    fn scatter(&self) -> BTreeMap<String, DistArrayNd> {
+        let image = |(name, dec): (&String, &DecompNd)| {
+            let global = self.env.get(name).expect("every laid-out array has inputs");
+            (name.clone(), DistArrayNd::scatter_from(global, dec.clone()))
+        };
+        self.decs.iter().map(image).collect()
+    }
+
+    /// Run on the distributed grid machine and compare the written
+    /// array bitwise against `Env::exec_clause`.
+    fn run_and_check(&self, opts: DistOptions, what: &str) -> ExecReport {
+        let mut reference = self.env.clone();
+        reference.exec_clause(&self.clause);
+        let mut arrays = self.scatter();
+        let report = run_distributed_nd_traced(&self.clause, &mut arrays, opts, &NULL_TRACER)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let lhs = &self.clause.lhs.array;
+        let (got, want) = (arrays[lhs].gather(), reference.get(lhs).unwrap());
+        assert_eq!(got.max_abs_diff(want), 0.0, "{what}: {}", self.clause);
+        report
+    }
+}
+
 #[test]
 fn randomized_grid_machine_equivalence() {
     let mut rng = StdRng::seed_from_u64(0xd00d);
-    for trial in 0..20 {
-        let (n0, n1) = (rng.gen_range(8..20), rng.gen_range(8..20));
-        let (p0, p1) = (rng.gen_range(1..3), rng.gen_range(1..4));
-        let dec_w = DecompNd::new(vec![
-            axis_decomp(rng.gen(), p0, n0),
-            axis_decomp(rng.gen(), p1, n1),
-        ]);
-        let dec_r = DecompNd::new(vec![
-            axis_decomp(rng.gen(), p0, n0),
-            axis_decomp(rng.gen(), p1, n1),
-        ]);
-        // interior shift access
-        let (di, dj) = (rng.gen_range(-1..2i64), rng.gen_range(-1..2i64));
-        let clause = Clause {
-            iter: IndexSet::full(Bounds::range2(1, n0 - 2, 1, n1 - 2)),
-            ordering: Ordering::Par,
-            guard: Guard::Always,
-            lhs: ArrayRef::new("W", IndexMap::identity(2)),
-            rhs: Expr::add(
-                Expr::Ref(ArrayRef::new(
-                    "R",
-                    IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]),
-                )),
-                Expr::LoopVar { dim: 0 },
-            ),
-        };
-        let mut env = Env::new();
-        env.insert("W", Array::zeros(Bounds::range2(0, n0 - 1, 0, n1 - 1)));
-        env.insert(
-            "R",
-            Array::from_fn(Bounds::range2(0, n0 - 1, 0, n1 - 1), |i| {
-                ((i[0] * 13 + i[1] * 5) % 17) as f64
-            }),
-        );
-        let mut reference = env.clone();
-        reference.exec_clause(&clause);
+    let (mut msgs, mut lane_runs, mut scalar_runs) = (0, 0, 0);
+    for k in 0..36 {
+        let t = Trial::random(&mut rng, k);
+        let mut reference = t.env.clone();
+        reference.exec_clause(&t.clause);
 
         // shared grid machine (owner-computes on the write decomposition)
-        let mut shm = env.clone();
-        run_shared_nd(&clause, &dec_w, &mut shm).unwrap();
-        assert_eq!(
-            shm.get("W")
-                .unwrap()
-                .max_abs_diff(reference.get("W").unwrap()),
-            0.0,
-            "shared trial {trial}"
-        );
+        let mut shm = t.env.clone();
+        run_shared_nd(&t.clause, &t.decs["W"], &mut shm).unwrap();
+        let (got, want) = (shm.get("W").unwrap(), reference.get("W").unwrap());
+        assert_eq!(got.max_abs_diff(want), 0.0, "shared trial {k}");
 
-        // distributed grid machine
-        let mut arrays: BTreeMap<String, DistArrayNd> = BTreeMap::new();
-        arrays.insert(
-            "W".into(),
-            DistArrayNd::scatter_from(env.get("W").unwrap(), dec_w.clone()),
-        );
-        arrays.insert(
-            "R".into(),
-            DistArrayNd::scatter_from(env.get("R").unwrap(), dec_r.clone()),
-        );
-        run_distributed_nd(&clause, &mut arrays, Duration::from_secs(10))
-            .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
-        assert_eq!(
-            arrays["W"]
-                .gather()
-                .max_abs_diff(reference.get("W").unwrap()),
-            0.0,
-            "distributed trial {trial}"
-        );
+        // distributed grid machine, every way the engine can run it
+        for mode in modes() {
+            for overlap in [true, false] {
+                for simd in [SimdPolicy::auto(), SimdPolicy::off()] {
+                    let opts = DistOptions {
+                        recv_timeout: Duration::from_secs(10),
+                        mode,
+                        overlap,
+                        simd,
+                        ..DistOptions::default()
+                    };
+                    let what = format!("trial {k} {mode:?} overlap={overlap} {simd:?}");
+                    let total = t.run_and_check(opts, &what).total();
+                    msgs += total.msgs_sent;
+                    lane_runs += total.simd_runs;
+                    scalar_runs += total.simd_fallback_runs;
+                }
+            }
+        }
     }
+    // the sweep reached the wire, the lane tier and the scalar arms
+    assert!(msgs > 0 && lane_runs > 0 && scalar_runs > 0);
+}
+
+fn range2(n: i64) -> Bounds {
+    Bounds::range2(0, n - 1, 0, n - 1)
+}
+
+fn grid(kinds: [fn(i64, Bounds) -> Decomp1; 2], procs: [i64; 2], n: i64) -> DecompNd {
+    let axis = |k: usize| kinds[k](procs[k], Bounds::range(0, n - 1));
+    DecompNd::new(vec![axis(0), axis(1)])
+}
+
+/// `B[j,i] := A[i,j]` with different grids for `A` (block × scatter)
+/// and `B` (scatter × block): all-to-all traffic.
+fn transpose(n: i64) -> Trial {
+    let clause = Clause {
+        iter: IndexSet::full(range2(n)),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::new("B", IndexMap::permutation(2, &[1, 0])),
+        rhs: Expr::Ref(ArrayRef::new("A", IndexMap::identity(2))),
+    };
+    let mut env = Env::new();
+    let a = |i: &Ix| (i[0] * 100 + i[1]) as f64;
+    env.insert("A", Array::from_fn(range2(n), a));
+    env.insert("B", Array::zeros(range2(n)));
+    let decs = [
+        ("A", grid([Decomp1::block, Decomp1::scatter], [2, 2], n)),
+        ("B", grid([Decomp1::scatter, Decomp1::block], [2, 2], n)),
+    ];
+    Trial {
+        clause,
+        env,
+        decs: decs.map(|(name, d)| (name.to_string(), d)).into(),
+    }
+}
+
+fn with_timeout(recv_timeout: Duration) -> DistOptions {
+    DistOptions {
+        recv_timeout,
+        ..DistOptions::default()
+    }
+}
+
+#[test]
+fn jacobi2d_distributed() {
+    let n = 20i64;
+    let u = |di: i64, dj: i64| {
+        let map = IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]);
+        Expr::Ref(ArrayRef::new("U", map))
+    };
+    let clause = Clause {
+        iter: IndexSet::full(Bounds::range2(1, n - 2, 1, n - 2)),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::new("V", IndexMap::identity(2)),
+        rhs: Expr::mul(
+            Expr::add(Expr::add(u(-1, 0), u(1, 0)), Expr::add(u(0, -1), u(0, 1))),
+            Expr::Lit(0.25),
+        ),
+    };
+    let mut env = Env::new();
+    let u0 = |i: &Ix| ((i[0] * 7 + i[1] * 3) % 11) as f64;
+    env.insert("U", Array::from_fn(range2(n), u0));
+    env.insert("V", Array::zeros(range2(n)));
+    let dec = grid([Decomp1::block, Decomp1::scatter], [2, 2], n);
+    let decs = [("U", dec.clone()), ("V", dec)];
+    let t = Trial {
+        clause,
+        env,
+        decs: decs.map(|(name, d)| (name.to_string(), d)).into(),
+    };
+    t.run_and_check(with_timeout(Duration::from_secs(5)), "jacobi2d");
+}
+
+#[test]
+fn transpose_across_grids() {
+    transpose(12).run_and_check(with_timeout(Duration::from_secs(5)), "transpose");
+}
+
+#[test]
+fn guarded_2d_clause() {
+    let n = 10i64;
+    let at = |name: &str| ArrayRef::new(name, IndexMap::identity(2));
+    let clause = Clause {
+        iter: IndexSet::full(range2(n)),
+        ordering: Ordering::Par,
+        guard: Guard::Cmp {
+            lhs: at("C"),
+            op: CmpOp::Gt,
+            rhs: 0.0,
+        },
+        lhs: at("A"),
+        rhs: Expr::add(Expr::Ref(at("B")), Expr::LoopVar { dim: 1 }),
+    };
+    let mut env = Env::new();
+    env.insert("A", Array::zeros(range2(n)));
+    env.insert("B", Array::from_fn(range2(n), |i| (i[0] + i[1]) as f64));
+    let sign = |i: &Ix| if (i[0] + i[1]) % 2 == 0 { 1.0 } else { -1.0 };
+    env.insert("C", Array::from_fn(range2(n), sign));
+    let decs = [
+        ("A", grid([Decomp1::block, Decomp1::scatter], [2, 2], n)),
+        ("B", grid([Decomp1::block, Decomp1::block], [4, 1], n)),
+        ("C", grid([Decomp1::block, Decomp1::scatter], [4, 1], n)),
+    ];
+    let t = Trial {
+        clause,
+        env,
+        decs: decs.map(|(name, d)| (name.to_string(), d)).into(),
+    };
+    t.run_and_check(with_timeout(Duration::from_secs(5)), "guarded");
+}
+
+#[test]
+fn modes_agree_and_vectorized_batches() {
+    let t = transpose(16);
+    let totals = [CommMode::Element, CommMode::Vectorized].map(|mode| {
+        let opts = DistOptions {
+            mode,
+            ..DistOptions::default()
+        };
+        t.run_and_check(opts, &format!("{mode:?}")).total()
+    });
+    let [elem, vect] = totals;
+    assert_eq!(elem.msgs_sent, vect.msgs_sent);
+    assert_eq!(elem.msgs_received, vect.msgs_received);
+    assert_eq!(elem.packets_sent, elem.msgs_sent);
+    assert!(vect.packets_sent < vect.msgs_sent);
+    assert!(vect.max_packet_elems > 1);
+}
+
+#[test]
+fn faulty_transpose_recovers_bit_exact() {
+    // a noisy seeded link on the all-to-all transpose still converges
+    let t = transpose(12);
+    for mode in modes() {
+        let faults = FaultPlan::seeded(42)
+            .with_drop(0.1)
+            .with_duplicate(0.1)
+            .with_reorder(0.1);
+        let opts = DistOptions {
+            faults: Some(faults),
+            mode,
+            retry: RetryPolicy::fast(),
+            ..DistOptions::default()
+        };
+        let report = t.run_and_check(opts, &format!("{mode:?}"));
+        assert!(report.total().acks_sent > 0);
+    }
+}
+
+#[test]
+fn nd_crash_fault_is_typed_error() {
+    let t = transpose(12);
+    let mut arrays = t.scatter();
+    let before = arrays.clone();
+    let opts = DistOptions {
+        recv_timeout: Duration::from_millis(500),
+        faults: Some(FaultPlan::seeded(1).with_crash(3, 0)),
+        retry: RetryPolicy::fast(),
+        ..DistOptions::default()
+    };
+    let err = run_distributed_nd_traced(&t.clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
+    assert_eq!(err, MachineError::NodePanicked { node: 3 });
+    assert_eq!(arrays, before, "a failed run leaves the images untouched");
+}
+
+#[test]
+fn mismatched_pmax_rejected() {
+    let n = 8i64;
+    let t = transpose(n);
+    let mut arrays = t.scatter();
+    let wide = grid([Decomp1::block, Decomp1::scatter], [2, 3], n);
+    arrays.insert("B".to_string(), DistArrayNd::zeros(wide));
+    assert!(matches!(
+        run_distributed_nd(&t.clause, &mut arrays, Duration::from_millis(100)),
+        Err(MachineError::PlanMismatch(_))
+    ));
+}
+
+#[test]
+fn socket_backends_and_chaos_are_rejected_not_ignored() {
+    let t = transpose(8);
+    let mut arrays = t.scatter();
+    let before = arrays.clone();
+    for (transport, named) in [(TransportKind::Uds, "Uds"), (TransportKind::Tcp, "Tcp")] {
+        let opts = DistOptions {
+            transport,
+            ..DistOptions::default()
+        };
+        let err =
+            run_distributed_nd_traced(&t.clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
+        let MachineError::Transport { node: -1, detail } = &err else {
+            panic!("{transport:?}: expected a host transport error, got {err}");
+        };
+        assert!(detail.contains(named), "{detail}");
+    }
+    let opts = DistOptions {
+        chaos: Some(ChaosPlan::seeded(1).with_bitflip(0.1)),
+        ..DistOptions::default()
+    };
+    let err = run_distributed_nd_traced(&t.clause, &mut arrays, opts, &NULL_TRACER).unwrap_err();
+    assert!(
+        matches!(err, MachineError::Transport { node: -1, .. }),
+        "{err}"
+    );
+    assert_eq!(arrays, before);
 }
