@@ -964,11 +964,10 @@ fn dec_phase(d: &mut Dec) -> R<Phase> {
 }
 
 /// Map a dispatch-kind string decoded off the wire back onto the static
-/// [`vcal_spmd::OptKind::name`] table. Unknown names (a newer peer)
-/// fall back to leaking one interned copy — bounded by the number of
-/// distinct names a peer can produce, and only reachable on the host's
-/// result-ingest path.
-fn intern_kind(s: String) -> &'static str {
+/// [`vcal_spmd::OptKind::name`] table. A name outside the table is a
+/// typed error: a newer peer is already refused by the `WIRE_VERSION`
+/// handshake, so only a buggy or hostile one can send it.
+fn intern_kind(s: &str) -> R<&'static str> {
     const KNOWN: &[&str] = &[
         "empty-loop",
         "theorem-1-constant",
@@ -984,12 +983,9 @@ fn intern_kind(s: String) -> &'static str {
         "piecewise-split",
         "naive-guard",
     ];
-    for k in KNOWN {
-        if *k == s {
-            return k;
-        }
-    }
-    Box::leak(s.into_boxed_str())
+    (KNOWN.iter().copied())
+        .find(|k| *k == s)
+        .ok_or_else(|| bad("dispatch kind"))
 }
 
 fn enc_event(e: &mut Enc, ev: &EventKind) {
@@ -1125,13 +1121,13 @@ fn dec_event(d: &mut Dec) -> R<EventKind> {
         0 => EventKind::PhaseStart(dec_phase(d)?),
         1 => EventKind::PhaseEnd(dec_phase(d)?),
         2 => EventKind::ModifyDispatch {
-            kind: intern_kind(d.str()?),
+            kind: intern_kind(&d.str()?)?,
             closed_form: d.b()?,
         },
         3 => EventKind::ResideDispatch {
             slot: d.us()?,
             array: d.str()?,
-            kind: intern_kind(d.str()?),
+            kind: intern_kind(&d.str()?)?,
             closed_form: d.b()?,
         },
         4 => EventKind::PackSend {
@@ -1823,6 +1819,25 @@ mod tests {
         };
         let err = enc_pred(&mut e, &p).expect_err("opaque must not encode");
         assert!(err.0.contains("mystery"), "names the predicate: {err}");
+    }
+
+    #[test]
+    fn unknown_dispatch_kind_is_a_typed_error() {
+        let roundtrip = |kind: &'static str| {
+            let mut e = Enc::new();
+            let closed_form = false;
+            enc_event(&mut e, &EventKind::ModifyDispatch { kind, closed_form });
+            dec_event(&mut Dec::new(&e.buf))
+        };
+        assert!(matches!(
+            roundtrip("naive-guard"),
+            Ok(EventKind::ModifyDispatch {
+                kind: "naive-guard",
+                ..
+            })
+        ));
+        let err = roundtrip("from-a-hostile-peer").expect_err("not in the table");
+        assert!(err.0.contains("dispatch kind"), "{err}");
     }
 
     #[test]

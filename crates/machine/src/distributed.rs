@@ -16,7 +16,12 @@
 //!
 //! The iteration sets come from the plan's schedules (naive or
 //! closed-form), so the machine measures exactly the run-time the paper's
-//! compile-time optimizations buy. Clauses of any rank run here:
+//! compile-time optimizations buy. Whichever produced them, the schedules
+//! are flattened once into run tables with plan-time addressing
+//! (`vcal_spmd::CompiledSchedule`) and the clause expression into one
+//! bytecode kernel: the tables are the only thing a node executes, and
+//! the sequential machine (`Env::exec_clause`) is the only reference.
+//! Clauses of any rank run here:
 //! [`run_distributed_nd`] lowers a multi-dimensional clause onto the run
 //! tables a 1-D plan compiles to (`vcal_spmd::lower_nd`) and hands them
 //! to the same phase engine.
@@ -69,10 +74,10 @@ use crate::transport::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use vcal_core::{ArrayRef, BinOp, Clause, CmpOp, Expr, Guard, Ordering};
+use vcal_core::{ArrayRef, Clause, CmpOp, Guard, Ordering};
 use vcal_decomp::{Decomp1, DecompNd};
 use vcal_spmd::{
-    simd, AccessPattern, CompiledNode, CompiledSchedule, ExecRun, FusedShape, NodePlan, SimdPolicy,
+    simd, AccessPattern, CompiledNode, CompiledSchedule, ExecRun, FusedShape, SimdPolicy,
     SlotAccess, SpmdPlan,
 };
 
@@ -88,7 +93,7 @@ pub(crate) struct Msg {
 }
 
 /// Modeled wire cost of one element message (slot + index + value).
-pub(crate) const ELEM_MSG_BYTES: u64 = 24;
+const ELEM_MSG_BYTES: u64 = 24;
 /// Modeled header cost of one vector message (source + packet tag).
 pub(crate) const PACK_HEADER_BYTES: u64 = 16;
 
@@ -178,7 +183,7 @@ pub struct DistOptions {
     /// flight, finishing *boundary* runs as receives land. `false`
     /// executes the compiled runs strictly in schedule visit order.
     /// Results and the deterministic trace class are identical either
-    /// way; only applies when the plan compiled execution tables.
+    /// way.
     pub overlap: bool,
     /// SIMD lane policy for fused interior runs (see
     /// `vcal_spmd::simd`). Lane parallelism never re-associates any
@@ -216,65 +221,6 @@ impl Default for DistOptions {
             chaos: None,
             timeouts: ProtoTimeouts::default(),
         }
-    }
-}
-
-/// Expression with read references resolved to slot indices (so the hot
-/// loop never touches array names).
-pub(crate) enum RExpr {
-    Slot(usize),
-    Lit(f64),
-    LoopVar,
-    Neg(Box<RExpr>),
-    Bin(BinOp, Box<RExpr>, Box<RExpr>),
-}
-
-pub(crate) fn resolve_expr(e: &Expr, node: &NodePlan) -> Result<RExpr, MachineError> {
-    match e {
-        Expr::Ref(r) => {
-            let g = r.map.as_fn1().ok_or_else(|| {
-                MachineError::PlanMismatch(format!(
-                    "read ref `{}` is not 1-D but the plan is",
-                    r.array
-                ))
-            })?;
-            let slot = node
-                .resides
-                .iter()
-                .position(|rp| rp.array == r.array && rp.g == *g)
-                .ok_or_else(|| {
-                    MachineError::PlanMismatch(format!(
-                        "read ref `{}` missing from the plan's reside list",
-                        r.array
-                    ))
-                })?;
-            Ok(RExpr::Slot(slot))
-        }
-        Expr::Lit(v) => Ok(RExpr::Lit(*v)),
-        Expr::LoopVar { dim } => {
-            if *dim != 0 {
-                return Err(MachineError::PlanMismatch(format!(
-                    "loop variable of dimension {dim} in a 1-D plan"
-                )));
-            }
-            Ok(RExpr::LoopVar)
-        }
-        Expr::Neg(inner) => Ok(RExpr::Neg(Box::new(resolve_expr(inner, node)?))),
-        Expr::Bin(op, a, b) => Ok(RExpr::Bin(
-            *op,
-            Box::new(resolve_expr(a, node)?),
-            Box::new(resolve_expr(b, node)?),
-        )),
-    }
-}
-
-pub(crate) fn eval_rexpr(e: &RExpr, i: i64, vals: &[f64]) -> f64 {
-    match e {
-        RExpr::Slot(s) => vals[*s],
-        RExpr::Lit(v) => *v,
-        RExpr::LoopVar => i as f64,
-        RExpr::Neg(inner) => -eval_rexpr(inner, i, vals),
-        RExpr::Bin(op, a, b) => op.apply(eval_rexpr(a, i, vals), eval_rexpr(b, i, vals)),
     }
 }
 
@@ -546,6 +492,11 @@ pub fn run_distributed(
 /// With a disabled tracer the instrumented paths cost one cached
 /// branch each — [`run_distributed`] simply passes
 /// [`crate::obs::NULL_TRACER`].
+///
+/// On a socket transport the workers receive the clause and the
+/// decompositions, not `plan`, and always re-plan with
+/// [`SpmdPlan::build`]: a `plan` built any other way
+/// ([`SpmdPlan::build_naive`]) only shapes the host-side trace there.
 pub fn run_distributed_traced(
     plan: &SpmdPlan,
     clause: &Clause,
@@ -855,7 +806,7 @@ fn write_off(off: i64, p: i64) -> Result<usize, MachineError> {
         .map_err(|_| MachineError::PlanMismatch(format!("node {p}: negative write offset {off}")))
 }
 
-pub(crate) fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
+fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
     match f {
         RecvFail::Timeout => MachineError::MissingMessage {
             node: p,
@@ -1230,7 +1181,7 @@ fn exec_one_run(
 }
 
 /// Why a remote value could not be produced.
-pub(crate) enum RecvFail {
+enum RecvFail {
     /// The wire message never arrived within the timeout (recovery
     /// disabled) — element mode.
     Timeout,
@@ -1386,33 +1337,11 @@ impl RecvCtx<'_> {
     }
 }
 
-/// Per-element receive addressing `(slot, i)` → `(source ordinal,
-/// packet, offset)` for plans *without* exec tables (naive-guard
-/// schedules): the element-at-a-time oracle path expands it per run.
-/// Compiled plans never build it — their run tables name packet windows.
-pub(crate) type Origin = BTreeMap<(usize, i64), (usize, usize, usize)>;
-
-pub(crate) fn expand_origin(node: &NodePlan) -> Origin {
-    let mut origin = BTreeMap::new();
-    for (ord, pc) in node.comm.recvs.iter().enumerate() {
-        for (pkt_ord, runs) in pc.packets().enumerate() {
-            let mut off = 0usize;
-            for run in runs {
-                run.for_each(|i| {
-                    origin.insert((run.slot, i), (ord, pkt_ord, off));
-                    off += 1;
-                });
-            }
-        }
-    }
-    origin
-}
-
 /// Element-mode blocking receive: stage tagged arrivals in `pending`
 /// until `(slot, i)` from `owner` is available (`pending` lives in the
 /// worker's scratch, cleared per run, not reallocated).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn recv_element(
+fn recv_element(
     ep: &mut Endpoint<Wire>,
     rcv: &mut RecvCtx<'_>,
     slot: usize,
@@ -1448,7 +1377,7 @@ pub(crate) fn recv_element(
 /// arrivals by `(source, packet)` until packet `(so, po)` has landed,
 /// and return its length. The compiled update phase calls this once per
 /// packet a boundary run names.
-pub(crate) fn await_packet(
+fn await_packet(
     ep: &mut Endpoint<Wire>,
     rcv: &mut RecvCtx<'_>,
     cn: &CompiledNode,
@@ -1487,37 +1416,12 @@ pub(crate) fn await_packet(
     })
 }
 
-/// Vectorized-mode blocking receive of one element, for plans without
-/// exec tables: resolve `(slot, i)` through the per-element `origin`
-/// addressing, await its packet, and index it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn recv_packed(
-    ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
-    cn: &CompiledNode,
-    origin: &Origin,
-    slot: usize,
-    i: i64,
-    opts: &DistOptions,
-    stats: &mut NodeStats,
-) -> Result<f64, RecvFail> {
-    let &(so, po, off) = origin
-        .get(&(slot, i))
-        .ok_or(RecvFail::BadWire("no planned packet covers this element"))?;
-    await_packet(ep, rcv, cn, so, po, opts, stats)?;
-    rcv.cur_staging()[so][po]
-        .as_deref()
-        .and_then(|vals| vals.get(off))
-        .copied()
-        .ok_or(RecvFail::BadWire("packet shorter than its planned runs"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Instant;
     use vcal_core::func::Fn1;
-    use vcal_core::{Array, ArrayRef, Bounds, Env, IndexSet};
+    use vcal_core::{Array, Bounds, Env, Expr, IndexSet};
     use vcal_spmd::DecompMap;
 
     fn copy_setup(

@@ -16,13 +16,13 @@
 //! instead of after `p-1` finishes everything.
 
 use crate::darray::DistArray;
-use crate::distributed::zero_part;
+use crate::distributed::{resolve_guard, zero_part, RGuard};
 use crate::error::MachineError;
 use crate::stats::{ExecReport, NodeStats};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use vcal_core::func::Fn1;
-use vcal_core::{BinOp, Clause, CmpOp, Expr, Guard, Ordering};
+use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::{Decomp1, Distribution};
 use vcal_spmd::{CompiledKernel, SimdPolicy};
 
@@ -33,12 +33,6 @@ struct PipeSlot {
     /// Whether this slot reads the recurrence array (and may therefore
     /// resolve through the predecessor halo instead of the local part).
     is_rec: bool,
-}
-
-/// The clause guard with its read slot resolved at plan time.
-enum PipeGuard {
-    Always,
-    Cmp { slot: usize, op: CmpOp, rhs: f64 },
 }
 
 /// A value of the recurrence array crossing a block boundary.
@@ -186,29 +180,16 @@ pub fn run_doacross_with(
             }
         }
     }
-    let kernel = CompiledKernel::compile(&clause.rhs, slots.len(), |r| {
+    // every read was checked 1-D above and is in `slots`, so the body
+    // and the guard resolve; anything else is a malformed clause
+    let slot_of = |r: &ArrayRef| {
         let g = r.map.as_fn1()?;
         slots.iter().position(|s| s.array == r.array && s.g == *g)
-    });
-    let pguard: Option<PipeGuard> = match &clause.guard {
-        Guard::Always => Some(PipeGuard::Always),
-        Guard::Cmp { lhs, op, rhs } => lhs.map.as_fn1().and_then(|g| {
-            slots
-                .iter()
-                .position(|s| s.array == lhs.array && s.g == *g)
-                .map(|slot| PipeGuard::Cmp {
-                    slot,
-                    op: *op,
-                    rhs: *rhs,
-                })
-        }),
     };
-    // both the body and the guard must have resolved for the compiled
-    // inner loop; otherwise the tree walker remains (naive fallback)
-    let compiled = match (&kernel, &pguard) {
-        (Some(k), Some(g)) => Some((k, g)),
-        _ => None,
-    };
+    let kernel = &CompiledKernel::compile(&clause.rhs, slots.len(), slot_of).ok_or_else(|| {
+        MachineError::PlanMismatch("the pipelined clause body did not compile to a kernel".into())
+    })?;
+    let pguard = &resolve_guard(&clause.guard, slot_of)?;
 
     // disassemble
     let names: Vec<String> = arrays.keys().cloned().collect();
@@ -256,8 +237,7 @@ pub fn run_doacross_with(
                 let mut stats = NodeStats::default();
                 let mut halo: HashMap<i64, f64> = HashMap::new();
                 let mut vals = vec![0.0f64; slots.len()];
-                let mut stack: Vec<f64> =
-                    Vec::with_capacity(compiled.map_or(0, |(k, _)| k.stack_capacity()));
+                let mut stack: Vec<f64> = Vec::with_capacity(kernel.stack_capacity());
                 let res = (|| -> Result<(), MachineError> {
                     // iteration sub-range owned by p
                     let my_cnt = dec.local_count(p);
@@ -319,60 +299,33 @@ pub fn run_doacross_with(
                         }
                         // evaluate
                         stats.iterations += 1;
-                        if let Some((kernel, pguard)) = compiled {
-                            // compiled inner loop: gather each slot once
-                            // (local part, or predecessor halo for
-                            // carried reads), then run the bytecode
-                            for (slot, ps) in slots.iter().enumerate() {
-                                let g = ps.g.eval(i);
-                                let dec_r = &decomps[&ps.array];
-                                vals[slot] = if ps.is_rec && !dec_r.resides_on(g, p) {
-                                    halo.get(&g).copied().ok_or_else(|| {
-                                        MachineError::MissingMessage {
-                                            node: p,
-                                            array: ps.array.clone(),
-                                            index: i,
-                                        }
-                                    })?
-                                } else {
-                                    locals[&ps.array][dec_r.local_of(g) as usize]
-                                };
-                            }
-                            let guard_ok = match pguard {
-                                PipeGuard::Always => true,
-                                PipeGuard::Cmp { slot, op, rhs } => op.holds(vals[*slot], *rhs),
+                        // gather each slot once (local part, or
+                        // predecessor halo for carried reads), then run
+                        // the bytecode
+                        for (slot, ps) in slots.iter().enumerate() {
+                            let g = ps.g.eval(i);
+                            let dec_r = &decomps[&ps.array];
+                            vals[slot] = if ps.is_rec && !dec_r.resides_on(g, p) {
+                                halo.get(&g).copied().ok_or_else(|| {
+                                    MachineError::MissingMessage {
+                                        node: p,
+                                        array: ps.array.clone(),
+                                        index: i,
+                                    }
+                                })?
+                            } else {
+                                locals[&ps.array][dec_r.local_of(g) as usize]
                             };
-                            if guard_ok {
-                                let v = kernel.eval(&[i], &vals, &mut stack);
-                                let off = dec.local_of(i) as usize;
-                                if let Some(rec) = locals.get_mut(rec_name) {
-                                    rec[off] = v;
-                                }
-                            }
-                        } else {
-                            let guard_ok = eval_guard_local(
-                                &clause.guard,
-                                i,
-                                p,
-                                &locals,
-                                decomps,
-                                rec_name,
-                                &halo,
-                            )?;
-                            if guard_ok {
-                                let v = eval_local(
-                                    &clause.rhs,
-                                    i,
-                                    p,
-                                    &locals,
-                                    decomps,
-                                    rec_name,
-                                    &halo,
-                                )?;
-                                let off = dec.local_of(i) as usize;
-                                if let Some(rec) = locals.get_mut(rec_name) {
-                                    rec[off] = v;
-                                }
+                        }
+                        let guard_ok = match pguard {
+                            RGuard::Always => true,
+                            RGuard::Cmp { slot, op, rhs } => op.holds(vals[*slot], *rhs),
+                        };
+                        if guard_ok {
+                            let v = kernel.eval(&[i], &vals, &mut stack);
+                            let off = dec.local_of(i) as usize;
+                            if let Some(rec) = locals.get_mut(rec_name) {
+                                rec[off] = v;
                             }
                         }
                         // forward boundary values the successor will need:
@@ -455,90 +408,10 @@ pub fn run_doacross_with(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn eval_local(
-    e: &Expr,
-    i: i64,
-    p: i64,
-    locals: &BTreeMap<String, Vec<f64>>,
-    decomps: &BTreeMap<String, Decomp1>,
-    rec_name: &str,
-    halo: &HashMap<i64, f64>,
-) -> Result<f64, MachineError> {
-    match e {
-        Expr::Ref(r) => {
-            let g = r
-                .map
-                .as_fn1()
-                .ok_or_else(|| {
-                    MachineError::PlanMismatch(format!(
-                        "read ref `{}` is not 1-D but the pipeline is",
-                        r.array
-                    ))
-                })?
-                .eval(i);
-            let dec = &decomps[&r.array];
-            if r.array == rec_name && !dec.resides_on(g, p) {
-                halo.get(&g)
-                    .copied()
-                    .ok_or_else(|| MachineError::MissingMessage {
-                        node: p,
-                        array: r.array.clone(),
-                        index: i,
-                    })
-            } else {
-                Ok(locals[&r.array][dec.local_of(g) as usize])
-            }
-        }
-        Expr::Lit(v) => Ok(*v),
-        Expr::LoopVar { .. } => Ok(i as f64),
-        Expr::Neg(inner) => Ok(-eval_local(inner, i, p, locals, decomps, rec_name, halo)?),
-        Expr::Bin(op, a, b) => {
-            let va = eval_local(a, i, p, locals, decomps, rec_name, halo)?;
-            let vb = eval_local(b, i, p, locals, decomps, rec_name, halo)?;
-            Ok(match op {
-                BinOp::Add => va + vb,
-                BinOp::Sub => va - vb,
-                BinOp::Mul => va * vb,
-                BinOp::Div => va / vb,
-                BinOp::Min => va.min(vb),
-                BinOp::Max => va.max(vb),
-            })
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_guard_local(
-    g: &Guard,
-    i: i64,
-    p: i64,
-    locals: &BTreeMap<String, Vec<f64>>,
-    decomps: &BTreeMap<String, Decomp1>,
-    rec_name: &str,
-    halo: &HashMap<i64, f64>,
-) -> Result<bool, MachineError> {
-    match g {
-        Guard::Always => Ok(true),
-        Guard::Cmp { lhs, op, rhs } => {
-            let v = eval_local(
-                &Expr::Ref(lhs.clone()),
-                i,
-                p,
-                locals,
-                decomps,
-                rec_name,
-                halo,
-            )?;
-            Ok(op.holds(v, *rhs))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcal_core::{Array, ArrayRef, Bounds, Env, IndexSet};
+    use vcal_core::{Array, Bounds, Env, Expr, Guard, IndexSet};
 
     fn recurrence(n: i64, d: i64) -> Clause {
         // A[i] := A[i-d] + B[i]

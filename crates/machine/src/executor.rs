@@ -9,11 +9,12 @@
 //! module splits the cost:
 //!
 //! * [`prepare_run`] does everything that depends only on
-//!   `(plan, clause, decompositions)` — expression/guard resolution and
-//!   the [`CompiledSchedule`] materialization of every Table I
-//!   enumeration into run tables (iteration, send packing, and
-//!   run-granular receive addressing) — and freezes it in a shareable
-//!   [`PreparedPlan`].
+//!   `(plan, clause, decompositions)` — guard resolution and the
+//!   [`CompiledSchedule`] materialization of every schedule, closed-form
+//!   or naive-guard, into run tables (iteration, send packing, and
+//!   run-granular receive addressing) plus the bytecode kernel — and
+//!   freezes it in a shareable [`PreparedPlan`]. The tables are all a
+//!   node executes: there is no second, interpreted evaluator.
 //! * [`DistExecutor`] owns `pmax` node threads spawned **once**; between
 //!   runs they park on their job channel. Transport endpoints (sequence
 //!   numbers, dedup windows), receive staging, and operand buffers are
@@ -36,10 +37,9 @@
 use crate::darray::DistArray;
 use crate::darray_nd::DistArrayNd;
 use crate::distributed::{
-    disassemble, eval_rexpr, exec_update_phase, expand_origin, finalize_run, map_recv_fail,
-    recv_element, recv_packed, resolve_expr, resolve_guard, send_phase_element_compiled,
-    send_phase_vectorized, slot_parts, CommMode, DistOptions, Image, JobLane, Msg, NodeOutcome,
-    RExpr, RGuard, RecvCtx, Staging, WaveRecv, Wire, WriteOp, ELEM_MSG_BYTES,
+    disassemble, exec_update_phase, finalize_run, resolve_guard, send_phase_element_compiled,
+    send_phase_vectorized, slot_parts, CommMode, DistOptions, Image, JobLane, NodeOutcome, RGuard,
+    RecvCtx, Staging, WaveRecv, Wire, WriteOp,
 };
 use crate::error::MachineError;
 use crate::obs::{trace_plan, EventKind, Phase, Tracer};
@@ -54,7 +54,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_spmd::{clause_arrays, for_each_run, lower_nd, CompiledSchedule, SpmdPlan};
+use vcal_spmd::{clause_arrays, lower_nd, CompiledSchedule, KernelOp, SpmdPlan};
 
 /// Everything a repeated execution needs that depends only on the
 /// `(clause, decompositions)` pair: the compiled run tables the phase
@@ -72,14 +72,12 @@ pub struct PreparedPlan {
     pub(crate) d1: Option<Plan1>,
 }
 
-/// The 1-D plan behind a [`PreparedPlan`]: what the no-exec-tables
-/// oracle path interprets, and what the host checks live images against
-/// and ships to socket workers.
+/// The 1-D plan behind a [`PreparedPlan`]: what the host checks live
+/// images against, traces, and ships to socket workers. The phase engine
+/// reads none of it — it runs the compiled tables.
 pub(crate) struct Plan1 {
     pub(crate) plan: SpmdPlan,
-    pub(crate) rexprs: Vec<RExpr>,
     pub(crate) decomps: BTreeMap<String, Decomp1>,
-    pub(crate) dec_lhs: Decomp1,
 }
 
 impl PreparedPlan {
@@ -134,9 +132,13 @@ impl std::fmt::Debug for PreparedPlan {
 }
 
 /// Freeze the run-invariant half of an execution: validate the clause
-/// against the plan, resolve expressions and guards per node, and
-/// compile every schedule into flat run tables. The decompositions are
-/// captured so later runs can detect redistribution.
+/// against the plan, resolve the guard, and compile every schedule —
+/// closed-form or naive-guard alike — into flat run tables plus the
+/// bytecode kernel. A clause the tables cannot express (a reference
+/// outside the plan's read slots, a loop variable of another dimension)
+/// is a [`MachineError::PlanMismatch`] here, not at run time: every
+/// plan this returns has execution tables on every node. The
+/// decompositions are captured so later runs can detect redistribution.
 pub fn prepare_run(
     plan: SpmdPlan,
     clause: &Clause,
@@ -169,15 +171,36 @@ pub fn prepare_run(
         }
         captured.insert(name.clone(), dec.clone());
     }
-    let dec_lhs = captured[&plan.lhs_array].clone();
-    let rexprs = (plan.nodes.iter())
-        .map(|n| resolve_expr(&clause.rhs, n))
-        .collect::<Result<_, _>>()?;
-    let rguard = resolve_guard(&clause.guard, |r: &ArrayRef| {
-        let g = r.map.as_fn1()?;
-        (node0.resides.iter()).position(|rp| rp.array == r.array && rp.g == *g)
-    })?;
+    let slot_of = |r: &ArrayRef| -> Result<usize, MachineError> {
+        let g = r.map.as_fn1().ok_or_else(|| {
+            MachineError::PlanMismatch(format!("read ref `{}` is not 1-D but the plan is", r.array))
+        })?;
+        (node0.resides.iter())
+            .position(|rp| rp.array == r.array && rp.g == *g)
+            .ok_or_else(|| {
+                MachineError::PlanMismatch(format!(
+                    "read ref `{}` missing from the plan's reside list",
+                    r.array
+                ))
+            })
+    };
+    for r in clause.rhs.refs() {
+        slot_of(r)?;
+    }
+    let rguard = resolve_guard(&clause.guard, |r| slot_of(r).ok())?;
     let compiled = CompiledSchedule::compile_exec(&plan, clause, &captured);
+    // every reference resolved above, so only an operand that does not
+    // fit the bytecode (slot ≥ 2¹⁶, loop dimension ≥ 2⁸) is left
+    let kernel = compiled.kernel.as_ref().ok_or_else(|| {
+        MachineError::PlanMismatch("the clause expression does not fit the kernel bytecode".into())
+    })?;
+    for op in kernel.ops() {
+        if let KernelOp::LoopVar(dim @ 1..) = op {
+            return Err(MachineError::PlanMismatch(format!(
+                "loop variable of dimension {dim} in a 1-D plan"
+            )));
+        }
+    }
     Ok(PreparedPlan {
         pmax: plan.pmax,
         lhs_array: plan.lhs_array.clone(),
@@ -186,9 +209,7 @@ pub fn prepare_run(
         referenced,
         d1: Some(Plan1 {
             plan,
-            rexprs,
             decomps: captured,
-            dec_lhs,
         }),
     })
 }
@@ -1315,10 +1336,9 @@ pub(crate) enum PhaseSpan {
 
 /// The send + update phases of one run of one node — the phase engine
 /// behind pooled threads, wave jobs, socket workers and (on a one-shot
-/// pool) cold runs, for clauses of any rank. Every loop is driven from
-/// the compiled run tables, and receives go through the worker's
-/// persistent scratch. A 1-D plan without execution tables (a
-/// naive-guard plan) runs the element-at-a-time oracle instead.
+/// pool) cold runs, for clauses of any rank and plans of any dispatch
+/// (closed-form or naive-guard). Every loop is driven from the compiled
+/// run tables, and receives go through the worker's persistent scratch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn warm_phases(
     p: i64,
@@ -1335,7 +1355,6 @@ pub(crate) fn warm_phases(
 ) -> Result<(), MachineError> {
     let cs = &prepared.compiled;
     let cn = &cs.nodes[p as usize];
-    let rguard = &prepared.rguard;
     let Scratch {
         pending,
         staging,
@@ -1349,19 +1368,7 @@ pub(crate) fn warm_phases(
         Some(w) => RecvCtx::Wave(w),
         None => RecvCtx::Single { pending, staging },
     };
-    // the run tables exist iff every schedule is closed-form and the
-    // expression compiled; without them the 1-D oracle interprets the plan
-    let oracle = if cs.has_exec() {
-        None
-    } else {
-        Some(prepared.d1()?)
-    };
     let parts = slot_parts(locals, cs)?;
-
-    if span != PhaseSpan::SendOnly {
-        // the modify guard work is charged to the update half, once
-        stats.guard_tests += cn.modify_work;
-    }
     let trace_on = tracer.enabled();
 
     // ---- send phase: Reside_p ∩ Modify_q, q ≠ p -------------------------
@@ -1370,46 +1377,10 @@ pub(crate) fn warm_phases(
             tracer.record(p, EventKind::PhaseStart(Phase::Send));
         }
         let send_t0 = trace_on.then(std::time::Instant::now);
-        match (opts.mode, oracle) {
-            (CommMode::Vectorized, _) => {
-                send_phase_vectorized(cn, &parts, ep, stats, sent_to, tracer);
-            }
-            (CommMode::Element, None) => {
-                send_phase_element_compiled(cn, &parts, ep, stats, sent_to, tracer);
-            }
-            (CommMode::Element, Some(d1)) => {
-                let node = &d1.plan.nodes[p as usize];
-                for (slot, rp) in node.resides.iter().enumerate() {
-                    let Some(runs) = &cn.resides[slot] else {
-                        continue; // replicated: never sent
-                    };
-                    stats.guard_tests += cn.reside_work[slot];
-                    let dec_r = &d1.decomps[&rp.array];
-                    let local_part = parts[slot];
-                    for_each_run(runs, |i| {
-                        let owner = d1.dec_lhs.proc_of(d1.plan.f.eval(i));
-                        if owner != p {
-                            let g = rp.g.eval(i);
-                            let value = local_part[dec_r.local_of(g) as usize];
-                            ep.send(owner as usize, Wire::Elem(Msg { slot, i, value }));
-                            if trace_on {
-                                tracer.record(
-                                    p,
-                                    EventKind::ElemSend {
-                                        dst: owner,
-                                        slot,
-                                        i,
-                                    },
-                                );
-                            }
-                            sent_to[owner as usize] += 1;
-                            stats.msgs_sent += 1;
-                            stats.packets_sent += 1;
-                            stats.bytes_sent += ELEM_MSG_BYTES;
-                            stats.max_packet_elems = stats.max_packet_elems.max(1);
-                        }
-                    });
-                }
+        match opts.mode {
+            CommMode::Vectorized => send_phase_vectorized(cn, &parts, ep, stats, sent_to, tracer),
+            CommMode::Element => {
+                send_phase_element_compiled(cn, &parts, ep, stats, sent_to, tracer)
             }
         }
         ep.end_send_phase(); // flush delayed packets; crash point
@@ -1423,104 +1394,30 @@ pub(crate) fn warm_phases(
     }
 
     // ---- update phase: Modify_p -----------------------------------------
+    // the modify guard work is charged to the update half, once
+    stats.guard_tests += cn.modify_work;
     if trace_on {
         tracer.record(p, EventKind::PhaseStart(Phase::Update));
     }
     let update_t0 = trace_on.then(std::time::Instant::now);
-
-    // compiled path: fused/bytecode kernels over the interior/boundary
-    // exec runs — never touches the tree interpreter
-    let Some(d1) = oracle else {
-        stack.clear();
-        let res = exec_update_phase(
-            cs, cn, &parts, rguard, ep, &mut rcv, vals, stack, opts, stats, writes, tracer,
-        );
-        if let Some(t0) = update_t0 {
-            tracer.timing(p, Phase::Update, t0.elapsed());
-            tracer.record(p, EventKind::PhaseEnd(Phase::Update));
-        }
-        return res;
-    };
-    let Plan1 {
-        plan,
-        rexprs,
-        decomps,
-        dec_lhs,
-    } = d1;
-    let node = &plan.nodes[p as usize];
-    let rexpr = &rexprs[p as usize];
-
-    writes.reserve(cn.modify_iters as usize);
-    let mut err: Option<MachineError> = None;
-    // no exec tables (a naive-guard plan): the element-at-a-time oracle
-    // path expands its own per-element receive addressing
-    let origin = match opts.mode {
-        CommMode::Vectorized => expand_origin(node),
-        CommMode::Element => Default::default(),
-    };
-
-    let n_slots = node.resides.len();
-    for_each_run(&cn.modify, |i| {
-        if err.is_some() {
-            return;
-        }
-        stats.iterations += 1;
-        #[allow(clippy::needless_range_loop)] // `vals[slot]` is written, not read
-        for slot in 0..n_slots {
-            let rp = &node.resides[slot];
-            let g = rp.g.eval(i);
-            let owner = if rp.replicated {
-                p
-            } else {
-                decomps[&rp.array].proc_of(g)
-            };
-            vals[slot] = if owner == p {
-                stats.local_reads += 1;
-                locals[&rp.array][decomps[&rp.array].local_of(g) as usize]
-            } else {
-                let got = match opts.mode {
-                    CommMode::Element => recv_element(ep, &mut rcv, slot, i, owner, opts, stats),
-                    CommMode::Vectorized => {
-                        recv_packed(ep, &mut rcv, cn, &origin, slot, i, opts, stats)
-                    }
-                };
-                match got {
-                    Ok(v) => {
-                        if trace_on {
-                            tracer.record(
-                                p,
-                                EventKind::RecvValue {
-                                    src: owner,
-                                    slot,
-                                    i,
-                                },
-                            );
-                        }
-                        stats.msgs_received += 1;
-                        v
-                    }
-                    Err(f) => {
-                        err = Some(map_recv_fail(f, p, &rp.array, i, slot));
-                        return;
-                    }
-                }
-            };
-        }
-        stats.data_guards += 1;
-        let guard_ok = match rguard {
-            RGuard::Always => true,
-            RGuard::Cmp { slot, op, rhs } => op.holds(vals[*slot], *rhs),
-        };
-        if guard_ok {
-            let v = eval_rexpr(rexpr, i, vals);
-            let target = plan.f.eval(i);
-            writes.push(WriteOp::El(dec_lhs.local_of(target) as usize, v));
-        }
-    });
+    stack.clear();
+    let res = exec_update_phase(
+        cs,
+        cn,
+        &parts,
+        &prepared.rguard,
+        ep,
+        &mut rcv,
+        vals,
+        stack,
+        opts,
+        stats,
+        writes,
+        tracer,
+    );
     if let Some(t0) = update_t0 {
         tracer.timing(p, Phase::Update, t0.elapsed());
         tracer.record(p, EventKind::PhaseEnd(Phase::Update));
     }
-
-    err.map_or(Ok(()), Err)
+    res
 }

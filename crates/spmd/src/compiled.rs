@@ -364,10 +364,6 @@ pub struct CompiledNode {
     /// `Modify_p` loop-overhead estimate (the `guard_tests` accounting
     /// the cold path charges via `Schedule::work_estimate`).
     pub modify_work: u64,
-    /// Per read slot: the reside schedule as flat runs (`None` for
-    /// replicated slots, which never enter the send phase, and in
-    /// lowered n-D tables, whose send phase never scans a reside set).
-    pub resides: Vec<Option<Vec<IterRun>>>,
     /// Per read slot: the reside schedule's loop-overhead estimate
     /// (zero for replicated slots).
     pub reside_work: Vec<u64>,
@@ -389,9 +385,7 @@ pub struct CompiledNode {
     pub sends: Vec<SendPair>,
     /// The interior/boundary execution split of `modify`, with fully
     /// resolved addressing. Empty when the plan was compiled without
-    /// execution tables ([`CompiledSchedule::compile`]) or contains a
-    /// naive-guard schedule — the machines then run the legacy
-    /// element-at-a-time path.
+    /// execution tables ([`CompiledSchedule::compile`]).
     pub exec: Vec<ExecRun>,
 }
 
@@ -406,9 +400,6 @@ impl CompiledNode {
             AccessPattern::Table(offs) => offs.len() * size_of::<i64>(),
         };
         let mut b = self.modify.len() * size_of::<IterRun>();
-        for r in self.resides.iter().flatten() {
-            b += r.len() * size_of::<IterRun>();
-        }
         b += (self.src_ord.len() + self.src_peers.len() + 2 * self.staging_packets.len()) * 8;
         for pair in &self.sends {
             b += pair.runs.len() * size_of::<CommRun>();
@@ -476,17 +467,16 @@ impl CompiledSchedule {
             .iter()
             .map(|node| {
                 let modify = flatten_schedule(&node.modify.schedule);
-                let mut resides = Vec::with_capacity(node.resides.len());
-                let mut reside_work = Vec::with_capacity(node.resides.len());
-                for rp in &node.resides {
-                    if rp.replicated {
-                        resides.push(None);
-                        reside_work.push(0);
-                    } else {
-                        resides.push(Some(flatten_schedule(&rp.opt.schedule)));
-                        reside_work.push(rp.opt.schedule.work_estimate());
-                    }
-                }
+                // replicated slots never enter the send phase
+                let reside_work = (node.resides.iter())
+                    .map(|rp| {
+                        if rp.replicated {
+                            0
+                        } else {
+                            rp.opt.schedule.work_estimate()
+                        }
+                    })
+                    .collect();
                 let mut src_ord = vec![usize::MAX; pmax];
                 let mut src_peers = Vec::with_capacity(node.comm.recvs.len());
                 let mut staging_packets = Vec::with_capacity(node.comm.recvs.len());
@@ -504,7 +494,6 @@ impl CompiledSchedule {
                     modify,
                     modify_iters: node.modify.schedule.count(),
                     modify_work: node.modify.schedule.work_estimate(),
-                    resides,
                     reside_work,
                     src_ord,
                     src_peers,
@@ -532,10 +521,9 @@ impl CompiledSchedule {
     /// split every node's `Modify_p` into interior and boundary
     /// [`ExecRun`]s with plan-time-resolved addressing.
     ///
-    /// The execution tables require every schedule of the plan to be
-    /// closed-form: a naive-guard plan keeps empty tables and the
-    /// machines fall back to the legacy element path (the split is only
-    /// *provable* from the Table I dispatch).
+    /// The split is interval algebra on the flattened runs, whatever
+    /// produced them: a naive-guard schedule is enumerated once by
+    /// [`flatten_schedule`] and tiled like a closed-form one.
     pub fn compile_exec(plan: &SpmdPlan, clause: &Clause, decomps: &DecompMap) -> CompiledSchedule {
         let mut cs = Self::compile(plan);
         cs.guarded = !matches!(clause.guard, Guard::Always);
@@ -564,13 +552,6 @@ impl CompiledSchedule {
                 .iter()
                 .map(|pair| send_pair(pair, at))
                 .collect();
-        }
-        let closed = plan.nodes.iter().all(|n| {
-            n.modify.kind.is_closed_form()
-                && n.resides.iter().all(|rp| rp.opt.kind.is_closed_form())
-        });
-        if !closed {
-            return cs;
         }
         let resolve = |r: &vcal_core::ArrayRef| {
             let g = r.map.as_fn1()?;
@@ -1158,17 +1139,10 @@ mod tests {
                                 );
                                 assert_eq!(cn.modify_iters, want.len() as u64);
                                 for (slot, rp) in node.resides.iter().enumerate() {
-                                    if rp.replicated {
-                                        assert!(cn.resides[slot].is_none());
-                                        continue;
-                                    }
                                     let mut want = Vec::new();
                                     rp.opt.schedule.for_each(|i| want.push(i));
-                                    let got = cn.resides[slot]
-                                        .as_deref()
-                                        .expect("non-replicated slot flattened");
                                     assert_eq!(
-                                        visit_order(got),
+                                        visit_order(&flatten_schedule(&rp.opt.schedule)),
                                         want,
                                         "reside p={} slot={slot} naive={naive}",
                                         node.p
@@ -1364,9 +1338,7 @@ mod tests {
                         for cap in [crate::comm::PACKET_ELEMS, 1, 3, 8] {
                             recut(&mut plan, cap);
                             let compiled = CompiledSchedule::compile_exec(&plan, clause, &dm);
-                            if !compiled.has_exec() {
-                                break; // a naive-guard row: no tables to check
-                            }
+                            assert!(compiled.has_exec(), "{clause}");
                             let what = format!("pmax={pmax} A={da} B={db} cap={cap} {clause}");
                             check_exec_tables(&plan, &compiled, &dm, &what);
                             checked += 1;
@@ -1375,7 +1347,7 @@ mod tests {
                 }
             }
         }
-        assert!(checked > 4000, "only {checked} closed-form plans checked");
+        assert!(checked > 4000, "only {checked} plans checked");
     }
 
     #[test]
@@ -1473,15 +1445,19 @@ mod tests {
     }
 
     #[test]
-    fn naive_plans_keep_the_element_path() {
+    fn naive_plans_get_exec_tables() {
         let n = 96i64;
         let e = Bounds::range(0, n - 1);
         let clause = copy_clause(1, n - 2, Fn1::identity(), Fn1::shift(1));
-        let dm = decomps(Decomp1::block(4, e), Decomp1::block(4, e));
+        let dm = decomps(Decomp1::block(4, e), Decomp1::scatter(4, e));
         let naive = SpmdPlan::build_naive(&clause, &dm).unwrap();
         let compiled = CompiledSchedule::compile_exec(&naive, &clause, &dm);
-        assert!(!compiled.has_exec());
-        assert!(compiled.nodes.iter().all(|cn| cn.exec.is_empty()));
+        assert!(compiled.has_exec());
+        check_exec_tables(&naive, &compiled, &dm, "naive");
+        // the tiling follows the runs, not the dispatch that produced them
+        let closed = SpmdPlan::build(&clause, &dm).unwrap();
+        let closed = CompiledSchedule::compile_exec(&closed, &clause, &dm);
+        assert_eq!(compiled.overlap_census(), closed.overlap_census());
     }
 
     #[test]

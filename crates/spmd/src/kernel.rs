@@ -95,8 +95,9 @@ pub struct CompiledKernel {
 
 impl CompiledKernel {
     /// Compile `rhs` against a slot resolver (array reference → read
-    /// slot). Returns `None` when a reference fails to resolve — the
-    /// caller falls back to the tree interpreter.
+    /// slot). Returns `None` when a reference fails to resolve or a
+    /// slot / loop dimension does not fit its operand — there is no
+    /// other evaluator, so the caller reports it as a plan error.
     pub fn compile<F>(rhs: &Expr, n_slots: usize, resolve: F) -> Option<CompiledKernel>
     where
         F: Fn(&ArrayRef) -> Option<usize>,

@@ -538,7 +538,6 @@ impl<'a> Lowering<'a> {
                 modify: exec.iter().map(|er| er.run).collect(),
                 modify_iters: exec.iter().map(|er| er.run.len()).sum(),
                 modify_work: self.work[p],
-                resides: vec![None; n_slots],
                 reside_work: vec![0; n_slots],
                 src_ord,
                 src_peers,

@@ -245,6 +245,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if autotune && naive {
         return Err("--naive is a cold-path flag; --autotune always runs optimized".into());
     }
+    if transport != TransportKind::InProc && naive {
+        return Err(
+            "--naive is an in-process flag; socket workers re-plan with the optimizer \
+             (drop --transport or --naive)"
+                .into(),
+        );
+    }
     Ok(Options {
         program_path: positional[0].clone(),
         spec_path: positional[1].clone(),
@@ -1092,34 +1099,30 @@ fn report_trace(
         }
     );
     let compiled = vcal_suite::spmd::CompiledSchedule::compile_exec(plan, clause, decomps);
-    if compiled.has_exec() {
-        let census = compiled.overlap_census();
-        println!(
-            "trace: kernel runs: {} interior ({} elems) / {} boundary \
-             ({} elems, {} remote reads) [overlap {}]",
-            census.interior_runs,
-            census.interior_elems,
-            census.boundary_runs,
-            census.boundary_elems,
-            census.remote_elems,
-            if dist_opts.overlap { "on" } else { "off" }
-        );
-        let planned = compiled.simd_census(dist_opts.simd);
-        let ran = report.simd_census();
-        println!(
-            "trace: simd census: {} lanes, {} vector runs ({} lane elems, \
-             {} tail elems) / {} fallback runs [plan]; {} vector / {} fallback [ran]",
-            planned.lanes,
-            planned.vector_runs,
-            planned.lane_elems,
-            planned.tail_elems,
-            planned.fallback_runs,
-            ran.vector_runs,
-            ran.fallback_runs
-        );
-    } else {
-        println!("trace: kernel runs: none (tree-interpreter fallback)");
-    }
+    let census = compiled.overlap_census();
+    println!(
+        "trace: kernel runs: {} interior ({} elems) / {} boundary \
+         ({} elems, {} remote reads) [overlap {}]",
+        census.interior_runs,
+        census.interior_elems,
+        census.boundary_runs,
+        census.boundary_elems,
+        census.remote_elems,
+        if dist_opts.overlap { "on" } else { "off" }
+    );
+    let planned = compiled.simd_census(dist_opts.simd);
+    let ran = report.simd_census();
+    println!(
+        "trace: simd census: {} lanes, {} vector runs ({} lane elems, \
+         {} tail elems) / {} fallback runs [plan]; {} vector / {} fallback [ran]",
+        planned.lanes,
+        planned.vector_runs,
+        planned.lane_elems,
+        planned.tail_elems,
+        planned.fallback_runs,
+        ran.vector_runs,
+        ran.fallback_runs
+    );
     let model = PerfModel::default();
     let predicted = model.price_report(report);
     println!(

@@ -66,6 +66,19 @@ fn naive_and_closed_plans_report_different_schedules() {
     ]);
     assert!(optimized.contains("block-affine-range"), "{optimized}");
     assert!(naive.contains("naive-guard"), "{naive}");
+    // a naive plan runs through the same run tables as a closed-form one
+    let (ok, traced, stderr) = vcalc(&[
+        p.to_str().unwrap(),
+        s.to_str().unwrap(),
+        "--naive",
+        "--run",
+        "--trace",
+    ]);
+    assert!(ok, "--naive --run --trace: {stderr}");
+    assert!(traced.contains("CONTAINS NAIVE FALLBACK"), "{traced}");
+    assert!(traced.contains("trace: kernel runs: "), "{traced}");
+    assert!(!traced.contains("kernel runs: 0 interior"), "{traced}");
+    assert!(traced.contains("run: OK"), "{traced}");
 }
 
 #[test]
@@ -176,6 +189,20 @@ fn transport_flag_runs_workers_and_rejects_bad_values() {
     ]);
     assert!(!ok);
     assert!(stderr.contains("`inproc`, `uds` or `tcp`"), "{stderr}");
+    // socket workers re-plan with the optimizer: a naive plan would be
+    // printed and then not run, so the combination is refused up front
+    for kind in ["uds", "tcp"] {
+        let (ok, _, stderr) = vcalc(&[
+            p.to_str().unwrap(),
+            s.to_str().unwrap(),
+            "--naive",
+            "--run",
+            "--transport",
+            kind,
+        ]);
+        assert!(!ok, "--naive --transport {kind} must be refused");
+        assert!(stderr.contains("--naive is an in-process flag"), "{stderr}");
+    }
 }
 
 /// Three clauses, the first two independent: the DAG schedule must
