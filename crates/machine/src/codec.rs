@@ -36,7 +36,7 @@ use vcal_core::pred::Pred;
 use vcal_core::set::IndexSet;
 use vcal_core::{ArrayRef, BinOp, Bounds, Clause, CmpOp, Expr, Guard, Ix, Ordering};
 use vcal_decomp::{Decomp1, Distribution};
-use vcal_spmd::{SimdMode, SimdPolicy};
+use vcal_spmd::{OptKind, SimdMode, SimdPolicy};
 
 /// Version stamped into the handshake; bumped on any layout change.
 pub(crate) const WIRE_VERSION: u32 = 1;
@@ -964,26 +964,12 @@ fn dec_phase(d: &mut Dec) -> R<Phase> {
 }
 
 /// Map a dispatch-kind string decoded off the wire back onto the static
-/// [`vcal_spmd::OptKind::name`] table. A name outside the table is a
-/// typed error: a newer peer is already refused by the `WIRE_VERSION`
-/// handshake, so only a buggy or hostile one can send it.
+/// [`vcal_spmd::OptKind::name`] strings. A name outside
+/// [`OptKind::NAMES`] is a typed error: a newer peer is already refused
+/// by the `WIRE_VERSION` handshake, so only a buggy or hostile one can
+/// send it.
 fn intern_kind(s: &str) -> R<&'static str> {
-    const KNOWN: &[&str] = &[
-        "empty-loop",
-        "theorem-1-constant",
-        "replicated-owner",
-        "block-affine-range",
-        "block-monotonic-range",
-        "theorem-3-corollary-1",
-        "theorem-3-corollary-2",
-        "theorem-3-diophantine",
-        "scatter-enumerate-on-k",
-        "theorem-2-repeated-block",
-        "repeated-scatter",
-        "piecewise-split",
-        "naive-guard",
-    ];
-    (KNOWN.iter().copied())
+    (OptKind::NAMES.into_iter())
         .find(|k| *k == s)
         .ok_or_else(|| bad("dispatch kind"))
 }
@@ -1793,6 +1779,7 @@ pub(crate) fn sample_clause() -> Clause {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use vcal_spmd::SpmdPlan;
 
     use super::sample_clause;
 
@@ -1838,6 +1825,56 @@ mod tests {
         ));
         let err = roundtrip("from-a-hostile-peer").expect_err("not in the table");
         assert!(err.0.contains("dispatch kind"), "{err}");
+    }
+
+    #[test]
+    fn every_dispatch_kind_roundtrips() {
+        // the whole Table I name list, as both dispatch events ...
+        for kind in OptKind::NAMES {
+            let closed_form = kind != "naive-guard";
+            for ev in [
+                EventKind::ModifyDispatch { kind, closed_form },
+                EventKind::ResideDispatch {
+                    slot: 3,
+                    array: "B".into(),
+                    kind,
+                    closed_form,
+                },
+            ] {
+                let mut e = Enc::new();
+                enc_event(&mut e, &ev);
+                assert_eq!(dec_event(&mut Dec::new(&e.buf)).expect(kind), ev);
+            }
+        }
+        // ... and what real plans trace, naive rows included
+        let at = |array: &str, c: i64| Expr::Ref(ArrayRef::d1(array, Fn1::Affine { a: 1, c }));
+        let clause = Clause {
+            iter: IndexSet::range(0, 30),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("A", Fn1::Affine { a: 1, c: 0 }),
+            rhs: Expr::add(at("B", 1), at("C", 0)),
+        };
+        let extent = Bounds::range(0, 31);
+        let mut decomps = BTreeMap::new();
+        decomps.insert("A".to_string(), Decomp1::block_scatter(2, 4, extent));
+        decomps.insert("B".to_string(), Decomp1::scatter(4, extent));
+        decomps.insert("C".to_string(), Decomp1::block(4, extent));
+        let tracer = crate::obs::CollectingTracer::new();
+        for plan in [
+            SpmdPlan::build(&clause, &decomps),
+            SpmdPlan::build_naive(&clause, &decomps),
+        ] {
+            crate::obs::trace_plan(&tracer, &plan.expect("plans"));
+        }
+        let events = tracer.finish().events;
+        assert!(events.len() > 2 * 4 * 3, "both plans traced every node");
+        for ev in events {
+            let mut e = Enc::new();
+            enc_event(&mut e, &ev.kind);
+            let back = dec_event(&mut Dec::new(&e.buf)).expect("a planned kind decodes");
+            assert_eq!(back, ev.kind);
+        }
     }
 
     #[test]

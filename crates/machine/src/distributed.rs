@@ -65,7 +65,7 @@ use crate::darray_nd::DistArrayNd;
 use crate::error::MachineError;
 use crate::executor::{prepare_for, prepare_nd, DistExecutor};
 use crate::net::ChaosPlan;
-use crate::obs::{EventKind, Phase, Tracer, NULL_TRACER};
+use crate::obs::{trace_plan, EventKind, Tracer, NULL_TRACER};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{
     await_until, AwaitFail, Endpoint, FaultPlan, ProtoTimeouts, RetryPolicy, TransportKind,
@@ -272,24 +272,10 @@ pub(crate) enum WriteOp {
     },
 }
 
-/// What one node thread returns: id, its (unmodified) local memories,
-/// the local writes it wants committed, statistics, per-destination
-/// send counts, and its error state. Writes are applied by the host
-/// only when every node succeeded, so a failed run restores state.
-pub(crate) type NodeOutcome = (
-    i64,
-    BTreeMap<String, Vec<f64>>,
-    Vec<WriteOp>,
-    NodeStats,
-    Vec<u64>,
-    Result<(), MachineError>,
-);
-
-/// A zero part of the right local size — the last-resort placeholder
-/// when a node thread died without returning its memories. A negative
-/// local count means the decomposition does not cover node `p` at all:
-/// that is a plan/decomposition mismatch and is reported as a typed
-/// error instead of being silently clamped to an empty part.
+/// A zero part of the right local size. A negative local count means
+/// the decomposition does not cover node `p` at all: that is a
+/// plan/decomposition mismatch and is reported as a typed error instead
+/// of being silently clamped to an empty part.
 pub(crate) fn zero_part(dec: &Decomp1, p: i64) -> Result<Vec<f64>, MachineError> {
     let count = dec.local_count(p);
     if count < 0 {
@@ -331,13 +317,14 @@ impl Image for DistArrayNd {
     }
 }
 
-/// The referenced images of one run, taken apart: every node's local
-/// memories, and what [`finalize_run`] needs to put the images back.
+/// The referenced images of one wave, taken apart: every node's local
+/// memories, and the decompositions `finalize_wave` puts the images
+/// back together under.
 pub(crate) struct Disassembled<D> {
     /// Per node, its part of every referenced array.
     pub(crate) per_node: Vec<BTreeMap<String, Vec<f64>>>,
-    /// Per referenced array, its decomposition and part lengths.
-    pub(crate) shapes: Vec<(D, Vec<usize>)>,
+    /// Every referenced array with its decomposition.
+    pub(crate) decomps: Vec<(String, D)>,
 }
 
 /// Remove every referenced image from `arrays` and split it into
@@ -363,111 +350,15 @@ pub(crate) fn disassemble<A: Image>(
     }
     let mut per_node: Vec<BTreeMap<String, Vec<f64>>> =
         (0..pmax).map(|_| BTreeMap::new()).collect();
-    let mut shapes = Vec::with_capacity(taken.len());
+    let mut decomps = Vec::with_capacity(taken.len());
     for (name, da) in taken {
         let (dec, parts) = da.into_parts();
-        shapes.push((dec, parts.iter().map(Vec::len).collect()));
         for (p, part) in parts.into_iter().enumerate() {
             per_node[p].insert(name.clone(), part);
         }
+        decomps.push((name, dec));
     }
-    Ok(Disassembled { per_node, shapes })
-}
-
-/// The host-side tail every distributed execution shares (cold scoped
-/// threads and the persistent pool alike): order the outcomes, pick the
-/// run's root-cause error, validate all writes, commit them
-/// all-or-nothing, and reassemble the distributed images — on error,
-/// from the *unmodified* local memories, restoring pre-run state.
-pub(crate) fn finalize_run<A: Image>(
-    lhs_array: &str,
-    referenced: &[String],
-    shapes: Vec<(A::Decomp, Vec<usize>)>,
-    mut results: Vec<NodeOutcome>,
-    arrays: &mut BTreeMap<String, A>,
-    tracer: &dyn Tracer,
-) -> Result<ExecReport, MachineError> {
-    results.sort_by_key(|(p, ..)| *p);
-
-    // pick the run's error: a panic or a dead worker process is the
-    // root cause and wins over the secondary Unrecoverable/Missing*
-    // errors it induces on peers
-    let root_cause = |e: &MachineError| {
-        matches!(
-            e,
-            MachineError::NodePanicked { .. } | MachineError::Transport { .. }
-        )
-    };
-    let mut first_err: Option<MachineError> = None;
-    for (.., res) in &results {
-        if let Err(e) = res {
-            match &first_err {
-                None => first_err = Some(e.clone()),
-                Some(have) if !root_cause(have) && root_cause(e) => first_err = Some(e.clone()),
-                Some(_) => {}
-            }
-        }
-    }
-
-    // validate every write before committing any (all-or-nothing)
-    if first_err.is_none() {
-        'validate: for (p, locals, writes, ..) in &results {
-            let len = locals.get(lhs_array).map_or(0, Vec::len);
-            for w in writes {
-                let bad = match w {
-                    WriteOp::El(off, _) => (*off >= len).then_some((*off, 1usize)),
-                    WriteOp::Dense { base, values } => {
-                        (base + values.len() > len).then_some((*base, values.len()))
-                    }
-                };
-                if let Some((off, span)) = bad {
-                    first_err = Some(MachineError::PlanMismatch(format!(
-                        "write span [{off}, {}) outside node {p}'s local part (len {len})",
-                        off + span
-                    )));
-                    break 'validate;
-                }
-            }
-        }
-    }
-    let commit = first_err.is_none();
-
-    // reassemble the distributed images (on error: pre-run state)
-    let commit_t0 = tracer.enabled().then(std::time::Instant::now);
-    let mut parts_by_name: Vec<Vec<Vec<f64>>> = vec![Vec::new(); referenced.len()];
-    let mut report = ExecReport::default();
-    for (p, mut locals, writes, stats, sent_to, _res) in results {
-        if commit {
-            if let Some(lhs_local) = locals.get_mut(lhs_array) {
-                for w in writes {
-                    match w {
-                        WriteOp::El(off, v) => lhs_local[off] = v, // validated above
-                        WriteOp::Dense { base, values } => {
-                            lhs_local[base..base + values.len()].copy_from_slice(&values)
-                        }
-                    }
-                }
-            }
-        }
-        for ((name, (_, lens)), parts) in referenced.iter().zip(&shapes).zip(&mut parts_by_name) {
-            // a node that died without returning its memories gets a
-            // zero part of the size it was handed
-            let part = locals.remove(name);
-            parts.push(part.unwrap_or_else(|| vec![0.0; lens.get(p as usize).map_or(0, |l| *l)]));
-        }
-        report.nodes.push(stats);
-        report.traffic.push(sent_to);
-    }
-    for ((name, (dec, _)), parts) in referenced.iter().zip(shapes).zip(parts_by_name) {
-        arrays.insert(name.clone(), A::from_parts(dec, parts));
-    }
-    if let Some(t0) = commit_t0 {
-        tracer.timing(crate::obs::HOST, Phase::Commit, t0.elapsed());
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    Ok(Disassembled { per_node, decomps })
 }
 
 /// Execute a `//` clause on the distributed-memory machine.
@@ -510,12 +401,13 @@ pub fn run_distributed_traced(
     if opts.transport != TransportKind::InProc {
         // socket backends: a one-shot pool of real worker processes
         // (persistent pools live in `DistSession`)
-        return crate::proc::run_one_shot(plan, clause, arrays, opts, tracer);
+        return crate::proc::one_shot(plan, clause, arrays, opts, tracer);
     }
-    // a cold run is a warm run on a one-shot pool: same phase engine,
+    // a cold run is a wave of one on a one-shot pool: same phase engine,
     // same tables, same trace as a `DistSession` replaying the plan
     let prepared = Arc::new(prepare_for(plan, clause, arrays)?);
-    DistExecutor::new(plan.pmax).run(&prepared, arrays, opts, tracer)
+    trace_plan(tracer, &prepared.check_live(arrays)?.plan);
+    DistExecutor::new(plan.pmax).run_clause(&prepared, arrays, opts, tracer)
 }
 
 /// Execute a `//` clause of any dimensionality on the distributed grid
@@ -557,7 +449,7 @@ pub fn run_distributed_nd_traced(
         });
     }
     let prepared = Arc::new(prepare_nd(clause, arrays)?);
-    DistExecutor::new(prepared.pmax).run_on(&prepared, arrays, opts, tracer)
+    DistExecutor::new(prepared.pmax).run_clause(&prepared, arrays, opts, tracer)
 }
 
 /// Every read slot's local part.
@@ -697,7 +589,7 @@ pub(crate) fn exec_update_phase(
     parts: &[&[f64]],
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     vals: &mut [f64],
     stack: &mut Vec<f64>,
     opts: &DistOptions,
@@ -846,7 +738,7 @@ fn receive_operands(
     arrays: &[String],
     cn: &CompiledNode,
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     opts: &DistOptions,
     stats: &mut NodeStats,
     tracer: &dyn Tracer,
@@ -939,7 +831,7 @@ fn exec_one_run(
     cn: &CompiledNode,
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     vals: &mut [f64],
     stack: &mut Vec<f64>,
     opts: &DistOptions,
@@ -998,7 +890,7 @@ fn exec_one_run(
     // kernels perform the exact per-element operation sequence of the
     // scalar arms below, so results are bitwise identical; only the
     // WriteOp batching differs (one Dense run instead of n Els), which
-    // `finalize_run` commits identically.
+    // `finalize_wave` commits identically.
     let simd_ok =
         opts.simd.enabled() && matches!(rguard, RGuard::Always) && er.simd_eligible(&kernel.fused);
     // the slice a unit-stride run reads: `None` exactly when some
@@ -1199,133 +1091,136 @@ enum RecvFail {
 /// payload of every planned incoming packet that has landed.
 pub(crate) type Staging = Vec<Vec<Option<Arc<[f64]>>>>;
 
-/// One wave job's private receive buffers. Lanes are strictly per job:
-/// two jobs may await the same `(slot, i)` key from the same owner, so
-/// a shared map would overwrite one job's value and starve the other.
-pub(crate) struct JobLane {
+/// One job's private receive buffers. Lanes are strictly per job: two
+/// jobs of a wave may await the same `(slot, i)` key from the same
+/// owner, so a shared map would overwrite one job's value and starve
+/// the other.
+#[derive(Default)]
+struct JobLane {
     /// source processor id → ordinal in this job's recv pair list
     /// (`usize::MAX` when the source owes this job nothing).
-    pub src_ord: Vec<usize>,
+    src_ord: Vec<usize>,
     /// element-mode arrivals keyed `(slot, i)`.
-    pub pending: BTreeMap<(usize, i64), f64>,
+    pending: BTreeMap<(usize, i64), f64>,
     /// vectorized-mode packet staging.
-    pub staging: Staging,
+    staging: Staging,
 }
 
-/// Wave-mode receive router. A wave is ONE transport run: every job's
-/// frames share the per-source sequence space back-to-back, and frames
-/// may surface out of order (reorder faults), so arrival counting is
-/// unsound. Senders assign dense per-flow seqnos in job-ordinal send
-/// order, which makes plan-derived cumulative frame counts an exact
-/// demultiplexer: the frame with sequence number `s` from source `src`
-/// belongs to the unique job `j` with `cuts[src][j] <= s <
-/// cuts[src][j+1]`, regardless of delivery order.
+/// The receive router threaded through the update phase. A wave is ONE
+/// transport run: every job's frames share the per-source sequence
+/// space back-to-back, and frames may surface out of order (reorder
+/// faults), so arrival counting is unsound. Senders assign dense
+/// per-flow seqnos in job-ordinal send order, which makes plan-derived
+/// cumulative frame counts an exact demultiplexer: the frame with
+/// sequence number `s` from source `src` belongs to the unique job `j`
+/// with `cuts[src][j] <= s < cuts[src][j+1]`, regardless of delivery
+/// order. It lives in the worker's scratch: lanes and windows are
+/// resized per wave, not reallocated.
+#[derive(Default)]
 pub(crate) struct WaveRecv {
     /// ordinal of the job currently executing on this node.
-    pub cur: usize,
+    pub(crate) cur: usize,
     /// per-job receive buffers.
-    pub lanes: Vec<JobLane>,
+    lanes: Vec<JobLane>,
     /// `cuts[src][j]` = total data frames `src` sends this node across
     /// jobs `0..j` (length `jobs + 1`, `cuts[src][0] == 0`).
-    pub cuts: Vec<Vec<u64>>,
+    cuts: Vec<Vec<u64>>,
 }
 
 impl WaveRecv {
-    /// The job owning sequence number `seq` of flow `src → self`.
-    fn lane_of(&self, src: i64, seq: u64) -> Result<usize, &'static str> {
-        let col = self
-            .cuts
-            .get(usize::try_from(src).map_err(|_| "frame from unknown source")?)
-            .ok_or("frame from unknown source")?;
-        let j = col.partition_point(|&c| c <= seq);
-        if j == 0 || j > self.lanes.len() {
-            return Err("data frame outside the wave's planned windows");
+    /// Size the lanes and seq windows for one wave from each job's
+    /// tables for this node, in wave order. Element mode sends one frame
+    /// per element, vectorized one per planned packet — mirrored exactly
+    /// by the sender's send phase, which walks the same pair sets in the
+    /// same order.
+    pub(crate) fn reset<'a>(
+        &mut self,
+        jobs: impl Iterator<Item = &'a CompiledNode>,
+        pmax: usize,
+        mode: CommMode,
+    ) {
+        self.cur = 0;
+        self.cuts.resize_with(pmax, Vec::new);
+        for col in &mut self.cuts {
+            col.clear();
+            col.push(0);
         }
-        Ok(j - 1)
+        let mut njobs = 0;
+        for cn in jobs {
+            if self.lanes.len() == njobs {
+                self.lanes.push(JobLane::default());
+            }
+            let lane = &mut self.lanes[njobs];
+            njobs += 1;
+            lane.src_ord.clone_from(&cn.src_ord);
+            lane.pending.clear();
+            lane.staging.resize_with(cn.staging_packets.len(), Vec::new);
+            for (row, &npackets) in lane.staging.iter_mut().zip(&cn.staging_packets) {
+                row.clear();
+                row.resize(npackets, None);
+            }
+            for col in &mut self.cuts {
+                col.push(col[njobs - 1]);
+            }
+            for (ord, peer) in cn.src_peers.iter().enumerate() {
+                let frames = match mode {
+                    CommMode::Element => cn.recv_elems[ord],
+                    CommMode::Vectorized => cn.staging_packets[ord] as u64,
+                };
+                if let Some(col) = usize::try_from(*peer)
+                    .ok()
+                    .and_then(|s| self.cuts.get_mut(s))
+                {
+                    col[njobs] += frames;
+                }
+            }
+        }
+        self.lanes.truncate(njobs);
     }
-}
 
-/// Receive-side context threaded through the update phase: either the
-/// classic single-clause buffers or a wave router with per-job lanes.
-pub(crate) enum RecvCtx<'a> {
-    /// One clause, one transport run — the pre-wave layout.
-    Single {
-        /// element-mode arrivals keyed `(slot, i)`.
-        pending: &'a mut BTreeMap<(usize, i64), f64>,
-        /// vectorized-mode packet staging.
-        staging: &'a mut Staging,
-    },
-    /// Many jobs sharing one transport run.
-    Wave(&'a mut WaveRecv),
-}
+    /// The job owning sequence number `seq` of flow `src → self`.
+    fn lane_of(&mut self, src: i64, seq: u64) -> Result<&mut JobLane, &'static str> {
+        let col = usize::try_from(src).ok().and_then(|s| self.cuts.get(s));
+        let j = col
+            .ok_or("frame from unknown source")?
+            .partition_point(|&c| c <= seq);
+        (j.checked_sub(1))
+            .and_then(|j| self.lanes.get_mut(j))
+            .ok_or("data frame outside the wave's planned windows")
+    }
 
-impl RecvCtx<'_> {
     /// The pending map the currently executing job reads from.
     fn cur_pending(&mut self) -> &mut BTreeMap<(usize, i64), f64> {
-        match self {
-            RecvCtx::Single { pending, .. } => pending,
-            RecvCtx::Wave(w) => &mut w.lanes[w.cur].pending,
-        }
+        &mut self.lanes[self.cur].pending
     }
 
     /// The staging rows the currently executing job reads from.
-    fn cur_staging(&mut self) -> &mut Staging {
-        match self {
-            RecvCtx::Single { staging, .. } => staging,
-            RecvCtx::Wave(w) => &mut w.lanes[w.cur].staging,
-        }
+    fn cur_staging(&self) -> &Staging {
+        &self.lanes[self.cur].staging
     }
 
     /// Stage one element-mode arrival into its owning job's lane.
     fn stage_elem(&mut self, src: i64, seq: u64, m: Msg) -> Result<(), &'static str> {
-        match self {
-            RecvCtx::Single { pending, .. } => {
-                pending.insert((m.slot, m.i), m.value);
-                Ok(())
-            }
-            RecvCtx::Wave(w) => {
-                let lane = w.lane_of(src, seq)?;
-                w.lanes[lane].pending.insert((m.slot, m.i), m.value);
-                Ok(())
-            }
-        }
+        self.lane_of(src, seq)?
+            .pending
+            .insert((m.slot, m.i), m.value);
+        Ok(())
     }
 
-    /// Stage one packet into its owning job's staging row. `src_ord` is
-    /// the *current* job's source table, used only in single mode; a
-    /// wave routes with the owning lane's own table (jobs generally
-    /// disagree about source ordinals).
+    /// Stage one packet into its owning job's staging row, routed with
+    /// that lane's own source table (jobs generally disagree about
+    /// source ordinals).
     fn stage_pack(
         &mut self,
         src: i64,
         seq: u64,
         run_ord: usize,
         values: Arc<[f64]>,
-        src_ord: &[usize],
     ) -> Result<(), &'static str> {
-        let (ord, row_staging) = match self {
-            RecvCtx::Single { staging, .. } => {
-                let ord = src_ord
-                    .get(usize::try_from(src).map_err(|_| "packet from unplanned source")?)
-                    .copied()
-                    .filter(|&o| o != usize::MAX)
-                    .ok_or("packet from unplanned source")?;
-                (ord, staging.as_mut_slice())
-            }
-            RecvCtx::Wave(w) => {
-                let lane = w.lane_of(src, seq)?;
-                let l = &mut w.lanes[lane];
-                let ord = l
-                    .src_ord
-                    .get(usize::try_from(src).map_err(|_| "packet from unplanned source")?)
-                    .copied()
-                    .filter(|&o| o != usize::MAX)
-                    .ok_or("packet from unplanned source")?;
-                (ord, &mut l.staging[..])
-            }
-        };
-        let row = row_staging
-            .get_mut(ord)
+        let lane = self.lane_of(src, seq)?;
+        let ord = usize::try_from(src).ok().and_then(|s| lane.src_ord.get(s));
+        let row = ord
+            .and_then(|&o| lane.staging.get_mut(o))
             .ok_or("packet from unplanned source")?;
         let cell = row.get_mut(run_ord).ok_or("packet run tag out of range")?;
         if cell.is_none() {
@@ -1337,13 +1232,12 @@ impl RecvCtx<'_> {
     }
 }
 
-/// Element-mode blocking receive: stage tagged arrivals in `pending`
-/// until `(slot, i)` from `owner` is available (`pending` lives in the
-/// worker's scratch, cleared per run, not reallocated).
+/// Element-mode blocking receive: stage tagged arrivals in their jobs'
+/// lanes until `(slot, i)` from `owner` is available to the current job.
 #[allow(clippy::too_many_arguments)]
 fn recv_element(
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     slot: usize,
     i: i64,
     owner: i64,
@@ -1379,7 +1273,7 @@ fn recv_element(
 /// packet a boundary run names.
 fn await_packet(
     ep: &mut Endpoint<Wire>,
-    rcv: &mut RecvCtx<'_>,
+    rcv: &mut WaveRecv,
     cn: &CompiledNode,
     so: usize,
     po: usize,
@@ -1403,9 +1297,7 @@ fn await_packet(
             cell.and_then(Option::as_ref).map(|vals| Ok(vals.len()))
         },
         |rcv, src, seq, wire| match wire {
-            Wire::Pack { run_ord, values } => {
-                rcv.stage_pack(src, seq, run_ord, values, &cn.src_ord)
-            }
+            Wire::Pack { run_ord, values } => rcv.stage_pack(src, seq, run_ord, values),
             Wire::Elem(_) => Err("element message in vectorized mode"),
         },
     )

@@ -16,33 +16,45 @@
 //!   freezes it in a shareable [`PreparedPlan`]. The tables are all a
 //!   node executes: there is no second, interpreted evaluator.
 //! * [`DistExecutor`] owns `pmax` node threads spawned **once**; between
-//!   runs they park on their job channel. Transport endpoints (sequence
-//!   numbers, dedup windows), receive staging, and operand buffers are
-//!   *reset*, not reallocated, per run.
+//!   waves they park on their job channel. Transport endpoints (sequence
+//!   numbers, dedup windows), receive lanes, and operand buffers are
+//!   *reset*, not reallocated, per wave.
 //!
-//! Cold and warm runs are the same phase engine ([`warm_phases`]) and so
-//! agree by construction: same results bit-for-bit, same statistics,
-//! same deterministic event stream (worker events are buffered
-//! thread-locally and replayed into the real tracer after the run —
-//! sound because [`CollectingTracer`] canonicalizes event order by
-//! `(class, node, per-node clock)`). A pooled worker that
+//! The **wave** is the only unit of execution: a set of
+//! pairwise-independent prepared clauses in program order, and a single
+//! run — cold or warm, of any rank — is a wave of one. There is one
+//! node-side body (`wave_body`: every job's send phase, every job's
+//! update phase, one `Done`, one drain), called by the pooled threads
+//! here and by the socket workers of `crate::proc`, and one host-side
+//! dispatch + commit (`DistExecutor::run_wave`, `finalize_wave`).
+//! The host *lends* the nodes the disassembled pre-wave parts and keeps
+//! ownership: node writes are staged `WriteOp`s, so every job of the
+//! wave reads the same immutable pre-wave memories — no per-job copy —
+//! and the host commits the staged writes job-by-job in ordinal order
+//! into the parts it kept, or not at all.
+//!
+//! Cold and warm runs therefore agree by construction: same results
+//! bit-for-bit, same statistics, same deterministic event stream (worker
+//! events are buffered thread-locally and replayed into the real tracer
+//! after the wave — sound because [`CollectingTracer`] canonicalizes
+//! event order by `(class, node, per-node clock)`). A pooled worker that
 //! crashes is retired without poisoning the session: the caught panic
 //! becomes [`MachineError::NodePanicked`], uncommitted writes are
-//! discarded (the host's all-or-nothing commit restores pre-run state),
-//! and a genuinely dead thread causes the pool to rebuild itself on the
-//! next run.
+//! discarded (the parts never left the host, so pre-wave state is simply
+//! what it still holds), and a genuinely dead thread causes the pool to
+//! rebuild itself on the next run.
 //!
 //! [`CollectingTracer`]: crate::obs::CollectingTracer
 
 use crate::darray::DistArray;
 use crate::darray_nd::DistArrayNd;
 use crate::distributed::{
-    disassemble, exec_update_phase, finalize_run, resolve_guard, send_phase_element_compiled,
-    send_phase_vectorized, slot_parts, CommMode, DistOptions, Image, JobLane, NodeOutcome, RGuard,
-    RecvCtx, Staging, WaveRecv, Wire, WriteOp,
+    disassemble, exec_update_phase, resolve_guard, send_phase_element_compiled,
+    send_phase_vectorized, slot_parts, CommMode, Disassembled, DistOptions, Image, RGuard,
+    WaveRecv, Wire, WriteOp,
 };
 use crate::error::MachineError;
-use crate::obs::{trace_plan, EventKind, Phase, Tracer};
+use crate::obs::{EventKind, Phase, Tracer};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{Endpoint, Frame};
 use std::collections::BTreeMap;
@@ -54,7 +66,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_spmd::{clause_arrays, lower_nd, CompiledSchedule, KernelOp, SpmdPlan};
+use vcal_spmd::{clause_arrays, lower_nd, CompiledKernel, CompiledSchedule, KernelOp, SpmdPlan};
 
 /// Everything a repeated execution needs that depends only on the
 /// `(clause, decompositions)` pair: the compiled run tables the phase
@@ -97,6 +109,27 @@ impl PreparedPlan {
         self.d1.as_ref().ok_or_else(|| {
             MachineError::PlanMismatch("a lowered n-D clause has no 1-D plan behind it".into())
         })
+    }
+
+    /// The 1-D callers' pre-flight: the plan was captured against
+    /// specific decompositions, and a run against redistributed images
+    /// would scatter garbage.
+    pub(crate) fn check_live(
+        &self,
+        arrays: &BTreeMap<String, DistArray>,
+    ) -> Result<&Plan1, MachineError> {
+        let d1 = self.d1()?;
+        for name in &self.referenced {
+            let da = arrays
+                .get(name)
+                .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
+            if da.decomp() != &d1.decomps[name] {
+                return Err(MachineError::PlanMismatch(format!(
+                    "array `{name}` was redistributed since the plan was prepared"
+                )));
+            }
+        }
+        Ok(d1)
     }
 
     /// Rough resident size of the prepared tables — the byte charge the
@@ -189,12 +222,7 @@ pub fn prepare_run(
     }
     let rguard = resolve_guard(&clause.guard, |r| slot_of(r).ok())?;
     let compiled = CompiledSchedule::compile_exec(&plan, clause, &captured);
-    // every reference resolved above, so only an operand that does not
-    // fit the bytecode (slot ≥ 2¹⁶, loop dimension ≥ 2⁸) is left
-    let kernel = compiled.kernel.as_ref().ok_or_else(|| {
-        MachineError::PlanMismatch("the clause expression does not fit the kernel bytecode".into())
-    })?;
-    for op in kernel.ops() {
+    for op in kernel_of(&compiled)?.ops() {
         if let KernelOp::LoopVar(dim @ 1..) = op {
             return Err(MachineError::PlanMismatch(format!(
                 "loop variable of dimension {dim} in a 1-D plan"
@@ -211,6 +239,16 @@ pub fn prepare_run(
             plan,
             decomps: captured,
         }),
+    })
+}
+
+/// The kernel of a compiled schedule, which every [`PreparedPlan`] of
+/// either rank has: both prepare paths resolve every reference first, so
+/// the only way to be without one is an operand that does not fit the
+/// bytecode (slot ≥ 2¹⁶, loop dimension ≥ 2⁸).
+fn kernel_of(compiled: &CompiledSchedule) -> Result<&CompiledKernel, MachineError> {
+    compiled.kernel.as_ref().ok_or_else(|| {
+        MachineError::PlanMismatch("the clause expression does not fit the kernel bytecode".into())
     })
 }
 
@@ -247,6 +285,7 @@ pub(crate) fn prepare_nd(
     }
     let compiled =
         lower_nd(clause, &decomps).map_err(|e| MachineError::PlanMismatch(e.to_string()))?;
+    kernel_of(&compiled)?;
     // slots are the distinct read references, in reference order
     let mut slots: Vec<&ArrayRef> = Vec::new();
     for r in clause.read_refs() {
@@ -265,92 +304,73 @@ pub(crate) fn prepare_nd(
     })
 }
 
-/// Per-run context shared by every worker of one execution.
-struct RunCtx {
-    prepared: Arc<PreparedPlan>,
-    opts: DistOptions,
-    trace_on: bool,
-    /// Run the purge + Ready/Go barrier before sending. Needed only
-    /// when the previous run may have left frames in the data channels
-    /// (it failed, or its fault plan allowed post-`Done` retransmits);
-    /// after a clean fault-free run the channels are provably empty —
-    /// every frame a peer sends precedes its `Done`, and a worker only
-    /// finishes its drain after consuming every peer's `Done`.
-    handshake: bool,
-}
-
-/// One dispatched execution for one worker.
-struct Job {
-    ctx: Arc<RunCtx>,
-    locals: BTreeMap<String, Vec<f64>>,
-}
-
-/// Shared context of one wave: the jobs of a DAG schedule wave in
-/// program-ordinal order. A wave is ONE transport run — sequence
-/// numbers run continuously across jobs, which is what makes the
-/// plan-derived seq-window demultiplexing of [`WaveRecv`] exact (a
-/// per-job endpoint reset would replay seqnos from 0 and a fast peer's
-/// frames would be dropped as duplicates by a not-yet-reset slow peer).
+/// Shared context of one wave: pairwise-independent jobs in
+/// program-ordinal order (a single run is a wave of one), plus the node
+/// memories the host lends for its duration. A wave is ONE transport
+/// run — sequence numbers run continuously across jobs, which is what
+/// makes the plan-derived seq-window demultiplexing of [`WaveRecv`]
+/// exact (a per-job endpoint reset would replay seqnos from 0 and a fast
+/// peer's frames would be dropped as duplicates by a not-yet-reset slow
+/// peer).
 struct WaveCtx {
     jobs: Vec<Arc<PreparedPlan>>,
     opts: DistOptions,
     trace_on: bool,
+    /// Run the purge + Ready/Go barrier before sending. Needed only
+    /// when the previous wave may have left frames in the data channels
+    /// (it failed, or its fault plan allowed post-`Done` retransmits);
+    /// after a clean fault-free wave the channels are provably empty —
+    /// every frame a peer sends precedes its `Done`, and a worker only
+    /// finishes its drain after consuming every peer's `Done`.
     handshake: bool,
+    /// Per node, its part of every array the wave references. Lent, not
+    /// given: node writes are staged [`WriteOp`]s the host commits
+    /// afterwards, so every job of every node reads these pre-wave parts
+    /// through a shared reference, and the host takes them back once
+    /// every worker has replied (and thereby dropped its handle).
+    parts: Vec<BTreeMap<String, Vec<f64>>>,
 }
 
-/// One dispatched wave for one worker: per-job local memories (each
-/// restricted to that job's referenced arrays) cloned from the host's
-/// master parts.
-struct WaveJob {
-    ctx: Arc<WaveCtx>,
-    locals: Vec<BTreeMap<String, Vec<f64>>>,
-}
-
-/// Host-to-worker control stream. A run is a two-step handshake:
-/// `Job`/`Wave` (reset, purge stale frames, report
-/// [`WorkerMsg::Ready`]) then `Go` (start sending). The barrier exists
-/// because the stale-frame purge must finish on *every* worker before
-/// *any* worker may put new frames on the wire — a fast peer could
-/// otherwise have its fresh frames eaten by a slow peer's purge.
+/// Host-to-worker control stream. A wave is a two-step handshake:
+/// `Wave` (reset, purge stale frames, report [`WorkerMsg::Ready`]) then
+/// `Go` (start sending). The barrier exists because the stale-frame
+/// purge must finish on *every* worker before *any* worker may put new
+/// frames on the wire — a fast peer could otherwise have its fresh
+/// frames eaten by a slow peer's purge.
 enum Cmd {
-    Job(Job),
-    Wave(WaveJob),
+    Wave(Arc<WaveCtx>),
     Go,
-}
-
-/// What a worker ships back after a run.
-struct Reply {
-    outcome: NodeOutcome,
-    events: Vec<(i64, EventKind)>,
-    timings: Vec<(i64, Phase, Duration)>,
 }
 
 /// One job's share of a wave reply. Writes stay ordinal-keyed (the
 /// position in [`WaveReply::jobs`] is the job's wave ordinal) so the
 /// host can stage commits in strict program order.
-struct JobReply {
-    writes: Vec<WriteOp>,
-    stats: NodeStats,
-    sent_to: Vec<u64>,
-    res: Result<(), MachineError>,
-    events: Vec<(i64, EventKind)>,
-    timings: Vec<(i64, Phase, Duration)>,
+pub(crate) struct JobReply {
+    pub(crate) writes: Vec<WriteOp>,
+    pub(crate) stats: NodeStats,
+    pub(crate) sent_to: Vec<u64>,
+    pub(crate) res: Result<(), MachineError>,
+    pub(crate) events: Vec<(i64, EventKind)>,
+    pub(crate) timings: Vec<(i64, Phase, Duration)>,
 }
 
-/// What a worker ships back after a wave: one [`JobReply`] per job in
+/// What a node ships back after a wave: one [`JobReply`] per job in
 /// wave order, plus the wave-level drain trace (recorded once — the
 /// drain belongs to the transport run, not to any one job).
-struct WaveReply {
-    jobs: Vec<JobReply>,
-    drain_events: Vec<(i64, EventKind)>,
-    drain_timings: Vec<(i64, Phase, Duration)>,
+pub(crate) struct WaveReply {
+    pub(crate) jobs: Vec<JobReply>,
+    pub(crate) drain_events: Vec<(i64, EventKind)>,
+    pub(crate) drain_timings: Vec<(i64, Phase, Duration)>,
 }
 
-/// Worker-to-host stream: `Ready` answers `Cmd::Job`/`Cmd::Wave`,
-/// `Done`/`WaveDone` answer `Cmd::Go`.
+/// Node `p`'s slot in a wave's replies: what it shipped back, or the
+/// typed reason it shipped nothing (a dead thread, a dead process).
+pub(crate) type NodeReply = Result<Box<WaveReply>, MachineError>;
+
+/// Worker-to-host stream: `Ready` answers `Cmd::Wave` under the purge
+/// barrier, `WaveDone` answers the wave itself.
 enum WorkerMsg {
     Ready,
-    Done(Box<Reply>),
     WaveDone(Box<WaveReply>),
 }
 
@@ -416,15 +436,15 @@ struct WorkerHandle {
 }
 
 /// The persistent distributed executor: `pmax` node threads spawned
-/// once, parked between runs, replaying [`PreparedPlan`]s through
+/// once, parked between waves, replaying [`PreparedPlan`]s through
 /// reused transport endpoints and staging buffers. See the module docs
 /// for lifecycle and crash-retirement semantics.
 pub struct DistExecutor {
     pmax: usize,
     workers: Vec<WorkerHandle>,
     broken: bool,
-    /// The previous run may have left stale frames behind (see
-    /// [`RunCtx::handshake`]); the next run must purge under a barrier.
+    /// The previous wave may have left stale frames behind (see
+    /// [`WaveCtx::handshake`]); the next one must purge under a barrier.
     dirty: bool,
 }
 
@@ -460,18 +480,6 @@ fn build_pool(pmax: usize) -> Vec<WorkerHandle> {
         });
     }
     workers
-}
-
-/// The placeholder outcome of a worker that died without replying.
-fn dead_outcome(p: i64, pmax: usize) -> NodeOutcome {
-    (
-        p,
-        BTreeMap::new(),
-        Vec::new(),
-        NodeStats::default(),
-        vec![0u64; pmax],
-        Err(MachineError::NodePanicked { node: p }),
-    )
 }
 
 impl DistExecutor {
@@ -517,76 +525,80 @@ impl DistExecutor {
         self.dirty = false; // fresh channels start empty
     }
 
-    /// Execute `prepared` once on the pool. Semantics are identical to
-    /// [`run_distributed_traced`](crate::run_distributed_traced) on the
-    /// same plan: bit-identical results and statistics, same typed
-    /// errors, all-or-nothing commit, replay-valid traces. Only the
-    /// setup cost differs.
-    pub fn run(
-        &mut self,
-        prepared: &Arc<PreparedPlan>,
-        arrays: &mut BTreeMap<String, DistArray>,
-        opts: DistOptions,
-        tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
-        // the plan was captured against specific decompositions; a run
-        // against redistributed images would scatter garbage
-        let d1 = prepared.d1()?;
-        for name in &prepared.referenced {
-            let da = arrays
-                .get(name)
-                .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-            if da.decomp() != &d1.decomps[name] {
-                return Err(MachineError::PlanMismatch(format!(
-                    "array `{name}` was redistributed since the plan was prepared"
-                )));
-            }
-        }
-        trace_plan(tracer, &d1.plan);
-        self.run_on(prepared, arrays, opts, tracer)
-    }
-
-    /// [`DistExecutor::run`] on images of any rank, trusting the caller
-    /// that `prepared` was built against their current decompositions.
-    pub(crate) fn run_on<A: Image>(
+    /// Execute one prepared clause: a wave of one.
+    pub(crate) fn run_clause<A: Image>(
         &mut self,
         prepared: &Arc<PreparedPlan>,
         arrays: &mut BTreeMap<String, A>,
         opts: DistOptions,
         tracer: &dyn Tracer,
     ) -> Result<ExecReport, MachineError> {
-        if prepared.pmax.max(0) as usize != self.pmax {
-            return Err(MachineError::PlanMismatch(format!(
-                "prepared plan spans {} processors, pool has {}",
-                prepared.pmax, self.pmax
-            )));
+        let mut reports = self.run_wave(std::slice::from_ref(prepared), arrays, opts, tracer)?;
+        Ok(reports.pop().unwrap_or_default())
+    }
+
+    /// Execute one wave — a set of pairwise-independent jobs, in
+    /// program-ordinal order — concurrently on the pool, over images of
+    /// any rank. The caller vouches that every plan was prepared against
+    /// the images' current decompositions ([`PreparedPlan::check_live`]
+    /// is the 1-D callers' check).
+    ///
+    /// The host keeps ownership of the disassembled parts and lends them
+    /// to the nodes for the wave: node writes are staged, so every job
+    /// reads the pre-wave memories (independence guarantees each job's
+    /// inputs equal its strict-sequential inputs), and the host commits
+    /// the staged writes job-by-job in program order into the parts it
+    /// kept — the post-wave arrays are bitwise identical to running the
+    /// jobs strictly sequentially. The whole wave is all-or-nothing: any
+    /// job failing on any node, or a node dying, leaves the parts
+    /// untouched and reports the root-cause error.
+    ///
+    /// Returns one [`ExecReport`] per job, in wave order.
+    pub(crate) fn run_wave<A: Image>(
+        &mut self,
+        jobs: &[Arc<PreparedPlan>],
+        arrays: &mut BTreeMap<String, A>,
+        opts: DistOptions,
+        tracer: &dyn Tracer,
+    ) -> Result<Vec<ExecReport>, MachineError> {
+        let Some(first) = jobs.first() else {
+            return Ok(Vec::new());
+        };
+        for prepared in jobs {
+            if prepared.pmax.max(0) as usize != self.pmax {
+                return Err(MachineError::PlanMismatch(format!(
+                    "prepared plan spans {} processors, pool has {}",
+                    prepared.pmax, self.pmax
+                )));
+            }
         }
         if self.broken {
             self.rebuild();
         }
-        let taken = disassemble(arrays, &prepared.referenced, prepared.pmax)?;
-        let trace_on = tracer.enabled();
+        let mut referenced: Vec<String> = Vec::new();
+        for name in jobs.iter().flat_map(|job| &job.referenced) {
+            if !referenced.contains(name) {
+                referenced.push(name.clone());
+            }
+        }
+        let Disassembled { per_node, decomps } = disassemble(arrays, &referenced, first.pmax)?;
         let handshake = self.dirty;
-        let ctx = Arc::new(RunCtx {
-            prepared: Arc::clone(prepared),
+        let ctx = Arc::new(WaveCtx {
+            jobs: jobs.to_vec(),
             opts,
-            trace_on,
+            trace_on: tracer.enabled(),
             handshake,
+            parts: per_node,
         });
         // Dispatch. When the channels may hold stale frames this is a
         // two-step handshake (see [`Cmd`]): every worker must finish its
-        // purge before any worker starts sending.
+        // purge before any worker starts sending. A failed send drops
+        // the returned command, and with it that worker's handle on the
+        // lent parts.
         let mut running = vec![false; self.pmax];
-        for (p, locals) in taken.per_node.into_iter().enumerate() {
-            let sent = self.workers[p]
-                .job_tx
-                .send(Cmd::Job(Job {
-                    ctx: Arc::clone(&ctx),
-                    locals,
-                }))
-                .is_ok();
-            running[p] = sent;
-            if !sent {
+        for (p, w) in self.workers.iter().enumerate() {
+            running[p] = w.job_tx.send(Cmd::Wave(Arc::clone(&ctx))).is_ok();
+            if !running[p] {
                 self.broken = true;
             }
         }
@@ -605,230 +617,78 @@ impl DistExecutor {
                 }
             }
         }
-        let mut results: Vec<NodeOutcome> = Vec::with_capacity(self.pmax);
-        let mut buffered = Vec::new();
+        let mut replies: Vec<NodeReply> = Vec::with_capacity(self.pmax);
         for (p, w) in self.workers.iter().enumerate() {
-            if !running[p] {
-                results.push(dead_outcome(p as i64, self.pmax));
-                continue;
-            }
-            match w.reply_rx.recv() {
-                Ok(WorkerMsg::Done(reply)) => {
-                    results.push(reply.outcome);
-                    buffered.push((reply.events, reply.timings));
-                }
-                Ok(WorkerMsg::Ready | WorkerMsg::WaveDone(_)) | Err(_) => {
-                    // the thread died without replying (or broke the
-                    // handshake): retire it and rebuild lazily next run
+            let reply = match running[p].then(|| w.reply_rx.recv()) {
+                Some(Ok(WorkerMsg::WaveDone(reply))) => Ok(reply),
+                // the thread died without replying (or broke the
+                // handshake): retire it and rebuild lazily next run
+                Some(Ok(WorkerMsg::Ready) | Err(_)) | None => {
                     self.broken = true;
-                    results.push(dead_outcome(p as i64, self.pmax));
+                    Err(MachineError::NodePanicked { node: p as i64 })
                 }
-            }
+            };
+            replies.push(reply);
         }
         // a failed node exits without draining, and a fault plan can
-        // retransmit after `Done` — either way the next run must purge
-        self.dirty = opts.faults.is_some() || results.iter().any(|r| r.5.is_err());
-        if trace_on {
-            // replies arrive in node order, and each buffer preserves
-            // its node's recording order — the collecting tracer's
-            // canonical (class, node, clock) sort sees the same stream
-            // a cold run records live
-            for (events, timings) in buffered {
-                for (n, k) in events {
-                    tracer.record(n, k);
-                }
-                for (n, ph, d) in timings {
-                    tracer.timing(n, ph, d);
-                }
-            }
-        }
-        finalize_run(
-            &prepared.lhs_array,
-            &prepared.referenced,
-            taken.shapes,
-            results,
-            arrays,
-            tracer,
-        )
-    }
-
-    /// Execute one DAG-schedule wave — a set of pairwise-independent
-    /// jobs, in program-ordinal order — concurrently on the pool.
-    ///
-    /// Every job reads a snapshot of the pre-wave arrays (independence
-    /// guarantees each job's inputs equal its strict-sequential inputs)
-    /// and its writes are staged ordinal-keyed; the host commits them
-    /// job-by-job in program order, so the post-wave arrays are bitwise
-    /// identical to running the jobs strictly sequentially. The whole
-    /// wave is all-or-nothing: any job failing on any node rolls the
-    /// wave back to pre-wave state and reports the root-cause error.
-    ///
-    /// Returns one [`ExecReport`] per job, in wave order.
-    pub fn run_wave(
-        &mut self,
-        jobs: &[Arc<PreparedPlan>],
-        arrays: &mut BTreeMap<String, DistArray>,
-        opts: DistOptions,
-        tracer: &dyn Tracer,
-    ) -> Result<Vec<ExecReport>, MachineError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        for prepared in jobs {
-            if prepared.pmax.max(0) as usize != self.pmax {
-                return Err(MachineError::PlanMismatch(format!(
-                    "prepared plan spans {} processors, pool has {}",
-                    prepared.pmax, self.pmax
-                )));
-            }
-        }
-        if self.broken {
-            self.rebuild();
-        }
-        // union of referenced arrays + their captured decompositions;
-        // every plan must still match the live images
-        let mut referenced: Vec<String> = Vec::new();
-        let mut decomps: BTreeMap<String, Decomp1> = BTreeMap::new();
-        for prepared in jobs {
-            let d1 = prepared.d1()?;
-            for name in &prepared.referenced {
-                let da = arrays
-                    .get(name)
-                    .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-                if da.decomp() != &d1.decomps[name] {
-                    return Err(MachineError::PlanMismatch(format!(
-                        "array `{name}` was redistributed since the plan was prepared"
-                    )));
-                }
-                if !referenced.contains(name) {
-                    referenced.push(name.clone());
-                    decomps.insert(name.clone(), d1.decomps[name].clone());
-                }
-            }
-            trace_plan(tracer, &d1.plan);
-        }
-        let pmax = jobs[0].pmax;
-        let mut master = disassemble(arrays, &referenced, pmax)?.per_node;
-        let trace_on = tracer.enabled();
-        let handshake = self.dirty;
-        let ctx = Arc::new(WaveCtx {
-            jobs: jobs.to_vec(),
-            opts,
-            trace_on,
-            handshake,
-        });
-        let mut running = vec![false; self.pmax];
-        for (p, w) in self.workers.iter().enumerate() {
-            // per-job snapshots of this node's master parts, restricted
-            // to each job's referenced arrays
-            let locals: Vec<BTreeMap<String, Vec<f64>>> = jobs
-                .iter()
-                .map(|job| {
-                    job.referenced
-                        .iter()
-                        .map(|name| {
-                            (
-                                name.clone(),
-                                master[p].get(name).cloned().unwrap_or_default(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let sent = w
-                .job_tx
-                .send(Cmd::Wave(WaveJob {
-                    ctx: Arc::clone(&ctx),
-                    locals,
-                }))
-                .is_ok();
-            running[p] = sent;
-            if !sent {
-                self.broken = true;
-            }
-        }
-        if handshake {
-            for (p, w) in self.workers.iter().enumerate() {
-                if running[p] && !matches!(w.reply_rx.recv(), Ok(WorkerMsg::Ready)) {
-                    self.broken = true;
-                    running[p] = false;
-                }
-            }
-            for (p, w) in self.workers.iter().enumerate() {
-                if running[p] && w.job_tx.send(Cmd::Go).is_err() {
-                    self.broken = true;
-                    running[p] = false;
-                }
-            }
-        }
-        let mut replies: Vec<Option<Box<WaveReply>>> = Vec::with_capacity(self.pmax);
-        for (p, w) in self.workers.iter().enumerate() {
-            if !running[p] {
-                replies.push(None);
-                continue;
-            }
-            match w.reply_rx.recv() {
-                Ok(WorkerMsg::WaveDone(reply)) => replies.push(Some(reply)),
-                Ok(WorkerMsg::Ready | WorkerMsg::Done(_)) | Err(_) => {
-                    self.broken = true;
-                    replies.push(None);
-                }
-            }
-        }
-        self.dirty = opts.faults.is_some()
-            || replies.iter().any(|r| match r {
-                None => true,
-                Some(wr) => wr.jobs.iter().any(|j| j.res.is_err()),
-            });
-        if trace_on {
-            // replies arrive in node order; within a node, job streams
-            // in wave order then the drain span — exactly the order a
-            // sequence of single runs would have recorded per node
-            for reply in replies.iter_mut().flatten() {
-                for jr in &mut reply.jobs {
-                    for (n, k) in jr.events.drain(..) {
-                        tracer.record(n, k);
-                    }
-                    for (n, ph, d) in jr.timings.drain(..) {
-                        tracer.timing(n, ph, d);
-                    }
-                }
-                for (n, k) in reply.drain_events.drain(..) {
-                    tracer.record(n, k);
-                }
-                for (n, ph, d) in reply.drain_timings.drain(..) {
-                    tracer.timing(n, ph, d);
-                }
-            }
-        }
-        finalize_wave(
-            jobs,
-            &referenced,
-            &decomps,
-            &mut master,
-            replies,
-            arrays,
-            tracer,
-        )
+        // retransmit after `Done` — either way the next wave must purge
+        self.dirty = opts.faults.is_some() || !wave_clean(&replies);
+        // every worker dropped its handle before it replied (or died),
+        // so the loan is back; copying is the fallback, never the path
+        let parts = Arc::try_unwrap(ctx).map_or_else(|lent| lent.parts.clone(), |ctx| ctx.parts);
+        finalize_wave(jobs, decomps, parts, replies, arrays, tracer)
     }
 }
 
-/// Host-side tail of a wave (the wave analogue of
-/// [`finalize_run`]): pick the root-cause error across all jobs ×
-/// nodes, validate *every* job's writes before committing *any*
-/// (all-or-nothing for the whole wave), commit job-by-job in
-/// program-ordinal order into the master parts, and reassemble — on
-/// error from the untouched parts, restoring pre-wave state.
-fn finalize_wave(
+/// Whether every node replied and every job of the wave succeeded on it.
+pub(crate) fn wave_clean(replies: &[NodeReply]) -> bool {
+    (replies.iter()).all(|r| {
+        r.as_ref()
+            .is_ok_and(|wr| wr.jobs.iter().all(|j| j.res.is_ok()))
+    })
+}
+
+/// The host-side tail every distributed execution shares (pooled
+/// threads and worker processes alike). `parts` are the disassembled
+/// pre-wave memories the host kept; `replies[p]` is node `p`'s reply, or
+/// why there is none. Replay the buffered node traces (replies are in
+/// node order; within a node, job streams in wave order then the drain
+/// span — the stream a cold run records live, which is all the
+/// collecting tracer's canonical `(class, node, clock)` sort needs),
+/// pick the root-cause error across all jobs × nodes, validate *every*
+/// job's writes before committing *any* (all-or-nothing for the whole
+/// wave), commit job-by-job in program-ordinal order into `parts`, and
+/// reassemble — on error from the untouched parts, restoring pre-wave
+/// state.
+pub(crate) fn finalize_wave<A: Image>(
     jobs: &[Arc<PreparedPlan>],
-    referenced: &[String],
-    decomps: &BTreeMap<String, Decomp1>,
-    master: &mut [BTreeMap<String, Vec<f64>>],
-    mut replies: Vec<Option<Box<WaveReply>>>,
-    arrays: &mut BTreeMap<String, DistArray>,
+    decomps: Vec<(String, A::Decomp)>,
+    mut parts: Vec<BTreeMap<String, Vec<f64>>>,
+    mut replies: Vec<NodeReply>,
+    arrays: &mut BTreeMap<String, A>,
     tracer: &dyn Tracer,
 ) -> Result<Vec<ExecReport>, MachineError> {
+    if tracer.enabled() {
+        for reply in replies.iter_mut().flatten() {
+            for jr in &mut reply.jobs {
+                for (n, k) in jr.events.drain(..) {
+                    tracer.record(n, k);
+                }
+                for (n, ph, d) in jr.timings.drain(..) {
+                    tracer.timing(n, ph, d);
+                }
+            }
+            for (n, k) in reply.drain_events.drain(..) {
+                tracer.record(n, k);
+            }
+            for (n, ph, d) in reply.drain_timings.drain(..) {
+                tracer.timing(n, ph, d);
+            }
+        }
+    }
     let commit_t0 = tracer.enabled().then(std::time::Instant::now);
+    // a panic or a dead worker is the root cause and wins over the
+    // secondary Unrecoverable/Missing* errors it induces on peers
     let root_cause = |e: &MachineError| {
         matches!(
             e,
@@ -844,16 +704,15 @@ fn finalize_wave(
         };
         for (p, r) in replies.iter().enumerate() {
             match r {
-                None => consider(&MachineError::NodePanicked { node: p as i64 }),
-                Some(wr) => {
-                    if wr.jobs.len() != jobs.len() {
-                        consider(&MachineError::PlanMismatch(format!(
-                            "node {p} replied with {} job results for a {}-job wave",
-                            wr.jobs.len(),
-                            jobs.len()
-                        )));
-                        continue;
-                    }
+                Err(e) => consider(e),
+                Ok(wr) if wr.jobs.len() != jobs.len() => {
+                    consider(&MachineError::PlanMismatch(format!(
+                        "node {p} replied with {} job results for a {}-job wave",
+                        wr.jobs.len(),
+                        jobs.len()
+                    )));
+                }
+                Ok(wr) => {
                     for jr in &wr.jobs {
                         if let Err(e) = &jr.res {
                             consider(e);
@@ -869,8 +728,8 @@ fn finalize_wave(
         'validate: for (j, job) in jobs.iter().enumerate() {
             let lhs = &job.lhs_array;
             for (p, r) in replies.iter().enumerate() {
-                let Some(wr) = r else { continue };
-                let len = master[p].get(lhs).map_or(0, Vec::len);
+                let Ok(wr) = r else { continue };
+                let len = parts[p].get(lhs).map_or(0, Vec::len);
                 for w in &wr.jobs[j].writes {
                     let bad = match w {
                         WriteOp::El(off, _) => (*off >= len).then_some((*off, 1usize)),
@@ -889,18 +748,17 @@ fn finalize_wave(
             }
         }
     }
-    let commit = first_err.is_none();
 
     // commit staging is ordinal-keyed: job j's writes land before job
     // j+1's, so the final image equals strict sequential execution even
     // if two jobs wrote the same element (the DAG builder never
     // schedules such jobs in one wave; this is defense in depth)
-    if commit {
+    if first_err.is_none() {
         for (j, job) in jobs.iter().enumerate() {
             let lhs = &job.lhs_array;
             for (p, r) in replies.iter_mut().enumerate() {
-                let Some(wr) = r else { continue };
-                let Some(part) = master[p].get_mut(lhs) else {
+                let Ok(wr) = r else { continue };
+                let Some(part) = parts[p].get_mut(lhs) else {
                     continue;
                 };
                 for w in std::mem::take(&mut wr.jobs[j].writes) {
@@ -916,201 +774,139 @@ fn finalize_wave(
     }
 
     // reassemble (on error: the parts were never touched → pre-wave)
-    for name in referenced {
-        let parts: Vec<Vec<f64>> = master
-            .iter_mut()
-            .map(|m| m.remove(name).unwrap_or_default())
+    for (name, dec) in decomps {
+        let image = (parts.iter_mut())
+            .map(|m| m.remove(&name).unwrap_or_default())
             .collect();
-        arrays.insert(
-            name.clone(),
-            DistArray::from_parts(decomps[name].clone(), parts),
-        );
-    }
-
-    let mut reports = Vec::with_capacity(jobs.len());
-    for j in 0..jobs.len() {
-        let mut report = ExecReport::default();
-        for r in &replies {
-            match r {
-                Some(wr) => {
-                    report.nodes.push(wr.jobs[j].stats);
-                    report.traffic.push(wr.jobs[j].sent_to.clone());
-                }
-                None => {
-                    report.nodes.push(NodeStats::default());
-                    report.traffic.push(vec![0u64; replies.len()]);
-                }
-            }
-        }
-        reports.push(report);
+        arrays.insert(name, A::from_parts(dec, image));
     }
     if let Some(t0) = commit_t0 {
         tracer.timing(crate::obs::HOST, Phase::Commit, t0.elapsed());
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(reports),
+    if let Some(e) = first_err {
+        return Err(e);
     }
+    let reports = (0..jobs.len()).map(|j| {
+        let mut report = ExecReport::default();
+        for wr in replies.iter_mut().flatten() {
+            report.nodes.push(wr.jobs[j].stats);
+            report.traffic.push(std::mem::take(&mut wr.jobs[j].sent_to));
+        }
+        report
+    });
+    Ok(reports.collect())
 }
 
-/// The worker-side body of one wave: per-job lanes and seq windows
+/// Run one phase of one job under the panic supervisor: a caught panic
+/// becomes the typed error and marks the node as having crashed.
+fn supervised(
+    p: i64,
+    panicked: &mut bool,
+    phase: impl FnOnce() -> Result<(), MachineError>,
+) -> Result<(), MachineError> {
+    catch_unwind(AssertUnwindSafe(phase)).unwrap_or_else(|_| {
+        *panicked = true;
+        Err(MachineError::NodePanicked { node: p })
+    })
+}
+
+/// The node-side body of one wave — the one send → update → `Done` →
+/// drain template every node runs, on a pooled thread or in a socket
+/// worker process (whose waves have one job). Lanes and seq windows are
 /// derived from the jobs' plans, then two passes — every job's send
 /// phase first (pre-posting all boundary frames), then every job's
 /// update phase in wave order — and one `Done` + drain for the whole
-/// wave. Pre-posting means an update's receives almost never block on
-/// a peer still parked in an earlier job, which matters most on an
-/// oversubscribed host. After any job fails, the remaining jobs on
-/// this node are skipped (their results carry the first failure) and
-/// the wave aborts all-or-nothing.
-fn wave_worker_body(
+/// wave. Pre-posting means an update's receives almost never block on a
+/// peer still parked in an earlier job, which matters most on an
+/// oversubscribed host. Every job reads the same `locals`, the node's
+/// pre-wave parts: writes are collected, never applied here. After any
+/// job fails, the remaining jobs on this node are skipped (their results
+/// carry the first failure) and the wave aborts all-or-nothing.
+pub(crate) fn wave_body(
     p: i64,
     ep: &mut Endpoint<Wire>,
     scratch: &mut Scratch,
     buf: &BufTracer,
-    ctx: &WaveCtx,
-    locals: Vec<BTreeMap<String, Vec<f64>>>,
+    jobs: &[Arc<PreparedPlan>],
+    opts: &DistOptions,
+    locals: &BTreeMap<String, Vec<f64>>,
 ) -> WaveReply {
-    let pu = p as usize;
     let pmax = ep.peer_count();
-    let lanes: Vec<JobLane> = ctx
-        .jobs
-        .iter()
-        .map(|job| {
-            let cn = &job.compiled.nodes[pu];
-            JobLane {
-                src_ord: cn.src_ord.clone(),
-                pending: BTreeMap::new(),
-                staging: cn.staging_packets.iter().map(|&n| vec![None; n]).collect(),
-            }
-        })
-        .collect();
-    // cumulative planned data frames per source: element mode sends one
-    // frame per element, vectorized one per planned packet — mirrored
-    // exactly by the sender's send phase, which walks the same pair
-    // sets in the same order
-    let mut cuts: Vec<Vec<u64>> = vec![vec![0]; pmax];
-    for job in &ctx.jobs {
-        let cn = &job.compiled.nodes[pu];
-        let mut from = vec![0u64; pmax];
-        for (ord, peer) in cn.src_peers.iter().enumerate() {
-            let frames = match ctx.opts.mode {
-                CommMode::Element => cn.recv_elems[ord],
-                CommMode::Vectorized => cn.staging_packets[ord] as u64,
-            };
-            if let Some(from) = usize::try_from(*peer).ok().and_then(|s| from.get_mut(s)) {
-                *from += frames;
-            }
-        }
-        for (src, col) in cuts.iter_mut().enumerate() {
-            let last = col.last().copied().unwrap_or(0);
-            col.push(last + from[src]);
-        }
-    }
-    let mut wr = WaveRecv {
-        cur: 0,
-        lanes,
-        cuts,
-    };
-    let njobs = ctx.jobs.len();
-    let mut jobs_out: Vec<JobReply> = Vec::with_capacity(njobs);
+    let tables = jobs.iter().map(|job| &job.compiled.nodes[p as usize]);
+    scratch.recv.reset(tables, pmax, opts.mode);
     let mut first_fail: Option<MachineError> = None;
     let mut panicked = false;
-    let mut stats_v = vec![NodeStats::default(); njobs];
-    let mut sent_v = vec![vec![0u64; pmax]; njobs];
-    let mut send_buf: Vec<BufInner> = Vec::with_capacity(njobs);
     // pass 1 — post *every* job's boundary sends before any update
     // phase blocks on a receive: on an oversubscribed host this turns
     // k send→recv thread handoffs into one wave-wide exchange. The
     // per-source seq-window cuts route early frames to the right job
     // lane, so arrival before the consuming job starts is fine.
-    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(&locals).enumerate() {
-        let res = if first_fail.is_some() {
-            Ok(())
-        } else {
-            let stats = &mut stats_v[j];
-            let sent_to = &mut sent_v[j];
-            let phases = catch_unwind(AssertUnwindSafe(|| {
+    let mut sent: Vec<(NodeStats, Vec<u64>, BufInner)> = Vec::with_capacity(jobs.len());
+    for prepared in jobs {
+        let mut stats = NodeStats::default();
+        let mut sent_to = vec![0u64; pmax];
+        if first_fail.is_none() {
+            let send = || {
                 warm_phases(
                     p,
-                    job_locals,
+                    locals,
                     prepared,
-                    &ctx.opts,
+                    opts,
                     ep,
                     scratch,
-                    None,
-                    stats,
-                    sent_to,
+                    &mut stats,
+                    &mut sent_to,
                     buf,
                     PhaseSpan::SendOnly,
                 )
-            }));
-            match phases {
-                Ok(r) => r,
-                Err(_) => {
-                    panicked = true;
-                    Err(MachineError::NodePanicked { node: p })
-                }
-            }
-        };
-        if let Err(e) = res {
-            if first_fail.is_none() {
-                first_fail = Some(e);
-            }
+            };
+            first_fail = supervised(p, &mut panicked, send).err();
         }
-        send_buf.push(buf.take());
+        sent.push((stats, sent_to, buf.take()));
     }
     // pass 2 — run each job's update phase in wave order, consuming
     // through its lane. Buffered per-job events replay host-side as
     // send-then-update per job, so the canonical trace is identical to
     // the interleaved schedule's.
-    for (j, (prepared, job_locals)) in ctx.jobs.iter().zip(&locals).enumerate() {
-        wr.cur = j;
-        reset_scratch(scratch, prepared, p);
-        let mut stats = std::mem::take(&mut stats_v[j]);
-        let sent_to = std::mem::take(&mut sent_v[j]);
+    let mut jobs_out: Vec<JobReply> = Vec::with_capacity(jobs.len());
+    for (j, (prepared, (mut stats, sent_to, sent_trace))) in jobs.iter().zip(sent).enumerate() {
+        scratch.recv.cur = j;
+        scratch.vals.clear();
+        scratch
+            .vals
+            .resize(prepared.compiled.slot_arrays.len(), 0.0);
+        scratch.writes.clear();
         let res = match &first_fail {
             Some(e) => Err(e.clone()),
             None => {
-                let phases = catch_unwind(AssertUnwindSafe(|| {
+                let update = || {
                     warm_phases(
                         p,
-                        job_locals,
+                        locals,
                         prepared,
-                        &ctx.opts,
+                        opts,
                         ep,
                         scratch,
-                        Some(&mut wr),
                         &mut stats,
                         &mut [],
                         buf,
                         PhaseSpan::UpdateOnly,
                     )
-                }));
-                match phases {
-                    Ok(r) => r,
-                    Err(_) => {
-                        panicked = true;
-                        Err(MachineError::NodePanicked { node: p })
-                    }
-                }
+                };
+                supervised(p, &mut panicked, update)
             }
         };
-        if res.is_err() {
+        if let Err(e) = &res {
             scratch.writes.clear();
-            if first_fail.is_none() {
-                first_fail = res.as_ref().err().cloned();
-            }
+            first_fail.get_or_insert_with(|| e.clone());
         }
         let BufInner {
             mut events,
             mut timings,
-        } = std::mem::take(&mut send_buf[j]);
-        let BufInner {
-            events: up_events,
-            timings: up_timings,
-        } = buf.take();
-        events.extend(up_events);
-        timings.extend(up_timings);
+        } = sent_trace;
+        let updated = buf.take();
+        events.extend(updated.events);
+        timings.extend(updated.timings);
         jobs_out.push(JobReply {
             writes: std::mem::take(&mut scratch.writes),
             stats,
@@ -1120,22 +916,23 @@ fn wave_worker_body(
             timings,
         });
     }
+    // a crashed node still announces completion so peers stop waiting,
+    // but services nothing
     ep.announce_done();
     if !panicked {
-        // drain stats land on the wave's last job, mirroring how a solo
-        // run charges its own drain
+        // drain stats land on the wave's last job
         let mut fallback = NodeStats::default();
         let dstats = jobs_out
             .last_mut()
             .map_or(&mut fallback, |last| &mut last.stats);
-        if ctx.trace_on {
+        if buf.enabled() {
             buf.record(p, EventKind::PhaseStart(Phase::Drain));
             let t0 = std::time::Instant::now();
-            ep.drain(ctx.opts.recv_timeout, dstats);
+            ep.drain(opts.recv_timeout, dstats);
             buf.timing(p, Phase::Drain, t0.elapsed());
             buf.record(p, EventKind::PhaseEnd(Phase::Drain));
         } else {
-            ep.drain(ctx.opts.recv_timeout, dstats);
+            ep.drain(opts.recv_timeout, dstats);
         }
     }
     let BufInner { events, timings } = buf.take();
@@ -1152,47 +949,26 @@ impl Drop for DistExecutor {
     }
 }
 
-/// Per-worker scratch reused (cleared, not reallocated) across runs.
+/// Per-worker scratch reused (cleared, not reallocated) across waves.
 /// Shared with the process-backed pool (`crate::proc`), whose workers
 /// carry one across jobs exactly like a pooled thread does.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Element mode: out-of-order arrivals keyed `(slot, i)`.
-    pending: BTreeMap<(usize, i64), f64>,
-    /// Vectorized mode: `staging[source ordinal][packet]` packet values.
-    staging: Staging,
+    /// The receive router: one lane per job of the wave (element-mode
+    /// arrivals, vectorized packet staging) and the wave's seq windows.
+    recv: WaveRecv,
     /// Operand values of the current iteration, one per read slot.
     vals: Vec<f64>,
-    /// Kernel evaluation stack (compiled path), reused across runs.
+    /// Kernel evaluation stack, reused across runs.
     stack: Vec<f64>,
-    /// Collected local writes, committed by the host.
-    pub(crate) writes: Vec<WriteOp>,
-}
-
-/// Size (and clear) a worker's scratch for one prepared plan — shared
-/// by the pooled-thread and pooled-process workers so both reuse
-/// buffers instead of reallocating per run.
-pub(crate) fn reset_scratch(scratch: &mut Scratch, prepared: &PreparedPlan, p: i64) {
-    let cn = &prepared.compiled.nodes[p as usize];
-    scratch.pending.clear();
-    scratch
-        .staging
-        .resize_with(cn.staging_packets.len(), Vec::new);
-    for (row, &npackets) in scratch.staging.iter_mut().zip(&cn.staging_packets) {
-        row.clear();
-        row.resize(npackets, None);
-    }
-    scratch.vals.clear();
-    scratch
-        .vals
-        .resize(prepared.compiled.slot_arrays.len(), 0.0);
-    scratch.writes.clear();
+    /// Collected local writes of the current job, committed by the host.
+    writes: Vec<WriteOp>,
 }
 
 /// The body of one pooled node thread: park on the job channel, and for
-/// each job reset the endpoint + scratch, run the warm phases under the
-/// panic supervisor, drain, and ship the outcome (plus buffered trace)
-/// back to the host.
+/// each wave reset the endpoint, run [`wave_body`] over this node's
+/// share of the lent parts, and ship the reply (writes, statistics,
+/// buffered trace) back to the host.
 fn worker_main(
     p: i64,
     txs: Vec<Sender<Frame<Wire>>>,
@@ -1204,150 +980,59 @@ fn worker_main(
     let mut ep: Endpoint<Wire> = Endpoint::in_proc(p, txs, data_rx, None, &buf);
     let mut scratch = Scratch::default();
     while let Ok(cmd) = job_rx.recv() {
-        let job = match cmd {
-            Cmd::Job(job) => job,
-            Cmd::Wave(wj) => {
-                let ctx = Arc::clone(&wj.ctx);
-                buf.set_enabled(ctx.trace_on);
-                ep.reset(ctx.opts.faults, ctx.trace_on);
-                if ctx.handshake {
-                    // same purge + Ready/Go barrier as a single job
-                    ep.purge_link();
-                    if reply_tx.send(WorkerMsg::Ready).is_err() {
-                        break;
-                    }
-                    match job_rx.recv() {
-                        Ok(Cmd::Go) => {}
-                        Ok(Cmd::Job(_) | Cmd::Wave(_)) | Err(_) => break,
-                    }
-                }
-                let reply = wave_worker_body(p, &mut ep, &mut scratch, &buf, &ctx, wj.locals);
-                if reply_tx.send(WorkerMsg::WaveDone(Box::new(reply))).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Cmd::Go => continue, // stray Go (host retired us mid-handshake)
+        let Cmd::Wave(ctx) = cmd else {
+            continue; // stray Go (host retired us mid-handshake)
         };
-        let ctx = job.ctx;
-        let locals = job.locals;
         buf.set_enabled(ctx.trace_on);
         ep.reset(ctx.opts.faults, ctx.trace_on);
         if ctx.handshake {
-            // discard frames a previous (failed or faulty) run left
-            // behind; every peer finished that run before the host
+            // discard frames a previous (failed or faulty) wave left
+            // behind; every peer finished that wave before the host
             // dispatched this one, so anything buffered here is stale by
-            // construction — and the Ready/Go barrier below keeps new
-            // frames off the wire until every peer's purge is complete
-            ep.purge_link();
-        }
-
-        let prepared = &ctx.prepared;
-        reset_scratch(&mut scratch, prepared, p);
-
-        let mut stats = NodeStats::default();
-        let mut sent_to = vec![0u64; ep.peer_count()];
-        let trace_on = ctx.trace_on;
-
-        if ctx.handshake {
-            // purge complete: report ready, then hold all sends until
+            // construction — then report ready and hold all sends until
             // every peer has purged too
+            ep.purge_link();
             if reply_tx.send(WorkerMsg::Ready).is_err() {
                 break; // host hung up
             }
             match job_rx.recv() {
                 Ok(Cmd::Go) => {}
-                Ok(Cmd::Job(_) | Cmd::Wave(_)) | Err(_) => break, // handshake broken
+                Ok(Cmd::Wave(_)) | Err(_) => break, // handshake broken
             }
         }
-
-        let phases = catch_unwind(AssertUnwindSafe(|| {
-            warm_phases(
-                p,
-                &locals,
-                prepared,
-                &ctx.opts,
-                &mut ep,
-                &mut scratch,
-                None,
-                &mut stats,
-                &mut sent_to,
-                &buf,
-                PhaseSpan::Full,
-            )
-        }));
-        let res = match phases {
-            Ok(r) => {
-                ep.announce_done();
-                if trace_on {
-                    buf.record(p, EventKind::PhaseStart(Phase::Drain));
-                    let t0 = std::time::Instant::now();
-                    ep.drain(ctx.opts.recv_timeout, &mut stats);
-                    buf.timing(p, Phase::Drain, t0.elapsed());
-                    buf.record(p, EventKind::PhaseEnd(Phase::Drain));
-                } else {
-                    ep.drain(ctx.opts.recv_timeout, &mut stats);
-                }
-                r
-            }
-            Err(_) => {
-                // mirror the cold supervisor: announce completion so
-                // peers stop waiting, service nothing, report typed
-                ep.announce_done();
-                Err(MachineError::NodePanicked { node: p })
-            }
-        };
-        if res.is_err() {
-            scratch.writes.clear();
-        }
-        let BufInner { events, timings } = buf.take();
-        let outcome = (
-            p,
-            locals,
-            std::mem::take(&mut scratch.writes),
-            stats,
-            sent_to,
-            res,
-        );
-        if reply_tx
-            .send(WorkerMsg::Done(Box::new(Reply {
-                outcome,
-                events,
-                timings,
-            })))
-            .is_err()
-        {
+        let locals = &ctx.parts[p as usize];
+        let reply = wave_body(p, &mut ep, &mut scratch, &buf, &ctx.jobs, &ctx.opts, locals);
+        drop(ctx); // the loan ends before the host hears the wave is done
+        if reply_tx.send(WorkerMsg::WaveDone(Box::new(reply))).is_err() {
             break; // host hung up
         }
     }
 }
 
-/// Which half of a warm run to execute. A solo run is always
-/// [`PhaseSpan::Full`]; the wave worker splits the run so it can post
-/// *every* job's boundary sends before any job's update phase blocks
-/// on a receive — on an oversubscribed host that collapses the
-/// per-job send/recv thread ping-pong into one wave-wide exchange.
+/// Which half of a job to execute: the wave body posts *every* job's
+/// boundary sends before any job's update phase blocks on a receive —
+/// on an oversubscribed host that collapses the per-job send/recv
+/// thread ping-pong into one wave-wide exchange.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PhaseSpan {
-    Full,
+enum PhaseSpan {
     SendOnly,
     UpdateOnly,
 }
 
-/// The send + update phases of one run of one node — the phase engine
-/// behind pooled threads, wave jobs, socket workers and (on a one-shot
-/// pool) cold runs, for clauses of any rank and plans of any dispatch
-/// (closed-form or naive-guard). Every loop is driven from the compiled
-/// run tables, and receives go through the worker's persistent scratch.
+/// The send or update phase of one job on one node — the phase engine
+/// behind pooled threads, socket workers and (on a one-shot pool) cold
+/// runs, for clauses of any rank and plans of any dispatch (closed-form
+/// or naive-guard). Every loop is driven from the compiled run tables,
+/// and receives go through the job's lane in the worker's persistent
+/// scratch.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn warm_phases(
+fn warm_phases(
     p: i64,
     locals: &BTreeMap<String, Vec<f64>>,
     prepared: &PreparedPlan,
     opts: &DistOptions,
     ep: &mut Endpoint<Wire>,
     scratch: &mut Scratch,
-    wave: Option<&mut WaveRecv>,
     stats: &mut NodeStats,
     sent_to: &mut [u64],
     tracer: &dyn Tracer,
@@ -1355,24 +1040,11 @@ pub(crate) fn warm_phases(
 ) -> Result<(), MachineError> {
     let cs = &prepared.compiled;
     let cn = &cs.nodes[p as usize];
-    let Scratch {
-        pending,
-        staging,
-        vals,
-        stack,
-        writes,
-    } = scratch;
-    // wave jobs receive through their per-job lane in the shared
-    // router; a solo run uses the scratch buffers directly
-    let mut rcv = match wave {
-        Some(w) => RecvCtx::Wave(w),
-        None => RecvCtx::Single { pending, staging },
-    };
     let parts = slot_parts(locals, cs)?;
     let trace_on = tracer.enabled();
 
-    // ---- send phase: Reside_p ∩ Modify_q, q ≠ p -------------------------
-    if span != PhaseSpan::UpdateOnly {
+    if span == PhaseSpan::SendOnly {
+        // ---- send phase: Reside_p ∩ Modify_q, q ≠ p ---------------------
         if trace_on {
             tracer.record(p, EventKind::PhaseStart(Phase::Send));
         }
@@ -1388,8 +1060,6 @@ pub(crate) fn warm_phases(
             tracer.timing(p, Phase::Send, t0.elapsed());
             tracer.record(p, EventKind::PhaseEnd(Phase::Send));
         }
-    }
-    if span == PhaseSpan::SendOnly {
         return Ok(());
     }
 
@@ -1400,6 +1070,12 @@ pub(crate) fn warm_phases(
         tracer.record(p, EventKind::PhaseStart(Phase::Update));
     }
     let update_t0 = trace_on.then(std::time::Instant::now);
+    let Scratch {
+        recv,
+        vals,
+        stack,
+        writes,
+    } = scratch;
     stack.clear();
     let res = exec_update_phase(
         cs,
@@ -1407,7 +1083,7 @@ pub(crate) fn warm_phases(
         &parts,
         &prepared.rguard,
         ep,
-        &mut rcv,
+        recv,
         vals,
         stack,
         opts,
@@ -1420,4 +1096,187 @@ pub(crate) fn warm_phases(
         tracer.record(p, EventKind::PhaseEnd(Phase::Update));
     }
     res
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::NULL_TRACER;
+    use vcal_core::func::Fn1;
+    use vcal_core::map::IndexMap;
+    use vcal_core::{Array, Bounds, Env, Expr, Guard, IndexSet, Ix};
+    use vcal_decomp::DecompNd;
+
+    /// A dead pooled worker costs the run, never the data: the host
+    /// keeps the parts it lends, so the images come back bit-for-bit
+    /// (the solo path this replaced rebuilt the dead node's part as
+    /// zeros), and the pool rebuilds itself for the next run.
+    #[test]
+    fn dead_worker_fails_the_run_but_keeps_the_data() {
+        let n = 32;
+        let extent = Bounds::range(0, n - 1);
+        // communication-free, so the live peers do not wait on the dead one
+        let clause = Clause {
+            iter: IndexSet::range(0, n - 1),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("A", Fn1::identity()),
+            rhs: Expr::add(
+                Expr::Ref(ArrayRef::d1("B", Fn1::identity())),
+                Expr::Lit(0.5),
+            ),
+        };
+        let mut decomps = BTreeMap::new();
+        let mut arrays = BTreeMap::new();
+        for (name, scale) in [("A", -1.0), ("B", 3.0)] {
+            let dec = Decomp1::block(4, extent);
+            let global = Array::from_fn(extent, |i| (i.scalar() + 1) as f64 * scale);
+            arrays.insert(
+                name.to_string(),
+                DistArray::scatter_from(&global, dec.clone()),
+            );
+            decomps.insert(name.to_string(), dec);
+        }
+        let plan = SpmdPlan::build(&clause, &decomps).unwrap();
+        let prepared = Arc::new(prepare_run(plan, &clause, &decomps).unwrap());
+        let before = arrays.clone();
+
+        let mut pool = DistExecutor::new(4);
+        // hang up node 0's job channel from the host side: its thread
+        // exits, and every send to it fails
+        pool.workers[0].job_tx = unbounded().0;
+        // the live peers' drain waits this long for node 0's `Done`
+        let opts = DistOptions {
+            recv_timeout: Duration::from_millis(50),
+            ..DistOptions::default()
+        };
+        let err = pool.run_clause(&prepared, &mut arrays, opts, &NULL_TRACER);
+        assert_eq!(err.unwrap_err(), MachineError::NodePanicked { node: 0 });
+        assert_eq!(arrays, before, "a failed run must restore every image");
+        assert!(pool.is_broken());
+
+        let report = pool.run_clause(&prepared, &mut arrays, opts, &NULL_TRACER);
+        assert_eq!(report.unwrap().nodes.len(), 4, "the rebuilt pool runs it");
+        assert!(!pool.is_broken());
+        let a = arrays["A"].gather();
+        let b = before["B"].gather();
+        assert!(extent.iter().all(|i| a.get(&i) == b.get(&i) + 0.5));
+    }
+
+    /// Both prepare paths refuse a schedule without a kernel, in the
+    /// same words. (The bytecode's operand limits are out of reach of a
+    /// clause in a test, so the kernel is removed by hand.)
+    #[test]
+    fn a_schedule_without_a_kernel_is_refused_at_prepare_time() {
+        let clause = Clause {
+            iter: IndexSet::range(0, 7),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("A", Fn1::identity()),
+            rhs: Expr::Lit(1.0),
+        };
+        let mut decomps = BTreeMap::new();
+        decomps.insert("A".to_string(), Decomp1::block(2, Bounds::range(0, 7)));
+        let plan = SpmdPlan::build(&clause, &decomps).unwrap();
+        let mut compiled = CompiledSchedule::compile_exec(&plan, &clause, &decomps);
+        assert!(kernel_of(&compiled).is_ok());
+        compiled.kernel = None;
+        match kernel_of(&compiled) {
+            Err(MachineError::PlanMismatch(why)) => {
+                assert_eq!(
+                    why,
+                    "the clause expression does not fit the kernel bytecode"
+                )
+            }
+            other => panic!("expected PlanMismatch, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// Two independent 2-D clauses (a five-point stencil and a copy) as
+    /// ONE wave over `DistArrayNd`: bitwise the sequential machine
+    /// applying them in order, and per job the same counters as two
+    /// one-job waves.
+    #[test]
+    fn two_nd_clauses_run_as_one_wave() {
+        let n = 12i64;
+        let whole = Bounds::range2(0, n - 1, 0, n - 1);
+        let u = |di: i64, dj: i64| {
+            let map = IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]);
+            Expr::Ref(ArrayRef::new("U", map))
+        };
+        let stencil = Clause {
+            iter: IndexSet::full(Bounds::range2(1, n - 2, 1, n - 2)),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::new("V", IndexMap::identity(2)),
+            rhs: Expr::mul(
+                Expr::add(Expr::add(u(-1, 0), u(1, 0)), Expr::add(u(0, -1), u(0, 1))),
+                Expr::Lit(0.25),
+            ),
+        };
+        let copy = Clause {
+            iter: IndexSet::full(whole),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::new("W", IndexMap::identity(2)),
+            rhs: u(0, 0),
+        };
+        let mut env = Env::new();
+        env.insert(
+            "U",
+            Array::from_fn(whole, |i: &Ix| ((i[0] * 7 + i[1] * 3) % 11) as f64),
+        );
+        env.insert("V", Array::zeros(whole));
+        env.insert("W", Array::zeros(whole));
+        let axis = || Decomp1::block(2, Bounds::range(0, n - 1));
+        let scatter = || -> BTreeMap<String, DistArrayNd> {
+            (["U", "V", "W"].iter())
+                .map(|name| {
+                    let dec = DecompNd::new(vec![axis(), axis()]);
+                    let image = DistArrayNd::scatter_from(env.get(name).unwrap(), dec);
+                    (name.to_string(), image)
+                })
+                .collect()
+        };
+        let mut expect = env.clone();
+        expect.exec_clause(&stencil);
+        expect.exec_clause(&copy);
+
+        let mut arrays = scatter();
+        let jobs: Vec<Arc<PreparedPlan>> = [&stencil, &copy]
+            .map(|c| Arc::new(prepare_nd(c, &arrays).unwrap()))
+            .into();
+        let opts = DistOptions::default();
+        let mut pool = DistExecutor::new(4);
+        let together = pool
+            .run_wave(&jobs, &mut arrays, opts, &NULL_TRACER)
+            .unwrap();
+        for name in ["U", "V", "W"] {
+            let diff = arrays[name]
+                .gather()
+                .max_abs_diff(expect.get(name).unwrap());
+            assert_eq!(diff, 0.0, "`{name}` differs from the sequential machine");
+        }
+
+        let mut apart = scatter();
+        assert_eq!(together.len(), 2);
+        for (job, wave) in jobs.iter().zip(&together) {
+            let alone = pool
+                .run_clause(job, &mut apart, opts, &NULL_TRACER)
+                .unwrap();
+            assert_eq!(wave.traffic, alone.traffic);
+            // acks are charged to whichever job is polling when a frame
+            // lands, so a wave may move them between its jobs
+            let quiet = |nodes: &[NodeStats]| -> Vec<NodeStats> {
+                let unacked = |s: &NodeStats| NodeStats { acks_sent: 0, ..*s };
+                nodes.iter().map(unacked).collect()
+            };
+            assert_eq!(quiet(&wave.nodes), quiet(&alone.nodes));
+        }
+        assert_eq!(apart, arrays);
+        assert!(
+            together[0].total().msgs_sent > 0,
+            "the stencil communicates"
+        );
+    }
 }

@@ -16,6 +16,14 @@
 //! per worker). Sender packing order therefore equals receiver
 //! expectation by construction, on every backend.
 //!
+//! A job is a **wave of one**: the worker runs the same node-side
+//! [`wave_body`] a pooled thread runs, and the host side is the same
+//! lend-and-commit as [`crate::DistExecutor`]'s — the host keeps every
+//! node's memories (inside the `JobMsg`s it retains for re-sends; the
+//! worker gets a copy only because it is another process), collects
+//! staged writes, and commits them through the shared [`finalize_wave`].
+//! Nothing a worker ships back is ever used as array state.
+//!
 //! Supervision (graceful degradation on peer death):
 //!
 //! * the host pairs every router event with `Child::try_wait` — a
@@ -23,39 +31,30 @@
 //!   exited process is a dead node;
 //! * a dead node is reported as a typed [`MachineError::Transport`],
 //!   its peers are released by synthesizing its `Done` frame
-//!   ([`Router::broadcast_done`]), and its pre-run local memories (kept
-//!   host-side) restore the arrays through the usual all-or-nothing
-//!   commit — arrays are untouched by a failed run;
+//!   ([`Router::broadcast_done`]), and since the host never gave its
+//!   copy of any node's memories away the all-or-nothing commit simply
+//!   reassembles them — arrays are untouched by a failed run;
 //! * the pool itself survives: dead workers are respawned lazily at the
 //!   next run, so the same session completes once the fault is gone.
 
 use crate::codec::{Ctrl, JobMsg, ResultMsg};
 use crate::darray::DistArray;
-use crate::distributed::{disassemble, finalize_run, Disassembled, DistOptions, NodeOutcome, Wire};
+use crate::distributed::{disassemble, Disassembled, DistOptions, Wire};
 use crate::error::MachineError;
 use crate::executor::{
-    prepare_for, prepare_run, reset_scratch, warm_phases, BufInner, BufTracer, PhaseSpan,
-    PreparedPlan, Scratch,
+    finalize_wave, prepare_for, prepare_run, wave_body, wave_clean, BufTracer, JobReply, NodeReply,
+    PreparedPlan, Scratch, WaveReply,
 };
 use crate::net::{ChaosProxy, Router, RouterEvent, SockLink};
-use crate::obs::{trace_plan, EventKind, Phase, Tracer};
+use crate::obs::{trace_plan, Tracer};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{Endpoint, ProtoTimeouts, TransportKind};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcal_core::Clause;
 use vcal_spmd::{clause_signature, decomp_fingerprint, SpmdPlan};
-
-/// One node's outcome plus the trace events and per-phase timings its
-/// worker buffered during the run.
-type Collected = (
-    NodeOutcome,
-    Vec<(i64, EventKind)>,
-    Vec<(i64, Phase, Duration)>,
-);
 
 /// Resolve the worker executable: `VCAL_WORKER_BIN`, else this very
 /// binary (which must implement the `worker` subcommand — `vcalc`
@@ -256,11 +255,15 @@ impl ProcPool {
         self.router.disconnect(p as i64);
     }
 
-    /// Execute `prepared` once on the worker processes. Same contract
-    /// as [`crate::DistExecutor::run`]: bit-identical results and
-    /// statistics to the in-process machine, typed errors, and the
-    /// all-or-nothing commit that leaves arrays untouched on failure —
-    /// including when a worker process dies mid-run.
+    /// Execute `prepared` once on the worker processes: a wave of one
+    /// per worker, dispatched and committed like
+    /// [`DistExecutor::run_wave`](crate::DistExecutor) does it — the
+    /// host keeps the disassembled parts (inside the [`JobMsg`]s it
+    /// retains for re-sends) and commits the workers' staged writes into
+    /// them through the shared [`finalize_wave`]. Bit-identical results
+    /// and statistics to the in-process machine, typed errors, and
+    /// arrays untouched on failure — including when a worker process
+    /// dies mid-run.
     pub fn run(
         &mut self,
         prepared: &Arc<PreparedPlan>,
@@ -276,17 +279,7 @@ impl ProcPool {
                 prepared.pmax
             )));
         }
-        let d1 = prepared.d1()?;
-        for name in &prepared.referenced {
-            let da = arrays
-                .get(name)
-                .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-            if da.decomp() != &d1.decomps[name] {
-                return Err(MachineError::PlanMismatch(format!(
-                    "array `{name}` was redistributed since the plan was prepared"
-                )));
-            }
-        }
+        let d1 = prepared.check_live(arrays)?;
 
         // lazy respawn: replace workers that died since the last run
         let mut respawned = Vec::new();
@@ -303,43 +296,22 @@ impl ProcPool {
         }
 
         trace_plan(tracer, &d1.plan);
-        let Disassembled { per_node, shapes } =
+        let Disassembled { per_node, decomps } =
             disassemble(arrays, &prepared.referenced, prepared.pmax)?;
         let trace_on = tracer.enabled();
         let handshake = self.dirty;
 
-        // keep each node's pre-run memories host-side: a worker that
-        // dies without replying restores state from this copy
-        let mut pre_run: Vec<Option<BTreeMap<String, Vec<f64>>>> =
-            per_node.iter().map(|m| Some(m.clone())).collect();
-
-        // `running[p]`: the worker still owes us a protocol step
-        let mut running = vec![true; pmax];
-        let mut outcomes: Vec<Option<Collected>> = (0..pmax).map(|_| None).collect();
+        // `replies[p]`: `None` while the worker still owes us a protocol
+        // step, then its reply or the typed reason there is none
+        let mut replies: Vec<Option<NodeReply>> = (0..pmax).map(|_| None).collect();
         let fail = |pool: &mut ProcPool,
-                    running: &mut Vec<bool>,
-                    outcomes: &mut Vec<Option<Collected>>,
-                    pre_run: &mut Vec<Option<BTreeMap<String, Vec<f64>>>>,
+                    replies: &mut Vec<Option<NodeReply>>,
                     p: usize,
                     detail: String| {
             pool.kill_worker(p);
             pool.router.broadcast_done(p as i64); // release waiting peers
-            running[p] = false;
-            outcomes[p] = Some((
-                (
-                    p as i64,
-                    pre_run[p].take().unwrap_or_default(),
-                    Vec::new(),
-                    NodeStats::default(),
-                    vec![0u64; pmax],
-                    Err(MachineError::Transport {
-                        node: p as i64,
-                        detail,
-                    }),
-                ),
-                Vec::new(),
-                Vec::new(),
-            ));
+            let node = p as i64;
+            replies[p] = Some(Err(MachineError::Transport { node, detail }));
         };
 
         // --- dispatch --------------------------------------------------
@@ -348,38 +320,40 @@ impl ProcPool {
         // re-sends; workers dedupe by `run_id` and a completed run is
         // re-answered from the worker's cache, never re-executed. A
         // failed send here is deferred, not fatal: the worker reconnects
-        // and the re-send timer retries.
+        // and the re-send timer retries. The retained Jobs are also where
+        // the host's copy of every node's memories lives: the commit
+        // below writes into them, whatever became of the worker.
         self.run_seq += 1;
         let run_id = self.run_seq;
-        let jobs: Vec<JobMsg> = per_node
+        let jobs: Vec<Ctrl> = per_node
             .into_iter()
-            .map(|locals| JobMsg {
-                run_id,
-                clause: clause.clone(),
-                decomps: d1.decomps.clone(),
-                recv_timeout: opts.recv_timeout,
-                faults: opts.faults,
-                mode: opts.mode,
-                retry: opts.retry,
-                overlap: opts.overlap,
-                simd: opts.simd,
-                trace_on,
-                handshake,
-                locals,
+            .map(|locals| {
+                Ctrl::Job(Box::new(JobMsg {
+                    run_id,
+                    clause: clause.clone(),
+                    decomps: d1.decomps.clone(),
+                    recv_timeout: opts.recv_timeout,
+                    faults: opts.faults,
+                    mode: opts.mode,
+                    retry: opts.retry,
+                    overlap: opts.overlap,
+                    simd: opts.simd,
+                    trace_on,
+                    handshake,
+                    locals,
+                }))
             })
             .collect();
         let mut job_sent = vec![Instant::now(); pmax];
         for (p, job) in jobs.iter().enumerate() {
-            let _ = self
-                .router
-                .send_ctrl(p as i64, &Ctrl::Job(Box::new(job.clone())));
+            let _ = self.router.send_ctrl(p as i64, job);
         }
 
         // --- barrier (only after a dirty run): all purge before any send
         if handshake {
             let deadline = Instant::now() + self.timeouts.spawn_deadline;
             let mut ready = vec![false; pmax];
-            while (0..pmax).any(|p| running[p] && !ready[p]) {
+            while (0..pmax).any(|p| replies[p].is_none() && !ready[p]) {
                 match self.router.recv_event(Duration::from_millis(100)) {
                     Some(RouterEvent::Ctrl {
                         node,
@@ -388,42 +362,28 @@ impl ProcPool {
                     Some(RouterEvent::Eof { .. }) | Some(_) | None => {}
                 }
                 for p in 0..pmax {
-                    if !running[p] || ready[p] {
+                    if replies[p].is_some() || ready[p] {
                         continue;
                     }
                     if let Some(status) = self.reap_if_dead(p) {
-                        fail(
-                            self,
-                            &mut running,
-                            &mut outcomes,
-                            &mut pre_run,
-                            p,
-                            format!("worker process exited at the purge barrier ({status})"),
-                        );
+                        let why = format!("worker process exited at the purge barrier ({status})");
+                        fail(self, &mut replies, p, why);
                     } else if job_sent[p].elapsed() > self.timeouts.resend_ivl {
                         job_sent[p] = Instant::now();
-                        let _ = self
-                            .router
-                            .send_ctrl(p as i64, &Ctrl::Job(Box::new(jobs[p].clone())));
+                        let _ = self.router.send_ctrl(p as i64, &jobs[p]);
                     }
                 }
                 if Instant::now() > deadline {
                     for p in 0..pmax {
-                        if running[p] && !ready[p] {
-                            fail(
-                                self,
-                                &mut running,
-                                &mut outcomes,
-                                &mut pre_run,
-                                p,
-                                "worker never reached the purge barrier".to_string(),
-                            );
+                        if replies[p].is_none() && !ready[p] {
+                            let why = "worker never reached the purge barrier".to_string();
+                            fail(self, &mut replies, p, why);
                         }
                     }
                 }
             }
-            for (p, live) in running.iter().enumerate() {
-                if *live {
+            for (p, reply) in replies.iter().enumerate() {
+                if reply.is_none() {
                     // Go delivery is unconfirmed too: a worker that loses
                     // it answers a re-sent Job with a fresh Ready, and
                     // the collect loop below re-issues Go.
@@ -439,28 +399,37 @@ impl ProcPool {
         let retry_budget = opts.retry.deadline.unwrap_or(Duration::ZERO);
         let deadline =
             Instant::now() + opts.recv_timeout * 4 + retry_budget + self.timeouts.run_grace;
-        while (0..pmax).any(|p| running[p]) {
+        while replies.iter().any(Option::is_none) {
             match self.router.recv_event(Duration::from_millis(50)) {
                 Some(RouterEvent::Ctrl {
                     node,
                     ctrl: Ctrl::Result(r),
                 }) if r.run_id == run_id => {
-                    let p = node as usize;
-                    if running[p] {
-                        running[p] = false;
+                    let slot = &mut replies[node as usize];
+                    if slot.is_none() {
+                        // the memories a worker ships back are ignored:
+                        // the host never gave its own copy away
                         let ResultMsg {
-                            run_id: _,
-                            p: wp,
-                            locals,
                             writes,
                             stats,
                             sent_to,
                             res,
                             events,
                             timings,
+                            ..
                         } = *r;
-                        outcomes[p] =
-                            Some(((wp, locals, writes, stats, sent_to, res), events, timings));
+                        *slot = Some(Ok(Box::new(WaveReply {
+                            jobs: vec![JobReply {
+                                writes,
+                                stats,
+                                sent_to,
+                                res,
+                                events,
+                                timings,
+                            }],
+                            drain_events: Vec::new(),
+                            drain_timings: Vec::new(),
+                        })));
                     }
                 }
                 Some(RouterEvent::Ctrl {
@@ -475,95 +444,46 @@ impl ProcPool {
                     // EOF alone is not death: a chaos-severed worker
                     // reconnects. Only an exited process is dead.
                     let p = node as usize;
-                    if running[p] {
+                    if replies[p].is_none() {
                         if let Some(status) = self.reap_if_dead(p) {
-                            fail(
-                                self,
-                                &mut running,
-                                &mut outcomes,
-                                &mut pre_run,
-                                p,
-                                format!("worker process died mid-run ({status})"),
-                            );
+                            let why = format!("worker process died mid-run ({status})");
+                            fail(self, &mut replies, p, why);
                         }
                     }
                 }
                 Some(_) | None => {}
             }
             for p in 0..pmax {
-                if !running[p] {
+                if replies[p].is_some() {
                     continue;
                 }
                 if let Some(status) = self.reap_if_dead(p) {
-                    fail(
-                        self,
-                        &mut running,
-                        &mut outcomes,
-                        &mut pre_run,
-                        p,
-                        format!("worker process died mid-run ({status})"),
-                    );
+                    let why = format!("worker process died mid-run ({status})");
+                    fail(self, &mut replies, p, why);
                 } else if Instant::now() > deadline {
                     // unconditional backstop: heartbeats prove the
                     // process is alive, not that the run can finish
-                    fail(
-                        self,
-                        &mut running,
-                        &mut outcomes,
-                        &mut pre_run,
-                        p,
-                        "worker made no progress before the run deadline".to_string(),
-                    );
+                    let why = "worker made no progress before the run deadline".to_string();
+                    fail(self, &mut replies, p, why);
                 } else if job_sent[p].elapsed() > self.timeouts.resend_ivl {
                     job_sent[p] = Instant::now();
-                    let _ = self
-                        .router
-                        .send_ctrl(p as i64, &Ctrl::Job(Box::new(jobs[p].clone())));
+                    let _ = self.router.send_ctrl(p as i64, &jobs[p]);
                 }
             }
         }
 
-        let mut results: Vec<NodeOutcome> = Vec::with_capacity(pmax);
-        let mut buffered = Vec::new();
-        for (p, slot) in outcomes.into_iter().enumerate() {
-            match slot {
-                Some((outcome, events, timings)) => {
-                    results.push(outcome);
-                    buffered.push((events, timings));
-                }
-                None => results.push((
-                    p as i64,
-                    BTreeMap::new(),
-                    Vec::new(),
-                    NodeStats::default(),
-                    vec![0u64; pmax],
-                    Err(MachineError::Transport {
-                        node: p as i64,
-                        detail: "no result collected".to_string(),
-                    }),
-                )),
-            }
-        }
-        self.dirty =
-            opts.faults.is_some() || self.chaos.is_some() || results.iter().any(|r| r.5.is_err());
-        if trace_on {
-            for (events, timings) in buffered {
-                for (n, k) in events {
-                    tracer.record(n, k);
-                }
-                for (n, ph, d) in timings {
-                    tracer.timing(n, ph, d);
-                }
-            }
-        }
-        finalize_run(
-            &prepared.lhs_array,
-            &prepared.referenced,
-            shapes,
-            results,
-            arrays,
-            tracer,
-        )
+        let replies: Vec<_> = replies.into_iter().flatten().collect();
+        self.dirty = opts.faults.is_some() || self.chaos.is_some() || !wave_clean(&replies);
+        let parts = jobs
+            .into_iter()
+            .map(|job| match job {
+                Ctrl::Job(job) => job.locals,
+                _ => unreachable!("constructed as Job above"),
+            })
+            .collect();
+        let wave = std::slice::from_ref(prepared);
+        let mut reports = finalize_wave(wave, decomps, parts, replies, arrays, tracer)?;
+        Ok(reports.pop().unwrap_or_default())
     }
 }
 
@@ -592,7 +512,7 @@ impl Drop for ProcPool {
 /// ([`crate::run_distributed_traced`] with a socket backend): build the
 /// pool, run once, tear it down. Sessions keep a persistent pool
 /// instead.
-pub(crate) fn run_one_shot(
+pub(crate) fn one_shot(
     plan: &SpmdPlan,
     clause: &Clause,
     arrays: &mut BTreeMap<String, DistArray>,
@@ -718,48 +638,33 @@ fn serve_job(
                 prep
             }),
     };
+    // a planning failure is a typed result, not a dead worker (the host
+    // restores state from the memories it kept)
+    let failed = |e: MachineError| ResultMsg {
+        run_id: job.run_id,
+        p,
+        locals: BTreeMap::new(),
+        writes: Vec::new(),
+        stats: NodeStats::default(),
+        sent_to: vec![0u64; pmax],
+        res: Err(e),
+        events: Vec::new(),
+        timings: Vec::new(),
+    };
     let prepared = match prepared {
         Ok(p) => p,
-        Err(e) => {
-            // a planning failure is a typed result, not a dead worker;
-            // ship the untouched locals back so the host restores state
-            return Ok(ship(
-                link,
-                ResultMsg {
-                    run_id: job.run_id,
-                    p,
-                    locals: job.locals,
-                    writes: Vec::new(),
-                    stats: NodeStats::default(),
-                    sent_to: vec![0u64; pmax],
-                    res: Err(e),
-                    events: Vec::new(),
-                    timings: Vec::new(),
-                },
-            ));
-        }
+        Err(e) => return Ok(ship(link, failed(e))),
     };
     if prepared.pmax.max(0) as usize != pmax || prepared.compiled.nodes.len() != pmax {
-        return Ok(ship(
-            link,
-            ResultMsg {
-                run_id: job.run_id,
-                p,
-                locals: job.locals,
-                writes: Vec::new(),
-                stats: NodeStats::default(),
-                sent_to: vec![0u64; pmax],
-                res: Err(MachineError::PlanMismatch(format!(
-                    "job plan spans {} processors, session has {pmax}",
-                    prepared.pmax
-                ))),
-                events: Vec::new(),
-                timings: Vec::new(),
-            },
+        let e = MachineError::PlanMismatch(format!(
+            "job plan spans {} processors, session has {pmax}",
+            prepared.pmax
         ));
+        return Ok(ship(link, failed(e)));
     }
 
-    // --- run: same warm phases as a pooled thread, over the socket
+    // --- run: the wave body of a pooled thread, over the socket, with
+    // the job as a wave of one
     let buf = BufTracer::new();
     buf.set_enabled(job.trace_on);
     let opts = DistOptions {
@@ -773,59 +678,33 @@ fn serve_job(
         chaos: None,
         timeouts: ProtoTimeouts::default(),
     };
-    reset_scratch(scratch, &prepared, p);
-    let locals = job.locals;
-    let mut stats = NodeStats::default();
-    let mut sent_to = vec![0u64; pmax];
-    let res = {
+    let mut reply = {
         let mut ep: Endpoint<Wire> = Endpoint::new(p, Box::new(&mut *link), job.faults, &buf);
-        let phases = catch_unwind(AssertUnwindSafe(|| {
-            warm_phases(
-                p,
-                &locals,
-                &prepared,
-                &opts,
-                &mut ep,
-                scratch,
-                None,
-                &mut stats,
-                &mut sent_to,
-                &buf,
-                PhaseSpan::Full,
-            )
-        }));
-        match phases {
-            Ok(r) => {
-                ep.announce_done();
-                if job.trace_on {
-                    buf.record(p, EventKind::PhaseStart(Phase::Drain));
-                    let t0 = Instant::now();
-                    ep.drain(opts.recv_timeout, &mut stats);
-                    buf.timing(p, Phase::Drain, t0.elapsed());
-                    buf.record(p, EventKind::PhaseEnd(Phase::Drain));
-                } else {
-                    ep.drain(opts.recv_timeout, &mut stats);
-                }
-                r
-            }
-            Err(_) => {
-                ep.announce_done();
-                Err(MachineError::NodePanicked { node: p })
-            }
-        }
+        let wave = std::slice::from_ref(&prepared);
+        wave_body(p, &mut ep, scratch, &buf, wave, &opts, &job.locals)
     }; // endpoint drops; the link is ours again for the control plane
-    if res.is_err() {
-        scratch.writes.clear();
-    }
-    let BufInner { events, timings } = buf.take();
+    let Some(JobReply {
+        writes,
+        stats,
+        sent_to,
+        res,
+        mut events,
+        mut timings,
+    }) = reply.jobs.pop()
+    else {
+        unreachable!("a wave of one has one job reply")
+    };
+    events.append(&mut reply.drain_events);
+    timings.append(&mut reply.drain_timings);
     link.heartbeat(); // prove liveness before the (possibly large) result
     Ok(ship(
         link,
         ResultMsg {
             run_id: job.run_id,
             p,
-            locals,
-            writes: std::mem::take(&mut scratch.writes),
+            // the host kept its own copy; nothing travels back
+            locals: BTreeMap::new(),
+            writes,
             stats,
             sent_to,
             res,

@@ -25,7 +25,7 @@ use crate::distributed::{run_distributed, run_distributed_traced, DistOptions};
 use crate::error::MachineError;
 use crate::executor::{prepare_run, DistExecutor, PreparedPlan};
 use crate::net::lock;
-use crate::obs::{CollectingTracer, EventKind, Tracer, HOST, NULL_TRACER};
+use crate::obs::{trace_plan, CollectingTracer, EventKind, Tracer, HOST, NULL_TRACER};
 use crate::perfmodel::{CalibratedModel, CalibrationSample};
 use crate::proc::ProcPool;
 use crate::redistribute::{run_redistribution_opts, run_redistribution_traced};
@@ -167,11 +167,13 @@ impl PoolState {
             };
             return procs.run(prepared, clause, arrays, opts, tracer);
         }
-        self.inproc(pmax).run(prepared, arrays, opts, tracer)
+        let mut reports = self.run_wave(std::slice::from_ref(prepared), arrays, opts, tracer)?;
+        Ok(reports.pop().unwrap_or_default())
     }
 
-    /// Execute one DAG wave on the in-process pool (the socket backends
-    /// never reach here — their waves run member-by-member).
+    /// Execute one wave — a single clause is a wave of one — on the
+    /// in-process pool (the socket backends never reach here: their
+    /// waves run member-by-member through [`PoolState::run_clause`]).
     fn run_wave(
         &mut self,
         jobs: &[Arc<PreparedPlan>],
@@ -179,15 +181,14 @@ impl PoolState {
         opts: DistOptions,
         tracer: &dyn Tracer,
     ) -> Result<Vec<ExecReport>, MachineError> {
-        let pmax = jobs[0].pmax;
-        let pool = self.inproc(pmax);
-        // a width-1 wave is just a single run — skip the wave machinery
-        // (per-job snapshots, staged commits) it exists to coordinate
-        if jobs.len() == 1 {
-            Ok(vec![pool.run(&jobs[0], arrays, opts, tracer)?])
-        } else {
-            pool.run_wave(jobs, arrays, opts, tracer)
+        let Some(first) = jobs.first() else {
+            return Ok(Vec::new());
+        };
+        // every plan must still match the live images
+        for prepared in jobs {
+            trace_plan(tracer, &prepared.check_live(arrays)?.plan);
         }
+        self.inproc(first.pmax).run_wave(jobs, arrays, opts, tracer)
     }
 
     /// The in-process pool for `pmax` nodes, recreated on a size change.

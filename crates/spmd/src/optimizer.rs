@@ -54,8 +54,38 @@ pub enum OptKind {
 }
 
 impl OptKind {
+    /// One value per distinct [`OptKind::name`], in Table I order.
+    const ALL: [OptKind; 13] = [
+        OptKind::EmptyLoop,
+        OptKind::ConstantFn,
+        OptKind::ReplicatedOwner,
+        OptKind::BlockAffine,
+        OptKind::BlockMonotonic,
+        OptKind::ScatterLinear { corollary: 1 },
+        OptKind::ScatterLinear { corollary: 2 },
+        OptKind::ScatterLinear { corollary: 0 },
+        OptKind::ScatterMonotonicViaK,
+        OptKind::RepeatedBlock,
+        OptKind::RepeatedScatter,
+        OptKind::PiecewiseSplit,
+        OptKind::Naive,
+    ];
+
+    /// Every name [`OptKind::name`] can return — what a peer decoding a
+    /// dispatch kind off the wire interns against. Derived from `name`,
+    /// so the strings exist once.
+    pub const NAMES: [&'static str; 13] = {
+        let mut names = [""; 13];
+        let mut k = 0;
+        while k < names.len() {
+            names[k] = OptKind::ALL[k].name();
+            k += 1;
+        }
+        names
+    };
+
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             OptKind::EmptyLoop => "empty-loop",
             OptKind::ConstantFn => "theorem-1-constant",
@@ -387,6 +417,34 @@ mod tests {
             "not a partition: f={f:?} {dec}"
         );
         kinds
+    }
+
+    #[test]
+    fn names_cover_every_kind() {
+        for kind in OptKind::ALL {
+            // exhaustive on purpose: a new Table I row stops compiling
+            // here until it is listed in `ALL` (and so in `NAMES`) too
+            match kind {
+                OptKind::EmptyLoop
+                | OptKind::ConstantFn
+                | OptKind::ReplicatedOwner
+                | OptKind::BlockAffine
+                | OptKind::BlockMonotonic
+                | OptKind::ScatterLinear { .. }
+                | OptKind::ScatterMonotonicViaK
+                | OptKind::RepeatedBlock
+                | OptKind::RepeatedScatter
+                | OptKind::PiecewiseSplit
+                | OptKind::Naive => assert!(OptKind::NAMES.contains(&kind.name())),
+            }
+        }
+        let distinct: std::collections::BTreeSet<_> = OptKind::NAMES.iter().collect();
+        assert_eq!(distinct.len(), OptKind::NAMES.len());
+        // any corollary tag outside 1 and 2 is the general solution
+        assert_eq!(
+            OptKind::ScatterLinear { corollary: 7 }.name(),
+            "theorem-3-diophantine"
+        );
     }
 
     #[test]

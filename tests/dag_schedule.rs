@@ -25,7 +25,7 @@ use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexS
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     replay_check_dag, CollectingTracer, CommMode, DistOptions, DistSession, EventKind, FaultPlan,
-    ProgramStep, ReplayError, RetryPolicy, ScheduleMode, SimdPolicy, TraceLog,
+    MachineError, ProgramStep, ReplayError, RetryPolicy, ScheduleMode, SimdPolicy, TraceLog,
 };
 use vcal_suite::spmd::{build_dag, DecompMap};
 
@@ -241,6 +241,80 @@ fn independent_clauses_really_share_waves() {
         DistOptions::default(),
         "independent fan-out",
     );
+}
+
+/// Four clauses that all read one shared array and write four distinct
+/// ones: one wave whose jobs all borrow the same pre-wave memory of `S`.
+fn shared_read_fanout() -> (Vec<ProgramStep>, DecompMap) {
+    let steps = NAMES
+        .iter()
+        .zip([-1, 1, 0, -1])
+        .map(|(name, shift)| {
+            let rhs = Expr::add(read("S", shift), read("S", 1));
+            clause(name, 0, rhs, Guard::Always)
+        })
+        .collect();
+    let mut decomps = base_decomps();
+    decomps.insert("S".into(), Decomp1::block(PMAX, Bounds::range(0, N - 1)));
+    (steps, decomps)
+}
+
+/// The shared-read wave recovers to the oracle's bits under a
+/// recoverable fault plan.
+#[test]
+fn shared_read_wave_matches_oracle_under_faults() {
+    let (steps, decomps) = shared_read_fanout();
+    assert_eq!(build_dag(&steps, &decomps).width(), NAMES.len());
+    for mode in modes() {
+        for faults in [
+            None,
+            Some(FaultPlan::seeded(11).with_drop(0.05).with_reorder(0.05)),
+        ] {
+            let opts = DistOptions {
+                mode,
+                faults,
+                retry: RetryPolicy::fast(),
+                recv_timeout: Duration::from_secs(10),
+                ..DistOptions::default()
+            };
+            let ctx = format!("shared read, mode={mode:?} faults={}", faults.is_some());
+            assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
+        }
+    }
+}
+
+/// A node crashing inside the shared-read wave fails the whole wave and
+/// leaves every array — the shared one included — at its pre-wave image.
+#[test]
+fn crash_in_shared_read_wave_restores_every_array() {
+    let (steps, decomps) = shared_read_fanout();
+    let env = initial_env(&decomps);
+    for mode in modes() {
+        for node in 0..PMAX {
+            let opts = DistOptions {
+                mode,
+                faults: Some(FaultPlan::seeded(3).with_crash(node, 1)),
+                retry: RetryPolicy::fast(),
+                recv_timeout: Duration::from_secs(10),
+                ..DistOptions::default()
+            };
+            let mut session = DistSession::new(&env, decomps.clone())
+                .unwrap()
+                .with_options(opts);
+            let err = session
+                .run_program(&steps, ScheduleMode::Dag, &vcal_suite::machine::NULL_TRACER)
+                .expect_err("a crashed node must fail the wave");
+            assert_eq!(err, MachineError::NodePanicked { node }, "{mode:?}");
+            let after = session.gather_all();
+            for name in decomps.keys() {
+                let diff = after
+                    .get(name)
+                    .unwrap()
+                    .max_abs_diff(env.get(name).unwrap());
+                assert_eq!(diff, 0.0, "{mode:?} node {node}: `{name}` changed");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

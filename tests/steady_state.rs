@@ -29,7 +29,8 @@ use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexS
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     replay_check, run_distributed, run_distributed_traced, CollectingTracer, CommMode, DistArray,
-    DistOptions, DistSession, FaultPlan, MachineError, RetryPolicy,
+    DistOptions, DistSession, Event, FaultPlan, MachineError, ProgramStep, RetryPolicy,
+    ScheduleMode, TraceLog, HOST,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -226,6 +227,54 @@ fn warm_trace_matches_cold_and_replays() {
         );
         let summary = replay_check(&warm_log, &plan, mode, opts.retry).unwrap();
         assert_eq!(summary.send_elems, summary.recv_elems, "{mode:?}");
+    }
+}
+
+/// There is one execution path: the same clause as a warm session run,
+/// as a one-step DAG program and as a cold one-shot run puts the same
+/// events on every node (the program schedule adds host-side
+/// `dag_ready`/`clause_*` lines, and nothing else).
+#[test]
+fn session_program_and_cold_runs_share_one_node_trace() {
+    let dm = timestep_decomps(0, 1);
+    let (sweep, _) = timestep_clauses();
+    let env0 = timestep_env();
+    // the deterministic class: acks and the like depend on scheduling
+    let node_events = |log: TraceLog| -> Vec<Event> {
+        let of_nodes = log.deterministic().filter(|e| e.node != HOST);
+        of_nodes.cloned().collect()
+    };
+    for mode in modes() {
+        let opts = opts_for(mode, None);
+        let session = || {
+            DistSession::new(&env0, dm.clone())
+                .unwrap()
+                .with_options(opts)
+        };
+
+        let tracer = CollectingTracer::new();
+        session().run_traced(&sweep, &tracer).unwrap();
+        let warm = node_events(tracer.finish());
+        assert!(!warm.is_empty());
+
+        let tracer = CollectingTracer::new();
+        let steps = [ProgramStep::Clause(sweep.clone())];
+        session()
+            .run_program(&steps, ScheduleMode::Dag, &tracer)
+            .unwrap();
+        let log = tracer.finish();
+        let host_lines = log.events.iter().filter(|e| e.node == HOST).count();
+        assert_eq!(node_events(log), warm, "{mode:?}: DAG step diverges");
+
+        let tracer = CollectingTracer::new();
+        let plan = SpmdPlan::build(&sweep, &dm).unwrap();
+        let mut arrays = dist_arrays(&env0, &dm);
+        run_distributed_traced(&plan, &sweep, &mut arrays, opts, &tracer).unwrap();
+        let log = tracer.finish();
+        // plan start/end on the host, plus the program's three lines
+        let cold_host_lines = log.events.iter().filter(|e| e.node == HOST).count();
+        assert_eq!(host_lines, cold_host_lines + 3, "{mode:?}");
+        assert_eq!(node_events(log), warm, "{mode:?}: cold run diverges");
     }
 }
 
