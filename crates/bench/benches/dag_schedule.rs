@@ -12,8 +12,8 @@
 //!
 //! Measured: warm steady-state seconds per timestep (sessions primed
 //! before timing, so plans and the DAG are cached) for
-//! `ScheduleMode::Seq` vs `ScheduleMode::Dag` over a `k ∈ {4, 8}` ×
-//! `mode ∈ {element, vectorized}` grid. Every configuration is verified
+//! `ScheduleMode::Seq` vs `ScheduleMode::Dag` over `k ∈ {4, 8}`.
+//! Every configuration is verified
 //! bit-identical between the two schedules before its timing is
 //! reported. Acceptance bar: DAG ≥ 1.3× over sequential at `k ≥ 4`.
 //!
@@ -30,7 +30,7 @@ use vcal_bench::{write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_machine::{CommMode, DistOptions, DistSession, ProgramStep, ScheduleMode, NULL_TRACER};
+use vcal_machine::{DistSession, ProgramStep, ScheduleMode, NULL_TRACER};
 use vcal_spmd::DecompMap;
 
 const N: i64 = 1024;
@@ -121,20 +121,11 @@ fn warm_pair(
     steps: &[ProgramStep],
     dm: &DecompMap,
     env: &Env,
-    mode: CommMode,
     timed: usize,
     trials: usize,
 ) -> ((f64, Vec<u64>), (f64, Vec<u64>)) {
-    let opts = DistOptions {
-        mode,
-        ..DistOptions::default()
-    };
-    let mut seq_sess = DistSession::new(env, dm.clone())
-        .unwrap()
-        .with_options(opts);
-    let mut dag_sess = DistSession::new(env, dm.clone())
-        .unwrap()
-        .with_options(opts);
+    let mut seq_sess = DistSession::new(env, dm.clone()).unwrap();
+    let mut dag_sess = DistSession::new(env, dm.clone()).unwrap();
     // prime: caches fill, pool threads spawn
     seq_sess
         .run_program(steps, ScheduleMode::Seq, &NULL_TRACER)
@@ -171,40 +162,36 @@ fn bench_dag_schedule(_c: &mut Criterion) {
 
     for k in [4usize, 8] {
         let (steps, dm, env) = independent_program(k);
-        for mode in [CommMode::Element, CommMode::Vectorized] {
-            let ((seq, seq_bits), (dag, dag_bits)) =
-                warm_pair(&steps, &dm, &env, mode, timed, trials);
-            assert_eq!(
-                seq_bits, dag_bits,
-                "k={k} {mode:?}: DAG schedule must be bit-identical to sequential"
-            );
-            println!(
-                "[independent] k={k} {mode:?}: seq {:.3} ms/step, dag {:.3} ms/step ({:.2}x)",
-                seq * 1e3,
-                dag * 1e3,
-                seq / dag
-            );
-            rows.push(ReportRow::new(
-                "BENCH_dag_schedule",
-                format!(
-                    "k={k} independent jacobi clauses, warm s/step (seq -> dag), \
-                     {mode:?} n={N} pmax={PMAX}"
-                ),
-                seq,
-                dag,
-            ));
-        }
+        let ((seq, seq_bits), (dag, dag_bits)) = warm_pair(&steps, &dm, &env, timed, trials);
+        assert_eq!(
+            seq_bits, dag_bits,
+            "k={k}: DAG schedule must be bit-identical to sequential"
+        );
+        println!(
+            "[independent] k={k}: seq {:.3} ms/step, dag {:.3} ms/step ({:.2}x)",
+            seq * 1e3,
+            dag * 1e3,
+            seq / dag
+        );
+        rows.push(ReportRow::new(
+            "BENCH_dag_schedule",
+            format!(
+                "k={k} independent jacobi clauses, warm s/step (seq -> dag), \
+                 n={N} pmax={PMAX}"
+            ),
+            seq,
+            dag,
+        ));
     }
 
     // control: a RAW chain the DAG cannot widen — each width-1 wave
     // routes through the plain solo-run path, so the only tax over
     // strict sequential is the per-step DAG signature/cache lookup
     let (steps, dm, env) = chained_program(4);
-    let ((seq, seq_bits), (dag, dag_bits)) =
-        warm_pair(&steps, &dm, &env, CommMode::Vectorized, timed, trials);
+    let ((seq, seq_bits), (dag, dag_bits)) = warm_pair(&steps, &dm, &env, timed, trials);
     assert_eq!(seq_bits, dag_bits, "chain: DAG must be bit-identical");
     println!(
-        "[raw chain]   k=4 Vectorized: seq {:.3} ms/step, dag {:.3} ms/step ({:.2}x)",
+        "[raw chain]   k=4: seq {:.3} ms/step, dag {:.3} ms/step ({:.2}x)",
         seq * 1e3,
         dag * 1e3,
         seq / dag

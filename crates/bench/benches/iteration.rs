@@ -16,7 +16,7 @@
 //! measured ratio is written to `BENCH_iteration.json` and recorded in
 //! EXPERIMENTS.md.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -24,7 +24,7 @@ use vcal_bench::{stencil_clause, write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, CommMode, DistArray, DistOptions, DistSession};
+use vcal_machine::{run_distributed, DistArray, DistOptions, DistSession};
 use vcal_spmd::{DecompMap, SpmdPlan};
 
 const N: i64 = 1024;
@@ -72,19 +72,9 @@ fn dist_arrays(env: &Env, dm: &DecompMap) -> BTreeMap<String, DistArray> {
 }
 
 /// `steps` cold timesteps: replan + fresh thread set per clause call.
-fn cold_loop(
-    steps: usize,
-    sweep: &Clause,
-    back: &Clause,
-    env: &Env,
-    dm: &DecompMap,
-    mode: CommMode,
-) -> f64 {
+fn cold_loop(steps: usize, sweep: &Clause, back: &Clause, env: &Env, dm: &DecompMap) -> f64 {
     let mut arrays = dist_arrays(env, dm);
-    let opts = DistOptions {
-        mode,
-        ..DistOptions::default()
-    };
+    let opts = DistOptions::default();
     for _ in 0..steps {
         let plan = SpmdPlan::build(sweep, dm).unwrap();
         run_distributed(&plan, sweep, &mut arrays, opts).unwrap();
@@ -109,64 +99,47 @@ fn bench_iteration(c: &mut Criterion) {
     let mut rows = Vec::new();
 
     let mut group = c.benchmark_group("iteration");
-    for mode in [CommMode::Element, CommMode::Vectorized] {
-        let label = match mode {
-            CommMode::Element => "element",
-            CommMode::Vectorized => "vectorized",
-        };
-        group.bench_with_input(BenchmarkId::new("cold", label), &mode, |b, &m| {
-            b.iter(|| black_box(cold_loop(STEPS, &sweep, &back, &env, &dm, m)))
-        });
-        group.bench_with_input(BenchmarkId::new("warm", label), &mode, |b, &m| {
-            let mut session =
-                DistSession::new(&env, dm.clone())
-                    .unwrap()
-                    .with_options(DistOptions {
-                        mode: m,
-                        ..DistOptions::default()
-                    });
-            // prime: first run pays the cache miss and pool spawn once
-            session.run(&sweep).unwrap();
-            session.run(&back).unwrap();
-            b.iter(|| black_box(warm_loop(STEPS, &sweep, &back, &mut session)))
-        });
-
-        // hand-timed per-timestep numbers for the JSON report (the
-        // acceptance ratio): one warm session, generous step counts
-        let reps = 5;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            black_box(cold_loop(STEPS, &sweep, &back, &env, &dm, mode));
-        }
-        let cold_per_step = t0.elapsed().as_secs_f64() / (reps * STEPS) as f64;
-
-        let mut session = DistSession::new(&env, dm.clone())
-            .unwrap()
-            .with_options(DistOptions {
-                mode,
-                ..DistOptions::default()
-            });
+    group.bench_function("cold", |b| {
+        b.iter(|| black_box(cold_loop(STEPS, &sweep, &back, &env, &dm)))
+    });
+    group.bench_function("warm", |b| {
+        let mut session = DistSession::new(&env, dm.clone()).unwrap();
+        // prime: first run pays the cache miss and pool spawn once
         session.run(&sweep).unwrap();
         session.run(&back).unwrap();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            black_box(warm_loop(STEPS, &sweep, &back, &mut session));
-        }
-        let warm_per_step = t0.elapsed().as_secs_f64() / (reps * STEPS) as f64;
+        b.iter(|| black_box(warm_loop(STEPS, &sweep, &back, &mut session)))
+    });
 
-        println!(
-            "[{label}] per-timestep: cold {:.1} µs, warm {:.1} µs — {:.2}× speedup",
-            cold_per_step * 1e6,
-            warm_per_step * 1e6,
-            cold_per_step / warm_per_step
-        );
-        rows.push(ReportRow::new(
-            "BENCH_iteration",
-            format!("{label}: per-timestep seconds (cold -> warm), n={N} pmax={PMAX}"),
-            cold_per_step,
-            warm_per_step,
-        ));
+    // hand-timed per-timestep numbers for the JSON report (the
+    // acceptance ratio): one warm session, generous step counts
+    let reps = 5;
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        black_box(cold_loop(STEPS, &sweep, &back, &env, &dm));
     }
+    let cold_per_step = t0.elapsed().as_secs_f64() / (reps * STEPS) as f64;
+
+    let mut session = DistSession::new(&env, dm.clone()).unwrap();
+    session.run(&sweep).unwrap();
+    session.run(&back).unwrap();
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        black_box(warm_loop(STEPS, &sweep, &back, &mut session));
+    }
+    let warm_per_step = t0.elapsed().as_secs_f64() / (reps * STEPS) as f64;
+
+    println!(
+        "per-timestep: cold {:.1} µs, warm {:.1} µs — {:.2}× speedup",
+        cold_per_step * 1e6,
+        warm_per_step * 1e6,
+        cold_per_step / warm_per_step
+    );
+    rows.push(ReportRow::new(
+        "BENCH_iteration",
+        format!("per-timestep seconds (cold -> warm), n={N} pmax={PMAX}"),
+        cold_per_step,
+        warm_per_step,
+    ));
     group.finish();
     write_report("BENCH_iteration", &rows);
 }

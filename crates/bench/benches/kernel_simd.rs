@@ -19,9 +19,9 @@
 //!   `n = 10⁶` over a `pmax ∈ {1, 2, 4}` grid (this host has one core,
 //!   so pmax > 1 measures time-sliced node threads, not parallel
 //!   speedup — the interesting delta is scalar vs SIMD at fixed pmax),
-//!   cold single-node `run_distributed` runs at `10⁷` with overlap on
-//!   and off, and warm single-node steps at `10⁷`/`10⁸` where the whole
-//!   array is one interior run.
+//!   a cold single-node `run_distributed` run at `10⁷`, and warm
+//!   single-node steps at `10⁷`/`10⁸` where the whole array is one
+//!   interior run.
 //!
 //! Every configuration is verified bit-identical between the scalar and
 //! SIMD runs before its timing is reported.
@@ -320,10 +320,9 @@ fn warm_steps(
     (secs, bits)
 }
 
-fn opts_with(simd: SimdPolicy, overlap: bool) -> DistOptions {
+fn opts_with(simd: SimdPolicy) -> DistOptions {
     DistOptions {
         simd,
-        overlap,
         ..DistOptions::default()
     }
 }
@@ -432,9 +431,9 @@ fn bench_kernel_simd(c: &mut Criterion) {
         for pmax in [1i64, 2, 4] {
             let dm = jacobi_decomps(n, pmax);
             let (scalar, scalar_bits) =
-                warm_steps(n, &env, &dm, opts_with(SimdPolicy::off(), true), steps);
+                warm_steps(n, &env, &dm, opts_with(SimdPolicy::off()), steps);
             let (vector, vector_bits) =
-                warm_steps(n, &env, &dm, opts_with(SimdPolicy::auto(), true), steps);
+                warm_steps(n, &env, &dm, opts_with(SimdPolicy::auto()), steps);
             assert_eq!(
                 scalar_bits, vector_bits,
                 "pmax={pmax}: SIMD machine run must be bit-identical to scalar"
@@ -447,57 +446,36 @@ fn bench_kernel_simd(c: &mut Criterion) {
             );
             rows.push(ReportRow::new(
                 "BENCH_kernel_simd",
-                format!(
-                    "jacobi warm per-step seconds (simd off -> auto), n={n} pmax={pmax} overlap=on"
-                ),
+                format!("jacobi warm per-step seconds (simd off -> auto), n={n} pmax={pmax}"),
                 scalar,
                 vector,
             ));
         }
-        // overlap off at the widest pmax: the lane tier composes with
-        // the strict visit-order schedule too
-        let dm = jacobi_decomps(n, 4);
-        let (scalar, sb) = warm_steps(n, &env, &dm, opts_with(SimdPolicy::off(), false), steps);
-        let (vector, vb) = warm_steps(n, &env, &dm, opts_with(SimdPolicy::auto(), false), steps);
-        assert_eq!(sb, vb, "overlap=off: SIMD must stay bit-identical");
-        rows.push(ReportRow::new(
-            "BENCH_kernel_simd",
-            format!("jacobi warm per-step seconds (simd off -> auto), n={n} pmax=4 overlap=off"),
-            scalar,
-            vector,
-        ));
     }
 
-    // ---- machine level: cold single-node runs at 10⁷ ----------------
+    // ---- machine level: a cold single-node run at 10⁷ ----------------
     {
         let n = SIZES[1] as i64;
         let env = jacobi_env(n);
         let dm = jacobi_decomps(n, 1);
-        for overlap in [true, false] {
-            let (scalar, scalar_bits) =
-                cold_step(n, &env, &dm, opts_with(SimdPolicy::off(), overlap));
-            let (vector, vector_bits) =
-                cold_step(n, &env, &dm, opts_with(SimdPolicy::auto(), overlap));
-            assert_eq!(
-                scalar_bits, vector_bits,
-                "n={n} overlap={overlap}: SIMD machine run must be bit-identical to scalar"
-            );
-            println!(
-                "[machine cold] n={n} pmax=1 overlap={overlap}: scalar {:.2} s, simd {:.2} s ({:.2}x)",
-                scalar,
-                vector,
-                scalar / vector
-            );
-            rows.push(ReportRow::new(
-                "BENCH_kernel_simd",
-                format!(
-                    "jacobi cold step seconds (simd off -> auto), n={n} pmax=1 overlap={}",
-                    if overlap { "on" } else { "off" }
-                ),
-                scalar,
-                vector,
-            ));
-        }
+        let (scalar, scalar_bits) = cold_step(n, &env, &dm, opts_with(SimdPolicy::off()));
+        let (vector, vector_bits) = cold_step(n, &env, &dm, opts_with(SimdPolicy::auto()));
+        assert_eq!(
+            scalar_bits, vector_bits,
+            "n={n}: SIMD machine run must be bit-identical to scalar"
+        );
+        println!(
+            "[machine cold] n={n} pmax=1: scalar {:.2} s, simd {:.2} s ({:.2}x)",
+            scalar,
+            vector,
+            scalar / vector
+        );
+        rows.push(ReportRow::new(
+            "BENCH_kernel_simd",
+            format!("jacobi cold step seconds (simd off -> auto), n={n} pmax=1"),
+            scalar,
+            vector,
+        ));
     }
 
     // ---- machine level: warm single-node steps at 10⁷ and 10⁸ -------
@@ -507,10 +485,8 @@ fn bench_kernel_simd(c: &mut Criterion) {
         let n = n as i64;
         let env = jacobi_env(n);
         let dm = jacobi_decomps(n, 1);
-        let (scalar, scalar_bits) =
-            warm_steps(n, &env, &dm, opts_with(SimdPolicy::off(), true), steps);
-        let (vector, vector_bits) =
-            warm_steps(n, &env, &dm, opts_with(SimdPolicy::auto(), true), steps);
+        let (scalar, scalar_bits) = warm_steps(n, &env, &dm, opts_with(SimdPolicy::off()), steps);
+        let (vector, vector_bits) = warm_steps(n, &env, &dm, opts_with(SimdPolicy::auto()), steps);
         assert_eq!(
             scalar_bits, vector_bits,
             "n={n}: warm SIMD machine run must be bit-identical to scalar"
@@ -523,7 +499,7 @@ fn bench_kernel_simd(c: &mut Criterion) {
         );
         rows.push(ReportRow::new(
             "BENCH_kernel_simd",
-            format!("jacobi warm per-step seconds (simd off -> auto), n={n} pmax=1 overlap=on"),
+            format!("jacobi warm per-step seconds (simd off -> auto), n={n} pmax=1"),
             scalar,
             vector,
         ));

@@ -13,7 +13,7 @@
 //!    next to the [`PerfModel`] prediction — the comparison recorded in
 //!    EXPERIMENTS.md.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use vcal_bench::{copy_clause, env_ab, write_report, ReportRow};
@@ -21,8 +21,8 @@ use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Env};
 use vcal_decomp::Decomp1;
 use vcal_machine::{
-    replay_check, run_distributed_traced, CollectingTracer, CommMode, DistArray, DistOptions,
-    PerfModel, Tracer, NULL_TRACER,
+    replay_check, run_distributed_traced, CollectingTracer, DistArray, DistOptions, PerfModel,
+    Tracer, NULL_TRACER,
 };
 use vcal_spmd::{DecompMap, SpmdPlan};
 
@@ -55,15 +55,10 @@ fn run_once(
     clause: &Clause,
     env: &Env,
     dm: &DecompMap,
-    mode: CommMode,
     tracer: &dyn Tracer,
 ) -> f64 {
     let mut arrays = arrays_for(env, dm);
-    let opts = DistOptions {
-        mode,
-        ..DistOptions::default()
-    };
-    run_distributed_traced(plan, clause, &mut arrays, opts, tracer).unwrap();
+    run_distributed_traced(plan, clause, &mut arrays, DistOptions::default(), tracer).unwrap();
     arrays["A"].read_local(0, 0)
 }
 
@@ -73,60 +68,46 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut rows = Vec::new();
 
     let mut group = c.benchmark_group("trace_overhead");
-    for mode in [CommMode::Element, CommMode::Vectorized] {
-        let label = match mode {
-            CommMode::Element => "element",
-            CommMode::Vectorized => "vectorized",
-        };
-        group.bench_with_input(BenchmarkId::new("null_tracer", label), &mode, |b, &m| {
-            b.iter(|| black_box(run_once(&plan, &clause, &env, &dm, m, &NULL_TRACER)))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("collecting_tracer", label),
-            &mode,
-            |b, &m| {
-                b.iter(|| {
-                    let tracer = CollectingTracer::new();
-                    let v = black_box(run_once(&plan, &clause, &env, &dm, m, &tracer));
-                    black_box(tracer.finish());
-                    v
-                })
-            },
-        );
+    group.bench_function("null_tracer", |b| {
+        b.iter(|| black_box(run_once(&plan, &clause, &env, &dm, &NULL_TRACER)))
+    });
+    group.bench_function("collecting_tracer", |b| {
+        b.iter(|| {
+            let tracer = CollectingTracer::new();
+            let v = black_box(run_once(&plan, &clause, &env, &dm, &tracer));
+            black_box(tracer.finish());
+            v
+        })
+    });
 
-        // one traced run per mode: replay-check the log and line the
-        // measured phase timings up against the §4 model prediction
-        let tracer = CollectingTracer::new();
-        let mut arrays = arrays_for(&env, &dm);
-        let opts = DistOptions {
-            mode,
-            ..DistOptions::default()
-        };
-        let report = run_distributed_traced(&plan, &clause, &mut arrays, opts, &tracer).unwrap();
-        let log = tracer.finish();
-        let summary = replay_check(&log, &plan, mode, opts.retry).expect("replay must validate");
-        let predicted = PerfModel::default().price_report(&report);
+    // one traced run: replay-check the log and line the measured phase
+    // timings up against the §4 model prediction
+    let tracer = CollectingTracer::new();
+    let mut arrays = arrays_for(&env, &dm);
+    let opts = DistOptions::default();
+    let report = run_distributed_traced(&plan, &clause, &mut arrays, opts, &tracer).unwrap();
+    let log = tracer.finish();
+    let summary = replay_check(&log, &plan, opts.retry).expect("replay must validate");
+    let predicted = PerfModel::default().price_report(&report);
+    println!(
+        "replay OK: {} det events, {} elems; perfmodel {:.1} units (bottleneck node {})",
+        summary.det_events, summary.send_elems, predicted.total, predicted.bottleneck
+    );
+    let bottlenecks = log.phase_bottlenecks();
+    for (phase, total) in log.phase_totals() {
         println!(
-            "[{label}] replay OK: {} det events, {} elems; perfmodel {:.1} units \
-             (bottleneck node {})",
-            summary.det_events, summary.send_elems, predicted.total, predicted.bottleneck
+            "  {:<12} total {:>10.3?}  bottleneck {:>10.3?}",
+            phase.name(),
+            total,
+            bottlenecks[&phase]
         );
-        let bottlenecks = log.phase_bottlenecks();
-        for (phase, total) in log.phase_totals() {
-            println!(
-                "[{label}]   {:<12} total {:>10.3?}  bottleneck {:>10.3?}",
-                phase.name(),
-                total,
-                bottlenecks[&phase]
-            );
-        }
-        rows.push(ReportRow::new(
-            "trace_overhead",
-            format!("{label}: planned send elems (replay-validated)"),
-            summary.send_elems as f64,
-            summary.recv_elems as f64,
-        ));
     }
+    rows.push(ReportRow::new(
+        "trace_overhead",
+        "planned send elems (replay-validated)".to_string(),
+        summary.send_elems as f64,
+        summary.recv_elems as f64,
+    ));
     group.finish();
     write_report("trace_overhead", &rows);
 }

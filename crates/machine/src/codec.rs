@@ -22,7 +22,7 @@
 //! dispatcher surfaces as [`MachineError::PlanMismatch`] before any
 //! process is spawned.
 
-use crate::distributed::{CommMode, Msg, Wire, WriteOp};
+use crate::distributed::{Wire, WriteOp};
 use crate::error::MachineError;
 use crate::obs::{EventKind, Phase};
 use crate::stats::NodeStats;
@@ -39,7 +39,7 @@ use vcal_decomp::{Decomp1, Distribution};
 use vcal_spmd::{OptKind, SimdMode, SimdPolicy};
 
 /// Version stamped into the handshake; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u32 = 1;
+pub(crate) const WIRE_VERSION: u32 = 2;
 
 /// A typed decode (or non-serializable-encode) failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -766,35 +766,22 @@ fn dec_simd(d: &mut Dec) -> R<SimdPolicy> {
 // data-plane frames
 // ---------------------------------------------------------------------
 
+/// Payload tag 1 is the packet; tag 0 was the per-element message of
+/// wire version 1 and stays unassigned.
 fn enc_wire(e: &mut Enc, w: &Wire) {
-    match w {
-        Wire::Elem(m) => {
-            e.u8(0);
-            e.us(m.slot);
-            e.i64(m.i);
-            e.f64(m.value);
-        }
-        Wire::Pack { run_ord, values } => {
-            e.u8(1);
-            e.us(*run_ord);
-            e.f64s(values);
-        }
-    }
+    e.u8(1);
+    e.us(w.run_ord);
+    e.f64s(&w.values);
 }
 
 fn dec_wire(d: &mut Dec) -> R<Wire> {
-    Ok(match d.u8()? {
-        0 => Wire::Elem(Msg {
-            slot: d.us()?,
-            i: d.i64()?,
-            value: d.f64()?,
-        }),
-        1 => Wire::Pack {
+    match d.u8()? {
+        1 => Ok(Wire {
             run_ord: d.us()?,
             values: d.f64s()?.into(),
-        },
-        _ => return Err(bad("Wire tag")),
-    })
+        }),
+        _ => Err(bad("Wire tag")),
+    }
 }
 
 pub(crate) fn enc_frame(e: &mut Enc, f: &Frame<Wire>) {
@@ -1013,12 +1000,6 @@ fn enc_event(e: &mut Enc, ev: &EventKind) {
             e.u64(*elems);
             e.u64(*bytes);
         }
-        EventKind::ElemSend { dst, slot, i } => {
-            e.u8(5);
-            e.i64(*dst);
-            e.us(*slot);
-            e.i64(*i);
-        }
         EventKind::RecvValue { src, slot, i } => {
             e.u8(6);
             e.i64(*src);
@@ -1121,11 +1102,6 @@ fn dec_event(d: &mut Dec) -> R<EventKind> {
             run: d.us()?,
             elems: d.u64()?,
             bytes: d.u64()?,
-        },
-        5 => EventKind::ElemSend {
-            dst: d.i64()?,
-            slot: d.us()?,
-            i: d.i64()?,
         },
         6 => EventKind::RecvValue {
             src: d.i64()?,
@@ -1282,9 +1258,7 @@ pub(crate) struct JobMsg {
     pub decomps: BTreeMap<String, Decomp1>,
     pub recv_timeout: Duration,
     pub faults: Option<FaultPlan>,
-    pub mode: CommMode,
     pub retry: RetryPolicy,
-    pub overlap: bool,
     pub simd: SimdPolicy,
     pub trace_on: bool,
     /// Purge + Ready/Go barrier before the run (mirrors the in-process
@@ -1342,12 +1316,7 @@ pub(crate) fn enc_ctrl(c: &Ctrl) -> R<Vec<u8>> {
                     enc_faults(&mut e, f);
                 }
             }
-            e.u8(match j.mode {
-                CommMode::Element => 0,
-                CommMode::Vectorized => 1,
-            });
             enc_retry(&mut e, &j.retry);
-            e.b(j.overlap);
             enc_simd(&mut e, &j.simd);
             e.b(j.trace_on);
             e.b(j.handshake);
@@ -1409,13 +1378,7 @@ pub(crate) fn dec_ctrl(buf: &[u8]) -> R<Ctrl> {
                 1 => Some(dec_faults(&mut d)?),
                 _ => return Err(bad("JobMsg faults tag")),
             };
-            let mode = match d.u8()? {
-                0 => CommMode::Element,
-                1 => CommMode::Vectorized,
-                _ => return Err(bad("CommMode tag")),
-            };
             let retry = dec_retry(&mut d)?;
-            let overlap = d.b()?;
             let simd = dec_simd(&mut d)?;
             let trace_on = d.b()?;
             let handshake = d.b()?;
@@ -1426,9 +1389,7 @@ pub(crate) fn dec_ctrl(buf: &[u8]) -> R<Ctrl> {
                 decomps,
                 recv_timeout,
                 faults,
-                mode,
                 retry,
-                overlap,
                 simd,
                 trace_on,
                 handshake,
@@ -1901,9 +1862,7 @@ mod tests {
                     .with_corrupt(0.05)
                     .with_crash(2, 3),
             ),
-            mode: CommMode::Vectorized,
             retry: RetryPolicy::fast().with_deadline(Duration::from_secs(2)),
-            overlap: true,
             simd: SimdPolicy::default(),
             trace_on: true,
             handshake: false,
@@ -2024,20 +1983,10 @@ mod tests {
                 src: 1,
                 seq: 42,
                 check: 0xdead_beef,
-                payload: Wire::Pack {
+                payload: Wire {
                     run_ord: 2,
                     values: vec![0.5, -0.5].into(),
                 },
-            }),
-            Frame::Data(Packet {
-                src: 0,
-                seq: 0,
-                check: 9,
-                payload: Wire::Elem(Msg {
-                    slot: 1,
-                    i: -3,
-                    value: 7.0,
-                }),
             }),
             Frame::Ack {
                 from: 2,
@@ -2058,6 +2007,26 @@ mod tests {
             enc_done_frame(1),
             enc_frame_bytes(&Frame::Done { from: 1 }),
             "router-synthesized Done must be byte-identical to a real one"
+        );
+    }
+
+    /// Payload tag 0 was wire version 1's per-element message: a data
+    /// frame still carrying it is a typed decode error, not a panic.
+    #[test]
+    fn retired_element_payload_tag_is_a_codec_error() {
+        let mut e = Enc::new();
+        e.u8(0); // Frame::Data
+        e.i64(0); // src
+        e.u64(0); // seq
+        e.u64(9); // check
+        e.u8(0); // the retired payload tag
+        e.us(1); // slot
+        e.i64(-3); // i
+        e.f64(7.0); // value
+        assert_eq!(
+            dec_frame_bytes(&e.buf).map(|_| ()),
+            Err(bad("Wire tag")),
+            "the element payload left the wire with version 1"
         );
     }
 

@@ -26,23 +26,17 @@
 //! tables a 1-D plan compiles to (`vcal_spmd::lower_nd`) and hands them
 //! to the same phase engine.
 //!
-//! Two communication modes implement the template
-//! ([`CommMode`], selected via [`DistOptions`]):
+//! The plan's communication schedule ([`vcal_spmd::NodeCommPlan`],
+//! derived at plan time from `Reside_p ∩ Modify_q`) drives the send
+//! phase directly: one vector message per planned packet (whole
+//! coalesced runs, grouped at plan time up to `vcal_spmd::PACKET_ELEMS`),
+//! packed in run order. The receiver stages each packet by its
+//! `(source, packet)` tag — derived from the *same* plan, so no
+//! per-element matching happens — and the update phase reads values by
+//! plan-computed offsets. The literal per-element template of Section
+//! 2.10 is what `vcal_spmd::emit` prints and `Env::exec_clause` runs.
 //!
-//! * **Element** — the literal template: one tagged `(read-slot,
-//!   loop-index)` message per remote element, destination resolved by an
-//!   ownership test at run time, out-of-order arrivals absorbed by an
-//!   ordered pending buffer.
-//! * **Vectorized** (default) — the plan's communication schedule
-//!   ([`vcal_spmd::NodeCommPlan`], derived at plan time from
-//!   `Reside_p ∩ Modify_q`) drives the send phase directly: one vector
-//!   message per planned packet (whole coalesced runs, grouped at plan
-//!   time up to `vcal_spmd::PACKET_ELEMS`), packed in run order. The
-//!   receiver stages each packet by its `(source, packet)` tag — derived
-//!   from the *same* plan, so no per-element matching happens — and the
-//!   update phase reads values by plan-computed offsets.
-//!
-//! Both modes ship their messages through the reliable transport of
+//! Packets travel through the reliable transport of
 //! [`crate::transport`] (per-flow sequence numbers, checksums, duplicate
 //! suppression, NACK/retransmit recovery with bounded retries), so runs
 //! survive transient faults injected by a seeded [`FaultPlan`] and
@@ -53,12 +47,11 @@
 //! run leaves the distributed arrays exactly as they were.
 //!
 //! Wire traffic is modeled in [`NodeStats`]: `msgs_sent`/`msgs_received`
-//! always count payload *elements* (identical across modes), while
-//! `packets_sent`/`bytes_sent`/`max_packet_elems` expose the batching
-//! (an element message costs 24 modeled bytes — slot, index, value — and
-//! a vector message 16 header bytes plus 8 per element). Reliability
-//! traffic is counted separately (`retransmits`, `dups_dropped`,
-//! `corrupt_detected`, `acks_sent`, `nacks_sent`).
+//! count payload *elements*, while `packets_sent`/`bytes_sent`/
+//! `max_packet_elems` expose the batching (a packet costs 16 modeled
+//! header bytes plus 8 per element). Reliability traffic is counted
+//! separately (`retransmits`, `dups_dropped`, `corrupt_detected`,
+//! `acks_sent`, `nacks_sent`).
 
 use crate::darray::DistArray;
 use crate::darray_nd::DistArrayNd;
@@ -81,87 +74,39 @@ use vcal_spmd::{
     SlotAccess, SpmdPlan,
 };
 
-/// A tagged value message.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Msg {
-    /// Index into the node's reside/read slot list.
-    pub(crate) slot: usize,
-    /// Loop index the value belongs to.
-    pub(crate) i: i64,
-    /// The payload.
-    pub(crate) value: f64,
-}
-
-/// Modeled wire cost of one element message (slot + index + value).
-const ELEM_MSG_BYTES: u64 = 24;
-/// Modeled header cost of one vector message (source + packet tag).
+/// Modeled header cost of one packet (source + packet tag).
 pub(crate) const PACK_HEADER_BYTES: u64 = 16;
 
-/// The machine-level payload of a wire packet.
+/// The machine-level payload of a wire packet: all values of one
+/// planned packet, in run order. `run_ord` (the wire name) is the
+/// packet's ordinal in the pair's packet list, which the plan makes
+/// identical on both sides. The values are shared, not copied, between
+/// the wire, the sender's retransmit buffer and (in process) the
+/// receiver's staging.
 #[derive(Debug, Clone)]
-pub(crate) enum Wire {
-    /// Element mode: one tagged value.
-    Elem(Msg),
-    /// Vectorized mode: all values of one planned packet, in run order.
-    /// `run_ord` (the wire name) is the packet's ordinal in the pair's
-    /// packet list, which the plan makes identical on both sides. The
-    /// values are shared, not copied, between the wire, the sender's
-    /// retransmit buffer and (in process) the receiver's staging.
-    Pack { run_ord: usize, values: Arc<[f64]> },
+pub(crate) struct Wire {
+    pub(crate) run_ord: usize,
+    pub(crate) values: Arc<[f64]>,
 }
 
 impl WirePayload for Wire {
     fn digest(&self) -> u64 {
-        let mut h = 0u64;
-        match self {
-            Wire::Elem(m) => {
-                h ^= 1;
-                h = h
-                    .rotate_left(7)
-                    .wrapping_add(m.slot as u64)
-                    .rotate_left(7)
-                    .wrapping_add(m.i as u64)
-                    .rotate_left(7)
-                    .wrapping_add(m.value.to_bits());
-            }
-            Wire::Pack { run_ord, values } => {
-                h ^= 2;
-                h = h.rotate_left(7).wrapping_add(*run_ord as u64);
-                for v in values.iter() {
-                    h = h.rotate_left(7).wrapping_add(v.to_bits());
-                }
-            }
+        let mut h = 2u64.rotate_left(7).wrapping_add(self.run_ord as u64);
+        for v in self.values.iter() {
+            h = h.rotate_left(7).wrapping_add(v.to_bits());
         }
         h
     }
 
     fn corrupt(&mut self, bits: u64) {
-        match self {
-            Wire::Elem(m) => {
-                m.value = f64::from_bits(m.value.to_bits() ^ (1 << (bits % 52)));
-            }
-            Wire::Pack { values, .. } => {
-                if !values.is_empty() {
-                    // the clean payload stays shared with the retained copy
-                    let mut flipped = values.to_vec();
-                    let k = (bits as usize) % flipped.len();
-                    flipped[k] = f64::from_bits(flipped[k].to_bits() ^ (1 << (bits % 52)));
-                    *values = flipped.into();
-                }
-            }
+        if !self.values.is_empty() {
+            // the clean payload stays shared with the retained copy
+            let mut flipped = self.values.to_vec();
+            let k = (bits as usize) % flipped.len();
+            flipped[k] = f64::from_bits(flipped[k].to_bits() ^ (1 << (bits % 52)));
+            self.values = flipped.into();
         }
     }
-}
-
-/// How remote operands travel between nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommMode {
-    /// One tagged message per element (the literal Section 2.10
-    /// template; kept as the baseline and fallback).
-    Element,
-    /// One vector message per planned packet.
-    #[default]
-    Vectorized,
 }
 
 /// Execution options for the distributed machine.
@@ -173,22 +118,13 @@ pub struct DistOptions {
     pub recv_timeout: Duration,
     /// Optional seed-driven fault injection.
     pub faults: Option<FaultPlan>,
-    /// How remote operands are shipped.
-    pub mode: CommMode,
     /// NACK/retransmit recovery policy; [`RetryPolicy::none`] restores
     /// the legacy fail-on-first-timeout behavior.
     pub retry: RetryPolicy,
-    /// Communication/computation overlap: execute *interior* compiled
-    /// runs (all operands owner-local) while boundary packets are in
-    /// flight, finishing *boundary* runs as receives land. `false`
-    /// executes the compiled runs strictly in schedule visit order.
-    /// Results and the deterministic trace class are identical either
-    /// way.
-    pub overlap: bool,
     /// SIMD lane policy for fused interior runs (see
     /// `vcal_spmd::simd`). Lane parallelism never re-associates any
     /// per-element computation, so results are bitwise identical to the
-    /// scalar path under every mode.
+    /// scalar path.
     pub simd: SimdPolicy,
     /// Which carrier moves frames between nodes. [`TransportKind::InProc`]
     /// (the default) runs nodes as threads over channels; `Uds`/`Tcp`
@@ -213,9 +149,7 @@ impl Default for DistOptions {
         DistOptions {
             recv_timeout: Duration::from_secs(5),
             faults: None,
-            mode: CommMode::default(),
             retry: RetryPolicy::default(),
-            overlap: true,
             simd: SimdPolicy::default(),
             transport: TransportKind::default(),
             chaos: None,
@@ -465,53 +399,7 @@ pub(crate) fn slot_parts<'a>(
         .collect()
 }
 
-/// Element-mode send phase over the compiled pair runs: the wire
-/// multiset is identical to the literal template's reside scan
-/// (`Send_{p→q} = Reside_p ∩ Modify_q`), but the destination is the
-/// pair's peer and every value sits at its plan-time segment address —
-/// no per-element `proc_of(f(i))` or `local_of(g(i))`.
-pub(crate) fn send_phase_element_compiled(
-    cn: &CompiledNode,
-    parts: &[&[f64]],
-    ep: &mut Endpoint<Wire>,
-    stats: &mut NodeStats,
-    sent_to: &mut [u64],
-    tracer: &dyn Tracer,
-) {
-    let trace_on = tracer.enabled();
-    // the reside scans' loop-overhead accounting, unchanged from the
-    // literal template (the scan itself is what the pair runs replace)
-    stats.guard_tests += cn.reside_work.iter().sum::<u64>();
-    for pair in &cn.sends {
-        let owner = pair.peer; // hoisted: constant across the pair's runs
-        let mut at = (pair.packets.iter().flatten())
-            .flat_map(|seg| (0..seg.count).map(move |t| seg.pattern.offset(t) as usize));
-        for run in &pair.runs {
-            let slot = run.slot;
-            run.for_each(|i| {
-                let value = parts[slot][at.next().expect("segments cover the runs")];
-                ep.send(owner as usize, Wire::Elem(Msg { slot, i, value }));
-                if trace_on {
-                    tracer.record(
-                        cn.p,
-                        EventKind::ElemSend {
-                            dst: owner,
-                            slot,
-                            i,
-                        },
-                    );
-                }
-                sent_to[owner as usize] += 1;
-                stats.msgs_sent += 1;
-                stats.packets_sent += 1;
-                stats.bytes_sent += ELEM_MSG_BYTES;
-                stats.max_packet_elems = stats.max_packet_elems.max(1);
-            });
-        }
-    }
-}
-
-/// Vectorized send phase: the plan already knows every destination and
+/// The send phase: the plan already knows every destination and
 /// packet, so each packet is built in one allocation — copied out of the
 /// local parts through the plan-time segments (one slice copy when the
 /// packet is a single unit-stride segment), with no run-time ownership
@@ -550,7 +438,7 @@ pub(crate) fn send_phase_vectorized(
                 }
             };
             let elems = n as u64;
-            ep.send(pair.peer as usize, Wire::Pack { run_ord, values });
+            ep.send(pair.peer as usize, Wire { run_ord, values });
             if trace_on {
                 tracer.record(
                     cn.p,
@@ -572,13 +460,12 @@ pub(crate) fn send_phase_vectorized(
 }
 
 /// The compiled update phase: execute the node's [`ExecRun`] tables with
-/// the compiled kernel. With `opts.overlap` every *interior* run (all
-/// operands owner-local by the Table I dispatch) executes before any
-/// *boundary* run touches the transport, so compute proceeds while
-/// packets are in flight; without it, runs execute in schedule visit
-/// order. Writes are merged back into visit order before returning, so
-/// the commit order — and therefore the result, even for non-injective
-/// `f` — is identical either way.
+/// the compiled kernel. On a node with boundary runs every *interior*
+/// run (all operands owner-local by the Table I dispatch) executes
+/// before any *boundary* run touches the transport, so compute proceeds
+/// while packets are in flight. Writes are merged back into visit order
+/// before returning, so the commit order — and therefore the result,
+/// even for non-injective `f` — is that of the schedule.
 ///
 /// The buffers come from the caller so the executor can reuse its
 /// scratch allocations across runs.
@@ -611,7 +498,7 @@ pub(crate) fn exec_update_phase(
             k, er, parts, cs, cn, rguard, ep, rcv, vals, stack, opts, stats, out, tracer,
         )
     };
-    if opts.overlap && cn.exec.iter().any(|er| er.boundary) {
+    if cn.exec.iter().any(|er| er.boundary) {
         // interior first — boundary runs block on receives, interior
         // runs never do; the two passes are merged back by run ordinal
         let mut counts = vec![0usize; cn.exec.len()];
@@ -700,11 +587,6 @@ fn write_off(off: i64, p: i64) -> Result<usize, MachineError> {
 
 fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
     match f {
-        RecvFail::Timeout => MachineError::MissingMessage {
-            node: p,
-            array: array.to_string(),
-            index: i,
-        },
         RecvFail::PacketTimeout { peer, run } => MachineError::MissingPacket {
             node: p,
             peer,
@@ -722,15 +604,9 @@ fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> Machi
     }
 }
 
-/// How element-mode operands gathered for one boundary run are indexed:
-/// position `t` of the run is element `t` of the buffer.
-const GATHERED: AccessPattern = AccessPattern::Affine { base: 0, step: 1 };
-
 /// Make every remote operand of boundary run `er` available and account
-/// for it. Vectorized mode awaits each packet the run names *once* and
-/// checks the run's window lies inside it; element mode receives the
-/// tagged values one by one into per-slot buffers (returned; empty in
-/// vectorized mode). Either way one `RecvValue` is traced per consumed
+/// for it: await each packet the run names *once* and check the run's
+/// window lies inside it. One `RecvValue` is traced per consumed
 /// element, position-major then slot.
 #[allow(clippy::too_many_arguments)]
 fn receive_operands(
@@ -742,9 +618,8 @@ fn receive_operands(
     opts: &DistOptions,
     stats: &mut NodeStats,
     tracer: &dyn Tracer,
-) -> Result<Vec<Vec<f64>>, MachineError> {
+) -> Result<(), MachineError> {
     let p = cn.p;
-    let trace_on = tracer.enabled();
     let n = er.run.len() as usize;
     fn remote(sa: &SlotAccess) -> Option<(usize, usize, &AccessPattern)> {
         match sa {
@@ -756,52 +631,27 @@ fn receive_operands(
             SlotAccess::Local(_) => None,
         }
     }
-    let peer_of = |src_ord: usize| cn.src_peers.get(src_ord).copied().unwrap_or(-1);
-    let mut gathered: Vec<Vec<f64>> = Vec::new();
-    match opts.mode {
-        CommMode::Vectorized => {
-            for (slot, sa) in er.slots.iter().enumerate() {
-                let Some((so, po, pattern)) = remote(sa) else {
-                    continue;
-                };
-                let array = &arrays[slot];
-                let len = await_packet(ep, rcv, cn, so, po, opts, stats)
-                    .map_err(|f| map_recv_fail(f, p, array, er.run.start, slot))?;
-                let inside = |off: i64| usize::try_from(off).is_ok_and(|o| o < len);
-                if n > 0 && !(inside(pattern.offset(0)) && inside(pattern.offset(n - 1))) {
-                    return Err(map_recv_fail(
-                        RecvFail::BadWire("packet shorter than its planned runs"),
-                        p,
-                        array,
-                        er.run.start,
-                        slot,
-                    ));
-                }
-            }
-            stats.msgs_received += er.remote_elems;
-        }
-        CommMode::Element => {
-            gathered.resize_with(er.slots.len(), Vec::new);
-            let mut i = er.run.start;
-            for _ in 0..n {
-                for (slot, sa) in er.slots.iter().enumerate() {
-                    let Some((so, ..)) = remote(sa) else {
-                        continue;
-                    };
-                    let v = recv_element(ep, rcv, slot, i, peer_of(so), opts, stats)
-                        .map_err(|f| map_recv_fail(f, p, &arrays[slot], i, slot))?;
-                    stats.msgs_received += 1;
-                    gathered[slot].push(v);
-                    if trace_on {
-                        let src = peer_of(so);
-                        tracer.record(p, EventKind::RecvValue { src, slot, i });
-                    }
-                }
-                i += er.run.step;
-            }
+    for (slot, sa) in er.slots.iter().enumerate() {
+        let Some((so, po, pattern)) = remote(sa) else {
+            continue;
+        };
+        let array = &arrays[slot];
+        let len = await_packet(ep, rcv, cn, so, po, opts, stats)
+            .map_err(|f| map_recv_fail(f, p, array, er.run.start, slot))?;
+        let inside = |off: i64| usize::try_from(off).is_ok_and(|o| o < len);
+        if n > 0 && !(inside(pattern.offset(0)) && inside(pattern.offset(n - 1))) {
+            return Err(map_recv_fail(
+                RecvFail::BadWire("packet shorter than its planned runs"),
+                p,
+                array,
+                er.run.start,
+                slot,
+            ));
         }
     }
-    if trace_on && opts.mode == CommMode::Vectorized {
+    stats.msgs_received += er.remote_elems;
+    if tracer.enabled() {
+        let peer_of = |src_ord: usize| cn.src_peers.get(src_ord).copied().unwrap_or(-1);
         let mut i = er.run.start;
         for _ in 0..n {
             for (slot, sa) in er.slots.iter().enumerate() {
@@ -813,7 +663,7 @@ fn receive_operands(
             i += er.run.step;
         }
     }
-    Ok(gathered)
+    Ok(())
 }
 
 /// Execute one compiled run. Interior and boundary runs share one code
@@ -848,18 +698,15 @@ fn exec_one_run(
     let arrays = &cs.slot_arrays;
     let n = er.run.len() as usize;
     let n_slots = arrays.len();
-    let gathered = if er.boundary {
-        receive_operands(er, arrays, cn, ep, rcv, opts, stats, tracer)?
-    } else {
-        Vec::new()
-    };
+    if er.boundary {
+        receive_operands(er, arrays, cn, ep, rcv, opts, stats, tracer)?;
+    }
     let staging: &Staging = rcv.cur_staging();
     // where slot `s` of this run reads from, and how it is indexed
     let operand = |s: usize| -> (&[f64], &AccessPattern, &str) {
         let array = arrays[s].as_str();
         match &er.slots[s] {
             SlotAccess::Local(pat) => (parts[s], pat, array),
-            SlotAccess::Packet { .. } if !gathered.is_empty() => (&gathered[s], &GATHERED, array),
             SlotAccess::Packet {
                 src_ord,
                 pkt_ord,
@@ -1074,35 +921,27 @@ fn exec_one_run(
 
 /// Why a remote value could not be produced.
 enum RecvFail {
-    /// The wire message never arrived within the timeout (recovery
-    /// disabled) — element mode.
-    Timeout,
     /// The planned packet never arrived within the timeout (recovery
-    /// disabled) — vectorized mode, identified by the wire protocol's
-    /// own coordinates.
+    /// disabled), identified by the wire protocol's own coordinates.
     PacketTimeout { peer: i64, run: usize },
     /// The NACK/retransmit budget was exhausted.
     Exhausted { peer: i64, retries: u32 },
-    /// The wire carried something the mode/plan does not account for.
+    /// The wire carried something the plan does not account for.
     BadWire(&'static str),
 }
 
-/// Vectorized-mode packet staging, `[source ordinal][packet]`: the
+/// Packet staging, `[source ordinal][packet]`: the
 /// payload of every planned incoming packet that has landed.
 pub(crate) type Staging = Vec<Vec<Option<Arc<[f64]>>>>;
 
 /// One job's private receive buffers. Lanes are strictly per job: two
-/// jobs of a wave may await the same `(slot, i)` key from the same
-/// owner, so a shared map would overwrite one job's value and starve
-/// the other.
+/// jobs of a wave generally disagree about source and packet ordinals.
 #[derive(Default)]
 struct JobLane {
     /// source processor id → ordinal in this job's recv pair list
     /// (`usize::MAX` when the source owes this job nothing).
     src_ord: Vec<usize>,
-    /// element-mode arrivals keyed `(slot, i)`.
-    pending: BTreeMap<(usize, i64), f64>,
-    /// vectorized-mode packet staging.
+    /// the job's packet staging.
     staging: Staging,
 }
 
@@ -1129,16 +968,10 @@ pub(crate) struct WaveRecv {
 
 impl WaveRecv {
     /// Size the lanes and seq windows for one wave from each job's
-    /// tables for this node, in wave order. Element mode sends one frame
-    /// per element, vectorized one per planned packet — mirrored exactly
-    /// by the sender's send phase, which walks the same pair sets in the
-    /// same order.
-    pub(crate) fn reset<'a>(
-        &mut self,
-        jobs: impl Iterator<Item = &'a CompiledNode>,
-        pmax: usize,
-        mode: CommMode,
-    ) {
+    /// tables for this node, in wave order: one frame per planned packet
+    /// — mirrored exactly by the sender's send phase, which walks the
+    /// same pair sets in the same order.
+    pub(crate) fn reset<'a>(&mut self, jobs: impl Iterator<Item = &'a CompiledNode>, pmax: usize) {
         self.cur = 0;
         self.cuts.resize_with(pmax, Vec::new);
         for col in &mut self.cuts {
@@ -1153,7 +986,6 @@ impl WaveRecv {
             let lane = &mut self.lanes[njobs];
             njobs += 1;
             lane.src_ord.clone_from(&cn.src_ord);
-            lane.pending.clear();
             lane.staging.resize_with(cn.staging_packets.len(), Vec::new);
             for (row, &npackets) in lane.staging.iter_mut().zip(&cn.staging_packets) {
                 row.clear();
@@ -1162,16 +994,12 @@ impl WaveRecv {
             for col in &mut self.cuts {
                 col.push(col[njobs - 1]);
             }
-            for (ord, peer) in cn.src_peers.iter().enumerate() {
-                let frames = match mode {
-                    CommMode::Element => cn.recv_elems[ord],
-                    CommMode::Vectorized => cn.staging_packets[ord] as u64,
-                };
+            for (peer, &npackets) in cn.src_peers.iter().zip(&cn.staging_packets) {
                 if let Some(col) = usize::try_from(*peer)
                     .ok()
                     .and_then(|s| self.cuts.get_mut(s))
                 {
-                    col[njobs] += frames;
+                    col[njobs] += npackets as u64;
                 }
             }
         }
@@ -1189,22 +1017,9 @@ impl WaveRecv {
             .ok_or("data frame outside the wave's planned windows")
     }
 
-    /// The pending map the currently executing job reads from.
-    fn cur_pending(&mut self) -> &mut BTreeMap<(usize, i64), f64> {
-        &mut self.lanes[self.cur].pending
-    }
-
     /// The staging rows the currently executing job reads from.
     fn cur_staging(&self) -> &Staging {
         &self.lanes[self.cur].staging
-    }
-
-    /// Stage one element-mode arrival into its owning job's lane.
-    fn stage_elem(&mut self, src: i64, seq: u64, m: Msg) -> Result<(), &'static str> {
-        self.lane_of(src, seq)?
-            .pending
-            .insert((m.slot, m.i), m.value);
-        Ok(())
     }
 
     /// Stage one packet into its owning job's staging row, routed with
@@ -1232,42 +1047,7 @@ impl WaveRecv {
     }
 }
 
-/// Element-mode blocking receive: stage tagged arrivals in their jobs'
-/// lanes until `(slot, i)` from `owner` is available to the current job.
-#[allow(clippy::too_many_arguments)]
-fn recv_element(
-    ep: &mut Endpoint<Wire>,
-    rcv: &mut WaveRecv,
-    slot: usize,
-    i: i64,
-    owner: i64,
-    opts: &DistOptions,
-    stats: &mut NodeStats,
-) -> Result<f64, RecvFail> {
-    await_until(
-        ep,
-        owner,
-        opts.recv_timeout,
-        opts.retry,
-        stats,
-        rcv,
-        |rcv| rcv.cur_pending().remove(&(slot, i)).map(Ok),
-        |rcv, src, seq, wire| match wire {
-            Wire::Elem(m) => rcv.stage_elem(src, seq, m),
-            Wire::Pack { .. } => Err("vector packet in element mode"),
-        },
-    )
-    .map_err(|e| match e {
-        AwaitFail::Timeout => RecvFail::Timeout,
-        AwaitFail::Exhausted { retries } => RecvFail::Exhausted {
-            peer: owner,
-            retries,
-        },
-        AwaitFail::BadWire(w) => RecvFail::BadWire(w),
-    })
-}
-
-/// Vectorized-mode blocking receive of one whole planned packet: stage
+/// Blocking receive of one whole planned packet: stage
 /// arrivals by `(source, packet)` until packet `(so, po)` has landed,
 /// and return its length. The compiled update phase calls this once per
 /// packet a boundary run names.
@@ -1296,10 +1076,7 @@ fn await_packet(
             let cell = rcv.cur_staging().get(so).and_then(|row| row.get(po));
             cell.and_then(Option::as_ref).map(|vals| Ok(vals.len()))
         },
-        |rcv, src, seq, wire| match wire {
-            Wire::Pack { run_ord, values } => rcv.stage_pack(src, seq, run_ord, values),
-            Wire::Elem(_) => Err("element message in vectorized mode"),
-        },
+        |rcv, src, seq, wire: Wire| rcv.stage_pack(src, seq, wire.run_ord, wire.values),
     )
     .map_err(|e| match e {
         AwaitFail::Timeout => RecvFail::PacketTimeout { peer, run: po },
@@ -1525,54 +1302,19 @@ mod tests {
             n - 1,
         );
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
-        let mut totals = Vec::new();
-        for mode in [CommMode::Element, CommMode::Vectorized] {
-            let mut arrays = scatter_arrays(&env, &dm);
-            let opts = DistOptions {
-                mode,
-                ..DistOptions::default()
-            };
-            let report = run_distributed(&plan, &clause, &mut arrays, opts).unwrap();
-            totals.push(report.total());
-        }
-        let (elem, vect) = (totals[0], totals[1]);
-        // element totals are identical across modes
-        assert_eq!(elem.msgs_sent, vect.msgs_sent);
-        assert_eq!(elem.msgs_received, vect.msgs_received);
-        // element mode: one wire message per element
-        assert_eq!(elem.packets_sent, elem.msgs_sent);
-        assert_eq!(elem.max_packet_elems, 1);
-        // vectorized mode: strictly fewer, larger messages
-        assert!(vect.packets_sent < vect.msgs_sent);
-        assert!(vect.max_packet_elems > 1);
-        assert!(vect.bytes_sent < elem.bytes_sent);
-    }
-
-    #[test]
-    fn element_mode_still_exact() {
-        let n = 128;
-        let (clause, env, dm) = copy_setup(
-            n,
-            Fn1::affine(2, 1),
-            Fn1::affine(3, 0),
-            Decomp1::scatter(4, Bounds::range(0, n - 1)),
-            Decomp1::block_scatter(4, 4, Bounds::range(0, 3 * n)),
-            0,
-            n / 2 - 1,
-        );
-        let mut expect = env.clone();
-        expect.exec_clause(&clause);
-        let plan = SpmdPlan::build(&clause, &dm).unwrap();
         let mut arrays = scatter_arrays(&env, &dm);
-        let opts = DistOptions {
-            mode: CommMode::Element,
-            ..DistOptions::default()
-        };
-        run_distributed(&plan, &clause, &mut arrays, opts).unwrap();
-        assert_eq!(
-            arrays["A"].gather().max_abs_diff(expect.get("A").unwrap()),
-            0.0
-        );
+        let report = run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
+        let t = report.total();
+        // the plan is the ground truth for what travels
+        let elems: u64 = plan.nodes.iter().map(|np| np.comm.send_elems()).sum();
+        let packets: u64 = plan.nodes.iter().map(|np| np.comm.send_packets()).sum();
+        assert_eq!(t.msgs_sent, elems);
+        assert_eq!(t.msgs_received, elems);
+        assert_eq!(t.packets_sent, packets);
+        // strictly fewer, larger messages than one per element
+        assert!(t.packets_sent < t.msgs_sent);
+        assert!(t.max_packet_elems > 1);
+        assert_eq!(t.bytes_sent, PACK_HEADER_BYTES * packets + 8 * elems);
     }
 
     #[test]
@@ -1611,34 +1353,8 @@ mod tests {
     }
 
     #[test]
-    fn dropped_message_detected_without_retries() {
-        // with recovery disabled the legacy typed error comes back
-        let n = 32;
-        let (clause, env, dm) = copy_setup(
-            n,
-            Fn1::identity(),
-            Fn1::identity(),
-            Decomp1::block(4, Bounds::range(0, n - 1)),
-            Decomp1::scatter(4, Bounds::range(0, n - 1)),
-            0,
-            n - 1,
-        );
-        let plan = SpmdPlan::build(&clause, &dm).unwrap();
-        let mut arrays = scatter_arrays(&env, &dm);
-        let opts = DistOptions {
-            recv_timeout: Duration::from_millis(200),
-            faults: Some(FaultPlan::drop_nth(1, 0)),
-            mode: CommMode::Element,
-            retry: RetryPolicy::none(),
-            ..DistOptions::default()
-        };
-        let err = run_distributed(&plan, &clause, &mut arrays, opts).unwrap_err();
-        assert!(matches!(err, MachineError::MissingMessage { .. }), "{err}");
-    }
-
-    #[test]
     fn dropped_packet_reports_wire_coordinates() {
-        // vectorized mode + no retries: the error names (peer, slot, run)
+        // no retries: the error names (peer, slot, run)
         let n = 32;
         let (clause, env, dm) = copy_setup(
             n,
@@ -1654,7 +1370,6 @@ mod tests {
         let opts = DistOptions {
             recv_timeout: Duration::from_millis(200),
             faults: Some(FaultPlan::drop_nth(1, 0)),
-            mode: CommMode::Vectorized,
             retry: RetryPolicy::none(),
             ..DistOptions::default()
         };
@@ -1730,7 +1445,7 @@ mod tests {
     }
 
     #[test]
-    fn noisy_link_recovered_in_both_modes() {
+    fn noisy_link_recovered() {
         // seeded drop+dup+reorder+corrupt+delay soup, still bit-exact
         let n = 64;
         let (clause, env, dm) = copy_setup(
@@ -1745,30 +1460,25 @@ mod tests {
         let mut expect = env.clone();
         expect.exec_clause(&clause);
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
-        for mode in [CommMode::Element, CommMode::Vectorized] {
-            let mut arrays = scatter_arrays(&env, &dm);
-            let opts = DistOptions {
-                recv_timeout: Duration::from_secs(5),
-                faults: Some(
-                    FaultPlan::seeded(11)
-                        .with_drop(0.08)
-                        .with_duplicate(0.08)
-                        .with_reorder(0.08)
-                        .with_corrupt(0.05)
-                        .with_delay(0.08),
-                ),
-                mode,
-                retry: RetryPolicy::fast(),
-                ..DistOptions::default()
-            };
-            run_distributed(&plan, &clause, &mut arrays, opts)
-                .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
-            assert_eq!(
-                arrays["A"].gather().max_abs_diff(expect.get("A").unwrap()),
-                0.0,
-                "{mode:?}"
-            );
-        }
+        let mut arrays = scatter_arrays(&env, &dm);
+        let opts = DistOptions {
+            recv_timeout: Duration::from_secs(5),
+            faults: Some(
+                FaultPlan::seeded(11)
+                    .with_drop(0.08)
+                    .with_duplicate(0.08)
+                    .with_reorder(0.08)
+                    .with_corrupt(0.05)
+                    .with_delay(0.08),
+            ),
+            retry: RetryPolicy::fast(),
+            ..DistOptions::default()
+        };
+        run_distributed(&plan, &clause, &mut arrays, opts).unwrap();
+        assert_eq!(
+            arrays["A"].gather().max_abs_diff(expect.get("A").unwrap()),
+            0.0
+        );
     }
 
     #[test]

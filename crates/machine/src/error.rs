@@ -22,7 +22,7 @@ pub enum MachineError {
         index: i64,
     },
     /// The distributed machine timed out waiting for a planned packet
-    /// in vectorized mode — the lost unit is a whole run, so the
+    /// — the lost unit is a whole run, so the
     /// diagnosis matches the wire protocol: which peer owed which run
     /// of which read slot.
     MissingPacket {

@@ -49,9 +49,8 @@
 use crate::darray::DistArray;
 use crate::darray_nd::DistArrayNd;
 use crate::distributed::{
-    disassemble, exec_update_phase, resolve_guard, send_phase_element_compiled,
-    send_phase_vectorized, slot_parts, CommMode, Disassembled, DistOptions, Image, RGuard,
-    WaveRecv, Wire, WriteOp,
+    disassemble, exec_update_phase, resolve_guard, send_phase_vectorized, slot_parts, Disassembled,
+    DistOptions, Image, RGuard, WaveRecv, Wire, WriteOp,
 };
 use crate::error::MachineError;
 use crate::obs::{EventKind, Phase, Tracer};
@@ -833,7 +832,7 @@ pub(crate) fn wave_body(
 ) -> WaveReply {
     let pmax = ep.peer_count();
     let tables = jobs.iter().map(|job| &job.compiled.nodes[p as usize]);
-    scratch.recv.reset(tables, pmax, opts.mode);
+    scratch.recv.reset(tables, pmax);
     let mut first_fail: Option<MachineError> = None;
     let mut panicked = false;
     // pass 1 — post *every* job's boundary sends before any update
@@ -954,8 +953,8 @@ impl Drop for DistExecutor {
 /// carry one across jobs exactly like a pooled thread does.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// The receive router: one lane per job of the wave (element-mode
-    /// arrivals, vectorized packet staging) and the wave's seq windows.
+    /// The receive router: one lane per job of the wave (its packet
+    /// staging) and the wave's seq windows.
     recv: WaveRecv,
     /// Operand values of the current iteration, one per read slot.
     vals: Vec<f64>,
@@ -1049,12 +1048,7 @@ fn warm_phases(
             tracer.record(p, EventKind::PhaseStart(Phase::Send));
         }
         let send_t0 = trace_on.then(std::time::Instant::now);
-        match opts.mode {
-            CommMode::Vectorized => send_phase_vectorized(cn, &parts, ep, stats, sent_to, tracer),
-            CommMode::Element => {
-                send_phase_element_compiled(cn, &parts, ep, stats, sent_to, tracer)
-            }
-        }
+        send_phase_vectorized(cn, &parts, ep, stats, sent_to, tracer);
         ep.end_send_phase(); // flush delayed packets; crash point
         if let Some(t0) = send_t0 {
             tracer.timing(p, Phase::Send, t0.elapsed());

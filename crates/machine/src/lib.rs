@@ -50,7 +50,7 @@ pub use darray::DistArray;
 pub use darray_nd::DistArrayNd;
 pub use distributed::{
     run_distributed, run_distributed_nd, run_distributed_nd_traced, run_distributed_traced,
-    CommMode, DistOptions,
+    DistOptions,
 };
 pub use doacross::{carried_distances, run_doacross, run_doacross_with};
 pub use error::MachineError;

@@ -1173,7 +1173,7 @@ mod tests {
                 src: 0,
                 seq: 0,
                 check: 7,
-                payload: Wire::Pack {
+                payload: Wire {
                     run_ord: 1,
                     values: vec![2.5, -1.0].into(),
                 },
@@ -1190,13 +1190,8 @@ mod tests {
             match got {
                 Frame::Data(p) => {
                     assert_eq!(p.src, 0);
-                    match p.payload {
-                        Wire::Pack { run_ord, values } => {
-                            assert_eq!(run_ord, 1);
-                            assert_eq!(*values, [2.5, -1.0]);
-                        }
-                        other => panic!("wrong payload: {other:?}"),
-                    }
+                    assert_eq!(p.payload.run_ord, 1);
+                    assert_eq!(*p.payload.values, [2.5, -1.0]);
                 }
                 other => panic!("wrong frame: {other:?}"),
             }
@@ -1363,9 +1358,7 @@ mod tests {
             decomps: std::collections::BTreeMap::new(),
             recv_timeout: Duration::from_millis(100),
             faults: None,
-            mode: crate::distributed::CommMode::Vectorized,
             retry: crate::transport::RetryPolicy::default(),
-            overlap: true,
             simd: vcal_spmd::SimdPolicy::default(),
             trace_on: false,
             handshake: false,

@@ -25,14 +25,14 @@
 //!   the deterministic log;
 //! * a replay checker ([`replay_check`]) that re-validates an
 //!   execution's event stream against its [`SpmdPlan`]: phase protocol
-//!   per node, every planned send present with the planned size (and,
-//!   in vectorized mode, in exact plan order), every receive matched
-//!   to a planned incoming element, and reliability traffic within the
+//!   per node, every planned packet present with the planned size in
+//!   exact plan order, every receive matched to a planned incoming
+//!   element, and reliability traffic within the
 //!   [`RetryPolicy`] budget.
 //!
 //! See DESIGN.md §11 for the span taxonomy and the checker rules.
 
-use crate::distributed::{CommMode, PACK_HEADER_BYTES};
+use crate::distributed::PACK_HEADER_BYTES;
 use crate::transport::RetryPolicy;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -106,7 +106,7 @@ pub enum EventKind {
         /// Whether the row is closed-form (`false` = naive guard).
         closed_form: bool,
     },
-    /// One planned vector packet put on the wire (vectorized mode).
+    /// One planned vector packet put on the wire.
     PackSend {
         /// Destination node.
         dst: i64,
@@ -116,15 +116,6 @@ pub enum EventKind {
         elems: u64,
         /// Modeled wire bytes (header + payload).
         bytes: u64,
-    },
-    /// One tagged element message put on the wire (element mode).
-    ElemSend {
-        /// Destination node.
-        dst: i64,
-        /// Read-slot index the value belongs to.
-        slot: usize,
-        /// Loop index the value belongs to.
-        i: i64,
     },
     /// One remote operand consumed by the update loop.
     RecvValue {
@@ -263,7 +254,6 @@ impl EventKind {
             EventKind::ModifyDispatch { .. } => "modify_dispatch",
             EventKind::ResideDispatch { .. } => "reside_dispatch",
             EventKind::PackSend { .. } => "pack_send",
-            EventKind::ElemSend { .. } => "elem_send",
             EventKind::RecvValue { .. } => "recv_value",
             EventKind::InteriorRun { .. } => "interior_run",
             EventKind::BoundaryRun { .. } => "boundary_run",
@@ -457,9 +447,6 @@ fn jsonl_line(out: &mut String, e: &Event) {
                 ",\"dst\":{dst},\"run\":{run},\"elems\":{elems},\"bytes\":{bytes}"
             );
         }
-        EventKind::ElemSend { dst, slot, i } => {
-            let _ = write!(out, ",\"dst\":{dst},\"slot\":{slot},\"i\":{i}");
-        }
         EventKind::RecvValue { src, slot, i } => {
             let _ = write!(out, ",\"src\":{src},\"slot\":{slot},\"i\":{i}");
         }
@@ -515,7 +502,7 @@ impl TraceLog {
 
     /// Serialize the **deterministic** stream as JSONL: one event per
     /// line, `(node, t)` order, logical clocks only. Byte-identical
-    /// across two runs of the same plan + mode + fault seed.
+    /// across two runs of the same plan + fault seed.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in self.deterministic() {
@@ -695,18 +682,6 @@ fn planned_packets(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, u64, u64)> {
     out
 }
 
-/// Expand a node's planned send runs into `(dst, slot, i)` elements.
-fn planned_send_elems(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, i64)> {
-    let mut out = Vec::new();
-    for pair in &plan.nodes[p].comm.sends {
-        for run in &pair.runs {
-            run.for_each(|i| out.push((pair.peer, run.slot, i)));
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 /// Expand a node's planned recv runs into `(src, slot, i)` elements.
 fn planned_recv_elems(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, i64)> {
     let mut out = Vec::new();
@@ -728,11 +703,9 @@ fn planned_recv_elems(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, i64)> {
 ///    compiled interior/boundary run completions occur only inside the
 ///    update span, and a boundary run may not complete before the
 ///    receives it depends on have been consumed (running count);
-/// 2. **sends vs plan** — vectorized packets appear in the plan's exact
-///    wire order with the planned packet length (the runs the plan's
-///    packetisation groups) and modeled byte size (`16 + 8·elems`);
-///    element-mode sends (24 modeled bytes each) match the plan's
-///    expansion as a multiset;
+/// 2. **sends vs plan** — packets appear in the plan's exact wire order
+///    with the planned packet length (the runs the plan's packetisation
+///    groups) and modeled byte size (`16 + 8·elems`);
 /// 3. **receives vs plan** — the consumed remote operands equal the
 ///    plan's incoming expansion exactly (every planned element matched
 ///    by exactly one receive — "every send matched by a recv");
@@ -744,7 +717,6 @@ fn planned_recv_elems(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, i64)> {
 pub fn replay_check(
     log: &TraceLog,
     plan: &SpmdPlan,
-    mode: CommMode,
     retry: RetryPolicy,
 ) -> Result<ReplaySummary, ReplayError> {
     let pmax = plan.pmax as usize;
@@ -774,7 +746,6 @@ pub fn replay_check(
             AfterUpdate,
         }
         let mut st = St::BeforeSend;
-        let mut sends: Vec<(i64, usize, i64)> = Vec::new();
         let mut packets: Vec<(i64, usize, u64, u64)> = Vec::new();
         let mut recvs: Vec<(i64, usize, i64)> = Vec::new();
         // rule 1b bookkeeping: receives consumed so far vs receives the
@@ -818,15 +789,6 @@ pub fn replay_check(
                         });
                     }
                     st = St::AfterUpdate;
-                }
-                EventKind::ElemSend { dst, slot, i } => {
-                    if st != St::InSend {
-                        return Err(ReplayError::Phase {
-                            node,
-                            why: format!("element send (i={i}) outside the send span"),
-                        });
-                    }
-                    sends.push((*dst, *slot, *i));
                 }
                 EventKind::PackSend {
                     dst,
@@ -890,7 +852,7 @@ pub fn replay_check(
                 why: "a span was left open at end of trace".into(),
             });
         }
-        if !ran && (!sends.is_empty() || !packets.is_empty() || !recvs.is_empty()) {
+        if !ran && (!packets.is_empty() || !recvs.is_empty()) {
             return Err(ReplayError::Phase {
                 node,
                 why: "traffic recorded without phase spans".into(),
@@ -901,64 +863,33 @@ pub fn replay_check(
         }
 
         // ---- rule 2: sends vs plan ----------------------------------
-        match mode {
-            CommMode::Vectorized => {
-                if !sends.is_empty() {
-                    return Err(ReplayError::Send {
-                        node,
-                        why: "element sends in a vectorized trace".into(),
-                    });
-                }
-                let want = planned_packets(plan, p);
-                if packets.len() != want.len() {
-                    return Err(ReplayError::Send {
-                        node,
-                        why: format!("{} packets traced, plan has {}", packets.len(), want.len()),
-                    });
-                }
-                for (got, want) in packets.iter().zip(&want) {
-                    let (dst, run, elems, bytes) = *got;
-                    let (wdst, wrun, welems, wbytes) = *want;
-                    if dst != wdst || run != wrun {
-                        return Err(ReplayError::Send {
-                            node,
-                            why: format!(
-                                "packet order: traced (dst={dst}, run={run}), plan (dst={wdst}, run={wrun})"
-                            ),
-                        });
-                    }
-                    if elems != welems || bytes != wbytes {
-                        return Err(ReplayError::Send {
-                            node,
-                            why: format!(
-                                "packet (dst={dst}, run={run}): traced {elems} elems / {bytes} B, plan {welems} elems / {wbytes} B"
-                            ),
-                        });
-                    }
-                    summary.send_elems += elems;
-                }
+        let want = planned_packets(plan, p);
+        if packets.len() != want.len() {
+            return Err(ReplayError::Send {
+                node,
+                why: format!("{} packets traced, plan has {}", packets.len(), want.len()),
+            });
+        }
+        for (got, want) in packets.iter().zip(&want) {
+            let (dst, run, elems, bytes) = *got;
+            let (wdst, wrun, welems, wbytes) = *want;
+            if dst != wdst || run != wrun {
+                return Err(ReplayError::Send {
+                    node,
+                    why: format!(
+                        "packet order: traced (dst={dst}, run={run}), plan (dst={wdst}, run={wrun})"
+                    ),
+                });
             }
-            CommMode::Element => {
-                if !packets.is_empty() {
-                    return Err(ReplayError::Send {
-                        node,
-                        why: "vector packets in an element-mode trace".into(),
-                    });
-                }
-                let want = planned_send_elems(plan, p);
-                sends.sort_unstable();
-                if sends != want {
-                    return Err(ReplayError::Send {
-                        node,
-                        why: format!(
-                            "{} element sends traced, plan expands to {}",
-                            sends.len(),
-                            want.len()
-                        ),
-                    });
-                }
-                summary.send_elems += sends.len() as u64;
+            if elems != welems || bytes != wbytes {
+                return Err(ReplayError::Send {
+                    node,
+                    why: format!(
+                        "packet (dst={dst}, run={run}): traced {elems} elems / {bytes} B, plan {welems} elems / {wbytes} B"
+                    ),
+                });
             }
+            summary.send_elems += elems;
         }
 
         // ---- rule 3: receives vs plan -------------------------------
@@ -1032,24 +963,13 @@ pub fn replay_check(
             // a go-back-N resend services one NACK with at most the
             // whole retained window (all data packets of the flow)
             let sends_to_d = |pc: &&vcal_spmd::PairComm| pc.peer as usize == d;
-            let packets: u64 = plan.nodes[s]
+            let window: u64 = plan.nodes[s]
                 .comm
                 .sends
                 .iter()
                 .filter(sends_to_d)
                 .map(|pc| pc.packets().len() as u64)
                 .sum();
-            let elems: u64 = plan.nodes[s]
-                .comm
-                .sends
-                .iter()
-                .filter(sends_to_d)
-                .map(|pc| pc.elems())
-                .sum();
-            let window = match mode {
-                CommMode::Vectorized => packets,
-                CommMode::Element => elems,
-            };
             if retransmits[s][d] > nacks[d][s] * window {
                 return Err(ReplayError::Budget {
                     node: s as i64,

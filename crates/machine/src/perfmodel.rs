@@ -14,7 +14,7 @@
 //! yielding clean speedup curves — who wins, by what factor, and where
 //! decompositions cross over — independent of host noise.
 
-use crate::distributed::CommMode;
+use crate::distributed::PACK_HEADER_BYTES;
 use crate::obs::{Phase, TraceLog};
 use crate::stats::ExecReport;
 use crate::topology::Topology;
@@ -149,11 +149,8 @@ impl PerfModel {
     }
 }
 
-/// Wire-format constants mirrored from the distributed machine: a
-/// 24-byte element message; a 16-byte header plus 8 bytes per element
-/// for packed vector messages.
-const ELEM_MSG_BYTES: u64 = 24;
-const PACK_HEADER_BYTES: u64 = 16;
+/// Modeled wire bytes per packed element, on top of each packet's
+/// [`PACK_HEADER_BYTES`].
 const ELEM_BYTES: u64 = 8;
 
 /// One calibration observation: the hardware-measurable counters of a
@@ -333,32 +330,20 @@ impl CalibratedModel {
         Some(out)
     }
 
-    /// Per-node wire traffic of a plan under `mode`: `(packets, bytes)`
-    /// — the same accounting the machines report in
-    /// `packets_sent`/`bytes_sent`.
-    fn node_wire(node: &vcal_spmd::NodePlan, mode: CommMode) -> (u64, u64) {
-        let elems = node.comm.send_elems();
-        match mode {
-            CommMode::Element => (elems, elems * ELEM_MSG_BYTES),
-            CommMode::Vectorized => {
-                let packets = node.comm.send_packets();
-                (packets, packets * PACK_HEADER_BYTES + elems * ELEM_BYTES)
-            }
-        }
-    }
-
     /// Price a plan from its schedules alone — no execution. Per node:
-    /// iteration, send (packet + byte), and receive terms; the total is
-    /// the critical path (max over nodes), which is what a
+    /// iteration, send (packet + byte — the accounting the machines
+    /// report in `packets_sent`/`bytes_sent`), and receive terms; the
+    /// total is the critical path (max over nodes), which is what a
     /// barrier-synchronized step actually waits on.
-    pub fn price_plan(&self, plan: &SpmdPlan, mode: CommMode) -> PlanPrice {
+    pub fn price_plan(&self, plan: &SpmdPlan) -> PlanPrice {
         let mut total = 0.0f64;
         let mut aggregate = 0.0;
         let mut bottleneck = 0;
         for node in &plan.nodes {
             let visits = node.modify.schedule.count() as f64;
             let tests = (node.modify.schedule.work_estimate() as f64 - visits).max(0.0);
-            let (packets, bytes) = Self::node_wire(node, mode);
+            let packets = node.comm.send_packets();
+            let bytes = packets * PACK_HEADER_BYTES + node.comm.send_elems() * ELEM_BYTES;
             let t = visits * self.iter_ns
                 + tests * 0.25 * self.iter_ns
                 + packets as f64 * self.packet_ns

@@ -334,9 +334,7 @@ impl ProcPool {
                     decomps: d1.decomps.clone(),
                     recv_timeout: opts.recv_timeout,
                     faults: opts.faults,
-                    mode: opts.mode,
                     retry: opts.retry,
-                    overlap: opts.overlap,
                     simd: opts.simd,
                     trace_on,
                     handshake,
@@ -670,9 +668,7 @@ fn serve_job(
     let opts = DistOptions {
         recv_timeout: job.recv_timeout,
         faults: job.faults,
-        mode: job.mode,
         retry: job.retry,
-        overlap: job.overlap,
         simd: job.simd,
         transport: TransportKind::InProc, // the link IS the transport here
         chaos: None,

@@ -66,7 +66,6 @@ pub fn run_redistribution(
 
 /// Like [`run_redistribution`] but with explicit [`DistOptions`] —
 /// receive timeout, seeded fault injection, and retry policy.
-/// `opts.mode` is ignored: redistribution always ships coalesced runs.
 pub fn run_redistribution_opts(
     plan: &RedistPlan,
     src: &DistArray,

@@ -187,6 +187,16 @@ impl Admission {
     }
 }
 
+/// An acquired execution slot, returned when dropped: no panic below
+/// `serve_one` can take the slot with it and starve every later request.
+struct Slot<'a>(&'a Admission);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
 /// Everything the accept loop and every connection thread share.
 struct Shared {
     cfg: ServeConfig,
@@ -414,8 +424,10 @@ fn serve_one(shared: &Arc<Shared>, ns: u64, req: ReqMsg) -> RespMsg {
             }
         }
     };
-    let res = run_request(shared, ns, &req);
-    shared.admission.release();
+    let res = {
+        let _slot = Slot(&shared.admission);
+        run_request(shared, ns, &req)
+    };
     let res = res.map(|(globals, reports, tune)| {
         let mut service = service_stats(&reports, tune.as_ref());
         service.queue_wait_ns = queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64;

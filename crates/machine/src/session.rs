@@ -28,7 +28,7 @@ use crate::net::lock;
 use crate::obs::{trace_plan, CollectingTracer, EventKind, Tracer, HOST, NULL_TRACER};
 use crate::perfmodel::{CalibratedModel, CalibrationSample};
 use crate::proc::ProcPool;
-use crate::redistribute::{run_redistribution_opts, run_redistribution_traced};
+use crate::redistribute::run_redistribution_traced;
 use crate::stats::ExecReport;
 use crate::transport::TransportKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -716,7 +716,7 @@ impl DistSession {
                 total += p;
                 continue;
             }
-            let price_ns = model.price_plan(plan, self.opts.mode).total_ns;
+            let price_ns = model.price_plan(plan).total_ns;
             self.caches
                 .with(|c, ns| c.tunes.insert((ns, sig, fp), price_ns, TUNE_ENTRY_BYTES));
             total += price_ns;
@@ -1033,20 +1033,14 @@ impl DistSession {
     /// Dynamically redistribute `name` to a new layout (Section 5
     /// extension), updating the session's decomposition map.
     pub fn redistribute(&mut self, name: &str, to: Decomp1) -> Result<ExecReport, MachineError> {
-        let current = self
-            .arrays
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.to_string()))?;
-        let plan = RedistPlan::build(current.decomp(), &to);
-        // redistribution inherits the session's fault/retry options
-        let (new_array, report) = run_redistribution_opts(&plan, current, self.opts)?;
-        self.arrays.insert(name.to_string(), new_array);
-        self.decomps.insert(name.to_string(), to);
-        self.retire_plans();
-        Ok(report)
+        self.redistribute_traced(name, to, &NULL_TRACER)
     }
 
-    /// Like [`DistSession::redistribute`] but with an observability tracer.
+    /// Like [`DistSession::redistribute`] but with an observability
+    /// tracer. A target the array cannot be moved to — another extent,
+    /// another processor count, a replicated image on either side — is a
+    /// typed [`MachineError::PlanMismatch`] and leaves the session as it
+    /// was (`to` may come from an untrusted `vcalc request`).
     pub fn redistribute_traced(
         &mut self,
         name: &str,
@@ -1057,7 +1051,31 @@ impl DistSession {
             .arrays
             .get(name)
             .ok_or_else(|| MachineError::UnknownArray(name.to_string()))?;
-        let plan = RedistPlan::build(current.decomp(), &to);
+        let from = current.decomp();
+        let refuse = |why: String| {
+            Err(MachineError::PlanMismatch(format!(
+                "cannot redistribute `{name}`: {why}"
+            )))
+        };
+        if to.extent() != from.extent() {
+            return refuse(format!(
+                "target extent {} differs from the array's {}",
+                to.extent(),
+                from.extent()
+            ));
+        }
+        if to.pmax() != from.pmax() {
+            return refuse(format!(
+                "target spans {} processors, the array {}",
+                to.pmax(),
+                from.pmax()
+            ));
+        }
+        if from.is_replicated() || to.is_replicated() {
+            return refuse("a replicated image has no redistribution plan".into());
+        }
+        let plan = RedistPlan::build(from, &to);
+        // redistribution inherits the session's fault/retry options
         let (new_array, report) = run_redistribution_traced(&plan, current, self.opts, tracer)?;
         self.arrays.insert(name.to_string(), new_array);
         self.decomps.insert(name.to_string(), to);

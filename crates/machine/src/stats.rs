@@ -18,8 +18,8 @@ pub struct NodeStats {
     pub msgs_received: u64,
     /// Values taken directly from local memory.
     pub local_reads: u64,
-    /// Channel messages actually put on the wire: equals `msgs_sent` in
-    /// element mode, the number of coalesced runs in vectorized mode.
+    /// Channel messages actually put on the wire: the number of planned
+    /// packets (whole coalesced runs, grouped at plan time).
     pub packets_sent: u64,
     /// Modeled wire bytes sent: 8 bytes per payload element plus a
     /// fixed per-message header (see the distributed machine docs).

@@ -320,16 +320,13 @@ pub struct SendSeg {
     pub count: usize,
 }
 
-/// Everything one node sends to one peer: the loop indices in wire order
-/// (element mode tags each value with its index) and, per packet, where
-/// the values sit in the sender's local parts.
+/// Everything one node sends to one peer: per packet — the same cut of
+/// the same run list as the peer's receive side — where the values sit
+/// in the sender's local parts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendPair {
     /// The destination processor.
     pub peer: i64,
-    /// The pair's runs in wire order — the same list, cut into the same
-    /// packets, as the peer's receive side.
-    pub runs: Vec<CommRun>,
     /// Per packet, the segments that pack it. Runs that continue one
     /// affine progression share a segment.
     pub packets: Vec<Vec<SendSeg>>,
@@ -364,9 +361,6 @@ pub struct CompiledNode {
     /// `Modify_p` loop-overhead estimate (the `guard_tests` accounting
     /// the cold path charges via `Schedule::work_estimate`).
     pub modify_work: u64,
-    /// Per read slot: the reside schedule's loop-overhead estimate
-    /// (zero for replicated slots).
-    pub reside_work: Vec<u64>,
     /// source processor id → ordinal in the recv pair list
     /// (`usize::MAX` when the source sends nothing).
     pub src_ord: Vec<usize>,
@@ -375,8 +369,6 @@ pub struct CompiledNode {
     /// source ordinal → number of planned incoming packets (the staging
     /// shape the receiver pre-sizes).
     pub staging_packets: Vec<usize>,
-    /// source ordinal → number of planned incoming elements.
-    pub recv_elems: Vec<u64>,
     /// Per outgoing pair, in ascending peer order: what is sent and
     /// where the packed elements sit in the local parts, so the send
     /// phase copies slices instead of re-evaluating `local(g(i))`.
@@ -400,9 +392,8 @@ impl CompiledNode {
             AccessPattern::Table(offs) => offs.len() * size_of::<i64>(),
         };
         let mut b = self.modify.len() * size_of::<IterRun>();
-        b += (self.src_ord.len() + self.src_peers.len() + 2 * self.staging_packets.len()) * 8;
+        b += (self.src_ord.len() + self.src_peers.len() + self.staging_packets.len()) * 8;
         for pair in &self.sends {
-            b += pair.runs.len() * size_of::<CommRun>();
             for segs in &pair.packets {
                 b += size_of::<Vec<SendSeg>>() + segs.len() * size_of::<SendSeg>();
                 b += segs.iter().map(|s| table(&s.pattern)).sum::<usize>();
@@ -467,38 +458,24 @@ impl CompiledSchedule {
             .iter()
             .map(|node| {
                 let modify = flatten_schedule(&node.modify.schedule);
-                // replicated slots never enter the send phase
-                let reside_work = (node.resides.iter())
-                    .map(|rp| {
-                        if rp.replicated {
-                            0
-                        } else {
-                            rp.opt.schedule.work_estimate()
-                        }
-                    })
-                    .collect();
                 let mut src_ord = vec![usize::MAX; pmax];
                 let mut src_peers = Vec::with_capacity(node.comm.recvs.len());
                 let mut staging_packets = Vec::with_capacity(node.comm.recvs.len());
-                let mut recv_elems = Vec::with_capacity(node.comm.recvs.len());
                 for (ord, pc) in node.comm.recvs.iter().enumerate() {
                     if let Some(slot) = src_ord.get_mut(pc.peer as usize) {
                         *slot = ord;
                     }
                     src_peers.push(pc.peer);
                     staging_packets.push(pc.packets().len());
-                    recv_elems.push(pc.elems());
                 }
                 CompiledNode {
                     p: node.p,
                     modify,
                     modify_iters: node.modify.schedule.count(),
                     modify_work: node.modify.schedule.work_estimate(),
-                    reside_work,
                     src_ord,
                     src_peers,
                     staging_packets,
-                    recv_elems,
                     sends: Vec::new(),
                     exec: Vec::new(),
                 }
@@ -683,7 +660,6 @@ pub(crate) fn send_pair(
     };
     SendPair {
         peer: pair.peer,
-        runs: pair.runs.clone(),
         packets: pair.packets().map(&mut segs_of).collect(),
     }
 }
@@ -1372,7 +1348,7 @@ mod tests {
                 for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
                     assert_eq!(cn.sends.len(), node.comm.sends.len());
                     for (pair, sent) in node.comm.sends.iter().zip(&cn.sends) {
-                        assert_eq!((sent.peer, &sent.runs), (pair.peer, &pair.runs));
+                        assert_eq!(sent.peer, pair.peer);
                         assert_eq!(sent.packets.len(), pair.packets().len());
                         for (runs, segs) in pair.packets().zip(&sent.packets) {
                             // the segments, walked in order, name exactly

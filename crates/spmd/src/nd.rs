@@ -479,12 +479,11 @@ impl<'a> Lowering<'a> {
     /// and the sender's segments.
     fn finish(mut self, cap: u64) -> Vec<CompiledNode> {
         let pmax = self.exec.len();
-        let n_slots = self.reads.len();
         let mut sends: Vec<Vec<SendPair>> = vec![Vec::new(); pmax];
         let mut nodes = Vec::with_capacity(pmax);
         for p in 0..pmax {
             let mut src_ord = vec![usize::MAX; pmax];
-            let (mut src_peers, mut staging_packets, mut recv_elems) = (vec![], vec![], vec![]);
+            let (mut src_peers, mut staging_packets) = (vec![], vec![]);
             // per source: where each slot's runs start in the pair's run
             // list, and each run's (packet, offset in it)
             let mut first = vec![Vec::new(); pmax];
@@ -506,7 +505,6 @@ impl<'a> Lowering<'a> {
                 src_ord[q] = src_peers.len();
                 src_peers.push(q as i64);
                 staging_packets.push(pair.packets().len());
-                recv_elems.push(pair.elems());
                 places[q] = pair.run_places();
                 let packed_from = |r: &CommRun| {
                     let at = self.point(r.start);
@@ -538,11 +536,9 @@ impl<'a> Lowering<'a> {
                 modify: exec.iter().map(|er| er.run).collect(),
                 modify_iters: exec.iter().map(|er| er.run.len()).sum(),
                 modify_work: self.work[p],
-                reside_work: vec![0; n_slots],
                 src_ord,
                 src_peers,
                 staging_packets,
-                recv_elems,
                 sends: Vec::new(),
                 exec,
             });
@@ -884,8 +880,8 @@ mod tests {
             }
             packed
         };
-        // per ordered pair, the (slot, index) reads the receiver routes to it
-        let mut routed: BTreeMap<(i64, i64), Vec<(usize, i64)>> = BTreeMap::new();
+        // per ordered pair, the (packet, position) cells the receiver reads
+        let mut routed: BTreeMap<(i64, i64), Vec<(usize, usize)>> = BTreeMap::new();
         for cn in &cs.nodes {
             let p = cn.p;
             let want: Vec<Ix> = (bx.iter())
@@ -924,7 +920,7 @@ mod tests {
                                 let at = pattern.offset(t) as usize;
                                 let packet = sent(owner, p, *pkt_ord);
                                 assert_eq!(packet.get(at), Some(&(slot, off)), "{what} p={p} {i}");
-                                routed.entry((owner, p)).or_default().push((slot, lin));
+                                routed.entry((owner, p)).or_default().push((*pkt_ord, at));
                             }
                         }
                     }
@@ -941,22 +937,21 @@ mod tests {
             assert_eq!(got, want, "{what} p={p}");
             assert_eq!(cn.modify_iters, want.len() as u64);
         }
-        // send multiset = recv multiset per pair, cut into the same packets
+        // send multiset = recv multiset per pair, cut into the same
+        // packets: every packed cell is read exactly once
         for cn in &cs.nodes {
             for pair in &cn.sends {
-                let mut packed = Vec::new();
-                for run in &pair.runs {
-                    run.for_each(|lin| packed.push((run.slot, lin)));
-                }
+                let lens =
+                    (pair.packets.iter()).map(|segs| segs.iter().map(|s| s.count).sum::<usize>());
+                let packed: Vec<(usize, usize)> = (lens.enumerate())
+                    .flat_map(|(k, n)| (0..n).map(move |at| (k, at)))
+                    .collect();
                 let mut want = routed.remove(&(cn.p, pair.peer)).unwrap_or_default();
                 want.sort_unstable();
-                packed.sort_unstable();
                 assert_eq!(packed, want, "{what} {} -> {}", cn.p, pair.peer);
                 let dst = &cs.nodes[pair.peer as usize];
                 let ord = dst.src_ord[cn.p as usize];
                 assert_eq!(dst.staging_packets[ord], pair.packets.len(), "{what}");
-                assert_eq!(dst.recv_elems[ord], packed.len() as u64, "{what}");
-                assert_eq!(pair.packets.len() + 1, packetise(&pair.runs, cap).len());
             }
         }
         assert!(

@@ -9,14 +9,10 @@
 //! ```text
 //! vcalc <program> <spec> [--emit vcal|plan|shared|dist|dist-closed|derivation]
 //!                        [--run] [--steps <N>] [--naive] [--node <p>]
-//!                        [--overlap on|off] [--simd auto|on|off]
+//!                        [--simd auto|on|off]
 //!                        [--schedule seq|dag]
 //!                        [--trace] [--trace-out <path>]
 //! ```
-//!
-//! `--overlap off` disables the interior/boundary split of the compiled
-//! kernel path (DESIGN.md §13): every run then waits for its receives
-//! in visit order. Results are bit-identical either way.
 //!
 //! `--simd` selects the lane execution tier for fused interior runs
 //! (DESIGN.md §14): `auto` (default) uses AVX2 where detected, `on`
@@ -68,7 +64,6 @@ struct Options {
     tune_budget: usize,
     retune_every: Option<u64>,
     node: i64,
-    overlap: bool,
     simd: SimdPolicy,
     transport: TransportKind,
     schedule: Option<ScheduleMode>,
@@ -76,10 +71,21 @@ struct Options {
     trace_out: Option<String>,
 }
 
+impl Options {
+    /// The machine options every execution path of the driver uses.
+    fn dist_options(&self) -> DistOptions {
+        DistOptions {
+            simd: self.simd,
+            transport: self.transport,
+            ..DistOptions::default()
+        }
+    }
+}
+
 fn usage() -> &'static str {
     "usage: vcalc <program> <spec> [--emit vcal|plan|shared|dist|dist-closed|derivation]... \
      [--run] [--steps <N>] [--naive] [--advise] [--autotune] [--tune-budget <K>] \
-     [--node <p>] [--overlap on|off] \
+     [--node <p>] \
      [--simd auto|on|off] [--transport inproc|uds|tcp] [--schedule seq|dag] \
      [--trace] [--trace-out <path>]\n\
      \n\
@@ -126,7 +132,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut tune_budget = 16usize;
     let mut retune_every = None;
     let mut node = 0i64;
-    let mut overlap = true;
     let mut simd = SimdPolicy::default();
     let mut transport = TransportKind::default();
     let mut schedule = None;
@@ -188,13 +193,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or("--node needs a value")?
                     .parse()
                     .map_err(|_| "--node needs an integer")?;
-            }
-            "--overlap" => {
-                overlap = match it.next().map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => return Err("--overlap needs `on` or `off`".into()),
-                };
             }
             "--simd" => {
                 simd = it
@@ -264,7 +262,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         tune_budget,
         retune_every,
         node,
-        overlap,
         simd,
         transport,
         schedule,
@@ -720,12 +717,7 @@ fn run_autotune(
 
     let mut session = DistSession::new(&env, decomps.clone())
         .map_err(|e| e.to_string())?
-        .with_options(DistOptions {
-            overlap: opts.overlap,
-            simd: opts.simd,
-            transport: opts.transport,
-            ..DistOptions::default()
-        });
+        .with_options(opts.dist_options());
     let topts = TuneOptions {
         budget: opts.tune_budget,
         retune_every: opts.retune_every,
@@ -832,12 +824,7 @@ fn run_program_schedule(
 
     let mut session = DistSession::new(&env, decomps.clone())
         .map_err(|e| e.to_string())?
-        .with_options(DistOptions {
-            overlap: opts.overlap,
-            simd: opts.simd,
-            transport: opts.transport,
-            ..DistOptions::default()
-        });
+        .with_options(opts.dist_options());
     let mut last_report = None;
     for step in 0..opts.steps {
         let last = step + 1 == opts.steps;
@@ -924,12 +911,7 @@ fn run_timestep_loop(
 
     let mut session = DistSession::new(&env, decomps.clone())
         .map_err(|e| e.to_string())?
-        .with_options(DistOptions {
-            overlap: opts.overlap,
-            simd: opts.simd,
-            transport: opts.transport,
-            ..DistOptions::default()
-        });
+        .with_options(opts.dist_options());
     let (mut hits, mut misses) = (0u64, 0u64);
     for step in 0..opts.steps {
         let last = step + 1 == opts.steps;
@@ -945,10 +927,8 @@ fn run_timestep_loop(
             if let Some(tracer) = tracer {
                 let plan = session.plan(clause).map_err(|e| e.to_string())?;
                 let log = tracer.finish();
-                let summary = replay_check(&log, &plan, DistOptions::default().mode, {
-                    DistOptions::default().retry
-                })
-                .map_err(|e| format!("clause {n}: warm replay check FAILED: {e}"))?;
+                let summary = replay_check(&log, &plan, opts.dist_options().retry)
+                    .map_err(|e| format!("clause {n}: warm replay check FAILED: {e}"))?;
                 println!(
                     "trace: step {step} clause {n} replay OK — {} deterministic events, \
                      {} elems sent / {} received",
@@ -1031,12 +1011,7 @@ fn run_and_verify(
             DistArray::scatter_from(env.get(name).unwrap(), decomps[*name].clone()),
         );
     }
-    let dist_opts = DistOptions {
-        overlap: opts.overlap,
-        simd: opts.simd,
-        transport: opts.transport,
-        ..DistOptions::default()
-    };
+    let dist_opts = opts.dist_options();
     let tracer = opts.trace.then(CollectingTracer::new);
     let report = match &tracer {
         Some(t) => run_distributed_traced(plan, clause, &mut arrays, dist_opts, t),
@@ -1059,7 +1034,7 @@ fn run_and_verify(
         t.local_reads
     );
     if let Some(tracer) = tracer {
-        report_trace(&tracer, plan, clause, decomps, &report, dist_opts, opts)?;
+        report_trace(&tracer, plan, clause, decomps, &report, opts)?;
     }
     Ok(())
 }
@@ -1067,18 +1042,17 @@ fn run_and_verify(
 /// Print the trace digest: dispatch counts, the interior/boundary run
 /// census of the compiled kernel path, replay verdict, measured
 /// per-phase timings next to the analytical `perfmodel` prediction.
-#[allow(clippy::too_many_arguments)]
 fn report_trace(
     tracer: &CollectingTracer,
     plan: &SpmdPlan,
     clause: &vcal_suite::core::Clause,
     decomps: &vcal_suite::spmd::DecompMap,
     report: &vcal_suite::machine::ExecReport,
-    dist_opts: DistOptions,
     opts: &Options,
 ) -> Result<(), String> {
+    let dist_opts = opts.dist_options();
     let log = tracer.finish();
-    let summary = replay_check(&log, plan, dist_opts.mode, dist_opts.retry)
+    let summary = replay_check(&log, plan, dist_opts.retry)
         .map_err(|e| format!("replay check FAILED: {e}"))?;
     println!(
         "trace: replay OK — {} deterministic events, {} elems sent / {} received, \
@@ -1102,13 +1076,12 @@ fn report_trace(
     let census = compiled.overlap_census();
     println!(
         "trace: kernel runs: {} interior ({} elems) / {} boundary \
-         ({} elems, {} remote reads) [overlap {}]",
+         ({} elems, {} remote reads)",
         census.interior_runs,
         census.interior_elems,
         census.boundary_runs,
         census.boundary_elems,
-        census.remote_elems,
-        if dist_opts.overlap { "on" } else { "off" }
+        census.remote_elems
     );
     let planned = compiled.simd_census(dist_opts.simd);
     let ran = report.simd_census();

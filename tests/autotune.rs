@@ -10,8 +10,7 @@
 //! * **bitwise correctness** — whatever layout the tuner picks, and
 //!   whether or not it switches, the final state of every array is
 //!   bit-identical to the iterated sequential reference, under every
-//!   execution configuration (CommMode × overlap × SimdPolicy ×
-//!   schedule mode);
+//!   execution configuration (SimdPolicy × schedule mode);
 //! * **decision sanity** — a clearly misaligned incumbent with plenty
 //!   of remaining steps is switched away from (redistribution
 //!   inserted); an already-optimal incumbent is kept.
@@ -25,24 +24,14 @@ use vcal_suite::core::pred::CmpOp;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, Distribution};
 use vcal_suite::machine::{
-    CommMode, DistOptions, DistSession, MachineError, ProgramStep, ScheduleMode, SimdPolicy,
-    TuneOptions, TuneReport, NULL_TRACER,
+    DistOptions, DistSession, MachineError, ProgramStep, ScheduleMode, SimdPolicy, TuneOptions,
+    TuneReport, NULL_TRACER,
 };
 use vcal_suite::spmd::DecompMap;
 
 const N: i64 = 96;
 const PMAX: i64 = 4;
 const NAMES: [&str; 3] = ["A", "B", "C"];
-
-/// Communication modes under test, honouring the CI matrix filter
-/// (`VCAL_FAULT_MODE=element|vectorized`; unset, both modes run).
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
-    }
-}
 
 /// Deterministic mixed-sign initial data so guards fire both ways.
 fn initial_env(decomps: &DecompMap) -> Env {
@@ -166,36 +155,28 @@ fn assert_tuned_matches_oracle(
     (session, tune)
 }
 
-/// The full configuration matrix: CommMode × overlap × SimdPolicy ×
-/// schedule mode, bitwise equality to the iterated oracle.
+/// The full configuration matrix: SimdPolicy × schedule mode, bitwise
+/// equality to the iterated oracle.
 #[test]
 fn tuned_loop_matches_oracle_across_config_matrix() {
     let steps = stencil_program();
     let decomps = all_block();
-    for mode in modes() {
-        for overlap in [true, false] {
-            for simd in ["auto", "on", "off"] {
-                for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
-                    let opts = DistOptions {
-                        mode,
-                        overlap,
-                        simd: SimdPolicy::parse(simd).unwrap(),
-                        ..DistOptions::default()
-                    };
-                    let ctx = format!(
-                        "mode={mode:?} overlap={overlap} simd={simd} schedule={schedule:?}"
-                    );
-                    assert_tuned_matches_oracle(
-                        &steps,
-                        6,
-                        &decomps,
-                        opts,
-                        schedule,
-                        TuneOptions::default(),
-                        &ctx,
-                    );
-                }
-            }
+    for simd in ["auto", "on", "off"] {
+        for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
+            let opts = DistOptions {
+                simd: SimdPolicy::parse(simd).unwrap(),
+                ..DistOptions::default()
+            };
+            let ctx = format!("simd={simd} schedule={schedule:?}");
+            assert_tuned_matches_oracle(
+                &steps,
+                6,
+                &decomps,
+                opts,
+                schedule,
+                TuneOptions::default(),
+                &ctx,
+            );
         }
     }
 }
@@ -410,21 +391,10 @@ fn arb_decomps() -> impl Strategy<Value = DecompMap> {
 }
 
 fn arb_opts() -> impl Strategy<Value = DistOptions> {
-    (
-        any::<bool>(),
-        any::<bool>(),
-        prop::sample::select(vec!["auto", "on", "off"]),
-    )
-        .prop_map(|(vectorized, overlap, simd)| DistOptions {
-            mode: if vectorized {
-                CommMode::Vectorized
-            } else {
-                CommMode::Element
-            },
-            overlap,
-            simd: SimdPolicy::parse(simd).unwrap(),
-            ..DistOptions::default()
-        })
+    prop::sample::select(vec!["auto", "on", "off"]).prop_map(|simd| DistOptions {
+        simd: SimdPolicy::parse(simd).unwrap(),
+        ..DistOptions::default()
+    })
 }
 
 proptest! {

@@ -1,11 +1,12 @@
-//! Equivalence and fault-detection suite for the vectorized
-//! communication path of the distributed machine.
+//! Equivalence and fault-detection suite for the packet communication
+//! path of the distributed machine.
 //!
 //! For every (decomposition × access-function) combination of the
-//! paper's Table I shapes, element mode (one tagged message per remote
-//! value) and vectorized mode (one packet per plan-time group of runs) must produce
-//! bit-identical arrays and identical element-traffic totals — the
-//! batching may only change *how* values travel, never *which* values.
+//! paper's Table I shapes the run must produce arrays bit-identical to
+//! the sequential machine, and per node exactly the traffic the plan
+//! derives from the decompositions (one packet per plan-time group of
+//! runs) — batching may only change *how* values travel, never *which*
+//! values.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -13,8 +14,7 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    run_distributed, CommMode, DistArray, DistOptions, FaultPlan, MachineError, NodeStats,
-    RetryPolicy,
+    run_distributed, DistArray, DistOptions, ExecReport, FaultPlan, MachineError, RetryPolicy,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -53,17 +53,16 @@ fn decomp_menu(e: Bounds) -> Vec<(&'static str, Decomp1)> {
     ]
 }
 
-/// Run one (plan, mode) combination, check the result against the
-/// sequential reference, and return the summed node stats.
-fn run_mode(
+/// Run one plan, check the result against the sequential reference,
+/// and return the report.
+fn run_checked(
     plan: &SpmdPlan,
     cl: &Clause,
     env0: &Env,
     dm: &DecompMap,
     reference: &Env,
-    mode: CommMode,
     ctx: &str,
-) -> NodeStats {
+) -> ExecReport {
     let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
     for name in ["A", "B"] {
         arrays.insert(
@@ -71,24 +70,20 @@ fn run_mode(
             DistArray::scatter_from(env0.get(name).unwrap(), dm[name].clone()),
         );
     }
-    let opts = DistOptions {
-        mode,
-        ..DistOptions::default()
-    };
-    let report = run_distributed(plan, cl, &mut arrays, opts)
-        .unwrap_or_else(|e| panic!("{ctx} [{mode:?}]: {e}"));
+    let report = run_distributed(plan, cl, &mut arrays, DistOptions::default())
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert_eq!(
         arrays["A"]
             .gather()
             .max_abs_diff(reference.get("A").unwrap()),
         0.0,
-        "{ctx} [{mode:?}]: result differs from sequential reference"
+        "{ctx}: result differs from sequential reference"
     );
-    report.total()
+    report
 }
 
 #[test]
-fn element_and_vectorized_agree_on_all_combos() {
+fn wire_traffic_matches_the_plan_on_all_combos() {
     let env0 = env();
     let fns: Vec<(&str, Fn1, Fn1, i64)> = vec![
         ("f=i, g=i+c", Fn1::identity(), Fn1::shift(3), N - 1),
@@ -122,26 +117,20 @@ fn element_and_vectorized_agree_on_all_combos() {
                         SpmdPlan::build(&cl, &dm).unwrap()
                     };
                     let ctx = format!("A={da_name} B={db_name} {fname} naive={naive}");
-                    let elem =
-                        run_mode(&plan, &cl, &env0, &dm, &reference, CommMode::Element, &ctx);
-                    let vect = run_mode(
-                        &plan,
-                        &cl,
-                        &env0,
-                        &dm,
-                        &reference,
-                        CommMode::Vectorized,
-                        &ctx,
-                    );
-                    // identical element totals: batching changes the wire
-                    // layout, never the set of communicated values
-                    assert_eq!(elem.msgs_sent, vect.msgs_sent, "{ctx}");
-                    assert_eq!(elem.msgs_received, vect.msgs_received, "{ctx}");
-                    assert_eq!(vect.msgs_received, vect.msgs_sent, "{ctx}");
-                    // element mode is one wire message per element
-                    assert_eq!(elem.packets_sent, elem.msgs_sent, "{ctx}");
-                    // vectorized never sends more wire messages
-                    assert!(vect.packets_sent <= elem.packets_sent, "{ctx}");
+                    let report = run_checked(&plan, &cl, &env0, &dm, &reference, &ctx);
+                    // batching changes the wire layout, never the set of
+                    // communicated values: per node, what the plan says
+                    for (np, got) in plan.nodes.iter().zip(&report.nodes) {
+                        let (elems, packets) = (np.comm.send_elems(), np.comm.send_packets());
+                        assert_eq!(got.msgs_sent, elems, "{ctx} p={}", np.p);
+                        assert_eq!(got.packets_sent, packets, "{ctx} p={}", np.p);
+                        assert_eq!(got.msgs_received, np.comm.recv_elems(), "{ctx} p={}", np.p);
+                        assert_eq!(got.bytes_sent, 16 * packets + 8 * elems, "{ctx}");
+                        // never more wire messages than one per element
+                        assert!(got.packets_sent <= got.msgs_sent, "{ctx}");
+                    }
+                    let t = report.total();
+                    assert_eq!(t.msgs_received, t.msgs_sent, "{ctx}");
                 }
             }
         }
@@ -151,8 +140,9 @@ fn element_and_vectorized_agree_on_all_combos() {
 #[test]
 fn scatter_affine_meets_ten_x_aggregation() {
     // The acceptance configuration: 1024 elements, scatter decomposition,
-    // a·i+c access, 8 nodes — vectorized mode must put at least 10×
-    // fewer messages on the wire than element mode.
+    // a·i+c access, 8 nodes — the packets on the wire must be at least
+    // 10× fewer than the elements they carry (one message per element is
+    // the literal Section 2.10 template).
     let env0 = env();
     let cl = clause(Fn1::identity(), Fn1::affine(3, 1), N - 1);
     let mut reference = env0.clone();
@@ -162,24 +152,14 @@ fn scatter_affine_meets_ten_x_aggregation() {
     dm.insert("B".into(), Decomp1::scatter(PMAX, Bounds::range(0, 3 * N)));
     let plan = SpmdPlan::build(&cl, &dm).unwrap();
     let ctx = "scatter a*i+c acceptance";
-    let elem = run_mode(&plan, &cl, &env0, &dm, &reference, CommMode::Element, ctx);
-    let vect = run_mode(
-        &plan,
-        &cl,
-        &env0,
-        &dm,
-        &reference,
-        CommMode::Vectorized,
-        ctx,
-    );
-    assert!(elem.msgs_sent > 0, "config must actually communicate");
+    let t = run_checked(&plan, &cl, &env0, &dm, &reference, ctx).total();
+    assert!(t.msgs_sent > 0, "config must actually communicate");
     assert!(
-        elem.packets_sent >= 10 * vect.packets_sent,
-        "aggregation below 10x: element packets {} vs vectorized {}",
-        elem.packets_sent,
-        vect.packets_sent
+        t.msgs_sent >= 10 * t.packets_sent,
+        "aggregation below 10x: {} elements in {} packets",
+        t.msgs_sent,
+        t.packets_sent
     );
-    assert!(vect.bytes_sent < elem.bytes_sent);
 }
 
 #[test]
@@ -212,15 +192,7 @@ fn block_scatter_to_block_travels_as_64_kib_packets() {
     let packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
     assert_eq!((runs, packets), (4096, 8));
     let ctx = "bs16 -> block acceptance";
-    let vect = run_mode(
-        &plan,
-        &cl,
-        &env0,
-        &dm,
-        &reference,
-        CommMode::Vectorized,
-        ctx,
-    );
+    let vect = run_checked(&plan, &cl, &env0, &dm, &reference, ctx).total();
     assert_eq!(vect.msgs_sent, n as u64 / 2);
     assert_eq!(vect.msgs_received, vect.msgs_sent);
     assert_eq!(vect.packets_sent, 8);
@@ -263,7 +235,6 @@ fn dropped_packet_recovered_by_retransmission() {
     let opts = DistOptions {
         recv_timeout: Duration::from_secs(5),
         faults: Some(FaultPlan::drop_nth(1, 0)),
-        mode: CommMode::Vectorized,
         retry: RetryPolicy::fast(),
         ..DistOptions::default()
     };
@@ -294,7 +265,6 @@ fn dropped_packet_detected_within_timeout() {
     let opts = DistOptions {
         recv_timeout: timeout,
         faults: Some(FaultPlan::drop_nth(1, 0)),
-        mode: CommMode::Vectorized,
         retry: RetryPolicy::none(),
         ..DistOptions::default()
     };

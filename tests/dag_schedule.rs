@@ -9,7 +9,7 @@
 //! * random multi-clause programs over a shared array pool — RAW, WAR
 //!   and WAW hazards in arbitrary mixtures, plus dynamic
 //!   redistributions in the middle of the program;
-//! * both communication modes × overlap on/off × every SIMD policy;
+//! * every SIMD policy;
 //! * recoverable fault plans (seeded packet drop + reorder with
 //!   retransmission) — the DAG schedule must recover to the same bits.
 //!
@@ -24,7 +24,7 @@ use vcal_suite::core::pred::CmpOp;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    replay_check_dag, CollectingTracer, CommMode, DistOptions, DistSession, EventKind, FaultPlan,
+    replay_check_dag, CollectingTracer, DistOptions, DistSession, EventKind, FaultPlan,
     MachineError, ProgramStep, ReplayError, RetryPolicy, ScheduleMode, SimdPolicy, TraceLog,
 };
 use vcal_suite::spmd::{build_dag, DecompMap};
@@ -32,17 +32,6 @@ use vcal_suite::spmd::{build_dag, DecompMap};
 const N: i64 = 96;
 const PMAX: i64 = 4;
 const NAMES: [&str; 4] = ["A", "B", "C", "D"];
-
-/// Communication modes under test, honouring the CI matrix filter
-/// (`VCAL_FAULT_MODE=element|vectorized`; unset, both modes run) —
-/// same convention as the fault/trace/steady-state suites.
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
-    }
-}
 
 /// Deterministic mixed-sign initial data so guards fire both ways.
 fn initial_env(decomps: &DecompMap) -> Env {
@@ -172,25 +161,19 @@ fn hazard_program() -> Vec<ProgramStep> {
     ]
 }
 
-/// The full configuration matrix: CommMode × overlap × SimdPolicy, the
+/// The full configuration matrix: every SimdPolicy, the
 /// canonical hazard program, bitwise equality on every array.
 #[test]
 fn hazard_mixture_matches_oracle_across_config_matrix() {
     let steps = hazard_program();
     let decomps = base_decomps();
-    for mode in modes() {
-        for overlap in [true, false] {
-            for simd in ["auto", "on", "off"] {
-                let opts = DistOptions {
-                    mode,
-                    overlap,
-                    simd: SimdPolicy::parse(simd).unwrap(),
-                    ..DistOptions::default()
-                };
-                let ctx = format!("mode={mode:?} overlap={overlap} simd={simd}");
-                assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
-            }
-        }
+    for simd in ["auto", "on", "off"] {
+        let opts = DistOptions {
+            simd: SimdPolicy::parse(simd).unwrap(),
+            ..DistOptions::default()
+        };
+        let ctx = format!("simd={simd}");
+        assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
     }
 }
 
@@ -200,18 +183,15 @@ fn hazard_mixture_matches_oracle_across_config_matrix() {
 fn recoverable_faults_still_match_oracle() {
     let steps = hazard_program();
     let decomps = base_decomps();
-    for mode in modes() {
-        for seed in [7u64, 1991] {
-            let opts = DistOptions {
-                mode,
-                faults: Some(FaultPlan::seeded(seed).with_drop(0.05).with_reorder(0.05)),
-                retry: RetryPolicy::fast(),
-                recv_timeout: Duration::from_secs(10),
-                ..DistOptions::default()
-            };
-            let ctx = format!("mode={mode:?} fault_seed={seed}");
-            assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
-        }
+    for seed in [7u64, 1991] {
+        let opts = DistOptions {
+            faults: Some(FaultPlan::seeded(seed).with_drop(0.05).with_reorder(0.05)),
+            retry: RetryPolicy::fast(),
+            recv_timeout: Duration::from_secs(10),
+            ..DistOptions::default()
+        };
+        let ctx = format!("fault_seed={seed}");
+        assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
     }
 }
 
@@ -265,21 +245,18 @@ fn shared_read_fanout() -> (Vec<ProgramStep>, DecompMap) {
 fn shared_read_wave_matches_oracle_under_faults() {
     let (steps, decomps) = shared_read_fanout();
     assert_eq!(build_dag(&steps, &decomps).width(), NAMES.len());
-    for mode in modes() {
-        for faults in [
-            None,
-            Some(FaultPlan::seeded(11).with_drop(0.05).with_reorder(0.05)),
-        ] {
-            let opts = DistOptions {
-                mode,
-                faults,
-                retry: RetryPolicy::fast(),
-                recv_timeout: Duration::from_secs(10),
-                ..DistOptions::default()
-            };
-            let ctx = format!("shared read, mode={mode:?} faults={}", faults.is_some());
-            assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
-        }
+    for faults in [
+        None,
+        Some(FaultPlan::seeded(11).with_drop(0.05).with_reorder(0.05)),
+    ] {
+        let opts = DistOptions {
+            faults,
+            retry: RetryPolicy::fast(),
+            recv_timeout: Duration::from_secs(10),
+            ..DistOptions::default()
+        };
+        let ctx = format!("shared read, faults={}", faults.is_some());
+        assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
     }
 }
 
@@ -289,30 +266,27 @@ fn shared_read_wave_matches_oracle_under_faults() {
 fn crash_in_shared_read_wave_restores_every_array() {
     let (steps, decomps) = shared_read_fanout();
     let env = initial_env(&decomps);
-    for mode in modes() {
-        for node in 0..PMAX {
-            let opts = DistOptions {
-                mode,
-                faults: Some(FaultPlan::seeded(3).with_crash(node, 1)),
-                retry: RetryPolicy::fast(),
-                recv_timeout: Duration::from_secs(10),
-                ..DistOptions::default()
-            };
-            let mut session = DistSession::new(&env, decomps.clone())
+    for node in 0..PMAX {
+        let opts = DistOptions {
+            faults: Some(FaultPlan::seeded(3).with_crash(node, 1)),
+            retry: RetryPolicy::fast(),
+            recv_timeout: Duration::from_secs(10),
+            ..DistOptions::default()
+        };
+        let mut session = DistSession::new(&env, decomps.clone())
+            .unwrap()
+            .with_options(opts);
+        let err = session
+            .run_program(&steps, ScheduleMode::Dag, &vcal_suite::machine::NULL_TRACER)
+            .expect_err("a crashed node must fail the wave");
+        assert_eq!(err, MachineError::NodePanicked { node });
+        let after = session.gather_all();
+        for name in decomps.keys() {
+            let diff = after
+                .get(name)
                 .unwrap()
-                .with_options(opts);
-            let err = session
-                .run_program(&steps, ScheduleMode::Dag, &vcal_suite::machine::NULL_TRACER)
-                .expect_err("a crashed node must fail the wave");
-            assert_eq!(err, MachineError::NodePanicked { node }, "{mode:?}");
-            let after = session.gather_all();
-            for name in decomps.keys() {
-                let diff = after
-                    .get(name)
-                    .unwrap()
-                    .max_abs_diff(env.get(name).unwrap());
-                assert_eq!(diff, 0.0, "{mode:?} node {node}: `{name}` changed");
-            }
+                .max_abs_diff(env.get(name).unwrap());
+            assert_eq!(diff, 0.0, "node {node}: `{name}` changed");
         }
     }
 }
@@ -526,18 +500,10 @@ fn arb_step() -> impl Strategy<Value = ProgramStep> {
 
 fn arb_opts() -> impl Strategy<Value = DistOptions> {
     (
-        any::<bool>(),
-        any::<bool>(),
         prop::sample::select(vec!["auto", "on", "off"]),
         prop::option::of(1u64..1000),
     )
-        .prop_map(|(vectorized, overlap, simd, fault_seed)| DistOptions {
-            mode: if vectorized {
-                CommMode::Vectorized
-            } else {
-                CommMode::Element
-            },
-            overlap,
+        .prop_map(|(simd, fault_seed)| DistOptions {
             simd: SimdPolicy::parse(simd).unwrap(),
             faults: fault_seed.map(|s| FaultPlan::seeded(s).with_drop(0.03).with_reorder(0.03)),
             retry: RetryPolicy::fast(),

@@ -5,17 +5,14 @@
 //!
 //! * **recoverable** faults — drop / duplicate / reorder / delay under a
 //!   retry budget — must leave the distributed result bit-identical to
-//!   the sequential reference, in both communication modes and across
-//!   redistribution, with the recovery visible in the reliability
-//!   counters;
+//!   the sequential reference, redistribution included, with the
+//!   recovery visible in the reliability counters;
 //! * **unrecoverable** faults — an injected node crash, or a link so
 //!   lossy the retry budget exhausts — must surface as a *typed*
 //!   [`MachineError`] within a bounded time, never a hang or a host
 //!   abort, and must leave the destination array untouched.
 //!
-//! The CI fault matrix runs this suite once per communication mode by
-//! setting `VCAL_FAULT_MODE=element|vectorized`; unset, both modes run.
-//! Orthogonally, `VCAL_TRANSPORT=inproc|uds|tcp` selects the transport
+//! `VCAL_TRANSPORT=inproc|uds|tcp` selects the transport
 //! backend, so the same sweep doubles as the real-wire regression
 //! harness: every property here must hold bit-for-bit when the nodes
 //! are worker OS processes behind a socket.
@@ -27,8 +24,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, RedistPlan};
 use vcal_suite::machine::{
-    run_distributed, run_redistribution_opts, CommMode, DistArray, DistOptions, ExecReport,
-    FaultPlan, MachineError, RetryPolicy, TransportKind,
+    run_distributed, run_redistribution_opts, DistArray, DistOptions, ExecReport, FaultPlan,
+    MachineError, RetryPolicy, TransportKind,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -38,15 +35,6 @@ const PMAX: i64 = 4;
 /// A fault probability drawn uniformly from `{0, 0.01, …, (hi_pct-1)%}`.
 fn prob(hi_pct: u32) -> impl Strategy<Value = f64> {
     (0u32..hi_pct).prop_map(|p| f64::from(p) / 100.0)
-}
-
-/// Communication modes to exercise, honouring the CI matrix filter.
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
-    }
 }
 
 /// Transport backend under test, honouring the CI matrix filter
@@ -111,7 +99,6 @@ fn run_faulty(
     cl: &Clause,
     env0: &Env,
     dm: &DecompMap,
-    mode: CommMode,
     faults: FaultPlan,
     retry: RetryPolicy,
 ) -> (
@@ -122,7 +109,6 @@ fn run_faulty(
     let opts = DistOptions {
         recv_timeout: Duration::from_secs(10),
         faults: Some(faults),
-        mode,
         retry,
         transport: transport(),
         ..DistOptions::default()
@@ -132,43 +118,38 @@ fn run_faulty(
 }
 
 /// The acceptance configuration: a seeded ~5% per-packet drop + reorder
-/// plan in both communication modes must finish bit-identical to the
+/// plan must finish bit-identical to the
 /// sequential reference and must actually have gone through the
 /// retransmission path.
 #[test]
 fn seeded_drop_reorder_sweep_is_bit_identical() {
     let (plan, cl, dm, env0, reference) = fixture();
-    for mode in modes() {
-        // retransmissions are asserted over the whole seed sweep: a 5%
-        // drop rate may leave an individual low-traffic vectorized run
-        // untouched, but the sweep as a whole must exercise recovery
-        let mut retransmits = 0u64;
-        for seed in [1u64, 7, 23, 1991] {
-            let ctx = format!("seed={seed} mode={mode:?}");
-            let fp = FaultPlan::seeded(seed).with_drop(0.05).with_reorder(0.05);
-            let (res, arrays) = run_faulty(&plan, &cl, &env0, &dm, mode, fp, RetryPolicy::fast());
-            let report = res.unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            let total = report.total();
-            retransmits += total.retransmits;
-            assert!(total.acks_sent > 0, "{ctx}: no acks recorded");
-            assert_eq!(
-                arrays["A"]
-                    .gather()
-                    .max_abs_diff(reference.get("A").unwrap()),
-                0.0,
-                "{ctx}: result differs from sequential reference"
-            );
-        }
-        assert!(
-            retransmits > 0,
-            "{mode:?}: seed sweep never exercised retransmission"
+    // retransmissions are asserted over the whole seed sweep: a 5%
+    // drop rate may leave an individual low-traffic run
+    // untouched, but the sweep as a whole must exercise recovery
+    let mut retransmits = 0u64;
+    for seed in [1u64, 7, 23, 1991] {
+        let ctx = format!("seed={seed}");
+        let fp = FaultPlan::seeded(seed).with_drop(0.05).with_reorder(0.05);
+        let (res, arrays) = run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
+        let report = res.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let total = report.total();
+        retransmits += total.retransmits;
+        assert!(total.acks_sent > 0, "{ctx}: no acks recorded");
+        assert_eq!(
+            arrays["A"]
+                .gather()
+                .max_abs_diff(reference.get("A").unwrap()),
+            0.0,
+            "{ctx}: result differs from sequential reference"
         );
     }
+    assert!(retransmits > 0, "seed sweep never exercised retransmission");
 }
 
 /// Multi-packet flows under the recoverable soup. The small fixtures
 /// above plan one packet per pair, so reorder / duplicate / go-back-N
-/// *across packets of one flow* would be left to element mode. A
+/// *across packets of one flow* would go unexercised. A
 /// block-scatter(16) → block copy at 128 Ki elements on two nodes plans
 /// 2 048 runs per pair, cut into 4 packets of 8 192 elements.
 #[test]
@@ -210,15 +191,7 @@ fn multi_packet_flows_survive_the_fault_soup() {
             .with_duplicate(0.15)
             .with_reorder(0.15)
             .with_delay(0.1);
-        let (res, arrays) = run_faulty(
-            &plan,
-            &cl,
-            &env0,
-            &dm,
-            CommMode::Vectorized,
-            fp,
-            RetryPolicy::fast(),
-        );
+        let (res, arrays) = run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
         let total = res.unwrap_or_else(|e| panic!("seed={seed}: {e}")).total();
         let got: Vec<u64> = (arrays["A"].gather().data().iter())
             .map(|v| v.to_bits())
@@ -246,10 +219,7 @@ proptest! {
         p_dup in prob(15),
         p_reorder in prob(15),
         p_delay in prob(10),
-        mode_ix in 0usize..2,
     ) {
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let (plan, cl, dm, env0, reference) = fixture();
         let fp = FaultPlan::seeded(seed)
             .with_drop(p_drop)
@@ -257,10 +227,10 @@ proptest! {
             .with_reorder(p_reorder)
             .with_delay(p_delay);
         let (res, arrays) =
-            run_faulty(&plan, &cl, &env0, &dm, mode, fp, RetryPolicy::fast());
+            run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
         let report = match res {
             Ok(r) => r,
-            Err(e) => return Err(TestCaseError::fail(format!("{mode:?}: {e}"))),
+            Err(e) => return Err(TestCaseError::fail(e.to_string())),
         };
         let total = report.total();
         // reliability machinery never changes *which* values arrive
@@ -268,7 +238,7 @@ proptest! {
         prop_assert_eq!(
             arrays["A"].gather().max_abs_diff(reference.get("A").unwrap()),
             0.0,
-            "{:?}: result differs from sequential reference", mode
+            "result differs from sequential reference"
         );
     }
 
@@ -281,17 +251,14 @@ proptest! {
         node in 0i64..PMAX,
         after in 0u64..5,
         p_drop in prob(10),
-        mode_ix in 0usize..2,
     ) {
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let (plan, cl, dm, env0, _) = fixture();
         let fp = FaultPlan::seeded(seed)
             .with_drop(p_drop)
             .with_crash(node, after);
         let t0 = Instant::now();
         let (res, arrays) =
-            run_faulty(&plan, &cl, &env0, &dm, mode, fp, RetryPolicy::fast());
+            run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
         let elapsed = t0.elapsed();
         prop_assert!(elapsed < Duration::from_secs(30), "took {:?}", elapsed);
         match res {
@@ -317,15 +284,12 @@ proptest! {
     fn exhausted_retry_budget_is_typed_and_bounded(
         seed in any::<u64>(),
         victim in 0i64..PMAX,
-        mode_ix in 0usize..2,
     ) {
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let (plan, cl, dm, env0, _) = fixture();
         let fp = FaultPlan::seeded(seed).with_drop(1.0).with_from_only(victim);
         let t0 = Instant::now();
         let (res, arrays) =
-            run_faulty(&plan, &cl, &env0, &dm, mode, fp, RetryPolicy::fast());
+            run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
         let elapsed = t0.elapsed();
         prop_assert!(elapsed < Duration::from_secs(30), "took {:?}", elapsed);
         match res {

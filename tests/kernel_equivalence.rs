@@ -1,7 +1,7 @@
 //! Compiled-kernel equivalence: the plan-time bytecode/fused-shape
 //! execution path must be **bit-identical** to the tree interpreter
-//! ([`Env::eval_expr`]) it replaces, and communication/computation
-//! overlap must be purely a scheduling change — never a value change.
+//! ([`Env::eval_expr`]) it replaces, and the interior-first update
+//! schedule must be purely a scheduling change — never a value change.
 //!
 //! Covered properties, over random expression trees × Table I
 //! index-function classes × block/scatter/block-scatter decompositions:
@@ -9,12 +9,10 @@
 //! * [`CompiledKernel::eval`] reproduces `Env::eval_expr` bit-for-bit at
 //!   every loop index (unit level — no machine involved);
 //! * the distributed machine's compiled update path produces arrays
-//!   bit-identical to the sequential reference executor, with overlap on
-//!   and off, in both communication modes;
-//! * overlap-on is bit-identical to overlap-off under recoverable
-//!   seeded `FaultPlan`s — a dropped boundary packet is retransmitted
-//!   and consumed, never satisfied from stale staging by an interior
-//!   run;
+//!   bit-identical to the sequential reference executor;
+//! * the same holds under recoverable seeded `FaultPlan`s — a dropped
+//!   boundary packet is retransmitted and consumed, never satisfied
+//!   from stale staging by an interior run;
 //! * the plan-time interior/boundary split is exhaustive: interior plus
 //!   boundary elements equal the clause's iteration count;
 //! * the SIMD lane tier is bit-identical to the scalar path — and both
@@ -23,9 +21,8 @@
 //!   remainder-lane tails (n not a multiple of the lane width) and
 //!   single-element runs, with and without recoverable fault plans.
 //!
-//! The CI fault matrix runs this suite once per communication mode via
-//! `VCAL_FAULT_MODE=element|vectorized`; the SIMD matrix once per
-//! policy via `VCAL_SIMD=on|off|auto`. Unset, all variants run.
+//! The CI SIMD matrix runs this suite once per policy via
+//! `VCAL_SIMD=on|off|auto`. Unset, all variants run.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,7 +33,7 @@ use vcal_suite::core::{
 };
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    replay_check, run_distributed, run_distributed_traced, CollectingTracer, CommMode, DistArray,
+    replay_check, run_distributed, run_distributed_traced, CollectingTracer, DistArray,
     DistOptions, DistSession, FaultPlan, RetryPolicy, ScheduleMode, SimdMode, SimdPolicy,
     TransportKind, NULL_TRACER,
 };
@@ -48,15 +45,6 @@ const PMAX: i64 = 4;
 /// (worst case: `2i+1` at `i = N-1`, `i-2` at `i = 0`).
 const OP_LO: i64 = -2;
 const OP_HI: i64 = 2 * (N - 1) + 1;
-
-/// Communication modes to exercise, honouring the CI matrix filter.
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
-    }
-}
 
 /// SIMD policies to exercise, honouring the CI matrix filter. Unset,
 /// every case compares the auto tier (AVX2 where detected), a forced
@@ -206,8 +194,6 @@ fn run_dist(
     cl: &Clause,
     dm: &DecompMap,
     env0: &Env,
-    mode: CommMode,
-    overlap: bool,
     simd: SimdPolicy,
     faults: Option<FaultPlan>,
 ) -> Result<Array, String> {
@@ -222,13 +208,11 @@ fn run_dist(
     let opts = DistOptions {
         recv_timeout: Duration::from_secs(10),
         faults,
-        mode,
         retry: if faults.is_some() {
             RetryPolicy::fast()
         } else {
             RetryPolicy::default()
         },
-        overlap,
         simd,
         ..DistOptions::default()
     };
@@ -315,8 +299,8 @@ proptest! {
     }
 
     /// Machine level: the compiled update path is bit-identical to the
-    /// sequential reference — overlap-on to overlap-off, and every SIMD
-    /// policy to the scalar path — across random expressions, guards,
+    /// sequential reference — every SIMD policy as the scalar path —
+    /// across random expressions, guards,
     /// decomposition layouts, and iteration extents (including extents
     /// that leave remainder-lane tails or single-element runs).
     #[test]
@@ -327,11 +311,8 @@ proptest! {
         a_kind in 0u8..3,
         b_kind in 0u8..3,
         c_kind in 0u8..3,
-        mode_ix in 0usize..2,
         lanes_ix in 0usize..3,
     ) {
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let cl = clause_of_n(e, guarded, n);
         let dm = decomps(a_kind, b_kind, c_kind);
         let env0 = operand_env();
@@ -340,24 +321,14 @@ proptest! {
         let want = bits(reference.get("A").unwrap());
 
         for simd in simd_policies([4, 8, 16][lanes_ix]) {
-            let on = run_dist(&cl, &dm, &env0, mode, true, simd, None)
-                .map_err(TestCaseError::fail)?;
-            let off = run_dist(&cl, &dm, &env0, mode, false, simd, None)
-                .map_err(TestCaseError::fail)?;
-            prop_assert_eq!(
-                &bits(&on), &want,
-                "{:?} overlap=on simd={:?} n={} diverges: {}", mode, simd, n, cl
-            );
-            prop_assert_eq!(
-                &bits(&off), &want,
-                "{:?} overlap=off simd={:?} n={} diverges: {}", mode, simd, n, cl
-            );
+            let got = run_dist(&cl, &dm, &env0, simd, None).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(&bits(&got), &want, "simd={:?} n={} diverges: {}", simd, n, cl);
         }
     }
 
     /// Under a recoverable seeded fault plan the results are *still*
-    /// bit-identical to the sequential reference with overlap on and
-    /// off and under every SIMD policy — a dropped boundary packet is
+    /// bit-identical to the sequential reference under every SIMD
+    /// policy — a dropped boundary packet is
     /// recovered and consumed, never replaced by stale staging in an
     /// interior-first schedule, and retry loops never re-enter the
     /// vector tier with partial state.
@@ -369,11 +340,8 @@ proptest! {
         n in 1i64..=N,
         a_kind in 0u8..3,
         b_kind in 0u8..3,
-        mode_ix in 0usize..2,
         lanes_ix in 0usize..3,
     ) {
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let cl = clause_of_n(e, false, n);
         let dm = decomps(a_kind, b_kind, 0);
         let env0 = operand_env();
@@ -386,18 +354,8 @@ proptest! {
             .with_duplicate(0.05)
             .with_reorder(0.05);
         for simd in simd_policies([4, 8, 16][lanes_ix]) {
-            let on = run_dist(&cl, &dm, &env0, mode, true, simd, Some(fp))
-                .map_err(TestCaseError::fail)?;
-            let off = run_dist(&cl, &dm, &env0, mode, false, simd, Some(fp))
-                .map_err(TestCaseError::fail)?;
-            prop_assert_eq!(
-                &bits(&on), &want,
-                "{:?} overlap=on simd={:?} under faults: {}", mode, simd, cl
-            );
-            prop_assert_eq!(
-                &bits(&off), &want,
-                "{:?} overlap=off simd={:?} under faults: {}", mode, simd, cl
-            );
+            let got = run_dist(&cl, &dm, &env0, simd, Some(fp)).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(&bits(&got), &want, "simd={:?} under faults: {}", simd, cl);
         }
     }
 }
@@ -561,33 +519,21 @@ fn traced_boundary_run(
     let tracer = CollectingTracer::new();
     run_distributed_traced(&plan, cl, &mut arrays, opts, &tracer).unwrap();
     let log = tracer.finish();
-    replay_check(&log, &plan, opts.mode, opts.retry).unwrap();
+    replay_check(&log, &plan, opts.retry).unwrap();
     (log.to_jsonl(), arrays["A"].gather())
 }
 
-fn mode_name(mode: CommMode) -> &'static str {
-    match mode {
-        CommMode::Element => "element",
-        CommMode::Vectorized => "vectorized",
-    }
-}
-
-fn fixture_path(case: &str, mode: CommMode, overlap: bool) -> std::path::PathBuf {
+fn fixture_path(case: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
-        .join(format!(
-            "{case}_{}_{}.jsonl",
-            mode_name(mode),
-            if overlap { "overlap" } else { "inorder" }
-        ))
+        .join(format!("{case}_vectorized_overlap.jsonl"))
 }
 
 /// The deterministic trace of every boundary case is byte-identical to
-/// the fixture under `tests/data/` for the same configuration:
+/// the fixture under `tests/data/`:
 /// `recv_value` per consumed element in the per-element order, one
 /// `boundary_run` per run with the same `recvs`, one `pack_send` per
-/// planned packet. The element-mode fixtures are the logs the commit
-/// before run-granular receive wrote. The vectorized ones were
+/// planned packet. The fixtures were
 /// regenerated when packets stopped being single runs; the parent's
 /// run-per-packet logs are kept under `tests/data/parent/` and must
 /// agree with them on everything but the `pack_send` lines and the `t`
@@ -618,55 +564,47 @@ fn boundary_traces_match_parent_commit_fixtures() {
         let mut reference = env0.clone();
         reference.exec_clause(&cl);
         let want_bits = bits(reference.get("A").unwrap());
-        for mode in [CommMode::Element, CommMode::Vectorized] {
-            for overlap in [true, false] {
-                let path = fixture_path(name, mode, overlap);
-                let want = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("fixture {}: {e}", path.display()));
-                if mode == CommMode::Vectorized {
-                    let name = path.file_name().expect("fixture file name");
-                    let parent = path.with_file_name("parent").join(name);
-                    let parent = std::fs::read_to_string(&parent)
-                        .unwrap_or_else(|e| panic!("fixture {}: {e}", parent.display()));
-                    assert_eq!(
-                        beyond_packets(&want),
-                        beyond_packets(&parent),
-                        "{}: differs from the parent's beyond pack_send and the clock",
-                        path.display()
-                    );
-                }
-                for transport in [TransportKind::InProc, TransportKind::Uds] {
-                    let opts = DistOptions {
-                        recv_timeout: Duration::from_secs(10),
-                        mode,
-                        overlap,
-                        simd: SimdPolicy::off(),
-                        transport,
-                        ..DistOptions::default()
-                    };
-                    let what = format!("{name} {mode:?} overlap={overlap} {transport:?}");
-                    let (got, a) = traced_boundary_run(&cl, &dm, &env0, opts);
-                    assert_eq!(bits(&a), want_bits, "{what}: result");
-                    assert_eq!(got, want, "{what}: trace differs from the parent's");
-                    let simd_on = DistOptions {
-                        simd: SimdPolicy::auto(),
-                        ..opts
-                    };
-                    let (got, a) = traced_boundary_run(&cl, &dm, &env0, simd_on);
-                    assert_eq!(bits(&a), want_bits, "{what} simd: result");
-                    assert_eq!(
-                        without_census(&got),
-                        without_census(&want),
-                        "{what} simd: trace differs beyond the census line"
-                    );
-                }
-            }
+        let path = fixture_path(name);
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("fixture {}: {e}", path.display()));
+        let file = path.file_name().expect("fixture file name");
+        let parent = path.with_file_name("parent").join(file);
+        let parent = std::fs::read_to_string(&parent)
+            .unwrap_or_else(|e| panic!("fixture {}: {e}", parent.display()));
+        assert_eq!(
+            beyond_packets(&want),
+            beyond_packets(&parent),
+            "{}: differs from the parent's beyond pack_send and the clock",
+            path.display()
+        );
+        for transport in [TransportKind::InProc, TransportKind::Uds] {
+            let opts = DistOptions {
+                recv_timeout: Duration::from_secs(10),
+                simd: SimdPolicy::off(),
+                transport,
+                ..DistOptions::default()
+            };
+            let what = format!("{name} {transport:?}");
+            let (got, a) = traced_boundary_run(&cl, &dm, &env0, opts);
+            assert_eq!(bits(&a), want_bits, "{what}: result");
+            assert_eq!(got, want, "{what}: trace differs from the parent's");
+            let simd_on = DistOptions {
+                simd: SimdPolicy::auto(),
+                ..opts
+            };
+            let (got, a) = traced_boundary_run(&cl, &dm, &env0, simd_on);
+            assert_eq!(bits(&a), want_bits, "{what} simd: result");
+            assert_eq!(
+                without_census(&got),
+                without_census(&want),
+                "{what} simd: trace differs beyond the census line"
+            );
         }
     }
 }
 
 /// Bitwise differential sweep over the boundary-heavy layouts:
-/// `CommMode` × overlap × SIMD policy on the cold machine, then the same
+/// every SIMD policy on the cold machine, then the same
 /// clause as a two-step program through a warm session under both
 /// schedulers — every combination equals the sequential machine bit for
 /// bit, and the runtime SIMD census equals the plan-time one.
@@ -688,49 +626,43 @@ fn boundary_layouts_match_sequential_bitwise() {
         let plan = SpmdPlan::build(&cl, &dm).unwrap();
         let cs = CompiledSchedule::compile_exec(&plan, &cl, &dm);
         assert!(cs.has_exec(), "{name}: closed-form plan must compile");
-        for mode in modes() {
-            for overlap in [true, false] {
-                for simd in simd_policies(4) {
-                    let what = format!("{name} {mode:?} overlap={overlap} {simd:?}");
-                    let mut arrays = scatter_ab(&env0, &dm);
-                    let opts = DistOptions {
-                        mode,
-                        overlap,
-                        simd,
-                        ..DistOptions::default()
-                    };
-                    let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
-                    assert_eq!(bits(&arrays["A"].gather()), want, "{what}");
-                    let (ran, planned) = (report.simd_census(), cs.simd_census(simd));
-                    assert_eq!(ran.vector_runs, planned.vector_runs, "{what}");
-                    assert_eq!(ran.fallback_runs, planned.fallback_runs, "{what}");
-                    assert_eq!(ran.lane_elems, planned.lane_elems, "{what}");
-                    assert_eq!(ran.tail_elems, planned.tail_elems, "{what}");
+        for simd in simd_policies(4) {
+            let what = format!("{name} {simd:?}");
+            let mut arrays = scatter_ab(&env0, &dm);
+            let opts = DistOptions {
+                simd,
+                ..DistOptions::default()
+            };
+            let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
+            assert_eq!(bits(&arrays["A"].gather()), want, "{what}");
+            let (ran, planned) = (report.simd_census(), cs.simd_census(simd));
+            assert_eq!(ran.vector_runs, planned.vector_runs, "{what}");
+            assert_eq!(ran.fallback_runs, planned.fallback_runs, "{what}");
+            assert_eq!(ran.lane_elems, planned.lane_elems, "{what}");
+            assert_eq!(ran.tail_elems, planned.tail_elems, "{what}");
 
-                    // warm pool, twice (the second run replays cached
-                    // tables through reset staging); under Dag the two
-                    // independent clauses share one wave, so each
-                    // receives through its own lane
-                    for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
-                        let mut cl2 = cl.clone();
-                        cl2.lhs = ArrayRef::d1("A2", Fn1::identity());
-                        let mut env2 = env0.clone();
-                        env2.insert("A2", Array::zeros(dm["A"].extent()));
-                        let mut dm2 = dm.clone();
-                        dm2.insert("A2".into(), dm["A"].clone());
-                        let mut session = DistSession::new(&env2, dm2).unwrap().with_options(opts);
-                        let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
-                        for _ in 0..2 {
-                            session.run_program(&steps, schedule, &NULL_TRACER).unwrap();
-                        }
-                        for out in ["A", "A2"] {
-                            assert_eq!(
-                                bits(&session.gather(out).unwrap()),
-                                want,
-                                "{what} {schedule:?} {out}"
-                            );
-                        }
-                    }
+            // warm pool, twice (the second run replays cached
+            // tables through reset staging); under Dag the two
+            // independent clauses share one wave, so each
+            // receives through its own lane
+            for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
+                let mut cl2 = cl.clone();
+                cl2.lhs = ArrayRef::d1("A2", Fn1::identity());
+                let mut env2 = env0.clone();
+                env2.insert("A2", Array::zeros(dm["A"].extent()));
+                let mut dm2 = dm.clone();
+                dm2.insert("A2".into(), dm["A"].clone());
+                let mut session = DistSession::new(&env2, dm2).unwrap().with_options(opts);
+                let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
+                for _ in 0..2 {
+                    session.run_program(&steps, schedule, &NULL_TRACER).unwrap();
+                }
+                for out in ["A", "A2"] {
+                    assert_eq!(
+                        bits(&session.gather(out).unwrap()),
+                        want,
+                        "{what} {schedule:?} {out}"
+                    );
                 }
             }
         }

@@ -6,40 +6,27 @@
 //! processes — bit-identical to the sequential machine, with the
 //! counters the commit before the tables became total reported for the
 //! same plan on its element-at-a-time path.
-//!
-//! Honours `VCAL_FAULT_MODE=element|vectorized` like the other sweeps.
 
 use std::collections::BTreeMap;
 use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    prepare_run, run_distributed, CommMode, DistArray, DistOptions, DistSession, ExecReport,
-    MachineError, ScheduleMode, SimdMode, SimdPolicy, TransportKind, NULL_TRACER,
+    prepare_run, run_distributed, DistArray, DistOptions, DistSession, ExecReport, MachineError,
+    ScheduleMode, SimdMode, SimdPolicy, TransportKind, NULL_TRACER,
 };
 use vcal_suite::spmd::{CompiledSchedule, DecompMap, PlanSummary, ProgramStep, SpmdPlan};
 
 const PMAX: i64 = 4;
 
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
-    }
-}
-
 /// `[guard_tests, iterations, msgs_sent, msgs_received]` summed over
 /// the nodes, as commit 5b63b02 (naive plans on the interpreted element
 /// path) reports them for the cold run of each case.
-fn parent_counters(case: &str, mode: CommMode) -> [u64; 4] {
-    match (case, mode) {
-        ("square_write", CommMode::Element) => [155, 31, 23, 23],
-        ("square_write", CommMode::Vectorized) => [124, 31, 23, 23],
-        ("square_read", CommMode::Element) => [155, 31, 23, 23],
-        ("square_read", CommMode::Vectorized) => [31, 31, 23, 23],
-        ("valley", CommMode::Element) => [189, 21, 10, 10],
-        ("valley", CommMode::Vectorized) => [84, 21, 10, 10],
+fn parent_counters(case: &str) -> [u64; 4] {
+    match case {
+        "square_write" => [124, 31, 23, 23],
+        "square_read" => [31, 31, 23, 23],
+        "valley" => [84, 21, 10, 10],
         _ => panic!("no parent counters for {case}"),
     }
 }
@@ -156,48 +143,42 @@ fn natural_naive_rows_run_through_the_tables() {
         dm2.insert("A2".into(), dm["A"].clone());
         let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
 
-        for mode in modes() {
-            let expect = parent_counters(name, mode);
-            for overlap in [true, false] {
-                for simd in [SimdPolicy::auto(), forced, SimdPolicy::off()] {
-                    let what = format!("{name} {mode:?} overlap={overlap} {simd:?}");
-                    let opts = DistOptions {
-                        mode,
-                        overlap,
-                        simd,
-                        ..DistOptions::default()
-                    };
-                    // cold, in process and on worker processes
-                    for transport in [TransportKind::InProc, TransportKind::Uds] {
-                        let mut arrays = scatter_ab(&env0, &dm);
-                        let opts = DistOptions { transport, ..opts };
-                        let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
-                        assert_eq!(bits(&arrays["A"].gather()), want, "{what} {transport:?}");
-                        assert_eq!(counters(&report), expect, "{what} {transport:?}");
-                    }
-                    // warm: the second and third run replay cached tables
-                    let mut session = DistSession::new(&env0, dm.clone())
-                        .unwrap()
-                        .with_options(opts);
-                    for round in 0..3 {
-                        let report = session.run(&cl).unwrap();
-                        assert_eq!(counters(&report), expect, "{what} warm {round}");
-                        assert_eq!(report.cache_hits, (round > 0) as u64, "{what}");
-                    }
-                    assert_eq!(bits(&session.gather("A").unwrap()), want, "{what} warm");
-                    // one DAG wave of two members, each on its own lane
-                    let mut session = DistSession::new(&env2, dm2.clone())
-                        .unwrap()
-                        .with_options(opts);
-                    let program = session
-                        .run_program(&steps, ScheduleMode::Dag, &NULL_TRACER)
-                        .unwrap();
-                    assert_eq!(program.waves, 1, "{what}");
-                    for (out, report) in ["A", "A2"].into_iter().zip(&program.steps) {
-                        assert_eq!(bits(&session.gather(out).unwrap()), want, "{what} {out}");
-                        assert_eq!(counters(report), expect, "{what} wave {out}");
-                    }
-                }
+        let expect = parent_counters(name);
+        for simd in [SimdPolicy::auto(), forced, SimdPolicy::off()] {
+            let what = format!("{name} {simd:?}");
+            let opts = DistOptions {
+                simd,
+                ..DistOptions::default()
+            };
+            // cold, in process and on worker processes
+            for transport in [TransportKind::InProc, TransportKind::Uds] {
+                let mut arrays = scatter_ab(&env0, &dm);
+                let opts = DistOptions { transport, ..opts };
+                let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
+                assert_eq!(bits(&arrays["A"].gather()), want, "{what} {transport:?}");
+                assert_eq!(counters(&report), expect, "{what} {transport:?}");
+            }
+            // warm: the second and third run replay cached tables
+            let mut session = DistSession::new(&env0, dm.clone())
+                .unwrap()
+                .with_options(opts);
+            for round in 0..3 {
+                let report = session.run(&cl).unwrap();
+                assert_eq!(counters(&report), expect, "{what} warm {round}");
+                assert_eq!(report.cache_hits, (round > 0) as u64, "{what}");
+            }
+            assert_eq!(bits(&session.gather("A").unwrap()), want, "{what} warm");
+            // one DAG wave of two members, each on its own lane
+            let mut session = DistSession::new(&env2, dm2.clone())
+                .unwrap()
+                .with_options(opts);
+            let program = session
+                .run_program(&steps, ScheduleMode::Dag, &NULL_TRACER)
+                .unwrap();
+            assert_eq!(program.waves, 1, "{what}");
+            for (out, report) in ["A", "A2"].into_iter().zip(&program.steps) {
+                assert_eq!(bits(&session.gather(out).unwrap()), want, "{what} {out}");
+                assert_eq!(counters(report), expect, "{what} wave {out}");
             }
         }
     }

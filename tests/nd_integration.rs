@@ -2,9 +2,6 @@
 //! for randomized grids and access maps, and the grid machines agree
 //! bitwise with the sequential reference (`Env::exec_clause`, the n-D
 //! oracle) on randomized 2-D and 3-D clauses.
-//!
-//! The CI fault matrix runs this suite once per communication mode via
-//! `VCAL_FAULT_MODE=element|vectorized`. Unset, both run.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,7 +15,7 @@ use vcal_suite::core::{
 };
 use vcal_suite::decomp::{Decomp1, DecompNd};
 use vcal_suite::machine::{
-    run_distributed_nd, run_distributed_nd_traced, run_shared_nd, ChaosPlan, CommMode, DistArrayNd,
+    run_distributed_nd, run_distributed_nd_traced, run_shared_nd, ChaosPlan, DistArrayNd,
     DistOptions, ExecReport, FaultPlan, MachineError, RetryPolicy, SimdPolicy, TransportKind,
     NULL_TRACER,
 };
@@ -88,15 +85,6 @@ proptest! {
             covered += got.len() as u64;
         }
         prop_assert_eq!(covered, lb.count());
-    }
-}
-
-/// Communication modes to exercise, honouring the CI matrix filter.
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
     }
 }
 
@@ -253,23 +241,17 @@ fn randomized_grid_machine_equivalence() {
         assert_eq!(got.max_abs_diff(want), 0.0, "shared trial {k}");
 
         // distributed grid machine, every way the engine can run it
-        for mode in modes() {
-            for overlap in [true, false] {
-                for simd in [SimdPolicy::auto(), SimdPolicy::off()] {
-                    let opts = DistOptions {
-                        recv_timeout: Duration::from_secs(10),
-                        mode,
-                        overlap,
-                        simd,
-                        ..DistOptions::default()
-                    };
-                    let what = format!("trial {k} {mode:?} overlap={overlap} {simd:?}");
-                    let total = t.run_and_check(opts, &what).total();
-                    msgs += total.msgs_sent;
-                    lane_runs += total.simd_runs;
-                    scalar_runs += total.simd_fallback_runs;
-                }
-            }
+        for simd in [SimdPolicy::auto(), SimdPolicy::off()] {
+            let opts = DistOptions {
+                recv_timeout: Duration::from_secs(10),
+                simd,
+                ..DistOptions::default()
+            };
+            let what = format!("trial {k} {simd:?}");
+            let total = t.run_and_check(opts, &what).total();
+            msgs += total.msgs_sent;
+            lane_runs += total.simd_runs;
+            scalar_runs += total.simd_fallback_runs;
         }
     }
     // the sweep reached the wire, the lane tier and the scalar arms
@@ -387,41 +369,36 @@ fn guarded_2d_clause() {
 }
 
 #[test]
-fn modes_agree_and_vectorized_batches() {
+fn transpose_traffic_matches_ownership_and_batches() {
     let t = transpose(16);
-    let totals = [CommMode::Element, CommMode::Vectorized].map(|mode| {
-        let opts = DistOptions {
-            mode,
-            ..DistOptions::default()
-        };
-        t.run_and_check(opts, &format!("{mode:?}")).total()
-    });
-    let [elem, vect] = totals;
-    assert_eq!(elem.msgs_sent, vect.msgs_sent);
-    assert_eq!(elem.msgs_received, vect.msgs_received);
-    assert_eq!(elem.packets_sent, elem.msgs_sent);
-    assert!(vect.packets_sent < vect.msgs_sent);
-    assert!(vect.max_packet_elems > 1);
+    let total = t.run_and_check(DistOptions::default(), "transpose").total();
+    // ground truth: an element travels iff its reader is not its owner
+    let (a, b) = (&t.decs["A"], &t.decs["B"]);
+    let remote = (range2(16).iter())
+        .filter(|i| a.proc_of(i) != b.proc_of(&t.clause.lhs.map.eval(i)))
+        .count() as u64;
+    assert_eq!(total.msgs_sent, remote);
+    assert_eq!(total.msgs_received, remote);
+    assert!(total.packets_sent < total.msgs_sent);
+    assert!(total.max_packet_elems > 1);
+    assert_eq!(total.bytes_sent, 16 * total.packets_sent + 8 * remote);
 }
 
 #[test]
 fn faulty_transpose_recovers_bit_exact() {
     // a noisy seeded link on the all-to-all transpose still converges
     let t = transpose(12);
-    for mode in modes() {
-        let faults = FaultPlan::seeded(42)
-            .with_drop(0.1)
-            .with_duplicate(0.1)
-            .with_reorder(0.1);
-        let opts = DistOptions {
-            faults: Some(faults),
-            mode,
-            retry: RetryPolicy::fast(),
-            ..DistOptions::default()
-        };
-        let report = t.run_and_check(opts, &format!("{mode:?}"));
-        assert!(report.total().acks_sent > 0);
-    }
+    let faults = FaultPlan::seeded(42)
+        .with_drop(0.1)
+        .with_duplicate(0.1)
+        .with_reorder(0.1);
+    let opts = DistOptions {
+        faults: Some(faults),
+        retry: RetryPolicy::fast(),
+        ..DistOptions::default()
+    };
+    let report = t.run_and_check(opts, "faulty transpose");
+    assert!(report.total().acks_sent > 0);
 }
 
 #[test]

@@ -12,8 +12,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, RedistPlan};
 use vcal_suite::machine::{
-    CalibratedModel, CalibrationSample, CollectingTracer, CommMode, DistSession, ScheduleMode,
-    TuneOptions, NULL_TRACER,
+    CalibratedModel, CalibrationSample, CollectingTracer, DistSession, ScheduleMode, TuneOptions,
+    NULL_TRACER,
 };
 use vcal_suite::spmd::{DecompMap, ProgramStep, SpmdPlan};
 
@@ -49,21 +49,12 @@ fn plan_for(n: i64, dec: fn(i64, Bounds) -> Decomp1) -> SpmdPlan {
 fn price_is_monotone_in_message_count() {
     let model = CalibratedModel::default();
     for n in [64i64, 256, 1024] {
-        let block = model.price_plan(&plan_for(n, Decomp1::block), CommMode::Vectorized);
-        let scatter = model.price_plan(&plan_for(n, Decomp1::scatter), CommMode::Vectorized);
+        let block = model.price_plan(&plan_for(n, Decomp1::block));
+        let scatter = model.price_plan(&plan_for(n, Decomp1::scatter));
         assert!(
             block.total_ns < scatter.total_ns,
             "n={n}: block {} must undercut scatter {}",
             block.total_ns,
-            scatter.total_ns
-        );
-        // element mode sends one wire message per element — it can
-        // never price below the vectorized packing of the same plan
-        let scatter_elem = model.price_plan(&plan_for(n, Decomp1::scatter), CommMode::Element);
-        assert!(
-            scatter_elem.total_ns >= scatter.total_ns,
-            "n={n}: element {} cheaper than vectorized {}",
-            scatter_elem.total_ns,
             scatter.total_ns
         );
     }
@@ -76,7 +67,7 @@ fn price_is_monotone_in_element_count() {
     let model = CalibratedModel::default();
     let mut last = 0.0f64;
     for n in [64i64, 256, 1024, 4096] {
-        let p = model.price_plan(&plan_for(n, Decomp1::block), CommMode::Vectorized);
+        let p = model.price_plan(&plan_for(n, Decomp1::block));
         assert!(
             p.total_ns > last,
             "n={n}: price {} did not grow past {last}",
@@ -168,7 +159,7 @@ fn calibrated_prediction_tracks_measurement() {
     assert!(model.iter_ns > 0.0);
 
     let plan = SpmdPlan::build(&clause, &dm).unwrap();
-    let predicted_ns = model.price_plan(&plan, CommMode::Vectorized).total_ns;
+    let predicted_ns = model.price_plan(&plan).total_ns;
     assert!(
         predicted_ns > measured_ns / 50.0 && predicted_ns < measured_ns * 50.0,
         "calibrated prediction {predicted_ns} ns is not within 50x of \

@@ -23,8 +23,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    CacheBudget, DistOptions, ProgramStep, ScheduleMode, ServeClient, ServeConfig, ServeHandle,
-    ServeRequest, TransportKind,
+    CacheBudget, DistOptions, MachineError, ProgramStep, ScheduleMode, ServeClient, ServeConfig,
+    ServeHandle, ServeRequest, TransportKind,
 };
 use vcal_suite::spmd::DecompMap;
 
@@ -318,6 +318,48 @@ fn admission_serializes_and_reports_queue_wait() {
         "one of two overlapping requests must have queued: waits {waits:?}"
     );
     assert_eq!(handle.sessions_served(), 2);
+    handle.stop();
+}
+
+/// A `Redistribute` step whose target the array cannot be moved to
+/// (another extent, another processor count, a replicated image) is a
+/// typed error on the same connection, and costs the service nothing:
+/// with one slot and no queue, a second tenant's request still runs.
+#[test]
+fn hostile_redistribute_is_typed_and_leaks_no_slot() {
+    let handle = ServeHandle::start(ServeConfig {
+        concurrency: 1,
+        queue_depth: 0,
+        ..ServeConfig::default()
+    })
+    .expect("service start");
+    let sh = shape(N, 0, 0);
+    let mut client = ServeClient::connect(handle.addr(), "hostile").expect("connect");
+    for (what, to) in [
+        ("extent", Decomp1::block(PMAX, Bounds::range(0, 2 * N - 1))),
+        ("pmax", Decomp1::block(2 * PMAX, Bounds::range(0, N - 1))),
+        (
+            "replicated",
+            Decomp1::replicated(PMAX, Bounds::range(0, N - 1)),
+        ),
+    ] {
+        let mut steps = sh.steps.clone();
+        steps.push(ProgramStep::Redistribute {
+            array: "U".into(),
+            to,
+        });
+        let req = ServeRequest::new(steps, sh.decomps.clone(), sh.globals.clone(), 1);
+        match client.request(&req) {
+            Err(MachineError::PlanMismatch(why)) => {
+                assert!(why.contains("cannot redistribute `U`"), "{what}: {why}")
+            }
+            other => panic!("{what}: expected a typed PlanMismatch, got {other:?}"),
+        }
+    }
+    let mut second = ServeClient::connect(handle.addr(), "bystander").expect("connect");
+    let req = ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), sh.globals.clone(), 1);
+    let resp = second.request(&req).expect("the slot came back");
+    assert_bit_identical(&resp.globals, &oracle(&sh, N, 1), "bystander");
     handle.stop();
 }
 

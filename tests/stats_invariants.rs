@@ -1,16 +1,13 @@
-//! Cross-mode counter invariants for the distributed machine — the
-//! counter-coverage gap left by the comm-schedule and reliable-transport
-//! PRs, closed as part of the observability layer.
-//!
-//! The same plan executed under [`CommMode::Element`] and
-//! [`CommMode::Vectorized`] must agree on everything the paper's cost
+//! Counter invariants for the distributed machine, anchored on the
+//! plan — the independent ground truth for everything the paper's cost
 //! model depends on:
 //!
-//! * identical *element* traffic (`msgs_sent` / `msgs_received`),
-//!   independent of how elements are batched onto the wire;
+//! * per node, *element* traffic (`msgs_sent` / `msgs_received`) is the
+//!   plan's communication volume, independent of how elements are
+//!   batched onto the wire, and `packets_sent` its packetisation;
 //! * `bytes_sent` derivable from `packets_sent` and the planned
-//!   packets (24 bytes per element message; 16-byte header per planned
-//!   packet plus 8 bytes per element for packed runs);
+//!   packets (16-byte header per planned packet plus 8 bytes per
+//!   element);
 //! * every reliability counter exactly zero when no `FaultPlan` is
 //!   installed ([`NodeStats::reliability_quiet`]).
 
@@ -19,8 +16,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    run_distributed, CommMode, DistArray, DistOptions, DistSession, ExecReport, FaultPlan,
-    NodeStats, ProgramReport, ProgramStep, RetryPolicy, ScheduleMode, TuneOptions, NULL_TRACER,
+    run_distributed, DistArray, DistOptions, DistSession, ExecReport, FaultPlan, NodeStats,
+    ProgramReport, ProgramStep, RetryPolicy, ScheduleMode, TuneOptions, NULL_TRACER,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -28,8 +25,7 @@ const N: i64 = 256;
 const PMAX: i64 = 4;
 
 /// Wire-format constants mirrored from the distributed machine's docs:
-/// a 24-byte element message, a 16-byte packet header + 8 bytes/element.
-const ELEM_MSG_BYTES: u64 = 24;
+/// a 16-byte packet header + 8 bytes/element.
 const PACK_HEADER_BYTES: u64 = 16;
 
 fn fixture(g: Fn1, imin: i64, imax: i64) -> (SpmdPlan, Clause, DecompMap, Env) {
@@ -53,13 +49,7 @@ fn fixture(g: Fn1, imin: i64, imax: i64) -> (SpmdPlan, Clause, DecompMap, Env) {
     (plan, cl, dm, env0)
 }
 
-fn run_mode(
-    plan: &SpmdPlan,
-    cl: &Clause,
-    env0: &Env,
-    dm: &DecompMap,
-    mode: CommMode,
-) -> ExecReport {
+fn run(plan: &SpmdPlan, cl: &Clause, env0: &Env, dm: &DecompMap) -> ExecReport {
     let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
     for name in ["A", "B"] {
         arrays.insert(
@@ -67,16 +57,7 @@ fn run_mode(
             DistArray::scatter_from(env0.get(name).unwrap(), dm[name].clone()),
         );
     }
-    run_distributed(
-        plan,
-        cl,
-        &mut arrays,
-        DistOptions {
-            mode,
-            ..DistOptions::default()
-        },
-    )
-    .unwrap()
+    run_distributed(plan, cl, &mut arrays, DistOptions::default()).unwrap()
 }
 
 /// The access functions exercised: shift, strided, gcd-degenerate.
@@ -89,19 +70,20 @@ fn accesses() -> Vec<(Fn1, i64, i64)> {
 }
 
 #[test]
-fn element_counts_agree_across_modes() {
+fn element_counts_match_the_plan_per_node() {
     for (g, imin, imax) in accesses() {
         let (plan, cl, dm, env0) = fixture(g.clone(), imin, imax);
-        let el = run_mode(&plan, &cl, &env0, &dm, CommMode::Element).total();
-        let vec = run_mode(&plan, &cl, &env0, &dm, CommMode::Vectorized).total();
-        assert_eq!(el.msgs_sent, vec.msgs_sent, "g={g:?}");
-        assert_eq!(el.msgs_received, vec.msgs_received, "g={g:?}");
-        assert_eq!(el.msgs_sent, el.msgs_received, "g={g:?}");
-        assert_eq!(el.iterations, vec.iterations, "g={g:?}");
-        assert_eq!(el.local_reads, vec.local_reads, "g={g:?}");
-        // both must agree with the plan's committed communication volume
-        let planned: u64 = plan.nodes.iter().map(|n| n.comm.send_elems()).sum();
-        assert_eq!(el.msgs_sent, planned, "g={g:?}");
+        let report = run(&plan, &cl, &env0, &dm);
+        for (np, got) in plan.nodes.iter().zip(&report.nodes) {
+            let ctx = format!("g={g:?} p={}", np.p);
+            assert_eq!(got.msgs_sent, np.comm.send_elems(), "{ctx}");
+            assert_eq!(got.msgs_received, np.comm.recv_elems(), "{ctx}");
+            assert_eq!(got.iterations, np.modify.schedule.count(), "{ctx}");
+            // one read slot: every iteration reads locally or receives
+            assert_eq!(got.local_reads + got.msgs_received, got.iterations, "{ctx}");
+        }
+        let t = report.total();
+        assert_eq!(t.msgs_sent, t.msgs_received, "g={g:?}");
     }
 }
 
@@ -109,23 +91,18 @@ fn element_counts_agree_across_modes() {
 fn bytes_consistent_with_packets_and_run_lengths() {
     for (g, imin, imax) in accesses() {
         let (plan, cl, dm, env0) = fixture(g.clone(), imin, imax);
-
-        // element mode: one 24-byte wire message per element, max run 1
-        let el = run_mode(&plan, &cl, &env0, &dm, CommMode::Element).total();
-        assert_eq!(el.packets_sent, el.msgs_sent, "g={g:?}");
-        assert_eq!(el.bytes_sent, ELEM_MSG_BYTES * el.msgs_sent, "g={g:?}");
-        assert!(el.max_packet_elems <= 1, "g={g:?}");
-
-        // vectorized mode: packets = the plan's packetisation of the
-        // coalesced runs, bytes = header per packet + 8 per element
-        let vec = run_mode(&plan, &cl, &env0, &dm, CommMode::Vectorized).total();
-        let planned_packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
-        assert_eq!(vec.packets_sent, planned_packets, "g={g:?}");
-        assert_eq!(
-            vec.bytes_sent,
-            PACK_HEADER_BYTES * vec.packets_sent + 8 * vec.msgs_sent,
-            "g={g:?}"
-        );
+        // packets = the plan's packetisation of the coalesced runs,
+        // bytes = header per packet + 8 per element
+        let report = run(&plan, &cl, &env0, &dm);
+        for (np, got) in plan.nodes.iter().zip(&report.nodes) {
+            let ctx = format!("g={g:?} p={}", np.p);
+            assert_eq!(got.packets_sent, np.comm.send_packets(), "{ctx}");
+            assert_eq!(
+                got.bytes_sent,
+                PACK_HEADER_BYTES * np.comm.send_packets() + 8 * np.comm.send_elems(),
+                "{ctx}"
+            );
+        }
         // the longest packet on the wire is the largest planned packet
         let largest_packet: u64 = plan
             .nodes
@@ -135,10 +112,10 @@ fn bytes_consistent_with_packets_and_run_lengths() {
             .map(|runs| runs.iter().map(|r| r.len()).sum())
             .max()
             .unwrap_or(0);
-        assert_eq!(vec.max_packet_elems, largest_packet, "g={g:?}");
-        // aggregation can only shrink wire traffic
-        assert!(vec.packets_sent <= el.packets_sent, "g={g:?}");
-        assert!(vec.bytes_sent <= el.bytes_sent, "g={g:?}");
+        let t = report.total();
+        assert_eq!(t.max_packet_elems, largest_packet, "g={g:?}");
+        // aggregation can only shrink wire traffic below one per element
+        assert!(t.packets_sent <= t.msgs_sent, "g={g:?}");
     }
 }
 
@@ -146,16 +123,10 @@ fn bytes_consistent_with_packets_and_run_lengths() {
 fn reliability_counters_zero_without_faults() {
     for (g, imin, imax) in accesses() {
         let (plan, cl, dm, env0) = fixture(g.clone(), imin, imax);
-        for mode in [CommMode::Element, CommMode::Vectorized] {
-            let report = run_mode(&plan, &cl, &env0, &dm, mode);
-            assert!(
-                report.reliability_quiet(),
-                "g={g:?} mode={mode:?}: {:?}",
-                report.total()
-            );
-            for (p, n) in report.nodes.iter().enumerate() {
-                assert!(n.reliability_quiet(), "node {p} g={g:?}: {n:?}");
-            }
+        let report = run(&plan, &cl, &env0, &dm);
+        assert!(report.reliability_quiet(), "g={g:?}: {:?}", report.total());
+        for (p, n) in report.nodes.iter().enumerate() {
+            assert!(n.reliability_quiet(), "node {p} g={g:?}: {n:?}");
         }
     }
 }
@@ -175,7 +146,6 @@ fn reliability_counters_fire_with_faults_and_quiet_predicate_flips() {
         &cl,
         &mut arrays,
         DistOptions {
-            mode: CommMode::Vectorized,
             faults: Some(FaultPlan::seeded(7).with_drop(0.4)),
             retry: RetryPolicy::fast(),
             ..DistOptions::default()

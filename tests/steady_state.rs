@@ -8,8 +8,7 @@
 //! Covered properties:
 //!
 //! * N warm executions of a timestep loop are bit-identical to N cold
-//!   executions, in both communication modes, with and without a seeded
-//!   recoverable fault plan;
+//!   executions, with and without a seeded recoverable fault plan;
 //! * a traced warm run emits a byte-identical deterministic JSONL log to
 //!   a traced cold run and passes the replay checker;
 //! * the first run of a clause is a cache miss, every repeat is a hit,
@@ -17,9 +16,6 @@
 //!   invalidates;
 //! * a crashed pooled worker surfaces as a typed `NodePanicked` without
 //!   poisoning the session: the next run succeeds with correct results.
-//!
-//! The CI fault matrix runs this suite once per communication mode via
-//! `VCAL_FAULT_MODE=element|vectorized`; unset, both modes run.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -28,7 +24,7 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    replay_check, run_distributed, run_distributed_traced, CollectingTracer, CommMode, DistArray,
+    replay_check, run_distributed, run_distributed_traced, CollectingTracer, DistArray,
     DistOptions, DistSession, Event, FaultPlan, MachineError, ProgramStep, RetryPolicy,
     ScheduleMode, TraceLog, HOST,
 };
@@ -36,15 +32,6 @@ use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
 const N: i64 = 96;
 const PMAX: i64 = 4;
-
-/// Communication modes to exercise, honouring the CI matrix filter.
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
-    }
-}
 
 /// The Jacobi-style timestep pair: `V[i] := 0.5*(U[i-1]+U[i+1])` then
 /// `U[i] := V[i]` — the second clause feeds the first, so every step
@@ -117,11 +104,10 @@ fn dist_arrays(env0: &Env, dm: &DecompMap) -> BTreeMap<String, DistArray> {
     arrays
 }
 
-fn opts_for(mode: CommMode, faults: Option<FaultPlan>) -> DistOptions {
+fn opts_for(faults: Option<FaultPlan>) -> DistOptions {
     DistOptions {
         recv_timeout: Duration::from_secs(10),
         faults,
-        mode,
         retry: if faults.is_some() {
             RetryPolicy::fast()
         } else {
@@ -133,16 +119,11 @@ fn opts_for(mode: CommMode, faults: Option<FaultPlan>) -> DistOptions {
 
 /// N cold steps: a fresh plan/execute cycle per call, the baseline the
 /// warm path must match bit-for-bit.
-fn run_cold(
-    steps: usize,
-    mode: CommMode,
-    faults: Option<FaultPlan>,
-    dm: &DecompMap,
-) -> (Array, Array) {
+fn run_cold(steps: usize, faults: Option<FaultPlan>, dm: &DecompMap) -> (Array, Array) {
     let (sweep, back) = timestep_clauses();
     let env0 = timestep_env();
     let mut arrays = dist_arrays(&env0, dm);
-    let opts = opts_for(mode, faults);
+    let opts = opts_for(faults);
     for _ in 0..steps {
         let plan = SpmdPlan::build(&sweep, dm).unwrap();
         run_distributed(&plan, &sweep, &mut arrays, opts).unwrap();
@@ -154,17 +135,12 @@ fn run_cold(
 
 /// N warm steps through the session: plan cache + persistent pool.
 /// Asserts the cache counters prove the warm path engaged.
-fn run_warm(
-    steps: usize,
-    mode: CommMode,
-    faults: Option<FaultPlan>,
-    dm: &DecompMap,
-) -> (Array, Array) {
+fn run_warm(steps: usize, faults: Option<FaultPlan>, dm: &DecompMap) -> (Array, Array) {
     let (sweep, back) = timestep_clauses();
     let env0 = timestep_env();
     let mut session = DistSession::new(&env0, dm.clone())
         .unwrap()
-        .with_options(opts_for(mode, faults));
+        .with_options(opts_for(faults));
     for step in 0..steps {
         let r1 = session.run(&sweep).unwrap();
         let r2 = session.run(&back).unwrap();
@@ -179,17 +155,15 @@ fn run_warm(
     (session.gather("U").unwrap(), session.gather("V").unwrap())
 }
 
-/// The acceptance configuration: a faultless 8-step timestep loop in
-/// both communication modes, warm bit-identical to cold.
+/// The acceptance configuration: a faultless 8-step timestep loop,
+/// warm bit-identical to cold.
 #[test]
 fn warm_timestep_loop_bit_identical_to_cold() {
     let dm = timestep_decomps(0, 1);
-    for mode in modes() {
-        let (cold_u, cold_v) = run_cold(8, mode, None, &dm);
-        let (warm_u, warm_v) = run_warm(8, mode, None, &dm);
-        assert_eq!(warm_u.max_abs_diff(&cold_u), 0.0, "{mode:?}: U differs");
-        assert_eq!(warm_v.max_abs_diff(&cold_v), 0.0, "{mode:?}: V differs");
-    }
+    let (cold_u, cold_v) = run_cold(8, None, &dm);
+    let (warm_u, warm_v) = run_warm(8, None, &dm);
+    assert_eq!(warm_u.max_abs_diff(&cold_u), 0.0, "U differs");
+    assert_eq!(warm_v.max_abs_diff(&cold_v), 0.0, "V differs");
 }
 
 /// A traced warm run must emit the same deterministic JSONL stream as a
@@ -201,33 +175,31 @@ fn warm_trace_matches_cold_and_replays() {
     let dm = timestep_decomps(0, 1);
     let (sweep, _) = timestep_clauses();
     let env0 = timestep_env();
-    for mode in modes() {
-        let opts = opts_for(mode, None);
+    let opts = opts_for(None);
 
-        let mut arrays = dist_arrays(&env0, &dm);
-        let plan = SpmdPlan::build(&sweep, &dm).unwrap();
-        let cold_tracer = CollectingTracer::new();
-        run_distributed_traced(&plan, &sweep, &mut arrays, opts, &cold_tracer).unwrap();
-        let cold_log = cold_tracer.finish();
+    let mut arrays = dist_arrays(&env0, &dm);
+    let plan = SpmdPlan::build(&sweep, &dm).unwrap();
+    let cold_tracer = CollectingTracer::new();
+    run_distributed_traced(&plan, &sweep, &mut arrays, opts, &cold_tracer).unwrap();
+    let cold_log = cold_tracer.finish();
 
-        let mut session = DistSession::new(&env0, dm.clone())
-            .unwrap()
-            .with_options(opts);
-        // prime the cache so the traced run below is a warm (pooled) run
-        session.run(&sweep).unwrap();
-        let warm_tracer = CollectingTracer::new();
-        let report = session.run_traced(&sweep, &warm_tracer).unwrap();
-        assert_eq!(report.cache_hits, 1, "{mode:?}: traced run was not warm");
-        let warm_log = warm_tracer.finish();
+    let mut session = DistSession::new(&env0, dm.clone())
+        .unwrap()
+        .with_options(opts);
+    // prime the cache so the traced run below is a warm (pooled) run
+    session.run(&sweep).unwrap();
+    let warm_tracer = CollectingTracer::new();
+    let report = session.run_traced(&sweep, &warm_tracer).unwrap();
+    assert_eq!(report.cache_hits, 1, "traced run was not warm");
+    let warm_log = warm_tracer.finish();
 
-        assert_eq!(
-            warm_log.to_jsonl(),
-            cold_log.to_jsonl(),
-            "{mode:?}: warm trace diverges from cold"
-        );
-        let summary = replay_check(&warm_log, &plan, mode, opts.retry).unwrap();
-        assert_eq!(summary.send_elems, summary.recv_elems, "{mode:?}");
-    }
+    assert_eq!(
+        warm_log.to_jsonl(),
+        cold_log.to_jsonl(),
+        "warm trace diverges from cold"
+    );
+    let summary = replay_check(&warm_log, &plan, opts.retry).unwrap();
+    assert_eq!(summary.send_elems, summary.recv_elems);
 }
 
 /// There is one execution path: the same clause as a warm session run,
@@ -244,38 +216,36 @@ fn session_program_and_cold_runs_share_one_node_trace() {
         let of_nodes = log.deterministic().filter(|e| e.node != HOST);
         of_nodes.cloned().collect()
     };
-    for mode in modes() {
-        let opts = opts_for(mode, None);
-        let session = || {
-            DistSession::new(&env0, dm.clone())
-                .unwrap()
-                .with_options(opts)
-        };
+    let opts = opts_for(None);
+    let session = || {
+        DistSession::new(&env0, dm.clone())
+            .unwrap()
+            .with_options(opts)
+    };
 
-        let tracer = CollectingTracer::new();
-        session().run_traced(&sweep, &tracer).unwrap();
-        let warm = node_events(tracer.finish());
-        assert!(!warm.is_empty());
+    let tracer = CollectingTracer::new();
+    session().run_traced(&sweep, &tracer).unwrap();
+    let warm = node_events(tracer.finish());
+    assert!(!warm.is_empty());
 
-        let tracer = CollectingTracer::new();
-        let steps = [ProgramStep::Clause(sweep.clone())];
-        session()
-            .run_program(&steps, ScheduleMode::Dag, &tracer)
-            .unwrap();
-        let log = tracer.finish();
-        let host_lines = log.events.iter().filter(|e| e.node == HOST).count();
-        assert_eq!(node_events(log), warm, "{mode:?}: DAG step diverges");
+    let tracer = CollectingTracer::new();
+    let steps = [ProgramStep::Clause(sweep.clone())];
+    session()
+        .run_program(&steps, ScheduleMode::Dag, &tracer)
+        .unwrap();
+    let log = tracer.finish();
+    let host_lines = log.events.iter().filter(|e| e.node == HOST).count();
+    assert_eq!(node_events(log), warm, "DAG step diverges");
 
-        let tracer = CollectingTracer::new();
-        let plan = SpmdPlan::build(&sweep, &dm).unwrap();
-        let mut arrays = dist_arrays(&env0, &dm);
-        run_distributed_traced(&plan, &sweep, &mut arrays, opts, &tracer).unwrap();
-        let log = tracer.finish();
-        // plan start/end on the host, plus the program's three lines
-        let cold_host_lines = log.events.iter().filter(|e| e.node == HOST).count();
-        assert_eq!(host_lines, cold_host_lines + 3, "{mode:?}");
-        assert_eq!(node_events(log), warm, "{mode:?}: cold run diverges");
-    }
+    let tracer = CollectingTracer::new();
+    let plan = SpmdPlan::build(&sweep, &dm).unwrap();
+    let mut arrays = dist_arrays(&env0, &dm);
+    run_distributed_traced(&plan, &sweep, &mut arrays, opts, &tracer).unwrap();
+    let log = tracer.finish();
+    // plan start/end on the host, plus the program's three lines
+    let cold_host_lines = log.events.iter().filter(|e| e.node == HOST).count();
+    assert_eq!(host_lines, cold_host_lines + 3);
+    assert_eq!(node_events(log), warm, "cold run diverges");
 }
 
 /// Redistributing a referenced array invalidates the cache: the next run
@@ -329,35 +299,30 @@ fn crashed_worker_retires_cleanly() {
     let env0 = timestep_env();
     let mut reference = env0.clone();
     reference.exec_clause(&sweep);
-    for mode in modes() {
-        for node in 0..PMAX {
-            let mut session = DistSession::new(&env0, dm.clone())
-                .unwrap()
-                .with_options(opts_for(mode, None));
-            // warm the pool and the cache with a clean run first
-            session.run(&sweep).unwrap();
-            // inject a crash into the pooled path
-            session.set_options(opts_for(
-                mode,
-                Some(FaultPlan::seeded(7).with_crash(node, 1)),
-            ));
-            match session.run(&sweep) {
-                Err(MachineError::NodePanicked { node: n }) => assert_eq!(n, node, "{mode:?}"),
-                other => panic!("{mode:?} node {node}: expected NodePanicked, got {other:?}"),
-            }
-            // the session must survive: clear the faults and run again
-            session.set_options(opts_for(mode, None));
-            let report = session.run(&sweep).unwrap();
-            assert_eq!(report.cache_hits, 1, "{mode:?}: plan cache lost");
-            assert_eq!(
-                session
-                    .gather("V")
-                    .unwrap()
-                    .max_abs_diff(reference.get("V").unwrap()),
-                0.0,
-                "{mode:?} node {node}: post-crash run incorrect"
-            );
+    for node in 0..PMAX {
+        let mut session = DistSession::new(&env0, dm.clone())
+            .unwrap()
+            .with_options(opts_for(None));
+        // warm the pool and the cache with a clean run first
+        session.run(&sweep).unwrap();
+        // inject a crash into the pooled path
+        session.set_options(opts_for(Some(FaultPlan::seeded(7).with_crash(node, 1))));
+        match session.run(&sweep) {
+            Err(MachineError::NodePanicked { node: n }) => assert_eq!(n, node),
+            other => panic!("node {node}: expected NodePanicked, got {other:?}"),
         }
+        // the session must survive: clear the faults and run again
+        session.set_options(opts_for(None));
+        let report = session.run(&sweep).unwrap();
+        assert_eq!(report.cache_hits, 1, "plan cache lost");
+        assert_eq!(
+            session
+                .gather("V")
+                .unwrap()
+                .max_abs_diff(reference.get("V").unwrap()),
+            0.0,
+            "node {node}: post-crash run incorrect"
+        );
     }
 }
 
@@ -365,7 +330,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// N warm executions are bit-identical to N cold executions across
-    /// decomposition layouts and communication modes, with or without a
+    /// decomposition layouts, with or without a
     /// seeded recoverable fault plan.
     #[test]
     fn warm_equals_cold_under_fault_soup(
@@ -375,10 +340,7 @@ proptest! {
         v_kind in 0u8..3,
         faulty in any::<bool>(),
         p_drop in 0u32..10,
-        mode_ix in 0usize..2,
     ) {
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let dm = timestep_decomps(u_kind, v_kind);
         let faults = if faulty {
             Some(
@@ -390,9 +352,9 @@ proptest! {
         } else {
             None
         };
-        let (cold_u, cold_v) = run_cold(steps, mode, faults, &dm);
-        let (warm_u, warm_v) = run_warm(steps, mode, faults, &dm);
-        prop_assert_eq!(warm_u.max_abs_diff(&cold_u), 0.0, "{:?}: U differs", mode);
-        prop_assert_eq!(warm_v.max_abs_diff(&cold_v), 0.0, "{:?}: V differs", mode);
+        let (cold_u, cold_v) = run_cold(steps, faults, &dm);
+        let (warm_u, warm_v) = run_warm(steps, faults, &dm);
+        prop_assert_eq!(warm_u.max_abs_diff(&cold_u), 0.0, "U differs");
+        prop_assert_eq!(warm_v.max_abs_diff(&cold_v), 0.0, "V differs");
     }
 }

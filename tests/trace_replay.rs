@@ -8,9 +8,6 @@
 //!    two runs of the same configuration — thread scheduling and the
 //!    reliability machinery must never leak into the deterministic
 //!    stream.
-//!
-//! The CI trace job runs this suite once per communication mode via
-//! `VCAL_FAULT_MODE=element|vectorized`; unset, both modes run.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -19,19 +16,10 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    replay_check, run_distributed_traced, CollectingTracer, CommMode, DistArray, DistOptions,
-    EventKind, FaultPlan, ReplayError, ReplaySummary, RetryPolicy, TraceLog, TransportKind,
+    replay_check, run_distributed_traced, CollectingTracer, DistArray, DistOptions, EventKind,
+    FaultPlan, ReplayError, ReplaySummary, RetryPolicy, TraceLog, TransportKind,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
-
-/// Communication modes to exercise, honouring the CI matrix filter.
-fn modes() -> Vec<CommMode> {
-    match std::env::var("VCAL_FAULT_MODE").as_deref() {
-        Ok("element") => vec![CommMode::Element],
-        Ok("vectorized") => vec![CommMode::Vectorized],
-        _ => vec![CommMode::Element, CommMode::Vectorized],
-    }
-}
 
 /// Transport backend under test (`VCAL_TRANSPORT=inproc|uds|tcp`,
 /// unset means in-process): the trace/replay properties double as the
@@ -90,7 +78,6 @@ fn traced_run(
     cl: &Clause,
     env0: &Env,
     dm: &DecompMap,
-    mode: CommMode,
     faults: Option<FaultPlan>,
 ) -> Result<(ReplaySummary, String, TraceLog), String> {
     let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
@@ -103,7 +90,6 @@ fn traced_run(
     let opts = DistOptions {
         recv_timeout: Duration::from_secs(10),
         faults,
-        mode,
         retry: if faults.is_some() {
             RetryPolicy::fast()
         } else {
@@ -115,7 +101,7 @@ fn traced_run(
     let tracer = CollectingTracer::new();
     run_distributed_traced(plan, cl, &mut arrays, opts, &tracer).map_err(|e| e.to_string())?;
     let log = tracer.finish();
-    let summary = replay_check(&log, plan, mode, opts.retry).map_err(|e| e.to_string())?;
+    let summary = replay_check(&log, plan, opts.retry).map_err(|e| e.to_string())?;
     Ok((summary, log.to_jsonl(), log))
 }
 
@@ -126,22 +112,19 @@ fn traced_run(
 fn acceptance_1024_scatter_affine() {
     let n = 1024i64;
     let (plan, cl, dm, env0) = build_case(n / 2, 8, Fn1::affine(2, 1), 1);
-    for mode in modes() {
-        let (s1, jsonl1, log) = traced_run(&plan, &cl, &env0, &dm, mode, None).unwrap();
-        let (s2, jsonl2, _) = traced_run(&plan, &cl, &env0, &dm, mode, None).unwrap();
-        assert_eq!(jsonl1, jsonl2, "{mode:?}: log not deterministic");
-        assert_eq!(s1.send_elems, s1.recv_elems, "{mode:?}");
-        assert_eq!(s1.det_events, s2.det_events, "{mode:?}");
-        assert_eq!(s1.retransmits, 0, "{mode:?}: faultless run retransmitted");
-        // every node timed its send and update phases; wall-time never
-        // appears in the log body, only in the side-band timings
-        let timed_nodes: std::collections::BTreeSet<i64> =
-            log.timings.iter().map(|t| t.node).collect();
-        for p in 0..8 {
-            assert!(timed_nodes.contains(&p), "{mode:?}: node {p} untimed");
-        }
-        assert!(!jsonl1.contains("nanos"), "wall-time leaked into the log");
+    let (s1, jsonl1, log) = traced_run(&plan, &cl, &env0, &dm, None).unwrap();
+    let (s2, jsonl2, _) = traced_run(&plan, &cl, &env0, &dm, None).unwrap();
+    assert_eq!(jsonl1, jsonl2, "log not deterministic");
+    assert_eq!(s1.send_elems, s1.recv_elems);
+    assert_eq!(s1.det_events, s2.det_events);
+    assert_eq!(s1.retransmits, 0, "faultless run retransmitted");
+    // every node timed its send and update phases; wall-time never
+    // appears in the log body, only in the side-band timings
+    let timed_nodes: std::collections::BTreeSet<i64> = log.timings.iter().map(|t| t.node).collect();
+    for p in 0..8 {
+        assert!(timed_nodes.contains(&p), "node {p} untimed");
     }
+    assert!(!jsonl1.contains("nanos"), "wall-time leaked into the log");
 }
 
 /// The Jacobi stencil on a block layout — the canonical config with
@@ -175,66 +158,45 @@ fn stencil_case(n: i64, pmax: i64) -> (SpmdPlan, Clause, DecompMap, Env) {
     (plan, cl, dm, env0)
 }
 
-/// With compiled kernels + overlap enabled (the defaults) the stencil
-/// log carries interior/boundary run completions, still replays against
-/// its plan, and stays byte-identical across runs; overlap-off replays
-/// too, and both settings trace the same send/recv multiset.
+/// The stencil log carries interior/boundary run completions, interior
+/// first on every node, still replays against its plan — tracing exactly
+/// the plan's send/recv volume — and stays byte-identical across runs.
 #[test]
 fn overlap_log_has_runs_replays_and_is_deterministic() {
     let (plan, cl, dm, env0) = stencil_case(160, 8);
-    for mode in modes() {
-        let (s_on, j_on1, log) = traced_run(&plan, &cl, &env0, &dm, mode, None).unwrap();
-        let (_, j_on2, _) = traced_run(&plan, &cl, &env0, &dm, mode, None).unwrap();
-        assert_eq!(j_on1, j_on2, "{mode:?}: overlap-on log not deterministic");
-        assert!(
-            j_on1.contains("\"kind\":\"interior_run\""),
-            "{mode:?}: no interior runs traced"
-        );
-        assert!(
-            j_on1.contains("\"kind\":\"boundary_run\""),
-            "{mode:?}: no boundary runs traced"
-        );
-        // interior completions precede every boundary completion on each
-        // node: overlap schedules owner-local work while halo packets fly
-        let mut boundary_seen: std::collections::BTreeSet<i64> = std::collections::BTreeSet::new();
-        for e in log.deterministic() {
-            match &e.kind {
-                EventKind::BoundaryRun { .. } => {
-                    boundary_seen.insert(e.node);
-                }
-                EventKind::InteriorRun { run, .. } => {
-                    assert!(
-                        !boundary_seen.contains(&e.node),
-                        "{mode:?}: node {} interior run {run} after a boundary run",
-                        e.node
-                    );
-                }
-                _ => {}
+    let (summary, j1, log) = traced_run(&plan, &cl, &env0, &dm, None).unwrap();
+    let (_, j2, _) = traced_run(&plan, &cl, &env0, &dm, None).unwrap();
+    assert_eq!(j1, j2, "log not deterministic");
+    assert!(
+        j1.contains("\"kind\":\"interior_run\""),
+        "no interior runs traced"
+    );
+    assert!(
+        j1.contains("\"kind\":\"boundary_run\""),
+        "no boundary runs traced"
+    );
+    // interior completions precede every boundary completion on each
+    // node: overlap schedules owner-local work while halo packets fly
+    let mut boundary_seen: std::collections::BTreeSet<i64> = std::collections::BTreeSet::new();
+    for e in log.deterministic() {
+        match &e.kind {
+            EventKind::BoundaryRun { .. } => {
+                boundary_seen.insert(e.node);
             }
+            EventKind::InteriorRun { run, .. } => {
+                assert!(
+                    !boundary_seen.contains(&e.node),
+                    "node {} interior run {run} after a boundary run",
+                    e.node
+                );
+            }
+            _ => {}
         }
-
-        // overlap-off: replay-valid with the identical send/recv multiset
-        let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
-        for name in ["A", "B"] {
-            arrays.insert(
-                name.to_string(),
-                DistArray::scatter_from(env0.get(name).unwrap(), dm[name].clone()),
-            );
-        }
-        let opts = DistOptions {
-            recv_timeout: Duration::from_secs(10),
-            mode,
-            overlap: false,
-            transport: transport(),
-            ..DistOptions::default()
-        };
-        let tracer = CollectingTracer::new();
-        run_distributed_traced(&plan, &cl, &mut arrays, opts, &tracer).unwrap();
-        let off_log = tracer.finish();
-        let s_off = replay_check(&off_log, &plan, mode, opts.retry).unwrap();
-        assert_eq!(s_on.send_elems, s_off.send_elems, "{mode:?}");
-        assert_eq!(s_on.recv_elems, s_off.recv_elems, "{mode:?}");
     }
+    let planned_sends: u64 = plan.nodes.iter().map(|n| n.comm.send_elems()).sum();
+    let planned_recvs: u64 = plan.nodes.iter().map(|n| n.comm.recv_elems()).sum();
+    assert_eq!(summary.send_elems, planned_sends);
+    assert_eq!(summary.recv_elems, planned_recvs);
 }
 
 /// The checker's interior/boundary phase-ordering rule: a log where a
@@ -243,31 +205,29 @@ fn overlap_log_has_runs_replays_and_is_deterministic() {
 #[test]
 fn replay_rejects_boundary_run_before_its_receives() {
     let (plan, cl, dm, env0) = stencil_case(96, 4);
-    for mode in modes() {
-        let (_, _, mut log) = traced_run(&plan, &cl, &env0, &dm, mode, None).unwrap();
-        // find a boundary-run completion that consumed remote operands…
-        let bidx = log
-            .events
-            .iter()
-            .position(|e| matches!(e.kind, EventKind::BoundaryRun { recvs, .. } if recvs > 0))
-            .expect("stencil trace must contain a boundary run with receives");
-        let node = log.events[bidx].node;
-        // …and hoist it ahead of that node's first consumed receive
-        let ridx = log
-            .events
-            .iter()
-            .position(|e| e.node == node && matches!(e.kind, EventKind::RecvValue { .. }))
-            .expect("boundary node must have consumed a receive");
-        assert!(ridx < bidx, "{mode:?}: receive should precede completion");
-        let ev = log.events.remove(bidx);
-        log.events.insert(ridx, ev);
-        match replay_check(&log, &plan, mode, RetryPolicy::default()) {
-            Err(ReplayError::Phase { node: n, why }) => {
-                assert_eq!(n, node, "{mode:?}");
-                assert!(why.contains("boundary run"), "{mode:?}: {why}");
-            }
-            other => panic!("{mode:?}: expected a phase rejection, got {other:?}"),
+    let (_, _, mut log) = traced_run(&plan, &cl, &env0, &dm, None).unwrap();
+    // find a boundary-run completion that consumed remote operands…
+    let bidx = log
+        .events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::BoundaryRun { recvs, .. } if recvs > 0))
+        .expect("stencil trace must contain a boundary run with receives");
+    let node = log.events[bidx].node;
+    // …and hoist it ahead of that node's first consumed receive
+    let ridx = log
+        .events
+        .iter()
+        .position(|e| e.node == node && matches!(e.kind, EventKind::RecvValue { .. }))
+        .expect("boundary node must have consumed a receive");
+    assert!(ridx < bidx, "receive should precede completion");
+    let ev = log.events.remove(bidx);
+    log.events.insert(ridx, ev);
+    match replay_check(&log, &plan, RetryPolicy::default()) {
+        Err(ReplayError::Phase { node: n, why }) => {
+            assert_eq!(n, node);
+            assert!(why.contains("boundary run"), "{why}");
         }
+        other => panic!("expected a phase rejection, got {other:?}"),
     }
 }
 
@@ -283,16 +243,13 @@ proptest! {
         a in 1i64..4,
         c in -3i64..8,
         dec_kind in 0usize..3,
-        mode_ix in 0usize..2,
     ) {
         let n = [96i64, 160, 288][n_sel];
         let pmax = [2i64, 4, 8][pmax_sel];
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let (plan, cl, dm, env0) = build_case(n, pmax, Fn1::affine(a, c), dec_kind);
-        let (s1, j1, _) = traced_run(&plan, &cl, &env0, &dm, mode, None)
+        let (s1, j1, _) = traced_run(&plan, &cl, &env0, &dm, None)
             .map_err(TestCaseError::fail)?;
-        let (_, j2, _) = traced_run(&plan, &cl, &env0, &dm, mode, None)
+        let (_, j2, _) = traced_run(&plan, &cl, &env0, &dm, None)
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(j1, j2, "log not byte-identical (n={}, pmax={})", n, pmax);
         prop_assert_eq!(s1.send_elems, s1.recv_elems);
@@ -309,17 +266,14 @@ proptest! {
         p_drop in 0u32..12,
         p_dup in 0u32..12,
         dec_kind in 0usize..3,
-        mode_ix in 0usize..2,
     ) {
-        let all = modes();
-        let mode = all[mode_ix % all.len()];
         let (plan, cl, dm, env0) = build_case(160, 4, Fn1::shift(3), dec_kind);
         let fp = FaultPlan::seeded(seed)
             .with_drop(f64::from(p_drop) / 100.0)
             .with_duplicate(f64::from(p_dup) / 100.0);
-        let (s1, j1, _) = traced_run(&plan, &cl, &env0, &dm, mode, Some(fp))
+        let (s1, j1, _) = traced_run(&plan, &cl, &env0, &dm, Some(fp))
             .map_err(TestCaseError::fail)?;
-        let (s2, j2, _) = traced_run(&plan, &cl, &env0, &dm, mode, Some(fp))
+        let (s2, j2, _) = traced_run(&plan, &cl, &env0, &dm, Some(fp))
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(&j1, &j2, "same-seed logs differ (seed={})", seed);
         prop_assert_eq!(s1.send_elems, s2.send_elems);
@@ -327,7 +281,7 @@ proptest! {
         // the deterministic stream equals the fault-free run's stream
         // (retransmit *counts* are wall-clock dependent and are only
         // bounded — by the replay check above — never compared)
-        let (_, j_clean, _) = traced_run(&plan, &cl, &env0, &dm, mode, None)
+        let (_, j_clean, _) = traced_run(&plan, &cl, &env0, &dm, None)
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(j1, j_clean, "faults leaked into the deterministic stream");
     }

@@ -386,4 +386,12 @@ fn bad_inputs_fail_cleanly() {
     let (ok, _, stderr) = vcalc(&["only-one-arg"]);
     assert!(!ok);
     assert!(stderr.contains("usage"), "{stderr}");
+
+    // the retired engine knob is an unknown flag, and usage no longer lists it
+    let mut args = vec![p.to_str().unwrap(), s.to_str().unwrap()];
+    args.extend("--overlap off".split(' '));
+    let (ok, _, stderr) = vcalc(&args);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag `--overlap`"), "{stderr}");
+    assert_eq!(stderr.matches("overlap").count(), 1, "{stderr}");
 }
