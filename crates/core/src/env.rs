@@ -70,7 +70,9 @@ impl Array {
     }
 
     /// Largest absolute element-wise difference to another array of the
-    /// same bounds.
+    /// same bounds. Elements of equal bits differ by zero; a NaN facing
+    /// anything else makes the result NaN, so the `== 0.0` the
+    /// differential suites assert never mistakes it for agreement.
     pub fn max_abs_diff(&self, other: &Array) -> f64 {
         assert_eq!(
             self.bounds, other.bounds,
@@ -79,8 +81,14 @@ impl Array {
         self.data
             .iter()
             .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+            .map(|(a, b)| match a.to_bits() == b.to_bits() {
+                true => 0.0,
+                false => (a - b).abs(),
+            })
+            .fold(
+                0.0,
+                |max: f64, d| if d > max || d.is_nan() { d } else { max },
+            )
     }
 }
 
@@ -329,6 +337,15 @@ mod tests {
         let a = Array::from_slice(&[1.0, 2.0]);
         let b = Array::from_slice(&[1.5, 1.0]);
         assert_eq!(a.max_abs_diff(&b), 1.0);
+        // a NaN on one side is a difference wherever it sits; the same
+        // NaN on both sides is not
+        let nan = Array::from_slice(&[f64::NAN, 2.0]);
+        assert!(nan.max_abs_diff(&a).is_nan());
+        assert!(a.max_abs_diff(&nan).is_nan());
+        assert!(Array::from_slice(&[1.0, f64::NAN])
+            .max_abs_diff(&b)
+            .is_nan());
+        assert_eq!(nan.max_abs_diff(&nan.clone()), 0.0);
     }
 
     #[test]

@@ -113,8 +113,10 @@ impl Enc {
 
     pub fn f64s(&mut self, vs: &[f64]) {
         self.us(vs.len());
-        for v in vs {
-            self.f64(*v);
+        let at = self.buf.len();
+        self.buf.resize(at + 8 * vs.len(), 0);
+        for (c, v) in self.buf[at..].chunks_exact_mut(8).zip(vs) {
+            c.copy_from_slice(&v.to_bits().to_le_bytes());
         }
     }
 }
@@ -209,11 +211,8 @@ impl<'a> Dec<'a> {
         {
             return Err(bad("f64 vector length"));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        let le = |c: &[u8]| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")));
+        Ok(self.take(8 * n)?.chunks_exact(8).map(le).collect())
     }
 
     pub fn finish(self) -> R<()> {
@@ -2008,6 +2007,47 @@ mod tests {
             enc_frame_bytes(&Frame::Done { from: 1 }),
             "router-synthesized Done must be byte-identical to a real one"
         );
+    }
+
+    /// A vector of floats crosses the wire bit for bit — NaN payloads
+    /// and the sign of zero included — and a length prefix the record
+    /// cannot back is a typed error before anything is allocated.
+    #[test]
+    fn f64_vectors_roundtrip_bitwise_and_bad_lengths_are_typed_errors() {
+        let vs = [
+            0.0,
+            -0.0,
+            1.5,
+            f64::INFINITY,
+            f64::from_bits(0x7ff0_0000_dead_beef), // signalling NaN, payload
+            f64::from_bits(0xfff8_0000_0000_0001), // negative quiet NaN
+            f64::MIN_POSITIVE / 2.0,               // subnormal
+        ];
+        let mut e = Enc::new();
+        e.u8(7); // the vector does not start the buffer
+        e.f64s(&vs);
+        e.f64s(&[]);
+        assert_eq!(e.buf.len(), 1 + 8 + 8 * vs.len() + 8);
+        let mut d = Dec::new(&e.buf);
+        assert_eq!(d.u8(), Ok(7));
+        let got = d.f64s().unwrap();
+        assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(d.f64s(), Ok(Vec::new()));
+        assert_eq!(d.finish(), Ok(()));
+
+        // one byte short of the last element
+        let short = &e.buf[1..1 + 8 + 8 * vs.len() - 1];
+        assert_eq!(Dec::new(short).f64s(), Err(bad("f64 vector length")));
+        // a prefix whose byte count overflows, and one that merely lies
+        for n in [u64::MAX, (usize::MAX / 8) as u64 + 1, 1 << 40] {
+            let mut e = Enc::new();
+            e.u64(n);
+            e.f64(1.0);
+            assert_eq!(Dec::new(&e.buf).f64s(), Err(bad("f64 vector length")));
+        }
     }
 
     /// Payload tag 0 was wire version 1's per-element message: a data

@@ -42,9 +42,11 @@
 //! survive transient faults injected by a seeded [`FaultPlan`] and
 //! degrade into typed [`MachineError`]s — never a hang — when a fault is
 //! permanent. A panicking node thread is caught by the supervisor and
-//! surfaced as [`MachineError::NodePanicked`]; local writes are
-//! committed by the host only when *every* node succeeded, so a failed
-//! run leaves the distributed arrays exactly as they were.
+//! surfaced as [`MachineError::NodePanicked`]. A node stores
+//! `A'[local(f(i))]` into its *next* image of the part or stages the
+//! store as a [`WriteOp`], never into the part it reads; the host commits
+//! either only when *every* node succeeded, so a failed run leaves the
+//! distributed arrays exactly as they were.
 //!
 //! Wire traffic is modeled in [`NodeStats`]: `msgs_sent`/`msgs_received`
 //! count payload *elements*, while `packets_sent`/`bytes_sent`/
@@ -187,11 +189,11 @@ pub(crate) fn resolve_guard(
     }
 }
 
-/// One collected local write of a node: committed by the host, in
-/// collection order, only when the whole run succeeded. The dense form
-/// is the pure-copy fused kernel's `copy_from_slice` degradation — a
-/// unit-stride run commits as one slice copy instead of per-element
-/// stores.
+/// One staged local write of a node that is not writing a next image:
+/// committed by the host, in collection order, only when the whole run
+/// succeeded. A contiguous run of an unguarded clause stages one dense
+/// span — whatever kernel arm filled it — and commits as one slice copy
+/// instead of per-element stores.
 #[derive(Debug, Clone)]
 pub(crate) enum WriteOp {
     /// One element: `lhs_local[offset] = value`.
@@ -300,8 +302,8 @@ pub(crate) fn disassemble<A: Image>(
 /// `arrays` maps every referenced array to its distributed image; the
 /// decompositions of those images must be the ones the plan was built
 /// with. On success the images are updated in place; on *any* error the
-/// images are restored to their pre-run state (writes are committed by
-/// the host only after every node succeeded).
+/// images are restored to their pre-run state (what the nodes wrote is
+/// committed by the host only after every node succeeded).
 pub fn run_distributed(
     plan: &SpmdPlan,
     clause: &Clause,
@@ -463,9 +465,12 @@ pub(crate) fn send_phase_vectorized(
 /// the compiled kernel. On a node with boundary runs every *interior*
 /// run (all operands owner-local by the Table I dispatch) executes
 /// before any *boundary* run touches the transport, so compute proceeds
-/// while packets are in flight. Writes are merged back into visit order
-/// before returning, so the commit order — and therefore the result,
-/// even for non-injective `f` — is that of the schedule.
+/// while packets are in flight. With `next`, the node's next image of
+/// its lhs part, every run stores into its window of it: the plan's
+/// write spans are disjoint, so the execution order cannot show. Without
+/// one the writes are staged in `writes` and merged back into visit
+/// order before returning, so the commit order — and therefore the
+/// result, even for non-injective `f` — is that of the schedule.
 ///
 /// The buffers come from the caller so the executor can reuse its
 /// scratch allocations across runs.
@@ -482,6 +487,7 @@ pub(crate) fn exec_update_phase(
     opts: &DistOptions,
     stats: &mut NodeStats,
     writes: &mut Vec<WriteOp>,
+    next: Option<&mut [f64]>,
     tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
     let p = cn.p;
@@ -493,21 +499,34 @@ pub(crate) fn exec_update_phase(
         stats.simd_lane_elems,
         stats.simd_tail_elems,
     );
-    let mut run = |k: usize, er: &ExecRun, stats: &mut NodeStats, out: &mut Vec<WriteOp>| {
+    let mut run = |k: usize,
+                   er: &ExecRun,
+                   stats: &mut NodeStats,
+                   out: &mut Vec<WriteOp>,
+                   next: Option<&mut [f64]>| {
         exec_one_run(
-            k, er, parts, cs, cn, rguard, ep, rcv, vals, stack, opts, stats, out, tracer,
+            k, er, parts, cs, cn, rguard, ep, rcv, vals, stack, opts, stats, out, next, tracer,
         )
     };
-    if cn.exec.iter().any(|er| er.boundary) {
-        // interior first — boundary runs block on receives, interior
-        // runs never do; the two passes are merged back by run ordinal
+    // interior first — boundary runs block on receives, interior runs
+    // never do
+    if let Some(next) = next {
+        for boundary in [false, true] {
+            for (k, er) in cn.exec.iter().enumerate() {
+                if er.boundary == boundary {
+                    run(k, er, stats, writes, Some(&mut *next))?;
+                }
+            }
+        }
+    } else if cn.exec.iter().any(|er| er.boundary) {
+        // the two staged passes are merged back by run ordinal
         let mut counts = vec![0usize; cn.exec.len()];
         let mut passes: [Vec<WriteOp>; 2] = [Vec::new(), Vec::new()];
         for (boundary, ops) in [false, true].into_iter().zip(&mut passes) {
             for (k, er) in cn.exec.iter().enumerate() {
                 if er.boundary == boundary {
                     let before = ops.len();
-                    run(k, er, stats, ops)?;
+                    run(k, er, stats, ops, None)?;
                     counts[k] = ops.len() - before;
                 }
             }
@@ -525,7 +544,7 @@ pub(crate) fn exec_update_phase(
         }
     } else {
         for (k, er) in cn.exec.iter().enumerate() {
-            run(k, er, stats, writes)?;
+            run(k, er, stats, writes, None)?;
         }
     }
     if tracer.enabled() {
@@ -666,12 +685,34 @@ fn receive_operands(
     Ok(())
 }
 
+/// Where one run's results go: a contiguous run of an unguarded clause
+/// fills one window (of the next image, or of a vector then staged as one
+/// [`WriteOp::Dense`]); any other stages a [`WriteOp::El`] per element.
+struct RunOut<'a> {
+    win: Option<&'a mut [f64]>,
+    els: &'a mut Vec<WriteOp>,
+    lhs: &'a AccessPattern,
+    p: i64,
+}
+
+impl RunOut<'_> {
+    #[inline]
+    fn put(&mut self, t: usize, v: f64) -> Result<(), MachineError> {
+        match &mut self.win {
+            Some(win) => win[t] = v,
+            None => (self.els).push(WriteOp::El(write_off(self.lhs.offset(t), self.p)?, v)),
+        }
+        Ok(())
+    }
+}
+
 /// Execute one compiled run. Interior and boundary runs share one code
 /// path: a boundary run first makes its remote operands available
 /// ([`receive_operands`]), after which every slot is a slice plus a
 /// pattern — the local part or a staged packet — and the fused / SIMD
 /// arms cannot tell the difference. `Generic` shapes and guarded
-/// clauses gather per element and run the bytecode.
+/// clauses gather per element and run the bytecode. Every arm writes
+/// through one [`RunOut`]: into `next` when there is one, else `out`.
 #[allow(clippy::too_many_arguments)]
 fn exec_one_run(
     k: usize,
@@ -687,6 +728,7 @@ fn exec_one_run(
     opts: &DistOptions,
     stats: &mut NodeStats,
     out: &mut Vec<WriteOp>,
+    next: Option<&mut [f64]>,
     tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
     let p = cn.p;
@@ -721,7 +763,8 @@ fn exec_one_run(
     // fused paths need an always-true guard; the stats they charge are
     // exactly what the per-element template would have charged (one
     // gather per slot per iteration, local or received)
-    let fused = (matches!(rguard, RGuard::Always) && n > 0)
+    let unguarded = matches!(rguard, RGuard::Always);
+    let fused = (unguarded && n > 0)
         .then_some(&kernel.fused)
         .filter(|f| !matches!(f, FusedShape::Generic));
     let local_slots = (er.slots.iter())
@@ -735,11 +778,8 @@ fn exec_one_run(
     // SIMD lane tier: the plan-time predicate (unit-stride writes, all
     // read slots unit-stride) plus the runtime guard/policy. The lane
     // kernels perform the exact per-element operation sequence of the
-    // scalar arms below, so results are bitwise identical; only the
-    // WriteOp batching differs (one Dense run instead of n Els), which
-    // `finalize_wave` commits identically.
-    let simd_ok =
-        opts.simd.enabled() && matches!(rguard, RGuard::Always) && er.simd_eligible(&kernel.fused);
+    // scalar arms below, so results are bitwise identical.
+    let simd_ok = opts.simd.enabled() && unguarded && er.simd_eligible(&kernel.fused);
     // the slice a unit-stride run reads: `None` exactly when some
     // per-element `read_at` of the scalar path would have failed
     let seg = |s: usize| -> Result<&[f64], MachineError> {
@@ -757,37 +797,59 @@ fn exec_one_run(
         let (src, pat, array) = operand(s);
         read_at(src, pat.offset(t), p, array)
     };
-    let dense = |values: Vec<f64>| -> Result<WriteOp, MachineError> {
-        Ok(WriteOp::Dense {
-            base: write_off(er.lhs.offset(0), p)?,
-            values,
-        })
+    // a one-element run is contiguous whatever step its compressed
+    // pattern records — the predicate of the plan's write spans
+    let contiguous = unguarded && n > 0 && (er.lhs.is_unit_stride() || n == 1);
+    let staged = contiguous && next.is_none();
+    let base = if contiguous {
+        write_off(er.lhs.offset(0), p)?
+    } else {
+        0
+    };
+    let mut dense: Vec<f64> = Vec::new();
+    let win = match next {
+        Some(next) => {
+            let win = next.get_mut(base..base + n).filter(|_| contiguous);
+            Some(win.ok_or_else(|| {
+                MachineError::PlanMismatch(format!(
+                    "node {p}: run {k} has no window in the next image"
+                ))
+            })?)
+        }
+        None if contiguous => {
+            dense = vec![0.0; n];
+            Some(dense.as_mut_slice())
+        }
+        None => None,
+    };
+    let mut o = RunOut {
+        win,
+        els: out,
+        lhs: &er.lhs,
+        p,
     };
     let mut vectorized = false;
     match fused {
-        Some(FusedShape::Copy { slot }) => {
+        Some(FusedShape::Copy { slot }) => match &mut o.win {
             // both sides unit-stride: degrade to one slice copy. It
             // predates the lane tier; the census claims it only when
             // the policy is on
-            if er.lhs.is_unit_stride() && operand(*slot).1.is_unit_stride() {
-                out.push(dense(seg(*slot)?.to_vec())?);
+            Some(win) if operand(*slot).1.is_unit_stride() => {
+                win.copy_from_slice(seg(*slot)?);
                 vectorized = simd_ok;
-            } else {
+            }
+            _ => {
                 for t in 0..n {
-                    out.push(WriteOp::El(
-                        write_off(er.lhs.offset(t), p)?,
-                        read(*slot, t)?,
-                    ));
+                    o.put(t, read(*slot, t)?)?;
                 }
             }
-        }
-        Some(FusedShape::Axpy { a, slot, b }) => {
-            if simd_ok {
-                let mut values = vec![0.0f64; n];
-                simd::axpy(opts.simd, *a, *b, seg(*slot)?, &mut values);
-                out.push(dense(values)?);
+        },
+        Some(FusedShape::Axpy { a, slot, b }) => match &mut o.win {
+            Some(win) if simd_ok => {
+                simd::axpy(opts.simd, *a, *b, seg(*slot)?, win);
                 vectorized = true;
-            } else {
+            }
+            _ => {
                 for t in 0..n {
                     let mut v = read(*slot, t)?;
                     if let Some(a) = a {
@@ -796,31 +858,21 @@ fn exec_one_run(
                     if let Some(b) = b {
                         v += *b;
                     }
-                    out.push(WriteOp::El(write_off(er.lhs.offset(t), p)?, v));
+                    o.put(t, v)?;
                 }
             }
-        }
+        },
         Some(FusedShape::Stencil {
             slots,
             left_assoc,
             scale,
             offset,
-        }) => match (simd_ok, slots.as_slice()) {
-            (true, [s0, s1]) => {
-                let mut values = vec![0.0f64; n];
-                simd::stencil2(
-                    opts.simd,
-                    *scale,
-                    *offset,
-                    seg(*s0)?,
-                    seg(*s1)?,
-                    &mut values,
-                );
-                out.push(dense(values)?);
+        }) => match (&mut o.win, slots.as_slice()) {
+            (Some(win), [s0, s1]) if simd_ok => {
+                simd::stencil2(opts.simd, *scale, *offset, seg(*s0)?, seg(*s1)?, win);
                 vectorized = true;
             }
-            (true, [s0, s1, s2]) => {
-                let mut values = vec![0.0f64; n];
+            (Some(win), [s0, s1, s2]) if simd_ok => {
                 simd::stencil3(
                     opts.simd,
                     *left_assoc,
@@ -829,9 +881,8 @@ fn exec_one_run(
                     seg(*s0)?,
                     seg(*s1)?,
                     seg(*s2)?,
-                    &mut values,
+                    win,
                 );
-                out.push(dense(values)?);
                 vectorized = true;
             }
             _ => {
@@ -854,7 +905,7 @@ fn exec_one_run(
                     if let Some(b) = offset {
                         v += *b;
                     }
-                    out.push(WriteOp::El(write_off(er.lhs.offset(t), p)?, v));
+                    o.put(t, v)?;
                 }
             }
         },
@@ -881,12 +932,17 @@ fn exec_one_run(
                     }
                 };
                 if guard_ok {
-                    let v = kernel.eval(i.coords(), vals, stack);
-                    out.push(WriteOp::El(write_off(er.lhs.offset(t), p)?, v));
+                    o.put(t, kernel.eval(i.coords(), vals, stack))?;
                 }
                 i[inner] += er.run.step;
             }
         }
+    }
+    if staged {
+        out.push(WriteOp::Dense {
+            base,
+            values: dense,
+        });
     }
     // SIMD census: every executed run is either vectorized or fallback,
     // and vectorized elements split into full lanes plus a scalar tail.

@@ -28,10 +28,14 @@
 //! here and by the socket workers of `crate::proc`, and one host-side
 //! dispatch + commit (`DistExecutor::run_wave`, `finalize_wave`).
 //! The host *lends* the nodes the disassembled pre-wave parts and keeps
-//! ownership: node writes are staged `WriteOp`s, so every job of the
-//! wave reads the same immutable pre-wave memories — no per-job copy —
-//! and the host commits the staged writes job-by-job in ordinal order
-//! into the parts it kept, or not at all.
+//! ownership: a node never writes a lent part, so every job of the wave
+//! reads the same immutable pre-wave memories — no per-job copy. A job's
+//! results leave the node as a **next image** (a part-sized buffer every
+//! run wrote its span of; the host swaps it in after copying over what
+//! the spans leave out) or as staged `WriteOp`s, chosen per node from
+//! plan-time counts (`PreparedPlan::writes_image`). The host commits
+//! job-by-job in ordinal order into the parts it kept, or not at all;
+//! the parts a swap retires feed the next wave's images.
 //!
 //! Cold and warm runs therefore agree by construction: same results
 //! bit-for-bit, same statistics, same deterministic event stream (worker
@@ -39,10 +43,10 @@
 //! after the wave — sound because [`CollectingTracer`] canonicalizes
 //! event order by `(class, node, per-node clock)`). A pooled worker that
 //! crashes is retired without poisoning the session: the caught panic
-//! becomes [`MachineError::NodePanicked`], uncommitted writes are
-//! discarded (the parts never left the host, so pre-wave state is simply
-//! what it still holds), and a genuinely dead thread causes the pool to
-//! rebuild itself on the next run.
+//! becomes [`MachineError::NodePanicked`], uncommitted images and writes
+//! are discarded (the parts never left the host, so pre-wave state is
+//! simply what it still holds), and a genuinely dead thread causes the
+//! pool to rebuild itself on the next run.
 //!
 //! [`CollectingTracer`]: crate::obs::CollectingTracer
 
@@ -129,6 +133,24 @@ impl PreparedPlan {
             }
         }
         Ok(d1)
+    }
+
+    /// Whether node `p` commits this job as a *next image* of its
+    /// `len`-element lhs part instead of staged [`WriteOp`]s: the clause
+    /// is unguarded and the plan's write spans exist, lie inside the part
+    /// and cover at least half of it (they hold `modify_iters` elements).
+    /// Half is where the two commits cost the host the same: an image
+    /// makes it copy the elements the node did not write, staging the
+    /// ones it did.
+    pub(crate) fn writes_image(&self, p: usize, len: usize) -> bool {
+        let Some(cn) = self.compiled.nodes.get(p) else {
+            return false;
+        };
+        len > 0
+            && matches!(self.rguard, RGuard::Always)
+            && cn.write_spans.as_ref().is_some_and(|spans| {
+                spans.last().is_none_or(|last| last.1 <= len) && 2 * cn.modify_iters >= len as u64
+            })
     }
 
     /// Rough resident size of the prepared tables — the byte charge the
@@ -323,10 +345,10 @@ struct WaveCtx {
     /// finishes its drain after consuming every peer's `Done`.
     handshake: bool,
     /// Per node, its part of every array the wave references. Lent, not
-    /// given: node writes are staged [`WriteOp`]s the host commits
-    /// afterwards, so every job of every node reads these pre-wave parts
-    /// through a shared reference, and the host takes them back once
-    /// every worker has replied (and thereby dropped its handle).
+    /// given: what the nodes produce is committed by the host afterwards,
+    /// so every job of every node reads these pre-wave parts through a
+    /// shared reference, and the host takes them back once every worker
+    /// has replied (and thereby dropped its handle).
     parts: Vec<BTreeMap<String, Vec<f64>>>,
 }
 
@@ -337,7 +359,8 @@ struct WaveCtx {
 /// frames on the wire — a fast peer could otherwise have its fresh
 /// frames eaten by a slow peer's purge.
 enum Cmd {
-    Wave(Arc<WaveCtx>),
+    /// The wave, and this node's free parts to draw next images from.
+    Wave(Arc<WaveCtx>, FreeParts),
     Go,
 }
 
@@ -345,6 +368,9 @@ enum Cmd {
 /// position in [`WaveReply::jobs`] is the job's wave ordinal) so the
 /// host can stage commits in strict program order.
 pub(crate) struct JobReply {
+    /// The node's next lhs part, in place of `writes`, when the plan
+    /// allows one ([`PreparedPlan::writes_image`]).
+    pub(crate) image: Option<Vec<f64>>,
     pub(crate) writes: Vec<WriteOp>,
     pub(crate) stats: NodeStats,
     pub(crate) sent_to: Vec<u64>,
@@ -370,7 +396,40 @@ pub(crate) type NodeReply = Result<Box<WaveReply>, MachineError>;
 /// barrier, `WaveDone` answers the wave itself.
 enum WorkerMsg {
     Ready,
-    WaveDone(Box<WaveReply>),
+    /// The reply, and the free parts the wave did not use.
+    WaveDone(Box<WaveReply>, FreeParts),
+}
+
+/// Retired parts of one node, kept to become next images.
+pub(crate) type FreeParts = Vec<Vec<f64>>;
+
+/// Most retired parts one node keeps; the oldest goes first. A part is
+/// reused only at its exact length, so this covers a wave four image
+/// jobs wide, or four part lengths in rotation (DESIGN §12).
+pub const FREE_PARTS_PER_NODE: usize = 4;
+
+/// What an element nothing wrote reads as in a debug build: a signalling
+/// NaN, so a span the node skipped or the host failed to fill fails every
+/// differential suite instead of showing a previous run's data.
+const STALE: f64 = f64::from_bits(0x7ff0_0000_dead_beef);
+
+/// A `len`-element next image: a free part of that length, or a fresh one.
+fn take_image(spare: &mut FreeParts, len: usize) -> Vec<f64> {
+    match spare.iter().position(|part| part.len() == len) {
+        Some(k) => spare.remove(k),
+        None => vec![if cfg!(debug_assertions) { STALE } else { 0.0 }; len],
+    }
+}
+
+/// Keep a part the commit replaced, within the bound.
+fn retire(free: &mut FreeParts, mut part: Vec<f64>) {
+    if cfg!(debug_assertions) {
+        part.fill(STALE);
+    }
+    if free.len() == FREE_PARTS_PER_NODE {
+        free.remove(0);
+    }
+    free.push(part);
 }
 
 #[derive(Default)]
@@ -445,6 +504,9 @@ pub struct DistExecutor {
     /// The previous wave may have left stale frames behind (see
     /// [`WaveCtx::handshake`]); the next one must purge under a barrier.
     dirty: bool,
+    /// Per node, the parts image commits retired: they travel to the
+    /// node with the wave and come back with its reply.
+    free: Vec<FreeParts>,
 }
 
 impl std::fmt::Debug for DistExecutor {
@@ -490,6 +552,7 @@ impl DistExecutor {
             workers: build_pool(pmax),
             broken: false,
             dirty: false,
+            free: vec![Vec::new(); pmax],
         }
     }
 
@@ -501,6 +564,11 @@ impl DistExecutor {
     /// Whether a worker died and the pool will rebuild on the next run.
     pub fn is_broken(&self) -> bool {
         self.broken
+    }
+
+    /// Retired parts held for reuse, ≤ [`FREE_PARTS_PER_NODE`] per node.
+    pub fn free_parts(&self) -> usize {
+        self.free.iter().map(Vec::len).sum()
     }
 
     fn teardown(&mut self) {
@@ -522,6 +590,7 @@ impl DistExecutor {
         self.workers = build_pool(self.pmax);
         self.broken = false;
         self.dirty = false; // fresh channels start empty
+        self.free.iter_mut().for_each(Vec::clear);
     }
 
     /// Execute one prepared clause: a wave of one.
@@ -543,14 +612,14 @@ impl DistExecutor {
     /// is the 1-D callers' check).
     ///
     /// The host keeps ownership of the disassembled parts and lends them
-    /// to the nodes for the wave: node writes are staged, so every job
-    /// reads the pre-wave memories (independence guarantees each job's
-    /// inputs equal its strict-sequential inputs), and the host commits
-    /// the staged writes job-by-job in program order into the parts it
-    /// kept — the post-wave arrays are bitwise identical to running the
-    /// jobs strictly sequentially. The whole wave is all-or-nothing: any
-    /// job failing on any node, or a node dying, leaves the parts
-    /// untouched and reports the root-cause error.
+    /// to the nodes for the wave: no node writes a lent part, so every
+    /// job reads the pre-wave memories (independence guarantees each
+    /// job's inputs equal its strict-sequential inputs), and the host
+    /// commits each job's next images and staged writes in program order
+    /// into the parts it kept — the post-wave arrays are bitwise identical
+    /// to running the jobs strictly sequentially. The whole wave is
+    /// all-or-nothing: any job failing on any node, or a node dying,
+    /// leaves the parts untouched and reports the root-cause error.
     ///
     /// Returns one [`ExecReport`] per job, in wave order.
     pub(crate) fn run_wave<A: Image>(
@@ -596,7 +665,8 @@ impl DistExecutor {
         // lent parts.
         let mut running = vec![false; self.pmax];
         for (p, w) in self.workers.iter().enumerate() {
-            running[p] = w.job_tx.send(Cmd::Wave(Arc::clone(&ctx))).is_ok();
+            let cmd = Cmd::Wave(Arc::clone(&ctx), std::mem::take(&mut self.free[p]));
+            running[p] = w.job_tx.send(cmd).is_ok();
             if !running[p] {
                 self.broken = true;
             }
@@ -619,7 +689,10 @@ impl DistExecutor {
         let mut replies: Vec<NodeReply> = Vec::with_capacity(self.pmax);
         for (p, w) in self.workers.iter().enumerate() {
             let reply = match running[p].then(|| w.reply_rx.recv()) {
-                Some(Ok(WorkerMsg::WaveDone(reply))) => Ok(reply),
+                Some(Ok(WorkerMsg::WaveDone(reply, spare))) => {
+                    self.free[p] = spare;
+                    Ok(reply)
+                }
                 // the thread died without replying (or broke the
                 // handshake): retire it and rebuild lazily next run
                 Some(Ok(WorkerMsg::Ready) | Err(_)) | None => {
@@ -635,7 +708,8 @@ impl DistExecutor {
         // every worker dropped its handle before it replied (or died),
         // so the loan is back; copying is the fallback, never the path
         let parts = Arc::try_unwrap(ctx).map_or_else(|lent| lent.parts.clone(), |ctx| ctx.parts);
-        finalize_wave(jobs, decomps, parts, replies, arrays, tracer)
+        let free = &mut self.free;
+        finalize_wave(jobs, decomps, parts, replies, free, arrays, tracer)
     }
 }
 
@@ -659,11 +733,17 @@ pub(crate) fn wave_clean(replies: &[NodeReply]) -> bool {
 /// wave), commit job-by-job in program-ordinal order into `parts`, and
 /// reassemble — on error from the untouched parts, restoring pre-wave
 /// state.
+///
+/// A next image commits as a swap: the host copies what the plan's write
+/// spans leave out from the part as the wave's earlier jobs left it,
+/// makes the image the part, and retires the old part into `free[p]`
+/// (dropped when the backend keeps no list for `p`).
 pub(crate) fn finalize_wave<A: Image>(
     jobs: &[Arc<PreparedPlan>],
     decomps: Vec<(String, A::Decomp)>,
     mut parts: Vec<BTreeMap<String, Vec<f64>>>,
     mut replies: Vec<NodeReply>,
+    free: &mut [FreeParts],
     arrays: &mut BTreeMap<String, A>,
     tracer: &dyn Tracer,
 ) -> Result<Vec<ExecReport>, MachineError> {
@@ -729,17 +809,27 @@ pub(crate) fn finalize_wave<A: Image>(
             for (p, r) in replies.iter().enumerate() {
                 let Ok(wr) = r else { continue };
                 let len = parts[p].get(lhs).map_or(0, Vec::len);
-                for w in &wr.jobs[j].writes {
-                    let bad = match w {
-                        WriteOp::El(off, _) => (*off >= len).then_some((*off, 1usize)),
-                        WriteOp::Dense { base, values } => {
-                            (base + values.len() > len).then_some((*base, values.len()))
-                        }
+                let jr = &wr.jobs[j];
+                if let Some(next) = &jr.image {
+                    if next.len() != len || !job.writes_image(p, len) {
+                        first_err = Some(MachineError::PlanMismatch(format!(
+                            "node {p}'s next image ({} elements) does not fit its part of \
+                             `{lhs}` (len {len}) and the plan's write spans",
+                            next.len()
+                        )));
+                        break 'validate;
+                    }
+                }
+                for w in &jr.writes {
+                    // offsets come off the wire: no unchecked arithmetic
+                    let (off, span) = match w {
+                        WriteOp::El(off, _) => (*off, 1),
+                        WriteOp::Dense { base, values } => (*base, values.len()),
                     };
-                    if let Some((off, span)) = bad {
+                    if off.checked_add(span).is_none_or(|end| end > len) {
                         first_err = Some(MachineError::PlanMismatch(format!(
                             "write span [{off}, {}) outside node {p}'s local part (len {len})",
-                            off + span
+                            off.saturating_add(span)
                         )));
                         break 'validate;
                     }
@@ -760,6 +850,20 @@ pub(crate) fn finalize_wave<A: Image>(
                 let Some(part) = parts[p].get_mut(lhs) else {
                     continue;
                 };
+                if let Some(mut next) = wr.jobs[j].image.take() {
+                    // validated above: same length, spans inside it
+                    let spans = job.compiled.nodes[p].write_spans.iter().flatten();
+                    let mut at = 0;
+                    for &(lo, hi) in spans {
+                        next[at..lo].copy_from_slice(&part[at..lo]);
+                        at = hi;
+                    }
+                    next[at..].copy_from_slice(&part[at..]);
+                    let old = std::mem::replace(part, next);
+                    if let Some(free) = free.get_mut(p) {
+                        retire(free, old);
+                    }
+                }
                 for w in std::mem::take(&mut wr.jobs[j].writes) {
                     match w {
                         WriteOp::El(off, v) => part[off] = v, // validated above
@@ -818,9 +922,13 @@ fn supervised(
 /// wave. Pre-posting means an update's receives almost never block on a
 /// peer still parked in an earlier job, which matters most on an
 /// oversubscribed host. Every job reads the same `locals`, the node's
-/// pre-wave parts: writes are collected, never applied here. After any
-/// job fails, the remaining jobs on this node are skipped (their results
+/// pre-wave parts, and nothing here changes them: a job's results go
+/// into a next image drawn from `spare` when the plan allows one, into
+/// staged [`WriteOp`]s otherwise — always so without a `spare` list
+/// (socket workers: their wire carries only `WriteOp`s). After any job
+/// fails, the remaining jobs on this node are skipped (their results
 /// carry the first failure) and the wave aborts all-or-nothing.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn wave_body(
     p: i64,
     ep: &mut Endpoint<Wire>,
@@ -829,6 +937,7 @@ pub(crate) fn wave_body(
     jobs: &[Arc<PreparedPlan>],
     opts: &DistOptions,
     locals: &BTreeMap<String, Vec<f64>>,
+    mut spare: Option<&mut FreeParts>,
 ) -> WaveReply {
     let pmax = ep.peer_count();
     let tables = jobs.iter().map(|job| &job.compiled.nodes[p as usize]);
@@ -854,9 +963,8 @@ pub(crate) fn wave_body(
                     ep,
                     scratch,
                     &mut stats,
-                    &mut sent_to,
                     buf,
-                    PhaseSpan::SendOnly,
+                    PhaseSpan::Send(&mut sent_to),
                 )
             };
             first_fail = supervised(p, &mut panicked, send).err();
@@ -875,9 +983,14 @@ pub(crate) fn wave_body(
             .vals
             .resize(prepared.compiled.slot_arrays.len(), 0.0);
         scratch.writes.clear();
+        let mut image = None;
         let res = match &first_fail {
             Some(e) => Err(e.clone()),
             None => {
+                let len = locals.get(&prepared.lhs_array).map_or(0, Vec::len);
+                image = (spare.as_deref_mut())
+                    .filter(|_| prepared.writes_image(p as usize, len))
+                    .map(|spare| take_image(spare, len));
                 let update = || {
                     warm_phases(
                         p,
@@ -887,9 +1000,8 @@ pub(crate) fn wave_body(
                         ep,
                         scratch,
                         &mut stats,
-                        &mut [],
                         buf,
-                        PhaseSpan::UpdateOnly,
+                        PhaseSpan::Update(image.as_deref_mut()),
                     )
                 };
                 supervised(p, &mut panicked, update)
@@ -897,6 +1009,7 @@ pub(crate) fn wave_body(
         };
         if let Err(e) = &res {
             scratch.writes.clear();
+            image = None;
             first_fail.get_or_insert_with(|| e.clone());
         }
         let BufInner {
@@ -907,6 +1020,7 @@ pub(crate) fn wave_body(
         events.extend(updated.events);
         timings.extend(updated.timings);
         jobs_out.push(JobReply {
+            image,
             writes: std::mem::take(&mut scratch.writes),
             stats,
             sent_to,
@@ -966,8 +1080,8 @@ pub(crate) struct Scratch {
 
 /// The body of one pooled node thread: park on the job channel, and for
 /// each wave reset the endpoint, run [`wave_body`] over this node's
-/// share of the lent parts, and ship the reply (writes, statistics,
-/// buffered trace) back to the host.
+/// share of the lent parts, and ship the reply (images or writes,
+/// statistics, buffered trace) and the unused free parts to the host.
 fn worker_main(
     p: i64,
     txs: Vec<Sender<Frame<Wire>>>,
@@ -979,7 +1093,7 @@ fn worker_main(
     let mut ep: Endpoint<Wire> = Endpoint::in_proc(p, txs, data_rx, None, &buf);
     let mut scratch = Scratch::default();
     while let Ok(cmd) = job_rx.recv() {
-        let Cmd::Wave(ctx) = cmd else {
+        let Cmd::Wave(ctx, mut spare) = cmd else {
             continue; // stray Go (host retired us mid-handshake)
         };
         buf.set_enabled(ctx.trace_on);
@@ -996,13 +1110,23 @@ fn worker_main(
             }
             match job_rx.recv() {
                 Ok(Cmd::Go) => {}
-                Ok(Cmd::Wave(_)) | Err(_) => break, // handshake broken
+                Ok(Cmd::Wave(..)) | Err(_) => break, // handshake broken
             }
         }
         let locals = &ctx.parts[p as usize];
-        let reply = wave_body(p, &mut ep, &mut scratch, &buf, &ctx.jobs, &ctx.opts, locals);
+        let reply = wave_body(
+            p,
+            &mut ep,
+            &mut scratch,
+            &buf,
+            &ctx.jobs,
+            &ctx.opts,
+            locals,
+            Some(&mut spare),
+        );
         drop(ctx); // the loan ends before the host hears the wave is done
-        if reply_tx.send(WorkerMsg::WaveDone(Box::new(reply))).is_err() {
+        let done = WorkerMsg::WaveDone(Box::new(reply), spare);
+        if reply_tx.send(done).is_err() {
             break; // host hung up
         }
     }
@@ -1012,10 +1136,11 @@ fn worker_main(
 /// boundary sends before any job's update phase blocks on a receive —
 /// on an oversubscribed host that collapses the per-job send/recv
 /// thread ping-pong into one wave-wide exchange.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PhaseSpan {
-    SendOnly,
-    UpdateOnly,
+enum PhaseSpan<'a> {
+    /// The send phase, counting the elements sent to each peer.
+    Send(&'a mut [u64]),
+    /// The update phase, writing the node's next image if it has one.
+    Update(Option<&'a mut [f64]>),
 }
 
 /// The send or update phase of one job on one node — the phase engine
@@ -1033,7 +1158,6 @@ fn warm_phases(
     ep: &mut Endpoint<Wire>,
     scratch: &mut Scratch,
     stats: &mut NodeStats,
-    sent_to: &mut [u64],
     tracer: &dyn Tracer,
     span: PhaseSpan,
 ) -> Result<(), MachineError> {
@@ -1042,20 +1166,23 @@ fn warm_phases(
     let parts = slot_parts(locals, cs)?;
     let trace_on = tracer.enabled();
 
-    if span == PhaseSpan::SendOnly {
-        // ---- send phase: Reside_p ∩ Modify_q, q ≠ p ---------------------
-        if trace_on {
-            tracer.record(p, EventKind::PhaseStart(Phase::Send));
+    let next = match span {
+        PhaseSpan::Update(next) => next,
+        PhaseSpan::Send(sent_to) => {
+            // ---- send phase: Reside_p ∩ Modify_q, q ≠ p ---------------------
+            if trace_on {
+                tracer.record(p, EventKind::PhaseStart(Phase::Send));
+            }
+            let send_t0 = trace_on.then(std::time::Instant::now);
+            send_phase_vectorized(cn, &parts, ep, stats, sent_to, tracer);
+            ep.end_send_phase(); // flush delayed packets; crash point
+            if let Some(t0) = send_t0 {
+                tracer.timing(p, Phase::Send, t0.elapsed());
+                tracer.record(p, EventKind::PhaseEnd(Phase::Send));
+            }
+            return Ok(());
         }
-        let send_t0 = trace_on.then(std::time::Instant::now);
-        send_phase_vectorized(cn, &parts, ep, stats, sent_to, tracer);
-        ep.end_send_phase(); // flush delayed packets; crash point
-        if let Some(t0) = send_t0 {
-            tracer.timing(p, Phase::Send, t0.elapsed());
-            tracer.record(p, EventKind::PhaseEnd(Phase::Send));
-        }
-        return Ok(());
-    }
+    };
 
     // ---- update phase: Modify_p -----------------------------------------
     // the modify guard work is charged to the update half, once
@@ -1083,6 +1210,7 @@ fn warm_phases(
         opts,
         stats,
         writes,
+        next,
         tracer,
     );
     if let Some(t0) = update_t0 {
@@ -1155,6 +1283,290 @@ mod tests {
         let a = arrays["A"].gather();
         let b = before["B"].gather();
         assert!(extent.iter().all(|i| a.get(&i) == b.get(&i) + 0.5));
+    }
+
+    /// `U[i] := 0.5·(U[i-1] + U[i+1])` over `[lo, hi]`: the clause
+    /// reads its own target.
+    fn relax(lo: i64, hi: i64) -> Clause {
+        let u = |d: i64| Expr::Ref(ArrayRef::d1("U", Fn1::shift(d)));
+        Clause {
+            iter: IndexSet::range(lo, hi),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("U", Fn1::identity()),
+            rhs: Expr::mul(Expr::Lit(0.5), Expr::add(u(-1), u(1))),
+        }
+    }
+
+    /// `names` as arrays of `n` distinct values, block-decomposed over
+    /// `pmax` nodes: the sequential state, the layouts and the images.
+    fn block_state(
+        names: &[&str],
+        n: i64,
+        pmax: i64,
+    ) -> (Env, BTreeMap<String, Decomp1>, BTreeMap<String, DistArray>) {
+        let extent = Bounds::range(0, n - 1);
+        let (mut env, mut decomps, mut arrays) = (Env::new(), BTreeMap::new(), BTreeMap::new());
+        for (k, name) in names.iter().enumerate() {
+            let global = Array::from_fn(extent, |i| ((i.scalar() * 7 + k as i64) % 13) as f64);
+            let dec = Decomp1::block(pmax, extent);
+            arrays.insert(
+                name.to_string(),
+                DistArray::scatter_from(&global, dec.clone()),
+            );
+            decomps.insert(name.to_string(), dec);
+            env.insert(*name, global);
+        }
+        (env, decomps, arrays)
+    }
+
+    fn prepared(clause: &Clause, decomps: &BTreeMap<String, Decomp1>) -> Arc<PreparedPlan> {
+        let plan = SpmdPlan::build(clause, decomps).unwrap();
+        Arc::new(prepare_run(plan, clause, decomps).unwrap())
+    }
+
+    fn assert_bitwise(arrays: &BTreeMap<String, DistArray>, expect: &Env, what: &str) {
+        for (name, image) in arrays {
+            let diff = image.gather().max_abs_diff(expect.get(name).unwrap());
+            assert_eq!(
+                diff, 0.0,
+                "{what}: `{name}` differs from the sequential machine"
+            );
+        }
+    }
+
+    /// A clause that reads its own target needs no footprint test to
+    /// write a next image: the pre-wave part it reads stays as it was
+    /// until the host swaps. Warm on a session and on a bare pool.
+    #[test]
+    fn a_clause_reading_its_own_target_commits_as_an_image() {
+        let n = 64;
+        let clause = relax(1, n - 2);
+        let (env, decomps, mut arrays) = block_state(&["U"], n, 4);
+
+        let mut expect = env.clone();
+        let mut session = crate::session::DistSession::new(&env, decomps.clone()).unwrap();
+        for step in 0..3 {
+            session.run(&clause).unwrap();
+            expect.exec_clause(&clause);
+            let diff = (session.gather("U").unwrap()).max_abs_diff(expect.get("U").unwrap());
+            assert_eq!(diff, 0.0, "session step {step}");
+        }
+        // one part per node went round: drawn, written, swapped, retired
+        assert_eq!(session.free_parts(), 4);
+
+        let mut expect = env;
+        let job = prepared(&clause, &decomps);
+        let mut pool = DistExecutor::new(4);
+        for step in 0..3 {
+            let wave = std::slice::from_ref(&job);
+            pool.run_wave(wave, &mut arrays, DistOptions::default(), &NULL_TRACER)
+                .unwrap();
+            expect.exec_clause(&clause);
+            assert_bitwise(&arrays, &expect, &format!("wave {step}"));
+            assert_eq!(pool.free_parts(), 4);
+        }
+    }
+
+    /// The commit form follows the plan's counts: a node whose runs
+    /// cover half of its part or more answers with an image (its free
+    /// list gains the part the swap retired), one element under half
+    /// and it stages writes. 64 elements over 4 nodes: parts of 16.
+    #[test]
+    fn half_coverage_is_where_a_node_starts_writing_an_image() {
+        let n = 64;
+        for (lo, hi, images) in [
+            (1, n - 2, [true; 4]),                 // 15, 16, 16, 15 of 16
+            (16, 23, [false, true, false, false]), // exactly half of node 1's
+            (16, 22, [false; 4]),                  // one under
+            (20, 40, [false, true, true, false]),  // 12 and 9
+        ] {
+            let clause = relax(lo, hi);
+            let (mut expect, decomps, mut arrays) = block_state(&["U"], n, 4);
+            let job = prepared(&clause, &decomps);
+            for (p, image) in images.iter().enumerate() {
+                assert_eq!(job.writes_image(p, 16), *image, "[{lo}, {hi}] p={p}");
+            }
+            let mut pool = DistExecutor::new(4);
+            pool.run_clause(&job, &mut arrays, DistOptions::default(), &NULL_TRACER)
+                .unwrap();
+            expect.exec_clause(&clause);
+            assert_bitwise(&arrays, &expect, &format!("[{lo}, {hi}]"));
+            let swapped: Vec<bool> = pool.free.iter().map(|free| !free.is_empty()).collect();
+            assert_eq!(swapped, images, "[{lo}, {hi}]");
+        }
+    }
+
+    /// Two jobs of one wave write the same array, one as an image and
+    /// one as staged strided writes: whichever comes second lands on top
+    /// of the first, and the image's unwritten ends come from the part
+    /// as the earlier job left it, not from the pre-wave part.
+    #[test]
+    fn jobs_sharing_a_target_commit_in_ordinal_order() {
+        let n = 64;
+        let b = |f: Fn1| Expr::Ref(ArrayRef::d1("B", f));
+        let dense = Clause {
+            iter: IndexSet::range(1, n - 2),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("A", Fn1::identity()),
+            rhs: Expr::add(b(Fn1::identity()), Expr::Lit(0.5)),
+        };
+        let sparse = Clause {
+            iter: IndexSet::range(0, n / 2 - 1),
+            lhs: ArrayRef::d1("A", Fn1::affine(2, 1)),
+            rhs: Expr::mul(b(Fn1::identity()), Expr::Lit(-3.0)),
+            ..dense.clone()
+        };
+        for order in [[&dense, &sparse], [&sparse, &dense]] {
+            let (mut expect, decomps, mut arrays) = block_state(&["A", "B"], n, 4);
+            let jobs: Vec<Arc<PreparedPlan>> = order.map(|c| prepared(c, &decomps)).into();
+            let forms: Vec<bool> = jobs.iter().map(|job| job.writes_image(0, 16)).collect();
+            assert_eq!(forms, order.map(|c| std::ptr::eq(c, &dense)));
+            let mut pool = DistExecutor::new(4);
+            pool.run_wave(&jobs, &mut arrays, DistOptions::default(), &NULL_TRACER)
+                .unwrap();
+            for clause in order {
+                expect.exec_clause(clause);
+            }
+            assert_bitwise(&arrays, &expect, &format!("{} first", order[0]));
+        }
+    }
+
+    /// The two commit forms are one computation: the same job run as
+    /// published (image) and with its write spans struck out (staged, as
+    /// a socket worker runs it) leaves the same bits and charges every
+    /// counter alike — across the SIMD stencil with its one-element
+    /// boundary runs, the packet-fed slice copy, the scalar axpy arm
+    /// over a strided source, and the generic bytecode arm.
+    #[test]
+    fn image_and_staged_commits_agree_on_bits_and_counters() {
+        let n = 96;
+        let extent = Bounds::range(0, n - 1);
+        let b = |f: Fn1| Expr::Ref(ArrayRef::d1("B", f));
+        let onto_a = |lo: i64, hi: i64, rhs: Expr| Clause {
+            iter: IndexSet::range(lo, hi),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("A", Fn1::identity()),
+            rhs,
+        };
+        let axpy = Expr::add(Expr::mul(b(Fn1::shift(3)), Expr::Lit(2.0)), Expr::Lit(-1.0));
+        let generic = Expr::mul(b(Fn1::identity()), Expr::LoopVar { dim: 0 });
+        let cases = [
+            (relax(1, n - 2), Decomp1::block(4, extent), "stencil"),
+            (
+                onto_a(0, n - 1, b(Fn1::identity())),
+                Decomp1::block_scatter(4, 4, extent),
+                "copy",
+            ),
+            (onto_a(0, n - 4, axpy), Decomp1::scatter(4, extent), "axpy"),
+            (
+                onto_a(2, n - 1, generic),
+                Decomp1::block_scatter(4, 4, extent),
+                "generic",
+            ),
+        ];
+        for (clause, dec_b, what) in cases {
+            let (mut expect, mut decomps, mut arrays) = block_state(&["A", "B", "U"], n, 4);
+            let global_b = expect.get("B").unwrap().clone();
+            arrays.insert(
+                "B".into(),
+                DistArray::scatter_from(&global_b, dec_b.clone()),
+            );
+            decomps.insert("B".into(), dec_b);
+            let plan = SpmdPlan::build(&clause, &decomps).unwrap();
+            let image = prepare_run(plan.clone(), &clause, &decomps).unwrap();
+            let mut staged = prepare_run(plan, &clause, &decomps).unwrap();
+            for (p, cn) in staged.compiled.nodes.iter_mut().enumerate() {
+                assert!(image.writes_image(p, 24), "{what} p={p}");
+                cn.write_spans = None;
+            }
+            let mut staged_arrays = arrays.clone();
+            let mut pool = DistExecutor::new(4);
+            let opts = DistOptions::default();
+            let as_image = pool
+                .run_clause(&Arc::new(image), &mut arrays, opts, &NULL_TRACER)
+                .unwrap();
+            assert_eq!(pool.free_parts(), 4, "{what}");
+            let as_staged = pool
+                .run_clause(&Arc::new(staged), &mut staged_arrays, opts, &NULL_TRACER)
+                .unwrap();
+            assert_eq!(
+                pool.free_parts(),
+                4,
+                "{what}: staged commits retire nothing"
+            );
+            expect.exec_clause(&clause);
+            assert_bitwise(&arrays, &expect, what);
+            assert_eq!(arrays, staged_arrays, "{what}");
+            assert_eq!(as_image.nodes, as_staged.nodes, "{what}");
+            assert_eq!(as_image.traffic, as_staged.traffic, "{what}");
+            assert!(as_image.total().iterations > 0, "{what}");
+        }
+    }
+
+    /// What a socket worker's reply may claim is checked before any of
+    /// it is applied: a dense write whose base makes `base + len` wrap,
+    /// an image of the wrong length, an image from a job whose plan
+    /// allows none. Each is a typed error and the arrays come back as
+    /// they went in.
+    #[test]
+    fn a_reply_that_does_not_fit_the_part_is_refused_whole() {
+        let n = 64;
+        let clause = relax(1, n - 2);
+        let few = relax(4, 6);
+        let (_, decomps, arrays) = block_state(&["U"], n, 4);
+        let reply = |image: Option<Vec<f64>>, writes: Vec<WriteOp>| -> NodeReply {
+            Ok(Box::new(WaveReply {
+                jobs: vec![JobReply {
+                    image,
+                    writes,
+                    stats: NodeStats::default(),
+                    sent_to: vec![0; 4],
+                    res: Ok(()),
+                    events: Vec::new(),
+                    timings: Vec::new(),
+                }],
+                drain_events: Vec::new(),
+                drain_timings: Vec::new(),
+            }))
+        };
+        let wrapping = WriteOp::Dense {
+            base: usize::MAX,
+            values: vec![1.0, 2.0],
+        };
+        let cases = [
+            (&clause, None, vec![wrapping], "write span"),
+            (&clause, None, vec![WriteOp::El(16, 1.0)], "write span"),
+            (&clause, Some(vec![0.0; 17]), Vec::new(), "next image"),
+            (&few, Some(vec![0.0; 16]), Vec::new(), "next image"),
+        ];
+        for (clause, image, writes, why) in cases {
+            let job = prepared(clause, &decomps);
+            let mut live = arrays.clone();
+            let Disassembled { per_node, decomps } =
+                disassemble(&mut live, &job.referenced, 4).unwrap();
+            let mut replies: Vec<NodeReply> = (0..3).map(|_| reply(None, Vec::new())).collect();
+            replies.insert(1, reply(image, writes));
+            let mut free = vec![Vec::new(); 4];
+            let err = finalize_wave(
+                std::slice::from_ref(&job),
+                decomps,
+                per_node,
+                replies,
+                &mut free,
+                &mut live,
+                &NULL_TRACER,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, MachineError::PlanMismatch(msg) if msg.contains(why)),
+                "{err}"
+            );
+            assert_eq!(live, arrays, "{why}: a refused reply must change nothing");
+            assert!(free.iter().all(Vec::is_empty));
+        }
     }
 
     /// Both prepare paths refuse a schedule without a kernel, in the

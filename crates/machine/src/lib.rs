@@ -54,7 +54,7 @@ pub use distributed::{
 };
 pub use doacross::{carried_distances, run_doacross, run_doacross_with};
 pub use error::MachineError;
-pub use executor::{prepare_run, DistExecutor, PreparedPlan};
+pub use executor::{prepare_run, DistExecutor, PreparedPlan, FREE_PARTS_PER_NODE};
 pub use halo::{exchange_ghosts, exchange_ghosts_traced, run_halo_sweep, HaloArray};
 pub use net::ChaosPlan;
 pub use obs::{

@@ -418,6 +418,7 @@ impl ProcPool {
                         } = *r;
                         *slot = Some(Ok(Box::new(WaveReply {
                             jobs: vec![JobReply {
+                                image: None,
                                 writes,
                                 stats,
                                 sent_to,
@@ -480,7 +481,7 @@ impl ProcPool {
             })
             .collect();
         let wave = std::slice::from_ref(prepared);
-        let mut reports = finalize_wave(wave, decomps, parts, replies, arrays, tracer)?;
+        let mut reports = finalize_wave(wave, decomps, parts, replies, &mut [], arrays, tracer)?;
         Ok(reports.pop().unwrap_or_default())
     }
 }
@@ -677,9 +678,11 @@ fn serve_job(
     let mut reply = {
         let mut ep: Endpoint<Wire> = Endpoint::new(p, Box::new(&mut *link), job.faults, &buf);
         let wave = std::slice::from_ref(&prepared);
-        wave_body(p, &mut ep, scratch, &buf, wave, &opts, &job.locals)
+        // no free parts: the reply crosses the wire as staged writes
+        wave_body(p, &mut ep, scratch, &buf, wave, &opts, &job.locals, None)
     }; // endpoint drops; the link is ours again for the control plane
     let Some(JobReply {
+        image: _,
         writes,
         stats,
         sent_to,

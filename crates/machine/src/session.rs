@@ -203,6 +203,11 @@ impl PoolState {
         self.pool.get_or_insert_with(|| DistExecutor::new(pmax))
     }
 
+    /// Retired parts the in-process pool holds for reuse.
+    fn free_parts(&self) -> usize {
+        self.pool.as_ref().map_or(0, DistExecutor::free_parts)
+    }
+
     /// OS pids of the live worker processes (empty off the socket
     /// backends).
     fn pids(&self) -> Vec<u32> {
@@ -1003,6 +1008,13 @@ impl DistSession {
     /// supervision tests can kill a specific worker mid-run.
     pub fn worker_pids(&mut self) -> Vec<u32> {
         self.pools.with(|p| p.pids())
+    }
+
+    /// Retired parts the in-process pool keeps for reuse as next images.
+    /// Exists so fault tests can hold the pool to its bound
+    /// ([`FREE_PARTS_PER_NODE`](crate::FREE_PARTS_PER_NODE) per node).
+    pub fn free_parts(&mut self) -> usize {
+        self.pools.with(|p| p.free_parts())
     }
 
     /// Execute a prebuilt plan (reuse across sweeps).

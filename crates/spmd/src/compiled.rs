@@ -379,6 +379,10 @@ pub struct CompiledNode {
     /// resolved addressing. Empty when the plan was compiled without
     /// execution tables ([`CompiledSchedule::compile`]).
     pub exec: Vec<ExecRun>,
+    /// The local offsets `exec` writes as sorted, disjoint, merged spans
+    /// ([`write_spans`]). When `Some` they hold exactly `modify_iters`
+    /// elements and the runs' execution order cannot change the result.
+    pub write_spans: Option<Vec<(usize, usize)>>,
 }
 
 impl CompiledNode {
@@ -403,6 +407,7 @@ impl CompiledNode {
             b += size_of::<ExecRun>() + er.slots.len() * size_of::<SlotAccess>() + table(&er.lhs);
             b += er.slots.iter().map(|sa| table(sa.pattern())).sum::<usize>();
         }
+        b += (self.write_spans.as_ref()).map_or(0, |s| s.len() * size_of::<(usize, usize)>());
         b
     }
 
@@ -478,6 +483,7 @@ impl CompiledSchedule {
                     staging_packets,
                     sends: Vec::new(),
                     exec: Vec::new(),
+                    write_spans: None,
                 }
             })
             .collect();
@@ -543,6 +549,7 @@ impl CompiledSchedule {
         };
         for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
             cn.exec = build_exec(node, &cn.modify, &plan.f, dec_lhs, &dec_reads);
+            cn.write_spans = write_spans(&cn.exec);
         }
         cs.kernel = Some(kernel);
         cs
@@ -981,6 +988,44 @@ fn build_exec(
         .collect()
 }
 
+/// The local offsets a node's exec runs write, as sorted, disjoint
+/// half-open spans with adjacent ones merged: `None` when some run is
+/// not contiguous (a one-element run is, whatever step its compressed
+/// pattern records) or two runs overlap. A node that fills its part has
+/// one span, however many runs.
+pub(crate) fn write_spans(exec: &[ExecRun]) -> Option<Vec<(usize, usize)>> {
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    for er in exec {
+        let n = er.run.len() as usize;
+        if n == 0 {
+            continue;
+        }
+        if !(er.lhs.is_unit_stride() || n == 1) {
+            return None;
+        }
+        let lo = usize::try_from(er.lhs.offset(0)).ok()?;
+        match spans.last_mut() {
+            Some(last) if last.1 == lo => last.1 += n,
+            _ => spans.push((lo, lo + n)),
+        }
+    }
+    // most schedules visit their writes in ascending order and are done;
+    // the rest (rotations, t-major repeated scatter) are sorted here
+    if !spans.windows(2).all(|w| w[0].1 < w[1].0) {
+        spans.sort_unstable();
+        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(spans.len());
+        for (lo, hi) in spans {
+            match merged.last_mut() {
+                Some(last) if lo < last.1 => return None,
+                Some(last) if lo == last.1 => last.1 = hi,
+                _ => merged.push((lo, hi)),
+            }
+        }
+        spans = merged;
+    }
+    Some(spans)
+}
+
 /// FNV-1a over a formatted rendering, via `fmt::Write` — no
 /// intermediate `String`.
 struct FnvWriter(u64);
@@ -1041,6 +1086,56 @@ pub fn decomp_fingerprint<'a>(
         };
     }
     w.0
+}
+
+/// Test oracle for [`CompiledNode::write_spans`], shared with the n-D
+/// lowering's tests: the table equals the set of local offsets the
+/// node's runs write, expanded element by element; it is absent exactly
+/// when some run is not contiguous or two runs write one element; and
+/// [`CompiledNode::approx_bytes`] counts it.
+#[cfg(test)]
+pub(crate) fn check_write_spans(cn: &CompiledNode, what: &str) {
+    let mut written: Vec<i64> = Vec::new();
+    let mut contiguous = true;
+    for er in &cn.exec {
+        let offs: Vec<i64> = (0..er.run.len() as usize)
+            .map(|t| er.lhs.offset(t))
+            .collect();
+        contiguous &= offs.windows(2).all(|w| w[1] == w[0] + 1);
+        written.extend(offs);
+    }
+    written.sort_unstable();
+    let disjoint = written.windows(2).all(|w| w[0] != w[1]);
+    let Some(spans) = &cn.write_spans else {
+        assert!(
+            !(contiguous && disjoint),
+            "{what} p={}: no span table",
+            cn.p
+        );
+        return;
+    };
+    assert!(contiguous && disjoint, "{what} p={}: {spans:?}", cn.p);
+    let mut want: Vec<(usize, usize)> = Vec::new();
+    for off in written {
+        let off = off as usize;
+        match want.last_mut() {
+            Some(last) if last.1 == off => last.1 += 1,
+            _ => want.push((off, off + 1)),
+        }
+    }
+    assert_eq!(spans, &want, "{what} p={}", cn.p);
+    let covered: usize = spans.iter().map(|(lo, hi)| hi - lo).sum();
+    assert_eq!(covered as u64, cn.modify_iters, "{what} p={}", cn.p);
+    let bare = CompiledNode {
+        write_spans: None,
+        ..cn.clone()
+    };
+    assert_eq!(
+        cn.approx_bytes() - bare.approx_bytes(),
+        spans.len() * std::mem::size_of::<(usize, usize)>(),
+        "{what} p={}",
+        cn.p
+    );
 }
 
 #[cfg(test)]
@@ -1171,6 +1266,7 @@ mod tests {
         let mut remote_total = 0u64;
         for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
             let p = node.p;
+            check_write_spans(cn, what);
             let origin = brute_origin(node);
             let seq = visit_order(&cn.modify);
             // (a) the exec runs tile Modify_p in visit order ...
@@ -1326,6 +1422,47 @@ mod tests {
         assert!(checked > 4000, "only {checked} plans checked");
     }
 
+    /// The three ways a node's writes come out: one span when it fills
+    /// its part, one span per stretch when it skips elements, and no
+    /// table when a run writes with a stride or two runs collide.
+    #[test]
+    fn write_spans_merge_follow_gaps_and_refuse_strides_and_overlaps() {
+        let n = 96i64;
+        let e = Bounds::range(0, n - 1);
+        let spans_of =
+            |clause: &Clause, a: Decomp1, b: Decomp1| -> Vec<Option<Vec<(usize, usize)>>> {
+                let dm = decomps(a, b);
+                let plan = SpmdPlan::build(clause, &dm).unwrap();
+                let cs = CompiledSchedule::compile_exec(&plan, clause, &dm);
+                for cn in &cs.nodes {
+                    check_write_spans(cn, &format!("{clause}"));
+                }
+                cs.nodes.into_iter().map(|cn| cn.write_spans).collect()
+            };
+        // block-scatter(4) source, block target: 24 runs per node, one span
+        let copy = copy_clause(0, n - 1, Fn1::identity(), Fn1::identity());
+        let full = spans_of(&copy, Decomp1::block(4, e), Decomp1::block_scatter(4, 4, e));
+        assert_eq!(full, vec![Some(vec![(0, 24)]); 4]);
+        // scatter target: one-element runs, still one span
+        let full = spans_of(&copy, Decomp1::scatter(4, e), Decomp1::block(4, e));
+        assert_eq!(full, vec![Some(vec![(0, 24)]); 4]);
+        // an interior range leaves the two end elements out
+        let inner = copy_clause(1, n - 2, Fn1::identity(), Fn1::identity());
+        let gaps = spans_of(&inner, Decomp1::block(2, e), Decomp1::block(2, e));
+        assert_eq!(gaps, [Some(vec![(1, 48)]), Some(vec![(0, 47)])]);
+        // A[2i+1] over a block: stride-2 writes
+        let strided = copy_clause(0, (n - 2) / 2, Fn1::affine(2, 1), Fn1::identity());
+        let none = spans_of(&strided, Decomp1::block(2, e), Decomp1::block(2, e));
+        assert_eq!(none, [None, None]);
+        // ... but over scatter(2) the odd elements are node 1's whole part
+        let odd = spans_of(&strided, Decomp1::scatter(2, e), Decomp1::block(2, e));
+        assert_eq!(odd, [Some(vec![]), Some(vec![(0, 48)])]);
+        // every iteration writes A[7]: the runs collide
+        let collide = copy_clause(0, n - 1, Fn1::Const(7), Fn1::identity());
+        let none = spans_of(&collide, Decomp1::block(2, e), Decomp1::block(2, e));
+        assert_eq!(none[0], None);
+    }
+
     #[test]
     fn send_patterns_address_the_packed_elements() {
         let n = 96i64;
@@ -1409,6 +1546,10 @@ mod tests {
             let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
             let runs: usize = compiled.nodes.iter().map(|cn| cn.exec.len()).sum();
             assert_eq!(runs as i64, n / 16);
+            // ... and every node fills its part: one write span, not n / 32
+            for cn in &compiled.nodes {
+                assert_eq!(cn.write_spans, Some(vec![(0, (n / 2) as usize)]));
+            }
             let bytes: usize = compiled.nodes.iter().map(CompiledNode::approx_bytes).sum();
             bytes / runs
         };

@@ -21,7 +21,7 @@
 
 use crate::comm::{packetise, CommRun, PairComm, PACKET_ELEMS};
 use crate::compiled::{
-    coalesce_ordered, comm_run, flatten_schedule, iter_run, local_pattern, send_pair,
+    coalesce_ordered, comm_run, flatten_schedule, iter_run, local_pattern, send_pair, write_spans,
     AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, RecvIndex, SendPair,
     SlotAccess,
 };
@@ -540,6 +540,7 @@ impl<'a> Lowering<'a> {
                 src_peers,
                 staging_packets,
                 sends: Vec::new(),
+                write_spans: write_spans(&exec),
                 exec,
             });
         }
@@ -935,6 +936,7 @@ mod tests {
             }
             // every Modify point exactly once, in row-major order
             assert_eq!(got, want, "{what} p={p}");
+            crate::compiled::check_write_spans(cn, &what);
             assert_eq!(cn.modify_iters, want.len() as u64);
         }
         // send multiset = recv multiset per pair, cut into the same
@@ -1004,6 +1006,10 @@ mod tests {
                 assert!(er.slots.iter().all(|sa| sa.pattern().is_unit_stride()));
             }
             assert_eq!(cn.census().boundary_runs, 1);
+            // one write span per row, two elements apart
+            let spans = cn.write_spans.as_ref().expect("contiguous rows");
+            assert_eq!(spans.len(), cn.exec.len());
+            assert!(spans.windows(2).all(|w| w[1].0 - w[0].1 == 2));
             assert_eq!(cn.staging_packets, [1]);
             assert_eq!(
                 cn.sends[0].packets,

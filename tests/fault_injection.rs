@@ -24,8 +24,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, RedistPlan};
 use vcal_suite::machine::{
-    run_distributed, run_redistribution_opts, DistArray, DistOptions, ExecReport, FaultPlan,
-    MachineError, RetryPolicy, TransportKind,
+    run_distributed, run_redistribution_opts, DistArray, DistOptions, DistSession, ExecReport,
+    FaultPlan, MachineError, RetryPolicy, TransportKind, FREE_PARTS_PER_NODE,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -115,6 +115,84 @@ fn run_faulty(
     };
     let res = run_distributed(plan, cl, &mut arrays, opts);
     (res, arrays)
+}
+
+/// Unrecoverable faults against the next-image commit. The relaxation
+/// `U[i] := (U[i-1] + U[i+1]) / 2` over a block layout writes nearly all
+/// of every part, so each node answers with a whole next part — and by
+/// the time a neighbour's halo turns out to be lost it has already
+/// written its interior into that part. Crash and exhausted-budget
+/// faults alternate over a hundred runs on one pool (in process — the
+/// socket workers ship staged writes and keep no parts), a clean run
+/// now and then keeps the pool's free parts in play: every failure is
+/// the typed root cause, every array stays bit-equal to what it was,
+/// the next run succeeds, and the free parts never pass their bound.
+#[test]
+fn failed_image_runs_change_nothing_and_keep_the_free_list_bounded() {
+    let u = |d: i64| Expr::Ref(ArrayRef::d1("U", Fn1::shift(d)));
+    let cl = Clause {
+        iter: IndexSet::range(1, N - 2),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1("U", Fn1::identity()),
+        rhs: Expr::mul(Expr::add(u(-1), u(1)), Expr::Lit(0.5)),
+    };
+    let extent = Bounds::range(0, N - 1);
+    let mut reference = Env::new();
+    reference.insert(
+        "U",
+        Array::from_fn(extent, |i| (i.scalar() * 13 % 101) as f64),
+    );
+    let mut dm = DecompMap::new();
+    dm.insert("U".into(), Decomp1::block(PMAX, extent));
+    // a budget that is spent in milliseconds: a hundred runs exhaust it
+    let clean = DistOptions {
+        recv_timeout: Duration::from_secs(10),
+        retry: RetryPolicy {
+            max_retries: 3,
+            nack_timeout: Duration::from_millis(2),
+            backoff_cap: Duration::from_millis(4),
+            ..RetryPolicy::default()
+        },
+        ..DistOptions::default()
+    };
+    let bound = PMAX as usize * FREE_PARTS_PER_NODE;
+    let mut session = DistSession::new(&reference, dm).unwrap();
+    for round in 0..100u64 {
+        let node = (round % PMAX as u64) as i64;
+        let crash = round % 2 == 0;
+        let faults = if crash {
+            FaultPlan::seeded(round).with_crash(node, round % 3)
+        } else {
+            FaultPlan::seeded(round).with_drop(1.0).with_from_only(node)
+        };
+        session.set_options(DistOptions {
+            faults: Some(faults),
+            ..clean
+        });
+        match session.run(&cl) {
+            Err(MachineError::NodePanicked { node: n }) if crash => assert_eq!(n, node),
+            Err(MachineError::Unrecoverable { peer, .. }) if !crash => assert_eq!(peer, node),
+            other => panic!("round {round}: expected the injected fault, got {other:?}"),
+        }
+        assert_eq!(
+            session.gather_all(),
+            reference,
+            "round {round}: a failed run changed an array"
+        );
+        assert!(session.free_parts() <= bound, "round {round}");
+        if round % 7 == 0 {
+            session.set_options(clean);
+            session.run(&cl).unwrap();
+            reference.exec_clause(&cl);
+            assert_eq!(session.gather_all(), reference, "round {round}: clean run");
+            assert!((1..=bound).contains(&session.free_parts()), "round {round}");
+        }
+    }
+    session.set_options(clean);
+    session.run(&cl).unwrap();
+    reference.exec_clause(&cl);
+    assert_eq!(session.gather_all(), reference);
 }
 
 /// The acceptance configuration: a seeded ~5% per-packet drop + reorder

@@ -19,7 +19,7 @@ use vcal_suite::machine::{
     DistOptions, ExecReport, FaultPlan, MachineError, RetryPolicy, SimdPolicy, TransportKind,
     NULL_TRACER,
 };
-use vcal_suite::spmd::optimize_nd;
+use vcal_suite::spmd::{lower_nd, optimize_nd};
 
 fn axis_decomp(kind: u8, pmax: i64, n: i64) -> Decomp1 {
     let e = Bounds::range(0, n - 1);
@@ -328,6 +328,78 @@ fn jacobi2d_distributed() {
         decs: decs.map(|(name, d)| (name.to_string(), d)).into(),
     };
     t.run_and_check(with_timeout(Duration::from_secs(5)), "jacobi2d");
+}
+
+/// The sweep the next-image commit is for: block rows × whole columns,
+/// so every node writes one unit-stride span per interior row with the
+/// two boundary columns between consecutive spans. The nodes write those
+/// spans into a fresh part and the host fills in the gaps (and the
+/// boundary rows) from the part it swaps out — `V` starts from distinct
+/// values, so a gap filled from anywhere else shows. Three sweeps with
+/// the copy-back between them, each step against the sequential machine.
+#[test]
+fn five_point_sweep_commits_row_spans_with_gaps() {
+    let n = 24i64;
+    let u = |di: i64, dj: i64| {
+        let map = IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]);
+        Expr::Ref(ArrayRef::new("U", map))
+    };
+    let sweep = Clause {
+        iter: IndexSet::full(Bounds::range2(1, n - 2, 1, n - 2)),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::new("V", IndexMap::identity(2)),
+        rhs: Expr::mul(
+            Expr::add(Expr::add(u(-1, 0), u(1, 0)), Expr::add(u(0, -1), u(0, 1))),
+            Expr::Lit(0.25),
+        ),
+    };
+    let copy_back = Clause {
+        iter: IndexSet::full(range2(n)),
+        lhs: ArrayRef::new("U", IndexMap::identity(2)),
+        rhs: Expr::Ref(ArrayRef::new("V", IndexMap::identity(2))),
+        ..sweep.clone()
+    };
+    let mut env = Env::new();
+    env.insert(
+        "U",
+        Array::from_fn(range2(n), |i: &Ix| ((i[0] * 7 + i[1] * 3) % 11) as f64),
+    );
+    env.insert(
+        "V",
+        Array::from_fn(range2(n), |i: &Ix| -1.0 - (i[0] * n + i[1]) as f64),
+    );
+    let dec = grid([Decomp1::block, Decomp1::block], [3, 1], n);
+    let decs: BTreeMap<String, DecompNd> = [("U", dec.clone()), ("V", dec.clone())]
+        .map(|(name, d)| (name.to_string(), d))
+        .into();
+
+    // the plan-time facts the commit form is chosen from
+    let tables = lower_nd(&sweep, &decs).unwrap();
+    for cn in &tables.nodes {
+        let spans = cn.write_spans.as_ref().expect("every row is contiguous");
+        assert!(spans.len() >= 6, "a span per interior row: {spans:?}");
+        assert!(spans.windows(2).all(|w| w[1].0 - w[0].1 == 2));
+        let part = dec.local_bounds(cn.p).count();
+        assert!(2 * cn.modify_iters >= part && cn.modify_iters < part);
+    }
+
+    let t = Trial {
+        clause: sweep.clone(),
+        env: env.clone(),
+        decs,
+    };
+    let mut arrays = t.scatter();
+    for step in 0..3 {
+        for clause in [&sweep, &copy_back] {
+            run_distributed_nd(clause, &mut arrays, Duration::from_secs(5)).unwrap();
+            env.exec_clause(clause);
+            for name in ["U", "V"] {
+                let diff = arrays[name].gather().max_abs_diff(env.get(name).unwrap());
+                assert_eq!(diff, 0.0, "step {step}, `{name}` after {clause}");
+            }
+        }
+    }
 }
 
 #[test]
