@@ -113,11 +113,8 @@ impl Enc {
 
     pub fn f64s(&mut self, vs: &[f64]) {
         self.us(vs.len());
-        let at = self.buf.len();
-        self.buf.resize(at + 8 * vs.len(), 0);
-        for (c, v) in self.buf[at..].chunks_exact_mut(8).zip(vs) {
-            c.copy_from_slice(&v.to_bits().to_le_bytes());
-        }
+        // an exact-size iterator: one reservation, each byte written once
+        (self.buf).extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
     }
 }
 
@@ -627,6 +624,10 @@ fn dec_decomps(d: &mut Dec) -> R<BTreeMap<String, Decomp1>> {
 }
 
 fn enc_locals(e: &mut Enc, ls: &BTreeMap<String, Vec<f64>>) {
+    // the arrays are the bulk of any record that has them: make room
+    // once instead of regrowing (and recopying) per array
+    let bytes = |(name, vs): (&String, &Vec<f64>)| 16 + name.len() + 8 * vs.len();
+    e.buf.reserve(8 + ls.iter().map(bytes).sum::<usize>());
     e.us(ls.len());
     for (name, vs) in ls {
         e.str(name);
@@ -1548,19 +1549,25 @@ fn dec_step(d: &mut Dec) -> R<vcal_spmd::ProgramStep> {
     })
 }
 
-pub(crate) fn enc_req(r: &ReqMsg) -> R<Vec<u8>> {
+/// Encode request `req_id` straight from the client's borrowed
+/// [`ServeRequest`](crate::serve::ServeRequest) — the record
+/// [`dec_req`] reads back as a [`ReqMsg`].
+pub(crate) fn enc_req(req_id: u64, r: &crate::serve::ServeRequest) -> R<Vec<u8>> {
     let mut e = Enc::new();
-    e.u64(r.req_id);
+    e.u64(req_id);
     e.u64(r.n_steps);
     e.u8(match r.schedule {
         crate::session::ScheduleMode::Seq => 0,
         crate::session::ScheduleMode::Dag => 1,
     });
     e.b(r.autotune);
-    e.us(r.tune_budget);
-    e.u64(r.profile_steps);
-    e.u64(r.retune_every);
-    e.u64(r.deadline_ms);
+    e.us(r.tune.budget);
+    e.u64(r.tune.profile_steps);
+    e.u64(r.tune.retune_every.unwrap_or(0));
+    let deadline_ms = r
+        .deadline
+        .map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64);
+    e.u64(deadline_ms);
     e.us(r.steps.len());
     for s in &r.steps {
         enc_step(&mut e, s)?;
@@ -2079,15 +2086,16 @@ mod tests {
         );
         let mut globals = BTreeMap::new();
         globals.insert("A".to_string(), vec![1.5, -2.0, f64::NAN]);
-        let req = ReqMsg {
-            req_id: 11,
+        let req = crate::serve::ServeRequest {
             n_steps: 6,
             schedule: crate::session::ScheduleMode::Dag,
             autotune: true,
-            tune_budget: 16,
-            profile_steps: 2,
-            retune_every: 3,
-            deadline_ms: 500,
+            tune: crate::session::TuneOptions {
+                budget: 16,
+                profile_steps: 2,
+                retune_every: Some(3),
+            },
+            deadline: Some(Duration::from_millis(500)),
             steps: vec![
                 vcal_spmd::ProgramStep::Clause(sample_clause()),
                 vcal_spmd::ProgramStep::Redistribute {
@@ -2098,11 +2106,11 @@ mod tests {
             decomps,
             globals: globals.clone(),
         };
-        let bytes = enc_req(&req).expect("encodes");
+        let bytes = enc_req(11, &req).expect("encodes");
         let r2 = dec_req(&bytes).expect("decodes");
         assert_eq!(r2.req_id, 11);
         assert_eq!(r2.schedule, crate::session::ScheduleMode::Dag);
-        assert_eq!(r2.retune_every, 3);
+        assert_eq!((r2.retune_every, r2.deadline_ms), (3, 500));
         assert_eq!(r2.decomps, req.decomps);
         assert_eq!(r2.steps.len(), 2);
         assert!(r2.globals["A"][2].is_nan(), "NaN survives bit-exactly");

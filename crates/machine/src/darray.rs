@@ -1,8 +1,8 @@
 //! Distributed arrays: the machine image `A'` of Section 2.6 — per-node
 //! local memories indexed by the decomposition's `local` function.
 
-use vcal_core::{Array, Ix};
-use vcal_decomp::Decomp1;
+use vcal_core::Array;
+use vcal_decomp::{Decomp1, Distribution};
 
 /// A 1-D array physically split into per-processor local memories
 /// according to a [`Decomp1`]. Replicated decompositions give every node
@@ -11,6 +11,26 @@ use vcal_decomp::Decomp1;
 pub struct DistArray {
     decomp: Decomp1,
     parts: Vec<Vec<f64>>,
+}
+
+/// Node `p`'s part as the contiguous stretches of the global image it is
+/// made of, in local order: `(zero-based global offset, length)` per
+/// stretch. What moves between an image and its parts follows from the
+/// distribution alone — one stretch for a Block or Replicated part, one
+/// per dealt block for BlockScatter(b) — so `global_of` is asked once
+/// per stretch, never per element.
+fn stretches(dec: &Decomp1, p: i64) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let count = dec.local_count(p);
+    let b = match dec.dist() {
+        Distribution::BlockScatter { b } => b,
+        Distribution::Scatter => 1,
+        Distribution::Block { .. } | Distribution::Replicated => count.max(1),
+    };
+    let lo = dec.extent().lo()[0];
+    (0..count).step_by(b as usize).map(move |l| {
+        let g = dec.global_of(p, l) - lo;
+        (g as usize, b.min(count - l) as usize)
+    })
 }
 
 impl DistArray {
@@ -30,39 +50,74 @@ impl DistArray {
             decomp.extent(),
             "array bounds must equal the decomposed extent"
         );
-        let mut d = DistArray::zeros(decomp);
-        for p in 0..d.decomp.pmax() {
-            if d.decomp.is_replicated() {
-                for (l, v) in global.data().iter().enumerate() {
-                    d.parts[p as usize][l] = *v;
+        DistArray::scatter_slice(global.data(), decomp)
+    }
+
+    /// Scatter a flat global image — `image[k]` is global index
+    /// `extent.lo + k` — into its distributed image, one slice copy per
+    /// contiguous stretch (a strided walk for Scatter).
+    /// Panics if the image does not hold exactly the extent.
+    pub fn scatter_slice(image: &[f64], decomp: Decomp1) -> Self {
+        assert_eq!(
+            image.len() as i64,
+            decomp.len(),
+            "image length must equal the decomposed extent"
+        );
+        let parts = (0..decomp.pmax())
+            .map(|p| {
+                let mut part = Vec::with_capacity(decomp.local_count(p) as usize);
+                if decomp.dist() == Distribution::Scatter {
+                    let every = decomp.pmax() as usize;
+                    part.extend(image.iter().skip(p as usize).step_by(every));
+                } else {
+                    for (g, len) in stretches(&decomp, p) {
+                        part.extend_from_slice(&image[g..g + len]);
+                    }
                 }
-            } else {
-                for l in 0..d.decomp.local_count(p) {
-                    let g = d.decomp.global_of(p, l);
-                    d.parts[p as usize][l as usize] = global.get(&Ix::d1(g));
-                }
-            }
-        }
-        d
+                part
+            })
+            .collect();
+        DistArray { decomp, parts }
     }
 
     /// Gather the distributed image back into a global array.
     pub fn gather(&self) -> Array {
         let mut out = Array::zeros(self.decomp.extent());
-        if self.decomp.is_replicated() {
-            for (l, v) in self.parts[0].iter().enumerate() {
-                let g = self.decomp.extent().lo()[0] + l as i64;
-                out.set(&Ix::d1(g), *v);
-            }
-            return out;
-        }
-        for p in 0..self.decomp.pmax() {
-            for l in 0..self.decomp.local_count(p) {
-                let g = self.decomp.global_of(p, l);
-                out.set(&Ix::d1(g), self.parts[p as usize][l as usize]);
-            }
-        }
+        self.gather_into(out.data_mut());
         out
+    }
+
+    /// Gather the distributed image into a flat global image (the
+    /// inverse of [`DistArray::scatter_slice`]), stretch by stretch.
+    /// Panics if `image` does not hold exactly the extent.
+    pub fn gather_into(&self, image: &mut [f64]) {
+        assert_eq!(
+            image.len() as i64,
+            self.decomp.len(),
+            "image length must equal the decomposed extent"
+        );
+        // every node of a replicated layout holds the whole image
+        let owners = if self.decomp.is_replicated() {
+            1
+        } else {
+            self.decomp.pmax()
+        };
+        for p in 0..owners {
+            let part = &self.parts[p as usize];
+            if self.decomp.dist() == Distribution::Scatter {
+                let every = self.decomp.pmax() as usize;
+                let slots = image.iter_mut().skip(p as usize).step_by(every);
+                for (slot, v) in slots.zip(part) {
+                    *slot = *v;
+                }
+            } else {
+                let mut l = 0;
+                for (g, len) in stretches(&self.decomp, p) {
+                    image[g..g + len].copy_from_slice(&part[l..l + len]);
+                    l += len;
+                }
+            }
+        }
     }
 
     /// The decomposition.
@@ -116,6 +171,62 @@ mod tests {
                 0.0,
                 "roundtrip failed for {dec}"
             );
+        }
+    }
+
+    /// The per-element definition the stretch copies replace, kept as
+    /// the reference: part `p`, slot `l` holds global `global_of(p, l)`.
+    fn oracle_parts(image: &[f64], dec: &Decomp1) -> Vec<Vec<f64>> {
+        let lo = dec.extent().lo()[0];
+        (0..dec.pmax())
+            .map(|p| {
+                (0..dec.local_count(p))
+                    .map(|l| image[(dec.global_of(p, l) - lo) as usize])
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scatter_and_gather_match_the_per_element_oracle() {
+        for (lo, n) in [(0i64, 0i64), (-7, 1), (3, 2), (0, 4), (5, 23), (-40, 97)] {
+            let extent = Bounds::range(lo, lo + n - 1);
+            let image: Vec<f64> = (0..n).map(|k| k as f64 * 0.25 - 3.0).collect();
+            for pmax in [1, 2, 3, 5] {
+                let mut layouts = vec![
+                    Decomp1::block(pmax, extent),
+                    Decomp1::scatter(pmax, extent),
+                    Decomp1::replicated(pmax, extent),
+                ];
+                layouts.extend([1, 3, 16].map(|b| Decomp1::block_scatter(b, pmax, extent)));
+                for dec in layouts {
+                    let d = DistArray::scatter_slice(&image, dec.clone());
+                    assert_eq!(d.parts, oracle_parts(&image, &dec), "scatter {dec}");
+                    // gather: per element through `global_of`, every
+                    // slot of the image written exactly once
+                    let owners = if dec.is_replicated() { 1 } else { pmax };
+                    let mut want = vec![f64::NAN; n as usize];
+                    for p in 0..owners {
+                        for (l, v) in d.parts[p as usize].iter().enumerate() {
+                            let g = (dec.global_of(p, l as i64) - lo) as usize;
+                            assert!(want[g].is_nan(), "{dec}: global {g} owned twice");
+                            want[g] = *v;
+                        }
+                    }
+                    let mut got = vec![f64::NAN; n as usize];
+                    d.gather_into(&mut got);
+                    assert_eq!(got, image, "gather {dec}");
+                    assert_eq!(want, image, "oracle covers the image for {dec}");
+                    let stretch_count =
+                        (0..pmax).map(|p| stretches(&dec, p).count()).sum::<usize>();
+                    if let Distribution::Block { .. } | Distribution::Replicated = dec.dist() {
+                        assert!(
+                            stretch_count <= pmax as usize,
+                            "{dec}: one stretch per node"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -918,23 +918,37 @@ fn exec_one_run(
             let inner = cs.loop_box.dims() - 1;
             let row = (er.run.start - cs.loop_box.lo()[inner]) as usize;
             let mut i = cs.loop_box.from_linear_offset(row);
-            for t in 0..n {
-                stats.iterations += 1;
-                for (s, v) in vals.iter_mut().enumerate().take(n_slots) {
-                    *v = read(s, t)?;
-                }
-                stats.local_reads += local_slots;
-                stats.data_guards += 1;
-                let guard_ok = match rguard {
-                    RGuard::Always => true,
-                    RGuard::Cmp { slot, op, rhs } => {
-                        op.holds(vals.get(*slot).copied().unwrap_or(0.0), *rhs)
+            // an unguarded run that writes and reads owner-local memory
+            // at unit stride goes through the bytecode a chunk at a
+            // time: same totals charged, same bits out
+            let unit =
+                |sa: &SlotAccess| matches!(sa, SlotAccess::Local(pat) if pat.is_unit_stride());
+            let chunked = unguarded && er.slots.iter().all(unit);
+            if let (Some(win), true) = (&mut o.win, chunked) {
+                let segs = (0..n_slots).map(seg).collect::<Result<Vec<_>, _>>()?;
+                kernel.eval_run(i.coords(), inner, er.run.step, &segs, win, stack);
+                stats.iterations += n as u64;
+                stats.data_guards += n as u64;
+                stats.local_reads += n as u64 * local_slots;
+            } else {
+                for t in 0..n {
+                    stats.iterations += 1;
+                    for (s, v) in vals.iter_mut().enumerate().take(n_slots) {
+                        *v = read(s, t)?;
                     }
-                };
-                if guard_ok {
-                    o.put(t, kernel.eval(i.coords(), vals, stack))?;
+                    stats.local_reads += local_slots;
+                    stats.data_guards += 1;
+                    let guard_ok = match rguard {
+                        RGuard::Always => true,
+                        RGuard::Cmp { slot, op, rhs } => {
+                            op.holds(vals.get(*slot).copied().unwrap_or(0.0), *rhs)
+                        }
+                    };
+                    if guard_ok {
+                        o.put(t, kernel.eval(i.coords(), vals, stack))?;
+                    }
+                    i[inner] += er.run.step;
                 }
-                i[inner] += er.run.step;
             }
         }
     }

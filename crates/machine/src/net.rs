@@ -13,9 +13,15 @@
 //! magic u32 | kind u8 | len u32 | crc u64 | payload[len]
 //! ```
 //!
+//! `crc` is the word-parallel [`checksum`] of the payload; `magic` names
+//! the format, checksum included.
+//!
 //! * Partial reads are handled by accumulation ([`FrameBuf`]): a read
 //!   timeout mid-frame keeps the bytes and resumes, so slow links never
-//!   desynchronize the stream.
+//!   desynchronize the stream. Reads land in the accumulator and the
+//!   payload is lent out of it; [`write_frame`] sends header and payload
+//!   in one vectored write — a frame's bytes are touched once per side
+//!   by the checksum and not copied by the layer at all.
 //! * A bad CRC drops exactly one frame (the length prefix keeps the
 //!   stream in sync) — for data frames the PR 2 NACK protocol recovers
 //!   it, which is precisely the corruption contract the chaos proxy
@@ -39,8 +45,9 @@ use crate::transport::{
     clamp_prob, jittered_backoff, splitmix64, unit_f64, Frame, Transport, TransportKind,
 };
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrd};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -51,8 +58,11 @@ use std::time::{Duration, Instant};
 // frame layer
 // ---------------------------------------------------------------------
 
-/// Stream magic ("vCAL"): resynchronization sentinel of every frame.
-const MAGIC: u32 = 0x7643_414C;
+/// Stream magic ("vCA2"): resynchronization sentinel of every frame. It
+/// names the frame format, checksum included — a peer speaking the
+/// byte-wise FNV-1a format ("vCAL") is refused as [`NetFail::BadMagic`]
+/// instead of having every one of its frames dropped as corrupt.
+const MAGIC: u32 = 0x7643_4132;
 /// Frame header bytes: magic + kind + len + crc.
 const HEADER: usize = 4 + 1 + 4 + 8;
 /// Upper bound on one frame's payload — a sanity rail against parsing
@@ -83,23 +93,61 @@ pub(crate) const HEARTBEAT_IVL: Duration = Duration::from_millis(200);
 const RECONNECT_ATTEMPTS: u32 = 8;
 const RECONNECT_BASE: Duration = Duration::from_millis(20);
 
-/// FNV-1a over raw bytes — the per-frame CRC.
-fn crc_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One checksum step. For a fixed `h` it is a bijection in `w` and for a
+/// fixed `w` a bijection in `h` (xor, multiplication by an odd constant
+/// and rotation all are); the rotation carries the high bits, which a
+/// multiply alone never moves down, back into the next multiply.
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME).rotate_left(31)
+}
+
+/// The per-frame checksum (DESIGN.md §15): the payload's little-endian
+/// 8-byte words dealt round-robin to four independent [`mix`] lanes — so
+/// four multiplies are in flight instead of one per byte — then the
+/// lanes, the zero-padded byte tail and the length folded through the
+/// same step. Every stage is a bijection in each input word with the
+/// others fixed, so any corruption confined to one word (every single-bit
+/// flip in particular) changes the result with certainty; so does a
+/// length change that leaves the words alone.
+fn checksum(bytes: &[u8]) -> u64 {
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    let mut lanes = [FNV_BASIS, !FNV_BASIS, FNV_PRIME, !FNV_PRIME];
+    let mut blocks = bytes.chunks_exact(32);
+    for b in &mut blocks {
+        lanes[0] = mix(lanes[0], word(&b[0..8]));
+        lanes[1] = mix(lanes[1], word(&b[8..16]));
+        lanes[2] = mix(lanes[2], word(&b[16..24]));
+        lanes[3] = mix(lanes[3], word(&b[24..32]));
     }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, w) in lanes.iter_mut().zip(&mut words) {
+        *lane = mix(*lane, word(w));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let h = lanes.iter().fold(FNV_BASIS, |h, lane| mix(h, *lane));
+    mix(mix(h, u64::from_le_bytes(tail)), bytes.len() as u64)
+}
+
+/// The header of the frame that carries `payload`.
+fn header(kind: u8, payload: &[u8]) -> [u8; HEADER] {
+    let mut h = [0u8; HEADER];
+    h[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    h[4] = kind;
+    h[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    h[9..17].copy_from_slice(&checksum(payload).to_le_bytes());
     h
 }
 
-/// Assemble one wire frame.
+/// One wire frame as contiguous bytes — what the chaos proxy corrupts;
+/// [`write_frame`] never assembles it.
 fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc_bytes(payload).to_le_bytes());
+    out.extend_from_slice(&header(kind, payload));
     out.extend_from_slice(payload);
     out
 }
@@ -169,6 +217,13 @@ impl Write for Sock {
         match self {
             Sock::Unix(s) => s.write(buf),
             Sock::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Sock::Unix(s) => s.write_vectored(bufs),
+            Sock::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -275,72 +330,115 @@ impl Drop for NetListener {
     }
 }
 
+/// Read space an idle connection holds, and the size a connection falls
+/// back to once a larger frame has been let go. Above one 64 KiB data
+/// packet with its envelope, so the steady state of every backend never
+/// reallocates.
+const IDLE_CAP: usize = 128 * 1024;
+
 /// Accumulating frame reader: partial reads keep their bytes across
-/// calls, so timeouts mid-frame are harmless.
+/// calls, so timeouts mid-frame are harmless. Socket reads land in the
+/// accumulator itself and a frame's payload is *lent* out of it, after
+/// its checksum held — received bytes are not copied again.
 #[derive(Default)]
 pub(crate) struct FrameBuf {
+    /// `rbuf[..filled]` holds the bytes received; the rest is the space
+    /// the next read lands in.
     rbuf: Vec<u8>,
+    filled: usize,
+    /// Leading bytes of `rbuf` that are done with — the frame the last
+    /// call lent out, or one it dropped — let go when the next begins.
+    spent: usize,
 }
 
 impl FrameBuf {
-    /// Parse one complete frame out of the accumulator, if present.
-    /// CRC-mismatched frames are silently skipped (stream stays in
+    /// The header at the front of the accumulator — kind, payload length
+    /// and checksum — once all of it has arrived. A wrong magic or a
+    /// length above [`MAX_FRAME`] poisons the stream, so no length that
+    /// gets past here is unvalidated.
+    fn head(&self) -> Result<Option<(u8, usize, u64)>, NetFail> {
+        let Some(h) = self.rbuf[..self.filled].first_chunk::<HEADER>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes([h[5], h[6], h[7], h[8]]);
+        if h[0..4] != MAGIC.to_le_bytes() || len > MAX_FRAME {
+            return Err(NetFail::BadMagic);
+        }
+        let sum = u64::from_le_bytes(h[9..17].try_into().expect("8 bytes"));
+        Ok(Some((h[4], len as usize, sum)))
+    }
+
+    /// Find one complete frame at the front of the accumulator, if
+    /// present: its kind and where its payload lies in `rbuf`.
+    /// Checksum-mismatched frames are silently skipped (stream stays in
     /// sync); a wrong magic poisons the stream.
-    fn pop(&mut self) -> Result<Option<(u8, Vec<u8>)>, NetFail> {
+    fn pop(&mut self) -> Result<Option<(u8, Range<usize>)>, NetFail> {
         loop {
-            if self.rbuf.len() < HEADER {
+            if self.spent > 0 {
+                self.rbuf.copy_within(self.spent..self.filled, 0);
+                self.filled -= self.spent;
+                self.spent = 0;
+                // a bulk frame grew the accumulator; do not pin that for
+                // the life of the connection
+                let keep = (2 * self.filled).max(IDLE_CAP);
+                if self.rbuf.len() > keep {
+                    self.rbuf.truncate(keep);
+                    self.rbuf.shrink_to(keep);
+                }
+            }
+            let Some((kind, len, sum)) = self.head()? else {
+                return Ok(None);
+            };
+            let body = HEADER..HEADER + len;
+            if self.filled < body.end {
                 return Ok(None);
             }
-            let magic =
-                u32::from_le_bytes([self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]]);
-            if magic != MAGIC {
-                return Err(NetFail::BadMagic);
-            }
-            let kind = self.rbuf[4];
-            let len = u32::from_le_bytes([self.rbuf[5], self.rbuf[6], self.rbuf[7], self.rbuf[8]]);
-            if len > MAX_FRAME {
-                return Err(NetFail::BadMagic);
-            }
-            let mut crc = [0u8; 8];
-            crc.copy_from_slice(&self.rbuf[9..17]);
-            let crc = u64::from_le_bytes(crc);
-            let total = HEADER + len as usize;
-            if self.rbuf.len() < total {
-                return Ok(None);
-            }
-            let payload = self.rbuf[HEADER..total].to_vec();
-            self.rbuf.drain(..total);
-            if crc_bytes(&payload) != crc {
-                continue; // drop exactly this frame; protocol recovers
-            }
-            return Ok(Some((kind, payload)));
+            self.spent = body.end;
+            if checksum(&self.rbuf[body.clone()]) == sum {
+                return Ok(Some((kind, body)));
+            } // else: drop exactly this frame; protocol recovers
         }
     }
 
-    /// Produce the next frame, reading from the socket under a total
-    /// timeout. `Ok(None)` means the timeout passed with no complete
-    /// frame (accumulated partial bytes are kept).
+    /// Produce the next frame — its kind and its payload, on loan until
+    /// the next call — reading from the socket under a total timeout.
+    /// `Ok(None)` means the timeout passed with no complete frame
+    /// (accumulated partial bytes are kept). The socket's read timeout is
+    /// armed once per call, so a call whose last read starts just inside
+    /// the deadline can outlast it by at most `timeout`.
     pub fn next_frame(
         &mut self,
         sock: &mut Sock,
         timeout: Duration,
-    ) -> Result<Option<(u8, Vec<u8>)>, NetFail> {
+    ) -> Result<Option<(u8, &[u8])>, NetFail> {
         let deadline = Instant::now() + timeout;
-        loop {
+        let mut armed = false;
+        let (kind, body) = loop {
             if let Some(f) = self.pop()? {
-                return Ok(Some(f));
+                break f;
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            if Instant::now() >= deadline {
                 return Ok(None);
             }
-            // a zero read timeout means block-forever on these sockets
-            sock.set_read_timeout(Some(left.max(Duration::from_millis(1))))
-                .map_err(NetFail::Io)?;
-            let mut chunk = [0u8; 16 * 1024];
-            match sock.read(&mut chunk) {
+            if !armed {
+                // a zero read timeout means block-forever on these sockets
+                sock.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
+                    .map_err(NetFail::Io)?;
+                armed = true;
+            }
+            // room for the whole frame in progress, sized once from its
+            // validated header; zeroed by the allocator, not by a pass
+            // over it
+            let frame = self.head()?.map_or(0, |(_, len, _)| HEADER + len);
+            let room = frame.max(IDLE_CAP);
+            if self.rbuf.len() < room {
+                let mut grown = vec![0u8; room];
+                grown[..self.filled].copy_from_slice(&self.rbuf[..self.filled]);
+                self.rbuf = grown;
+            }
+            match sock.read(&mut self.rbuf[self.filled..]) {
                 Ok(0) => return Err(NetFail::Eof),
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.filled += n,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -350,15 +448,17 @@ impl FrameBuf {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(NetFail::Io(e)),
             }
-        }
+        };
+        Ok(Some((kind, &self.rbuf[body])))
     }
 }
 
-/// Write one frame; `write_all` already loops over partial writes and
-/// retries `Interrupted`. A payload longer than [`MAX_FRAME`] is refused
-/// with `InvalidInput` and nothing is written: the peer's
-/// [`FrameBuf::pop`] would read its length as lost frame sync and
-/// poison a healthy stream.
+/// Write one frame: header and payload leave in one vectored write, the
+/// payload straight from the caller's buffer, whatever its size. Partial
+/// writes resume where they stopped and `Interrupted` is retried. A
+/// payload longer than [`MAX_FRAME`] is refused with `InvalidInput` and
+/// nothing is written: the peer's [`FrameBuf::pop`] would read its length
+/// as lost frame sync and poison a healthy stream.
 pub(crate) fn write_frame(sock: &mut Sock, kind: u8, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME as usize {
         return Err(std::io::Error::new(
@@ -369,7 +469,18 @@ pub(crate) fn write_frame(sock: &mut Sock, kind: u8, payload: &[u8]) -> std::io:
             ),
         ));
     }
-    sock.write_all(&frame_bytes(kind, payload))
+    let head = header(kind, payload);
+    let mut sent = 0;
+    while sent < HEADER {
+        let bufs = [IoSlice::new(&head[sent..]), IoSlice::new(payload)];
+        match sock.write_vectored(&bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    sock.write_all(&payload[sent - HEADER..])
 }
 
 fn enc_hello(node: i64, pmax: usize) -> Vec<u8> {
@@ -551,7 +662,7 @@ fn conn_loop(
     let mut fbuf = FrameBuf::default();
     // --- handshake: first frame must be a well-formed, version-matched HELLO
     let node = match fbuf.next_frame(&mut sock, Duration::from_secs(5)) {
-        Ok(Some((K_HELLO, p))) => match dec_hello(&p) {
+        Ok(Some((K_HELLO, p))) => match dec_hello(p) {
             Some((v, _, _)) if v != WIRE_VERSION => {
                 let reason = format!("wire version {v} != host version {WIRE_VERSION}");
                 let _ = write_frame(&mut sock, K_HELLO_REJECT, reason.as_bytes());
@@ -608,7 +719,7 @@ fn conn_loop(
                             }
                         }
                     }
-                    K_CTRL => match dec_ctrl(&payload) {
+                    K_CTRL => match dec_ctrl(payload) {
                         Ok(ctrl) => {
                             let _ = ev_tx.send(RouterEvent::Ctrl { node, ctrl });
                         }
@@ -688,9 +799,7 @@ impl SockLink {
                 self.sock = Some(sock);
                 Ok(())
             }
-            Ok(Some((K_HELLO_REJECT, reason))) => {
-                Err(String::from_utf8_lossy(&reason).into_owned())
-            }
+            Ok(Some((K_HELLO_REJECT, reason))) => Err(String::from_utf8_lossy(reason).into_owned()),
             Ok(_) => Err("handshake: unexpected first frame".to_string()),
             Err(e) => Err(format!("handshake: {e}")),
         }
@@ -757,13 +866,13 @@ impl SockLink {
         };
         match self.fbuf.next_frame(sock, slice) {
             Ok(Some((K_DATA, payload))) => {
-                if let Ok(f) = dec_frame_bytes(&payload) {
+                if let Ok(f) = dec_frame_bytes(payload) {
                     self.pending_data.push_back(f);
                 }
                 true
             }
             Ok(Some((K_CTRL, payload))) => {
-                if let Ok(c) = dec_ctrl(&payload) {
+                if let Ok(c) = dec_ctrl(payload) {
                     self.pending_ctrl.push_back(c);
                 }
                 true
@@ -1096,11 +1205,11 @@ fn spawn_pair(down: Sock, up: Sock, plan: ChaosPlan, stop: Arc<AtomicBool>) {
             match fbuf.next_frame(&mut down_r, Duration::from_millis(200)) {
                 Ok(Some((kind, payload))) => {
                     if kind == K_HELLO {
-                        if let Some((_, node, _)) = dec_hello(&payload) {
+                        if let Some((_, node, _)) = dec_hello(payload) {
                             stream = Some(ChaosStream::new(plan, node));
                         }
                     }
-                    let mut bytes = frame_bytes(kind, &payload);
+                    let mut bytes = frame_bytes(kind, payload);
                     let call = match (&mut stream, kind) {
                         (Some(s), K_DATA) if plan.any() => s.classify(),
                         _ => ChaosCall::Forward,
@@ -1239,11 +1348,70 @@ mod tests {
         let mut fbuf = FrameBuf::default();
         match fbuf.next_frame(&mut sock, Duration::from_secs(5)) {
             Ok(Some((K_HELLO_REJECT, reason))) => {
-                let r = String::from_utf8_lossy(&reason).into_owned();
+                let r = String::from_utf8_lossy(reason).into_owned();
                 assert!(r.contains("version"), "reason names the cause: {r}");
             }
             other => panic!("expected reject, got {other:?}"),
         }
+    }
+
+    impl FrameBuf {
+        /// Bytes arriving, as a socket read would land them.
+        fn feed(&mut self, bytes: &[u8]) {
+            self.rbuf.truncate(self.filled);
+            self.rbuf.extend_from_slice(bytes);
+            self.filled = self.rbuf.len();
+        }
+
+        /// [`FrameBuf::pop`] with the payload copied out.
+        fn pop_owned(&mut self) -> Result<Option<(u8, Vec<u8>)>, NetFail> {
+            let found = self.pop()?;
+            Ok(found.map(|(kind, body)| (kind, self.rbuf[body].to_vec())))
+        }
+    }
+
+    /// Deterministic payload bytes with no zero among them, so dropping
+    /// one always changes a word.
+    fn noise(n: usize) -> Vec<u8> {
+        let mut s = 0x5eed_u64;
+        (0..n).map(|_| splitmix64(&mut s) as u8 | 1).collect()
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_and_the_length() {
+        // 0..=100 covers the empty payload, each lane boundary, whole
+        // 32-byte blocks and every byte-tail length
+        for n in 0..=100usize {
+            let clean = noise(n);
+            let sum = checksum(&clean);
+            for bit in 0..8 * n {
+                let mut flipped = clean.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&flipped), sum, "len {n}: bit {bit} flips unseen");
+            }
+            let mut longer = clean.clone();
+            longer.push(0);
+            assert_ne!(checksum(&longer), sum, "len {n}: zero-extension unseen");
+            if n > 0 {
+                assert_ne!(checksum(&clean[..n - 1]), sum, "len {n}: truncation unseen");
+            }
+        }
+        // an all-zero payload differs from every other all-zero length
+        let zeros = [0u8; 100];
+        let sums: std::collections::BTreeSet<u64> =
+            (0..=100).map(|n| checksum(&zeros[..n])).collect();
+        assert_eq!(sums.len(), 101);
+    }
+
+    /// The checksum is part of the frame format: a change to it must
+    /// come with a new [`MAGIC`], not slip in silently. (The vectors were
+    /// cross-checked against an independent implementation of §15.)
+    #[test]
+    fn checksum_is_pinned() {
+        let payload: Vec<u8> = (0u8..77).collect();
+        assert_eq!(checksum(&payload), 0x43f6_77af_3476_e6e2);
+        assert_eq!(checksum(&[]), 0x6156_df0b_f604_367e);
+        assert_eq!(MAGIC.to_be_bytes(), *b"vCA2");
     }
 
     #[test]
@@ -1252,25 +1420,90 @@ mod tests {
         let mut bytes = frame_bytes(K_DATA, &[1, 2, 3, 4]);
         bytes[HEADER + 1] ^= 0xff; // corrupt payload after CRC
         let good = frame_bytes(K_CTRL, &[9]);
-        fbuf.rbuf.extend_from_slice(&bytes);
-        fbuf.rbuf.extend_from_slice(&good);
-        let got = fbuf.pop().expect("stream stays in sync");
-        let (kind, payload) = got.expect("second frame survives");
-        assert_eq!(kind, K_CTRL);
-        assert_eq!(payload, vec![9]);
+        fbuf.feed(&bytes);
+        fbuf.feed(&good);
+        let got = fbuf.pop_owned().expect("stream stays in sync");
+        assert_eq!(got.expect("second frame survives"), (K_CTRL, vec![9]));
         assert!(fbuf.pop().expect("clean tail").is_none());
+        // the same across a bulk frame: corrupt in its last word, dropped
+        // whole, and the frame behind it pops
+        let mut bulk = frame_bytes(K_DATA, &noise(1 << 20));
+        *bulk.last_mut().expect("payload") ^= 0x80;
+        fbuf.feed(&bulk);
+        fbuf.feed(&good);
+        let got = fbuf.pop_owned().expect("in sync");
+        assert_eq!(got.expect("frame after the dropped one"), (K_CTRL, vec![9]));
     }
 
     #[test]
     fn partial_frames_accumulate_across_reads() {
         let mut fbuf = FrameBuf::default();
         let bytes = frame_bytes(K_DATA, &[7; 100]);
-        fbuf.rbuf.extend_from_slice(&bytes[..HEADER + 10]);
+        fbuf.feed(&bytes[..HEADER + 10]);
         assert!(fbuf.pop().expect("no error").is_none(), "incomplete frame");
-        fbuf.rbuf.extend_from_slice(&bytes[HEADER + 10..]);
-        let (kind, payload) = fbuf.pop().expect("no error").expect("complete now");
-        assert_eq!(kind, K_DATA);
-        assert_eq!(payload.len(), 100);
+        fbuf.feed(&bytes[HEADER + 10..]);
+        let (kind, payload) = fbuf.pop_owned().expect("no error").expect("complete now");
+        assert_eq!((kind, payload), (K_DATA, vec![7; 100]));
+    }
+
+    /// A 4 MiB frame trickling in over a real socket in pieces of 1 B,
+    /// 17 B, 16 KiB + 1 and the rest reassembles; two frames written
+    /// back to back behind it both pop; and the connection does not keep
+    /// the bulk frame's buffer afterwards.
+    #[test]
+    fn bulk_frame_reassembles_from_pieces_and_its_buffer_is_released() {
+        let (a, b) = UnixStream::pair().expect("socket pair");
+        let (mut tx, mut rx) = (Sock::Unix(a), Sock::Unix(b));
+        let payload = noise(4 << 20);
+        let bytes = frame_bytes(K_SREQ, &payload);
+        let writer = std::thread::spawn(move || {
+            let cuts = [0, 1, 18, 18 + (16 << 10) + 1, bytes.len()];
+            for w in cuts.windows(2) {
+                tx.write_all(&bytes[w[0]..w[1]]).expect("piece");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let mut two = frame_bytes(K_CTRL, &[1]);
+            two.extend_from_slice(&frame_bytes(K_HEARTBEAT, &[]));
+            tx.write_all(&two).expect("two frames, one write");
+            tx
+        });
+        let mut fbuf = FrameBuf::default();
+        let mut next = || loop {
+            // a short timeout, so the pieces are met mid-frame
+            match fbuf.next_frame(&mut rx, Duration::from_millis(2)) {
+                Ok(Some((kind, body))) => break (kind, body.to_vec(), fbuf.rbuf.capacity()),
+                Ok(None) => {}
+                Err(e) => panic!("stream failed: {e}"),
+            }
+        };
+        let (kind, got, cap) = next();
+        assert_eq!(kind, K_SREQ);
+        assert!(got == payload, "bulk payload intact");
+        assert!(cap > 4 << 20, "the frame on loan lies in the accumulator");
+        // the loan ends with the next call, and the space with it
+        let (kind, got, cap) = next();
+        assert_eq!((kind, got), (K_CTRL, vec![1]));
+        assert!(cap <= 2 * IDLE_CAP, "{cap} bytes still held once let go");
+        let (kind, got, _) = next();
+        assert_eq!((kind, got), (K_HEARTBEAT, vec![]));
+        drop(writer.join().expect("writer"));
+    }
+
+    /// A peer on the previous frame format is told apart at its first
+    /// frame, before a byte of payload is read or reserved for.
+    #[test]
+    fn older_magic_and_oversize_length_poison_before_any_reservation() {
+        let mut old = frame_bytes(K_HELLO, &[0; 20]);
+        old[0..4].copy_from_slice(&0x7643_414Cu32.to_le_bytes());
+        let mut huge = frame_bytes(K_DATA, &[]);
+        huge[5..9].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        for bytes in [old, huge] {
+            let mut fbuf = FrameBuf::default();
+            fbuf.feed(&bytes[..HEADER]);
+            let cap = fbuf.rbuf.capacity();
+            assert!(matches!(fbuf.pop(), Err(NetFail::BadMagic)));
+            assert_eq!(fbuf.rbuf.capacity(), cap);
+        }
     }
 
     #[test]
@@ -1293,7 +1526,7 @@ mod tests {
     #[test]
     fn bad_magic_poisons_the_stream() {
         let mut fbuf = FrameBuf::default();
-        fbuf.rbuf.extend_from_slice(&[0u8; HEADER + 4]);
+        fbuf.feed(&[0u8; HEADER + 4]);
         assert!(matches!(fbuf.pop(), Err(NetFail::BadMagic)));
     }
 

@@ -47,7 +47,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vcal_core::{Array, Env, Ix};
 use vcal_spmd::{CacheBudget, DecompMap, ProgramStep};
 
 /// FNV-1a of a tenant name — the namespace component of shared cache
@@ -319,10 +318,13 @@ fn handle_conn(mut sock: Sock, shared: &Arc<Shared>) {
         }
         match fbuf.next_frame(&mut sock, Duration::from_millis(200)) {
             Ok(Some((K_SREQ, payload))) => {
-                let resp = match crate::codec::dec_req(&payload) {
+                let resp = match crate::codec::dec_req(payload) {
                     Ok(req) => serve_one(shared, ns, req),
+                    // the id leads the record: echo it even when the rest
+                    // does not decode, or the client waits out its guard
+                    // for a response it takes to be someone else's
                     Err(e) => RespMsg {
-                        req_id: 0,
+                        req_id: (payload.first_chunk()).map_or(0, |id| u64::from_le_bytes(*id)),
                         res: Err(MachineError::Transport {
                             node: -1,
                             detail: e.to_string(),
@@ -345,7 +347,7 @@ fn handle_conn(mut sock: Sock, shared: &Arc<Shared>) {
 /// lost (already answered on the wire where possible).
 fn hello(sock: &mut Sock, fbuf: &mut FrameBuf, shared: &Arc<Shared>) -> Option<u64> {
     match fbuf.next_frame(sock, Duration::from_secs(10)) {
-        Ok(Some((K_SHELLO, payload))) => match dec_shello(&payload) {
+        Ok(Some((K_SHELLO, payload))) => match dec_shello(payload) {
             Ok((version, tenant)) if version == crate::codec::WIRE_VERSION => {
                 write_frame(sock, K_SHELLO_OK, &[]).ok()?;
                 Some(tenant_ns(&tenant))
@@ -365,46 +367,6 @@ fn hello(sock: &mut Sock, fbuf: &mut FrameBuf, shared: &Arc<Shared>) -> Option<u
             None
         }
     }
-}
-
-/// Rebuild the global [`Env`] a request describes.
-fn build_env(req: &ReqMsg) -> Result<Env, MachineError> {
-    let mut env = Env::new();
-    for (name, dec) in &req.decomps {
-        let vals = req
-            .globals
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-        let b = dec.extent();
-        let lo = b.lo().scalar();
-        let n = (b.hi().scalar() - lo + 1).max(0) as usize;
-        if vals.len() != n {
-            return Err(MachineError::PlanMismatch(format!(
-                "array `{name}` carries {} values but its extent holds {n}",
-                vals.len()
-            )));
-        }
-        env.insert(
-            name.clone(),
-            Array::from_fn(b, |i| vals[(i.scalar() - lo) as usize]),
-        );
-    }
-    Ok(env)
-}
-
-/// Flatten the final state back into wire form.
-fn flatten(env: &Env, decomps: &DecompMap) -> BTreeMap<String, Vec<f64>> {
-    let mut out = BTreeMap::new();
-    for (name, dec) in decomps {
-        if let Some(a) = env.get(name) {
-            let b = dec.extent();
-            let vals = (b.lo().scalar()..=b.hi().scalar())
-                .map(|i| a.get(&Ix::d1(i)))
-                .collect();
-            out.insert(name.clone(), vals);
-        }
-    }
-    out
 }
 
 /// Admit, execute, and account one request.
@@ -451,18 +413,17 @@ fn run_request(shared: &Arc<Shared>, ns: u64, req: &ReqMsg) -> Result<RunOutcome
             "request carries an empty program".into(),
         ));
     }
-    let env = build_env(req)?;
+    // the decoded images go straight into node parts
+    let session = DistSession::from_images(&req.globals, req.decomps.clone())?;
     let mut session = if shared.cfg.cold {
-        DistSession::new(&env, req.decomps.clone())?.with_options(shared.cfg.opts)
+        session.with_options(shared.cfg.opts)
     } else {
-        DistSession::new_shared(
-            &env,
-            req.decomps.clone(),
+        session.shared(
             shared.cfg.opts,
             Arc::clone(&shared.caches),
             ns,
             Arc::clone(&shared.pools),
-        )?
+        )
     };
     let mut reports = Vec::new();
     let mut tune = None;
@@ -490,8 +451,7 @@ fn run_request(shared: &Arc<Shared>, ns: u64, req: &ReqMsg) -> Result<RunOutcome
             )?);
         }
     }
-    let final_env = session.gather_all();
-    Ok((flatten(&final_env, &req.decomps), reports, tune))
+    Ok((session.gather_images(), reports, tune))
 }
 
 /// Derive per-request service counters from the program reports — no
@@ -604,7 +564,7 @@ impl ServeClient {
             }),
             Ok(Some((K_SHELLO_REJECT, msg))) => Err(fail(format!(
                 "service rejected session: {}",
-                String::from_utf8_lossy(&msg)
+                String::from_utf8_lossy(msg)
             ))),
             Ok(Some((k, _))) => Err(fail(format!("unexpected frame kind {k} in hello"))),
             Ok(None) => Err(fail("service did not answer hello".into())),
@@ -616,23 +576,7 @@ impl ServeClient {
     pub fn request(&mut self, req: &ServeRequest) -> Result<ServeResponse, MachineError> {
         let fail = |detail: String| MachineError::Transport { node: -1, detail };
         self.next_id += 1;
-        let wire = ReqMsg {
-            req_id: self.next_id,
-            n_steps: req.n_steps,
-            schedule: req.schedule,
-            autotune: req.autotune,
-            tune_budget: req.tune.budget,
-            profile_steps: req.tune.profile_steps,
-            retune_every: req.tune.retune_every.unwrap_or(0),
-            deadline_ms: req
-                .deadline
-                .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64)
-                .unwrap_or(0),
-            steps: req.steps.clone(),
-            decomps: req.decomps.clone(),
-            globals: req.globals.clone(),
-        };
-        let payload = enc_req(&wire).map_err(|e| fail(e.to_string()))?;
+        let payload = enc_req(self.next_id, req).map_err(|e| fail(e.to_string()))?;
         write_frame(&mut self.sock, K_SREQ, &payload)
             .map_err(|e| fail(format!("request send: {e}")))?;
         // generous client-side wait: the server enforces the real
@@ -650,7 +594,7 @@ impl ServeClient {
             }
             match self.fbuf.next_frame(&mut self.sock, left) {
                 Ok(Some((K_SRESP, payload))) => {
-                    let resp = dec_resp(&payload).map_err(|e| fail(e.to_string()))?;
+                    let resp = dec_resp(payload).map_err(|e| fail(e.to_string()))?;
                     if resp.req_id != self.next_id {
                         continue; // stale response from an aborted request
                     }
@@ -670,7 +614,7 @@ impl ServeClient {
 mod tests {
     use super::*;
     use vcal_core::func::Fn1;
-    use vcal_core::{ArrayRef, Bounds, Clause, Expr, Guard, IndexSet, Ordering};
+    use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ix, Ordering};
     use vcal_decomp::Decomp1;
 
     fn sweep(n: i64) -> Clause {
@@ -796,6 +740,35 @@ mod tests {
         assert!(format!("{err}").contains("admission: deadline"));
     }
 
+    /// A well-framed `K_SREQ` cut short is answered at once under the id
+    /// its first eight bytes carry (0 when even those are missing), and
+    /// the connection then serves a whole request.
+    #[test]
+    fn truncated_request_is_answered_under_its_own_id() {
+        let handle = ServeHandle::start(ServeConfig::default()).expect("service starts");
+        let mut client = ServeClient::connect(handle.addr(), "t0").expect("connects");
+        let req = request(64, 1);
+        let whole = enc_req(7, &req).expect("encodes");
+        for (cut, id) in [(whole.len() / 2, 7), (11, 7), (3, 0)] {
+            write_frame(&mut client.sock, K_SREQ, &whole[..cut]).expect("sends");
+            let t0 = Instant::now();
+            match client
+                .fbuf
+                .next_frame(&mut client.sock, Duration::from_secs(5))
+            {
+                Ok(Some((K_SRESP, payload))) => {
+                    let resp = dec_resp(payload).expect("response decodes");
+                    assert_eq!(resp.req_id, id, "cut at {cut}");
+                    assert!(matches!(resp.res, Err(MachineError::Transport { .. })));
+                }
+                other => panic!("cut at {cut}: expected a response, got {other:?}"),
+            }
+            assert!(t0.elapsed() < Duration::from_secs(1));
+        }
+        let resp = client.request(&req).expect("the connection is still good");
+        assert_eq!(resp.globals["U"], oracle(64, 1));
+    }
+
     #[test]
     fn bad_wire_version_is_rejected_at_hello() {
         let handle = ServeHandle::start(ServeConfig::default()).expect("service starts");
@@ -808,7 +781,7 @@ mod tests {
         let mut fbuf = FrameBuf::default();
         match fbuf.next_frame(&mut sock, Duration::from_secs(5)) {
             Ok(Some((K_SHELLO_REJECT, msg))) => {
-                assert!(String::from_utf8_lossy(&msg).contains("wire version"));
+                assert!(String::from_utf8_lossy(msg).contains("wire version"));
             }
             other => panic!("expected rejection, got {other:?}"),
         }

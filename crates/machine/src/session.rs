@@ -369,32 +369,62 @@ impl DistSession {
             }
             arrays.insert(name.clone(), DistArray::scatter_from(global, dec.clone()));
         }
-        Ok(DistSession {
+        Ok(DistSession::over(arrays, decomps))
+    }
+
+    /// Like [`DistSession::new`] from flat global images (`images[name][k]`
+    /// is global index `extent.lo + k` — the serve wire form), scattered
+    /// straight into node parts. Every image is checked against its
+    /// extent before anything is allocated.
+    pub(crate) fn from_images(
+        images: &BTreeMap<String, Vec<f64>>,
+        decomps: DecompMap,
+    ) -> Result<DistSession, MachineError> {
+        for (name, dec) in &decomps {
+            let vals = images
+                .get(name)
+                .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
+            if vals.len() as i64 != dec.len() {
+                return Err(MachineError::PlanMismatch(format!(
+                    "array `{name}` carries {} values but its extent holds {}",
+                    vals.len(),
+                    dec.len()
+                )));
+            }
+        }
+        let arrays = (decomps.iter())
+            .map(|(name, dec)| {
+                let image = DistArray::scatter_slice(&images[name], dec.clone());
+                (name.clone(), image)
+            })
+            .collect();
+        Ok(DistSession::over(arrays, decomps))
+    }
+
+    fn over(arrays: BTreeMap<String, DistArray>, decomps: DecompMap) -> DistSession {
+        DistSession {
             arrays,
             decomps,
             opts: DistOptions::default(),
             caches: CacheHandle::Owned(Box::default()),
             pools: PoolHandle::Owned(Box::default()),
-        })
+        }
     }
 
-    /// A serve-mode session: same distributed state as
-    /// [`DistSession::new`], but every cache tier and the worker pool
-    /// are shared with other sessions, and all cache keys carry the
+    /// Turn into a serve-mode session: every cache tier and the worker
+    /// pool are shared with other sessions, and all cache keys carry the
     /// tenant namespace `ns` (see DESIGN.md §18).
-    pub(crate) fn new_shared(
-        env: &Env,
-        decomps: DecompMap,
+    pub(crate) fn shared(
+        mut self,
         opts: DistOptions,
         caches: Arc<Mutex<SessionCaches>>,
         ns: u64,
         pools: Arc<Mutex<PoolState>>,
-    ) -> Result<DistSession, MachineError> {
-        let mut s = DistSession::new(env, decomps)?;
-        s.opts = opts;
-        s.caches = CacheHandle::Shared { caches, ns };
-        s.pools = PoolHandle::Shared(pools);
-        Ok(s)
+    ) -> DistSession {
+        self.opts = opts;
+        self.caches = CacheHandle::Shared { caches, ns };
+        self.pools = PoolHandle::Shared(pools);
+        self
     }
 
     /// Replace the (owned) cache tiers with empty ones under `budget` —
@@ -1118,6 +1148,18 @@ impl DistSession {
             env.insert(name.clone(), da.gather());
         }
         env
+    }
+
+    /// Gather the whole state as flat global images (the inverse of
+    /// [`DistSession::from_images`]).
+    pub(crate) fn gather_images(&self) -> BTreeMap<String, Vec<f64>> {
+        (self.arrays.iter())
+            .map(|(name, da)| {
+                let mut image = vec![0.0; da.decomp().len() as usize];
+                da.gather_into(&mut image);
+                (name.clone(), image)
+            })
+            .collect()
     }
 }
 

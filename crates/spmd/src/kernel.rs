@@ -151,7 +151,79 @@ impl CompiledKernel {
         }
         stack.pop().unwrap_or(0.0)
     }
+
+    /// Evaluate the bytecode over a whole unit-stride run: element `t`
+    /// of `out` is [`CompiledKernel::eval`] at loop index `idx` with
+    /// coordinate `inner` advanced by `step·t`, over the slot values
+    /// `slots[s][t]`. Each slot slice holds exactly `out.len()` values.
+    ///
+    /// The ops run column-wise over chunks of at most `CHUNK` (256)
+    /// elements, the value stack widened to one chunk buffer per level:
+    /// every element still sees the same [`BinOp::apply`] sequence on the
+    /// same operands, so the result is bit-identical to the per-element
+    /// loop — what goes is the dispatch, the gather closures and the
+    /// stack traffic per element.
+    pub fn eval_run(
+        &self,
+        idx: &[i64],
+        inner: usize,
+        step: i64,
+        slots: &[&[f64]],
+        out: &mut [f64],
+        stack: &mut Vec<f64>,
+    ) {
+        // one buffer of `w` values per stack level; whatever a buffer
+        // holds is overwritten by the push that claims it
+        let w = out.len().min(CHUNK);
+        if stack.len() < self.max_stack * w {
+            stack.resize(self.max_stack * w, 0.0);
+        }
+        for (c, out) in out.chunks_mut(CHUNK).enumerate() {
+            let (t0, m) = (c * CHUNK, out.len());
+            let mut sp = 0;
+            for op in &self.ops {
+                match *op {
+                    KernelOp::Slot(s) => {
+                        match slots.get(s as usize) {
+                            Some(vals) => stack[sp * w..][..m].copy_from_slice(&vals[t0..t0 + m]),
+                            None => stack[sp * w..][..m].fill(0.0),
+                        }
+                        sp += 1;
+                    }
+                    KernelOp::Lit(v) => {
+                        stack[sp * w..][..m].fill(v);
+                        sp += 1;
+                    }
+                    KernelOp::LoopVar(d) => {
+                        let at = idx.get(d as usize).copied().unwrap_or(0);
+                        let along = if d as usize == inner { step } else { 0 };
+                        for (t, v) in stack[sp * w..][..m].iter_mut().enumerate() {
+                            *v = (at + along * (t0 + t) as i64) as f64;
+                        }
+                        sp += 1;
+                    }
+                    KernelOp::Neg => {
+                        for v in &mut stack[(sp - 1) * w..][..m] {
+                            *v = -*v;
+                        }
+                    }
+                    KernelOp::Bin(op) => {
+                        let (below, top) = stack.split_at_mut((sp - 1) * w);
+                        for (a, b) in below[(sp - 2) * w..][..m].iter_mut().zip(&top[..m]) {
+                            *a = op.apply(*a, *b);
+                        }
+                        sp -= 1;
+                    }
+                }
+            }
+            out.copy_from_slice(&stack[..m]);
+        }
+    }
 }
+
+/// Elements [`CompiledKernel::eval_run`] carries through the bytecode at
+/// a time: a few chunk buffers of this width stay in L1.
+const CHUNK: usize = 256;
 
 /// Emit postfix ops for `e`; returns the maximum stack depth reached.
 fn lower<F>(e: &Expr, resolve: &F, out: &mut Vec<KernelOp>) -> Option<usize>

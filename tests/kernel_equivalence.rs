@@ -298,6 +298,42 @@ proptest! {
         }
     }
 
+    /// The chunked run evaluator is the per-element evaluator, bit for
+    /// bit: run lengths around the 256-element chunk (none, one, a chunk
+    /// less one, a chunk, a chunk plus one, several chunks and a tail),
+    /// with the loop coordinate advancing by 1 and by 3.
+    #[test]
+    fn eval_run_bitwise_equals_eval_per_element(e in arb_expr(), i0 in -40i64..40) {
+        let reads = read_list(&e);
+        let k = CompiledKernel::compile(&e, reads.len(), |r: &ArrayRef| {
+            let g = r.map.as_fn1()?;
+            reads.iter().position(|(a, h)| *a == r.array && h == g)
+        });
+        let k = k.expect("every vocabulary reference resolves");
+        let (mut stack, mut scratch) = (Vec::new(), Vec::new());
+        for n in [0usize, 1, 255, 256, 257, 1000] {
+            // zeros, negatives and a spread of magnitudes per slot
+            let slots: Vec<Vec<f64>> = (0..reads.len())
+                .map(|s| (0..n).map(|t| ((s * 31 + t * 7) % 23) as f64 * 0.5 - 5.0).collect())
+                .collect();
+            let segs: Vec<&[f64]> = slots.iter().map(Vec::as_slice).collect();
+            for step in [1i64, 3] {
+                let mut out = vec![f64::NAN; n];
+                k.eval_run(&[i0], 0, step, &segs, &mut out, &mut scratch);
+                for (t, got) in out.iter().enumerate() {
+                    let vals: Vec<f64> = slots.iter().map(|s| s[t]).collect();
+                    let want = k.eval(&[i0 + step * t as i64], &vals, &mut stack);
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "expr={:?} n={} step={} t={} got={} want={}",
+                        &e, n, step, t, got, want
+                    );
+                }
+            }
+        }
+    }
+
     /// Machine level: the compiled update path is bit-identical to the
     /// sequential reference — every SIMD policy as the scalar path —
     /// across random expressions, guards,

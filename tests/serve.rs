@@ -463,3 +463,143 @@ fn wire_pool_dag_schedule_and_tenant_cold_start() {
     assert_eq!(handle.sessions_served(), 3);
     handle.stop();
 }
+
+/// A request the service cannot decode — well framed, but its record
+/// stops making sense half way (the codec admits at most 4096
+/// processors) — is answered at once with a typed `Transport` error
+/// under the request's own id, and the connection serves the next
+/// request. The answer used to carry id 0, which the client took for
+/// someone else's and sat out its 90 s guard.
+#[test]
+fn undecodable_request_is_typed_at_once_and_the_connection_lives() {
+    let handle = ServeHandle::start(ServeConfig::default()).expect("service start");
+    let sh = shape(N, 0, 0);
+    let mut client = ServeClient::connect(handle.addr(), "garbled").expect("connect");
+    let mut decomps = sh.decomps.clone();
+    decomps.insert("U".into(), Decomp1::scatter(5000, Bounds::range(0, N - 1)));
+    let req = ServeRequest::new(sh.steps.clone(), decomps, sh.globals.clone(), 1);
+    let t0 = std::time::Instant::now();
+    match client.request(&req) {
+        Err(MachineError::Transport { detail, .. }) => {
+            assert!(detail.contains("codec"), "names the decoder: {detail}")
+        }
+        other => panic!("expected a typed Transport error, got {other:?}"),
+    }
+    let waited = t0.elapsed();
+    assert!(waited < Duration::from_secs(1), "answered after {waited:?}");
+    let good = ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), sh.globals.clone(), 1);
+    let resp = client
+        .request(&good)
+        .expect("same connection, next request");
+    assert_bit_identical(&resp.globals, &oracle(&sh, N, 1), "after the garbled one");
+    handle.stop();
+}
+
+/// Images land in node parts and come back stretch by stretch, never
+/// through an `Env`: block-scatter, scatter and block layouts over
+/// extents that do not start at 0 (and do not divide evenly) round-trip
+/// bit-identically to the sequential oracle — a stencil across the
+/// dealt blocks plus a generic-kernel accumulate.
+#[test]
+fn dealt_layouts_over_offset_extents_match_the_oracle() {
+    let (lo, hi) = (-5i64, 57i64);
+    let extent = Bounds::range(lo, hi);
+    let a = |g: Fn1| ArrayRef::d1("A", g);
+    let b = |g: Fn1| ArrayRef::d1("B", g);
+    let steps = vec![
+        par(
+            a(Fn1::identity()),
+            IndexSet::range(lo + 1, hi - 1),
+            Expr::mul(
+                Expr::add(Expr::Ref(b(Fn1::shift(-1))), Expr::Ref(b(Fn1::shift(1)))),
+                Expr::Lit(0.5),
+            ),
+        ),
+        par(
+            b(Fn1::identity()),
+            IndexSet::range(lo, hi),
+            Expr::add(
+                Expr::Ref(b(Fn1::identity())),
+                Expr::mul(Expr::Lit(0.5), Expr::Ref(a(Fn1::identity()))),
+            ),
+        ),
+    ];
+    let n = hi - lo + 1;
+    let image = |salt: i64| -> Vec<f64> { (0..n).map(|k| seed_val(k, salt)).collect() };
+    let handle = ServeHandle::start(ServeConfig::default()).expect("service start");
+    let mut client = ServeClient::connect(handle.addr(), "dealt").expect("connect");
+    for (what, da, db) in [
+        (
+            "bs(3) / scatter",
+            Decomp1::block_scatter(3, PMAX, extent),
+            Decomp1::scatter(PMAX, extent),
+        ),
+        (
+            "scatter / bs(16)",
+            Decomp1::scatter(PMAX, extent),
+            Decomp1::block_scatter(16, PMAX, extent),
+        ),
+        (
+            "block / bs(1)",
+            Decomp1::block(PMAX, extent),
+            Decomp1::block_scatter(1, PMAX, extent),
+        ),
+    ] {
+        let decomps: DecompMap = [("A".to_string(), da), ("B".to_string(), db)].into();
+        let globals: BTreeMap<String, Vec<f64>> =
+            [("A".to_string(), image(2)), ("B".to_string(), image(9))].into();
+        let mut env = Env::new();
+        for (name, vals) in &globals {
+            let at = |i: &vcal_suite::core::Ix| vals[(i.scalar() - lo) as usize];
+            env.insert(name.clone(), Array::from_fn(extent, at));
+        }
+        let n_steps = 3;
+        for _ in 0..n_steps {
+            for step in &steps {
+                if let ProgramStep::Clause(c) = step {
+                    env.exec_clause(c);
+                }
+            }
+        }
+        let want: BTreeMap<String, Vec<f64>> = (globals.keys())
+            .map(|name| (name.clone(), env.get(name).unwrap().data().to_vec()))
+            .collect();
+        let req = ServeRequest::new(steps.clone(), decomps, globals, n_steps);
+        let resp = client.request(&req).expect(what);
+        assert_bit_identical(&resp.globals, &want, what);
+    }
+    handle.stop();
+}
+
+/// What `build_env` used to refuse is still refused, typed, before any
+/// part is allocated: an image whose length disagrees with its extent,
+/// and a decomposed array the request carries no image for.
+#[test]
+fn image_of_the_wrong_length_and_missing_image_are_typed() {
+    let handle = ServeHandle::start(ServeConfig::default()).expect("service start");
+    let sh = shape(N, 0, 1);
+    let mut client = ServeClient::connect(handle.addr(), "sloppy").expect("connect");
+    let mut short = sh.globals.clone();
+    short.get_mut("T").expect("image").pop();
+    let req = ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), short, 1);
+    match client.request(&req) {
+        Err(MachineError::PlanMismatch(why)) => assert!(
+            why.contains("array `T` carries 63 values but its extent holds 64"),
+            "{why}"
+        ),
+        other => panic!("expected a typed PlanMismatch, got {other:?}"),
+    }
+    let mut missing = sh.globals.clone();
+    missing.remove("U");
+    let req = ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), missing, 1);
+    match client.request(&req) {
+        Err(MachineError::UnknownArray(name)) => assert_eq!(name, "U"),
+        other => panic!("expected UnknownArray, got {other:?}"),
+    }
+    let req = ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), sh.globals.clone(), 1);
+    let resp = client
+        .request(&req)
+        .expect("a well-formed request still runs");
+    assert_bit_identical(&resp.globals, &oracle(&sh, N, 1), "after the refusals");
+    handle.stop();
+}
