@@ -4,8 +4,6 @@
 //! * shared-memory machine: naive-guard plans vs closed-form plans across
 //!   processor counts (the paper's core speedup claim, measured end to
 //!   end);
-//! * write-strategy ablation (DESIGN.md #5): direct disjoint writes vs
-//!   gather-then-commit;
 //! * distributed machine: communication volume of block vs scatter vs
 //!   block-scatter on a stencil (printed, since message counts — not
 //!   wall time — are the architecture-independent quantity).
@@ -17,7 +15,7 @@ use vcal_bench::{copy_clause, decomps_ab, env_ab, stencil_clause, write_report, 
 use vcal_core::func::Fn1;
 use vcal_core::{Array, Bounds, Env};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, run_shared, DistArray, DistOptions, WriteStrategy};
+use vcal_machine::{run_distributed, run_shared, DistArray, DistOptions};
 use vcal_spmd::{CommStats, DecompMap, SpmdPlan};
 
 fn bench_shared(c: &mut Criterion) {
@@ -38,14 +36,14 @@ fn bench_shared(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("naive", pmax), |b| {
             b.iter(|| {
                 let mut env = env0.clone();
-                run_shared(&plan_naive, &clause, &mut env, WriteStrategy::Direct).unwrap();
+                run_shared(&plan_naive, &clause, &mut env).unwrap();
                 black_box(env.get("A").unwrap().data()[0])
             })
         });
         group.bench_function(BenchmarkId::new("closed_form", pmax), |b| {
             b.iter(|| {
                 let mut env = env0.clone();
-                run_shared(&plan_opt, &clause, &mut env, WriteStrategy::Direct).unwrap();
+                run_shared(&plan_opt, &clause, &mut env).unwrap();
                 black_box(env.get("A").unwrap().data()[0])
             })
         });
@@ -59,31 +57,6 @@ fn bench_shared(c: &mut Criterion) {
         ));
     }
     write_report("machines_shared_work", &rows);
-}
-
-fn bench_write_strategies(c: &mut Criterion) {
-    let n: i64 = 1 << 14;
-    let clause = copy_clause(Fn1::identity(), Fn1::identity(), 0, n - 1);
-    let env0 = env_ab(n, n);
-    let dm = decomps_ab(
-        Decomp1::block(8, Bounds::range(0, n - 1)),
-        Decomp1::block(8, Bounds::range(0, n - 1)),
-    );
-    let plan = SpmdPlan::build(&clause, &dm).unwrap();
-    let mut group = c.benchmark_group("machines/write_strategy");
-    for (name, strat) in [
-        ("direct", WriteStrategy::Direct),
-        ("gather_commit", WriteStrategy::GatherCommit),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut env = env0.clone();
-                run_shared(&plan, &clause, &mut env, strat).unwrap();
-                black_box(env.get("A").unwrap().data()[0])
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bench_distributed(c: &mut Criterion) {
@@ -155,6 +128,6 @@ criterion_group! {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_millis(1500))
         .warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_shared, bench_write_strategies, bench_distributed
+    targets = bench_shared, bench_distributed
 }
 criterion_main!(benches);

@@ -6,7 +6,10 @@
 //! on each side of every processor's owned range. For stencil accesses
 //! `B[i±s]` with `s <= h`, every read becomes local after one ghost
 //! exchange per sweep, turning the per-iteration communication of the
-//! Section 2.10 template into a single boundary exchange.
+//! Section 2.10 template into a single boundary exchange. The machine
+//! executes no separate halo program: its packetised Block stencil *is*
+//! that exchange, and `tests/comm_vectorization.rs` checks
+//! [`OverlapDecomp::exchange_plan`] against the engine's packets.
 
 use crate::dist::{Decomp1, Distribution};
 

@@ -1029,11 +1029,6 @@ fn enc_event(e: &mut Enc, ev: &EventKind) {
             e.u64(*lane_elems);
             e.u64(*tail_elems);
         }
-        EventKind::HaloMsg { dst, elems } => {
-            e.u8(10);
-            e.i64(*dst);
-            e.u64(*elems);
-        }
         EventKind::RedistSend { dst, elems } => {
             e.u8(11);
             e.i64(*dst);
@@ -1122,10 +1117,6 @@ fn dec_event(d: &mut Dec) -> R<EventKind> {
             fallback_runs: d.u64()?,
             lane_elems: d.u64()?,
             tail_elems: d.u64()?,
-        },
-        10 => EventKind::HaloMsg {
-            dst: d.i64()?,
-            elems: d.u64()?,
         },
         11 => EventKind::RedistSend {
             dst: d.i64()?,
@@ -2075,6 +2066,16 @@ mod tests {
             Err(bad("Wire tag")),
             "the element payload left the wire with version 1"
         );
+        // event tags 5 (the element send) and 10 (the halo machine's
+        // ghost message) are retired the same way
+        for tag in [5u8, 10] {
+            let mut e = Enc::new();
+            e.u8(tag);
+            e.i64(1);
+            e.u64(4);
+            let got = dec_event(&mut Dec::new(&e.buf));
+            assert_eq!(got, Err(bad("EventKind tag")), "tag {tag}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use vcal_core::func::Fn1;
 use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::{Decomp1, Distribution};
-use vcal_spmd::{CompiledKernel, SimdPolicy};
+use vcal_spmd::CompiledKernel;
 
 /// One deduplicated read access of the pipelined clause.
 struct PipeSlot {
@@ -83,25 +83,14 @@ pub fn carried_distances(clause: &Clause) -> Option<Vec<i64>> {
 /// the recurrence array block-decomposed; every *other* read array
 /// resident wherever it is needed (replicated, or block-decomposed with
 /// an identity-like access that stays on-node — verified element-wise).
+///
+/// The carried dependence serializes every element — lane parallelism
+/// would read values the pipeline has not produced yet — so the report's
+/// SIMD census shows one fallback run per non-empty pipeline stage.
 pub fn run_doacross(
     clause: &Clause,
     arrays: &mut BTreeMap<String, DistArray>,
 ) -> Result<ExecReport, MachineError> {
-    run_doacross_with(clause, arrays, SimdPolicy::default())
-}
-
-/// Like [`run_doacross`], with an explicit [`SimdPolicy`] for API
-/// uniformity with the SPMD machines. The carried dependence serializes
-/// every element — lane parallelism would read values the pipeline has
-/// not produced yet — so the tier always declines: the report's SIMD
-/// census shows one fallback run per non-empty pipeline stage and zero
-/// vector runs under every policy, and results are identical.
-pub fn run_doacross_with(
-    clause: &Clause,
-    arrays: &mut BTreeMap<String, DistArray>,
-    simd: SimdPolicy,
-) -> Result<ExecReport, MachineError> {
-    let _ = simd; // never vectorizes; see above
     if clause.ordering != Ordering::Seq {
         return Err(MachineError::PlanMismatch(
             "DOACROSS executes `•` clauses; use the SPMD machines for `//`".into(),

@@ -4,8 +4,8 @@
 //! (see DESIGN.md §5 for the substitution argument):
 //!
 //! * [`shared`] — the Section 2.9 shared-memory machine: one thread per
-//!   virtual processor, pre-state snapshot reads, a barrier, and two
-//!   write strategies (direct disjoint writes vs gather-then-commit);
+//!   virtual processor, pre-state snapshot reads, a barrier, and a
+//!   transactional gather-then-commit of the writes;
 //! * [`distributed`] — the Section 2.10 message-passing machine: per-node
 //!   private memories, non-blocking sends / blocking receives over
 //!   channels, tagged-message pairing, fault injection, full statistics;
@@ -30,7 +30,6 @@ pub mod distributed;
 pub mod doacross;
 pub mod error;
 pub mod executor;
-pub mod halo;
 pub(crate) mod net;
 pub mod obs;
 pub mod perfmodel;
@@ -52,10 +51,9 @@ pub use distributed::{
     run_distributed, run_distributed_nd, run_distributed_nd_traced, run_distributed_traced,
     DistOptions,
 };
-pub use doacross::{carried_distances, run_doacross, run_doacross_with};
+pub use doacross::{carried_distances, run_doacross};
 pub use error::MachineError;
 pub use executor::{prepare_run, DistExecutor, PreparedPlan, FREE_PARTS_PER_NODE};
-pub use halo::{exchange_ghosts, exchange_ghosts_traced, run_halo_sweep, HaloArray};
 pub use net::ChaosPlan;
 pub use obs::{
     replay_check, replay_check_dag, trace_plan, CollectingTracer, Event, EventKind, NullTracer,
@@ -68,7 +66,7 @@ pub use reduce::{run_reduce_distributed, run_reduce_shared};
 pub use sequential::run_sequential;
 pub use serve::{ServeClient, ServeConfig, ServeHandle, ServeRequest, ServeResponse};
 pub use session::{DistSession, ProgramReport, ScheduleMode, TuneOptions, TuneReport};
-pub use shared::{run_shared, WriteStrategy};
+pub use shared::run_shared;
 pub use shared_nd::run_shared_nd;
 pub use stats::{ExecReport, NodeStats, ServiceStats};
 pub use topology::{price_traffic, Topology, TrafficCost};

@@ -58,7 +58,9 @@ pub enum Phase {
     Commit,
     /// One node's redistribution run (local copy + send + receive).
     Redistribute,
-    /// A whole-array ghost exchange.
+    /// The retired halo machine's ghost exchange. No longer emitted:
+    /// overlap runs as the engine's Block stencil (its traffic is
+    /// [`Phase::Send`]); removal waits for ROADMAP item 2.
     Halo,
 }
 
@@ -156,13 +158,6 @@ pub enum EventKind {
         /// Remainder elements handled by scalar tail loops.
         tail_elems: u64,
     },
-    /// One ghost-exchange message (halo machine), recorded at the owner.
-    HaloMsg {
-        /// Receiving node.
-        dst: i64,
-        /// Ghost cells carried.
-        elems: u64,
-    },
     /// One coalesced redistribution run sent.
     RedistSend {
         /// Destination node.
@@ -258,7 +253,6 @@ impl EventKind {
             EventKind::InteriorRun { .. } => "interior_run",
             EventKind::BoundaryRun { .. } => "boundary_run",
             EventKind::SimdCensus { .. } => "simd_census",
-            EventKind::HaloMsg { .. } => "halo_msg",
             EventKind::RedistSend { .. } => "redist_send",
             EventKind::RedistRecv { .. } => "redist_recv",
             EventKind::DagReady { .. } => "dag_ready",
@@ -466,9 +460,6 @@ fn jsonl_line(out: &mut String, e: &Event) {
                 out,
                 ",\"vector_runs\":{vector_runs},\"fallback_runs\":{fallback_runs},\"lane_elems\":{lane_elems},\"tail_elems\":{tail_elems}"
             );
-        }
-        EventKind::HaloMsg { dst, elems } => {
-            let _ = write!(out, ",\"dst\":{dst},\"elems\":{elems}");
         }
         EventKind::RedistSend { dst, elems } => {
             let _ = write!(out, ",\"dst\":{dst},\"elems\":{elems}");

@@ -11,78 +11,16 @@
 //! with `Modify_p` supplied by the plan's (naive or closed-form)
 //! schedules. Reads go to a pre-state snapshot (the paper's `//` clauses
 //! assume independence; the snapshot makes the semantics deterministic
-//! even when they alias). Two write strategies are provided, benched as
-//! design ablation #5 in DESIGN.md:
-//!
-//! * [`WriteStrategy::GatherCommit`] — every thread collects its
-//!   `(offset, value)` writes and the main thread commits them after the
-//!   join (pure safe Rust);
-//! * [`WriteStrategy::Direct`] — threads write straight into the shared
-//!   output buffer through a raw-pointer cell. Owner-computes partitioning
-//!   plus an injective `f` guarantee disjoint offsets; a debug-mode atomic
-//!   claim table verifies that guarantee at run time.
+//! even when they alias). Every thread collects its `(offset, value)`
+//! writes and the host commits them after the barrier, in node order —
+//! or commits nothing if any node panicked. The machine is pure safe
+//! Rust: a plan that was not built from its clause can produce a wrong
+//! answer or a typed error, never a data race.
 
 use crate::error::MachineError;
 use crate::stats::{ExecReport, NodeStats};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use vcal_core::{Clause, Env, Ix, Ordering};
 use vcal_spmd::SpmdPlan;
-
-/// How node threads write their results into the shared array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteStrategy {
-    /// Collect per-thread write lists, commit after the barrier.
-    GatherCommit,
-    /// Write directly through a shared raw pointer (owner-computes makes
-    /// the offsets disjoint; checked in debug builds).
-    Direct,
-}
-
-/// A `Sync` cell granting disjoint-offset write access to a `[f64]`.
-struct SharedWriter {
-    ptr: *mut f64,
-    len: usize,
-    /// Debug-only claim table proving write disjointness.
-    claims: Option<Vec<AtomicBool>>,
-}
-
-// SAFETY: every offset is written by at most one thread (owner-computes +
-// injective lhs access function), which the claim table asserts in debug
-// builds. No thread reads through the pointer.
-unsafe impl Sync for SharedWriter {}
-
-impl SharedWriter {
-    fn new(data: &mut [f64]) -> SharedWriter {
-        let claims = if cfg!(debug_assertions) {
-            Some((0..data.len()).map(|_| AtomicBool::new(false)).collect())
-        } else {
-            None
-        };
-        SharedWriter {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            claims,
-        }
-    }
-
-    #[inline]
-    fn write(&self, off: usize, v: f64) {
-        assert!(
-            off < self.len,
-            "write offset {off} out of range {}",
-            self.len
-        );
-        if let Some(claims) = &self.claims {
-            let already = claims[off].swap(true, AtomicOrdering::Relaxed);
-            assert!(
-                !already,
-                "two processors wrote offset {off}: lhs access function not injective"
-            );
-        }
-        // SAFETY: bounds-checked above; disjointness per type invariant.
-        unsafe { *self.ptr.add(off) = v };
-    }
-}
 
 /// Execute a `//` clause on the shared-memory machine.
 ///
@@ -92,9 +30,30 @@ pub fn run_shared(
     plan: &SpmdPlan,
     clause: &Clause,
     env: &mut Env,
-    strategy: WriteStrategy,
 ) -> Result<ExecReport, MachineError> {
-    if plan.ordering != Ordering::Par {
+    gather_commit(clause, env, plan.nodes.len(), |p, body| {
+        let schedule = &plan.nodes[p].modify.schedule;
+        schedule.for_each(|i| body(&Ix::d1(i)));
+        schedule.work_estimate()
+    })
+}
+
+/// The shared machines' one node body. Node `p`'s thread enumerates its
+/// `Modify_p` by calling `modify(p, body)` — which hands every iteration
+/// to `body` and returns the ownership-test work it spent — evaluates the
+/// clause against the pre-state snapshot and gathers its writes; after
+/// the barrier the host commits every node's writes, or none of them if
+/// a node panicked (then `env` is untouched).
+pub(crate) fn gather_commit<F>(
+    clause: &Clause,
+    env: &mut Env,
+    pmax: usize,
+    modify: F,
+) -> Result<ExecReport, MachineError>
+where
+    F: Fn(usize, &mut dyn FnMut(&Ix)) -> u64 + Sync,
+{
+    if clause.ordering != Ordering::Par {
         return Err(MachineError::SequentialClause);
     }
     // pre-state snapshot all threads read from
@@ -109,87 +68,53 @@ pub fn run_shared(
         .ok_or_else(|| MachineError::UnknownArray(clause.lhs.array.clone()))?;
     let lhs_bounds = lhs.bounds();
 
+    let mut node_results: Vec<(NodeStats, Vec<(usize, f64)>)> = Vec::with_capacity(pmax);
+    let mut first_err: Option<MachineError> = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..pmax)
+            .map(|p| {
+                let (snapshot, modify) = (&snapshot, &modify);
+                scope.spawn(move || {
+                    let mut stats = NodeStats::default();
+                    let mut writes = Vec::new();
+                    let mut body = |i: &Ix| {
+                        stats.iterations += 1;
+                        stats.data_guards += 1;
+                        if snapshot.eval_guard(&clause.guard, i) {
+                            let v = snapshot.eval_expr(&clause.rhs, i);
+                            let target = clause.lhs.map.eval(i);
+                            assert!(lhs_bounds.contains(&target), "write {target} outside");
+                            writes.push((lhs_bounds.linear_offset(&target), v));
+                        }
+                    };
+                    stats.guard_tests = modify(p, &mut body);
+                    (stats, writes)
+                })
+            })
+            .collect();
+        for (p, h) in handles.into_iter().enumerate() {
+            match h.join() {
+                Ok(result) => node_results.push(result),
+                Err(_) => {
+                    first_err.get_or_insert(MachineError::NodePanicked { node: p as i64 });
+                }
+            }
+        }
+    });
+    // Transactional: commit nothing if any node crashed.
+    if let Some(e) = first_err {
+        return Err(e);
+    }
+
+    let data = lhs.data_mut();
     let mut report = ExecReport {
         barriers: 1,
         ..Default::default()
     };
-
-    match strategy {
-        WriteStrategy::GatherCommit => {
-            let mut node_writes: Vec<(NodeStats, Vec<(usize, f64)>)> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = plan
-                    .nodes
-                    .iter()
-                    .map(|node| {
-                        let snapshot = &snapshot;
-                        scope.spawn(move || {
-                            let mut stats = NodeStats {
-                                guard_tests: node.modify.schedule.work_estimate(),
-                                ..Default::default()
-                            };
-                            let mut writes = Vec::new();
-                            node.modify.schedule.for_each(|i| {
-                                stats.iterations += 1;
-                                let ix = Ix::d1(i);
-                                stats.data_guards += 1;
-                                if snapshot.eval_guard(&clause.guard, &ix) {
-                                    let v = snapshot.eval_expr(&clause.rhs, &ix);
-                                    let target = clause.lhs.map.eval(&ix);
-                                    writes.push((lhs_bounds.linear_offset(&target), v));
-                                }
-                            });
-                            (stats, writes)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    node_writes.push(h.join().expect("node thread panicked"));
-                }
-            });
-            // "barrier", then commit
-            let data = lhs.data_mut();
-            for (stats, writes) in node_writes {
-                report.nodes.push(stats);
-                for (off, v) in writes {
-                    data[off] = v;
-                }
-            }
-        }
-        WriteStrategy::Direct => {
-            let writer = SharedWriter::new(lhs.data_mut());
-            let mut stats_all: Vec<NodeStats> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = plan
-                    .nodes
-                    .iter()
-                    .map(|node| {
-                        let snapshot = &snapshot;
-                        let writer = &writer;
-                        scope.spawn(move || {
-                            let mut stats = NodeStats {
-                                guard_tests: node.modify.schedule.work_estimate(),
-                                ..Default::default()
-                            };
-                            node.modify.schedule.for_each(|i| {
-                                stats.iterations += 1;
-                                let ix = Ix::d1(i);
-                                stats.data_guards += 1;
-                                if snapshot.eval_guard(&clause.guard, &ix) {
-                                    let v = snapshot.eval_expr(&clause.rhs, &ix);
-                                    let target = clause.lhs.map.eval(&ix);
-                                    writer.write(lhs_bounds.linear_offset(&target), v);
-                                }
-                            });
-                            stats
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    stats_all.push(h.join().expect("node thread panicked"));
-                }
-            });
-            report.nodes = stats_all;
+    for (stats, writes) in node_results {
+        report.nodes.push(stats);
+        for (off, v) in writes {
+            data[off] = v;
         }
     }
     Ok(report)
@@ -236,38 +161,27 @@ mod tests {
         (clause, env, dm)
     }
 
-    fn check_matches_reference(strategy: WriteStrategy, naive: bool) {
-        let (clause, env0, dm) = fig1_setup(64);
-        // reference
-        let mut expect = env0.clone();
-        expect.exec_clause(&clause);
-        // machine
-        let plan = if naive {
-            SpmdPlan::build_naive(&clause, &dm).unwrap()
-        } else {
-            SpmdPlan::build(&clause, &dm).unwrap()
-        };
-        let mut env = env0.clone();
-        let report = run_shared(&plan, &clause, &mut env, strategy).unwrap();
-        assert_eq!(
-            env.get("A").unwrap().max_abs_diff(expect.get("A").unwrap()),
-            0.0,
-            "strategy {strategy:?} naive={naive}"
-        );
-        assert_eq!(report.total().iterations, 63);
-        assert_eq!(report.nodes.len(), 4);
-    }
-
     #[test]
     fn gather_commit_matches_reference() {
-        check_matches_reference(WriteStrategy::GatherCommit, false);
-        check_matches_reference(WriteStrategy::GatherCommit, true);
-    }
-
-    #[test]
-    fn direct_matches_reference() {
-        check_matches_reference(WriteStrategy::Direct, false);
-        check_matches_reference(WriteStrategy::Direct, true);
+        let (clause, env0, dm) = fig1_setup(64);
+        let mut expect = env0.clone();
+        expect.exec_clause(&clause);
+        for naive in [false, true] {
+            let plan = if naive {
+                SpmdPlan::build_naive(&clause, &dm).unwrap()
+            } else {
+                SpmdPlan::build(&clause, &dm).unwrap()
+            };
+            let mut env = env0.clone();
+            let report = run_shared(&plan, &clause, &mut env).unwrap();
+            assert_eq!(
+                env.get("A").unwrap().max_abs_diff(expect.get("A").unwrap()),
+                0.0,
+                "naive={naive}"
+            );
+            assert_eq!(report.total().iterations, 63);
+            assert_eq!(report.nodes.len(), 4);
+        }
     }
 
     #[test]
@@ -287,13 +201,13 @@ mod tests {
         clause.ordering = Ordering::Seq;
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
         assert_eq!(
-            run_shared(&plan, &clause, &mut env, WriteStrategy::Direct).unwrap_err(),
+            run_shared(&plan, &clause, &mut env).unwrap_err(),
             MachineError::SequentialClause
         );
     }
 
     #[test]
-    fn strided_write_with_direct_strategy() {
+    fn strided_write_matches_reference() {
         // A[2i+1] := B[i]: injective non-identity lhs under scatter
         let n = 32i64;
         let clause = Clause {
@@ -316,7 +230,7 @@ mod tests {
 
         let mut expect = env.clone();
         expect.exec_clause(&clause);
-        run_shared(&plan, &clause, &mut env, WriteStrategy::Direct).unwrap();
+        run_shared(&plan, &clause, &mut env).unwrap();
         assert_eq!(
             env.get("A").unwrap().max_abs_diff(expect.get("A").unwrap()),
             0.0
@@ -329,7 +243,7 @@ mod tests {
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
         let mut empty = Env::new();
         assert!(matches!(
-            run_shared(&plan, &clause, &mut empty, WriteStrategy::Direct),
+            run_shared(&plan, &clause, &mut empty),
             Err(MachineError::UnknownArray(_))
         ));
     }

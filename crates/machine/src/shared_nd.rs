@@ -4,12 +4,13 @@
 //! decomposed per axis onto a processor grid ([`DecompNd`]), each virtual
 //! processor iterates the Cartesian-product schedule produced by
 //! [`vcal_spmd::optimize_nd`] (falling back to brute-force ownership
-//! filtering when the access map does not factorize), and writes are
-//! gathered and committed after the barrier.
+//! filtering when the access map does not factorize), through the same
+//! gather-then-commit node body as [`crate::shared::run_shared`].
 
 use crate::error::MachineError;
-use crate::stats::{ExecReport, NodeStats};
-use vcal_core::{Clause, Env, Ix, Ordering};
+use crate::shared::gather_commit;
+use crate::stats::ExecReport;
+use vcal_core::{Clause, Env};
 use vcal_decomp::DecompNd;
 use vcal_spmd::optimize_nd;
 
@@ -21,85 +22,24 @@ pub fn run_shared_nd(
     dec_lhs: &DecompNd,
     env: &mut Env,
 ) -> Result<ExecReport, MachineError> {
-    if clause.ordering != Ordering::Par {
-        return Err(MachineError::SequentialClause);
-    }
-    let snapshot = env.clone();
-    for r in clause.read_refs() {
-        if snapshot.get(&r.array).is_none() {
-            return Err(MachineError::UnknownArray(r.array.clone()));
-        }
-    }
-    let lhs = env
-        .get_mut(&clause.lhs.array)
-        .ok_or_else(|| MachineError::UnknownArray(clause.lhs.array.clone()))?;
-    let lhs_bounds = lhs.bounds();
-    let pmax = dec_lhs.pmax();
-
-    let mut node_results: Vec<(NodeStats, Vec<(usize, f64)>)> = Vec::new();
-    let mut first_err: Option<MachineError> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pmax)
-            .map(|p| {
-                let snapshot = &snapshot;
-                let dec_lhs = &dec_lhs;
-                scope.spawn(move || {
-                    let mut stats = NodeStats::default();
-                    let mut writes = Vec::new();
-                    let mut body = |i: &Ix| {
-                        stats.iterations += 1;
-                        stats.data_guards += 1;
-                        if snapshot.eval_guard(&clause.guard, i) {
-                            let v = snapshot.eval_expr(&clause.rhs, i);
-                            let target = clause.lhs.map.eval(i);
-                            writes.push((lhs_bounds.linear_offset(&target), v));
-                        }
-                    };
-                    match optimize_nd(&clause.lhs.map, dec_lhs, &clause.iter.bounds, p) {
-                        Some(sched) => {
-                            stats.guard_tests += sched.work_estimate();
-                            sched.for_each(&mut body);
-                        }
-                        None => {
-                            // coupled axes: brute-force ownership filter
-                            stats.guard_tests += clause.iter.bounds.count();
-                            for i in clause.iter.iter() {
-                                if dec_lhs.proc_of(&clause.lhs.map.eval(&i)) == p {
-                                    body(&i);
-                                }
-                            }
-                        }
+    gather_commit(clause, env, dec_lhs.pmax() as usize, |p, body| {
+        let p = p as i64;
+        match optimize_nd(&clause.lhs.map, dec_lhs, &clause.iter.bounds, p) {
+            Some(sched) => {
+                sched.for_each(body);
+                sched.work_estimate()
+            }
+            None => {
+                // coupled axes: brute-force ownership filter
+                for i in clause.iter.iter() {
+                    if dec_lhs.proc_of(&clause.lhs.map.eval(&i)) == p {
+                        body(&i);
                     }
-                    (stats, writes)
-                })
-            })
-            .collect();
-        for (p, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(result) => node_results.push(result),
-                Err(_) => {
-                    first_err.get_or_insert(MachineError::NodePanicked { node: p as i64 });
                 }
+                clause.iter.bounds.count()
             }
         }
-    });
-    // Transactional: commit nothing if any node crashed.
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-
-    let data = lhs.data_mut();
-    let mut report = ExecReport {
-        barriers: 1,
-        ..Default::default()
-    };
-    for (stats, writes) in node_results {
-        report.nodes.push(stats);
-        for (off, v) in writes {
-            data[off] = v;
-        }
-    }
-    Ok(report)
+    })
 }
 
 #[cfg(test)]
@@ -107,7 +47,7 @@ mod tests {
     use super::*;
     use vcal_core::func::Fn1;
     use vcal_core::map::{DimFn, IndexMap};
-    use vcal_core::{Array, ArrayRef, Bounds, Expr, Guard, IndexSet};
+    use vcal_core::{Array, ArrayRef, Bounds, Expr, Guard, IndexSet, Ordering};
     use vcal_decomp::Decomp1;
 
     fn jacobi2d(n: i64) -> (Clause, Env) {

@@ -13,9 +13,7 @@ use std::collections::BTreeMap;
 use vcal_suite::core::{Array, Bounds, Env};
 use vcal_suite::decomp::{Decomp1, LayoutMap};
 use vcal_suite::lang;
-use vcal_suite::machine::{
-    run_distributed, run_sequential, run_shared, DistArray, DistOptions, WriteStrategy,
-};
+use vcal_suite::machine::{run_distributed, run_sequential, run_shared, DistArray, DistOptions};
 use vcal_suite::spmd::{self, DecompMap, SpmdPlan};
 
 fn main() {
@@ -67,7 +65,7 @@ fn main() {
 
     // shared-memory machine
     let mut shm_env = env.clone();
-    let shm = run_shared(&plan, &clause, &mut shm_env, WriteStrategy::Direct).expect("shared");
+    let shm = run_shared(&plan, &clause, &mut shm_env).expect("shared");
     assert_eq!(
         shm_env
             .get("A")

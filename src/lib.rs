@@ -28,7 +28,7 @@
 //! env.insert("B", Array::from_fn(Bounds::range(0, 31), |i| i.scalar() as f64));
 //! let mut expect = env.clone();
 //! expect.exec_clause(&clause);
-//! machine::run_shared(&plan, &clause, &mut env, machine::WriteStrategy::Direct).unwrap();
+//! machine::run_shared(&plan, &clause, &mut env).unwrap();
 //! assert_eq!(env.get("A").unwrap().max_abs_diff(expect.get("A").unwrap()), 0.0);
 //! ```
 pub use vcal_core as core;

@@ -6,13 +6,14 @@
 //! the sequential machine, and per node exactly the traffic the plan
 //! derives from the decompositions (one packet per plan-time group of
 //! runs) — batching may only change *how* values travel, never *which*
-//! values.
+//! values. The same holds for the paper's §5 overlap analysis: its
+//! ghost-exchange plan predicts the engine's Block stencil traffic.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
-use vcal_suite::decomp::Decomp1;
+use vcal_suite::decomp::{Decomp1, OverlapDecomp};
 use vcal_suite::machine::{
     run_distributed, DistArray, DistOptions, ExecReport, FaultPlan, MachineError, RetryPolicy,
 };
@@ -198,6 +199,86 @@ fn block_scatter_to_block_travels_as_64_kib_packets() {
     assert_eq!(vect.packets_sent, 8);
     assert_eq!(vect.max_packet_elems, 8192);
     assert_eq!(vect.bytes_sent, 16 * 8 + 8 * vect.msgs_sent);
+}
+
+/// `OverlapDecomp::exchange_plan()` is an oracle on the engine: for
+/// `V[i] := Σ_{s=1..h} (U[i−s] + U[i+s])` with U, V Block(pmax) the
+/// engine ships, pair for pair, exactly the globals of one ghost message
+/// in one packet — wherever the receiver's Modify set is non-empty. A
+/// node that updates nothing reads no ghosts, so there the plan
+/// over-predicts and the engine sends nothing.
+#[test]
+fn ghost_plan_predicts_the_block_stencil_traffic() {
+    let u = |s: i64| Expr::Ref(ArrayRef::d1("U", Fn1::shift(s)));
+    for pmax in [2i64, 3, 4, 7, 8] {
+        for h in 1..=3i64 {
+            // n = 13 at pmax 7 and 8 gives blocks of 2, shorter than h = 3
+            for n in [2 * h + 1, 13, 64, 100] {
+                let ctx = format!("n={n} pmax={pmax} h={h}");
+                let e = Bounds::range(0, n - 1);
+                let cl = Clause {
+                    iter: IndexSet::range(h, n - 1 - h),
+                    ordering: Ordering::Par,
+                    guard: Guard::Always,
+                    lhs: ArrayRef::d1("V", Fn1::identity()),
+                    rhs: (1..=h)
+                        .map(|s| Expr::add(u(-s), u(s)))
+                        .reduce(Expr::add)
+                        .unwrap(),
+                };
+                let mut env0 = Env::new();
+                env0.insert(
+                    "U",
+                    Array::from_fn(e, |i| (i.scalar() * 7 % 97) as f64 - 40.0),
+                );
+                env0.insert("V", Array::zeros(e));
+                let mut reference = env0.clone();
+                reference.exec_clause(&cl);
+                let dec = Decomp1::block(pmax, e);
+                let dm: DecompMap = [("U".into(), dec.clone()), ("V".into(), dec.clone())].into();
+                let plan = SpmdPlan::build(&cl, &dm).unwrap();
+                let mut arrays: BTreeMap<String, DistArray> = (dm.iter())
+                    .map(|(a, d)| {
+                        (
+                            a.clone(),
+                            DistArray::scatter_from(env0.get(a).unwrap(), d.clone()),
+                        )
+                    })
+                    .collect();
+                let report = run_distributed(&plan, &cl, &mut arrays, DistOptions::default())
+                    .unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&arrays["V"].gather()),
+                    bits(reference.get("V").unwrap()),
+                    "{ctx}"
+                );
+
+                let ghosts = OverlapDecomp::new(dec, h).exchange_plan();
+                let reads = |p: i64| plan.nodes[p as usize].modify.schedule.count() > 0;
+                for (np, got) in plan.nodes.iter().zip(&report.nodes) {
+                    let sourced = ghosts.iter().filter(|m| m.src == np.p && reads(m.dst));
+                    let sourced = sourced.count() as u64;
+                    assert_eq!(got.packets_sent, sourced, "{ctx} p={}", np.p);
+                    assert_eq!(np.comm.sends.len() as u64, sourced, "{ctx} p={}", np.p);
+                    for pc in &np.comm.sends {
+                        let mut globals = BTreeSet::new();
+                        for r in &pc.runs {
+                            let g = &np.resides[r.slot].g;
+                            r.for_each(|i| {
+                                globals.insert(g.eval(i));
+                            });
+                        }
+                        let pair = (np.p, pc.peer);
+                        let m = (ghosts.iter().find(|m| (m.src, m.dst) == pair))
+                            .unwrap_or_else(|| panic!("{ctx}: {pair:?} is not in the ghost plan"));
+                        let range: BTreeSet<i64> = (m.global_lo..=m.global_hi).collect();
+                        assert_eq!(globals, range, "{ctx} {pair:?}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Shared setup for the packet-loss tests: a plan where node 1's first

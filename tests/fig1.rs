@@ -6,9 +6,7 @@ use std::collections::BTreeMap;
 use vcal_suite::core::{Array, Bounds, Env};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::lang;
-use vcal_suite::machine::{
-    run_distributed, run_sequential, run_shared, DistArray, DistOptions, WriteStrategy,
-};
+use vcal_suite::machine::{run_distributed, run_sequential, run_shared, DistArray, DistOptions};
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
 const FIG1_SRC: &str = "for i := 1 to 9 do if A[i] > 0 then A[i] := B[i+1]; fi; od;";
@@ -68,17 +66,15 @@ fn fig1_executes_identically_on_all_machines() {
         dm.insert("B".into(), dec_b.clone());
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
 
-        for strat in [WriteStrategy::Direct, WriteStrategy::GatherCommit] {
-            let mut shm = env.clone();
-            run_shared(&plan, &clause, &mut shm, strat).unwrap();
-            assert_eq!(
-                shm.get("A")
-                    .unwrap()
-                    .max_abs_diff(reference.get("A").unwrap()),
-                0.0,
-                "shared {strat:?} differs for A={dec_a} B={dec_b}"
-            );
-        }
+        let mut shm = env.clone();
+        run_shared(&plan, &clause, &mut shm).unwrap();
+        assert_eq!(
+            shm.get("A")
+                .unwrap()
+                .max_abs_diff(reference.get("A").unwrap()),
+            0.0,
+            "shared differs for A={dec_a} B={dec_b}"
+        );
 
         let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
         for name in ["A", "B"] {
@@ -110,6 +106,6 @@ fn fig1_guard_blocks_updates() {
     dm.insert("A".into(), Decomp1::block(2, Bounds::range(0, 9)));
     dm.insert("B".into(), Decomp1::block(2, Bounds::range(0, 10)));
     let plan = SpmdPlan::build(&clause, &dm).unwrap();
-    run_shared(&plan, &clause, &mut env, WriteStrategy::Direct).unwrap();
+    run_shared(&plan, &clause, &mut env).unwrap();
     assert_eq!(env.get("A").unwrap().max_abs_diff(&before), 0.0);
 }

@@ -1,6 +1,6 @@
 //! Machine equivalence: for randomized clauses drawn from the paper's
 //! function classes and random decomposition assignments, the sequential
-//! reference, both shared-memory write strategies, and the distributed
+//! reference, the shared-memory machine, and the distributed
 //! machine must produce bit-identical results — with both naive and
 //! optimized schedules.
 
@@ -12,7 +12,7 @@ use vcal_suite::core::{
     Array, ArrayRef, Bounds, Clause, CmpOp, Env, Expr, Guard, IndexSet, Ordering,
 };
 use vcal_suite::decomp::Decomp1;
-use vcal_suite::machine::{run_distributed, run_shared, DistArray, DistOptions, WriteStrategy};
+use vcal_suite::machine::{run_distributed, run_shared, DistArray, DistOptions, MachineError};
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
 /// Random monotone-or-piecewise access function with its valid loop range
@@ -139,17 +139,15 @@ fn randomized_equivalence_sweep() {
                 "trial {trial}: n={n} pmax={pmax} f={f:?} g={g:?} A={dec_a} B={dec_b} naive={naive} guarded={guarded}"
             );
 
-            for strat in [WriteStrategy::Direct, WriteStrategy::GatherCommit] {
-                let mut shm = env.clone();
-                run_shared(&plan, &clause, &mut shm, strat).unwrap();
-                assert_eq!(
-                    shm.get("A")
-                        .unwrap()
-                        .max_abs_diff(reference.get("A").unwrap()),
-                    0.0,
-                    "shared {strat:?} mismatch: {ctx}"
-                );
-            }
+            let mut shm = env.clone();
+            run_shared(&plan, &clause, &mut shm).unwrap();
+            assert_eq!(
+                shm.get("A")
+                    .unwrap()
+                    .max_abs_diff(reference.get("A").unwrap()),
+                0.0,
+                "shared mismatch: {ctx}"
+            );
 
             let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
             for name in ["A", "B"] {
@@ -206,7 +204,7 @@ fn self_referential_parallel_clause() {
     let plan = SpmdPlan::build(&clause, &dm).unwrap();
 
     let mut shm = env.clone();
-    run_shared(&plan, &clause, &mut shm, WriteStrategy::Direct).unwrap();
+    run_shared(&plan, &clause, &mut shm).unwrap();
     assert_eq!(
         shm.get("A")
             .unwrap()
@@ -269,4 +267,34 @@ fn many_processors_small_problem() {
             .max_abs_diff(reference.get("A").unwrap()),
         0.0
     );
+}
+
+/// A plan is not checked against its clause: one that reads past an
+/// array's end panics its node thread, which the shared machine reports
+/// as a typed error with the environment untouched.
+#[test]
+fn shared_out_of_range_read_is_a_typed_error() {
+    let n = 32;
+    let copy = |g: Fn1| Clause {
+        iter: IndexSet::range(0, n - 1),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1("A", Fn1::identity()),
+        rhs: Expr::Ref(ArrayRef::d1("B", g)),
+    };
+    let mut env = Env::new();
+    env.insert("A", Array::zeros(Bounds::range(0, n - 1)));
+    env.insert(
+        "B",
+        Array::from_fn(Bounds::range(0, n - 1), |i| i.scalar() as f64),
+    );
+    let mut dm = DecompMap::new();
+    dm.insert("A".into(), Decomp1::block(4, Bounds::range(0, n - 1)));
+    dm.insert("B".into(), Decomp1::block(4, Bounds::range(0, n - 1)));
+    let plan = SpmdPlan::build(&copy(Fn1::identity()), &dm).unwrap();
+
+    let before = env.clone();
+    let err = run_shared(&plan, &copy(Fn1::shift(n)), &mut env).unwrap_err();
+    assert!(matches!(err, MachineError::NodePanicked { .. }), "{err}");
+    assert_eq!(env, before, "env untouched");
 }

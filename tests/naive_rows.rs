@@ -3,7 +3,8 @@
 //! a slope ≥ pmax or a non-monotone access over scatter), so no flag
 //! asks for them. Such a plan has run tables like any other and executes
 //! through them — cold, warm, as a member of a DAG wave and on worker
-//! processes — bit-identical to the sequential machine, with the
+//! processes — bit-identical to the sequential machine (and so does the
+//! shared machine, from the same plan), with the
 //! counters the commit before the tables became total reported for the
 //! same plan on its element-at-a-time path.
 
@@ -12,8 +13,8 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    prepare_run, run_distributed, DistArray, DistOptions, DistSession, ExecReport, MachineError,
-    ScheduleMode, SimdMode, SimdPolicy, TransportKind, NULL_TRACER,
+    prepare_run, run_distributed, run_shared, DistArray, DistOptions, DistSession, ExecReport,
+    MachineError, ScheduleMode, SimdMode, SimdPolicy, TransportKind, NULL_TRACER,
 };
 use vcal_suite::spmd::{CompiledSchedule, DecompMap, PlanSummary, ProgramStep, SpmdPlan};
 
@@ -133,6 +134,12 @@ fn natural_naive_rows_run_through_the_tables() {
             cs.overlap_census().boundary_elems > 0,
             "{name} communicates"
         );
+
+        // the shared machine: valley's lhs is not injective, and the
+        // host commits both writes of an offset in iteration order
+        let mut shm = env0.clone();
+        run_shared(&plan, &cl, &mut shm).unwrap();
+        assert_eq!(bits(shm.get("A").unwrap()), want, "{name} shared");
 
         // the same clause writing a second array: an independent wave mate
         let mut cl2 = cl.clone();
