@@ -288,6 +288,8 @@ mod tests {
         );
     }
 
+    // the arity check is a `debug_assert_eq!`: release builds skip it
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics_in_debug() {

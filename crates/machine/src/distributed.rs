@@ -623,10 +623,12 @@ fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> Machi
     }
 }
 
-/// Make every remote operand of boundary run `er` available and account
-/// for it: await each packet the run names *once* and check the run's
-/// window lies inside it. One `RecvValue` is traced per consumed
-/// element, position-major then slot.
+/// Make every remote operand of boundary entry `er` available and account
+/// for it: await each packet the entry names *once* and check that every
+/// rep's window lies inside it (the offsets are affine in rep and
+/// position, so the first and last rep's ends bound them all). One
+/// `RecvValue` is traced per consumed element, rep by rep,
+/// position-major then slot.
 #[allow(clippy::too_many_arguments)]
 fn receive_operands(
     er: &ExecRun,
@@ -640,25 +642,19 @@ fn receive_operands(
 ) -> Result<(), MachineError> {
     let p = cn.p;
     let n = er.run.len() as usize;
-    fn remote(sa: &SlotAccess) -> Option<(usize, usize, &AccessPattern)> {
-        match sa {
-            SlotAccess::Packet {
-                src_ord,
-                pkt_ord,
-                pattern,
-            } => Some((*src_ord, *pkt_ord, pattern)),
-            SlotAccess::Local(_) => None,
-        }
-    }
     for (slot, sa) in er.slots.iter().enumerate() {
-        let Some((so, po, pattern)) = remote(sa) else {
+        let Some((so, po)) = sa.packet() else {
             continue;
         };
         let array = &arrays[slot];
         let len = await_packet(ep, rcv, cn, so, po, opts, stats)
             .map_err(|f| map_recv_fail(f, p, array, er.run.start, slot))?;
-        let inside = |off: i64| usize::try_from(off).is_ok_and(|o| o < len);
-        if n > 0 && !(inside(pattern.offset(0)) && inside(pattern.offset(n - 1))) {
+        let inside = |k: u64, t: usize| {
+            let off = sa.pattern().offset(t) + er.slot_shift(slot, k);
+            usize::try_from(off).is_ok_and(|o| o < len)
+        };
+        let (k, t) = (er.reps.saturating_sub(1), n.saturating_sub(1));
+        if n > 0 && !(inside(0, 0) && inside(0, t) && inside(k, 0) && inside(k, t)) {
             return Err(map_recv_fail(
                 RecvFail::BadWire("packet shorter than its planned runs"),
                 p,
@@ -671,48 +667,67 @@ fn receive_operands(
     stats.msgs_received += er.remote_elems;
     if tracer.enabled() {
         let peer_of = |src_ord: usize| cn.src_peers.get(src_ord).copied().unwrap_or(-1);
-        let mut i = er.run.start;
-        for _ in 0..n {
-            for (slot, sa) in er.slots.iter().enumerate() {
-                if let Some((so, ..)) = remote(sa) {
-                    let src = peer_of(so);
-                    tracer.record(p, EventKind::RecvValue { src, slot, i });
+        for k in 0..er.reps {
+            let mut i = er.rep(k).start;
+            for _ in 0..n {
+                for (slot, sa) in er.slots.iter().enumerate() {
+                    if let Some((so, _)) = sa.packet() {
+                        let src = peer_of(so);
+                        tracer.record(p, EventKind::RecvValue { src, slot, i });
+                    }
                 }
+                i += er.run.step;
             }
-            i += er.run.step;
         }
     }
     Ok(())
 }
 
-/// Where one run's results go: a contiguous run of an unguarded clause
+/// Where one rep's results go: a contiguous rep of an unguarded clause
 /// fills one window (of the next image, or of a vector then staged as one
-/// [`WriteOp::Dense`]); any other stages a [`WriteOp::El`] per element.
+/// [`WriteOp::Dense`]); any other writes the next image element by
+/// element at its lhs offsets, or stages a [`WriteOp::El`] per element.
 struct RunOut<'a> {
     win: Option<&'a mut [f64]>,
+    img: Option<&'a mut [f64]>,
     els: &'a mut Vec<WriteOp>,
     lhs: &'a AccessPattern,
+    shift: i64,
     p: i64,
 }
 
 impl RunOut<'_> {
     #[inline]
     fn put(&mut self, t: usize, v: f64) -> Result<(), MachineError> {
-        match &mut self.win {
-            Some(win) => win[t] = v,
-            None => (self.els).push(WriteOp::El(write_off(self.lhs.offset(t), self.p)?, v)),
+        if let Some(win) = &mut self.win {
+            win[t] = v;
+            return Ok(());
+        }
+        let off = write_off(self.lhs.offset(t) + self.shift, self.p)?;
+        match self.img.as_mut().map(|img| img.get_mut(off)) {
+            Some(Some(cell)) => *cell = v,
+            Some(None) => {
+                return Err(MachineError::PlanMismatch(format!(
+                    "node {}: write offset {off} outside the next image",
+                    self.p
+                )))
+            }
+            None => self.els.push(WriteOp::El(off, v)),
         }
         Ok(())
     }
 }
 
-/// Execute one compiled run. Interior and boundary runs share one code
-/// path: a boundary run first makes its remote operands available
-/// ([`receive_operands`]), after which every slot is a slice plus a
-/// pattern — the local part or a staged packet — and the fused / SIMD
-/// arms cannot tell the difference. `Generic` shapes and guarded
-/// clauses gather per element and run the bytecode. Every arm writes
-/// through one [`RunOut`]: into `next` when there is one, else `out`.
+/// Execute one compiled entry: its receives, packet-window checks, census
+/// and trace event once, then per rep only base arithmetic, the bounds
+/// checks of its windows and the arm's inner loop. Interior and boundary
+/// entries share one code path: a boundary entry first makes its remote
+/// operands available ([`receive_operands`]), after which every slot is
+/// a slice plus a pattern — the local part or a staged packet — and the
+/// fused / SIMD arms cannot tell the difference. `Generic` shapes and
+/// guarded clauses gather per element and run the bytecode. Every arm
+/// writes through one [`RunOut`] per rep: into `next` when there is one,
+/// else `out`.
 #[allow(clippy::too_many_arguments)]
 fn exec_one_run(
     k: usize,
@@ -728,7 +743,7 @@ fn exec_one_run(
     opts: &DistOptions,
     stats: &mut NodeStats,
     out: &mut Vec<WriteOp>,
-    next: Option<&mut [f64]>,
+    mut next: Option<&mut [f64]>,
     tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
     let p = cn.p;
@@ -744,20 +759,13 @@ fn exec_one_run(
         receive_operands(er, arrays, cn, ep, rcv, opts, stats, tracer)?;
     }
     let staging: &Staging = rcv.cur_staging();
-    // where slot `s` of this run reads from, and how it is indexed
-    let operand = |s: usize| -> (&[f64], &AccessPattern, &str) {
-        let array = arrays[s].as_str();
-        match &er.slots[s] {
-            SlotAccess::Local(pat) => (parts[s], pat, array),
-            SlotAccess::Packet {
-                src_ord,
-                pkt_ord,
-                pattern,
-            } => (
-                staging[*src_ord][*pkt_ord].as_deref().unwrap_or(&[]),
-                pattern,
-                array,
-            ),
+    // where slot `s` reads from — the local part or a staged packet —
+    // and how its first rep is indexed
+    let operand = |s: usize| -> (&[f64], &AccessPattern) {
+        let sa = &er.slots[s];
+        match sa.packet() {
+            None => (parts[s], sa.pattern()),
+            Some((so, po)) => (staging[so][po].as_deref().unwrap_or(&[]), sa.pattern()),
         }
     };
     // fused paths need an always-true guard; the stats they charge are
@@ -771,200 +779,221 @@ fn exec_one_run(
         .filter(|sa| matches!(sa, SlotAccess::Local(_)))
         .count() as u64;
     if fused.is_some() {
-        stats.iterations += n as u64;
-        stats.data_guards += n as u64;
-        stats.local_reads += n as u64 * local_slots;
+        stats.iterations += er.elems();
+        stats.data_guards += er.elems();
+        stats.local_reads += er.elems() * local_slots;
     }
     // SIMD lane tier: the plan-time predicate (unit-stride writes, all
     // read slots unit-stride) plus the runtime guard/policy. The lane
     // kernels perform the exact per-element operation sequence of the
     // scalar arms below, so results are bitwise identical.
     let simd_ok = opts.simd.enabled() && unguarded && er.simd_eligible(&kernel.fused);
-    // the slice a unit-stride run reads: `None` exactly when some
+    // the slice a unit-stride rep reads: `None` exactly when some
     // per-element `read_at` of the scalar path would have failed
-    let seg = |s: usize| -> Result<&[f64], MachineError> {
-        let (src, pat, array) = operand(s);
-        usize::try_from(pat.offset(0))
+    let seg = |s: usize, r: u64| -> Result<&[f64], MachineError> {
+        let (src, pat) = operand(s);
+        usize::try_from(pat.offset(0) + er.slot_shift(s, r))
             .ok()
             .and_then(|base| src.get(base..base + n))
             .ok_or_else(|| {
                 MachineError::PlanMismatch(format!(
-                    "node {p}: compiled fused run reads outside `{array}` operand"
+                    "node {p}: compiled fused run reads outside `{}` operand",
+                    arrays[s]
                 ))
             })
     };
-    let read = |s: usize, t: usize| -> Result<f64, MachineError> {
-        let (src, pat, array) = operand(s);
-        read_at(src, pat.offset(t), p, array)
+    let read = |s: usize, r: u64, t: usize| -> Result<f64, MachineError> {
+        let (src, pat) = operand(s);
+        read_at(src, pat.offset(t) + er.slot_shift(s, r), p, &arrays[s])
     };
     // a one-element run is contiguous whatever step its compressed
     // pattern records — the predicate of the plan's write spans
     let contiguous = unguarded && n > 0 && (er.lhs.is_unit_stride() || n == 1);
-    let staged = contiguous && next.is_none();
-    let base = if contiguous {
-        write_off(er.lhs.offset(0), p)?
-    } else {
-        0
-    };
-    let mut dense: Vec<f64> = Vec::new();
-    let win = match next {
-        Some(next) => {
-            let win = next.get_mut(base..base + n).filter(|_| contiguous);
-            Some(win.ok_or_else(|| {
-                MachineError::PlanMismatch(format!(
-                    "node {p}: run {k} has no window in the next image"
-                ))
-            })?)
-        }
-        None if contiguous => {
-            dense = vec![0.0; n];
-            Some(dense.as_mut_slice())
-        }
-        None => None,
-    };
-    let mut o = RunOut {
-        win,
-        els: out,
-        lhs: &er.lhs,
-        p,
-    };
+    // an unguarded generic run that writes and reads owner-local memory
+    // at unit stride goes through the bytecode a chunk at a time: same
+    // totals charged, same bits out
+    let unit = |sa: &SlotAccess| matches!(sa, SlotAccess::Local(pat) if pat.is_unit_stride());
+    let chunked = unguarded && er.slots.iter().all(unit);
+    let inner = cs.loop_box.dims() - 1;
     let mut vectorized = false;
-    match fused {
-        Some(FusedShape::Copy { slot }) => match &mut o.win {
-            // both sides unit-stride: degrade to one slice copy. It
-            // predates the lane tier; the census claims it only when
-            // the policy is on
-            Some(win) if operand(*slot).1.is_unit_stride() => {
-                win.copy_from_slice(seg(*slot)?);
-                vectorized = simd_ok;
+    let lhs0 = er.lhs.offset(0);
+    let no_window =
+        || MachineError::PlanMismatch(format!("node {p}: run {k} has no window in the next image"));
+    // a copy between unit strides is `gen_p`'s outer level at its barest:
+    // per rep two bases, their bounds checks and one slice copy. It
+    // predates the lane tier; the census claims it only when the policy
+    // is on
+    let slice_copy = match fused {
+        Some(FusedShape::Copy { slot }) if contiguous => Some(*slot),
+        _ => None,
+    }
+    .filter(|&s| operand(s).1.is_unit_stride());
+    for r in 0..er.reps {
+        let shift = r as i64 * er.delta.lhs;
+        if let Some(slot) = slice_copy {
+            let (src, base) = (seg(slot, r)?, write_off(lhs0 + shift, p)?);
+            match next.as_deref_mut() {
+                Some(next) => {
+                    (next.get_mut(base..base + n).ok_or_else(no_window)?).copy_from_slice(src)
+                }
+                None => out.push(WriteOp::Dense {
+                    base,
+                    values: src.to_vec(),
+                }),
             }
-            _ => {
+            vectorized = simd_ok;
+            continue;
+        }
+        let base = if contiguous {
+            write_off(lhs0 + shift, p)?
+        } else {
+            0
+        };
+        let mut dense: Vec<f64> = Vec::new();
+        let (win, img) = match next.as_deref_mut() {
+            Some(next) if contiguous => (
+                Some(next.get_mut(base..base + n).ok_or_else(no_window)?),
+                None,
+            ),
+            Some(next) => (None, Some(next)),
+            None if contiguous => {
+                dense = vec![0.0; n];
+                (Some(dense.as_mut_slice()), None)
+            }
+            None => (None, None),
+        };
+        let mut o = RunOut {
+            win,
+            img,
+            els: out,
+            lhs: &er.lhs,
+            shift,
+            p,
+        };
+        match fused {
+            Some(FusedShape::Copy { slot }) => {
                 for t in 0..n {
-                    o.put(t, read(*slot, t)?)?;
+                    o.put(t, read(*slot, r, t)?)?;
                 }
             }
-        },
-        Some(FusedShape::Axpy { a, slot, b }) => match &mut o.win {
-            Some(win) if simd_ok => {
-                simd::axpy(opts.simd, *a, *b, seg(*slot)?, win);
-                vectorized = true;
-            }
-            _ => {
-                for t in 0..n {
-                    let mut v = read(*slot, t)?;
-                    if let Some(a) = a {
-                        v *= *a;
-                    }
-                    if let Some(b) = b {
-                        v += *b;
-                    }
-                    o.put(t, v)?;
+            Some(FusedShape::Axpy { a, slot, b }) => match &mut o.win {
+                Some(win) if simd_ok => {
+                    simd::axpy(opts.simd, *a, *b, seg(*slot, r)?, win);
+                    vectorized = true;
                 }
-            }
-        },
-        Some(FusedShape::Stencil {
-            slots,
-            left_assoc,
-            scale,
-            offset,
-        }) => match (&mut o.win, slots.as_slice()) {
-            (Some(win), [s0, s1]) if simd_ok => {
-                simd::stencil2(opts.simd, *scale, *offset, seg(*s0)?, seg(*s1)?, win);
-                vectorized = true;
-            }
-            (Some(win), [s0, s1, s2]) if simd_ok => {
-                simd::stencil3(
-                    opts.simd,
-                    *left_assoc,
-                    *scale,
-                    *offset,
-                    seg(*s0)?,
-                    seg(*s1)?,
-                    seg(*s2)?,
-                    win,
-                );
-                vectorized = true;
-            }
-            _ => {
-                for t in 0..n {
-                    let x0 = read(slots[0], t)?;
-                    let x1 = read(slots[1], t)?;
-                    let mut v = if slots.len() == 3 {
-                        let x2 = read(slots[2], t)?;
-                        if *left_assoc {
-                            (x0 + x1) + x2
+                _ => {
+                    for t in 0..n {
+                        let mut v = read(*slot, r, t)?;
+                        if let Some(a) = a {
+                            v *= *a;
+                        }
+                        if let Some(b) = b {
+                            v += *b;
+                        }
+                        o.put(t, v)?;
+                    }
+                }
+            },
+            Some(FusedShape::Stencil {
+                slots,
+                left_assoc,
+                scale,
+                offset,
+            }) => match (&mut o.win, slots.as_slice()) {
+                (Some(win), [s0, s1]) if simd_ok => {
+                    simd::stencil2(opts.simd, *scale, *offset, seg(*s0, r)?, seg(*s1, r)?, win);
+                    vectorized = true;
+                }
+                (Some(win), [s0, s1, s2]) if simd_ok => {
+                    simd::stencil3(
+                        opts.simd,
+                        *left_assoc,
+                        *scale,
+                        *offset,
+                        seg(*s0, r)?,
+                        seg(*s1, r)?,
+                        seg(*s2, r)?,
+                        win,
+                    );
+                    vectorized = true;
+                }
+                _ => {
+                    for t in 0..n {
+                        let x0 = read(slots[0], r, t)?;
+                        let x1 = read(slots[1], r, t)?;
+                        let mut v = if slots.len() == 3 {
+                            let x2 = read(slots[2], r, t)?;
+                            if *left_assoc {
+                                (x0 + x1) + x2
+                            } else {
+                                x0 + (x1 + x2)
+                            }
                         } else {
-                            x0 + (x1 + x2)
+                            x0 + x1
+                        };
+                        if let Some(s) = scale {
+                            v *= *s;
                         }
-                    } else {
-                        x0 + x1
-                    };
-                    if let Some(s) = scale {
-                        v *= *s;
+                        if let Some(b) = offset {
+                            v += *b;
+                        }
+                        o.put(t, v)?;
                     }
-                    if let Some(b) = offset {
-                        v += *b;
-                    }
-                    o.put(t, v)?;
                 }
-            }
-        },
-        Some(FusedShape::Generic) | None => {
-            // generic: gather every slot by its precomputed offset, from
-            // the local part or straight out of the packet, then run the
-            // bytecode
-            // the loop point of the run's first element; a run stays in
-            // one row, so only the innermost coordinate moves along it
-            let inner = cs.loop_box.dims() - 1;
-            let row = (er.run.start - cs.loop_box.lo()[inner]) as usize;
-            let mut i = cs.loop_box.from_linear_offset(row);
-            // an unguarded run that writes and reads owner-local memory
-            // at unit stride goes through the bytecode a chunk at a
-            // time: same totals charged, same bits out
-            let unit =
-                |sa: &SlotAccess| matches!(sa, SlotAccess::Local(pat) if pat.is_unit_stride());
-            let chunked = unguarded && er.slots.iter().all(unit);
-            if let (Some(win), true) = (&mut o.win, chunked) {
-                let segs = (0..n_slots).map(seg).collect::<Result<Vec<_>, _>>()?;
-                kernel.eval_run(i.coords(), inner, er.run.step, &segs, win, stack);
-                stats.iterations += n as u64;
-                stats.data_guards += n as u64;
-                stats.local_reads += n as u64 * local_slots;
-            } else {
-                for t in 0..n {
-                    stats.iterations += 1;
-                    for (s, v) in vals.iter_mut().enumerate().take(n_slots) {
-                        *v = read(s, t)?;
-                    }
-                    stats.local_reads += local_slots;
-                    stats.data_guards += 1;
-                    let guard_ok = match rguard {
-                        RGuard::Always => true,
-                        RGuard::Cmp { slot, op, rhs } => {
-                            op.holds(vals.get(*slot).copied().unwrap_or(0.0), *rhs)
+            },
+            Some(FusedShape::Generic) | None => {
+                // generic: gather every slot by its precomputed offset,
+                // from the local part or straight out of the packet, then
+                // run the bytecode from the loop point of the rep's first
+                // element; a run stays in one row, so only the innermost
+                // coordinate moves along it
+                let row = (er.rep(r).start - cs.loop_box.lo()[inner]) as usize;
+                let mut i = cs.loop_box.from_linear_offset(row);
+                if let (Some(win), true) = (&mut o.win, chunked) {
+                    let segs = (0..n_slots)
+                        .map(|s| seg(s, r))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    kernel.eval_run(i.coords(), inner, er.run.step, &segs, win, stack);
+                    stats.iterations += n as u64;
+                    stats.data_guards += n as u64;
+                    stats.local_reads += n as u64 * local_slots;
+                } else {
+                    for t in 0..n {
+                        stats.iterations += 1;
+                        for (s, v) in vals.iter_mut().enumerate().take(n_slots) {
+                            *v = read(s, r, t)?;
                         }
-                    };
-                    if guard_ok {
-                        o.put(t, kernel.eval(i.coords(), vals, stack))?;
+                        stats.local_reads += local_slots;
+                        stats.data_guards += 1;
+                        let guard_ok = match rguard {
+                            RGuard::Always => true,
+                            RGuard::Cmp { slot, op, rhs } => {
+                                op.holds(vals.get(*slot).copied().unwrap_or(0.0), *rhs)
+                            }
+                        };
+                        if guard_ok {
+                            o.put(t, kernel.eval(i.coords(), vals, stack))?;
+                        }
+                        i[inner] += er.run.step;
                     }
-                    i[inner] += er.run.step;
                 }
             }
         }
+        if contiguous && next.is_none() {
+            out.push(WriteOp::Dense {
+                base,
+                values: dense,
+            });
+        }
     }
-    if staged {
-        out.push(WriteOp::Dense {
-            base,
-            values: dense,
-        });
-    }
-    // SIMD census: every executed run is either vectorized or fallback,
-    // and vectorized elements split into full lanes plus a scalar tail.
+    // SIMD census: every executed entry is either vectorized or fallback,
+    // and vectorized elements split, rep by rep, into full lanes plus a
+    // scalar tail.
     if vectorized {
         let lanes = opts.simd.census_lanes() as u64;
         stats.simd_runs += 1;
-        stats.simd_lane_elems += n as u64 / lanes * lanes;
-        stats.simd_tail_elems += n as u64 % lanes;
+        stats.simd_lane_elems += er.reps * (n as u64 / lanes * lanes);
+        stats.simd_tail_elems += er.reps * (n as u64 % lanes);
         stats.simd_lanes = stats.simd_lanes.max(lanes);
     } else {
         stats.simd_fallback_runs += 1;
@@ -975,13 +1004,13 @@ fn exec_one_run(
             if er.boundary {
                 EventKind::BoundaryRun {
                     run: k,
-                    elems: n as u64,
+                    elems: er.elems(),
                     recvs: er.remote_elems,
                 }
             } else {
                 EventKind::InteriorRun {
                     run: k,
-                    elems: n as u64,
+                    elems: er.elems(),
                 }
             },
         );

@@ -1412,9 +1412,10 @@ mod tests {
             lhs: ArrayRef::d1("A", Fn1::identity()),
             rhs: Expr::add(b(Fn1::identity()), Expr::Lit(0.5)),
         };
+        // a third of each part: under half, so it stages its writes
         let sparse = Clause {
-            iter: IndexSet::range(0, n / 2 - 1),
-            lhs: ArrayRef::d1("A", Fn1::affine(2, 1)),
+            iter: IndexSet::range(0, (n - 2) / 3),
+            lhs: ArrayRef::d1("A", Fn1::affine(3, 1)),
             rhs: Expr::mul(b(Fn1::identity()), Expr::Lit(-3.0)),
             ..dense.clone()
         };

@@ -301,6 +301,9 @@ fn accept_loop(listener: &NetListener, shared: &Arc<Shared>) {
     for h in conns {
         let _ = h.join();
     }
+    // drop the tiers and pool on a service thread: the stopper's malloc caches get none of it
+    *lock(&shared.caches) = SessionCaches::default();
+    *lock(&shared.pools) = PoolState::default();
 }
 
 /// One client connection: hello handshake, then a request/response loop

@@ -1418,11 +1418,13 @@ mod tests {
             );
         }
 
-        // the byte budget charges tables, and tables follow runs: a
-        // 1 Mi-element block-scatter(16) -> block copy (65 536 exec runs,
-        // half its elements remote) costs a few hundred bytes per run,
-        // where a per-element receive map cost 64 bytes per remote
-        // element (32 MiB) — so two such plans now share a 48 MiB budget
+        // the byte budget charges tables: a 1 Mi-element block-scatter(16)
+        // -> block copy (65 536 runs, half its elements remote) folds into
+        // one exec entry per node plus one per incoming packet, so what
+        // is left is the plan's comm runs — where a per-element receive
+        // map cost 64 bytes per remote element (32 MiB) and per-run exec
+        // tables a few hundred bytes per run — and two such plans now
+        // share a 12 MiB budget
         let n = 1i64 << 20;
         let e = Bounds::range(0, n - 1);
         let copy = |lhs: &str| Clause {
@@ -1440,21 +1442,29 @@ mod tests {
         }
         dm.insert("U".into(), Decomp1::block_scatter(16, 2, e));
         let plan = SpmdPlan::build(&copy("V"), &dm).unwrap();
-        let prepared = prepare_run(plan, &copy("V"), &dm).unwrap();
-        let runs: usize = (prepared.compiled().nodes.iter())
-            .map(|cn| cn.exec.len())
+        let comm_runs: usize = (plan.nodes.iter())
+            .flat_map(|np| np.comm.sends.iter().chain(&np.comm.recvs))
+            .map(|pc| pc.runs.len())
             .sum();
-        assert_eq!(runs as i64, n / 16);
+        assert_eq!(comm_runs as i64, n / 16);
+        let prepared = prepare_run(plan, &copy("V"), &dm).unwrap();
+        let nodes = &prepared.compiled().nodes;
+        let entries: usize = nodes.iter().map(|cn| cn.exec.len()).sum();
+        let packets: usize = nodes.iter().flat_map(|cn| &cn.staging_packets).sum();
+        assert_eq!((entries, packets), (2 + 64, 64));
+        let tables: usize = nodes.iter().map(|cn| cn.approx_bytes()).sum();
+        assert!(tables < 512 * packets, "{tables} B of run tables");
         let bytes = prepared.approx_bytes();
+        let charged = comm_runs * std::mem::size_of::<vcal_spmd::CommRun>();
         assert!(
-            (64 * runs..512 * runs).contains(&bytes),
-            "{bytes} B for {runs} runs is not a per-run charge"
+            (charged..charged + (64 << 10)).contains(&bytes),
+            "{bytes} B for {comm_runs} comm runs is not a per-comm-run charge"
         );
         let mut session = DistSession::new(&env, dm)
             .unwrap()
             .with_cache_budget(CacheBudget {
                 max_entries: 8,
-                max_bytes: 48 << 20,
+                max_bytes: 12 << 20,
             });
         session.run(&copy("V")).unwrap();
         let rw = session.run(&copy("W")).unwrap();

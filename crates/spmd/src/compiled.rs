@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Guard};
 use vcal_decomp::{Decomp1, Distribution};
-use vcal_numth::{div_ceil, div_floor, solve_congruence};
+use vcal_numth::{div_ceil, div_floor, gcd, solve_congruence};
 
 /// One strided run of loop iterations: `start + step·t` for
 /// `t ∈ [0, count)`. The steady-state analog of
@@ -71,6 +71,15 @@ impl IterRun {
     pub fn is_empty(&self) -> bool {
         self.count <= 0
     }
+
+    /// The unit-stride run `lo..=hi`.
+    pub(crate) fn span(lo: i64, hi: i64) -> IterRun {
+        IterRun {
+            start: lo,
+            step: 1,
+            count: hi - lo + 1,
+        }
+    }
 }
 
 /// Visit every index of a run table in order.
@@ -85,28 +94,10 @@ pub fn for_each_run(runs: &[IterRun], mut visit: impl FnMut(i64)) {
 /// schedule's visit order is part of its semantics, and
 /// `RepeatedScatter` visits in `t`-major order, not ascending).
 pub(crate) fn coalesce_ordered(v: &[i64], out: &mut Vec<IterRun>) {
-    let mut k = 0usize;
-    while k < v.len() {
-        if k + 1 == v.len() {
-            out.push(IterRun {
-                start: v[k],
-                step: 1,
-                count: 1,
-            });
-            break;
-        }
-        let step = v[k + 1] - v[k];
-        let mut j = k + 1;
-        while j + 1 < v.len() && v[j + 1] - v[j] == step {
-            j += 1;
-        }
-        out.push(IterRun {
-            start: v[k],
-            step,
-            count: (j - k + 1) as i64,
-        });
-        k = j + 1;
-    }
+    let mut tiling = Tiling::new(|run, _: &Sig| out.push(run));
+    v.iter()
+        .for_each(|&i| tiling.push(IterRun::span(i, i), &[]));
+    tiling.flush();
 }
 
 fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
@@ -114,11 +105,7 @@ fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
         Schedule::Empty => {}
         Schedule::Range { lo, hi } => {
             if lo <= hi {
-                out.push(IterRun {
-                    start: *lo,
-                    step: 1,
-                    count: hi - lo + 1,
-                });
+                out.push(IterRun::span(*lo, *hi));
             }
         }
         Schedule::Strided { start, step, count } => {
@@ -135,11 +122,12 @@ fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
                 flatten_into(p, out);
             }
         }
-        // the shapes that re-derive per visit: enumerate once, coalesce
+        // the shapes that re-derive per visit: walk their stretches once
+        // and coalesce them as `coalesce_ordered` would their elements
         other => {
-            let mut idx = Vec::new();
-            other.for_each(|i| idx.push(i));
-            coalesce_ordered(&idx, out);
+            let mut tiling = Tiling::new(|run, _: &Sig| out.push(run));
+            other.for_each_range(&mut |lo, hi| tiling.push(IterRun::span(lo, hi), &[]));
+            tiling.flush();
         }
     }
 }
@@ -259,39 +247,88 @@ impl SlotAccess {
             SlotAccess::Local(pattern) | SlotAccess::Packet { pattern, .. } => pattern,
         }
     }
+
+    /// `(src_ord, pkt_ord)` of a packet slot.
+    pub fn packet(&self) -> Option<(usize, usize)> {
+        match self {
+            SlotAccess::Local(_) => None,
+            SlotAccess::Packet {
+                src_ord, pkt_ord, ..
+            } => Some((*src_ord, *pkt_ord)),
+        }
+    }
 }
 
-/// One compiled update-phase run: a strided span of `Modify_p` whose
-/// elements all read every slot from the same place, with every address
-/// the inner loop needs resolved at plan time.
+/// One compiled update-phase entry: a two-level loop over `Modify_p` —
+/// `reps` repetitions of a strided run whose elements all read every
+/// slot from the same place — with every address the loops need
+/// resolved at plan time. Rep `k` is `run` with its indices shifted by
+/// `k·delta.run`, its lhs offsets by `k·delta.lhs` and the offsets of
+/// slot `s` by `k·delta.slots[s]`; all of a packet slot's reps read one
+/// packet.
 ///
 /// The run's indices are linearised loop indices
 /// ([`CompiledSchedule::loop_box`]) and never leave one row of the loop
 /// box, so only the innermost loop coordinate varies along a run.
 ///
-/// *Interior* runs (`boundary == false`) read only owner-local memory —
+/// *Interior* entries (`boundary == false`) read only owner-local memory —
 /// provable from the Table I dispatch, because the plan's receive runs
 /// (`Reside_q ∩ Modify_p` for `q ≠ p`) enumerate exactly the remote
-/// reads. *Boundary* runs read at least one slot from a packet and must
-/// wait for it to land.
+/// reads. *Boundary* entries read at least one slot from a packet and
+/// must wait for it to land.
 #[derive(Debug, Clone)]
 pub struct ExecRun {
-    /// The loop indices of the run (same visit order as `modify`).
+    /// The loop indices of the first rep.
     pub run: IterRun,
-    /// Whether any element of the run reads remote data.
+    /// Number of reps (≥ 1).
+    pub reps: u64,
+    /// What every rep advances by (all zero when `reps == 1`).
+    pub delta: RepDelta,
+    /// Whether any element of the entry reads remote data.
     pub boundary: bool,
-    /// Local offsets of the written elements `local_of(f(i))`.
+    /// Local offsets of the first rep's written elements `local_of(f(i))`.
     pub lhs: AccessPattern,
-    /// Per read slot, the resolved addressing.
+    /// Per read slot, the first rep's resolved addressing.
     pub slots: Vec<SlotAccess>,
-    /// Number of remote-element consumptions in the run (zero for
-    /// interior runs).
+    /// Number of remote-element consumptions over all reps (zero for
+    /// interior entries).
     pub remote_elems: u64,
 }
 
+/// The per-rep advance of an [`ExecRun`]: of its first loop index, its
+/// lhs offsets and, per read slot, its offsets (empty when `reps == 1`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RepDelta {
+    /// Loop-index advance.
+    pub run: i64,
+    /// Lhs offset advance.
+    pub lhs: i64,
+    /// Per read slot, the offset advance (into the part or the packet).
+    pub slots: Vec<i64>,
+}
+
 impl ExecRun {
-    /// Whether the SIMD lane tier can take this run for `fused`: a
-    /// nonempty run with a recognized (non-Generic) shape, unit-stride
+    /// Elements over all reps.
+    pub fn elems(&self) -> u64 {
+        self.run.len() * self.reps
+    }
+
+    /// The loop indices of rep `k`.
+    pub fn rep(&self, k: u64) -> IterRun {
+        IterRun {
+            start: self.run.start + k as i64 * self.delta.run,
+            ..self.run
+        }
+    }
+
+    /// How far rep `k` shifts slot `s`'s offsets.
+    #[inline]
+    pub fn slot_shift(&self, s: usize, k: u64) -> i64 {
+        self.delta.slots.get(s).map_or(0, |d| d * k as i64)
+    }
+
+    /// Whether the SIMD lane tier can take this entry's reps for `fused`:
+    /// a nonempty run with a recognized (non-Generic) shape, unit-stride
     /// writes, and every slot the shape reads addressed at unit stride —
     /// in the local part or in a packet alike. This is the single
     /// eligibility predicate shared by the plan-time census and both
@@ -406,22 +443,24 @@ impl CompiledNode {
         for er in &self.exec {
             b += size_of::<ExecRun>() + er.slots.len() * size_of::<SlotAccess>() + table(&er.lhs);
             b += er.slots.iter().map(|sa| table(sa.pattern())).sum::<usize>();
+            b += er.delta.slots.len() * size_of::<i64>();
         }
         b += (self.write_spans.as_ref()).map_or(0, |s| s.len() * size_of::<(usize, usize)>());
         b
     }
 
-    /// Interior/boundary census of this node's exec table.
+    /// Interior/boundary census of this node's exec table: entries, and
+    /// elements over all their reps.
     pub fn census(&self) -> OverlapCensus {
         let mut c = OverlapCensus::default();
         for er in &self.exec {
             if er.boundary {
                 c.boundary_runs += 1;
-                c.boundary_elems += er.run.len();
+                c.boundary_elems += er.elems();
                 c.remote_elems += er.remote_elems;
             } else {
                 c.interior_runs += 1;
-                c.interior_elems += er.run.len();
+                c.interior_elems += er.elems();
             }
         }
         c
@@ -463,6 +502,7 @@ impl CompiledSchedule {
             .iter()
             .map(|node| {
                 let modify = flatten_schedule(&node.modify.schedule);
+                let modify_iters = modify.iter().map(IterRun::len).sum();
                 let mut src_ord = vec![usize::MAX; pmax];
                 let mut src_peers = Vec::with_capacity(node.comm.recvs.len());
                 let mut staging_packets = Vec::with_capacity(node.comm.recvs.len());
@@ -476,7 +516,7 @@ impl CompiledSchedule {
                 CompiledNode {
                     p: node.p,
                     modify,
-                    modify_iters: node.modify.schedule.count(),
+                    modify_iters,
                     modify_work: node.modify.schedule.work_estimate(),
                     src_ord,
                     src_peers,
@@ -547,9 +587,10 @@ impl CompiledSchedule {
         else {
             return cs;
         };
+        let injective = is_injective(&plan.f);
         for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
             cn.exec = build_exec(node, &cn.modify, &plan.f, dec_lhs, &dec_reads);
-            cn.write_spans = write_spans(&cn.exec);
+            cn.write_spans = write_spans(&cn.exec, injective);
         }
         cs.kernel = Some(kernel);
         cs
@@ -581,11 +622,11 @@ impl CompiledSchedule {
     }
 
     /// Plan-time SIMD census under `policy`, summed over all nodes: how
-    /// many exec runs the lane tier will vectorize and how their
-    /// elements split into full lanes vs remainder tails. Uses the same
-    /// [`ExecRun::simd_eligible`] predicate the machines dispatch on,
-    /// so this predicts the runtime census exactly (`vcalc --trace`
-    /// prints both side by side).
+    /// many exec entries the lane tier will vectorize and how their
+    /// elements split, rep by rep, into full lanes vs remainder tails.
+    /// Uses the same [`ExecRun::simd_eligible`] predicate the machines
+    /// dispatch on, so this predicts the runtime census exactly
+    /// (`vcalc --trace` prints both side by side).
     pub fn simd_census(&self, policy: SimdPolicy) -> SimdCensus {
         let mut c = SimdCensus {
             lanes: policy.census_lanes() as u64,
@@ -597,7 +638,7 @@ impl CompiledSchedule {
         for node in &self.nodes {
             for er in &node.exec {
                 if policy.enabled() && !self.guarded && er.simd_eligible(&kernel.fused) {
-                    c.add_vector_run(er.run.len());
+                    c.add_vector_run(er.run.len(), er.reps);
                 } else {
                     c.fallback_runs += 1;
                 }
@@ -714,11 +755,12 @@ struct RecvSpan {
     run: CommRun,
 }
 
-/// A maximal stretch `t ∈ [t0, t1]` of one modify run whose reads of
-/// `slot` all fall inside one receive run.
+/// The positions `t = first + period·k`, `k ∈ [0, count)`, of one modify
+/// run whose reads of `slot` fall inside one receive run.
 struct Hit {
-    t0: i64,
-    t1: i64,
+    first: i64,
+    period: i64,
+    count: i64,
     slot: usize,
     /// `(source ordinal, run ordinal)`.
     origin: (usize, usize),
@@ -773,71 +815,103 @@ impl RecvIndex {
                 if s.hi < mlo {
                     continue;
                 }
-                let Some((first, period, count)) = meet(m, &s.run) else {
-                    continue;
-                };
-                let origin = s.origin;
-                if period == 1 {
+                if let Some((first, period, count)) = meet(m, &s.run) {
+                    let origin = s.origin;
                     out.push(Hit {
-                        t0: first,
-                        t1: first + count - 1,
+                        first,
+                        period,
+                        count,
                         slot,
                         origin,
                     });
-                } else {
-                    // the runs interleave: isolated single-element hits
-                    out.extend((0..count).map(|k| Hit {
-                        t0: first + k * period,
-                        t1: first + k * period,
-                        slot,
-                        origin,
-                    }));
                 }
             }
         }
     }
-}
 
-impl RecvIndex {
     /// Cut `modify` wherever the receive run covering some slot changes,
     /// and hand each maximal piece with its signature to `emit`, in
-    /// visit order.
-    pub(crate) fn pieces(&self, modify: &[IterRun], mut emit: impl FnMut(IterRun, &Sig)) {
+    /// visit order. With `split`, a modify run that some receive run
+    /// meets every `d`-th position is first split into its `d` residue
+    /// classes (stride `d·step`), each of which meets every receive run
+    /// in one stretch; without it such a run is cut element by element.
+    pub(crate) fn pieces(
+        &self,
+        modify: &[IterRun],
+        split: bool,
+        mut emit: impl FnMut(IterRun, &Sig),
+    ) {
         let n_slots = self.by_slot.len();
         let mut hits: Vec<Hit> = Vec::new();
-        // per slot, the hit covering the current position: (t1, origin)
+        // the hits as stretches `(t0, t1, slot, origin)`
+        let mut spans: Vec<(i64, i64, usize, (usize, usize))> = Vec::new();
+        // per slot, the stretch covering the current position: (t1, origin)
         let mut active: Vec<Option<(i64, (usize, usize))>> = vec![None; n_slots];
         let mut sig: Sig = vec![None; n_slots];
         for m in modify {
             hits.clear();
             self.hits(m, &mut hits);
-            hits.sort_unstable_by_key(|h| (h.t0, h.slot));
-            active.fill(None);
-            let (mut t, mut next) = (0i64, 0usize);
-            while t < m.count {
-                for a in &mut active {
-                    if a.is_some_and(|(t1, _)| t1 < t) {
-                        *a = None;
-                    }
-                }
-                while let Some(h) = hits.get(next).filter(|h| h.t0 <= t) {
-                    active[h.slot] = Some((h.t1, h.origin));
-                    next += 1;
-                }
-                let mut end = hits.get(next).map_or(m.count, |h| h.t0);
-                for (a, s) in active.iter().zip(&mut sig) {
-                    *s = a.map(|(t1, origin)| {
-                        end = end.min(t1 + 1);
-                        origin
-                    });
-                }
-                let piece = IterRun {
-                    start: m.start + m.step * t,
-                    step: m.step,
-                    count: end - t,
+            // the meet period of the hits when they all interleave (a
+            // contiguous one would be shredded) and it still leaves
+            // classes of more than one element
+            let d = (hits.iter().filter(|h| h.count > 1))
+                .try_fold(1i64, |d, h| {
+                    let lcm = (d / gcd(d, h.period)).checked_mul(h.period);
+                    lcm.filter(|&l| h.period > 1 && l < m.count)
+                })
+                .filter(|&d| split && d > 1);
+            for r in 0..d.unwrap_or(1) {
+                let m = match d {
+                    Some(d) => IterRun {
+                        start: m.start + m.step * r,
+                        step: m.step * d,
+                        count: (m.count - r + d - 1) / d,
+                    },
+                    None => *m,
                 };
-                emit(piece, &sig);
-                t = end;
+                if d.is_some() {
+                    hits.clear();
+                    self.hits(&m, &mut hits);
+                }
+                spans.clear();
+                for h in &hits {
+                    // interleaving runs meet in isolated single elements
+                    let (len, at) = if h.period == 1 {
+                        (h.count, 1)
+                    } else {
+                        (1, h.count)
+                    };
+                    let ts = (0..at).map(|k| h.first + k * h.period);
+                    spans.extend(ts.map(|t0| (t0, t0 + len - 1, h.slot, h.origin)));
+                }
+                spans.sort_unstable_by_key(|s| (s.0, s.2));
+                active.fill(None);
+                let (mut t, mut next) = (0i64, 0usize);
+                while t < m.count {
+                    for a in &mut active {
+                        if a.is_some_and(|(t1, _)| t1 < t) {
+                            *a = None;
+                        }
+                    }
+                    while let Some(&(_, t1, slot, origin)) = spans.get(next).filter(|s| s.0 <= t) {
+                        active[slot] = Some((t1, origin));
+                        next += 1;
+                    }
+                    let mut end = spans.get(next).map_or(m.count, |s| s.0);
+                    for (a, s) in active.iter().zip(&mut sig) {
+                        *s = a.map(|(t1, origin)| {
+                            end = end.min(t1 + 1);
+                            origin
+                        });
+                    }
+                    let piece = IterRun {
+                        start: m.start + m.step * t,
+                        step: m.step,
+                        count: end - t,
+                    };
+                    emit(piece, &sig);
+                    t = end;
+                }
             }
         }
     }
@@ -876,30 +950,32 @@ pub(crate) type Sig = Vec<Option<(usize, usize)>>;
 /// exactly as a greedy element-at-a-time coalescing of the visit
 /// sequence would (two elements always form a run; a third joins only
 /// if it continues the stride), so the tiling does not depend on how
-/// the schedule happened to be cut into modify runs.
-#[derive(Default)]
-struct Tiling {
-    done: Vec<(IterRun, Sig)>,
-    cur: Option<(IterRun, Sig)>,
+/// the schedule happened to be cut into modify runs. Finished runs go
+/// to `emit` with their signature.
+struct Tiling<F> {
+    cur: Option<IterRun>,
+    sig: Sig,
+    emit: F,
 }
 
-impl Tiling {
+impl<F: FnMut(IterRun, &Sig)> Tiling<F> {
+    fn new(emit: F) -> Self {
+        let (cur, sig) = (None, Vec::new());
+        Tiling { cur, sig, emit }
+    }
+
     fn push(&mut self, mut piece: IterRun, sig: &[Option<(usize, usize)>]) {
         if piece.count == 1 {
             piece.step = 1;
         }
-        let Some((run, _)) = self.cur.as_mut().filter(|(_, s)| s.as_slice() == sig) else {
-            self.flush();
-            self.cur = Some((piece, sig.to_vec()));
-            return;
+        let Some(run) = self.cur.as_mut().filter(|_| self.sig == sig) else {
+            return self.restart(piece, sig);
         };
         // the piece's first element
         if run.count == 1 {
             run.step = piece.start - run.start;
         } else if piece.start != run.start + run.step * run.count {
-            self.flush();
-            self.cur = Some((piece, sig.to_vec()));
-            return;
+            return self.restart(piece, sig);
         }
         run.count += 1;
         // ... and the rest of it
@@ -915,22 +991,152 @@ impl Tiling {
             step: if piece.count > 2 { piece.step } else { 1 },
             count: piece.count - 1,
         };
+        self.restart(rest, sig);
+    }
+
+    fn restart(&mut self, run: IterRun, sig: &[Option<(usize, usize)>]) {
         self.flush();
-        self.cur = Some((rest, sig.to_vec()));
+        self.cur = Some(run);
+        self.sig.clear();
+        self.sig.extend_from_slice(sig);
     }
 
     fn flush(&mut self) {
-        self.done.extend(self.cur.take());
+        if let Some(run) = self.cur.take() {
+            (self.emit)(run, &self.sig);
+        }
+    }
+}
+
+/// Whether `f` writes every element at most once, so that the order
+/// the loop visits its iterations in cannot show in the result.
+fn is_injective(f: &Fn1) -> bool {
+    matches!(f, Fn1::Affine { a, .. } if *a != 0)
+}
+
+/// Most entries a [`Fold`] keeps open at once.
+const OPEN_CAP: usize = 64;
+
+/// Fold resolved runs, as they stream in, into two-level [`ExecRun`]s.
+/// A run joins an open entry of its *class* — same run shape, same lhs
+/// stride, per slot the same place (owner-local, or one packet) at the
+/// same stride, every pattern affine — when its loop start, its lhs base
+/// and every slot base advance by that entry's deltas. With `reorder`
+/// (an injective `f`) any open entry may take it; without, only the
+/// newest may, so the entries expand to the visit order.
+#[derive(Default)]
+struct Fold {
+    entries: Vec<ExecRun>,
+    /// Entries that may still grow, least recently grown first.
+    open: Vec<usize>,
+    reorder: bool,
+}
+
+impl Fold {
+    fn push(&mut self, run: IterRun, lhs: AccessPattern, slots: &[SlotAccess], remote: u64) {
+        let entries = &mut self.entries;
+        let class = (self.open.iter()).rposition(|&e| entries[e].same_class(&run, &lhs, slots));
+        if let Some(e) = class.map(|j| self.open.remove(j)) {
+            if entries[e].extend(&run, &lhs, slots, remote) {
+                return self.open.push(e);
+            }
+        }
+        if !self.reorder {
+            self.open.clear();
+        }
+        if stride(&lhs).is_some() && slots.iter().all(|sa| stride(sa.pattern()).is_some()) {
+            if self.open.len() == OPEN_CAP {
+                self.open.remove(0);
+            }
+            self.open.push(entries.len());
+        }
+        entries.push(ExecRun {
+            run,
+            reps: 1,
+            delta: RepDelta::default(),
+            boundary: remote > 0,
+            lhs,
+            slots: slots.to_vec(),
+            remote_elems: remote,
+        });
+    }
+}
+
+/// The stride of an affine pattern.
+fn stride(p: &AccessPattern) -> Option<i64> {
+    match p {
+        AccessPattern::Affine { step, .. } => Some(*step),
+        AccessPattern::Table(_) => None,
+    }
+}
+
+impl ExecRun {
+    /// Whether a run with this addressing is of this entry's class.
+    fn same_class(&self, run: &IterRun, lhs: &AccessPattern, slots: &[SlotAccess]) -> bool {
+        let same = |a: &SlotAccess, b: &SlotAccess| {
+            a.packet() == b.packet() && stride(a.pattern()) == stride(b.pattern())
+        };
+        (self.run.step, self.run.count) == (run.step, run.count)
+            && stride(&self.lhs) == stride(lhs)
+            && self.slots.iter().zip(slots).all(|(a, b)| same(a, b))
+    }
+
+    /// Append a run of this entry's class as its next rep, if it
+    /// advances by the entry's deltas (the second rep sets them).
+    fn extend(
+        &mut self,
+        run: &IterRun,
+        lhs: &AccessPattern,
+        slots: &[SlotAccess],
+        remote: u64,
+    ) -> bool {
+        let k = self.reps as i64;
+        let base = |sa: &SlotAccess| sa.pattern().offset(0);
+        let moved = (slots.iter().zip(&self.slots)).map(|(b, a)| base(b) - base(a));
+        if self.reps == 1 {
+            let (run, lhs) = (
+                run.start - self.run.start,
+                lhs.offset(0) - self.lhs.offset(0),
+            );
+            let slots = moved.collect();
+            self.delta = RepDelta { run, lhs, slots };
+        } else if run.start != self.run.start + k * self.delta.run
+            || lhs.offset(0) != self.lhs.offset(0) + k * self.delta.lhs
+            || !moved.zip(&self.delta.slots).all(|(m, d)| m == k * d)
+        {
+            return false;
+        }
+        self.reps += 1;
+        self.remote_elems += remote;
+        true
+    }
+
+    /// The offsets reps `k0..k1` write: their hull, how many they are,
+    /// and whether each rep is contiguous.
+    fn lhs_hull(&self, k0: u64, k1: u64) -> Option<(i64, i64, u64, bool)> {
+        let n = self.run.len();
+        let (lo, hi) = match self.lhs {
+            AccessPattern::Affine { base, step } => {
+                let last = base + step * (n as i64 - 1);
+                (base.min(last), base.max(last))
+            }
+            AccessPattern::Table(ref offs) => (*offs.iter().min()?, *offs.iter().max()?),
+        };
+        let (d0, d1) = (k0 as i64 * self.delta.lhs, (k1 as i64 - 1) * self.delta.lhs);
+        let contiguous = n == 1 || stride(&self.lhs).is_some_and(|s| s.abs() == 1);
+        Some((lo + d0.min(d1), hi + d0.max(d1), n * (k1 - k0), contiguous))
     }
 }
 
 /// Split one node's modify runs so that every [`ExecRun`] reads each
-/// slot from one place, and resolve every address.
+/// slot from one place, resolve every address, and fold the runs into
+/// two-level entries ([`Fold`]).
 ///
 /// `Modify_p` is intersected with the plan's receive runs
 /// (`Reside_q ∩ Modify_p`, `q ≠ p` — exactly the reads the plan routes
 /// over the wire) run against run: no per-element table is built and no
-/// `proc_of` is evaluated. The runs tile `Modify_p` in visit order.
+/// `proc_of` is evaluated. The entries tile `Modify_p`; in visit order
+/// unless `f` is injective.
 fn build_exec(
     node: &NodePlan,
     modify: &[IterRun],
@@ -943,87 +1149,97 @@ fn build_exec(
     // per source, per receive run: its packet and its offset inside it
     let places: Vec<Vec<(usize, u64)>> =
         (node.comm.recvs.iter()).map(PairComm::run_places).collect();
-    let mut tiling = Tiling::default();
-    index.pieces(modify, |piece, sig| tiling.push(piece, sig));
-    tiling.flush();
-
-    tiling
-        .done
-        .into_iter()
-        .map(|(run, sig)| {
-            let mut remote_elems = 0u64;
-            let slots = sig
-                .iter()
-                .enumerate()
-                .map(|(slot, origin)| match *origin {
-                    None => SlotAccess::Local(local_pattern(
-                        run,
-                        &node.resides[slot].g,
-                        dec_reads[slot],
-                    )),
-                    Some((src_ord, run_ord)) => {
-                        remote_elems += run.len();
-                        let r = &node.comm.recvs[src_ord].runs[run_ord];
-                        let (pkt_ord, run_off) = places[src_ord][run_ord];
-                        let rstep = run_step(r);
-                        SlotAccess::Packet {
-                            src_ord,
-                            pkt_ord,
-                            pattern: AccessPattern::Affine {
-                                base: run_off as i64 + (run.start - r.start) / rstep,
-                                step: if run.count > 1 { run.step / rstep } else { 0 },
-                            },
-                        }
-                    }
-                })
-                .collect();
-            ExecRun {
-                run,
-                boundary: remote_elems > 0,
-                lhs: local_pattern(run, f, dec_lhs),
-                slots,
-                remote_elems,
+    let reorder = is_injective(f);
+    let mut fold = Fold {
+        reorder,
+        ..Fold::default()
+    };
+    let mut slots: Vec<SlotAccess> = Vec::with_capacity(n_slots);
+    let mut tiling = Tiling::new(|run: IterRun, sig: &Sig| {
+        let mut remote = 0u64;
+        slots.clear();
+        slots.extend(sig.iter().enumerate().map(|(slot, origin)| match *origin {
+            None => SlotAccess::Local(local_pattern(run, &node.resides[slot].g, dec_reads[slot])),
+            Some((src_ord, run_ord)) => {
+                remote += run.len();
+                let r = &node.comm.recvs[src_ord].runs[run_ord];
+                let (pkt_ord, run_off) = places[src_ord][run_ord];
+                let rstep = run_step(r);
+                SlotAccess::Packet {
+                    src_ord,
+                    pkt_ord,
+                    pattern: AccessPattern::Affine {
+                        base: run_off as i64 + (run.start - r.start) / rstep,
+                        step: if run.count > 1 { run.step / rstep } else { 0 },
+                    },
+                }
             }
-        })
-        .collect()
+        }));
+        fold.push(run, local_pattern(run, f, dec_lhs), &slots, remote);
+    });
+    index.pieces(modify, reorder, |piece, sig| tiling.push(piece, sig));
+    tiling.flush();
+    fold.entries
 }
 
-/// The local offsets a node's exec runs write, as sorted, disjoint
-/// half-open spans with adjacent ones merged: `None` when some run is
-/// not contiguous (a one-element run is, whatever step its compressed
-/// pattern records) or two runs overlap. A node that fills its part has
-/// one span, however many runs.
-pub(crate) fn write_spans(exec: &[ExecRun]) -> Option<Vec<(usize, usize)>> {
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    for er in exec {
-        let n = er.run.len() as usize;
-        if n == 0 {
-            continue;
-        }
-        if !(er.lhs.is_unit_stride() || n == 1) {
-            return None;
-        }
-        let lo = usize::try_from(er.lhs.offset(0)).ok()?;
-        match spans.last_mut() {
-            Some(last) if last.1 == lo => last.1 += n,
-            _ => spans.push((lo, lo + n)),
+/// The local offsets a node's exec entries write, as sorted, disjoint
+/// half-open spans with adjacent ones merged. With an injective `f` no
+/// offset is written twice, so overlapping entry hulls that hold as many
+/// writes as offsets are one span — a node that fills its part has one
+/// span, however many entries — and only where that closed form leaves
+/// holes are strided reps taken element by element. Otherwise the spans
+/// are `None` when some rep is not contiguous (a one-element rep is,
+/// whatever step its compressed pattern records) or two reps overlap.
+pub(crate) fn write_spans(exec: &[ExecRun], injective: bool) -> Option<Vec<(usize, usize)>> {
+    let entries = exec.iter().filter(|er| er.elems() > 0);
+    if injective {
+        let hulls = entries
+            .clone()
+            .map(|er| er.lhs_hull(0, er.reps).map(|h| (h.0, h.1, h.2)));
+        if let Some(spans) = cover(hulls.collect::<Option<_>>()?, true) {
+            return Some(spans);
         }
     }
-    // most schedules visit their writes in ascending order and are done;
-    // the rest (rotations, t-major repeated scatter) are sorted here
-    if !spans.windows(2).all(|w| w[0].1 < w[1].0) {
-        spans.sort_unstable();
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(spans.len());
-        for (lo, hi) in spans {
-            match merged.last_mut() {
-                Some(last) if lo < last.1 => return None,
-                Some(last) if lo == last.1 => last.1 = hi,
-                _ => merged.push((lo, hi)),
+    let mut stretches = Vec::new();
+    for er in entries {
+        for k in 0..er.reps {
+            let (lo, hi, n, contiguous) = er.lhs_hull(k, k + 1)?;
+            if contiguous {
+                stretches.push((lo, hi, n));
+            } else if injective {
+                let shift = k as i64 * er.delta.lhs;
+                let at = (0..n as usize).map(|t| er.lhs.offset(t) + shift);
+                stretches.extend(at.map(|o| (o, o, 1)));
+            } else {
+                return None;
             }
         }
-        spans = merged;
     }
-    Some(spans)
+    cover(stretches, injective)
+}
+
+/// Merge written stretches `(lo, hi, count)` into spans: `None` when a
+/// merged span holds fewer writes than offsets or, unless the stretches
+/// are `disjoint`, when two overlap.
+fn cover(mut hulls: Vec<(i64, i64, u64)>, disjoint: bool) -> Option<Vec<(usize, usize)>> {
+    hulls.sort_unstable_by_key(|h| h.0);
+    let mut spans: Vec<(i64, i64, u64)> = Vec::new();
+    for (lo, hi, count) in hulls {
+        match spans.last_mut() {
+            Some(last) if lo <= last.1 && !disjoint => return None,
+            Some(last) if lo <= last.1 + 1 => {
+                last.1 = last.1.max(hi);
+                last.2 += count;
+            }
+            _ => spans.push((lo, hi, count)),
+        }
+    }
+    (spans.into_iter())
+        .map(|(lo, hi, count)| {
+            let full = count == (hi - lo + 1) as u64;
+            Some((usize::try_from(lo).ok()?, hi as usize + 1)).filter(|_| full)
+        })
+        .collect()
 }
 
 /// FNV-1a over a formatted rendering, via `fmt::Write` — no
@@ -1090,31 +1306,35 @@ pub fn decomp_fingerprint<'a>(
 
 /// Test oracle for [`CompiledNode::write_spans`], shared with the n-D
 /// lowering's tests: the table equals the set of local offsets the
-/// node's runs write, expanded element by element; it is absent exactly
-/// when some run is not contiguous or two runs write one element; and
+/// node's entries write, expanded rep by rep and element by element; it
+/// is absent exactly when two writes hit one element or, unless `f` is
+/// `injective`, some rep is not contiguous; and
 /// [`CompiledNode::approx_bytes`] counts it.
 #[cfg(test)]
-pub(crate) fn check_write_spans(cn: &CompiledNode, what: &str) {
+pub(crate) fn check_write_spans(cn: &CompiledNode, injective: bool, what: &str) {
     let mut written: Vec<i64> = Vec::new();
-    let mut contiguous = true;
+    let mut strided = Vec::new();
     for er in &cn.exec {
-        let offs: Vec<i64> = (0..er.run.len() as usize)
-            .map(|t| er.lhs.offset(t))
-            .collect();
-        contiguous &= offs.windows(2).all(|w| w[1] == w[0] + 1);
-        written.extend(offs);
+        for k in 0..er.reps {
+            let shift = k as i64 * er.delta.lhs;
+            let offs: Vec<i64> = (0..er.run.len() as usize)
+                .map(|t| er.lhs.offset(t) + shift)
+                .collect();
+            let step = offs.get(1).map_or(1, |o| o - offs[0]);
+            if !(step.abs() == 1 && offs.windows(2).all(|w| w[1] - w[0] == step)) {
+                strided.push(k);
+            }
+            written.extend(offs);
+        }
     }
     written.sort_unstable();
     let disjoint = written.windows(2).all(|w| w[0] != w[1]);
+    let representable = disjoint && (injective || strided.is_empty());
     let Some(spans) = &cn.write_spans else {
-        assert!(
-            !(contiguous && disjoint),
-            "{what} p={}: no span table",
-            cn.p
-        );
+        assert!(!representable, "{what} p={}: no span table", cn.p);
         return;
     };
-    assert!(contiguous && disjoint, "{what} p={}: {spans:?}", cn.p);
+    assert!(representable, "{what} p={}: {spans:?}", cn.p);
     let mut want: Vec<(usize, usize)> = Vec::new();
     for off in written {
         let off = off as usize;
@@ -1141,6 +1361,7 @@ pub(crate) fn check_write_spans(cn: &CompiledNode, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::PACKET_ELEMS;
     use std::collections::BTreeMap;
     use vcal_core::{ArrayRef, Bounds, Clause, Expr, IndexSet, Ordering};
 
@@ -1165,6 +1386,41 @@ mod tests {
         let mut v = Vec::new();
         for_each_run(runs, |i| v.push(i));
         v
+    }
+
+    /// The greedy element-at-a-time coalescing [`Tiling`] reproduces:
+    /// two elements always form a run, a third joins only if it
+    /// continues the stride.
+    fn greedy_runs(v: &[i64]) -> Vec<IterRun> {
+        let mut out = Vec::new();
+        let mut k = 0usize;
+        while k < v.len() {
+            let step = v.get(k + 1).map_or(1, |next| next - v[k]);
+            let mut j = (k + 1).min(v.len() - 1);
+            while j + 1 < v.len() && v[j + 1] - v[j] == step {
+                j += 1;
+            }
+            let count = (j - k + 1) as i64;
+            out.push(IterRun {
+                start: v[k],
+                step,
+                count,
+            });
+            k = j + 1;
+        }
+        out
+    }
+
+    /// `count()` is the enumeration's length, and a shape flattened
+    /// stretch by stretch gets the runs its element sequence coalesces to.
+    fn check_count_and_runs(s: &Schedule, visited: &[i64]) {
+        assert_eq!(s.count(), visited.len() as u64, "{s:?}");
+        if let Schedule::RepeatedBlock { .. }
+        | Schedule::RepeatedScatter { .. }
+        | Schedule::Guarded { .. } = s
+        {
+            assert_eq!(flatten_schedule(s), greedy_runs(visited), "{s:?}");
+        }
     }
 
     #[test]
@@ -1209,6 +1465,7 @@ mod tests {
                                     node.p
                                 );
                                 assert_eq!(cn.modify_iters, want.len() as u64);
+                                check_count_and_runs(&node.modify.schedule, &want);
                                 for (slot, rp) in node.resides.iter().enumerate() {
                                     let mut want = Vec::new();
                                     rp.opt.schedule.for_each(|i| want.push(i));
@@ -1218,6 +1475,7 @@ mod tests {
                                         "reside p={} slot={slot} naive={naive}",
                                         node.p
                                     );
+                                    check_count_and_runs(&rp.opt.schedule, &want);
                                 }
                             }
                         }
@@ -1261,88 +1519,96 @@ mod tests {
         }
     }
 
-    /// Check one compiled plan against per-element `proc_of`/`local_of`.
+    /// Check one compiled plan against per-element `proc_of`/`local_of`,
+    /// every rep of every entry expanded.
     fn check_exec_tables(plan: &SpmdPlan, compiled: &CompiledSchedule, dm: &DecompMap, what: &str) {
         let mut remote_total = 0u64;
+        let injective = is_injective(&plan.f);
         for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
             let p = node.p;
-            check_write_spans(cn, what);
+            check_write_spans(cn, injective, what);
             let origin = brute_origin(node);
-            let seq = visit_order(&cn.modify);
-            // (a) the exec runs tile Modify_p in visit order ...
+            let mut seq = visit_order(&cn.modify);
+            // (a) the entries tile Modify_p: in visit order when the
+            // order can show (f not injective), as a set always
             let mut got = Vec::new();
             for er in &cn.exec {
-                assert!(!er.run.is_empty(), "{what} p={p}");
-                er.run.for_each(|i| got.push(i));
-            }
-            assert_eq!(got, seq, "{what} p={p}: tiling");
-            // ... and are the greedy coalescing of each same-source stretch
-            let sig = |i: i64| -> Vec<Option<(usize, usize)>> {
-                (0..node.resides.len())
-                    .map(|s| origin.get(&(s, i)).map(|&(so, ro, ..)| (so, ro)))
-                    .collect()
-            };
-            let mut want_runs = Vec::new();
-            let mut k = 0;
-            while k < seq.len() {
-                let mut j = k + 1;
-                while j < seq.len() && sig(seq[j]) == sig(seq[k]) {
-                    j += 1;
+                assert!(er.elems() > 0, "{what} p={p}");
+                if er.reps == 1 {
+                    assert_eq!(er.delta, RepDelta::default(), "{what} p={p}");
+                } else {
+                    assert_eq!(er.delta.slots.len(), er.slots.len(), "{what} p={p}");
                 }
-                coalesce_ordered(&seq[k..j], &mut want_runs);
-                k = j;
+                (0..er.reps).for_each(|k| er.rep(k).for_each(|i| got.push(i)));
             }
-            let got_runs: Vec<IterRun> = cn.exec.iter().map(|er| er.run).collect();
-            assert_eq!(got_runs, want_runs, "{what} p={p}: run shapes");
+            if !injective {
+                assert_eq!(got, seq, "{what} p={p}: visit-order tiling");
+            }
+            got.sort_unstable();
+            seq.sort_unstable();
+            assert_eq!(got, seq, "{what} p={p}: tiling");
 
             for er in &cn.exec {
                 let mut remote = 0u64;
-                let mut t = 0usize;
-                er.run.for_each(|i| {
-                    let at = format!("{what} p={p} i={i}");
-                    assert_eq!(
-                        er.lhs.offset(t),
-                        dm[&plan.lhs_array].local_of(plan.f.eval(i)),
-                        "{at}"
-                    );
-                    for (slot, rp) in node.resides.iter().enumerate() {
-                        let x = rp.g.eval(i);
-                        let dec = &dm[&rp.array];
-                        let owner = if rp.replicated { p } else { dec.proc_of(x) };
-                        match &er.slots[slot] {
-                            // (b) local reads resolve to the owner-local offset
-                            SlotAccess::Local(pat) => {
-                                assert_eq!(owner, p, "{at} slot={slot}: remote read marked local");
-                                assert_eq!(pat.offset(t), dec.local_of(x), "{at} slot={slot}");
-                            }
-                            // (b) remote reads to the element-wise (src, packet, off)
-                            SlotAccess::Packet {
-                                src_ord,
-                                pkt_ord,
-                                pattern,
-                            } => {
-                                remote += 1;
-                                assert_ne!(owner, p, "{at} slot={slot}: local read marked remote");
-                                assert_eq!(cn.src_peers[*src_ord], owner, "{at} slot={slot}");
-                                assert_eq!(
-                                    origin
-                                        .get(&(slot, i))
-                                        .map(|&(so, _, po, off)| (so, po, off)),
-                                    Some((*src_ord, *pkt_ord, pattern.offset(t))),
-                                    "{at} slot={slot}"
-                                );
-                                // (c) the window stays inside its packet
-                                let pair = &node.comm.recvs[*src_ord];
-                                let packet = pair.packets().nth(*pkt_ord).expect("planned packet");
-                                let len = packet.iter().map(|r| r.count).sum::<i64>();
-                                assert!((0..len).contains(&pattern.offset(t)), "{at} slot={slot}");
-                                assert!(*pkt_ord < cn.staging_packets[*src_ord], "{at}");
-                                assert!(matches!(pattern, AccessPattern::Affine { .. }), "{at}");
+                for k in 0..er.reps {
+                    let mut t = 0usize;
+                    er.rep(k).for_each(|i| {
+                        let at = format!("{what} p={p} i={i} rep={k}");
+                        assert_eq!(
+                            er.lhs.offset(t) + k as i64 * er.delta.lhs,
+                            dm[&plan.lhs_array].local_of(plan.f.eval(i)),
+                            "{at}"
+                        );
+                        for (slot, rp) in node.resides.iter().enumerate() {
+                            let x = rp.g.eval(i);
+                            let dec = &dm[&rp.array];
+                            let owner = if rp.replicated { p } else { dec.proc_of(x) };
+                            let off = er.slots[slot].pattern().offset(t) + er.slot_shift(slot, k);
+                            match &er.slots[slot] {
+                                // (b) local reads resolve to the owner-local offset
+                                SlotAccess::Local(_) => {
+                                    assert_eq!(
+                                        owner, p,
+                                        "{at} slot={slot}: remote read marked local"
+                                    );
+                                    assert_eq!(off, dec.local_of(x), "{at} slot={slot}");
+                                }
+                                // (b) remote reads to the element-wise (src, packet, off)
+                                SlotAccess::Packet {
+                                    src_ord,
+                                    pkt_ord,
+                                    pattern,
+                                } => {
+                                    remote += 1;
+                                    assert_ne!(
+                                        owner, p,
+                                        "{at} slot={slot}: local read marked remote"
+                                    );
+                                    assert_eq!(cn.src_peers[*src_ord], owner, "{at} slot={slot}");
+                                    assert_eq!(
+                                        origin
+                                            .get(&(slot, i))
+                                            .map(|&(so, _, po, off)| (so, po, off)),
+                                        Some((*src_ord, *pkt_ord, off)),
+                                        "{at} slot={slot}"
+                                    );
+                                    // (c) the window stays inside its packet
+                                    let pair = &node.comm.recvs[*src_ord];
+                                    let packet =
+                                        pair.packets().nth(*pkt_ord).expect("planned packet");
+                                    let len = packet.iter().map(|r| r.count).sum::<i64>();
+                                    assert!((0..len).contains(&off), "{at} slot={slot}");
+                                    assert!(*pkt_ord < cn.staging_packets[*src_ord], "{at}");
+                                    assert!(
+                                        matches!(pattern, AccessPattern::Affine { .. }),
+                                        "{at}"
+                                    );
+                                }
                             }
                         }
-                    }
-                    t += 1;
-                });
+                        t += 1;
+                    });
+                }
                 assert_eq!(er.remote_elems, remote, "{what} p={p}");
                 assert_eq!(er.boundary, remote > 0, "{what} p={p}");
                 remote_total += remote;
@@ -1407,7 +1673,7 @@ mod tests {
                         // every pair of these plans is one packet at the
                         // production cap; small caps cut each run stream
                         // into many, and the tables must follow the cut
-                        for cap in [crate::comm::PACKET_ELEMS, 1, 3, 8] {
+                        for cap in [PACKET_ELEMS, 1, 3, 8] {
                             recut(&mut plan, cap);
                             let compiled = CompiledSchedule::compile_exec(&plan, clause, &dm);
                             assert!(compiled.has_exec(), "{clause}");
@@ -1424,7 +1690,8 @@ mod tests {
 
     /// The three ways a node's writes come out: one span when it fills
     /// its part, one span per stretch when it skips elements, and no
-    /// table when a run writes with a stride or two runs collide.
+    /// table when two runs collide or a run of an `f` not known to be
+    /// injective writes with a stride.
     #[test]
     fn write_spans_merge_follow_gaps_and_refuse_strides_and_overlaps() {
         let n = 96i64;
@@ -1435,7 +1702,7 @@ mod tests {
                 let plan = SpmdPlan::build(clause, &dm).unwrap();
                 let cs = CompiledSchedule::compile_exec(&plan, clause, &dm);
                 for cn in &cs.nodes {
-                    check_write_spans(cn, &format!("{clause}"));
+                    check_write_spans(cn, is_injective(&plan.f), &format!("{clause}"));
                 }
                 cs.nodes.into_iter().map(|cn| cn.write_spans).collect()
             };
@@ -1450,9 +1717,17 @@ mod tests {
         let inner = copy_clause(1, n - 2, Fn1::identity(), Fn1::identity());
         let gaps = spans_of(&inner, Decomp1::block(2, e), Decomp1::block(2, e));
         assert_eq!(gaps, [Some(vec![(1, 48)]), Some(vec![(0, 47)])]);
-        // A[2i+1] over a block: stride-2 writes
+        // A[2i+1] over a block: stride-2 writes, each offset once
         let strided = copy_clause(0, (n - 2) / 2, Fn1::affine(2, 1), Fn1::identity());
-        let none = spans_of(&strided, Decomp1::block(2, e), Decomp1::block(2, e));
+        let gaps = spans_of(&strided, Decomp1::block(2, e), Decomp1::block(2, e));
+        let odd: Vec<(usize, usize)> = (0..24).map(|k| (2 * k + 1, 2 * k + 2)).collect();
+        assert_eq!(gaps, [Some(odd.clone()), Some(odd)]);
+        // ... refused when the same writes come from an `f` not known to
+        // be injective
+        let mut scaled = strided.clone();
+        let inner = Box::new(Fn1::identity());
+        scaled.lhs = ArrayRef::d1("A", Fn1::Scaled { a: 2, c: 1, inner });
+        let none = spans_of(&scaled, Decomp1::block(2, e), Decomp1::block(2, e));
         assert_eq!(none, [None, None]);
         // ... but over scatter(2) the odd elements are node 1's whole part
         let odd = spans_of(&strided, Decomp1::scatter(2, e), Decomp1::block(2, e));
@@ -1535,30 +1810,33 @@ mod tests {
     }
 
     #[test]
-    fn tables_grow_with_runs_not_elements() {
+    fn tables_grow_with_packets_not_runs() {
         // block-scatter(16) -> block copy: each node alternates 16 local
-        // and 16 remote elements, so runs = n / 16 whatever n is
-        let bytes_per_run = |n: i64| {
+        // and 16 remote elements, n / 32 runs of each — and one entry for
+        // the local ones plus one per incoming packet, whatever n is
+        let tables = |n: i64, cap: u64| {
             let e = Bounds::range(0, n - 1);
             let clause = copy_clause(0, n - 1, Fn1::identity(), Fn1::identity());
             let dm = decomps(Decomp1::block(2, e), Decomp1::block_scatter(16, 2, e));
-            let plan = SpmdPlan::build(&clause, &dm).unwrap();
+            let mut plan = SpmdPlan::build(&clause, &dm).unwrap();
+            recut(&mut plan, cap);
             let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
-            let runs: usize = compiled.nodes.iter().map(|cn| cn.exec.len()).sum();
-            assert_eq!(runs as i64, n / 16);
-            // ... and every node fills its part: one write span, not n / 32
+            check_exec_tables(&plan, &compiled, &dm, &format!("n={n} cap={cap}"));
             for cn in &compiled.nodes {
+                let packets: usize = cn.staging_packets.iter().sum();
+                assert_eq!(cn.exec.len(), 1 + packets, "n={n} cap={cap}");
+                assert!(cn.exec.iter().all(|er| er.run.len() == 16));
+                // ... and every node fills its part: one write span
                 assert_eq!(cn.write_spans, Some(vec![(0, (n / 2) as usize)]));
             }
+            let entries: Vec<usize> = compiled.nodes.iter().map(|cn| cn.exec.len()).collect();
             let bytes: usize = compiled.nodes.iter().map(CompiledNode::approx_bytes).sum();
-            bytes / runs
+            (entries, bytes)
         };
-        let (small, large) = (bytes_per_run(1 << 10), bytes_per_run(1 << 16));
-        assert!(
-            large <= small,
-            "{large} B/run at 64 Ki vs {small} B/run at 1 Ki"
-        );
-        assert!(large < 256, "{large} B/run");
+        // one packet per pair: the same tables at 1 Ki and at 64 Ki
+        assert_eq!(tables(1 << 10, u64::MAX), tables(1 << 16, u64::MAX));
+        assert_eq!(tables(1 << 10, PACKET_ELEMS).0, [2, 2]);
+        assert_eq!(tables(1 << 16, PACKET_ELEMS).0, [3, 3]);
     }
 
     #[test]
@@ -1584,6 +1862,12 @@ mod tests {
         let mut runs = Vec::new();
         coalesce_ordered(&v, &mut runs);
         assert_eq!(visit_order(&runs), v);
+        assert_eq!(runs, greedy_runs(&v));
+        for v in [&[][..], &[3], &[3, 9], &[1, 2, 3, 7, 8, 9, 10, 12]] {
+            let mut runs = Vec::new();
+            coalesce_ordered(v, &mut runs);
+            assert_eq!(runs, greedy_runs(v), "{v:?}");
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub use cache::{BoundedLru, CacheBudget};
 pub use comm::{packetise, plan_comm, CommRun, NodeCommPlan, PairComm, PACKET_ELEMS};
 pub use compiled::{
     clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, for_each_run,
-    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, SendPair,
-    SendSeg, SlotAccess,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, RepDelta,
+    SendPair, SendSeg, SlotAccess,
 };
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;

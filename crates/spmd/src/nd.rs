@@ -22,7 +22,7 @@
 use crate::comm::{packetise, CommRun, PairComm, PACKET_ELEMS};
 use crate::compiled::{
     coalesce_ordered, comm_run, flatten_schedule, iter_run, local_pattern, send_pair, write_spans,
-    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, RecvIndex, SendPair,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, RecvIndex, RepDelta, SendPair,
     SlotAccess,
 };
 use crate::kernel::CompiledKernel;
@@ -329,6 +329,8 @@ impl<'a> Lowering<'a> {
         let lhs = self.offsets(&self.lhs, p as i64, &at, run);
         self.exec[p].push(ExecRun {
             run,
+            reps: 1,
+            delta: RepDelta::default(),
             boundary: remote_elems > 0,
             lhs,
             slots,
@@ -378,7 +380,7 @@ impl<'a> Lowering<'a> {
             let pieces: Vec<Vec<AxisPiece>> = (modify.axes.iter().zip(&index))
                 .map(|(axis, index)| {
                     let mut pieces = Vec::new();
-                    index.pieces(&ascending(axis), |run, sig| {
+                    index.pieces(&ascending(axis), false, |run, sig| {
                         let owner = sig.iter().map(|o| o.map_or(0, |(c, _)| c as i64));
                         pieces.push(AxisPiece {
                             run,
@@ -540,7 +542,7 @@ impl<'a> Lowering<'a> {
                 src_peers,
                 staging_packets,
                 sends: Vec::new(),
-                write_spans: write_spans(&exec),
+                write_spans: write_spans(&exec, false),
                 exec,
             });
         }
@@ -936,7 +938,7 @@ mod tests {
             }
             // every Modify point exactly once, in row-major order
             assert_eq!(got, want, "{what} p={p}");
-            crate::compiled::check_write_spans(cn, &what);
+            crate::compiled::check_write_spans(cn, false, &what);
             assert_eq!(cn.modify_iters, want.len() as u64);
         }
         // send multiset = recv multiset per pair, cut into the same

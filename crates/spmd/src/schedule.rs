@@ -108,21 +108,24 @@ impl Schedule {
     /// `RepeatedBlock`, `Guarded` and `Concat` are produced in increasing
     /// order; `RepeatedScatter` follows the paper's `t`-major loop order.
     pub fn for_each(&self, mut visit: impl FnMut(i64)) {
-        self.for_each_inner(&mut visit);
+        self.for_each_range(&mut |lo, hi| (lo..=hi).for_each(&mut visit));
     }
 
-    fn for_each_inner(&self, visit: &mut impl FnMut(i64)) {
+    /// Visit the scheduled iterations as contiguous stretches `lo..=hi`
+    /// in visit order: one per cycle or probe hit of the repeated
+    /// shapes, one per element of a stride or a guard.
+    pub(crate) fn for_each_range(&self, visit: &mut impl FnMut(i64, i64)) {
         match self {
             Schedule::Empty => {}
             Schedule::Range { lo, hi } => {
-                for i in *lo..=*hi {
-                    visit(i);
+                if lo <= hi {
+                    visit(*lo, *hi);
                 }
             }
             Schedule::Strided { start, step, count } => {
                 let mut i = *start;
                 for _ in 0..*count {
-                    visit(i);
+                    visit(i, i);
                     i += step;
                 }
             }
@@ -140,9 +143,7 @@ impl Schedule {
                     let y_lo = ext_lo + b * (p + k * pmax);
                     let y_hi = y_lo + b - 1;
                     if let Some((jlo, jhi)) = f.preimage_range(y_lo, y_hi, *imin, *imax) {
-                        for j in jlo..=jhi {
-                            visit(j);
-                        }
+                        visit(jlo, jhi);
                     }
                 }
             }
@@ -162,16 +163,14 @@ impl Schedule {
                         // all i with f(i) == v (a plateau for weakly
                         // monotone f, one point or nothing otherwise)
                         if let Some((jlo, jhi)) = f.preimage_range(v, v, *imin, *imax) {
-                            for j in jlo..=jhi {
-                                visit(j);
-                            }
+                            visit(jlo, jhi);
                         }
                     }
                 }
             }
             Schedule::Concat(parts) => {
                 for s in parts {
-                    s.for_each_inner(visit);
+                    s.for_each_range(visit);
                 }
             }
             Schedule::Guarded {
@@ -182,7 +181,7 @@ impl Schedule {
             } => {
                 for i in *imin..=*imax {
                     if proc_of_f.eval(i) == *p {
-                        visit(i);
+                        visit(i, i);
                     }
                 }
             }
@@ -198,16 +197,14 @@ impl Schedule {
         v
     }
 
-    /// Number of iterations the schedule produces.
+    /// Number of iterations the schedule produces: closed form per cycle
+    /// or probe for the repeated shapes, a test per index for `Guarded`.
     pub fn count(&self) -> u64 {
         match self {
-            Schedule::Empty => 0,
-            Schedule::Range { lo, hi } => (hi - lo + 1).max(0) as u64,
             Schedule::Strided { count, .. } => (*count).max(0) as u64,
-            Schedule::Concat(parts) => parts.iter().map(Schedule::count).sum(),
             _ => {
                 let mut n = 0;
-                self.for_each(|_| n += 1);
+                self.for_each_range(&mut |lo, hi| n += (hi - lo + 1).max(0) as u64);
                 n
             }
         }

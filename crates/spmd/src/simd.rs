@@ -124,16 +124,17 @@ impl SimdPolicy {
 }
 
 /// Plan-time SIMD census, the `overlap_census()` analogue for the lane
-/// tier: how many interior runs the policy will vectorize, how many
+/// tier: how many exec entries the policy will vectorize, how many
 /// fall back to the scalar path, and how the vectorized elements split
-/// into full lanes vs remainder tails.
+/// into full lanes vs remainder tails. An entry counts once however many
+/// reps it has; each rep is one lane loop with its own tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimdCensus {
     /// Effective lane width the policy resolves to.
     pub lanes: u64,
-    /// Interior unit-stride runs the lane tier will take.
+    /// Unit-stride entries the lane tier will take.
     pub vector_runs: u64,
-    /// Runs executed element-at-a-time (boundary, strided, guarded,
+    /// Entries executed element-at-a-time (boundary, strided, guarded,
     /// generic shape, or policy off).
     pub fallback_runs: u64,
     /// Elements processed in full lane chunks.
@@ -143,12 +144,13 @@ pub struct SimdCensus {
 }
 
 impl SimdCensus {
-    /// Fold one vectorized run of `n` elements into the census.
-    pub fn add_vector_run(&mut self, n: u64) {
+    /// Fold one vectorized entry of `reps` runs of `n` elements into the
+    /// census.
+    pub fn add_vector_run(&mut self, n: u64, reps: u64) {
         let lanes = self.lanes.max(1);
         self.vector_runs += 1;
-        self.lane_elems += n / lanes * lanes;
-        self.tail_elems += n % lanes;
+        self.lane_elems += reps * (n / lanes * lanes);
+        self.tail_elems += reps * (n % lanes);
     }
 }
 
@@ -650,11 +652,16 @@ mod tests {
             lanes: 8,
             ..Default::default()
         };
-        c.add_vector_run(20);
-        c.add_vector_run(3);
-        c.add_vector_run(8);
+        c.add_vector_run(20, 1);
+        c.add_vector_run(3, 1);
+        c.add_vector_run(8, 1);
         assert_eq!(c.vector_runs, 3);
         assert_eq!(c.lane_elems, 16 + 8);
         assert_eq!(c.tail_elems, 4 + 3);
+        // reps of one entry: one entry, every rep its own tail
+        c.add_vector_run(11, 3);
+        assert_eq!(c.vector_runs, 4);
+        assert_eq!(c.lane_elems, 16 + 8 + 3 * 8);
+        assert_eq!(c.tail_elems, 4 + 3 + 3 * 3);
     }
 }

@@ -1,0 +1,158 @@
+//! Folded exec tables, end to end: the five Table I classes of the
+//! spine's `compile_sweep` over every pair of its three layouts, at two
+//! extents and two processor counts, with the offset `c` taken from a
+//! fixed set, each program run through a `DistSession` and compared bit
+//! for bit with the sequential machine (`Env::exec_clause`).
+//!
+//! The set covers the shapes the two-level entries are built from:
+//! residue classes of interleaving reads (scatter and stride-3 layouts),
+//! entries whose reps or runs walk the lhs part backwards (t-major
+//! block-scatter visits), and packets that a class reads across many
+//! runs — among them `V[i] := U[i+3]` with `V` block and `U`
+//! block-scatter(4) at `n = 64`.
+
+use vcal_suite::core::{Array, Env};
+use vcal_suite::lang;
+use vcal_suite::machine::DistSession;
+use vcal_suite::spmd::{AccessPattern, CompiledSchedule, ExecRun, SpmdPlan};
+
+const LAYOUTS: [&str; 3] = ["block", "scatter", "blockscatter(4)"];
+const OFFSETS: [i64; 9] = [1, -1, 3, 4, -4, 17, -17, 63, -63];
+
+/// The program text of every class over `[0, n)`, as the spine's
+/// `compile_sweep` writes it; only `Const` and `Shift` depend on `c`.
+fn programs(n: i64) -> Vec<String> {
+    let mut out = Vec::new();
+    for c in OFFSETS {
+        out.push(format!(
+            "for i := 0 to {} do V[i] := U[{}] + 1.5; od;",
+            n - 1,
+            c.rem_euclid(n)
+        ));
+        out.push(format!(
+            "for i := {} to {} do V[i] := U[i{c:+}]; od;",
+            (-c).max(0),
+            n - 1 - c.max(0)
+        ));
+    }
+    out.push(format!(
+        "for i := 0 to {} do V[2*i+1] := U[i]; od;",
+        n / 2 - 1
+    ));
+    out.push(format!(
+        "for i := 0 to {} do V[3*i+1] := U[i]; od;",
+        (n - 2) / 3
+    ));
+    out.push(format!(
+        "for i := 1 to {} do V[i] := 0.5*(U[i-1]+U[i+1]); od;",
+        n - 2
+    ));
+    out
+}
+
+fn bits(a: &Array) -> Vec<u64> {
+    a.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn compile_sweep_matrix_matches_sequential_bitwise() {
+    let mut runs = 0;
+    let mut folded = 0;
+    for pmax in [2, 3] {
+        for n in [64i64, 8192] {
+            for v in LAYOUTS {
+                for u in LAYOUTS {
+                    let spec = format!(
+                        "processors {pmax};\narray V[0 to {0}] {v};\narray U[0 to {0}] {u};\n",
+                        n - 1
+                    );
+                    let spec = lang::parse_spec(&spec).unwrap();
+                    let mut env = Env::new();
+                    for (name, dec) in &spec.decomps {
+                        let salt = name.len() as f64;
+                        env.insert(
+                            name.clone(),
+                            Array::from_fn(dec.extent(), |i| i.scalar() as f64 * 0.25 + salt),
+                        );
+                    }
+                    let mut session = DistSession::new(&env, spec.decomps.clone()).unwrap();
+                    for src in programs(n) {
+                        let what = format!("pmax={pmax} n={n} V={v} U={u}: {src}");
+                        let clause = &lang::compile(&src).unwrap()[0];
+                        let plan = SpmdPlan::build(clause, &spec.decomps).unwrap();
+                        let cs = CompiledSchedule::compile_exec(&plan, clause, &spec.decomps);
+                        assert!(cs.has_exec(), "{what}");
+                        folded += cs
+                            .nodes
+                            .iter()
+                            .flat_map(|cn| &cn.exec)
+                            .filter(|er| er.reps > 1)
+                            .count();
+                        env.exec_clause(clause);
+                        session
+                            .run(clause)
+                            .unwrap_or_else(|e| panic!("{what}: {e}"));
+                        let got = session.gather("V").unwrap();
+                        assert_eq!(bits(&got), bits(env.get("V").unwrap()), "{what}");
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 2 * 2 * 9 * (2 * OFFSETS.len() + 3));
+    assert!(
+        folded > 1000,
+        "only {folded} entries with more than one rep"
+    );
+}
+
+/// Entries that walk the lhs part backwards still write the next image:
+/// `V` block-scatter(4) read from a block `U` folds its t-major runs
+/// into reps that step back through the part, and `V` scatter read from
+/// a block-scatter(4) `U` glues two t-major visits into a run of
+/// negative stride.
+#[test]
+fn backward_entries_write_the_next_image() {
+    let n = 64i64;
+    let cases = [
+        ("blockscatter(4)", "block", "V[i] := U[i+3]", 3),
+        ("scatter", "blockscatter(4)", "V[i] := U[i+1]", 1),
+    ];
+    for (v, u, body, c) in cases {
+        let spec = format!(
+            "processors 2;\narray V[0 to {0}] {v};\narray U[0 to {0}] {u};\n",
+            n - 1
+        );
+        let spec = lang::parse_spec(&spec).unwrap();
+        let src = format!("for i := 0 to {} do {body}; od;", n - 1 - c);
+        let clause = &lang::compile(&src).unwrap()[0];
+        let plan = SpmdPlan::build(clause, &spec.decomps).unwrap();
+        let cs = CompiledSchedule::compile_exec(&plan, clause, &spec.decomps);
+        let backward = |er: &ExecRun| {
+            let step = matches!(er.lhs, AccessPattern::Affine { step, .. } if step < 0);
+            (er.reps > 1 && er.delta.lhs < 0) || (er.run.count > 1 && step)
+        };
+        let entries = cs.nodes.iter().flat_map(|cn| &cn.exec);
+        assert!(entries.clone().any(backward), "{src} V={v} U={u}");
+        for cn in &cs.nodes {
+            let spans = cn.write_spans.as_ref().expect("the writes fill spans");
+            let written: usize = spans.iter().map(|(lo, hi)| hi - lo).sum();
+            assert!(2 * written >= spec.decomps["V"].local_count(cn.p) as usize);
+        }
+        let mut env = Env::new();
+        for (name, dec) in &spec.decomps {
+            env.insert(
+                name.clone(),
+                Array::from_fn(dec.extent(), |i| i.scalar() as f64),
+            );
+        }
+        let mut session = DistSession::new(&env, spec.decomps.clone()).unwrap();
+        for _ in 0..2 {
+            env.exec_clause(clause);
+            session.run(clause).unwrap();
+            let got = session.gather("V").unwrap();
+            assert_eq!(bits(&got), bits(env.get("V").unwrap()), "{src} V={v} U={u}");
+        }
+    }
+}

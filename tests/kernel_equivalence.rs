@@ -565,17 +565,62 @@ fn fixture_path(case: &str) -> std::path::PathBuf {
         .join(format!("{case}_vectorized_overlap.jsonl"))
 }
 
+/// One node's share of a deterministic trace, with the `t` clock cut
+/// out of every line: its `recv_value` lines as a multiset, Σ `elems`
+/// over its `interior_run` and `boundary_run` lines, Σ `recvs`, its
+/// `simd_census` counts, and every other line in order.
+#[derive(Debug, Default, PartialEq)]
+struct NodeLog {
+    recv_values: Vec<String>,
+    run_elems: u64,
+    recvs: u64,
+    census: Vec<[u64; 4]>,
+    rest: Vec<String>,
+}
+
+fn node_logs(log: &str) -> BTreeMap<String, NodeLog> {
+    let num = |line: &str, key: &str| -> u64 {
+        let (_, tail) = line.split_once(&format!("\"{key}\":")).expect(key);
+        let digits = tail.split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).expect(key)
+    };
+    let mut nodes: BTreeMap<String, NodeLog> = BTreeMap::new();
+    for line in log.lines() {
+        let (head, rest) = line.split_once(",\"t\":").expect("clocked line");
+        let (_, tail) = rest.split_once(',').expect("fields after the clock");
+        let line = format!("{head},{tail}");
+        let node = nodes.entry(head.to_string()).or_default();
+        if line.contains("\"recv_value\"") {
+            node.recv_values.push(line);
+        } else if line.contains("\"interior_run\"") {
+            node.run_elems += num(&line, "elems");
+        } else if line.contains("\"boundary_run\"") {
+            node.run_elems += num(&line, "elems");
+            node.recvs += num(&line, "recvs");
+        } else if line.contains("\"simd_census\"") {
+            let keys = ["vector_runs", "fallback_runs", "lane_elems", "tail_elems"];
+            node.census.push(keys.map(|k| num(&line, k)));
+        } else {
+            node.rest.push(line);
+        }
+    }
+    for node in nodes.values_mut() {
+        node.recv_values.sort_unstable();
+    }
+    nodes
+}
+
 /// The deterministic trace of every boundary case is byte-identical to
-/// the fixture under `tests/data/`:
-/// `recv_value` per consumed element in the per-element order, one
-/// `boundary_run` per run with the same `recvs`, one `pack_send` per
-/// planned packet. The fixtures were
-/// regenerated when packets stopped being single runs; the parent's
-/// run-per-packet logs are kept under `tests/data/parent/` and must
-/// agree with them on everything but the `pack_send` lines and the `t`
-/// clock those lines shift. All fixtures were captured with the SIMD
-/// tier off; with it on, the only lines allowed to differ are the
-/// `simd_census` ones.
+/// the fixture under `tests/data/`. The fixtures were regenerated when
+/// the exec tables started folding runs into two-level entries (one
+/// `interior_run` / `boundary_run` per entry, elements summed over its
+/// reps); the logs of the commit before are kept under
+/// `tests/data/parent/` and must agree with them node by node: equal
+/// `recv_value` multisets, Σ `elems` over the run lines, Σ `recvs`, equal
+/// SIMD lane and tail elements over no more runs, and every other line
+/// byte for byte once the `t` clock the folding shifts is cut out. All
+/// fixtures were captured with the SIMD tier off; with it on, the only
+/// lines allowed to differ are the `simd_census` ones.
 #[test]
 fn boundary_traces_match_parent_commit_fixtures() {
     std::env::set_var("VCAL_WORKER_BIN", env!("CARGO_BIN_EXE_vcalc"));
@@ -584,17 +629,6 @@ fn boundary_traces_match_parent_commit_fixtures() {
             .filter(|l| !l.contains("\"simd_census\""))
             .collect::<Vec<_>>()
             .join("\n")
-    };
-    // every line but the `pack_send`s, with its `"t":<n>,` field cut out
-    let beyond_packets = |log: &str| -> Vec<String> {
-        log.lines()
-            .filter(|l| !l.contains("\"pack_send\""))
-            .map(|l| {
-                let (head, rest) = l.split_once("\"t\":").expect("clocked line");
-                let (_, tail) = rest.split_once(',').expect("fields after the clock");
-                format!("{head}{tail}")
-            })
-            .collect()
     };
     for (name, cl, dm, env0) in boundary_cases() {
         let mut reference = env0.clone();
@@ -607,12 +641,23 @@ fn boundary_traces_match_parent_commit_fixtures() {
         let parent = path.with_file_name("parent").join(file);
         let parent = std::fs::read_to_string(&parent)
             .unwrap_or_else(|e| panic!("fixture {}: {e}", parent.display()));
+        let (mine, theirs) = (node_logs(&want), node_logs(&parent));
         assert_eq!(
-            beyond_packets(&want),
-            beyond_packets(&parent),
-            "{}: differs from the parent's beyond pack_send and the clock",
-            path.display()
+            mine.keys().collect::<Vec<_>>(),
+            theirs.keys().collect::<Vec<_>>(),
+            "{name}"
         );
+        for ((node, m), t) in mine.iter().zip(theirs.values()) {
+            let what = format!("{name} {node}: differs from the parent's");
+            assert_eq!(m.recv_values, t.recv_values, "{what} recv_value multiset");
+            assert_eq!((m.run_elems, m.recvs), (t.run_elems, t.recvs), "{what}");
+            assert_eq!(m.rest, t.rest, "{what}");
+            assert_eq!(m.census.len(), t.census.len(), "{what}");
+            for (m, t) in m.census.iter().zip(&t.census) {
+                assert_eq!(m[2..], t[2..], "{what}: lane/tail elements");
+                assert!(m[0] <= t[0] && m[1] <= t[1], "{what}: {m:?} vs {t:?}");
+            }
+        }
         for transport in [TransportKind::InProc, TransportKind::Uds] {
             let opts = DistOptions {
                 recv_timeout: Duration::from_secs(10),
@@ -623,7 +668,7 @@ fn boundary_traces_match_parent_commit_fixtures() {
             let what = format!("{name} {transport:?}");
             let (got, a) = traced_boundary_run(&cl, &dm, &env0, opts);
             assert_eq!(bits(&a), want_bits, "{what}: result");
-            assert_eq!(got, want, "{what}: trace differs from the parent's");
+            assert_eq!(got, want, "{what}: trace differs from the fixture");
             let simd_on = DistOptions {
                 simd: SimdPolicy::auto(),
                 ..opts
