@@ -573,6 +573,19 @@ impl Fn1 {
         }
     }
 
+    /// A value `f(i)`, `i ∈ [lo, hi]`, outside `[min, max]`, if any:
+    /// checked at the ends of each monotone piece, or by one walk over
+    /// the range where `f` has no such pieces.
+    pub fn first_outside(&self, lo: i64, hi: i64, min: i64, max: i64) -> Option<i64> {
+        let outside = |v: i64| (!(min..=max).contains(&v)).then_some(v);
+        match self.monotone_pieces(lo, hi) {
+            Some(pieces) => (pieces.iter())
+                .flat_map(|pc| [pc.f.eval(pc.lo), pc.f.eval(pc.hi)])
+                .find_map(outside),
+            None => (lo..=hi).find_map(|i| outside(self.eval(i))),
+        }
+    }
+
     /// Split a `Mod` function into breakpoint-free monotone pieces
     /// (Section 3.3). For non-`Mod` monotone functions returns the single
     /// trivial piece. Returns `None` if the structure is not piecewise

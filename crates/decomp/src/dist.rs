@@ -173,6 +173,26 @@ impl Decomp1 {
         }
     }
 
+    /// What moving a global index `shift` places on adds to its local
+    /// offset, when that is one constant for every index of `[lo, hi]`
+    /// moved to another of `[lo, hi]`: the range lies in one block, or
+    /// the shift is a whole number of layout periods.
+    pub fn local_shift(&self, lo: i64, hi: i64, shift: i64) -> Option<i64> {
+        let one_block =
+            |b: i64| div_floor(self.zero_based(lo), b) == div_floor(self.zero_based(hi), b);
+        match self.dist {
+            Distribution::Replicated => Some(shift),
+            Distribution::Block { b } | Distribution::BlockScatter { b } if one_block(b) => {
+                Some(shift)
+            }
+            Distribution::Scatter if shift % self.pmax == 0 => Some(shift / self.pmax),
+            Distribution::BlockScatter { b } if shift % (b * self.pmax) == 0 => {
+                Some(shift / self.pmax)
+            }
+            _ => None,
+        }
+    }
+
     /// Inverse mapping: the global index stored at `(p, local)`.
     /// Returns values that may fall outside the extent for out-of-range
     /// locals; callers should check with [`Bounds::contains`].

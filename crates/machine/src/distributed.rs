@@ -417,9 +417,9 @@ pub(crate) fn send_phase_vectorized(
     let trace_on = tracer.enabled();
     for pair in &cn.sends {
         for (run_ord, segs) in pair.packets.iter().enumerate() {
-            let n: usize = segs.iter().map(|seg| seg.count).sum();
+            let n: usize = segs.iter().map(|seg| seg.count * seg.reps as usize).sum();
             let values: Arc<[f64]> = match segs.as_slice() {
-                [seg] if seg.pattern.is_unit_stride() => {
+                [seg] if seg.reps == 1 && seg.pattern.is_unit_stride() => {
                     let base = seg.pattern.offset(0) as usize;
                     Arc::from(&parts[seg.slot][base..base + n])
                 }
@@ -432,8 +432,10 @@ pub(crate) fn send_phase_vectorized(
                         .iter_mut();
                     for seg in segs {
                         let src = parts[seg.slot];
-                        for (t, v) in out.by_ref().take(seg.count).enumerate() {
-                            *v = src[seg.pattern.offset(t) as usize];
+                        for k in 0..seg.reps as i64 {
+                            for (t, v) in out.by_ref().take(seg.count).enumerate() {
+                                *v = src[(seg.pattern.offset(t) + k * seg.shift) as usize];
+                            }
                         }
                     }
                     values

@@ -1419,9 +1419,9 @@ mod tests {
         }
 
         // the byte budget charges tables: a 1 Mi-element block-scatter(16)
-        // -> block copy (65 536 runs, half its elements remote) folds into
-        // one exec entry per node plus one per incoming packet, so what
-        // is left is the plan's comm runs — where a per-element receive
+        // -> block copy (65 536 cycles, half its elements remote) folds
+        // into one two-level comm run per packet and one exec entry per
+        // node plus one per incoming packet — where a per-element receive
         // map cost 64 bytes per remote element (32 MiB) and per-run exec
         // tables a few hundred bytes per run — and two such plans now
         // share a 12 MiB budget
@@ -1446,12 +1446,13 @@ mod tests {
             .flat_map(|np| np.comm.sends.iter().chain(&np.comm.recvs))
             .map(|pc| pc.runs.len())
             .sum();
-        assert_eq!(comm_runs as i64, n / 16);
         let prepared = prepare_run(plan, &copy("V"), &dm).unwrap();
         let nodes = &prepared.compiled().nodes;
         let entries: usize = nodes.iter().map(|cn| cn.exec.len()).sum();
         let packets: usize = nodes.iter().flat_map(|cn| &cn.staging_packets).sum();
         assert_eq!((entries, packets), (2 + 64, 64));
+        // one run per packet, held by its sender and its receiver
+        assert_eq!(comm_runs, 2 * packets);
         let tables: usize = nodes.iter().map(|cn| cn.approx_bytes()).sum();
         assert!(tables < 512 * packets, "{tables} B of run tables");
         let bytes = prepared.approx_bytes();

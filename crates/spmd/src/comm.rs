@@ -30,9 +30,11 @@ use crate::schedule::Schedule;
 use vcal_core::func::Fn1;
 use vcal_decomp::Decomp1;
 
-/// One coalesced run of loop indices `start + step·t, t ∈ [0, count)`,
-/// all belonging to a single read slot. The values of a run travel in
-/// one message, packed in run order.
+/// One coalesced run of loop indices, all belonging to a single read
+/// slot: `reps` repetitions of `start + step·t, t ∈ [0, count)`, rep `r`
+/// shifted by `r·stride` — the cycle loop of Theorem 2's `gen_p` kept as
+/// an outer level. The values of a run travel packed rep-major, the
+/// order in which its reps would sit as runs of their own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommRun {
     /// Index into the node's reside/read slot list.
@@ -41,28 +43,80 @@ pub struct CommRun {
     pub start: i64,
     /// Stride between consecutive indices (≥ 1).
     pub step: i64,
-    /// Number of indices (≥ 1).
+    /// Number of indices per rep (≥ 1).
     pub count: i64,
+    /// Number of reps (≥ 1).
+    pub reps: u64,
+    /// Loop-index advance per rep: past the rep's last index, never
+    /// abutting it (0 when `reps == 1`).
+    pub stride: i64,
 }
 
 impl CommRun {
-    /// Visit the loop indices of the run in packing order.
-    pub fn for_each(&self, mut visit: impl FnMut(i64)) {
-        let mut i = self.start;
-        for _ in 0..self.count {
-            visit(i);
-            i += self.step;
+    /// The one-level run `start + step·t, t ∈ [0, count)`.
+    pub fn one(slot: usize, start: i64, step: i64, count: i64) -> CommRun {
+        let (reps, stride) = (1, 0);
+        CommRun {
+            slot,
+            start,
+            step,
+            count,
+            reps,
+            stride,
         }
     }
 
-    /// Number of elements in the run.
+    /// Reps `r0..r0 + n` as a run of their own.
+    pub fn reps_of(&self, r0: u64, n: u64) -> CommRun {
+        CommRun {
+            start: self.start + r0 as i64 * self.stride,
+            reps: n,
+            stride: if n > 1 { self.stride } else { 0 },
+            ..*self
+        }
+    }
+
+    /// Rep `r` as a one-level run.
+    pub fn rep(&self, r: u64) -> CommRun {
+        self.reps_of(r, 1)
+    }
+
+    /// Visit the loop indices of the run in packing order.
+    pub fn for_each(&self, mut visit: impl FnMut(i64)) {
+        for r in 0..self.reps {
+            let mut i = self.start + r as i64 * self.stride;
+            for _ in 0..self.count {
+                visit(i);
+                i += self.step;
+            }
+        }
+    }
+
+    /// Number of elements in the run, over all reps.
     pub fn len(&self) -> u64 {
-        self.count.max(0) as u64
+        self.count.max(0) as u64 * self.reps
     }
 
     /// Whether the run is degenerate.
     pub fn is_empty(&self) -> bool {
-        self.count <= 0
+        self.len() == 0
+    }
+
+    /// Take `next`'s reps as more reps of this run when they repeat its
+    /// shape one stride on, past its last rep without abutting it.
+    pub(crate) fn absorb(&mut self, next: &CommRun) -> bool {
+        let delta = next.start - (self.start + (self.reps as i64 - 1) * self.stride);
+        let stride = if self.reps > 1 { self.stride } else { delta };
+        let fits = (self.slot, self.step, self.count) == (next.slot, next.step, next.count)
+            && delta == stride
+            && (next.reps == 1 || next.stride == stride)
+            && stride > self.step * (self.count - 1)
+            && stride != self.step * self.count;
+        if fits {
+            self.stride = stride;
+            self.reps += next.reps;
+        }
+        fits
     }
 }
 
@@ -77,24 +131,35 @@ impl CommRun {
 /// and unpacked, and is four 16 KiB socket reads.
 pub const PACKET_ELEMS: u64 = 8192;
 
-/// Cut a pair's run stream into wire packets: consecutive whole runs,
-/// grouped greedily while the packet holds at most `cap` elements. A
-/// single run longer than `cap` is its own packet — runs are never
-/// split, so a receive window never crosses a packet. Returns the cut
-/// points: packet `k` is `runs[cuts[k]..cuts[k + 1]]`.
-pub fn packetise(runs: &[CommRun], cap: u64) -> Vec<usize> {
+/// Cut a pair's run stream into wire packets: consecutive whole reps,
+/// grouped greedily while the packet holds at most `cap` elements — the
+/// cut the same runs would get with every rep a run of its own. A rep
+/// longer than `cap` is its own packet. A two-level run the cut falls
+/// inside is split at that rep boundary, so every run lies in one packet
+/// and a receive window never crosses one. Returns the cut points:
+/// packet `k` is `runs[cuts[k]..cuts[k + 1]]`.
+pub fn packetise(runs: &mut Vec<CommRun>, cap: u64) -> Vec<usize> {
     let mut cuts = vec![0];
     let mut load = 0u64;
-    for (k, r) in runs.iter().enumerate() {
-        if load > 0 && load.saturating_add(r.len()) > cap {
-            cuts.push(k);
-            load = 0;
+    let mut out = Vec::with_capacity(runs.len());
+    for r in runs.drain(..) {
+        let each = r.count.max(1) as u64;
+        let mut r0 = 0;
+        while r0 < r.reps {
+            if load > 0 && load.saturating_add(each) > cap {
+                cuts.push(out.len());
+                load = 0;
+            }
+            let n = (cap.saturating_sub(load) / each).clamp(1, r.reps - r0);
+            out.push(r.reps_of(r0, n));
+            load = load.saturating_add(n * each);
+            r0 += n;
         }
-        load += r.len();
     }
-    if !runs.is_empty() {
-        cuts.push(runs.len());
+    if !out.is_empty() {
+        cuts.push(out.len());
     }
+    *runs = out;
     cuts
 }
 
@@ -177,15 +242,24 @@ impl NodeCommPlan {
     }
 }
 
-/// Append `runs` to the pair entry for `peer`, creating it on first use.
+/// Append `runs` to the pair entry for `peer`, creating it on first use,
+/// and fold each into its predecessor as one more rep where it can.
 fn push_runs(pairs: &mut Vec<PairComm>, peer: i64, runs: &[CommRun]) {
-    match pairs.iter_mut().find(|pc| pc.peer == peer) {
-        Some(pc) => pc.runs.extend_from_slice(runs),
-        None => pairs.push(PairComm {
-            peer,
-            runs: runs.to_vec(),
-            cuts: Vec::new(),
-        }),
+    let at = match pairs.iter().position(|pc| pc.peer == peer) {
+        Some(at) => at,
+        None => {
+            pairs.push(PairComm {
+                peer,
+                ..PairComm::default()
+            });
+            pairs.len() - 1
+        }
+    };
+    let list = &mut pairs[at].runs;
+    for r in runs {
+        if !list.last_mut().is_some_and(|last| last.absorb(r)) {
+            list.push(*r);
+        }
     }
 }
 
@@ -196,23 +270,13 @@ fn schedule_to_runs(s: &Schedule, slot: usize, out: &mut Vec<CommRun>) -> bool {
         Schedule::Empty => true,
         Schedule::Range { lo, hi } => {
             if lo <= hi {
-                out.push(CommRun {
-                    slot,
-                    start: *lo,
-                    step: 1,
-                    count: hi - lo + 1,
-                });
+                out.push(CommRun::one(slot, *lo, 1, hi - lo + 1));
             }
             true
         }
         Schedule::Strided { start, step, count } => {
             if *count > 0 {
-                out.push(CommRun {
-                    slot,
-                    start: *start,
-                    step: *step,
-                    count: *count,
-                });
+                out.push(CommRun::one(slot, *start, *step, *count));
             }
             true
         }
@@ -222,34 +286,13 @@ fn schedule_to_runs(s: &Schedule, slot: usize, out: &mut Vec<CommRun>) -> bool {
 }
 
 /// Greedily coalesce a sorted, deduplicated index list into arithmetic
-/// runs: maximal equal-stride progressions, singletons as step-1 runs.
+/// runs, as [`coalesce_ordered`](crate::compiled::coalesce_ordered) does.
 fn coalesce(v: &[i64], slot: usize) -> Vec<CommRun> {
-    let mut out = Vec::new();
-    let mut k = 0usize;
-    while k < v.len() {
-        if k + 1 == v.len() {
-            out.push(CommRun {
-                slot,
-                start: v[k],
-                step: 1,
-                count: 1,
-            });
-            break;
-        }
-        let step = v[k + 1] - v[k];
-        let mut j = k + 1;
-        while j + 1 < v.len() && v[j + 1] - v[j] == step {
-            j += 1;
-        }
-        out.push(CommRun {
-            slot,
-            start: v[k],
-            step,
-            count: (j - k + 1) as i64,
-        });
-        k = j + 1;
-    }
-    out
+    let mut runs = Vec::new();
+    crate::compiled::coalesce_ordered(v, &mut runs);
+    (runs.iter())
+        .map(|r| CommRun::one(slot, r.start, r.step, r.count))
+        .collect()
 }
 
 /// Derive `Reside_p(slot) ∩ Modify_q` for every destination `q ≠ p` in
@@ -339,7 +382,7 @@ pub fn plan_comm(nodes: &[NodePlan], f: &Fn1, dec_lhs: &Decomp1) -> Vec<NodeComm
         plan.sends.sort_by_key(|pc| pc.peer);
         plan.recvs.sort_by_key(|pc| pc.peer);
         for pc in plan.sends.iter_mut().chain(&mut plan.recvs) {
-            pc.cuts = packetise(&pc.runs, PACKET_ELEMS);
+            pc.cuts = packetise(&mut pc.runs, PACKET_ELEMS);
         }
     }
     plans
@@ -401,6 +444,31 @@ mod tests {
         out
     }
 
+    /// Every rep as a run of its own: the per-cycle run list.
+    fn expand(runs: &[CommRun]) -> Vec<CommRun> {
+        runs.iter()
+            .flat_map(|r| (0..r.reps).map(|k| r.rep(k)))
+            .collect()
+    }
+
+    /// Cut `runs` at `cap`, checking that the packets, expanded, are those
+    /// of the expanded list and that those are greedy.
+    fn cut(runs: &[CommRun], cap: u64) -> (Vec<CommRun>, Vec<usize>) {
+        let (mut split, mut flat) = (runs.to_vec(), expand(runs));
+        let (cuts, flat_cuts) = (packetise(&mut split, cap), packetise(&mut flat, cap));
+        assert_eq!(flat, expand(runs), "one-level runs are never split");
+        let packets = |runs: &[CommRun], cuts: &[usize]| -> Vec<Vec<CommRun>> {
+            cuts.windows(2).map(|w| expand(&runs[w[0]..w[1]])).collect()
+        };
+        assert_eq!(
+            packets(&split, &cuts),
+            packets(&flat, &flat_cuts),
+            "cap={cap}"
+        );
+        check_cuts(&flat, &flat_cuts, cap);
+        (split, cuts)
+    }
+
     /// `cuts` partitions `runs` in order into greedy packets of at most
     /// `cap` elements (a longer single run is its own packet).
     fn check_cuts(runs: &[CommRun], cuts: &[usize], cap: u64) {
@@ -419,26 +487,18 @@ mod tests {
 
     #[test]
     fn packetise_cuts_at_the_cap() {
-        let run = |count| CommRun {
-            slot: 0,
-            start: 0,
-            step: 1,
-            count,
-        };
+        let run = |count| CommRun::one(0, 0, 1, count);
         let runs = [run(3), run(3), run(2), run(9), run(1), run(8)];
-        assert_eq!(packetise(&runs, 1), [0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(packetise(&runs, 3), [0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(packetise(&runs, 8), [0, 3, 4, 5, 6]);
-        assert_eq!(packetise(&runs, 9), [0, 3, 4, 6]);
-        assert_eq!(packetise(&runs, u64::MAX), [0, 6]);
-        assert_eq!(packetise(&[], 8), [0]);
-        for cap in [1, 3, 8, 9, u64::MAX] {
-            check_cuts(&runs, &packetise(&runs, cap), cap);
-        }
+        assert_eq!(cut(&runs, 1).1, [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(cut(&runs, 3).1, [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(cut(&runs, 8).1, [0, 3, 4, 5, 6]);
+        assert_eq!(cut(&runs, 9).1, [0, 3, 4, 6]);
+        assert_eq!(cut(&runs, u64::MAX).1, [0, 6]);
+        assert_eq!(cut(&[], 8).1, [0]);
         let pair = PairComm {
             peer: 1,
             runs: runs.to_vec(),
-            cuts: packetise(&runs, 8),
+            cuts: cut(&runs, 8).1,
         };
         assert_eq!(pair.packets().len(), 4);
         assert_eq!(
@@ -446,6 +506,36 @@ mod tests {
             [(0, 0), (0, 3), (0, 6), (1, 0), (2, 0), (3, 0)]
         );
         assert_eq!(PairComm::default().packets().len(), 0);
+        // two-level runs are cut only at rep boundaries, where the
+        // expanded list is
+        let reps = |start, count, reps, stride| CommRun {
+            reps,
+            stride,
+            ..CommRun::one(0, start, 2, count)
+        };
+        let runs = [
+            reps(0, 3, 5, 10),
+            run(2),
+            reps(90, 1, 9, 3),
+            reps(200, 9, 3, 40),
+            run(8),
+        ];
+        for cap in [1, 3, 8, 9, 8192, u64::MAX] {
+            let (split, cuts) = cut(&runs, cap);
+            assert_eq!(expand(&split), expand(&runs));
+            let places = PairComm {
+                peer: 1,
+                runs: split,
+                cuts,
+            }
+            .run_places();
+            assert!(places.windows(2).all(|w| w[0] <= w[1]), "cap={cap}");
+        }
+        assert_eq!(
+            cut(&runs, 8).0[..3],
+            [reps(0, 3, 2, 10), reps(20, 3, 2, 10), reps(40, 3, 1, 0)]
+        );
+        assert_eq!(cut(&runs, u64::MAX).0, runs);
     }
 
     fn check_plan(clause: &Clause, dm: &DecompMap, naive: bool) {
@@ -472,12 +562,20 @@ mod tests {
                     .expect("receiver must expect this pair");
                 assert_eq!(pc.runs, back.runs, "pair ({p} -> {}) runs", pc.peer);
                 assert_eq!(pc.cuts, back.cuts, "pair ({p} -> {}) packets", pc.peer);
-                check_cuts(&pc.runs, &pc.cuts, PACKET_ELEMS);
-                // ... and would under any other cap
+                // the cut is the per-cycle list's, and cutting it again
+                // changes nothing
+                assert_eq!(
+                    cut(&pc.runs, PACKET_ELEMS),
+                    (pc.runs.clone(), pc.cuts.clone())
+                );
                 for cap in [1, 3, 8, u64::MAX] {
-                    let cuts = packetise(&pc.runs, cap);
-                    assert_eq!(cuts, packetise(&back.runs, cap));
-                    check_cuts(&pc.runs, &cuts, cap);
+                    cut(&pc.runs, cap);
+                }
+                // folded reps repeat one shape, neither overlapping nor
+                // abutting
+                for r in pc.runs.iter().filter(|r| r.reps > 1) {
+                    assert!(r.stride > r.step * (r.count - 1), "{r:?}");
+                    assert_ne!(r.stride, r.step * r.count, "{r:?}");
                 }
             }
         }

@@ -33,7 +33,7 @@ use crate::simd::{SimdCensus, SimdPolicy};
 use std::fmt::Write as _;
 use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Guard};
-use vcal_decomp::{Decomp1, Distribution};
+use vcal_decomp::Decomp1;
 use vcal_numth::{div_ceil, div_floor, gcd, solve_congruence};
 
 /// One strided run of loop iterations: `start + step·t` for
@@ -94,10 +94,10 @@ pub fn for_each_run(runs: &[IterRun], mut visit: impl FnMut(i64)) {
 /// schedule's visit order is part of its semantics, and
 /// `RepeatedScatter` visits in `t`-major order, not ascending).
 pub(crate) fn coalesce_ordered(v: &[i64], out: &mut Vec<IterRun>) {
-    let mut tiling = Tiling::new(|run, _: &Sig| out.push(run));
+    let (mut tiling, emit) = (Tiling::default(), &mut |run, _: &Sig| out.push(run));
     v.iter()
-        .for_each(|&i| tiling.push(IterRun::span(i, i), &[]));
-    tiling.flush();
+        .for_each(|&i| tiling.push(IterRun::span(i, i), &[], emit));
+    tiling.flush(emit);
 }
 
 fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
@@ -122,29 +122,27 @@ fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
                 flatten_into(p, out);
             }
         }
+        // one progression per in-block offset, in the t-major visit order
+        Schedule::RepeatedScatter { .. } if s.offset_runs().is_some() => {
+            let (mut tiling, emit) = (Tiling::default(), &mut |run, _: &Sig| out.push(run));
+            for (start, step, count) in s.offset_runs().into_iter().flatten() {
+                tiling.push(IterRun { start, step, count }, &[], emit);
+            }
+            tiling.flush(emit);
+        }
         // the shapes that re-derive per visit: walk their stretches once
         // and coalesce them as `coalesce_ordered` would their elements
         other => {
-            let mut tiling = Tiling::new(|run, _: &Sig| out.push(run));
-            other.for_each_range(&mut |lo, hi| tiling.push(IterRun::span(lo, hi), &[]));
-            tiling.flush();
+            let (mut tiling, emit) = (Tiling::default(), &mut |run, _: &Sig| out.push(run));
+            other.for_each_range(&mut |lo, hi| tiling.push(IterRun::span(lo, hi), &[], emit));
+            tiling.flush(emit);
         }
     }
 }
 
-/// The loop indices of a communication run.
+/// The loop indices of a communication run's first rep.
 pub(crate) fn iter_run(r: &CommRun) -> IterRun {
     IterRun {
-        start: r.start,
-        step: r.step,
-        count: r.count,
-    }
-}
-
-/// The run `r` as a communication run of read slot `slot`.
-pub(crate) fn comm_run(slot: usize, r: &IterRun) -> CommRun {
-    CommRun {
-        slot,
         start: r.start,
         step: r.step,
         count: r.count,
@@ -276,7 +274,7 @@ impl SlotAccess {
 /// (`Reside_q ∩ Modify_p` for `q ≠ p`) enumerate exactly the remote
 /// reads. *Boundary* entries read at least one slot from a packet and
 /// must wait for it to land.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecRun {
     /// The loop indices of the first rep.
     pub run: IterRun,
@@ -345,16 +343,21 @@ impl ExecRun {
     }
 }
 
-/// One stretch of an outgoing packet's payload: `count` elements of read
-/// slot `slot`, found at `pattern` in the sender's local part.
+/// One stretch of an outgoing packet's payload: `reps` reps of `count`
+/// elements of read slot `slot`, found at `pattern` in the sender's
+/// local part, rep `k` shifted by `k·shift`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendSeg {
     /// The read slot whose array the elements come from.
     pub slot: usize,
-    /// Local offsets of the elements, in packing order.
+    /// Local offsets of the first rep's elements, in packing order.
     pub pattern: AccessPattern,
-    /// Number of elements.
+    /// Number of elements per rep.
     pub count: usize,
+    /// Number of reps (≥ 1).
+    pub reps: u64,
+    /// Local-offset advance per rep (0 when `reps == 1`).
+    pub shift: i64,
 }
 
 /// Everything one node sends to one peer: per packet — the same cut of
@@ -567,7 +570,12 @@ impl CompiledSchedule {
         };
         for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
             let at = |r: &CommRun| {
-                local_pattern(iter_run(r), &node.resides[r.slot].g, dec_reads[r.slot])
+                let (g, dec) = (&node.resides[r.slot].g, dec_reads[r.slot]);
+                let run = iter_run(r);
+                (
+                    local_pattern(run, g, dec),
+                    rep_shift(run, r.reps, r.stride, g, dec),
+                )
             };
             cn.sends = node
                 .comm
@@ -654,26 +662,16 @@ impl CompiledSchedule {
 /// which is every run Table I produces for the block and scatter
 /// families; anything else is enumerated once and compressed.
 pub(crate) fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPattern {
+    if let Fn1::Const(c) = h {
+        let base = dec.local_of(*c);
+        return AccessPattern::Affine { base, step: 0 };
+    }
     if let (Fn1::Affine { a, c }, true) = (h, run.count > 2) {
-        let lo = dec.extent().lo()[0];
-        let x0 = a * run.start + c - lo;
-        let sx = a * run.step;
+        let (x0, sx) = (a * run.start + c, a * run.step);
         let xl = x0 + sx * (run.count - 1);
-        let same = |q: i64| div_floor(x0, q) == div_floor(xl, q);
-        let pmax = dec.pmax();
-        let step = match dec.dist() {
-            Distribution::Replicated => Some(sx),
-            Distribution::Block { b } if same(b) => Some(sx),
-            Distribution::Scatter if sx % pmax == 0 => Some(sx / pmax),
-            Distribution::BlockScatter { b } if same(b) => Some(sx),
-            Distribution::BlockScatter { b } if sx % (b * pmax) == 0 => Some(sx / pmax),
-            _ => None,
-        };
-        if let Some(step) = step {
-            return AccessPattern::Affine {
-                base: dec.local_of(x0 + lo),
-                step,
-            };
+        if let Some(step) = dec.local_shift(x0.min(xl), x0.max(xl), sx) {
+            let base = dec.local_of(x0);
+            return AccessPattern::Affine { base, step };
         }
     }
     let mut offs = Vec::with_capacity(run.len() as usize);
@@ -681,27 +679,56 @@ pub(crate) fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPatte
     AccessPattern::compress(offs)
 }
 
+/// What each of `reps` reps of `run`, `stride` loop indices apart, adds
+/// to the local offsets `local(h(i))`, when that is one constant
+/// ([`Decomp1::local_shift`] over the reps' hull).
+pub(crate) fn rep_shift(
+    run: IterRun,
+    reps: u64,
+    stride: i64,
+    h: &Fn1,
+    dec: &Decomp1,
+) -> Option<i64> {
+    let (a, c) = match h {
+        Fn1::Const(_) => return Some(0),
+        Fn1::Affine { a, c } => (*a, *c),
+        _ => return None,
+    };
+    let (e0, far) = (
+        run.start + run.step * (run.count - 1),
+        stride * (reps as i64 - 1),
+    );
+    let xs = [run.start, e0, run.start + far, e0 + far].map(|i| a * i + c);
+    let (lo, hi) = (xs.iter().min()?, xs.iter().max()?);
+    dec.local_shift(*lo, *hi, a * stride)
+}
+
 /// Where the sender finds the elements of each packet it packs for
-/// `pair`, given each run's local offsets `at(run)`: one segment per run,
-/// with a run that continues its predecessor's affine progression in the
-/// same slot merged into it (a block-scatter source packs a whole packet
-/// with one slice copy).
+/// `pair`, given each run's first-rep local offsets and per-rep shift
+/// `at(run)`: one segment per run, two-level where the reps advance by a
+/// constant, per rep where they do not, and a one-level run that
+/// continues its predecessor's affine progression in the same slot merged
+/// into it (a block-scatter source packs a whole packet with one slice
+/// copy).
 pub(crate) fn send_pair(
     pair: &PairComm,
-    mut at: impl FnMut(&CommRun) -> AccessPattern,
+    mut at: impl FnMut(&CommRun) -> (AccessPattern, Option<i64>),
 ) -> SendPair {
     let mut segs_of = |runs: &[CommRun]| {
         let mut segs: Vec<SendSeg> = Vec::new();
+        let mut push = |seg: SendSeg| {
+            if !(segs.last_mut()).is_some_and(|last| last.absorb(&seg)) {
+                segs.push(seg);
+            }
+        };
         for r in runs {
-            let pattern = at(r);
-            let count = r.len() as usize;
-            let merged = (segs.last_mut()).is_some_and(|last| last.absorb(r.slot, &pattern, count));
-            if !merged {
-                segs.push(SendSeg {
-                    slot: r.slot,
-                    pattern,
-                    count,
-                });
+            let (slot, count) = (r.slot, r.count as usize);
+            match at(r) {
+                (pattern, Some(shift)) => push(SendSeg::new(slot, pattern, count, r.reps, shift)),
+                (pattern, None) if r.reps == 1 => push(SendSeg::new(slot, pattern, count, 1, 0)),
+                _ => {
+                    (0..r.reps).for_each(|k| push(SendSeg::new(slot, at(&r.rep(k)).0, count, 1, 0)))
+                }
             }
         }
         segs
@@ -713,22 +740,49 @@ pub(crate) fn send_pair(
 }
 
 impl SendSeg {
-    /// Grow by `count` elements of `slot` at `next` when they continue
-    /// this segment's affine progression (a single element has no stride
-    /// of its own and adopts its neighbour's).
-    fn absorb(&mut self, slot: usize, next: &AccessPattern, count: usize) -> bool {
+    /// `reps` reps of `count` elements at `pattern`, rep `k` shifted by
+    /// `k·shift`; one-level when the reps continue one progression.
+    fn new(slot: usize, pattern: AccessPattern, count: usize, reps: u64, shift: i64) -> SendSeg {
+        let (pattern, count, reps, shift) = match pattern {
+            AccessPattern::Affine { base, step }
+                if reps > 1 && (count == 1 || shift == step * count as i64) =>
+            {
+                let step = if count == 1 { shift } else { step };
+                (
+                    AccessPattern::Affine { base, step },
+                    count * reps as usize,
+                    1,
+                    0,
+                )
+            }
+            pattern => (pattern, count, reps, if reps > 1 { shift } else { 0 }),
+        };
+        SendSeg {
+            slot,
+            pattern,
+            count,
+            reps,
+            shift,
+        }
+    }
+
+    /// Grow by one-level `next` when it continues this one-level
+    /// segment's affine progression (a single element has no stride of
+    /// its own and adopts its neighbour's).
+    fn absorb(&mut self, next: &SendSeg) -> bool {
         use AccessPattern::Affine;
-        let (Affine { base, step }, Affine { base: nb, step: ns }) = (&mut self.pattern, next)
+        let (Affine { base, step }, Affine { base: nb, step: ns }) =
+            (&mut self.pattern, &next.pattern)
         else {
             return false;
         };
         let stride = if self.count > 1 { *step } else { nb - *base };
-        let continues = self.slot == slot
+        let continues = (self.slot, self.reps, next.reps) == (next.slot, 1, 1)
             && *nb == *base + stride * self.count as i64
-            && (count == 1 || *ns == stride);
+            && (next.count == 1 || *ns == stride);
         if continues {
             *step = stride;
-            self.count += count;
+            self.count += next.count;
         }
         continues
     }
@@ -745,7 +799,7 @@ fn run_step(r: &CommRun) -> i64 {
 }
 
 /// One planned incoming run, for interval lookup: its loop indices span
-/// `[run.start, hi]`.
+/// `[run.start, hi]` over all reps.
 struct RecvSpan {
     hi: i64,
     /// Largest `hi` among this span and those sorted before it.
@@ -755,15 +809,17 @@ struct RecvSpan {
     run: CommRun,
 }
 
-/// The positions `t = first + period·k`, `k ∈ [0, count)`, of one modify
-/// run whose reads of `slot` fall inside one receive run.
+/// The positions `t = first + period·j + delta·k`, `j ∈ [0, count)`,
+/// `k ∈ [0, reps)`, of one modify run whose reads of `slot` fall inside
+/// reps of one receive run: instance `k` meets rep `origin.2 + k`.
 struct Hit {
     first: i64,
     period: i64,
     count: i64,
+    reps: i64,
+    delta: i64,
     slot: usize,
-    /// `(source ordinal, run ordinal)`.
-    origin: (usize, usize),
+    origin: Origin,
 }
 
 /// The node's receive runs, per slot, sorted by range start and
@@ -772,6 +828,143 @@ struct Hit {
 /// candidates.
 pub(crate) struct RecvIndex {
     by_slot: Vec<Vec<RecvSpan>>,
+}
+
+/// What [`RecvIndex::pieces`] hands out, in visit order.
+pub(crate) enum Piece<'a> {
+    /// A maximal stretch of a modify run whose reads of every slot come
+    /// from one place.
+    Run(IterRun, &'a Sig),
+    /// The `Run`s up to the next `EndWindow` are one window that recurs
+    /// `reps` times, each `shift` loop indices on and one rep further
+    /// into every receive run it reads.
+    Window { reps: u64, shift: i64 },
+    /// The end of a window.
+    EndWindow,
+}
+
+/// The sweep state of [`RecvIndex::pieces`].
+struct Sweep {
+    /// The hit instances met in the swept range, as stretches `(t0, t1,
+    /// slot, origin)`.
+    spans: Vec<(i64, i64, usize, Origin)>,
+    /// Per slot, the stretch covering the current position: (t1, origin).
+    active: Vec<Option<(i64, Origin)>>,
+    sig: Sig,
+}
+
+impl Sweep {
+    /// Cut positions `[lo, hi)` of modify run `m` wherever the receive
+    /// rep covering some slot changes, and hand each piece to `emit`.
+    fn run(&mut self, m: &IterRun, hits: &[Hit], lo: i64, hi: i64, emit: &mut impl FnMut(Piece)) {
+        self.spans.clear();
+        for h in hits {
+            let ext = h.period * (h.count - 1);
+            let (k0, k1) = meeting(h.first, h.delta, h.reps, ext, lo, hi - 1);
+            for k in k0..=k1 {
+                let (first, origin) = (
+                    h.first + k * h.delta,
+                    (h.origin.0, h.origin.1, h.origin.2 + k as u64),
+                );
+                // interleaving runs meet in isolated single elements
+                let (len, n) = if h.period == 1 {
+                    (h.count, 1)
+                } else {
+                    (1, h.count)
+                };
+                let (j0, j1) = meeting(first, h.period, n, 0, lo, hi - 1);
+                let ts = (j0..=j1).map(|j| first + j * h.period);
+                self.spans
+                    .extend(ts.map(|t0| (t0.max(lo), t0 + len - 1, h.slot, origin)));
+            }
+        }
+        self.spans.retain(|s| s.0 < hi && s.1 >= s.0);
+        self.spans.sort_unstable_by_key(|s| (s.0, s.2));
+        self.active.fill(None);
+        let (mut t, mut next) = (lo, 0usize);
+        while t < hi {
+            for a in &mut self.active {
+                if a.is_some_and(|(t1, _)| t1 < t) {
+                    *a = None;
+                }
+            }
+            while let Some(&(_, t1, slot, origin)) = self.spans.get(next).filter(|s| s.0 <= t) {
+                self.active[slot] = Some((t1, origin));
+                next += 1;
+            }
+            let mut end = self.spans.get(next).map_or(hi, |s| s.0).min(hi);
+            for (a, s) in self.active.iter().zip(&mut self.sig) {
+                *s = a.map(|(t1, origin)| {
+                    end = end.min(t1 + 1);
+                    origin
+                });
+            }
+            let piece = IterRun {
+                start: m.start + m.step * t,
+                step: m.step,
+                count: end - t,
+            };
+            emit(Piece::Run(piece, &self.sig));
+            t = end;
+        }
+    }
+}
+
+/// The `k ∈ [0, n)` whose stretch `[first + step·k, first + step·k +
+/// ext]` may meet `[lo, hi]`: exactly those when `n > 1`, `k = 0` when
+/// `n == 1`.
+fn meeting(first: i64, step: i64, n: i64, ext: i64, lo: i64, hi: i64) -> (i64, i64) {
+    match n {
+        1 => (0, 0),
+        _ => (
+            div_ceil(lo - ext - first, step).max(0),
+            div_floor(hi - first, step).min(n - 1),
+        ),
+    }
+}
+
+/// The stretches of a modify run that repeat, as `(first position,
+/// window length, windows)`, sorted. The windows are the instance periods
+/// of one hit with four or more instances (the anchor). Window `k` joins
+/// its predecessor's batch when every hit either repeats with both or
+/// stays clear of both; a batch starts and ends where an anchor instance
+/// starts, where the sweep cuts and the tiling restarts anyway.
+fn windows(hits: &[Hit], out: &mut Vec<(i64, i64, u64)>) {
+    out.clear();
+    let mut bad: Vec<(i64, i64)> = Vec::new();
+    for a in hits.iter().filter(|a| a.reps >= 4) {
+        let (f, dt) = (a.first, a.delta);
+        bad.clear();
+        for h in hits {
+            let last = h.first + (h.reps - 1) * h.delta + h.period * (h.count - 1);
+            if last < f || h.first >= f + a.reps * dt {
+                continue; // clear of every window of this anchor
+            }
+            let (kb, ka) = (div_floor(h.first - f, dt) - 1, div_floor(last - f, dt) + 2);
+            let kin = (
+                div_ceil(h.first - f, dt) + 1,
+                div_floor(h.first + h.reps * dt - f, dt) - 1,
+            );
+            if h.delta == dt && h.reps > 1 && kin.0 <= kin.1 {
+                bad.extend([(kb + 1, kin.0 - 1), (kin.1 + 1, ka - 1)]);
+            } else {
+                bad.push((kb + 1, ka - 1));
+            }
+        }
+        bad.sort_unstable();
+        let (mut k, last) = (2, a.reps - 2);
+        let mut batch = |k1: i64, k2: i64| out.push((f + (k1 - 1) * dt, dt, (k2 - k1 + 2) as u64));
+        for &(lo, hi) in bad.iter().filter(|b| b.0 <= b.1) {
+            if lo > k && k <= last {
+                batch(k, (lo - 1).min(last));
+            }
+            k = k.max(hi + 1);
+        }
+        if k <= last {
+            batch(k, last);
+        }
+    }
+    out.sort_unstable();
 }
 
 impl RecvIndex {
@@ -783,7 +976,9 @@ impl RecvIndex {
                     continue;
                 }
                 if let Some(spans) = by_slot.get_mut(run.slot) {
-                    let hi = run.start + run_step(run) * (run.count - 1);
+                    let hi = run.start
+                        + (run.reps as i64 - 1) * run.stride
+                        + run_step(run) * (run.count - 1);
                     spans.push(RecvSpan {
                         hi,
                         top_hi: hi,
@@ -804,7 +999,10 @@ impl RecvIndex {
         RecvIndex { by_slot }
     }
 
-    /// Intersect modify run `m` with every receive run, in `t`-space.
+    /// Intersect modify run `m` with every receive run, in `t`-space. The
+    /// reps that lie inside `m`'s hull meet it alike, one `delta =
+    /// stride / m.step` apart, and form one hit; the others (and all of
+    /// them when `m` does not step evenly into the stride) meet it singly.
     fn hits(&self, m: &IterRun, out: &mut Vec<Hit>) {
         let last = m.start + m.step * (m.count - 1);
         let (mlo, mhi) = (m.start.min(last), m.start.max(last));
@@ -815,39 +1013,57 @@ impl RecvIndex {
                 if s.hi < mlo {
                     continue;
                 }
-                if let Some((first, period, count)) = meet(m, &s.run) {
-                    let origin = s.origin;
-                    out.push(Hit {
-                        first,
-                        period,
-                        count,
-                        slot,
-                        origin,
-                    });
+                let (r, ext) = (&s.run, run_step(&s.run) * (s.run.count - 1));
+                let (ra, rb) = meeting(r.start, r.stride, r.reps as i64, ext, mlo, mhi);
+                let whole = m.step > 0 && m.count > 1 && r.reps > 1 && r.stride % m.step == 0;
+                let (f0, f1) = match whole {
+                    true => (
+                        div_ceil(mlo - r.start, r.stride).max(ra),
+                        div_floor(mhi - ext - r.start, r.stride).min(rb),
+                    ),
+                    false => (rb + 1, rb),
+                };
+                let mut hit = |k: i64, reps: i64| {
+                    if let Some((first, period, count)) = meet(m, &r.rep(k as u64)) {
+                        let (delta, origin) =
+                            (r.stride / m.step.max(1), (s.origin.0, s.origin.1, k as u64));
+                        out.push(Hit {
+                            first,
+                            period,
+                            count,
+                            reps,
+                            delta,
+                            slot,
+                            origin,
+                        });
+                    }
+                };
+                (ra..f0.min(rb + 1)).for_each(|k| hit(k, 1));
+                if f0 <= f1 {
+                    hit(f0, f1 - f0 + 1);
                 }
+                (f1.max(f0 - 1) + 1..=rb).for_each(|k| hit(k, 1));
             }
         }
     }
 
-    /// Cut `modify` wherever the receive run covering some slot changes,
+    /// Cut `modify` wherever the receive rep covering some slot changes,
     /// and hand each maximal piece with its signature to `emit`, in
     /// visit order. With `split`, a modify run that some receive run
     /// meets every `d`-th position is first split into its `d` residue
     /// classes (stride `d·step`), each of which meets every receive run
-    /// in one stretch; without it such a run is cut element by element.
-    pub(crate) fn pieces(
-        &self,
-        modify: &[IterRun],
-        split: bool,
-        mut emit: impl FnMut(IterRun, &Sig),
-    ) {
+    /// in one stretch, and the stretches that repeat ([`windows`]) are
+    /// swept once as a [`Piece::Window`]; without it such a run is cut
+    /// element by element.
+    pub(crate) fn pieces(&self, modify: &[IterRun], split: bool, mut emit: impl FnMut(Piece)) {
         let n_slots = self.by_slot.len();
         let mut hits: Vec<Hit> = Vec::new();
-        // the hits as stretches `(t0, t1, slot, origin)`
-        let mut spans: Vec<(i64, i64, usize, (usize, usize))> = Vec::new();
-        // per slot, the stretch covering the current position: (t1, origin)
-        let mut active: Vec<Option<(i64, (usize, usize))>> = vec![None; n_slots];
-        let mut sig: Sig = vec![None; n_slots];
+        let mut batches = Vec::new();
+        let mut sweep = Sweep {
+            spans: Vec::new(),
+            active: vec![None; n_slots],
+            sig: vec![None; n_slots],
+        };
         for m in modify {
             hits.clear();
             self.hits(m, &mut hits);
@@ -873,45 +1089,28 @@ impl RecvIndex {
                     hits.clear();
                     self.hits(&m, &mut hits);
                 }
-                spans.clear();
-                for h in &hits {
-                    // interleaving runs meet in isolated single elements
-                    let (len, at) = if h.period == 1 {
-                        (h.count, 1)
-                    } else {
-                        (1, h.count)
-                    };
-                    let ts = (0..at).map(|k| h.first + k * h.period);
-                    spans.extend(ts.map(|t0| (t0, t0 + len - 1, h.slot, h.origin)));
+                let mut t = 0;
+                if split {
+                    windows(&hits, &mut batches);
                 }
-                spans.sort_unstable_by_key(|s| (s.0, s.2));
-                active.fill(None);
-                let (mut t, mut next) = (0i64, 0usize);
-                while t < m.count {
-                    for a in &mut active {
-                        if a.is_some_and(|(t1, _)| t1 < t) {
-                            *a = None;
-                        }
+                for &(lo, dt, n) in &batches {
+                    // a batch that starts inside the last one loses its head
+                    let skip = div_ceil(t - lo, dt).max(0);
+                    let (lo, n) = (lo + skip * dt, n as i64 - skip);
+                    if n < 2 {
+                        continue;
                     }
-                    while let Some(&(_, t1, slot, origin)) = spans.get(next).filter(|s| s.0 <= t) {
-                        active[slot] = Some((t1, origin));
-                        next += 1;
-                    }
-                    let mut end = spans.get(next).map_or(m.count, |s| s.0);
-                    for (a, s) in active.iter().zip(&mut sig) {
-                        *s = a.map(|(t1, origin)| {
-                            end = end.min(t1 + 1);
-                            origin
-                        });
-                    }
-                    let piece = IterRun {
-                        start: m.start + m.step * t,
-                        step: m.step,
-                        count: end - t,
-                    };
-                    emit(piece, &sig);
-                    t = end;
+                    sweep.run(&m, &hits, t, lo, &mut emit);
+                    emit(Piece::Window {
+                        reps: n as u64,
+                        shift: dt * m.step,
+                    });
+                    sweep.run(&m, &hits, lo, lo + dt, &mut emit);
+                    emit(Piece::EndWindow);
+                    t = lo + n * dt;
                 }
+                batches.clear();
+                sweep.run(&m, &hits, t, m.count, &mut emit);
             }
         }
     }
@@ -941,10 +1140,13 @@ fn meet(m: &IterRun, r: &CommRun) -> Option<(i64, i64, i64)> {
     (first <= thi).then(|| (first, cong.period, (thi - first) / cong.period + 1))
 }
 
-/// Per slot, the receive run `(source ordinal, run ordinal)` a piece
-/// reads (`None` = owner-local). Keyed by run, not by packet, so pieces
-/// are never glued across a run boundary inside one packet.
-pub(crate) type Sig = Vec<Option<(usize, usize)>>;
+/// `(source ordinal, run ordinal, rep)` of one rep of a receive run.
+pub(crate) type Origin = (usize, usize, u64);
+
+/// Per slot, the receive rep a piece reads (`None` = owner-local). Keyed
+/// by rep, not by packet, so pieces are never glued across a rep
+/// boundary inside one packet.
+pub(crate) type Sig = Vec<Option<Origin>>;
 
 /// Glue pieces with equal signatures back into maximal strided runs,
 /// exactly as a greedy element-at-a-time coalescing of the visit
@@ -952,30 +1154,30 @@ pub(crate) type Sig = Vec<Option<(usize, usize)>>;
 /// if it continues the stride), so the tiling does not depend on how
 /// the schedule happened to be cut into modify runs. Finished runs go
 /// to `emit` with their signature.
-struct Tiling<F> {
+#[derive(Default)]
+struct Tiling {
     cur: Option<IterRun>,
     sig: Sig,
-    emit: F,
 }
 
-impl<F: FnMut(IterRun, &Sig)> Tiling<F> {
-    fn new(emit: F) -> Self {
-        let (cur, sig) = (None, Vec::new());
-        Tiling { cur, sig, emit }
-    }
-
-    fn push(&mut self, mut piece: IterRun, sig: &[Option<(usize, usize)>]) {
+impl Tiling {
+    fn push(
+        &mut self,
+        mut piece: IterRun,
+        sig: &[Option<Origin>],
+        emit: &mut impl FnMut(IterRun, &Sig),
+    ) {
         if piece.count == 1 {
             piece.step = 1;
         }
         let Some(run) = self.cur.as_mut().filter(|_| self.sig == sig) else {
-            return self.restart(piece, sig);
+            return self.restart(piece, sig, emit);
         };
         // the piece's first element
         if run.count == 1 {
             run.step = piece.start - run.start;
         } else if piece.start != run.start + run.step * run.count {
-            return self.restart(piece, sig);
+            return self.restart(piece, sig, emit);
         }
         run.count += 1;
         // ... and the rest of it
@@ -991,19 +1193,24 @@ impl<F: FnMut(IterRun, &Sig)> Tiling<F> {
             step: if piece.count > 2 { piece.step } else { 1 },
             count: piece.count - 1,
         };
-        self.restart(rest, sig);
+        self.restart(rest, sig, emit);
     }
 
-    fn restart(&mut self, run: IterRun, sig: &[Option<(usize, usize)>]) {
-        self.flush();
+    fn restart(
+        &mut self,
+        run: IterRun,
+        sig: &[Option<Origin>],
+        emit: &mut impl FnMut(IterRun, &Sig),
+    ) {
+        self.flush(emit);
         self.cur = Some(run);
         self.sig.clear();
         self.sig.extend_from_slice(sig);
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, emit: &mut impl FnMut(IterRun, &Sig)) {
         if let Some(run) = self.cur.take() {
-            (self.emit)(run, &self.sig);
+            emit(run, &self.sig);
         }
     }
 }
@@ -1033,12 +1240,21 @@ struct Fold {
 }
 
 impl Fold {
-    fn push(&mut self, run: IterRun, lhs: AccessPattern, slots: &[SlotAccess], remote: u64) {
+    /// Fold in a run; returns the entry it went to and whether that
+    /// entry grew (rather than being created).
+    fn push(
+        &mut self,
+        run: IterRun,
+        lhs: AccessPattern,
+        slots: &[SlotAccess],
+        remote: u64,
+    ) -> (usize, bool) {
         let entries = &mut self.entries;
         let class = (self.open.iter()).rposition(|&e| entries[e].same_class(&run, &lhs, slots));
         if let Some(e) = class.map(|j| self.open.remove(j)) {
             if entries[e].extend(&run, &lhs, slots, remote) {
-                return self.open.push(e);
+                self.open.push(e);
+                return (e, true);
             }
         }
         if !self.reorder {
@@ -1059,6 +1275,7 @@ impl Fold {
             slots: slots.to_vec(),
             remote_elems: remote,
         });
+        (entries.len() - 1, false)
     }
 }
 
@@ -1144,42 +1361,141 @@ fn build_exec(
     dec_lhs: &Decomp1,
     dec_reads: &[&Decomp1],
 ) -> Vec<ExecRun> {
-    let n_slots = node.resides.len();
-    let index = RecvIndex::new(&node.comm.recvs, n_slots);
-    // per source, per receive run: its packet and its offset inside it
-    let places: Vec<Vec<(usize, u64)>> =
-        (node.comm.recvs.iter()).map(PairComm::run_places).collect();
+    let index = RecvIndex::new(&node.comm.recvs, node.resides.len());
     let reorder = is_injective(f);
-    let mut fold = Fold {
-        reorder,
-        ..Fold::default()
+    let mut rs = Resolver {
+        node,
+        // per source, per receive run: its packet and its offset inside it
+        places: (node.comm.recvs.iter()).map(PairComm::run_places).collect(),
+        f,
+        dec_lhs,
+        dec_reads,
+        fold: Fold {
+            reorder,
+            ..Fold::default()
+        },
+        slots: Vec::new(),
     };
-    let mut slots: Vec<SlotAccess> = Vec::with_capacity(n_slots);
-    let mut tiling = Tiling::new(|run: IterRun, sig: &Sig| {
-        let mut remote = 0u64;
-        slots.clear();
-        slots.extend(sig.iter().enumerate().map(|(slot, origin)| match *origin {
-            None => SlotAccess::Local(local_pattern(run, &node.resides[slot].g, dec_reads[slot])),
-            Some((src_ord, run_ord)) => {
-                remote += run.len();
-                let r = &node.comm.recvs[src_ord].runs[run_ord];
-                let (pkt_ord, run_off) = places[src_ord][run_ord];
-                let rstep = run_step(r);
-                SlotAccess::Packet {
-                    src_ord,
-                    pkt_ord,
-                    pattern: AccessPattern::Affine {
-                        base: run_off as i64 + (run.start - r.start) / rstep,
-                        step: if run.count > 1 { run.step / rstep } else { 0 },
-                    },
+    let mut tiling = Tiling::default();
+    let mut window: Option<Window> = None;
+    index.pieces(modify, reorder, |piece| match piece {
+        Piece::Run(run, sig) => match &mut window {
+            Some(w) => tiling.push(run, sig, &mut |run, sig| w.runs.push((run, sig.clone()))),
+            None => tiling.push(run, sig, &mut |run, sig| {
+                rs.push(run, sig);
+            }),
+        },
+        Piece::Window { reps, shift } => {
+            tiling.flush(&mut |run, sig| {
+                rs.push(run, sig);
+            });
+            let runs = Vec::new();
+            window = Some(Window { reps, shift, runs });
+        }
+        Piece::EndWindow => {
+            let mut w = window.take().expect("a window is open");
+            tiling.flush(&mut |run, sig| w.runs.push((run, sig.clone())));
+            rs.repeat(&w);
+        }
+    });
+    tiling.flush(&mut |run, sig| {
+        rs.push(run, sig);
+    });
+    rs.fold.entries
+}
+
+/// The tiled runs of one window and how often it recurs ([`Piece::Window`]).
+struct Window {
+    reps: u64,
+    shift: i64,
+    runs: Vec<(IterRun, Sig)>,
+}
+
+/// Resolves the addresses of tiled runs and folds them ([`build_exec`]).
+struct Resolver<'a> {
+    node: &'a NodePlan,
+    places: Vec<Vec<(usize, u64)>>,
+    f: &'a Fn1,
+    dec_lhs: &'a Decomp1,
+    dec_reads: &'a [&'a Decomp1],
+    fold: Fold,
+    slots: Vec<SlotAccess>,
+}
+
+impl Resolver<'_> {
+    /// Resolve `run`, reading each slot where `sig` says, and fold it.
+    fn push(&mut self, run: IterRun, sig: &[Option<Origin>]) -> (usize, bool) {
+        let (node, mut remote) = (self.node, 0u64);
+        self.slots.clear();
+        self.slots
+            .extend(sig.iter().enumerate().map(|(slot, origin)| match *origin {
+                None => SlotAccess::Local(local_pattern(
+                    run,
+                    &node.resides[slot].g,
+                    self.dec_reads[slot],
+                )),
+                Some((src_ord, run_ord, rep)) => {
+                    remote += run.len();
+                    let r = &node.comm.recvs[src_ord].runs[run_ord];
+                    let (pkt_ord, run_off) = self.places[src_ord][run_ord];
+                    let (rep_start, rstep) = (r.start + rep as i64 * r.stride, run_step(r));
+                    SlotAccess::Packet {
+                        src_ord,
+                        pkt_ord,
+                        pattern: AccessPattern::Affine {
+                            base: run_off as i64
+                                + rep as i64 * r.count
+                                + (run.start - rep_start) / rstep,
+                            step: if run.count > 1 { run.step / rstep } else { 0 },
+                        },
+                    }
+                }
+            }));
+        let lhs = local_pattern(run, self.f, self.dec_lhs);
+        self.fold.push(run, lhs, &self.slots, remote)
+    }
+
+    /// Fold every rep of window `w`: the first two rep by rep and, when
+    /// the second grew exactly the entries the first touched (one each)
+    /// and every lhs and local address advances by a constant over all
+    /// reps ([`rep_shift`]), the rest in bulk — the state a rep-by-rep
+    /// fold reaches, since its open list then repeats every rep.
+    fn repeat(&mut self, w: &Window) {
+        let steady = w.runs.iter().all(|(run, sig)| {
+            let shifts = |g: &Fn1, dec: &Decomp1| rep_shift(*run, w.reps, w.shift, g, dec);
+            let mut local = (sig.iter().enumerate()).filter(|(_, o)| o.is_none());
+            shifts(self.f, self.dec_lhs).is_some()
+                && local.all(|(s, _)| shifts(&self.node.resides[s].g, self.dec_reads[s]).is_some())
+        });
+        let mut touched: Vec<Vec<(usize, bool)>> = Vec::new();
+        let mut sig_k: Sig = Vec::new();
+        for k in 0..w.reps {
+            if k == 2 && steady {
+                let (first, second) = (&touched[0], &touched[1]);
+                let mut seen: Vec<usize> = first.iter().map(|t| t.0).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                if seen.len() == first.len()
+                    && second.iter().zip(first).all(|(b, a)| *b == (a.0, true))
+                {
+                    for ((run, sig), &(e, _)) in w.runs.iter().zip(first) {
+                        let entry = &mut self.fold.entries[e];
+                        entry.reps += w.reps - 2;
+                        entry.remote_elems +=
+                            (w.reps - 2) * run.len() * sig.iter().flatten().count() as u64;
+                    }
+                    return;
                 }
             }
-        }));
-        fold.push(run, local_pattern(run, f, dec_lhs), &slots, remote);
-    });
-    index.pieces(modify, reorder, |piece, sig| tiling.push(piece, sig));
-    tiling.flush();
-    fold.entries
+            let reps = w.runs.iter().map(|(run, sig)| {
+                let start = run.start + k as i64 * w.shift;
+                sig_k.clear();
+                sig_k.extend(sig.iter().map(|o| o.map(|(s, r, rep)| (s, r, rep + k))));
+                self.push(IterRun { start, ..*run }, &sig_k)
+            });
+            touched.push(reps.collect());
+        }
+    }
 }
 
 /// The local offsets a node's exec entries write, as sorted, disjoint
@@ -1432,10 +1748,16 @@ mod tests {
             Decomp1::scatter(4, e),
             Decomp1::block_scatter(3, 4, e),
         ];
+        // a of both signs and beyond 1, c of both signs: the repeated
+        // shapes' closed-form count and per-offset progressions
         let fns = [
             (Fn1::identity(), 0, n - 1),
             (Fn1::shift(5), 0, n - 6),
+            (Fn1::shift(-5), 5, n - 1),
             (Fn1::affine(3, 1), 0, (n - 2) / 3),
+            (Fn1::affine(2, -3), 2, (n + 2) / 2),
+            (Fn1::affine(-1, n - 1), 0, n - 1),
+            (Fn1::affine(-3, n - 2), 0, (n - 2) / 3),
             (Fn1::rotate(7, n), 0, n - 1),
         ];
         for da in &decs {
@@ -1508,13 +1830,20 @@ mod tests {
         origin
     }
 
-    /// Re-cut every pair of the plan at `cap` elements per packet, the
-    /// way `plan_comm` does at `PACKET_ELEMS`.
+    /// Re-fold and re-cut every pair of the plan at `cap` elements per
+    /// packet, the way `plan_comm` does at `PACKET_ELEMS`.
     fn recut(plan: &mut SpmdPlan, cap: u64) {
         for node in &mut plan.nodes {
             let comm = &mut node.comm;
             for pc in comm.sends.iter_mut().chain(&mut comm.recvs) {
-                pc.cuts = crate::comm::packetise(&pc.runs, cap);
+                let mut runs: Vec<CommRun> = Vec::new();
+                for r in pc.runs.drain(..) {
+                    if !runs.last_mut().is_some_and(|last| last.absorb(&r)) {
+                        runs.push(r);
+                    }
+                }
+                pc.cuts = crate::comm::packetise(&mut runs, cap);
+                pc.runs = runs;
             }
         }
     }
@@ -1596,7 +1925,7 @@ mod tests {
                                     let pair = &node.comm.recvs[*src_ord];
                                     let packet =
                                         pair.packets().nth(*pkt_ord).expect("planned packet");
-                                    let len = packet.iter().map(|r| r.count).sum::<i64>();
+                                    let len = packet.iter().map(CommRun::len).sum::<u64>() as i64;
                                     assert!((0..len).contains(&off), "{at} slot={slot}");
                                     assert!(*pkt_ord < cn.staging_packets[*src_ord], "{at}");
                                     assert!(
@@ -1769,7 +2098,11 @@ mod tests {
                             for seg in segs {
                                 let dec = &dm[&node.resides[seg.slot].array];
                                 assert!(seg.count > 0);
-                                got.extend((0..seg.count).map(|t| (dec, seg.pattern.offset(t))));
+                                for k in 0..seg.reps as i64 {
+                                    let at = (0..seg.count)
+                                        .map(|t| seg.pattern.offset(t) + k * seg.shift);
+                                    got.extend(at.map(|o| (dec, o)));
+                                }
                             }
                             let mut want = Vec::new();
                             for run in runs {
@@ -1789,8 +2122,9 @@ mod tests {
     #[test]
     fn block_scatter_source_packs_each_packet_with_one_segment() {
         // the acceptance layout: the sender's half of a block-scatter(16)
-        // array is contiguous in its local part, so 2 048 runs per pair
-        // collapse to one unit-stride segment per 8 192-element packet
+        // array is contiguous in its local part, so the pair's 2 048
+        // cycles — one two-level run per packet — collapse to one
+        // unit-stride segment per 8 192-element packet
         let n = 128i64 << 10;
         let e = Bounds::range(0, n - 1);
         let clause = copy_clause(0, n - 1, Fn1::identity(), Fn1::identity());
@@ -1798,7 +2132,8 @@ mod tests {
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
         let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
         for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
-            assert_eq!(node.comm.sends[0].runs.len(), 2048);
+            assert_eq!(node.comm.sends[0].runs.len(), 4);
+            assert!(node.comm.sends[0].runs.iter().all(|r| r.reps == 512));
             assert_eq!(cn.sends[0].packets.len(), 4);
             assert_eq!(cn.staging_packets, [4]);
             for segs in &cn.sends[0].packets {
@@ -1831,12 +2166,17 @@ mod tests {
             }
             let entries: Vec<usize> = compiled.nodes.iter().map(|cn| cn.exec.len()).collect();
             let bytes: usize = compiled.nodes.iter().map(CompiledNode::approx_bytes).sum();
-            (entries, bytes)
+            // ... and so are the plan's receive runs: one per packet
+            let runs = plan.nodes.iter().flat_map(|node| &node.comm.recvs);
+            let runs: Vec<usize> = runs.map(|pc| pc.runs.len()).collect();
+            (entries, bytes, runs)
         };
         // one packet per pair: the same tables at 1 Ki and at 64 Ki
         assert_eq!(tables(1 << 10, u64::MAX), tables(1 << 16, u64::MAX));
+        assert_eq!(tables(1 << 10, u64::MAX).2, [1, 1]);
         assert_eq!(tables(1 << 10, PACKET_ELEMS).0, [2, 2]);
         assert_eq!(tables(1 << 16, PACKET_ELEMS).0, [3, 3]);
+        assert_eq!(tables(1 << 16, PACKET_ELEMS).2, [2, 2]);
     }
 
     #[test]

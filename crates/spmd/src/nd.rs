@@ -21,9 +21,9 @@
 
 use crate::comm::{packetise, CommRun, PairComm, PACKET_ELEMS};
 use crate::compiled::{
-    coalesce_ordered, comm_run, flatten_schedule, iter_run, local_pattern, send_pair, write_spans,
-    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, RecvIndex, RepDelta, SendPair,
-    SlotAccess,
+    coalesce_ordered, flatten_schedule, iter_run, local_pattern, send_pair, write_spans,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, Piece, RecvIndex, RepDelta,
+    SendPair, SlotAccess,
 };
 use crate::kernel::CompiledKernel;
 use crate::optimizer::{optimize, OptKind};
@@ -181,6 +181,10 @@ impl<'a> Access<'a> {
         if map.d_in() != bx.dims() || map.d_out() != dec.dims() {
             return Err(PlanError::RankMismatch(array.clone()));
         }
+        for (df, axis) in map.dims().iter().zip(dec.axes()) {
+            let (lo, hi) = (bx.lo()[df.src], bx.hi()[df.src]);
+            PlanError::check_extent(&df.f, lo, hi, array, &axis.extent())?;
+        }
         let strides = (0..dec.pmax()).map(|p| {
             let local = dec.local_bounds(p);
             let mut strides = vec![1i64; dec.dims()];
@@ -323,7 +327,7 @@ impl<'a> Lowering<'a> {
                 pkt_ord: runs.len(),
                 pattern: AccessPattern::Affine { base: 0, step: 1 },
             });
-            runs.push(comm_run(slot, &run));
+            runs.push(CommRun::one(slot, run.start, run.step, run.count));
             remote_elems += run.len();
         }
         let lhs = self.offsets(&self.lhs, p as i64, &at, run);
@@ -362,9 +366,11 @@ impl<'a> Lowering<'a> {
                         }
                         let owned = optimize(&map[k].f, axis, lo, hi, c).schedule;
                         let owned = ascending(&owned);
-                        by_coord[c as usize]
-                            .runs
-                            .extend(owned.iter().map(|r| comm_run(slot, r)));
+                        by_coord[c as usize].runs.extend(
+                            owned
+                                .iter()
+                                .map(|r| CommRun::one(slot, r.start, r.step, r.count)),
+                        );
                     }
                 }
                 RecvIndex::new(&by_coord, self.reads.len())
@@ -380,12 +386,14 @@ impl<'a> Lowering<'a> {
             let pieces: Vec<Vec<AxisPiece>> = (modify.axes.iter().zip(&index))
                 .map(|(axis, index)| {
                     let mut pieces = Vec::new();
-                    index.pieces(&ascending(axis), false, |run, sig| {
-                        let owner = sig.iter().map(|o| o.map_or(0, |(c, _)| c as i64));
-                        pieces.push(AxisPiece {
-                            run,
-                            owner: owner.collect(),
-                        });
+                    index.pieces(&ascending(axis), false, |piece| {
+                        if let Piece::Run(run, sig) = piece {
+                            let owner = sig.iter().map(|o| o.map_or(0, |(c, ..)| c as i64));
+                            pieces.push(AxisPiece {
+                                run,
+                                owner: owner.collect(),
+                            });
+                        }
                     });
                     pieces
                 })
@@ -491,7 +499,7 @@ impl<'a> Lowering<'a> {
             let mut first = vec![Vec::new(); pmax];
             let mut places = vec![Vec::new(); pmax];
             for (q, per_slot) in std::mem::take(&mut self.recv[p]).into_iter().enumerate() {
-                let mut runs = Vec::new();
+                let mut runs: Vec<CommRun> = Vec::new();
                 for slot_runs in per_slot {
                     first[q].push(runs.len());
                     runs.extend(slot_runs);
@@ -499,9 +507,10 @@ impl<'a> Lowering<'a> {
                 if runs.is_empty() {
                     continue;
                 }
+                let cuts = packetise(&mut runs, cap);
                 let pair = PairComm {
                     peer: p as i64,
-                    cuts: packetise(&runs, cap),
+                    cuts,
                     runs,
                 };
                 src_ord[q] = src_peers.len();
@@ -510,7 +519,8 @@ impl<'a> Lowering<'a> {
                 places[q] = pair.run_places();
                 let packed_from = |r: &CommRun| {
                     let at = self.point(r.start);
-                    self.offsets(&self.reads[r.slot], q as i64, &at, iter_run(r))
+                    let pattern = self.offsets(&self.reads[r.slot], q as i64, &at, iter_run(r));
+                    (pattern, None)
                 };
                 sends[q].push(send_pair(&pair, packed_from));
             }
@@ -1019,6 +1029,8 @@ mod tests {
                     slot: if cn.p == 0 { 0 } else { 1 },
                     pattern: cn.sends[0].packets[0][0].pattern.clone(),
                     count: (side - 2) as usize,
+                    reps: 1,
+                    shift: 0,
                 }]]
             );
             assert!(cn.approx_bytes() < 64 * side as usize * 8);

@@ -143,8 +143,8 @@ impl Default for OptOptions {
 /// `{ i ∈ [imin, imax] | proc(f(i)) = p }` under `dec`.
 ///
 /// Precondition (the paper's implicit one): every access `f(i)` for `i`
-/// in the loop range falls inside the decomposed extent. Violations are
-/// caught by `debug_assert` for monotone `f`.
+/// in the loop range falls inside the decomposed extent — the planner's
+/// entry points refuse a clause that breaks it (`PlanError::OutOfExtent`).
 pub fn optimize(f: &Fn1, dec: &Decomp1, imin: i64, imax: i64, p: i64) -> Optimized {
     optimize_with(f, dec, imin, imax, p, OptOptions::default())
 }
@@ -165,7 +165,6 @@ pub fn optimize_with(
         };
     }
     let f = f.simplify();
-    debug_assert_bounds(&f, dec, imin, imax);
 
     // Theorem 1: constant access function.
     if let Fn1::Const(c) = f {
@@ -370,22 +369,6 @@ fn naive(f: &Fn1, dec: &Decomp1, imin: i64, imax: i64, p: i64) -> Optimized {
 /// baseline every Table I bench compares against.
 pub fn naive_schedule(f: &Fn1, dec: &Decomp1, imin: i64, imax: i64, p: i64) -> Schedule {
     naive(f, dec, imin, imax, p).schedule
-}
-
-fn debug_assert_bounds(f: &Fn1, dec: &Decomp1, imin: i64, imax: i64) {
-    if cfg!(debug_assertions) && imin <= imax {
-        let m = f.monotonicity(imin, imax);
-        if m.is_monotone() {
-            let (a, b) = (f.eval(imin), f.eval(imax));
-            let ext = dec.extent();
-            for v in [a, b] {
-                debug_assert!(
-                    ext.contains(&vcal_core::Ix::d1(v)),
-                    "access f(i)={v} outside decomposed extent {ext}"
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]

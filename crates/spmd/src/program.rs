@@ -16,7 +16,7 @@ use crate::comm::NodeCommPlan;
 use crate::optimizer::{optimize, Optimized};
 use std::collections::BTreeMap;
 use vcal_core::func::Fn1;
-use vcal_core::{Clause, Ordering};
+use vcal_core::{Bounds, Clause, Ordering};
 use vcal_decomp::Decomp1;
 
 /// Decomposition assignment: array name → its decomposition.
@@ -83,6 +83,38 @@ pub enum PlanError {
     /// An array is indexed with a rank other than the loop's or its
     /// decomposition's.
     RankMismatch(String),
+    /// An access reaches `value`, outside the array's extent `(lo, hi)`
+    /// (along one axis of an n-D array).
+    OutOfExtent {
+        /// The array accessed.
+        array: String,
+        /// A subscript the loop reaches.
+        value: i64,
+        /// The extent's `(lo, hi)`.
+        extent: (i64, i64),
+    },
+}
+
+impl PlanError {
+    /// `Ok` when `f` keeps `[imin, imax]` inside `extent` (along its
+    /// first axis).
+    pub(crate) fn check_extent(
+        f: &Fn1,
+        imin: i64,
+        imax: i64,
+        array: &str,
+        extent: &Bounds,
+    ) -> Result<(), PlanError> {
+        let extent = (extent.lo()[0], extent.hi()[0]);
+        match f.first_outside(imin, imax, extent.0, extent.1) {
+            Some(value) => Err(PlanError::OutOfExtent {
+                array: array.into(),
+                value,
+                extent,
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl std::fmt::Display for PlanError {
@@ -106,6 +138,14 @@ impl std::fmt::Display for PlanError {
             PlanError::RankMismatch(a) => write!(
                 f,
                 "array `{a}` is indexed with a rank other than the loop's or its decomposition's"
+            ),
+            PlanError::OutOfExtent {
+                array,
+                value,
+                extent: (lo, hi),
+            } => write!(
+                f,
+                "array `{array}` is accessed at {value}, outside its extent [{lo}, {hi}]"
             ),
         }
     }
@@ -151,6 +191,7 @@ impl SpmdPlan {
             .get(&clause.lhs.array)
             .ok_or_else(|| PlanError::MissingDecomposition(clause.lhs.array.clone()))?;
         let pmax = dec_lhs.pmax();
+        PlanError::check_extent(&f, imin, imax, &clause.lhs.array, &dec_lhs.extent())?;
 
         // gather the distinct read accesses (array, g)
         let mut reads: Vec<(String, Fn1)> = Vec::new();
@@ -171,6 +212,9 @@ impl SpmdPlan {
             if d.pmax() != pmax {
                 return Err(PlanError::ProcessorCountMismatch);
             }
+        }
+        for (a, g) in &reads {
+            PlanError::check_extent(g, imin, imax, a, &decomps[a].extent())?;
         }
 
         let pick = |g: &Fn1, d: &Decomp1, p: i64| {

@@ -22,7 +22,7 @@
 //! * [`Schedule::Concat`] — piecewise-monotonic splits (Section 3.3).
 
 use vcal_core::func::Fn1;
-use vcal_numth::div_floor;
+use vcal_numth::{div_ceil, div_floor, solve_congruence};
 
 /// A per-processor iteration schedule over a 1-D loop range.
 #[derive(Debug, Clone)]
@@ -197,11 +197,13 @@ impl Schedule {
         v
     }
 
-    /// Number of iterations the schedule produces: closed form per cycle
-    /// or probe for the repeated shapes, a test per index for `Guarded`.
+    /// Number of iterations the schedule produces: closed form per
+    /// in-block offset for the repeated shapes with affine `f`, per cycle
+    /// or probe for the others, a test per index for `Guarded`.
     pub fn count(&self) -> u64 {
         match self {
             Schedule::Strided { count, .. } => (*count).max(0) as u64,
+            _ if let Some(runs) = self.offset_runs() => runs.iter().map(|r| r.2 as u64).sum(),
             _ => {
                 let mut n = 0;
                 self.for_each_range(&mut |lo, hi| n += (hi - lo + 1).max(0) as u64);
@@ -213,6 +215,56 @@ impl Schedule {
     /// Whether the schedule produces no iterations.
     pub fn is_empty(&self) -> bool {
         self.count() == 0
+    }
+
+    /// The iterations of a repeated shape with affine `f`, per in-block
+    /// offset `t`, as progressions `(start, step, count)` in `t`-major
+    /// order: `a·i + c = v_t + k·b·pmax` is a linear congruence in the
+    /// cycle `k`, so one offset's preimages step by a constant. `None`
+    /// for any other shape or `f`.
+    pub(crate) fn offset_runs(&self) -> Option<Vec<(i64, i64, i64)>> {
+        let (Schedule::RepeatedBlock {
+            f,
+            imin,
+            imax,
+            b,
+            pmax,
+            p,
+            ext_lo,
+            k_max,
+        }
+        | Schedule::RepeatedScatter {
+            f,
+            imin,
+            imax,
+            b,
+            pmax,
+            p,
+            ext_lo,
+            k_max,
+        }) = self
+        else {
+            return None;
+        };
+        let Fn1::Affine { a, c } = *f else {
+            return None;
+        };
+        let (big, modulus) = (b * pmax, a.checked_abs().filter(|&m| m > 0)?);
+        let (ilo, ihi) = if a > 0 {
+            (*imin, *imax)
+        } else {
+            (*imax, *imin)
+        };
+        let runs = (b * p..b * p + b).filter_map(|t| {
+            let v0 = ext_lo + t - c;
+            let cong = solve_congruence(big, -v0, modulus)?;
+            let klo = div_ceil(a * ilo - v0, big).max(0);
+            let khi = div_floor(a * ihi - v0, big).min(*k_max);
+            let k = cong.first_at_or_above(klo);
+            let count = cong.count_in(klo, khi);
+            Some(((v0 + k * big) / a, cong.period * big / a, count)).filter(|_| count > 0)
+        });
+        Some(runs.collect())
     }
 
     /// Number of *loop-overhead* steps: iterations visited **plus** guard
@@ -399,6 +451,58 @@ mod tests {
         let single = Schedule::concat(vec![Schedule::Empty, Schedule::range(2, 3)]);
         assert!(matches!(single, Schedule::Range { .. }));
         assert!(matches!(Schedule::concat(vec![]), Schedule::Empty));
+    }
+
+    /// The closed-form count and per-offset progressions agree with the
+    /// per-cycle enumeration for a of both signs and beyond 1.
+    #[test]
+    fn offset_runs_match_the_cycle_walk() {
+        for (a, c) in [(1, 0), (1, -5), (2, 3), (3, -1), (-1, 95), (-3, 94), (5, 2)] {
+            // the loop range that keeps a·i + c inside [0, 95]
+            let ok = |i: i64| (0..=95).contains(&(a * i + c));
+            let (imin, imax) = (
+                (-200..200).find(|&i| ok(i)).unwrap(),
+                (-200..200).rfind(|&i| ok(i)).unwrap(),
+            );
+            for (b, pmax) in [(1, 3), (2, 4), (3, 2), (4, 2)] {
+                for p in 0..pmax {
+                    let f = Fn1::affine(a, c);
+                    let k_max = repeated_block_kmax(&f, imin, imax, b, pmax, p, 0);
+                    let (rb, rs) = (
+                        Schedule::RepeatedBlock {
+                            f: f.clone(),
+                            imin,
+                            imax,
+                            b,
+                            pmax,
+                            p,
+                            ext_lo: 0,
+                            k_max,
+                        },
+                        Schedule::RepeatedScatter {
+                            f,
+                            imin,
+                            imax,
+                            b,
+                            pmax,
+                            p,
+                            ext_lo: 0,
+                            k_max,
+                        },
+                    );
+                    let mut walk = Vec::new();
+                    rs.for_each_range(&mut |lo, hi| walk.extend(lo..=hi));
+                    let runs = rs.offset_runs().unwrap();
+                    let expanded: Vec<i64> = runs
+                        .iter()
+                        .flat_map(|&(i, s, n)| (0..n).map(move |t| i + s * t))
+                        .collect();
+                    assert_eq!(expanded, walk, "a={a} c={c} b={b} pmax={pmax} p={p}");
+                    assert_eq!(rs.count(), walk.len() as u64);
+                    assert_eq!(rb.count(), walk.len() as u64);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1083,6 +1083,13 @@ fn report_trace(
         census.boundary_elems,
         census.remote_elems
     );
+    let recvs = plan.nodes.iter().flat_map(|n| &n.comm.recvs);
+    println!(
+        "trace: comm runs: {} planned runs in {} packets ({} elems)",
+        recvs.map(|pc| pc.runs.len()).sum::<usize>(),
+        dispatch.send_packets,
+        dispatch.send_elems
+    );
     let planned = compiled.simd_census(dist_opts.simd);
     let ran = report.simd_census();
     println!(

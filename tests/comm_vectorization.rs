@@ -187,11 +187,11 @@ fn block_scatter_to_block_travels_as_64_kib_packets() {
     dm.insert("A".into(), Decomp1::block(2, e));
     dm.insert("B".into(), Decomp1::block_scatter(16, 2, e));
     let plan = SpmdPlan::build(&cl, &dm).unwrap();
-    let runs: usize = (plan.nodes.iter().flat_map(|n| &n.comm.sends))
-        .map(|pc| pc.runs.len())
-        .sum();
+    // 4 096 block cycles, folded into one two-level run per packet
+    let runs = (plan.nodes.iter().flat_map(|n| &n.comm.sends)).flat_map(|pc| &pc.runs);
+    let cycles: u64 = runs.clone().map(|r| r.reps).sum();
     let packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
-    assert_eq!((runs, packets), (4096, 8));
+    assert_eq!((runs.count(), cycles, packets), (8, 4096, 8));
     let ctx = "bs16 -> block acceptance";
     let vect = run_checked(&plan, &cl, &env0, &dm, &reference, ctx).total();
     assert_eq!(vect.msgs_sent, n as u64 / 2);

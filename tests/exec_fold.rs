@@ -14,7 +14,10 @@
 use vcal_suite::core::{Array, Env};
 use vcal_suite::lang;
 use vcal_suite::machine::DistSession;
-use vcal_suite::spmd::{AccessPattern, CompiledSchedule, ExecRun, SpmdPlan};
+use vcal_suite::spmd::{
+    packetise, AccessPattern, CommRun, CompiledNode, CompiledSchedule, ExecRun, SpmdPlan,
+    PACKET_ELEMS,
+};
 
 const LAYOUTS: [&str; 3] = ["block", "scatter", "blockscatter(4)"];
 const OFFSETS: [i64; 9] = [1, -1, 3, 4, -4, 17, -17, 63, -63];
@@ -155,4 +158,113 @@ fn backward_entries_write_the_next_image() {
             assert_eq!(bits(&got), bits(env.get("V").unwrap()), "{src} V={v} U={u}");
         }
     }
+}
+
+/// Every two-level `CommRun` of `plan` as one run per rep, re-cut: the
+/// per-cycle plan the folded one stands for.
+fn per_cycle(plan: &SpmdPlan) -> SpmdPlan {
+    let mut flat = plan.clone();
+    for node in &mut flat.nodes {
+        for pc in node.comm.sends.iter_mut().chain(&mut node.comm.recvs) {
+            let reps = pc.runs.iter().flat_map(|r| (0..r.reps).map(|k| r.rep(k)));
+            pc.runs = reps.collect::<Vec<CommRun>>();
+            pc.cuts = packetise(&mut pc.runs, PACKET_ELEMS);
+        }
+    }
+    flat
+}
+
+/// Per outgoing packet, the local offsets it packs, in wire order.
+fn packed(cn: &CompiledNode) -> Vec<Vec<(usize, i64)>> {
+    let segs = cn.sends.iter().flat_map(|pair| &pair.packets);
+    segs.map(|segs| {
+        let mut out = Vec::new();
+        for seg in segs {
+            for k in 0..seg.reps as i64 {
+                let at = (0..seg.count).map(|t| (seg.slot, seg.pattern.offset(t) + k * seg.shift));
+                out.extend(at);
+            }
+        }
+        out
+    })
+    .collect()
+}
+
+/// Folding a pair's cycles into two-level `CommRun`s changes no table: the
+/// exec entries (in order), the write spans and the packed offsets equal
+/// those built from the per-cycle plan, over the `compile_sweep` matrix
+/// and `exchange`'s block-scatter(16) → block copy — while the receive
+/// runs shrink by at least 50× over the matrix.
+#[test]
+fn exec_tables_match_per_cycle_plan() {
+    let (mut folded, mut cycles) = (0usize, 0usize);
+    let mut check = |src: &str, spec: &str, what: &str| {
+        let spec = lang::parse_spec(spec).unwrap();
+        let clause = &lang::compile(src).unwrap()[0];
+        let plan = SpmdPlan::build(clause, &spec.decomps).unwrap();
+        let flat = per_cycle(&plan);
+        let recv_runs = |plan: &SpmdPlan| -> usize {
+            let pairs = plan.nodes.iter().flat_map(|n| &n.comm.recvs);
+            pairs.map(|pc| pc.runs.len()).sum()
+        };
+        folded += recv_runs(&plan);
+        cycles += recv_runs(&flat);
+        let cs = CompiledSchedule::compile_exec(&plan, clause, &spec.decomps);
+        let want = CompiledSchedule::compile_exec(&flat, clause, &spec.decomps);
+        for (got, want) in cs.nodes.iter().zip(&want.nodes) {
+            assert_eq!(got.exec, want.exec, "{what} p={}: {src}", got.p);
+            assert_eq!(got.write_spans, want.write_spans, "{what} p={}", got.p);
+            assert_eq!(packed(got), packed(want), "{what} p={}", got.p);
+            assert_eq!(
+                got.staging_packets, want.staging_packets,
+                "{what} p={}",
+                got.p
+            );
+        }
+    };
+    for pmax in [2, 3] {
+        for n in [64i64, 8192, 64 << 10] {
+            for v in LAYOUTS {
+                for u in LAYOUTS {
+                    let spec = format!(
+                        "processors {pmax};\narray V[0 to {0}] {v};\narray U[0 to {0}] {u};\n",
+                        n - 1
+                    );
+                    for src in programs(n) {
+                        check(&src, &spec, &format!("pmax={pmax} n={n} V={v} U={u}"));
+                    }
+                }
+            }
+        }
+    }
+    // block sizes off the matrix's, at more processors
+    let odd = [
+        ("blockscatter(3)", "blockscatter(16)"),
+        ("blockscatter(16)", "scatter"),
+        ("block", "blockscatter(5)"),
+    ];
+    for (pmax, (v, u)) in [3, 4].into_iter().flat_map(|p| odd.map(|vu| (p, vu))) {
+        let n = 8192;
+        let spec = format!(
+            "processors {pmax};\narray V[0 to {0}] {v};\narray U[0 to {0}] {u};\n",
+            n - 1
+        );
+        for src in programs(n) {
+            check(&src, &spec, &format!("pmax={pmax} n={n} V={v} U={u}"));
+        }
+    }
+    let n = 1 << 20;
+    let spec = format!(
+        "processors 2;\narray V[0 to {0}] block;\narray U[0 to {0}] blockscatter(16);\n",
+        n - 1
+    );
+    check(
+        &format!("for i := 0 to {} do V[i] := U[i]; od;", n - 1),
+        &spec,
+        "exchange",
+    );
+    assert!(
+        folded * 50 <= cycles,
+        "{folded} receive runs for {cycles} cycles"
+    );
 }

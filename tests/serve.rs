@@ -603,3 +603,39 @@ fn image_of_the_wrong_length_and_missing_image_are_typed() {
     assert_bit_identical(&resp.globals, &oracle(&sh, N, 1), "after the refusals");
     handle.stop();
 }
+
+/// A request whose clause reads outside an array's extent is refused,
+/// typed, before it runs, and costs the service nothing: with one slot
+/// and no queue, a second tenant's request still runs.
+#[test]
+fn out_of_extent_access_is_typed_and_leaks_no_slot() {
+    let handle = ServeHandle::start(ServeConfig {
+        concurrency: 1,
+        queue_depth: 0,
+        ..ServeConfig::default()
+    })
+    .expect("service start");
+    let sh = shape(N, 0, 0);
+    let mut client = ServeClient::connect(handle.addr(), "reckless").expect("connect");
+    let reach = par(
+        ArrayRef::d1("T", Fn1::identity()),
+        IndexSet::range(0, N - 1),
+        Expr::Ref(ArrayRef::d1("U", Fn1::shift(7))),
+    );
+    let req = ServeRequest::new(vec![reach], sh.decomps.clone(), sh.globals.clone(), 1);
+    match client.request(&req) {
+        Err(MachineError::PlanMismatch(why)) => assert!(
+            why.contains(&format!(
+                "array `U` is accessed at {}, outside its extent",
+                N + 6
+            )),
+            "{why}"
+        ),
+        other => panic!("expected a typed PlanMismatch, got {other:?}"),
+    }
+    let mut second = ServeClient::connect(handle.addr(), "bystander").expect("connect");
+    let req = ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), sh.globals.clone(), 1);
+    let resp = second.request(&req).expect("the slot came back");
+    assert_bit_identical(&resp.globals, &oracle(&sh, N, 1), "bystander");
+    handle.stop();
+}

@@ -436,3 +436,78 @@ fn closed_form_work_beats_naive() {
         );
     }
 }
+
+// ---- accesses outside the extent ------------------------------------------
+
+/// An access the loop drives outside its array's extent is refused by
+/// every planner entry point as a typed `OutOfExtent` — over block layouts
+/// (where it used to run and compute something), a block-scatter read
+/// (a sender panic) and a block-scatter write (a late part mismatch) —
+/// and a `DistSession` reports it before touching a part.
+#[test]
+fn out_of_extent_access_is_a_typed_plan_error() {
+    use vcal_suite::core::{Array, Env};
+    use vcal_suite::lang;
+    use vcal_suite::machine::{DistSession, MachineError};
+    use vcal_suite::spmd::{lower_nd, PlanError};
+    let cases = [
+        ("block", "block", "V[i] := U[i+7]", "U", 106),
+        ("block", "block", "V[i+5] := U[i]", "V", 104),
+        ("blockscatter(4)", "scatter", "V[i] := U[i+7]", "U", 106),
+        ("blockscatter(4)", "scatter", "V[i+5] := U[i]", "V", 104),
+    ];
+    for (v, u, body, array, value) in cases {
+        let spec = format!("processors 2;\narray V[0 to 99] {v};\narray U[0 to 99] {u};\n");
+        let spec = lang::parse_spec(&spec).unwrap();
+        let clause = &lang::compile(&format!("for i := 0 to 99 do {body}; od;")).unwrap()[0];
+        let want = PlanError::OutOfExtent {
+            array: array.into(),
+            value,
+            extent: (0, 99),
+        };
+        assert_eq!(
+            SpmdPlan::build(clause, &spec.decomps).unwrap_err(),
+            want,
+            "{body}"
+        );
+        assert_eq!(
+            SpmdPlan::build_naive(clause, &spec.decomps).unwrap_err(),
+            want,
+            "{body}"
+        );
+        let nd = (spec.decomps.iter())
+            .map(|(a, d)| {
+                (
+                    a.clone(),
+                    vcal_suite::decomp::DecompNd::new(vec![d.clone()]),
+                )
+            })
+            .collect();
+        assert_eq!(lower_nd(clause, &nd).unwrap_err(), want, "{body}");
+        let mut env = Env::new();
+        for (name, dec) in &spec.decomps {
+            env.insert(
+                name.clone(),
+                Array::from_fn(dec.extent(), |i| i.scalar() as f64),
+            );
+        }
+        let mut session = DistSession::new(&env, spec.decomps.clone()).unwrap();
+        match session.run(clause) {
+            Err(MachineError::PlanMismatch(why)) => assert_eq!(why, want.to_string()),
+            other => panic!("{body} V={v}: expected a typed refusal, got {other:?}"),
+        }
+        assert_eq!(
+            session.gather("V").unwrap().data(),
+            env.get("V").unwrap().data()
+        );
+    }
+    assert_eq!(
+        PlanError::OutOfExtent {
+            array: "U".into(),
+            value: 106,
+            extent: (0, 99)
+        }
+        .to_string(),
+        "array `U` is accessed at 106, outside its extent [0, 99]"
+    );
+}

@@ -395,3 +395,26 @@ fn bad_inputs_fail_cleanly() {
     assert!(stderr.contains("unknown flag `--overlap`"), "{stderr}");
     assert_eq!(stderr.matches("overlap").count(), 1, "{stderr}");
 }
+
+/// An access outside its array's extent is refused at plan time, before
+/// the sequential reference runs (it used to panic inside `Env`), on the
+/// single-run and the timestep-loop paths alike.
+#[test]
+fn out_of_extent_access_fails_cleanly() {
+    let p = write_temp("oob.vc", "for i := 0 to 99 do V[i] := U[i+7]; od;");
+    let s = write_temp(
+        "oob.dspec",
+        "processors 2;\narray V[0 to 99] blockscatter(4);\narray U[0 to 99] scatter;\n",
+    );
+    for extra in [&["--run"][..], &["--run", "--steps", "3"]] {
+        let mut args = vec![p.to_str().unwrap(), s.to_str().unwrap()];
+        args.extend(extra);
+        let (ok, _, stderr) = vcalc(&args);
+        assert!(!ok, "{extra:?}");
+        assert!(
+            stderr.contains("array `U` is accessed at 106, outside its extent [0, 99]"),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
