@@ -60,25 +60,36 @@ pub struct Decomp1 {
 
 impl Decomp1 {
     /// Create a decomposition of `extent` (a 1-D bounds box) over `pmax`
-    /// processors. Panics on invalid parameters.
+    /// processors. Panics on invalid parameters ([`Decomp1::try_new`]).
     pub fn new(dist: Distribution, pmax: i64, extent: Bounds) -> Self {
-        assert!(pmax >= 1, "need at least one processor");
-        assert_eq!(extent.dims(), 1, "Decomp1 needs a 1-D extent");
-        match dist {
-            Distribution::Block { b } | Distribution::BlockScatter { b } => {
-                assert!(b >= 1, "block size must be >= 1");
-                if let Distribution::Block { b } = dist {
-                    // a block decomposition must cover the extent
-                    assert!(
-                        b * pmax >= extent.count() as i64,
-                        "Block({b}) on {pmax} processors cannot hold {} elements",
-                        extent.count()
-                    );
-                }
-            }
-            Distribution::Scatter | Distribution::Replicated => {}
+        Decomp1::try_new(dist, pmax, extent).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Create a decomposition, or say why the parameters describe none
+    /// this code can represent: fewer than one processor, a block size
+    /// below 1, a block layout that cannot hold the extent, or a layout
+    /// cycle `b·pmax` beyond `i64`.
+    pub fn try_new(dist: Distribution, pmax: i64, extent: Bounds) -> Result<Self, String> {
+        if pmax < 1 {
+            return Err("need at least one processor".into());
         }
-        Decomp1 { dist, pmax, extent }
+        if extent.dims() != 1 {
+            return Err("Decomp1 needs a 1-D extent".into());
+        }
+        if let Distribution::Block { b } | Distribution::BlockScatter { b } = dist {
+            if b < 1 {
+                return Err(format!("block size {b} must be >= 1"));
+            }
+            let cycle = (b.checked_mul(pmax))
+                .ok_or_else(|| format!("{} on {pmax} processors overflows", dist.name()))?;
+            if matches!(dist, Distribution::Block { .. }) && cycle < extent.count() as i64 {
+                return Err(format!(
+                    "Block({b}) on {pmax} processors cannot hold {} elements",
+                    extent.count()
+                ));
+            }
+        }
+        Ok(Decomp1 { dist, pmax, extent })
     }
 
     /// Block decomposition with the canonical block size
@@ -488,5 +499,26 @@ mod tests {
     #[should_panic(expected = "cannot hold")]
     fn undersized_block_rejected() {
         let _ = Decomp1::new(Distribution::Block { b: 2 }, 4, Bounds::range(0, 14));
+    }
+
+    #[test]
+    fn unrepresentable_layouts_are_errors() {
+        let e = Bounds::range(0, 9);
+        let bs = |b| Distribution::BlockScatter { b };
+        for (dist, pmax, why) in [
+            (bs(1 << 62), 2, "overflows"),
+            (bs(4), 1 << 62, "overflows"),
+            (bs(3_074_457_345_618_258_603), 3, "overflows"),
+            (bs(i64::MAX), 2, "overflows"),
+            (bs(0), 2, ">= 1"),
+            (Distribution::Block { b: -1 }, 2, ">= 1"),
+            (Distribution::Block { b: 4 }, 2, "cannot hold"),
+            (Distribution::Scatter, 0, "processor"),
+        ] {
+            let err = Decomp1::try_new(dist, pmax, e).unwrap_err();
+            assert!(err.contains(why), "{dist:?} on {pmax}: {err}");
+        }
+        assert!(Decomp1::try_new(bs(1 << 61), 4, e).is_err());
+        assert!(Decomp1::try_new(bs(1 << 61), 3, e).is_ok());
     }
 }

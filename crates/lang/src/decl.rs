@@ -21,7 +21,7 @@
 use crate::lex::{lex, LexError, Tok};
 use std::fmt;
 use vcal_core::Bounds;
-use vcal_decomp::Decomp1;
+use vcal_decomp::{Decomp1, Distribution};
 use vcal_spmd::DecompMap;
 
 /// Errors from decomposition-spec parsing.
@@ -170,7 +170,8 @@ pub fn parse_spec(src: &str) -> Result<DecompSpec, DeclError> {
                 if !expect(&toks, &mut pos, &Tok::RParen) {
                     return Err(DeclError::Malformed("missing `)`".into()));
                 }
-                Decomp1::block_scatter(b, pmax, extent)
+                let dist = Distribution::BlockScatter { b };
+                Decomp1::try_new(dist, pmax, extent).map_err(DeclError::Malformed)?
             }
             other => {
                 return Err(DeclError::Malformed(format!(
@@ -192,7 +193,6 @@ pub fn parse_spec(src: &str) -> Result<DecompSpec, DeclError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcal_decomp::Distribution;
 
     const SPEC: &str = "\
         processors 8;\n\
@@ -256,5 +256,19 @@ mod tests {
             parse_spec("processors 4; array A[0 to 9] blockscatter;").unwrap_err(),
             DeclError::Malformed(_)
         ));
+        // layouts whose cycle `b·pmax` overflows
+        for (pmax, b) in [
+            (2i64, 1i64 << 62),
+            (1 << 62, 4),
+            (3, 3_074_457_345_618_258_603),
+            (2, i64::MAX),
+        ] {
+            let spec = format!("processors {pmax}; array U[0 to 9] blockscatter({b});");
+            let err = parse_spec(&spec).unwrap_err();
+            assert!(
+                matches!(&err, DeclError::Malformed(m) if m.contains("overflows")),
+                "{spec}: {err}"
+            );
+        }
     }
 }

@@ -602,7 +602,7 @@ fn dec_decomp(d: &mut Dec) -> R<Decomp1> {
     if extent.lo().dims() != 1 {
         return Err(bad("Decomp1 extent dimensionality"));
     }
-    Ok(Decomp1::new(dist, pmax, extent))
+    Decomp1::try_new(dist, pmax, extent).map_err(|e| CodecError(format!("malformed Decomp1: {e}")))
 }
 
 fn enc_decomps(e: &mut Enc, ds: &BTreeMap<String, Decomp1>) {
@@ -1832,6 +1832,25 @@ mod tests {
             enc_event(&mut e, &ev.kind);
             let back = dec_event(&mut Dec::new(&e.buf)).expect("a planned kind decodes");
             assert_eq!(back, ev.kind);
+        }
+    }
+
+    /// A decomposition `Decomp1::new` would refuse is a typed error on
+    /// the wire: a zero block, a block layout too short for its extent,
+    /// and a block-scatter cycle beyond `i64`.
+    #[test]
+    fn unrepresentable_decomp_is_a_typed_error() {
+        for (tag, b, pmax) in [(0u8, 0, 4), (2, 0, 4), (0, 2, 4), (2, 1 << 62, 2)] {
+            let mut e = Enc::new();
+            e.u8(tag);
+            e.i64(b);
+            e.i64(pmax);
+            enc_bounds(&mut e, &Bounds::range(0, 9));
+            let err = dec_decomp(&mut Dec::new(&e.buf)).expect_err("refused");
+            assert!(
+                err.0.contains("malformed Decomp1"),
+                "tag={tag} b={b}: {err}"
+            );
         }
     }
 

@@ -137,20 +137,18 @@ impl PreparedPlan {
 
     /// Whether node `p` commits this job as a *next image* of its
     /// `len`-element lhs part instead of staged [`WriteOp`]s: the clause
-    /// is unguarded and the plan's write spans exist, lie inside the part
-    /// and cover at least half of it (they hold `modify_iters` elements).
-    /// Half is where the two commits cost the host the same: an image
-    /// makes it copy the elements the node did not write, staging the
-    /// ones it did.
+    /// is unguarded, the node may ([`CompiledNode::can_write_image`]) and
+    /// the plan's write spans exist and lie inside the part.
+    ///
+    /// [`CompiledNode::can_write_image`]: vcal_spmd::CompiledNode::can_write_image
     pub(crate) fn writes_image(&self, p: usize, len: usize) -> bool {
         let Some(cn) = self.compiled.nodes.get(p) else {
             return false;
         };
-        len > 0
-            && matches!(self.rguard, RGuard::Always)
-            && cn.write_spans.as_ref().is_some_and(|spans| {
-                spans.last().is_none_or(|last| last.1 <= len) && 2 * cn.modify_iters >= len as u64
-            })
+        matches!(self.rguard, RGuard::Always)
+            && cn.can_write_image(len)
+            && (cn.write_spans.as_ref())
+                .is_some_and(|spans| spans.last().is_none_or(|last| last.1 <= len))
     }
 
     /// Rough resident size of the prepared tables — the byte charge the

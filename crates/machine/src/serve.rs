@@ -772,6 +772,49 @@ mod tests {
         assert_eq!(resp.globals["U"], oracle(64, 1));
     }
 
+    /// A request whose decomposition cannot be represented (a
+    /// block-scatter cycle `b·pmax` beyond `i64`) is answered with a typed
+    /// error under its own id and takes no admission slot: with one slot
+    /// and no queue, the next request runs.
+    #[test]
+    fn unrepresentable_decomp_is_typed_and_leaks_no_slot() {
+        let cfg = ServeConfig {
+            concurrency: 1,
+            queue_depth: 0,
+            ..ServeConfig::default()
+        };
+        let handle = ServeHandle::start(cfg).expect("service starts");
+        let mut client = ServeClient::connect(handle.addr(), "wide").expect("connects");
+        let (n, b) = (64, 0x0123_4567_89ab_cdef_i64);
+        let mut req = request(n, 1);
+        let dealt = Decomp1::block_scatter(b, 4, Bounds::range(0, n - 1));
+        req.decomps.insert("U".into(), dealt);
+        let mut bytes = enc_req(9, &req).expect("encodes");
+        let at = (bytes.windows(8))
+            .position(|w| w == b.to_le_bytes())
+            .expect("the block size is on the wire");
+        bytes[at..at + 8].copy_from_slice(&(1i64 << 62).to_le_bytes());
+        write_frame(&mut client.sock, K_SREQ, &bytes).expect("sends");
+        match client
+            .fbuf
+            .next_frame(&mut client.sock, Duration::from_secs(5))
+        {
+            Ok(Some((K_SRESP, payload))) => {
+                let resp = dec_resp(payload).expect("response decodes");
+                assert_eq!(resp.req_id, 9);
+                match resp.res {
+                    Err(MachineError::Transport { detail, .. }) => {
+                        assert!(detail.contains("Decomp1"), "{detail}")
+                    }
+                    other => panic!("expected a typed Transport error, got {other:?}"),
+                }
+            }
+            other => panic!("expected a response, got {other:?}"),
+        }
+        let resp = client.request(&request(n, 1)).expect("the slot is free");
+        assert_eq!(resp.globals["U"], oracle(n, 1));
+    }
+
     #[test]
     fn bad_wire_version_is_rejected_at_hello() {
         let handle = ServeHandle::start(ServeConfig::default()).expect("service starts");

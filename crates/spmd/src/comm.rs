@@ -13,9 +13,9 @@
 //! and both operands are schedules the optimizer already derived in
 //! closed form (Theorems 1–3). This module intersects them per ordered
 //! processor pair at *plan time* — using the lattice algebra of
-//! [`crate::setops`] when both schedules are arithmetic, and falling
-//! back to a single enumeration + run-coalescing pass otherwise — and
-//! stores the result as strided runs ([`CommRun`]) on each node plan.
+//! [`crate::setops`] when both schedules are arithmetic, and otherwise
+//! walking one lattice period of the send predicate and replaying it —
+//! and stores the result as strided runs ([`CommRun`]) on each node plan.
 //!
 //! Because the pair set is computed once and shared by sender and
 //! receiver, both sides agree on the exact packing order of every run
@@ -25,10 +25,12 @@
 //! `packets = elements`) and the receiver unpacks by
 //! `(source, packet, offset)` with no per-element tag matching.
 
+use crate::compiled::{IterRun, Tiling};
 use crate::program::NodePlan;
 use crate::schedule::Schedule;
 use vcal_core::func::Fn1;
-use vcal_decomp::Decomp1;
+use vcal_decomp::{Decomp1, Distribution};
+use vcal_numth::gcd;
 
 /// One coalesced run of loop indices, all belonging to a single read
 /// slot: `reps` repetitions of `start + step·t, t ∈ [0, count)`, rep `r`
@@ -216,7 +218,10 @@ pub struct NodeCommPlan {
     pub recvs: Vec<PairComm>,
     /// Read slots whose pair sets came from closed-form intersection.
     pub closed_form_slots: u64,
-    /// Read slots that needed the enumeration + coalescing fallback.
+    /// Read slots walked one lattice period at a time (both maps constant
+    /// or affine).
+    pub period_walked_slots: u64,
+    /// Read slots walked index by index (a map with no period).
     pub enumerated_slots: u64,
 }
 
@@ -255,11 +260,8 @@ fn push_runs(pairs: &mut Vec<PairComm>, peer: i64, runs: &[CommRun]) {
             pairs.len() - 1
         }
     };
-    let list = &mut pairs[at].runs;
     for r in runs {
-        if !list.last_mut().is_some_and(|last| last.absorb(r)) {
-            list.push(*r);
-        }
+        fold(&mut pairs[at].runs, *r);
     }
 }
 
@@ -285,16 +287,6 @@ fn schedule_to_runs(s: &Schedule, slot: usize, out: &mut Vec<CommRun>) -> bool {
     }
 }
 
-/// Greedily coalesce a sorted, deduplicated index list into arithmetic
-/// runs, as [`coalesce_ordered`](crate::compiled::coalesce_ordered) does.
-fn coalesce(v: &[i64], slot: usize) -> Vec<CommRun> {
-    let mut runs = Vec::new();
-    crate::compiled::coalesce_ordered(v, &mut runs);
-    (runs.iter())
-        .map(|r| CommRun::one(slot, r.start, r.step, r.count))
-        .collect()
-}
-
 /// Derive `Reside_p(slot) ∩ Modify_q` for every destination `q ≠ p` in
 /// closed form. `None` when any required intersection is not arithmetic.
 fn closed_form_slot(
@@ -316,42 +308,274 @@ fn closed_form_slot(
     Some(per_q)
 }
 
-/// Derive the same sets by one enumeration pass over the reside
-/// schedule, bucketing each index by the owner of its write target.
-fn enumerate_slot(
-    reside: &Schedule,
-    slot: usize,
-    f: &Fn1,
-    dec_lhs: &Decomp1,
-    p: usize,
-    pmax: usize,
-) -> Vec<Vec<CommRun>> {
-    let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); pmax];
-    reside.for_each(|i| {
-        let q = dec_lhs.proc_of(f.eval(i));
-        if q as usize != p {
-            buckets[q as usize].push(i);
-        }
-    });
-    buckets
-        .into_iter()
-        .map(|mut v| {
-            v.sort_unstable();
-            v.dedup();
-            coalesce(&v, slot)
-        })
-        .collect()
+/// One side of the send predicate: `i ↦ proc(h(i))` for an access `h`
+/// into an array laid out by `dec`.
+#[derive(Clone, Copy)]
+struct Side<'a> {
+    h: &'a Fn1,
+    dec: &'a Decomp1,
 }
 
-/// Build the per-node communication plans for a whole SPMD program.
+/// `⌈n / d⌉` for `d > 0`.
+fn ceil_div(n: i128, d: i128) -> i128 {
+    -(-n).div_euclid(d)
+}
+
+impl Side<'_> {
+    fn proc_at(&self, i: i64) -> i64 {
+        self.dec.proc_of(self.h.eval(i))
+    }
+
+    /// `(a, c)` with `h(i) = a·i + c`; `None` when `h` is neither
+    /// constant nor affine.
+    fn affine(&self) -> Option<(i64, i64)> {
+        match *self.h {
+            Fn1::Const(c) => Some((0, c)),
+            Fn1::Affine { a, c } => Some((a, c)),
+            _ => None,
+        }
+    }
+
+    /// Block size of the layout (1 for scatter; `None` when replicated).
+    fn block(&self) -> Option<i64> {
+        match self.dec.dist() {
+            Distribution::Block { b } | Distribution::BlockScatter { b } => Some(b),
+            Distribution::Scatter => Some(1),
+            Distribution::Replicated => None,
+        }
+    }
+
+    /// The period of `proc(h(i))` between breakpoints: `b·pmax / gcd(|a|,
+    /// b·pmax)` for a dealt layout, 1 for a constant owner or a block
+    /// layout. `None` when `h` has none, or it does not fit an `i64`.
+    fn period(&self) -> Option<i64> {
+        let (a, _) = self.affine()?;
+        match self.dec.dist() {
+            Distribution::Scatter | Distribution::BlockScatter { .. } if a != 0 => {
+                let cycle = self.block()?.checked_mul(self.dec.pmax())?;
+                Some(cycle / gcd(a, cycle))
+            }
+            _ => Some(1),
+        }
+    }
+
+    /// Push the indices of `(lo, hi]` where a block layout changes owner:
+    /// the first `i` past each block edge `h` crosses.
+    fn breaks(&self, lo: i64, hi: i64, out: &mut Vec<i64>) {
+        let (Some((a, c)), Distribution::Block { b }) = (self.affine(), self.dec.dist()) else {
+            return;
+        };
+        let (a, b) = (a as i128, b as i128);
+        let c0 = c as i128 - self.dec.extent().lo()[0] as i128;
+        let (x0, x1) = (a * lo as i128 + c0, a * hi as i128 + c0);
+        for k in x0.min(x1).div_euclid(b) + 1..=x0.max(x1).div_euclid(b) {
+            let i = if a > 0 {
+                ceil_div(k * b - c0, a)
+            } else {
+                ceil_div(c0 - k * b + 1, -a)
+            };
+            out.push(i as i64);
+        }
+    }
+
+    /// The first index of `[i, hi]` that this side maps to `p`. An affine
+    /// `h` jumps straight to the next block of `p` in the direction it
+    /// moves; any other map tests each index.
+    fn next_on(&self, mut i: i64, hi: i64, p: i64) -> Option<i64> {
+        while i <= hi {
+            if self.proc_at(i) == p {
+                return Some(i);
+            }
+            let Some((a, c)) = self.affine() else {
+                i = i.checked_add(1)?;
+                continue;
+            };
+            let b = self.block().filter(|_| a != 0)? as i128;
+            let (a, p, pmax) = (a as i128, p as i128, self.dec.pmax() as i128);
+            let c0 = c as i128 - self.dec.extent().lo()[0] as i128;
+            let k = (a * i as i128 + c0).div_euclid(b);
+            let dealt = !matches!(self.dec.dist(), Distribution::Block { .. });
+            let k = match (a > 0, dealt) {
+                (true, true) => k + (p - k).rem_euclid(pmax),
+                (false, true) => k - (k - p).rem_euclid(pmax),
+                (true, false) if k < p => p,
+                (false, false) if k > p => p,
+                _ => return None,
+            };
+            let j = if a > 0 {
+                ceil_div(k * b - c0, a)
+            } else {
+                ceil_div(c0 - k * b - b + 1, -a)
+            };
+            i = i64::try_from(j).ok()?;
+        }
+        None
+    }
+}
+
+/// Append `r` to `runs`, as one more rep of the last run where it fits;
+/// whether it did.
+fn fold(runs: &mut Vec<CommRun>, r: CommRun) -> bool {
+    let absorbed = runs.last_mut().is_some_and(|last| last.absorb(&r));
+    if !absorbed {
+        runs.push(r);
+    }
+    absorbed
+}
+
+/// The destinations' coalescers during one slot's walk: per `q`, the
+/// open run, the runs emitted so far (folded) and those emitted since
+/// the current period began.
+struct Walk {
+    slot: usize,
+    tiles: Vec<Tiling>,
+    runs: Vec<Vec<CommRun>>,
+    fresh: Vec<Vec<IterRun>>,
+}
+
+impl Walk {
+    /// Feed every index of `[lo, hi]` that `read` maps to `p` to the
+    /// coalescer of its write owner `q ≠ p`, in ascending order.
+    fn walk(&mut self, read: Side, lhs: Side, p: usize, lo: i64, hi: i64) {
+        let mut at = Some(lo);
+        while let Some(i) = at.and_then(|i| read.next_on(i, hi, p as i64)) {
+            let q = lhs.proc_at(i) as usize;
+            if q != p {
+                let (runs, fresh, slot) = (&mut self.runs[q], &mut self.fresh[q], self.slot);
+                self.tiles[q].push(IterRun::span(i, i), &[], &mut |r, _| {
+                    fresh.push(r);
+                    fold(runs, CommRun::one(slot, r.start, r.step, r.count));
+                });
+            }
+            at = i.checked_add(1);
+        }
+    }
+
+    /// Walk one segment, where the send predicate is `l`-periodic. After
+    /// each full period, when every coalescer's open run is the one of
+    /// the period before shifted by `l` (so the period emitted its
+    /// predecessor's runs shifted by `l`), or the same run grown by `l`
+    /// or not at all (so it emitted nothing), every remaining full period
+    /// does the same again: replay it instead of walking it.
+    fn segment(&mut self, read: Side, lhs: Side, p: usize, lo: i64, hi: i64, l: Option<i64>) {
+        let Some(l) = l else {
+            return self.walk(read, lhs, p, lo, hi);
+        };
+        let (mut start, mut was) = (lo, None::<Vec<Option<IterRun>>>);
+        loop {
+            // full periods left before `hi`, which the tail walk takes
+            let left = ((hi as i128 - start as i128) / l as i128) as i64;
+            if left == 0 {
+                return self.walk(read, lhs, p, start, hi);
+            }
+            if let Some(was) = was.as_deref().filter(|was| self.steady(was, l)) {
+                self.replay(was, l, left);
+                return self.walk(read, lhs, p, start + left * l, hi);
+            }
+            was = Some(self.tiles.iter().map(|t| t.cur).collect());
+            self.fresh.iter_mut().for_each(Vec::clear);
+            self.walk(read, lhs, p, start, start + (l - 1));
+            start += l;
+        }
+    }
+
+    fn steady(&self, was: &[Option<IterRun>], l: i64) -> bool {
+        let now = self.tiles.iter().map(|t| t.cur);
+        was.iter().zip(now).all(|(was, now)| match (was, now) {
+            (None, None) => true,
+            (Some(w), Some(n)) if w.step == n.step => {
+                let grown = n.count - w.count;
+                (grown == 0 && n.start - w.start == l)
+                    || (n.start == w.start && (grown == 0 || n.step * grown == l))
+            }
+            _ => false,
+        })
+    }
+
+    /// Do `m` more periods as the last one did, each `l` further on.
+    fn replay(&mut self, was: &[Option<IterRun>], l: i64, m: i64) {
+        for (q, was) in was.iter().enumerate() {
+            let (Some(cur), Some(was)) = (self.tiles[q].cur.as_mut(), was) else {
+                continue;
+            };
+            if cur.start == was.start {
+                cur.count += m * (cur.count - was.count);
+                continue;
+            }
+            cur.start += m * l;
+            let (fresh, runs) = (&self.fresh[q], &mut self.runs[q]);
+            'periods: for k in 1..=m {
+                for r in fresh {
+                    let r = CommRun::one(self.slot, r.start + k * l, r.step, r.count);
+                    // one run folding into its predecessor folds every time
+                    if fold(runs, r) && fresh.len() == 1 {
+                        runs.last_mut().expect("just folded").reps += (m - k) as u64;
+                        break 'periods;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Derive `Reside_p(slot) ∩ Modify_q` for every `q ≠ p` by walking the
+/// loop range in ascending order, with no sort: the indices `read` maps
+/// to `p`, bucketed by their `lhs` owner and coalesced greedily, as
+/// `coalesce_ordered` would the sorted sets. With both maps constant or
+/// affine the predicate is periodic between the block layouts'
+/// breakpoints, and each segment walks only until its period repeats
+/// ([`Walk::segment`]). Also returns whether it was.
+fn walk_slot(
+    read: Side,
+    lhs: Side,
+    p: usize,
+    slot: usize,
+    (imin, imax): (i64, i64),
+) -> (Vec<Vec<CommRun>>, bool) {
+    let pmax = lhs.dec.pmax() as usize;
+    let period =
+        (read.period().zip(lhs.period())).and_then(|(x, y)| (x / gcd(x, y)).checked_mul(y));
+    let mut cuts = vec![imin];
+    read.breaks(imin, imax, &mut cuts);
+    lhs.breaks(imin, imax, &mut cuts);
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut w = Walk {
+        slot,
+        tiles: (0..pmax).map(|_| Tiling::default()).collect(),
+        runs: vec![Vec::new(); pmax],
+        fresh: vec![Vec::new(); pmax],
+    };
+    for (k, &lo) in cuts.iter().enumerate() {
+        let hi = cuts.get(k + 1).map_or(imax, |next| next - 1);
+        w.segment(read, lhs, p, lo, hi, period);
+    }
+    for (tile, runs) in w.tiles.iter_mut().zip(&mut w.runs) {
+        tile.flush(&mut |r, _| {
+            fold(runs, CommRun::one(slot, r.start, r.step, r.count));
+        });
+    }
+    (w.runs, period.is_some())
+}
+
+/// Build the per-node communication plans for a whole SPMD program whose
+/// clause writes through `f` into `dec_lhs` and reads slot `s` from
+/// `dec_reads[s]`, over the loop range `bounds`.
 ///
 /// Each ordered pair set is derived exactly once and pushed to both the
 /// sender's `sends` and the receiver's `recvs`, so the two sides hold
 /// identical run lists in identical order — and, the cut being a function
 /// of the run list alone, identical packets: the invariant the vectorized
 /// executor's `(source, packet, offset)` addressing relies on.
-pub fn plan_comm(nodes: &[NodePlan], f: &Fn1, dec_lhs: &Decomp1) -> Vec<NodeCommPlan> {
+pub fn plan_comm(
+    nodes: &[NodePlan],
+    f: &Fn1,
+    dec_lhs: &Decomp1,
+    dec_reads: &[&Decomp1],
+    bounds: (i64, i64),
+) -> Vec<NodeCommPlan> {
     let pmax = nodes.len();
+    let lhs = Side { h: f, dec: dec_lhs };
     let mut plans: Vec<NodeCommPlan> = vec![NodeCommPlan::default(); pmax];
     for (p, node) in nodes.iter().enumerate() {
         for (slot, rp) in node.resides.iter().enumerate() {
@@ -365,8 +589,17 @@ pub fn plan_comm(nodes: &[NodePlan], f: &Fn1, dec_lhs: &Decomp1) -> Vec<NodeComm
                     per_q
                 }
                 None => {
-                    plans[p].enumerated_slots += 1;
-                    enumerate_slot(reside, slot, f, dec_lhs, p, pmax)
+                    let read = Side {
+                        h: &rp.g,
+                        dec: dec_reads[slot],
+                    };
+                    let (per_q, periodic) = walk_slot(read, lhs, p, slot, bounds);
+                    *if periodic {
+                        &mut plans[p].period_walked_slots
+                    } else {
+                        &mut plans[p].enumerated_slots
+                    } += 1;
+                    per_q
                 }
             };
             for (q, runs) in per_q.iter().enumerate() {
@@ -392,6 +625,44 @@ pub fn plan_comm(nodes: &[NodePlan], f: &Fn1, dec_lhs: &Decomp1) -> Vec<NodeComm
 mod tests {
     use super::*;
     use crate::program::{DecompMap, SpmdPlan};
+
+    /// Greedily coalesce a sorted, deduplicated index list into arithmetic
+    /// runs, as [`coalesce_ordered`](crate::compiled::coalesce_ordered) does.
+    fn coalesce(v: &[i64], slot: usize) -> Vec<CommRun> {
+        let mut runs = Vec::new();
+        crate::compiled::coalesce_ordered(v, &mut runs);
+        (runs.iter())
+            .map(|r| CommRun::one(slot, r.start, r.step, r.count))
+            .collect()
+    }
+
+    /// The element walk the period walk replaces: every index of the
+    /// reside schedule, bucketed by the owner of its write target, each
+    /// bucket sorted, deduplicated and coalesced.
+    fn enumerate_slot(
+        reside: &Schedule,
+        slot: usize,
+        f: &Fn1,
+        dec_lhs: &Decomp1,
+        p: usize,
+        pmax: usize,
+    ) -> Vec<Vec<CommRun>> {
+        let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); pmax];
+        reside.for_each(|i| {
+            let q = dec_lhs.proc_of(f.eval(i));
+            if q as usize != p {
+                buckets[q as usize].push(i);
+            }
+        });
+        buckets
+            .into_iter()
+            .map(|mut v| {
+                v.sort_unstable();
+                v.dedup();
+                coalesce(&v, slot)
+            })
+            .collect()
+    }
     use vcal_core::{ArrayRef, Bounds, Clause, Expr, Guard, IndexSet, Ordering};
 
     fn copy_clause(imin: i64, imax: i64, f: Fn1, g: Fn1) -> Clause {
@@ -641,17 +912,30 @@ mod tests {
         assert!(elems >= 10 * packets, "elems={elems} packets={packets}");
     }
 
+    /// A naive plan has no closed-form reside sets: an affine one walks
+    /// by period, and one whose read has no period walks index by index.
     #[test]
-    fn naive_plans_fall_back_to_enumeration() {
+    fn naive_plans_walk_by_period_unless_a_map_has_none() {
         let n = 64i64;
-        let clause = copy_clause(0, n - 1, Fn1::identity(), Fn1::identity());
         let dm = decomps(
             Decomp1::block(4, Bounds::range(0, n - 1)),
             Decomp1::scatter(4, Bounds::range(0, n - 1)),
         );
-        let plan = SpmdPlan::build_naive(&clause, &dm).unwrap();
-        let enumerated: u64 = plan.nodes.iter().map(|n| n.comm.enumerated_slots).sum();
-        assert!(enumerated > 0);
+        let slots = |g: Fn1| {
+            let clause = copy_clause(0, 7, Fn1::identity(), g);
+            let plan = SpmdPlan::build_naive(&clause, &dm).unwrap();
+            let sum = |count: fn(&NodeCommPlan) -> u64| -> u64 {
+                plan.nodes.iter().map(|n| count(&n.comm)).sum()
+            };
+            (
+                sum(|c| c.closed_form_slots),
+                sum(|c| c.period_walked_slots),
+                sum(|c| c.enumerated_slots),
+            )
+        };
+        assert_eq!(slots(Fn1::identity()), (0, 4, 0));
+        let square = Fn1::Square(Box::new(Fn1::identity()));
+        assert_eq!(slots(square), (0, 0, 4));
     }
 
     #[test]
@@ -679,5 +963,147 @@ mod tests {
         }
         assert_eq!(expanded, v);
         assert!(runs.len() <= 3, "{runs:?}");
+    }
+
+    /// The plans `plan_comm` made before the period walk: every slot
+    /// without a closed form walked element by element.
+    fn plan_by_elements(plan: &SpmdPlan, dec_lhs: &Decomp1) -> Vec<NodeCommPlan> {
+        let pmax = plan.nodes.len();
+        let mut plans = vec![NodeCommPlan::default(); pmax];
+        for (p, node) in plan.nodes.iter().enumerate() {
+            for (slot, rp) in node.resides.iter().enumerate() {
+                if rp.replicated {
+                    continue;
+                }
+                let reside = &rp.opt.schedule;
+                let per_q = closed_form_slot(&plan.nodes, p, slot, reside)
+                    .unwrap_or_else(|| enumerate_slot(reside, slot, &plan.f, dec_lhs, p, pmax));
+                for (q, runs) in per_q.iter().enumerate() {
+                    if q != p && !runs.is_empty() {
+                        push_runs(&mut plans[p].sends, q as i64, runs);
+                        push_runs(&mut plans[q].recvs, p as i64, runs);
+                    }
+                }
+            }
+        }
+        for plan in &mut plans {
+            plan.sends.sort_by_key(|pc| pc.peer);
+            plan.recvs.sort_by_key(|pc| pc.peer);
+            for pc in plan.sends.iter_mut().chain(&mut plan.recvs) {
+                pc.cuts = packetise(&mut pc.runs, PACKET_ELEMS);
+            }
+        }
+        plans
+    }
+
+    /// Build `clause` both ways and check the period walk against the
+    /// element walk, run for run and cut for cut.
+    fn check_walk(clause: &Clause, dm: &DecompMap, naive: bool) {
+        let plan = if naive {
+            SpmdPlan::build_naive(clause, dm).unwrap()
+        } else {
+            SpmdPlan::build(clause, dm).unwrap()
+        };
+        let want = plan_by_elements(&plan, &dm["A"]);
+        for (node, want) in plan.nodes.iter().zip(want) {
+            let what = format!(
+                "{clause} A={} B={} naive={naive} p={}",
+                dm["A"], dm["B"], node.p
+            );
+            assert_eq!(node.comm.sends, want.sends, "{what}");
+            assert_eq!(node.comm.recvs, want.recvs, "{what}");
+            assert_eq!(node.comm.enumerated_slots, 0, "{what}");
+        }
+    }
+
+    /// The loop range over which `f` and `g` stay inside `[0, n)`.
+    fn inside(n: i64, maps: [&Fn1; 2]) -> Option<(i64, i64)> {
+        use vcal_numth::{div_ceil, div_floor};
+        let (mut lo, mut hi) = (-4 * n, 4 * n);
+        for h in maps {
+            match *h {
+                Fn1::Affine { a, c } if a > 0 => {
+                    lo = lo.max(div_ceil(-c, a));
+                    hi = hi.min(div_floor(n - 1 - c, a));
+                }
+                Fn1::Affine { a, c } => {
+                    lo = lo.max(div_ceil(c - (n - 1), -a));
+                    hi = hi.min(div_floor(c, -a));
+                }
+                _ => {}
+            }
+        }
+        (lo <= hi).then_some((lo, hi))
+    }
+
+    /// Bounded-exhaustive: constant and affine maps with `a ∈ ±{1, 2, 3}`
+    /// on both sides, block, scatter and block-scatter(b ≤ 8) layouts on
+    /// both arrays, two to four processors, optimized and naive plans.
+    #[test]
+    fn period_walk_equals_the_element_walk() {
+        let n = 64i64;
+        let e = Bounds::range(0, n - 1);
+        let mut maps = vec![Fn1::Const(5), Fn1::Const(n - 1)];
+        for a in [1, 2, 3] {
+            for c in [0, 1, 7] {
+                maps.push(Fn1::affine(a, c));
+                maps.push(Fn1::affine(-a, n - 1 - c));
+            }
+        }
+        let mut checked = 0;
+        for pmax in [2, 3, 4] {
+            let mut layouts = vec![Decomp1::block(pmax, e), Decomp1::scatter(pmax, e)];
+            layouts.extend([2, 3, 4, 5, 8].map(|b| Decomp1::block_scatter(b, pmax, e)));
+            for (da, db) in layouts
+                .iter()
+                .flat_map(|a| layouts.iter().map(move |b| (a, b)))
+            {
+                let dm = decomps(da.clone(), db.clone());
+                for f in &maps {
+                    for g in &maps {
+                        let Some((lo, hi)) = inside(n, [f, g]) else {
+                            continue;
+                        };
+                        let clause = copy_clause(lo, hi, f.clone(), g.clone());
+                        check_walk(&clause, &dm, false);
+                        if checked % 4 == 0 {
+                            check_walk(&clause, &dm, true);
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 20_000, "only {checked} clauses");
+    }
+
+    /// Longer ranges, where whole periods replay and single runs fold in
+    /// bulk: seeded random affine clauses, block sizes up to 40.
+    #[test]
+    fn period_walk_replays_long_ranges_exactly() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: i64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            ((state >> 33) % m as u64) as i64
+        };
+        for _ in 0..300 {
+            let (n, pmax) = (200 + next(2800), 2 + next(4));
+            let e = Bounds::range(0, n - 1);
+            let layout = |next: &mut dyn FnMut(i64) -> i64| match next(3) {
+                0 => Decomp1::block(pmax, e),
+                1 => Decomp1::scatter(pmax, e),
+                _ => Decomp1::block_scatter(1 + next(40), pmax, e),
+            };
+            let dm = decomps(layout(&mut next), layout(&mut next));
+            let map = |next: &mut dyn FnMut(i64) -> i64| {
+                let a = [1, -1, 2, -2, 3, -3][next(6) as usize];
+                Fn1::affine(a, if a > 0 { next(9) } else { n - 1 - next(9) })
+            };
+            let (f, g) = (map(&mut next), map(&mut next));
+            let (lo, hi) = inside(n, [&f, &g]).unwrap();
+            check_walk(&copy_clause(lo, hi, f, g), &dm, false);
+        }
     }
 }

@@ -422,10 +422,20 @@ pub struct CompiledNode {
     /// The local offsets `exec` writes as sorted, disjoint, merged spans
     /// ([`write_spans`]). When `Some` they hold exactly `modify_iters`
     /// elements and the runs' execution order cannot change the result.
+    /// Not built for a node that could not commit by them
+    /// ([`CompiledNode::can_write_image`]).
     pub write_spans: Option<Vec<(usize, usize)>>,
 }
 
 impl CompiledNode {
+    /// Whether this node's writes may commit as a next image of its
+    /// `len`-element lhs part: they cover at least half of it. Half is
+    /// where the two commits cost the host the same: an image makes it
+    /// copy the elements the node did not write, staging the ones it did.
+    pub fn can_write_image(&self, len: usize) -> bool {
+        len > 0 && 2 * self.modify_iters >= len as u64
+    }
+
     /// Rough resident size of this node's tables: a fixed charge per
     /// run plus the explicit offsets of every non-affine pattern. An
     /// estimate for cache budgets, not an allocator census.
@@ -598,7 +608,9 @@ impl CompiledSchedule {
         let injective = is_injective(&plan.f);
         for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
             cn.exec = build_exec(node, &cn.modify, &plan.f, dec_lhs, &dec_reads);
-            cn.write_spans = write_spans(&cn.exec, injective);
+            if cn.can_write_image(dec_lhs.local_count(node.p) as usize) {
+                cn.write_spans = write_spans(&cn.exec, injective);
+            }
         }
         cs.kernel = Some(kernel);
         cs
@@ -1155,13 +1167,14 @@ pub(crate) type Sig = Vec<Option<Origin>>;
 /// the schedule happened to be cut into modify runs. Finished runs go
 /// to `emit` with their signature.
 #[derive(Default)]
-struct Tiling {
-    cur: Option<IterRun>,
+pub(crate) struct Tiling {
+    /// The open run, not yet emitted.
+    pub(crate) cur: Option<IterRun>,
     sig: Sig,
 }
 
 impl Tiling {
-    fn push(
+    pub(crate) fn push(
         &mut self,
         mut piece: IterRun,
         sig: &[Option<Origin>],
@@ -1208,7 +1221,7 @@ impl Tiling {
         self.sig.extend_from_slice(sig);
     }
 
-    fn flush(&mut self, emit: &mut impl FnMut(IterRun, &Sig)) {
+    pub(crate) fn flush(&mut self, emit: &mut impl FnMut(IterRun, &Sig)) {
         if let Some(run) = self.cur.take() {
             emit(run, &self.sig);
         }
@@ -1623,11 +1636,11 @@ pub fn decomp_fingerprint<'a>(
 /// Test oracle for [`CompiledNode::write_spans`], shared with the n-D
 /// lowering's tests: the table equals the set of local offsets the
 /// node's entries write, expanded rep by rep and element by element; it
-/// is absent exactly when two writes hit one element or, unless `f` is
-/// `injective`, some rep is not contiguous; and
-/// [`CompiledNode::approx_bytes`] counts it.
+/// is absent exactly when the node is not `eligible` to commit by it,
+/// two writes hit one element or, unless `f` is `injective`, some rep is
+/// not contiguous; and [`CompiledNode::approx_bytes`] counts it.
 #[cfg(test)]
-pub(crate) fn check_write_spans(cn: &CompiledNode, injective: bool, what: &str) {
+pub(crate) fn check_write_spans(cn: &CompiledNode, injective: bool, eligible: bool, what: &str) {
     let mut written: Vec<i64> = Vec::new();
     let mut strided = Vec::new();
     for er in &cn.exec {
@@ -1645,7 +1658,7 @@ pub(crate) fn check_write_spans(cn: &CompiledNode, injective: bool, what: &str) 
     }
     written.sort_unstable();
     let disjoint = written.windows(2).all(|w| w[0] != w[1]);
-    let representable = disjoint && (injective || strided.is_empty());
+    let representable = eligible && disjoint && (injective || strided.is_empty());
     let Some(spans) = &cn.write_spans else {
         assert!(!representable, "{what} p={}: no span table", cn.p);
         return;
@@ -1855,7 +1868,8 @@ mod tests {
         let injective = is_injective(&plan.f);
         for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
             let p = node.p;
-            check_write_spans(cn, injective, what);
+            let len = dm[&plan.lhs_array].local_count(p) as usize;
+            check_write_spans(cn, injective, cn.can_write_image(len), what);
             let origin = brute_origin(node);
             let mut seq = visit_order(&cn.modify);
             // (a) the entries tile Modify_p: in visit order when the
@@ -2031,7 +2045,8 @@ mod tests {
                 let plan = SpmdPlan::build(clause, &dm).unwrap();
                 let cs = CompiledSchedule::compile_exec(&plan, clause, &dm);
                 for cn in &cs.nodes {
-                    check_write_spans(cn, is_injective(&plan.f), &format!("{clause}"));
+                    let eligible = cn.can_write_image(dm["A"].local_count(cn.p) as usize);
+                    check_write_spans(cn, is_injective(&plan.f), eligible, &format!("{clause}"));
                 }
                 cs.nodes.into_iter().map(|cn| cn.write_spans).collect()
             };
@@ -2058,9 +2073,10 @@ mod tests {
         scaled.lhs = ArrayRef::d1("A", Fn1::Scaled { a: 2, c: 1, inner });
         let none = spans_of(&scaled, Decomp1::block(2, e), Decomp1::block(2, e));
         assert_eq!(none, [None, None]);
-        // ... but over scatter(2) the odd elements are node 1's whole part
+        // ... but over scatter(2) the odd elements are node 1's whole part,
+        // and node 0, which writes none of its part, gets no table
         let odd = spans_of(&strided, Decomp1::scatter(2, e), Decomp1::block(2, e));
-        assert_eq!(odd, [Some(vec![]), Some(vec![(0, 48)])]);
+        assert_eq!(odd, [None, Some(vec![(0, 48)])]);
         // every iteration writes A[7]: the runs collide
         let collide = copy_clause(0, n - 1, Fn1::Const(7), Fn1::identity());
         let none = spans_of(&collide, Decomp1::block(2, e), Decomp1::block(2, e));

@@ -948,7 +948,7 @@ mod tests {
             }
             // every Modify point exactly once, in row-major order
             assert_eq!(got, want, "{what} p={p}");
-            crate::compiled::check_write_spans(cn, false, &what);
+            crate::compiled::check_write_spans(cn, false, true, &what);
             assert_eq!(cn.modify_iters, want.len() as u64);
         }
         // send multiset = recv multiset per pair, cut into the same

@@ -261,7 +261,8 @@ impl SpmdPlan {
             })
             .collect::<Vec<_>>();
 
-        let comms = crate::comm::plan_comm(&nodes, &f, dec_lhs);
+        let dec_reads: Vec<&Decomp1> = reads.iter().map(|(a, _)| &decomps[a]).collect();
+        let comms = crate::comm::plan_comm(&nodes, &f, dec_lhs, &dec_reads, (imin, imax));
         for (node, comm) in nodes.iter_mut().zip(comms) {
             node.comm = comm;
         }

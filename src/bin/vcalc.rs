@@ -50,7 +50,7 @@ use vcal_suite::machine::{
     ProgramStep, ScheduleMode, ServeClient, ServeConfig, ServeHandle, ServeRequest, SimdPolicy,
     TransportKind, TuneOptions, NULL_TRACER,
 };
-use vcal_suite::spmd::{emit, PlanSummary, SpmdPlan};
+use vcal_suite::spmd::{emit, NodeCommPlan, PlanSummary, SpmdPlan};
 
 struct Options {
     program_path: String,
@@ -1089,6 +1089,15 @@ fn report_trace(
         recvs.map(|pc| pc.runs.len()).sum::<usize>(),
         dispatch.send_packets,
         dispatch.send_elems
+    );
+    let slots = |count: fn(&NodeCommPlan) -> u64| -> u64 {
+        plan.nodes.iter().map(|n| count(&n.comm)).sum()
+    };
+    println!(
+        "trace: comm sets: {} closed-form, {} period-walked, {} element-walked slots",
+        slots(|c| c.closed_form_slots),
+        slots(|c| c.period_walked_slots),
+        slots(|c| c.enumerated_slots)
     );
     let planned = compiled.simd_census(dist_opts.simd);
     let ran = report.simd_census();

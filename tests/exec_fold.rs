@@ -12,6 +12,7 @@
 //! block-scatter(4) at `n = 64`.
 
 use vcal_suite::core::{Array, Env};
+use vcal_suite::decomp::Decomp1;
 use vcal_suite::lang;
 use vcal_suite::machine::DistSession;
 use vcal_suite::spmd::{
@@ -267,4 +268,94 @@ fn exec_tables_match_per_cycle_plan() {
         folded * 50 <= cycles,
         "{folded} receive runs for {cycles} cycles"
     );
+}
+
+/// Greedy element-at-a-time coalescing of an ascending index list into
+/// `(start, step, count)` runs: two elements always form a run, a third
+/// joins only if it continues the stride.
+fn coalesce(v: &[i64]) -> Vec<(i64, i64, i64)> {
+    let mut out: Vec<(i64, i64, i64)> = Vec::new();
+    for &i in v {
+        match out.last_mut() {
+            Some((start, step, count)) if *count == 1 => (*step, *count) = (i - *start, 2),
+            Some((start, step, count)) if i == *start + *step * *count => *count += 1,
+            _ => out.push((i, 1, 1)),
+        }
+    }
+    out
+}
+
+/// The plan's send runs equal, rep for rep, those of the element walk:
+/// each reside index tested for its write owner, each `(peer, slot)`
+/// bucket sorted and coalesced greedily.
+fn check_element_walk(plan: &SpmdPlan, dec_lhs: &Decomp1, what: &str) {
+    for node in &plan.nodes {
+        let mut want = Vec::new();
+        for (slot, rp) in node.resides.iter().enumerate() {
+            let mut buckets = vec![Vec::new(); plan.nodes.len()];
+            rp.opt.schedule.for_each(|i| {
+                let q = dec_lhs.proc_of(plan.f.eval(i));
+                if q != node.p {
+                    buckets[q as usize].push(i);
+                }
+            });
+            for (q, mut v) in buckets.into_iter().enumerate() {
+                v.sort_unstable();
+                v.dedup();
+                want.extend(coalesce(&v).into_iter().map(|r| (q as i64, slot, r)));
+            }
+        }
+        want.sort_unstable();
+        let mut got = Vec::new();
+        for pc in &node.comm.sends {
+            for r in &pc.runs {
+                let rep = |k: u64| (r.start + k as i64 * r.stride, r.step, r.count);
+                got.extend((0..r.reps).map(|k| (pc.peer, r.slot, rep(k))));
+            }
+        }
+        // a stable sort: inside a pair and slot the wire order stays, and
+        // it is the ascending order of the element walk's runs
+        got.sort_by_key(|&(q, slot, _)| (q, slot));
+        assert_eq!(got, want, "{what} p={}", node.p);
+    }
+}
+
+/// No slot of the `compile_sweep` matrix walks its reside set element by
+/// element, and the period walk plans exactly what that walk did — over
+/// the matrix and both ways between block and block-scatter(16) at 1 Mi.
+#[test]
+fn comm_sets_walk_periods_and_match_the_element_walk() {
+    let check = |src: &str, spec: &str, what: &str| {
+        let spec = lang::parse_spec(spec).unwrap();
+        let clause = &lang::compile(src).unwrap()[0];
+        let plan = SpmdPlan::build(clause, &spec.decomps).unwrap();
+        for node in &plan.nodes {
+            assert_eq!(node.comm.enumerated_slots, 0, "{what} p={}: {src}", node.p);
+        }
+        check_element_walk(&plan, &spec.decomps[&plan.lhs_array], what);
+    };
+    for pmax in [2, 3] {
+        for n in [64i64, 8192] {
+            for v in LAYOUTS {
+                for u in LAYOUTS {
+                    let spec = format!(
+                        "processors {pmax};\narray V[0 to {0}] {v};\narray U[0 to {0}] {u};\n",
+                        n - 1
+                    );
+                    for src in programs(n) {
+                        check(&src, &spec, &format!("pmax={pmax} n={n} V={v} U={u}"));
+                    }
+                }
+            }
+        }
+    }
+    let n = 1 << 20;
+    for (v, u) in [("block", "blockscatter(16)"), ("blockscatter(16)", "block")] {
+        let spec = format!(
+            "processors 2;\narray V[0 to {0}] {v};\narray U[0 to {0}] {u};\n",
+            n - 1
+        );
+        let src = format!("for i := 0 to {} do V[i] := U[i]; od;", n - 1);
+        check(&src, &spec, &format!("n={n} V={v} U={u}"));
+    }
 }

@@ -418,3 +418,29 @@ fn out_of_extent_access_fails_cleanly() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
+
+/// A decomposition whose layout cycle `b·pmax` overflows is a spec
+/// error, not a panic (it used to abort with "capacity overflow" under
+/// `--run`, or hang without it).
+#[test]
+fn unrepresentable_decomposition_fails_cleanly() {
+    let p = write_temp("wide.vc", "for i := 0 to 9 do V[i] := U[i]; od;");
+    let specs = [
+        (2i64, "blockscatter(4611686018427387904)", "block"),
+        (4611686018427387904, "blockscatter(4)", "scatter"),
+        (3, "blockscatter(3074457345618258603)", "block"),
+        (2, "block", "blockscatter(9223372036854775807)"),
+    ];
+    for (k, (pmax, v, u)) in specs.into_iter().enumerate() {
+        let spec = format!("processors {pmax};\narray V[0 to 9] {v};\narray U[0 to 9] {u};\n");
+        let s = write_temp(&format!("wide{k}.dspec"), &spec);
+        for extra in [&[][..], &["--run"]] {
+            let mut args = vec![p.to_str().unwrap(), s.to_str().unwrap()];
+            args.extend(extra);
+            let (ok, _, stderr) = vcalc(&args);
+            assert!(!ok, "{spec}");
+            assert!(stderr.contains("overflows"), "{spec}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+        }
+    }
+}
