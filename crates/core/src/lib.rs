@@ -44,3 +44,9 @@ pub use set::IndexSet;
 pub use term::Term;
 pub use view::{DpMap, View};
 pub use viewed::ViewedArray;
+
+/// Deepest nesting of boxed terms ([`Fn1`], [`Pred`], [`Expr`]) an entry
+/// point accepts. The parser refuses deeper source and the wire codec
+/// deeper records, so a recursive walk over any term it admits stays
+/// well inside a thread's stack.
+pub const MAX_DEPTH: usize = 256;

@@ -18,6 +18,7 @@
 use crate::ast::{ARef, IdxExpr, RelOp, Stmt, ValExpr};
 use crate::lex::{lex, LexError, Tok};
 use std::fmt;
+use vcal_core::MAX_DEPTH;
 
 /// A parse error.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +33,11 @@ pub enum ParseError {
         found: String,
         /// What was expected.
         expected: String,
+    },
+    /// The tree would nest deeper than [`MAX_DEPTH`] levels.
+    TooDeep {
+        /// Token index.
+        at: usize,
     },
 }
 
@@ -49,6 +55,10 @@ impl fmt::Display for ParseError {
                     "parse error at token {at}: found `{found}`, expected {expected}"
                 )
             }
+            ParseError::TooDeep { at } => write!(
+                f,
+                "parse error at token {at}: nesting deeper than {MAX_DEPTH} levels"
+            ),
         }
     }
 }
@@ -64,12 +74,20 @@ impl From<LexError> for ParseError {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Depth of the tree being built at the current token: parentheses,
+    /// unary minus, nested statements and each operator of a
+    /// left-nested chain count one level.
+    depth: usize,
 }
 
 /// Parse a program (one or more statements).
 pub fn parse(src: &str) -> Result<Vec<Stmt>, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut stmts = Vec::new();
     while !p.at_end() {
         stmts.push(p.stmt()?);
@@ -99,6 +117,28 @@ impl Parser {
             self.pos += 1;
         }
         t
+    }
+
+    /// One level deeper; past [`MAX_DEPTH`] a typed error, so no walk
+    /// over the tree (translation, printing, the wire codec) can run
+    /// out of stack on it.
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(ParseError::TooDeep { at: self.pos });
+        }
+        Ok(())
+    }
+
+    /// Parse `f` one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deeper()?;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn err<T>(&self, expected: &str) -> Result<T, ParseError> {
@@ -188,7 +228,7 @@ impl Parser {
             if self.at_end() {
                 return self.err("`od`");
             }
-            body.push(self.stmt()?);
+            body.push(self.nested(Self::stmt)?);
         }
         self.expect(&Tok::Od, "`od`")?;
         self.expect(&Tok::Semi, "`;` after `od`")?;
@@ -217,7 +257,7 @@ impl Parser {
             if self.at_end() {
                 return self.err("`fi`");
             }
-            body.push(self.stmt()?);
+            body.push(self.nested(Self::stmt)?);
         }
         self.expect(&Tok::Fi, "`fi`")?;
         self.expect(&Tok::Semi, "`;` after `fi`")?;
@@ -247,20 +287,26 @@ impl Parser {
     // ---- index expressions ------------------------------------------------
 
     fn idxexpr(&mut self) -> Result<IdxExpr, ParseError> {
+        let depth = self.depth;
         let mut e = self.idxterm()?;
         loop {
             match self.peek() {
                 Some(Tok::Plus) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let r = self.idxterm()?;
                     e = IdxExpr::Add(Box::new(e), Box::new(r));
                 }
                 Some(Tok::Minus) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let r = self.idxterm()?;
                     e = IdxExpr::Sub(Box::new(e), Box::new(r));
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
         }
     }
@@ -269,7 +315,7 @@ impl Parser {
         let l = self.idxfactor()?;
         if self.peek() == Some(&Tok::Star) {
             self.pos += 1;
-            let r = self.idxfactor()?;
+            let r = self.nested(Self::idxfactor)?;
             Ok(match (&l, &r) {
                 (IdxExpr::Num(k), _) => IdxExpr::Scale(*k, Box::new(r)),
                 (_, IdxExpr::Num(k)) => IdxExpr::Scale(*k, Box::new(l)),
@@ -302,25 +348,31 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.idxexpr()?;
+                let e = self.nested(Self::idxexpr)?;
                 self.expect(&Tok::RParen, "`)`")?;
                 e
             }
             _ => return self.err("an index expression"),
         };
+        let depth = self.depth;
         loop {
             match self.peek() {
                 Some(Tok::Mod) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let z = self.int()?;
                     base = IdxExpr::Mod(Box::new(base), z);
                 }
                 Some(Tok::Div) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let q = self.int()?;
                     base = IdxExpr::Div(Box::new(base), q);
                 }
-                _ => return Ok(base),
+                _ => {
+                    self.depth = depth;
+                    return Ok(base);
+                }
             }
         }
     }
@@ -328,39 +380,51 @@ impl Parser {
     // ---- value expressions -------------------------------------------------
 
     fn valexpr(&mut self) -> Result<ValExpr, ParseError> {
+        let depth = self.depth;
         let mut e = self.valterm()?;
         loop {
             match self.peek() {
                 Some(Tok::Plus) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let r = self.valterm()?;
                     e = ValExpr::Add(Box::new(e), Box::new(r));
                 }
                 Some(Tok::Minus) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let r = self.valterm()?;
                     e = ValExpr::Sub(Box::new(e), Box::new(r));
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
         }
     }
 
     fn valterm(&mut self) -> Result<ValExpr, ParseError> {
+        let depth = self.depth;
         let mut e = self.valfactor()?;
         loop {
             match self.peek() {
                 Some(Tok::Star) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let r = self.valfactor()?;
                     e = ValExpr::Mul(Box::new(e), Box::new(r));
                 }
                 Some(Tok::Slash) => {
                     self.pos += 1;
+                    self.deeper()?;
                     let r = self.valfactor()?;
                     e = ValExpr::Div(Box::new(e), Box::new(r));
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
         }
     }
@@ -369,7 +433,7 @@ impl Parser {
         match self.peek().cloned() {
             Some(Tok::Minus) => {
                 self.pos += 1;
-                Ok(ValExpr::Neg(Box::new(self.valfactor()?)))
+                Ok(ValExpr::Neg(Box::new(self.nested(Self::valfactor)?)))
             }
             Some(Tok::Int(n)) => {
                 self.pos += 1;
@@ -396,7 +460,7 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.valexpr()?;
+                let e = self.nested(Self::valexpr)?;
                 self.expect(&Tok::RParen, "`)`")?;
                 Ok(e)
             }
@@ -507,5 +571,36 @@ mod tests {
         let prog = parse("for i := 0 to 9 do A[i] := 0; od; for j := 0 to 9 do B[j] := A[j]; od;")
             .unwrap();
         assert_eq!(prog.len(), 2);
+    }
+
+    /// Parentheses, unary minus and left-nested chains count toward
+    /// [`MAX_DEPTH`]: at the cap a program parses, one past it is a
+    /// typed error (and 200 000 levels no longer overflow the stack).
+    #[test]
+    fn nesting_is_capped() {
+        let parens = |n: usize| format!("V[i] := {}U[i]{};", "(".repeat(n), ")".repeat(n));
+        let chain = |n: usize| format!("V[i] := U[i]{};", "+U[i]".repeat(n));
+        let negs = |n: usize| format!("V[i] := {}U[i];", "-".repeat(n));
+        let fors = |n: usize| {
+            let head = "for i := 0 to 9 do ".repeat(n);
+            format!("{head}V[i] := U[i];{}", " od;".repeat(n))
+        };
+        let at = |f: &dyn Fn(usize) -> String, huge| [f(MAX_DEPTH), f(MAX_DEPTH + 1), f(huge)];
+        for (what, src) in [
+            ("parens", at(&parens, 200_000)),
+            ("chain", at(&chain, 200_000)),
+            ("negs", at(&negs, 200_000)),
+            ("fors", at(&fors, 20_000)),
+        ] {
+            assert!(parse(&src[0]).is_ok(), "{what} at the cap");
+            for deep in &src[1..] {
+                match parse(deep) {
+                    Err(e @ ParseError::TooDeep { .. }) => {
+                        assert!(e.to_string().contains("deeper than 256"), "{e}")
+                    }
+                    other => panic!("{what}: expected TooDeep, got {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -38,7 +38,7 @@
 //! [`ChaosProxy`], seeded and deterministic per worker node like
 //! `FaultPlan`'s packet faults.
 
-use crate::codec::{dec_ctrl, dec_frame_bytes, enc_ctrl, enc_frame_bytes, Ctrl, WIRE_VERSION};
+use crate::codec::{decode, encode, Ctrl, WIRE_VERSION};
 use crate::distributed::Wire;
 use crate::error::MachineError;
 use crate::transport::{
@@ -483,27 +483,6 @@ pub(crate) fn write_frame(sock: &mut Sock, kind: u8, payload: &[u8]) -> std::io:
     sock.write_all(&payload[sent - HEADER..])
 }
 
-fn enc_hello(node: i64, pmax: usize) -> Vec<u8> {
-    let mut b = Vec::with_capacity(20);
-    b.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    b.extend_from_slice(&node.to_le_bytes());
-    b.extend_from_slice(&(pmax as u64).to_le_bytes());
-    b
-}
-
-fn dec_hello(p: &[u8]) -> Option<(u32, i64, usize)> {
-    if p.len() != 20 {
-        return None;
-    }
-    let version = u32::from_le_bytes([p[0], p[1], p[2], p[3]]);
-    let mut n = [0u8; 8];
-    n.copy_from_slice(&p[4..12]);
-    let node = i64::from_le_bytes(n);
-    let mut m = [0u8; 8];
-    m.copy_from_slice(&p[12..20]);
-    Some((version, node, u64::from_le_bytes(m) as usize))
-}
-
 // ---------------------------------------------------------------------
 // host side: the router
 // ---------------------------------------------------------------------
@@ -567,7 +546,7 @@ impl Router {
 
     /// Reliable control send to one worker.
     pub fn send_ctrl(&self, node: i64, ctrl: &Ctrl) -> Result<(), MachineError> {
-        let bytes = enc_ctrl(ctrl).map_err(|e| MachineError::Transport {
+        let bytes = encode(ctrl).map_err(|e| MachineError::Transport {
             node,
             detail: e.to_string(),
         })?;
@@ -590,7 +569,9 @@ impl Router {
     /// supervisor gets this for free from the panicking node's own
     /// `announce_done`).
     pub fn broadcast_done(&self, dead: i64) {
-        let body = crate::codec::enc_done_frame(dead);
+        let Ok(body) = encode(&Frame::<Wire>::Done { from: dead }) else {
+            return;
+        };
         for (w, slot) in self.writers.iter().enumerate() {
             if w as i64 == dead {
                 continue;
@@ -662,19 +643,19 @@ fn conn_loop(
     let mut fbuf = FrameBuf::default();
     // --- handshake: first frame must be a well-formed, version-matched HELLO
     let node = match fbuf.next_frame(&mut sock, Duration::from_secs(5)) {
-        Ok(Some((K_HELLO, p))) => match dec_hello(p) {
-            Some((v, _, _)) if v != WIRE_VERSION => {
+        Ok(Some((K_HELLO, p))) => match decode::<(u32, i64, usize)>(p) {
+            Ok((v, _, _)) if v != WIRE_VERSION => {
                 let reason = format!("wire version {v} != host version {WIRE_VERSION}");
                 let _ = write_frame(&mut sock, K_HELLO_REJECT, reason.as_bytes());
                 return;
             }
-            Some((_, node, wp)) if (0..pmax as i64).contains(&node) && wp == pmax => node,
-            Some((_, node, wp)) => {
+            Ok((_, node, wp)) if (0..pmax as i64).contains(&node) && wp == pmax => node,
+            Ok((_, node, wp)) => {
                 let reason = format!("node {node}/pmax {wp} outside session pmax {pmax}");
                 let _ = write_frame(&mut sock, K_HELLO_REJECT, reason.as_bytes());
                 return;
             }
-            None => {
+            Err(_) => {
                 let _ = write_frame(&mut sock, K_HELLO_REJECT, b"malformed hello");
                 return;
             }
@@ -719,7 +700,7 @@ fn conn_loop(
                             }
                         }
                     }
-                    K_CTRL => match dec_ctrl(payload) {
+                    K_CTRL => match decode::<Ctrl>(payload) {
                         Ok(ctrl) => {
                             let _ = ev_tx.send(RouterEvent::Ctrl { node, ctrl });
                         }
@@ -790,8 +771,8 @@ impl SockLink {
 
     fn dial_hello(&mut self) -> Result<(), String> {
         let mut sock = dial(&self.addr).map_err(|e| format!("dial {}: {e}", self.addr))?;
-        write_frame(&mut sock, K_HELLO, &enc_hello(self.node, self.pmax))
-            .map_err(|e| format!("hello send: {e}"))?;
+        let hello = encode(&(WIRE_VERSION, self.node, self.pmax)).map_err(|e| e.to_string())?;
+        write_frame(&mut sock, K_HELLO, &hello).map_err(|e| format!("hello send: {e}"))?;
         let mut fbuf = FrameBuf::default();
         match fbuf.next_frame(&mut sock, Duration::from_secs(5)) {
             Ok(Some((K_HELLO_OK, _))) => {
@@ -866,13 +847,13 @@ impl SockLink {
         };
         match self.fbuf.next_frame(sock, slice) {
             Ok(Some((K_DATA, payload))) => {
-                if let Ok(f) = dec_frame_bytes(payload) {
+                if let Ok(f) = decode(payload) {
                     self.pending_data.push_back(f);
                 }
                 true
             }
             Ok(Some((K_CTRL, payload))) => {
-                if let Ok(c) = dec_ctrl(payload) {
+                if let Ok(c) = decode(payload) {
                     self.pending_ctrl.push_back(c);
                 }
                 true
@@ -885,7 +866,7 @@ impl SockLink {
     /// Reliable control send (host-bound). Failure after the reconnect
     /// budget means the host is gone — the worker should exit.
     pub fn send_ctrl(&mut self, ctrl: &Ctrl) -> Result<(), String> {
-        let bytes = enc_ctrl(ctrl).map_err(|e| e.to_string())?;
+        let bytes = encode(ctrl).map_err(|e| e.to_string())?;
         if self.send_kind(K_CTRL, &bytes) {
             Ok(())
         } else {
@@ -922,12 +903,12 @@ impl Transport<Wire> for &mut SockLink {
     }
 
     fn send(&mut self, dst: usize, frame: Frame<Wire>) {
-        let mut payload = Vec::with_capacity(64);
-        payload.extend_from_slice(&(dst as i64).to_le_bytes());
-        payload.extend_from_slice(&enc_frame_bytes(&frame));
-        // a drop here is indistinguishable from wire loss; recovery is
-        // the protocol's job
-        let _ = self.send_kind(K_DATA, &payload);
+        // [dst i64][frame]: the router reads the prefix, never the frame.
+        // A drop here is indistinguishable from wire loss; recovery is
+        // the protocol's job.
+        if let Ok(payload) = encode(&(dst as i64, frame)) {
+            let _ = self.send_kind(K_DATA, &payload);
+        }
     }
 
     fn recv(&mut self, slice: Duration) -> Option<Frame<Wire>> {
@@ -1205,7 +1186,7 @@ fn spawn_pair(down: Sock, up: Sock, plan: ChaosPlan, stop: Arc<AtomicBool>) {
             match fbuf.next_frame(&mut down_r, Duration::from_millis(200)) {
                 Ok(Some((kind, payload))) => {
                     if kind == K_HELLO {
-                        if let Some((_, node, _)) = dec_hello(payload) {
+                        if let Ok((_, node, _)) = decode::<(u32, i64, usize)>(payload) {
                             stream = Some(ChaosStream::new(plan, node));
                         }
                     }
@@ -1587,7 +1568,7 @@ mod tests {
         locals.insert("A".to_string(), vec![1.0, 2.0, 3.0]);
         let job = JobMsg {
             run_id: 1,
-            clause: crate::codec::sample_clause(),
+            clause: crate::codec::tests::sample_clause(),
             decomps: std::collections::BTreeMap::new(),
             recv_timeout: Duration::from_millis(100),
             faults: None,

@@ -32,7 +32,7 @@
 //! which the stress test and the E19 bench verify with
 //! `max_abs_diff == 0.0`.
 
-use crate::codec::{dec_resp, dec_shello, enc_req, enc_resp, enc_shello, ReqMsg, RespMsg, RespOk};
+use crate::codec::{decode, encode, encode_request, RespMsg, RespOk, WIRE_VERSION};
 use crate::distributed::DistOptions;
 use crate::error::MachineError;
 use crate::net::{
@@ -321,8 +321,8 @@ fn handle_conn(mut sock: Sock, shared: &Arc<Shared>) {
         }
         match fbuf.next_frame(&mut sock, Duration::from_millis(200)) {
             Ok(Some((K_SREQ, payload))) => {
-                let resp = match crate::codec::dec_req(payload) {
-                    Ok(req) => serve_one(shared, ns, req),
+                let resp = match decode(payload) {
+                    Ok((req_id, req)) => serve_one(shared, ns, req_id, &req),
                     // the id leads the record: echo it even when the rest
                     // does not decode, or the client waits out its guard
                     // for a response it takes to be someone else's
@@ -334,7 +334,9 @@ fn handle_conn(mut sock: Sock, shared: &Arc<Shared>) {
                         }),
                     },
                 };
-                if write_frame(&mut sock, K_SRESP, &enc_resp(&resp)).is_err() {
+                // a response holds no boxed terms, so it always encodes
+                let Ok(bytes) = encode(&resp) else { return };
+                if write_frame(&mut sock, K_SRESP, &bytes).is_err() {
                     return;
                 }
             }
@@ -350,13 +352,13 @@ fn handle_conn(mut sock: Sock, shared: &Arc<Shared>) {
 /// lost (already answered on the wire where possible).
 fn hello(sock: &mut Sock, fbuf: &mut FrameBuf, shared: &Arc<Shared>) -> Option<u64> {
     match fbuf.next_frame(sock, Duration::from_secs(10)) {
-        Ok(Some((K_SHELLO, payload))) => match dec_shello(payload) {
-            Ok((version, tenant)) if version == crate::codec::WIRE_VERSION => {
+        Ok(Some((K_SHELLO, payload))) => match decode::<(u32, String)>(payload) {
+            Ok((version, tenant)) if version == WIRE_VERSION => {
                 write_frame(sock, K_SHELLO_OK, &[]).ok()?;
                 Some(tenant_ns(&tenant))
             }
             Ok((version, _)) => {
-                let msg = format!("wire version {version} != {}", crate::codec::WIRE_VERSION);
+                let msg = format!("wire version {version} != {WIRE_VERSION}");
                 let _ = write_frame(sock, K_SHELLO_REJECT, msg.as_bytes());
                 None
             }
@@ -373,13 +375,8 @@ fn hello(sock: &mut Sock, fbuf: &mut FrameBuf, shared: &Arc<Shared>) -> Option<u
 }
 
 /// Admit, execute, and account one request.
-fn serve_one(shared: &Arc<Shared>, ns: u64, req: ReqMsg) -> RespMsg {
-    let req_id = req.req_id;
-    let deadline = if req.deadline_ms == 0 {
-        shared.cfg.default_deadline
-    } else {
-        Duration::from_millis(req.deadline_ms)
-    };
+fn serve_one(shared: &Arc<Shared>, ns: u64, req_id: u64, req: &ServeRequest) -> RespMsg {
+    let deadline = req.deadline.unwrap_or(shared.cfg.default_deadline);
     let queue_wait = match shared.admission.acquire(deadline) {
         Ok(w) => w,
         Err(e) => {
@@ -391,7 +388,7 @@ fn serve_one(shared: &Arc<Shared>, ns: u64, req: ReqMsg) -> RespMsg {
     };
     let res = {
         let _slot = Slot(&shared.admission);
-        run_request(shared, ns, &req)
+        run_request(shared, ns, req)
     };
     let res = res.map(|(globals, reports, tune)| {
         let mut service = service_stats(&reports, tune.as_ref());
@@ -410,7 +407,11 @@ type RunOutcome = (
 
 /// Execute a request's program on a session over the shared (or, in
 /// cold mode, a private) cache/pool pair.
-fn run_request(shared: &Arc<Shared>, ns: u64, req: &ReqMsg) -> Result<RunOutcome, MachineError> {
+fn run_request(
+    shared: &Arc<Shared>,
+    ns: u64,
+    req: &ServeRequest,
+) -> Result<RunOutcome, MachineError> {
     if req.n_steps == 0 || req.steps.is_empty() {
         return Err(MachineError::PlanMismatch(
             "request carries an empty program".into(),
@@ -432,9 +433,9 @@ fn run_request(shared: &Arc<Shared>, ns: u64, req: &ReqMsg) -> Result<RunOutcome
     let mut tune = None;
     if req.autotune {
         let topts = TuneOptions {
-            budget: req.tune_budget.max(1),
-            profile_steps: req.profile_steps.max(1),
-            retune_every: (req.retune_every > 0).then_some(req.retune_every),
+            budget: req.tune.budget.max(1),
+            profile_steps: req.tune.profile_steps.max(1),
+            ..req.tune
         };
         let (report, tr) = session.run_program_tuned(
             &req.steps,
@@ -484,8 +485,8 @@ fn service_stats(reports: &[ProgramReport], tune: Option<&TuneReport>) -> Servic
 // client
 // ---------------------------------------------------------------------
 
-/// One program request, client-side (the public mirror of the wire
-/// record).
+/// One program request, client-side — and, after the request id, the
+/// wire record the service decodes.
 #[derive(Debug, Clone)]
 pub struct ServeRequest {
     /// The program to run.
@@ -556,8 +557,8 @@ impl ServeClient {
     pub fn connect(addr: &str, tenant: &str) -> Result<ServeClient, MachineError> {
         let fail = |detail: String| MachineError::Transport { node: -1, detail };
         let mut sock = dial(addr).map_err(|e| fail(format!("dial {addr}: {e}")))?;
-        write_frame(&mut sock, K_SHELLO, &enc_shello(tenant))
-            .map_err(|e| fail(format!("hello send: {e}")))?;
+        let hello = encode(&(WIRE_VERSION, tenant.to_string())).map_err(|e| fail(e.to_string()))?;
+        write_frame(&mut sock, K_SHELLO, &hello).map_err(|e| fail(format!("hello send: {e}")))?;
         let mut fbuf = FrameBuf::default();
         match fbuf.next_frame(&mut sock, Duration::from_secs(10)) {
             Ok(Some((K_SHELLO_OK, _))) => Ok(ServeClient {
@@ -579,7 +580,7 @@ impl ServeClient {
     pub fn request(&mut self, req: &ServeRequest) -> Result<ServeResponse, MachineError> {
         let fail = |detail: String| MachineError::Transport { node: -1, detail };
         self.next_id += 1;
-        let payload = enc_req(self.next_id, req).map_err(|e| fail(e.to_string()))?;
+        let payload = encode_request(self.next_id, req).map_err(|e| fail(e.to_string()))?;
         write_frame(&mut self.sock, K_SREQ, &payload)
             .map_err(|e| fail(format!("request send: {e}")))?;
         // generous client-side wait: the server enforces the real
@@ -597,7 +598,7 @@ impl ServeClient {
             }
             match self.fbuf.next_frame(&mut self.sock, left) {
                 Ok(Some((K_SRESP, payload))) => {
-                    let resp = dec_resp(payload).map_err(|e| fail(e.to_string()))?;
+                    let resp: RespMsg = decode(payload).map_err(|e| fail(e.to_string()))?;
                     if resp.req_id != self.next_id {
                         continue; // stale response from an aborted request
                     }
@@ -751,7 +752,7 @@ mod tests {
         let handle = ServeHandle::start(ServeConfig::default()).expect("service starts");
         let mut client = ServeClient::connect(handle.addr(), "t0").expect("connects");
         let req = request(64, 1);
-        let whole = enc_req(7, &req).expect("encodes");
+        let whole = encode_request(7, &req).expect("encodes");
         for (cut, id) in [(whole.len() / 2, 7), (11, 7), (3, 0)] {
             write_frame(&mut client.sock, K_SREQ, &whole[..cut]).expect("sends");
             let t0 = Instant::now();
@@ -760,7 +761,7 @@ mod tests {
                 .next_frame(&mut client.sock, Duration::from_secs(5))
             {
                 Ok(Some((K_SRESP, payload))) => {
-                    let resp = dec_resp(payload).expect("response decodes");
+                    let resp: RespMsg = decode(payload).expect("response decodes");
                     assert_eq!(resp.req_id, id, "cut at {cut}");
                     assert!(matches!(resp.res, Err(MachineError::Transport { .. })));
                 }
@@ -789,7 +790,7 @@ mod tests {
         let mut req = request(n, 1);
         let dealt = Decomp1::block_scatter(b, 4, Bounds::range(0, n - 1));
         req.decomps.insert("U".into(), dealt);
-        let mut bytes = enc_req(9, &req).expect("encodes");
+        let mut bytes = encode_request(9, &req).expect("encodes");
         let at = (bytes.windows(8))
             .position(|w| w == b.to_le_bytes())
             .expect("the block size is on the wire");
@@ -800,7 +801,7 @@ mod tests {
             .next_frame(&mut client.sock, Duration::from_secs(5))
         {
             Ok(Some((K_SRESP, payload))) => {
-                let resp = dec_resp(payload).expect("response decodes");
+                let resp: RespMsg = decode(payload).expect("response decodes");
                 assert_eq!(resp.req_id, 9);
                 match resp.res {
                     Err(MachineError::Transport { detail, .. }) => {
@@ -815,15 +816,57 @@ mod tests {
         assert_eq!(resp.globals["U"], oracle(n, 1));
     }
 
+    /// A well-framed request whose clause predicate is `Not` nested
+    /// 2^20 deep — a 1 MiB record that used to overflow the connection
+    /// thread's stack and abort the whole service — is answered with a
+    /// typed error naming the depth cap, and the connection then serves
+    /// a whole request.
+    #[test]
+    fn nested_request_is_typed_and_the_connection_lives() {
+        use crate::codec::{Codec, Enc};
+        let handle = ServeHandle::start(ServeConfig::default()).expect("service starts");
+        let mut client = ServeClient::connect(handle.addr(), "t0").expect("connects");
+        let mut e = Enc::new();
+        // id, n_steps, schedule, autotune, budget, profile, retune, deadline
+        (5u64, 1u64, 0u8).put(&mut e).expect("encodes");
+        (false, 1usize, (1u64, 0u64, 0u64))
+            .put(&mut e)
+            .expect("encodes");
+        // one step: a clause over 0..9 whose predicate never ends
+        (1usize, 0u8, Bounds::range(0, 9))
+            .put(&mut e)
+            .expect("encodes");
+        e.buf.extend(std::iter::repeat_n(6u8, 1 << 20));
+        e.buf.push(0);
+        write_frame(&mut client.sock, K_SREQ, &e.buf).expect("sends");
+        match client
+            .fbuf
+            .next_frame(&mut client.sock, Duration::from_secs(5))
+        {
+            Ok(Some((K_SRESP, payload))) => {
+                let resp: RespMsg = decode(payload).expect("response decodes");
+                assert_eq!(resp.req_id, 5);
+                match resp.res {
+                    Err(MachineError::Transport { detail, .. }) => {
+                        assert!(detail.contains("deeper than 256"), "{detail}")
+                    }
+                    other => panic!("expected a typed Transport error, got {other:?}"),
+                }
+            }
+            other => panic!("expected a response, got {other:?}"),
+        }
+        let resp = client
+            .request(&request(64, 1))
+            .expect("the connection lives");
+        assert_eq!(resp.globals["U"], oracle(64, 1));
+    }
+
     #[test]
     fn bad_wire_version_is_rejected_at_hello() {
         let handle = ServeHandle::start(ServeConfig::default()).expect("service starts");
         let mut sock = dial(handle.addr()).expect("dials");
-        // hand-roll a hello with a wrong version
-        let mut e = crate::codec::Enc::new();
-        e.u32(crate::codec::WIRE_VERSION + 1);
-        e.str("x");
-        write_frame(&mut sock, K_SHELLO, &e.buf).expect("sends");
+        let hello = encode(&(WIRE_VERSION + 1, "x".to_string())).expect("encodes");
+        write_frame(&mut sock, K_SHELLO, &hello).expect("sends");
         let mut fbuf = FrameBuf::default();
         match fbuf.next_frame(&mut sock, Duration::from_secs(5)) {
             Ok(Some((K_SHELLO_REJECT, msg))) => {

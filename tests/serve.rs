@@ -495,6 +495,41 @@ fn undecodable_request_is_typed_at_once_and_the_connection_lives() {
     handle.stop();
 }
 
+/// A request nested deeper than `MAX_DEPTH` (a right-hand side under
+/// 1 000 unary minuses) is refused with a typed `Transport` error
+/// naming the depth — the codec refuses on both ends what the service
+/// would otherwise have decoded by recursion — and the connection
+/// serves the next request. The service's side of the same cap, a raw
+/// hostile record on a real connection, is `serve::tests`'s
+/// `nested_request_is_typed_and_the_connection_lives`.
+#[test]
+fn nested_request_is_typed_and_the_connection_lives() {
+    let handle = ServeHandle::start(ServeConfig::default()).expect("service start");
+    let sh = shape(N, 0, 0);
+    let mut client = ServeClient::connect(handle.addr(), "nested").expect("connect");
+    let deep = (0..1_000).fold(Expr::Lit(1.0), |x, _| Expr::Neg(Box::new(x)));
+    let mut steps = sh.steps.clone();
+    if let ProgramStep::Clause(c) = &mut steps[0] {
+        c.rhs = Expr::add(c.rhs.clone(), deep);
+    }
+    let req = ServeRequest::new(steps, sh.decomps.clone(), sh.globals.clone(), 1);
+    match client.request(&req) {
+        Err(MachineError::Transport { detail, .. }) => {
+            assert!(
+                detail.contains("deeper than 256"),
+                "names the cap: {detail}"
+            )
+        }
+        other => panic!("expected a typed Transport error, got {other:?}"),
+    }
+    let good = ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), sh.globals.clone(), 1);
+    let resp = client
+        .request(&good)
+        .expect("same connection, next request");
+    assert_bit_identical(&resp.globals, &oracle(&sh, N, 1), "after the nested one");
+    handle.stop();
+}
+
 /// Images land in node parts and come back stretch by stretch, never
 /// through an `Env`: block-scatter, scatter and block layouts over
 /// extents that do not start at 0 (and do not divide evenly) round-trip

@@ -444,3 +444,48 @@ fn unrepresentable_decomposition_fails_cleanly() {
         }
     }
 }
+
+/// Run `vcalc` on a generated program and expect a clean refusal: exit
+/// code 1 (a stack overflow aborts with a signal instead) and a message
+/// naming the depth cap.
+fn refuses_deep_source(name: &str, program: &str) {
+    let p = write_temp(name, program);
+    let s = write_temp(
+        "deep.dspec",
+        "processors 2;\narray V[0 to 9] block;\narray U[0 to 9] block;\n",
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_vcalc"))
+        .args([p.to_str().unwrap(), s.to_str().unwrap(), "--emit", "vcal"])
+        .output()
+        .expect("vcalc binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+    assert!(
+        stderr.contains("nesting deeper than 256 levels"),
+        "{name}: {stderr}"
+    );
+}
+
+/// 200 000 parentheses around one reference (~400 KB of source) used to
+/// overflow the parser's stack and abort.
+#[test]
+fn deep_source_parentheses_fail_cleanly() {
+    let n = 200_000;
+    let src = format!(
+        "for i := 0 to 9 do V[i] := {}U[i]{}; od;",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    refuses_deep_source("deep_parens.vc", &src);
+}
+
+/// A 200 000-term sum (~1.2 MB of source) built a tree whose walk
+/// aborted the same way.
+#[test]
+fn deep_source_operator_chain_fails_cleanly() {
+    let src = format!(
+        "for i := 0 to 9 do V[i] := U[i]{}; od;",
+        "+U[i]".repeat(199_999)
+    );
+    refuses_deep_source("deep_chain.vc", &src);
+}
