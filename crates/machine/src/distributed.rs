@@ -417,9 +417,9 @@ pub(crate) fn send_phase_vectorized(
     let trace_on = tracer.enabled();
     for pair in &cn.sends {
         for (run_ord, segs) in pair.packets.iter().enumerate() {
-            let n: usize = segs.iter().map(|seg| seg.count * seg.reps as usize).sum();
+            let n: usize = segs.iter().map(|seg| seg.pattern.nest.len() as usize).sum();
             let values: Arc<[f64]> = match segs.as_slice() {
-                [seg] if seg.reps == 1 && seg.pattern.is_unit_stride() => {
+                [seg] if seg.pattern.nest.depth() <= 1 && seg.pattern.is_unit_stride() => {
                     let base = seg.pattern.offset(0) as usize;
                     Arc::from(&parts[seg.slot][base..base + n])
                 }
@@ -432,11 +432,11 @@ pub(crate) fn send_phase_vectorized(
                         .iter_mut();
                     for seg in segs {
                         let src = parts[seg.slot];
-                        for k in 0..seg.reps as i64 {
-                            for (t, v) in out.by_ref().take(seg.count).enumerate() {
-                                *v = src[(seg.pattern.offset(t) + k * seg.shift) as usize];
+                        seg.pattern.for_each(|off| {
+                            if let Some(v) = out.next() {
+                                *v = src[off as usize];
                             }
-                        }
+                        });
                     }
                     values
                 }
@@ -642,26 +642,22 @@ fn receive_operands(
     stats: &mut NodeStats,
     tracer: &dyn Tracer,
 ) -> Result<(), MachineError> {
-    let p = cn.p;
-    let n = er.run.len() as usize;
+    let (p, i0) = (cn.p, er.index.base);
     for (slot, sa) in er.slots.iter().enumerate() {
         let Some((so, po)) = sa.packet() else {
             continue;
         };
         let array = &arrays[slot];
         let len = await_packet(ep, rcv, cn, so, po, opts, stats)
-            .map_err(|f| map_recv_fail(f, p, array, er.run.start, slot))?;
-        let inside = |k: u64, t: usize| {
-            let off = sa.pattern().offset(t) + er.slot_shift(slot, k);
-            usize::try_from(off).is_ok_and(|o| o < len)
-        };
-        let (k, t) = (er.reps.saturating_sub(1), n.saturating_sub(1));
-        if n > 0 && !(inside(0, 0) && inside(0, t) && inside(k, 0) && inside(k, t)) {
+            .map_err(|f| map_recv_fail(f, p, array, i0, slot))?;
+        let (lo, hi) = sa.pattern().hull();
+        let inside = lo >= 0 && usize::try_from(hi).is_ok_and(|hi| hi < len);
+        if !(inside || er.index.is_empty()) {
             return Err(map_recv_fail(
                 RecvFail::BadWire("packet shorter than its planned runs"),
                 p,
                 array,
-                er.run.start,
+                i0,
                 slot,
             ));
         }
@@ -669,18 +665,14 @@ fn receive_operands(
     stats.msgs_received += er.remote_elems;
     if tracer.enabled() {
         let peer_of = |src_ord: usize| cn.src_peers.get(src_ord).copied().unwrap_or(-1);
-        for k in 0..er.reps {
-            let mut i = er.rep(k).start;
-            for _ in 0..n {
-                for (slot, sa) in er.slots.iter().enumerate() {
-                    if let Some((so, _)) = sa.packet() {
-                        let src = peer_of(so);
-                        tracer.record(p, EventKind::RecvValue { src, slot, i });
-                    }
+        er.index.for_each(|i| {
+            for (slot, sa) in er.slots.iter().enumerate() {
+                if let Some((so, _)) = sa.packet() {
+                    let src = peer_of(so);
+                    tracer.record(p, EventKind::RecvValue { src, slot, i });
                 }
-                i += er.run.step;
             }
-        }
+        });
     }
     Ok(())
 }
@@ -755,7 +747,7 @@ fn exec_one_run(
         ));
     };
     let arrays = &cs.slot_arrays;
-    let n = er.run.len() as usize;
+    let (n, step) = (er.index.count(0) as usize, er.index.stride(0));
     let n_slots = arrays.len();
     if er.boundary {
         receive_operands(er, arrays, cn, ep, rcv, opts, stats, tracer)?;
@@ -794,7 +786,7 @@ fn exec_one_run(
     // per-element `read_at` of the scalar path would have failed
     let seg = |s: usize, r: u64| -> Result<&[f64], MachineError> {
         let (src, pat) = operand(s);
-        usize::try_from(pat.offset(0) + er.slot_shift(s, r))
+        usize::try_from(pat.offset(0) + pat.shift(r))
             .ok()
             .and_then(|base| src.get(base..base + n))
             .ok_or_else(|| {
@@ -806,7 +798,7 @@ fn exec_one_run(
     };
     let read = |s: usize, r: u64, t: usize| -> Result<f64, MachineError> {
         let (src, pat) = operand(s);
-        read_at(src, pat.offset(t) + er.slot_shift(s, r), p, &arrays[s])
+        read_at(src, pat.offset(t) + pat.shift(r), p, &arrays[s])
     };
     // a one-element run is contiguous whatever step its compressed
     // pattern records — the predicate of the plan's write spans
@@ -830,8 +822,8 @@ fn exec_one_run(
         _ => None,
     }
     .filter(|&s| operand(s).1.is_unit_stride());
-    for r in 0..er.reps {
-        let shift = r as i64 * er.delta.lhs;
+    for r in 0..er.index.reps() {
+        let shift = er.lhs.shift(r);
         if let Some(slot) = slice_copy {
             let (src, base) = (seg(slot, r)?, write_off(lhs0 + shift, p)?);
             match next.as_deref_mut() {
@@ -949,13 +941,13 @@ fn exec_one_run(
                 // run the bytecode from the loop point of the rep's first
                 // element; a run stays in one row, so only the innermost
                 // coordinate moves along it
-                let row = (er.rep(r).start - cs.loop_box.lo()[inner]) as usize;
+                let row = (er.index.rep(r).base - cs.loop_box.lo()[inner]) as usize;
                 let mut i = cs.loop_box.from_linear_offset(row);
                 if let (Some(win), true) = (&mut o.win, chunked) {
                     let segs = (0..n_slots)
                         .map(|s| seg(s, r))
                         .collect::<Result<Vec<_>, _>>()?;
-                    kernel.eval_run(i.coords(), inner, er.run.step, &segs, win, stack);
+                    kernel.eval_run(i.coords(), inner, step, &segs, win, stack);
                     stats.iterations += n as u64;
                     stats.data_guards += n as u64;
                     stats.local_reads += n as u64 * local_slots;
@@ -976,7 +968,7 @@ fn exec_one_run(
                         if guard_ok {
                             o.put(t, kernel.eval(i.coords(), vals, stack))?;
                         }
-                        i[inner] += er.run.step;
+                        i[inner] += step;
                     }
                 }
             }
@@ -994,8 +986,9 @@ fn exec_one_run(
     if vectorized {
         let lanes = opts.simd.census_lanes() as u64;
         stats.simd_runs += 1;
-        stats.simd_lane_elems += er.reps * (n as u64 / lanes * lanes);
-        stats.simd_tail_elems += er.reps * (n as u64 % lanes);
+        let reps = er.index.reps();
+        stats.simd_lane_elems += reps * (n as u64 / lanes * lanes);
+        stats.simd_tail_elems += reps * (n as u64 % lanes);
         stats.simd_lanes = stats.simd_lanes.max(lanes);
     } else {
         stats.simd_fallback_runs += 1;

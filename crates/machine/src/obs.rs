@@ -666,7 +666,7 @@ fn planned_packets(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, u64, u64)> {
     let mut out = Vec::new();
     for pair in &plan.nodes[p].comm.sends {
         for (pkt_ord, runs) in pair.packets().enumerate() {
-            let elems = runs.iter().map(|r| r.len()).sum::<u64>();
+            let elems = runs.iter().map(|r| r.nest.len()).sum::<u64>();
             out.push((pair.peer, pkt_ord, elems, PACK_HEADER_BYTES + 8 * elems));
         }
     }
@@ -678,7 +678,7 @@ fn planned_recv_elems(plan: &SpmdPlan, p: usize) -> Vec<(i64, usize, i64)> {
     let mut out = Vec::new();
     for pair in &plan.nodes[p].comm.recvs {
         for run in &pair.runs {
-            run.for_each(|i| out.push((pair.peer, run.slot, i)));
+            run.nest.for_each(|i| out.push((pair.peer, run.slot, i)));
         }
     }
     out.sort_unstable();

@@ -25,7 +25,8 @@
 //! `packets = elements`) and the receiver unpacks by
 //! `(source, packet, offset)` with no per-element tag matching.
 
-use crate::compiled::{IterRun, Tiling};
+use crate::compiled::{flatten_schedule, Tiling};
+use crate::nest::Nest;
 use crate::program::NodePlan;
 use crate::schedule::Schedule;
 use vcal_core::func::Fn1;
@@ -33,90 +34,30 @@ use vcal_decomp::{Decomp1, Distribution};
 use vcal_numth::gcd;
 
 /// One coalesced run of loop indices, all belonging to a single read
-/// slot: `reps` repetitions of `start + step·t, t ∈ [0, count)`, rep `r`
-/// shifted by `r·stride` — the cycle loop of Theorem 2's `gen_p` kept as
-/// an outer level. The values of a run travel packed rep-major, the
-/// order in which its reps would sit as runs of their own.
+/// slot: a nest whose level 0 is one rep and whose level 1, when it has
+/// more than one position, is the cycle loop of Theorem 2's `gen_p` (or
+/// an n-D row loop). Reps never overlap or abut. The values of a run
+/// travel packed in visit order, the order in which its reps would sit
+/// as runs of their own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommRun {
     /// Index into the node's reside/read slot list.
     pub slot: usize,
-    /// First loop index of the run.
-    pub start: i64,
-    /// Stride between consecutive indices (≥ 1).
-    pub step: i64,
-    /// Number of indices per rep (≥ 1).
-    pub count: i64,
-    /// Number of reps (≥ 1).
-    pub reps: u64,
-    /// Loop-index advance per rep: past the rep's last index, never
-    /// abutting it (0 when `reps == 1`).
-    pub stride: i64,
+    /// The loop indices (level-0 stride ≥ 1).
+    pub nest: Nest,
 }
 
 impl CommRun {
-    /// The one-level run `start + step·t, t ∈ [0, count)`.
-    pub fn one(slot: usize, start: i64, step: i64, count: i64) -> CommRun {
-        let (reps, stride) = (1, 0);
-        CommRun {
-            slot,
-            start,
-            step,
-            count,
-            reps,
-            stride,
-        }
-    }
-
-    /// Reps `r0..r0 + n` as a run of their own.
-    pub fn reps_of(&self, r0: u64, n: u64) -> CommRun {
-        CommRun {
-            start: self.start + r0 as i64 * self.stride,
-            reps: n,
-            stride: if n > 1 { self.stride } else { 0 },
-            ..*self
-        }
-    }
-
-    /// Rep `r` as a one-level run.
-    pub fn rep(&self, r: u64) -> CommRun {
-        self.reps_of(r, 1)
-    }
-
-    /// Visit the loop indices of the run in packing order.
-    pub fn for_each(&self, mut visit: impl FnMut(i64)) {
-        for r in 0..self.reps {
-            let mut i = self.start + r as i64 * self.stride;
-            for _ in 0..self.count {
-                visit(i);
-                i += self.step;
-            }
-        }
-    }
-
-    /// Number of elements in the run, over all reps.
-    pub fn len(&self) -> u64 {
-        self.count.max(0) as u64 * self.reps
-    }
-
-    /// Whether the run is degenerate.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Take `next`'s reps as more reps of this run when they repeat its
     /// shape one stride on, past its last rep without abutting it.
     pub(crate) fn absorb(&mut self, next: &CommRun) -> bool {
-        let delta = next.start - (self.start + (self.reps as i64 - 1) * self.stride);
-        let stride = if self.reps > 1 { self.stride } else { delta };
-        let fits = (self.slot, self.step, self.count) == (next.slot, next.step, next.count)
-            && delta == stride
-            && (next.reps == 1 || next.stride == stride)
-            && stride > self.step * (self.count - 1)
-            && stride != self.step * self.count;
+        let mut nest = self.nest;
+        let fits = self.slot == next.slot && nest.absorb(&next.nest, 1) && {
+            let [(count, step), (_, stride), _] = nest.levels;
+            stride > step * (count - 1) && stride != step * count
+        };
         if fits {
-            self.stride = stride;
-            self.reps += next.reps;
+            self.nest = nest;
         }
         fits
     }
@@ -144,18 +85,22 @@ pub fn packetise(runs: &mut Vec<CommRun>, cap: u64) -> Vec<usize> {
     let mut cuts = vec![0];
     let mut load = 0u64;
     let mut out = Vec::with_capacity(runs.len());
-    for r in runs.drain(..) {
-        let each = r.count.max(1) as u64;
-        let mut r0 = 0;
-        while r0 < r.reps {
+    for CommRun { slot, mut nest } in runs.drain(..) {
+        let each = nest.count(0).max(1) as u64;
+        loop {
             if load > 0 && load.saturating_add(each) > cap {
                 cuts.push(out.len());
                 load = 0;
             }
-            let n = (cap.saturating_sub(load) / each).clamp(1, r.reps - r0);
-            out.push(r.reps_of(r0, n));
+            let reps = nest.count(1);
+            let n = (cap.saturating_sub(load) / each).clamp(1, reps as u64);
+            let (head, rest) = nest.cut(1, n as i64);
+            out.push(CommRun { slot, nest: head });
             load = load.saturating_add(n * each);
-            r0 += n;
+            if n as i64 == reps {
+                break;
+            }
+            nest = rest;
         }
     }
     if !out.is_empty() {
@@ -182,7 +127,7 @@ pub struct PairComm {
 impl PairComm {
     /// Total elements across all runs of the pair.
     pub fn elems(&self) -> u64 {
-        self.runs.iter().map(CommRun::len).sum()
+        self.runs.iter().map(|r| r.nest.len()).sum()
     }
 
     /// The packets of the pair in wire order, each as the runs it carries.
@@ -198,7 +143,7 @@ impl PairComm {
             let mut off = 0;
             for r in runs {
                 places.push((pkt_ord, off));
-                off += r.len();
+                off += r.nest.len();
             }
         }
         places
@@ -265,30 +210,9 @@ fn push_runs(pairs: &mut Vec<PairComm>, peer: i64, runs: &[CommRun]) {
     }
 }
 
-/// Flatten an arithmetic schedule into runs for `slot`. `false` when the
-/// schedule has no run form (guarded / repeated shapes).
-fn schedule_to_runs(s: &Schedule, slot: usize, out: &mut Vec<CommRun>) -> bool {
-    match s {
-        Schedule::Empty => true,
-        Schedule::Range { lo, hi } => {
-            if lo <= hi {
-                out.push(CommRun::one(slot, *lo, 1, hi - lo + 1));
-            }
-            true
-        }
-        Schedule::Strided { start, step, count } => {
-            if *count > 0 {
-                out.push(CommRun::one(slot, *start, *step, *count));
-            }
-            true
-        }
-        Schedule::Concat(parts) => parts.iter().all(|p| schedule_to_runs(p, slot, out)),
-        _ => false,
-    }
-}
-
 /// Derive `Reside_p(slot) ∩ Modify_q` for every destination `q ≠ p` in
-/// closed form. `None` when any required intersection is not arithmetic.
+/// closed form. `None` when any required intersection is not arithmetic;
+/// an arithmetic one flattens to one run per range or lattice.
 fn closed_form_slot(
     nodes: &[NodePlan],
     p: usize,
@@ -297,12 +221,10 @@ fn closed_form_slot(
 ) -> Option<Vec<Vec<CommRun>>> {
     let mut per_q: Vec<Vec<CommRun>> = vec![Vec::new(); nodes.len()];
     for (q, dst) in nodes.iter().enumerate() {
-        if q == p {
-            continue;
-        }
-        let set = crate::setops::intersect(reside, &dst.modify.schedule)?;
-        if !schedule_to_runs(&set, slot, &mut per_q[q]) {
-            return None;
+        if q != p {
+            let set = crate::setops::intersect(reside, &dst.modify.schedule)?;
+            let runs = flatten_schedule(&set).into_iter();
+            per_q[q].extend(runs.map(|nest| CommRun { slot, nest }));
         }
     }
     Some(per_q)
@@ -430,7 +352,7 @@ struct Walk {
     slot: usize,
     tiles: Vec<Tiling>,
     runs: Vec<Vec<CommRun>>,
-    fresh: Vec<Vec<IterRun>>,
+    fresh: Vec<Vec<Nest>>,
 }
 
 impl Walk {
@@ -442,9 +364,9 @@ impl Walk {
             let q = lhs.proc_at(i) as usize;
             if q != p {
                 let (runs, fresh, slot) = (&mut self.runs[q], &mut self.fresh[q], self.slot);
-                self.tiles[q].push(IterRun::span(i, i), &[], &mut |r, _| {
-                    fresh.push(r);
-                    fold(runs, CommRun::one(slot, r.start, r.step, r.count));
+                self.tiles[q].push(Nest::run(i, 1, 1), &[], &mut |nest, _| {
+                    fresh.push(nest);
+                    fold(runs, CommRun { slot, nest });
                 });
             }
             at = i.checked_add(1);
@@ -461,7 +383,7 @@ impl Walk {
         let Some(l) = l else {
             return self.walk(read, lhs, p, lo, hi);
         };
-        let (mut start, mut was) = (lo, None::<Vec<Option<IterRun>>>);
+        let (mut start, mut was) = (lo, None::<Vec<Option<Nest>>>);
         loop {
             // full periods left before `hi`, which the tail walk takes
             let left = ((hi as i128 - start as i128) / l as i128) as i64;
@@ -479,37 +401,41 @@ impl Walk {
         }
     }
 
-    fn steady(&self, was: &[Option<IterRun>], l: i64) -> bool {
+    fn steady(&self, was: &[Option<Nest>], l: i64) -> bool {
         let now = self.tiles.iter().map(|t| t.cur);
         was.iter().zip(now).all(|(was, now)| match (was, now) {
             (None, None) => true,
-            (Some(w), Some(n)) if w.step == n.step => {
-                let grown = n.count - w.count;
-                (grown == 0 && n.start - w.start == l)
-                    || (n.start == w.start && (grown == 0 || n.step * grown == l))
+            (Some(w), Some(n)) if w.stride(0) == n.stride(0) => {
+                let grown = n.count(0) - w.count(0);
+                (grown == 0 && n.base - w.base == l)
+                    || (n.base == w.base && (grown == 0 || n.stride(0) * grown == l))
             }
             _ => false,
         })
     }
 
     /// Do `m` more periods as the last one did, each `l` further on.
-    fn replay(&mut self, was: &[Option<IterRun>], l: i64, m: i64) {
+    fn replay(&mut self, was: &[Option<Nest>], l: i64, m: i64) {
         for (q, was) in was.iter().enumerate() {
             let (Some(cur), Some(was)) = (self.tiles[q].cur.as_mut(), was) else {
                 continue;
             };
-            if cur.start == was.start {
-                cur.count += m * (cur.count - was.count);
+            if cur.base == was.base {
+                cur.levels[0].0 += m * (cur.count(0) - was.count(0));
                 continue;
             }
-            cur.start += m * l;
-            let (fresh, runs) = (&self.fresh[q], &mut self.runs[q]);
+            cur.base += m * l;
+            let (fresh, runs, slot) = (&self.fresh[q], &mut self.runs[q], self.slot);
             'periods: for k in 1..=m {
                 for r in fresh {
-                    let r = CommRun::one(self.slot, r.start + k * l, r.step, r.count);
+                    let nest = Nest {
+                        base: r.base + k * l,
+                        ..*r
+                    };
                     // one run folding into its predecessor folds every time
-                    if fold(runs, r) && fresh.len() == 1 {
-                        runs.last_mut().expect("just folded").reps += (m - k) as u64;
+                    if fold(runs, CommRun { slot, nest }) && fresh.len() == 1 {
+                        let last = runs.last_mut().expect("just folded");
+                        last.nest.levels[1].0 += m - k;
                         break 'periods;
                     }
                 }
@@ -551,8 +477,8 @@ fn walk_slot(
         w.segment(read, lhs, p, lo, hi, period);
     }
     for (tile, runs) in w.tiles.iter_mut().zip(&mut w.runs) {
-        tile.flush(&mut |r, _| {
-            fold(runs, CommRun::one(slot, r.start, r.step, r.count));
+        tile.flush(&mut |nest, _| {
+            fold(runs, CommRun { slot, nest });
         });
     }
     (w.runs, period.is_some())
@@ -631,9 +557,7 @@ mod tests {
     fn coalesce(v: &[i64], slot: usize) -> Vec<CommRun> {
         let mut runs = Vec::new();
         crate::compiled::coalesce_ordered(v, &mut runs);
-        (runs.iter())
-            .map(|r| CommRun::one(slot, r.start, r.step, r.count))
-            .collect()
+        (runs.iter()).map(|&nest| CommRun { slot, nest }).collect()
     }
 
     /// The element walk the period walk replaces: every index of the
@@ -687,7 +611,7 @@ mod tests {
         let mut out = Vec::new();
         for pc in &plan.sends {
             for run in &pc.runs {
-                run.for_each(|i| out.push((pc.peer, run.slot, i)));
+                run.nest.for_each(|i| out.push((pc.peer, run.slot, i)));
             }
         }
         out.sort_unstable();
@@ -718,7 +642,12 @@ mod tests {
     /// Every rep as a run of its own: the per-cycle run list.
     fn expand(runs: &[CommRun]) -> Vec<CommRun> {
         runs.iter()
-            .flat_map(|r| (0..r.reps).map(|k| r.rep(k)))
+            .flat_map(|r| {
+                (0..r.nest.reps()).map(|k| CommRun {
+                    nest: r.nest.rep(k),
+                    ..*r
+                })
+            })
             .collect()
     }
 
@@ -745,20 +674,23 @@ mod tests {
     fn check_cuts(runs: &[CommRun], cuts: &[usize], cap: u64) {
         assert_eq!(cuts.first(), Some(&0));
         assert_eq!(cuts.last(), Some(&runs.len()));
-        let elems = |w: &[usize]| runs[w[0]..w[1]].iter().map(CommRun::len).sum::<u64>();
+        let elems = |w: &[usize]| runs[w[0]..w[1]].iter().map(|r| r.nest.len()).sum::<u64>();
         for w in cuts.windows(2) {
             assert!(w[0] < w[1], "empty packet: {cuts:?}");
             assert!(elems(w) <= cap || w[1] - w[0] == 1, "cap={cap} {cuts:?}");
             // greedy: the next run did not fit
             if let Some(next) = runs.get(w[1]) {
-                assert!(elems(w) + next.len() > cap, "cap={cap} {cuts:?}");
+                assert!(elems(w) + next.nest.len() > cap, "cap={cap} {cuts:?}");
             }
         }
     }
 
     #[test]
     fn packetise_cuts_at_the_cap() {
-        let run = |count| CommRun::one(0, 0, 1, count);
+        let run = |count| CommRun {
+            slot: 0,
+            nest: Nest::run(0, 1, count),
+        };
         let runs = [run(3), run(3), run(2), run(9), run(1), run(8)];
         assert_eq!(cut(&runs, 1).1, [0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(cut(&runs, 3).1, [0, 1, 2, 3, 4, 5, 6]);
@@ -779,10 +711,12 @@ mod tests {
         assert_eq!(PairComm::default().packets().len(), 0);
         // two-level runs are cut only at rep boundaries, where the
         // expanded list is
-        let reps = |start, count, reps, stride| CommRun {
-            reps,
-            stride,
-            ..CommRun::one(0, start, 2, count)
+        let reps = |base, count, reps, stride| CommRun {
+            slot: 0,
+            nest: Nest {
+                base,
+                levels: [(count, 2), (reps, stride), (1, 0)],
+            },
         };
         let runs = [
             reps(0, 3, 5, 10),
@@ -844,9 +778,10 @@ mod tests {
                 }
                 // folded reps repeat one shape, neither overlapping nor
                 // abutting
-                for r in pc.runs.iter().filter(|r| r.reps > 1) {
-                    assert!(r.stride > r.step * (r.count - 1), "{r:?}");
-                    assert_ne!(r.stride, r.step * r.count, "{r:?}");
+                for r in pc.runs.iter().filter(|r| r.nest.count(1) > 1) {
+                    let [(count, step), (_, stride), _] = r.nest.levels;
+                    assert!(stride > step * (count - 1), "{r:?}");
+                    assert_ne!(stride, step * count, "{r:?}");
                 }
             }
         }
@@ -959,7 +894,7 @@ mod tests {
         let runs = coalesce(&v, 0);
         let mut expanded = Vec::new();
         for r in &runs {
-            r.for_each(|i| expanded.push(i));
+            r.nest.for_each(|i| expanded.push(i));
         }
         assert_eq!(expanded, v);
         assert!(runs.len() <= 3, "{runs:?}");

@@ -9,16 +9,15 @@
 //! `Fn1::preimage_range` per cycle or probe on *every* execution.
 //!
 //! [`CompiledSchedule`] materializes that enumeration output exactly
-//! once, at plan time, into flat strided run tables ([`IterRun`]) — the
-//! same greedy coalescing the communication planner applies to pair
-//! sets — plus run-granular receive addressing: `Modify_p` is intersected
-//! with the plan's receive runs by interval algebra, so every
-//! [`ExecRun`] reads each slot either from owner-local memory or from an
-//! affine window of exactly one planned packet (a plan-time group of
-//! whole receive runs, see [`crate::comm::packetise`]). Table size and
-//! compile cost follow the number of runs, not of elements, and a warm
-//! execution iterates plain strided loops with no closed-form
-//! re-derivation.
+//! once, at plan time, into loop nests ([`Nest`]) — the same greedy
+//! coalescing the communication planner applies to pair sets — plus
+//! run-granular receive addressing: `Modify_p` is intersected with the
+//! plan's receive runs by interval algebra, so every [`ExecRun`] reads
+//! each slot either from owner-local memory or from an affine window of
+//! exactly one planned packet (a plan-time group of whole receive runs,
+//! see [`crate::comm::packetise`]). Table size and compile cost follow
+//! the number of runs, not of elements, and a warm execution iterates
+//! plain strided loops with no closed-form re-derivation.
 //!
 //! The module also provides the plan-cache keys used by the machine's
 //! session layer: a [`clause_signature`] and a [`decomp_fingerprint`]
@@ -27,6 +26,7 @@
 
 use crate::comm::{CommRun, PairComm};
 use crate::kernel::{CompiledKernel, FusedShape};
+use crate::nest::{Nest, MAX_LEVELS};
 use crate::program::{DecompMap, NodePlan, SpmdPlan};
 use crate::schedule::Schedule;
 use crate::simd::{SimdCensus, SimdPolicy};
@@ -34,87 +34,30 @@ use std::fmt::Write as _;
 use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Guard};
 use vcal_decomp::Decomp1;
-use vcal_numth::{div_ceil, div_floor, gcd, solve_congruence};
-
-/// One strided run of loop iterations: `start + step·t` for
-/// `t ∈ [0, count)`. The steady-state analog of
-/// [`CommRun`](crate::comm::CommRun), without a slot tag (runs are
-/// stored per schedule, not per wire pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IterRun {
-    /// First loop index.
-    pub start: i64,
-    /// Stride between consecutive indices (may be negative or zero —
-    /// visit *order* is preserved, not sortedness).
-    pub step: i64,
-    /// Number of indices (≥ 1).
-    pub count: i64,
-}
-
-impl IterRun {
-    /// Visit the indices of the run in order.
-    #[inline]
-    pub fn for_each(&self, mut visit: impl FnMut(i64)) {
-        let mut i = self.start;
-        for _ in 0..self.count {
-            visit(i);
-            i += self.step;
-        }
-    }
-
-    /// Number of indices in the run.
-    pub fn len(&self) -> u64 {
-        self.count.max(0) as u64
-    }
-
-    /// Whether the run is degenerate.
-    pub fn is_empty(&self) -> bool {
-        self.count <= 0
-    }
-
-    /// The unit-stride run `lo..=hi`.
-    pub(crate) fn span(lo: i64, hi: i64) -> IterRun {
-        IterRun {
-            start: lo,
-            step: 1,
-            count: hi - lo + 1,
-        }
-    }
-}
-
-/// Visit every index of a run table in order.
-pub fn for_each_run(runs: &[IterRun], mut visit: impl FnMut(i64)) {
-    for r in runs {
-        r.for_each(&mut visit);
-    }
-}
+use vcal_numth::{div_ceil, div_floor, gcd};
 
 /// Greedily coalesce an index sequence into maximal equal-stride runs,
 /// preserving the sequence order exactly (no sorting, no dedup — a
 /// schedule's visit order is part of its semantics, and
 /// `RepeatedScatter` visits in `t`-major order, not ascending).
-pub(crate) fn coalesce_ordered(v: &[i64], out: &mut Vec<IterRun>) {
+pub(crate) fn coalesce_ordered(v: &[i64], out: &mut Vec<Nest>) {
     let (mut tiling, emit) = (Tiling::default(), &mut |run, _: &Sig| out.push(run));
     v.iter()
-        .for_each(|&i| tiling.push(IterRun::span(i, i), &[], emit));
+        .for_each(|&i| tiling.push(Nest::run(i, 1, 1), &[], emit));
     tiling.flush(emit);
 }
 
-fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
+fn flatten_into(s: &Schedule, out: &mut Vec<Nest>) {
     match s {
         Schedule::Empty => {}
         Schedule::Range { lo, hi } => {
             if lo <= hi {
-                out.push(IterRun::span(*lo, *hi));
+                out.push(Nest::run(*lo, 1, hi - lo + 1));
             }
         }
         Schedule::Strided { start, step, count } => {
             if *count > 0 {
-                out.push(IterRun {
-                    start: *start,
-                    step: *step,
-                    count: *count,
-                });
+                out.push(Nest::run(*start, *step, *count));
             }
         }
         Schedule::Concat(parts) => {
@@ -122,94 +65,113 @@ fn flatten_into(s: &Schedule, out: &mut Vec<IterRun>) {
                 flatten_into(p, out);
             }
         }
-        // one progression per in-block offset, in the t-major visit order
-        Schedule::RepeatedScatter { .. } if s.offset_runs().is_some() => {
+        // the shapes that re-derive per visit: walk their stretches once
+        // (a repeated scatter with affine `f`: one progression per
+        // in-block offset, in the t-major visit order) and coalesce them
+        // as `coalesce_ordered` would their elements
+        other => {
             let (mut tiling, emit) = (Tiling::default(), &mut |run, _: &Sig| out.push(run));
-            for (start, step, count) in s.offset_runs().into_iter().flatten() {
-                tiling.push(IterRun { start, step, count }, &[], emit);
+            let runs = (matches!(other, Schedule::RepeatedScatter { .. }))
+                .then(|| other.offset_runs())
+                .flatten();
+            match runs {
+                Some(runs) => (runs.iter())
+                    .for_each(|&(i, step, n)| tiling.push(Nest::run(i, step, n), &[], emit)),
+                None => other.for_each_range(&mut |lo, hi| {
+                    tiling.push(Nest::run(lo, 1, hi - lo + 1), &[], emit)
+                }),
             }
             tiling.flush(emit);
         }
-        // the shapes that re-derive per visit: walk their stretches once
-        // and coalesce them as `coalesce_ordered` would their elements
-        other => {
-            let (mut tiling, emit) = (Tiling::default(), &mut |run, _: &Sig| out.push(run));
-            other.for_each_range(&mut |lo, hi| tiling.push(IterRun::span(lo, hi), &[], emit));
-            tiling.flush(emit);
-        }
     }
 }
 
-/// The loop indices of a communication run's first rep.
-pub(crate) fn iter_run(r: &CommRun) -> IterRun {
-    IterRun {
-        start: r.start,
-        step: r.step,
-        count: r.count,
-    }
-}
-
-/// Flatten a schedule into strided runs whose concatenated visit order
-/// is *identical* to [`Schedule::for_each`]. Arithmetic shapes convert
-/// directly; the repeated/guarded shapes pay their enumeration cost
-/// here, once, instead of on every execution.
-pub fn flatten_schedule(s: &Schedule) -> Vec<IterRun> {
+/// Flatten a schedule into one-level nests whose concatenated visit
+/// order is *identical* to [`Schedule::for_each`]. Arithmetic shapes
+/// convert directly; the repeated/guarded shapes pay their enumeration
+/// cost here, once, instead of on every execution.
+pub fn flatten_schedule(s: &Schedule) -> Vec<Nest> {
     let mut out = Vec::new();
     flatten_into(s, &mut out);
     out
 }
 
-/// Precomputed local-offset addressing for one strided run: either the
-/// closed-form affine progression `base + step·t` (the common Table I
-/// outcome) or, when the composition `local_of ∘ g ∘ gen_p` is not
-/// affine over the run, an explicit per-element table.
+/// Where an operand's elements sit, along the loop nest that reads or
+/// writes them: an address nest with the loop nest's counts and strides
+/// of its own — the closed-form `local_of ∘ g ∘ gen_p` of the common
+/// Table I outcome — or, when that composition is not affine along a
+/// level-0 run, the first run's offsets as an explicit table that the
+/// outer levels shift.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessPattern {
-    /// `offset(t) = base + step·t`.
-    Affine {
-        /// Offset of the run's first element.
-        base: i64,
-        /// Offset stride between consecutive run elements.
-        step: i64,
-    },
-    /// Explicit offsets, one per run element.
-    Table(Vec<i64>),
+pub struct AccessPattern {
+    /// The addresses (its level-0 stride is 0 where `table` is set).
+    pub nest: Nest,
+    /// The first run's offsets, one per element, when not affine.
+    pub table: Option<Box<[i64]>>,
 }
 
 impl AccessPattern {
-    /// The local offset of run element `t`.
+    /// The affine pattern `nest`.
+    pub fn affine(nest: Nest) -> AccessPattern {
+        AccessPattern { nest, table: None }
+    }
+
+    /// The offset of element `t` of the first level-0 run.
     #[inline]
     pub fn offset(&self, t: usize) -> i64 {
-        match self {
-            AccessPattern::Affine { base, step } => base + step * t as i64,
-            AccessPattern::Table(offs) => offs.get(t).copied().unwrap_or(0),
+        match &self.table {
+            None => self.nest.base + self.nest.stride(0) * t as i64,
+            Some(offs) => offs.get(t).copied().unwrap_or(0),
         }
+    }
+
+    /// How far level-0 run `r` sits from the first.
+    #[inline]
+    pub fn shift(&self, r: u64) -> i64 {
+        let [_, (c1, s1), (_, s2)] = self.nest.levels;
+        match c1.max(1) as u64 {
+            c1 if r < c1 => r as i64 * s1,
+            c1 => (r % c1) as i64 * s1 + (r / c1) as i64 * s2,
+        }
+    }
+
+    /// Visit every offset in order.
+    pub fn for_each(&self, mut visit: impl FnMut(i64)) {
+        match &self.table {
+            None => self.nest.for_each(visit),
+            Some(offs) => self.nest.outer().for_each(|at| {
+                offs.iter().for_each(|o| visit(o + at - self.nest.base));
+            }),
+        }
+    }
+
+    /// The smallest and the largest offset.
+    pub fn hull(&self) -> (i64, i64) {
+        let (lo, hi) = self.nest.hull();
+        let Some(offs) = &self.table else {
+            return (lo, hi);
+        };
+        let (min, max) = (offs.iter()).fold((i64::MAX, i64::MIN), |m, &o| (m.0.min(o), m.1.max(o)));
+        (lo + min - self.nest.base, hi + max - self.nest.base)
     }
 
     /// Whether the pattern is unit-stride (`copy_from_slice` eligible).
     pub fn is_unit_stride(&self) -> bool {
-        matches!(self, AccessPattern::Affine { step: 1, .. })
+        self.table.is_none() && self.nest.stride(0) == 1
     }
 
-    /// Compress explicit offsets into an affine pattern when possible.
+    /// One level of explicit offsets, compressed into an affine pattern
+    /// when possible.
     pub(crate) fn compress(offs: Vec<i64>) -> AccessPattern {
-        match offs.len() {
-            0 => AccessPattern::Affine { base: 0, step: 0 },
-            1 => AccessPattern::Affine {
-                base: offs[0],
-                step: 0,
-            },
-            _ => {
-                let step = offs[1] - offs[0];
-                if offs.windows(2).all(|w| w[1] - w[0] == step) {
-                    AccessPattern::Affine {
-                        base: offs[0],
-                        step,
-                    }
-                } else {
-                    AccessPattern::Table(offs)
-                }
-            }
+        let (first, n) = (offs.first().copied().unwrap_or(0), offs.len() as i64);
+        let step = offs.get(1).map_or(0, |o| o - first);
+        if offs.windows(2).all(|w| w[1] - w[0] == step) {
+            return AccessPattern::affine(Nest::run(first, step, n));
+        }
+        let table = Some(offs.into_boxed_slice());
+        AccessPattern {
+            nest: Nest::run(first, 0, n),
+            table,
         }
     }
 }
@@ -257,17 +219,16 @@ impl SlotAccess {
     }
 }
 
-/// One compiled update-phase entry: a two-level loop over `Modify_p` —
-/// `reps` repetitions of a strided run whose elements all read every
-/// slot from the same place — with every address the loops need
-/// resolved at plan time. Rep `k` is `run` with its indices shifted by
-/// `k·delta.run`, its lhs offsets by `k·delta.lhs` and the offsets of
-/// slot `s` by `k·delta.slots[s]`; all of a packet slot's reps read one
-/// packet.
+/// One compiled update-phase entry: a loop nest over `Modify_p` whose
+/// elements all read every slot from the same place, with every address
+/// the loops need resolved at plan time. The lhs and every slot share
+/// the index nest's counts and differ in base and strides; all of a
+/// packet slot's elements read one packet.
 ///
-/// The run's indices are linearised loop indices
-/// ([`CompiledSchedule::loop_box`]) and never leave one row of the loop
-/// box, so only the innermost loop coordinate varies along a run.
+/// The indices are linearised loop indices
+/// ([`CompiledSchedule::loop_box`]), and a level-0 run never leaves one
+/// row of the loop box, so only the innermost loop coordinate varies
+/// along it; in n dimensions a row is one more level.
 ///
 /// *Interior* entries (`boundary == false`) read only owner-local memory —
 /// provable from the Table I dispatch, because the plan's receive runs
@@ -276,63 +237,32 @@ impl SlotAccess {
 /// must wait for it to land.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecRun {
-    /// The loop indices of the first rep.
-    pub run: IterRun,
-    /// Number of reps (≥ 1).
-    pub reps: u64,
-    /// What every rep advances by (all zero when `reps == 1`).
-    pub delta: RepDelta,
+    /// The loop indices.
+    pub index: Nest,
     /// Whether any element of the entry reads remote data.
     pub boundary: bool,
-    /// Local offsets of the first rep's written elements `local_of(f(i))`.
+    /// Local offsets of the written elements `local_of(f(i))`.
     pub lhs: AccessPattern,
-    /// Per read slot, the first rep's resolved addressing.
+    /// Per read slot, the resolved addressing.
     pub slots: Vec<SlotAccess>,
-    /// Number of remote-element consumptions over all reps (zero for
-    /// interior entries).
+    /// Number of remote-element consumptions (zero for interior entries).
     pub remote_elems: u64,
 }
 
-/// The per-rep advance of an [`ExecRun`]: of its first loop index, its
-/// lhs offsets and, per read slot, its offsets (empty when `reps == 1`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RepDelta {
-    /// Loop-index advance.
-    pub run: i64,
-    /// Lhs offset advance.
-    pub lhs: i64,
-    /// Per read slot, the offset advance (into the part or the packet).
-    pub slots: Vec<i64>,
-}
-
 impl ExecRun {
-    /// Elements over all reps.
+    /// Elements over all levels.
     pub fn elems(&self) -> u64 {
-        self.run.len() * self.reps
+        self.index.len()
     }
 
-    /// The loop indices of rep `k`.
-    pub fn rep(&self, k: u64) -> IterRun {
-        IterRun {
-            start: self.run.start + k as i64 * self.delta.run,
-            ..self.run
-        }
-    }
-
-    /// How far rep `k` shifts slot `s`'s offsets.
-    #[inline]
-    pub fn slot_shift(&self, s: usize, k: u64) -> i64 {
-        self.delta.slots.get(s).map_or(0, |d| d * k as i64)
-    }
-
-    /// Whether the SIMD lane tier can take this entry's reps for `fused`:
-    /// a nonempty run with a recognized (non-Generic) shape, unit-stride
+    /// Whether the SIMD lane tier can take this entry's runs for `fused`:
+    /// a nonempty entry with a recognized (non-Generic) shape, unit-stride
     /// writes, and every slot the shape reads addressed at unit stride —
     /// in the local part or in a packet alike. This is the single
     /// eligibility predicate shared by the plan-time census and both
     /// machines' runtime dispatch, so the two never disagree.
     pub fn simd_eligible(&self, fused: &FusedShape) -> bool {
-        !self.run.is_empty()
+        !self.index.is_empty()
             && !matches!(fused, FusedShape::Generic)
             && self.lhs.is_unit_stride()
             && fused.read_slots().iter().all(|s| {
@@ -341,23 +271,73 @@ impl ExecRun {
                     .is_some_and(|sa| sa.pattern().is_unit_stride())
             })
     }
+
+    /// The index nest and every operand's address nest.
+    fn nests_mut(&mut self) -> impl Iterator<Item = &mut Nest> {
+        let slots = self.slots.iter_mut().map(|sa| match sa {
+            SlotAccess::Local(p) | SlotAccess::Packet { pattern: p, .. } => &mut p.nest,
+        });
+        [&mut self.index, &mut self.lhs.nest]
+            .into_iter()
+            .chain(slots)
+    }
+
+    /// Whether a run with this addressing is of this entry's class: the
+    /// same level-0 shape of the indices and of every operand, each
+    /// operand affine and, per slot, read from the same place.
+    fn same_class(&self, run: &Nest, lhs: &AccessPattern, slots: &[SlotAccess]) -> bool {
+        let same = |a: &AccessPattern, b: &AccessPattern| {
+            b.table.is_none() && a.nest.levels[0] == b.nest.levels[0]
+        };
+        self.index.levels[0] == run.levels[0]
+            && same(&self.lhs, lhs)
+            && (self.slots.iter().zip(slots))
+                .all(|(a, b)| a.packet() == b.packet() && same(a.pattern(), b.pattern()))
+    }
+
+    /// Take a run of this entry's class as one more position of its
+    /// outer level, if the indices and every operand advance by that
+    /// level's strides (the second run sets them). `grown` is scratch.
+    fn absorb(
+        &mut self,
+        (run, lhs, slots): (&Nest, &AccessPattern, &[SlotAccess]),
+        remote: u64,
+        grown: &mut Vec<Nest>,
+    ) -> bool {
+        let grow = |n: &Nest, next: &Nest| {
+            let mut n = *n;
+            n.absorb(next, 1).then_some(n)
+        };
+        let (Some(index), Some(lhs)) = (grow(&self.index, run), grow(&self.lhs.nest, &lhs.nest))
+        else {
+            return false;
+        };
+        grown.clear();
+        for (a, b) in self.slots.iter().zip(slots) {
+            match grow(&a.pattern().nest, &b.pattern().nest) {
+                Some(n) => grown.push(n),
+                None => return false,
+            }
+        }
+        (self.index, self.lhs.nest) = (index, lhs);
+        for (sa, n) in self.slots.iter_mut().zip(grown.iter()) {
+            match sa {
+                SlotAccess::Local(p) | SlotAccess::Packet { pattern: p, .. } => p.nest = *n,
+            }
+        }
+        self.remote_elems += remote;
+        true
+    }
 }
 
-/// One stretch of an outgoing packet's payload: `reps` reps of `count`
-/// elements of read slot `slot`, found at `pattern` in the sender's
-/// local part, rep `k` shifted by `k·shift`.
+/// One stretch of an outgoing packet's payload: the elements of read
+/// slot `slot` at `pattern` in the sender's local part, in packing order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendSeg {
     /// The read slot whose array the elements come from.
     pub slot: usize,
-    /// Local offsets of the first rep's elements, in packing order.
+    /// Local offsets of the elements.
     pub pattern: AccessPattern,
-    /// Number of elements per rep.
-    pub count: usize,
-    /// Number of reps (≥ 1).
-    pub reps: u64,
-    /// Local-offset advance per rep (0 when `reps == 1`).
-    pub shift: i64,
 }
 
 /// Everything one node sends to one peer: per packet — the same cut of
@@ -394,8 +374,8 @@ pub struct OverlapCensus {
 pub struct CompiledNode {
     /// Processor id.
     pub p: i64,
-    /// `Modify_p` as flat runs, in schedule visit order.
-    pub modify: Vec<IterRun>,
+    /// `Modify_p` as one-level nests, in schedule visit order.
+    pub modify: Vec<Nest>,
     /// `Modify_p` iteration count (pre-sizes the write buffer).
     pub modify_iters: u64,
     /// `Modify_p` loop-overhead estimate (the `guard_tests` accounting
@@ -441,11 +421,8 @@ impl CompiledNode {
     /// estimate for cache budgets, not an allocator census.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let table = |p: &AccessPattern| match p {
-            AccessPattern::Affine { .. } => 0,
-            AccessPattern::Table(offs) => offs.len() * size_of::<i64>(),
-        };
-        let mut b = self.modify.len() * size_of::<IterRun>();
+        let table = |p: &AccessPattern| p.table.as_ref().map_or(0, |t| t.len() * size_of::<i64>());
+        let mut b = self.modify.len() * size_of::<Nest>();
         b += (self.src_ord.len() + self.src_peers.len() + self.staging_packets.len()) * 8;
         for pair in &self.sends {
             for segs in &pair.packets {
@@ -456,14 +433,13 @@ impl CompiledNode {
         for er in &self.exec {
             b += size_of::<ExecRun>() + er.slots.len() * size_of::<SlotAccess>() + table(&er.lhs);
             b += er.slots.iter().map(|sa| table(sa.pattern())).sum::<usize>();
-            b += er.delta.slots.len() * size_of::<i64>();
         }
         b += (self.write_spans.as_ref()).map_or(0, |s| s.len() * size_of::<(usize, usize)>());
         b
     }
 
     /// Interior/boundary census of this node's exec table: entries, and
-    /// elements over all their reps.
+    /// their elements.
     pub fn census(&self) -> OverlapCensus {
         let mut c = OverlapCensus::default();
         for er in &self.exec {
@@ -515,7 +491,7 @@ impl CompiledSchedule {
             .iter()
             .map(|node| {
                 let modify = flatten_schedule(&node.modify.schedule);
-                let modify_iters = modify.iter().map(IterRun::len).sum();
+                let modify_iters = modify.iter().map(Nest::len).sum();
                 let mut src_ord = vec![usize::MAX; pmax];
                 let mut src_peers = Vec::with_capacity(node.comm.recvs.len());
                 let mut staging_packets = Vec::with_capacity(node.comm.recvs.len());
@@ -579,13 +555,8 @@ impl CompiledSchedule {
             return cs;
         };
         for (node, cn) in plan.nodes.iter().zip(&mut cs.nodes) {
-            let at = |r: &CommRun| {
-                let (g, dec) = (&node.resides[r.slot].g, dec_reads[r.slot]);
-                let run = iter_run(r);
-                (
-                    local_pattern(run, g, dec),
-                    rep_shift(run, r.reps, r.stride, g, dec),
-                )
+            let at = |slot: usize, idx: &Nest| {
+                local_pattern(idx, &node.resides[slot].g, dec_reads[slot])
             };
             cn.sends = node
                 .comm
@@ -643,7 +614,7 @@ impl CompiledSchedule {
 
     /// Plan-time SIMD census under `policy`, summed over all nodes: how
     /// many exec entries the lane tier will vectorize and how their
-    /// elements split, rep by rep, into full lanes vs remainder tails.
+    /// elements split, run by run, into full lanes vs remainder tails.
     /// Uses the same [`ExecRun::simd_eligible`] predicate the machines
     /// dispatch on, so this predicts the runtime census exactly
     /// (`vcalc --trace` prints both side by side).
@@ -658,7 +629,7 @@ impl CompiledSchedule {
         for node in &self.nodes {
             for er in &node.exec {
                 if policy.enabled() && !self.guarded && er.simd_eligible(&kernel.fused) {
-                    c.add_vector_run(er.run.len(), er.reps);
+                    c.add_vector_run(er.index.count(0) as u64, er.index.reps());
                 } else {
                     c.fallback_runs += 1;
                 }
@@ -668,79 +639,92 @@ impl CompiledSchedule {
     }
 }
 
-/// The local offsets `local(h(i))` over `run`. Closed form when `h` is
-/// affine and the layout makes the composition affine over the run —
-/// the run stays inside one block, or strides whole scatter cycles —
-/// which is every run Table I produces for the block and scatter
-/// families; anything else is enumerated once and compressed.
-pub(crate) fn local_pattern(run: IterRun, h: &Fn1, dec: &Decomp1) -> AccessPattern {
-    if let Fn1::Const(c) = h {
-        let base = dec.local_of(*c);
-        return AccessPattern::Affine { base, step: 0 };
+/// The local offsets `local(h(i))` along every level of `idx`, or `None`
+/// when an outer level does not shift them by one constant over the
+/// nest's hull ([`Decomp1::local_shift`]). Along level 0 they are in
+/// closed form when `h` is affine and the layout makes the composition
+/// affine over a run — it stays inside one block, or strides whole
+/// scatter cycles — which is every run Table I produces for the block
+/// and scatter families; anything else is enumerated once and compressed.
+pub(crate) fn local_pattern(idx: &Nest, h: &Fn1, dec: &Decomp1) -> Option<AccessPattern> {
+    let affine = match *h {
+        Fn1::Const(c) => Some((0, c)),
+        Fn1::Affine { a, c } => Some((a, c)),
+        _ => None,
+    };
+    // per outer level, the local-offset shift (none for a one-level nest)
+    let mut shifts = [0; MAX_LEVELS];
+    let outer = 1..idx.depth().max(1);
+    for (l, shift) in shifts.iter_mut().enumerate().take(outer.end).skip(1) {
+        *shift = match (affine, idx.levels[l]) {
+            (_, (1, _)) | (Some((0, _)), _) => 0,
+            (Some((a, c)), (_, stride)) => {
+                let (lo, hi) = idx.hull();
+                let (x0, x1) = (a * lo + c, a * hi + c);
+                dec.local_shift(x0.min(x1), x0.max(x1), a * stride)?
+            }
+            (None, _) => return None,
+        };
     }
-    if let (Fn1::Affine { a, c }, true) = (h, run.count > 2) {
-        let (x0, sx) = (a * run.start + c, a * run.step);
-        let xl = x0 + sx * (run.count - 1);
-        if let Some(step) = dec.local_shift(x0.min(xl), x0.max(xl), sx) {
-            let base = dec.local_of(x0);
-            return AccessPattern::Affine { base, step };
+    let (count, step) = idx.levels[0];
+    let mut pattern = match affine {
+        Some((0, c)) => AccessPattern::affine(Nest::run(dec.local_of(c), 0, count)),
+        Some((a, c)) if count > 2 => {
+            let (x0, sx) = (a * idx.base + c, a * step);
+            let xl = x0 + sx * (count - 1);
+            match dec.local_shift(x0.min(xl), x0.max(xl), sx) {
+                Some(s) => AccessPattern::affine(Nest::run(dec.local_of(x0), s, count)),
+                None => tabulate(idx, h, dec),
+            }
         }
+        _ => tabulate(idx, h, dec),
+    };
+    for l in outer {
+        pattern.nest.levels[l] = (idx.levels[l].0, shifts[l]);
     }
-    let mut offs = Vec::with_capacity(run.len() as usize);
-    run.for_each(|i| offs.push(dec.local_of(h.eval(i))));
+    Some(pattern)
+}
+
+/// The local offsets `local(h(i))` of `idx`'s first level-0 run, one by one.
+fn tabulate(idx: &Nest, h: &Fn1, dec: &Decomp1) -> AccessPattern {
+    let mut offs = Vec::with_capacity(idx.count(0).max(0) as usize);
+    idx.rep(0).for_each(|i| offs.push(dec.local_of(h.eval(i))));
     AccessPattern::compress(offs)
 }
 
-/// What each of `reps` reps of `run`, `stride` loop indices apart, adds
-/// to the local offsets `local(h(i))`, when that is one constant
-/// ([`Decomp1::local_shift`] over the reps' hull).
-pub(crate) fn rep_shift(
-    run: IterRun,
-    reps: u64,
-    stride: i64,
-    h: &Fn1,
-    dec: &Decomp1,
-) -> Option<i64> {
-    let (a, c) = match h {
-        Fn1::Const(_) => return Some(0),
-        Fn1::Affine { a, c } => (*a, *c),
-        _ => return None,
-    };
-    let (e0, far) = (
-        run.start + run.step * (run.count - 1),
-        stride * (reps as i64 - 1),
-    );
-    let xs = [run.start, e0, run.start + far, e0 + far].map(|i| a * i + c);
-    let (lo, hi) = (xs.iter().min()?, xs.iter().max()?);
-    dec.local_shift(*lo, *hi, a * stride)
-}
-
 /// Where the sender finds the elements of each packet it packs for
-/// `pair`, given each run's first-rep local offsets and per-rep shift
-/// `at(run)`: one segment per run, two-level where the reps advance by a
-/// constant, per rep where they do not, and a one-level run that
-/// continues its predecessor's affine progression in the same slot merged
-/// into it (a block-scatter source packs a whole packet with one slice
-/// copy).
+/// `pair`, given the local offsets `at(slot, idx)` along a run's index
+/// nest: one segment per run, per rep where its reps do not advance by a
+/// constant, with levels that continue their inner one merged, and a
+/// one-level segment that continues its predecessor's affine progression
+/// in the same slot absorbed into it (a block-scatter source packs a
+/// whole packet with one slice copy).
 pub(crate) fn send_pair(
     pair: &PairComm,
-    mut at: impl FnMut(&CommRun) -> (AccessPattern, Option<i64>),
+    mut at: impl FnMut(usize, &Nest) -> Option<AccessPattern>,
 ) -> SendPair {
     let mut segs_of = |runs: &[CommRun]| {
         let mut segs: Vec<SendSeg> = Vec::new();
-        let mut push = |seg: SendSeg| {
-            if !(segs.last_mut()).is_some_and(|last| last.absorb(&seg)) {
-                segs.push(seg);
+        let mut push = |slot: usize, mut pattern: AccessPattern| {
+            if pattern.table.is_some() {
+                return segs.push(SendSeg { slot, pattern });
+            }
+            pattern.nest = pattern.nest.merged();
+            let last = (segs.last_mut()).filter(|last| {
+                (last.slot, last.pattern.table.is_none()) == (slot, true)
+                    && last.pattern.nest.depth() <= 1
+            });
+            if !last.is_some_and(|last| last.pattern.nest.absorb(&pattern.nest, 0)) {
+                segs.push(SendSeg { slot, pattern });
             }
         };
         for r in runs {
-            let (slot, count) = (r.slot, r.count as usize);
-            match at(r) {
-                (pattern, Some(shift)) => push(SendSeg::new(slot, pattern, count, r.reps, shift)),
-                (pattern, None) if r.reps == 1 => push(SendSeg::new(slot, pattern, count, 1, 0)),
-                _ => {
-                    (0..r.reps).for_each(|k| push(SendSeg::new(slot, at(&r.rep(k)).0, count, 1, 0)))
-                }
+            match at(r.slot, &r.nest) {
+                Some(pattern) => push(r.slot, pattern),
+                None => (0..r.nest.reps()).for_each(|k| {
+                    let one = at(r.slot, &r.nest.rep(k)).expect("a one-level nest has no shift");
+                    push(r.slot, one)
+                }),
             }
         }
         segs
@@ -751,85 +735,22 @@ pub(crate) fn send_pair(
     }
 }
 
-impl SendSeg {
-    /// `reps` reps of `count` elements at `pattern`, rep `k` shifted by
-    /// `k·shift`; one-level when the reps continue one progression.
-    fn new(slot: usize, pattern: AccessPattern, count: usize, reps: u64, shift: i64) -> SendSeg {
-        let (pattern, count, reps, shift) = match pattern {
-            AccessPattern::Affine { base, step }
-                if reps > 1 && (count == 1 || shift == step * count as i64) =>
-            {
-                let step = if count == 1 { shift } else { step };
-                (
-                    AccessPattern::Affine { base, step },
-                    count * reps as usize,
-                    1,
-                    0,
-                )
-            }
-            pattern => (pattern, count, reps, if reps > 1 { shift } else { 0 }),
-        };
-        SendSeg {
-            slot,
-            pattern,
-            count,
-            reps,
-            shift,
-        }
-    }
-
-    /// Grow by one-level `next` when it continues this one-level
-    /// segment's affine progression (a single element has no stride of
-    /// its own and adopts its neighbour's).
-    fn absorb(&mut self, next: &SendSeg) -> bool {
-        use AccessPattern::Affine;
-        let (Affine { base, step }, Affine { base: nb, step: ns }) =
-            (&mut self.pattern, &next.pattern)
-        else {
-            return false;
-        };
-        let stride = if self.count > 1 { *step } else { nb - *base };
-        let continues = (self.slot, self.reps, next.reps) == (next.slot, 1, 1)
-            && *nb == *base + stride * self.count as i64
-            && (next.count == 1 || *ns == stride);
-        if continues {
-            *step = stride;
-            self.count += next.count;
-        }
-        continues
-    }
-}
-
-/// The stride of a receive run's loop indices (`1` for a single-element
-/// run, whose recorded step carries no information).
-fn run_step(r: &CommRun) -> i64 {
-    if r.count > 1 {
-        r.step.max(1)
-    } else {
-        1
-    }
-}
-
 /// One planned incoming run, for interval lookup: its loop indices span
-/// `[run.start, hi]` over all reps.
+/// `[run.base, hi]` over all reps.
 struct RecvSpan {
     hi: i64,
     /// Largest `hi` among this span and those sorted before it.
     top_hi: i64,
     /// `(source ordinal, run ordinal)`.
     origin: (usize, usize),
-    run: CommRun,
+    run: Nest,
 }
 
-/// The positions `t = first + period·j + delta·k`, `j ∈ [0, count)`,
-/// `k ∈ [0, reps)`, of one modify run whose reads of `slot` fall inside
-/// reps of one receive run: instance `k` meets rep `origin.2 + k`.
+/// The positions of one modify run whose reads of `slot` fall inside reps
+/// of one receive run: a two-level nest of positions, instance `k` of
+/// its outer level meeting rep `origin.2 + k`.
 struct Hit {
-    first: i64,
-    period: i64,
-    count: i64,
-    reps: i64,
-    delta: i64,
+    at: Nest,
     slot: usize,
     origin: Origin,
 }
@@ -846,7 +767,7 @@ pub(crate) struct RecvIndex {
 pub(crate) enum Piece<'a> {
     /// A maximal stretch of a modify run whose reads of every slot come
     /// from one place.
-    Run(IterRun, &'a Sig),
+    Run(Nest, &'a Sig),
     /// The `Run`s up to the next `EndWindow` are one window that recurs
     /// `reps` times, each `shift` loop indices on and one rep further
     /// into every receive run it reads.
@@ -868,24 +789,20 @@ struct Sweep {
 impl Sweep {
     /// Cut positions `[lo, hi)` of modify run `m` wherever the receive
     /// rep covering some slot changes, and hand each piece to `emit`.
-    fn run(&mut self, m: &IterRun, hits: &[Hit], lo: i64, hi: i64, emit: &mut impl FnMut(Piece)) {
+    fn run(&mut self, m: &Nest, hits: &[Hit], lo: i64, hi: i64, emit: &mut impl FnMut(Piece)) {
         self.spans.clear();
         for h in hits {
-            let ext = h.period * (h.count - 1);
-            let (k0, k1) = meeting(h.first, h.delta, h.reps, ext, lo, hi - 1);
+            let [(count, period), (reps, delta), _] = h.at.levels;
+            let (k0, k1) = meeting(h.at.base, delta, reps, period * (count - 1), lo, hi - 1);
             for k in k0..=k1 {
                 let (first, origin) = (
-                    h.first + k * h.delta,
+                    h.at.base + k * delta,
                     (h.origin.0, h.origin.1, h.origin.2 + k as u64),
                 );
                 // interleaving runs meet in isolated single elements
-                let (len, n) = if h.period == 1 {
-                    (h.count, 1)
-                } else {
-                    (1, h.count)
-                };
-                let (j0, j1) = meeting(first, h.period, n, 0, lo, hi - 1);
-                let ts = (j0..=j1).map(|j| first + j * h.period);
+                let (len, n) = if period == 1 { (count, 1) } else { (1, count) };
+                let (j0, j1) = meeting(first, period, n, 0, lo, hi - 1);
+                let ts = (j0..=j1).map(|j| first + j * period);
                 self.spans
                     .extend(ts.map(|t0| (t0.max(lo), t0 + len - 1, h.slot, origin)));
             }
@@ -894,6 +811,7 @@ impl Sweep {
         self.spans.sort_unstable_by_key(|s| (s.0, s.2));
         self.active.fill(None);
         let (mut t, mut next) = (lo, 0usize);
+        let (base, step) = (m.base, m.stride(0));
         while t < hi {
             for a in &mut self.active {
                 if a.is_some_and(|(t1, _)| t1 < t) {
@@ -911,12 +829,10 @@ impl Sweep {
                     origin
                 });
             }
-            let piece = IterRun {
-                start: m.start + m.step * t,
-                step: m.step,
-                count: end - t,
-            };
-            emit(Piece::Run(piece, &self.sig));
+            emit(Piece::Run(
+                Nest::run(base + step * t, step, end - t),
+                &self.sig,
+            ));
             t = end;
         }
     }
@@ -944,27 +860,29 @@ fn meeting(first: i64, step: i64, n: i64, ext: i64, lo: i64, hi: i64) -> (i64, i
 fn windows(hits: &[Hit], out: &mut Vec<(i64, i64, u64)>) {
     out.clear();
     let mut bad: Vec<(i64, i64)> = Vec::new();
-    for a in hits.iter().filter(|a| a.reps >= 4) {
-        let (f, dt) = (a.first, a.delta);
+    for a in hits.iter().filter(|a| a.at.count(1) >= 4) {
+        let (f, dt, a_reps) = (a.at.base, a.at.stride(1), a.at.count(1));
         bad.clear();
         for h in hits {
-            let last = h.first + (h.reps - 1) * h.delta + h.period * (h.count - 1);
-            if last < f || h.first >= f + a.reps * dt {
+            let [(count, period), (reps, delta), _] = h.at.levels;
+            let first = h.at.base;
+            let last = first + (reps - 1) * delta + period * (count - 1);
+            if last < f || first >= f + a_reps * dt {
                 continue; // clear of every window of this anchor
             }
-            let (kb, ka) = (div_floor(h.first - f, dt) - 1, div_floor(last - f, dt) + 2);
+            let (kb, ka) = (div_floor(first - f, dt) - 1, div_floor(last - f, dt) + 2);
             let kin = (
-                div_ceil(h.first - f, dt) + 1,
-                div_floor(h.first + h.reps * dt - f, dt) - 1,
+                div_ceil(first - f, dt) + 1,
+                div_floor(first + reps * dt - f, dt) - 1,
             );
-            if h.delta == dt && h.reps > 1 && kin.0 <= kin.1 {
+            if delta == dt && reps > 1 && kin.0 <= kin.1 {
                 bad.extend([(kb + 1, kin.0 - 1), (kin.1 + 1, ka - 1)]);
             } else {
                 bad.push((kb + 1, ka - 1));
             }
         }
         bad.sort_unstable();
-        let (mut k, last) = (2, a.reps - 2);
+        let (mut k, last) = (2, a_reps - 2);
         let mut batch = |k1: i64, k2: i64| out.push((f + (k1 - 1) * dt, dt, (k2 - k1 + 2) as u64));
         for &(lo, hi) in bad.iter().filter(|b| b.0 <= b.1) {
             if lo > k && k <= last {
@@ -984,24 +902,22 @@ impl RecvIndex {
         let mut by_slot: Vec<Vec<RecvSpan>> = (0..n_slots).map(|_| Vec::new()).collect();
         for (src_ord, pc) in recvs.iter().enumerate() {
             for (run_ord, run) in pc.runs.iter().enumerate() {
-                if run.is_empty() {
+                if run.nest.is_empty() {
                     continue;
                 }
                 if let Some(spans) = by_slot.get_mut(run.slot) {
-                    let hi = run.start
-                        + (run.reps as i64 - 1) * run.stride
-                        + run_step(run) * (run.count - 1);
+                    let hi = run.nest.hull().1;
                     spans.push(RecvSpan {
                         hi,
                         top_hi: hi,
                         origin: (src_ord, run_ord),
-                        run: *run,
+                        run: run.nest,
                     });
                 }
             }
         }
         for spans in &mut by_slot {
-            spans.sort_by_key(|s| s.run.start);
+            spans.sort_by_key(|s| s.run.base);
             let mut top = i64::MIN;
             for s in spans {
                 top = top.max(s.hi);
@@ -1015,39 +931,33 @@ impl RecvIndex {
     /// reps that lie inside `m`'s hull meet it alike, one `delta =
     /// stride / m.step` apart, and form one hit; the others (and all of
     /// them when `m` does not step evenly into the stride) meet it singly.
-    fn hits(&self, m: &IterRun, out: &mut Vec<Hit>) {
-        let last = m.start + m.step * (m.count - 1);
-        let (mlo, mhi) = (m.start.min(last), m.start.max(last));
+    fn hits(&self, m: &Nest, out: &mut Vec<Hit>) {
+        let (mlo, mhi) = m.hull();
+        let [(mcount, mstep), ..] = m.levels;
         for (slot, spans) in self.by_slot.iter().enumerate() {
-            let end = spans.partition_point(|s| s.run.start <= mhi);
+            let end = spans.partition_point(|s| s.run.base <= mhi);
             let begin = spans[..end].partition_point(|s| s.top_hi < mlo);
             for s in &spans[begin..end] {
                 if s.hi < mlo {
                     continue;
                 }
-                let (r, ext) = (&s.run, run_step(&s.run) * (s.run.count - 1));
-                let (ra, rb) = meeting(r.start, r.stride, r.reps as i64, ext, mlo, mhi);
-                let whole = m.step > 0 && m.count > 1 && r.reps > 1 && r.stride % m.step == 0;
+                let r = &s.run;
+                let [(count, _), (reps, stride), _] = r.levels;
+                let ext = r.stride(0).max(1) * (count - 1);
+                let (ra, rb) = meeting(r.base, stride, reps, ext, mlo, mhi);
+                let whole = mstep > 0 && mcount > 1 && reps > 1 && stride % mstep == 0;
                 let (f0, f1) = match whole {
                     true => (
-                        div_ceil(mlo - r.start, r.stride).max(ra),
-                        div_floor(mhi - ext - r.start, r.stride).min(rb),
+                        div_ceil(mlo - r.base, stride).max(ra),
+                        div_floor(mhi - ext - r.base, stride).min(rb),
                     ),
                     false => (rb + 1, rb),
                 };
                 let mut hit = |k: i64, reps: i64| {
-                    if let Some((first, period, count)) = meet(m, &r.rep(k as u64)) {
-                        let (delta, origin) =
-                            (r.stride / m.step.max(1), (s.origin.0, s.origin.1, k as u64));
-                        out.push(Hit {
-                            first,
-                            period,
-                            count,
-                            reps,
-                            delta,
-                            slot,
-                            origin,
-                        });
+                    if let Some(mut at) = m.meet(&r.rep(k as u64)) {
+                        at.levels[1] = (reps, stride / mstep.max(1));
+                        let origin = (s.origin.0, s.origin.1, k as u64);
+                        out.push(Hit { at, slot, origin });
                     }
                 };
                 (ra..f0.min(rb + 1)).for_each(|k| hit(k, 1));
@@ -1067,7 +977,7 @@ impl RecvIndex {
     /// in one stretch, and the stretches that repeat ([`windows`]) are
     /// swept once as a [`Piece::Window`]; without it such a run is cut
     /// element by element.
-    pub(crate) fn pieces(&self, modify: &[IterRun], split: bool, mut emit: impl FnMut(Piece)) {
+    pub(crate) fn pieces(&self, modify: &[Nest], split: bool, mut emit: impl FnMut(Piece)) {
         let n_slots = self.by_slot.len();
         let mut hits: Vec<Hit> = Vec::new();
         let mut batches = Vec::new();
@@ -1079,22 +989,20 @@ impl RecvIndex {
         for m in modify {
             hits.clear();
             self.hits(m, &mut hits);
+            let [(count, step), ..] = m.levels;
             // the meet period of the hits when they all interleave (a
             // contiguous one would be shredded) and it still leaves
             // classes of more than one element
-            let d = (hits.iter().filter(|h| h.count > 1))
+            let d = (hits.iter().filter(|h| h.at.count(0) > 1))
                 .try_fold(1i64, |d, h| {
-                    let lcm = (d / gcd(d, h.period)).checked_mul(h.period);
-                    lcm.filter(|&l| h.period > 1 && l < m.count)
+                    let period = h.at.stride(0);
+                    let lcm = (d / gcd(d, period)).checked_mul(period);
+                    lcm.filter(|&l| period > 1 && l < count)
                 })
                 .filter(|&d| split && d > 1);
             for r in 0..d.unwrap_or(1) {
                 let m = match d {
-                    Some(d) => IterRun {
-                        start: m.start + m.step * r,
-                        step: m.step * d,
-                        count: (m.count - r + d - 1) / d,
-                    },
+                    Some(d) => Nest::run(m.base + step * r, step * d, (count - r + d - 1) / d),
                     None => *m,
                 };
                 if d.is_some() {
@@ -1115,41 +1023,17 @@ impl RecvIndex {
                     sweep.run(&m, &hits, t, lo, &mut emit);
                     emit(Piece::Window {
                         reps: n as u64,
-                        shift: dt * m.step,
+                        shift: dt * m.stride(0),
                     });
                     sweep.run(&m, &hits, lo, lo + dt, &mut emit);
                     emit(Piece::EndWindow);
                     t = lo + n * dt;
                 }
                 batches.clear();
-                sweep.run(&m, &hits, t, m.count, &mut emit);
+                sweep.run(&m, &hits, t, m.count(0), &mut emit);
             }
         }
     }
-}
-
-/// The positions `t` of modify run `m` whose index lies in run `r`,
-/// as `(first, period, count)`: two arithmetic progressions meet in an
-/// arithmetic progression (a linear congruence, clipped to both ranges).
-fn meet(m: &IterRun, r: &CommRun) -> Option<(i64, i64, i64)> {
-    let rstep = run_step(r);
-    let rhi = r.start + rstep * (r.count - 1);
-    if m.step == 0 || m.count == 1 {
-        let i = m.start;
-        let inside = (r.start..=rhi).contains(&i) && (i - r.start) % rstep == 0;
-        return inside.then_some((0, 1, m.count));
-    }
-    let cong = solve_congruence(m.step, r.start - m.start, rstep)?;
-    // r.start <= m.start + m.step·t <= rhi
-    let (a, b) = (r.start - m.start, rhi - m.start);
-    let (tlo, thi) = if m.step > 0 {
-        (div_ceil(a, m.step), div_floor(b, m.step))
-    } else {
-        (div_ceil(b, m.step), div_floor(a, m.step))
-    };
-    let (tlo, thi) = (tlo.max(0), thi.min(m.count - 1));
-    let first = cong.first_at_or_above(tlo);
-    (first <= thi).then(|| (first, cong.period, (thi - first) / cong.period + 1))
 }
 
 /// `(source ordinal, run ordinal, rep)` of one rep of a receive run.
@@ -1169,59 +1053,44 @@ pub(crate) type Sig = Vec<Option<Origin>>;
 #[derive(Default)]
 pub(crate) struct Tiling {
     /// The open run, not yet emitted.
-    pub(crate) cur: Option<IterRun>,
+    pub(crate) cur: Option<Nest>,
     sig: Sig,
 }
 
 impl Tiling {
     pub(crate) fn push(
         &mut self,
-        mut piece: IterRun,
+        piece: Nest,
         sig: &[Option<Origin>],
-        emit: &mut impl FnMut(IterRun, &Sig),
+        emit: &mut impl FnMut(Nest, &Sig),
     ) {
-        if piece.count == 1 {
-            piece.step = 1;
-        }
-        let Some(run) = self.cur.as_mut().filter(|_| self.sig == sig) else {
-            return self.restart(piece, sig, emit);
-        };
-        // the piece's first element
-        if run.count == 1 {
-            run.step = piece.start - run.start;
-        } else if piece.start != run.start + run.step * run.count {
+        let (count, step) = piece.levels[0];
+        // the piece's first element ...
+        let head = Nest::run(piece.base, 1, 1);
+        let glued = self.sig == sig && (self.cur.as_mut()).is_some_and(|run| run.absorb(&head, 0));
+        if !glued {
+            let piece = Nest::run(piece.base, if count > 1 { step } else { 1 }, count);
             return self.restart(piece, sig, emit);
         }
-        run.count += 1;
         // ... and the rest of it
-        if piece.count == 1 {
-            return;
+        let rest = Nest::run(
+            piece.base + step,
+            if count > 2 { step } else { 1 },
+            count - 1,
+        );
+        if count > 1 && !(self.cur.as_mut()).is_some_and(|run| run.absorb(&rest, 0)) {
+            self.restart(rest, sig, emit);
         }
-        if piece.step == run.step {
-            run.count += piece.count - 1;
-            return;
-        }
-        let rest = IterRun {
-            start: piece.start + piece.step,
-            step: if piece.count > 2 { piece.step } else { 1 },
-            count: piece.count - 1,
-        };
-        self.restart(rest, sig, emit);
     }
 
-    fn restart(
-        &mut self,
-        run: IterRun,
-        sig: &[Option<Origin>],
-        emit: &mut impl FnMut(IterRun, &Sig),
-    ) {
+    fn restart(&mut self, run: Nest, sig: &[Option<Origin>], emit: &mut impl FnMut(Nest, &Sig)) {
         self.flush(emit);
         self.cur = Some(run);
         self.sig.clear();
         self.sig.extend_from_slice(sig);
     }
 
-    pub(crate) fn flush(&mut self, emit: &mut impl FnMut(IterRun, &Sig)) {
+    pub(crate) fn flush(&mut self, emit: &mut impl FnMut(Nest, &Sig)) {
         if let Some(run) = self.cur.take() {
             emit(run, &self.sig);
         }
@@ -1238,26 +1107,27 @@ fn is_injective(f: &Fn1) -> bool {
 const OPEN_CAP: usize = 64;
 
 /// Fold resolved runs, as they stream in, into two-level [`ExecRun`]s.
-/// A run joins an open entry of its *class* — same run shape, same lhs
-/// stride, per slot the same place (owner-local, or one packet) at the
-/// same stride, every pattern affine — when its loop start, its lhs base
-/// and every slot base advance by that entry's deltas. With `reorder`
-/// (an injective `f`) any open entry may take it; without, only the
-/// newest may, so the entries expand to the visit order.
+/// A run joins an open entry of its class ([`ExecRun::same_class`]) when
+/// its indices and every address advance by that entry's outer strides
+/// ([`ExecRun::absorb`]). With `reorder` (an injective `f`) any open
+/// entry may take it; without, only the newest may, so the entries
+/// expand to the visit order.
 #[derive(Default)]
-struct Fold {
-    entries: Vec<ExecRun>,
+pub(crate) struct Fold {
+    pub(crate) entries: Vec<ExecRun>,
     /// Entries that may still grow, least recently grown first.
     open: Vec<usize>,
     reorder: bool,
+    /// Scratch for [`ExecRun::absorb`].
+    grown: Vec<Nest>,
 }
 
 impl Fold {
     /// Fold in a run; returns the entry it went to and whether that
     /// entry grew (rather than being created).
-    fn push(
+    pub(crate) fn push(
         &mut self,
-        run: IterRun,
+        run: Nest,
         lhs: AccessPattern,
         slots: &[SlotAccess],
         remote: u64,
@@ -1265,7 +1135,7 @@ impl Fold {
         let entries = &mut self.entries;
         let class = (self.open.iter()).rposition(|&e| entries[e].same_class(&run, &lhs, slots));
         if let Some(e) = class.map(|j| self.open.remove(j)) {
-            if entries[e].extend(&run, &lhs, slots, remote) {
+            if entries[e].absorb((&run, &lhs, slots), remote, &mut self.grown) {
                 self.open.push(e);
                 return (e, true);
             }
@@ -1273,88 +1143,20 @@ impl Fold {
         if !self.reorder {
             self.open.clear();
         }
-        if stride(&lhs).is_some() && slots.iter().all(|sa| stride(sa.pattern()).is_some()) {
+        if lhs.table.is_none() && slots.iter().all(|sa| sa.pattern().table.is_none()) {
             if self.open.len() == OPEN_CAP {
                 self.open.remove(0);
             }
             self.open.push(entries.len());
         }
         entries.push(ExecRun {
-            run,
-            reps: 1,
-            delta: RepDelta::default(),
+            index: run,
             boundary: remote > 0,
             lhs,
             slots: slots.to_vec(),
             remote_elems: remote,
         });
         (entries.len() - 1, false)
-    }
-}
-
-/// The stride of an affine pattern.
-fn stride(p: &AccessPattern) -> Option<i64> {
-    match p {
-        AccessPattern::Affine { step, .. } => Some(*step),
-        AccessPattern::Table(_) => None,
-    }
-}
-
-impl ExecRun {
-    /// Whether a run with this addressing is of this entry's class.
-    fn same_class(&self, run: &IterRun, lhs: &AccessPattern, slots: &[SlotAccess]) -> bool {
-        let same = |a: &SlotAccess, b: &SlotAccess| {
-            a.packet() == b.packet() && stride(a.pattern()) == stride(b.pattern())
-        };
-        (self.run.step, self.run.count) == (run.step, run.count)
-            && stride(&self.lhs) == stride(lhs)
-            && self.slots.iter().zip(slots).all(|(a, b)| same(a, b))
-    }
-
-    /// Append a run of this entry's class as its next rep, if it
-    /// advances by the entry's deltas (the second rep sets them).
-    fn extend(
-        &mut self,
-        run: &IterRun,
-        lhs: &AccessPattern,
-        slots: &[SlotAccess],
-        remote: u64,
-    ) -> bool {
-        let k = self.reps as i64;
-        let base = |sa: &SlotAccess| sa.pattern().offset(0);
-        let moved = (slots.iter().zip(&self.slots)).map(|(b, a)| base(b) - base(a));
-        if self.reps == 1 {
-            let (run, lhs) = (
-                run.start - self.run.start,
-                lhs.offset(0) - self.lhs.offset(0),
-            );
-            let slots = moved.collect();
-            self.delta = RepDelta { run, lhs, slots };
-        } else if run.start != self.run.start + k * self.delta.run
-            || lhs.offset(0) != self.lhs.offset(0) + k * self.delta.lhs
-            || !moved.zip(&self.delta.slots).all(|(m, d)| m == k * d)
-        {
-            return false;
-        }
-        self.reps += 1;
-        self.remote_elems += remote;
-        true
-    }
-
-    /// The offsets reps `k0..k1` write: their hull, how many they are,
-    /// and whether each rep is contiguous.
-    fn lhs_hull(&self, k0: u64, k1: u64) -> Option<(i64, i64, u64, bool)> {
-        let n = self.run.len();
-        let (lo, hi) = match self.lhs {
-            AccessPattern::Affine { base, step } => {
-                let last = base + step * (n as i64 - 1);
-                (base.min(last), base.max(last))
-            }
-            AccessPattern::Table(ref offs) => (*offs.iter().min()?, *offs.iter().max()?),
-        };
-        let (d0, d1) = (k0 as i64 * self.delta.lhs, (k1 as i64 - 1) * self.delta.lhs);
-        let contiguous = n == 1 || stride(&self.lhs).is_some_and(|s| s.abs() == 1);
-        Some((lo + d0.min(d1), hi + d0.max(d1), n * (k1 - k0), contiguous))
     }
 }
 
@@ -1369,7 +1171,7 @@ impl ExecRun {
 /// unless `f` is injective.
 fn build_exec(
     node: &NodePlan,
-    modify: &[IterRun],
+    modify: &[Nest],
     f: &Fn1,
     dec_lhs: &Decomp1,
     dec_reads: &[&Decomp1],
@@ -1421,7 +1223,7 @@ fn build_exec(
 struct Window {
     reps: u64,
     shift: i64,
-    runs: Vec<(IterRun, Sig)>,
+    runs: Vec<(Nest, Sig)>,
 }
 
 /// Resolves the addresses of tiled runs and folds them ([`build_exec`]).
@@ -1437,48 +1239,47 @@ struct Resolver<'a> {
 
 impl Resolver<'_> {
     /// Resolve `run`, reading each slot where `sig` says, and fold it.
-    fn push(&mut self, run: IterRun, sig: &[Option<Origin>]) -> (usize, bool) {
+    fn push(&mut self, run: Nest, sig: &[Option<Origin>]) -> (usize, bool) {
         let (node, mut remote) = (self.node, 0u64);
+        let local = |h: &Fn1, dec: &Decomp1| local_pattern(&run, h, dec).expect("one level");
         self.slots.clear();
         self.slots
             .extend(sig.iter().enumerate().map(|(slot, origin)| match *origin {
-                None => SlotAccess::Local(local_pattern(
-                    run,
-                    &node.resides[slot].g,
-                    self.dec_reads[slot],
-                )),
+                None => SlotAccess::Local(local(&node.resides[slot].g, self.dec_reads[slot])),
                 Some((src_ord, run_ord, rep)) => {
                     remote += run.len();
-                    let r = &node.comm.recvs[src_ord].runs[run_ord];
+                    let r = &node.comm.recvs[src_ord].runs[run_ord].nest;
                     let (pkt_ord, run_off) = self.places[src_ord][run_ord];
-                    let (rep_start, rstep) = (r.start + rep as i64 * r.stride, run_step(r));
+                    let (count, rstep) = (run.count(0), r.stride(0).max(1));
+                    let at = run_off as i64
+                        + rep as i64 * r.count(0)
+                        + (run.base - r.rep(rep).base) / rstep;
+                    let step = if count > 1 { run.stride(0) / rstep } else { 0 };
+                    let pattern = AccessPattern::affine(Nest::run(at, step, count));
                     SlotAccess::Packet {
                         src_ord,
                         pkt_ord,
-                        pattern: AccessPattern::Affine {
-                            base: run_off as i64
-                                + rep as i64 * r.count
-                                + (run.start - rep_start) / rstep,
-                            step: if run.count > 1 { run.step / rstep } else { 0 },
-                        },
+                        pattern,
                     }
                 }
             }));
-        let lhs = local_pattern(run, self.f, self.dec_lhs);
+        let lhs = local(self.f, self.dec_lhs);
         self.fold.push(run, lhs, &self.slots, remote)
     }
 
     /// Fold every rep of window `w`: the first two rep by rep and, when
     /// the second grew exactly the entries the first touched (one each)
     /// and every lhs and local address advances by a constant over all
-    /// reps ([`rep_shift`]), the rest in bulk — the state a rep-by-rep
+    /// reps ([`local_pattern`]), the rest in bulk — the state a rep-by-rep
     /// fold reaches, since its open list then repeats every rep.
     fn repeat(&mut self, w: &Window) {
         let steady = w.runs.iter().all(|(run, sig)| {
-            let shifts = |g: &Fn1, dec: &Decomp1| rep_shift(*run, w.reps, w.shift, g, dec);
+            let mut reps = *run;
+            reps.levels[1] = (w.reps as i64, w.shift);
+            let shifts = |g: &Fn1, dec: &Decomp1| local_pattern(&reps, g, dec).is_some();
             let mut local = (sig.iter().enumerate()).filter(|(_, o)| o.is_none());
-            shifts(self.f, self.dec_lhs).is_some()
-                && local.all(|(s, _)| shifts(&self.node.resides[s].g, self.dec_reads[s]).is_some())
+            shifts(self.f, self.dec_lhs)
+                && local.all(|(s, _)| shifts(&self.node.resides[s].g, self.dec_reads[s]))
         });
         let mut touched: Vec<Vec<(usize, bool)>> = Vec::new();
         let mut sig_k: Sig = Vec::new();
@@ -1493,7 +1294,9 @@ impl Resolver<'_> {
                 {
                     for ((run, sig), &(e, _)) in w.runs.iter().zip(first) {
                         let entry = &mut self.fold.entries[e];
-                        entry.reps += w.reps - 2;
+                        entry
+                            .nests_mut()
+                            .for_each(|n| n.levels[1].0 += w.reps as i64 - 2);
                         entry.remote_elems +=
                             (w.reps - 2) * run.len() * sig.iter().flatten().count() as u64;
                     }
@@ -1501,10 +1304,10 @@ impl Resolver<'_> {
                 }
             }
             let reps = w.runs.iter().map(|(run, sig)| {
-                let start = run.start + k as i64 * w.shift;
+                let base = run.base + k as i64 * w.shift;
                 sig_k.clear();
                 sig_k.extend(sig.iter().map(|o| o.map(|(s, r, rep)| (s, r, rep + k))));
-                self.push(IterRun { start, ..*run }, &sig_k)
+                self.push(Nest { base, ..*run }, &sig_k)
             });
             touched.push(reps.collect());
         }
@@ -1516,28 +1319,31 @@ impl Resolver<'_> {
 /// offset is written twice, so overlapping entry hulls that hold as many
 /// writes as offsets are one span — a node that fills its part has one
 /// span, however many entries — and only where that closed form leaves
-/// holes are strided reps taken element by element. Otherwise the spans
-/// are `None` when some rep is not contiguous (a one-element rep is,
-/// whatever step its compressed pattern records) or two reps overlap.
+/// holes are strided runs taken element by element. Otherwise the spans
+/// are `None` when some level-0 run is not contiguous (a one-element run
+/// is, whatever step its compressed pattern records) or two runs overlap.
 pub(crate) fn write_spans(exec: &[ExecRun], injective: bool) -> Option<Vec<(usize, usize)>> {
     let entries = exec.iter().filter(|er| er.elems() > 0);
     if injective {
-        let hulls = entries
-            .clone()
-            .map(|er| er.lhs_hull(0, er.reps).map(|h| (h.0, h.1, h.2)));
-        if let Some(spans) = cover(hulls.collect::<Option<_>>()?, true) {
+        let hulls = entries.clone().map(|er| {
+            let (lo, hi) = er.lhs.hull();
+            (lo, hi, er.elems())
+        });
+        if let Some(spans) = cover(hulls.collect(), true) {
             return Some(spans);
         }
     }
     let mut stretches = Vec::new();
     for er in entries {
-        for k in 0..er.reps {
-            let (lo, hi, n, contiguous) = er.lhs_hull(k, k + 1)?;
+        let n = er.index.count(0) as usize;
+        let contiguous = n == 1 || (er.lhs.table.is_none() && er.lhs.nest.stride(0).abs() == 1);
+        let (a, b) = (er.lhs.offset(0), er.lhs.offset(n - 1));
+        for r in 0..er.index.reps() {
+            let shift = er.lhs.shift(r);
             if contiguous {
-                stretches.push((lo, hi, n));
+                stretches.push((a.min(b) + shift, a.max(b) + shift, n as u64));
             } else if injective {
-                let shift = k as i64 * er.delta.lhs;
-                let at = (0..n as usize).map(|t| er.lhs.offset(t) + shift);
+                let at = (0..n).map(|t| er.lhs.offset(t) + shift);
                 stretches.extend(at.map(|o| (o, o, 1)));
             } else {
                 return None;
@@ -1644,9 +1450,9 @@ pub(crate) fn check_write_spans(cn: &CompiledNode, injective: bool, eligible: bo
     let mut written: Vec<i64> = Vec::new();
     let mut strided = Vec::new();
     for er in &cn.exec {
-        for k in 0..er.reps {
-            let shift = k as i64 * er.delta.lhs;
-            let offs: Vec<i64> = (0..er.run.len() as usize)
+        for k in 0..er.index.reps() {
+            let shift = er.lhs.shift(k);
+            let offs: Vec<i64> = (0..er.index.count(0) as usize)
                 .map(|t| er.lhs.offset(t) + shift)
                 .collect();
             let step = offs.get(1).map_or(1, |o| o - offs[0]);
@@ -1711,16 +1517,14 @@ mod tests {
         m
     }
 
-    fn visit_order(runs: &[IterRun]) -> Vec<i64> {
-        let mut v = Vec::new();
-        for_each_run(runs, |i| v.push(i));
-        v
+    fn visit_order(runs: &[Nest]) -> Vec<i64> {
+        runs.iter().flat_map(Nest::expand).collect()
     }
 
     /// The greedy element-at-a-time coalescing [`Tiling`] reproduces:
     /// two elements always form a run, a third joins only if it
     /// continues the stride.
-    fn greedy_runs(v: &[i64]) -> Vec<IterRun> {
+    fn greedy_runs(v: &[i64]) -> Vec<Nest> {
         let mut out = Vec::new();
         let mut k = 0usize;
         while k < v.len() {
@@ -1729,12 +1533,7 @@ mod tests {
             while j + 1 < v.len() && v[j + 1] - v[j] == step {
                 j += 1;
             }
-            let count = (j - k + 1) as i64;
-            out.push(IterRun {
-                start: v[k],
-                step,
-                count,
-            });
+            out.push(Nest::run(v[k], step, (j - k + 1) as i64));
             k = j + 1;
         }
         out
@@ -1831,7 +1630,7 @@ mod tests {
             for (pkt_ord, runs) in pc.packets().enumerate() {
                 let mut off = 0;
                 for run in runs {
-                    run.for_each(|i| {
+                    run.nest.for_each(|i| {
                         origin.insert((run.slot, i), (ord, run_ord, pkt_ord, off));
                         off += 1;
                     });
@@ -1877,12 +1676,12 @@ mod tests {
             let mut got = Vec::new();
             for er in &cn.exec {
                 assert!(er.elems() > 0, "{what} p={p}");
-                if er.reps == 1 {
-                    assert_eq!(er.delta, RepDelta::default(), "{what} p={p}");
-                } else {
-                    assert_eq!(er.delta.slots.len(), er.slots.len(), "{what} p={p}");
-                }
-                (0..er.reps).for_each(|k| er.rep(k).for_each(|i| got.push(i)));
+                assert!(er.index.depth() <= 2, "{what} p={p}");
+                assert_eq!(
+                    er.lhs.nest.levels.map(|l| l.0),
+                    er.index.levels.map(|l| l.0)
+                );
+                er.index.for_each(|i| got.push(i));
             }
             if !injective {
                 assert_eq!(got, seq, "{what} p={p}: visit-order tiling");
@@ -1893,12 +1692,12 @@ mod tests {
 
             for er in &cn.exec {
                 let mut remote = 0u64;
-                for k in 0..er.reps {
+                for k in 0..er.index.reps() {
                     let mut t = 0usize;
-                    er.rep(k).for_each(|i| {
+                    er.index.rep(k).for_each(|i| {
                         let at = format!("{what} p={p} i={i} rep={k}");
                         assert_eq!(
-                            er.lhs.offset(t) + k as i64 * er.delta.lhs,
+                            er.lhs.offset(t) + er.lhs.shift(k),
                             dm[&plan.lhs_array].local_of(plan.f.eval(i)),
                             "{at}"
                         );
@@ -1906,7 +1705,8 @@ mod tests {
                             let x = rp.g.eval(i);
                             let dec = &dm[&rp.array];
                             let owner = if rp.replicated { p } else { dec.proc_of(x) };
-                            let off = er.slots[slot].pattern().offset(t) + er.slot_shift(slot, k);
+                            let pat = er.slots[slot].pattern();
+                            let off = pat.offset(t) + pat.shift(k);
                             match &er.slots[slot] {
                                 // (b) local reads resolve to the owner-local offset
                                 SlotAccess::Local(_) => {
@@ -1939,13 +1739,11 @@ mod tests {
                                     let pair = &node.comm.recvs[*src_ord];
                                     let packet =
                                         pair.packets().nth(*pkt_ord).expect("planned packet");
-                                    let len = packet.iter().map(CommRun::len).sum::<u64>() as i64;
+                                    let len =
+                                        packet.iter().map(|r| r.nest.len()).sum::<u64>() as i64;
                                     assert!((0..len).contains(&off), "{at} slot={slot}");
                                     assert!(*pkt_ord < cn.staging_packets[*src_ord], "{at}");
-                                    assert!(
-                                        matches!(pattern, AccessPattern::Affine { .. }),
-                                        "{at}"
-                                    );
+                                    assert!(pattern.table.is_none(), "{at}");
                                 }
                             }
                         }
@@ -2113,18 +1911,15 @@ mod tests {
                             let mut got = Vec::new();
                             for seg in segs {
                                 let dec = &dm[&node.resides[seg.slot].array];
-                                assert!(seg.count > 0);
-                                for k in 0..seg.reps as i64 {
-                                    let at = (0..seg.count)
-                                        .map(|t| seg.pattern.offset(t) + k * seg.shift);
-                                    got.extend(at.map(|o| (dec, o)));
-                                }
+                                assert!(!seg.pattern.nest.is_empty());
+                                seg.pattern.for_each(|o| got.push((dec, o)));
                             }
                             let mut want = Vec::new();
                             for run in runs {
                                 let rp = &node.resides[run.slot];
                                 let dec = &dm[&rp.array];
-                                run.for_each(|i| want.push((dec, dec.local_of(rp.g.eval(i)))));
+                                run.nest
+                                    .for_each(|i| want.push((dec, dec.local_of(rp.g.eval(i)))));
                             }
                             assert_eq!(got, want, "naive={naive} cap={cap} p={}", node.p);
                             assert!(segs.len() <= runs.len());
@@ -2149,12 +1944,15 @@ mod tests {
         let compiled = CompiledSchedule::compile_exec(&plan, &clause, &dm);
         for (node, cn) in plan.nodes.iter().zip(&compiled.nodes) {
             assert_eq!(node.comm.sends[0].runs.len(), 4);
-            assert!(node.comm.sends[0].runs.iter().all(|r| r.reps == 512));
+            assert!(node.comm.sends[0]
+                .runs
+                .iter()
+                .all(|r| r.nest.count(1) == 512));
             assert_eq!(cn.sends[0].packets.len(), 4);
             assert_eq!(cn.staging_packets, [4]);
             for segs in &cn.sends[0].packets {
                 assert_eq!(segs.len(), 1);
-                assert_eq!(segs[0].count, 8192);
+                assert_eq!(segs[0].pattern.nest.levels, [(8192, 1), (1, 0), (1, 0)]);
                 assert!(segs[0].pattern.is_unit_stride());
             }
         }
@@ -2176,7 +1974,7 @@ mod tests {
             for cn in &compiled.nodes {
                 let packets: usize = cn.staging_packets.iter().sum();
                 assert_eq!(cn.exec.len(), 1 + packets, "n={n} cap={cap}");
-                assert!(cn.exec.iter().all(|er| er.run.len() == 16));
+                assert!(cn.exec.iter().all(|er| er.index.count(0) == 16));
                 // ... and every node fills its part: one write span
                 assert_eq!(cn.write_spans, Some(vec![(0, (n / 2) as usize)]));
             }

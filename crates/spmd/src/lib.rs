@@ -14,6 +14,8 @@
 //! * [`comm`] — plan-time communication schedules: per-ordered-pair
 //!   send/receive sets (`Reside_p ∩ Modify_q`) coalesced into strided
 //!   runs, enabling vectorized message aggregation in the machines;
+//! * [`nest`] — the one pattern algebra every strided table is built
+//!   on: a base plus up to three `(count, stride)` levels;
 //! * [`emit`] — pseudo-code rendering of the Section 2.9 / 2.10 templates
 //!   and the Section 4 loop skeletons;
 //! * [`validate`] — brute-force oracles the tests and benches check
@@ -31,6 +33,7 @@ pub mod derivation;
 pub mod emit;
 pub mod kernel;
 pub mod nd;
+pub mod nest;
 pub mod obs;
 pub mod optimizer;
 pub mod program;
@@ -44,14 +47,14 @@ pub use advisor::{advise, candidates_for, AdvisorOptions, Candidate};
 pub use cache::{BoundedLru, CacheBudget};
 pub use comm::{packetise, plan_comm, CommRun, NodeCommPlan, PairComm, PACKET_ELEMS};
 pub use compiled::{
-    clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, for_each_run,
-    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, OverlapCensus, RepDelta,
-    SendPair, SendSeg, SlotAccess,
+    clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, AccessPattern,
+    CompiledNode, CompiledSchedule, ExecRun, OverlapCensus, SendPair, SendSeg, SlotAccess,
 };
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;
 pub use kernel::{CompiledKernel, FusedShape, KernelOp, ShapeMismatch};
 pub use nd::{lower_nd, optimize_nd, ScheduleNd};
+pub use nest::Nest;
 pub use obs::{NodeDispatch, PlanSummary, SlotDispatch};
 pub use optimizer::{naive_schedule, optimize, optimize_with, OptKind, OptOptions, Optimized};
 pub use program::{CommStats, DecompMap, NodePlan, PlanError, ResidePlan, SpmdPlan};

@@ -15,17 +15,19 @@
 //!
 //! [`lower_nd`] turns those products into the run tables of
 //! [`CompiledSchedule`]: loop indices are linearised row-major over the
-//! loop box, so every row of a product contributes the runs of its
-//! innermost axis, cut where a read changes owner along any axis. The
-//! machine executes the result with the engine it uses for 1-D plans.
+//! loop box, the innermost axis of a product is cut where a read changes
+//! owner along any axis, and a row is one more level of the
+//! [`Nest`]s the 1-D tables are made of — rows that repeat one shape fold
+//! into one exec entry and one comm run, as cycles do in one dimension.
+//! The machine executes the result with the engine it uses for 1-D plans.
 
 use crate::comm::{packetise, CommRun, PairComm, PACKET_ELEMS};
 use crate::compiled::{
-    coalesce_ordered, flatten_schedule, iter_run, local_pattern, send_pair, write_spans,
-    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, IterRun, Piece, RecvIndex, RepDelta,
-    SendPair, SlotAccess,
+    coalesce_ordered, flatten_schedule, local_pattern, send_pair, write_spans, AccessPattern,
+    CompiledNode, CompiledSchedule, ExecRun, Fold, Piece, RecvIndex, SendPair, SlotAccess,
 };
 use crate::kernel::CompiledKernel;
+use crate::nest::Nest;
 use crate::optimizer::{optimize, OptKind};
 use crate::program::PlanError;
 use crate::schedule::Schedule;
@@ -204,7 +206,7 @@ impl<'a> Access<'a> {
 /// One loop dimension of a Modify set, cut so that along it every read
 /// slot has one owner per piece.
 struct AxisPiece {
-    run: IterRun,
+    run: Nest,
     /// Per read slot, the grid coordinate that owns the read on the
     /// output axis this dimension drives (0 when it drives none).
     owner: Vec<i64>,
@@ -212,17 +214,16 @@ struct AxisPiece {
 
 /// The schedule's indices as ascending runs: a per-axis schedule may
 /// visit in another order, the lowered tables visit row-major.
-fn ascending(s: &Schedule) -> Vec<IterRun> {
+fn ascending(s: &Schedule) -> Vec<Nest> {
     let mut runs = flatten_schedule(s);
     for r in &mut runs {
-        if r.step < 0 {
-            r.start += r.step * (r.count - 1);
-            r.step = -r.step;
+        let (count, step) = r.levels[0];
+        if step < 0 {
+            *r = Nest::run(r.base + step * (count - 1), -step, count);
         }
     }
-    let last = |r: &IterRun| r.start + r.step * (r.count - 1);
-    let sorted = runs.iter().all(|r| r.step > 0 || r.count == 1)
-        && runs.windows(2).all(|w| last(&w[0]) < w[1].start);
+    let sorted = runs.iter().all(|r| r.stride(0) > 0 || r.count(0) == 1)
+        && runs.windows(2).all(|w| w[0].hull().1 < w[1].base);
     if !sorted {
         let mut idx = s.to_sorted_vec();
         idx.dedup();
@@ -238,13 +239,16 @@ struct Lowering<'a> {
     bx: Bounds,
     lhs: Access<'a>,
     reads: Vec<Access<'a>>,
-    /// Per node, its exec runs so far. A remote slot names its source
-    /// processor and the run's ordinal in `recv[p][source][slot]` until
+    /// Per node, its rows so far, one-level entries in visit order. A
+    /// remote slot names its source processor, and its pattern's base
+    /// where the row starts in the slot's stream from that source, until
     /// [`Lowering::finish`] has cut the pair into packets.
-    exec: Vec<Vec<ExecRun>>,
+    rows: Vec<Vec<ExecRun>>,
     /// `recv[p][q][slot]`: the runs node `p` reads from `q`, in visit
-    /// order. Sender and receiver both take their tables from this one
-    /// list, so they agree on packing order and on the packet cut.
+    /// order, a row that repeats its predecessor's shape one stride on
+    /// folded into it as one more rep. Sender and receiver both take their
+    /// tables from this one list, so they agree on packing order and on
+    /// the packet cut.
     recv: Vec<Vec<Vec<Vec<CommRun>>>>,
     /// Per node, the loop-overhead estimate of its Modify schedule.
     work: Vec<u64>,
@@ -269,10 +273,10 @@ impl<'a> Lowering<'a> {
     /// addresses along `run`, whose first loop point is `at`. One row, so only the innermost loop
     /// coordinate moves: the output axes it drives contribute their 1-D
     /// pattern scaled by the local box's stride, the others a constant.
-    fn offsets(&self, a: &Access, q: i64, at: &Ix, run: IterRun) -> AccessPattern {
+    fn offsets(&self, a: &Access, q: i64, at: &Ix, run: Nest) -> AccessPattern {
         let inner = self.bx.dims() - 1;
-        let row = IterRun {
-            start: at[inner],
+        let row = Nest {
+            base: at[inner],
             ..run
         };
         let (mut base, mut step) = (0i64, 0i64);
@@ -283,21 +287,22 @@ impl<'a> Lowering<'a> {
                 base += stride * axis.local_of(df.f.eval(at[df.src]));
                 continue;
             }
-            match local_pattern(row, &df.f, axis) {
-                AccessPattern::Affine { base: b, step: s } => {
-                    base += stride * b;
-                    step += stride * s;
+            let pattern = local_pattern(&row, &df.f, axis).expect("a row is one level");
+            match pattern.table {
+                None => {
+                    base += stride * pattern.nest.base;
+                    step += stride * pattern.nest.stride(0);
                 }
-                AccessPattern::Table(offs) => {
+                Some(offs) => {
                     let sum = table.get_or_insert_with(|| vec![0; offs.len()]);
-                    for (x, o) in sum.iter_mut().zip(offs) {
+                    for (x, o) in sum.iter_mut().zip(offs.iter()) {
                         *x += stride * o;
                     }
                 }
             }
         }
         match table {
-            None => AccessPattern::Affine { base, step },
+            None => AccessPattern::affine(Nest::run(base, step, run.count(0))),
             Some(sum) => AccessPattern::compress(
                 (sum.iter().enumerate())
                     .map(|(t, x)| base + step * t as i64 + x)
@@ -308,11 +313,11 @@ impl<'a> Lowering<'a> {
 
     /// Append one run of node `p`'s Modify set whose reads of slot `s`
     /// all belong to processor `owners[s]`.
-    fn push(&mut self, p: usize, mut run: IterRun, owners: &[i64]) {
-        if run.count == 1 {
-            run.step = 1;
+    fn push(&mut self, p: usize, mut run: Nest, owners: &[i64]) {
+        if run.count(0) == 1 {
+            run.levels[0].1 = 1;
         }
-        let at = self.point(run.start);
+        let at = self.point(run.base);
         let mut remote_elems = 0;
         let mut slots = Vec::with_capacity(owners.len());
         for (slot, &q) in owners.iter().enumerate() {
@@ -322,19 +327,21 @@ impl<'a> Lowering<'a> {
                 continue;
             }
             let runs = &mut self.recv[p][q as usize][slot];
+            let pos = runs.iter().map(|r| r.nest.len()).sum::<u64>() as i64;
+            let next = CommRun { slot, nest: run };
+            if !(runs.last_mut()).is_some_and(|last| last.absorb(&next)) {
+                runs.push(next);
+            }
             slots.push(SlotAccess::Packet {
                 src_ord: q as usize,
-                pkt_ord: runs.len(),
-                pattern: AccessPattern::Affine { base: 0, step: 1 },
+                pkt_ord: 0,
+                pattern: AccessPattern::affine(Nest::run(pos, 1, run.count(0))),
             });
-            runs.push(CommRun::one(slot, run.start, run.step, run.count));
             remote_elems += run.len();
         }
         let lhs = self.offsets(&self.lhs, p as i64, &at, run);
-        self.exec[p].push(ExecRun {
-            run,
-            reps: 1,
-            delta: RepDelta::default(),
+        self.rows[p].push(ExecRun {
+            index: run,
             boundary: remote_elems > 0,
             lhs,
             slots,
@@ -366,18 +373,16 @@ impl<'a> Lowering<'a> {
                         }
                         let owned = optimize(&map[k].f, axis, lo, hi, c).schedule;
                         let owned = ascending(&owned);
-                        by_coord[c as usize].runs.extend(
-                            owned
-                                .iter()
-                                .map(|r| CommRun::one(slot, r.start, r.step, r.count)),
-                        );
+                        by_coord[c as usize]
+                            .runs
+                            .extend(owned.iter().map(|&nest| CommRun { slot, nest }));
                     }
                 }
                 RecvIndex::new(&by_coord, self.reads.len())
             })
             .collect();
         let mut owners = vec![0i64; self.reads.len()];
-        for p in 0..self.exec.len() {
+        for p in 0..self.rows.len() {
             let map = &self.lhs.aref.map;
             let Some(modify) = optimize_nd(map, self.lhs.dec, &self.bx, p as i64) else {
                 continue;
@@ -408,7 +413,7 @@ impl<'a> Lowering<'a> {
             loop {
                 for (d, &(piece, t)) in at.iter().enumerate() {
                     let run = &pieces[d][piece].run;
-                    i[d] = run.start + run.step * t;
+                    i[d] = run.base + run.stride(0) * t;
                 }
                 for row in &pieces[inner] {
                     for (slot, (o, a)) in owners.iter_mut().zip(&self.reads).enumerate() {
@@ -419,9 +424,9 @@ impl<'a> Lowering<'a> {
                         }));
                         *o = a.dec.flat_proc(&grid);
                     }
-                    i[inner] = row.run.start;
-                    let run = IterRun {
-                        start: self.lin(&i),
+                    i[inner] = row.run.base;
+                    let run = Nest {
+                        base: self.lin(&i),
                         ..row.run
                     };
                     self.push(p, run, &owners);
@@ -429,7 +434,7 @@ impl<'a> Lowering<'a> {
                 // advance; done when the outermost dimension wraps
                 let wrapped = at.iter_mut().zip(&pieces).rev().all(|(at, pieces)| {
                     at.1 += 1;
-                    if at.1 == pieces[at.0].run.count {
+                    if at.1 == pieces[at.0].run.count(0) {
                         *at = (at.0 + 1, 0);
                     }
                     let wrap = at.0 == pieces.len();
@@ -451,7 +456,7 @@ impl<'a> Lowering<'a> {
     fn enumerate(&mut self) {
         let inner = self.bx.dims() - 1;
         // per node, the open stretch: its owners and its indices so far
-        let mut open: Vec<(Vec<i64>, Vec<i64>)> = vec![Default::default(); self.exec.len()];
+        let mut open: Vec<(Vec<i64>, Vec<i64>)> = vec![Default::default(); self.rows.len()];
         let mut owners = vec![0i64; self.reads.len()];
         let mut runs = Vec::new();
         let mut close = |this: &mut Self, p: usize, open: &mut (Vec<i64>, Vec<i64>)| {
@@ -484,24 +489,25 @@ impl<'a> Lowering<'a> {
         self.work.fill(self.bx.count());
     }
 
-    /// Cut every pair's runs into packets of at most `cap` elements and
-    /// resolve both ends against the cut: the receiver's packet windows
-    /// and the sender's segments.
+    /// Cut every pair's runs into packets of at most `cap` elements,
+    /// resolve both ends against the cut — the receiver's packet windows
+    /// and the sender's segments — and fold each node's rows into
+    /// entries, as `compile_exec` folds cycles.
     fn finish(mut self, cap: u64) -> Vec<CompiledNode> {
-        let pmax = self.exec.len();
+        let pmax = self.rows.len();
         let mut sends: Vec<Vec<SendPair>> = vec![Vec::new(); pmax];
         let mut nodes = Vec::with_capacity(pmax);
         for p in 0..pmax {
             let mut src_ord = vec![usize::MAX; pmax];
             let (mut src_peers, mut staging_packets) = (vec![], vec![]);
-            // per source: where each slot's runs start in the pair's run
-            // list, and each run's (packet, offset in it)
+            // per source: where each slot's stream and each packet start
+            // in the pair's stream
             let mut first = vec![Vec::new(); pmax];
-            let mut places = vec![Vec::new(); pmax];
+            let mut starts = vec![Vec::new(); pmax];
             for (q, per_slot) in std::mem::take(&mut self.recv[p]).into_iter().enumerate() {
                 let mut runs: Vec<CommRun> = Vec::new();
                 for slot_runs in per_slot {
-                    first[q].push(runs.len());
+                    first[q].push(runs.iter().map(|r| r.nest.len()).sum::<u64>());
                     runs.extend(slot_runs);
                 }
                 if runs.is_empty() {
@@ -516,16 +522,23 @@ impl<'a> Lowering<'a> {
                 src_ord[q] = src_peers.len();
                 src_peers.push(q as i64);
                 staging_packets.push(pair.packets().len());
-                places[q] = pair.run_places();
-                let packed_from = |r: &CommRun| {
-                    let at = self.point(r.start);
-                    let pattern = self.offsets(&self.reads[r.slot], q as i64, &at, iter_run(r));
-                    (pattern, None)
+                starts[q] = (pair.packets())
+                    .scan(0, |at, runs| {
+                        let start = *at;
+                        *at += runs.iter().map(|r| r.nest.len()).sum::<u64>();
+                        Some(start)
+                    })
+                    .collect();
+                let packed_from = |slot: usize, idx: &Nest| {
+                    let at = self.point(idx.base);
+                    (idx.depth() <= 1).then(|| self.offsets(&self.reads[slot], q as i64, &at, *idx))
                 };
                 sends[q].push(send_pair(&pair, packed_from));
             }
-            let mut exec = std::mem::take(&mut self.exec[p]);
-            for er in &mut exec {
+            let rows = std::mem::take(&mut self.rows[p]);
+            let modify: Vec<Nest> = rows.iter().map(|er| er.index).collect();
+            let mut fold = Fold::default();
+            for mut er in rows {
                 for (slot, sa) in er.slots.iter_mut().enumerate() {
                     if let SlotAccess::Packet {
                         src_ord: so,
@@ -533,20 +546,19 @@ impl<'a> Lowering<'a> {
                         pattern,
                     } = sa
                     {
-                        let (packet, off) = places[*so][first[*so][slot] + *pkt_ord];
-                        *so = src_ord[*so];
-                        *pkt_ord = packet;
-                        *pattern = AccessPattern::Affine {
-                            base: off as i64,
-                            step: 1,
-                        };
+                        let pos = first[*so][slot] + pattern.nest.base as u64;
+                        let packet = starts[*so].partition_point(|&s| s <= pos) - 1;
+                        pattern.nest.base = (pos - starts[*so][packet]) as i64;
+                        (*so, *pkt_ord) = (src_ord[*so], packet);
                     }
                 }
+                fold.push(er.index, er.lhs, &er.slots, er.remote_elems);
             }
+            let exec = fold.entries;
             nodes.push(CompiledNode {
                 p: p as i64,
-                modify: exec.iter().map(|er| er.run).collect(),
-                modify_iters: exec.iter().map(|er| er.run.len()).sum(),
+                modify_iters: modify.iter().map(Nest::len).sum(),
+                modify,
                 modify_work: self.work[p],
                 src_ord,
                 src_peers,
@@ -580,6 +592,26 @@ fn lower_capped(
     decomps: &BTreeMap<String, DecompNd>,
     cap: u64,
 ) -> Result<CompiledSchedule, PlanError> {
+    let lowering = lower_rows(clause, decomps)?;
+    let slot_arrays = (lowering.reads.iter())
+        .map(|a| a.aref.array.clone())
+        .collect();
+    let slot_of = |r: &ArrayRef| lowering.reads.iter().position(|a| a.aref == r);
+    let kernel = CompiledKernel::compile(&clause.rhs, lowering.reads.len(), slot_of);
+    Ok(CompiledSchedule {
+        loop_box: lowering.bx,
+        slot_arrays,
+        nodes: lowering.finish(cap),
+        kernel,
+        guarded: !matches!(clause.guard, Guard::Always),
+    })
+}
+
+/// Every node's rows and every pair's runs, before the packet cut.
+fn lower_rows<'a>(
+    clause: &'a Clause,
+    decomps: &'a BTreeMap<String, DecompNd>,
+) -> Result<Lowering<'a>, PlanError> {
     if !clause.iter.pred.is_true() {
         return Err(PlanError::PredicatedIteration);
     }
@@ -596,15 +628,12 @@ fn lower_capped(
             reads.push(a);
         }
     }
-    let slot_of = |r: &ArrayRef| reads.iter().position(|a| a.aref == r);
-    let kernel = CompiledKernel::compile(&clause.rhs, reads.len(), slot_of);
-    let slot_arrays = reads.iter().map(|a| a.aref.array.clone()).collect();
     let factorizes =
         drivers(&lhs.aref.map).is_some() && reads.iter().all(|a| drivers(&a.aref.map).is_some());
     let n = pmax as usize;
     let mut lowering = Lowering {
         bx,
-        exec: vec![Vec::new(); n],
+        rows: vec![Vec::new(); n],
         recv: vec![vec![vec![Vec::new(); reads.len()]; n]; n],
         work: vec![0; n],
         lhs,
@@ -616,19 +645,12 @@ fn lower_capped(
     } else {
         lowering.enumerate();
     }
-    Ok(CompiledSchedule {
-        loop_box: bx,
-        slot_arrays,
-        nodes: lowering.finish(cap),
-        kernel,
-        guarded: !matches!(clause.guard, Guard::Always),
-    })
+    Ok(lowering)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::SendSeg;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vcal_core::func::Fn1;
@@ -889,7 +911,7 @@ mod tests {
             let segs = &pair.expect("planned pair").packets[packet];
             let mut packed = Vec::new();
             for seg in segs {
-                packed.extend((0..seg.count).map(|t| (seg.slot, seg.pattern.offset(t))));
+                seg.pattern.for_each(|off| packed.push((seg.slot, off)));
             }
             packed
         };
@@ -902,24 +924,22 @@ mod tests {
                 .collect();
             let mut got = Vec::new();
             for er in &cn.exec {
-                let first = point(er.run.start);
-                let mut remote = 0;
-                let mut t = 0;
-                er.run.for_each(|lin| {
+                let (mut remote, n) = (0, er.index.count(0) as usize);
+                for (k, lin) in er.index.expand().into_iter().enumerate() {
+                    let (r, t) = ((k / n) as u64, k % n);
+                    let first = point(er.index.rep(r).base);
+                    let at = |pattern: &AccessPattern| pattern.offset(t) + pattern.shift(r);
                     let i = point(lin);
-                    // a run never leaves its row
+                    // a level-0 run never leaves its row
                     assert_eq!(i.coords()[..inner], first.coords()[..inner], "{what}");
-                    assert_eq!(i[inner], first[inner] + er.run.step * t as i64, "{what}");
-                    assert_eq!(
-                        er.lhs.offset(t),
-                        home(&clause.lhs, &i).1,
-                        "{what} p={p} {i}"
-                    );
+                    let step = er.index.stride(0);
+                    assert_eq!(i[inner], first[inner] + step * t as i64, "{what}");
+                    assert_eq!(at(&er.lhs), home(&clause.lhs, &i).1, "{what} p={p} {i}");
                     for (slot, aref) in reads.iter().enumerate() {
                         let (owner, off) = home(aref, &i);
                         match &er.slots[slot] {
                             SlotAccess::Local(pattern) => {
-                                assert_eq!((owner, pattern.offset(t)), (p, off), "{what} {i}");
+                                assert_eq!((owner, at(pattern)), (p, off), "{what} {i}");
                             }
                             SlotAccess::Packet {
                                 src_ord,
@@ -930,7 +950,7 @@ mod tests {
                                 assert_ne!(owner, p, "{what} p={p} {i}: local read marked remote");
                                 assert_eq!(cn.src_peers[*src_ord], owner, "{what} p={p} {i}");
                                 assert!(*pkt_ord < cn.staging_packets[*src_ord], "{what}");
-                                let at = pattern.offset(t) as usize;
+                                let at = at(pattern) as usize;
                                 let packet = sent(owner, p, *pkt_ord);
                                 assert_eq!(packet.get(at), Some(&(slot, off)), "{what} p={p} {i}");
                                 routed.entry((owner, p)).or_default().push((*pkt_ord, at));
@@ -938,8 +958,7 @@ mod tests {
                         }
                     }
                     got.push(i);
-                    t += 1;
-                });
+                }
                 assert_eq!(
                     (er.remote_elems, er.boundary),
                     (remote, remote > 0),
@@ -955,8 +974,11 @@ mod tests {
         // packets: every packed cell is read exactly once
         for cn in &cs.nodes {
             for pair in &cn.sends {
-                let lens =
-                    (pair.packets.iter()).map(|segs| segs.iter().map(|s| s.count).sum::<usize>());
+                let lens = (pair.packets.iter()).map(|segs| {
+                    segs.iter()
+                        .map(|s| s.pattern.nest.len() as usize)
+                        .sum::<usize>()
+                });
                 let packed: Vec<(usize, usize)> = (lens.enumerate())
                     .flat_map(|(k, n)| (0..n).map(move |at| (k, at)))
                     .collect();
@@ -985,9 +1007,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn five_point_sweep_lowers_to_a_run_per_row() {
-        let side = 256i64;
+    /// The five-point sweep over a `side`² box on a `p0`×`p1` grid of
+    /// block layouts, and its lowering.
+    fn five_point(side: i64, p0: i64, p1: i64) -> (Clause, BTreeMap<String, DecompNd>) {
         let u = |di: i64, dj: i64| {
             let map = IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]);
             Expr::Ref(ArrayRef::new("U", map))
@@ -1003,38 +1025,68 @@ mod tests {
             ),
         };
         let axis = Bounds::range(0, side - 1);
-        let dec = DecompNd::new(vec![Decomp1::block(2, axis), Decomp1::block(1, axis)]);
-        let decomps: BTreeMap<String, DecompNd> = [("U", dec.clone()), ("V", dec)]
+        let dec = DecompNd::new(vec![Decomp1::block(p0, axis), Decomp1::block(p1, axis)]);
+        let decomps = [("U", dec.clone()), ("V", dec)]
             .map(|(n, d)| (n.to_string(), d))
             .into();
+        (clause, decomps)
+    }
+
+    #[test]
+    fn five_point_sweep_folds_its_rows() {
+        let side = 256i64;
+        let (clause, decomps) = five_point(side, 2, 1);
         let cs = lower_nd(&clause, &decomps).unwrap();
         assert!(cs.has_exec());
         for cn in &cs.nodes {
-            // one unit-stride run per owned row, one halo row in one packet
-            assert_eq!(cn.exec.len() as i64, side / 2 - 1);
+            // the interior rows fold into one entry, the halo row is one
+            // more, read from one packet
+            assert_eq!(cn.exec.len(), 2);
+            let interior = cn.exec.iter().find(|er| !er.boundary).unwrap();
+            assert_eq!(interior.index.reps() as i64, side / 2 - 2);
             for er in &cn.exec {
-                assert_eq!(er.run.len() as i64, side - 2);
+                assert_eq!(er.index.count(0), side - 2);
                 assert!(er.lhs.is_unit_stride());
                 assert!(er.slots.iter().all(|sa| sa.pattern().is_unit_stride()));
             }
             assert_eq!(cn.census().boundary_runs, 1);
             // one write span per row, two elements apart
             let spans = cn.write_spans.as_ref().expect("contiguous rows");
-            assert_eq!(spans.len(), cn.exec.len());
+            assert_eq!(spans.len() as i64, side / 2 - 1);
             assert!(spans.windows(2).all(|w| w[1].0 - w[0].1 == 2));
             assert_eq!(cn.staging_packets, [1]);
-            assert_eq!(
-                cn.sends[0].packets,
-                [vec![SendSeg {
-                    slot: if cn.p == 0 { 0 } else { 1 },
-                    pattern: cn.sends[0].packets[0][0].pattern.clone(),
-                    count: (side - 2) as usize,
-                    reps: 1,
-                    shift: 0,
-                }]]
-            );
+            let [segs] = cn.sends[0].packets.as_slice() else {
+                panic!("one packet per pair");
+            };
+            let [seg] = segs.as_slice() else {
+                panic!("one segment per packet");
+            };
+            assert_eq!(seg.slot, if cn.p == 0 { 0 } else { 1 });
+            assert_eq!(seg.pattern.nest.levels, [(side - 2, 1), (1, 0), (1, 0)]);
             assert!(cn.approx_bytes() < 64 * side as usize * 8);
         }
-        check_lowered(&clause, &decomps, PACKET_ELEMS);
+        for cap in [1, 3, PACKET_ELEMS] {
+            check_lowered(&clause, &decomps, cap);
+        }
+    }
+
+    /// Split by columns, each node reads a halo column of single
+    /// elements, one per row: one comm run per pair and slot, whose reps
+    /// are the rows.
+    #[test]
+    fn five_point_column_halo_is_one_comm_run() {
+        let side = 256i64;
+        let (clause, decomps) = five_point(side, 1, 2);
+        for cap in [1, 3, PACKET_ELEMS] {
+            check_lowered(&clause, &decomps, cap);
+        }
+        let lowering = lower_rows(&clause, &decomps).unwrap();
+        for (p, per_src) in lowering.recv.iter().enumerate() {
+            let runs: Vec<&CommRun> = per_src.iter().flatten().flatten().collect();
+            let [run] = runs.as_slice() else {
+                panic!("p={p}: {runs:?}");
+            };
+            assert_eq!(run.nest.levels[..2], [(1, 1), (side - 2, side - 2)]);
+        }
     }
 }

@@ -157,7 +157,7 @@ impl Schedule {
                 ext_lo,
                 k_max,
             } => {
-                for t in (b * p)..(b * p + b) {
+                for t in reached_offsets(f, *imin, *imax, *b, *pmax, *p, *ext_lo) {
                     for k in 0..=*k_max {
                         let v = ext_lo + t + b * k * pmax;
                         // all i with f(i) == v (a plateau for weakly
@@ -255,14 +255,16 @@ impl Schedule {
         } else {
             (*imax, *imin)
         };
-        let runs = (b * p..b * p + b).filter_map(|t| {
+        let runs = reached_offsets(f, *imin, *imax, *b, *pmax, *p, *ext_lo).filter_map(|t| {
             let v0 = ext_lo + t - c;
             let cong = solve_congruence(big, -v0, modulus)?;
             let klo = div_ceil(a * ilo - v0, big).max(0);
             let khi = div_floor(a * ihi - v0, big).min(*k_max);
             let k = cong.first_at_or_above(klo);
             let count = cong.count_in(klo, khi);
-            Some(((v0 + k * big) / a, cong.period * big / a, count)).filter(|_| count > 0)
+            // the step is `big / gcd(big, a)` with `a`'s sign: in range
+            let step = (cong.period as i128 * big as i128 / a as i128) as i64;
+            (count > 0).then(|| ((v0 + k * big) / a, step, count))
         });
         Some(runs.collect())
     }
@@ -327,6 +329,33 @@ impl Schedule {
             }
         }
     }
+}
+
+/// The in-block offsets `t ∈ [b·p, b·p + b)` of a repeated shape whose
+/// values `ext_lo + t + b·k·pmax` the image of a monotone `f` over
+/// `[imin, imax]` can reach, ascending: those whose residue modulo the
+/// cycle `b·pmax` the image's hull covers. At most `min(b, |f(imax) −
+/// f(imin)| + 1)` of them, so a huge block over a short loop walks only
+/// the few offsets it touches.
+fn reached_offsets(
+    f: &Fn1,
+    imin: i64,
+    imax: i64,
+    b: i64,
+    pmax: i64,
+    p: i64,
+    ext_lo: i64,
+) -> impl Iterator<Item = i64> {
+    let (y0, y1) = (f.eval(imin) as i128, f.eval(imax) as i128);
+    let (cycle, lo, hi) = ((b * pmax) as i128, (b * p) as i128, (b * p + b) as i128);
+    let span = (y1 - y0).abs() + 1;
+    let first = (y0.min(y1) - ext_lo as i128).rem_euclid(cycle);
+    // the hull's residues: [first, first + span), wrapping once past the cycle
+    let parts = match span >= cycle {
+        true => [(lo, hi), (0, 0)],
+        false => [(first - cycle, first + span - cycle), (first, first + span)],
+    };
+    (parts.into_iter()).flat_map(move |(a, z)| a.max(lo) as i64..z.min(hi).max(a.max(lo)) as i64)
 }
 
 /// Compute the Theorem 2 cycle bound
@@ -500,6 +529,62 @@ mod tests {
                     assert_eq!(expanded, walk, "a={a} c={c} b={b} pmax={pmax} p={p}");
                     assert_eq!(rs.count(), walk.len() as u64);
                     assert_eq!(rb.count(), walk.len() as u64);
+                }
+            }
+        }
+    }
+
+    /// A block far larger than the loop: the repeated shapes walk only
+    /// the offsets the loop's image reaches, and still count and
+    /// enumerate exactly the owned iterations.
+    #[test]
+    fn huge_blocks_walk_only_the_reached_offsets() {
+        use crate::validate::brute_modify;
+        let big = 1i64 << 61;
+        for (a, c) in [(1, 0), (1, 7), (-1, 9), (3, 2), (-2, 40)] {
+            let f = Fn1::affine(a, c);
+            for b in [5, 1 << 20, big] {
+                for p in 0..2 {
+                    let k_max = repeated_block_kmax(&f, 0, 9, b, 2, p, 0);
+                    let fields = (f.clone(), 0, 9, b, 2, p, 0, k_max);
+                    let shapes = [
+                        Schedule::RepeatedBlock {
+                            f: fields.0.clone(),
+                            imin: fields.1,
+                            imax: fields.2,
+                            b: fields.3,
+                            pmax: fields.4,
+                            p: fields.5,
+                            ext_lo: fields.6,
+                            k_max: fields.7,
+                        },
+                        Schedule::RepeatedScatter {
+                            f: fields.0,
+                            imin: fields.1,
+                            imax: fields.2,
+                            b: fields.3,
+                            pmax: fields.4,
+                            p: fields.5,
+                            ext_lo: fields.6,
+                            k_max: fields.7,
+                        },
+                    ];
+                    let dec = vcal_decomp::Decomp1::block_scatter(
+                        b,
+                        2,
+                        vcal_core::Bounds::range(0, (big - 1) * 2),
+                    );
+                    let want = brute_modify(&f, &dec, 0, 9, p);
+                    for s in &shapes {
+                        let runs = s.offset_runs().unwrap();
+                        let mut got: Vec<i64> = (runs.iter())
+                            .flat_map(|&(i, step, n)| (0..n).map(move |t| i + step * t))
+                            .collect();
+                        got.sort_unstable();
+                        assert_eq!(got, want, "{s:?}");
+                        assert_eq!(s.count(), want.len() as u64, "{s:?}");
+                        assert_eq!(s.to_sorted_vec(), want, "{s:?}");
+                    }
                 }
             }
         }

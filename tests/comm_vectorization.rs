@@ -189,7 +189,7 @@ fn block_scatter_to_block_travels_as_64_kib_packets() {
     let plan = SpmdPlan::build(&cl, &dm).unwrap();
     // 4 096 block cycles, folded into one two-level run per packet
     let runs = (plan.nodes.iter().flat_map(|n| &n.comm.sends)).flat_map(|pc| &pc.runs);
-    let cycles: u64 = runs.clone().map(|r| r.reps).sum();
+    let cycles: u64 = runs.clone().map(|r| r.nest.reps()).sum();
     let packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();
     assert_eq!((runs.count(), cycles, packets), (8, 4096, 8));
     let ctx = "bs16 -> block acceptance";
@@ -265,7 +265,7 @@ fn ghost_plan_predicts_the_block_stencil_traffic() {
                         let mut globals = BTreeSet::new();
                         for r in &pc.runs {
                             let g = &np.resides[r.slot].g;
-                            r.for_each(|i| {
+                            r.nest.for_each(|i| {
                                 globals.insert(g.eval(i));
                             });
                         }
@@ -293,7 +293,10 @@ fn drop_setup() -> (SpmdPlan, Clause, BTreeMap<String, DistArray>) {
     // node 1 must really have a multi-element first run, so the drop
     // removes a packet, not a single value
     let first_run = &plan.nodes[1].comm.sends[0].runs[0];
-    assert!(first_run.count > 1, "first run should batch elements");
+    assert!(
+        first_run.nest.count(0) > 1,
+        "first run should batch elements"
+    );
 
     let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
     for name in ["A", "B"] {

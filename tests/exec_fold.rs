@@ -16,8 +16,7 @@ use vcal_suite::decomp::Decomp1;
 use vcal_suite::lang;
 use vcal_suite::machine::DistSession;
 use vcal_suite::spmd::{
-    packetise, AccessPattern, CommRun, CompiledNode, CompiledSchedule, ExecRun, SpmdPlan,
-    PACKET_ELEMS,
+    packetise, CommRun, CompiledNode, CompiledSchedule, ExecRun, SpmdPlan, PACKET_ELEMS,
 };
 
 const LAYOUTS: [&str; 3] = ["block", "scatter", "blockscatter(4)"];
@@ -90,7 +89,7 @@ fn compile_sweep_matrix_matches_sequential_bitwise() {
                             .nodes
                             .iter()
                             .flat_map(|cn| &cn.exec)
-                            .filter(|er| er.reps > 1)
+                            .filter(|er| er.index.reps() > 1)
                             .count();
                         env.exec_clause(clause);
                         session
@@ -134,8 +133,8 @@ fn backward_entries_write_the_next_image() {
         let plan = SpmdPlan::build(clause, &spec.decomps).unwrap();
         let cs = CompiledSchedule::compile_exec(&plan, clause, &spec.decomps);
         let backward = |er: &ExecRun| {
-            let step = matches!(er.lhs, AccessPattern::Affine { step, .. } if step < 0);
-            (er.reps > 1 && er.delta.lhs < 0) || (er.run.count > 1 && step)
+            let step = er.lhs.table.is_none() && er.lhs.nest.stride(0) < 0;
+            (er.index.reps() > 1 && er.lhs.nest.stride(1) < 0) || (er.index.count(0) > 1 && step)
         };
         let entries = cs.nodes.iter().flat_map(|cn| &cn.exec);
         assert!(entries.clone().any(backward), "{src} V={v} U={u}");
@@ -167,7 +166,12 @@ fn per_cycle(plan: &SpmdPlan) -> SpmdPlan {
     let mut flat = plan.clone();
     for node in &mut flat.nodes {
         for pc in node.comm.sends.iter_mut().chain(&mut node.comm.recvs) {
-            let reps = pc.runs.iter().flat_map(|r| (0..r.reps).map(|k| r.rep(k)));
+            let reps = (pc.runs.iter()).flat_map(|r| {
+                (0..r.nest.reps()).map(|k| CommRun {
+                    nest: r.nest.rep(k),
+                    ..*r
+                })
+            });
             pc.runs = reps.collect::<Vec<CommRun>>();
             pc.cuts = packetise(&mut pc.runs, PACKET_ELEMS);
         }
@@ -181,10 +185,7 @@ fn packed(cn: &CompiledNode) -> Vec<Vec<(usize, i64)>> {
     segs.map(|segs| {
         let mut out = Vec::new();
         for seg in segs {
-            for k in 0..seg.reps as i64 {
-                let at = (0..seg.count).map(|t| (seg.slot, seg.pattern.offset(t) + k * seg.shift));
-                out.extend(at);
-            }
+            seg.pattern.for_each(|off| out.push((seg.slot, off)));
         }
         out
     })
@@ -309,8 +310,11 @@ fn check_element_walk(plan: &SpmdPlan, dec_lhs: &Decomp1, what: &str) {
         let mut got = Vec::new();
         for pc in &node.comm.sends {
             for r in &pc.runs {
-                let rep = |k: u64| (r.start + k as i64 * r.stride, r.step, r.count);
-                got.extend((0..r.reps).map(|k| (pc.peer, r.slot, rep(k))));
+                let rep = |k: u64| {
+                    let rep = r.nest.rep(k);
+                    (rep.base, rep.stride(0), rep.count(0))
+                };
+                got.extend((0..r.nest.reps()).map(|k| (pc.peer, r.slot, rep(k))));
             }
         }
         // a stable sort: inside a pair and slot the wire order stays, and

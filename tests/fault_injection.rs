@@ -255,7 +255,7 @@ fn multi_packet_flows_survive_the_fault_soup() {
         // 2 048 block cycles, one two-level run per packet
         let runs = &node.comm.sends[0].runs;
         assert_eq!(runs.len(), 4);
-        assert_eq!(runs.iter().map(|r| r.reps).sum::<u64>(), 2048);
+        assert_eq!(runs.iter().map(|r| r.nest.reps()).sum::<u64>(), 2048);
         assert_eq!(node.comm.send_packets(), 4);
     }
     let planned_packets: u64 = plan.nodes.iter().map(|n| n.comm.send_packets()).sum();

@@ -109,7 +109,7 @@ fn bytes_consistent_with_packets_and_run_lengths() {
             .iter()
             .flat_map(|n| n.comm.sends.iter())
             .flat_map(|pc| pc.packets())
-            .map(|runs| runs.iter().map(|r| r.len()).sum())
+            .map(|runs| runs.iter().map(|r| r.nest.len()).sum())
             .max()
             .unwrap_or(0);
         let t = report.total();

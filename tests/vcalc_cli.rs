@@ -489,3 +489,21 @@ fn deep_source_operator_chain_fails_cleanly() {
     );
     refuses_deep_source("deep_chain.vc", &src);
 }
+
+/// A block of 2^61 elements over a ten-element loop used to plan in
+/// O(b): the repeated shapes walked every in-block offset and never
+/// finished. Only the offsets the loop's image reaches are walked now.
+#[test]
+fn huge_block_plans_and_runs() {
+    let p = write_temp("huge_block.vc", "for i := 0 to 9 do V[i] := U[i]; od;");
+    let s = write_temp(
+        "huge_block.dspec",
+        "processors 2;\narray V[0 to 9] blockscatter(2305843009213693952);\narray U[0 to 9] block;\n",
+    );
+    let (ok, stdout, stderr) = vcalc(&[p.to_str().unwrap(), s.to_str().unwrap(), "--run"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout.contains("result identical to the sequential reference"),
+        "{stdout}"
+    );
+}
