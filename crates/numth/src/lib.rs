@@ -19,11 +19,9 @@
 
 #![warn(missing_docs)]
 
-pub mod crt;
 pub mod diophantine;
 pub mod euclid;
 
-pub use crt::ResidueClass;
 pub use diophantine::{solve, solve_congruence, Congruence, DioSolution};
 pub use euclid::{ext_gcd, gcd, ExtGcd};
 

@@ -11,11 +11,15 @@
 //! ```
 //!
 //! and both operands are schedules the optimizer already derived in
-//! closed form (Theorems 1–3). This module intersects them per ordered
-//! processor pair at *plan time* — using the lattice algebra of
-//! [`crate::setops`] when both schedules are arithmetic, and otherwise
-//! walking one lattice period of the send predicate and replaying it —
-//! and stores the result as strided runs ([`CommRun`]) on each node plan.
+//! closed form (Theorems 1–3). This module derives every pair set once,
+//! at *plan time*, by one algebra: walk the send predicate
+//! `proc_B(g(i)) = p ∧ proc_A(f(i)) = q` over the loop range in ascending
+//! order and coalesce each destination's indices into [`Nest`]s. Where
+//! both maps are constant or affine the predicate is periodic between the
+//! block layouts' breakpoints, so the walk covers one lattice period and
+//! replays it; a map with no period is walked index by index. The result
+//! is stored as strided runs ([`CommRun`]) on each node plan, and it is
+//! also what `emit` prints as the node's send and receive sets.
 //!
 //! Because the pair set is computed once and shared by sender and
 //! receiver, both sides agree on the exact packing order of every run
@@ -25,10 +29,9 @@
 //! `packets = elements`) and the receiver unpacks by
 //! `(source, packet, offset)` with no per-element tag matching.
 
-use crate::compiled::{flatten_schedule, Tiling};
+use crate::compiled::Tiling;
 use crate::nest::Nest;
 use crate::program::NodePlan;
-use crate::schedule::Schedule;
 use vcal_core::func::Fn1;
 use vcal_decomp::{Decomp1, Distribution};
 use vcal_numth::gcd;
@@ -161,8 +164,6 @@ pub struct NodeCommPlan {
     /// pairs omitted). `recvs[so].runs[k]` on the receiver is the same
     /// run as `sends[..].runs[k]` on source `so` — derived once, shared.
     pub recvs: Vec<PairComm>,
-    /// Read slots whose pair sets came from closed-form intersection.
-    pub closed_form_slots: u64,
     /// Read slots walked one lattice period at a time (both maps constant
     /// or affine).
     pub period_walked_slots: u64,
@@ -208,26 +209,6 @@ fn push_runs(pairs: &mut Vec<PairComm>, peer: i64, runs: &[CommRun]) {
     for r in runs {
         fold(&mut pairs[at].runs, *r);
     }
-}
-
-/// Derive `Reside_p(slot) ∩ Modify_q` for every destination `q ≠ p` in
-/// closed form. `None` when any required intersection is not arithmetic;
-/// an arithmetic one flattens to one run per range or lattice.
-fn closed_form_slot(
-    nodes: &[NodePlan],
-    p: usize,
-    slot: usize,
-    reside: &Schedule,
-) -> Option<Vec<Vec<CommRun>>> {
-    let mut per_q: Vec<Vec<CommRun>> = vec![Vec::new(); nodes.len()];
-    for (q, dst) in nodes.iter().enumerate() {
-        if q != p {
-            let set = crate::setops::intersect(reside, &dst.modify.schedule)?;
-            let runs = flatten_schedule(&set).into_iter();
-            per_q[q].extend(runs.map(|nest| CommRun { slot, nest }));
-        }
-    }
-    Some(per_q)
 }
 
 /// One side of the send predicate: `i ↦ proc(h(i))` for an access `h`
@@ -508,26 +489,16 @@ pub fn plan_comm(
             if rp.replicated {
                 continue;
             }
-            let reside = &rp.opt.schedule;
-            let per_q = match closed_form_slot(nodes, p, slot, reside) {
-                Some(per_q) => {
-                    plans[p].closed_form_slots += 1;
-                    per_q
-                }
-                None => {
-                    let read = Side {
-                        h: &rp.g,
-                        dec: dec_reads[slot],
-                    };
-                    let (per_q, periodic) = walk_slot(read, lhs, p, slot, bounds);
-                    *if periodic {
-                        &mut plans[p].period_walked_slots
-                    } else {
-                        &mut plans[p].enumerated_slots
-                    } += 1;
-                    per_q
-                }
+            let read = Side {
+                h: &rp.g,
+                dec: dec_reads[slot],
             };
+            let (per_q, periodic) = walk_slot(read, lhs, p, slot, bounds);
+            *if periodic {
+                &mut plans[p].period_walked_slots
+            } else {
+                &mut plans[p].enumerated_slots
+            } += 1;
             for (q, runs) in per_q.iter().enumerate() {
                 if q == p || runs.is_empty() {
                     continue;
@@ -551,6 +522,7 @@ pub fn plan_comm(
 mod tests {
     use super::*;
     use crate::program::{DecompMap, SpmdPlan};
+    use crate::schedule::Schedule;
 
     /// Greedily coalesce a sorted, deduplicated index list into arithmetic
     /// runs, as [`coalesce_ordered`](crate::compiled::coalesce_ordered) does.
@@ -752,13 +724,26 @@ mod tests {
         let dec_lhs = &dm["A"];
         for p in 0..plan.pmax as usize {
             let comm = &plan.nodes[p].comm;
-            assert_eq!(
-                expand_sends(comm),
-                brute_sends(&plan, dec_lhs, p),
-                "send sets p={p} naive={naive}"
-            );
-            // sender and receiver hold the same run lists
+            let brute = brute_sends(&plan, dec_lhs, p);
+            assert_eq!(expand_sends(comm), brute, "send sets p={p} naive={naive}");
             for pc in &comm.sends {
+                // each slot's runs, rep by rep, are the greedy coalescing
+                // of its set: the pair set is canonical
+                for slot in 0..plan.nodes[p].resides.len() {
+                    let set: Vec<i64> = (brute.iter())
+                        .filter(|&&(q, s, _)| q == pc.peer && s == slot)
+                        .map(|&(_, _, i)| i)
+                        .collect();
+                    let runs: Vec<CommRun> =
+                        pc.runs.iter().filter(|r| r.slot == slot).copied().collect();
+                    assert_eq!(
+                        expand(&runs),
+                        coalesce(&set, slot),
+                        "pair ({p} -> {}) slot {slot} naive={naive}",
+                        pc.peer
+                    );
+                }
+                // sender and receiver hold the same run lists
                 let dst = &plan.nodes[pc.peer as usize].comm;
                 let back = dst
                     .recvs
@@ -829,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_plans_use_closed_forms() {
+    fn optimized_affine_plans_walk_by_period() {
         let n = 1024i64;
         let clause = copy_clause(0, n - 1, Fn1::identity(), Fn1::affine(3, 1));
         let dm = decomps(
@@ -838,6 +823,7 @@ mod tests {
         );
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
         for node in &plan.nodes {
+            assert_eq!(node.comm.period_walked_slots, 1, "p={}", node.p);
             assert_eq!(node.comm.enumerated_slots, 0, "p={}", node.p);
         }
         // scatter/scatter with an affine access coalesces each pair into
@@ -862,15 +848,11 @@ mod tests {
             let sum = |count: fn(&NodeCommPlan) -> u64| -> u64 {
                 plan.nodes.iter().map(|n| count(&n.comm)).sum()
             };
-            (
-                sum(|c| c.closed_form_slots),
-                sum(|c| c.period_walked_slots),
-                sum(|c| c.enumerated_slots),
-            )
+            (sum(|c| c.period_walked_slots), sum(|c| c.enumerated_slots))
         };
-        assert_eq!(slots(Fn1::identity()), (0, 4, 0));
+        assert_eq!(slots(Fn1::identity()), (4, 0));
         let square = Fn1::Square(Box::new(Fn1::identity()));
-        assert_eq!(slots(square), (0, 0, 4));
+        assert_eq!(slots(square), (0, 4));
     }
 
     #[test]
@@ -901,7 +883,7 @@ mod tests {
     }
 
     /// The plans `plan_comm` made before the period walk: every slot
-    /// without a closed form walked element by element.
+    /// walked element by element.
     fn plan_by_elements(plan: &SpmdPlan, dec_lhs: &Decomp1) -> Vec<NodeCommPlan> {
         let pmax = plan.nodes.len();
         let mut plans = vec![NodeCommPlan::default(); pmax];
@@ -910,9 +892,7 @@ mod tests {
                 if rp.replicated {
                     continue;
                 }
-                let reside = &rp.opt.schedule;
-                let per_q = closed_form_slot(&plan.nodes, p, slot, reside)
-                    .unwrap_or_else(|| enumerate_slot(reside, slot, &plan.f, dec_lhs, p, pmax));
+                let per_q = enumerate_slot(&rp.opt.schedule, slot, &plan.f, dec_lhs, p, pmax);
                 for (q, runs) in per_q.iter().enumerate() {
                     if q != p && !runs.is_empty() {
                         push_runs(&mut plans[p].sends, q as i64, runs);

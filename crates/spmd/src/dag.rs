@@ -10,8 +10,9 @@
 //! common snapshot) is bitwise identical to the sequential order.
 //!
 //! This module computes those footprints per program step, intersects
-//! them with the closed-form set algebra ([`crate::setops::intersect`],
-//! with bounded enumeration and a conservative "dependent" fallback),
+//! them exactly (a constant or affine image is a one-level [`Nest`], and
+//! two of those meet by [`Nest::meet`]; other images are enumerated when
+//! small enough, with a conservative "dependent" fallback),
 //! condenses the dependence graph with Tarjan's SCC algorithm, and emits
 //! a [`ProgramDag`]: a wave schedule in which each wave is an antichain
 //! of pairwise-independent steps that the executor may run concurrently.
@@ -31,17 +32,15 @@
 //! correct schedule for mutually dependent steps.
 
 use crate::compiled::clause_signature;
+use crate::nest::Nest;
 use crate::program::DecompMap;
-use crate::schedule::Schedule;
-use crate::setops;
 use vcal_core::func::Fn1;
 use vcal_core::Clause;
 use vcal_decomp::Decomp1;
 
-/// Largest iteration count (or schedule size) this module will
-/// enumerate exactly before falling back to a conservative interval
-/// hull. The fallback only ever *adds* dependence edges — it loses
-/// parallelism, never correctness.
+/// Largest iteration count this module will enumerate exactly before
+/// falling back to a conservative interval hull. The fallback only ever
+/// *adds* dependence edges — it loses parallelism, never correctness.
 const ENUM_MAX: i64 = 1 << 16;
 
 /// One step of a multi-clause program.
@@ -186,8 +185,8 @@ pub fn program_signature(steps: &[ProgramStep]) -> u64 {
 /// or writes in one array.
 #[derive(Debug, Clone)]
 enum Footprint {
-    /// Exact arithmetic set (closed-form intersectable).
-    Exact(Schedule),
+    /// Exact lattice: the image of a constant or affine map.
+    Exact(Nest),
     /// Exact enumerated set, sorted and deduplicated.
     Set(Vec<i64>),
     /// Conservative interval hull `[lo, hi]` — used when no exact form
@@ -196,45 +195,14 @@ enum Footprint {
 }
 
 impl Footprint {
-    fn is_empty(&self) -> bool {
-        match self {
-            Footprint::Exact(s) => s.is_empty(),
-            Footprint::Set(v) => v.is_empty(),
-            Footprint::Hull(lo, hi) => lo > hi,
-        }
-    }
-
     /// `[min, max]` of the footprint, `None` when empty.
     fn hull(&self) -> Option<(i64, i64)> {
         match self {
-            Footprint::Exact(s) => sched_hull(s),
+            Footprint::Exact(n) => (!n.is_empty()).then(|| n.hull()),
             Footprint::Set(v) => Some((*v.first()?, *v.last()?)),
             Footprint::Hull(lo, hi) => (lo <= hi).then_some((*lo, *hi)),
         }
     }
-}
-
-/// `[min, max]` of a schedule, `None` when empty.
-fn sched_hull(s: &Schedule) -> Option<(i64, i64)> {
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    s.for_each(|i| {
-        lo = lo.min(i);
-        hi = hi.max(i);
-    });
-    (lo <= hi).then_some((lo, hi))
-}
-
-/// Enumerate a schedule into a sorted set when it is small enough.
-fn sched_set(s: &Schedule) -> Option<Vec<i64>> {
-    if s.work_estimate() > ENUM_MAX as u64 {
-        return None;
-    }
-    let mut v = Vec::new();
-    s.for_each(|i| v.push(i));
-    v.sort_unstable();
-    v.dedup();
-    Some(v)
 }
 
 /// Whether two sorted sets intersect (linear merge).
@@ -250,34 +218,20 @@ fn sets_intersect(a: &[i64], b: &[i64]) -> bool {
     false
 }
 
-/// Whether two footprints share at least one element. Conservative:
-/// answers `true` whenever no exact decision is affordable.
+/// Whether two footprints share at least one element. Exact except
+/// against a hull, where an overlap of the hulls counts.
 fn footprints_intersect(a: &Footprint, b: &Footprint) -> bool {
-    if a.is_empty() || b.is_empty() {
+    // cheap hull rejection first: disjoint hulls never intersect
+    let (Some((alo, ahi)), Some((blo, bhi))) = (a.hull(), b.hull()) else {
+        return false;
+    };
+    if ahi < blo || bhi < alo {
         return false;
     }
-    // cheap hull rejection first: disjoint hulls never intersect
-    match (a.hull(), b.hull()) {
-        (Some((alo, ahi)), Some((blo, bhi))) => {
-            if ahi < blo || bhi < alo {
-                return false;
-            }
-        }
-        _ => return false, // one side empty (already handled, defensive)
-    }
     match (a, b) {
-        (Footprint::Exact(x), Footprint::Exact(y)) => match setops::intersect(x, y) {
-            Some(s) => !s.is_empty(),
-            None => match (sched_set(x), sched_set(y)) {
-                (Some(sx), Some(sy)) => sets_intersect(&sx, &sy),
-                _ => true, // no affordable exact form: assume dependent
-            },
-        },
+        (Footprint::Exact(x), Footprint::Exact(y)) => x.meet(y).is_some(),
         (Footprint::Exact(x), Footprint::Set(t)) | (Footprint::Set(t), Footprint::Exact(x)) => {
-            match sched_set(x) {
-                Some(s) => sets_intersect(&s, t),
-                None => true,
-            }
+            t.iter().any(|&v| x.meet(&Nest::run(v, 0, 1)).is_some())
         }
         (Footprint::Set(s), Footprint::Set(t)) => sets_intersect(s, t),
         // a hull overlap was already established above
@@ -286,32 +240,17 @@ fn footprints_intersect(a: &Footprint, b: &Footprint) -> bool {
 }
 
 /// The image of access function `f` over the iteration range
-/// `[lo, hi]`, as a footprint. `Const` and `Affine` have exact strided
-/// images; everything else is enumerated when affordable and otherwise
-/// approximated by the array's extent hull.
+/// `[lo, hi]`, as a footprint. `Const` and `Affine` have exact one-level
+/// nests as images; everything else is enumerated when affordable and
+/// otherwise approximated by the array's extent hull.
 fn image(f: &Fn1, lo: i64, hi: i64, extent: Option<(i64, i64)>) -> Footprint {
     if lo > hi {
-        return Footprint::Exact(Schedule::Empty);
+        return Footprint::Exact(Nest::run(0, 0, 0));
     }
     let count = hi - lo + 1;
-    match f {
-        Fn1::Const(c) => Footprint::Exact(Schedule::range(*c, *c)),
-        Fn1::Affine { a, c } => {
-            if *a == 0 {
-                Footprint::Exact(Schedule::range(*c, *c))
-            } else if *a == 1 {
-                Footprint::Exact(Schedule::range(lo + c, hi + c))
-            } else {
-                // normalize to a positive step so the set algebra sees a
-                // canonical lattice
-                let (start, step) = if *a > 0 {
-                    (a * lo + c, *a)
-                } else {
-                    (a * hi + c, -a)
-                };
-                Footprint::Exact(Schedule::Strided { start, step, count })
-            }
-        }
+    match *f {
+        Fn1::Const(c) | Fn1::Affine { a: 0, c } => Footprint::Exact(Nest::run(c, 0, 1)),
+        Fn1::Affine { a, c } => Footprint::Exact(Nest::run(a * lo + c, a, count)),
         _ if count <= ENUM_MAX => {
             let mut v: Vec<i64> = (lo..=hi).map(|i| f.eval(i)).collect();
             v.sort_unstable();
@@ -465,9 +404,9 @@ pub fn tarjan_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 /// Dependence between steps `i < j` exists when some shared array has a
 /// non-empty intersection of `i`'s writes with `j`'s reads (RAW), `i`'s
 /// reads with `j`'s writes (WAR), or both writes (WAW). Intersections
-/// use the closed-form set algebra where available, bounded enumeration
-/// next, and a conservative "dependent" verdict when neither is
-/// affordable. Redistributions alias their array's full extent.
+/// are lattice meets of affine images, bounded enumeration otherwise,
+/// and a conservative "dependent" verdict when neither is affordable.
+/// Redistributions alias their array's full extent.
 pub fn build_dag(steps: &[ProgramStep], decomps: &DecompMap) -> ProgramDag {
     let n = steps.len();
     let feet: Vec<StepFoot> = steps.iter().map(|s| step_footprints(s, decomps)).collect();

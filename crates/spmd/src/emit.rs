@@ -3,6 +3,8 @@
 //! 2.10 and the loop skeletons of Section 4), with the chosen Table I
 //! optimization noted per loop.
 
+use crate::comm::CommRun;
+use crate::nest::Nest;
 use crate::optimizer::Optimized;
 use crate::program::SpmdPlan;
 use crate::schedule::Schedule;
@@ -147,49 +149,55 @@ pub fn emit_distributed_node(plan: &SpmdPlan, p: i64) -> String {
     out
 }
 
+/// Render one nest of loop indices `i` as loops, one `for` per level,
+/// outermost first, with the one-line `body` innermost.
+fn emit_nest(nest: &Nest, body: &str) -> String {
+    let depth = nest.depth();
+    let (mut out, mut tail, mut at) = (String::new(), String::new(), nest.base.to_string());
+    for l in (0..depth).rev() {
+        let pad = " ".repeat(2 * (depth - 1 - l));
+        out.push_str(&format!("{pad}for j{l} := 0 to {} do\n", nest.count(l) - 1));
+        tail.insert_str(0, &format!("{pad}od;\n"));
+        at.push_str(&format!(" + {}*j{l}", nest.stride(l)));
+    }
+    let pad = " ".repeat(2 * depth);
+    format!("{out}{pad}i := {at};\n{pad}{body}\n{tail}")
+}
+
 /// Render the distributed template with **closed-form communication
-/// loops** where the set algebra permits: instead of guarding every
-/// Reside iteration with `procA(f(i)) ≠ p`, the send set
-/// `Reside_p \ Modify_p` is computed symbolically (CRT lattice algebra,
-/// [`crate::setops`]) and emitted as bare loops. Falls back to the
-/// guarded form per read when the schedules are not arithmetic.
+/// loops**: instead of guarding every Reside iteration with
+/// `procA(f(i)) ≠ p`, print the node's planned send and receive runs
+/// ([`crate::comm::NodeCommPlan`]), per peer and read slot, as bare loop
+/// nests. These are the sets `Reside_p ∩ Modify_q` and `Modify_p ∩
+/// Reside_q` the machine ships, for every layout.
 pub fn emit_distributed_node_closed(plan: &SpmdPlan, p: i64) -> String {
     let node = &plan.nodes[p as usize];
     let f = display_fn1(&plan.f, "i");
-    let mut out = String::new();
-    out.push_str(&format!("p := my_node;  (* = {p} *)\n"));
-    for rp in &node.resides {
-        if rp.replicated {
-            continue;
-        }
-        let g = display_fn1(&rp.g, "i");
-        match crate::setops::comm_sets(&node.modify.schedule, &rp.opt.schedule) {
-            Some(cs) => {
+    let mut out = format!("p := my_node;  (* = {p} *)\n");
+    let sides = [
+        ("send", "Reside_p \\ Modify_p", "to", &node.comm.sends),
+        ("receive", "Modify_p \\ Reside_p", "from", &node.comm.recvs),
+    ];
+    for (side, set, dir, pairs) in sides {
+        for pc in pairs {
+            for (slot, rp) in node.resides.iter().enumerate() {
+                let runs: Vec<&CommRun> = pc.runs.iter().filter(|r| r.slot == slot).collect();
+                if runs.is_empty() {
+                    continue;
+                }
+                let iters: u64 = runs.iter().map(|r| r.nest.len()).sum();
                 out.push_str(&format!(
-                    "(* closed-form send set Reside_p \\ Modify_p of {} ({} iters) *)\n",
-                    rp.array,
-                    cs.send.count()
+                    "(* closed-form {side} set {set} of {} {dir} node {} ({iters} iters) *)\n",
+                    rp.array, pc.peer
                 ));
-                let body = format!("    send(procA({f}), {}L[local({g})]);\n", rp.array);
-                out.push_str(&emit_schedule(&cs.send, "i", &body, 0));
-                out.push_str(&format!(
-                    "(* closed-form receive set Modify_p \\ Reside_p of {} ({} iters) *)\n",
-                    rp.array,
-                    cs.receive.count()
-                ));
-                let body = format!("    tmp_{0} := receive(procB({g}));\n", rp.array);
-                out.push_str(&emit_schedule(&cs.receive, "i", &body, 0));
-            }
-            None => {
-                out.push_str(&format!(
-                    "(* no closed form for {}: guarded send loop *)\n",
-                    rp.array
-                ));
-                let body = format!(
-                    "    if procA({f}) \u{2260} p then send(procA({f}), {}L[local({g})]); fi;\n",
-                    rp.array
-                );
-                out.push_str(&emit_schedule(&rp.opt.schedule, "i", &body, 0));
+                let (array, g) = (&rp.array, display_fn1(&rp.g, "i"));
+                let body = match side {
+                    "send" => format!("send({}, {array}L[local({g})]);", pc.peer),
+                    _ => format!("tmp_{array} := receive({});", pc.peer),
+                };
+                for r in runs {
+                    out.push_str(&emit_nest(&r.nest, &body));
+                }
             }
         }
     }
@@ -317,6 +325,65 @@ mod tests {
         // the closed-form send loops carry no per-element ownership test
         let send_section = code.split("update phase").next().unwrap();
         assert!(!send_section.contains('\u{2260}'), "{code}");
+    }
+
+    /// `dist-closed` prints unguarded loops for every layout pair, and its
+    /// per-slot headers count exactly the elements each node sends and
+    /// receives.
+    #[test]
+    fn closed_form_template_prints_the_planned_runs_for_every_layout() {
+        let n = 48;
+        let e = Bounds::range(0, n - 1);
+        let iters = |code: &str, side: &str| -> u64 {
+            let head = format!("(* closed-form {side} set");
+            (code.lines().filter(|l| l.starts_with(&head)))
+                .map(|l| {
+                    let (_, tail) = l.rsplit_once('(').unwrap();
+                    tail.split(' ').next().unwrap().parse::<u64>().unwrap()
+                })
+                .sum()
+        };
+        let mut shipped = 0;
+        for pmax in 2..=4 {
+            let layouts = [
+                Decomp1::block(pmax, e),
+                Decomp1::scatter(pmax, e),
+                Decomp1::block_scatter(3, pmax, e),
+                Decomp1::block_scatter(4, pmax, e),
+            ];
+            for (da, db) in layouts
+                .iter()
+                .flat_map(|a| layouts.iter().map(move |b| (a, b)))
+            {
+                let mut dm = DecompMap::new();
+                dm.insert("A".into(), da.clone());
+                dm.insert("B".into(), db.clone());
+                let read = |g: Fn1| Expr::Ref(ArrayRef::d1("B", g));
+                let clause = Clause {
+                    iter: IndexSet::range(0, (n - 2) / 2),
+                    ordering: Ordering::Par,
+                    guard: Guard::Always,
+                    lhs: ArrayRef::d1("A", Fn1::identity()),
+                    rhs: Expr::add(read(Fn1::shift(1)), read(Fn1::affine(2, 1))),
+                };
+                for naive in [false, true] {
+                    let plan = match naive {
+                        true => SpmdPlan::build_naive(&clause, &dm).unwrap(),
+                        false => SpmdPlan::build(&clause, &dm).unwrap(),
+                    };
+                    for node in &plan.nodes {
+                        let code = emit_distributed_node_closed(&plan, node.p);
+                        let (comm, _) = code.split_once("update phase").unwrap();
+                        let what = format!("A={da} B={db} naive={naive}\n{code}");
+                        assert!(!comm.contains('\u{2260}'), "{what}");
+                        assert_eq!(iters(comm, "send"), node.comm.send_elems(), "{what}");
+                        assert_eq!(iters(comm, "receive"), node.comm.recv_elems(), "{what}");
+                        shipped += node.comm.send_elems();
+                    }
+                }
+            }
+        }
+        assert!(shipped > 1000, "only {shipped} elements shipped");
     }
 
     #[test]

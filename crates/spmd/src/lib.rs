@@ -38,7 +38,6 @@ pub mod obs;
 pub mod optimizer;
 pub mod program;
 pub mod schedule;
-pub mod setops;
 pub mod simd;
 pub mod tuner;
 pub mod validate;
@@ -59,7 +58,6 @@ pub use obs::{NodeDispatch, PlanSummary, SlotDispatch};
 pub use optimizer::{naive_schedule, optimize, optimize_with, OptKind, OptOptions, Optimized};
 pub use program::{CommStats, DecompMap, NodePlan, PlanError, ResidePlan, SpmdPlan};
 pub use schedule::{repeated_block_kmax, Schedule};
-pub use setops::{comm_sets, intersect, subtract, CommSets};
 pub use simd::{SimdCensus, SimdMode, SimdPolicy};
 pub use tuner::{
     candidate_for_assignment, describe_assignment, enumerate_candidates, program_arrays,

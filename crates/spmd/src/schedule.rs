@@ -139,7 +139,7 @@ impl Schedule {
                 ext_lo,
                 k_max,
             } => {
-                for k in 0..=*k_max {
+                for k in reached_cycles(f, (*imin, *imax), ext_lo + b * p, *b, b * pmax, *k_max) {
                     let y_lo = ext_lo + b * (p + k * pmax);
                     let y_hi = y_lo + b - 1;
                     if let Some((jlo, jhi)) = f.preimage_range(y_lo, y_hi, *imin, *imax) {
@@ -158,7 +158,7 @@ impl Schedule {
                 k_max,
             } => {
                 for t in reached_offsets(f, *imin, *imax, *b, *pmax, *p, *ext_lo) {
-                    for k in 0..=*k_max {
+                    for k in reached_cycles(f, (*imin, *imax), ext_lo + t, 1, b * pmax, *k_max) {
                         let v = ext_lo + t + b * k * pmax;
                         // all i with f(i) == v (a plateau for weakly
                         // monotone f, one point or nothing otherwise)
@@ -358,6 +358,26 @@ fn reached_offsets(
     (parts.into_iter()).flat_map(move |(a, z)| a.max(lo) as i64..z.min(hi).max(a.max(lo)) as i64)
 }
 
+/// The cycles `k ∈ [0, k_max]` whose `width` values from `from + k·cycle`
+/// the image of a monotone `f` over `[imin, imax]` meets, as a range: a
+/// short loop whose image lies far into a huge extent visits only the
+/// cycles under its image, not every cycle before it.
+fn reached_cycles(
+    f: &Fn1,
+    (imin, imax): (i64, i64),
+    from: i64,
+    width: i64,
+    cycle: i64,
+    k_max: i64,
+) -> std::ops::RangeInclusive<i64> {
+    let (y0, y1) = (f.eval(imin) as i128, f.eval(imax) as i128);
+    let (from, width, cycle, k_max) = (from as i128, width as i128, cycle as i128, k_max as i128);
+    // from + k·cycle <= max(y) and from + k·cycle + width - 1 >= min(y)
+    let hi = (y0.max(y1) - from).div_euclid(cycle).clamp(-1, k_max);
+    let lo = (-(from + width - 1 - y0.min(y1)).div_euclid(cycle)).clamp(0, hi + 1);
+    lo as i64..=hi as i64
+}
+
 /// Compute the Theorem 2 cycle bound
 /// `k_max = (max_offset div b - p) div pmax`, where `max_offset` is the
 /// largest zero-based owned value offset reachable by `f` on the domain.
@@ -534,14 +554,26 @@ mod tests {
         }
     }
 
-    /// A block far larger than the loop: the repeated shapes walk only
-    /// the offsets the loop's image reaches, and still count and
-    /// enumerate exactly the owned iterations.
+    /// A block far larger than the loop, or a loop whose image lies far
+    /// into the extent: the repeated shapes walk only the offsets and the
+    /// cycles the loop's image reaches, and still count and enumerate
+    /// exactly the owned iterations.
     #[test]
     fn huge_blocks_walk_only_the_reached_offsets() {
         use crate::validate::brute_modify;
         let big = 1i64 << 61;
-        for (a, c) in [(1, 0), (1, 7), (-1, 9), (3, 2), (-2, 40)] {
+        // the last three: ten elements far into the extent
+        let maps = [
+            (1, 0),
+            (1, 7),
+            (-1, 9),
+            (3, 2),
+            (-2, 40),
+            (1, 1 << 40),
+            (1, big),
+            (-1, big + 9),
+        ];
+        for (a, c) in maps {
             let f = Fn1::affine(a, c);
             for b in [5, 1 << 20, big] {
                 for p in 0..2 {

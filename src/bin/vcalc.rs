@@ -1094,8 +1094,7 @@ fn report_trace(
         plan.nodes.iter().map(|n| count(&n.comm)).sum()
     };
     println!(
-        "trace: comm sets: {} closed-form, {} period-walked, {} element-walked slots",
-        slots(|c| c.closed_form_slots),
+        "trace: comm sets: {} period-walked, {} element-walked slots",
         slots(|c| c.period_walked_slots),
         slots(|c| c.enumerated_slots)
     );

@@ -168,45 +168,6 @@ proptest! {
     }
 
     #[test]
-    fn schedule_set_algebra_is_exact(
-        s1 in 0i64..12, m1 in 1i64..12, c1 in 1i64..40,
-        s2 in 0i64..12, m2 in 1i64..12, c2 in 1i64..40,
-    ) {
-        use vcal_suite::spmd::{intersect, subtract, Schedule};
-        let a = Schedule::Strided { start: s1, step: m1, count: c1 };
-        let b = Schedule::Strided { start: s2, step: m2, count: c2 };
-        let va = a.to_sorted_vec();
-        let vb = b.to_sorted_vec();
-        if let Some(i) = intersect(&a, &b) {
-            let want: Vec<i64> = va.iter().copied().filter(|x| vb.contains(x)).collect();
-            prop_assert_eq!(i.to_sorted_vec(), want, "intersect");
-        }
-        if let Some(d) = subtract(&a, &b) {
-            let want: Vec<i64> = va.iter().copied().filter(|x| !vb.contains(x)).collect();
-            prop_assert_eq!(d.to_sorted_vec(), want, "subtract");
-        } else {
-            // only the class-explosion guard may refuse
-            prop_assert!(m2 / vcal_suite::numth::gcd(m1, m2) * m1 / m1 > 64
-                || m1 / vcal_suite::numth::gcd(m1, m2) * m2 / m1 > 0);
-        }
-        // comm_sets coherence when both succeed
-        if let Some(cs) = vcal_suite::spmd::comm_sets(&a, &b) {
-            let send = cs.send.to_sorted_vec();
-            let recv = cs.receive.to_sorted_vec();
-            let local = cs.local.to_sorted_vec();
-            for x in &vb {
-                let in_a = va.contains(x);
-                prop_assert_eq!(send.contains(x), !in_a, "send at {}", x);
-            }
-            for x in &va {
-                let in_b = vb.contains(x);
-                prop_assert_eq!(recv.contains(x), !in_b, "recv at {}", x);
-                prop_assert_eq!(local.contains(x), in_b, "local at {}", x);
-            }
-        }
-    }
-
-    #[test]
     fn topology_hops_are_metric(
         pmax in prop::sample::select(vec![2i64, 4, 8, 16]),
         s in 0i64..16, d in 0i64..16, e in 0i64..16,

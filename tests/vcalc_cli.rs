@@ -146,6 +146,41 @@ fn advisor_ranks_layouts() {
     );
 }
 
+/// A ten-iteration loop whose image lies 2^61 into a block-scatter
+/// extent: the advisor's schedules visit only the cycles under the
+/// image, so `--advise` finishes at once instead of walking ≈ 2^58
+/// empty cycles.
+#[test]
+fn advisor_finishes_on_a_far_image() {
+    let p = write_temp(
+        "prog_far.vc",
+        "for i := 0 to 9 do V[i + 2305843009213693952] := U[i]; od;",
+    );
+    let s = write_temp(
+        "spec_far.dspec",
+        "processors 2;\narray V[0 to 2305843009213693961] blockscatter(5);\n\
+         array U[0 to 9] block;\n",
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vcalc"))
+        .args([p.to_str().unwrap(), s.to_str().unwrap(), "--advise"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("vcalc binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("vcalc --advise still running after 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("decomposition advisor"), "{stdout}");
+    assert!(stdout.contains("U: Scatter, V: Scatter"), "{stdout}");
+}
+
 #[test]
 fn simd_flag_runs_and_rejects_bad_values() {
     let p = write_temp("prog9.vc", PROGRAM);
