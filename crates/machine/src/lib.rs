@@ -34,7 +34,6 @@ pub(crate) mod net;
 pub mod obs;
 pub mod perfmodel;
 pub(crate) mod proc;
-pub mod redistribute;
 pub mod reduce;
 pub mod sequential;
 pub mod serve;
@@ -61,7 +60,6 @@ pub use obs::{
 };
 pub use perfmodel::{CalibratedModel, CalibrationSample, PerfModel, PlanPrice, SimTime};
 pub use proc::{worker_entry, worker_entry_with};
-pub use redistribute::{run_redistribution, run_redistribution_opts, run_redistribution_traced};
 pub use reduce::{run_reduce_distributed, run_reduce_shared};
 pub use sequential::run_sequential;
 pub use serve::{ServeClient, ServeConfig, ServeHandle, ServeRequest, ServeResponse};

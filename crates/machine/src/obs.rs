@@ -56,7 +56,10 @@ pub enum Phase {
     Drain,
     /// Host-side transactional write commit.
     Commit,
-    /// One node's redistribution run (local copy + send + receive).
+    /// The retired redistribution machine's per-node run. No longer
+    /// emitted: a redistribution is the copy clause on the engine (its
+    /// spans are [`Phase::Send`] and [`Phase::Update`]); removal waits
+    /// for the next `WIRE_VERSION` (ROADMAP item 10).
     Redistribute,
     /// The retired halo machine's ghost exchange. No longer emitted:
     /// overlap runs as the engine's Block stencil (its traffic is
@@ -158,14 +161,18 @@ pub enum EventKind {
         /// Remainder elements handled by scalar tail loops.
         tail_elems: u64,
     },
-    /// One coalesced redistribution run sent.
+    /// One coalesced run of the retired redistribution machine sent. No
+    /// longer emitted (a redistribution's traffic is
+    /// [`EventKind::PackSend`]); removal waits for the next
+    /// `WIRE_VERSION`.
     RedistSend {
         /// Destination node.
         dst: i64,
         /// Elements carried.
         elems: u64,
     },
-    /// One coalesced redistribution run received and unpacked.
+    /// One coalesced run of the retired redistribution machine received.
+    /// No longer emitted; removal waits for the next `WIRE_VERSION`.
     RedistRecv {
         /// Source node.
         src: i64,

@@ -18,7 +18,6 @@ use crate::distributed::PACK_HEADER_BYTES;
 use crate::obs::{Phase, TraceLog};
 use crate::stats::ExecReport;
 use crate::topology::Topology;
-use vcal_decomp::RedistPlan;
 use vcal_spmd::SpmdPlan;
 
 /// Cost parameters, in abstract time units (1 = one local iteration).
@@ -360,17 +359,6 @@ impl CalibratedModel {
             bottleneck,
             aggregate_ns: aggregate,
         }
-    }
-
-    /// Price a redistribution: every moved element is one send plus one
-    /// receive, batched per ordered processor pair (vectorized wire
-    /// accounting — redistribution always ships runs).
-    pub fn price_redist(&self, plan: &RedistPlan) -> f64 {
-        let packets = plan.message_count() as f64;
-        let elems = plan.moved_elements().max(0) as f64;
-        packets * self.packet_ns
-            + (packets * PACK_HEADER_BYTES as f64 + elems * ELEM_BYTES as f64) * self.byte_ns
-            + elems * self.recv_ns
     }
 
     /// Predict the wall-clock of an already-executed report — used to

@@ -28,13 +28,13 @@ use crate::net::lock;
 use crate::obs::{trace_plan, CollectingTracer, EventKind, Tracer, HOST, NULL_TRACER};
 use crate::perfmodel::{CalibratedModel, CalibrationSample};
 use crate::proc::ProcPool;
-use crate::redistribute::run_redistribution_traced;
 use crate::stats::ExecReport;
 use crate::transport::TransportKind;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
-use vcal_core::{Array, Clause, Env};
-use vcal_decomp::{Decomp1, RedistPlan};
+use vcal_core::func::Fn1;
+use vcal_core::{Array, ArrayRef, Clause, Env, Expr, Guard, IndexSet, Ordering};
+use vcal_decomp::Decomp1;
 use vcal_spmd::{
     build_dag, candidate_for_assignment, clause_arrays, clause_signature, decomp_fingerprint,
     describe_assignment, enumerate_candidates, program_signature, BoundedLru, CacheBudget,
@@ -569,8 +569,8 @@ impl DistSession {
     /// together to the persistent in-process pool, which pipelines
     /// clause *k+1*'s sends behind clause *k*'s boundary runs and
     /// commits per-clause writes in ordinal order, so the results are
-    /// bit-identical to `Seq`. Redistribution steps always run
-    /// host-side, sequentially within their wave; socket-backend
+    /// bit-identical to `Seq`. Redistribution steps run on the pool,
+    /// one at a time, before the wave's clauses; socket-backend
     /// sessions ([`TransportKind::Uds`]/`Tcp`) execute wave members
     /// sequentially too (the wave fan-out needs the shared-memory
     /// pool), preserving the schedule's events and semantics.
@@ -640,7 +640,7 @@ impl DistSession {
                     tracer.record(HOST, EventKind::DagReady { step: s });
                 }
             }
-            // redistributions first: host-side, sequential. A wave is
+            // redistributions first, one copy clause at a time. A wave is
             // pairwise independent, so no clause of this wave touches a
             // redistributed array — order within the wave is free.
             let mut clause_steps: Vec<(usize, &Clause)> = Vec::new();
@@ -1004,7 +1004,8 @@ impl DistSession {
                     redists.clear();
                     break;
                 }
-                switch_cost += model.price_redist(&RedistPlan::build(from, to));
+                let (_, _, plan) = copy_clause(name, from, to)?;
+                switch_cost += model.price_plan(&plan).aggregate_ns;
                 redists.push((name.clone(), to.clone()));
             }
         }
@@ -1073,7 +1074,10 @@ impl DistSession {
     }
 
     /// Dynamically redistribute `name` to a new layout (Section 5
-    /// extension), updating the session's decomposition map.
+    /// extension), updating the session's decomposition map. The move is
+    /// the copy clause `name'[i] := name[i]` with `name'` laid out as `to`
+    /// ([`copy_clause`]), planned and run like any clause on the
+    /// session's pool and transport; its report counts elements.
     pub fn redistribute(&mut self, name: &str, to: Decomp1) -> Result<ExecReport, MachineError> {
         self.redistribute_traced(name, to, &NULL_TRACER)
     }
@@ -1082,18 +1086,18 @@ impl DistSession {
     /// tracer. A target the array cannot be moved to — another extent,
     /// another processor count, a replicated image on either side — is a
     /// typed [`MachineError::PlanMismatch`] and leaves the session as it
-    /// was (`to` may come from an untrusted `vcalc request`).
+    /// was (`to` may come from an untrusted `vcalc request`), as does a
+    /// failed run. The copy's plan is private: it never enters the plan
+    /// cache, so its step reports no cache hits or misses.
     pub fn redistribute_traced(
         &mut self,
         name: &str,
         to: Decomp1,
         tracer: &dyn Tracer,
     ) -> Result<ExecReport, MachineError> {
-        let current = self
-            .arrays
-            .get(name)
+        let from = (self.arrays.get(name))
+            .map(|a| a.decomp().clone())
             .ok_or_else(|| MachineError::UnknownArray(name.to_string()))?;
-        let from = current.decomp();
         let refuse = |why: String| {
             Err(MachineError::PlanMismatch(format!(
                 "cannot redistribute `{name}`: {why}"
@@ -1116,10 +1120,21 @@ impl DistSession {
         if from.is_replicated() || to.is_replicated() {
             return refuse("a replicated image has no redistribution plan".into());
         }
-        let plan = RedistPlan::build(from, &to);
-        // redistribution inherits the session's fault/retry options
-        let (new_array, report) = run_redistribution_traced(&plan, current, self.opts, tracer)?;
-        self.arrays.insert(name.to_string(), new_array);
+        let (clause, dm, plan) = copy_clause(name, &from, &to)?;
+        let prepared = Arc::new(prepare_run(plan, &clause, &dm)?);
+        let copy = clause.lhs.array.clone();
+        let mut pair = BTreeMap::from([(copy.clone(), DistArray::zeros(to.clone()))]);
+        pair.extend(self.arrays.remove_entry(name));
+        // the copy runs on the session's own pool and backend, under its
+        // options; the wave is all-or-nothing, so on error the source
+        // image goes back as it was
+        let DistSession { opts, pools, .. } = self;
+        let run = pools.with(|p| p.run_clause(&prepared, &clause, &mut pair, *opts, tracer));
+        let keep: &str = if run.is_ok() { &copy } else { name };
+        if let Some(image) = pair.remove(keep) {
+            self.arrays.insert(name.to_string(), image);
+        }
+        let report = run?;
         self.decomps.insert(name.to_string(), to);
         self.retire_plans();
         Ok(report)
@@ -1161,6 +1176,30 @@ impl DistSession {
             })
             .collect()
     }
+}
+
+/// The copy clause `name'[i] := name[i]` over `from`'s extent, the
+/// private two-entry map it is planned against (`name` laid out as
+/// `from`, `name'` as `to`) and its plan. Run on the engine it is the
+/// redistribution `from` → `to` (the paper's dynamic decomposition, §5);
+/// priced, it is what that redistribution costs.
+pub fn copy_clause(
+    name: &str,
+    from: &Decomp1,
+    to: &Decomp1,
+) -> Result<(Clause, DecompMap, SpmdPlan), MachineError> {
+    let copy = format!("{name}'");
+    let clause = Clause {
+        iter: IndexSet::full(from.extent()),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1(copy.clone(), Fn1::identity()),
+        rhs: Expr::Ref(ArrayRef::d1(name, Fn1::identity())),
+    };
+    let dm = DecompMap::from([(name.to_string(), from.clone()), (copy, to.clone())]);
+    let plan =
+        SpmdPlan::build(&clause, &dm).map_err(|e| MachineError::PlanMismatch(e.to_string()))?;
+    Ok((clause, dm, plan))
 }
 
 #[cfg(test)]
@@ -1270,6 +1309,129 @@ mod tests {
         for i in 0..n {
             assert_eq!(got.get(&vcal_core::Ix::d1(i)), (i * 4) as f64);
         }
+    }
+
+    /// A one-array session holding `A[i] = 3i + 1` laid out as `dec`.
+    fn ramp_session(dec: Decomp1) -> (DistSession, Array) {
+        let ramp = Array::from_fn(dec.extent(), |i| (i.scalar() * 3 + 1) as f64);
+        let mut env = Env::new();
+        env.insert("A", ramp.clone());
+        let dm = DecompMap::from([("A".to_string(), dec)]);
+        (DistSession::new(&env, dm).unwrap(), ramp)
+    }
+
+    fn bits(a: &Array) -> Vec<u64> {
+        a.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A redistribution report counts elements, like every engine
+    /// report: `msgs_sent` is the plan's moved elements and
+    /// `traffic[p][q]` its element moves from `p` to `q`, over every
+    /// ordered pair of four layouts; priced on a hypercube, that is one
+    /// message per moved element.
+    #[test]
+    fn redistribution_reports_count_elements() {
+        use crate::topology::{price_traffic, Topology};
+        use vcal_decomp::RedistPlan;
+        let (pmax, n) = (4, 96);
+        let e = Bounds::range(0, n - 1);
+        let layouts = [
+            Decomp1::block(pmax, e),
+            Decomp1::scatter(pmax, e),
+            Decomp1::block_scatter(3, pmax, e),
+            Decomp1::block_scatter(16, pmax, e),
+        ];
+        for from in &layouts {
+            for to in &layouts {
+                let plan = RedistPlan::build(from, to);
+                let (mut session, ramp) = ramp_session(from.clone());
+                let report = session.redistribute("A", to.clone()).unwrap();
+                let what = format!("{from:?} -> {to:?}");
+                assert_eq!(bits(&session.gather("A").unwrap()), bits(&ramp), "{what}");
+                assert_eq!(session.decomp_of("A"), Some(to), "{what}");
+                let total = report.total();
+                assert_eq!(total.msgs_sent as i64, plan.moved_elements(), "{what}");
+                assert_eq!(total.msgs_received, total.msgs_sent, "{what}");
+                let mut want = vec![vec![0u64; pmax as usize]; pmax as usize];
+                for (_, p, q) in plan.element_moves() {
+                    want[p as usize][q as usize] += 1;
+                }
+                assert_eq!(report.traffic, want, "{what}");
+                let cost = price_traffic(Topology::Hypercube, &report.traffic);
+                assert_eq!(cost.messages as i64, plan.moved_elements(), "{what}");
+                assert!(cost.total_hops >= cost.messages, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn roundtrip_back_to_original_layout() {
+        let e = Bounds::range(0, 99);
+        let a = Decomp1::block_scatter(3, 5, e);
+        let b = Decomp1::scatter(5, e);
+        let (mut session, ramp) = ramp_session(a.clone());
+        session.redistribute("A", b).unwrap();
+        session.redistribute("A", a.clone()).unwrap();
+        assert_eq!(session.decomp_of("A"), Some(&a));
+        assert_eq!(bits(&session.gather("A").unwrap()), bits(&ramp));
+    }
+
+    #[test]
+    fn identity_plan_is_pure_local_copy() {
+        let n = 32;
+        let d = Decomp1::block(4, Bounds::range(0, n - 1));
+        let (mut session, ramp) = ramp_session(d.clone());
+        let report = session.redistribute("A", d).unwrap();
+        assert_eq!(bits(&session.gather("A").unwrap()), bits(&ramp));
+        assert_eq!(report.total().msgs_sent, 0);
+        assert_eq!(report.total().local_reads, n as u64);
+    }
+
+    #[test]
+    fn faulty_redistribution_recovers() {
+        use crate::transport::{FaultPlan, RetryPolicy};
+        use std::time::Duration;
+        let e = Bounds::range(0, 63);
+        let (session, ramp) = ramp_session(Decomp1::block(4, e));
+        let mut session = session.with_options(DistOptions {
+            recv_timeout: Duration::from_secs(5),
+            faults: Some(
+                FaultPlan::seeded(9)
+                    .with_drop(0.15)
+                    .with_reorder(0.15)
+                    .with_duplicate(0.1),
+            ),
+            retry: RetryPolicy::fast(),
+            ..DistOptions::default()
+        });
+        let report = session.redistribute("A", Decomp1::scatter(4, e)).unwrap();
+        assert_eq!(session.gather("A").unwrap().max_abs_diff(&ramp), 0.0);
+        assert!(report.total().acks_sent > 0);
+    }
+
+    /// A crashed node is a typed error that leaves the array bitwise as
+    /// it was, in its old layout, and the next redistribution succeeds.
+    #[test]
+    fn crashed_redistribution_node_is_typed_error() {
+        use crate::transport::{FaultPlan, RetryPolicy};
+        use std::time::Duration;
+        let e = Bounds::range(0, 63);
+        let (from, to) = (Decomp1::block(4, e), Decomp1::scatter(4, e));
+        let (session, ramp) = ramp_session(from.clone());
+        let mut session = session.with_options(DistOptions {
+            recv_timeout: Duration::from_millis(500),
+            faults: Some(FaultPlan::seeded(1).with_crash(0, 0)),
+            retry: RetryPolicy::fast(),
+            ..DistOptions::default()
+        });
+        let err = session.redistribute("A", to.clone()).unwrap_err();
+        assert_eq!(err, MachineError::NodePanicked { node: 0 });
+        assert_eq!(session.decomp_of("A"), Some(&from));
+        assert_eq!(bits(&session.gather("A").unwrap()), bits(&ramp));
+        session.set_options(DistOptions::default());
+        session.redistribute("A", to.clone()).unwrap();
+        assert_eq!(session.decomp_of("A"), Some(&to));
+        assert_eq!(bits(&session.gather("A").unwrap()), bits(&ramp));
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub struct ExecReport {
     pub nodes: Vec<NodeStats>,
     /// Barriers executed (shared-memory machine).
     pub barriers: u64,
-    /// Traffic matrix `traffic[src][dst]` = messages sent (distributed
-    /// machine only; empty otherwise). Price it with
+    /// Traffic matrix `traffic[src][dst]` = elements sent per ordered
+    /// pair (distributed machine only; empty otherwise). Price it with
     /// [`crate::topology::price_traffic`].
     pub traffic: Vec<Vec<u64>>,
     /// Runs served by the session plan cache (warm path). Zero for

@@ -3,16 +3,17 @@
 //! the data at run time).
 //!
 //! A program phase that favours block layout (stencil) is followed by a
-//! phase that favours scatter layout (strided access). We plan and apply
-//! a block → scatter redistribution in between and compare the total
-//! communication against staying in either layout throughout.
+//! phase that favours scatter layout (strided access). We plan a block →
+//! scatter redistribution in between, compare the total communication
+//! against staying in either layout throughout, and apply it through
+//! `DistSession::redistribute`.
 //!
 //! Run with: `cargo run --example redistribute`
 
 use vcal_suite::core::{Array, Bounds, Env};
 use vcal_suite::decomp::{Decomp1, RedistPlan};
 use vcal_suite::lang;
-use vcal_suite::machine::DistArray;
+use vcal_suite::machine::DistSession;
 use vcal_suite::spmd::{CommStats, DecompMap, SpmdPlan};
 
 fn phase_cost(src: &str, dec_write: &Decomp1, dec_read: &Decomp1) -> u64 {
@@ -68,29 +69,24 @@ fn main() {
     println!("  stay scatter all along:  {stay_scatter:>7} elements");
     println!("  redistribute in between: {redistribute:>7} elements");
 
-    // apply the redistribution to real data and verify element identity
+    // apply the redistribution to real data: the session runs it as the
+    // copy clause `V'[i] := V[i]` with `V'` laid out as scatter
     let mut env = Env::new();
     env.insert("V", Array::from_fn(ext, |i| (i.scalar() * 7 % 101) as f64));
-    let src = DistArray::scatter_from(env.get("V").unwrap(), block.clone());
-    // execute the plan: gather (what a real runtime would do with
-    // per-pair messages) and scatter into the target layout
-    let dst;
-    {
-        // stationary elements + moves, element by element, as the plan says
-        let global = src.gather();
-        let moved: std::collections::HashSet<i64> =
-            plan.element_moves().map(|(g, _, _)| g).collect();
-        let mut check = 0;
-        for g in 0..n {
-            if !moved.contains(&g) {
-                assert_eq!(block.proc_of(g), scatter.proc_of(g), "stationary {g}");
-            } else {
-                check += 1;
-            }
-        }
-        assert_eq!(check as i64, plan.moved_elements());
-        dst = DistArray::scatter_from(&global, scatter.clone());
-    }
-    assert_eq!(dst.gather().max_abs_diff(env.get("V").unwrap()), 0.0);
-    println!("\nredistribution applied and verified: data identical in the new layout.");
+    let dm = DecompMap::from([("V".to_string(), block)]);
+    let mut session = DistSession::new(&env, dm).expect("session");
+    let report = session.redistribute("V", scatter).expect("redistribute");
+    let moved = report.total().msgs_sent;
+    assert_eq!(
+        moved as i64,
+        plan.moved_elements(),
+        "engine copy moves the plan's elements"
+    );
+    let got = session.gather("V").expect("gather");
+    assert_eq!(got.max_abs_diff(env.get("V").unwrap()), 0.0);
+    println!(
+        "\nredistribution applied on the engine: {moved} elements in {} packets, \
+         data identical in the new layout.",
+        report.total().packets_sent
+    );
 }

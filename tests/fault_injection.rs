@@ -22,10 +22,10 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
-use vcal_suite::decomp::{Decomp1, RedistPlan};
+use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    run_distributed, run_redistribution_opts, DistArray, DistOptions, DistSession, ExecReport,
-    FaultPlan, MachineError, RetryPolicy, TransportKind, FREE_PARTS_PER_NODE,
+    run_distributed, DistArray, DistOptions, DistSession, ExecReport, FaultPlan, MachineError,
+    RetryPolicy, TransportKind, FREE_PARTS_PER_NODE,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -40,8 +40,7 @@ fn prob(hi_pct: u32) -> impl Strategy<Value = f64> {
 /// Transport backend under test, honouring the CI matrix filter
 /// (`VCAL_TRANSPORT=inproc|uds|tcp`; unset means in-process). The
 /// socket backends spawn real worker processes from the prebuilt
-/// `vcalc` binary. Redistribution stays in-process regardless — only
-/// the 1-D clause machine has a wire backend.
+/// `vcalc` binary; a session's redistribution runs there too.
 fn transport() -> TransportKind {
     static WORKER_BIN: std::sync::Once = std::sync::Once::new();
     let kind = match std::env::var("VCAL_TRANSPORT").as_deref() {
@@ -410,8 +409,9 @@ proptest! {
         };
         let (from, to) = (mk(from_kind), mk(to_kind));
         let original = Array::from_fn(e, |i| (i.scalar() * 31 % 89) as f64 + 0.25);
-        let src = DistArray::scatter_from(&original, from.clone());
-        let plan = RedistPlan::build(&from, &to);
+        let mut env = Env::new();
+        env.insert("A", original.clone());
+        let dm = DecompMap::from([("A".to_string(), from)]);
         let opts = DistOptions {
             recv_timeout: Duration::from_secs(10),
             faults: Some(
@@ -421,14 +421,16 @@ proptest! {
                     .with_reorder(p_reorder),
             ),
             retry: RetryPolicy::fast(),
+            transport: transport(),
             ..DistOptions::default()
         };
-        let (dst, _report) = match run_redistribution_opts(&plan, &src, opts) {
-            Ok(ok) => ok,
-            Err(e) => return Err(TestCaseError::fail(format!("redistribution: {e}"))),
-        };
+        let mut session = DistSession::new(&env, dm).unwrap().with_options(opts);
+        if let Err(e) = session.redistribute("A", to) {
+            return Err(TestCaseError::fail(format!("redistribution: {e}")));
+        }
+        let dst = session.gather("A").unwrap();
         prop_assert_eq!(
-            dst.gather().max_abs_diff(&original),
+            dst.max_abs_diff(&original),
             0.0,
             "redistribution lost or corrupted elements"
         );

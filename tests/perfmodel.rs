@@ -10,7 +10,8 @@
 
 use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
-use vcal_suite::decomp::{Decomp1, RedistPlan};
+use vcal_suite::decomp::Decomp1;
+use vcal_suite::machine::session::copy_clause;
 use vcal_suite::machine::{
     CalibratedModel, CalibrationSample, CollectingTracer, DistSession, ScheduleMode, TuneOptions,
     NULL_TRACER,
@@ -79,25 +80,23 @@ fn price_is_monotone_in_element_count() {
     }
 }
 
-/// Redistribution pricing grows with the volume moved.
+/// Redistribution pricing — the copy clause's plan, as the tuner prices
+/// a switch — grows with the volume moved.
 #[test]
 fn redist_price_is_monotone_in_moved_elements() {
     let model = CalibratedModel::default();
     let mut last = 0.0f64;
     for n in [64i64, 256, 1024] {
         let ext = Bounds::range(0, n - 1);
-        let plan = RedistPlan::build(&Decomp1::block(PMAX, ext), &Decomp1::scatter(PMAX, ext));
-        let price = model.price_redist(&plan);
+        let (from, to) = (Decomp1::block(PMAX, ext), Decomp1::scatter(PMAX, ext));
+        let (_, _, plan) = copy_clause("U", &from, &to).unwrap();
+        let price = model.price_plan(&plan).aggregate_ns;
         assert!(
             price > last,
             "n={n}: redistribution price {price} did not grow past {last}"
         );
         last = price;
     }
-    // a no-move "redistribution" prices (near) zero
-    let ext = Bounds::range(0, 63);
-    let noop = RedistPlan::build(&Decomp1::block(PMAX, ext), &Decomp1::block(PMAX, ext));
-    assert_eq!(model.price_redist(&noop), 0.0);
 }
 
 /// A fit from a communication-free profile preserves the era-default

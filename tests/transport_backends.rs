@@ -5,7 +5,8 @@
 //! loopback TCP sockets (`uds` / `tcp`).
 //!
 //! * results are bitwise-equal to the sequential oracle on every
-//!   backend, cold path and steady-state session alike;
+//!   backend, cold path and steady-state session alike, mid-run
+//!   redistributions included;
 //! * the seeded recoverable-fault sweep passes over a real wire,
 //!   bitwise-equal to the oracle;
 //! * the deterministic trace JSONL of a same-seed run is byte-identical
@@ -94,7 +95,9 @@ fn oracle(clauses: &[Clause], env: &Env, steps: usize) -> Env {
 }
 
 /// Run the fixture for `steps` rounds through a session on `opts`,
-/// returning the gathered end state.
+/// returning the gathered end state. Mid-round, `V` moves to
+/// block-scatter(3) — so the writeback reads it across nodes — and back
+/// to block: every round redistributes twice on the session's backend.
 fn run_session(
     clauses: &[Clause],
     dm: &DecompMap,
@@ -104,15 +107,33 @@ fn run_session(
     tracer: Option<&CollectingTracer>,
 ) -> Result<Env, MachineError> {
     let mut session = DistSession::new(env, dm.clone())?.with_options(opts);
+    let mid = Decomp1::block_scatter(3, PMAX, Bounds::range(0, N - 1));
     for _ in 0..steps {
-        for cl in clauses {
+        for (k, cl) in clauses.iter().enumerate() {
+            if k == 1 {
+                redistribute(&mut session, "V", mid.clone(), tracer)?;
+            }
             match tracer {
                 Some(t) => session.run_traced(cl, t)?,
                 None => session.run(cl)?,
             };
         }
+        redistribute(&mut session, "V", dm["V"].clone(), tracer)?;
     }
     Ok(session.gather_all())
+}
+
+fn redistribute(
+    session: &mut DistSession,
+    name: &str,
+    to: Decomp1,
+    tracer: Option<&CollectingTracer>,
+) -> Result<(), MachineError> {
+    match tracer {
+        Some(t) => session.redistribute_traced(name, to, t)?,
+        None => session.redistribute(name, to)?,
+    };
+    Ok(())
 }
 
 /// Every backend, cold through warm: three session steps (plan cache
