@@ -36,7 +36,7 @@ use vcal_machine::{
     CalibratedModel, CalibrationSample, CollectingTracer, DistSession, ProgramStep, ScheduleMode,
     TuneOptions, NULL_TRACER,
 };
-use vcal_spmd::{enumerate_candidates, DecompMap, TuneCandidate, TuneSpaceOptions};
+use vcal_spmd::{enumerate_candidates, Candidate, DecompMap, TuneSpaceOptions};
 
 const N: i64 = 2048;
 const PMAX: i64 = 4;
@@ -130,7 +130,7 @@ fn priced_space(
     steps: &[ProgramStep],
     names: &[&str],
     model: &CalibratedModel,
-) -> Vec<(f64, TuneCandidate)> {
+) -> Vec<(f64, Candidate)> {
     let clauses: Vec<Clause> = steps
         .iter()
         .map(|s| match s {
@@ -144,7 +144,7 @@ fn priced_space(
         .collect();
     let space = enumerate_candidates(&clauses, &extents, PMAX, &TuneSpaceOptions::default())
         .expect("bench candidate space");
-    let mut priced: Vec<(f64, TuneCandidate)> = space
+    let mut priced: Vec<(f64, Candidate)> = space
         .candidates
         .into_iter()
         .map(|c| {

@@ -36,9 +36,9 @@ use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_decomp::Decomp1;
 use vcal_spmd::{
-    build_dag, candidate_for_assignment, clause_arrays, clause_signature, decomp_fingerprint,
-    describe_assignment, enumerate_candidates, program_signature, BoundedLru, CacheBudget,
-    DecompMap, ProgramDag, ProgramStep, SpmdPlan, TuneCandidate, TuneSpaceOptions,
+    build_dag, candidate, clause_arrays, clause_signature, decomp_fingerprint, describe_assignment,
+    enumerate_candidates, program_signature, BoundedLru, CacheBudget, Candidate, DecompMap,
+    ProgramDag, ProgramStep, SpmdPlan, TuneSpaceOptions,
 };
 
 /// Cache key of every tier: `(tenant namespace, signature, decomposition
@@ -734,7 +734,7 @@ impl DistSession {
     fn price_candidate(
         &mut self,
         clauses: &[&Clause],
-        cand: &TuneCandidate,
+        cand: &Candidate,
         model: &CalibratedModel,
         hits: &mut u64,
     ) -> f64 {
@@ -948,12 +948,13 @@ impl DistSession {
             decomp_fingerprint(&incumbent_dm, incumbent_dm.keys().map(String::as_str));
         let mut candidates = space.candidates;
         if !candidates.iter().any(|c| c.fingerprint == incumbent_fp) {
-            let inc = candidate_for_assignment(&owned_clauses, incumbent_dm.clone(), &sopts)
-                .ok_or_else(|| {
+            let inc = candidate(&owned_clauses, incumbent_dm.clone(), &sopts.advisor).ok_or_else(
+                || {
                     MachineError::PlanMismatch(
                         "incumbent decomposition has no plan — cannot tune".into(),
                     )
-                })?;
+                },
+            )?;
             candidates.push(inc);
         }
 

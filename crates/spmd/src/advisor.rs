@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vcal_core::{Bounds, Clause};
 use vcal_decomp::Decomp1;
 
-/// A scored decomposition assignment.
+/// A scored decomposition assignment, with every clause's plan under it.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// The assignment.
@@ -24,6 +24,9 @@ pub struct Candidate {
     /// tie-break when two assignments price identically, and the key
     /// the tuner's pricing cache uses.
     pub fingerprint: u64,
+    /// One plan per clause, in program order — what the tuner's
+    /// calibrated model prices.
+    pub plans: Vec<SpmdPlan>,
     /// Total elements communicated across all clauses.
     pub comm: u64,
     /// The largest per-processor work over all clauses (critical path).
@@ -67,9 +70,11 @@ pub fn candidates_for(extent: Bounds, pmax: i64, opts: &AdvisorOptions) -> Vec<D
 /// Enumerate decomposition assignments for every array and rank them.
 ///
 /// `extents` gives each array's index range; `pmax` the processor count.
-/// Returns candidates sorted best-first. The search is exhaustive, so
-/// the number of arrays should stay small (the cross product is
-/// `|family|^arrays`; 4 arrays × 4 layouts = 256 plans).
+/// Returns every assignment under which each clause has a plan, sorted
+/// best-first by `(cost, fingerprint)` — a strict total order, so equal
+/// costs rank in the same byte-stable order across runs. The search is
+/// exhaustive, so the number of arrays should stay small (the cross
+/// product is `|family|^arrays`; 4 arrays × 4 layouts = 256 plans).
 pub fn advise(
     clauses: &[Clause],
     extents: &BTreeMap<String, Bounds>,
@@ -87,82 +92,72 @@ pub fn advise(
         .iter()
         .map(|n| candidates_for(extents[*n], pmax, &opts))
         .collect();
-
     let mut out = Vec::new();
     let mut pick = vec![0usize; names.len()];
     loop {
-        // build this assignment
-        let mut dm = DecompMap::new();
-        for (k, name) in names.iter().enumerate() {
-            dm.insert((*name).clone(), families[k][pick[k]].clone());
-        }
-        // score it over all clauses
-        let mut comm = 0u64;
-        let mut max_work = 0u64;
-        let mut feasible = true;
-        for clause in clauses {
-            match SpmdPlan::build(clause, &dm) {
-                Ok(plan) => {
-                    let stats = CommStats::of_plan(&plan, &dm);
-                    comm += stats.sends;
-                    max_work += plan
-                        .nodes
-                        .iter()
-                        .map(|n| n.modify.schedule.work_estimate())
-                        .max()
-                        .unwrap_or(0);
-                }
-                Err(_) => {
-                    feasible = false;
-                    break;
-                }
-            }
-        }
-        if feasible {
-            let cost = comm as f64 * opts.comm_weight + max_work as f64;
-            let fingerprint = decomp_fingerprint(&dm, names.iter().map(|n| n.as_str()));
-            out.push(Candidate {
-                decomps: dm,
-                fingerprint,
-                comm,
-                max_work,
-                cost,
-            });
-        }
-        // advance the odometer
-        let mut k = 0;
-        loop {
-            if k == names.len() {
-                // total order: cost first, decomposition fingerprint as
-                // the tie-break — so equal-cost assignments always rank
-                // in the same byte-stable order across runs
-                out.sort_by(|a, b| {
-                    a.cost
-                        .total_cmp(&b.cost)
-                        .then(a.fingerprint.cmp(&b.fingerprint))
-                });
-                return Ok(out);
-            }
-            pick[k] += 1;
-            if pick[k] < families[k].len() {
-                break;
-            }
-            pick[k] = 0;
-            k += 1;
+        let dm = (names.iter().zip(&pick))
+            .enumerate()
+            .map(|(k, (name, &at))| ((*name).clone(), families[k][at].clone()))
+            .collect();
+        out.extend(candidate(clauses, dm, &opts));
+        // advance the odometer; done when every digit wraps
+        let wrapped = (0..names.len()).all(|k| {
+            pick[k] = (pick[k] + 1) % families[k].len();
+            pick[k] == 0
+        });
+        if wrapped {
+            break;
         }
     }
+    out.sort_by(|a, b| {
+        a.cost
+            .total_cmp(&b.cost)
+            .then(a.fingerprint.cmp(&b.fingerprint))
+    });
+    Ok(out)
 }
 
-/// One-line description of an assignment.
-pub fn describe(c: &Candidate) -> String {
-    let parts: Vec<String> = c
-        .decomps
+/// Plan every clause under the assignment `dm` and score it, or `None`
+/// if some clause has no plan under it. The tuner uses it to price an
+/// incumbent assignment that the family or the budget left out.
+pub fn candidate(clauses: &[Clause], dm: DecompMap, opts: &AdvisorOptions) -> Option<Candidate> {
+    let mut plans = Vec::with_capacity(clauses.len());
+    let (mut comm, mut max_work) = (0u64, 0u64);
+    for clause in clauses {
+        let plan = SpmdPlan::build(clause, &dm).ok()?;
+        comm += CommStats::of_plan(&plan, &dm).sends;
+        max_work += (plan.nodes.iter())
+            .map(|n| n.modify.schedule.work_estimate())
+            .max()
+            .unwrap_or(0);
+        plans.push(plan);
+    }
+    let fingerprint = decomp_fingerprint(&dm, dm.keys().map(String::as_str));
+    Some(Candidate {
+        decomps: dm,
+        fingerprint,
+        plans,
+        comm,
+        max_work,
+        cost: comm as f64 * opts.comm_weight + max_work as f64,
+    })
+}
+
+/// One-line description of an assignment: per-array layout names in
+/// array order. Byte-stable for a given assignment.
+pub fn describe_assignment(dm: &DecompMap) -> String {
+    let parts: Vec<String> = dm
         .iter()
         .map(|(n, d)| format!("{n}: {}", d.dist().name()))
         .collect();
+    parts.join(", ")
+}
+
+/// One-line description of a candidate: its assignment and its score.
+pub fn describe(c: &Candidate) -> String {
     format!(
         "{} — comm {} elems, critical work {}, cost {:.0}",
-        parts.join(", "),
+        describe_assignment(&c.decomps),
         c.comm,
         c.max_work,
         c.cost

@@ -11,8 +11,8 @@
 //! [`CompiledSchedule`] materializes that enumeration output exactly
 //! once, at plan time, into loop nests ([`Nest`]) — the same greedy
 //! coalescing the communication planner applies to pair sets — plus
-//! run-granular receive addressing: `Modify_p` is intersected with the
-//! plan's receive runs by interval algebra, so every [`ExecRun`] reads
+//! run-granular receive addressing: `Modify_p` is met with the plan's
+//! receive runs ([`Nest::meet`]), so every [`ExecRun`] reads
 //! each slot either from owner-local memory or from an affine window of
 //! exactly one planned packet (a plan-time group of whole receive runs,
 //! see [`crate::comm::packetise`]). Table size and compile cost follow
@@ -272,16 +272,6 @@ impl ExecRun {
             })
     }
 
-    /// The index nest and every operand's address nest.
-    fn nests_mut(&mut self) -> impl Iterator<Item = &mut Nest> {
-        let slots = self.slots.iter_mut().map(|sa| match sa {
-            SlotAccess::Local(p) | SlotAccess::Packet { pattern: p, .. } => &mut p.nest,
-        });
-        [&mut self.index, &mut self.lhs.nest]
-            .into_iter()
-            .chain(slots)
-    }
-
     /// Whether a run with this addressing is of this entry's class: the
     /// same level-0 shape of the indices and of every operand, each
     /// operand affine and, per slot, read from the same place.
@@ -533,7 +523,7 @@ impl CompiledSchedule {
     /// split every node's `Modify_p` into interior and boundary
     /// [`ExecRun`]s with plan-time-resolved addressing.
     ///
-    /// The split is interval algebra on the flattened runs, whatever
+    /// The split meets the flattened runs with the receive runs, whatever
     /// produced them: a naive-guard schedule is enumerated once by
     /// [`flatten_schedule`] and tiled like a closed-form one.
     pub fn compile_exec(plan: &SpmdPlan, clause: &Clause, decomps: &DecompMap) -> CompiledSchedule {
@@ -735,305 +725,136 @@ pub(crate) fn send_pair(
     }
 }
 
-/// One planned incoming run, for interval lookup: its loop indices span
-/// `[run.base, hi]` over all reps.
-struct RecvSpan {
-    hi: i64,
-    /// Largest `hi` among this span and those sorted before it.
-    top_hi: i64,
-    /// `(source ordinal, run ordinal)`.
-    origin: (usize, usize),
-    run: Nest,
-}
+/// Per read slot, the node's receive nests as `(largest hull end up to
+/// here, nest, (source ordinal, run ordinal))`, sorted by base: the
+/// nests a range of loop indices meets lie between two binary searches.
+pub(crate) type Receives = Vec<Vec<(i64, Nest, (usize, usize))>>;
 
-/// The positions of one modify run whose reads of `slot` fall inside reps
-/// of one receive run: a two-level nest of positions, instance `k` of
-/// its outer level meeting rep `origin.2 + k`.
-struct Hit {
-    at: Nest,
-    slot: usize,
-    origin: Origin,
-}
-
-/// The node's receive runs, per slot, sorted by range start and
-/// carrying a running maximum of range ends: the spans overlapping a
-/// query range are found by two binary searches plus a scan of the
-/// candidates.
-pub(crate) struct RecvIndex {
-    by_slot: Vec<Vec<RecvSpan>>,
-}
-
-/// What [`RecvIndex::pieces`] hands out, in visit order.
-pub(crate) enum Piece<'a> {
-    /// A maximal stretch of a modify run whose reads of every slot come
-    /// from one place.
-    Run(Nest, &'a Sig),
-    /// The `Run`s up to the next `EndWindow` are one window that recurs
-    /// `reps` times, each `shift` loop indices on and one rep further
-    /// into every receive run it reads.
-    Window { reps: u64, shift: i64 },
-    /// The end of a window.
-    EndWindow,
-}
-
-/// The sweep state of [`RecvIndex::pieces`].
-struct Sweep {
-    /// The hit instances met in the swept range, as stretches `(t0, t1,
-    /// slot, origin)`.
-    spans: Vec<(i64, i64, usize, Origin)>,
-    /// Per slot, the stretch covering the current position: (t1, origin).
-    active: Vec<Option<(i64, Origin)>>,
-    sig: Sig,
-}
-
-impl Sweep {
-    /// Cut positions `[lo, hi)` of modify run `m` wherever the receive
-    /// rep covering some slot changes, and hand each piece to `emit`.
-    fn run(&mut self, m: &Nest, hits: &[Hit], lo: i64, hi: i64, emit: &mut impl FnMut(Piece)) {
-        self.spans.clear();
-        for h in hits {
-            let [(count, period), (reps, delta), _] = h.at.levels;
-            let (k0, k1) = meeting(h.at.base, delta, reps, period * (count - 1), lo, hi - 1);
-            for k in k0..=k1 {
-                let (first, origin) = (
-                    h.at.base + k * delta,
-                    (h.origin.0, h.origin.1, h.origin.2 + k as u64),
-                );
-                // interleaving runs meet in isolated single elements
-                let (len, n) = if period == 1 { (count, 1) } else { (1, count) };
-                let (j0, j1) = meeting(first, period, n, 0, lo, hi - 1);
-                let ts = (j0..=j1).map(|j| first + j * period);
-                self.spans
-                    .extend(ts.map(|t0| (t0.max(lo), t0 + len - 1, h.slot, origin)));
-            }
-        }
-        self.spans.retain(|s| s.0 < hi && s.1 >= s.0);
-        self.spans.sort_unstable_by_key(|s| (s.0, s.2));
-        self.active.fill(None);
-        let (mut t, mut next) = (lo, 0usize);
-        let (base, step) = (m.base, m.stride(0));
-        while t < hi {
-            for a in &mut self.active {
-                if a.is_some_and(|(t1, _)| t1 < t) {
-                    *a = None;
-                }
-            }
-            while let Some(&(_, t1, slot, origin)) = self.spans.get(next).filter(|s| s.0 <= t) {
-                self.active[slot] = Some((t1, origin));
-                next += 1;
-            }
-            let mut end = self.spans.get(next).map_or(hi, |s| s.0).min(hi);
-            for (a, s) in self.active.iter().zip(&mut self.sig) {
-                *s = a.map(|(t1, origin)| {
-                    end = end.min(t1 + 1);
-                    origin
-                });
-            }
-            emit(Piece::Run(
-                Nest::run(base + step * t, step, end - t),
-                &self.sig,
-            ));
-            t = end;
+/// The receive nests `(slot, nest, origin)`, per slot.
+pub(crate) fn receives(
+    n_slots: usize,
+    nests: impl IntoIterator<Item = (usize, Nest, (usize, usize))>,
+) -> Receives {
+    let mut by_slot: Receives = vec![Vec::new(); n_slots];
+    for (slot, nest, origin) in nests {
+        if let Some(nests) = by_slot.get_mut(slot).filter(|_| !nest.is_empty()) {
+            nests.push((0, nest, origin));
         }
     }
-}
-
-/// The `k ∈ [0, n)` whose stretch `[first + step·k, first + step·k +
-/// ext]` may meet `[lo, hi]`: exactly those when `n > 1`, `k = 0` when
-/// `n == 1`.
-fn meeting(first: i64, step: i64, n: i64, ext: i64, lo: i64, hi: i64) -> (i64, i64) {
-    match n {
-        1 => (0, 0),
-        _ => (
-            div_ceil(lo - ext - first, step).max(0),
-            div_floor(hi - first, step).min(n - 1),
-        ),
+    for nests in &mut by_slot {
+        nests.sort_by_key(|r| r.1.base);
+        let mut top = i64::MIN;
+        for r in nests {
+            top = top.max(r.1.hull().1);
+            r.0 = top;
+        }
     }
+    by_slot
 }
 
-/// The stretches of a modify run that repeat, as `(first position,
-/// window length, windows)`, sorted. The windows are the instance periods
-/// of one hit with four or more instances (the anchor). Window `k` joins
-/// its predecessor's batch when every hit either repeats with both or
-/// stays clear of both; a batch starts and ends where an anchor instance
-/// starts, where the sweep cuts and the tiling restarts anyway.
-fn windows(hits: &[Hit], out: &mut Vec<(i64, i64, u64)>) {
+/// A meet of a modify run with a receive nest: `(slot, origin of its
+/// first rep, reps per level-1 position, positions)` ([`Nest::meet`]).
+type Meet = (usize, Origin, u64, Nest);
+
+/// Every meet of the one-level modify nest `m` with a receive nest.
+fn meets(recvs: &Receives, m: &Nest, out: &mut Vec<Meet>) {
     out.clear();
-    let mut bad: Vec<(i64, i64)> = Vec::new();
-    for a in hits.iter().filter(|a| a.at.count(1) >= 4) {
-        let (f, dt, a_reps) = (a.at.base, a.at.stride(1), a.at.count(1));
-        bad.clear();
-        for h in hits {
-            let [(count, period), (reps, delta), _] = h.at.levels;
-            let first = h.at.base;
-            let last = first + (reps - 1) * delta + period * (count - 1);
-            if last < f || first >= f + a_reps * dt {
-                continue; // clear of every window of this anchor
-            }
-            let (kb, ka) = (div_floor(first - f, dt) - 1, div_floor(last - f, dt) + 2);
-            let kin = (
-                div_ceil(first - f, dt) + 1,
-                div_floor(first + reps * dt - f, dt) - 1,
-            );
-            if delta == dt && reps > 1 && kin.0 <= kin.1 {
-                bad.extend([(kb + 1, kin.0 - 1), (kin.1 + 1, ka - 1)]);
-            } else {
-                bad.push((kb + 1, ka - 1));
+    let (lo, hi) = m.hull();
+    for (slot, nests) in recvs.iter().enumerate() {
+        let end = nests.partition_point(|r| r.1.base <= hi);
+        let begin = nests[..end].partition_point(|r| r.0 < lo);
+        for &(_, r, (src, run)) in &nests[begin..end] {
+            m.meet(&r, |k, p, at| out.push((slot, (src, run, k), p, at)));
+        }
+    }
+}
+
+/// Cut the one-level modify nest `m` wherever the receive rep some slot
+/// reads changes, and hand each maximal piece and its signature to
+/// `emit`, in visit order. A rep whose meet is contiguous covers one
+/// stretch of positions; an interleaving one covers single positions.
+pub(crate) fn pieces(recvs: &Receives, m: &Nest, emit: &mut impl FnMut(Nest, &Sig)) {
+    let mut met = Vec::new();
+    meets(recvs, m, &mut met);
+    // (first position, last position, slot, origin), by first position
+    let mut spans = Vec::new();
+    for &(slot, (src, run, k), p, at) in &met {
+        for j in 0..at.reps() {
+            let (rep, origin) = (at.rep(j), (src, run, k + j * p));
+            match rep.count(0) == 1 || rep.stride(0) == 1 {
+                true => spans.push((rep.base, rep.base + rep.count(0) - 1, slot, origin)),
+                false => rep.for_each(|t| spans.push((t, t, slot, origin))),
             }
         }
-        bad.sort_unstable();
-        let (mut k, last) = (2, a_reps - 2);
-        let mut batch = |k1: i64, k2: i64| out.push((f + (k1 - 1) * dt, dt, (k2 - k1 + 2) as u64));
-        for &(lo, hi) in bad.iter().filter(|b| b.0 <= b.1) {
-            if lo > k && k <= last {
-                batch(k, (lo - 1).min(last));
+    }
+    spans.sort_unstable_by_key(|s| (s.0, s.2));
+    let (mut sig, mut last): (Sig, Vec<i64>) = (vec![None; recvs.len()], vec![0; recvs.len()]);
+    let ([(count, step), ..], mut t, mut next) = (m.levels, 0, 0);
+    while t < count {
+        for (origin, &last) in sig.iter_mut().zip(&last) {
+            if last < t {
+                *origin = None;
             }
-            k = k.max(hi + 1);
         }
-        if k <= last {
-            batch(k, last);
+        while let Some(&(_, t1, slot, origin)) = spans.get(next).filter(|s| s.0 <= t) {
+            (sig[slot], last[slot]) = (Some(origin), t1);
+            next += 1;
+        }
+        let mut end = spans.get(next).map_or(count, |s| s.0);
+        for (origin, &last) in sig.iter().zip(&last) {
+            if origin.is_some() {
+                end = end.min(last + 1);
+            }
+        }
+        emit(Nest::run(m.base + step * t, step, end - t), &sig);
+        t = end;
+    }
+}
+
+/// The stretches of a modify run over which its meets repeat one period,
+/// as `(first position, periods, period)`, by first position. A period is
+/// the step of a meet with four or more instances — its reps or, within
+/// one rep, the positions of an interleaving meet — and its stretches
+/// start and end where one of them starts, so the pieces are cut there
+/// anyway. Period `w` repeats period `w − 1`, the same pieces `period`
+/// positions on, unless some meet starts or stops in either: a meet that
+/// steps by the period has its first instance or the one past its last
+/// in `w`, or any other meet has positions in `w` or `w − 1`.
+fn periods(met: &[Meet], out: &mut Vec<(i64, i64, i64)>) {
+    out.clear();
+    // per meet: (step, instances, extent of one instance, positions)
+    let views = met.iter().map(|(.., at)| match at.levels {
+        [_, (reps, step), _] if reps > 1 => (step, reps, at.rep(0).hull().1 - at.base, at),
+        [(count, step), ..] if count > 1 && step > 1 => (step, count, 0, at),
+        _ => (0, 1, 0, at),
+    });
+    let mut unsteady: Vec<(i64, i64)> = Vec::new();
+    for (d, n, _, anchor) in views.clone().filter(|v| v.0 > 0 && v.1 >= 4) {
+        let window = |x: i64| div_floor(x - anchor.base, d);
+        unsteady.clear();
+        for (step, count, ext, at) in views.clone() {
+            let (first, past) = (at.base, at.base + count * d);
+            match step == d {
+                true => unsteady.extend([
+                    (window(first), window(first + ext)),
+                    (window(past), window(past + ext)),
+                ]),
+                false => unsteady.push((window(at.hull().0), window(at.hull().1) + 1)),
+            }
+        }
+        unsteady.sort_unstable();
+        // the steady periods run from `w` up to the next unsteady one, or
+        // up to the anchor's last instance
+        let mut w = 1;
+        for &(lo, hi) in unsteady.iter().chain([&(n - 1, n - 1)]) {
+            let end = lo.min(n - 1);
+            if end - w >= 2 {
+                out.push((anchor.base + (w - 1) * d, end - w + 1, d));
+            }
+            w = w.max(hi + 1);
         }
     }
     out.sort_unstable();
-}
-
-impl RecvIndex {
-    pub(crate) fn new(recvs: &[PairComm], n_slots: usize) -> RecvIndex {
-        let mut by_slot: Vec<Vec<RecvSpan>> = (0..n_slots).map(|_| Vec::new()).collect();
-        for (src_ord, pc) in recvs.iter().enumerate() {
-            for (run_ord, run) in pc.runs.iter().enumerate() {
-                if run.nest.is_empty() {
-                    continue;
-                }
-                if let Some(spans) = by_slot.get_mut(run.slot) {
-                    let hi = run.nest.hull().1;
-                    spans.push(RecvSpan {
-                        hi,
-                        top_hi: hi,
-                        origin: (src_ord, run_ord),
-                        run: run.nest,
-                    });
-                }
-            }
-        }
-        for spans in &mut by_slot {
-            spans.sort_by_key(|s| s.run.base);
-            let mut top = i64::MIN;
-            for s in spans {
-                top = top.max(s.hi);
-                s.top_hi = top;
-            }
-        }
-        RecvIndex { by_slot }
-    }
-
-    /// Intersect modify run `m` with every receive run, in `t`-space. The
-    /// reps that lie inside `m`'s hull meet it alike, one `delta =
-    /// stride / m.step` apart, and form one hit; the others (and all of
-    /// them when `m` does not step evenly into the stride) meet it singly.
-    fn hits(&self, m: &Nest, out: &mut Vec<Hit>) {
-        let (mlo, mhi) = m.hull();
-        let [(mcount, mstep), ..] = m.levels;
-        for (slot, spans) in self.by_slot.iter().enumerate() {
-            let end = spans.partition_point(|s| s.run.base <= mhi);
-            let begin = spans[..end].partition_point(|s| s.top_hi < mlo);
-            for s in &spans[begin..end] {
-                if s.hi < mlo {
-                    continue;
-                }
-                let r = &s.run;
-                let [(count, _), (reps, stride), _] = r.levels;
-                let ext = r.stride(0).max(1) * (count - 1);
-                let (ra, rb) = meeting(r.base, stride, reps, ext, mlo, mhi);
-                let whole = mstep > 0 && mcount > 1 && reps > 1 && stride % mstep == 0;
-                let (f0, f1) = match whole {
-                    true => (
-                        div_ceil(mlo - r.base, stride).max(ra),
-                        div_floor(mhi - ext - r.base, stride).min(rb),
-                    ),
-                    false => (rb + 1, rb),
-                };
-                let mut hit = |k: i64, reps: i64| {
-                    if let Some(mut at) = m.meet(&r.rep(k as u64)) {
-                        at.levels[1] = (reps, stride / mstep.max(1));
-                        let origin = (s.origin.0, s.origin.1, k as u64);
-                        out.push(Hit { at, slot, origin });
-                    }
-                };
-                (ra..f0.min(rb + 1)).for_each(|k| hit(k, 1));
-                if f0 <= f1 {
-                    hit(f0, f1 - f0 + 1);
-                }
-                (f1.max(f0 - 1) + 1..=rb).for_each(|k| hit(k, 1));
-            }
-        }
-    }
-
-    /// Cut `modify` wherever the receive rep covering some slot changes,
-    /// and hand each maximal piece with its signature to `emit`, in
-    /// visit order. With `split`, a modify run that some receive run
-    /// meets every `d`-th position is first split into its `d` residue
-    /// classes (stride `d·step`), each of which meets every receive run
-    /// in one stretch, and the stretches that repeat ([`windows`]) are
-    /// swept once as a [`Piece::Window`]; without it such a run is cut
-    /// element by element.
-    pub(crate) fn pieces(&self, modify: &[Nest], split: bool, mut emit: impl FnMut(Piece)) {
-        let n_slots = self.by_slot.len();
-        let mut hits: Vec<Hit> = Vec::new();
-        let mut batches = Vec::new();
-        let mut sweep = Sweep {
-            spans: Vec::new(),
-            active: vec![None; n_slots],
-            sig: vec![None; n_slots],
-        };
-        for m in modify {
-            hits.clear();
-            self.hits(m, &mut hits);
-            let [(count, step), ..] = m.levels;
-            // the meet period of the hits when they all interleave (a
-            // contiguous one would be shredded) and it still leaves
-            // classes of more than one element
-            let d = (hits.iter().filter(|h| h.at.count(0) > 1))
-                .try_fold(1i64, |d, h| {
-                    let period = h.at.stride(0);
-                    let lcm = (d / gcd(d, period)).checked_mul(period);
-                    lcm.filter(|&l| period > 1 && l < count)
-                })
-                .filter(|&d| split && d > 1);
-            for r in 0..d.unwrap_or(1) {
-                let m = match d {
-                    Some(d) => Nest::run(m.base + step * r, step * d, (count - r + d - 1) / d),
-                    None => *m,
-                };
-                if d.is_some() {
-                    hits.clear();
-                    self.hits(&m, &mut hits);
-                }
-                let mut t = 0;
-                if split {
-                    windows(&hits, &mut batches);
-                }
-                for &(lo, dt, n) in &batches {
-                    // a batch that starts inside the last one loses its head
-                    let skip = div_ceil(t - lo, dt).max(0);
-                    let (lo, n) = (lo + skip * dt, n as i64 - skip);
-                    if n < 2 {
-                        continue;
-                    }
-                    sweep.run(&m, &hits, t, lo, &mut emit);
-                    emit(Piece::Window {
-                        reps: n as u64,
-                        shift: dt * m.stride(0),
-                    });
-                    sweep.run(&m, &hits, lo, lo + dt, &mut emit);
-                    emit(Piece::EndWindow);
-                    t = lo + n * dt;
-                }
-                batches.clear();
-                sweep.run(&m, &hits, t, m.count(0), &mut emit);
-            }
-        }
-    }
 }
 
 /// `(source ordinal, run ordinal, rep)` of one rep of a receive run.
@@ -1164,11 +985,15 @@ impl Fold {
 /// slot from one place, resolve every address, and fold the runs into
 /// two-level entries ([`Fold`]).
 ///
-/// `Modify_p` is intersected with the plan's receive runs
-/// (`Reside_q ∩ Modify_p`, `q ≠ p` — exactly the reads the plan routes
-/// over the wire) run against run: no per-element table is built and no
-/// `proc_of` is evaluated. The entries tile `Modify_p`; in visit order
-/// unless `f` is injective.
+/// Each modify run is met with the plan's receive nests (`Reside_q ∩
+/// Modify_p`, `q ≠ p` — exactly the reads the plan routes over the
+/// wire): no per-element table is built and no `proc_of` is evaluated.
+/// When `f` is injective, a run that every receive nest meets only every
+/// `d`-th position goes by residue class (stride `d·step`), each meeting
+/// every receive nest in one stretch. Where the meets repeat with a
+/// period ([`periods`]), one period is cut and tiled and the fold takes
+/// it for every period at once ([`Resolver::push_periods`]). The entries
+/// tile `Modify_p`; in visit order unless `f` is injective.
 fn build_exec(
     node: &NodePlan,
     modify: &[Nest],
@@ -1176,7 +1001,10 @@ fn build_exec(
     dec_lhs: &Decomp1,
     dec_reads: &[&Decomp1],
 ) -> Vec<ExecRun> {
-    let index = RecvIndex::new(&node.comm.recvs, node.resides.len());
+    let recvs = (node.comm.recvs.iter().enumerate()).flat_map(|(src, pc)| {
+        (pc.runs.iter().enumerate()).map(move |(run, r)| (r.slot, r.nest, (src, run)))
+    });
+    let recvs = receives(node.resides.len(), recvs);
     let reorder = is_injective(f);
     let mut rs = Resolver {
         node,
@@ -1191,39 +1019,55 @@ fn build_exec(
         },
         slots: Vec::new(),
     };
-    let mut tiling = Tiling::default();
-    let mut window: Option<Window> = None;
-    index.pieces(modify, reorder, |piece| match piece {
-        Piece::Run(run, sig) => match &mut window {
-            Some(w) => tiling.push(run, sig, &mut |run, sig| w.runs.push((run, sig.clone()))),
-            None => tiling.push(run, sig, &mut |run, sig| {
-                rs.push(run, sig);
-            }),
-        },
-        Piece::Window { reps, shift } => {
-            tiling.flush(&mut |run, sig| {
-                rs.push(run, sig);
-            });
-            let runs = Vec::new();
-            window = Some(Window { reps, shift, runs });
+    let (mut tiling, mut met, mut stretches) = Default::default();
+    let mut period: Vec<(Nest, Sig)> = Vec::new();
+    let tile = |tiling: &mut Tiling, run: &Nest, mut sink: &mut dyn FnMut(Nest, &Sig)| {
+        pieces(&recvs, run, &mut |run, sig| {
+            tiling.push(run, sig, &mut sink)
+        })
+    };
+    for m in modify {
+        meets(&recvs, m, &mut met);
+        let [(count, step), ..] = m.levels;
+        let d = (met.iter().map(|(.., at)| at).filter(|at| at.count(0) > 1))
+            .try_fold(1i64, |d, at| {
+                let period = at.stride(0);
+                let lcm = (d / gcd(d, period)).checked_mul(period);
+                lcm.filter(|&l| period > 1 && l < count)
+            })
+            .filter(|_| reorder)
+            .unwrap_or(1);
+        for r in 0..d {
+            let class = Nest::run(m.base + step * r, step * d, (count - r + d - 1) / d);
+            let sub = |t0: i64, t1: i64| Nest::run(class.base + step * d * t0, step * d, t1 - t0);
+            if d > 1 {
+                meets(&recvs, &class, &mut met);
+            }
+            periods(&met, &mut stretches);
+            let mut t = 0;
+            for &(first, reps, len) in &stretches {
+                // a stretch that starts inside the last one loses its head
+                let skip = div_ceil(t - first, len).max(0);
+                let (first, reps) = (first + skip * len, reps - skip);
+                if reps < 3 {
+                    continue;
+                }
+                let mut fold = |run, sig: &Sig| _ = rs.push(run, sig);
+                tile(&mut tiling, &sub(t, first), &mut fold);
+                tiling.flush(&mut fold);
+                let mut keep = |run, sig: &Sig| period.push((run, sig.clone()));
+                tile(&mut tiling, &sub(first, first + len), &mut keep);
+                tiling.flush(&mut keep);
+                rs.push_periods(&period, reps, len * step * d);
+                period.clear();
+                t = first + reps * len;
+            }
+            let tail = sub(t, class.count(0));
+            tile(&mut tiling, &tail, &mut |run, sig| _ = rs.push(run, sig));
         }
-        Piece::EndWindow => {
-            let mut w = window.take().expect("a window is open");
-            tiling.flush(&mut |run, sig| w.runs.push((run, sig.clone())));
-            rs.repeat(&w);
-        }
-    });
-    tiling.flush(&mut |run, sig| {
-        rs.push(run, sig);
-    });
+    }
+    tiling.flush(&mut |run, sig| _ = rs.push(run, sig));
     rs.fold.entries
-}
-
-/// The tiled runs of one window and how often it recurs ([`Piece::Window`]).
-struct Window {
-    reps: u64,
-    shift: i64,
-    runs: Vec<(Nest, Sig)>,
 }
 
 /// Resolves the addresses of tiled runs and folds them ([`build_exec`]).
@@ -1238,79 +1082,91 @@ struct Resolver<'a> {
 }
 
 impl Resolver<'_> {
-    /// Resolve `run`, reading each slot where `sig` says, and fold it.
-    fn push(&mut self, run: Nest, sig: &[Option<Origin>]) -> (usize, bool) {
+    /// Resolve `run` — one level, or a run repeated at level 1 — reading
+    /// each slot where `sig` says, and fold it; `None`, and nothing
+    /// folded, when an address does not advance by one constant per rep.
+    fn push(&mut self, run: Nest, sig: &[Option<Origin>]) -> Option<(usize, bool)> {
         let (node, mut remote) = (self.node, 0u64);
-        let local = |h: &Fn1, dec: &Decomp1| local_pattern(&run, h, dec).expect("one level");
         self.slots.clear();
-        self.slots
-            .extend(sig.iter().enumerate().map(|(slot, origin)| match *origin {
-                None => SlotAccess::Local(local(&node.resides[slot].g, self.dec_reads[slot])),
-                Some((src_ord, run_ord, rep)) => {
-                    remote += run.len();
-                    let r = &node.comm.recvs[src_ord].runs[run_ord].nest;
-                    let (pkt_ord, run_off) = self.places[src_ord][run_ord];
-                    let (count, rstep) = (run.count(0), r.stride(0).max(1));
-                    let at = run_off as i64
-                        + rep as i64 * r.count(0)
-                        + (run.base - r.rep(rep).base) / rstep;
-                    let step = if count > 1 { run.stride(0) / rstep } else { 0 };
-                    let pattern = AccessPattern::affine(Nest::run(at, step, count));
-                    SlotAccess::Packet {
-                        src_ord,
-                        pkt_ord,
-                        pattern,
-                    }
-                }
-            }));
-        let lhs = local(self.f, self.dec_lhs);
-        self.fold.push(run, lhs, &self.slots, remote)
+        for (slot, origin) in sig.iter().enumerate() {
+            let Some((src_ord, run_ord, _)) = *origin else {
+                let local = local_pattern(&run, &node.resides[slot].g, self.dec_reads[slot])?;
+                self.slots.push(SlotAccess::Local(local));
+                continue;
+            };
+            remote += run.len();
+            let r = &node.comm.recvs[src_ord].runs[run_ord].nest;
+            let (pkt_ord, run_off) = self.places[src_ord][run_ord];
+            let [(count, step), (reps, shift), _] = run.levels;
+            let rstep = r.stride(0).max(1);
+            // where loop index i sits in the packet: reps are packed rep-major
+            let at = |i: i64| {
+                let k = div_floor(i - r.base, r.stride(1).max(1)).min(r.count(1) - 1);
+                run_off as i64 + k * r.count(0) + (i - r.base - k * r.stride(1)) / rstep
+            };
+            let mut nest = Nest::run(
+                at(run.base),
+                if count > 1 { step / rstep } else { 0 },
+                count,
+            );
+            if reps > 1 {
+                nest.levels[1] = (reps, at(run.base + shift) - at(run.base));
+            }
+            let pattern = AccessPattern::affine(nest);
+            self.slots.push(SlotAccess::Packet {
+                src_ord,
+                pkt_ord,
+                pattern,
+            });
+        }
+        let lhs = local_pattern(&run, self.f, self.dec_lhs)?;
+        Some(self.fold.push(run, lhs, &self.slots, remote))
     }
 
-    /// Fold every rep of window `w`: the first two rep by rep and, when
-    /// the second grew exactly the entries the first touched (one each)
-    /// and every lhs and local address advances by a constant over all
-    /// reps ([`local_pattern`]), the rest in bulk — the state a rep-by-rep
-    /// fold reaches, since its open list then repeats every rep.
-    fn repeat(&mut self, w: &Window) {
-        let steady = w.runs.iter().all(|(run, sig)| {
-            let mut reps = *run;
-            reps.levels[1] = (w.reps as i64, w.shift);
-            let shifts = |g: &Fn1, dec: &Decomp1| local_pattern(&reps, g, dec).is_some();
-            let mut local = (sig.iter().enumerate()).filter(|(_, o)| o.is_none());
-            shifts(self.f, self.dec_lhs)
-                && local.all(|(s, _)| shifts(&self.node.resides[s].g, self.dec_reads[s]))
-        });
-        let mut touched: Vec<Vec<(usize, bool)>> = Vec::new();
-        let mut sig_k: Sig = Vec::new();
-        for k in 0..w.reps {
-            if k == 2 && steady {
-                let (first, second) = (&touched[0], &touched[1]);
-                let mut seen: Vec<usize> = first.iter().map(|t| t.0).collect();
-                seen.sort_unstable();
-                seen.dedup();
-                if seen.len() == first.len()
-                    && second.iter().zip(first).all(|(b, a)| *b == (a.0, true))
-                {
-                    for ((run, sig), &(e, _)) in w.runs.iter().zip(first) {
-                        let entry = &mut self.fold.entries[e];
-                        entry
-                            .nests_mut()
-                            .for_each(|n| n.levels[1].0 += w.reps as i64 - 2);
-                        entry.remote_elems +=
-                            (w.reps - 2) * run.len() * sig.iter().flatten().count() as u64;
-                    }
-                    return;
+    /// Fold `reps` periods of the tiled runs `runs`, each `shift` loop
+    /// indices after the one before: period by period until one grows
+    /// exactly the entries the one before it grew, one each — from there
+    /// the fold repeats, its open list in the same order every period —
+    /// and then the rest of each run as one two-level run, which joins
+    /// its entry. That is the state a period-by-period fold reaches.
+    fn push_periods(&mut self, runs: &[(Nest, Sig)], reps: i64, shift: i64) {
+        let mut grown: Vec<(usize, bool)> = Vec::new();
+        for w in 0..reps {
+            let at = |run: &Nest, w: i64| Nest {
+                base: run.base + w * shift,
+                ..*run
+            };
+            let rest = |run: &Nest| {
+                let mut rest = at(run, w + 1);
+                rest.levels[1] = (reps - w - 1, shift);
+                rest
+            };
+            let now: Vec<(usize, bool)> = (runs.iter())
+                .map(|(run, sig)| self.push(at(run, w), sig).expect("one level"))
+                .collect();
+            let mut entries: Vec<usize> = grown.iter().map(|g| g.0).collect();
+            entries.sort_unstable();
+            entries.dedup();
+            let steady = entries.len() == runs.len()
+                && now.iter().zip(&grown).all(|(n, g)| *n == (g.0, true));
+            grown = now;
+            let affine = |(run, sig): &(Nest, Sig)| self.resolves(&rest(run), sig);
+            if steady && w + 1 < reps && runs.iter().all(affine) {
+                for (run, sig) in runs {
+                    self.push(rest(run), sig);
                 }
+                return;
             }
-            let reps = w.runs.iter().map(|(run, sig)| {
-                let base = run.base + k as i64 * w.shift;
-                sig_k.clear();
-                sig_k.extend(sig.iter().map(|o| o.map(|(s, r, rep)| (s, r, rep + k))));
-                self.push(Nest { base, ..*run }, &sig_k)
-            });
-            touched.push(reps.collect());
         }
+    }
+
+    /// Whether `run` resolves with affine addresses ([`Resolver::push`]).
+    fn resolves(&self, run: &Nest, sig: &[Option<Origin>]) -> bool {
+        let affine =
+            |g: &Fn1, dec: &Decomp1| local_pattern(run, g, dec).is_some_and(|p| p.table.is_none());
+        affine(self.f, self.dec_lhs)
+            && (sig.iter().enumerate())
+                .all(|(s, o)| o.is_some() || affine(&self.node.resides[s].g, self.dec_reads[s]))
     }
 }
 
@@ -1991,6 +1847,47 @@ mod tests {
         assert_eq!(tables(1 << 10, PACKET_ELEMS).0, [2, 2]);
         assert_eq!(tables(1 << 16, PACKET_ELEMS).0, [3, 3]);
         assert_eq!(tables(1 << 16, PACKET_ELEMS).2, [2, 2]);
+    }
+
+    /// Where the meets repeat, `build_exec` cuts one period, not every
+    /// element: over V Scatter, U BS(4) at pmax 3 a stencil's modify runs
+    /// meet a two-level receive nest per peer (rep by rep) and a one-level
+    /// one (single positions), both every 4 positions, and the periods
+    /// found cover all but a few positions of every run.
+    #[test]
+    fn periodic_meets_are_cut_one_period_at_a_time() {
+        let (n, e) = (8192, Bounds::range(0, 8191));
+        let mut clause = copy_clause(1, n - 2, Fn1::identity(), Fn1::identity());
+        clause.rhs = Expr::add(
+            Expr::Ref(ArrayRef::d1("B", Fn1::shift(-1))),
+            Expr::Ref(ArrayRef::d1("B", Fn1::shift(1))),
+        );
+        let dm = decomps(Decomp1::scatter(3, e), Decomp1::block_scatter(4, 3, e));
+        let plan = SpmdPlan::build(&clause, &dm).unwrap();
+        let (mut met, mut stretches) = (Vec::new(), Vec::new());
+        for node in &plan.nodes {
+            let runs = (node.comm.recvs.iter().enumerate()).flat_map(|(src, pc)| {
+                (pc.runs.iter().enumerate()).map(move |(run, r)| (r.slot, r.nest, (src, run)))
+            });
+            let recvs = receives(node.resides.len(), runs);
+            for m in flatten_schedule(&node.modify.schedule) {
+                meets(&recvs, &m, &mut met);
+                periods(&met, &mut stretches);
+                let (mut t, mut covered) = (0, 0);
+                for &(first, reps, len) in &stretches {
+                    let skip = div_ceil(t - first, len).max(0);
+                    if reps - skip >= 3 {
+                        covered += (reps - skip) * len;
+                        t = first + reps * len;
+                    }
+                }
+                assert!(
+                    covered + 32 >= m.count(0),
+                    "p={}: {covered} of {m:?}",
+                    node.p
+                );
+            }
+        }
     }
 
     #[test]

@@ -228,10 +228,15 @@ fn footprints_intersect(a: &Footprint, b: &Footprint) -> bool {
     if ahi < blo || bhi < alo {
         return false;
     }
+    let meets = |x: &Nest, y: &Nest| {
+        let mut met = false;
+        x.meet(y, |_, _, _| met = true);
+        met
+    };
     match (a, b) {
-        (Footprint::Exact(x), Footprint::Exact(y)) => x.meet(y).is_some(),
+        (Footprint::Exact(x), Footprint::Exact(y)) => meets(x, y),
         (Footprint::Exact(x), Footprint::Set(t)) | (Footprint::Set(t), Footprint::Exact(x)) => {
-            t.iter().any(|&v| x.meet(&Nest::run(v, 0, 1)).is_some())
+            t.iter().any(|&v| meets(x, &Nest::run(v, 0, 1)))
         }
         (Footprint::Set(s), Footprint::Set(t)) => sets_intersect(s, t),
         // a hull overlap was already established above

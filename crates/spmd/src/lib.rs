@@ -42,7 +42,9 @@ pub mod simd;
 pub mod tuner;
 pub mod validate;
 
-pub use advisor::{advise, candidates_for, AdvisorOptions, Candidate};
+pub use advisor::{
+    advise, candidate, candidates_for, describe_assignment, AdvisorOptions, Candidate,
+};
 pub use cache::{BoundedLru, CacheBudget};
 pub use comm::{packetise, plan_comm, CommRun, NodeCommPlan, PairComm, PACKET_ELEMS};
 pub use compiled::{
@@ -59,7 +61,4 @@ pub use optimizer::{naive_schedule, optimize, optimize_with, OptKind, OptOptions
 pub use program::{CommStats, DecompMap, NodePlan, PlanError, ResidePlan, SpmdPlan};
 pub use schedule::{repeated_block_kmax, Schedule};
 pub use simd::{SimdCensus, SimdMode, SimdPolicy};
-pub use tuner::{
-    candidate_for_assignment, describe_assignment, enumerate_candidates, program_arrays,
-    TuneCandidate, TuneSpace, TuneSpaceOptions,
-};
+pub use tuner::{enumerate_candidates, program_arrays, TuneSpace, TuneSpaceOptions};

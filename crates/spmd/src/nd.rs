@@ -23,8 +23,8 @@
 
 use crate::comm::{packetise, CommRun, PairComm, PACKET_ELEMS};
 use crate::compiled::{
-    coalesce_ordered, flatten_schedule, local_pattern, send_pair, write_spans, AccessPattern,
-    CompiledNode, CompiledSchedule, ExecRun, Fold, Piece, RecvIndex, SendPair, SlotAccess,
+    coalesce_ordered, flatten_schedule, local_pattern, pieces, receives, send_pair, write_spans,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, Fold, SendPair, SlotAccess,
 };
 use crate::kernel::CompiledKernel;
 use crate::nest::Nest;
@@ -357,10 +357,10 @@ impl<'a> Lowering<'a> {
         let inner = dims - 1;
         // per loop dimension, every read's reside runs along it, tagged
         // by the grid coordinate that owns them
-        let index: Vec<RecvIndex> = (0..dims)
+        let index: Vec<_> = (0..dims)
             .map(|d| {
                 let (lo, hi) = (self.bx.lo()[d], self.bx.hi()[d]);
-                let mut by_coord: Vec<PairComm> = Vec::new();
+                let mut owned = Vec::new();
                 for (slot, a) in self.reads.iter().enumerate() {
                     let map = a.aref.map.dims();
                     let Some(k) = map.iter().position(|df| df.src == d) else {
@@ -368,17 +368,12 @@ impl<'a> Lowering<'a> {
                     };
                     let axis = &a.dec.axes()[k];
                     for c in 0..axis.pmax() {
-                        if by_coord.len() <= c as usize {
-                            by_coord.resize_with(c as usize + 1, PairComm::default);
-                        }
-                        let owned = optimize(&map[k].f, axis, lo, hi, c).schedule;
-                        let owned = ascending(&owned);
-                        by_coord[c as usize]
-                            .runs
-                            .extend(owned.iter().map(|&nest| CommRun { slot, nest }));
+                        let runs = ascending(&optimize(&map[k].f, axis, lo, hi, c).schedule);
+                        let tagged = runs.into_iter().enumerate();
+                        owned.extend(tagged.map(|(r, nest)| (slot, nest, (c as usize, r))));
                     }
                 }
-                RecvIndex::new(&by_coord, self.reads.len())
+                receives(self.reads.len(), owned)
             })
             .collect();
         let mut owners = vec![0i64; self.reads.len()];
@@ -390,17 +385,17 @@ impl<'a> Lowering<'a> {
             self.work[p] = modify.work_estimate();
             let pieces: Vec<Vec<AxisPiece>> = (modify.axes.iter().zip(&index))
                 .map(|(axis, index)| {
-                    let mut pieces = Vec::new();
-                    index.pieces(&ascending(axis), false, |piece| {
-                        if let Piece::Run(run, sig) = piece {
+                    let mut out = Vec::new();
+                    for m in ascending(axis) {
+                        pieces(index, &m, &mut |run, sig| {
                             let owner = sig.iter().map(|o| o.map_or(0, |(c, ..)| c as i64));
-                            pieces.push(AxisPiece {
+                            out.push(AxisPiece {
                                 run,
                                 owner: owner.collect(),
                             });
-                        }
-                    });
-                    pieces
+                        });
+                    }
+                    out
                 })
                 .collect();
             if pieces.iter().any(Vec::is_empty) {

@@ -11,7 +11,7 @@
 //! ([`Nest::cut`]), expanded ([`Nest::for_each`]) and intersected
 //! ([`Nest::meet`]) here and nowhere else.
 
-use vcal_numth::{div_ceil, div_floor, solve_congruence};
+use vcal_numth::{div_ceil, div_floor, gcd, solve_congruence};
 
 /// Most levels a [`Nest`] holds.
 pub const MAX_LEVELS: usize = 3;
@@ -199,33 +199,81 @@ impl Nest {
     }
 
     /// The positions of this one-level nest whose elements lie in
-    /// one-level `other`, as a one-level nest of positions: two arithmetic
-    /// progressions meet in one (a linear congruence, clipped to both).
-    pub fn meet(&self, other: &Nest) -> Option<Nest> {
+    /// `other` (at most two levels), rep by rep of `other`: `visit(k, p,
+    /// at)` gets a two-level nest of positions whose level-1 position `j`
+    /// holds those in rep `k + j·p`, in this nest's order. A rep meets a
+    /// progression in one progression: one linear congruence, clipped to
+    /// both. Every `p`-th rep lies a whole number of this nest's strides
+    /// further on (`p` is the least such count), so those inside its hull
+    /// meet it alike and come as one nest; the reps cut by its ends come
+    /// one by one. Every (position, rep) pair is visited once.
+    pub fn meet(&self, other: &Nest, mut visit: impl FnMut(u64, u64, Nest)) {
+        debug_assert!(self.depth() <= 1 && other.depth() <= 2);
+        if self.is_empty() || other.is_empty() {
+            return;
+        }
+        let ((count, step), (reps, stride)) = (self.levels[0], other.levels[1]);
+        let (p, far) = match step != 0 && count > 1 && stride != 0 {
+            true => {
+                let p = (step / gcd(step, stride)).abs();
+                stride.checked_mul(p).map_or((1, stride), |far| (p, far))
+            }
+            false => (1, stride),
+        };
+        let rep = |k: i64| Nest::run(other.base + stride * k, other.stride(0), other.count(0));
+        let (lo, hi) = self.hull();
+        for r in 0..p.min(reps) {
+            // reps r + p·k, k ∈ [0, n): those whose hull meets this one's,
+            // and those inside it
+            let (n, (r0, r1)) = ((reps - r + p - 1) / p, rep(r).hull());
+            let (ta, tb) = steps(far, lo - r1, hi - r0, n);
+            let (fa, fb) = match step != 0 && count > 1 && far % step == 0 {
+                true => steps(far, lo - r0, hi - r1, n),
+                false => (tb + 1, tb),
+            };
+            let mut k = ta;
+            while k <= tb {
+                let group = if k == fa && fa < fb { fb - fa + 1 } else { 1 };
+                if let Some(mut at) = self.meet_rep(&rep(r + p * k)) {
+                    if group > 1 {
+                        at.levels[1] = (group, far / step);
+                    }
+                    visit((r + p * k) as u64, p as u64, at);
+                }
+                k += group;
+            }
+        }
+    }
+
+    /// The positions of this one-level nest whose elements lie in
+    /// one-level `rep`, as a one-level nest of positions.
+    fn meet_rep(&self, rep: &Nest) -> Option<Nest> {
         let (count, stride) = self.levels[0];
-        let (lo, hi) = other.hull();
-        let step = match other.levels[0] {
+        let (lo, hi) = rep.hull();
+        let step = match rep.levels[0] {
             (c, s) if c > 1 && s != 0 => s.abs(),
             _ => 1,
         };
-        if stride == 0 || count == 1 {
-            let x = self.base;
-            let inside = (lo..=hi).contains(&x) && (x - lo) % step == 0;
-            return inside.then_some(Nest::run(0, 1, count));
-        }
         let cong = solve_congruence(stride, lo - self.base, step)?;
         // lo <= base + stride·t <= hi
         let (a, b) = (lo - self.base, hi - self.base);
-        let (tlo, thi) = if stride > 0 {
-            (div_ceil(a, stride), div_floor(b, stride))
-        } else {
-            (div_ceil(b, stride), div_floor(a, stride))
-        };
-        let (tlo, thi) = (tlo.max(0), thi.min(count - 1));
+        let (tlo, thi) = steps(stride, a, b, count);
         let first = cong.first_at_or_above(tlo);
         let n = (first <= thi).then(|| (thi - first) / cong.period + 1)?;
         Some(Nest::run(first, cong.period, n))
     }
+}
+
+/// The `k ∈ [0, n)` with `a <= stride·k <= b`, as an inclusive range
+/// (empty when its start passes its end).
+fn steps(stride: i64, a: i64, b: i64, n: i64) -> (i64, i64) {
+    let (k0, k1) = match stride.signum() {
+        1 => (div_ceil(a, stride), div_floor(b, stride)),
+        -1 => (div_ceil(b, stride), div_floor(a, stride)),
+        _ if a <= 0 && 0 <= b => (0, n - 1),
+        _ => (0, -1),
+    };
+    (k0.max(0), k1.min(n - 1))
 }
 
 #[cfg(test)]
@@ -341,26 +389,46 @@ mod tests {
         assert!(joined > 5_000, "only {joined} joins");
     }
 
-    /// `meet` names exactly the positions of the first nest whose elements
-    /// lie in the second, in visit order.
+    /// `meet` names exactly the positions of a one-level nest whose
+    /// elements lie in each rep of a nest of at most two levels — every
+    /// (position, rep) pair once and, within a rep, in the first nest's
+    /// order — and the reps it groups meet alike. `meet`
+    /// depends on the two bases only through their difference, so a first
+    /// nest based at 0 against second ones based in [-6, 6] covers every
+    /// pair of bases in [-3, 3].
     #[test]
     fn meet_is_the_brute_force_intersection() {
-        let ones: Vec<Nest> = scope(-3..=3)
-            .into_iter()
+        let all = scope(-6..=6);
+        let ones: Vec<(Nest, Vec<i64>)> = (scope(0..=0).iter())
             .filter(|n| n.depth() <= 1)
+            .map(|n| (*n, n.expand()))
             .collect();
-        let mut met = 0;
-        for x in &ones {
-            for y in &ones {
-                let set = y.expand();
-                let want: Vec<i64> = (0..x.len() as i64)
-                    .filter(|&t| set.contains(&x.at(t as u64)))
-                    .collect();
-                let got = x.meet(y).map_or_else(Vec::new, |m| m.expand());
+        let (mut met, mut grouped) = (0, 0);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for y in &all {
+            let reps: Vec<Vec<i64>> = (0..y.reps()).map(|k| y.rep(k).expand()).collect();
+            for (x, pos) in &ones {
+                want.clear();
+                for (k, rep) in reps.iter().enumerate() {
+                    let at = (0..pos.len()).filter(|&t| rep.contains(&pos[t]));
+                    want.extend(at.map(|t| (k as u64, t as i64)));
+                }
+                got.clear();
+                x.meet(y, |k, p, at| {
+                    assert!(at.depth() <= 2, "{x:?} meet {y:?}: {at:?}");
+                    grouped += usize::from(at.count(1) > 1);
+                    for j in 0..at.reps() {
+                        at.rep(j).for_each(|t| got.push((k + j * p, t)));
+                    }
+                });
+                got.sort_by_key(|&(k, _)| k);
                 assert_eq!(got, want, "{x:?} meet {y:?}");
                 met += usize::from(!got.is_empty());
             }
         }
-        assert!(met > 1000, "only {met} meets");
+        assert!(
+            met > 100_000 && grouped > 10_000,
+            "{met} meets, {grouped} grouped"
+        );
     }
 }

@@ -3,12 +3,13 @@
 //! The advisor ([`crate::advisor`]) ranks decomposition assignments by
 //! a *static* heuristic (communication volume × a fixed weight plus
 //! critical-path work). The tuner closes the loop the paper's §4 cost
-//! model opens: it enumerates the same bounded candidate family —
-//! Block / Scatter / BlockScatter(b) per array — but carries the full
-//! per-clause [`SpmdPlan`]s forward so an *execution-calibrated* cost
-//! model (fit from measured trace timings, see
-//! `vcal-machine::perfmodel::CalibratedModel`) can price every
-//! candidate from its plans alone, without executing any of them.
+//! model opens: it takes the advisor's ranking of the bounded candidate
+//! family — Block / Scatter / BlockScatter(b) per array — up to a
+//! budget, and every candidate carries its per-clause
+//! [`crate::SpmdPlan`]s, so an *execution-calibrated* cost model (fit
+//! from measured trace timings, see
+//! `vcal-machine::perfmodel::CalibratedModel`) can price it from its
+//! plans alone, without executing any of them.
 //!
 //! This module is machine-independent: it owns the candidate space and
 //! its deterministic total order (heuristic cost, then decomposition
@@ -16,9 +17,8 @@
 //! the amortized-redistribution decision live in `vcal-machine`
 //! (`DistSession::run_program_tuned`), which depends on this crate.
 
-use crate::advisor::{candidates_for, AdvisorOptions};
-use crate::compiled::{clause_arrays, decomp_fingerprint};
-use crate::program::{CommStats, DecompMap, SpmdPlan};
+use crate::advisor::{advise, AdvisorOptions, Candidate};
+use crate::compiled::clause_arrays;
 use std::collections::BTreeMap;
 use vcal_core::{Bounds, Clause};
 
@@ -43,40 +43,22 @@ impl Default for TuneSpaceOptions {
     }
 }
 
-/// One enumerated decomposition assignment, with every clause's plan
-/// built under it — ready for calibrated pricing.
-#[derive(Debug, Clone)]
-pub struct TuneCandidate {
-    /// The assignment (covers exactly the arrays the program touches).
-    pub decomps: DecompMap,
-    /// FNV-1a fingerprint of the assignment over the touched arrays —
-    /// the deterministic tie-break and the pricing-cache key component.
-    pub fingerprint: u64,
-    /// One plan per program clause, in program order.
-    pub plans: Vec<SpmdPlan>,
-    /// The advisor's static heuristic cost (pre-ranking only; the
-    /// calibrated model re-prices every surviving candidate).
-    pub heuristic_cost: f64,
-}
-
 /// The enumerated, deterministically ordered candidate space.
 #[derive(Debug, Clone)]
 pub struct TuneSpace {
-    /// Candidates, best-heuristic-first, truncated to the budget.
-    pub candidates: Vec<TuneCandidate>,
+    /// Candidates, best-heuristic-first, truncated to the budget; the
+    /// calibrated model re-prices each from its plans.
+    pub candidates: Vec<Candidate>,
     /// Assignments enumerated before the budget cut (feasible ones).
     pub enumerated: usize,
 }
 
-/// Enumerate the candidate space for a clause program.
+/// Enumerate the candidate space for a clause program: the advisor's
+/// ranking ([`advise`], bounded to ≤ 5 arrays, ordered by `(cost,
+/// fingerprint)`), truncated to `opts.budget`.
 ///
 /// `extents` maps each *tunable* array (every array the program
-/// touches) to its index range; `pmax` is the processor count. The
-/// cross product of the per-array families is enumerated exhaustively
-/// (bounded to ≤ 5 arrays, like the advisor), each feasible assignment
-/// gets a plan per clause plus the advisor heuristic, and the result is
-/// ordered by `(heuristic_cost, fingerprint)` — a strict total order,
-/// byte-stable across runs — then truncated to `opts.budget`.
+/// touches) to its index range; `pmax` is the processor count.
 pub fn enumerate_candidates(
     clauses: &[Clause],
     extents: &BTreeMap<String, Bounds>,
@@ -86,89 +68,15 @@ pub fn enumerate_candidates(
     if clauses.is_empty() {
         return Err("no clauses to tune".into());
     }
-    let names: Vec<&String> = extents.keys().collect();
-    if names.is_empty() {
-        return Err("no arrays to decompose".into());
-    }
-    if names.len() > 5 {
-        return Err("tuner search space too large (> 5 arrays)".into());
-    }
     if opts.budget == 0 {
         return Err("tune budget must be at least 1".into());
     }
-    let families: Vec<Vec<_>> = names
-        .iter()
-        .map(|n| candidates_for(extents[*n], pmax, &opts.advisor))
-        .collect();
-
-    let mut out: Vec<TuneCandidate> = Vec::new();
-    let mut enumerated = 0usize;
-    let mut pick = vec![0usize; names.len()];
-    'odometer: loop {
-        let mut dm = DecompMap::new();
-        for (k, name) in names.iter().enumerate() {
-            dm.insert((*name).clone(), families[k][pick[k]].clone());
-        }
-        if let Some(c) = candidate_for_assignment(clauses, dm, opts) {
-            enumerated += 1;
-            out.push(c);
-        }
-        let mut k = 0;
-        loop {
-            if k == names.len() {
-                break 'odometer;
-            }
-            pick[k] += 1;
-            if pick[k] < families[k].len() {
-                break;
-            }
-            pick[k] = 0;
-            k += 1;
-        }
-    }
-    out.sort_by(|a, b| {
-        a.heuristic_cost
-            .total_cmp(&b.heuristic_cost)
-            .then(a.fingerprint.cmp(&b.fingerprint))
-    });
-    out.truncate(opts.budget);
+    let mut candidates = advise(clauses, extents, pmax, opts.advisor)?;
+    let enumerated = candidates.len();
+    candidates.truncate(opts.budget);
     Ok(TuneSpace {
-        candidates: out,
+        candidates,
         enumerated,
-    })
-}
-
-/// Build the [`TuneCandidate`] for one specific assignment, or `None`
-/// if any clause has no plan under it. Public so the pricing layer can
-/// force-include the incumbent assignment even when the budget cut or
-/// an out-of-family layout (e.g. replicated) would exclude it.
-pub fn candidate_for_assignment(
-    clauses: &[Clause],
-    dm: DecompMap,
-    opts: &TuneSpaceOptions,
-) -> Option<TuneCandidate> {
-    let mut plans = Vec::with_capacity(clauses.len());
-    let mut comm = 0u64;
-    let mut max_work = 0u64;
-    for clause in clauses {
-        let plan = SpmdPlan::build(clause, &dm).ok()?;
-        let stats = CommStats::of_plan(&plan, &dm);
-        comm += stats.sends;
-        max_work += plan
-            .nodes
-            .iter()
-            .map(|n| n.modify.schedule.work_estimate())
-            .max()
-            .unwrap_or(0);
-        plans.push(plan);
-    }
-    let heuristic_cost = comm as f64 * opts.advisor.comm_weight + max_work as f64;
-    let fingerprint = decomp_fingerprint(&dm, dm.keys().map(String::as_str));
-    Some(TuneCandidate {
-        decomps: dm,
-        fingerprint,
-        plans,
-        heuristic_cost,
     })
 }
 
@@ -181,19 +89,11 @@ pub fn program_arrays(clauses: &[Clause]) -> Vec<String> {
     names
 }
 
-/// One-line description of an assignment: per-array layout names in
-/// array order. Byte-stable for a given assignment.
-pub fn describe_assignment(dm: &DecompMap) -> String {
-    let parts: Vec<String> = dm
-        .iter()
-        .map(|(n, d)| format!("{n}: {}", d.dist().name()))
-        .collect();
-    parts.join(", ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::candidate;
+    use crate::program::DecompMap;
     use vcal_core::func::Fn1;
     use vcal_core::{ArrayRef, Expr, Guard, IndexSet, Ordering};
     use vcal_decomp::{Decomp1, Distribution};
@@ -269,7 +169,7 @@ mod tests {
         let mut dm = DecompMap::new();
         dm.insert("U".into(), Decomp1::replicated(4, Bounds::range(0, 63)));
         dm.insert("V".into(), Decomp1::block(4, Bounds::range(0, 63)));
-        let c = candidate_for_assignment(&clauses, dm, &TuneSpaceOptions::default()).unwrap();
+        let c = candidate(&clauses, dm, &TuneSpaceOptions::default().advisor).unwrap();
         assert_eq!(c.plans.len(), 1);
     }
 

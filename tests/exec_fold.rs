@@ -16,7 +16,8 @@ use vcal_suite::decomp::Decomp1;
 use vcal_suite::lang;
 use vcal_suite::machine::DistSession;
 use vcal_suite::spmd::{
-    packetise, CommRun, CompiledNode, CompiledSchedule, ExecRun, SpmdPlan, PACKET_ELEMS,
+    packetise, AccessPattern, CommRun, CompiledNode, CompiledSchedule, ExecRun, Nest, PairComm,
+    SpmdPlan, PACKET_ELEMS,
 };
 
 const LAYOUTS: [&str; 3] = ["block", "scatter", "blockscatter(4)"];
@@ -361,5 +362,163 @@ fn comm_sets_walk_periods_and_match_the_element_walk() {
         );
         let src = format!("for i := 0 to {} do V[i] := U[i]; od;", n - 1);
         check(&src, &spec, &format!("n={n} V={v} U={u}"));
+    }
+}
+
+/// FNV-1a over the integers of a plan's tables.
+struct Fnv(u64);
+
+impl Fnv {
+    fn put(&mut self, x: i64) {
+        for b in x.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn nest(&mut self, n: &Nest) {
+        self.put(n.base);
+        for (count, stride) in n.levels {
+            self.put(count);
+            self.put(stride);
+        }
+    }
+
+    fn pattern(&mut self, p: &AccessPattern) {
+        self.nest(&p.nest);
+        let table = p.table.as_deref().unwrap_or(&[]);
+        self.put(table.len() as i64);
+        table.iter().for_each(|&o| self.put(o));
+    }
+
+    fn runs(&mut self, pc: &PairComm) {
+        self.put(pc.peer);
+        for r in &pc.runs {
+            self.put(r.slot as i64);
+            self.nest(&r.nest);
+        }
+        pc.cuts.iter().for_each(|&c| self.put(c as i64));
+    }
+}
+
+/// One hash over every table of a compiled plan: per node the comm runs
+/// and cuts of both directions, every exec entry (index nest, lhs
+/// pattern, per slot its place and pattern, `boundary`, `remote_elems`),
+/// every send segment, the staging shape and the write spans.
+fn table_hash(plan: &SpmdPlan, cs: &CompiledSchedule) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (node, cn) in plan.nodes.iter().zip(&cs.nodes) {
+        h.put(cn.p);
+        (node.comm.sends.iter().chain(&node.comm.recvs)).for_each(|pc| h.runs(pc));
+        h.put(cn.exec.len() as i64);
+        for er in &cn.exec {
+            h.nest(&er.index);
+            h.pattern(&er.lhs);
+            for sa in &er.slots {
+                let (src_ord, pkt_ord) =
+                    sa.packet().map_or((-1, -1), |(s, k)| (s as i64, k as i64));
+                h.put(src_ord);
+                h.put(pkt_ord);
+                h.pattern(sa.pattern());
+            }
+            h.put(i64::from(er.boundary));
+            h.put(er.remote_elems as i64);
+        }
+        for pair in &cn.sends {
+            h.put(pair.peer);
+            for segs in &pair.packets {
+                h.put(segs.len() as i64);
+                for seg in segs {
+                    h.put(seg.slot as i64);
+                    h.pattern(&seg.pattern);
+                }
+            }
+        }
+        (cn.staging_packets.iter()).for_each(|&k| h.put(k as i64));
+        h.put(cn.write_spans.as_ref().map_or(-1, |s| s.len() as i64));
+        for &(lo, hi) in cn.write_spans.iter().flatten() {
+            h.put(lo as i64);
+            h.put(hi as i64);
+        }
+    }
+    h.0
+}
+
+/// How the exec tables are derived may change; what they are may not.
+/// Every plan of the exec-fold matrix (pmax 2 and 3; n = 64, 8 Ki and
+/// 64 Ki; the n = 64 plans also built naive), the off-matrix block sizes
+/// at pmax 3 and 4 and `exchange`'s 1 Mi block-scatter(16) → block copy
+/// hashes its tables structurally ([`table_hash`]) to the line recorded
+/// in `tests/data/exec_tables.fnv`. The file is only read here; a change
+/// that means to move the tables regenerates it and shows the move.
+#[test]
+fn exec_tables_are_unchanged() {
+    let mut got = Vec::new();
+    let mut hash = |src: &str, spec: &str, what: &str, naive: bool| {
+        let spec = lang::parse_spec(spec).unwrap();
+        let clause = &lang::compile(src).unwrap()[0];
+        let plan = match naive {
+            false => SpmdPlan::build(clause, &spec.decomps),
+            true => SpmdPlan::build_naive(clause, &spec.decomps),
+        };
+        let plan = plan.unwrap();
+        let cs = CompiledSchedule::compile_exec(&plan, clause, &spec.decomps);
+        got.push(format!(
+            "{what} naive={naive} {src}\t{:016x}",
+            table_hash(&plan, &cs)
+        ));
+    };
+    let layouts = |v: &str, u: &str, pmax: i64, n: i64| {
+        format!(
+            "processors {pmax};\narray V[0 to {0}] {v};\narray U[0 to {0}] {u};\n",
+            n - 1
+        )
+    };
+    for pmax in [2, 3] {
+        for n in [64i64, 8192, 64 << 10] {
+            for v in LAYOUTS {
+                for u in LAYOUTS {
+                    let spec = layouts(v, u, pmax, n);
+                    for src in programs(n) {
+                        let what = format!("pmax={pmax} n={n} V={v} U={u}");
+                        for naive in [false, true].into_iter().take(1 + usize::from(n == 64)) {
+                            hash(&src, &spec, &what, naive);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let odd = [
+        ("blockscatter(3)", "blockscatter(16)"),
+        ("blockscatter(16)", "scatter"),
+        ("block", "blockscatter(5)"),
+    ];
+    for (pmax, (v, u)) in [3, 4].into_iter().flat_map(|p| odd.map(|vu| (p, vu))) {
+        let spec = layouts(v, u, pmax, 8192);
+        for src in programs(8192) {
+            hash(
+                &src,
+                &spec,
+                &format!("pmax={pmax} n=8192 V={v} U={u}"),
+                false,
+            );
+        }
+    }
+    let n = 1 << 20;
+    let src = format!("for i := 0 to {} do V[i] := U[i]; od;", n - 1);
+    hash(
+        &src,
+        &layouts("block", "blockscatter(16)", 2, n),
+        "exchange",
+        false,
+    );
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/exec_tables.fnv");
+    let want = std::fs::read_to_string(path).unwrap_or_default();
+    let want: Vec<&str> = want.lines().collect();
+    assert_eq!(got.len(), 1639);
+    assert_eq!(want.len(), got.len(), "{path}: one line per plan");
+    for (got, want) in got.iter().zip(&want) {
+        assert_eq!(got, want);
     }
 }
