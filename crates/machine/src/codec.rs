@@ -1,15 +1,16 @@
 //! Wire codec for the multi-process transport backends and the serve
 //! protocol.
 //!
-//! Everything a worker process needs to run one node — the clause, the
-//! decompositions, the execution options, its local memories — plus
-//! everything it ships back (writes, statistics, buffered trace events,
-//! its typed error state) is serialized here as flat little-endian
-//! records. The encoding is deliberately *generative*: workers receive
-//! the clause and decompositions and rebuild the `SpmdPlan` locally via
-//! the same deterministic planner the host runs, so plans are never on
-//! the wire and the two sides agree by construction (the PR 1 invariant
-//! that sender packing order equals receiver expectation).
+//! Everything a worker process needs to run one node of a wave — the
+//! clauses, the decompositions, the execution options, its local
+//! memories — plus everything it ships back (per job: writes,
+//! statistics, buffered trace events, its typed error state) is
+//! serialized here as flat little-endian records. The encoding is
+//! deliberately *generative*: workers receive the clauses and
+//! decompositions and rebuild each `SpmdPlan` locally via the same
+//! deterministic planner the host runs, so plans are never on the wire
+//! and the two sides agree by construction (sender packing order equals
+//! receiver expectation).
 //!
 //! Every wire type is declared once (DESIGN.md §15): the [`Codec`] trait
 //! has generic impls for integers, strings, options, results, tuples,
@@ -40,6 +41,7 @@
 
 use crate::distributed::{Wire, WriteOp};
 use crate::error::MachineError;
+use crate::executor::{JobReply, WaveReply};
 use crate::obs::{EventKind, Phase};
 use crate::serve::ServeRequest;
 use crate::session::{ScheduleMode, TuneOptions};
@@ -58,7 +60,7 @@ use vcal_decomp::{Decomp1, Distribution};
 use vcal_spmd::{OptKind, ProgramStep, SimdMode, SimdPolicy};
 
 /// Version stamped into the handshake; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u32 = 2;
+pub(crate) const WIRE_VERSION: u32 = 3;
 
 /// A typed decode (or non-serializable-encode) failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -515,6 +517,23 @@ impl Adapter<BTreeMap<String, Vec<f64>>> for Images {
     }
 }
 
+/// A node's next image stays in the process that made it: nothing on
+/// the wire, `None` off it (a socket worker stages writes instead, and
+/// refuses to encode an image rather than drop it).
+struct HostOnly;
+
+impl Adapter<Option<Vec<f64>>> for HostOnly {
+    fn put(v: &Option<Vec<f64>>, _: &mut Enc) -> R<()> {
+        match v {
+            None => Ok(()),
+            Some(_) => Err(CodecError("a next image never crosses the wire".into())),
+        }
+    }
+    fn get(_: &mut Dec) -> R<Option<Vec<f64>>> {
+        Ok(None)
+    }
+}
+
 // ---------------------------------------------------------------------
 // the table
 // ---------------------------------------------------------------------
@@ -651,12 +670,12 @@ codec_table! {
             simd_lane_elems, simd_tail_elems, simd_lanes,
         }
         JobMsg {
-            run_id, clause, decomps, recv_timeout, faults, retry, simd, trace_on, handshake,
+            run_id, clauses, decomps, recv_timeout, faults, retry, simd, trace_on, handshake,
             locals as Images,
         }
-        ResultMsg {
-            run_id, p, locals as Images, writes, stats, sent_to, res, events, timings,
-        }
+        JobReply { image as HostOnly, writes, stats, sent_to, res, events, timings }
+        WaveReply { jobs, drain_events, drain_timings }
+        ResultMsg { run_id, p, reply }
         TuneOptions { budget, profile_steps, retune_every as ZeroIsNone }
         ServeRequest {
             n_steps, schedule, autotune, tune, deadline as MillisZeroIsNone, steps, decomps,
@@ -698,11 +717,10 @@ codec_table! {
             4 PackSend { dst, run, elems, bytes }, 6 RecvValue { src, slot, i },
             7 InteriorRun { run, elems }, 8 BoundaryRun { run, elems, recvs },
             9 SimdCensus { vector_runs, fallback_runs, lane_elems, tail_elems },
-            11 RedistSend { dst, elems }, 12 RedistRecv { src, elems },
             13 Retransmit { dst }, 14 Ack { dst }, 15 Nack { peer }, 16 DupDropped { src },
             17 CorruptDetected { src }, 18 Backoff { peer }, 19 DagReady { step },
             20 ClauseBegin { step }, 21 ClauseEnd { step };
-            retired 5, 10
+            retired 5, 10, 11, 12
         }
         MachineError {
             0 SequentialClause, 1 UnknownArray(a), 2 MissingMessage { node, array, index },
@@ -814,10 +832,10 @@ impl Codec for Wire {
 // messages
 // ---------------------------------------------------------------------
 
-/// Everything a worker needs to run one node of one clause. The worker
-/// rebuilds the `SpmdPlan` (and its compiled schedule) from the clause
-/// and decompositions via the deterministic planner, so the host and
-/// every worker agree on packing order by construction.
+/// Everything a worker needs to run one node of one wave. The worker
+/// rebuilds each clause's `SpmdPlan` (and its compiled schedule) from
+/// the clause and decompositions via the deterministic planner, so the
+/// host and every worker agree on packing order by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct JobMsg {
     /// Monotonic per-pool run ordinal. Job dispatch is *idempotent*: the
@@ -826,7 +844,9 @@ pub(crate) struct JobMsg {
     /// worker answers a duplicate of a finished run by re-shipping the
     /// cached result instead of re-executing.
     pub run_id: u64,
-    pub clause: Clause,
+    /// The wave's clauses, in program-ordinal order.
+    pub clauses: Vec<Clause>,
+    /// The decomposition of every array the wave references.
     pub decomps: BTreeMap<String, Decomp1>,
     pub recv_timeout: Duration,
     pub faults: Option<FaultPlan>,
@@ -836,25 +856,20 @@ pub(crate) struct JobMsg {
     /// Purge + Ready/Go barrier before the run (mirrors the in-process
     /// pool's dirty handshake).
     pub handshake: bool,
-    /// The node's local array parts, in decomposition layout.
+    /// The node's part of every array the wave references, in
+    /// decomposition layout.
     pub locals: BTreeMap<String, Vec<f64>>,
 }
 
-/// What a worker ships back after a run (the process-backend mirror of
-/// the executor's `Reply`).
+/// What a worker ships back after a wave: the [`WaveReply`] a pooled
+/// thread hands the host, as the node built it.
 #[derive(Debug, Clone)]
 pub(crate) struct ResultMsg {
     /// Echo of [`JobMsg::run_id`] — the host drops results from stale
     /// runs (a re-shipped duplicate answering a retransmitted job).
     pub run_id: u64,
     pub p: i64,
-    pub locals: BTreeMap<String, Vec<f64>>,
-    pub writes: Vec<WriteOp>,
-    pub stats: NodeStats,
-    pub sent_to: Vec<u64>,
-    pub res: Result<(), MachineError>,
-    pub events: Vec<(i64, EventKind)>,
-    pub timings: Vec<(i64, Phase, Duration)>,
+    pub reply: WaveReply,
 }
 
 /// A control-plane message (reliable by the stream transport itself;

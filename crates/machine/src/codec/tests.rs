@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::distributed::Wire;
+use crate::executor::{JobReply, WaveReply};
 use std::sync::Arc;
 use vcal_spmd::SpmdPlan;
 
@@ -91,10 +92,21 @@ fn g_images() -> BTreeMap<String, Vec<f64>> {
     locals
 }
 
+/// `B[i] := A[i]` over `0:9`: the second member of the golden wave.
+fn g_copy() -> Clause {
+    Clause {
+        iter: IndexSet::range(0, 9),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1("B", Fn1::Affine { a: 1, c: 0 }),
+        rhs: Expr::Ref(ArrayRef::d1("A", Fn1::Affine { a: 1, c: 0 })),
+    }
+}
+
 fn g_job() -> JobMsg {
     JobMsg {
         run_id: 7,
-        clause: sample_clause(),
+        clauses: vec![sample_clause(), g_copy()],
         decomps: g_decomps(),
         recv_timeout: Duration::from_millis(250),
         faults: Some(FaultPlan {
@@ -166,8 +178,6 @@ fn g_events() -> Vec<(i64, EventKind)> {
                 lane_elems: 32,
                 tail_elems: 3,
             },
-            EventKind::RedistSend { dst: 3, elems: 12 },
-            EventKind::RedistRecv { src: 0, elems: 12 },
             EventKind::Retransmit { dst: 1 },
             EventKind::Ack { dst: 0 },
             EventKind::Nack { peer: 3 },
@@ -229,11 +239,11 @@ fn g_errors() -> Vec<(&'static str, MachineError)> {
     ]
 }
 
+/// A two-job wave reply: the first job carries `res`, `events` and
+/// every field, the second `res` alone; then the drain trace.
 fn g_result(res: Result<(), MachineError>, events: Vec<(i64, EventKind)>) -> ResultMsg {
-    ResultMsg {
-        run_id: 3,
-        p: 2,
-        locals: g_images(),
+    let first = JobReply {
+        image: None,
         writes: vec![
             WriteOp::El(4, 2.25),
             WriteOp::Dense {
@@ -249,12 +259,30 @@ fn g_result(res: Result<(), MachineError>, events: Vec<(i64, EventKind)>) -> Res
             ..NodeStats::default()
         },
         sent_to: vec![0, 7, 0, 1],
-        res,
+        res: res.clone(),
         events,
         timings: vec![
             (2, Phase::Update, Duration::from_micros(1234)),
             (-1, Phase::Commit, Duration::from_nanos(7)),
         ],
+    };
+    let second = JobReply {
+        image: None,
+        writes: Vec::new(),
+        stats: NodeStats::default(),
+        sent_to: vec![0; 4],
+        res,
+        events: Vec::new(),
+        timings: Vec::new(),
+    };
+    ResultMsg {
+        run_id: 3,
+        p: 2,
+        reply: WaveReply {
+            jobs: vec![first, second],
+            drain_events: vec![(2, EventKind::PhaseStart(Phase::Drain))],
+            drain_timings: vec![(2, Phase::Drain, Duration::from_micros(5))],
+        },
     }
 }
 
@@ -523,7 +551,7 @@ fn nesting_past_max_depth_is_a_typed_error() {
     // the worker protocol boxes the job itself: a clause at the cap is
     // one level too deep there, and refused before anything is sent
     let mut job = g_job();
-    job.clause.iter.pred = nots(MAX_DEPTH);
+    job.clauses[0].iter.pred = nots(MAX_DEPTH);
     let err = encode(&Ctrl::Job(Box::new(job))).expect_err("too deep inside the job box");
     assert_eq!(err, too_deep());
     let deep_rhs = (0..MAX_DEPTH).fold(Expr::Lit(1.0), |x, _| Expr::Neg(Box::new(x)));
@@ -709,7 +737,8 @@ fn ctrl_job_roundtrips() {
     assert_eq!(j2.simd, job.simd);
     assert_eq!(j2.locals["A"][1], -2.5);
     assert!(j2.locals["A"][2].is_nan(), "NaN survives bit-exactly");
-    assert_eq!(format!("{}", j2.clause), format!("{}", job.clause));
+    let shown = |cs: &[Clause]| cs.iter().map(|c| format!("{c}")).collect::<Vec<_>>();
+    assert_eq!(shown(&j2.clauses), shown(&job.clauses));
 }
 
 #[test]
@@ -720,12 +749,28 @@ fn ctrl_result_roundtrips_with_errors_and_events() {
             panic!("wrong Ctrl arm");
         };
         assert_eq!((r2.run_id, r2.p), (r.run_id, r.p));
-        assert_eq!(r2.sent_to, r.sent_to);
-        assert_eq!(r2.stats, r.stats);
-        assert_eq!(r2.res, Err(err));
-        assert_eq!(r2.events, r.events);
-        assert_eq!(r2.timings, r.timings);
+        let (got, want) = (&r2.reply, &r.reply);
+        assert_eq!(got.jobs.len(), want.jobs.len());
+        for (j2, j) in got.jobs.iter().zip(&want.jobs) {
+            assert_eq!(j2.sent_to, j.sent_to);
+            assert_eq!(j2.stats, j.stats);
+            assert_eq!(j2.res, Err(err.clone()));
+            assert_eq!(j2.events, j.events);
+            assert_eq!(j2.timings, j.timings);
+        }
+        assert_eq!(got.drain_events, want.drain_events);
+        assert_eq!(got.drain_timings, want.drain_timings);
     }
+}
+
+/// A next image stays in the process that made it: a reply holding one
+/// is refused by the encoder, not shipped without it.
+#[test]
+fn next_image_never_crosses_the_wire() {
+    let mut r = g_result(Ok(()), Vec::new());
+    r.reply.jobs[1].image = Some(vec![1.0]);
+    let err = encode(&Ctrl::Result(Box::new(r))).expect_err("an image is refused");
+    assert!(err.0.contains("next image"), "{err}");
 }
 
 #[test]
@@ -788,10 +833,11 @@ fn retired_element_payload_tag_is_a_codec_error() {
         Err(bad("Wire tag")),
         "the element payload left the wire with version 1"
     );
-    // event tags 5 (the element send) and 10 (the halo machine's ghost
-    // message) are retired the same way
-    assert_eq!(RETIRED_TAGS, [5, 10]);
-    for tag in [5u8, 10] {
+    // event tags 5 (the element send), 10 (the halo machine's ghost
+    // message), 11 and 12 (the redistribution machine's runs) are
+    // retired the same way
+    assert_eq!(RETIRED_TAGS, [5, 10, 11, 12]);
+    for tag in [5u8, 10, 11, 12] {
         let bytes = encode(&(tag, 1i64, 4u64)).expect("encodes");
         let got = EventKind::get(&mut Dec::new(&bytes));
         assert_eq!(got, Err(bad("EventKind tag")), "tag {tag}");
@@ -837,7 +883,7 @@ fn truncated_and_garbage_input_fail_typed() {
     assert!(decode::<Ctrl>(&long).is_err(), "trailing bytes");
     assert!(decode::<Ctrl>(&[250]).is_err(), "unknown tag");
     // a length prefix far beyond the record must not allocate
-    // Ctrl::Result, run_id, p, a locals count
+    // Ctrl::Result, run_id, p, a job count
     let absurd = encode(&(3u8, 0u64, (0i64, u64::MAX))).expect("encodes");
     assert!(decode::<Ctrl>(&absurd).is_err(), "absurd length prefix");
 }

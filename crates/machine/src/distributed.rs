@@ -58,9 +58,10 @@
 use crate::darray::DistArray;
 use crate::darray_nd::DistArrayNd;
 use crate::error::MachineError;
-use crate::executor::{prepare_for, prepare_nd, DistExecutor};
+use crate::executor::{prepare_for, prepare_nd, DistExecutor, PreparedPlan};
 use crate::net::ChaosPlan;
-use crate::obs::{trace_plan, EventKind, Tracer, NULL_TRACER};
+use crate::obs::{EventKind, Tracer, NULL_TRACER};
+use crate::session::PoolState;
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{
     await_until, AwaitFail, Endpoint, FaultPlan, ProtoTimeouts, RetryPolicy, TransportKind,
@@ -69,7 +70,7 @@ use crate::transport::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use vcal_core::{ArrayRef, Clause, CmpOp, Guard, Ordering};
+use vcal_core::{ArrayRef, Clause, CmpOp, Guard};
 use vcal_decomp::{Decomp1, DecompNd};
 use vcal_spmd::{
     simd, AccessPattern, CompiledNode, CompiledSchedule, ExecRun, FusedShape, SimdPolicy,
@@ -263,17 +264,20 @@ pub(crate) struct Disassembled<D> {
     pub(crate) decomps: Vec<(String, D)>,
 }
 
-/// Remove every referenced image from `arrays` and split it into
+/// Remove every image a wave references — the union of its jobs'
+/// arrays, in first-reference order — from `arrays` and split it into
 /// per-node local memories. Two-phase: a missing array restores the
 /// already-removed images and reports a typed error, so the map is
 /// never left partially disassembled.
 pub(crate) fn disassemble<A: Image>(
     arrays: &mut BTreeMap<String, A>,
-    referenced: &[String],
-    pmax: i64,
+    jobs: &[Arc<PreparedPlan>],
 ) -> Result<Disassembled<A::Decomp>, MachineError> {
-    let mut taken: Vec<(String, A)> = Vec::with_capacity(referenced.len());
-    for name in referenced {
+    let mut taken: Vec<(String, A)> = Vec::new();
+    for name in jobs.iter().flat_map(|job| &job.referenced) {
+        if taken.iter().any(|(n, _)| n == name) {
+            continue;
+        }
         match arrays.remove(name) {
             Some(da) => taken.push((name.clone(), da)),
             None => {
@@ -284,6 +288,7 @@ pub(crate) fn disassemble<A: Image>(
             }
         }
     }
+    let pmax = jobs.first().map_or(0, |job| job.pmax);
     let mut per_node: Vec<BTreeMap<String, Vec<f64>>> =
         (0..pmax).map(|_| BTreeMap::new()).collect();
     let mut decomps = Vec::with_capacity(taken.len());
@@ -320,9 +325,11 @@ pub fn run_distributed(
 /// branch each — [`run_distributed`] simply passes
 /// [`crate::obs::NULL_TRACER`].
 ///
-/// On a socket transport the workers receive the clause and the
-/// decompositions, not `plan`, and always re-plan with
-/// [`SpmdPlan::build`]: a `plan` built any other way
+/// A cold run is a wave of one on a throwaway pool of the backend
+/// `opts` selects: same phase engine, same tables, same trace as a
+/// [`crate::DistSession`] replaying the plan. On a socket transport the
+/// workers receive the clause and the decompositions, not `plan`, and
+/// always re-plan with [`SpmdPlan::build`]: a `plan` built any other way
 /// ([`SpmdPlan::build_naive`]) only shapes the host-side trace there.
 pub fn run_distributed_traced(
     plan: &SpmdPlan,
@@ -331,19 +338,10 @@ pub fn run_distributed_traced(
     opts: DistOptions,
     tracer: &dyn Tracer,
 ) -> Result<ExecReport, MachineError> {
-    if plan.ordering != Ordering::Par {
-        return Err(MachineError::SequentialClause);
-    }
-    if opts.transport != TransportKind::InProc {
-        // socket backends: a one-shot pool of real worker processes
-        // (persistent pools live in `DistSession`)
-        return crate::proc::one_shot(plan, clause, arrays, opts, tracer);
-    }
-    // a cold run is a wave of one on a one-shot pool: same phase engine,
-    // same tables, same trace as a `DistSession` replaying the plan
     let prepared = Arc::new(prepare_for(plan, clause, arrays)?);
-    trace_plan(tracer, &prepared.check_live(arrays)?.plan);
-    DistExecutor::new(plan.pmax).run_clause(&prepared, arrays, opts, tracer)
+    let wave = std::slice::from_ref(&prepared);
+    let mut reports = PoolState::default().run_wave(wave, arrays, opts, tracer)?;
+    Ok(reports.pop().unwrap_or_default())
 }
 
 /// Execute a `//` clause of any dimensionality on the distributed grid
@@ -1184,7 +1182,7 @@ mod tests {
     use super::*;
     use std::time::Instant;
     use vcal_core::func::Fn1;
-    use vcal_core::{Array, Bounds, Env, Expr, IndexSet};
+    use vcal_core::{Array, Bounds, Env, Expr, IndexSet, Ordering};
     use vcal_spmd::DecompMap;
 
     fn copy_setup(

@@ -88,10 +88,11 @@ pub struct PreparedPlan {
 }
 
 /// The 1-D plan behind a [`PreparedPlan`]: what the host checks live
-/// images against, traces, and ships to socket workers. The phase engine
-/// reads none of it — it runs the compiled tables.
+/// images against and traces, and the clause it ships to socket workers.
+/// The phase engine reads none of it — it runs the compiled tables.
 pub(crate) struct Plan1 {
     pub(crate) plan: SpmdPlan,
+    pub(crate) clause: Clause,
     pub(crate) decomps: BTreeMap<String, Decomp1>,
 }
 
@@ -256,6 +257,7 @@ pub fn prepare_run(
         referenced,
         d1: Some(Plan1 {
             plan,
+            clause: clause.clone(),
             decomps: captured,
         }),
     })
@@ -365,9 +367,11 @@ enum Cmd {
 /// One job's share of a wave reply. Writes stay ordinal-keyed (the
 /// position in [`WaveReply::jobs`] is the job's wave ordinal) so the
 /// host can stage commits in strict program order.
+#[derive(Debug, Clone)]
 pub(crate) struct JobReply {
     /// The node's next lhs part, in place of `writes`, when the plan
-    /// allows one ([`PreparedPlan::writes_image`]).
+    /// allows one ([`PreparedPlan::writes_image`]). Never on the wire: a
+    /// socket worker has no free parts and stages writes.
     pub(crate) image: Option<Vec<f64>>,
     pub(crate) writes: Vec<WriteOp>,
     pub(crate) stats: NodeStats,
@@ -379,7 +383,9 @@ pub(crate) struct JobReply {
 
 /// What a node ships back after a wave: one [`JobReply`] per job in
 /// wave order, plus the wave-level drain trace (recorded once — the
-/// drain belongs to the transport run, not to any one job).
+/// drain belongs to the transport run, not to any one job). A socket
+/// worker ships it as is ([`crate::codec::ResultMsg`]).
+#[derive(Debug, Clone)]
 pub(crate) struct WaveReply {
     pub(crate) jobs: Vec<JobReply>,
     pub(crate) drain_events: Vec<(i64, EventKind)>,
@@ -627,27 +633,14 @@ impl DistExecutor {
         opts: DistOptions,
         tracer: &dyn Tracer,
     ) -> Result<Vec<ExecReport>, MachineError> {
-        let Some(first) = jobs.first() else {
+        if jobs.is_empty() {
             return Ok(Vec::new());
-        };
-        for prepared in jobs {
-            if prepared.pmax.max(0) as usize != self.pmax {
-                return Err(MachineError::PlanMismatch(format!(
-                    "prepared plan spans {} processors, pool has {}",
-                    prepared.pmax, self.pmax
-                )));
-            }
         }
+        check_span(jobs, self.pmax)?;
         if self.broken {
             self.rebuild();
         }
-        let mut referenced: Vec<String> = Vec::new();
-        for name in jobs.iter().flat_map(|job| &job.referenced) {
-            if !referenced.contains(name) {
-                referenced.push(name.clone());
-            }
-        }
-        let Disassembled { per_node, decomps } = disassemble(arrays, &referenced, first.pmax)?;
+        let Disassembled { per_node, decomps } = disassemble(arrays, jobs)?;
         let handshake = self.dirty;
         let ctx = Arc::new(WaveCtx {
             jobs: jobs.to_vec(),
@@ -708,6 +701,17 @@ impl DistExecutor {
         let parts = Arc::try_unwrap(ctx).map_or_else(|lent| lent.parts.clone(), |ctx| ctx.parts);
         let free = &mut self.free;
         finalize_wave(jobs, decomps, parts, replies, free, arrays, tracer)
+    }
+}
+
+/// Every job of a wave spans the pool's `pmax` nodes.
+pub(crate) fn check_span(jobs: &[Arc<PreparedPlan>], pmax: usize) -> Result<(), MachineError> {
+    match jobs.iter().find(|job| job.pmax.max(0) as usize != pmax) {
+        Some(job) => Err(MachineError::PlanMismatch(format!(
+            "prepared plan spans {} processors, pool has {pmax}",
+            job.pmax
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -913,8 +917,8 @@ fn supervised(
 
 /// The node-side body of one wave — the one send → update → `Done` →
 /// drain template every node runs, on a pooled thread or in a socket
-/// worker process (whose waves have one job). Lanes and seq windows are
-/// derived from the jobs' plans, then two passes — every job's send
+/// worker process. Lanes and seq windows are derived from the jobs'
+/// plans, then two passes — every job's send
 /// phase first (pre-posting all boundary frames), then every job's
 /// update phase in wave order — and one `Done` + drain for the whole
 /// wave. Pre-posting means an update's receives almost never block on a
@@ -1545,7 +1549,7 @@ mod tests {
             let job = prepared(clause, &decomps);
             let mut live = arrays.clone();
             let Disassembled { per_node, decomps } =
-                disassemble(&mut live, &job.referenced, 4).unwrap();
+                disassemble(&mut live, std::slice::from_ref(&job)).unwrap();
             let mut replies: Vec<NodeReply> = (0..3).map(|_| reply(None, Vec::new())).collect();
             replies.insert(1, reply(image, writes));
             let mut free = vec![Vec::new(); 4];

@@ -1568,7 +1568,7 @@ mod tests {
         locals.insert("A".to_string(), vec![1.0, 2.0, 3.0]);
         let job = JobMsg {
             run_id: 1,
-            clause: crate::codec::tests::sample_clause(),
+            clauses: vec![crate::codec::tests::sample_clause()],
             decomps: std::collections::BTreeMap::new(),
             recv_timeout: Duration::from_millis(100),
             faults: None,

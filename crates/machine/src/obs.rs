@@ -58,8 +58,8 @@ pub enum Phase {
     Commit,
     /// The retired redistribution machine's per-node run. No longer
     /// emitted: a redistribution is the copy clause on the engine (its
-    /// spans are [`Phase::Send`] and [`Phase::Update`]); removal waits
-    /// for the next `WIRE_VERSION` (ROADMAP item 10).
+    /// spans are [`Phase::Send`] and [`Phase::Update`]). Kept while the
+    /// spine's phase table names it; removal waits for ROADMAP item 2.
     Redistribute,
     /// The retired halo machine's ghost exchange. No longer emitted:
     /// overlap runs as the engine's Block stencil (its traffic is
@@ -161,24 +161,6 @@ pub enum EventKind {
         /// Remainder elements handled by scalar tail loops.
         tail_elems: u64,
     },
-    /// One coalesced run of the retired redistribution machine sent. No
-    /// longer emitted (a redistribution's traffic is
-    /// [`EventKind::PackSend`]); removal waits for the next
-    /// `WIRE_VERSION`.
-    RedistSend {
-        /// Destination node.
-        dst: i64,
-        /// Elements carried.
-        elems: u64,
-    },
-    /// One coalesced run of the retired redistribution machine received.
-    /// No longer emitted; removal waits for the next `WIRE_VERSION`.
-    RedistRecv {
-        /// Source node.
-        src: i64,
-        /// Elements carried.
-        elems: u64,
-    },
     /// The DAG scheduler resolved a program step's dependencies: every
     /// DAG predecessor has committed and the step may start. Recorded
     /// by the host, once per step per program round, before the step's
@@ -260,8 +242,6 @@ impl EventKind {
             EventKind::InteriorRun { .. } => "interior_run",
             EventKind::BoundaryRun { .. } => "boundary_run",
             EventKind::SimdCensus { .. } => "simd_census",
-            EventKind::RedistSend { .. } => "redist_send",
-            EventKind::RedistRecv { .. } => "redist_recv",
             EventKind::DagReady { .. } => "dag_ready",
             EventKind::ClauseBegin { .. } => "clause_begin",
             EventKind::ClauseEnd { .. } => "clause_end",
@@ -467,12 +447,6 @@ fn jsonl_line(out: &mut String, e: &Event) {
                 out,
                 ",\"vector_runs\":{vector_runs},\"fallback_runs\":{fallback_runs},\"lane_elems\":{lane_elems},\"tail_elems\":{tail_elems}"
             );
-        }
-        EventKind::RedistSend { dst, elems } => {
-            let _ = write!(out, ",\"dst\":{dst},\"elems\":{elems}");
-        }
-        EventKind::RedistRecv { src, elems } => {
-            let _ = write!(out, ",\"src\":{src},\"elems\":{elems}");
         }
         EventKind::DagReady { step }
         | EventKind::ClauseBegin { step }

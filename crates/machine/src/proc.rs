@@ -8,21 +8,22 @@
 //! dial the host's [`Router`] (or a [`ChaosProxy`] in front of it),
 //! complete the version handshake, and park waiting for jobs.
 //!
-//! Serialization is *generative*: a [`JobMsg`] carries the clause, the
-//! decompositions, the options, and the node's local memories — never a
-//! plan. The worker rebuilds the `SpmdPlan` with the same deterministic
-//! planner the host runs (and caches it by clause signature +
-//! decomposition fingerprint, so a timestep loop replans exactly once
-//! per worker). Sender packing order therefore equals receiver
-//! expectation by construction, on every backend.
+//! Serialization is *generative*: a [`JobMsg`] carries the wave's
+//! clauses, the decompositions, the options, and the node's local
+//! memories — never a plan. The worker rebuilds each `SpmdPlan` with the
+//! same deterministic planner the host runs (and caches it by clause
+//! signature + decomposition fingerprint in a bounded LRU, so a timestep
+//! loop replans exactly once per worker). Sender packing order therefore
+//! equals receiver expectation by construction, on every backend.
 //!
-//! A job is a **wave of one**: the worker runs the same node-side
-//! [`wave_body`] a pooled thread runs, and the host side is the same
-//! lend-and-commit as [`crate::DistExecutor`]'s — the host keeps every
-//! node's memories (inside the `JobMsg`s it retains for re-sends; the
-//! worker gets a copy only because it is another process), collects
-//! staged writes, and commits them through the shared [`finalize_wave`].
-//! Nothing a worker ships back is ever used as array state.
+//! A job is a **wave**, as on the in-process pool: the worker runs the
+//! same node-side [`wave_body`] a pooled thread runs and ships its
+//! [`WaveReply`] as is, and the host side is the same lend-and-commit as
+//! [`crate::DistExecutor`]'s — the host keeps every node's memories
+//! (inside the `JobMsg`s it retains for re-sends; the worker gets a copy
+//! only because it is another process), collects staged writes, and
+//! commits them through the shared [`finalize_wave`]. Nothing a worker
+//! ships back is ever used as array state.
 //!
 //! Supervision (graceful degradation on peer death):
 //!
@@ -42,11 +43,11 @@ use crate::darray::DistArray;
 use crate::distributed::{disassemble, Disassembled, DistOptions, Wire};
 use crate::error::MachineError;
 use crate::executor::{
-    finalize_wave, prepare_for, prepare_run, wave_body, wave_clean, BufTracer, JobReply, NodeReply,
+    check_span, finalize_wave, prepare_run, wave_body, wave_clean, BufTracer, JobReply, NodeReply,
     PreparedPlan, Scratch, WaveReply,
 };
 use crate::net::{ChaosProxy, Router, RouterEvent, SockLink};
-use crate::obs::{trace_plan, Tracer};
+use crate::obs::Tracer;
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{Endpoint, ProtoTimeouts, TransportKind};
 use std::collections::BTreeMap;
@@ -54,7 +55,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcal_core::Clause;
-use vcal_spmd::{clause_signature, decomp_fingerprint, SpmdPlan};
+use vcal_decomp::Decomp1;
+use vcal_spmd::{
+    clause_arrays, clause_signature, decomp_fingerprint, BoundedLru, CacheBudget, SpmdPlan,
+};
 
 /// Resolve the worker executable: `VCAL_WORKER_BIN`, else this very
 /// binary (which must implement the `worker` subcommand — `vcalc`
@@ -255,31 +259,27 @@ impl ProcPool {
         self.router.disconnect(p as i64);
     }
 
-    /// Execute `prepared` once on the worker processes: a wave of one
-    /// per worker, dispatched and committed like
-    /// [`DistExecutor::run_wave`](crate::DistExecutor) does it — the
-    /// host keeps the disassembled parts (inside the [`JobMsg`]s it
-    /// retains for re-sends) and commits the workers' staged writes into
-    /// them through the shared [`finalize_wave`]. Bit-identical results
-    /// and statistics to the in-process machine, typed errors, and
-    /// arrays untouched on failure — including when a worker process
-    /// dies mid-run.
-    pub fn run(
+    /// Execute one wave on the worker processes — the process analog of
+    /// [`DistExecutor::run_wave`](crate::DistExecutor): one [`JobMsg`]
+    /// per node carrying the wave's clauses and the node's parts of every
+    /// array they reference, one transport run, and the shared
+    /// [`finalize_wave`] commit into the parts the host kept (inside the
+    /// `JobMsg`s it retains for re-sends). The caller vouches that every
+    /// plan matches the live images. Bit-identical results and statistics
+    /// to the in-process pool, typed errors, and arrays untouched on
+    /// failure — including when a worker process dies mid-run.
+    pub fn run_wave(
         &mut self,
-        prepared: &Arc<PreparedPlan>,
-        clause: &Clause,
+        jobs: &[Arc<PreparedPlan>],
         arrays: &mut BTreeMap<String, DistArray>,
         opts: DistOptions,
         tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
+    ) -> Result<Vec<ExecReport>, MachineError> {
         let pmax = self.pmax;
-        if prepared.pmax.max(0) as usize != pmax {
-            return Err(MachineError::PlanMismatch(format!(
-                "prepared plan spans {} processors, pool has {pmax}",
-                prepared.pmax
-            )));
-        }
-        let d1 = prepared.check_live(arrays)?;
+        check_span(jobs, pmax)?;
+        let clauses = (jobs.iter())
+            .map(|job| Ok(job.d1()?.clause.clone()))
+            .collect::<Result<Vec<Clause>, MachineError>>()?;
 
         // lazy respawn: replace workers that died since the last run
         let mut respawned = Vec::new();
@@ -295,9 +295,7 @@ impl ProcPool {
             self.await_hellos(&respawned)?;
         }
 
-        trace_plan(tracer, &d1.plan);
-        let Disassembled { per_node, decomps } =
-            disassemble(arrays, &prepared.referenced, prepared.pmax)?;
+        let Disassembled { per_node, decomps } = disassemble(arrays, jobs)?;
         let trace_on = tracer.enabled();
         let handshake = self.dirty;
 
@@ -325,13 +323,14 @@ impl ProcPool {
         // below writes into them, whatever became of the worker.
         self.run_seq += 1;
         let run_id = self.run_seq;
-        let jobs: Vec<Ctrl> = per_node
+        let wave_decomps: BTreeMap<String, Decomp1> = decomps.iter().cloned().collect();
+        let msgs: Vec<Ctrl> = per_node
             .into_iter()
             .map(|locals| {
                 Ctrl::Job(Box::new(JobMsg {
                     run_id,
-                    clause: clause.clone(),
-                    decomps: d1.decomps.clone(),
+                    clauses: clauses.clone(),
+                    decomps: wave_decomps.clone(),
                     recv_timeout: opts.recv_timeout,
                     faults: opts.faults,
                     retry: opts.retry,
@@ -343,8 +342,8 @@ impl ProcPool {
             })
             .collect();
         let mut job_sent = vec![Instant::now(); pmax];
-        for (p, job) in jobs.iter().enumerate() {
-            let _ = self.router.send_ctrl(p as i64, job);
+        for (p, msg) in msgs.iter().enumerate() {
+            let _ = self.router.send_ctrl(p as i64, msg);
         }
 
         // --- barrier (only after a dirty run): all purge before any send
@@ -368,7 +367,7 @@ impl ProcPool {
                         fail(self, &mut replies, p, why);
                     } else if job_sent[p].elapsed() > self.timeouts.resend_ivl {
                         job_sent[p] = Instant::now();
-                        let _ = self.router.send_ctrl(p as i64, &jobs[p]);
+                        let _ = self.router.send_ctrl(p as i64, &msgs[p]);
                     }
                 }
                 if Instant::now() > deadline {
@@ -405,30 +404,7 @@ impl ProcPool {
                 }) if r.run_id == run_id => {
                     let slot = &mut replies[node as usize];
                     if slot.is_none() {
-                        // the memories a worker ships back are ignored:
-                        // the host never gave its own copy away
-                        let ResultMsg {
-                            writes,
-                            stats,
-                            sent_to,
-                            res,
-                            events,
-                            timings,
-                            ..
-                        } = *r;
-                        *slot = Some(Ok(Box::new(WaveReply {
-                            jobs: vec![JobReply {
-                                image: None,
-                                writes,
-                                stats,
-                                sent_to,
-                                res,
-                                events,
-                                timings,
-                            }],
-                            drain_events: Vec::new(),
-                            drain_timings: Vec::new(),
-                        })));
+                        *slot = Some(Ok(Box::new(r.reply)));
                     }
                 }
                 Some(RouterEvent::Ctrl {
@@ -466,23 +442,21 @@ impl ProcPool {
                     fail(self, &mut replies, p, why);
                 } else if job_sent[p].elapsed() > self.timeouts.resend_ivl {
                     job_sent[p] = Instant::now();
-                    let _ = self.router.send_ctrl(p as i64, &jobs[p]);
+                    let _ = self.router.send_ctrl(p as i64, &msgs[p]);
                 }
             }
         }
 
         let replies: Vec<_> = replies.into_iter().flatten().collect();
         self.dirty = opts.faults.is_some() || self.chaos.is_some() || !wave_clean(&replies);
-        let parts = jobs
+        let parts = msgs
             .into_iter()
-            .map(|job| match job {
+            .map(|msg| match msg {
                 Ctrl::Job(job) => job.locals,
                 _ => unreachable!("constructed as Job above"),
             })
             .collect();
-        let wave = std::slice::from_ref(prepared);
-        let mut reports = finalize_wave(wave, decomps, parts, replies, &mut [], arrays, tracer)?;
-        Ok(reports.pop().unwrap_or_default())
+        finalize_wave(jobs, decomps, parts, replies, &mut [], arrays, tracer)
     }
 }
 
@@ -505,27 +479,6 @@ impl Drop for ProcPool {
             }
         }
     }
-}
-
-/// One-shot dispatch for the cold path
-/// ([`crate::run_distributed_traced`] with a socket backend): build the
-/// pool, run once, tear it down. Sessions keep a persistent pool
-/// instead.
-pub(crate) fn one_shot(
-    plan: &SpmdPlan,
-    clause: &Clause,
-    arrays: &mut BTreeMap<String, DistArray>,
-    opts: DistOptions,
-    tracer: &dyn Tracer,
-) -> Result<ExecReport, MachineError> {
-    let prepared = Arc::new(prepare_for(plan, clause, arrays)?);
-    let mut pool = ProcPool::new(
-        opts.transport,
-        plan.pmax.max(0) as usize,
-        opts.chaos,
-        opts.timeouts,
-    )?;
-    pool.run(&prepared, clause, arrays, opts, tracer)
 }
 
 // ---------------------------------------------------------------------
@@ -555,7 +508,7 @@ pub fn worker_entry_with(
     let mut link = SockLink::connect(addr, node, pmax)
         .map_err(|e| format!("worker {node}: cannot join session: {e}"))?;
     link.set_heartbeat_ivl(heartbeat_ivl);
-    let mut cache: Vec<(u64, u64, Arc<PreparedPlan>)> = Vec::new();
+    let mut cache = PlanCache::new(CacheBudget::default());
     // last completed run, kept for idempotent re-dispatch: a duplicate
     // Job (the host never saw our result, or re-sent before it landed)
     // is answered from this cache, never re-executed
@@ -583,7 +536,32 @@ pub fn worker_entry_with(
     }
 }
 
-/// Serve one job; the shipped result is handed back so the caller can
+/// The worker's prepared plans by (clause signature, fingerprint over
+/// that clause's arrays), bounded like a session's plan tier: a
+/// long-lived worker sees every distinct clause its service runs.
+type PlanCache = BoundedLru<(u64, u64), Arc<PreparedPlan>>;
+
+/// One wave member from the plan cache, or planned generatively,
+/// prepared and cached.
+fn prepare_cached(
+    cache: &mut PlanCache,
+    clause: &Clause,
+    decomps: &BTreeMap<String, Decomp1>,
+) -> Result<Arc<PreparedPlan>, MachineError> {
+    let names = clause_arrays(clause);
+    let fp = decomp_fingerprint(decomps, names.iter().map(String::as_str));
+    let key = (clause_signature(clause), fp);
+    if let Some(prep) = cache.get(&key) {
+        return Ok(Arc::clone(prep));
+    }
+    let plan =
+        SpmdPlan::build(clause, decomps).map_err(|e| MachineError::PlanMismatch(e.to_string()))?;
+    let prep = Arc::new(prepare_run(plan, clause, decomps)?);
+    cache.insert(key, Arc::clone(&prep), prep.approx_bytes());
+    Ok(prep)
+}
+
+/// Serve one wave; the shipped result is handed back so the caller can
 /// cache it for duplicate dispatches. `Ok(None)` means the host went
 /// away mid-protocol and the worker should exit cleanly.
 fn serve_job(
@@ -591,7 +569,7 @@ fn serve_job(
     p: i64,
     pmax: usize,
     job: JobMsg,
-    cache: &mut Vec<(u64, u64, Arc<PreparedPlan>)>,
+    cache: &mut PlanCache,
     scratch: &mut Scratch,
 ) -> Result<Option<ResultMsg>, String> {
     use crate::transport::Transport;
@@ -622,95 +600,59 @@ fn serve_job(
         }
     }
 
-    // --- plan: rebuild generatively, cached by (signature, fingerprint)
-    let sig = clause_signature(&job.clause);
-    let fp = decomp_fingerprint(&job.decomps, job.decomps.keys().map(String::as_str));
-    let prepared = match cache.iter().find(|e| e.0 == sig && e.1 == fp) {
-        Some(e) => Ok(Arc::clone(&e.2)),
-        None => SpmdPlan::build(&job.clause, &job.decomps)
-            .map_err(|e| MachineError::PlanMismatch(e.to_string()))
-            .and_then(|plan| prepare_run(plan, &job.clause, &job.decomps))
-            .map(|prep| {
-                let prep = Arc::new(prep);
-                cache.retain(|e| e.0 != sig);
-                cache.push((sig, fp, Arc::clone(&prep)));
-                prep
-            }),
+    // --- plans: every member from the cache. One that cannot be
+    // prepared fails the whole wave, as in process — a typed result, not
+    // a dead worker (the host restores state from the memories it kept)
+    let wave = (job.clauses.iter())
+        .map(|clause| {
+            let prep = prepare_cached(cache, clause, &job.decomps)?;
+            if prep.pmax.max(0) as usize != pmax || prep.compiled.nodes.len() != pmax {
+                return Err(MachineError::PlanMismatch(format!(
+                    "job plan spans {} processors, session has {pmax}",
+                    prep.pmax
+                )));
+            }
+            Ok(prep)
+        })
+        .collect::<Result<Vec<_>, MachineError>>();
+    let reply = match wave {
+        Err(e) => {
+            let failed = |_| JobReply {
+                image: None,
+                writes: Vec::new(),
+                stats: NodeStats::default(),
+                sent_to: vec![0u64; pmax],
+                res: Err(e.clone()),
+                events: Vec::new(),
+                timings: Vec::new(),
+            };
+            WaveReply {
+                jobs: job.clauses.iter().map(failed).collect(),
+                drain_events: Vec::new(),
+                drain_timings: Vec::new(),
+            }
+        }
+        // --- run: the wave body of a pooled thread, over the socket
+        Ok(wave) => {
+            let buf = BufTracer::new();
+            buf.set_enabled(job.trace_on);
+            let opts = DistOptions {
+                recv_timeout: job.recv_timeout,
+                faults: job.faults,
+                retry: job.retry,
+                simd: job.simd,
+                transport: TransportKind::InProc, // the link IS the transport here
+                chaos: None,
+                timeouts: ProtoTimeouts::default(),
+            };
+            let mut ep: Endpoint<Wire> = Endpoint::new(p, Box::new(&mut *link), job.faults, &buf);
+            // no free parts: the reply crosses the wire as staged writes
+            wave_body(p, &mut ep, scratch, &buf, &wave, &opts, &job.locals, None)
+        } // endpoint drops; the link is ours again for the control plane
     };
-    // a planning failure is a typed result, not a dead worker (the host
-    // restores state from the memories it kept)
-    let failed = |e: MachineError| ResultMsg {
-        run_id: job.run_id,
-        p,
-        locals: BTreeMap::new(),
-        writes: Vec::new(),
-        stats: NodeStats::default(),
-        sent_to: vec![0u64; pmax],
-        res: Err(e),
-        events: Vec::new(),
-        timings: Vec::new(),
-    };
-    let prepared = match prepared {
-        Ok(p) => p,
-        Err(e) => return Ok(ship(link, failed(e))),
-    };
-    if prepared.pmax.max(0) as usize != pmax || prepared.compiled.nodes.len() != pmax {
-        let e = MachineError::PlanMismatch(format!(
-            "job plan spans {} processors, session has {pmax}",
-            prepared.pmax
-        ));
-        return Ok(ship(link, failed(e)));
-    }
-
-    // --- run: the wave body of a pooled thread, over the socket, with
-    // the job as a wave of one
-    let buf = BufTracer::new();
-    buf.set_enabled(job.trace_on);
-    let opts = DistOptions {
-        recv_timeout: job.recv_timeout,
-        faults: job.faults,
-        retry: job.retry,
-        simd: job.simd,
-        transport: TransportKind::InProc, // the link IS the transport here
-        chaos: None,
-        timeouts: ProtoTimeouts::default(),
-    };
-    let mut reply = {
-        let mut ep: Endpoint<Wire> = Endpoint::new(p, Box::new(&mut *link), job.faults, &buf);
-        let wave = std::slice::from_ref(&prepared);
-        // no free parts: the reply crosses the wire as staged writes
-        wave_body(p, &mut ep, scratch, &buf, wave, &opts, &job.locals, None)
-    }; // endpoint drops; the link is ours again for the control plane
-    let Some(JobReply {
-        image: _,
-        writes,
-        stats,
-        sent_to,
-        res,
-        mut events,
-        mut timings,
-    }) = reply.jobs.pop()
-    else {
-        unreachable!("a wave of one has one job reply")
-    };
-    events.append(&mut reply.drain_events);
-    timings.append(&mut reply.drain_timings);
     link.heartbeat(); // prove liveness before the (possibly large) result
-    Ok(ship(
-        link,
-        ResultMsg {
-            run_id: job.run_id,
-            p,
-            // the host kept its own copy; nothing travels back
-            locals: BTreeMap::new(),
-            writes,
-            stats,
-            sent_to,
-            res,
-            events,
-            timings,
-        },
-    ))
+    let run_id = job.run_id;
+    Ok(ship(link, ResultMsg { run_id, p, reply }))
 }
 
 /// Ship a result on the control plane, handing it back for the caller's
@@ -723,4 +665,43 @@ fn ship(link: &mut SockLink, result: ResultMsg) -> Option<ResultMsg> {
         unreachable!("constructed as Result above")
     };
     ok.then_some(*result)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vcal_core::func::Fn1;
+    use vcal_core::{ArrayRef, Bounds, Expr, Guard, IndexSet, Ordering};
+
+    /// A long-lived worker sees every distinct clause its service runs,
+    /// and its plan cache still holds no more than the default budget;
+    /// a repeated clause is served from it.
+    #[test]
+    fn worker_plan_cache_stays_within_its_budget() {
+        let extent = Bounds::range(0, 255);
+        let decomps: BTreeMap<String, Decomp1> = ["A", "B"]
+            .into_iter()
+            .map(|name| (name.to_string(), Decomp1::block(4, extent)))
+            .collect();
+        let shifted = |d: i64| Clause {
+            iter: IndexSet::range(100, 150),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("A", Fn1::identity()),
+            rhs: Expr::Ref(ArrayRef::d1("B", Fn1::shift(d))),
+        };
+        let budget = CacheBudget::default();
+        let mut cache = PlanCache::new(budget);
+        let distinct = budget.max_entries as i64 + 16;
+        for d in 0..distinct {
+            prepare_cached(&mut cache, &shifted(d), &decomps).expect("prepares");
+            assert!(cache.len() <= budget.max_entries, "{} plans", cache.len());
+        }
+        assert_eq!(cache.misses(), distinct as u64, "every clause is distinct");
+        assert_eq!(cache.evictions(), 16);
+        let again = prepare_cached(&mut cache, &shifted(distinct - 1), &decomps).expect("hits");
+        let once = prepare_cached(&mut cache, &shifted(distinct - 1), &decomps).expect("hits");
+        assert!(Arc::ptr_eq(&again, &once));
+        assert_eq!(cache.hits(), 2);
+    }
 }

@@ -130,51 +130,10 @@ pub(crate) struct PoolState {
 }
 
 impl PoolState {
-    /// Execute one prepared clause on whichever backend `opts` selects,
-    /// (re)creating the pool when its identity no longer matches.
-    fn run_clause(
-        &mut self,
-        prepared: &Arc<PreparedPlan>,
-        clause: &Clause,
-        arrays: &mut BTreeMap<String, DistArray>,
-        opts: DistOptions,
-        tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
-        let pmax = prepared.pmax;
-        if opts.transport != TransportKind::InProc {
-            // socket backend: real worker processes behind the router;
-            // the pool's identity is (backend, pmax, chaos plan, timeouts)
-            let want = pmax.max(0) as usize;
-            if self.procs.as_ref().is_some_and(|pp| {
-                pp.kind() != opts.transport
-                    || pp.pmax() != want
-                    || pp.chaos() != opts.chaos
-                    || pp.timeouts() != opts.timeouts
-            }) {
-                self.procs = None;
-            }
-            if self.procs.is_none() {
-                self.procs = Some(ProcPool::new(
-                    opts.transport,
-                    want,
-                    opts.chaos,
-                    opts.timeouts,
-                )?);
-            }
-            let procs = match self.procs.as_mut() {
-                Some(pp) => pp,
-                None => unreachable!("process pool created above"),
-            };
-            return procs.run(prepared, clause, arrays, opts, tracer);
-        }
-        let mut reports = self.run_wave(std::slice::from_ref(prepared), arrays, opts, tracer)?;
-        Ok(reports.pop().unwrap_or_default())
-    }
-
-    /// Execute one wave — a single clause is a wave of one — on the
-    /// in-process pool (the socket backends never reach here: their
-    /// waves run member-by-member through [`PoolState::run_clause`]).
-    fn run_wave(
+    /// Execute one wave — a single clause is a wave of one — on the pool
+    /// of the backend `opts` selects, (re)creating it when its identity
+    /// no longer matches. Every plan must still match the live images.
+    pub(crate) fn run_wave(
         &mut self,
         jobs: &[Arc<PreparedPlan>],
         arrays: &mut BTreeMap<String, DistArray>,
@@ -184,11 +143,33 @@ impl PoolState {
         let Some(first) = jobs.first() else {
             return Ok(Vec::new());
         };
-        // every plan must still match the live images
         for prepared in jobs {
             trace_plan(tracer, &prepared.check_live(arrays)?.plan);
         }
-        self.inproc(first.pmax).run_wave(jobs, arrays, opts, tracer)
+        if opts.transport == TransportKind::InProc {
+            return self.inproc(first.pmax).run_wave(jobs, arrays, opts, tracer);
+        }
+        // socket backend: real worker processes behind the router; the
+        // pool's identity is (backend, pmax, chaos plan, timeouts)
+        let want = first.pmax.max(0) as usize;
+        if self.procs.as_ref().is_some_and(|pp| {
+            pp.kind() != opts.transport
+                || pp.pmax() != want
+                || pp.chaos() != opts.chaos
+                || pp.timeouts() != opts.timeouts
+        }) {
+            self.procs = None;
+        }
+        let procs = match self.procs.as_mut() {
+            Some(pp) => pp,
+            None => self.procs.insert(ProcPool::new(
+                opts.transport,
+                want,
+                opts.chaos,
+                opts.timeouts,
+            )?),
+        };
+        procs.run_wave(jobs, arrays, opts, tracer)
     }
 
     /// The in-process pool for `pmax` nodes, recreated on a size change.
@@ -527,7 +508,10 @@ impl DistSession {
             pools,
             ..
         } = self;
-        let mut report = pools.with(|p| p.run_clause(&prepared, clause, arrays, *opts, tracer))?;
+        let wave = std::slice::from_ref(&prepared);
+        let mut report = (pools.with(|p| p.run_wave(wave, arrays, *opts, tracer))?)
+            .pop()
+            .unwrap_or_default();
         report.cache_hits = u64::from(hit);
         report.cache_misses = u64::from(!hit);
         report.evictions = evicted;
@@ -566,14 +550,11 @@ impl DistSession {
     /// oracle. [`ScheduleMode::Dag`] builds (or recalls from the DAG
     /// cache) the program's dependence DAG and executes it wave by
     /// wave: pairwise-independent clauses of one wave are dispatched
-    /// together to the persistent in-process pool, which pipelines
-    /// clause *k+1*'s sends behind clause *k*'s boundary runs and
-    /// commits per-clause writes in ordinal order, so the results are
-    /// bit-identical to `Seq`. Redistribution steps run on the pool,
-    /// one at a time, before the wave's clauses; socket-backend
-    /// sessions ([`TransportKind::Uds`]/`Tcp`) execute wave members
-    /// sequentially too (the wave fan-out needs the shared-memory
-    /// pool), preserving the schedule's events and semantics.
+    /// together to the session's persistent pool, on any backend, which
+    /// pipelines clause *k+1*'s sends behind clause *k*'s boundary runs
+    /// and commits per-clause writes in ordinal order, so the results
+    /// are bit-identical to `Seq`. Redistribution steps run on the pool,
+    /// one at a time, before the wave's clauses.
     ///
     /// With an enabled tracer the host records a deterministic
     /// `dag_ready` event per wave member at wave entry, `clause_begin`
@@ -662,26 +643,9 @@ impl DistSession {
             if clause_steps.is_empty() {
                 continue;
             }
-            if self.opts.transport != TransportKind::InProc {
-                // socket backend: no shared-memory wave fan-out — run
-                // the wave's clauses one by one, same events, same
-                // ordinal commit order
-                for &(s, c) in &clause_steps {
-                    if trace_on {
-                        tracer.record(HOST, EventKind::ClauseBegin { step: s });
-                    }
-                    let r = self.run_cached(c, tracer)?;
-                    if trace_on {
-                        tracer.record(HOST, EventKind::ClauseEnd { step: s });
-                    }
-                    evictions += r.evictions;
-                    reports[s] = Some(r);
-                }
-                continue;
-            }
-            // in-process pool: prepare every member (plans are built
-            // lazily per wave so they see post-redistribution layouts),
-            // then dispatch the whole wave at once
+            // prepare every member (plans are built lazily per wave so
+            // they see post-redistribution layouts), then dispatch the
+            // whole wave at once
             let mut jobs = Vec::with_capacity(clause_steps.len());
             let mut hits = Vec::with_capacity(clause_steps.len());
             for &(_, c) in &clause_steps {
@@ -1130,12 +1094,13 @@ impl DistSession {
         // options; the wave is all-or-nothing, so on error the source
         // image goes back as it was
         let DistSession { opts, pools, .. } = self;
-        let run = pools.with(|p| p.run_clause(&prepared, &clause, &mut pair, *opts, tracer));
+        let wave = std::slice::from_ref(&prepared);
+        let run = pools.with(|p| p.run_wave(wave, &mut pair, *opts, tracer));
         let keep: &str = if run.is_ok() { &copy } else { name };
         if let Some(image) = pair.remove(keep) {
             self.arrays.insert(name.to_string(), image);
         }
-        let report = run?;
+        let report = run?.pop().unwrap_or_default();
         self.decomps.insert(name.to_string(), to);
         self.retire_plans();
         Ok(report)

@@ -12,6 +12,8 @@
 //! * the deterministic trace JSONL of a same-seed run is byte-identical
 //!   across all three backends — the wire is invisible to the
 //!   deterministic event class;
+//! * a DAG wave runs whole on every backend: one job per node, one
+//!   transport run, the same trace as the in-process pool;
 //! * byte-level chaos (bit flips, stalls, severed connections) injected
 //!   by the proxy between the workers and the router either recovers to
 //!   the bit-identical result or surfaces as a typed error with the
@@ -31,10 +33,10 @@ use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
-    run_distributed, ChaosPlan, CollectingTracer, DistOptions, DistSession, FaultPlan,
-    MachineError, RetryPolicy, TransportKind,
+    replay_check_dag, run_distributed, ChaosPlan, CollectingTracer, DistOptions, DistSession,
+    FaultPlan, MachineError, ProgramStep, RetryPolicy, ScheduleMode, TransportKind,
 };
-use vcal_suite::spmd::DecompMap;
+use vcal_suite::spmd::{build_dag, DecompMap};
 
 const N: i64 = 96;
 const PMAX: i64 = 4;
@@ -194,6 +196,100 @@ fn trace_jsonl_byte_identical_across_backends() {
         run_session(&clauses, &dm, &env, 1, opts, Some(&tracer))
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         logs.push((kind, tracer.finish().to_jsonl()));
+    }
+    let (_, reference) = &logs[0];
+    for (kind, jsonl) in &logs[1..] {
+        assert_eq!(
+            jsonl,
+            reference,
+            "{}: deterministic JSONL differs from inproc",
+            kind.name()
+        );
+    }
+}
+
+/// Two independent stencils, then their two copy-backs: a DAG of two
+/// waves, each two clauses wide.
+fn width_two_program() -> (Vec<ProgramStep>, DecompMap, Env) {
+    let inner = IndexSet::range(1, N - 2);
+    let at = |name: &str, d: i64| Expr::Ref(ArrayRef::d1(name, Fn1::shift(d)));
+    let step = |lhs: &str, rhs: Expr| {
+        ProgramStep::Clause(Clause {
+            iter: inner.clone(),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1(lhs, Fn1::identity()),
+            rhs,
+        })
+    };
+    let stencil = |src: &str| Expr::mul(Expr::Lit(0.5), Expr::add(at(src, -1), at(src, 1)));
+    let steps = vec![
+        step("C", stencil("A")),
+        step("D", stencil("B")),
+        step("A", at("C", 0)),
+        step("B", at("D", 0)),
+    ];
+    let extent = Bounds::range(0, N - 1);
+    let mut env = Env::new();
+    let mut dm = DecompMap::new();
+    for (k, name) in ["A", "B", "C", "D"].into_iter().enumerate() {
+        let salt = k as i64 * 5;
+        let init = |i: &vcal_suite::core::Ix| ((i.scalar() * 13 + salt) % 31) as f64 - 15.0;
+        env.insert(name, Array::from_fn(extent, init));
+        dm.insert(name.into(), Decomp1::block(PMAX, extent));
+    }
+    (steps, dm, env)
+}
+
+/// A DAG wave is one job per node and one transport run on every
+/// backend: the width-2 program, run twice under `ScheduleMode::Dag`
+/// (cold, then warm) on inproc, uds and tcp, ends bitwise-equal to the
+/// `Seq` oracle, passes the DAG replay check, and records the same
+/// deterministic JSONL as the in-process pool.
+#[test]
+fn dag_waves_run_whole_on_every_backend() {
+    init();
+    let (steps, dm, env) = width_two_program();
+    let dag = build_dag(&steps, &dm);
+    assert_eq!((dag.waves.len(), dag.width()), (2, 2), "two waves of two");
+    let mut oracle = DistSession::new(&env, dm.clone()).expect("scatters");
+    for _ in 0..2 {
+        let seq = oracle.run_program(&steps, ScheduleMode::Seq, &CollectingTracer::new());
+        seq.expect("the oracle runs");
+    }
+    let bits = |a: &Array| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut logs = Vec::new();
+    for kind in [
+        TransportKind::InProc,
+        TransportKind::Uds,
+        TransportKind::Tcp,
+    ] {
+        let opts = DistOptions {
+            transport: kind,
+            ..DistOptions::default()
+        };
+        let mut session = DistSession::new(&env, dm.clone())
+            .expect("scatters")
+            .with_options(opts);
+        let tracer = CollectingTracer::new();
+        for _ in 0..2 {
+            let report = session
+                .run_program(&steps, ScheduleMode::Dag, &tracer)
+                .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+            assert_eq!((report.waves, report.dag_width), (2, 2), "{}", kind.name());
+        }
+        for name in dm.keys() {
+            let (got, want) = (session.gather(name).unwrap(), oracle.gather(name).unwrap());
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{}: `{name}` differs from the Seq oracle",
+                kind.name()
+            );
+        }
+        let log = tracer.finish();
+        replay_check_dag(&log, &dag).unwrap_or_else(|e| panic!("{}: {e:?}", kind.name()));
+        logs.push((kind, log.to_jsonl()));
     }
     let (_, reference) = &logs[0];
     for (kind, jsonl) in &logs[1..] {
