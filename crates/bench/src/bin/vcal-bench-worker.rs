@@ -1,6 +1,6 @@
 //! Worker-process shim for socket-backed benches.
 //!
-//! [`ProcPool`](vcal_machine) spawns `<bin> worker <addr> <node> <pmax>
+//! The socket backends spawn `<bin> worker <addr> <node> <pmax>
 //! [hb_ms]` for every node; in the test suites `<bin>` is the `vcalc`
 //! driver, but `CARGO_BIN_EXE_vcalc` belongs to the root package and is
 //! invisible to `vcal-bench` benches. This shim gives the bench package
@@ -22,11 +22,7 @@ fn run() -> Result<(), String> {
         Some(ms) => Duration::from_millis(ms.parse().map_err(|_| usage())?),
         None => Duration::ZERO,
     };
-    if hb.is_zero() {
-        vcal_machine::worker_entry(addr, node, pmax)
-    } else {
-        vcal_machine::worker_entry_with(addr, node, pmax, hb)
-    }
+    vcal_machine::worker_entry(addr, node, pmax, hb)
 }
 
 fn main() {

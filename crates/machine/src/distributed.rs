@@ -58,7 +58,7 @@
 use crate::darray::DistArray;
 use crate::darray_nd::DistArrayNd;
 use crate::error::MachineError;
-use crate::executor::{prepare_for, prepare_nd, DistExecutor, PreparedPlan};
+use crate::executor::{prepare_nd, prepare_run, Pool, PreparedPlan};
 use crate::net::ChaosPlan;
 use crate::obs::{EventKind, Tracer, NULL_TRACER};
 use crate::session::PoolState;
@@ -338,7 +338,8 @@ pub fn run_distributed_traced(
     opts: DistOptions,
     tracer: &dyn Tracer,
 ) -> Result<ExecReport, MachineError> {
-    let prepared = Arc::new(prepare_for(plan, clause, arrays)?);
+    let decomps = (arrays.iter()).map(|(name, da)| (name.clone(), da.decomp().clone()));
+    let prepared = Arc::new(prepare_run(plan.clone(), clause, &decomps.collect())?);
     let wave = std::slice::from_ref(&prepared);
     let mut reports = PoolState::default().run_wave(wave, arrays, opts, tracer)?;
     Ok(reports.pop().unwrap_or_default())
@@ -383,7 +384,9 @@ pub fn run_distributed_nd_traced(
         });
     }
     let prepared = Arc::new(prepare_nd(clause, arrays)?);
-    DistExecutor::new(prepared.pmax).run_clause(&prepared, arrays, opts, tracer)
+    let mut pool = Pool::threads(prepared.pmax.max(0) as usize);
+    let mut reports = pool.run_wave(std::slice::from_ref(&prepared), arrays, opts, tracer)?;
+    Ok(reports.pop().unwrap_or_default())
 }
 
 /// Every read slot's local part.

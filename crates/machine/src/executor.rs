@@ -1,12 +1,11 @@
-//! The steady-state executor: a persistent worker pool replaying
-//! compiled schedules (paper Section 4's amortization discipline).
+//! The steady-state executor: persistent node pools replaying compiled
+//! schedules (paper Section 4's amortization discipline).
 //!
 //! [`run_distributed`](crate::run_distributed) pays the full setup bill
-//! on every call: it prepares the plan and runs it on a one-shot pool —
-//! fresh OS threads, channels and staging per clause. That is the right
-//! shape for a one-shot clause and exactly the wrong shape for a
-//! timestep loop, where the same plan executes thousands of times. This
-//! module splits the cost:
+//! on every call: it prepares the plan and runs it on a one-shot pool.
+//! That is the right shape for a one-shot clause and exactly the wrong
+//! shape for a timestep loop, where the same plan executes thousands of
+//! times. This module splits the cost:
 //!
 //! * [`prepare_run`] does everything that depends only on
 //!   `(plan, clause, decompositions)` — guard resolution and the
@@ -15,18 +14,19 @@
 //!   run-granular receive addressing) plus the bytecode kernel — and
 //!   freezes it in a shareable [`PreparedPlan`]. The tables are all a
 //!   node executes: there is no second, interpreted evaluator.
-//! * [`DistExecutor`] owns `pmax` node threads spawned **once**; between
-//!   waves they park on their job channel. Transport endpoints (sequence
-//!   numbers, dedup windows), receive lanes, and operand buffers are
+//! * `Pool` owns `pmax` nodes spawned **once**, parked on their links
+//!   between waves; endpoints, receive lanes and operand buffers are
 //!   *reset*, not reallocated, per wave.
 //!
-//! The **wave** is the only unit of execution: a set of
-//! pairwise-independent prepared clauses in program order, and a single
-//! run — cold or warm, of any rank — is a wave of one. There is one
-//! node-side body (`wave_body`: every job's send phase, every job's
-//! update phase, one `Done`, one drain), called by the pooled threads
-//! here and by the socket workers of `crate::proc`, and one host-side
-//! dispatch + commit (`DistExecutor::run_wave`, `finalize_wave`).
+//! The **wave** is the only unit of execution: pairwise-independent
+//! prepared clauses in program order; a single run, cold or warm, of any
+//! rank, is a wave of one. One host loop (`Pool::run_wave`: dispatch,
+//! the Ready/Go purge barrier after a dirty wave, collect under the run
+//! deadline, `finalize_wave`) and one node loop (`node_loop`: job,
+//! optional barrier, `wave_body`, reply) run on every backend; only the
+//! link differs — `ThreadLink` here, `crate::proc`'s socket link to
+//! worker processes.
+//!
 //! The host *lends* the nodes the disassembled pre-wave parts and keeps
 //! ownership: a node never writes a lent part, so every job of the wave
 //! reads the same immutable pre-wave memories — no per-job copy. A job's
@@ -37,16 +37,15 @@
 //! job-by-job in ordinal order into the parts it kept, or not at all;
 //! the parts a swap retires feed the next wave's images.
 //!
-//! Cold and warm runs therefore agree by construction: same results
-//! bit-for-bit, same statistics, same deterministic event stream (worker
-//! events are buffered thread-locally and replayed into the real tracer
-//! after the wave — sound because [`CollectingTracer`] canonicalizes
-//! event order by `(class, node, per-node clock)`). A pooled worker that
-//! crashes is retired without poisoning the session: the caught panic
-//! becomes [`MachineError::NodePanicked`], uncommitted images and writes
-//! are discarded (the parts never left the host, so pre-wave state is
-//! simply what it still holds), and a genuinely dead thread causes the
-//! pool to rebuild itself on the next run.
+//! Cold and warm runs therefore agree by construction: same bits, same
+//! statistics, same deterministic event stream (node events are buffered
+//! and replayed after the wave — sound because [`CollectingTracer`]
+//! canonicalizes event order by `(class, node, per-node clock)`). A
+//! crashed node costs the run, never the session or the data: a caught
+//! panic is its reply ([`MachineError::NodePanicked`]); a thread that
+//! dies or hangs is retired, its peers released with its `Done`, and the
+//! pool rebuilds on the next run. The parts never left the host, so a
+//! failed wave leaves exactly the pre-wave state.
 //!
 //! [`CollectingTracer`]: crate::obs::CollectingTracer
 
@@ -66,7 +65,7 @@ use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::Decomp1;
 use vcal_spmd::{clause_arrays, lower_nd, CompiledKernel, CompiledSchedule, KernelOp, SpmdPlan};
@@ -102,27 +101,17 @@ impl PreparedPlan {
         &self.compiled
     }
 
-    /// The arrays the plan references (lhs first).
-    pub fn referenced(&self) -> &[String] {
-        &self.referenced
-    }
-
-    /// The 1-D plan behind the tables; a typed error for a lowered n-D
-    /// clause, which the sessions, waves and socket pools do not run.
-    pub(crate) fn d1(&self) -> Result<&Plan1, MachineError> {
-        self.d1.as_ref().ok_or_else(|| {
-            MachineError::PlanMismatch("a lowered n-D clause has no 1-D plan behind it".into())
-        })
-    }
-
     /// The 1-D callers' pre-flight: the plan was captured against
     /// specific decompositions, and a run against redistributed images
-    /// would scatter garbage.
+    /// would scatter garbage. A lowered n-D clause has no 1-D plan, and
+    /// the sessions and socket pools do not run it.
     pub(crate) fn check_live(
         &self,
         arrays: &BTreeMap<String, DistArray>,
     ) -> Result<&Plan1, MachineError> {
-        let d1 = self.d1()?;
+        let d1 = self.d1.as_ref().ok_or_else(|| {
+            MachineError::PlanMismatch("a lowered n-D clause has no 1-D plan behind it".into())
+        })?;
         for name in &self.referenced {
             let da = arrays
                 .get(name)
@@ -273,20 +262,6 @@ fn kernel_of(compiled: &CompiledSchedule) -> Result<&CompiledKernel, MachineErro
     })
 }
 
-/// [`prepare_run`] against the decompositions of the live images in
-/// `arrays` — what a one-shot (cold) execution prepares.
-pub(crate) fn prepare_for(
-    plan: &SpmdPlan,
-    clause: &Clause,
-    arrays: &BTreeMap<String, DistArray>,
-) -> Result<PreparedPlan, MachineError> {
-    let decomps = arrays
-        .iter()
-        .map(|(name, da)| (name.clone(), da.decomp().clone()))
-        .collect();
-    prepare_run(plan.clone(), clause, &decomps)
-}
-
 /// Lower a clause of any dimensionality against the decompositions of
 /// the live images in `arrays`: run tables only, no 1-D plan.
 pub(crate) fn prepare_nd(
@@ -325,43 +300,31 @@ pub(crate) fn prepare_nd(
     })
 }
 
-/// Shared context of one wave: pairwise-independent jobs in
-/// program-ordinal order (a single run is a wave of one), plus the node
-/// memories the host lends for its duration. A wave is ONE transport
-/// run — sequence numbers run continuously across jobs, which is what
-/// makes the plan-derived seq-window demultiplexing of [`WaveRecv`]
-/// exact (a per-job endpoint reset would replay seqnos from 0 and a fast
-/// peer's frames would be dropped as duplicates by a not-yet-reset slow
-/// peer).
-struct WaveCtx {
-    jobs: Vec<Arc<PreparedPlan>>,
-    opts: DistOptions,
-    trace_on: bool,
-    /// Run the purge + Ready/Go barrier before sending. Needed only
-    /// when the previous wave may have left frames in the data channels
-    /// (it failed, or its fault plan allowed post-`Done` retransmits);
-    /// after a clean fault-free wave the channels are provably empty —
-    /// every frame a peer sends precedes its `Done`, and a worker only
-    /// finishes its drain after consuming every peer's `Done`.
-    handshake: bool,
+/// One wave as the host lends it: pairwise-independent jobs in
+/// program-ordinal order (a single run is a wave of one) and the node
+/// memories lent for its duration. A wave is ONE transport run —
+/// sequence numbers run continuously across jobs, which is what makes
+/// the plan-derived seq-window demultiplexing of [`WaveRecv`] exact (a
+/// per-job endpoint reset would replay seqnos from 0 and a fast peer's
+/// frames would be dropped as duplicates by a not-yet-reset slow peer).
+pub(crate) struct WaveCtx {
+    /// The pool's wave counter: a node answers a re-sent job of a run it
+    /// finished without running it again; the host drops stale replies.
+    pub(crate) run_id: u64,
+    pub(crate) jobs: Vec<Arc<PreparedPlan>>,
+    pub(crate) opts: DistOptions,
+    pub(crate) trace_on: bool,
+    /// Run the purge + Ready/Go barrier before sending — needed only
+    /// when the previous wave may have left frames behind (it failed, or
+    /// its fault plan or wire chaos allowed post-`Done` frames). After a
+    /// clean wave the channels are provably empty: every frame a peer
+    /// sends precedes its `Done`, and a node only finishes its drain
+    /// after consuming every peer's `Done`.
+    pub(crate) handshake: bool,
     /// Per node, its part of every array the wave references. Lent, not
-    /// given: what the nodes produce is committed by the host afterwards,
-    /// so every job of every node reads these pre-wave parts through a
-    /// shared reference, and the host takes them back once every worker
-    /// has replied (and thereby dropped its handle).
-    parts: Vec<BTreeMap<String, Vec<f64>>>,
-}
-
-/// Host-to-worker control stream. A wave is a two-step handshake:
-/// `Wave` (reset, purge stale frames, report [`WorkerMsg::Ready`]) then
-/// `Go` (start sending). The barrier exists because the stale-frame
-/// purge must finish on *every* worker before *any* worker may put new
-/// frames on the wire — a fast peer could otherwise have its fresh
-/// frames eaten by a slow peer's purge.
-enum Cmd {
-    /// The wave, and this node's free parts to draw next images from.
-    Wave(Arc<WaveCtx>, FreeParts),
-    Go,
+    /// given: the host commits what the nodes produce into these pre-wave
+    /// parts once it takes them back ([`Link::reclaim`]).
+    pub(crate) parts: Vec<BTreeMap<String, Vec<f64>>>,
 }
 
 /// One job's share of a wave reply. Writes stay ordinal-keyed (the
@@ -395,14 +358,6 @@ pub(crate) struct WaveReply {
 /// Node `p`'s slot in a wave's replies: what it shipped back, or the
 /// typed reason it shipped nothing (a dead thread, a dead process).
 pub(crate) type NodeReply = Result<Box<WaveReply>, MachineError>;
-
-/// Worker-to-host stream: `Ready` answers `Cmd::Wave` under the purge
-/// barrier, `WaveDone` answers the wave itself.
-enum WorkerMsg {
-    Ready,
-    /// The reply, and the free parts the wave did not use.
-    WaveDone(Box<WaveReply>, FreeParts),
-}
 
 /// Retired parts of one node, kept to become next images.
 pub(crate) type FreeParts = Vec<Vec<f64>>;
@@ -490,123 +445,99 @@ impl Tracer for BufTracer {
     }
 }
 
-/// One parked node thread of the pool.
-struct WorkerHandle {
-    job_tx: Sender<Cmd>,
-    reply_rx: Receiver<WorkerMsg>,
-    handle: Option<JoinHandle<()>>,
+/// A protocol step from the host to one node, the same on every link.
+/// `J` is what a job carries: the node's free parts as the host sends
+/// it, the job itself as the node's end of the link delivers it.
+pub(crate) enum Step<J> {
+    /// Run a wave — behind the purge barrier when the wave asks for it.
+    Job(J),
+    /// Leave the barrier: every node has purged, sending may start.
+    Go,
+    /// Leave the node loop.
+    Shutdown,
 }
 
-/// The persistent distributed executor: `pmax` node threads spawned
-/// once, parked between waves, replaying [`PreparedPlan`]s through
-/// reused transport endpoints and staging buffers. See the module docs
-/// for lifecycle and crash-retirement semantics.
-pub struct DistExecutor {
-    pmax: usize,
-    workers: Vec<WorkerHandle>,
-    broken: bool,
-    /// The previous wave may have left stale frames behind (see
-    /// [`WaveCtx::handshake`]); the next one must purge under a barrier.
+/// What a node tells the host, the same on every link.
+pub(crate) enum Event {
+    /// Purged under the barrier of this run, holding its job for `Go`.
+    Ready(u64),
+    /// This run's reply, and the free parts the wave did not use.
+    Result(u64, Box<WaveReply>, FreeParts),
+    /// The node's connection closed; a severed socket reconnects.
+    Eof,
+}
+
+/// The host's end of a pool's links, one per node: threads of this
+/// process ([`ThreadLink`]) or worker processes behind a socket router
+/// (`crate::proc::ProcLink`). The host loop, [`Pool::run_wave`], is
+/// written once against it.
+pub(crate) trait Link {
+    /// Replace the nodes that died since the last wave; whether any was
+    /// (its peers may still hold frames meant for it).
+    fn revive(&mut self) -> Result<bool, MachineError>;
+    /// Hold `wave`, the host's parts with it, as what `Step::Job` sends.
+    fn lend(&mut self, wave: WaveCtx);
+    /// Send a step to node `p`. A node this does not reach is found dead
+    /// by [`Link::alive`], or reconnects and is sent its job again.
+    fn send(&mut self, p: usize, step: Step<FreeParts>);
+    /// The next node event, waiting at most `slice`.
+    fn next_event(&mut self, slice: Duration) -> Option<(usize, Event)>;
+    /// Whether node `p` lives; why not, typed, if it died.
+    fn alive(&mut self, p: usize) -> Result<(), MachineError>;
+    /// Give up on node `p`, dead or past a deadline, and release its
+    /// peers with the `Done` it will not send.
+    fn retire(&mut self, p: usize);
+    /// End the loan: every node's parts, as the host lent them.
+    fn reclaim(&mut self) -> Vec<BTreeMap<String, Vec<f64>>>;
+}
+
+/// A persistent pool of `pmax` nodes behind one [`Link`]: spawned once,
+/// parked between waves, driven by the one host loop.
+pub(crate) struct Pool<L> {
+    pub(crate) link: L,
+    pub(crate) pmax: usize,
+    /// The next wave must purge under a barrier ([`WaveCtx::handshake`]).
     dirty: bool,
+    /// The last wave's [`WaveCtx::run_id`].
+    run_seq: u64,
     /// Per node, the parts image commits retired: they travel to the
-    /// node with the wave and come back with its reply.
+    /// node with its job and come back with its reply.
     free: Vec<FreeParts>,
 }
 
-impl std::fmt::Debug for DistExecutor {
+impl<L> std::fmt::Debug for Pool<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistExecutor")
+        f.debug_struct("Pool")
             .field("pmax", &self.pmax)
-            .field("workers", &self.workers.len())
-            .field("broken", &self.broken)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
-fn build_pool(pmax: usize) -> Vec<WorkerHandle> {
-    let mut txs: Vec<Sender<Frame<Wire>>> = Vec::with_capacity(pmax);
-    let mut data_rxs: Vec<Receiver<Frame<Wire>>> = Vec::with_capacity(pmax);
-    for _ in 0..pmax {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        data_rxs.push(rx);
+/// How long the host waits for an event before it checks on the nodes.
+pub(crate) const POLL: Duration = Duration::from_millis(50);
+
+impl Pool<ThreadLink> {
+    /// A pool of `pmax` parked node threads.
+    pub(crate) fn threads(pmax: usize) -> Self {
+        Pool::new(ThreadLink::new(pmax), pmax)
     }
-    let mut workers = Vec::with_capacity(pmax);
-    for (p, data_rx) in data_rxs.into_iter().enumerate() {
-        let (job_tx, job_rx) = unbounded::<Cmd>();
-        let (reply_tx, reply_rx) = unbounded::<WorkerMsg>();
-        let txs = txs.clone();
-        let handle =
-            std::thread::spawn(move || worker_main(p as i64, txs, data_rx, job_rx, reply_tx));
-        workers.push(WorkerHandle {
-            job_tx,
-            reply_rx,
-            handle: Some(handle),
-        });
-    }
-    workers
 }
 
-impl DistExecutor {
-    /// Spawn a pool of `pmax` parked node threads.
-    pub fn new(pmax: i64) -> DistExecutor {
-        let pmax = pmax.max(0) as usize;
-        DistExecutor {
+impl<L: Link> Pool<L> {
+    pub(crate) fn new(link: L, pmax: usize) -> Pool<L> {
+        let free = vec![Vec::new(); pmax];
+        Pool {
+            link,
             pmax,
-            workers: build_pool(pmax),
-            broken: false,
             dirty: false,
-            free: vec![Vec::new(); pmax],
+            run_seq: 0,
+            free,
         }
-    }
-
-    /// Number of pooled node threads.
-    pub fn pmax(&self) -> usize {
-        self.pmax
-    }
-
-    /// Whether a worker died and the pool will rebuild on the next run.
-    pub fn is_broken(&self) -> bool {
-        self.broken
     }
 
     /// Retired parts held for reuse, ≤ [`FREE_PARTS_PER_NODE`] per node.
-    pub fn free_parts(&self) -> usize {
+    pub(crate) fn free_parts(&self) -> usize {
         self.free.iter().map(Vec::len).sum()
-    }
-
-    fn teardown(&mut self) {
-        let mut handles = Vec::new();
-        for mut w in self.workers.drain(..) {
-            if let Some(h) = w.handle.take() {
-                handles.push(h);
-            }
-            // dropping `w` hangs up its job channel, unparking the thread
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-
-    /// Retire every worker (dead or alive) and spawn a fresh pool.
-    fn rebuild(&mut self) {
-        self.teardown();
-        self.workers = build_pool(self.pmax);
-        self.broken = false;
-        self.dirty = false; // fresh channels start empty
-        self.free.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Execute one prepared clause: a wave of one.
-    pub(crate) fn run_clause<A: Image>(
-        &mut self,
-        prepared: &Arc<PreparedPlan>,
-        arrays: &mut BTreeMap<String, A>,
-        opts: DistOptions,
-        tracer: &dyn Tracer,
-    ) -> Result<ExecReport, MachineError> {
-        let mut reports = self.run_wave(std::slice::from_ref(prepared), arrays, opts, tracer)?;
-        Ok(reports.pop().unwrap_or_default())
     }
 
     /// Execute one wave — a set of pairwise-independent jobs, in
@@ -625,7 +556,9 @@ impl DistExecutor {
     /// all-or-nothing: any job failing on any node, or a node dying,
     /// leaves the parts untouched and reports the root-cause error.
     ///
-    /// Returns one [`ExecReport`] per job, in wave order.
+    /// Three steps on every link: dispatch one job per node; after a
+    /// dirty wave, the Ready/Go purge barrier; collect under the run
+    /// deadline. Returns one [`ExecReport`] per job, in wave order.
     pub(crate) fn run_wave<A: Image>(
         &mut self,
         jobs: &[Arc<PreparedPlan>],
@@ -633,94 +566,404 @@ impl DistExecutor {
         opts: DistOptions,
         tracer: &dyn Tracer,
     ) -> Result<Vec<ExecReport>, MachineError> {
+        if let Some(job) = jobs
+            .iter()
+            .find(|job| job.pmax.max(0) as usize != self.pmax)
+        {
+            return Err(MachineError::PlanMismatch(format!(
+                "prepared plan spans {} processors, pool has {}",
+                job.pmax, self.pmax
+            )));
+        }
         if jobs.is_empty() {
             return Ok(Vec::new());
         }
-        check_span(jobs, self.pmax)?;
-        if self.broken {
-            self.rebuild();
+        if self.link.revive()? {
+            self.dirty = true; // peers may hold frames for a replaced node
         }
         let Disassembled { per_node, decomps } = disassemble(arrays, jobs)?;
-        let handshake = self.dirty;
-        let ctx = Arc::new(WaveCtx {
+        self.run_seq += 1;
+        let (run_id, handshake) = (self.run_seq, self.dirty);
+        self.link.lend(WaveCtx {
+            run_id,
             jobs: jobs.to_vec(),
             opts,
             trace_on: tracer.enabled(),
             handshake,
             parts: per_node,
         });
-        // Dispatch. When the channels may hold stale frames this is a
-        // two-step handshake (see [`Cmd`]): every worker must finish its
-        // purge before any worker starts sending. A failed send drops
-        // the returned command, and with it that worker's handle on the
-        // lent parts.
-        let mut running = vec![false; self.pmax];
-        for (p, w) in self.workers.iter().enumerate() {
-            let cmd = Cmd::Wave(Arc::clone(&ctx), std::mem::take(&mut self.free[p]));
-            running[p] = w.job_tx.send(cmd).is_ok();
-            if !running[p] {
-                self.broken = true;
-            }
+        for (p, spare) in self.free.iter_mut().enumerate() {
+            self.link.send(p, Step::Job(std::mem::take(spare)));
         }
-        if handshake {
-            for (p, w) in self.workers.iter().enumerate() {
-                if running[p] && !matches!(w.reply_rx.recv(), Ok(WorkerMsg::Ready)) {
-                    // died between dispatch and ready: retire, run without it
-                    self.broken = true;
-                    running[p] = false;
+        // `replies[p]`: `None` while node `p` owes the wave its reply, then
+        // the reply or the typed reason there is none; `ready[p]`: it has
+        // purged under the barrier. Every node must purge before any node
+        // sends — a slow peer's purge would eat a fast one's fresh frames,
+        // and the `Done` of a node lost at the barrier, so the lost are
+        // retired when the barrier closes.
+        let mut replies: Vec<Option<NodeReply>> = (0..self.pmax).map(|_| None).collect();
+        let mut ready = vec![false; self.pmax];
+        let mut barrier = handshake;
+        // nodes bound their own waits (recv_timeout, retry deadline): the
+        // run deadline is a backstop against a hung node
+        let retry = opts.retry.deadline.unwrap_or(Duration::ZERO);
+        let run_time = opts.recv_timeout * 4 + retry + opts.timeouts.run_grace;
+        let barrier_time = opts.timeouts.spawn_deadline;
+        let mut sent = Instant::now();
+        let mut deadline = sent + if barrier { barrier_time } else { run_time };
+        while replies.iter().any(Option::is_none) {
+            match self.link.next_event(POLL) {
+                Some((p, Event::Ready(id))) if id == run_id => {
+                    if barrier {
+                        ready[p] = true;
+                    } else {
+                        // a re-sent job answered after the barrier: its
+                        // `Go` was lost to a severed link — repeat it
+                        self.link.send(p, Step::Go);
+                    }
                 }
-            }
-            for (p, w) in self.workers.iter().enumerate() {
-                if running[p] && w.job_tx.send(Cmd::Go).is_err() {
-                    self.broken = true;
-                    running[p] = false;
-                }
-            }
-        }
-        let mut replies: Vec<NodeReply> = Vec::with_capacity(self.pmax);
-        for (p, w) in self.workers.iter().enumerate() {
-            let reply = match running[p].then(|| w.reply_rx.recv()) {
-                Some(Ok(WorkerMsg::WaveDone(reply, spare))) => {
+                Some((p, Event::Result(id, reply, spare))) if id == run_id => {
+                    replies[p].get_or_insert(Ok(reply));
                     self.free[p] = spare;
-                    Ok(reply)
                 }
-                // the thread died without replying (or broke the
-                // handshake): retire it and rebuild lazily next run
-                Some(Ok(WorkerMsg::Ready) | Err(_)) | None => {
-                    self.broken = true;
-                    Err(MachineError::NodePanicked { node: p as i64 })
+                _ => {}
+            }
+            // a job unanswered for the resend interval goes out again:
+            // only the answer confirms its delivery
+            let now = Instant::now();
+            let resend = now.duration_since(sent) > opts.timeouts.resend_ivl;
+            for p in 0..self.pmax {
+                if replies[p].is_some() || barrier && ready[p] {
+                    continue;
                 }
-            };
-            replies.push(reply);
+                let late = if barrier {
+                    "never reached the purge barrier"
+                } else {
+                    "made no progress before the run deadline"
+                };
+                let lost = match self.link.alive(p) {
+                    Ok(()) if now > deadline => Err(MachineError::Transport {
+                        node: p as i64,
+                        detail: format!("worker {late}"),
+                    }),
+                    alive => alive,
+                };
+                if let Err(e) = lost {
+                    if !barrier {
+                        self.link.retire(p);
+                    }
+                    replies[p] = Some(Err(e));
+                } else if resend {
+                    self.link.send(p, Step::Job(Vec::new()));
+                }
+            }
+            if resend {
+                sent = now;
+            }
+            if barrier && (0..self.pmax).all(|p| ready[p] || replies[p].is_some()) {
+                barrier = false;
+                deadline = now + run_time;
+                for (p, reply) in replies.iter().enumerate() {
+                    match reply {
+                        None => self.link.send(p, Step::Go),
+                        Some(_) => self.link.retire(p),
+                    }
+                }
+            }
         }
-        // a failed node exits without draining, and a fault plan can
-        // retransmit after `Done` — either way the next wave must purge
-        self.dirty = opts.faults.is_some() || !wave_clean(&replies);
-        // every worker dropped its handle before it replied (or died),
-        // so the loan is back; copying is the fallback, never the path
-        let parts = Arc::try_unwrap(ctx).map_or_else(|lent| lent.parts.clone(), |ctx| ctx.parts);
-        let free = &mut self.free;
+        let replies: Vec<NodeReply> = replies.into_iter().flatten().collect();
+        // a failed node exits without draining, and a fault plan or wire
+        // chaos can leave frames after `Done`: the next wave must purge
+        let clean = |r: &NodeReply| {
+            r.as_ref()
+                .is_ok_and(|r| r.jobs.iter().all(|j| j.res.is_ok()))
+        };
+        self.dirty = opts.faults.is_some() || opts.chaos.is_some() || !replies.iter().all(clean);
+        let (parts, free) = (self.link.reclaim(), &mut self.free);
         finalize_wave(jobs, decomps, parts, replies, free, arrays, tracer)
     }
 }
 
-/// Every job of a wave spans the pool's `pmax` nodes.
-pub(crate) fn check_span(jobs: &[Arc<PreparedPlan>], pmax: usize) -> Result<(), MachineError> {
-    match jobs.iter().find(|job| job.pmax.max(0) as usize != pmax) {
-        Some(job) => Err(MachineError::PlanMismatch(format!(
-            "prepared plan spans {} processors, pool has {pmax}",
-            job.pmax
-        ))),
-        None => Ok(()),
+/// A job as the thread link delivers it: the lent wave, and the node's
+/// free parts to draw next images from.
+type ThreadJob = (Arc<WaveCtx>, FreeParts);
+
+/// The thread link: `pmax` node threads of this process, each parked on
+/// its own job channel and answering on its own event channel. Nothing
+/// is encoded: the wave and its parts are lent by `Arc`.
+pub(crate) struct ThreadLink {
+    nodes: Vec<ThreadNode>,
+    /// Every node's data channel, to send a retired node's `Done` on.
+    data: Vec<Sender<Frame<Wire>>>,
+    wave: Option<Arc<WaveCtx>>,
+}
+
+struct ThreadNode {
+    jobs: Sender<Step<ThreadJob>>,
+    events: Receiver<Event>,
+    /// `None` once retired: a thread that may hang is never joined.
+    handle: Option<JoinHandle<()>>,
+    /// The node holds this wave's job: a channel send is a delivery.
+    has_job: bool,
+    /// The node was handed a job or a `Go` it has not answered yet.
+    owes: bool,
+}
+
+impl ThreadLink {
+    fn new(pmax: usize) -> ThreadLink {
+        let (data, data_rxs): (Vec<_>, Vec<_>) = (0..pmax).map(|_| unbounded()).unzip();
+        let spawn = |(p, data_rx)| {
+            let (jobs, job_rx) = unbounded();
+            let (event_tx, events) = unbounded();
+            let txs = data.clone();
+            let handle = std::thread::spawn(move || {
+                let buf = BufTracer::new();
+                let ep = Endpoint::in_proc(p as i64, txs, data_rx, None, &buf);
+                let (jobs, events) = (job_rx, event_tx);
+                node_loop(
+                    &mut ThreadEnd {
+                        p,
+                        ep,
+                        jobs,
+                        events,
+                    },
+                    &buf,
+                );
+            });
+            ThreadNode {
+                jobs,
+                events,
+                handle: Some(handle),
+                has_job: false,
+                owes: false,
+            }
+        };
+        let nodes = data_rxs.into_iter().enumerate().map(spawn).collect();
+        ThreadLink {
+            nodes,
+            data,
+            wave: None,
+        }
+    }
+
+    /// Whether a node was retired, so the next wave rebuilds the pool. A
+    /// node thread dies only inside a wave, where the host loop finds it.
+    pub(crate) fn broken(&self) -> bool {
+        self.nodes.iter().any(|n| n.handle.is_none())
     }
 }
 
-/// Whether every node replied and every job of the wave succeeded on it.
-pub(crate) fn wave_clean(replies: &[NodeReply]) -> bool {
-    (replies.iter()).all(|r| {
-        r.as_ref()
-            .is_ok_and(|wr| wr.jobs.iter().all(|j| j.res.is_ok()))
-    })
+impl Link for ThreadLink {
+    fn revive(&mut self) -> Result<bool, MachineError> {
+        let broken = self.broken();
+        if broken {
+            *self = ThreadLink::new(self.nodes.len());
+        }
+        Ok(broken)
+    }
+
+    fn lend(&mut self, wave: WaveCtx) {
+        self.wave = Some(Arc::new(wave));
+        self.nodes.iter_mut().for_each(|n| n.has_job = false);
+    }
+
+    fn send(&mut self, p: usize, step: Step<FreeParts>) {
+        let node = &mut self.nodes[p];
+        let step = match (step, &self.wave) {
+            (Step::Job(spare), Some(wave)) if !node.has_job => {
+                node.has_job = true; // a channel send is a delivery
+                Step::Job((Arc::clone(wave), spare))
+            }
+            (Step::Job(_), _) => return, // delivered: a re-send is a no-op
+            (Step::Go, _) => Step::Go,
+            (Step::Shutdown, _) => Step::Shutdown,
+        };
+        let answered = !matches!(step, Step::Shutdown);
+        // a node this does not reach is gone, and found dead by `alive`
+        node.owes = node.jobs.send(step).is_ok() && answered;
+    }
+
+    fn next_event(&mut self, slice: Duration) -> Option<(usize, Event)> {
+        // what has arrived, else a wait on the first node that owes an
+        // answer: a wave then wakes the host about once, not once per
+        // node, which on a small host is a tenth of a one-shot run
+        let arrived = (self.nodes.iter().enumerate())
+            .find_map(|(p, n)| n.events.try_recv().ok().map(|event| (p, event)));
+        let (p, event) = match arrived {
+            Some(arrived) => arrived,
+            None => {
+                // none owes one only while a lost node is being found out
+                let p = self.nodes.iter().position(|n| n.owes).unwrap_or(0);
+                (p, self.nodes[p].events.recv_timeout(slice).ok()?)
+            }
+        };
+        self.nodes[p].owes = false;
+        Some((p, event))
+    }
+
+    fn alive(&mut self, p: usize) -> Result<(), MachineError> {
+        match &self.nodes[p].handle {
+            Some(h) if !h.is_finished() => Ok(()),
+            _ => Err(MachineError::NodePanicked { node: p as i64 }),
+        }
+    }
+
+    fn retire(&mut self, p: usize) {
+        for (_, tx) in self.data.iter().enumerate().filter(|&(q, _)| q != p) {
+            let _ = tx.send(Frame::Done { from: p as i64 });
+        }
+        self.nodes[p].handle = None; // marks the pool for a rebuild
+    }
+
+    fn reclaim(&mut self) -> Vec<BTreeMap<String, Vec<f64>>> {
+        // a node drops its handle before it replies, so the loan is back
+        // unless a retired node holds it: copying is the fallback only
+        let wave = self.wave.take().map(|wave| {
+            Arc::try_unwrap(wave).map_or_else(|lent| lent.parts.clone(), |wave| wave.parts)
+        });
+        wave.unwrap_or_default()
+    }
+}
+
+impl Drop for ThreadLink {
+    fn drop(&mut self) {
+        // dropping a node's job channel ends its node loop
+        let handles: Vec<_> = self.nodes.drain(..).filter_map(|n| n.handle).collect();
+        for h in handles {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A node's end of its link: where its steps come from and its events
+/// go. The node loop, [`node_loop`], is written once against it.
+pub(crate) trait NodeEnd {
+    /// A job as this link delivers it.
+    type Job;
+    /// The job's run id, and whether it asks for the purge barrier.
+    fn head(job: &Self::Job) -> (u64, bool);
+    /// The next step from the host; `None` once the host is gone.
+    fn recv(&mut self) -> Option<Step<Self::Job>>;
+    /// Tell the host; `false` once the host is gone.
+    fn send(&mut self, event: Event) -> bool;
+    /// Answer a re-sent job of the last finished run with its result
+    /// again; `false` once the host is gone.
+    fn reship(&mut self) -> bool;
+    /// Discard the data frames a dirty wave left behind.
+    fn purge(&mut self);
+    /// Run the job's wave: the reply, and the free parts it left.
+    fn run(
+        &mut self,
+        job: Self::Job,
+        scratch: &mut Scratch,
+        buf: &BufTracer,
+    ) -> (WaveReply, FreeParts);
+}
+
+/// The node loop, the same on every link: take a job; after a dirty
+/// wave, purge and hold every send until the host's `Go` says every
+/// peer has purged too; run the wave body; reply. A re-sent job of the
+/// run last finished is answered again, never run twice.
+pub(crate) fn node_loop<E: NodeEnd>(end: &mut E, buf: &BufTracer) {
+    let mut scratch = Scratch::default();
+    let mut done = None;
+    while let Some(step) = end.recv() {
+        let job = match step {
+            Step::Job(job) => job,
+            Step::Go => continue, // stray: the barrier it ended is over
+            Step::Shutdown => return,
+        };
+        let (run_id, handshake) = E::head(&job);
+        if done == Some(run_id) {
+            if end.reship() {
+                continue;
+            }
+            return;
+        }
+        // every peer finished the previous wave before the host sent this
+        // one, so anything buffered here is stale by construction
+        if handshake {
+            end.purge();
+            if !end.send(Event::Ready(run_id)) {
+                return;
+            }
+            loop {
+                match end.recv() {
+                    Some(Step::Go) => break,
+                    // the Ready was lost to a severed link: answer again
+                    Some(Step::Job(again)) if E::head(&again).0 == run_id => {
+                        if !end.send(Event::Ready(run_id)) {
+                            return;
+                        }
+                    }
+                    Some(Step::Job(_)) => {}
+                    Some(Step::Shutdown) | None => return,
+                }
+            }
+        }
+        let (reply, spare) = end.run(job, &mut scratch, buf);
+        if !end.send(Event::Result(run_id, Box::new(reply), spare)) {
+            return;
+        }
+        done = Some(run_id);
+    }
+}
+
+/// A node thread's end of the thread link.
+struct ThreadEnd<'t> {
+    p: usize,
+    /// Reset, not rebuilt, per wave.
+    ep: Endpoint<'t, Wire>,
+    jobs: Receiver<Step<ThreadJob>>,
+    events: Sender<Event>,
+}
+
+impl NodeEnd for ThreadEnd<'_> {
+    type Job = ThreadJob;
+
+    fn head((wave, _): &ThreadJob) -> (u64, bool) {
+        (wave.run_id, wave.handshake)
+    }
+
+    fn recv(&mut self) -> Option<Step<ThreadJob>> {
+        self.jobs.recv().ok()
+    }
+
+    fn send(&mut self, event: Event) -> bool {
+        self.events.send(event).is_ok()
+    }
+
+    fn reship(&mut self) -> bool {
+        true // never asked: a channel loses nothing, no job comes twice
+    }
+
+    fn purge(&mut self) {
+        self.ep.purge_link();
+    }
+
+    fn run(
+        &mut self,
+        job: ThreadJob,
+        scratch: &mut Scratch,
+        buf: &BufTracer,
+    ) -> (WaveReply, FreeParts) {
+        let (wave, mut spare) = job;
+        buf.set_enabled(wave.trace_on);
+        self.ep.reset(wave.opts.faults, wave.trace_on);
+        let (p, locals, spare_parts) = (self.p as i64, &wave.parts[self.p], Some(&mut spare));
+        let reply = wave_body(
+            p,
+            &mut self.ep,
+            scratch,
+            buf,
+            &wave.jobs,
+            &wave.opts,
+            locals,
+            spare_parts,
+        );
+        drop(wave); // the loan ends before the host hears the wave is done
+        (reply, spare)
+    }
 }
 
 /// The host-side tail every distributed execution shares (pooled
@@ -1058,15 +1301,8 @@ pub(crate) fn wave_body(
     }
 }
 
-impl Drop for DistExecutor {
-    fn drop(&mut self) {
-        self.teardown();
-    }
-}
-
-/// Per-worker scratch reused (cleared, not reallocated) across waves.
-/// Shared with the process-backed pool (`crate::proc`), whose workers
-/// carry one across jobs exactly like a pooled thread does.
+/// Per-node scratch, reused (cleared, not reallocated) across waves by
+/// [`node_loop`] on every link.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// The receive router: one lane per job of the wave (its packet
@@ -1078,60 +1314,6 @@ pub(crate) struct Scratch {
     stack: Vec<f64>,
     /// Collected local writes of the current job, committed by the host.
     writes: Vec<WriteOp>,
-}
-
-/// The body of one pooled node thread: park on the job channel, and for
-/// each wave reset the endpoint, run [`wave_body`] over this node's
-/// share of the lent parts, and ship the reply (images or writes,
-/// statistics, buffered trace) and the unused free parts to the host.
-fn worker_main(
-    p: i64,
-    txs: Vec<Sender<Frame<Wire>>>,
-    data_rx: Receiver<Frame<Wire>>,
-    job_rx: Receiver<Cmd>,
-    reply_tx: Sender<WorkerMsg>,
-) {
-    let buf = BufTracer::new();
-    let mut ep: Endpoint<Wire> = Endpoint::in_proc(p, txs, data_rx, None, &buf);
-    let mut scratch = Scratch::default();
-    while let Ok(cmd) = job_rx.recv() {
-        let Cmd::Wave(ctx, mut spare) = cmd else {
-            continue; // stray Go (host retired us mid-handshake)
-        };
-        buf.set_enabled(ctx.trace_on);
-        ep.reset(ctx.opts.faults, ctx.trace_on);
-        if ctx.handshake {
-            // discard frames a previous (failed or faulty) wave left
-            // behind; every peer finished that wave before the host
-            // dispatched this one, so anything buffered here is stale by
-            // construction — then report ready and hold all sends until
-            // every peer has purged too
-            ep.purge_link();
-            if reply_tx.send(WorkerMsg::Ready).is_err() {
-                break; // host hung up
-            }
-            match job_rx.recv() {
-                Ok(Cmd::Go) => {}
-                Ok(Cmd::Wave(..)) | Err(_) => break, // handshake broken
-            }
-        }
-        let locals = &ctx.parts[p as usize];
-        let reply = wave_body(
-            p,
-            &mut ep,
-            &mut scratch,
-            &buf,
-            &ctx.jobs,
-            &ctx.opts,
-            locals,
-            Some(&mut spare),
-        );
-        drop(ctx); // the loan ends before the host hears the wave is done
-        let done = WorkerMsg::WaveDone(Box::new(reply), spare);
-        if reply_tx.send(done).is_err() {
-            break; // host hung up
-        }
-    }
 }
 
 /// Which half of a job to execute: the wave body posts *every* job's
@@ -1231,15 +1413,18 @@ mod tests {
     use vcal_core::{Array, Bounds, Env, Expr, Guard, IndexSet, Ix};
     use vcal_decomp::DecompNd;
 
-    /// A dead pooled worker costs the run, never the data: the host
-    /// keeps the parts it lends, so the images come back bit-for-bit
-    /// (the solo path this replaced rebuilt the dead node's part as
-    /// zeros), and the pool rebuilds itself for the next run.
+    /// A dead node thread costs the run, never the data: the host keeps
+    /// the parts it lends, so the images come back bit-for-bit, and the
+    /// pool rebuilds itself for the next run. The host meets the dead
+    /// node at dispatch on a clean pool and at the purge barrier on a
+    /// dirty one; either way it retires the node with its `Done`, so the
+    /// live peers do not wait out `recv_timeout` for it.
     #[test]
     fn dead_worker_fails_the_run_but_keeps_the_data() {
         let n = 32;
         let extent = Bounds::range(0, n - 1);
-        // communication-free, so the live peers do not wait on the dead one
+        // communication-free: the live peers wait on the dead node only
+        // for its `Done`
         let clause = Clause {
             iter: IndexSet::range(0, n - 1),
             ordering: Ordering::Par,
@@ -1262,29 +1447,47 @@ mod tests {
             decomps.insert(name.to_string(), dec);
         }
         let plan = SpmdPlan::build(&clause, &decomps).unwrap();
-        let prepared = Arc::new(prepare_run(plan, &clause, &decomps).unwrap());
-        let before = arrays.clone();
-
-        let mut pool = DistExecutor::new(4);
-        // hang up node 0's job channel from the host side: its thread
-        // exits, and every send to it fails
-        pool.workers[0].job_tx = unbounded().0;
-        // the live peers' drain waits this long for node 0's `Done`
+        let wave = [Arc::new(prepare_run(plan, &clause, &decomps).unwrap())];
+        // a live peer's drain would wait this long for the dead node's `Done`
         let opts = DistOptions {
-            recv_timeout: Duration::from_millis(50),
+            recv_timeout: Duration::from_secs(30),
             ..DistOptions::default()
         };
-        let err = pool.run_clause(&prepared, &mut arrays, opts, &NULL_TRACER);
-        assert_eq!(err.unwrap_err(), MachineError::NodePanicked { node: 0 });
-        assert_eq!(arrays, before, "a failed run must restore every image");
-        assert!(pool.is_broken());
+        let faulted = DistOptions {
+            faults: Some(crate::transport::FaultPlan::seeded(3)),
+            ..opts
+        };
+        for dirty in [false, true] {
+            let mut pool = Pool::threads(4);
+            if dirty {
+                // a faulted wave leaves the pool dirty: the next one
+                // opens with the purge barrier
+                pool.run_wave(&wave, &mut arrays, faulted, &NULL_TRACER)
+                    .unwrap();
+            }
+            let before = arrays.clone();
+            // hang up node 0's job channel from the host side: its
+            // thread exits, and every job sent to it is lost
+            pool.link.nodes[0].jobs = unbounded().0;
+            let t0 = Instant::now();
+            let err = pool.run_wave(&wave, &mut arrays, opts, &NULL_TRACER);
+            let waited = t0.elapsed();
+            assert_eq!(err.unwrap_err(), MachineError::NodePanicked { node: 0 });
+            assert!(waited < Duration::from_secs(5), "dirty={dirty}: {waited:?}");
+            assert_eq!(arrays, before, "a failed run must restore every image");
+            assert!(pool.link.broken());
 
-        let report = pool.run_clause(&prepared, &mut arrays, opts, &NULL_TRACER);
-        assert_eq!(report.unwrap().nodes.len(), 4, "the rebuilt pool runs it");
-        assert!(!pool.is_broken());
-        let a = arrays["A"].gather();
-        let b = before["B"].gather();
-        assert!(extent.iter().all(|i| a.get(&i) == b.get(&i) + 0.5));
+            let report = pool.run_wave(&wave, &mut arrays, opts, &NULL_TRACER);
+            assert_eq!(
+                report.unwrap()[0].nodes.len(),
+                4,
+                "the rebuilt pool runs it"
+            );
+            assert!(!pool.link.broken());
+            let a = arrays["A"].gather();
+            let b = before["B"].gather();
+            assert!(extent.iter().all(|i| a.get(&i) == b.get(&i) + 0.5));
+        }
     }
 
     /// `U[i] := 0.5·(U[i-1] + U[i+1])` over `[lo, hi]`: the clause
@@ -1359,7 +1562,7 @@ mod tests {
 
         let mut expect = env;
         let job = prepared(&clause, &decomps);
-        let mut pool = DistExecutor::new(4);
+        let mut pool = Pool::threads(4);
         for step in 0..3 {
             let wave = std::slice::from_ref(&job);
             pool.run_wave(wave, &mut arrays, DistOptions::default(), &NULL_TRACER)
@@ -1389,8 +1592,9 @@ mod tests {
             for (p, image) in images.iter().enumerate() {
                 assert_eq!(job.writes_image(p, 16), *image, "[{lo}, {hi}] p={p}");
             }
-            let mut pool = DistExecutor::new(4);
-            pool.run_clause(&job, &mut arrays, DistOptions::default(), &NULL_TRACER)
+            let mut pool = Pool::threads(4);
+            let wave = std::slice::from_ref(&job);
+            pool.run_wave(wave, &mut arrays, DistOptions::default(), &NULL_TRACER)
                 .unwrap();
             expect.exec_clause(&clause);
             assert_bitwise(&arrays, &expect, &format!("[{lo}, {hi}]"));
@@ -1426,7 +1630,7 @@ mod tests {
             let jobs: Vec<Arc<PreparedPlan>> = order.map(|c| prepared(c, &decomps)).into();
             let forms: Vec<bool> = jobs.iter().map(|job| job.writes_image(0, 16)).collect();
             assert_eq!(forms, order.map(|c| std::ptr::eq(c, &dense)));
-            let mut pool = DistExecutor::new(4);
+            let mut pool = Pool::threads(4);
             pool.run_wave(&jobs, &mut arrays, DistOptions::default(), &NULL_TRACER)
                 .unwrap();
             for clause in order {
@@ -1486,15 +1690,17 @@ mod tests {
                 cn.write_spans = None;
             }
             let mut staged_arrays = arrays.clone();
-            let mut pool = DistExecutor::new(4);
+            let mut pool = Pool::threads(4);
             let opts = DistOptions::default();
             let as_image = pool
-                .run_clause(&Arc::new(image), &mut arrays, opts, &NULL_TRACER)
-                .unwrap();
+                .run_wave(&[Arc::new(image)], &mut arrays, opts, &NULL_TRACER)
+                .unwrap()
+                .remove(0);
             assert_eq!(pool.free_parts(), 4, "{what}");
             let as_staged = pool
-                .run_clause(&Arc::new(staged), &mut staged_arrays, opts, &NULL_TRACER)
-                .unwrap();
+                .run_wave(&[Arc::new(staged)], &mut staged_arrays, opts, &NULL_TRACER)
+                .unwrap()
+                .remove(0);
             assert_eq!(
                 pool.free_parts(),
                 4,
@@ -1656,7 +1862,7 @@ mod tests {
             .map(|c| Arc::new(prepare_nd(c, &arrays).unwrap()))
             .into();
         let opts = DistOptions::default();
-        let mut pool = DistExecutor::new(4);
+        let mut pool = Pool::threads(4);
         let together = pool
             .run_wave(&jobs, &mut arrays, opts, &NULL_TRACER)
             .unwrap();
@@ -1671,8 +1877,9 @@ mod tests {
         assert_eq!(together.len(), 2);
         for (job, wave) in jobs.iter().zip(&together) {
             let alone = pool
-                .run_clause(job, &mut apart, opts, &NULL_TRACER)
-                .unwrap();
+                .run_wave(std::slice::from_ref(job), &mut apart, opts, &NULL_TRACER)
+                .unwrap()
+                .remove(0);
             assert_eq!(wave.traffic, alone.traffic);
             // acks are charged to whichever job is polling when a frame
             // lands, so a wave may move them between its jobs

@@ -52,14 +52,14 @@ pub use distributed::{
 };
 pub use doacross::{carried_distances, run_doacross};
 pub use error::MachineError;
-pub use executor::{prepare_run, DistExecutor, PreparedPlan, FREE_PARTS_PER_NODE};
+pub use executor::{prepare_run, PreparedPlan, FREE_PARTS_PER_NODE};
 pub use net::ChaosPlan;
 pub use obs::{
     replay_check, replay_check_dag, trace_plan, CollectingTracer, Event, EventKind, NullTracer,
     Phase, PhaseTiming, ReplayError, ReplaySummary, TraceLog, Tracer, HOST, NULL_TRACER,
 };
 pub use perfmodel::{CalibratedModel, CalibrationSample, PerfModel, PlanPrice, SimTime};
-pub use proc::{worker_entry, worker_entry_with};
+pub use proc::worker_entry;
 pub use reduce::{run_reduce_distributed, run_reduce_shared};
 pub use sequential::run_sequential;
 pub use serve::{ServeClient, ServeConfig, ServeHandle, ServeRequest, ServeResponse};

@@ -4,9 +4,10 @@
 //!
 //! [`DistSession::run`] is the steady-state entry point: plans are
 //! cached by `(clause signature, decomposition fingerprint)` and
-//! executed on a persistent [`DistExecutor`] worker pool, so a clause
-//! repeated in a timestep loop pays plan derivation, schedule
-//! compilation, and thread spawning exactly once (see DESIGN.md §12).
+//! executed on a persistent node pool (threads, or worker processes on a
+//! socket backend), so a clause repeated in a timestep loop pays plan
+//! derivation, schedule compilation, and node spawning exactly once (see
+//! DESIGN.md §12).
 //! [`DistSession::redistribute`] and any decomposition change invalidate
 //! the cache. [`ExecReport::cache_hits`]/[`ExecReport::cache_misses`]
 //! report which path a run took.
@@ -23,11 +24,11 @@
 use crate::darray::DistArray;
 use crate::distributed::{run_distributed, run_distributed_traced, DistOptions};
 use crate::error::MachineError;
-use crate::executor::{prepare_run, DistExecutor, PreparedPlan};
+use crate::executor::{prepare_run, Pool, PreparedPlan, ThreadLink};
 use crate::net::lock;
 use crate::obs::{trace_plan, CollectingTracer, EventKind, Tracer, HOST, NULL_TRACER};
 use crate::perfmodel::{CalibratedModel, CalibrationSample};
-use crate::proc::ProcPool;
+use crate::proc::ProcLink;
 use crate::stats::ExecReport;
 use crate::transport::TransportKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -122,11 +123,11 @@ impl CacheHandle {
 
 /// The execution backends a session dispatches onto: the in-process
 /// thread pool and/or the socket-backend worker-process pool, created
-/// lazily and identified by `(backend, pmax, chaos, timeouts)`.
+/// lazily. Both run the one host loop; only their link differs.
 #[derive(Debug, Default)]
 pub(crate) struct PoolState {
-    pool: Option<DistExecutor>,
-    procs: Option<ProcPool>,
+    pool: Option<Pool<ThreadLink>>,
+    procs: Option<Pool<ProcLink>>,
 }
 
 impl PoolState {
@@ -146,53 +147,40 @@ impl PoolState {
         for prepared in jobs {
             trace_plan(tracer, &prepared.check_live(arrays)?.plan);
         }
+        let pmax = first.pmax.max(0) as usize;
         if opts.transport == TransportKind::InProc {
-            return self.inproc(first.pmax).run_wave(jobs, arrays, opts, tracer);
+            if self.pool.as_ref().is_some_and(|pool| pool.pmax != pmax) {
+                self.pool = None;
+            }
+            let pool = self.pool.get_or_insert_with(|| Pool::threads(pmax));
+            return pool.run_wave(jobs, arrays, opts, tracer);
         }
-        // socket backend: real worker processes behind the router; the
-        // pool's identity is (backend, pmax, chaos plan, timeouts)
-        let want = first.pmax.max(0) as usize;
-        if self.procs.as_ref().is_some_and(|pp| {
-            pp.kind() != opts.transport
-                || pp.pmax() != want
-                || pp.chaos() != opts.chaos
-                || pp.timeouts() != opts.timeouts
-        }) {
+        if self
+            .procs
+            .as_ref()
+            .is_some_and(|pp| !pp.link.serves(&opts, pmax))
+        {
             self.procs = None;
         }
         let procs = match self.procs.as_mut() {
             Some(pp) => pp,
-            None => self.procs.insert(ProcPool::new(
-                opts.transport,
-                want,
-                opts.chaos,
-                opts.timeouts,
-            )?),
+            None => {
+                let link = ProcLink::new(opts.transport, pmax, opts.chaos, opts.timeouts)?;
+                self.procs.insert(Pool::new(link, pmax))
+            }
         };
         procs.run_wave(jobs, arrays, opts, tracer)
     }
 
-    /// The in-process pool for `pmax` nodes, recreated on a size change.
-    fn inproc(&mut self, pmax: i64) -> &mut DistExecutor {
-        if self
-            .pool
-            .as_ref()
-            .is_some_and(|pool| pool.pmax() != pmax.max(0) as usize)
-        {
-            self.pool = None;
-        }
-        self.pool.get_or_insert_with(|| DistExecutor::new(pmax))
-    }
-
     /// Retired parts the in-process pool holds for reuse.
     fn free_parts(&self) -> usize {
-        self.pool.as_ref().map_or(0, DistExecutor::free_parts)
+        self.pool.as_ref().map_or(0, Pool::free_parts)
     }
 
     /// OS pids of the live worker processes (empty off the socket
     /// backends).
     fn pids(&self) -> Vec<u32> {
-        self.procs.as_ref().map(ProcPool::pids).unwrap_or_default()
+        (self.procs.as_ref()).map_or_else(Vec::new, |pp| pp.link.pids())
     }
 }
 

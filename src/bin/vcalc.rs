@@ -46,9 +46,9 @@ use vcal_suite::core::{Array, Env};
 use vcal_suite::lang;
 use vcal_suite::machine::{
     build_dag, replay_check, replay_check_dag, run_distributed, run_distributed_traced,
-    worker_entry_with, CollectingTracer, DistArray, DistOptions, DistSession, PerfModel,
-    ProgramStep, ScheduleMode, ServeClient, ServeConfig, ServeHandle, ServeRequest, SimdPolicy,
-    TransportKind, TuneOptions, NULL_TRACER,
+    worker_entry, CollectingTracer, DistArray, DistOptions, DistSession, PerfModel, ProgramStep,
+    ScheduleMode, ServeClient, ServeConfig, ServeHandle, ServeRequest, SimdPolicy, TransportKind,
+    TuneOptions, NULL_TRACER,
 };
 use vcal_suite::spmd::{emit, NodeCommPlan, PlanSummary, SpmdPlan};
 
@@ -276,7 +276,7 @@ fn main() -> ExitCode {
     // point the socket backends spawn for each node process
     if args.first().map(String::as_str) == Some("worker") {
         return match worker_args(&args[1..])
-            .and_then(|(addr, node, pmax, hb)| worker_entry_with(&addr, node, pmax, hb))
+            .and_then(|(addr, node, pmax, hb)| worker_entry(&addr, node, pmax, hb))
         {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {

@@ -16,6 +16,10 @@
 //!   invalidates;
 //! * a crashed pooled worker surfaces as a typed `NodePanicked` without
 //!   poisoning the session: the next run succeeds with correct results.
+//!
+//! Every run built by `opts_for` takes the backend from `VCAL_TRANSPORT`
+//! (`inproc|uds|tcp`, unset means in-process), so the same properties
+//! hold of the thread link and of the socket link to worker processes.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -26,7 +30,7 @@ use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     replay_check, run_distributed, run_distributed_traced, CollectingTracer, DistArray,
     DistOptions, DistSession, Event, FaultPlan, MachineError, ProgramStep, RetryPolicy,
-    ScheduleMode, TraceLog, HOST,
+    ScheduleMode, TraceLog, TransportKind, HOST,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -104,6 +108,21 @@ fn dist_arrays(env0: &Env, dm: &DecompMap) -> BTreeMap<String, DistArray> {
     arrays
 }
 
+/// Transport backend under test, honouring the CI matrix filter
+/// (`VCAL_TRANSPORT=inproc|uds|tcp`; unset means in-process). The
+/// socket backends spawn real worker processes from the prebuilt
+/// `vcalc` binary.
+fn transport() -> TransportKind {
+    static WORKER_BIN: std::sync::Once = std::sync::Once::new();
+    let kind = match std::env::var("VCAL_TRANSPORT").as_deref() {
+        Ok("uds") => TransportKind::Uds,
+        Ok("tcp") => TransportKind::Tcp,
+        _ => return TransportKind::InProc,
+    };
+    WORKER_BIN.call_once(|| std::env::set_var("VCAL_WORKER_BIN", env!("CARGO_BIN_EXE_vcalc")));
+    kind
+}
+
 fn opts_for(faults: Option<FaultPlan>) -> DistOptions {
     DistOptions {
         recv_timeout: Duration::from_secs(10),
@@ -113,6 +132,7 @@ fn opts_for(faults: Option<FaultPlan>) -> DistOptions {
         } else {
             RetryPolicy::default()
         },
+        transport: transport(),
         ..DistOptions::default()
     }
 }
@@ -261,7 +281,9 @@ fn redistribute_invalidates_cache() {
         reference.exec_clause(&back);
     }
 
-    let mut session = DistSession::new(&env0, dm).unwrap();
+    let mut session = DistSession::new(&env0, dm)
+        .unwrap()
+        .with_options(opts_for(None));
     session.run(&sweep).unwrap();
     session.run(&back).unwrap();
     let r = session.run(&sweep).unwrap();
