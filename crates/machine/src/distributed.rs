@@ -93,12 +93,26 @@ pub(crate) struct Wire {
 }
 
 impl WirePayload for Wire {
+    /// Rotate-add in eight independent lanes (value `k` feeds lane
+    /// `k mod 8`), folded after the packet's ordinal and length. Every
+    /// step is a bijection of the running lane or fold, so flipping any
+    /// bit of any value changes the digest — and the lanes do not wait on
+    /// each other, where one chain paid a rotate-add latency per value.
     fn digest(&self) -> u64 {
-        let mut h = 2u64.rotate_left(7).wrapping_add(self.run_ord as u64);
-        for v in self.values.iter() {
-            h = h.rotate_left(7).wrapping_add(v.to_bits());
+        let step = |h: u64, bits: u64| h.rotate_left(7).wrapping_add(bits);
+        let mut lanes = [0u64; 8];
+        let chunks = self.values.chunks_exact(8);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (h, v) in lanes.iter_mut().zip(chunk) {
+                *h = step(*h, v.to_bits());
+            }
         }
-        h
+        for (h, v) in lanes.iter_mut().zip(tail) {
+            *h = step(*h, v.to_bits());
+        }
+        let head = step(step(2, self.run_ord as u64), self.values.len() as u64);
+        lanes.into_iter().fold(head, step)
     }
 
     fn corrupt(&mut self, bits: u64) {
@@ -325,8 +339,10 @@ pub fn run_distributed(
 /// branch each — [`run_distributed`] simply passes
 /// [`crate::obs::NULL_TRACER`].
 ///
-/// A cold run is a wave of one on a throwaway pool of the backend
-/// `opts` selects: same phase engine, same tables, same trace as a
+/// A cold run prepares `plan` and runs it as a wave of one on the
+/// backend `opts` selects — in process, on a pool borrowed from the
+/// process-wide registry; over a socket, on worker processes spawned for
+/// the call: same phase engine, same tables, same trace as a
 /// [`crate::DistSession`] replaying the plan. On a socket transport the
 /// workers receive the clause and the decompositions, not `plan`, and
 /// always re-plan with [`SpmdPlan::build`]: a `plan` built any other way
@@ -363,10 +379,14 @@ pub fn run_distributed_nd(
 /// Like [`run_distributed_nd`] but with full [`DistOptions`] and an
 /// observability hook. The clause is lowered onto the run tables
 /// (`vcal_spmd::lower_nd`) and executed by the engine that runs 1-D
-/// plans, on a one-shot in-process pool: same wire, same receive path,
-/// same commit, same trace events (indices are linearised loop
-/// indices). The socket backends and wire chaos are not available to
-/// n-D clauses; asking for them is a typed error.
+/// plans, on an in-process pool borrowed from the process-wide registry:
+/// same wire, same receive path, same commit, same trace events (indices
+/// are linearised loop indices). The lowered plan is kept in a
+/// process-wide cache keyed by clause signature × decomposition
+/// fingerprint, so a repeated call neither lowers nor spawns; the
+/// report's cache counters stay 0 all the same, as for every one-shot
+/// call. The socket backends and wire chaos are not available to n-D
+/// clauses; asking for them is a typed error.
 pub fn run_distributed_nd_traced(
     clause: &Clause,
     arrays: &mut BTreeMap<String, DistArrayNd>,
@@ -383,8 +403,8 @@ pub fn run_distributed_nd_traced(
             detail: format!("n-D clauses run in-process only: {what} is not supported"),
         });
     }
-    let prepared = Arc::new(prepare_nd(clause, arrays)?);
-    let mut pool = Pool::threads(prepared.pmax.max(0) as usize);
+    let prepared = prepare_nd(clause, arrays)?;
+    let mut pool = Pool::borrow(prepared.pmax.max(0) as usize);
     let mut reports = pool.run_wave(std::slice::from_ref(&prepared), arrays, opts, tracer)?;
     Ok(reports.pop().unwrap_or_default())
 }
@@ -1187,6 +1207,40 @@ mod tests {
     use vcal_core::func::Fn1;
     use vcal_core::{Array, Bounds, Env, Expr, IndexSet, Ordering};
     use vcal_spmd::DecompMap;
+
+    /// The digest's contract, over every remainder of the eight lanes:
+    /// flipping any bit of any value changes it, and so do the ordinal
+    /// and the length.
+    #[test]
+    fn flipping_any_bit_of_any_value_changes_the_digest() {
+        for len in 0..=17usize {
+            let values: Vec<f64> = (0..len).map(|k| k as f64 * 0.75 - 3.0).collect();
+            let wire = |values: Vec<f64>| Wire {
+                run_ord: 5,
+                values: values.into(),
+            };
+            let clean = wire(values.clone()).digest();
+            for k in 0..len {
+                for bit in 0..64 {
+                    let mut flipped = values.clone();
+                    flipped[k] = f64::from_bits(flipped[k].to_bits() ^ (1 << bit));
+                    assert_ne!(
+                        wire(flipped).digest(),
+                        clean,
+                        "len {len}, value {k}, bit {bit}"
+                    );
+                }
+            }
+            let other_ord = Wire {
+                run_ord: 6,
+                ..wire(values.clone())
+            };
+            assert_ne!(other_ord.digest(), clean, "len {len}: ordinal");
+            let mut longer = values;
+            longer.push(0.0);
+            assert_ne!(wire(longer).digest(), clean, "len {len}: length");
+        }
+    }
 
     fn copy_setup(
         n: i64,

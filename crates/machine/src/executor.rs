@@ -1,11 +1,10 @@
 //! The steady-state executor: persistent node pools replaying compiled
 //! schedules (paper Section 4's amortization discipline).
 //!
-//! [`run_distributed`](crate::run_distributed) pays the full setup bill
-//! on every call: it prepares the plan and runs it on a one-shot pool.
-//! That is the right shape for a one-shot clause and exactly the wrong
-//! shape for a timestep loop, where the same plan executes thousands of
-//! times. This module splits the cost:
+//! [`run_distributed`](crate::run_distributed) prepares its plan on
+//! every call — the right shape for a one-shot clause and exactly the
+//! wrong one for a timestep loop, where the same plan executes thousands
+//! of times. This module splits the cost:
 //!
 //! * [`prepare_run`] does everything that depends only on
 //!   `(plan, clause, decompositions)` — guard resolution and the
@@ -16,7 +15,11 @@
 //!   node executes: there is no second, interpreted evaluator.
 //! * `Pool` owns `pmax` nodes spawned **once**, parked on their links
 //!   between waves; endpoints, receive lanes and operand buffers are
-//!   *reset*, not reallocated, per wave.
+//!   *reset*, not reallocated, per wave. In-process pools are spawned
+//!   only by a process-wide registry, which keeps at most one idle pool
+//!   per `pmax`: sessions, the resident service and the one-shot entries
+//!   of either rank borrow from it (`Pool::borrow`) and return what
+//!   they borrowed, so a process pays a pool's spawn once per size.
 //!
 //! The **wave** is the only unit of execution: pairwise-independent
 //! prepared clauses in program order; a single run, cold or warm, of any
@@ -56,6 +59,7 @@ use crate::distributed::{
     DistOptions, Image, RGuard, WaveRecv, Wire, WriteOp,
 };
 use crate::error::MachineError;
+use crate::net::lock;
 use crate::obs::{EventKind, Phase, Tracer};
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{Endpoint, Frame};
@@ -63,12 +67,15 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::Decomp1;
-use vcal_spmd::{clause_arrays, lower_nd, CompiledKernel, CompiledSchedule, KernelOp, SpmdPlan};
+use vcal_spmd::{
+    clause_arrays, lower_nd, plan_key, BoundedLru, CacheBudget, CompiledKernel, CompiledSchedule,
+    KernelOp, SpmdPlan,
+};
 
 /// Everything a repeated execution needs that depends only on the
 /// `(clause, decompositions)` pair: the compiled run tables the phase
@@ -262,12 +269,21 @@ fn kernel_of(compiled: &CompiledSchedule) -> Result<&CompiledKernel, MachineErro
     })
 }
 
+/// Prepared plans by [`plan_key`], bounded like a session's plan tier:
+/// a long-lived socket worker's, and the one-shot n-D entry's.
+pub(crate) type PlanCache = BoundedLru<(u64, u64), Arc<PreparedPlan>>;
+
+/// The one-shot n-D entry's prepared plans, process-wide.
+static ND_PLANS: LazyLock<Mutex<PlanCache>> =
+    LazyLock::new(|| Mutex::new(PlanCache::new(CacheBudget::default())));
+
 /// Lower a clause of any dimensionality against the decompositions of
-/// the live images in `arrays`: run tables only, no 1-D plan.
+/// the live images in `arrays`: run tables only, no 1-D plan. A clause
+/// lowered before against the same decompositions is not lowered again.
 pub(crate) fn prepare_nd(
     clause: &Clause,
     arrays: &BTreeMap<String, DistArrayNd>,
-) -> Result<PreparedPlan, MachineError> {
+) -> Result<Arc<PreparedPlan>, MachineError> {
     if clause.ordering != Ordering::Par {
         return Err(MachineError::SequentialClause);
     }
@@ -278,6 +294,10 @@ pub(crate) fn prepare_nd(
             .get(name)
             .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
         decomps.insert(name.clone(), da.decomp().clone());
+    }
+    let key = plan_key(clause, &decomps);
+    if let Some(prepared) = lock(&ND_PLANS).get(&key) {
+        return Ok(Arc::clone(prepared));
     }
     let compiled =
         lower_nd(clause, &decomps).map_err(|e| MachineError::PlanMismatch(e.to_string()))?;
@@ -290,14 +310,17 @@ pub(crate) fn prepare_nd(
         }
     }
     let rguard = resolve_guard(&clause.guard, |r| slots.iter().position(|s| *s == r))?;
-    Ok(PreparedPlan {
+    let prepared = Arc::new(PreparedPlan {
         pmax: decomps[&clause.lhs.array].pmax(),
         lhs_array: clause.lhs.array.clone(),
         compiled,
         rguard,
         referenced,
         d1: None,
-    })
+    });
+    let bytes = prepared.approx_bytes();
+    lock(&ND_PLANS).insert(key, Arc::clone(&prepared), bytes);
+    Ok(prepared)
 }
 
 /// One wave as the host lends it: pairwise-independent jobs in
@@ -516,10 +539,74 @@ impl<L> std::fmt::Debug for Pool<L> {
 /// How long the host waits for an event before it checks on the nodes.
 pub(crate) const POLL: Duration = Duration::from_millis(50);
 
+/// The process's idle in-process pools, at most one per `pmax`: what
+/// [`Pool::borrow`] hands out before it spawns.
+static IDLE: Mutex<Vec<Pool<ThreadLink>>> = Mutex::new(Vec::new());
+
 impl Pool<ThreadLink> {
-    /// A pool of `pmax` parked node threads.
-    pub(crate) fn threads(pmax: usize) -> Self {
+    /// A pool of `pmax` parked node threads. Outside the tests only the
+    /// registry spawns one ([`Pool::borrow`]).
+    fn threads(pmax: usize) -> Self {
         Pool::new(ThreadLink::new(pmax), pmax)
+    }
+
+    /// Borrow the process's idle pool of `pmax` nodes, or spawn one when
+    /// none is idle (none was made yet, or another borrower holds it).
+    pub(crate) fn borrow(pmax: usize) -> Lease {
+        let idle = {
+            let mut idle = lock(&IDLE);
+            let k = idle.iter().position(|pool| pool.pmax == pmax);
+            k.map(|k| idle.swap_remove(k))
+        };
+        Lease(Some(idle.unwrap_or_else(|| Pool::threads(pmax))))
+    }
+}
+
+/// A borrowed in-process pool. To its borrower it is a fresh pool, except
+/// that a pool left dirty still purges under the barrier before its next
+/// wave. Dropping the lease returns the pool, its free lists emptied —
+/// unless it is broken, it comes back during unwinding, or the registry
+/// already holds an idle pool of its size: then its threads are joined.
+#[derive(Debug)]
+pub(crate) struct Lease(Option<Pool<ThreadLink>>);
+
+impl std::ops::Deref for Lease {
+    type Target = Pool<ThreadLink>;
+
+    fn deref(&self) -> &Pool<ThreadLink> {
+        self.0
+            .as_ref()
+            .expect("a lease holds its pool until dropped")
+    }
+}
+
+impl std::ops::DerefMut for Lease {
+    fn deref_mut(&mut self) -> &mut Pool<ThreadLink> {
+        self.0
+            .as_mut()
+            .expect("a lease holds its pool until dropped")
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let Some(mut pool) = self.0.take() else {
+            return;
+        };
+        if std::thread::panicking() || pool.link.broken() {
+            return;
+        }
+        pool.free.iter_mut().for_each(Vec::clear);
+        let surplus = {
+            let mut idle = lock(&IDLE);
+            if idle.iter().any(|held| held.pmax == pool.pmax) {
+                Some(pool)
+            } else {
+                idle.push(pool);
+                None
+            }
+        };
+        drop(surplus); // joined outside the registry's lock
     }
 }
 
@@ -1328,9 +1415,9 @@ enum PhaseSpan<'a> {
 }
 
 /// The send or update phase of one job on one node — the phase engine
-/// behind pooled threads, socket workers and (on a one-shot pool) cold
-/// runs, for clauses of any rank and plans of any dispatch (closed-form
-/// or naive-guard). Every loop is driven from the compiled run tables,
+/// behind pooled threads (warm and cold runs alike) and socket workers,
+/// for clauses of any rank and plans of any dispatch (closed-form or
+/// naive-guard). Every loop is driven from the compiled run tables,
 /// and receives go through the job's lane in the worker's persistent
 /// scratch.
 #[allow(clippy::too_many_arguments)]
@@ -1859,7 +1946,7 @@ mod tests {
 
         let mut arrays = scatter();
         let jobs: Vec<Arc<PreparedPlan>> = [&stencil, &copy]
-            .map(|c| Arc::new(prepare_nd(c, &arrays).unwrap()))
+            .map(|c| prepare_nd(c, &arrays).unwrap())
             .into();
         let opts = DistOptions::default();
         let mut pool = Pool::threads(4);
@@ -1894,5 +1981,114 @@ mod tests {
             together[0].total().msgs_sent > 0,
             "the stencil communicates"
         );
+    }
+
+    fn bits(a: &Array) -> Vec<u64> {
+        a.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The one-shot n-D entry keeps its plans and borrows its pool: a
+    /// repeated call neither lowers the clause again nor spawns a pool,
+    /// and the same arrays under another grid are another plan that still
+    /// runs bitwise right.
+    #[test]
+    fn a_repeated_nd_call_reuses_its_plan_and_its_pool() {
+        let n = 14i64;
+        let whole = Bounds::range2(0, n - 1, 0, n - 1);
+        let u = |di: i64, dj: i64| {
+            let map = IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]);
+            Expr::Ref(ArrayRef::new("U", map))
+        };
+        let stencil = Clause {
+            iter: IndexSet::full(Bounds::range2(1, n - 2, 1, n - 2)),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::new("V", IndexMap::identity(2)),
+            rhs: Expr::add(Expr::add(u(-1, 0), u(1, 0)), u(0, 1)),
+        };
+        let mut env = Env::new();
+        env.insert(
+            "U",
+            Array::from_fn(whole, |i: &Ix| ((i[0] * 5 + i[1]) % 9) as f64),
+        );
+        env.insert("V", Array::zeros(whole));
+        let mut expect = env.clone();
+        expect.exec_clause(&stencil);
+        // 7 nodes: no other test of this crate borrows a pool of that size
+        let axis = |pmax| Decomp1::block(pmax, Bounds::range(0, n - 1));
+        let scatter = |dec: DecompNd| -> BTreeMap<String, DistArrayNd> {
+            (["U", "V"].iter())
+                .map(|a| {
+                    (
+                        a.to_string(),
+                        DistArrayNd::scatter_from(env.get(a).unwrap(), dec.clone()),
+                    )
+                })
+                .collect()
+        };
+        let timeout = Duration::from_secs(10);
+        let idle_runs = || {
+            let idle = lock(&IDLE);
+            idle.iter()
+                .find(|pool| pool.pmax == 7)
+                .map(|pool| pool.run_seq)
+        };
+
+        let mut rows = scatter(DecompNd::new(vec![axis(7), axis(1)]));
+        let plan = prepare_nd(&stencil, &rows).unwrap();
+        assert!(
+            Arc::ptr_eq(&plan, &prepare_nd(&stencil, &rows).unwrap()),
+            "lowered again"
+        );
+        crate::run_distributed_nd(&stencil, &mut rows, timeout).unwrap();
+        let runs = idle_runs().expect("the call returns its pool");
+        crate::run_distributed_nd(&stencil, &mut rows, timeout).unwrap();
+        assert_eq!(
+            idle_runs(),
+            Some(runs + 1),
+            "the second call spawned a pool"
+        );
+        assert_eq!(bits(&rows["V"].gather()), bits(expect.get("V").unwrap()));
+
+        let mut columns = scatter(DecompNd::new(vec![axis(1), axis(7)]));
+        let other = prepare_nd(&stencil, &columns).unwrap();
+        assert!(!Arc::ptr_eq(&plan, &other), "another grid hit the cache");
+        crate::run_distributed_nd(&stencil, &mut columns, timeout).unwrap();
+        assert_eq!(bits(&columns["V"].gather()), bits(expect.get("V").unwrap()));
+    }
+
+    /// Four threads, each with its own session at pmax 2, borrow at once:
+    /// those that find no idle pool spawn one, every result is bitwise the
+    /// sequential machine's, and the registry then keeps at most one idle
+    /// pool per pmax.
+    #[test]
+    fn concurrent_sessions_borrow_apart_and_leave_one_idle_pool() {
+        let n = 40;
+        let clause = relax(1, n - 2);
+        let sessions: Vec<_> = (0..4)
+            .map(|_| {
+                let clause = clause.clone();
+                std::thread::spawn(move || {
+                    let (env, decomps, _) = block_state(&["U"], n, 2);
+                    let mut expect = env.clone();
+                    let mut session = crate::session::DistSession::new(&env, decomps).unwrap();
+                    for _ in 0..5 {
+                        session.run(&clause).unwrap();
+                        expect.exec_clause(&clause);
+                    }
+                    let got = session.gather("U").unwrap();
+                    assert_eq!(bits(&got), bits(expect.get("U").unwrap()));
+                })
+            })
+            .collect();
+        for session in sessions {
+            session.join().unwrap();
+        }
+        let idle = lock(&IDLE);
+        let mut sizes: Vec<usize> = idle.iter().map(|pool| pool.pmax).collect();
+        sizes.sort_unstable();
+        let all = sizes.len();
+        sizes.dedup();
+        assert_eq!(sizes.len(), all, "two idle pools of one size: {sizes:?}");
     }
 }

@@ -35,7 +35,7 @@ use crate::distributed::{DistOptions, Wire};
 use crate::error::MachineError;
 use crate::executor::{
     node_loop, prepare_run, wave_body, BufTracer, Event, FreeParts, JobReply, Link, NodeEnd,
-    PreparedPlan, Scratch, Step, WaveCtx, WaveReply, POLL,
+    PlanCache, PreparedPlan, Scratch, Step, WaveCtx, WaveReply, POLL,
 };
 use crate::net::{ChaosPlan, ChaosProxy, Router, RouterEvent, SockLink};
 use crate::stats::NodeStats;
@@ -46,9 +46,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcal_core::Clause;
 use vcal_decomp::Decomp1;
-use vcal_spmd::{
-    clause_arrays, clause_signature, decomp_fingerprint, BoundedLru, CacheBudget, SpmdPlan,
-};
+use vcal_spmd::{plan_key, CacheBudget, SpmdPlan};
 
 /// Resolve the worker executable: `VCAL_WORKER_BIN`, else this very
 /// binary (which must implement the `worker` subcommand — `vcalc`
@@ -342,11 +340,6 @@ pub fn worker_entry(
     Ok(())
 }
 
-/// The worker's prepared plans by (clause signature, fingerprint over
-/// that clause's arrays), bounded like a session's plan tier: a
-/// long-lived worker sees every distinct clause its service runs.
-type PlanCache = BoundedLru<(u64, u64), Arc<PreparedPlan>>;
-
 /// One wave member from the plan cache, or planned generatively,
 /// prepared and cached.
 fn prepare_cached(
@@ -354,9 +347,7 @@ fn prepare_cached(
     clause: &Clause,
     decomps: &BTreeMap<String, Decomp1>,
 ) -> Result<Arc<PreparedPlan>, MachineError> {
-    let names = clause_arrays(clause);
-    let fp = decomp_fingerprint(decomps, names.iter().map(String::as_str));
-    let key = (clause_signature(clause), fp);
+    let key = plan_key(clause, decomps);
     if let Some(prep) = cache.get(&key) {
         return Ok(Arc::clone(prep));
     }

@@ -301,7 +301,8 @@ fn accept_loop(listener: &NetListener, shared: &Arc<Shared>) {
     for h in conns {
         let _ = h.join();
     }
-    // drop the tiers and pool on a service thread: the stopper's malloc caches get none of it
+    // drop the tiers, and return the thread pool, on a service thread: the
+    // stopper's malloc caches get none of it
     *lock(&shared.caches) = SessionCaches::default();
     *lock(&shared.pools) = PoolState::default();
 }

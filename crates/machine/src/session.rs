@@ -24,7 +24,7 @@
 use crate::darray::DistArray;
 use crate::distributed::{run_distributed, run_distributed_traced, DistOptions};
 use crate::error::MachineError;
-use crate::executor::{prepare_run, Pool, PreparedPlan, ThreadLink};
+use crate::executor::{prepare_run, Lease, Pool, PreparedPlan};
 use crate::net::lock;
 use crate::obs::{trace_plan, CollectingTracer, EventKind, Tracer, HOST, NULL_TRACER};
 use crate::perfmodel::{CalibratedModel, CalibrationSample};
@@ -37,9 +37,9 @@ use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_decomp::Decomp1;
 use vcal_spmd::{
-    build_dag, candidate, clause_arrays, clause_signature, decomp_fingerprint, describe_assignment,
-    enumerate_candidates, program_signature, BoundedLru, CacheBudget, Candidate, DecompMap,
-    ProgramDag, ProgramStep, SpmdPlan, TuneSpaceOptions,
+    build_dag, candidate, decomp_fingerprint, describe_assignment, enumerate_candidates, plan_key,
+    program_signature, BoundedLru, CacheBudget, Candidate, DecompMap, ProgramDag, ProgramStep,
+    SpmdPlan, TuneSpaceOptions,
 };
 
 /// Cache key of every tier: `(tenant namespace, signature, decomposition
@@ -122,11 +122,12 @@ impl CacheHandle {
 }
 
 /// The execution backends a session dispatches onto: the in-process
-/// thread pool and/or the socket-backend worker-process pool, created
-/// lazily. Both run the one host loop; only their link differs.
+/// thread pool, borrowed from the process-wide registry, and/or the
+/// socket-backend worker-process pool, spawned for the session; both on
+/// first use. Both run the one host loop; only their link differs.
 #[derive(Debug, Default)]
 pub(crate) struct PoolState {
-    pool: Option<Pool<ThreadLink>>,
+    pool: Option<Lease>,
     procs: Option<Pool<ProcLink>>,
 }
 
@@ -152,7 +153,7 @@ impl PoolState {
             if self.pool.as_ref().is_some_and(|pool| pool.pmax != pmax) {
                 self.pool = None;
             }
-            let pool = self.pool.get_or_insert_with(|| Pool::threads(pmax));
+            let pool = self.pool.get_or_insert_with(|| Pool::borrow(pmax));
             return pool.run_wave(jobs, arrays, opts, tracer);
         }
         if self
@@ -174,7 +175,7 @@ impl PoolState {
 
     /// Retired parts the in-process pool holds for reuse.
     fn free_parts(&self) -> usize {
-        self.pool.as_ref().map_or(0, Pool::free_parts)
+        self.pool.as_deref().map_or(0, Pool::free_parts)
     }
 
     /// OS pids of the live worker processes (empty off the socket
@@ -454,9 +455,7 @@ impl DistSession {
         &mut self,
         clause: &Clause,
     ) -> Result<(Arc<PreparedPlan>, bool, u64), MachineError> {
-        let sig = clause_signature(clause);
-        let names = clause_arrays(clause);
-        let fp = decomp_fingerprint(&self.decomps, names.iter().map(String::as_str));
+        let (sig, fp) = plan_key(clause, &self.decomps);
         if let Some(p) = self
             .caches
             .with(|c, ns| c.plans.get(&(ns, sig, fp)).cloned())
@@ -692,9 +691,7 @@ impl DistSession {
     ) -> f64 {
         let mut total = 0.0;
         for (clause, plan) in clauses.iter().zip(&cand.plans) {
-            let sig = clause_signature(clause);
-            let names = clause_arrays(clause);
-            let fp = decomp_fingerprint(&cand.decomps, names.iter().map(String::as_str));
+            let (sig, fp) = plan_key(clause, &cand.decomps);
             if let Some(p) = self
                 .caches
                 .with(|c, ns| c.tunes.get(&(ns, sig, fp)).copied())

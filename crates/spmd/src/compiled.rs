@@ -1274,12 +1274,13 @@ pub fn clause_arrays(clause: &Clause) -> Vec<String> {
 }
 
 /// Fingerprint the decompositions of `names` (order-insensitive: names
-/// are hashed sorted). A missing entry hashes as absent, so adding the
-/// decomposition later changes the fingerprint too. Redistribution or
-/// replacement of any covered array's decomposition changes the result
-/// — the plan-cache invalidation rule.
-pub fn decomp_fingerprint<'a>(
-    decomps: &DecompMap,
+/// are hashed sorted), of either rank: `D` is [`Decomp1`] or
+/// `DecompNd`, hashed by its debug rendering. A missing entry hashes as
+/// absent, so adding the decomposition later changes the fingerprint
+/// too. Redistribution or replacement of any covered array's
+/// decomposition changes the result — the plan-cache invalidation rule.
+pub fn decomp_fingerprint<'a, D: std::fmt::Debug>(
+    decomps: &std::collections::BTreeMap<String, D>,
     names: impl IntoIterator<Item = &'a str>,
 ) -> u64 {
     let mut sorted: Vec<&str> = names.into_iter().collect();
@@ -1293,6 +1294,18 @@ pub fn decomp_fingerprint<'a>(
         };
     }
     w.0
+}
+
+/// The plan-cache key of `clause` over `decomps`, of either rank: its
+/// [`clause_signature`] and the [`decomp_fingerprint`] of the arrays it
+/// touches ([`clause_arrays`]).
+pub fn plan_key<D: std::fmt::Debug>(
+    clause: &Clause,
+    decomps: &std::collections::BTreeMap<String, D>,
+) -> (u64, u64) {
+    let names = clause_arrays(clause);
+    let fp = decomp_fingerprint(decomps, names.iter().map(String::as_str));
+    (clause_signature(clause), fp)
 }
 
 /// Test oracle for [`CompiledNode::write_spans`], shared with the n-D
@@ -1949,5 +1962,8 @@ mod tests {
             decomp_fingerprint(&dm1, names),
             decomp_fingerprint(&dm1, ["A"])
         );
+        // generic over the rank, the 1-D prints keep their values
+        let dm4 = decomps(Decomp1::block(4, e), Decomp1::block_scatter(3, 4, e));
+        assert_eq!(decomp_fingerprint(&dm4, names), 0xcc55_27a6_95c7_2140);
     }
 }

@@ -15,7 +15,10 @@
 //!   and `redistribute` (layout change or decomposition replacement)
 //!   invalidates;
 //! * a crashed pooled worker surfaces as a typed `NodePanicked` without
-//!   poisoning the session: the next run succeeds with correct results.
+//!   poisoning the session: the next run succeeds with correct results;
+//! * in-process pools are borrowed from one process-wide registry, so a
+//!   session dropped dirty, with a retired node or during a panic leaves
+//!   the next session and the next one-shot n-D call bitwise right.
 //!
 //! Every run built by `opts_for` takes the backend from `VCAL_TRANSPORT`
 //! (`inproc|uds|tcp`, unset means in-process), so the same properties
@@ -25,12 +28,13 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
 use vcal_suite::core::func::Fn1;
-use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
-use vcal_suite::decomp::Decomp1;
+use vcal_suite::core::map::IndexMap;
+use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ix, Ordering};
+use vcal_suite::decomp::{Decomp1, DecompNd};
 use vcal_suite::machine::{
-    replay_check, run_distributed, run_distributed_traced, CollectingTracer, DistArray,
-    DistOptions, DistSession, Event, FaultPlan, MachineError, ProgramStep, RetryPolicy,
-    ScheduleMode, TraceLog, TransportKind, HOST,
+    replay_check, run_distributed, run_distributed_nd, run_distributed_traced, CollectingTracer,
+    DistArray, DistArrayNd, DistOptions, DistSession, Event, FaultPlan, MachineError, ProgramStep,
+    ProtoTimeouts, RetryPolicy, ScheduleMode, TraceLog, TransportKind, HOST,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -346,6 +350,137 @@ fn crashed_worker_retires_cleanly() {
             "node {node}: post-crash run incorrect"
         );
     }
+}
+
+fn bits(a: &Array) -> Vec<u64> {
+    a.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// In-process options: the pool registry lends thread pools only.
+fn inproc(faults: Option<FaultPlan>) -> DistOptions {
+    DistOptions {
+        transport: TransportKind::InProc,
+        ..opts_for(faults)
+    }
+}
+
+/// What a dropped session leaves in its pool must not reach the pool's
+/// next borrowers: a fresh session at the same pmax and a one-shot n-D
+/// call both run bitwise equal to the sequential machine.
+fn next_borrowers_run_bitwise(what: &str) {
+    let dm = timestep_decomps(0, 1);
+    let (sweep, back) = timestep_clauses();
+    let env0 = timestep_env();
+    let mut reference = env0.clone();
+    let mut session = DistSession::new(&env0, dm)
+        .unwrap()
+        .with_options(inproc(None));
+    for _ in 0..3 {
+        session.run(&sweep).unwrap();
+        session.run(&back).unwrap();
+        reference.exec_clause(&sweep);
+        reference.exec_clause(&back);
+    }
+    for name in ["U", "V"] {
+        let got = session.gather(name).unwrap();
+        assert_eq!(
+            bits(&got),
+            bits(reference.get(name).unwrap()),
+            "{what}: session `{name}`"
+        );
+    }
+
+    // a 2 × 2 grid: the same pmax as the session's
+    let n = 12i64;
+    let whole = Bounds::range2(0, n - 1, 0, n - 1);
+    let u = |di: i64, dj: i64| {
+        let map = IndexMap::per_dim(vec![Fn1::shift(di), Fn1::shift(dj)]);
+        Expr::Ref(ArrayRef::new("U", map))
+    };
+    let stencil = Clause {
+        iter: IndexSet::full(Bounds::range2(1, n - 2, 1, n - 2)),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::new("V", IndexMap::identity(2)),
+        rhs: Expr::mul(
+            Expr::add(Expr::add(u(-1, 0), u(1, 0)), Expr::add(u(0, -1), u(0, 1))),
+            Expr::Lit(0.25),
+        ),
+    };
+    let mut env = Env::new();
+    env.insert(
+        "U",
+        Array::from_fn(whole, |i: &Ix| ((i[0] * 7 + i[1] * 3) % 11) as f64),
+    );
+    env.insert("V", Array::zeros(whole));
+    let axis = Decomp1::block(2, Bounds::range(0, n - 1));
+    let dec = DecompNd::new(vec![axis.clone(), axis]);
+    let mut arrays: BTreeMap<String, DistArrayNd> = (["U", "V"].iter())
+        .map(|a| {
+            (
+                a.to_string(),
+                DistArrayNd::scatter_from(env.get(a).unwrap(), dec.clone()),
+            )
+        })
+        .collect();
+    run_distributed_nd(&stencil, &mut arrays, Duration::from_secs(10)).unwrap();
+    env.exec_clause(&stencil);
+    let got = arrays["V"].gather();
+    assert_eq!(bits(&got), bits(env.get("V").unwrap()), "{what}: n-D call");
+}
+
+/// A session whose last wave ran a drop-fault plan leaves its pool dirty:
+/// the next borrower's first wave purges under the barrier.
+#[test]
+fn a_pool_left_dirty_serves_its_next_borrowers_bitwise() {
+    let (sweep, _) = timestep_clauses();
+    let faults = FaultPlan::seeded(11).with_drop(0.2);
+    let mut session = DistSession::new(&timestep_env(), timestep_decomps(0, 1))
+        .unwrap()
+        .with_options(inproc(Some(faults)));
+    session.run(&sweep).unwrap();
+    drop(session);
+    next_borrowers_run_bitwise("after a dirty pool");
+}
+
+/// A node still running past the run deadline is retired: the broken
+/// pool is not returned, and its next borrowers get a working one.
+#[test]
+fn a_pool_with_a_retired_node_is_not_lent_again() {
+    let (sweep, _) = timestep_clauses();
+    let hurried = DistOptions {
+        recv_timeout: Duration::from_micros(1),
+        retry: RetryPolicy::none(),
+        timeouts: ProtoTimeouts {
+            run_grace: Duration::ZERO,
+            ..ProtoTimeouts::default()
+        },
+        ..inproc(None)
+    };
+    let mut session = DistSession::new(&timestep_env(), timestep_decomps(0, 1))
+        .unwrap()
+        .with_options(hurried);
+    assert!(
+        session.run(&sweep).is_err(),
+        "a 4 µs run deadline must fail"
+    );
+    drop(session);
+    next_borrowers_run_bitwise("after a retired node");
+}
+
+/// A session dropped while its borrower unwinds drops its pool.
+#[test]
+fn a_pool_dropped_during_a_panic_is_not_lent_again() {
+    let (sweep, _) = timestep_clauses();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut session = DistSession::new(&timestep_env(), timestep_decomps(0, 1))
+            .unwrap()
+            .with_options(inproc(None));
+        session.run(&sweep).unwrap();
+        panic!("the borrower unwinds with its session alive");
+    }));
+    assert!(unwound.is_err());
+    next_borrowers_run_bitwise("after a panic");
 }
 
 proptest! {
