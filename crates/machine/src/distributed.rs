@@ -68,13 +68,14 @@ use crate::transport::{
     WirePayload,
 };
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
-use vcal_core::{ArrayRef, Clause, CmpOp, Guard};
+use vcal_core::{ArrayRef, Clause, CmpOp, Guard, Ix};
 use vcal_decomp::{Decomp1, DecompNd};
 use vcal_spmd::{
-    simd, AccessPattern, CompiledNode, CompiledSchedule, ExecRun, FusedShape, SimdPolicy,
-    SlotAccess, SpmdPlan,
+    kernel::CHUNK, simd, AccessPattern, CompiledKernel, CompiledNode, CompiledSchedule, ExecRun,
+    FusedShape, KernelOp, SimdPolicy, SlotAccess, SpmdPlan,
 };
 
 /// Modeled header cost of one packet (source + packet tag).
@@ -141,7 +142,7 @@ pub struct DistOptions {
     /// SIMD lane policy for fused interior runs (see
     /// `vcal_spmd::simd`). Lane parallelism never re-associates any
     /// per-element computation, so results are bitwise identical to the
-    /// scalar path.
+    /// chunked bytecode.
     pub simd: SimdPolicy,
     /// Which carrier moves frames between nodes. [`TransportKind::InProc`]
     /// (the default) runs nodes as threads over channels; `Uds`/`Tcp`
@@ -505,7 +506,7 @@ pub(crate) fn exec_update_phase(
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
     rcv: &mut WaveRecv,
-    vals: &mut [f64],
+    bufs: &mut Vec<f64>,
     stack: &mut Vec<f64>,
     opts: &DistOptions,
     stats: &mut NodeStats,
@@ -528,7 +529,7 @@ pub(crate) fn exec_update_phase(
                    out: &mut Vec<WriteOp>,
                    next: Option<&mut [f64]>| {
         exec_one_run(
-            k, er, parts, cs, cn, rguard, ep, rcv, vals, stack, opts, stats, out, next, tracer,
+            k, er, parts, cs, cn, rguard, ep, rcv, bufs, stack, opts, stats, out, next, tracer,
         )
     };
     // interior first — boundary runs block on receives, interior runs
@@ -605,28 +606,6 @@ fn push_write(writes: &mut Vec<WriteOp>, op: WriteOp) {
     writes.push(op);
 }
 
-/// Read one operand element: `src` is a node's local part or a staged
-/// packet, `off` a plan-computed offset into it.
-#[inline]
-fn read_at(src: &[f64], off: i64, p: i64, array: &str) -> Result<f64, MachineError> {
-    usize::try_from(off)
-        .ok()
-        .and_then(|o| src.get(o))
-        .copied()
-        .ok_or_else(|| {
-            MachineError::PlanMismatch(format!(
-                "node {p}: offset {off} outside `{array}` operand (len {})",
-                src.len()
-            ))
-        })
-}
-
-#[inline]
-fn write_off(off: i64, p: i64) -> Result<usize, MachineError> {
-    usize::try_from(off)
-        .map_err(|_| MachineError::PlanMismatch(format!("node {p}: negative write offset {off}")))
-}
-
 fn map_recv_fail(f: RecvFail, p: i64, array: &str, i: i64, slot: usize) -> MachineError {
     match f {
         RecvFail::PacketTimeout { peer, run } => MachineError::MissingPacket {
@@ -698,51 +677,139 @@ fn receive_operands(
     Ok(())
 }
 
-/// Where one rep's results go: a contiguous rep of an unguarded clause
-/// fills one window (of the next image, or of a vector then staged as one
-/// [`WriteOp::Dense`]); any other writes the next image element by
-/// element at its lhs offsets, or stages a [`WriteOp::El`] per element.
-struct RunOut<'a> {
-    win: Option<&'a mut [f64]>,
-    img: Option<&'a mut [f64]>,
-    els: &'a mut Vec<WriteOp>,
-    lhs: &'a AccessPattern,
-    shift: i64,
+/// One entry as its arms see it: per read slot a slice — the local part
+/// or a staged packet — and the pattern that indexes it, the lhs pattern,
+/// and the words of their errors. Every offset is taken in checked
+/// arithmetic ([`AccessPattern::at`]).
+struct Entry<'a> {
+    k: usize,
+    er: &'a ExecRun,
+    parts: &'a [&'a [f64]],
+    staging: &'a Staging,
+    arrays: &'a [String],
     p: i64,
 }
 
-impl RunOut<'_> {
-    #[inline]
-    fn put(&mut self, t: usize, v: f64) -> Result<(), MachineError> {
-        if let Some(win) = &mut self.win {
-            win[t] = v;
-            return Ok(());
+impl<'a> Entry<'a> {
+    fn operand(&self, s: usize) -> (&'a [f64], &'a AccessPattern) {
+        let sa = &self.er.slots[s];
+        match sa.packet() {
+            None => (self.parts[s], sa.pattern()),
+            Some((so, po)) => (self.staging[so][po].as_deref().unwrap_or(&[]), sa.pattern()),
         }
-        let off = write_off(self.lhs.offset(t) + self.shift, self.p)?;
-        match self.img.as_mut().map(|img| img.get_mut(off)) {
-            Some(Some(cell)) => *cell = v,
-            Some(None) => {
-                return Err(MachineError::PlanMismatch(format!(
-                    "node {}: write offset {off} outside the next image",
-                    self.p
-                )))
-            }
-            None => self.els.push(WriteOp::El(off, v)),
-        }
-        Ok(())
+    }
+
+    fn reads_outside(&self, s: usize) -> MachineError {
+        let (p, array) = (self.p, &self.arrays[s]);
+        MachineError::PlanMismatch(format!("node {p}: compiled run reads outside `{array}`"))
+    }
+
+    fn writes_outside(&self) -> MachineError {
+        let (p, k) = (self.p, self.k);
+        MachineError::PlanMismatch(format!("node {p}: run {k} writes outside its part"))
+    }
+
+    /// Positions `t0..t0 + m` of rep `r` of a unit-stride slot, borrowed.
+    fn window(&self, s: usize, r: u64, t0: usize, m: usize) -> Result<&'a [f64], MachineError> {
+        let (src, pat) = self.operand(s);
+        (window(pat, r, t0, m, src.len()).map(|w| &src[w])).ok_or_else(|| self.reads_outside(s))
+    }
+
+    /// The positions of chunk `c` of slot `s`, gathered into `dst` in nest
+    /// order.
+    fn gather(&self, s: usize, c: Chunk, dst: &mut [f64]) -> Result<(), MachineError> {
+        let (src, pat) = self.operand(s);
+        visit_offsets(pat, c, src.len(), |k, o| dst[k] = src[o])
+            .ok_or_else(|| self.reads_outside(s))
+    }
+
+    /// The local offset of lhs position `t` of rep `r`.
+    fn lhs_at(&self, r: u64, t: usize) -> Result<usize, MachineError> {
+        let at = self.er.lhs.at(r, t).and_then(|o| usize::try_from(o).ok());
+        at.ok_or_else(|| self.writes_outside())
+    }
+
+    /// Positions `t0..t0 + m` of rep `r` of a unit-stride (or one-position)
+    /// lhs, as a window of the next image.
+    fn lhs_window<'n>(
+        &self,
+        next: &'n mut [f64],
+        r: u64,
+        t0: usize,
+        m: usize,
+    ) -> Result<&'n mut [f64], MachineError> {
+        let w = window(&self.er.lhs, r, t0, m, next.len()).ok_or_else(|| self.writes_outside())?;
+        Ok(&mut next[w])
+    }
+
+    /// The loop point of the first element of rep `r`. A run stays in one
+    /// row of the loop box, so only the innermost coordinate moves along it.
+    fn loop_point(&self, cs: &CompiledSchedule, r: u64) -> Ix {
+        let inner = cs.loop_box.dims() - 1;
+        let row = (self.er.index.rep(r).base - cs.loop_box.lo()[inner]) as usize;
+        cs.loop_box.from_linear_offset(row)
     }
 }
 
+/// Positions `t0..t0 + m` (`m ≥ 1`) of each of the reps `r..r + nr`.
+type Chunk = (u64, usize, usize, usize);
+
+/// Visit `(k, offset)` for the `k`-th position of a chunk of `pat`, in nest
+/// order, every offset inside `0..len` by checked arithmetic. `None` when
+/// an offset falls outside.
+#[inline]
+fn visit_offsets(
+    pat: &AccessPattern,
+    (r0, nr, t0, m): Chunk,
+    len: usize,
+    mut visit: impl FnMut(usize, usize),
+) -> Option<()> {
+    let inside = |r, t| usize::try_from(pat.at(r, t)?).ok().filter(|&o| o < len);
+    let (c1, end, t1) = (pat.nest.count(1).max(1) as u64, r0 + nr as u64, t0 + m - 1);
+    let (s0, s1) = (pat.nest.stride(0) as isize, pat.nest.stride(1) as isize);
+    let (mut r, mut k, table) = (r0, 0, pat.table.is_some());
+    while r < end {
+        // the reps left in this pass of level 1 advance by its stride
+        let run = if table { 1 } else { (c1 - r % c1).min(end - r) };
+        let first = inside(r, t0)?;
+        for (r, t) in [(r, t1), (r + run - 1, t0), (r + run - 1, t1)] {
+            inside(r, t)?;
+        }
+        // the corners of an affine pass are inside, so is every offset
+        // between them; a table's offsets are checked one by one
+        for j in 0..run as isize {
+            let base = first.wrapping_add_signed(s1 * j);
+            for t in 0..m {
+                let o = match table {
+                    true => inside(r, t0 + t)?,
+                    false => base.wrapping_add_signed(s0 * t as isize),
+                };
+                visit(k, o);
+                k += 1;
+            }
+        }
+        r += run;
+    }
+    Some(())
+}
+
+/// Positions `t0..t0 + m` of rep `r` of a unit-stride (or one-position)
+/// `pat`, as a range of a slice of `len`, if they lie inside it.
+fn window(pat: &AccessPattern, r: u64, t0: usize, m: usize, len: usize) -> Option<Range<usize>> {
+    let lo = usize::try_from(pat.at(r, t0)?).ok()?;
+    let hi = lo.checked_add(m)?;
+    (hi <= len).then_some(lo..hi)
+}
+
 /// Execute one compiled entry: its receives, packet-window checks, census
-/// and trace event once, then per rep only base arithmetic, the bounds
-/// checks of its windows and the arm's inner loop. Interior and boundary
-/// entries share one code path: a boundary entry first makes its remote
-/// operands available ([`receive_operands`]), after which every slot is
-/// a slice plus a pattern — the local part or a staged packet — and the
-/// fused / SIMD arms cannot tell the difference. `Generic` shapes and
-/// guarded clauses gather per element and run the bytecode. Every arm
-/// writes through one [`RunOut`] per rep: into `next` when there is one,
-/// else `out`.
+/// and trace event once, then its positions by one of four arms. Interior
+/// and boundary entries share one code path: a boundary entry first makes
+/// its remote operands available ([`receive_operands`]), after which every
+/// slot is a slice plus a pattern — the local part or a staged packet —
+/// and no arm can tell the difference. An unguarded entry takes the slice
+/// copy, the SIMD lane tier or the chunk path ([`exec_chunks`]); only a
+/// guarded one gathers and runs the bytecode per element. Every arm writes
+/// into `next` when there is one, else stages its writes in `out`.
 #[allow(clippy::too_many_arguments)]
 fn exec_one_run(
     k: usize,
@@ -753,7 +820,7 @@ fn exec_one_run(
     rguard: &RGuard,
     ep: &mut Endpoint<Wire>,
     rcv: &mut WaveRecv,
-    vals: &mut [f64],
+    bufs: &mut Vec<f64>,
     stack: &mut Vec<f64>,
     opts: &DistOptions,
     stats: &mut NodeStats,
@@ -768,246 +835,118 @@ fn exec_one_run(
         ));
     };
     let arrays = &cs.slot_arrays;
-    let (n, step) = (er.index.count(0) as usize, er.index.stride(0));
-    let n_slots = arrays.len();
+    let (n, reps) = (er.index.count(0).max(0) as usize, er.index.reps());
     if er.boundary {
         receive_operands(er, arrays, cn, ep, rcv, opts, stats, tracer)?;
     }
-    let staging: &Staging = rcv.cur_staging();
-    // where slot `s` reads from — the local part or a staged packet —
-    // and how its first rep is indexed
-    let operand = |s: usize| -> (&[f64], &AccessPattern) {
-        let sa = &er.slots[s];
-        match sa.packet() {
-            None => (parts[s], sa.pattern()),
-            Some((so, po)) => (staging[so][po].as_deref().unwrap_or(&[]), sa.pattern()),
-        }
+    let staging = rcv.cur_staging();
+    let en = Entry {
+        k,
+        er,
+        parts,
+        staging,
+        arrays,
+        p,
     };
-    // fused paths need an always-true guard; the stats they charge are
-    // exactly what the per-element template would have charged (one
-    // gather per slot per iteration, local or received)
-    let unguarded = matches!(rguard, RGuard::Always);
-    let fused = (unguarded && n > 0)
-        .then_some(&kernel.fused)
-        .filter(|f| !matches!(f, FusedShape::Generic));
+    // every position is charged one iteration, one data guard and one
+    // read per local slot, whichever arm runs it
     let local_slots = (er.slots.iter())
         .filter(|sa| matches!(sa, SlotAccess::Local(_)))
         .count() as u64;
-    if fused.is_some() {
-        stats.iterations += er.elems();
-        stats.data_guards += er.elems();
-        stats.local_reads += er.elems() * local_slots;
-    }
+    stats.iterations += er.elems();
+    stats.data_guards += er.elems();
+    stats.local_reads += er.elems() * local_slots;
+    let unguarded = matches!(rguard, RGuard::Always);
     // SIMD lane tier: the plan-time predicate (unit-stride writes, all
     // read slots unit-stride) plus the runtime guard/policy. The lane
     // kernels perform the exact per-element operation sequence of the
-    // scalar arms below, so results are bitwise identical.
+    // bytecode, so results are bitwise identical.
     let simd_ok = opts.simd.enabled() && unguarded && er.simd_eligible(&kernel.fused);
-    // the slice a unit-stride rep reads: `None` exactly when some
-    // per-element `read_at` of the scalar path would have failed
-    let seg = |s: usize, r: u64| -> Result<&[f64], MachineError> {
-        let (src, pat) = operand(s);
-        usize::try_from(pat.offset(0) + pat.shift(r))
-            .ok()
-            .and_then(|base| src.get(base..base + n))
-            .ok_or_else(|| {
-                MachineError::PlanMismatch(format!(
-                    "node {p}: compiled fused run reads outside `{}` operand",
-                    arrays[s]
-                ))
-            })
-    };
-    let read = |s: usize, r: u64, t: usize| -> Result<f64, MachineError> {
-        let (src, pat) = operand(s);
-        read_at(src, pat.offset(t) + pat.shift(r), p, &arrays[s])
-    };
-    // a one-element run is contiguous whatever step its compressed
-    // pattern records — the predicate of the plan's write spans
-    let contiguous = unguarded && n > 0 && (er.lhs.is_unit_stride() || n == 1);
-    // an unguarded generic run that writes and reads owner-local memory
-    // at unit stride goes through the bytecode a chunk at a time: same
-    // totals charged, same bits out
-    let unit = |sa: &SlotAccess| matches!(sa, SlotAccess::Local(pat) if pat.is_unit_stride());
-    let chunked = unguarded && er.slots.iter().all(unit);
-    let inner = cs.loop_box.dims() - 1;
-    let mut vectorized = false;
-    let lhs0 = er.lhs.offset(0);
-    let no_window =
-        || MachineError::PlanMismatch(format!("node {p}: run {k} has no window in the next image"));
     // a copy between unit strides is `gen_p`'s outer level at its barest:
     // per rep two bases, their bounds checks and one slice copy. It
     // predates the lane tier; the census claims it only when the policy
-    // is on
-    let slice_copy = match fused {
-        Some(FusedShape::Copy { slot }) if contiguous => Some(*slot),
+    // is on. A one-element rep is contiguous whatever step its compressed
+    // pattern records — the predicate of the plan's write spans
+    let slice_copy = match kernel.fused {
+        FusedShape::Copy { slot } if unguarded && (er.lhs.is_unit_stride() || n == 1) => {
+            Some(slot).filter(|&s| n > 0 && en.operand(s).1.is_unit_stride())
+        }
         _ => None,
-    }
-    .filter(|&s| operand(s).1.is_unit_stride());
-    for r in 0..er.index.reps() {
-        let shift = er.lhs.shift(r);
-        if let Some(slot) = slice_copy {
-            let (src, base) = (seg(slot, r)?, write_off(lhs0 + shift, p)?);
+    };
+    let vectorized = if !unguarded {
+        exec_guarded(&en, kernel, cs, rguard, stack, out, next)?;
+        false
+    } else if let Some(s) = slice_copy {
+        // the operand is resolved once, not per rep: reps may be a few
+        // elements each
+        let (part, pat) = en.operand(s);
+        for r in 0..reps {
+            let src = &part[window(pat, r, 0, n, part.len()).ok_or_else(|| en.reads_outside(s))?];
             match next.as_deref_mut() {
-                Some(next) => {
-                    (next.get_mut(base..base + n).ok_or_else(no_window)?).copy_from_slice(src)
-                }
+                Some(next) => en.lhs_window(next, r, 0, n)?.copy_from_slice(src),
                 None => out.push(WriteOp::Dense {
-                    base,
+                    base: en.lhs_at(r, 0)?,
                     values: src.to_vec(),
                 }),
             }
-            vectorized = simd_ok;
-            continue;
         }
-        let base = if contiguous {
-            write_off(lhs0 + shift, p)?
-        } else {
-            0
-        };
-        let mut dense: Vec<f64> = Vec::new();
-        let (win, img) = match next.as_deref_mut() {
-            Some(next) if contiguous => (
-                Some(next.get_mut(base..base + n).ok_or_else(no_window)?),
-                None,
-            ),
-            Some(next) => (None, Some(next)),
-            None if contiguous => {
-                dense = vec![0.0; n];
-                (Some(dense.as_mut_slice()), None)
+        simd_ok
+    } else if simd_ok {
+        for r in 0..reps {
+            let mut dense = Vec::new();
+            let win = match next.as_deref_mut() {
+                Some(next) => en.lhs_window(next, r, 0, n)?,
+                None => {
+                    dense = vec![0.0; n];
+                    &mut dense
+                }
+            };
+            // the operands the shape reads, in its slot order
+            let (mut x, shape) = ([&[][..]; 3], &kernel.fused);
+            for (x, &s) in x.iter_mut().zip(shape.read_slots()) {
+                *x = en.window(s, r, 0, n)?;
             }
-            None => (None, None),
-        };
-        let mut o = RunOut {
-            win,
-            img,
-            els: out,
-            lhs: &er.lhs,
-            shift,
-            p,
-        };
-        match fused {
-            Some(FusedShape::Copy { slot }) => {
-                for t in 0..n {
-                    o.put(t, read(*slot, r, t)?)?;
+            match (shape, shape.read_slots().len()) {
+                (FusedShape::Axpy { a, b, .. }, _) => simd::axpy(opts.simd, *a, *b, x[0], win),
+                (FusedShape::Stencil { scale, offset, .. }, 2) => {
+                    simd::stencil2(opts.simd, *scale, *offset, x[0], x[1], win)
                 }
-            }
-            Some(FusedShape::Axpy { a, slot, b }) => match &mut o.win {
-                Some(win) if simd_ok => {
-                    simd::axpy(opts.simd, *a, *b, seg(*slot, r)?, win);
-                    vectorized = true;
+                (
+                    FusedShape::Stencil {
+                        left_assoc,
+                        scale,
+                        offset,
+                        ..
+                    },
+                    3,
+                ) => {
+                    let (l, s, o) = (*left_assoc, *scale, *offset);
+                    simd::stencil3(opts.simd, l, s, o, x[0], x[1], x[2], win)
                 }
-                _ => {
-                    for t in 0..n {
-                        let mut v = read(*slot, r, t)?;
-                        if let Some(a) = a {
-                            v *= *a;
-                        }
-                        if let Some(b) = b {
-                            v += *b;
-                        }
-                        o.put(t, v)?;
-                    }
-                }
-            },
-            Some(FusedShape::Stencil {
-                slots,
-                left_assoc,
-                scale,
-                offset,
-            }) => match (&mut o.win, slots.as_slice()) {
-                (Some(win), [s0, s1]) if simd_ok => {
-                    simd::stencil2(opts.simd, *scale, *offset, seg(*s0, r)?, seg(*s1, r)?, win);
-                    vectorized = true;
-                }
-                (Some(win), [s0, s1, s2]) if simd_ok => {
-                    simd::stencil3(
-                        opts.simd,
-                        *left_assoc,
-                        *scale,
-                        *offset,
-                        seg(*s0, r)?,
-                        seg(*s1, r)?,
-                        seg(*s2, r)?,
-                        win,
-                    );
-                    vectorized = true;
-                }
-                _ => {
-                    for t in 0..n {
-                        let x0 = read(slots[0], r, t)?;
-                        let x1 = read(slots[1], r, t)?;
-                        let mut v = if slots.len() == 3 {
-                            let x2 = read(slots[2], r, t)?;
-                            if *left_assoc {
-                                (x0 + x1) + x2
-                            } else {
-                                x0 + (x1 + x2)
-                            }
-                        } else {
-                            x0 + x1
-                        };
-                        if let Some(s) = scale {
-                            v *= *s;
-                        }
-                        if let Some(b) = offset {
-                            v += *b;
-                        }
-                        o.put(t, v)?;
-                    }
-                }
-            },
-            Some(FusedShape::Generic) | None => {
-                // generic: gather every slot by its precomputed offset,
-                // from the local part or straight out of the packet, then
-                // run the bytecode from the loop point of the rep's first
-                // element; a run stays in one row, so only the innermost
-                // coordinate moves along it
-                let row = (er.index.rep(r).base - cs.loop_box.lo()[inner]) as usize;
-                let mut i = cs.loop_box.from_linear_offset(row);
-                if let (Some(win), true) = (&mut o.win, chunked) {
-                    let segs = (0..n_slots)
-                        .map(|s| seg(s, r))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    kernel.eval_run(i.coords(), inner, step, &segs, win, stack);
-                    stats.iterations += n as u64;
-                    stats.data_guards += n as u64;
-                    stats.local_reads += n as u64 * local_slots;
-                } else {
-                    for t in 0..n {
-                        stats.iterations += 1;
-                        for (s, v) in vals.iter_mut().enumerate().take(n_slots) {
-                            *v = read(s, r, t)?;
-                        }
-                        stats.local_reads += local_slots;
-                        stats.data_guards += 1;
-                        let guard_ok = match rguard {
-                            RGuard::Always => true,
-                            RGuard::Cmp { slot, op, rhs } => {
-                                op.holds(vals.get(*slot).copied().unwrap_or(0.0), *rhs)
-                            }
-                        };
-                        if guard_ok {
-                            o.put(t, kernel.eval(i.coords(), vals, stack))?;
-                        }
-                        i[inner] += step;
-                    }
+                (other, _) => {
+                    let why = format!("node {p}: run {k}: no lane kernel for {other:?}");
+                    return Err(MachineError::PlanMismatch(why));
                 }
             }
+            if next.is_none() {
+                let base = en.lhs_at(r, 0)?;
+                out.push(WriteOp::Dense {
+                    base,
+                    values: dense,
+                });
+            }
         }
-        if contiguous && next.is_none() {
-            out.push(WriteOp::Dense {
-                base,
-                values: dense,
-            });
-        }
-    }
+        true
+    } else {
+        exec_chunks(&en, kernel, cs, bufs, stack, out, next)?;
+        false
+    };
     // SIMD census: every executed entry is either vectorized or fallback,
     // and vectorized elements split, rep by rep, into full lanes plus a
     // scalar tail.
     if vectorized {
         let lanes = opts.simd.census_lanes() as u64;
         stats.simd_runs += 1;
-        let reps = er.index.reps();
         stats.simd_lane_elems += reps * (n as u64 / lanes * lanes);
         stats.simd_tail_elems += reps * (n as u64 % lanes);
         stats.simd_lanes = stats.simd_lanes.max(lanes);
@@ -1030,6 +969,149 @@ fn exec_one_run(
                 }
             },
         );
+    }
+    Ok(())
+}
+
+/// The chunk path of an unguarded entry: its positions in nest order, up
+/// to [`CHUNK`] at a time — a piece of a rep longer than a chunk, else as
+/// many whole reps as fit, so that an entry of many one-element reps
+/// batches like one long run. A kernel that reads a loop coordinate takes
+/// one rep per chunk, along which the coordinate advances by the step.
+/// Per chunk an operand is borrowed where it is one unit-stride window and
+/// gathered into its buffer in `bufs` otherwise, and the bytecode runs
+/// once ([`CompiledKernel::eval_run`]): into the lhs window when the chunk
+/// is one contiguous stretch of it, else into the results buffer, which is
+/// then copied or scattered into `next`, or staged (a `Dense` per
+/// contiguous rep, an `El` per element). Within a pass of level 1 a
+/// chunk's affine addresses are a two-level nest, checked by its corners.
+fn exec_chunks(
+    en: &Entry,
+    kernel: &CompiledKernel,
+    cs: &CompiledSchedule,
+    bufs: &mut Vec<f64>,
+    stack: &mut Vec<f64>,
+    out: &mut Vec<WriteOp>,
+    mut next: Option<&mut [f64]>,
+) -> Result<(), MachineError> {
+    let (er, n_slots) = (en.er, en.er.slots.len());
+    let (n, reps) = (er.index.count(0).max(0) as usize, er.index.reps());
+    let (inner, step) = (cs.loop_box.dims() - 1, er.index.stride(0));
+    let loop_var = (kernel.ops().iter()).any(|op| matches!(op, KernelOp::LoopVar(_)));
+    let per = if loop_var {
+        1
+    } else {
+        (CHUNK / n.max(1)).max(1)
+    };
+    let contiguous = er.lhs.is_unit_stride() || n == 1;
+    // buffers, one chunk per slot and one of results, where some chunk
+    // gathers or scatters
+    let unit = |s| en.operand(s).1.is_unit_stride();
+    if !(per == 1 && contiguous && (0..n_slots).all(unit)) {
+        bufs.resize(bufs.len().max((n_slots + 1) * CHUNK), 0.0);
+    }
+    let mid = (n_slots * CHUNK).min(bufs.len());
+    let (gathered, results) = bufs.split_at_mut(mid);
+    let borrowed = |s: usize, nr: usize| nr == 1 && unit(s);
+    let mut dense = Vec::new();
+    for r in (0..reps).step_by(per) {
+        let nr = (per as u64).min(reps - r) as usize;
+        for t0 in (0..n).step_by(CHUNK) {
+            let m = CHUNK.min(n - t0);
+            let len = nr * m;
+            for (s, buf) in gathered.chunks_exact_mut(CHUNK).enumerate() {
+                if !borrowed(s, nr) {
+                    en.gather(s, (r, nr, t0, m), &mut buf[..len])?;
+                }
+            }
+            let segs = (0..n_slots)
+                .map(|s| match borrowed(s, nr) {
+                    true => en.window(s, r, t0, m),
+                    false => Ok(&gathered[s * CHUNK..][..len]),
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let point = loop_var.then(|| {
+                let mut i = en.loop_point(cs, r);
+                i[inner] += step * t0 as i64;
+                i
+            });
+            let idx = point.as_ref().map_or(&[][..], Ix::coords);
+            if nr == 1 && contiguous {
+                // one contiguous stretch of the lhs: written in place
+                let win = match next.as_deref_mut() {
+                    Some(next) => en.lhs_window(next, r, t0, m)?,
+                    None if t0 == 0 => {
+                        dense = vec![0.0; n];
+                        &mut dense[..m]
+                    }
+                    None => &mut dense[t0..t0 + m],
+                };
+                kernel.eval_run(idx, inner, step, &segs, win, stack);
+                if next.is_none() && t0 + m == n {
+                    let (base, values) = (en.lhs_at(r, 0)?, std::mem::take(&mut dense));
+                    out.push(WriteOp::Dense { base, values });
+                }
+                continue;
+            }
+            let results = &mut results[..len];
+            kernel.eval_run(idx, inner, step, &segs, results, stack);
+            let chunk = (r, nr, t0, m);
+            let scattered = match next.as_deref_mut() {
+                Some(next) => {
+                    visit_offsets(&er.lhs, chunk, next.len(), |k, o| next[o] = results[k])
+                }
+                None if contiguous => {
+                    for (j, vals) in (0..).zip(results.chunks_exact(m)) {
+                        let (base, values) = (en.lhs_at(r + j, t0)?, vals.to_vec());
+                        out.push(WriteOp::Dense { base, values });
+                    }
+                    Some(())
+                }
+                None => visit_offsets(&er.lhs, chunk, usize::MAX, |k, o| {
+                    out.push(WriteOp::El(o, results[k]))
+                }),
+            };
+            scattered.ok_or_else(|| en.writes_outside())?;
+        }
+    }
+    Ok(())
+}
+
+/// A guarded entry, element by element: gather every slot, test the
+/// guard, and run the bytecode where it holds.
+fn exec_guarded(
+    en: &Entry,
+    kernel: &CompiledKernel,
+    cs: &CompiledSchedule,
+    rguard: &RGuard,
+    stack: &mut Vec<f64>,
+    out: &mut Vec<WriteOp>,
+    mut next: Option<&mut [f64]>,
+) -> Result<(), MachineError> {
+    let er = en.er;
+    let (inner, step) = (cs.loop_box.dims() - 1, er.index.stride(0));
+    let vals = &mut vec![0.0; er.slots.len()];
+    for r in 0..er.index.reps() {
+        let mut i = en.loop_point(cs, r);
+        for t in 0..er.index.count(0).max(0) as usize {
+            for (s, v) in vals.iter_mut().enumerate() {
+                en.gather(s, (r, 1, t, 1), std::slice::from_mut(v))?;
+            }
+            let holds = match rguard {
+                RGuard::Always => true,
+                RGuard::Cmp { slot, op, rhs } => {
+                    op.holds(vals.get(*slot).copied().unwrap_or(0.0), *rhs)
+                }
+            };
+            if holds {
+                let (off, v) = (en.lhs_at(r, t)?, kernel.eval(i.coords(), vals, stack));
+                match next.as_deref_mut() {
+                    Some(next) => *next.get_mut(off).ok_or_else(|| en.writes_outside())? = v,
+                    None => out.push(WriteOp::El(off, v)),
+                }
+            }
+            i[inner] += step;
+        }
     }
     Ok(())
 }

@@ -1310,10 +1310,6 @@ pub(crate) fn wave_body(
     let mut jobs_out: Vec<JobReply> = Vec::with_capacity(jobs.len());
     for (j, (prepared, (mut stats, sent_to, sent_trace))) in jobs.iter().zip(sent).enumerate() {
         scratch.recv.cur = j;
-        scratch.vals.clear();
-        scratch
-            .vals
-            .resize(prepared.compiled.slot_arrays.len(), 0.0);
         scratch.writes.clear();
         let mut image = None;
         let res = match &first_fail {
@@ -1395,8 +1391,9 @@ pub(crate) struct Scratch {
     /// The receive router: one lane per job of the wave (its packet
     /// staging) and the wave's seq windows.
     recv: WaveRecv,
-    /// Operand values of the current iteration, one per read slot.
-    vals: Vec<f64>,
+    /// Operand buffers: one chunk of values per read slot plus one of
+    /// results (a guarded run's per-element operands use the first cells).
+    bufs: Vec<f64>,
     /// Kernel evaluation stack, reused across runs.
     stack: Vec<f64>,
     /// Collected local writes of the current job, committed by the host.
@@ -1464,7 +1461,7 @@ fn warm_phases(
     let update_t0 = trace_on.then(std::time::Instant::now);
     let Scratch {
         recv,
-        vals,
+        bufs,
         stack,
         writes,
     } = scratch;
@@ -1476,7 +1473,7 @@ fn warm_phases(
         &prepared.rguard,
         ep,
         recv,
-        vals,
+        bufs,
         stack,
         opts,
         stats,
@@ -1497,8 +1494,9 @@ mod tests {
     use crate::obs::NULL_TRACER;
     use vcal_core::func::Fn1;
     use vcal_core::map::IndexMap;
-    use vcal_core::{Array, Bounds, Env, Expr, Guard, IndexSet, Ix};
+    use vcal_core::{Array, BinOp, Bounds, Env, Expr, Guard, IndexSet, Ix};
     use vcal_decomp::DecompNd;
+    use vcal_spmd::{ExecRun, SimdPolicy, SlotAccess};
 
     /// A dead node thread costs the run, never the data: the host keeps
     /// the parts it lends, so the images come back bit-for-bit, and the
@@ -1862,6 +1860,92 @@ mod tests {
             );
             assert_eq!(live, arrays, "{why}: a refused reply must change nothing");
             assert!(free.iter().all(Vec::is_empty));
+        }
+    }
+
+    /// A hand-altered entry whose addresses do not fit the part — an
+    /// operand or lhs stride, within a rep or from rep to rep, whose last
+    /// offset overflows `i64`, an operand or lhs offset past the part — is
+    /// refused with a typed `PlanMismatch` by the slice copy, the lane tier
+    /// and the chunk path alike, and the arrays come back bitwise as they
+    /// went in. Block parts give one-rep entries, BS(4) parts entries of
+    /// four reps that the chunk path takes whole.
+    #[test]
+    fn an_entry_that_does_not_fit_the_part_is_refused() {
+        let (env, _, _) = block_state(&["U", "V"], 64, 4);
+        let u = |d: i64| Expr::Ref(ArrayRef::d1("U", Fn1::shift(d)));
+        let clause = |rhs: Expr| Clause {
+            iter: IndexSet::range(1, 62),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("V", Fn1::identity()),
+            rhs,
+        };
+        let clauses = [
+            clause(u(0)),
+            clause(Expr::mul(Expr::Lit(0.5), Expr::add(u(-1), u(1)))),
+            clause(Expr::Bin(BinOp::Sub, Box::new(u(1)), Box::new(u(0)))),
+        ];
+        let huge = i64::MAX / 4;
+        let alter = |er: &mut ExecRun, what: &str| {
+            let slot = match &mut er.slots[0] {
+                SlotAccess::Local(p) | SlotAccess::Packet { pattern: p, .. } => &mut p.nest,
+            };
+            match what {
+                "operand stride" => slot.levels[0].1 = huge,
+                "operand rep stride" => slot.levels[1].1 = huge,
+                "operand offset" => slot.base += 16,
+                "lhs stride" => er.lhs.nest.levels[0].1 = huge,
+                "lhs rep stride" => er.lhs.nest.levels[1].1 = huge,
+                _ => er.lhs.nest.base += 16,
+            }
+        };
+        let alterations = [
+            "operand stride",
+            "operand rep stride",
+            "operand offset",
+            "lhs stride",
+            "lhs rep stride",
+            "lhs offset",
+        ];
+        let extent = Bounds::range(0, 63);
+        let mut pool = Pool::threads(4);
+        for layout in [
+            Decomp1::block(4, extent),
+            Decomp1::block_scatter(4, 4, extent),
+        ] {
+            let decomps: BTreeMap<String, Decomp1> =
+                ["U", "V"].map(|a| (a.to_string(), layout.clone())).into();
+            let scatter = |a: &String| DistArray::scatter_from(env.get(a).unwrap(), layout.clone());
+            let arrays: BTreeMap<String, DistArray> =
+                decomps.keys().map(|a| (a.clone(), scatter(a))).collect();
+            for (cl, what) in clauses.iter().flat_map(|c| alterations.map(|a| (c, a))) {
+                for simd in [SimdPolicy::auto(), SimdPolicy::off()] {
+                    let plan = SpmdPlan::build(cl, &decomps).unwrap();
+                    let mut job = prepare_run(plan, cl, &decomps).unwrap();
+                    let exec = &mut job.compiled.nodes[1].exec;
+                    let er = (exec.iter_mut())
+                        .max_by_key(|er| (er.index.reps(), er.elems()))
+                        .unwrap();
+                    if what.contains("rep") && er.index.reps() < 2 {
+                        continue;
+                    }
+                    alter(er, what);
+                    let mut live = arrays.clone();
+                    let opts = DistOptions {
+                        simd,
+                        ..DistOptions::default()
+                    };
+                    let err = pool
+                        .run_wave(&[Arc::new(job)], &mut live, opts, &NULL_TRACER)
+                        .unwrap_err();
+                    assert!(
+                        matches!(err, MachineError::PlanMismatch(_)),
+                        "{layout:?} {what}: {err}"
+                    );
+                    assert_eq!(live, arrays, "{what}: a refused entry must change nothing");
+                }
+            }
         }
     }
 

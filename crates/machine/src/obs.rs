@@ -154,7 +154,7 @@ pub enum EventKind {
     SimdCensus {
         /// Runs executed through the SIMD lane tier.
         vector_runs: u64,
-        /// Runs executed element-at-a-time.
+        /// Runs the lane tier did not take (chunked bytecode, or guarded).
         fallback_runs: u64,
         /// Elements processed in full lane chunks.
         lane_elems: u64,

@@ -135,6 +135,24 @@ impl AccessPattern {
         }
     }
 
+    /// The offset of element `t` of level-0 run `r` — `offset(t) +
+    /// shift(r)` in checked arithmetic: `None` where it overflows, or
+    /// past the end of a table.
+    #[inline]
+    pub fn at(&self, r: u64, t: usize) -> Option<i64> {
+        let [(_, s0), (c1, s1), (_, s2)] = self.nest.levels;
+        let first = match &self.table {
+            None => s0.checked_mul(t as i64)?.checked_add(self.nest.base)?,
+            Some(offs) => *offs.get(t)?,
+        };
+        let c1 = c1.max(1) as u64;
+        let (j1, j2) = if r < c1 { (r, 0) } else { (r % c1, r / c1) };
+        let shift = s1
+            .checked_mul(j1 as i64)?
+            .checked_add(s2.checked_mul(j2 as i64)?)?;
+        first.checked_add(shift)
+    }
+
     /// Visit every offset in order.
     pub fn for_each(&self, mut visit: impl FnMut(i64)) {
         match &self.table {

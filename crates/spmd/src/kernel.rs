@@ -11,13 +11,14 @@
 //!   in the plan's deduplicated read list — identical on every node,
 //!   because the read list is built once from the clause before the
 //!   per-processor split);
-//! * the tree is flattened into postfix [`KernelOp`] bytecode evaluated
-//!   by a single loop over a pre-sized value stack — no recursion, no
-//!   pointer chasing;
+//! * the tree is flattened into postfix [`KernelOp`] bytecode over a
+//!   pre-sized value stack — no recursion, no pointer chasing — and a run
+//!   evaluates it a chunk at a time ([`CompiledKernel::eval_run`]): each op
+//!   is dispatched once per [`CHUNK`] elements into one plain loop, and a
+//!   slot or literal right operand is applied to the stack top in place;
 //! * the dominant shapes are recognized into a [`FusedShape`] so the
-//!   machines can run a specialized loop that skips even the bytecode
-//!   dispatch: pure copy (which degrades to `copy_from_slice` on
-//!   unit-stride runs), `a·X[g(i)] + b`, and 2/3-point stencil sums
+//!   machines' SIMD lane tier can take them on unit-stride runs: pure copy
+//!   (a `copy_from_slice`), `a·X[g(i)] + b`, and 2/3-point stencil sums
 //!   with an optional scale and offset.
 //!
 //! Bit-exactness contract: [`CompiledKernel::eval`] performs *exactly*
@@ -157,12 +158,14 @@ impl CompiledKernel {
     /// coordinate `inner` advanced by `step·t`, over the slot values
     /// `slots[s][t]`. Each slot slice holds exactly `out.len()` values.
     ///
-    /// The ops run column-wise over chunks of at most `CHUNK` (256)
-    /// elements, the value stack widened to one chunk buffer per level:
-    /// every element still sees the same [`BinOp::apply`] sequence on the
-    /// same operands, so the result is bit-identical to the per-element
-    /// loop — what goes is the dispatch, the gather closures and the
-    /// stack traffic per element.
+    /// The ops run column-wise over chunks of at most [`CHUNK`]
+    /// elements, each op dispatched once per chunk into one plain loop
+    /// per operator, the value stack widened to one chunk buffer per
+    /// level (level 0 is the output chunk itself). A `Slot` or `Lit`
+    /// that is the right operand of the next `Bin` is applied to the
+    /// stack top in place instead of being pushed first. Every element
+    /// still sees the same [`BinOp::apply`] sequence on the same
+    /// operands, so the result is bit-identical to the per-element loop.
     pub fn eval_run(
         &self,
         idx: &[i64],
@@ -172,58 +175,104 @@ impl CompiledKernel {
         out: &mut [f64],
         stack: &mut Vec<f64>,
     ) {
-        // one buffer of `w` values per stack level; whatever a buffer
-        // holds is overwritten by the push that claims it
+        // one buffer of `w` values per stack level above 0; whatever a
+        // buffer holds is overwritten by the push that claims it
         let w = out.len().min(CHUNK);
-        if stack.len() < self.max_stack * w {
-            stack.resize(self.max_stack * w, 0.0);
+        let need = self.max_stack.saturating_sub(1) * w;
+        if stack.len() < need {
+            stack.resize(need, 0.0);
         }
+        let operand = |s: u16, t0: usize, m: usize| match slots.get(s as usize) {
+            Some(vals) => Operand::Vals(&vals[t0..t0 + m]),
+            None => Operand::Lit(0.0),
+        };
         for (c, out) in out.chunks_mut(CHUNK).enumerate() {
             let (t0, m) = (c * CHUNK, out.len());
-            let mut sp = 0;
-            for op in &self.ops {
-                match *op {
-                    KernelOp::Slot(s) => {
-                        match slots.get(s as usize) {
-                            Some(vals) => stack[sp * w..][..m].copy_from_slice(&vals[t0..t0 + m]),
-                            None => stack[sp * w..][..m].fill(0.0),
-                        }
-                        sp += 1;
-                    }
-                    KernelOp::Lit(v) => {
-                        stack[sp * w..][..m].fill(v);
-                        sp += 1;
-                    }
+            let (mut sp, mut ops) = (0, self.ops.iter().peekable());
+            while let Some(&op) = ops.next() {
+                let in_place = match (op, ops.peek()) {
+                    (KernelOp::Slot(s), Some(KernelOp::Bin(b))) => Some((operand(s, t0, m), *b)),
+                    (KernelOp::Lit(v), Some(KernelOp::Bin(b))) => Some((Operand::Lit(v), *b)),
+                    _ => None,
+                };
+                if let Some((rhs, b)) = in_place {
+                    ops.next();
+                    bin_each(b, level(out, stack, w, sp - 1), rhs);
+                    continue;
+                }
+                match op {
+                    KernelOp::Slot(s) => match operand(s, t0, m) {
+                        Operand::Vals(v) => level(out, stack, w, sp).copy_from_slice(v),
+                        Operand::Lit(v) => level(out, stack, w, sp).fill(v),
+                    },
+                    KernelOp::Lit(v) => level(out, stack, w, sp).fill(v),
                     KernelOp::LoopVar(d) => {
                         let at = idx.get(d as usize).copied().unwrap_or(0);
                         let along = if d as usize == inner { step } else { 0 };
-                        for (t, v) in stack[sp * w..][..m].iter_mut().enumerate() {
+                        for (t, v) in level(out, stack, w, sp).iter_mut().enumerate() {
                             *v = (at + along * (t0 + t) as i64) as f64;
                         }
-                        sp += 1;
                     }
                     KernelOp::Neg => {
-                        for v in &mut stack[(sp - 1) * w..][..m] {
-                            *v = -*v;
-                        }
+                        level(out, stack, w, sp - 1)
+                            .iter_mut()
+                            .for_each(|v| *v = -*v);
+                        continue;
                     }
-                    KernelOp::Bin(op) => {
-                        let (below, top) = stack.split_at_mut((sp - 1) * w);
-                        for (a, b) in below[(sp - 2) * w..][..m].iter_mut().zip(&top[..m]) {
-                            *a = op.apply(*a, *b);
-                        }
+                    KernelOp::Bin(b) => {
+                        // level `sp - 1` is buffer `sp - 2`
+                        let (below, top) = stack.split_at_mut((sp - 2) * w);
+                        let top = Operand::Vals(&top[..m]);
+                        bin_each(b, level(out, below, w, sp - 2), top);
                         sp -= 1;
+                        continue;
                     }
                 }
+                sp += 1;
             }
-            out.copy_from_slice(&stack[..m]);
         }
     }
 }
 
 /// Elements [`CompiledKernel::eval_run`] carries through the bytecode at
 /// a time: a few chunk buffers of this width stay in L1.
-const CHUNK: usize = 256;
+pub const CHUNK: usize = 256;
+
+/// Level `l` of a chunk's value stack: level 0 is the output chunk, level
+/// `l ≥ 1` is buffer `l − 1` of `stack`, `w` values apart.
+fn level<'a>(out: &'a mut [f64], stack: &'a mut [f64], w: usize, l: usize) -> &'a mut [f64] {
+    let m = out.len();
+    if l == 0 {
+        out
+    } else {
+        &mut stack[(l - 1) * w..][..m]
+    }
+}
+
+/// The right operand of a chunk-wide op: a column of values or one literal.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Vals(&'a [f64]),
+    Lit(f64),
+}
+
+/// `a[t] = op.apply(a[t], b[t])` over a chunk, the operator matched once.
+fn bin_each(op: BinOp, a: &mut [f64], b: Operand) {
+    fn each(a: &mut [f64], b: Operand, f: impl Fn(f64, f64) -> f64) {
+        match b {
+            Operand::Vals(b) => a.iter_mut().zip(b).for_each(|(a, b)| *a = f(*a, *b)),
+            Operand::Lit(b) => a.iter_mut().for_each(|a| *a = f(*a, b)),
+        }
+    }
+    match op {
+        BinOp::Add => each(a, b, |x, y| x + y),
+        BinOp::Sub => each(a, b, |x, y| x - y),
+        BinOp::Mul => each(a, b, |x, y| x * y),
+        BinOp::Div => each(a, b, |x, y| x / y),
+        BinOp::Min => each(a, b, f64::min),
+        BinOp::Max => each(a, b, f64::max),
+    }
+}
 
 /// Emit postfix ops for `e`; returns the maximum stack depth reached.
 fn lower<F>(e: &Expr, resolve: &F, out: &mut Vec<KernelOp>) -> Option<usize>
@@ -589,6 +638,56 @@ mod tests {
         for e in &odd {
             let k = CompiledKernel::compile(e, reads.len(), resolver(&reads)).expect("compiles");
             assert_eq!(k.fused, FusedShape::Generic, "expr={e:?}");
+        }
+    }
+
+    /// A `Slot` or a `Lit` right operand of each of the six operators is
+    /// applied to the stack top in place; as the left operand of `Sub`
+    /// and `Div` it is pushed, not fused. Either way `eval_run` is `eval`
+    /// bit for bit, on runs of one element, one chunk and one past it —
+    /// a NaN result matching any NaN, whose sign and payload Rust leaves
+    /// unspecified.
+    #[test]
+    fn in_place_operands_match_eval_bitwise() {
+        use BinOp::{Add, Div, Max, Min, Mul, Sub};
+        let reads = refs(&[("B", Fn1::identity()), ("B", Fn1::shift(1))]);
+        let bin = |op, x: &Expr, y: &Expr| Expr::Bin(op, Box::new(x.clone()), Box::new(y.clone()));
+        let top = Expr::Neg(Box::new(b(Fn1::identity())));
+        let mut cases = Vec::new();
+        for op in [Add, Sub, Mul, Div, Min, Max] {
+            for y in [b(Fn1::shift(1)), Expr::Lit(-0.0), Expr::Lit(2.5)] {
+                cases.push((bin(op, &top, &y), true));
+                if matches!(op, Sub | Div) {
+                    cases.push((bin(op, &y, &top), false));
+                }
+            }
+        }
+        let special = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let (mut stack, mut scratch) = (Vec::new(), Vec::new());
+        for (e, right) in &cases {
+            let k = CompiledKernel::compile(e, reads.len(), resolver(&reads)).expect("compiles");
+            // `Slot(0) Neg y Bin` against `y Slot(0) Neg Bin`
+            let fused = matches!(k.ops(), [_, _, KernelOp::Slot(_) | KernelOp::Lit(_), _]);
+            assert_eq!(fused, *right, "expr={e:?}: {:?}", k.ops());
+            for n in [1usize, 256, 257] {
+                let col = |s: usize| (0..n).map(|t| special[(t * (s + 2) + s) % 7]).collect();
+                let cols: [Vec<f64>; 2] = [col(0), col(1)];
+                let mut out = vec![f64::NAN; n];
+                k.eval_run(&[0], 0, 1, &[&cols[0], &cols[1]], &mut out, &mut scratch);
+                for (t, got) in out.iter().enumerate() {
+                    let want = k.eval(&[t as i64], &[cols[0][t], cols[1][t]], &mut stack);
+                    let same = got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan();
+                    assert!(same, "expr={e:?} n={n} t={t}: {got} against {want}");
+                }
+            }
         }
     }
 

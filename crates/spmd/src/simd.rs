@@ -17,13 +17,13 @@
 //! source tree, then `[*scale]; [+offset]`).  The AVX2 path uses only
 //! `loadu`/`mul`/`add`/`storeu` — **never** fused multiply-add, which
 //! would change results in the last bit.  Consequently SIMD output is
-//! bitwise identical to the scalar fused path, which is itself checked
+//! bitwise identical to the chunked bytecode, which is itself checked
 //! bitwise against `eval_expr` (see `tests/kernel_equivalence.rs`).
 //!
 //! ## Policy semantics
 //!
-//! * [`SimdMode::Off`] — machines take the scalar per-element path
-//!   unchanged (the PR 5 baseline).
+//! * [`SimdMode::Off`] — machines run every unguarded entry through the
+//!   chunked bytecode (`CompiledKernel::eval_run`), no lane kernel.
 //! * [`SimdMode::On`] — portable chunk loops at the configured lane
 //!   width; no `std::arch` is used even when available.
 //! * [`SimdMode::Auto`] — like `On`, but the AVX2 intrinsic path is
@@ -37,7 +37,7 @@ pub enum SimdMode {
     Auto,
     /// Use the portable chunk-loop lane kernels only (no `std::arch`).
     On,
-    /// Scalar per-element execution only (the pre-SIMD baseline).
+    /// No lane kernels: every unguarded entry runs the chunked bytecode.
     Off,
 }
 
@@ -77,7 +77,7 @@ impl SimdPolicy {
         }
     }
 
-    /// SIMD tier disabled: scalar per-element execution.
+    /// SIMD tier disabled: the chunked bytecode runs every entry.
     pub fn off() -> Self {
         SimdPolicy {
             mode: SimdMode::Off,
@@ -125,7 +125,7 @@ impl SimdPolicy {
 
 /// Plan-time SIMD census, the `overlap_census()` analogue for the lane
 /// tier: how many exec entries the policy will vectorize, how many
-/// fall back to the scalar path, and how the vectorized elements split
+/// fall back to the chunked bytecode, and how the vectorized elements split
 /// into full lanes vs remainder tails. An entry counts once however many
 /// reps it has; each rep is one lane loop with its own tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,8 +134,8 @@ pub struct SimdCensus {
     pub lanes: u64,
     /// Unit-stride entries the lane tier will take.
     pub vector_runs: u64,
-    /// Entries executed element-at-a-time (boundary, strided, guarded,
-    /// generic shape, or policy off).
+    /// Entries the lane tier does not take (strided, guarded, generic
+    /// shape, or policy off): the chunked bytecode or, guarded, per element.
     pub fallback_runs: u64,
     /// Elements processed in full lane chunks.
     pub lane_elems: u64,

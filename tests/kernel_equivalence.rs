@@ -15,11 +15,14 @@
 //!   from stale staging by an interior run;
 //! * the plan-time interior/boundary split is exhaustive: interior plus
 //!   boundary elements equal the clause's iteration count;
-//! * the SIMD lane tier is bit-identical to the scalar path — and both
-//!   to `eval_expr` — across every policy (AVX2 auto, forced chunk
+//! * the SIMD lane tier is bit-identical to the chunked bytecode — and
+//!   both to `eval_expr` — across every policy (AVX2 auto, forced chunk
 //!   loops at 4/8/16 lanes, off), with iteration counts chosen to cover
 //!   remainder-lane tails (n not a multiple of the lane width) and
-//!   single-element runs, with and without recoverable fault plans.
+//!   single-element runs, with and without recoverable fault plans;
+//! * the chunk path takes strided and table reads and writes, entries of
+//!   one-element reps and kernels that read their loop coordinate, cold
+//!   and warm, under both schedulers.
 //!
 //! The CI SIMD matrix runs this suite once per policy via
 //! `VCAL_SIMD=on|off|auto`. Unset, all variants run.
@@ -301,7 +304,12 @@ proptest! {
     /// The chunked run evaluator is the per-element evaluator, bit for
     /// bit: run lengths around the 256-element chunk (none, one, a chunk
     /// less one, a chunk, a chunk plus one, several chunks and a tail),
-    /// with the loop coordinate advancing by 1 and by 3.
+    /// with the loop coordinate advancing by 1 and by 3, over finite
+    /// operands and again with signed zeros, NaN and both infinities mixed
+    /// in — what `Min`, `Max`, `Div` and the operands applied in place are
+    /// sensitive to. In the second mix a NaN result matches any NaN: Rust
+    /// leaves the sign and payload of a NaN result unspecified, and an
+    /// optimised build commutes the operands of a `*` of two NaNs.
     #[test]
     fn eval_run_bitwise_equals_eval_per_element(e in arb_expr(), i0 in -40i64..40) {
         let reads = read_list(&e);
@@ -311,10 +319,16 @@ proptest! {
         });
         let k = k.expect("every vocabulary reference resolves");
         let (mut stack, mut scratch) = (Vec::new(), Vec::new());
-        for n in [0usize, 1, 255, 256, 257, 1000] {
-            // zeros, negatives and a spread of magnitudes per slot
+        let specials = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for (n, special) in [0usize, 1, 255, 256, 257, 1000]
+            .into_iter()
+            .flat_map(|n| [(n, &[][..]), (n, &specials[..])])
+        {
+            // zeros, negatives and a spread of magnitudes per slot, the
+            // first few values replaced by the specials
+            let value = |j: usize| special.get(j).copied().unwrap_or(j as f64 * 0.5 - 5.0);
             let slots: Vec<Vec<f64>> = (0..reads.len())
-                .map(|s| (0..n).map(|t| ((s * 31 + t * 7) % 23) as f64 * 0.5 - 5.0).collect())
+                .map(|s| (0..n).map(|t| value((s * 31 + t * 7) % 23)).collect())
                 .collect();
             let segs: Vec<&[f64]> = slots.iter().map(Vec::as_slice).collect();
             for step in [1i64, 3] {
@@ -323,9 +337,9 @@ proptest! {
                 for (t, got) in out.iter().enumerate() {
                     let vals: Vec<f64> = slots.iter().map(|s| s[t]).collect();
                     let want = k.eval(&[i0 + step * t as i64], &vals, &mut stack);
-                    prop_assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
+                    let nans = !special.is_empty() && got.is_nan() && want.is_nan();
+                    prop_assert!(
+                        got.to_bits() == want.to_bits() || nans,
                         "expr={:?} n={} step={} t={} got={} want={}",
                         &e, n, step, t, got, want
                     );
@@ -466,40 +480,51 @@ fn simd_census_plan_matches_runtime() {
 // boundary-heavy layouts: the run-granular receive path
 // ---------------------------------------------------------------------
 
+/// A fixed-seed LCG of array values in `[-10, 10]`.
+fn lcg(mut state: u64) -> impl FnMut() -> f64 {
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % 2001) as f64 * 0.01 - 10.0
+    }
+}
+
+/// The case `A[lhs(i)] := rhs` over `iter`, with `A` laid out by `a`
+/// (zeros) and `B` by `b` (drawn from `next`).
+fn layout_case(
+    next: &mut impl FnMut() -> f64,
+    name: &'static str,
+    iter: (i64, i64),
+    lhs: Fn1,
+    rhs: Expr,
+    (a, b): (Decomp1, Decomp1),
+) -> (&'static str, Clause, DecompMap, Env) {
+    let cl = Clause {
+        iter: IndexSet::range(iter.0, iter.1),
+        ordering: Ordering::Par,
+        guard: Guard::Always,
+        lhs: ArrayRef::d1("A", lhs),
+        rhs,
+    };
+    let mut env = Env::new();
+    env.insert("A", Array::zeros(a.extent()));
+    env.insert("B", Array::from_fn(b.extent(), |_| next()));
+    let mut dm = DecompMap::new();
+    dm.insert("A".into(), a);
+    dm.insert("B".into(), b);
+    (name, cl, dm, env)
+}
+
 /// The layouts whose update phase is dominated by boundary runs: every
 /// other block remote (block-scatter → block), every other element
 /// remote through a stride-3 read (scatter → block), and a 3-point
 /// stencil whose only remote operands are 1-element halos. Array
 /// contents come from a fixed-seed LCG.
 fn boundary_cases() -> Vec<(&'static str, Clause, DecompMap, Env)> {
-    let mut state = 0x5eed_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) % 2001) as f64 * 0.01 - 10.0
-    };
-    let mut case = |name: &'static str,
-                    iter: (i64, i64),
-                    rhs: Expr,
-                    a: Decomp1,
-                    b: Decomp1|
-     -> (&'static str, Clause, DecompMap, Env) {
-        let cl = Clause {
-            iter: IndexSet::range(iter.0, iter.1),
-            ordering: Ordering::Par,
-            guard: Guard::Always,
-            lhs: ArrayRef::d1("A", Fn1::identity()),
-            rhs,
-        };
-        let mut env = Env::new();
-        env.insert("A", Array::zeros(a.extent()));
-        env.insert("B", Array::from_fn(b.extent(), |_| next()));
-        let mut dm = DecompMap::new();
-        dm.insert("A".into(), a);
-        dm.insert("B".into(), b);
-        (name, cl, dm, env)
-    };
+    let mut next = lcg(0x5eed);
+    let mut case =
+        |name, iter, rhs, a, b| layout_case(&mut next, name, iter, Fn1::identity(), rhs, (a, b));
     let b_ref = |g: Fn1| Expr::Ref(ArrayRef::d1("B", g));
     let (n, m, s) = (256i64, 96i64, 128i64);
     vec![
@@ -526,6 +551,96 @@ fn boundary_cases() -> Vec<(&'static str, Clause, DecompMap, Env)> {
             ),
             Decomp1::block(4, Bounds::range(0, s - 1)),
             Decomp1::block(4, Bounds::range(0, s - 1)),
+        ),
+    ]
+}
+
+/// Entries neither the lane tier nor the slice copy takes, which run a
+/// chunk at a time: a strided write `A[2i+1]` of a generic rhs over three
+/// layouts of `A` (on some nodes it covers half the part and commits as
+/// an image, on others it is staged), a strided read into a unit-stride
+/// lhs, a Block → BS(16) copy whose boundary entries are one-element
+/// reps, a read through a table (`B[i²]` is not affine) and a kernel
+/// that reads its loop coordinate along strided entries of many reps.
+fn strided_cases() -> Vec<(&'static str, Clause, DecompMap, Env)> {
+    let mut next = lcg(0x57e1de);
+    let b_ref = |g: Fn1| Expr::Ref(ArrayRef::d1("B", g));
+    let bin = |op, x, y| Expr::Bin(op, Box::new(x), Box::new(y));
+    let generic = bin(
+        BinOp::Sub,
+        b_ref(Fn1::identity()),
+        Expr::mul(b_ref(Fn1::shift(1)), Expr::Lit(0.75)),
+    );
+    let (m, copy) = (100i64, 4096i64);
+    let (odd, ext) = (Fn1::affine(2, 1), Bounds::range(0, 2 * m + 7));
+    let b = Decomp1::block(2, Bounds::range(0, m));
+    let mut case =
+        |name, iter, lhs, rhs, layouts| layout_case(&mut next, name, iter, lhs, rhs, layouts);
+    vec![
+        case(
+            "odd_block",
+            (0, m - 1),
+            odd.clone(),
+            generic.clone(),
+            (Decomp1::block(2, ext), b.clone()),
+        ),
+        case(
+            "odd_scatter",
+            (0, m - 1),
+            odd.clone(),
+            generic.clone(),
+            (Decomp1::scatter(2, ext), b.clone()),
+        ),
+        case(
+            "odd_bs4",
+            (0, m - 1),
+            odd,
+            generic,
+            (Decomp1::block_scatter(4, 2, ext), b),
+        ),
+        case(
+            "strided_read",
+            (0, m - 1),
+            Fn1::identity(),
+            bin(BinOp::Max, b_ref(Fn1::affine(2, 0)), b_ref(Fn1::shift(1))),
+            (
+                Decomp1::block(2, Bounds::range(0, m - 1)),
+                Decomp1::block(2, Bounds::range(0, 2 * m)),
+            ),
+        ),
+        case(
+            "block_to_bs16",
+            (0, copy - 1),
+            Fn1::identity(),
+            b_ref(Fn1::identity()),
+            (
+                Decomp1::block_scatter(16, 2, Bounds::range(0, copy - 1)),
+                Decomp1::block(2, Bounds::range(0, copy - 1)),
+            ),
+        ),
+        case(
+            "table_read",
+            (0, 15),
+            Fn1::identity(),
+            bin(BinOp::Sub, b_ref(Fn1::square()), b_ref(Fn1::identity())),
+            (
+                Decomp1::block(2, Bounds::range(0, 15)),
+                Decomp1::block(2, Bounds::range(0, 255)),
+            ),
+        ),
+        case(
+            "loop_var_strided",
+            (0, m - 1),
+            Fn1::identity(),
+            bin(
+                BinOp::Sub,
+                b_ref(Fn1::affine(3, 1)),
+                Expr::LoopVar { dim: 0 },
+            ),
+            (
+                Decomp1::block_scatter(4, 2, Bounds::range(0, m - 1)),
+                Decomp1::scatter(2, Bounds::range(0, 3 * m)),
+            ),
         ),
     ]
 }
@@ -684,8 +799,8 @@ fn boundary_traces_match_parent_commit_fixtures() {
     }
 }
 
-/// Bitwise differential sweep over the boundary-heavy layouts:
-/// every SIMD policy on the cold machine, then the same
+/// Bitwise differential sweep over the boundary-heavy and the strided
+/// layouts: every SIMD policy on the cold machine, then the same
 /// clause as a two-step program through a warm session under both
 /// schedulers — every combination equals the sequential machine bit for
 /// bit, and the runtime SIMD census equals the plan-time one.
@@ -699,6 +814,7 @@ fn boundary_layouts_match_sequential_bitwise() {
     dm4.insert("A".into(), Decomp1::block(4, dm["A"].extent()));
     dm4.insert("B".into(), Decomp1::block_scatter(8, 4, dm["B"].extent()));
     cases.push(("bs_to_block_p4", cl, dm4, env0));
+    cases.extend(strided_cases());
 
     for (name, cl, dm, env0) in cases {
         let mut reference = env0.clone();
@@ -728,7 +844,7 @@ fn boundary_layouts_match_sequential_bitwise() {
             // receives through its own lane
             for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
                 let mut cl2 = cl.clone();
-                cl2.lhs = ArrayRef::d1("A2", Fn1::identity());
+                cl2.lhs = ArrayRef::new("A2", cl.lhs.map.clone());
                 let mut env2 = env0.clone();
                 env2.insert("A2", Array::zeros(dm["A"].extent()));
                 let mut dm2 = dm.clone();
