@@ -13,22 +13,30 @@
 //!   run-granular receive addressing) plus the bytecode kernel — and
 //!   freezes it in a shareable [`PreparedPlan`]. The tables are all a
 //!   node executes: there is no second, interpreted evaluator.
-//! * `Pool` owns `pmax` nodes spawned **once**, parked on their links
+//! * `Pool` owns `pmax` nodes made **once**, parked on their links
 //!   between waves; endpoints, receive lanes and operand buffers are
-//!   *reset*, not reallocated, per wave. In-process pools are spawned
-//!   only by a process-wide registry, which keeps at most one idle pool
-//!   per `pmax`: sessions, the resident service and the one-shot entries
-//!   of either rank borrow from it (`Pool::borrow`) and return what
-//!   they borrowed, so a process pays a pool's spawn once per size.
+//!   *reset*, not reallocated, per wave. In-process pools are made only
+//!   by a process-wide registry, which keeps at most one idle pool per
+//!   `pmax`: sessions, the resident service and the one-shot entries of
+//!   either rank borrow from it (`Pool::borrow`) and return what they
+//!   borrowed, so a process pays a pool's spawn once per size.
+//! * As in the paper's SPMD model, no processor idles as a master: on
+//!   the thread link the caller is node 0. Its end stays in the link and
+//!   runs on the calling thread once every peer has its step, so a pool
+//!   spawns `pmax − 1` threads and a warm wave costs one thread hand-off
+//!   per peer, not one more each way for the host. Every wait on a
+//!   channel spins a fixed ≈ 20 µs, one futex wake on a small host,
+//!   before it parks (`transport::wait`).
 //!
 //! The **wave** is the only unit of execution: pairwise-independent
 //! prepared clauses in program order; a single run, cold or warm, of any
 //! rank, is a wave of one. One host loop (`Pool::run_wave`: dispatch,
 //! the Ready/Go purge barrier after a dirty wave, collect under the run
-//! deadline, `finalize_wave`) and one node loop (`node_loop`: job,
-//! optional barrier, `wave_body`, reply) run on every backend; only the
-//! link differs — `ThreadLink` here, `crate::proc`'s socket link to
-//! worker processes.
+//! deadline, `finalize_wave`) and one node protocol (`node_step`: job,
+//! optional barrier, `wave_body`, reply; `node_loop` feeds it every step
+//! a node thread or worker receives) run on every backend; only the link
+//! differs — `ThreadLink` here, `crate::proc`'s socket link to worker
+//! processes, whose host only routes and waits.
 //!
 //! The host *lends* the nodes the disassembled pre-wave parts and keeps
 //! ownership: a node never writes a lent part, so every job of the wave
@@ -45,10 +53,11 @@
 //! and replayed after the wave — sound because [`CollectingTracer`]
 //! canonicalizes event order by `(class, node, per-node clock)`). A
 //! crashed node costs the run, never the session or the data: a caught
-//! panic is its reply ([`MachineError::NodePanicked`]); a thread that
-//! dies or hangs is retired, its peers released with its `Done`, and the
-//! pool rebuilds on the next run. The parts never left the host, so a
-//! failed wave leaves exactly the pre-wave state.
+//! panic is its reply ([`MachineError::NodePanicked`]); a node thread
+//! that exits for any reason sends its `Done` to every peer as it goes
+//! (the host may be busy as node 0), one that dies or hangs is retired,
+//! and the pool rebuilds on the next run. The parts never left the host,
+//! so a failed wave leaves exactly the pre-wave state.
 //!
 //! [`CollectingTracer`]: crate::obs::CollectingTracer
 
@@ -62,7 +71,7 @@ use crate::error::MachineError;
 use crate::net::lock;
 use crate::obs::{EventKind, Phase, Tracer};
 use crate::stats::{ExecReport, NodeStats};
-use crate::transport::{Endpoint, Frame};
+use crate::transport::{wait, Endpoint, Frame};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -544,8 +553,9 @@ pub(crate) const POLL: Duration = Duration::from_millis(50);
 static IDLE: Mutex<Vec<Pool<ThreadLink>>> = Mutex::new(Vec::new());
 
 impl Pool<ThreadLink> {
-    /// A pool of `pmax` parked node threads. Outside the tests only the
-    /// registry spawns one ([`Pool::borrow`]).
+    /// A pool of `pmax` nodes: the caller as node 0 and `pmax − 1` parked
+    /// threads. Outside the tests only the registry makes one
+    /// ([`Pool::borrow`]).
     fn threads(pmax: usize) -> Self {
         Pool::new(ThreadLink::new(pmax), pmax)
     }
@@ -775,11 +785,19 @@ impl<L: Link> Pool<L> {
 /// free parts to draw next images from.
 type ThreadJob = (Arc<WaveCtx>, FreeParts);
 
-/// The thread link: `pmax` node threads of this process, each parked on
-/// its own job channel and answering on its own event channel. Nothing
-/// is encoded: the wave and its parts are lent by `Arc`.
+/// The thread link. As in the paper's SPMD model, no processor idles as
+/// a master: node 0 is the caller. Its end stays in the link and
+/// [`Link::next_event`] runs its steps on the calling thread; nodes 1 to
+/// pmax − 1 are threads of this process, each parked on its own job
+/// channel and answering on its own event channel. Every node is reached
+/// the same way — a step on its job channel, an event on its event
+/// channel — and takes it with the same [`node_step`], so a warm wave
+/// costs one hand-off per peer thread and none for node 0. Nothing is
+/// encoded: the wave and its parts are lent by `Arc`.
 pub(crate) struct ThreadLink {
     nodes: Vec<ThreadNode>,
+    /// Node 0's end; `None` once a panic escaped it.
+    caller: Option<Caller>,
     /// Every node's data channel, to send a retired node's `Done` on.
     data: Vec<Sender<Frame<Wire>>>,
     wave: Option<Arc<WaveCtx>>,
@@ -788,55 +806,68 @@ pub(crate) struct ThreadLink {
 struct ThreadNode {
     jobs: Sender<Step<ThreadJob>>,
     events: Receiver<Event>,
-    /// `None` once retired: a thread that may hang is never joined.
+    /// The node's thread; node 0 has none. Dropped unjoined when the
+    /// node is retired: a thread that may hang is never joined.
     handle: Option<JoinHandle<()>>,
+    /// Given up on: the pool rebuilds before its next wave.
+    retired: bool,
     /// The node holds this wave's job: a channel send is a delivery.
     has_job: bool,
     /// The node was handed a job or a `Go` it has not answered yet.
     owes: bool,
 }
 
+/// Node 0's end of the thread link, stepped by the calling thread.
+struct Caller {
+    end: ThreadEnd,
+    state: NodeState<ThreadJob>,
+    buf: Arc<BufTracer>,
+}
+
 impl ThreadLink {
     fn new(pmax: usize) -> ThreadLink {
         let (data, data_rxs): (Vec<_>, Vec<_>) = (0..pmax).map(|_| unbounded()).unzip();
-        let spawn = |(p, data_rx)| {
+        let mut caller = None;
+        let mut nodes = Vec::with_capacity(pmax);
+        for (p, data_rx) in data_rxs.into_iter().enumerate() {
             let (jobs, job_rx) = unbounded();
             let (event_tx, events) = unbounded();
-            let txs = data.clone();
-            let handle = std::thread::spawn(move || {
-                let buf = BufTracer::new();
-                let ep = Endpoint::in_proc(p as i64, txs, data_rx, None, &buf);
-                let (jobs, events) = (job_rx, event_tx);
-                node_loop(
-                    &mut ThreadEnd {
-                        p,
-                        ep,
-                        jobs,
-                        events,
-                    },
-                    &buf,
-                );
-            });
-            ThreadNode {
+            let buf = Arc::new(BufTracer::new());
+            let ep = Endpoint::in_proc(p as i64, data.clone(), data_rx, None, Arc::clone(&buf));
+            let mut end = ThreadEnd {
+                p,
+                ep,
+                jobs: job_rx,
+                events: event_tx,
+            };
+            let handle = if p == 0 {
+                let state = NodeState::default();
+                caller = Some(Caller { end, state, buf });
+                None
+            } else {
+                Some(std::thread::spawn(move || node_loop(&mut end, &buf)))
+            };
+            nodes.push(ThreadNode {
                 jobs,
                 events,
-                handle: Some(handle),
+                handle,
+                retired: false,
                 has_job: false,
                 owes: false,
-            }
-        };
-        let nodes = data_rxs.into_iter().enumerate().map(spawn).collect();
+            });
+        }
         ThreadLink {
             nodes,
+            caller,
             data,
             wave: None,
         }
     }
 
     /// Whether a node was retired, so the next wave rebuilds the pool. A
-    /// node thread dies only inside a wave, where the host loop finds it.
+    /// node dies only inside a wave, where the host loop finds it.
     pub(crate) fn broken(&self) -> bool {
-        self.nodes.iter().any(|n| n.handle.is_none())
+        self.nodes.iter().any(|n| n.retired)
     }
 }
 
@@ -871,6 +902,21 @@ impl Link for ThreadLink {
     }
 
     fn next_event(&mut self, slice: Duration) -> Option<(usize, Event)> {
+        // node 0's steps, on this thread: the host loop sends every node
+        // its step before it asks for an event, so node 0 starts once
+        // each peer has its own. A dirty wave's job waits here for `Go`.
+        if let Some(caller) = &mut self.caller {
+            let Caller { end, state, buf } = caller;
+            let steps = || {
+                while let Ok(step) = end.jobs.try_recv() {
+                    node_step(end, state, buf, step);
+                }
+            };
+            if catch_unwind(AssertUnwindSafe(steps)).is_err() {
+                // found dead by `alive`; its end's drop sends its `Done`
+                self.caller = None;
+            }
+        }
         // what has arrived, else a wait on the first node that owes an
         // answer: a wave then wakes the host about once, not once per
         // node, which on a small host is a tenth of a one-shot run
@@ -881,7 +927,7 @@ impl Link for ThreadLink {
             None => {
                 // none owes one only while a lost node is being found out
                 let p = self.nodes.iter().position(|n| n.owes).unwrap_or(0);
-                (p, self.nodes[p].events.recv_timeout(slice).ok()?)
+                (p, wait(&self.nodes[p].events, slice)?)
             }
         };
         self.nodes[p].owes = false;
@@ -889,17 +935,25 @@ impl Link for ThreadLink {
     }
 
     fn alive(&mut self, p: usize) -> Result<(), MachineError> {
-        match &self.nodes[p].handle {
-            Some(h) if !h.is_finished() => Ok(()),
-            _ => Err(MachineError::NodePanicked { node: p as i64 }),
+        let node = &self.nodes[p];
+        let gone = node.retired
+            || match &node.handle {
+                Some(h) => h.is_finished(),
+                None => self.caller.is_none(),
+            };
+        if gone {
+            return Err(MachineError::NodePanicked { node: p as i64 });
         }
+        Ok(())
     }
 
     fn retire(&mut self, p: usize) {
         for (_, tx) in self.data.iter().enumerate().filter(|&(q, _)| q != p) {
             let _ = tx.send(Frame::Done { from: p as i64 });
         }
-        self.nodes[p].handle = None; // marks the pool for a rebuild
+        let node = &mut self.nodes[p];
+        node.handle = None;
+        node.retired = true; // marks the pool for a rebuild
     }
 
     fn reclaim(&mut self) -> Vec<BTreeMap<String, Vec<f64>>> {
@@ -947,65 +1001,97 @@ pub(crate) trait NodeEnd {
     ) -> (WaveReply, FreeParts);
 }
 
-/// The node loop, the same on every link: take a job; after a dirty
-/// wave, purge and hold every send until the host's `Go` says every
-/// peer has purged too; run the wave body; reply. A re-sent job of the
-/// run last finished is answered again, never run twice.
-pub(crate) fn node_loop<E: NodeEnd>(end: &mut E, buf: &BufTracer) {
-    let mut scratch = Scratch::default();
-    let mut done = None;
-    while let Some(step) = end.recv() {
-        let job = match step {
-            Step::Job(job) => job,
-            Step::Go => continue, // stray: the barrier it ended is over
-            Step::Shutdown => return,
-        };
-        let (run_id, handshake) = E::head(&job);
-        if done == Some(run_id) {
-            if end.reship() {
-                continue;
-            }
-            return;
+/// What a node keeps from one step to the next: its scratch, the run it
+/// answered last, and a job held under the purge barrier until `Go`.
+pub(crate) struct NodeState<J> {
+    scratch: Scratch,
+    done: Option<u64>,
+    held: Option<J>,
+}
+
+impl<J> Default for NodeState<J> {
+    fn default() -> Self {
+        NodeState {
+            scratch: Scratch::default(),
+            done: None,
+            held: None,
         }
-        // every peer finished the previous wave before the host sent this
-        // one, so anything buffered here is stale by construction
-        if handshake {
-            end.purge();
-            if !end.send(Event::Ready(run_id)) {
-                return;
-            }
-            loop {
-                match end.recv() {
-                    Some(Step::Go) => break,
-                    // the Ready was lost to a severed link: answer again
-                    Some(Step::Job(again)) if E::head(&again).0 == run_id => {
-                        if !end.send(Event::Ready(run_id)) {
-                            return;
-                        }
-                    }
-                    Some(Step::Job(_)) => {}
-                    Some(Step::Shutdown) | None => return,
-                }
-            }
-        }
-        let (reply, spare) = end.run(job, &mut scratch, buf);
-        if !end.send(Event::Result(run_id, Box::new(reply), spare)) {
-            return;
-        }
-        done = Some(run_id);
     }
 }
 
-/// A node thread's end of the thread link.
-struct ThreadEnd<'t> {
+/// The node loop of a node thread or worker process: every step it
+/// receives, through [`node_step`], until it leaves.
+pub(crate) fn node_loop<E: NodeEnd>(end: &mut E, buf: &BufTracer) {
+    let mut state = NodeState::default();
+    while let Some(step) = end.recv() {
+        if !node_step(end, &mut state, buf, step) {
+            return;
+        }
+    }
+}
+
+/// One step of the node protocol, the same on every link and for node 0
+/// of the thread link on its caller's thread: take a job; after a dirty
+/// wave, purge and hold it until the host's `Go` says every peer has
+/// purged too; run the wave body; reply. A re-sent job of the run last
+/// finished is answered again, never run twice. `false` once the node
+/// leaves: shut down, or its host gone.
+pub(crate) fn node_step<E: NodeEnd>(
+    end: &mut E,
+    state: &mut NodeState<E::Job>,
+    buf: &BufTracer,
+    step: Step<E::Job>,
+) -> bool {
+    let job = match (step, state.held.take()) {
+        (Step::Shutdown, _) => return false,
+        (Step::Go, Some(held)) => held,
+        (Step::Go, None) => return true, // stray: the barrier it ended is over
+        (Step::Job(again), Some(held)) => {
+            let (run_id, repeat) = (E::head(&held).0, E::head(&again).0);
+            state.held = Some(held);
+            // the Ready was lost to a severed link: answer again
+            return repeat != run_id || end.send(Event::Ready(run_id));
+        }
+        (Step::Job(job), None) => {
+            let (run_id, handshake) = E::head(&job);
+            if state.done == Some(run_id) {
+                return end.reship();
+            }
+            if handshake {
+                // every peer finished the previous wave before the host
+                // sent this one, so anything buffered here is stale
+                end.purge();
+                state.held = Some(job);
+                return end.send(Event::Ready(run_id));
+            }
+            job
+        }
+    };
+    let run_id = E::head(&job).0;
+    let (reply, spare) = end.run(job, &mut state.scratch, buf);
+    state.done = Some(run_id);
+    end.send(Event::Result(run_id, Box::new(reply), spare))
+}
+
+/// A node's end of the thread link, on its thread or on the caller's.
+struct ThreadEnd {
     p: usize,
     /// Reset, not rebuilt, per wave.
-    ep: Endpoint<'t, Wire>,
+    ep: Endpoint<'static, Wire>,
     jobs: Receiver<Step<ThreadJob>>,
     events: Sender<Event>,
 }
 
-impl NodeEnd for ThreadEnd<'_> {
+impl Drop for ThreadEnd {
+    /// A node that leaves for any reason — its link dropped, a panic
+    /// outside its phases — releases its peers' drains with its `Done`:
+    /// the host may be busy as node 0 and cannot retire it mid-wave.
+    fn drop(&mut self) {
+        self.ep.announce_done();
+    }
+}
+
+impl NodeEnd for ThreadEnd {
     type Job = ThreadJob;
 
     fn head((wave, _): &ThreadJob) -> (u64, bool) {
@@ -1013,7 +1099,7 @@ impl NodeEnd for ThreadEnd<'_> {
     }
 
     fn recv(&mut self) -> Option<Step<ThreadJob>> {
-        self.jobs.recv().ok()
+        wait(&self.jobs, Duration::MAX)
     }
 
     fn send(&mut self, event: Event) -> bool {
@@ -1500,10 +1586,11 @@ mod tests {
 
     /// A dead node thread costs the run, never the data: the host keeps
     /// the parts it lends, so the images come back bit-for-bit, and the
-    /// pool rebuilds itself for the next run. The host meets the dead
-    /// node at dispatch on a clean pool and at the purge barrier on a
-    /// dirty one; either way it retires the node with its `Done`, so the
-    /// live peers do not wait out `recv_timeout` for it.
+    /// pool rebuilds itself for the next run. Node 0 is the caller and
+    /// has no thread, so the dead node is node 1 or the last one. On a
+    /// clean pool its exit guard's `Done` releases node 0's drain, run by
+    /// the host; on a dirty one the host retires it when the purge
+    /// barrier closes. Either way no live peer waits out `recv_timeout`.
     #[test]
     fn dead_worker_fails_the_run_but_keeps_the_data() {
         let n = 32;
@@ -1542,7 +1629,7 @@ mod tests {
             faults: Some(crate::transport::FaultPlan::seeded(3)),
             ..opts
         };
-        for dirty in [false, true] {
+        for (dead, dirty) in [(1, false), (1, true), (3, false), (3, true)] {
             let mut pool = Pool::threads(4);
             if dirty {
                 // a faulted wave leaves the pool dirty: the next one
@@ -1551,27 +1638,213 @@ mod tests {
                     .unwrap();
             }
             let before = arrays.clone();
-            // hang up node 0's job channel from the host side: its
+            // hang up the node's job channel from the host side: its
             // thread exits, and every job sent to it is lost
-            pool.link.nodes[0].jobs = unbounded().0;
+            pool.link.nodes[dead].jobs = unbounded().0;
             let t0 = Instant::now();
             let err = pool.run_wave(&wave, &mut arrays, opts, &NULL_TRACER);
             let waited = t0.elapsed();
-            assert_eq!(err.unwrap_err(), MachineError::NodePanicked { node: 0 });
-            assert!(waited < Duration::from_secs(5), "dirty={dirty}: {waited:?}");
-            assert_eq!(arrays, before, "a failed run must restore every image");
-            assert!(pool.link.broken());
+            let node = dead as i64;
+            assert_eq!(err.unwrap_err(), MachineError::NodePanicked { node });
+            let why = format!("node {dead}, dirty={dirty}");
+            assert!(waited < Duration::from_secs(5), "{why}: {waited:?}");
+            assert_eq!(
+                arrays, before,
+                "{why}: a failed run must restore every image"
+            );
+            assert!(pool.link.broken(), "{why}");
 
             let report = pool.run_wave(&wave, &mut arrays, opts, &NULL_TRACER);
             assert_eq!(
                 report.unwrap()[0].nodes.len(),
                 4,
-                "the rebuilt pool runs it"
+                "{why}: the rebuilt pool runs it"
             );
             assert!(!pool.link.broken());
             let a = arrays["A"].gather();
             let b = before["B"].gather();
             assert!(extent.iter().all(|i| a.get(&i) == b.get(&i) + 0.5));
+        }
+    }
+
+    /// A wave that fails on node 0 — the caller, on the host's thread —
+    /// fails like one on any node: a crash before its first packet and
+    /// one at the end of its send phase are its typed reply, and the
+    /// arrays come back as they went in. The pool is then dirty: node 0
+    /// purges, answers `Ready` and holds its job until `Go`, and the
+    /// wave runs bitwise. Under a seeded drop/duplicate plan on node 0's
+    /// packets the peers' NACKs reach node 0 in its drain, and the result
+    /// is still bitwise.
+    #[test]
+    fn a_fault_on_node_0_is_its_reply_and_the_pool_runs_on() {
+        let n = 64;
+        let clause = relax(1, n - 2);
+        let (mut expect, decomps, mut arrays) = block_state(&["U"], n, 4);
+        let wave = [prepared(&clause, &decomps)];
+        let clean = DistOptions {
+            recv_timeout: Duration::from_secs(10),
+            retry: crate::transport::RetryPolicy {
+                max_retries: 10,
+                nack_timeout: Duration::from_millis(2),
+                backoff_cap: Duration::from_millis(8),
+                ..crate::transport::RetryPolicy::default()
+            },
+            ..DistOptions::default()
+        };
+        let mut pool = Pool::threads(4);
+        for after in [0, u64::MAX] {
+            let crash = crate::transport::FaultPlan::seeded(1).with_crash(0, after);
+            let faults = Some(crash);
+            let before = arrays.clone();
+            let err = pool.run_wave(
+                &wave,
+                &mut arrays,
+                DistOptions { faults, ..clean },
+                &NULL_TRACER,
+            );
+            assert_eq!(
+                err.unwrap_err(),
+                MachineError::NodePanicked { node: 0 },
+                "after {after}"
+            );
+            assert_eq!(
+                arrays, before,
+                "after {after}: a failed run must restore every image"
+            );
+            assert!(
+                !pool.link.broken(),
+                "a caught panic is a reply, not a dead node"
+            );
+        }
+
+        // the next wave purges: driven by hand, node 0 holds its job
+        // after its `Ready` and runs it on `Go`
+        assert!(pool.dirty);
+        let mut lent = arrays.clone();
+        let parts = disassemble(&mut lent, &wave).unwrap().per_node;
+        pool.link.lend(WaveCtx {
+            run_id: u64::MAX,
+            jobs: wave.to_vec(),
+            opts: clean,
+            trace_on: false,
+            handshake: true,
+            parts,
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let collect = |pool: &mut Pool<ThreadLink>, want: fn(&Event) -> bool| {
+            let mut got = 0;
+            while got < 4 {
+                assert!(Instant::now() < deadline, "{got} of 4 answered");
+                got += pool.link.next_event(POLL).is_some_and(|(_, e)| want(&e)) as usize;
+            }
+        };
+        (0..4).for_each(|p| pool.link.send(p, Step::Job(Vec::new())));
+        collect(&mut pool, |e| matches!(e, Event::Ready(u64::MAX)));
+        let held =
+            |pool: &Pool<ThreadLink>| pool.link.caller.as_ref().unwrap().state.held.is_some();
+        assert!(held(&pool), "node 0 holds its job until `Go`");
+        (0..4).for_each(|p| pool.link.send(p, Step::Go));
+        collect(&mut pool, |e| matches!(e, Event::Result(u64::MAX, ..)));
+        assert!(!held(&pool));
+        pool.link.reclaim();
+        // and through the host loop, still dirty
+        assert!(pool.dirty);
+        pool.run_wave(&wave, &mut arrays, clean, &NULL_TRACER)
+            .unwrap();
+        expect.exec_clause(&clause);
+        assert_bitwise(&arrays, &expect, "the wave after the crash");
+
+        let lossy = crate::transport::FaultPlan::seeded(7)
+            .with_drop(0.5)
+            .with_duplicate(0.25)
+            .with_from_only(0);
+        let faults = Some(lossy);
+        let mut retransmits = 0;
+        for step in 0..4 {
+            let report = pool.run_wave(
+                &wave,
+                &mut arrays,
+                DistOptions { faults, ..clean },
+                &NULL_TRACER,
+            );
+            retransmits += report.unwrap()[0].nodes[0].retransmits;
+            expect.exec_clause(&clause);
+            assert_bitwise(&arrays, &expect, &format!("lossy step {step}"));
+        }
+        assert!(retransmits > 0, "node 0 never answered a NACK");
+    }
+
+    /// A pool of `pmax` nodes spawns `pmax − 1` threads: node 0 is the
+    /// caller. At `pmax = 1` it spawns none, and a one-node session runs
+    /// bitwise against the sequential machine. Node 0's buffer tracer
+    /// lives and dies with its pool.
+    #[test]
+    fn the_caller_is_node_0_and_owns_its_tracer() {
+        for pmax in [1, 2, 4] {
+            let pool = Pool::threads(pmax);
+            let threads = pool
+                .link
+                .nodes
+                .iter()
+                .filter(|n| n.handle.is_some())
+                .count();
+            assert_eq!(threads, pmax - 1, "pmax {pmax}");
+            let buf = Arc::downgrade(&pool.link.caller.as_ref().unwrap().buf);
+            drop(pool);
+            assert!(
+                buf.upgrade().is_none(),
+                "pmax {pmax}: node 0's tracer outlived its pool"
+            );
+        }
+        let n = 24;
+        let clause = relax(1, n - 2);
+        let (env, decomps, _) = block_state(&["U"], n, 1);
+        let mut expect = env.clone();
+        let mut session = crate::session::DistSession::new(&env, decomps).unwrap();
+        for _ in 0..3 {
+            session.run(&clause).unwrap();
+            expect.exec_clause(&clause);
+        }
+        assert_eq!(
+            bits(&session.gather("U").unwrap()),
+            bits(expect.get("U").unwrap())
+        );
+    }
+
+    /// Two sessions take turns with the registry's pool: each borrows
+    /// the pool the other returned — node 0's end included — and every
+    /// result is bitwise the sequential machine's.
+    #[test]
+    fn sessions_taking_turns_reuse_node_0() {
+        // 6 nodes: no other test of this crate borrows a pool of that size
+        let pmax = 6;
+        let idle_runs = || {
+            let idle = lock(&IDLE);
+            let pool = idle.iter().find(|pool| pool.pmax == pmax);
+            pool.map(|pool| pool.run_seq)
+        };
+        let mut tenants: Vec<_> = [60, 45]
+            .map(|n| {
+                let (env, decomps, _) = block_state(&["U"], n, pmax as i64);
+                (relax(1, n - 2), env, decomps)
+            })
+            .into();
+        let mut runs = None;
+        for round in 0..6 {
+            let (clause, expect, decomps) = &mut tenants[round % 2];
+            let mut session = crate::session::DistSession::new(expect, decomps.clone()).unwrap();
+            for _ in 0..=round {
+                session.run(clause).unwrap();
+                expect.exec_clause(clause);
+            }
+            let got = session.gather("U").unwrap();
+            assert_eq!(bits(&got), bits(expect.get("U").unwrap()), "round {round}");
+            drop(session);
+            let now = idle_runs().expect("the session returns its pool");
+            if let Some(runs) = runs {
+                assert_eq!(now, runs + round as u64 + 1, "round {round} spawned a pool");
+            }
+            runs = Some(now);
         }
     }
 

@@ -304,6 +304,28 @@ pub trait Tracer: Sync {
     }
 }
 
+/// A borrowed tracer, or one shared by `Arc`, records into its target:
+/// what a node's endpoint holds is its node's buffer either way.
+macro_rules! forward_tracer {
+    ($($ptr:ty),*) => {$(
+        impl<X: Tracer + Send + ?Sized> Tracer for $ptr {
+            fn enabled(&self) -> bool {
+                (**self).enabled()
+            }
+
+            fn record(&self, node: i64, kind: EventKind) {
+                (**self).record(node, kind)
+            }
+
+            fn timing(&self, node: i64, phase: Phase, elapsed: Duration) {
+                (**self).timing(node, phase, elapsed)
+            }
+        }
+    )*};
+}
+
+forward_tracer!(&X, std::sync::Arc<X>);
+
 /// The do-nothing tracer: every hook is a no-op and [`Tracer::enabled`]
 /// is `false`, so instrumented hot paths stay free.
 #[derive(Debug, Clone, Copy, Default)]

@@ -46,7 +46,7 @@
 use crate::obs::{EventKind, Tracer};
 use crate::stats::NodeStats;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// A payload type that can travel as a checksummed packet.
@@ -146,24 +146,46 @@ impl<T> Transport<T> for ChannelTransport<T> {
     }
 
     fn recv(&mut self, slice: Duration) -> Option<Frame<T>> {
-        // a queued frame needs no deadline, so no clock read
-        if let Ok(frame) = self.rx.try_recv() {
-            return Some(frame);
-        }
-        match self.rx.recv_timeout(slice) {
-            Ok(frame) => Some(frame),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
+        wait(&self.rx, slice).or_else(|| match self.rx.try_recv() {
+            Err(TryRecvError::Disconnected) => {
                 // all senders gone — sleep out the slice instead of
                 // spinning, then let the caller's deadline logic decide
                 std::thread::sleep(slice);
                 None
             }
-        }
+            late => late.ok(),
+        })
     }
 
     fn purge(&mut self) {
         while self.rx.try_recv().is_ok() {}
+    }
+}
+
+/// How long [`wait`] spins before it parks: about what one futex wake
+/// costs on a small host (15–20 µs on 2 vCPUs, DESIGN §12). A wait that
+/// ends inside it costs no thread hand-off; a longer spin only burns a
+/// core that another node could use.
+pub(crate) const SPIN: Duration = Duration::from_micros(20);
+
+/// The one wait on an in-process channel — a node's job channel, a
+/// node's data channel ([`ChannelTransport`]), the host's event channel:
+/// poll for up to [`SPIN`], then park for what is left of `slice`. `None`
+/// on timeout, and at once when every sender is gone. A queued value
+/// costs no clock read.
+pub(crate) fn wait<T>(rx: &Receiver<T>, slice: Duration) -> Option<T> {
+    let mut t0 = None;
+    loop {
+        match rx.try_recv() {
+            Ok(value) => return Some(value),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => {}
+        }
+        let spun = t0.get_or_insert_with(Instant::now).elapsed();
+        if spun >= SPIN.min(slice) {
+            return rx.recv_timeout(slice.saturating_sub(spun)).ok();
+        }
+        std::hint::spin_loop();
     }
 }
 
@@ -660,19 +682,21 @@ pub(crate) struct Endpoint<'t, T: WirePayload> {
     done: Vec<bool>,
     stash: Vec<Stashed<T>>,
     faults: Option<FaultState>,
-    tracer: &'t dyn Tracer,
+    tracer: Box<dyn Tracer + Send + 't>,
     /// Cached [`Tracer::enabled`] so the per-frame hot path pays one
     /// branch when tracing is off.
     trace_on: bool,
 }
 
 impl<'t, T: WirePayload> Endpoint<'t, T> {
-    /// Build the endpoint of node `p` over any frame carrier.
+    /// Build the endpoint of node `p` over any frame carrier. The
+    /// tracer is borrowed, or shared by `Arc` where the endpoint lives as
+    /// long as its owner's buffer (node 0 of the thread link).
     pub(crate) fn new(
         p: i64,
         link: Box<dyn Transport<T> + Send + 't>,
         faults: Option<FaultPlan>,
-        tracer: &'t dyn Tracer,
+        tracer: impl Tracer + Send + 't,
     ) -> Endpoint<'t, T> {
         let n = link.peer_count();
         let mut done = vec![false; n];
@@ -690,7 +714,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
             stash: Vec::new(),
             faults: faults.map(|f| FaultState::new(f, p)),
             trace_on: tracer.enabled(),
-            tracer,
+            tracer: Box::new(tracer),
         }
     }
 
@@ -701,7 +725,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
         txs: Vec<Sender<Frame<T>>>,
         rx: Receiver<Frame<T>>,
         faults: Option<FaultPlan>,
-        tracer: &'t dyn Tracer,
+        tracer: impl Tracer + Send + 't,
     ) -> Endpoint<'t, T>
     where
         T: Send + 'static,
@@ -1124,11 +1148,62 @@ mod tests {
         let (_, dead_rx0) = channel();
         let (_, dead_rx1) = channel();
         (
-            Endpoint::in_proc(0, txs.clone(), dead_rx0, None, &NULL_TRACER),
-            Endpoint::in_proc(1, txs, dead_rx1, None, &NULL_TRACER),
+            Endpoint::in_proc(0, txs.clone(), dead_rx0, None, NULL_TRACER),
+            Endpoint::in_proc(1, txs, dead_rx1, None, NULL_TRACER),
             rx0,
             rx1,
         )
+    }
+
+    /// The one channel wait: a value sent while it spins and one sent
+    /// after it parked both arrive, a timeout is `None` after its slice,
+    /// and a channel whose senders are gone is `None` at once. No
+    /// success path sleeps: the late sender spins past the window.
+    #[test]
+    fn wait_spins_then_parks() {
+        use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
+        let (tx, rx) = channel();
+        // the sender is running before the wait starts: 1 = ready, 2 = go
+        let state = std::sync::Arc::new(AtomicU8::new(0));
+        let prompt = std::thread::spawn({
+            let (tx, state) = (tx.clone(), state.clone());
+            move || {
+                state.store(1, SeqCst);
+                while state.load(SeqCst) != 2 {
+                    std::hint::spin_loop();
+                }
+                tx.send(1).unwrap()
+            }
+        });
+        while state.load(SeqCst) != 1 {
+            std::hint::spin_loop();
+        }
+        state.store(2, SeqCst);
+        assert_eq!(wait(&rx, Duration::from_secs(10)), Some(1));
+        prompt.join().unwrap();
+
+        let t0 = Instant::now();
+        let late = std::thread::spawn({
+            let tx = tx.clone();
+            move || {
+                while t0.elapsed() < SPIN * 10 {
+                    std::hint::spin_loop();
+                }
+                tx.send(2).unwrap()
+            }
+        });
+        assert_eq!(wait(&rx, Duration::from_secs(10)), Some(2));
+        assert!(t0.elapsed() >= SPIN * 10);
+        late.join().unwrap();
+
+        let t0 = Instant::now();
+        assert_eq!(wait(&rx, Duration::from_millis(5)), None);
+        assert!(t0.elapsed() >= Duration::from_millis(5));
+
+        drop(tx);
+        let t0 = Instant::now();
+        assert_eq!(wait(&rx, Duration::from_secs(10)), None);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
     }
 
     #[test]
@@ -1228,7 +1303,7 @@ mod tests {
         let (tx0, _rx0) = channel();
         let (_, dead_rx) = channel();
         let mut a: Endpoint<'_, f64> =
-            Endpoint::in_proc(0, vec![tx0, tx1], dead_rx, Some(plan), &NULL_TRACER);
+            Endpoint::in_proc(0, vec![tx0, tx1], dead_rx, Some(plan), NULL_TRACER);
         a.send(1, 1.0);
         a.send(1, 2.0); // dropped
         a.send(1, 3.0);
@@ -1264,7 +1339,7 @@ mod tests {
         let (tx0, _rx0) = channel();
         let (tx1, _rx1) = channel();
         let mut ep: Endpoint<'_, f64> =
-            Endpoint::in_proc(1, vec![tx0, tx1], dead_rx, None, &NULL_TRACER);
+            Endpoint::in_proc(1, vec![tx0, tx1], dead_rx, None, NULL_TRACER);
         let retry = RetryPolicy {
             max_retries: 100,
             nack_timeout: Duration::from_millis(5),
@@ -1301,7 +1376,7 @@ mod tests {
     ) {
         let (tx0, rx0) = channel();
         let (tx1, rx1) = channel();
-        let ep = Endpoint::in_proc(1, vec![tx0, tx1.clone()], rx1, None, &NULL_TRACER);
+        let ep = Endpoint::in_proc(1, vec![tx0, tx1.clone()], rx1, None, NULL_TRACER);
         (ep, tx1, rx0)
     }
 
