@@ -60,7 +60,7 @@ use vcal_decomp::{Decomp1, Distribution};
 use vcal_spmd::{OptKind, ProgramStep, SimdMode, SimdPolicy};
 
 /// Version stamped into the handshake; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u32 = 3;
+pub(crate) const WIRE_VERSION: u32 = 4;
 
 /// A typed decode (or non-serializable-encode) failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -662,15 +662,15 @@ codec_table! {
         }
         RetryPolicy { max_retries, nack_timeout, backoff_cap, deadline, jitter_pct }
         SimdPolicy { mode, lanes }
-        Packet<T> { src, seq, check, payload }
+        Packet<T> { src, seq, corrupt, payload }
         NodeStats {
             iterations, guard_tests, data_guards, msgs_sent, msgs_received, local_reads,
             packets_sent, bytes_sent, max_packet_elems, retransmits, dups_dropped,
-            corrupt_detected, acks_sent, nacks_sent, simd_runs, simd_fallback_runs,
-            simd_lane_elems, simd_tail_elems, simd_lanes,
+            corrupt_detected, acks_sent, nacks_sent, drain_cap_expired, simd_runs,
+            simd_fallback_runs, simd_lane_elems, simd_tail_elems, simd_lanes,
         }
         JobMsg {
-            run_id, clauses, decomps, recv_timeout, faults, retry, simd, trace_on, handshake,
+            run_id, clauses, decomps, recv_timeout, faults, retry, simd, trace_on, handshake, lossy,
             locals as Images,
         }
         JobReply { image as HostOnly, writes, stats, sent_to, res, events, timings }
@@ -856,6 +856,9 @@ pub(crate) struct JobMsg {
     /// Purge + Ready/Go barrier before the run (mirrors the in-process
     /// pool's dirty handshake).
     pub handshake: bool,
+    /// The wave may lose frames ([`crate::executor::WaveCtx::lossy`]):
+    /// the worker cannot see the host's chaos plan, so the job says so.
+    pub lossy: bool,
     /// The node's part of every array the wave references, in
     /// decomposition layout.
     pub locals: BTreeMap<String, Vec<f64>>,

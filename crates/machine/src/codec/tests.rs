@@ -124,6 +124,7 @@ fn g_job() -> JobMsg {
         },
         trace_on: true,
         handshake: false,
+        lossy: true,
         locals: g_images(),
     }
 }
@@ -293,7 +294,7 @@ fn g_frames() -> Vec<(&'static str, Frame<Wire>)> {
             Frame::Data(Packet {
                 src: 1,
                 seq: 42,
-                check: 0xdead_beef,
+                corrupt: true,
                 payload: Wire {
                     run_ord: 2,
                     values: vec![0.5, -0.5, f64::INFINITY].into(),
@@ -826,7 +827,7 @@ fn f64_vectors_roundtrip_bitwise_and_bad_lengths_are_typed_errors() {
 fn retired_element_payload_tag_is_a_codec_error() {
     let mut e = Enc::new();
     (0u8, 0i64, 0u64).put(&mut e).expect("encodes"); // Frame::Data, src, seq
-    (9u64, 0u8).put(&mut e).expect("encodes"); // check, the retired payload tag
+    (false, 0u8).put(&mut e).expect("encodes"); // corrupt, the retired payload tag
     (1usize, -3i64, 7.0f64).put(&mut e).expect("encodes"); // slot, i, value
     assert_eq!(
         decode::<Frame<Wire>>(&e.buf).map(|_| ()),

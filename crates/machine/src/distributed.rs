@@ -37,7 +37,7 @@
 //! 2.10 is what `vcal_spmd::emit` prints and `Env::exec_clause` runs.
 //!
 //! Packets travel through the reliable transport of
-//! [`crate::transport`] (per-flow sequence numbers, checksums, duplicate
+//! [`crate::transport`] (per-flow sequence numbers, duplicate
 //! suppression, NACK/retransmit recovery with bounded retries), so runs
 //! survive transient faults injected by a seeded [`FaultPlan`] and
 //! degrade into typed [`MachineError`]s — never a hang — when a fault is
@@ -65,7 +65,6 @@ use crate::session::PoolState;
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::{
     await_until, AwaitFail, Endpoint, FaultPlan, ProtoTimeouts, RetryPolicy, TransportKind,
-    WirePayload,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -91,40 +90,6 @@ pub(crate) const PACK_HEADER_BYTES: u64 = 16;
 pub(crate) struct Wire {
     pub(crate) run_ord: usize,
     pub(crate) values: Arc<[f64]>,
-}
-
-impl WirePayload for Wire {
-    /// Rotate-add in eight independent lanes (value `k` feeds lane
-    /// `k mod 8`), folded after the packet's ordinal and length. Every
-    /// step is a bijection of the running lane or fold, so flipping any
-    /// bit of any value changes the digest — and the lanes do not wait on
-    /// each other, where one chain paid a rotate-add latency per value.
-    fn digest(&self) -> u64 {
-        let step = |h: u64, bits: u64| h.rotate_left(7).wrapping_add(bits);
-        let mut lanes = [0u64; 8];
-        let chunks = self.values.chunks_exact(8);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            for (h, v) in lanes.iter_mut().zip(chunk) {
-                *h = step(*h, v.to_bits());
-            }
-        }
-        for (h, v) in lanes.iter_mut().zip(tail) {
-            *h = step(*h, v.to_bits());
-        }
-        let head = step(step(2, self.run_ord as u64), self.values.len() as u64);
-        lanes.into_iter().fold(head, step)
-    }
-
-    fn corrupt(&mut self, bits: u64) {
-        if !self.values.is_empty() {
-            // the clean payload stays shared with the retained copy
-            let mut flipped = self.values.to_vec();
-            let k = (bits as usize) % flipped.len();
-            flipped[k] = f64::from_bits(flipped[k].to_bits() ^ (1 << (bits % 52)));
-            self.values = flipped.into();
-        }
-    }
 }
 
 /// Execution options for the distributed machine.
@@ -1289,40 +1254,6 @@ mod tests {
     use vcal_core::func::Fn1;
     use vcal_core::{Array, Bounds, Env, Expr, IndexSet, Ordering};
     use vcal_spmd::DecompMap;
-
-    /// The digest's contract, over every remainder of the eight lanes:
-    /// flipping any bit of any value changes it, and so do the ordinal
-    /// and the length.
-    #[test]
-    fn flipping_any_bit_of_any_value_changes_the_digest() {
-        for len in 0..=17usize {
-            let values: Vec<f64> = (0..len).map(|k| k as f64 * 0.75 - 3.0).collect();
-            let wire = |values: Vec<f64>| Wire {
-                run_ord: 5,
-                values: values.into(),
-            };
-            let clean = wire(values.clone()).digest();
-            for k in 0..len {
-                for bit in 0..64 {
-                    let mut flipped = values.clone();
-                    flipped[k] = f64::from_bits(flipped[k].to_bits() ^ (1 << bit));
-                    assert_ne!(
-                        wire(flipped).digest(),
-                        clean,
-                        "len {len}, value {k}, bit {bit}"
-                    );
-                }
-            }
-            let other_ord = Wire {
-                run_ord: 6,
-                ..wire(values.clone())
-            };
-            assert_ne!(other_ord.digest(), clean, "len {len}: ordinal");
-            let mut longer = values;
-            longer.push(0.0);
-            assert_ne!(wire(longer).digest(), clean, "len {len}: length");
-        }
-    }
 
     fn copy_setup(
         n: i64,

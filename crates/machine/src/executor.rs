@@ -353,6 +353,10 @@ pub(crate) struct WaveCtx {
     /// sends precedes its `Done`, and a node only finishes its drain
     /// after consuming every peer's `Done`.
     pub(crate) handshake: bool,
+    /// A fault plan or wire chaos may lose this wave's frames, control
+    /// frames included: nodes drain on evidence and re-announce `Done`
+    /// ([`Endpoint::drain`]), and the host purges before the next wave.
+    pub(crate) lossy: bool,
     /// Per node, its part of every array the wave references. Lent, not
     /// given: the host commits what the nodes produce into these pre-wave
     /// parts once it takes them back ([`Link::reclaim`]).
@@ -681,12 +685,14 @@ impl<L: Link> Pool<L> {
         let Disassembled { per_node, decomps } = disassemble(arrays, jobs)?;
         self.run_seq += 1;
         let (run_id, handshake) = (self.run_seq, self.dirty);
+        let lossy = opts.faults.is_some() || opts.chaos.is_some();
         self.link.lend(WaveCtx {
             run_id,
             jobs: jobs.to_vec(),
             opts,
             trace_on: tracer.enabled(),
             handshake,
+            lossy,
             parts: per_node,
         });
         for (p, spare) in self.free.iter_mut().enumerate() {
@@ -769,13 +775,13 @@ impl<L: Link> Pool<L> {
             }
         }
         let replies: Vec<NodeReply> = replies.into_iter().flatten().collect();
-        // a failed node exits without draining, and a fault plan or wire
-        // chaos can leave frames after `Done`: the next wave must purge
+        // a failed node exits without draining, and a lossy wave leaves
+        // frames after `Done`: the next wave must purge
         let clean = |r: &NodeReply| {
             r.as_ref()
                 .is_ok_and(|r| r.jobs.iter().all(|j| j.res.is_ok()))
         };
-        self.dirty = opts.faults.is_some() || opts.chaos.is_some() || !replies.iter().all(clean);
+        self.dirty = lossy || !replies.iter().all(clean);
         let (parts, free) = (self.link.reclaim(), &mut self.free);
         finalize_wave(jobs, decomps, parts, replies, free, arrays, tracer)
     }
@@ -1131,6 +1137,7 @@ impl NodeEnd for ThreadEnd {
             buf,
             &wave.jobs,
             &wave.opts,
+            wave.lossy,
             locals,
             spare_parts,
         );
@@ -1354,6 +1361,7 @@ pub(crate) fn wave_body(
     buf: &BufTracer,
     jobs: &[Arc<PreparedPlan>],
     opts: &DistOptions,
+    lossy: bool,
     locals: &BTreeMap<String, Vec<f64>>,
     mut spare: Option<&mut FreeParts>,
 ) -> WaveReply {
@@ -1455,11 +1463,11 @@ pub(crate) fn wave_body(
         if buf.enabled() {
             buf.record(p, EventKind::PhaseStart(Phase::Drain));
             let t0 = std::time::Instant::now();
-            ep.drain(opts.recv_timeout, dstats);
+            ep.drain(opts.recv_timeout, lossy, dstats);
             buf.timing(p, Phase::Drain, t0.elapsed());
             buf.record(p, EventKind::PhaseEnd(Phase::Drain));
         } else {
-            ep.drain(opts.recv_timeout, dstats);
+            ep.drain(opts.recv_timeout, lossy, dstats);
         }
     }
     let BufInner { events, timings } = buf.take();
@@ -1728,6 +1736,7 @@ mod tests {
             opts: clean,
             trace_on: false,
             handshake: true,
+            lossy: false,
             parts,
         });
         let deadline = Instant::now() + Duration::from_secs(10);

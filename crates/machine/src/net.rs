@@ -23,9 +23,13 @@
 //!   in one vectored write — a frame's bytes are touched once per side
 //!   by the checksum and not copied by the layer at all.
 //! * A bad CRC drops exactly one frame (the length prefix keeps the
-//!   stream in sync) — for data frames the PR 2 NACK protocol recovers
-//!   it, which is precisely the corruption contract the chaos proxy
-//!   tests.
+//!   stream in sync), whatever it carried — the corruption contract the
+//!   chaos proxy tests. A lost data frame is NACK-recovered; a lost ack
+//!   or `Done` costs a lossy wave's drain one slice, since the drain
+//!   ends on evidence and re-announces `Done` (`transport.rs`). The CRC
+//!   is the socket link's one integrity check: packets carry no payload
+//!   digest, and the in-process channels, which cannot damage a value,
+//!   have none.
 //! * A bad magic means the stream itself lost sync (e.g. a truncated
 //!   write followed by more bytes); the connection is poisoned and the
 //!   worker reconnects with jittered backoff and a fresh handshake.
@@ -1262,7 +1266,7 @@ mod tests {
             let f = Frame::Data(Packet {
                 src: 0,
                 seq: 0,
-                check: 7,
+                corrupt: true,
                 payload: Wire {
                     run_ord: 1,
                     values: vec![2.5, -1.0].into(),
@@ -1280,6 +1284,7 @@ mod tests {
             match got {
                 Frame::Data(p) => {
                     assert_eq!(p.src, 0);
+                    assert!(p.corrupt, "a fault plan's mark travels in the frame");
                     assert_eq!(p.payload.run_ord, 1);
                     assert_eq!(*p.payload.values, [2.5, -1.0]);
                 }
@@ -1576,6 +1581,7 @@ mod tests {
             simd: vcal_spmd::SimdPolicy::default(),
             trace_on: false,
             handshake: false,
+            lossy: false,
             locals,
         };
         router

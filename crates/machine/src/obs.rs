@@ -202,7 +202,8 @@ pub enum EventKind {
         /// The duplicate's source.
         src: i64,
     },
-    /// A checksum mismatch was detected (packet treated as lost).
+    /// A packet arrived marked corrupt by a fault plan (treated as
+    /// lost).
     CorruptDetected {
         /// The corrupt packet's source.
         src: i64,

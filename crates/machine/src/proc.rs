@@ -235,6 +235,7 @@ impl Link for ProcLink {
                     simd: opts.simd,
                     trace_on: wave.trace_on,
                     handshake: wave.handshake,
+                    lossy: wave.lossy,
                     locals,
                 }))
             })
@@ -473,7 +474,17 @@ impl NodeEnd for SockEnd {
                 let mut ep: Endpoint<Wire> =
                     Endpoint::new(p, Box::new(&mut self.link), job.faults, buf);
                 // no free parts: the reply crosses the wire as staged writes
-                wave_body(p, &mut ep, scratch, buf, &wave, &opts, &job.locals, None)
+                wave_body(
+                    p,
+                    &mut ep,
+                    scratch,
+                    buf,
+                    &wave,
+                    &opts,
+                    job.lossy,
+                    &job.locals,
+                    None,
+                )
             } // endpoint drops; the link is ours again for the control plane
         };
         (reply, Vec::new())

@@ -31,12 +31,16 @@ pub struct NodeStats {
     pub retransmits: u64,
     /// Duplicate packets suppressed by receive-side sequence tracking.
     pub dups_dropped: u64,
-    /// Packets discarded for a checksum mismatch (treated as losses).
+    /// Packets that arrived damaged by a `FaultPlan` corrupt fault,
+    /// discarded and treated as losses.
     pub corrupt_detected: u64,
     /// Cumulative acknowledgements sent for accepted packets.
     pub acks_sent: u64,
     /// Retransmit requests sent while waiting on an owed value.
     pub nacks_sent: u64,
+    /// Drains ended by their cap (`recv_timeout`) rather than by
+    /// evidence that no peer can NACK this node again.
+    pub drain_cap_expired: u64,
     /// Update-phase runs executed through the SIMD lane tier.
     pub simd_runs: u64,
     /// Update-phase runs executed element-at-a-time (boundary, strided,
@@ -80,6 +84,7 @@ impl AddAssign for NodeStats {
         self.corrupt_detected += o.corrupt_detected;
         self.acks_sent += o.acks_sent;
         self.nacks_sent += o.nacks_sent;
+        self.drain_cap_expired += o.drain_cap_expired;
         self.simd_runs += o.simd_runs;
         self.simd_fallback_runs += o.simd_fallback_runs;
         self.simd_lane_elems += o.simd_lane_elems;

@@ -7,12 +7,14 @@
 //! survive realistic transient faults and degrade into *typed errors*
 //! (never hangs, never host aborts) when a fault is permanent:
 //!
-//! * every data payload travels as a [`Packet`]: per-flow **sequence
-//!   number** (one flow per ordered `(src, dst)` node pair) plus an
-//!   FNV-1a **checksum** over the header and payload;
+//! * every data payload travels as a [`Packet`]: a per-flow **sequence
+//!   number** (one flow per ordered `(src, dst)` node pair) and a
+//!   **corrupt** mark, which only [`FaultPlan`]'s `corrupt` fault sets.
+//!   No payload is hashed: integrity is checked only where damage can
+//!   happen (see below);
 //! * the receiver keeps per-source cumulative state: duplicates are
 //!   suppressed (`dups_dropped`), out-of-order arrivals are tolerated
-//!   (accepted into a `seen-ahead` window), and checksum mismatches are
+//!   (accepted into a `seen-ahead` window), and marked packets are
 //!   counted (`corrupt_detected`) and treated as losses;
 //! * every accepted packet is acknowledged (cumulative [`Frame::Ack`],
 //!   `acks_sent`) so the sender can prune its retransmit buffer;
@@ -24,13 +26,16 @@
 //!   exponentially up to [`RetryPolicy::backoff_cap`] and give up after
 //!   [`RetryPolicy::max_retries`] attempts;
 //! * when a node finishes (or fails) it broadcasts [`Frame::Done`] and
-//!   *drains*: it keeps servicing NACKs until every peer has announced
-//!   completion (or a timeout cap expires), so late retransmit requests
-//!   are still answered. A panicked node announces `Done` — the analog
-//!   of a TCP reset — but services nothing further.
+//!   *drains*, servicing NACKs until no peer can send one
+//!   ([`Endpoint::drain`]). A panicked node announces `Done` — the
+//!   analog of a TCP reset — but services nothing further.
 //!
-//! Control frames (ack/nack/done) are modeled as reliable; the fault
-//! plan applies to the data plane only. Retransmissions pass through
+//! Per link: a channel (the thread link) neither loses nor damages a
+//! frame, so only the fault plan touches the data plane. A socket frame
+//! carries the frame checksum (`net.rs`), which drops a damaged frame
+//! whatever it carried — under wire chaos an ack or a `Done` too. A wave
+//! with a fault plan or chaos is *lossy*: its drain ends on evidence, and
+//! the host purges before the next wave. Retransmissions pass through
 //! the drop/corrupt faults again, so a *persistent* fault exhausts the
 //! retry budget and surfaces as `MachineError::Unrecoverable`.
 //!
@@ -49,20 +54,9 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
-/// A payload type that can travel as a checksummed packet.
-pub(crate) trait WirePayload: Clone {
-    /// Fold the payload into a 64-bit digest (checksum input).
-    fn digest(&self) -> u64;
-    /// Flip payload bits (fault injection); must change [`digest`]
-    /// whenever the payload carries at least one value.
-    ///
-    /// [`digest`]: WirePayload::digest
-    fn corrupt(&mut self, bits: u64);
-}
-
 /// Which carrier moves frames between node endpoints.
 ///
-/// The reliability protocol (sequence numbers, checksums, NACK/go-back-N,
+/// The reliability protocol (sequence numbers, NACK/go-back-N,
 /// fault injection, trace events) is written entirely against
 /// [`Endpoint`]; the carrier underneath is pluggable. `InProc` is the
 /// historical in-process `mpsc` mesh; `Uds`/`Tcp` run every node as a
@@ -128,12 +122,6 @@ pub(crate) struct ChannelTransport<T> {
     rx: Receiver<Frame<T>>,
 }
 
-impl<T> ChannelTransport<T> {
-    pub(crate) fn new(txs: Vec<Sender<Frame<T>>>, rx: Receiver<Frame<T>>) -> ChannelTransport<T> {
-        ChannelTransport { txs, rx }
-    }
-}
-
 impl<T> Transport<T> for ChannelTransport<T> {
     fn peer_count(&self) -> usize {
         self.txs.len()
@@ -189,6 +177,10 @@ pub(crate) fn wait<T>(rx: &Receiver<T>, slice: Duration) -> Option<T> {
     }
 }
 
+/// One slice of [`Endpoint::drain`]: how long a lost `Done` costs a
+/// lossy wave.
+const DRAIN_SLICE: Duration = Duration::from_millis(25);
+
 /// SplitMix64 step — the deterministic stream behind fault draws.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -203,7 +195,7 @@ pub(crate) fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// FNV-1a over a word sequence — the packet checksum.
+/// FNV-1a over a word sequence — the backoff jitter's hash.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for w in words {
@@ -226,20 +218,16 @@ pub(crate) fn clamp_prob(p: f64) -> f64 {
     }
 }
 
-/// Checksum of one packet: header (source, sequence) plus payload digest.
-fn packet_digest<T: WirePayload>(src: i64, seq: u64, payload: &T) -> u64 {
-    fnv1a([src as u64, seq, payload.digest()])
-}
-
-/// A sequence-numbered, checksummed wire packet.
+/// A sequence-numbered wire packet.
 #[derive(Debug, Clone)]
 pub(crate) struct Packet<T> {
     /// Sending node.
     pub src: i64,
     /// Position in the `(src, dst)` flow, starting at 0.
     pub seq: u64,
-    /// [`packet_digest`] over header + payload, computed at send time.
-    pub check: u64,
+    /// Damaged in flight by a [`FaultPlan`] `corrupt` fault: the
+    /// receiver counts and drops the packet like a lost one.
+    pub corrupt: bool,
     /// The machine-level message.
     pub payload: T,
 }
@@ -288,8 +276,8 @@ pub struct FaultPlan {
     pub duplicate: f64,
     /// Probability a packet is swapped with the node's next send.
     pub reorder: f64,
-    /// Probability a payload bit is flipped in flight (the checksum
-    /// still reflects the original payload, so the receiver detects it).
+    /// Probability a packet is damaged in flight: it arrives marked
+    /// corrupt, and the receiver counts and drops it.
     pub corrupt: f64,
     /// Probability a packet is held back until the end of the node's
     /// send phase.
@@ -641,7 +629,7 @@ struct Stashed<T> {
 
 /// What one serviced frame produced.
 pub(crate) enum Step<T> {
-    /// A fresh (never-seen, checksum-valid) data payload from `src` —
+    /// A fresh (never-seen, unmarked) data payload from `src` —
     /// the machine must stage it. `seq` is the sender-assigned per-flow
     /// sequence number: frames may surface out of order under reorder
     /// faults, so consumers that demultiplex one flow into sub-streams
@@ -672,7 +660,7 @@ pub(crate) enum AwaitFail {
 /// (sequence numbers + retransmit buffers, one per destination),
 /// receiver-side flows (cumulative dedup + reorder windows, one per
 /// source), fault injection, and the completion map.
-pub(crate) struct Endpoint<'t, T: WirePayload> {
+pub(crate) struct Endpoint<'t, T> {
     p: i64,
     link: Box<dyn Transport<T> + Send + 't>,
     next_seq: Vec<u64>,
@@ -688,7 +676,7 @@ pub(crate) struct Endpoint<'t, T: WirePayload> {
     trace_on: bool,
 }
 
-impl<'t, T: WirePayload> Endpoint<'t, T> {
+impl<'t, T: Clone> Endpoint<'t, T> {
     /// Build the endpoint of node `p` over any frame carrier. The
     /// tracer is borrowed, or shared by `Arc` where the endpoint lives as
     /// long as its owner's buffer (node 0 of the thread link).
@@ -730,7 +718,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
     where
         T: Send + 'static,
     {
-        Endpoint::new(p, Box::new(ChannelTransport::new(txs, rx)), faults, tracer)
+        Endpoint::new(p, Box::new(ChannelTransport { txs, rx }), faults, tracer)
     }
 
     /// Number of nodes on the interconnect (including this one).
@@ -780,18 +768,28 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
         }
     }
 
+    /// Deliver `pkt` marked as damaged. The fault still takes the draw
+    /// that once chose the flipped bit, so every later draw of the
+    /// node's stream is where it was.
+    fn transmit_corrupt(&mut self, dst: usize, mut pkt: Packet<T>) {
+        if let Some(fs) = &mut self.faults {
+            let _ = fs.draw();
+        }
+        pkt.corrupt = true;
+        self.transmit(dst, pkt);
+    }
+
     /// Send one payload to `dst` through the fault plan: assign the
-    /// flow sequence number, checksum, retain a clean copy for
-    /// retransmission, and deliver (or drop / duplicate / corrupt /
-    /// hold back) according to the node's fault stream.
+    /// flow sequence number, retain a clean copy for retransmission, and
+    /// deliver (or drop / duplicate / corrupt / hold back) according to
+    /// the node's fault stream.
     pub(crate) fn send(&mut self, dst: usize, payload: T) {
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
-        let check = packet_digest(self.p, seq, &payload);
         let pkt = Packet {
             src: self.p,
             seq,
-            check,
+            corrupt: false,
             payload,
         };
         self.retained[dst].push_back(pkt.clone());
@@ -807,15 +805,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
                 self.transmit(dst, pkt.clone());
                 self.transmit(dst, pkt);
             }
-            FaultKind::Corrupt => {
-                let bits = match &mut self.faults {
-                    Some(fs) => fs.draw(),
-                    None => 0,
-                };
-                let mut c = pkt;
-                c.payload.corrupt(bits); // checksum keeps the clean digest
-                self.transmit(dst, c);
-            }
+            FaultKind::Corrupt => self.transmit_corrupt(dst, pkt),
             FaultKind::Reorder => {
                 stash_current = Some(Stashed {
                     dst,
@@ -911,7 +901,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
                 if src >= self.recv_next.len() {
                     return Step::Handled; // stray source id
                 }
-                if packet_digest(pkt.src, pkt.seq, &pkt.payload) != pkt.check {
+                if pkt.corrupt {
                     stats.corrupt_detected += 1;
                     if self.trace_on {
                         self.tracer
@@ -962,7 +952,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
                     .filter(|pk| pk.seq >= next_needed)
                     .cloned()
                     .collect();
-                for mut pk in resend {
+                for pk in resend {
                     let kind = match &mut self.faults {
                         None => FaultKind::Clean,
                         Some(fs) => fs.classify_retransmit(self.p),
@@ -974,14 +964,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
                     }
                     match kind {
                         FaultKind::Drop => {}
-                        FaultKind::Corrupt => {
-                            let bits = match &mut self.faults {
-                                Some(fs) => fs.draw(),
-                                None => 0,
-                            };
-                            pk.payload.corrupt(bits);
-                            self.transmit(q, pk);
-                        }
+                        FaultKind::Corrupt => self.transmit_corrupt(q, pk),
                         _ => self.transmit(q, pk),
                     }
                 }
@@ -1013,21 +996,35 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
         }
     }
 
-    /// Keep servicing retransmit requests until every peer has
-    /// announced completion or `cap` expires. Fresh data arriving here
-    /// is acknowledged and discarded (stale retransmissions after this
-    /// node already finished its update phase).
-    pub(crate) fn drain(&mut self, cap: Duration, stats: &mut NodeStats) {
-        let deadline = Instant::now() + cap;
-        while !self.done.iter().all(|d| *d) {
+    /// Keep servicing retransmit requests until every peer has said
+    /// `Done` — or, in a `lossy` wave, until each peer has said `Done` or
+    /// acked every packet sent to it, while this node re-announces its
+    /// `Done` (idempotent) after each slice without a NACK: a lost `Done`
+    /// costs a slice. A clean wave sends nothing here, so it leaves the
+    /// channels empty. A drain ended by `cap` counts in
+    /// `drain_cap_expired`. Fresh data arriving here is acknowledged and
+    /// discarded (stale retransmissions).
+    pub(crate) fn drain(&mut self, cap: Duration, lossy: bool, stats: &mut NodeStats) {
+        let start = Instant::now();
+        let (deadline, mut slice_end, mut nacked) = (start + cap, start + DRAIN_SLICE, false);
+        let settled = |ep: &Self, q: usize| ep.done[q] || lossy && ep.retained[q].is_empty();
+        while !(0..self.done.len()).all(|q| settled(self, q)) {
             let now = Instant::now();
             if now >= deadline {
-                break;
+                stats.drain_cap_expired += 1;
+                return;
             }
-            let slice = deadline
-                .saturating_duration_since(now)
-                .min(Duration::from_millis(25));
-            let _ = self.poll(slice, stats);
+            if now >= slice_end {
+                if lossy && !nacked {
+                    self.announce_done();
+                }
+                (slice_end, nacked) = (now + DRAIN_SLICE, false);
+            }
+            let slice = slice_end.min(deadline).saturating_duration_since(now);
+            if let Some(frame) = self.link.recv(slice) {
+                nacked |= matches!(frame, Frame::Nack { .. });
+                let _ = self.service(frame, stats);
+            }
         }
     }
 }
@@ -1046,7 +1043,7 @@ impl<'t, T: WirePayload> Endpoint<'t, T> {
 /// conflicting borrows). `ready` returning `Some(Err(why))` reports a
 /// plan inconsistency discovered on the staged data.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn await_until<T: WirePayload, C, R>(
+pub(crate) fn await_until<T: Clone, C, R>(
     ep: &mut Endpoint<'_, T>,
     peer: i64,
     recv_timeout: Duration,
@@ -1118,15 +1115,6 @@ pub(crate) fn await_until<T: WirePayload, C, R>(
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
-
-    impl WirePayload for f64 {
-        fn digest(&self) -> u64 {
-            self.to_bits()
-        }
-        fn corrupt(&mut self, bits: u64) {
-            *self = f64::from_bits(self.to_bits() ^ (1 << (bits % 52)));
-        }
-    }
 
     use crate::obs::NULL_TRACER;
 
@@ -1223,20 +1211,32 @@ mod tests {
         assert_eq!(sb.acks_sent, 2);
     }
 
+    /// A packet the fault plan damaged is counted and dropped: nothing
+    /// is staged, nothing acked, and the flow still waits for it, so a
+    /// NACK recovers it.
     #[test]
     fn corrupt_detected_and_counted() {
-        let (mut a, mut b, _rx0, rx1) = pair();
+        let (tx0, _rx0) = channel();
+        let (tx1, rx1) = channel();
+        let (_, dead_rx) = channel();
+        let plan = FaultPlan::seeded(3).with_corrupt(1.0);
+        let mut a: Endpoint<'_, f64> = Endpoint::in_proc(
+            0,
+            vec![tx0.clone(), tx1.clone()],
+            dead_rx,
+            Some(plan),
+            NULL_TRACER,
+        );
+        let (_, dead_rx) = channel();
+        let mut b: Endpoint<'_, f64> =
+            Endpoint::in_proc(1, vec![tx0, tx1], dead_rx, None, NULL_TRACER);
         let mut sb = NodeStats::default();
         a.send(1, 1.0);
-        let frame = match rx1.recv().unwrap() {
-            Frame::Data(mut p) => {
-                p.payload.corrupt(7);
-                Frame::Data(p)
-            }
-            _ => unreachable!(),
-        };
+        let frame = rx1.recv().unwrap();
         assert!(matches!(b.service(frame, &mut sb), Step::Handled));
         assert_eq!(sb.corrupt_detected, 1);
+        assert_eq!((sb.acks_sent, b.recv_next[0]), (0, 0), "nothing staged");
+        assert!(b.recv_ahead[0].is_empty());
     }
 
     #[test]
@@ -1262,6 +1262,76 @@ mod tests {
                 ));
             }
             _ => panic!("expected retransmitted data"),
+        }
+    }
+
+    /// Node 0 sends node 1 two packets over live links and node 1
+    /// stages both, so its acks wait in node 0's inbox; node 1 never
+    /// says `Done` (as if its `Done` were lost).
+    fn acked_but_not_done() -> Endpoint<'static, f64> {
+        let (tx0, rx0) = channel();
+        let (tx1, rx1) = channel();
+        let txs = vec![tx0, tx1];
+        let mut a = Endpoint::in_proc(0, txs.clone(), rx0, None, NULL_TRACER);
+        let mut b = Endpoint::in_proc(1, txs, rx1, None, NULL_TRACER);
+        let mut sb = NodeStats::default();
+        a.send(1, 1.5);
+        a.send(1, 2.5);
+        for _ in 0..2 {
+            let step = b.poll(Duration::from_secs(5), &mut sb);
+            assert!(matches!(step, Step::Fresh { src: 0, .. }));
+        }
+        a.announce_done(); // lands in node 1's inbox, never read
+        a
+    }
+
+    /// A lossy drain ends on evidence: the peer's `Done` is lost, but
+    /// its cumulative acks cover every packet sent to it, so it can
+    /// never NACK. The drain exits within one slice. A clean drain in
+    /// the same state keeps waiting for the `Done` until its cap, and
+    /// the cap is counted.
+    #[test]
+    fn lossy_drain_ends_when_acks_cover_every_packet() {
+        let mut a = acked_but_not_done();
+        let mut stats = NodeStats::default();
+        let t0 = Instant::now();
+        a.drain(Duration::from_secs(30), true, &mut stats);
+        let took = t0.elapsed();
+        assert!(took < DRAIN_SLICE, "lossy drain took {took:?}");
+        assert_eq!(stats.drain_cap_expired, 0);
+        assert!(a.retained[1].is_empty());
+
+        let mut a = acked_but_not_done();
+        let cap = Duration::from_millis(60);
+        let t0 = Instant::now();
+        a.drain(cap, false, &mut stats);
+        assert!(t0.elapsed() >= cap);
+        assert_eq!(stats.drain_cap_expired, 1);
+    }
+
+    /// While a lossy drain has no evidence it re-announces `Done` at the
+    /// end of each slice without a NACK; a clean drain sends nothing.
+    #[test]
+    fn lossy_drain_re_announces_done_each_quiet_slice() {
+        for lossy in [true, false] {
+            let (tx0, rx0) = channel();
+            let (tx1, rx1) = channel();
+            let mut a: Endpoint<'_, f64> =
+                Endpoint::in_proc(0, vec![tx0, tx1], rx0, None, NULL_TRACER);
+            a.send(1, 4.0);
+            assert!(matches!(rx1.recv(), Ok(Frame::Data(_)))); // lost on the wire
+            let mut stats = NodeStats::default();
+            a.drain(DRAIN_SLICE * 3 + DRAIN_SLICE / 2, lossy, &mut stats);
+            assert_eq!(stats.drain_cap_expired, 1);
+            let dones = rx1
+                .try_iter()
+                .filter(|f| matches!(f, Frame::Done { from: 0 }))
+                .count();
+            if lossy {
+                assert!(dones >= 2, "{dones} re-announcements in three slices");
+            } else {
+                assert_eq!(dones, 0);
+            }
         }
     }
 
@@ -1384,7 +1454,7 @@ mod tests {
         Frame::Data(Packet {
             src: 0,
             seq,
-            check: packet_digest(0, seq, &v),
+            corrupt: false,
             payload: v,
         })
     }

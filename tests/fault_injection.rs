@@ -3,10 +3,12 @@
 //! Two families of properties, both driven by deterministic seeded
 //! [`FaultPlan`]s:
 //!
-//! * **recoverable** faults — drop / duplicate / reorder / delay under a
-//!   retry budget — must leave the distributed result bit-identical to
-//!   the sequential reference, redistribution included, with the
-//!   recovery visible in the reliability counters;
+//! * **recoverable** faults — drop / duplicate / reorder / corrupt /
+//!   delay under a retry budget — must leave the distributed result
+//!   bit-identical to the sequential reference, redistribution included,
+//!   with the recovery visible in the reliability counters; on the
+//!   thread link, where no control frame can be lost, no drain may end
+//!   by its cap;
 //! * **unrecoverable** faults — an injected node crash, or a link so
 //!   lossy the retry budget exhausts — must surface as a *typed*
 //!   [`MachineError`] within a bounded time, never a hang or a host
@@ -25,7 +27,7 @@ use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexS
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     run_distributed, DistArray, DistOptions, DistSession, ExecReport, FaultPlan, MachineError,
-    RetryPolicy, TransportKind, FREE_PARTS_PER_NODE,
+    NodeStats, RetryPolicy, TransportKind, FREE_PARTS_PER_NODE,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -80,6 +82,22 @@ fn fixture() -> (SpmdPlan, Clause, DecompMap, Env, Env) {
     let mut reference = env0.clone();
     reference.exec_clause(&cl);
     (plan, cl, dm, env0, reference)
+}
+
+/// The bit patterns of an array's values: equality is bitwise.
+fn bits(a: &Array) -> Vec<u64> {
+    a.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// On the thread link control frames cannot be lost, so every drain of
+/// a bitwise-correct run ends on evidence, never by its cap.
+fn no_drain_capped(total: &NodeStats, ctx: &str) {
+    if transport() == TransportKind::InProc {
+        assert_eq!(
+            total.drain_cap_expired, 0,
+            "{ctx}: a drain waited out its cap"
+        );
+    }
 }
 
 fn dist_arrays(env0: &Env, dm: &DecompMap) -> BTreeMap<String, DistArray> {
@@ -194,34 +212,37 @@ fn failed_image_runs_change_nothing_and_keep_the_free_list_bounded() {
     assert_eq!(session.gather_all(), reference);
 }
 
-/// The acceptance configuration: a seeded ~5% per-packet drop + reorder
-/// plan must finish bit-identical to the
+/// The acceptance configuration: a seeded plan of ~5% per-packet drop,
+/// reorder and corrupt faults must finish bit-identical to the
 /// sequential reference and must actually have gone through the
-/// retransmission path.
+/// retransmission path and caught a corrupt packet.
 #[test]
 fn seeded_drop_reorder_sweep_is_bit_identical() {
     let (plan, cl, dm, env0, reference) = fixture();
-    // retransmissions are asserted over the whole seed sweep: a 5%
-    // drop rate may leave an individual low-traffic run
-    // untouched, but the sweep as a whole must exercise recovery
-    let mut retransmits = 0u64;
+    // recovery is asserted over the whole seed sweep: a 5% rate may
+    // leave an individual low-traffic run untouched, but the sweep as a
+    // whole must exercise it
+    let (mut retransmits, mut corrupt) = (0u64, 0u64);
     for seed in [1u64, 7, 23, 1991] {
         let ctx = format!("seed={seed}");
-        let fp = FaultPlan::seeded(seed).with_drop(0.05).with_reorder(0.05);
+        let fp = FaultPlan::seeded(seed)
+            .with_drop(0.05)
+            .with_reorder(0.05)
+            .with_corrupt(0.05);
         let (res, arrays) = run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
         let report = res.unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let total = report.total();
         retransmits += total.retransmits;
+        corrupt += total.corrupt_detected;
         assert!(total.acks_sent > 0, "{ctx}: no acks recorded");
-        assert_eq!(
-            arrays["A"]
-                .gather()
-                .max_abs_diff(reference.get("A").unwrap()),
-            0.0,
+        assert!(
+            bits(&arrays["A"].gather()) == bits(reference.get("A").unwrap()),
             "{ctx}: result differs from sequential reference"
         );
+        no_drain_capped(&total, &ctx);
     }
     assert!(retransmits > 0, "seed sweep never exercised retransmission");
+    assert!(corrupt > 0, "seed sweep never caught a corrupt packet");
 }
 
 /// Multi-packet flows under the recoverable soup. The small fixtures
@@ -264,12 +285,13 @@ fn multi_packet_flows_survive_the_fault_soup() {
         .map(|v| v.to_bits())
         .collect();
 
-    let mut repaired = 0u64;
+    let (mut repaired, mut corrupt) = (0u64, 0u64);
     for seed in [1u64, 7, 23, 1991, 4242] {
         let fp = FaultPlan::seeded(seed)
             .with_drop(0.15)
             .with_duplicate(0.15)
             .with_reorder(0.15)
+            .with_corrupt(0.1)
             .with_delay(0.1);
         let (res, arrays) = run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
         let total = res.unwrap_or_else(|e| panic!("seed={seed}: {e}")).total();
@@ -280,9 +302,12 @@ fn multi_packet_flows_survive_the_fault_soup() {
         assert_eq!(total.msgs_received, total.msgs_sent, "seed={seed}");
         assert_eq!(total.packets_sent, planned_packets, "seed={seed}");
         assert_eq!(total.max_packet_elems, 8192, "seed={seed}");
+        no_drain_capped(&total, &format!("seed={seed}"));
         repaired += total.retransmits + total.dups_dropped;
+        corrupt += total.corrupt_detected;
     }
     assert!(repaired > 0, "the seed sweep never hit a multi-packet flow");
+    assert!(corrupt > 0, "the seed sweep never caught a corrupt packet");
 }
 
 proptest! {
@@ -298,6 +323,7 @@ proptest! {
         p_drop in prob(15),
         p_dup in prob(15),
         p_reorder in prob(15),
+        p_corrupt in prob(10),
         p_delay in prob(10),
     ) {
         let (plan, cl, dm, env0, reference) = fixture();
@@ -305,6 +331,7 @@ proptest! {
             .with_drop(p_drop)
             .with_duplicate(p_dup)
             .with_reorder(p_reorder)
+            .with_corrupt(p_corrupt)
             .with_delay(p_delay);
         let (res, arrays) =
             run_faulty(&plan, &cl, &env0, &dm, fp, RetryPolicy::fast());
@@ -315,11 +342,11 @@ proptest! {
         let total = report.total();
         // reliability machinery never changes *which* values arrive
         prop_assert_eq!(total.msgs_received, total.msgs_sent);
-        prop_assert_eq!(
-            arrays["A"].gather().max_abs_diff(reference.get("A").unwrap()),
-            0.0,
+        prop_assert!(
+            bits(&arrays["A"].gather()) == bits(reference.get("A").unwrap()),
             "result differs from sequential reference"
         );
+        no_drain_capped(&total, "soup");
     }
 
     /// An injected node crash — possibly amid link noise — surfaces as
@@ -398,6 +425,7 @@ proptest! {
         p_drop in prob(15),
         p_dup in prob(15),
         p_reorder in prob(15),
+        p_corrupt in prob(10),
         from_kind in 0u8..3,
         to_kind in 0u8..3,
     ) {
@@ -418,21 +446,23 @@ proptest! {
                 FaultPlan::seeded(seed)
                     .with_drop(p_drop)
                     .with_duplicate(p_dup)
-                    .with_reorder(p_reorder),
+                    .with_reorder(p_reorder)
+                    .with_corrupt(p_corrupt),
             ),
             retry: RetryPolicy::fast(),
             transport: transport(),
             ..DistOptions::default()
         };
         let mut session = DistSession::new(&env, dm).unwrap().with_options(opts);
-        if let Err(e) = session.redistribute("A", to) {
-            return Err(TestCaseError::fail(format!("redistribution: {e}")));
-        }
+        let report = match session.redistribute("A", to) {
+            Ok(r) => r,
+            Err(e) => return Err(TestCaseError::fail(format!("redistribution: {e}"))),
+        };
         let dst = session.gather("A").unwrap();
-        prop_assert_eq!(
-            dst.max_abs_diff(&original),
-            0.0,
+        prop_assert!(
+            bits(&dst) == bits(&original),
             "redistribution lost or corrupted elements"
         );
+        no_drain_capped(&report.total(), "redistribution");
     }
 }

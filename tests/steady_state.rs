@@ -33,8 +33,8 @@ use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexS
 use vcal_suite::decomp::{Decomp1, DecompNd};
 use vcal_suite::machine::{
     replay_check, run_distributed, run_distributed_nd, run_distributed_traced, CollectingTracer,
-    DistArray, DistArrayNd, DistOptions, DistSession, Event, FaultPlan, MachineError, ProgramStep,
-    ProtoTimeouts, RetryPolicy, ScheduleMode, TraceLog, TransportKind, HOST,
+    DistArray, DistArrayNd, DistOptions, DistSession, Event, ExecReport, FaultPlan, MachineError,
+    ProgramStep, ProtoTimeouts, RetryPolicy, ScheduleMode, TraceLog, TransportKind, HOST,
 };
 use vcal_suite::spmd::{DecompMap, SpmdPlan};
 
@@ -141,6 +141,18 @@ fn opts_for(faults: Option<FaultPlan>) -> DistOptions {
     }
 }
 
+/// On the thread link no control frame can be lost: every drain of a
+/// run that succeeded ends on evidence, never by its cap.
+fn no_drain_capped(report: &ExecReport) {
+    if transport() == TransportKind::InProc {
+        assert_eq!(
+            report.total().drain_cap_expired,
+            0,
+            "a drain waited out its cap"
+        );
+    }
+}
+
 /// N cold steps: a fresh plan/execute cycle per call, the baseline the
 /// warm path must match bit-for-bit.
 fn run_cold(steps: usize, faults: Option<FaultPlan>, dm: &DecompMap) -> (Array, Array) {
@@ -150,9 +162,9 @@ fn run_cold(steps: usize, faults: Option<FaultPlan>, dm: &DecompMap) -> (Array, 
     let opts = opts_for(faults);
     for _ in 0..steps {
         let plan = SpmdPlan::build(&sweep, dm).unwrap();
-        run_distributed(&plan, &sweep, &mut arrays, opts).unwrap();
+        no_drain_capped(&run_distributed(&plan, &sweep, &mut arrays, opts).unwrap());
         let plan = SpmdPlan::build(&back, dm).unwrap();
-        run_distributed(&plan, &back, &mut arrays, opts).unwrap();
+        no_drain_capped(&run_distributed(&plan, &back, &mut arrays, opts).unwrap());
     }
     (arrays["U"].gather(), arrays["V"].gather())
 }
@@ -168,6 +180,8 @@ fn run_warm(steps: usize, faults: Option<FaultPlan>, dm: &DecompMap) -> (Array, 
     for step in 0..steps {
         let r1 = session.run(&sweep).unwrap();
         let r2 = session.run(&back).unwrap();
+        no_drain_capped(&r1);
+        no_drain_capped(&r2);
         if step == 0 {
             assert_eq!((r1.cache_hits, r1.cache_misses), (0, 1), "first sweep");
             assert_eq!((r2.cache_hits, r2.cache_misses), (0, 1), "first back");
@@ -438,7 +452,7 @@ fn a_pool_left_dirty_serves_its_next_borrowers_bitwise() {
     let mut session = DistSession::new(&timestep_env(), timestep_decomps(0, 1))
         .unwrap()
         .with_options(inproc(Some(faults)));
-    session.run(&sweep).unwrap();
+    no_drain_capped(&session.run(&sweep).unwrap());
     drop(session);
     next_borrowers_run_bitwise("after a dirty pool");
 }
