@@ -5,8 +5,9 @@
 //! inner loop in isolation: the tree interpreter ([`Env::eval_expr`]:
 //! recursion, `Box` chasing, a `BTreeMap` lookup per array reference)
 //! against the compiled path ([`CompiledKernel`] postfix bytecode and
-//! the fused [`FusedShape::Stencil`] loop reading straight off the local
-//! slice). Acceptance bar: ≥ 3× compiled over interpreted.
+//! the [`FusedShape::Stencil`] lane map that
+//! [`CompiledKernel::eval_run`] runs straight off the local slice).
+//! Acceptance bar: ≥ 3× compiled over interpreted.
 //!
 //! The whole warm step is timed by E14 (`--bench iteration`).
 //!
@@ -45,13 +46,11 @@ fn bytecode_sweep(u: &[f64], kernel: &CompiledKernel, stack: &mut Vec<f64>, out:
     }
 }
 
-/// The fused fast path the machines run for recognized shapes: the
-/// stencil arithmetic applied straight off the slice.
-fn fused_sweep(u: &[f64], shape: &FusedShape, out: &mut [f64]) {
-    for i in 1..N - 1 {
-        let vals = [u[(i - 1) as usize], u[(i + 1) as usize]];
-        out[(i - 1) as usize] = shape.apply(&vals).expect("fused arity");
-    }
+/// What the machines run for a recognized shape: one `eval_run` over the
+/// span, which runs the stencil's lane map straight off the slice.
+fn fused_sweep(u: &[f64], kernel: &CompiledKernel, stack: &mut Vec<f64>, out: &mut [f64]) {
+    let n = (N - 2) as usize;
+    kernel.eval_run(&[1], 0, 1, &[&u[..n], &u[2..n + 2]], out, stack);
 }
 
 fn per_second(elems: u64, secs: f64) -> f64 {
@@ -94,7 +93,7 @@ fn bench_kernel_overlap(c: &mut Criterion) {
         b.iter(|| bytecode_sweep(black_box(&u), &kernel, &mut stack, &mut out))
     });
     group.bench_function("fused", |b| {
-        b.iter(|| fused_sweep(black_box(&u), &kernel.fused, &mut out))
+        b.iter(|| fused_sweep(black_box(&u), &kernel, &mut stack, &mut out))
     });
     group.finish();
 
@@ -113,7 +112,7 @@ fn bench_kernel_overlap(c: &mut Criterion) {
     let bytec = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     for _ in 0..reps {
-        fused_sweep(black_box(&u), &kernel.fused, &mut out);
+        fused_sweep(black_box(&u), &kernel, &mut stack, &mut out);
     }
     let fused = t0.elapsed().as_secs_f64();
     black_box(&out);

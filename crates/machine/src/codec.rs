@@ -57,10 +57,10 @@ use vcal_core::pred::Pred;
 use vcal_core::set::IndexSet;
 use vcal_core::{ArrayRef, BinOp, Bounds, Clause, CmpOp, Expr, Guard, Ix, Ordering, MAX_DEPTH};
 use vcal_decomp::{Decomp1, Distribution};
-use vcal_spmd::{OptKind, ProgramStep, SimdMode, SimdPolicy};
+use vcal_spmd::{OptKind, ProgramStep};
 
 /// Version stamped into the handshake; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u32 = 4;
+pub(crate) const WIRE_VERSION: u32 = 5;
 
 /// A typed decode (or non-serializable-encode) failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -661,7 +661,6 @@ codec_table! {
             seed, drop, duplicate, reorder, corrupt, delay, from_only, drop_exact, crash,
         }
         RetryPolicy { max_retries, nack_timeout, backoff_cap, deadline, jitter_pct }
-        SimdPolicy { mode, lanes }
         Packet<T> { src, seq, corrupt, payload }
         NodeStats {
             iterations, guard_tests, data_guards, msgs_sent, msgs_received, local_reads,
@@ -670,7 +669,7 @@ codec_table! {
             simd_fallback_runs, simd_lane_elems, simd_tail_elems, simd_lanes,
         }
         JobMsg {
-            run_id, clauses, decomps, recv_timeout, faults, retry, simd, trace_on, handshake, lossy,
+            run_id, clauses, decomps, recv_timeout, faults, retry, trace_on, handshake, lossy,
             locals as Images,
         }
         JobReply { image as HostOnly, writes, stats, sent_to, res, events, timings }
@@ -704,7 +703,6 @@ codec_table! {
         Guard { 0 Always, 1 Cmp { lhs, op, rhs } }
         Ordering { 0 Seq, 1 Par }
         Distribution { 0 Block { b }, 1 Scatter, 2 BlockScatter { b }, 3 Replicated }
-        SimdMode { 0 Auto, 1 On, 2 Off }
         Frame<T> {
             0 Data(p), 1 Ack { from, next_needed }, 2 Nack { from, next_needed },
             3 Done { from },
@@ -851,7 +849,6 @@ pub(crate) struct JobMsg {
     pub recv_timeout: Duration,
     pub faults: Option<FaultPlan>,
     pub retry: RetryPolicy,
-    pub simd: SimdPolicy,
     pub trace_on: bool,
     /// Purge + Ready/Go barrier before the run (mirrors the in-process
     /// pool's dirty handshake).

@@ -118,10 +118,6 @@ fn g_job() -> JobMsg {
                 .with_crash(2, 3)
         }),
         retry: RetryPolicy::fast().with_deadline(Duration::from_secs(2)),
-        simd: SimdPolicy {
-            mode: SimdMode::On,
-            lanes: 8,
-        },
         trace_on: true,
         handshake: false,
         lossy: true,
@@ -735,7 +731,6 @@ fn ctrl_job_roundtrips() {
     assert_eq!(j2.recv_timeout, job.recv_timeout);
     assert_eq!(j2.faults, job.faults);
     assert_eq!(j2.retry, job.retry);
-    assert_eq!(j2.simd, job.simd);
     assert_eq!(j2.locals["A"][1], -2.5);
     assert!(j2.locals["A"][2].is_nan(), "NaN survives bit-exactly");
     let shown = |cs: &[Clause]| cs.iter().map(|c| format!("{c}")).collect::<Vec<_>>();

@@ -74,7 +74,7 @@ use vcal_core::{ArrayRef, Clause, CmpOp, Guard, Ix};
 use vcal_decomp::{Decomp1, DecompNd};
 use vcal_spmd::{
     kernel::CHUNK, simd, AccessPattern, CompiledKernel, CompiledNode, CompiledSchedule, ExecRun,
-    FusedShape, KernelOp, SimdPolicy, SlotAccess, SpmdPlan,
+    FusedShape, KernelOp, SlotAccess, SpmdPlan,
 };
 
 /// Modeled header cost of one packet (source + packet tag).
@@ -104,11 +104,6 @@ pub struct DistOptions {
     /// NACK/retransmit recovery policy; [`RetryPolicy::none`] restores
     /// the legacy fail-on-first-timeout behavior.
     pub retry: RetryPolicy,
-    /// SIMD lane policy for fused interior runs (see
-    /// `vcal_spmd::simd`). Lane parallelism never re-associates any
-    /// per-element computation, so results are bitwise identical to the
-    /// chunked bytecode.
-    pub simd: SimdPolicy,
     /// Which carrier moves frames between nodes. [`TransportKind::InProc`]
     /// (the default) runs nodes as threads over channels; `Uds`/`Tcp`
     /// run every node as a real OS process exchanging length-prefixed
@@ -133,7 +128,6 @@ impl Default for DistOptions {
             recv_timeout: Duration::from_secs(5),
             faults: None,
             retry: RetryPolicy::default(),
-            simd: SimdPolicy::default(),
             transport: TransportKind::default(),
             chaos: None,
             timeouts: ProtoTimeouts::default(),
@@ -767,14 +761,14 @@ fn window(pat: &AccessPattern, r: u64, t0: usize, m: usize, len: usize) -> Optio
 }
 
 /// Execute one compiled entry: its receives, packet-window checks, census
-/// and trace event once, then its positions by one of four arms. Interior
+/// and trace event once, then its positions by one of two arms. Interior
 /// and boundary entries share one code path: a boundary entry first makes
 /// its remote operands available ([`receive_operands`]), after which every
 /// slot is a slice plus a pattern — the local part or a staged packet —
-/// and no arm can tell the difference. An unguarded entry takes the slice
-/// copy, the SIMD lane tier or the chunk path ([`exec_chunks`]); only a
-/// guarded one gathers and runs the bytecode per element. Every arm writes
-/// into `next` when there is one, else stages its writes in `out`.
+/// and no arm can tell the difference. An unguarded copy between unit
+/// strides takes the slice copy; every other entry, guarded or not, runs
+/// the chunk path ([`exec_chunks`]). Both arms write into `next` when
+/// there is one, else stage their writes in `out`.
 #[allow(clippy::too_many_arguments)]
 fn exec_one_run(
     k: usize,
@@ -821,27 +815,15 @@ fn exec_one_run(
     stats.iterations += er.elems();
     stats.data_guards += er.elems();
     stats.local_reads += er.elems() * local_slots;
-    let unguarded = matches!(rguard, RGuard::Always);
-    // SIMD lane tier: the plan-time predicate (unit-stride writes, all
-    // read slots unit-stride) plus the runtime guard/policy. The lane
-    // kernels perform the exact per-element operation sequence of the
-    // bytecode, so results are bitwise identical.
-    let simd_ok = opts.simd.enabled() && unguarded && er.simd_eligible(&kernel.fused);
     // a copy between unit strides is `gen_p`'s outer level at its barest:
-    // per rep two bases, their bounds checks and one slice copy. It
-    // predates the lane tier; the census claims it only when the policy
-    // is on. A one-element rep is contiguous whatever step its compressed
-    // pattern records — the predicate of the plan's write spans
+    // per rep two bases, their bounds checks and one slice copy
     let slice_copy = match kernel.fused {
-        FusedShape::Copy { slot } if unguarded && (er.lhs.is_unit_stride() || n == 1) => {
-            Some(slot).filter(|&s| n > 0 && en.operand(s).1.is_unit_stride())
+        FusedShape::Copy { slot } if matches!(rguard, RGuard::Always) && n > 0 && er.is_dense() => {
+            Some(slot)
         }
         _ => None,
     };
-    let vectorized = if !unguarded {
-        exec_guarded(&en, kernel, cs, rguard, stack, out, next)?;
-        false
-    } else if let Some(s) = slice_copy {
+    if let Some(s) = slice_copy {
         // the operand is resolved once, not per rep: reps may be a few
         // elements each
         let (part, pat) = en.operand(s);
@@ -855,62 +837,14 @@ fn exec_one_run(
                 }),
             }
         }
-        simd_ok
-    } else if simd_ok {
-        for r in 0..reps {
-            let mut dense = Vec::new();
-            let win = match next.as_deref_mut() {
-                Some(next) => en.lhs_window(next, r, 0, n)?,
-                None => {
-                    dense = vec![0.0; n];
-                    &mut dense
-                }
-            };
-            // the operands the shape reads, in its slot order
-            let (mut x, shape) = ([&[][..]; 3], &kernel.fused);
-            for (x, &s) in x.iter_mut().zip(shape.read_slots()) {
-                *x = en.window(s, r, 0, n)?;
-            }
-            match (shape, shape.read_slots().len()) {
-                (FusedShape::Axpy { a, b, .. }, _) => simd::axpy(opts.simd, *a, *b, x[0], win),
-                (FusedShape::Stencil { scale, offset, .. }, 2) => {
-                    simd::stencil2(opts.simd, *scale, *offset, x[0], x[1], win)
-                }
-                (
-                    FusedShape::Stencil {
-                        left_assoc,
-                        scale,
-                        offset,
-                        ..
-                    },
-                    3,
-                ) => {
-                    let (l, s, o) = (*left_assoc, *scale, *offset);
-                    simd::stencil3(opts.simd, l, s, o, x[0], x[1], x[2], win)
-                }
-                (other, _) => {
-                    let why = format!("node {p}: run {k}: no lane kernel for {other:?}");
-                    return Err(MachineError::PlanMismatch(why));
-                }
-            }
-            if next.is_none() {
-                let base = en.lhs_at(r, 0)?;
-                out.push(WriteOp::Dense {
-                    base,
-                    values: dense,
-                });
-            }
-        }
-        true
     } else {
-        exec_chunks(&en, kernel, cs, bufs, stack, out, next)?;
-        false
-    };
-    // SIMD census: every executed entry is either vectorized or fallback,
-    // and vectorized elements split, rep by rep, into full lanes plus a
-    // scalar tail.
-    if vectorized {
-        let lanes = opts.simd.census_lanes() as u64;
+        exec_chunks(&en, kernel, cs, rguard, bufs, stack, out, next)?;
+    }
+    // SIMD census: an entry that runs its lane map once per rep splits
+    // its elements, rep by rep, into full lanes plus a scalar tail; every
+    // other entry is a fallback run
+    if cs.runs_fused(er) {
+        let lanes = simd::lanes() as u64;
         stats.simd_runs += 1;
         stats.simd_lane_elems += reps * (n as u64 / lanes * lanes);
         stats.simd_tail_elems += reps * (n as u64 % lanes);
@@ -938,22 +872,31 @@ fn exec_one_run(
     Ok(())
 }
 
-/// The chunk path of an unguarded entry: its positions in nest order, up
-/// to [`CHUNK`] at a time — a piece of a rep longer than a chunk, else as
+/// The chunk path: an entry's positions in nest order, a span at a time,
+/// each span evaluated once by [`CompiledKernel::eval_run`] — a fused
+/// shape's lane map or the bytecode. When every operand is one
+/// unit-stride window and the lhs is contiguous, a span is a whole rep,
+/// borrowed and written in place. Otherwise a span is a chunk of up to
+/// [`CHUNK`] positions: a piece of a rep longer than a chunk, else as
 /// many whole reps as fit, so that an entry of many one-element reps
-/// batches like one long run. A kernel that reads a loop coordinate takes
-/// one rep per chunk, along which the coordinate advances by the step.
+/// batches like one long run (a fused shape with borrowable operands runs
+/// rep by rep instead). A kernel that reads a loop coordinate takes one
+/// rep per span, along which the coordinate advances by the step.
 /// Per chunk an operand is borrowed where it is one unit-stride window and
-/// gathered into its buffer in `bufs` otherwise, and the bytecode runs
-/// once ([`CompiledKernel::eval_run`]): into the lhs window when the chunk
-/// is one contiguous stretch of it, else into the results buffer, which is
-/// then copied or scattered into `next`, or staged (a `Dense` per
-/// contiguous rep, an `El` per element). Within a pass of level 1 a
-/// chunk's affine addresses are a two-level nest, checked by its corners.
+/// gathered into its buffer in `bufs` otherwise; the results land in the
+/// lhs window when the chunk is one contiguous stretch of it, else in the
+/// results buffer, which is then copied or scattered into `next`, or
+/// staged (a `Dense` per contiguous rep, an `El` per element). A guarded
+/// entry tests its guard over the chunk's guard operand into a mask and
+/// never writes in place: a position the mask drops keeps its value in
+/// `next` and is not staged. Within a pass of level 1 a chunk's affine
+/// addresses are a two-level nest, checked by its corners.
+#[allow(clippy::too_many_arguments)]
 fn exec_chunks(
     en: &Entry,
     kernel: &CompiledKernel,
     cs: &CompiledSchedule,
+    rguard: &RGuard,
     bufs: &mut Vec<f64>,
     stack: &mut Vec<f64>,
     out: &mut Vec<WriteOp>,
@@ -963,26 +906,30 @@ fn exec_chunks(
     let (n, reps) = (er.index.count(0).max(0) as usize, er.index.reps());
     let (inner, step) = (cs.loop_box.dims() - 1, er.index.stride(0));
     let loop_var = (kernel.ops().iter()).any(|op| matches!(op, KernelOp::LoopVar(_)));
-    let per = if loop_var {
+    let unguarded = matches!(rguard, RGuard::Always);
+    let in_place = unguarded && (er.lhs.is_unit_stride() || n == 1);
+    let unit = |s| en.operand(s).1.is_unit_stride();
+    let borrowable = unguarded && er.is_dense();
+    let per = if loop_var || borrowable && kernel.fused != FusedShape::Generic {
         1
     } else {
         (CHUNK / n.max(1)).max(1)
     };
-    let contiguous = er.lhs.is_unit_stride() || n == 1;
+    let span = borrowable && per == 1;
+    let width = if span { n.max(1) } else { CHUNK };
     // buffers, one chunk per slot and one of results, where some chunk
     // gathers or scatters
-    let unit = |s| en.operand(s).1.is_unit_stride();
-    if !(per == 1 && contiguous && (0..n_slots).all(unit)) {
+    if !span {
         bufs.resize(bufs.len().max((n_slots + 1) * CHUNK), 0.0);
     }
     let mid = (n_slots * CHUNK).min(bufs.len());
     let (gathered, results) = bufs.split_at_mut(mid);
     let borrowed = |s: usize, nr: usize| nr == 1 && unit(s);
-    let mut dense = Vec::new();
+    let (mut dense, mut mask) = (Vec::new(), Vec::new());
     for r in (0..reps).step_by(per) {
         let nr = (per as u64).min(reps - r) as usize;
-        for t0 in (0..n).step_by(CHUNK) {
-            let m = CHUNK.min(n - t0);
+        for t0 in (0..n).step_by(width) {
+            let m = width.min(n - t0);
             let len = nr * m;
             for (s, buf) in gathered.chunks_exact_mut(CHUNK).enumerate() {
                 if !borrowed(s, nr) {
@@ -1001,7 +948,7 @@ fn exec_chunks(
                 i
             });
             let idx = point.as_ref().map_or(&[][..], Ix::coords);
-            if nr == 1 && contiguous {
+            if nr == 1 && in_place {
                 // one contiguous stretch of the lhs: written in place
                 let win = match next.as_deref_mut() {
                     Some(next) => en.lhs_window(next, r, t0, m)?,
@@ -1020,12 +967,21 @@ fn exec_chunks(
             }
             let results = &mut results[..len];
             kernel.eval_run(idx, inner, step, &segs, results, stack);
+            if let RGuard::Cmp { slot, op, rhs } = rguard {
+                let why = || MachineError::PlanMismatch("guard slot outside the read slots".into());
+                let vals = segs.get(*slot).ok_or_else(why)?;
+                mask.clear();
+                mask.extend(vals.iter().map(|&v| op.holds(v, *rhs)));
+            }
+            let held = |k: usize| unguarded || mask[k];
             let chunk = (r, nr, t0, m);
             let scattered = match next.as_deref_mut() {
-                Some(next) => {
-                    visit_offsets(&er.lhs, chunk, next.len(), |k, o| next[o] = results[k])
-                }
-                None if contiguous => {
+                Some(next) => visit_offsets(&er.lhs, chunk, next.len(), |k, o| {
+                    if held(k) {
+                        next[o] = results[k]
+                    }
+                }),
+                None if in_place => {
                     for (j, vals) in (0..).zip(results.chunks_exact(m)) {
                         let (base, values) = (en.lhs_at(r + j, t0)?, vals.to_vec());
                         out.push(WriteOp::Dense { base, values });
@@ -1033,49 +989,12 @@ fn exec_chunks(
                     Some(())
                 }
                 None => visit_offsets(&er.lhs, chunk, usize::MAX, |k, o| {
-                    out.push(WriteOp::El(o, results[k]))
+                    if held(k) {
+                        out.push(WriteOp::El(o, results[k]))
+                    }
                 }),
             };
             scattered.ok_or_else(|| en.writes_outside())?;
-        }
-    }
-    Ok(())
-}
-
-/// A guarded entry, element by element: gather every slot, test the
-/// guard, and run the bytecode where it holds.
-fn exec_guarded(
-    en: &Entry,
-    kernel: &CompiledKernel,
-    cs: &CompiledSchedule,
-    rguard: &RGuard,
-    stack: &mut Vec<f64>,
-    out: &mut Vec<WriteOp>,
-    mut next: Option<&mut [f64]>,
-) -> Result<(), MachineError> {
-    let er = en.er;
-    let (inner, step) = (cs.loop_box.dims() - 1, er.index.stride(0));
-    let vals = &mut vec![0.0; er.slots.len()];
-    for r in 0..er.index.reps() {
-        let mut i = en.loop_point(cs, r);
-        for t in 0..er.index.count(0).max(0) as usize {
-            for (s, v) in vals.iter_mut().enumerate() {
-                en.gather(s, (r, 1, t, 1), std::slice::from_mut(v))?;
-            }
-            let holds = match rguard {
-                RGuard::Always => true,
-                RGuard::Cmp { slot, op, rhs } => {
-                    op.holds(vals.get(*slot).copied().unwrap_or(0.0), *rhs)
-                }
-            };
-            if holds {
-                let (off, v) = (en.lhs_at(r, t)?, kernel.eval(i.coords(), vals, stack));
-                match next.as_deref_mut() {
-                    Some(next) => *next.get_mut(off).ok_or_else(|| en.writes_outside())? = v,
-                    None => out.push(WriteOp::El(off, v)),
-                }
-            }
-            i[inner] += step;
         }
     }
     Ok(())
@@ -1395,6 +1314,113 @@ mod tests {
         );
         let report = run_and_compare(&clause, &env, &dm, false);
         assert_eq!(report.total().msgs_sent, 0);
+    }
+
+    /// A guarded entry of three 300-position reps — past one chunk, so
+    /// reps run in pieces — whose guard fails inside every chunk,
+    /// with one operand read at stride 2 from the local part and one fed
+    /// by a packet, which the guard tests. On the in-place path (a next
+    /// image) and on the staged one, into a contiguous lhs and into a
+    /// stride-2 one: each position whose guard holds gets
+    /// `CompiledKernel::eval` of its operands bit for bit, and every other
+    /// position keeps its value and is not staged.
+    #[test]
+    fn guarded_chunks_write_only_where_the_guard_holds() {
+        use vcal_spmd::{Nest, SlotAccess};
+        let u_at = ArrayRef::d1("U", Fn1::affine(2, 1));
+        let w_at = ArrayRef::d1("W", Fn1::identity());
+        let rhs = Expr::add(
+            Expr::mul(Expr::Ref(u_at.clone()), Expr::Ref(w_at.clone())),
+            Expr::Lit(0.5),
+        );
+        let kernel = CompiledKernel::compile(&rhs, 2, |r| Some((*r != u_at) as usize)).unwrap();
+        let cs = CompiledSchedule {
+            loop_box: Bounds::range(0, 899),
+            slot_arrays: vec!["U".into(), "W".into()],
+            nodes: Vec::new(),
+            kernel: Some(kernel.clone()),
+            guarded: true,
+        };
+        let rguard = RGuard::Cmp {
+            slot: 1,
+            op: CmpOp::Gt,
+            rhs: 0.0,
+        };
+        let (n, reps) = (300usize, 3usize);
+        let nest = |base, stride, rep_stride| Nest {
+            base,
+            levels: [(n as i64, stride), (reps as i64, rep_stride), (1, 0)],
+        };
+        let u: Vec<f64> = (0..2400).map(|j| j as f64 * 0.37 - 400.0).collect();
+        let w: Vec<f64> = (0..n * reps).map(|k| ((k * 7) % 11) as f64 - 5.0).collect();
+        let staging: Staging = vec![vec![Some(Arc::from(&w[..]))]];
+        for (lhs_stride, len) in [(1, 1000), (2, 1900)] {
+            let er = ExecRun {
+                index: nest(0, 1, n as i64),
+                boundary: true,
+                lhs: AccessPattern::affine(nest(5, lhs_stride, lhs_stride * n as i64)),
+                slots: vec![
+                    SlotAccess::Local(AccessPattern::affine(nest(1, 2, 800))),
+                    SlotAccess::Packet {
+                        src_ord: 0,
+                        pkt_ord: 0,
+                        pattern: AccessPattern::affine(nest(0, 1, n as i64)),
+                    },
+                ],
+                remote_elems: (n * reps) as u64,
+            };
+            let en = Entry {
+                k: 0,
+                er: &er,
+                parts: &[&u, &[]],
+                staging: &staging,
+                arrays: &cs.slot_arrays,
+                p: 0,
+            };
+            // the oracle: per position, the guard, then `eval`
+            let start: Vec<f64> = (0..len).map(|o| -1e9 - o as f64).collect();
+            let (mut want, mut held, mut stack) = (start.clone(), Vec::new(), Vec::new());
+            for (r, t) in (0..reps).flat_map(|r| (0..n).map(move |t| (r, t))) {
+                let vals = [u[1 + 2 * t + 800 * r], w[r * n + t]];
+                if vals[1] > 0.0 {
+                    let o = 5 + lhs_stride as usize * (r * n + t);
+                    want[o] = kernel.eval(&[(r * n + t) as i64], &vals, &mut stack);
+                    held.push((o, want[o].to_bits()));
+                }
+            }
+            assert!(held.len() > 100 && held.len() < n * reps / 2);
+            let (mut bufs, mut out) = (Vec::new(), Vec::new());
+            let mut next = start.clone();
+            exec_chunks(
+                &en,
+                &kernel,
+                &cs,
+                &rguard,
+                &mut bufs,
+                &mut stack,
+                &mut out,
+                Some(&mut next),
+            )
+            .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&next),
+                bits(&want),
+                "in place, lhs stride {lhs_stride}"
+            );
+            assert!(out.is_empty());
+            exec_chunks(
+                &en, &kernel, &cs, &rguard, &mut bufs, &mut stack, &mut out, None,
+            )
+            .unwrap();
+            let staged: Vec<(usize, u64)> = (out.iter())
+                .map(|op| match op {
+                    WriteOp::El(o, v) => (*o, v.to_bits()),
+                    dense => panic!("a guarded entry staged {dense:?}"),
+                })
+                .collect();
+            assert_eq!(staged, held, "staged, lhs stride {lhs_stride}");
+        }
     }
 
     #[test]

@@ -1590,7 +1590,7 @@ mod tests {
     use vcal_core::map::IndexMap;
     use vcal_core::{Array, BinOp, Bounds, Env, Expr, Guard, IndexSet, Ix};
     use vcal_decomp::DecompNd;
-    use vcal_spmd::{ExecRun, SimdPolicy, SlotAccess};
+    use vcal_spmd::{ExecRun, SlotAccess};
 
     /// A dead node thread costs the run, never the data: the host keeps
     /// the parts it lends, so the images come back bit-for-bit, and the
@@ -2148,10 +2148,10 @@ mod tests {
     /// A hand-altered entry whose addresses do not fit the part — an
     /// operand or lhs stride, within a rep or from rep to rep, whose last
     /// offset overflows `i64`, an operand or lhs offset past the part — is
-    /// refused with a typed `PlanMismatch` by the slice copy, the lane tier
-    /// and the chunk path alike, and the arrays come back bitwise as they
-    /// went in. Block parts give one-rep entries, BS(4) parts entries of
-    /// four reps that the chunk path takes whole.
+    /// refused with a typed `PlanMismatch` by the slice copy and the chunk
+    /// path, whole-rep spans and chunks alike, and the arrays come back
+    /// bitwise as they went in. Block parts give one-rep entries, BS(4)
+    /// parts entries of four reps.
     #[test]
     fn an_entry_that_does_not_fit_the_part_is_refused() {
         let (env, _, _) = block_state(&["U", "V"], 64, 4);
@@ -2202,31 +2202,30 @@ mod tests {
             let arrays: BTreeMap<String, DistArray> =
                 decomps.keys().map(|a| (a.clone(), scatter(a))).collect();
             for (cl, what) in clauses.iter().flat_map(|c| alterations.map(|a| (c, a))) {
-                for simd in [SimdPolicy::auto(), SimdPolicy::off()] {
-                    let plan = SpmdPlan::build(cl, &decomps).unwrap();
-                    let mut job = prepare_run(plan, cl, &decomps).unwrap();
-                    let exec = &mut job.compiled.nodes[1].exec;
-                    let er = (exec.iter_mut())
-                        .max_by_key(|er| (er.index.reps(), er.elems()))
-                        .unwrap();
-                    if what.contains("rep") && er.index.reps() < 2 {
-                        continue;
-                    }
-                    alter(er, what);
-                    let mut live = arrays.clone();
-                    let opts = DistOptions {
-                        simd,
-                        ..DistOptions::default()
-                    };
-                    let err = pool
-                        .run_wave(&[Arc::new(job)], &mut live, opts, &NULL_TRACER)
-                        .unwrap_err();
-                    assert!(
-                        matches!(err, MachineError::PlanMismatch(_)),
-                        "{layout:?} {what}: {err}"
-                    );
-                    assert_eq!(live, arrays, "{what}: a refused entry must change nothing");
+                let plan = SpmdPlan::build(cl, &decomps).unwrap();
+                let mut job = prepare_run(plan, cl, &decomps).unwrap();
+                let exec = &mut job.compiled.nodes[1].exec;
+                let er = (exec.iter_mut())
+                    .max_by_key(|er| (er.index.reps(), er.elems()))
+                    .unwrap();
+                if what.contains("rep") && er.index.reps() < 2 {
+                    continue;
                 }
+                alter(er, what);
+                let mut live = arrays.clone();
+                let err = pool
+                    .run_wave(
+                        &[Arc::new(job)],
+                        &mut live,
+                        DistOptions::default(),
+                        &NULL_TRACER,
+                    )
+                    .unwrap_err();
+                assert!(
+                    matches!(err, MachineError::PlanMismatch(_)),
+                    "{layout:?} {what}: {err}"
+                );
+                assert_eq!(live, arrays, "{what}: a refused entry must change nothing");
             }
         }
     }

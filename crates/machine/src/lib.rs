@@ -69,6 +69,4 @@ pub use shared_nd::run_shared_nd;
 pub use stats::{ExecReport, NodeStats, ServiceStats};
 pub use topology::{price_traffic, Topology, TrafficCost};
 pub use transport::{CrashFault, FaultPlan, ProtoTimeouts, RetryPolicy, TransportKind};
-pub use vcal_spmd::{
-    build_dag, CacheBudget, ProgramDag, ProgramStep, SimdCensus, SimdMode, SimdPolicy,
-};
+pub use vcal_spmd::{build_dag, CacheBudget, ProgramDag, ProgramStep, SimdCensus};

@@ -1578,7 +1578,6 @@ mod tests {
             recv_timeout: Duration::from_millis(100),
             faults: None,
             retry: crate::transport::RetryPolicy::default(),
-            simd: vcal_spmd::SimdPolicy::default(),
             trace_on: false,
             handshake: false,
             lossy: false,

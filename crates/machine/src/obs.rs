@@ -148,13 +148,14 @@ pub enum EventKind {
         /// Remote operands the run had to receive before completing.
         recvs: u64,
     },
-    /// SIMD census of the node's update phase: how the compiled runs
-    /// split between the lane tier and the scalar fallback (recorded
-    /// once per update phase, after the last run).
+    /// SIMD census of the node's update phase: how the compiled entries
+    /// split between lane maps and the bytecode (recorded once per
+    /// update phase, after the last entry).
     SimdCensus {
-        /// Runs executed through the SIMD lane tier.
+        /// Entries that ran a fused shape's lane map once per rep.
         vector_runs: u64,
-        /// Runs the lane tier did not take (chunked bytecode, or guarded).
+        /// The other entries: the bytecode, or a lane map over gathered
+        /// chunks.
         fallback_runs: u64,
         /// Elements processed in full lane chunks.
         lane_elems: u64,

@@ -232,7 +232,6 @@ impl Link for ProcLink {
                     recv_timeout: opts.recv_timeout,
                     faults: opts.faults,
                     retry: opts.retry,
-                    simd: opts.simd,
                     trace_on: wave.trace_on,
                     handshake: wave.handshake,
                     lossy: wave.lossy,
@@ -467,7 +466,6 @@ impl NodeEnd for SockEnd {
                     recv_timeout: job.recv_timeout,
                     faults: job.faults,
                     retry: job.retry,
-                    simd: job.simd,
                     ..DistOptions::default()
                 };
                 let p = self.p;

@@ -41,17 +41,17 @@ pub struct NodeStats {
     /// Drains ended by their cap (`recv_timeout`) rather than by
     /// evidence that no peer can NACK this node again.
     pub drain_cap_expired: u64,
-    /// Update-phase runs executed through the SIMD lane tier.
+    /// Update-phase entries that ran a fused shape's lane map once per
+    /// rep.
     pub simd_runs: u64,
-    /// Update-phase runs executed element-at-a-time (boundary, strided,
-    /// guarded, generic shape, or SIMD off).
+    /// The other update-phase entries (the bytecode, or a lane map over
+    /// gathered chunks), and DOACROSS stages.
     pub simd_fallback_runs: u64,
-    /// Elements processed in full SIMD lane chunks.
+    /// Elements of lane-map entries in full lanes, rep by rep.
     pub simd_lane_elems: u64,
-    /// Remainder elements handled by scalar tail loops of vectorized
-    /// runs.
+    /// Elements of lane-map entries in remainder tails, rep by rep.
     pub simd_tail_elems: u64,
-    /// Widest lane width (f64 elements) used by any vectorized run.
+    /// Lane width (f64 elements) of the map this CPU ran.
     pub simd_lanes: u64,
 }
 

@@ -29,7 +29,7 @@ use crate::kernel::{CompiledKernel, FusedShape};
 use crate::nest::{Nest, MAX_LEVELS};
 use crate::program::{DecompMap, NodePlan, SpmdPlan};
 use crate::schedule::Schedule;
-use crate::simd::{SimdCensus, SimdPolicy};
+use crate::simd::{self, SimdCensus, SimdPolicy};
 use std::fmt::Write as _;
 use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Guard};
@@ -273,21 +273,13 @@ impl ExecRun {
         self.index.len()
     }
 
-    /// Whether the SIMD lane tier can take this entry's runs for `fused`:
-    /// a nonempty entry with a recognized (non-Generic) shape, unit-stride
-    /// writes, and every slot the shape reads addressed at unit stride —
-    /// in the local part or in a packet alike. This is the single
-    /// eligibility predicate shared by the plan-time census and both
-    /// machines' runtime dispatch, so the two never disagree.
-    pub fn simd_eligible(&self, fused: &FusedShape) -> bool {
-        !self.index.is_empty()
-            && !matches!(fused, FusedShape::Generic)
-            && self.lhs.is_unit_stride()
-            && fused.read_slots().iter().all(|s| {
-                self.slots
-                    .get(*s)
-                    .is_some_and(|sa| sa.pattern().is_unit_stride())
-            })
+    /// Whether every rep reads each operand as one unit-stride window
+    /// and writes one contiguous window (a one-element rep always does):
+    /// a machine then hands the kernel a rep at a time, borrowed and
+    /// written in place, instead of gathering chunks.
+    pub fn is_dense(&self) -> bool {
+        (self.lhs.is_unit_stride() || self.index.count(0) == 1)
+            && self.slots.iter().all(|sa| sa.pattern().is_unit_stride())
     }
 
     /// Whether a run with this addressing is of this entry's class: the
@@ -482,10 +474,9 @@ pub struct CompiledSchedule {
     /// by every node (`None` when compiled without execution tables or
     /// when a reference failed to resolve).
     pub kernel: Option<CompiledKernel>,
-    /// Whether the source clause carries a data-dependent guard. Guarded
-    /// clauses never take the fused/SIMD fast path (the guard must be
-    /// tested per element), so the SIMD census classifies all their runs
-    /// as fallback.
+    /// Whether the source clause carries a data-dependent guard. A
+    /// guarded clause runs the bytecode, its guard tested into a chunk
+    /// mask, so the SIMD census classifies all its runs as fallback.
     pub guarded: bool,
 }
 
@@ -620,30 +611,41 @@ impl CompiledSchedule {
         self.nodes.iter().map(|n| n.modify_iters).sum()
     }
 
-    /// Plan-time SIMD census under `policy`, summed over all nodes: how
-    /// many exec entries the lane tier will vectorize and how their
-    /// elements split, run by run, into full lanes vs remainder tails.
-    /// Uses the same [`ExecRun::simd_eligible`] predicate the machines
-    /// dispatch on, so this predicts the runtime census exactly
-    /// (`vcalc --trace` prints both side by side).
-    pub fn simd_census(&self, policy: SimdPolicy) -> SimdCensus {
+    /// Whether entry `er` runs a fused shape's lane map once per rep: a
+    /// nonempty [dense](ExecRun::is_dense) entry of an unguarded clause
+    /// whose kernel has a fused shape. A fused entry that is not dense runs
+    /// its lane map over gathered chunks, which the census counts with the
+    /// bytecode. The one predicate the plan-time census and the machines'
+    /// runtime census share, so the two never disagree.
+    pub fn runs_fused(&self, er: &ExecRun) -> bool {
+        let fused = (self.kernel.as_ref()).is_some_and(|k| k.fused != FusedShape::Generic);
+        fused && !self.guarded && !er.index.is_empty() && er.is_dense()
+    }
+
+    /// Plan-time SIMD census, summed over all nodes: how many exec entries
+    /// run a lane map ([`CompiledSchedule::runs_fused`]) and how their
+    /// elements split, rep by rep, into full lanes vs remainder tails.
+    /// It predicts the runtime census exactly (`vcalc --trace` prints
+    /// both side by side).
+    pub fn fused_census(&self) -> SimdCensus {
         let mut c = SimdCensus {
-            lanes: policy.census_lanes() as u64,
+            lanes: simd::lanes() as u64,
             ..Default::default()
         };
-        let Some(kernel) = &self.kernel else {
-            return c;
-        };
-        for node in &self.nodes {
-            for er in &node.exec {
-                if policy.enabled() && !self.guarded && er.simd_eligible(&kernel.fused) {
-                    c.add_vector_run(er.index.count(0) as u64, er.index.reps());
-                } else {
-                    c.fallback_runs += 1;
-                }
+        for er in self.nodes.iter().flat_map(|node| &node.exec) {
+            if self.runs_fused(er) {
+                c.add_vector_run(er.index.count(0) as u64, er.index.reps());
+            } else {
+                c.fallback_runs += 1;
             }
         }
         c
+    }
+
+    /// [`CompiledSchedule::fused_census`] under the name the measurement
+    /// spine calls; the policy is not read ([`SimdPolicy`]).
+    pub fn simd_census(&self, _policy: SimdPolicy) -> SimdCensus {
+        self.fused_census()
     }
 }
 

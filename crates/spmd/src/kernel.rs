@@ -16,10 +16,10 @@
 //!   evaluates it a chunk at a time ([`CompiledKernel::eval_run`]): each op
 //!   is dispatched once per [`CHUNK`] elements into one plain loop, and a
 //!   slot or literal right operand is applied to the stack top in place;
-//! * the dominant shapes are recognized into a [`FusedShape`] so the
-//!   machines' SIMD lane tier can take them on unit-stride runs: pure copy
+//! * the dominant shapes are recognized into a [`FusedShape`] — pure copy
 //!   (a `copy_from_slice`), `a·X[g(i)] + b`, and 2/3-point stencil sums
-//!   with an optional scale and offset.
+//!   with an optional scale and offset — which `eval_run` runs as one lane
+//!   map ([`crate::simd`]) instead of the bytecode.
 //!
 //! Bit-exactness contract: [`CompiledKernel::eval`] performs *exactly*
 //! the operation sequence of [`vcal_core::Env::eval_expr`] — same
@@ -153,19 +153,22 @@ impl CompiledKernel {
         stack.pop().unwrap_or(0.0)
     }
 
-    /// Evaluate the bytecode over a whole unit-stride run: element `t`
-    /// of `out` is [`CompiledKernel::eval`] at loop index `idx` with
-    /// coordinate `inner` advanced by `step·t`, over the slot values
-    /// `slots[s][t]`. Each slot slice holds exactly `out.len()` values.
+    /// The kernel's one evaluator over a span: element `t` of `out` is
+    /// [`CompiledKernel::eval`] at loop index `idx` with coordinate
+    /// `inner` advanced by `step·t`, over the slot values `slots[s][t]`.
+    /// Each slot slice holds exactly `out.len()` values.
     ///
-    /// The ops run column-wise over chunks of at most [`CHUNK`]
-    /// elements, each op dispatched once per chunk into one plain loop
-    /// per operator, the value stack widened to one chunk buffer per
-    /// level (level 0 is the output chunk itself). A `Slot` or `Lit`
+    /// A fused shape runs its lane map ([`crate::simd`]), which the CPU
+    /// picks. Otherwise the ops run column-wise over chunks of at most
+    /// [`CHUNK`] elements, each op dispatched once per chunk into one
+    /// plain loop per operator, the value stack widened to one chunk
+    /// buffer per level (level 0 is the output chunk itself). A `Slot` or `Lit`
     /// that is the right operand of the next `Bin` is applied to the
     /// stack top in place instead of being pushed first. Every element
     /// still sees the same [`BinOp::apply`] sequence on the same
     /// operands, so the result is bit-identical to the per-element loop.
+    /// A lane map commutes at most the operands of one `+` or `*`, so its
+    /// result is too, up to the sign and payload of a NaN.
     pub fn eval_run(
         &self,
         idx: &[i64],
@@ -175,6 +178,9 @@ impl CompiledKernel {
         out: &mut [f64],
         stack: &mut Vec<f64>,
     ) {
+        if crate::simd::run(&self.fused, slots, out) {
+            return;
+        }
         // one buffer of `w` values per stack level above 0; whatever a
         // buffer holds is overwritten by the push that claims it
         let w = out.len().min(CHUNK);
@@ -377,90 +383,9 @@ where
     FusedShape::Generic
 }
 
-/// Operand-arity mismatch between a [`FusedShape`] and the slot values
-/// handed to [`FusedShape::apply`]. Shapes are derived from the clause
-/// at plan time, so a short operand slice is always a planner bug — it
-/// is reported as a typed error instead of silently defaulting to 0.0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShapeMismatch {
-    /// Operands the shape requires.
-    pub expected: usize,
-    /// Operands the caller supplied.
-    pub got: usize,
-}
-
-impl std::fmt::Display for ShapeMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "fused shape expects {} operand value(s), got {}",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for ShapeMismatch {}
-
 impl FusedShape {
-    /// Apply the fused arithmetic to already-gathered slot values `xs`
-    /// (in [`FusedShape`] slot order). Mirrors the source expression's
-    /// operation order exactly. Fails with [`ShapeMismatch`] when the
-    /// operand slice is shorter than the shape's arity (a planner bug).
-    #[inline]
-    pub fn apply(&self, xs: &[f64]) -> Result<f64, ShapeMismatch> {
-        let need = self.read_slots().len();
-        if xs.len() < need {
-            return Err(ShapeMismatch {
-                expected: need,
-                got: xs.len(),
-            });
-        }
-        Ok(match self {
-            FusedShape::Copy { .. } => xs[0],
-            FusedShape::Axpy { a, b, .. } => {
-                let mut v = xs[0];
-                if let Some(a) = a {
-                    v *= a;
-                }
-                if let Some(b) = b {
-                    v += b;
-                }
-                v
-            }
-            FusedShape::Stencil {
-                slots,
-                left_assoc,
-                scale,
-                offset,
-            } => {
-                let x0 = xs[0];
-                let x1 = xs[1];
-                let mut v = if slots.len() == 3 {
-                    let x2 = xs[2];
-                    if *left_assoc {
-                        (x0 + x1) + x2
-                    } else {
-                        x0 + (x1 + x2)
-                    }
-                } else {
-                    x0 + x1
-                };
-                if let Some(s) = scale {
-                    v *= s;
-                }
-                if let Some(b) = offset {
-                    v += b;
-                }
-                v
-            }
-            FusedShape::Generic => 0.0,
-        })
-    }
-
-    /// The read slots this shape consumes, in evaluation order.
-    ///
-    /// Borrows from the shape (no per-call allocation — this sits on
-    /// per-element hot paths).
+    /// The read slots this shape consumes, in evaluation order, borrowed
+    /// from the shape: `eval_run` asks once per span.
     pub fn read_slots(&self) -> &[usize] {
         match self {
             FusedShape::Copy { slot } | FusedShape::Axpy { slot, .. } => std::slice::from_ref(slot),
@@ -602,18 +527,19 @@ mod tests {
         for (e, want_shape) in &cases {
             let k = CompiledKernel::compile(e, reads.len(), resolver(&reads)).expect("compiles");
             assert_eq!(&k.fused, want_shape, "expr={e:?}");
-            for i in 0..32i64 {
-                let vals: Vec<f64> = reads
-                    .iter()
-                    .map(|(a, g)| env.get(a).unwrap().get(&Ix::d1(g.eval(i))))
-                    .collect();
-                let shape_vals: Vec<f64> = k.fused.read_slots().iter().map(|s| vals[*s]).collect();
+            // one column per read slot over i = 0..32, run as one span
+            let cols: Vec<Vec<f64>> = (reads.iter())
+                .map(|(a, g)| {
+                    let at = |i| env.get(a).unwrap().get(&Ix::d1(g.eval(i)));
+                    (0..32i64).map(at).collect()
+                })
+                .collect();
+            let segs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+            let mut out = vec![f64::NAN; 32];
+            k.eval_run(&[0], 0, 1, &segs, &mut out, &mut Vec::new());
+            for (i, got) in (0..32i64).zip(&out) {
                 let want = env.eval_expr(e, &Ix::d1(i));
-                assert_eq!(
-                    k.fused.apply(&shape_vals).unwrap().to_bits(),
-                    want.to_bits(),
-                    "expr={e:?} i={i}"
-                );
+                assert_eq!(got.to_bits(), want.to_bits(), "expr={e:?} i={i}");
             }
         }
     }
@@ -686,6 +612,83 @@ mod tests {
                     let want = k.eval(&[t as i64], &[cols[0][t], cols[1][t]], &mut stack);
                     let same = got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan();
                     assert!(same, "expr={e:?} n={n} t={t}: {got} against {want}");
+                }
+            }
+        }
+    }
+
+    /// Every fused shape runs its lane map inside `eval_run`, and the
+    /// result is `eval` per element: Copy, Axpy with a scale, an offset or
+    /// both (each literal on either side), Stencil of 2 and of 3 points in
+    /// both associations with and without scale and offset, at every
+    /// length up to two chunks and one. Finite operands match bit for
+    /// bit; with signed zeros, NaN and both infinities mixed in, a NaN
+    /// result matches any NaN (Rust leaves its sign and payload
+    /// unspecified, and a lane map commutes the operands of a `*`).
+    #[test]
+    fn eval_run_runs_every_fused_shape_as_eval() {
+        let reads = refs(&[
+            ("B", Fn1::identity()),
+            ("B", Fn1::shift(1)),
+            ("B", Fn1::shift(2)),
+        ]);
+        let (x, y, z) = (b(Fn1::identity()), b(Fn1::shift(1)), b(Fn1::shift(2)));
+        let lit = Expr::Lit;
+        let (add, mul) = (Expr::add, Expr::mul);
+        let cases = [
+            x.clone(),
+            mul(lit(2.5), x.clone()),
+            mul(x.clone(), lit(-0.0)),
+            add(x.clone(), lit(-0.0)),
+            add(lit(0.0), x.clone()),
+            add(mul(x.clone(), lit(3.25)), lit(1.5)),
+            add(lit(-1.5), mul(lit(0.5), x.clone())),
+            add(x.clone(), y.clone()),
+            mul(add(x.clone(), y.clone()), lit(0.5)),
+            add(mul(lit(0.5), add(y.clone(), x.clone())), lit(-1.0)),
+            add(add(x.clone(), y.clone()), z.clone()),
+            add(
+                mul(add(add(x.clone(), y.clone()), z.clone()), lit(0.25)),
+                lit(-0.0),
+            ),
+            add(x.clone(), add(y.clone(), z.clone())),
+            mul(lit(2.0), add(z.clone(), add(x.clone(), y.clone()))),
+        ];
+        let finite = |j: usize| (j % 23) as f64 * 0.37 - 4.0;
+        let special = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let (mut stack, mut scratch) = (Vec::new(), Vec::new());
+        for e in &cases {
+            let k = CompiledKernel::compile(e, reads.len(), resolver(&reads)).expect("compiles");
+            assert_ne!(k.fused, FusedShape::Generic, "expr={e:?}");
+            for n in 0..=2 * CHUNK + 1 {
+                for specials in [false, true] {
+                    let value = |j: usize| match specials {
+                        true => special[j % 7],
+                        false => finite(j),
+                    };
+                    let cols: Vec<Vec<f64>> = (0..3)
+                        .map(|s| (0..n).map(|t| value(t * (s + 2) + 3 * s)).collect())
+                        .collect();
+                    let segs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+                    let mut out = vec![f64::NAN; n];
+                    k.eval_run(&[0], 0, 1, &segs, &mut out, &mut scratch);
+                    for (t, got) in out.iter().enumerate() {
+                        let vals = [cols[0][t], cols[1][t], cols[2][t]];
+                        let want = k.eval(&[t as i64], &vals, &mut stack);
+                        let nans = specials && got.is_nan() && want.is_nan();
+                        assert!(
+                            got.to_bits() == want.to_bits() || nans,
+                            "expr={e:?} n={n} t={t}: {got} against {want}"
+                        );
+                    }
                 }
             }
         }

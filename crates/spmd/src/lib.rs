@@ -53,12 +53,12 @@ pub use compiled::{
 };
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;
-pub use kernel::{CompiledKernel, FusedShape, KernelOp, ShapeMismatch};
+pub use kernel::{CompiledKernel, FusedShape, KernelOp};
 pub use nd::{lower_nd, optimize_nd, ScheduleNd};
 pub use nest::Nest;
 pub use obs::{NodeDispatch, PlanSummary, SlotDispatch};
 pub use optimizer::{naive_schedule, optimize, optimize_with, OptKind, OptOptions, Optimized};
 pub use program::{CommStats, DecompMap, NodePlan, PlanError, ResidePlan, SpmdPlan};
 pub use schedule::{repeated_block_kmax, Schedule};
-pub use simd::{SimdCensus, SimdMode, SimdPolicy};
+pub use simd::{SimdCensus, SimdPolicy};
 pub use tuner::{enumerate_candidates, program_arrays, TuneSpace, TuneSpaceOptions};

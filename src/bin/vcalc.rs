@@ -9,16 +9,13 @@
 //! ```text
 //! vcalc <program> <spec> [--emit vcal|plan|shared|dist|dist-closed|derivation]
 //!                        [--run] [--steps <N>] [--naive] [--node <p>]
-//!                        [--simd auto|on|off]
 //!                        [--schedule seq|dag]
 //!                        [--trace] [--trace-out <path>]
 //! ```
 //!
-//! `--simd` selects the lane execution tier for fused interior runs
-//! (DESIGN.md §14): `auto` (default) uses AVX2 where detected, `on`
-//! forces the portable chunk loops, `off` keeps the scalar per-element
-//! baseline. Results are bit-identical under every setting; `--trace`
-//! prints the SIMD census next to the interior/boundary census.
+//! A fused clause body runs as one lane map, AVX2 where the CPU has it
+//! (DESIGN.md §14); `--trace` prints the SIMD census next to the
+//! interior/boundary census.
 //!
 //! `--trace` executes each clause under a collecting tracer: the
 //! enumeration-dispatch counts, per-phase wall-clock timings (next to
@@ -47,8 +44,8 @@ use vcal_suite::lang;
 use vcal_suite::machine::{
     build_dag, replay_check, replay_check_dag, run_distributed, run_distributed_traced,
     worker_entry, CollectingTracer, DistArray, DistOptions, DistSession, PerfModel, ProgramStep,
-    ScheduleMode, ServeClient, ServeConfig, ServeHandle, ServeRequest, SimdPolicy, TransportKind,
-    TuneOptions, NULL_TRACER,
+    ScheduleMode, ServeClient, ServeConfig, ServeHandle, ServeRequest, TransportKind, TuneOptions,
+    NULL_TRACER,
 };
 use vcal_suite::spmd::{emit, NodeCommPlan, PlanSummary, SpmdPlan};
 
@@ -64,7 +61,6 @@ struct Options {
     tune_budget: usize,
     retune_every: Option<u64>,
     node: i64,
-    simd: SimdPolicy,
     transport: TransportKind,
     schedule: Option<ScheduleMode>,
     trace: bool,
@@ -75,7 +71,6 @@ impl Options {
     /// The machine options every execution path of the driver uses.
     fn dist_options(&self) -> DistOptions {
         DistOptions {
-            simd: self.simd,
             transport: self.transport,
             ..DistOptions::default()
         }
@@ -86,7 +81,7 @@ fn usage() -> &'static str {
     "usage: vcalc <program> <spec> [--emit vcal|plan|shared|dist|dist-closed|derivation]... \
      [--run] [--steps <N>] [--naive] [--advise] [--autotune] [--tune-budget <K>] \
      [--node <p>] \
-     [--simd auto|on|off] [--transport inproc|uds|tcp] [--schedule seq|dag] \
+     [--transport inproc|uds|tcp] [--schedule seq|dag] \
      [--trace] [--trace-out <path>]\n\
      \n\
      --autotune runs the --steps loop with the cost-driven decomposition\n\
@@ -132,7 +127,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut tune_budget = 16usize;
     let mut retune_every = None;
     let mut node = 0i64;
-    let mut simd = SimdPolicy::default();
     let mut transport = TransportKind::default();
     let mut schedule = None;
     let mut trace = false;
@@ -193,12 +187,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or("--node needs a value")?
                     .parse()
                     .map_err(|_| "--node needs an integer")?;
-            }
-            "--simd" => {
-                simd = it
-                    .next()
-                    .and_then(|v| SimdPolicy::parse(v))
-                    .ok_or("--simd needs `auto`, `on` or `off`")?;
             }
             "--transport" => {
                 transport = it
@@ -262,7 +250,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         tune_budget,
         retune_every,
         node,
-        simd,
         transport,
         schedule,
         trace,
@@ -1098,7 +1085,7 @@ fn report_trace(
         slots(|c| c.period_walked_slots),
         slots(|c| c.enumerated_slots)
     );
-    let planned = compiled.simd_census(dist_opts.simd);
+    let planned = compiled.fused_census();
     let ran = report.simd_census();
     println!(
         "trace: simd census: {} lanes, {} vector runs ({} lane elems, \

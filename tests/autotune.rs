@@ -9,8 +9,8 @@
 //!
 //! * **bitwise correctness** — whatever layout the tuner picks, and
 //!   whether or not it switches, the final state of every array is
-//!   bit-identical to the iterated sequential reference, under every
-//!   execution configuration (SimdPolicy × schedule mode);
+//!   bit-identical to the iterated sequential reference, under either
+//!   schedule mode;
 //! * **decision sanity** — a clearly misaligned incumbent with plenty
 //!   of remaining steps is switched away from (redistribution
 //!   inserted); an already-optimal incumbent is kept.
@@ -24,8 +24,8 @@ use vcal_suite::core::pred::CmpOp;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::{Decomp1, Distribution};
 use vcal_suite::machine::{
-    DistOptions, DistSession, MachineError, ProgramStep, ScheduleMode, SimdPolicy, TuneOptions,
-    TuneReport, NULL_TRACER,
+    DistOptions, DistSession, MachineError, ProgramStep, ScheduleMode, TuneOptions, TuneReport,
+    NULL_TRACER,
 };
 use vcal_suite::spmd::DecompMap;
 
@@ -155,29 +155,23 @@ fn assert_tuned_matches_oracle(
     (session, tune)
 }
 
-/// The full configuration matrix: SimdPolicy × schedule mode, bitwise
-/// equality to the iterated oracle.
+/// The configuration matrix: either schedule mode, bitwise equality to
+/// the iterated oracle.
 #[test]
 fn tuned_loop_matches_oracle_across_config_matrix() {
     let steps = stencil_program();
     let decomps = all_block();
-    for simd in ["auto", "on", "off"] {
-        for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
-            let opts = DistOptions {
-                simd: SimdPolicy::parse(simd).unwrap(),
-                ..DistOptions::default()
-            };
-            let ctx = format!("simd={simd} schedule={schedule:?}");
-            assert_tuned_matches_oracle(
-                &steps,
-                6,
-                &decomps,
-                opts,
-                schedule,
-                TuneOptions::default(),
-                &ctx,
-            );
-        }
+    for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
+        let ctx = format!("schedule={schedule:?}");
+        assert_tuned_matches_oracle(
+            &steps,
+            6,
+            &decomps,
+            DistOptions::default(),
+            schedule,
+            TuneOptions::default(),
+            &ctx,
+        );
     }
 }
 
@@ -390,18 +384,11 @@ fn arb_decomps() -> impl Strategy<Value = DecompMap> {
     })
 }
 
-fn arb_opts() -> impl Strategy<Value = DistOptions> {
-    prop::sample::select(vec!["auto", "on", "off"]).prop_map(|simd| DistOptions {
-        simd: SimdPolicy::parse(simd).unwrap(),
-        ..DistOptions::default()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The differential property: any random clause program, any
-    /// incumbent layout mixture, any configuration, either schedule —
+    /// incumbent layout mixture, either schedule —
     /// the tuned loop is bitwise equal to the iterated sequential
     /// oracle, whether or not the tuner decided to switch.
     #[test]
@@ -409,7 +396,6 @@ proptest! {
         specs in prop::collection::vec(
             (0usize..NAMES.len(), arb_expr(), arb_guard()), 1..5),
         decomps in arb_decomps(),
-        opts in arb_opts(),
         dag in any::<bool>(),
         n_steps in 2u64..6,
     ) {
@@ -422,7 +408,7 @@ proptest! {
             &steps,
             n_steps,
             &decomps,
-            opts,
+            DistOptions::default(),
             schedule,
             TuneOptions::default(),
             "random tuned program",

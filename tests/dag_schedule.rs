@@ -9,7 +9,6 @@
 //! * random multi-clause programs over a shared array pool — RAW, WAR
 //!   and WAW hazards in arbitrary mixtures, plus dynamic
 //!   redistributions in the middle of the program;
-//! * every SIMD policy;
 //! * recoverable fault plans (seeded packet drop + reorder with
 //!   retransmission) — the DAG schedule must recover to the same bits.
 //!
@@ -25,7 +24,7 @@ use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexS
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     replay_check_dag, CollectingTracer, DistOptions, DistSession, EventKind, FaultPlan,
-    MachineError, ProgramStep, ReplayError, RetryPolicy, ScheduleMode, SimdPolicy, TraceLog,
+    MachineError, ProgramStep, ReplayError, RetryPolicy, ScheduleMode, TraceLog,
 };
 use vcal_suite::spmd::{build_dag, DecompMap};
 
@@ -161,20 +160,12 @@ fn hazard_program() -> Vec<ProgramStep> {
     ]
 }
 
-/// The full configuration matrix: every SimdPolicy, the
-/// canonical hazard program, bitwise equality on every array.
+/// The canonical hazard program, bitwise equality on every array.
 #[test]
 fn hazard_mixture_matches_oracle_across_config_matrix() {
     let steps = hazard_program();
     let decomps = base_decomps();
-    for simd in ["auto", "on", "off"] {
-        let opts = DistOptions {
-            simd: SimdPolicy::parse(simd).unwrap(),
-            ..DistOptions::default()
-        };
-        let ctx = format!("simd={simd}");
-        assert_dag_matches_seq(&steps, &decomps, opts, &ctx);
-    }
+    assert_dag_matches_seq(&steps, &decomps, DistOptions::default(), "hazards");
 }
 
 /// Recoverable faults: seeded drop + reorder with retransmission must
@@ -499,17 +490,12 @@ fn arb_step() -> impl Strategy<Value = ProgramStep> {
 }
 
 fn arb_opts() -> impl Strategy<Value = DistOptions> {
-    (
-        prop::sample::select(vec!["auto", "on", "off"]),
-        prop::option::of(1u64..1000),
-    )
-        .prop_map(|(simd, fault_seed)| DistOptions {
-            simd: SimdPolicy::parse(simd).unwrap(),
-            faults: fault_seed.map(|s| FaultPlan::seeded(s).with_drop(0.03).with_reorder(0.03)),
-            retry: RetryPolicy::fast(),
-            recv_timeout: Duration::from_secs(10),
-            ..DistOptions::default()
-        })
+    prop::option::of(1u64..1000).prop_map(|fault_seed| DistOptions {
+        faults: fault_seed.map(|s| FaultPlan::seeded(s).with_drop(0.03).with_reorder(0.03)),
+        retry: RetryPolicy::fast(),
+        recv_timeout: Duration::from_secs(10),
+        ..DistOptions::default()
+    })
 }
 
 proptest! {

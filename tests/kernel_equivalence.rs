@@ -15,17 +15,18 @@
 //!   from stale staging by an interior run;
 //! * the plan-time interior/boundary split is exhaustive: interior plus
 //!   boundary elements equal the clause's iteration count;
-//! * the SIMD lane tier is bit-identical to the chunked bytecode — and
-//!   both to `eval_expr` — across every policy (AVX2 auto, forced chunk
-//!   loops at 4/8/16 lanes, off), with iteration counts chosen to cover
-//!   remainder-lane tails (n not a multiple of the lane width) and
-//!   single-element runs, with and without recoverable fault plans;
+//! * a fused shape's lane map (AVX2 where the CPU has it) is
+//!   bit-identical to the bytecode — and both to `eval_expr` — with
+//!   iteration counts chosen to cover remainder-lane tails (n not a
+//!   multiple of the lane width) and single-element runs, with and
+//!   without recoverable fault plans;
 //! * the chunk path takes strided and table reads and writes, entries of
-//!   one-element reps and kernels that read their loop coordinate, cold
-//!   and warm, under both schedulers.
+//!   one-element reps, kernels that read their loop coordinate and
+//!   guarded clauses whose guard fails inside a chunk, cold and warm,
+//!   under both schedulers.
 //!
-//! The CI SIMD matrix runs this suite once per policy via
-//! `VCAL_SIMD=on|off|auto`. Unset, all variants run.
+//! CI runs this suite in release too, where NaN results may differ from
+//! a debug build's.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -37,8 +38,7 @@ use vcal_suite::core::{
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     replay_check, run_distributed, run_distributed_traced, CollectingTracer, DistArray,
-    DistOptions, DistSession, FaultPlan, RetryPolicy, ScheduleMode, SimdMode, SimdPolicy,
-    TransportKind, NULL_TRACER,
+    DistOptions, DistSession, FaultPlan, RetryPolicy, ScheduleMode, TransportKind, NULL_TRACER,
 };
 use vcal_suite::spmd::{CompiledKernel, CompiledSchedule, DecompMap, ProgramStep, SpmdPlan};
 
@@ -48,25 +48,6 @@ const PMAX: i64 = 4;
 /// (worst case: `2i+1` at `i = N-1`, `i-2` at `i = 0`).
 const OP_LO: i64 = -2;
 const OP_HI: i64 = 2 * (N - 1) + 1;
-
-/// SIMD policies to exercise, honouring the CI matrix filter. Unset,
-/// every case compares the auto tier (AVX2 where detected), a forced
-/// portable chunk path at a case-chosen lane width, and scalar off.
-fn simd_policies(lanes: usize) -> Vec<SimdPolicy> {
-    match std::env::var("VCAL_SIMD").as_deref() {
-        Ok("on") => vec![SimdPolicy::on()],
-        Ok("off") => vec![SimdPolicy::off()],
-        Ok("auto") => vec![SimdPolicy::auto()],
-        _ => vec![
-            SimdPolicy::auto(),
-            SimdPolicy {
-                mode: SimdMode::On,
-                lanes,
-            },
-            SimdPolicy::off(),
-        ],
-    }
-}
 
 /// The read-reference vocabulary random expressions draw from — Table I
 /// index-function classes (`i`, `i+c`, `a·i+c`) over two operand arrays.
@@ -171,7 +152,7 @@ fn decomps(a_kind: u8, b_kind: u8, c_kind: u8) -> DecompMap {
 
 /// `A[i] := rhs` over `0..n-1`, optionally guarded by a data-dependent
 /// comparison on `B[i]` (the paper's Fig. 1 shape). `n` below `N`
-/// shrinks per-node runs off lane-width multiples, so the SIMD tier's
+/// shrinks per-node runs off lane-width multiples, so the lane maps'
 /// remainder tails — down to single-element runs at `n = 1` — are
 /// exercised against the same scalar oracle.
 fn clause_of_n(rhs: Expr, guarded: bool, n: i64) -> Clause {
@@ -197,7 +178,6 @@ fn run_dist(
     cl: &Clause,
     dm: &DecompMap,
     env0: &Env,
-    simd: SimdPolicy,
     faults: Option<FaultPlan>,
 ) -> Result<Array, String> {
     let plan = SpmdPlan::build(cl, dm).map_err(|e| e.to_string())?;
@@ -216,7 +196,6 @@ fn run_dist(
         } else {
             RetryPolicy::default()
         },
-        simd,
         ..DistOptions::default()
     };
     run_distributed(&plan, cl, &mut arrays, opts).map_err(|e| e.to_string())?;
@@ -349,8 +328,7 @@ proptest! {
     }
 
     /// Machine level: the compiled update path is bit-identical to the
-    /// sequential reference — every SIMD policy as the scalar path —
-    /// across random expressions, guards,
+    /// sequential reference across random expressions, guards,
     /// decomposition layouts, and iteration extents (including extents
     /// that leave remainder-lane tails or single-element runs).
     #[test]
@@ -361,7 +339,6 @@ proptest! {
         a_kind in 0u8..3,
         b_kind in 0u8..3,
         c_kind in 0u8..3,
-        lanes_ix in 0usize..3,
     ) {
         let cl = clause_of_n(e, guarded, n);
         let dm = decomps(a_kind, b_kind, c_kind);
@@ -370,18 +347,15 @@ proptest! {
         reference.exec_clause(&cl);
         let want = bits(reference.get("A").unwrap());
 
-        for simd in simd_policies([4, 8, 16][lanes_ix]) {
-            let got = run_dist(&cl, &dm, &env0, simd, None).map_err(TestCaseError::fail)?;
-            prop_assert_eq!(&bits(&got), &want, "simd={:?} n={} diverges: {}", simd, n, cl);
-        }
+        let got = run_dist(&cl, &dm, &env0, None).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(&bits(&got), &want, "n={} diverges: {}", n, cl);
     }
 
     /// Under a recoverable seeded fault plan the results are *still*
-    /// bit-identical to the sequential reference under every SIMD
-    /// policy — a dropped boundary packet is
-    /// recovered and consumed, never replaced by stale staging in an
-    /// interior-first schedule, and retry loops never re-enter the
-    /// vector tier with partial state.
+    /// bit-identical to the sequential reference — a dropped boundary
+    /// packet is recovered and consumed, never replaced by stale staging
+    /// in an interior-first schedule, and retry loops never re-enter a
+    /// lane map with partial state.
     #[test]
     fn overlap_invariant_under_recoverable_faults(
         e in arb_expr(),
@@ -390,7 +364,6 @@ proptest! {
         n in 1i64..=N,
         a_kind in 0u8..3,
         b_kind in 0u8..3,
-        lanes_ix in 0usize..3,
     ) {
         let cl = clause_of_n(e, false, n);
         let dm = decomps(a_kind, b_kind, 0);
@@ -403,17 +376,16 @@ proptest! {
             .with_drop(f64::from(p_drop) / 100.0)
             .with_duplicate(0.05)
             .with_reorder(0.05);
-        for simd in simd_policies([4, 8, 16][lanes_ix]) {
-            let got = run_dist(&cl, &dm, &env0, simd, Some(fp)).map_err(TestCaseError::fail)?;
-            prop_assert_eq!(&bits(&got), &want, "simd={:?} under faults: {}", simd, cl);
-        }
+        let got = run_dist(&cl, &dm, &env0, Some(fp)).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(&bits(&got), &want, "under faults: {}", cl);
     }
 }
 
 /// The plan-time SIMD census and the runtime per-node counters agree:
-/// same lane width, same vectorized/fallback run split, same lane/tail
-/// element accounting. This pins the shared eligibility predicate —
-/// what the planner promises is exactly what the machine executes.
+/// same lane width, same lane-map/bytecode run split, same lane/tail
+/// element accounting. This pins the one shared predicate
+/// (`CompiledSchedule::runs_fused`) — what the planner promises is
+/// exactly what the machine executes.
 #[test]
 fn simd_census_plan_matches_runtime() {
     let rhs = Expr::mul(
@@ -437,43 +409,28 @@ fn simd_census_plan_matches_runtime() {
     let cs = CompiledSchedule::compile_exec(&plan, &cl, &dm);
     assert!(cs.has_exec(), "stencil clause must compile");
 
-    for simd in [SimdPolicy::auto(), SimdPolicy::on(), SimdPolicy::off()] {
-        let planned = cs.simd_census(simd);
-        let mut env0 = Env::new();
-        env0.insert("A", Array::zeros(Bounds::range(0, N - 1)));
-        env0.insert(
-            "B",
-            Array::from_fn(Bounds::range(0, N - 1), |i| i.scalar() as f64 * 0.25 - 3.0),
+    let planned = cs.fused_census();
+    let mut env0 = Env::new();
+    env0.insert("A", Array::zeros(Bounds::range(0, N - 1)));
+    env0.insert(
+        "B",
+        Array::from_fn(Bounds::range(0, N - 1), |i| i.scalar() as f64 * 0.25 - 3.0),
+    );
+    let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
+    for name in ["A", "B"] {
+        arrays.insert(
+            name.to_string(),
+            DistArray::scatter_from(env0.get(name).unwrap(), dm[name].clone()),
         );
-        let mut arrays: BTreeMap<String, DistArray> = BTreeMap::new();
-        for name in ["A", "B"] {
-            arrays.insert(
-                name.to_string(),
-                DistArray::scatter_from(env0.get(name).unwrap(), dm[name].clone()),
-            );
-        }
-        let report = run_distributed(
-            &plan,
-            &cl,
-            &mut arrays,
-            DistOptions {
-                simd,
-                ..DistOptions::default()
-            },
-        )
-        .unwrap();
-        let ran = report.simd_census();
-        assert_eq!(ran.vector_runs, planned.vector_runs, "simd={simd:?}");
-        assert_eq!(ran.fallback_runs, planned.fallback_runs, "simd={simd:?}");
-        assert_eq!(ran.lane_elems, planned.lane_elems, "simd={simd:?}");
-        assert_eq!(ran.tail_elems, planned.tail_elems, "simd={simd:?}");
-        if simd.enabled() {
-            assert!(planned.vector_runs > 0, "interior stencil must vectorize");
-            assert_eq!(ran.lanes, planned.lanes, "lane width must agree");
-        } else {
-            assert_eq!(planned.vector_runs, 0, "off policy never vectorizes");
-        }
     }
+    let report = run_distributed(&plan, &cl, &mut arrays, DistOptions::default()).unwrap();
+    let ran = report.simd_census();
+    assert_eq!(ran.vector_runs, planned.vector_runs);
+    assert_eq!(ran.fallback_runs, planned.fallback_runs);
+    assert_eq!(ran.lane_elems, planned.lane_elems);
+    assert_eq!(ran.tail_elems, planned.tail_elems);
+    assert!(planned.vector_runs > 0, "interior stencil must vectorize");
+    assert_eq!(ran.lanes, planned.lanes, "lane width must agree");
 }
 
 // ---------------------------------------------------------------------
@@ -734,8 +691,10 @@ fn node_logs(log: &str) -> BTreeMap<String, NodeLog> {
 /// `recv_value` multisets, Σ `elems` over the run lines, Σ `recvs`, equal
 /// SIMD lane and tail elements over no more runs, and every other line
 /// byte for byte once the `t` clock the folding shifts is cut out. All
-/// fixtures were captured with the SIMD tier off; with it on, the only
-/// lines allowed to differ are the `simd_census` ones.
+/// fixtures were captured when a switch could send every entry through
+/// the bytecode; now that a fused entry always runs its lane map, the
+/// only lines allowed to differ are the `simd_census` ones, and each of
+/// those still counts every entry once.
 #[test]
 fn boundary_traces_match_parent_commit_fixtures() {
     std::env::set_var("VCAL_WORKER_BIN", env!("CARGO_BIN_EXE_vcalc"));
@@ -776,34 +735,32 @@ fn boundary_traces_match_parent_commit_fixtures() {
         for transport in [TransportKind::InProc, TransportKind::Uds] {
             let opts = DistOptions {
                 recv_timeout: Duration::from_secs(10),
-                simd: SimdPolicy::off(),
                 transport,
                 ..DistOptions::default()
             };
             let what = format!("{name} {transport:?}");
             let (got, a) = traced_boundary_run(&cl, &dm, &env0, opts);
             assert_eq!(bits(&a), want_bits, "{what}: result");
-            assert_eq!(got, want, "{what}: trace differs from the fixture");
-            let simd_on = DistOptions {
-                simd: SimdPolicy::auto(),
-                ..opts
-            };
-            let (got, a) = traced_boundary_run(&cl, &dm, &env0, simd_on);
-            assert_eq!(bits(&a), want_bits, "{what} simd: result");
             assert_eq!(
                 without_census(&got),
                 without_census(&want),
-                "{what} simd: trace differs beyond the census line"
+                "{what}: trace differs from the fixture beyond the census lines"
             );
+            for ((node, g), w) in node_logs(&got).iter().zip(mine.values()) {
+                assert_eq!(g.census.len(), w.census.len(), "{what} {node}");
+                for (g, w) in g.census.iter().zip(&w.census) {
+                    assert_eq!(g[0] + g[1], w[0] + w[1], "{what} {node}: {g:?} vs {w:?}");
+                }
+            }
         }
     }
 }
 
 /// Bitwise differential sweep over the boundary-heavy and the strided
-/// layouts: every SIMD policy on the cold machine, then the same
-/// clause as a two-step program through a warm session under both
-/// schedulers — every combination equals the sequential machine bit for
-/// bit, and the runtime SIMD census equals the plan-time one.
+/// layouts and the guarded ones: the cold machine, then the same clause
+/// as a two-step program through a warm session under both schedulers —
+/// every combination equals the sequential machine bit for bit, and the
+/// runtime SIMD census equals the plan-time one.
 #[test]
 fn boundary_layouts_match_sequential_bitwise() {
     // a block-scatter source at pmax = 4 too: three packets from three
@@ -823,44 +780,167 @@ fn boundary_layouts_match_sequential_bitwise() {
         let plan = SpmdPlan::build(&cl, &dm).unwrap();
         let cs = CompiledSchedule::compile_exec(&plan, &cl, &dm);
         assert!(cs.has_exec(), "{name}: closed-form plan must compile");
-        for simd in simd_policies(4) {
-            let what = format!("{name} {simd:?}");
+        let mut arrays = scatter_ab(&env0, &dm);
+        let opts = DistOptions::default();
+        let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
+        assert_eq!(bits(&arrays["A"].gather()), want, "{name}");
+        let (ran, planned) = (report.simd_census(), cs.fused_census());
+        assert_eq!(ran.vector_runs, planned.vector_runs, "{name}");
+        assert_eq!(ran.fallback_runs, planned.fallback_runs, "{name}");
+        assert_eq!(ran.lane_elems, planned.lane_elems, "{name}");
+        assert_eq!(ran.tail_elems, planned.tail_elems, "{name}");
+
+        // warm pool, twice (the second run replays cached
+        // tables through reset staging); under Dag the two
+        // independent clauses share one wave, so each
+        // receives through its own lane
+        for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
+            let mut cl2 = cl.clone();
+            cl2.lhs = ArrayRef::new("A2", cl.lhs.map.clone());
+            let mut env2 = env0.clone();
+            env2.insert("A2", Array::zeros(dm["A"].extent()));
+            let mut dm2 = dm.clone();
+            dm2.insert("A2".into(), dm["A"].clone());
+            let mut session = DistSession::new(&env2, dm2).unwrap().with_options(opts);
+            let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
+            for _ in 0..2 {
+                session.run_program(&steps, schedule, &NULL_TRACER).unwrap();
+            }
+            for out in ["A", "A2"] {
+                assert_eq!(
+                    bits(&session.gather(out).unwrap()),
+                    want,
+                    "{name} {schedule:?} {out}"
+                );
+            }
+        }
+    }
+}
+
+/// Guarded clauses run a chunk at a time: the guard is tested into a chunk
+/// mask, and a position it drops keeps its value. Each case has a guard
+/// that fails inside chunks of more than one, over an operand read
+/// strided (`B[2i+1]`, local and from packets) or fed by packets from a
+/// BS(8) layout, into a contiguous lhs and into a strided one (`A[2i+1]`).
+/// `A` starts from a distinct value per element. Cold (in process and on
+/// worker processes) and warm under both schedulers, the result equals
+/// the sequential machine bit for bit, every dropped position still
+/// holds its start value, and the census puts every entry on the
+/// bytecode, in the plan as at run time. A guarded clause always stages
+/// its writes: `writes_image` leaves next images to unguarded ones.
+#[test]
+fn guarded_chunks_keep_masked_elements() {
+    std::env::set_var("VCAL_WORKER_BIN", env!("CARGO_BIN_EXE_vcalc"));
+    let mut next = lcg(0x6a2d);
+    let b_ref = |g: Fn1| Expr::Ref(ArrayRef::d1("B", g));
+    let m = 600i64;
+    let (odd, wide) = (Fn1::affine(2, 1), Bounds::range(0, 2 * m + 1));
+    let guard = |g: Fn1, op| Guard::Cmp {
+        lhs: ArrayRef::d1("B", g),
+        op,
+        rhs: 0.0,
+    };
+    let axpy = Expr::add(
+        Expr::mul(Expr::Lit(2.0), b_ref(odd.clone())),
+        Expr::Lit(1.0),
+    );
+    let generic = Expr::Bin(
+        BinOp::Sub,
+        Box::new(b_ref(Fn1::identity())),
+        Box::new(Expr::mul(b_ref(Fn1::shift(1)), Expr::Lit(0.75))),
+    );
+    let stencil = Expr::mul(
+        Expr::Lit(0.5),
+        Expr::add(b_ref(Fn1::identity()), b_ref(Fn1::shift(1))),
+    );
+    let cases = [
+        (
+            "strided_read",
+            Fn1::identity(),
+            axpy,
+            guard(odd, CmpOp::Gt),
+            (
+                Decomp1::block(2, Bounds::range(0, m - 1)),
+                Decomp1::block(2, wide),
+            ),
+        ),
+        (
+            "packet_read",
+            Fn1::identity(),
+            generic,
+            guard(Fn1::identity(), CmpOp::Lt),
+            (
+                Decomp1::block(2, Bounds::range(0, m - 1)),
+                Decomp1::block_scatter(8, 2, Bounds::range(0, m)),
+            ),
+        ),
+        (
+            "strided_lhs",
+            Fn1::affine(2, 1),
+            stencil,
+            guard(Fn1::shift(1), CmpOp::Ge),
+            (
+                Decomp1::block(2, wide),
+                Decomp1::block_scatter(8, 2, Bounds::range(0, m)),
+            ),
+        ),
+    ];
+    for (name, lhs, rhs, guard, layouts) in cases {
+        let (_, mut cl, dm, mut env0) = layout_case(&mut next, name, (0, m - 1), lhs, rhs, layouts);
+        cl.guard = guard;
+        let start = Array::from_fn(dm["A"].extent(), |i| 1000.0 + i.scalar() as f64);
+        env0.insert("A", start.clone());
+        let mut reference = env0.clone();
+        reference.exec_clause(&cl);
+        let want = bits(reference.get("A").unwrap());
+        // the written positions the guard drops, each one a start value
+        let dropped: Vec<usize> = (0..m)
+            .map(|i| cl.lhs.map.as_fn1().unwrap().eval(i) as usize)
+            .filter(|&o| reference.get("A").unwrap().data()[o] == start.data()[o])
+            .collect();
+        assert!(dropped.len() > 16, "{name}: the guard fails inside chunks");
+        let plan = SpmdPlan::build(&cl, &dm).unwrap();
+        let cs = CompiledSchedule::compile_exec(&plan, &cl, &dm);
+        let planned = cs.fused_census();
+        assert!(
+            planned.vector_runs == 0 && planned.fallback_runs > 0,
+            "{name}"
+        );
+        for transport in [TransportKind::InProc, TransportKind::Uds] {
+            let what = format!("{name} {transport:?}");
             let mut arrays = scatter_ab(&env0, &dm);
             let opts = DistOptions {
-                simd,
+                transport,
                 ..DistOptions::default()
             };
             let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
-            assert_eq!(bits(&arrays["A"].gather()), want, "{what}");
-            let (ran, planned) = (report.simd_census(), cs.simd_census(simd));
-            assert_eq!(ran.vector_runs, planned.vector_runs, "{what}");
-            assert_eq!(ran.fallback_runs, planned.fallback_runs, "{what}");
-            assert_eq!(ran.lane_elems, planned.lane_elems, "{what}");
-            assert_eq!(ran.tail_elems, planned.tail_elems, "{what}");
-
-            // warm pool, twice (the second run replays cached
-            // tables through reset staging); under Dag the two
-            // independent clauses share one wave, so each
-            // receives through its own lane
-            for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
-                let mut cl2 = cl.clone();
-                cl2.lhs = ArrayRef::new("A2", cl.lhs.map.clone());
-                let mut env2 = env0.clone();
-                env2.insert("A2", Array::zeros(dm["A"].extent()));
-                let mut dm2 = dm.clone();
-                dm2.insert("A2".into(), dm["A"].clone());
-                let mut session = DistSession::new(&env2, dm2).unwrap().with_options(opts);
-                let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
-                for _ in 0..2 {
-                    session.run_program(&steps, schedule, &NULL_TRACER).unwrap();
-                }
-                for out in ["A", "A2"] {
-                    assert_eq!(
-                        bits(&session.gather(out).unwrap()),
-                        want,
-                        "{what} {schedule:?} {out}"
-                    );
-                }
+            let got = arrays["A"].gather();
+            assert_eq!(bits(&got), want, "{what}");
+            for &o in &dropped {
+                assert_eq!(
+                    got.data()[o].to_bits(),
+                    start.data()[o].to_bits(),
+                    "{what} {o}"
+                );
+            }
+            assert_eq!(report.simd_census().fallback_runs, planned.fallback_runs);
+            assert_eq!(report.simd_census().vector_runs, 0, "{what}");
+        }
+        for schedule in [ScheduleMode::Seq, ScheduleMode::Dag] {
+            let mut cl2 = cl.clone();
+            cl2.lhs = ArrayRef::new("A2", cl.lhs.map.clone());
+            let mut env2 = env0.clone();
+            env2.insert("A2", start.clone());
+            let mut dm2 = dm.clone();
+            dm2.insert("A2".into(), dm["A"].clone());
+            let mut session = DistSession::new(&env2, dm2).unwrap();
+            let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
+            for _ in 0..2 {
+                session.run_program(&steps, schedule, &NULL_TRACER).unwrap();
+            }
+            for out in ["A", "A2"] {
+                let got = bits(&session.gather(out).unwrap());
+                assert_eq!(got, want, "{name} {schedule:?} {out}");
             }
         }
     }

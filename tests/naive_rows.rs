@@ -14,7 +14,7 @@ use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexS
 use vcal_suite::decomp::Decomp1;
 use vcal_suite::machine::{
     prepare_run, run_distributed, run_shared, DistArray, DistOptions, DistSession, ExecReport,
-    MachineError, ScheduleMode, SimdMode, SimdPolicy, TransportKind, NULL_TRACER,
+    MachineError, ScheduleMode, TransportKind, NULL_TRACER,
 };
 use vcal_suite::spmd::{CompiledSchedule, DecompMap, PlanSummary, ProgramStep, SpmdPlan};
 
@@ -111,10 +111,6 @@ fn bits(a: &Array) -> Vec<u64> {
 #[test]
 fn natural_naive_rows_run_through_the_tables() {
     std::env::set_var("VCAL_WORKER_BIN", env!("CARGO_BIN_EXE_vcalc"));
-    let forced = SimdPolicy {
-        mode: SimdMode::On,
-        lanes: 4,
-    };
     for (name, cl, dm, env0) in cases() {
         let mut reference = env0.clone();
         reference.exec_clause(&cl);
@@ -151,42 +147,36 @@ fn natural_naive_rows_run_through_the_tables() {
         let steps = [ProgramStep::Clause(cl.clone()), ProgramStep::Clause(cl2)];
 
         let expect = parent_counters(name);
-        for simd in [SimdPolicy::auto(), forced, SimdPolicy::off()] {
-            let what = format!("{name} {simd:?}");
-            let opts = DistOptions {
-                simd,
-                ..DistOptions::default()
-            };
-            // cold, in process and on worker processes
-            for transport in [TransportKind::InProc, TransportKind::Uds] {
-                let mut arrays = scatter_ab(&env0, &dm);
-                let opts = DistOptions { transport, ..opts };
-                let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
-                assert_eq!(bits(&arrays["A"].gather()), want, "{what} {transport:?}");
-                assert_eq!(counters(&report), expect, "{what} {transport:?}");
-            }
-            // warm: the second and third run replay cached tables
-            let mut session = DistSession::new(&env0, dm.clone())
-                .unwrap()
-                .with_options(opts);
-            for round in 0..3 {
-                let report = session.run(&cl).unwrap();
-                assert_eq!(counters(&report), expect, "{what} warm {round}");
-                assert_eq!(report.cache_hits, (round > 0) as u64, "{what}");
-            }
-            assert_eq!(bits(&session.gather("A").unwrap()), want, "{what} warm");
-            // one DAG wave of two members, each on its own lane
-            let mut session = DistSession::new(&env2, dm2.clone())
-                .unwrap()
-                .with_options(opts);
-            let program = session
-                .run_program(&steps, ScheduleMode::Dag, &NULL_TRACER)
-                .unwrap();
-            assert_eq!(program.waves, 1, "{what}");
-            for (out, report) in ["A", "A2"].into_iter().zip(&program.steps) {
-                assert_eq!(bits(&session.gather(out).unwrap()), want, "{what} {out}");
-                assert_eq!(counters(report), expect, "{what} wave {out}");
-            }
+        let opts = DistOptions::default();
+        // cold, in process and on worker processes
+        for transport in [TransportKind::InProc, TransportKind::Uds] {
+            let mut arrays = scatter_ab(&env0, &dm);
+            let opts = DistOptions { transport, ..opts };
+            let report = run_distributed(&plan, &cl, &mut arrays, opts).unwrap();
+            assert_eq!(bits(&arrays["A"].gather()), want, "{name} {transport:?}");
+            assert_eq!(counters(&report), expect, "{name} {transport:?}");
+        }
+        // warm: the second and third run replay cached tables
+        let mut session = DistSession::new(&env0, dm.clone())
+            .unwrap()
+            .with_options(opts);
+        for round in 0..3 {
+            let report = session.run(&cl).unwrap();
+            assert_eq!(counters(&report), expect, "{name} warm {round}");
+            assert_eq!(report.cache_hits, (round > 0) as u64, "{name}");
+        }
+        assert_eq!(bits(&session.gather("A").unwrap()), want, "{name} warm");
+        // one DAG wave of two members, each on its own lane
+        let mut session = DistSession::new(&env2, dm2.clone())
+            .unwrap()
+            .with_options(opts);
+        let program = session
+            .run_program(&steps, ScheduleMode::Dag, &NULL_TRACER)
+            .unwrap();
+        assert_eq!(program.waves, 1, "{name}");
+        for (out, report) in ["A", "A2"].into_iter().zip(&program.steps) {
+            assert_eq!(bits(&session.gather(out).unwrap()), want, "{name} {out}");
+            assert_eq!(counters(report), expect, "{name} wave {out}");
         }
     }
 }

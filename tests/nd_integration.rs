@@ -16,8 +16,7 @@ use vcal_suite::core::{
 use vcal_suite::decomp::{Decomp1, DecompNd};
 use vcal_suite::machine::{
     run_distributed_nd, run_distributed_nd_traced, run_shared_nd, ChaosPlan, DistArrayNd,
-    DistOptions, ExecReport, FaultPlan, MachineError, RetryPolicy, SimdPolicy, TransportKind,
-    NULL_TRACER,
+    DistOptions, ExecReport, FaultPlan, MachineError, RetryPolicy, TransportKind, NULL_TRACER,
 };
 use vcal_suite::spmd::{lower_nd, optimize_nd};
 
@@ -241,18 +240,14 @@ fn randomized_grid_machine_equivalence() {
         assert_eq!(got.max_abs_diff(want), 0.0, "shared trial {k}");
 
         // distributed grid machine, every way the engine can run it
-        for simd in [SimdPolicy::auto(), SimdPolicy::off()] {
-            let opts = DistOptions {
-                recv_timeout: Duration::from_secs(10),
-                simd,
-                ..DistOptions::default()
-            };
-            let what = format!("trial {k} {simd:?}");
-            let total = t.run_and_check(opts, &what).total();
-            msgs += total.msgs_sent;
-            lane_runs += total.simd_runs;
-            scalar_runs += total.simd_fallback_runs;
-        }
+        let opts = DistOptions {
+            recv_timeout: Duration::from_secs(10),
+            ..DistOptions::default()
+        };
+        let total = t.run_and_check(opts, &format!("trial {k}")).total();
+        msgs += total.msgs_sent;
+        lane_runs += total.simd_runs;
+        scalar_runs += total.simd_fallback_runs;
     }
     // the sweep reached the wire, the lane tier and the scalar arms
     assert!(msgs > 0 && lane_runs > 0 && scalar_runs > 0);

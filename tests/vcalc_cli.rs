@@ -181,24 +181,21 @@ fn advisor_finishes_on_a_far_image() {
     assert!(stdout.contains("U: Scatter, V: Scatter"), "{stdout}");
 }
 
+/// The CPU picks the lane map; there is no option to pick it.
 #[test]
-fn simd_flag_runs_and_rejects_bad_values() {
+fn simd_flag_is_refused_as_unknown() {
     let p = write_temp("prog9.vc", PROGRAM);
     let s = write_temp("spec10.dspec", SPEC);
-    for simd in ["auto", "on", "off"] {
-        let (ok, stdout, stderr) = vcalc(&[
-            p.to_str().unwrap(),
-            s.to_str().unwrap(),
-            "--run",
-            "--simd",
-            simd,
-        ]);
-        assert!(ok, "--simd {simd}: {stderr}");
-        assert!(stdout.contains("run: OK"), "--simd {simd}: {stdout}");
-    }
-    let (ok, _, stderr) = vcalc(&[p.to_str().unwrap(), s.to_str().unwrap(), "--simd", "fast"]);
+    let args = [
+        p.to_str().unwrap(),
+        s.to_str().unwrap(),
+        "--run",
+        "--simd",
+        "on",
+    ];
+    let (ok, _, stderr) = vcalc(&args);
     assert!(!ok);
-    assert!(stderr.contains("`auto`, `on` or `off`"), "{stderr}");
+    assert!(stderr.contains("unknown flag `--simd`"), "{stderr}");
 }
 
 #[test]
