@@ -120,6 +120,42 @@ impl DistArray {
         }
     }
 
+    /// Like [`DistArray::gather_into`], but only the local offsets
+    /// `spans[p]` (sorted, disjoint, half-open) of each node's part.
+    pub(crate) fn gather_spans_into(&self, image: &mut [f64], spans: &[Vec<(usize, usize)>]) {
+        for (p, spans) in spans.iter().enumerate() {
+            let (mut l, mut spans) = (0, spans.iter());
+            let mut span = spans.next();
+            for (g, len) in stretches(&self.decomp, p as i64) {
+                // a span that runs past this stretch stays for the next
+                while let Some(&(lo, hi)) = span.filter(|s| s.0 < l + len) {
+                    let (a, b) = (lo.max(l), hi.min(l + len));
+                    image[g + a - l..g + b - l].copy_from_slice(&self.parts[p][a..b]);
+                    if hi > l + len {
+                        break;
+                    }
+                    span = spans.next();
+                }
+                l += len;
+            }
+        }
+    }
+
+    /// Trade every node's part with `other`'s (of the same decomposition),
+    /// except that the local offsets outside `spans[p]` stay where they
+    /// were. Swaps, never clones, a part.
+    pub(crate) fn trade_parts(&mut self, other: &mut DistArray, spans: &[Vec<(usize, usize)>]) {
+        for ((a, b), spans) in self.parts.iter_mut().zip(&mut other.parts).zip(spans) {
+            std::mem::swap(a, b);
+            let mut at = 0;
+            for &(lo, hi) in spans {
+                a[at..lo].swap_with_slice(&mut b[at..lo]);
+                at = hi;
+            }
+            a[at..].swap_with_slice(&mut b[at..]);
+        }
+    }
+
     /// The decomposition.
     pub fn decomp(&self) -> &Decomp1 {
         &self.decomp

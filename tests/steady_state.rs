@@ -182,6 +182,8 @@ fn run_warm(steps: usize, faults: Option<FaultPlan>, dm: &DecompMap) -> (Array, 
         let r2 = session.run(&back).unwrap();
         no_drain_capped(&r1);
         no_drain_capped(&r2);
+        assert!(!r1.renamed, "step {step}: the sweep is no copy");
+        assert_eq!(r2.renamed, dm["U"] == dm["V"], "step {step}: copy-back");
         if step == 0 {
             assert_eq!((r1.cache_hits, r1.cache_misses), (0, 1), "first sweep");
             assert_eq!((r2.cache_hits, r2.cache_misses), (0, 1), "first back");
@@ -198,6 +200,18 @@ fn run_warm(steps: usize, faults: Option<FaultPlan>, dm: &DecompMap) -> (Array, 
 #[test]
 fn warm_timestep_loop_bit_identical_to_cold() {
     let dm = timestep_decomps(0, 1);
+    let (cold_u, cold_v) = run_cold(8, None, &dm);
+    let (warm_u, warm_v) = run_warm(8, None, &dm);
+    assert_eq!(warm_u.max_abs_diff(&cold_u), 0.0, "U differs");
+    assert_eq!(warm_v.max_abs_diff(&cold_v), 0.0, "V differs");
+}
+
+/// The same loop with `U` and `V` both Block: every warm copy-back is a
+/// rename and every sweep pays its debt, and the states still equal the
+/// cold loop's, which runs every copy.
+#[test]
+fn warm_timestep_loop_bit_identical_to_cold_block_block() {
+    let dm = timestep_decomps(0, 0);
     let (cold_u, cold_v) = run_cold(8, None, &dm);
     let (warm_u, warm_v) = run_warm(8, None, &dm);
     assert_eq!(warm_u.max_abs_diff(&cold_u), 0.0, "U differs");
