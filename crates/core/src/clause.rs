@@ -14,6 +14,7 @@ use crate::map::IndexMap;
 use crate::pred::CmpOp;
 use crate::set::IndexSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The ordering operator `◊` of a parameter expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,7 +36,7 @@ impl Ordering {
 }
 
 /// A selection `[map(i)](array)` of a named data structure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayRef {
     /// Array name.
     pub array: String,
@@ -134,19 +135,22 @@ impl Expr {
     /// All array references appearing in the expression.
     pub fn refs(&self) -> Vec<&ArrayRef> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        self.any_ref(&mut |r| {
+            out.push(r);
+            false
+        });
         out
     }
 
-    fn collect_refs<'a>(&'a self, out: &mut Vec<&'a ArrayRef>) {
+    /// Whether some array reference satisfies `f`, visited in reference
+    /// order up to the first that does — [`Expr::refs`] without the
+    /// allocation.
+    pub fn any_ref<'a>(&'a self, f: &mut impl FnMut(&'a ArrayRef) -> bool) -> bool {
         match self {
-            Expr::Ref(r) => out.push(r),
-            Expr::Lit(_) | Expr::LoopVar { .. } => {}
-            Expr::Neg(e) => e.collect_refs(out),
-            Expr::Bin(_, a, b) => {
-                a.collect_refs(out);
-                b.collect_refs(out);
-            }
+            Expr::Ref(r) => f(r),
+            Expr::Lit(_) | Expr::LoopVar { .. } => false,
+            Expr::Neg(e) => e.any_ref(f),
+            Expr::Bin(_, a, b) => a.any_ref(f) || b.any_ref(f),
         }
     }
 
@@ -181,6 +185,22 @@ impl fmt::Display for Expr {
     }
 }
 
+/// Structural: a literal hashes by its bits, so `0.0` and `-0.0`, or two
+/// NaN payloads, hash apart although `==` calls the first pair equal —
+/// they compile to different kernels.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Ref(r) => r.hash(state),
+            Expr::Lit(v) => v.to_bits().hash(state),
+            Expr::LoopVar { dim } => dim.hash(state),
+            Expr::Neg(e) => e.hash(state),
+            Expr::Bin(op, a, b) => (op, a, b).hash(state),
+        }
+    }
+}
+
 /// A data-dependent guard: unlike [`crate::pred::Pred`], it reads array
 /// *values*, so it can never be folded away at compile time — the paper
 /// keeps it as a run-time `if` in the generated node programs (Fig. 1).
@@ -204,6 +224,16 @@ impl fmt::Display for Guard {
         match self {
             Guard::Always => write!(f, "true"),
             Guard::Cmp { lhs, op, rhs } => write!(f, "{lhs} {} {rhs}", op.symbol()),
+        }
+    }
+}
+
+/// Structural, the constant by its bits (as [`Expr`]'s literals).
+impl Hash for Guard {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        if let Guard::Cmp { lhs, op, rhs } = self {
+            (lhs, op, rhs.to_bits()).hash(state);
         }
     }
 }
@@ -281,8 +311,9 @@ impl fmt::Display for Reduction {
     }
 }
 
-/// A full clause `∆(i ∈ iter) ◊ (guard → lhs := rhs)`.
-#[derive(Debug, Clone)]
+/// A full clause `∆(i ∈ iter) ◊ (guard → lhs := rhs)`. Its [`Hash`] is
+/// structural over every field: what a plan-cache key needs.
+#[derive(Debug, Clone, Hash)]
 pub struct Clause {
     /// The parameter-expression index set `I`.
     pub iter: IndexSet,
@@ -299,17 +330,35 @@ pub struct Clause {
 impl Clause {
     /// All arrays read by the clause (rhs refs plus guard ref).
     pub fn read_refs(&self) -> Vec<&ArrayRef> {
-        let mut refs = self.rhs.refs();
-        if let Guard::Cmp { lhs, .. } = &self.guard {
-            refs.push(lhs);
-        }
+        let mut refs = Vec::new();
+        self.any_read(&mut |r| {
+            refs.push(r);
+            false
+        });
         refs
     }
 
     /// Whether the written array is also read (forces snapshot semantics
     /// for the `//` ordering).
     pub fn lhs_is_read(&self) -> bool {
-        self.read_refs().iter().any(|r| r.array == self.lhs.array)
+        self.reads(&self.lhs.array)
+    }
+
+    /// Whether some read reference (rhs, then guard) satisfies `f`,
+    /// visited in the order of [`Clause::read_refs`] up to the first that
+    /// does, without collecting them.
+    pub fn any_read<'a>(&'a self, f: &mut impl FnMut(&'a ArrayRef) -> bool) -> bool {
+        self.rhs.any_ref(f) || matches!(&self.guard, Guard::Cmp { lhs, .. } if f(lhs))
+    }
+
+    /// Whether the clause reads `array` (rhs or guard).
+    pub fn reads(&self, array: &str) -> bool {
+        self.any_read(&mut |r| r.array == array)
+    }
+
+    /// Whether the clause writes or reads `array`.
+    pub fn touches(&self, array: &str) -> bool {
+        self.lhs.array == array || self.reads(array)
     }
 }
 

@@ -5,6 +5,7 @@
 //! `Copy` so that hot enumeration loops never allocate.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Index, IndexMut};
 
 /// Maximum supported dimensionality of an index set.
@@ -14,7 +15,7 @@ use std::ops::{Index, IndexMut};
 pub const MAX_DIMS: usize = 4;
 
 /// A `d`-dimensional integer index point, stored inline.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Ix {
     len: u8,
     data: [i64; MAX_DIMS],
@@ -132,6 +133,14 @@ impl Ix {
             out.data[d] = f(out.data[d]);
         }
         out
+    }
+}
+
+/// Its dimensionality and the coordinates in use, word by word.
+impl Hash for Ix {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.len);
+        self.coords().iter().for_each(|c| state.write_i64(*c));
     }
 }
 

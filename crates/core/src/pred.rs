@@ -10,6 +10,7 @@ use crate::func::Fn1;
 use crate::ix::Ix;
 use crate::map::display_fn1;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Comparison operators for predicates and guards.
@@ -176,6 +177,22 @@ impl Pred {
     /// Whether the predicate is structurally `True`.
     pub fn is_true(&self) -> bool {
         matches!(self, Pred::True)
+    }
+}
+
+/// Structural; an opaque predicate hashes by its label, all its `Debug`
+/// form shows of it.
+impl Hash for Pred {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Pred::True | Pred::False => {}
+            Pred::Cmp { dim, f, op, rhs } => (dim, f, op, rhs).hash(state),
+            Pred::DimCmp { dim_a, op, dim_b } => (dim_a, op, dim_b).hash(state),
+            Pred::And(a, b) | Pred::Or(a, b) => (a, b).hash(state),
+            Pred::Not(a) => a.hash(state),
+            Pred::Opaque { label, .. } => label.hash(state),
+        }
     }
 }
 

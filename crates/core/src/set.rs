@@ -7,7 +7,7 @@ use crate::pred::Pred;
 use std::fmt;
 
 /// An index set `I = (b, P)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct IndexSet {
     /// The bounded set `N_b`.
     pub bounds: Bounds,

@@ -12,7 +12,7 @@ use vcal_core::{Bounds, Ix};
 
 /// A d-dimensional decomposition: axis `k` of the data is distributed by
 /// `axes[k]` over dimension `k` of the processor grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DecompNd {
     axes: Vec<Decomp1>,
 }

@@ -82,7 +82,7 @@ use std::time::{Duration, Instant};
 use vcal_core::{ArrayRef, Clause, Ordering};
 use vcal_decomp::Decomp1;
 use vcal_spmd::{
-    clause_arrays, lower_nd, plan_key, BoundedLru, CacheBudget, CompiledKernel, CompiledSchedule,
+    clause_arrays, lower_nd, plan_words, BoundedLru, CacheBudget, CompiledKernel, CompiledSchedule,
     KernelOp, SpmdPlan,
 };
 
@@ -278,9 +278,12 @@ fn kernel_of(compiled: &CompiledSchedule) -> Result<&CompiledKernel, MachineErro
     })
 }
 
-/// Prepared plans by [`plan_key`], bounded like a session's plan tier:
-/// a long-lived socket worker's, and the one-shot n-D entry's.
-pub(crate) type PlanCache = BoundedLru<(u64, u64), Arc<PreparedPlan>>;
+/// Prepared plans by [`plan_words`], bounded like a session's plan tier:
+/// a long-lived socket worker's, which serves every tenant, and the
+/// process-wide one-shot n-D entry's. They are keyed by the words a
+/// [`vcal_spmd::plan_key`] folds, not by the key, which a chosen literal
+/// can forge: a hit is the very clause over the very decompositions.
+pub(crate) type PlanCache = BoundedLru<Vec<u64>, Arc<PreparedPlan>>;
 
 /// The one-shot n-D entry's prepared plans, process-wide.
 static ND_PLANS: LazyLock<Mutex<PlanCache>> =
@@ -296,15 +299,14 @@ pub(crate) fn prepare_nd(
     if clause.ordering != Ordering::Par {
         return Err(MachineError::SequentialClause);
     }
-    let referenced = clause_arrays(clause);
     let mut decomps = BTreeMap::new();
-    for name in &referenced {
+    for name in clause_arrays(clause) {
         let da = arrays
             .get(name)
-            .ok_or_else(|| MachineError::UnknownArray(name.clone()))?;
-        decomps.insert(name.clone(), da.decomp().clone());
+            .ok_or_else(|| MachineError::UnknownArray(name.to_string()))?;
+        decomps.insert(name.to_string(), da.decomp().clone());
     }
-    let key = plan_key(clause, &decomps);
+    let key = plan_words(clause, &decomps);
     if let Some(prepared) = lock(&ND_PLANS).get(&key) {
         return Ok(Arc::clone(prepared));
     }
@@ -324,10 +326,13 @@ pub(crate) fn prepare_nd(
         lhs_array: clause.lhs.array.clone(),
         compiled,
         rguard,
-        referenced,
+        referenced: clause_arrays(clause)
+            .into_iter()
+            .map(String::from)
+            .collect(),
         d1: None,
     });
-    let bytes = prepared.approx_bytes();
+    let bytes = prepared.approx_bytes() + 8 * key.len();
     lock(&ND_PLANS).insert(key, Arc::clone(&prepared), bytes);
     Ok(prepared)
 }

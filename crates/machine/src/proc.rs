@@ -12,9 +12,9 @@
 //! Serialization is *generative*: a [`JobMsg`] carries the wave's
 //! clauses, the decompositions, the options, and the node's local
 //! memories — never a plan. The worker rebuilds each `SpmdPlan` with the
-//! same deterministic planner the host runs (and caches it by clause
-//! signature + decomposition fingerprint in a bounded LRU, so a timestep
-//! loop replans exactly once per worker). Sender packing order therefore
+//! same deterministic planner the host runs (and caches it by
+//! `plan_words`, the clause and the decompositions word by word, in a
+//! bounded LRU, so a timestep loop replans exactly once per worker). Sender packing order therefore
 //! equals receiver expectation by construction, on every backend.
 //!
 //! The host loop and the node loop are the thread pool's
@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcal_core::Clause;
 use vcal_decomp::Decomp1;
-use vcal_spmd::{plan_key, CacheBudget, SpmdPlan};
+use vcal_spmd::{plan_words, CacheBudget, SpmdPlan};
 
 /// Resolve the worker executable: `VCAL_WORKER_BIN`, else this very
 /// binary (which must implement the `worker` subcommand — `vcalc`
@@ -347,14 +347,15 @@ fn prepare_cached(
     clause: &Clause,
     decomps: &BTreeMap<String, Decomp1>,
 ) -> Result<Arc<PreparedPlan>, MachineError> {
-    let key = plan_key(clause, decomps);
+    let key = plan_words(clause, decomps);
     if let Some(prep) = cache.get(&key) {
         return Ok(Arc::clone(prep));
     }
     let plan =
         SpmdPlan::build(clause, decomps).map_err(|e| MachineError::PlanMismatch(e.to_string()))?;
     let prep = Arc::new(prepare_run(plan, clause, decomps)?);
-    cache.insert(key, Arc::clone(&prep), prep.approx_bytes());
+    let bytes = prep.approx_bytes() + 8 * key.len();
+    cache.insert(key, Arc::clone(&prep), bytes);
     Ok(prep)
 }
 

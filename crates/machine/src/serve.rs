@@ -24,7 +24,9 @@
 //! namespace component of every cache key the connection's sessions
 //! touch. Two tenants submitting byte-identical programs occupy
 //! disjoint key spaces — a tenant can hit only entries its own
-//! namespace inserted (asserted by `tests/serve.rs`).
+//! namespace inserted (asserted by `tests/serve.rs`). The socket
+//! workers' plan cache has no namespace; it keys each plan by the whole
+//! clause and decompositions, not by a key another tenant could forge.
 //!
 //! **Correctness.** Serving changes where work runs, never what it
 //! computes: every response's final global images are bit-identical to
@@ -700,6 +702,48 @@ mod tests {
         assert_eq!(r2.service.plan_misses, 0, "fully warm across sessions");
         assert_eq!(r2.service.plan_hits, 3);
         assert_eq!(r2.service.sessions_served, 2);
+        handle.stop();
+    }
+
+    /// Two requests of one tenant whose clauses differ only in a NaN
+    /// literal's payload: the second builds its own plan, whose kernel
+    /// carries its own literal, bit for bit.
+    #[test]
+    fn nan_payloads_are_two_plans_for_one_tenant() {
+        let handle = ServeHandle::start(ServeConfig::default()).expect("service starts");
+        let mut client = ServeClient::connect(handle.addr(), "t0").expect("connects");
+        for (k, payload) in [1, 2].into_iter().enumerate() {
+            let nan = f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+            let mut req = request(64, 1);
+            let c = Clause {
+                lhs: ArrayRef::d1("U", Fn1::identity()),
+                rhs: Expr::add(
+                    Expr::Ref(ArrayRef::d1("U", Fn1::identity())),
+                    Expr::Lit(nan),
+                ),
+                ..sweep(64)
+            };
+            req.steps = vec![ProgramStep::Clause(c.clone())];
+            let mut env = Env::new();
+            env.insert(
+                "U",
+                Array::from_fn(Bounds::range(0, 63), |i| {
+                    req.globals["U"][i.scalar() as usize]
+                }),
+            );
+            env.exec_clause(&c);
+            let want: Vec<u64> = env
+                .get("U")
+                .expect("U")
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let r = client.request(&req).expect("request");
+            let got: Vec<u64> = r.globals["U"].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "request {k}: bitwise vs exec_clause");
+            assert_eq!(r.service.plan_misses, 1, "request {k}: its own plan");
+        }
         handle.stop();
     }
 

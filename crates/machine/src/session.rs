@@ -37,7 +37,7 @@ use crate::perfmodel::{CalibratedModel, CalibrationSample};
 use crate::proc::ProcLink;
 use crate::stats::{ExecReport, NodeStats};
 use crate::transport::TransportKind;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Clause, Env, Expr, Guard, IndexSet, Ordering};
@@ -324,16 +324,30 @@ type Spans = Vec<Vec<(usize, usize)>>;
 /// the creditor `U`'s values on `spans[p]` of each node's part.
 #[derive(Debug)]
 struct Debt {
-    /// The owed copy `V[i] := U[i]`; running it settles the debt.
-    settle: Clause,
+    /// `[debtor, creditor]`.
+    names: [String; 2],
+    /// The renamed copy's iteration set and ordering.
+    iter: IndexSet,
+    ordering: Ordering,
     spans: Spans,
 }
 
 impl Debt {
     /// `[debtor, creditor]`.
     fn names(&self) -> [&str; 2] {
-        let creditor = copy_source(&self.settle).unwrap_or_default();
-        [&self.settle.lhs.array, creditor]
+        [&self.names[0], &self.names[1]]
+    }
+
+    /// The owed copy `V[i] := U[i]`; running it settles the debt.
+    fn settle(&self) -> Clause {
+        let copy = |name: &str| ArrayRef::d1(name, Fn1::identity());
+        Clause {
+            iter: self.iter.clone(),
+            ordering: self.ordering,
+            guard: Guard::Always,
+            lhs: copy(&self.names[0]),
+            rhs: Expr::Ref(copy(&self.names[1])),
+        }
     }
 
     /// Whether `c` pays the debt: unguarded, it writes the debtor over
@@ -351,7 +365,7 @@ impl Debt {
         let [debtor, _] = self.names();
         matches!(c.guard, Guard::Always)
             && c.lhs.array == debtor
-            && !c.read_refs().iter().any(|r| r.array == debtor)
+            && !c.reads(debtor)
             && self.spans.iter().enumerate().all(covered)
     }
 }
@@ -568,9 +582,7 @@ impl DistSession {
         let renames: Vec<Option<Spans>> = (clauses.iter().zip(&prepared).enumerate())
             .map(|(k, (c, (plan, ..)))| {
                 let (u, v) = (c.lhs.array.as_str(), copy_source(c)?);
-                let apart = |(j, o): (usize, &&Clause)| {
-                    j == k || clause_arrays(o).iter().all(|a| a != u && a != v)
-                };
+                let apart = |(j, o): (usize, &&Clause)| j == k || !(o.touches(u) || o.touches(v));
                 let spans = self.rename_spans(c, plan)?;
                 clauses.iter().enumerate().all(apart).then_some(spans)
             })
@@ -585,14 +597,13 @@ impl DistSession {
             for (k, ((c, (plan, ..)), rename)) in
                 (clauses.iter().zip(&prepared).zip(&renames)).enumerate()
             {
-                let touched = clause_arrays(c);
                 let observes = if rename.is_some() {
-                    touched.iter().any(|a| a == debtor || a == creditor)
+                    c.touches(debtor) || c.touches(creditor)
                 } else if debt.paid_by(c, plan) {
                     payer = true;
                     false
                 } else {
-                    c.lhs.array == creditor || touched.iter().any(|a| a == debtor)
+                    c.lhs.array == creditor || c.touches(debtor)
                 };
                 observer = observer.or(observes.then_some(k));
             }
@@ -651,13 +662,13 @@ impl DistSession {
         if let (Some(a), Some(b)) = (pair.next(), pair.next()) {
             a.trade_parts(b, &spans);
         }
-        let settle = Clause {
-            lhs: ArrayRef::d1(v, Fn1::identity()),
-            rhs: Expr::Ref(ArrayRef::d1(u.clone(), Fn1::identity())),
-            ..c.clone()
-        };
         let pmax = spans.len();
-        self.debts.push(Debt { settle, spans });
+        self.debts.push(Debt {
+            names: [v.to_string(), u.clone()],
+            iter: c.iter.clone(),
+            ordering: c.ordering,
+            spans,
+        });
         ExecReport {
             nodes: vec![NodeStats::default(); pmax],
             traffic: vec![vec![0; pmax]; pmax],
@@ -670,7 +681,7 @@ impl DistSession {
     /// leaves it owed. Its events stay out of `tracer`'s log, which holds
     /// the one run its caller asked for, and its report is returned.
     fn settle(&mut self, d: usize, tracer: &dyn Tracer) -> Result<ExecReport, MachineError> {
-        let (prepared, _, evictions) = self.prepare_cached(&self.debts[d].settle.clone())?;
+        let (prepared, _, evictions) = self.prepare_cached(&self.debts[d].settle())?;
         let mut ran = self.run_wave(&[prepared], &TimingsOnly(tracer))?;
         self.debts.remove(d);
         let mut report = ran.pop().unwrap_or_default();
@@ -691,10 +702,10 @@ impl DistSession {
     /// Settle every debt that involves one of `names`, one report each.
     fn settle_involving(
         &mut self,
-        names: &[String],
+        names: &[&str],
         tracer: &dyn Tracer,
     ) -> Result<Vec<ExecReport>, MachineError> {
-        let involved = |debt: &Debt| debt.names().iter().any(|n| names.iter().any(|a| a == n));
+        let involved = |debt: &Debt| debt.names().iter().any(|n| names.contains(n));
         std::iter::from_fn(|| Some(self.settle(self.debts.iter().position(involved)?, tracer)))
             .collect()
     }
@@ -703,8 +714,7 @@ impl DistSession {
     /// Returns the DAG, whether it was a cache hit, and eviction count.
     fn dag_cached(&mut self, steps: &[ProgramStep]) -> (Arc<ProgramDag>, bool, u64) {
         let sig = program_signature(steps);
-        let names: BTreeSet<String> = steps.iter().flat_map(ProgramStep::arrays).collect();
-        let fp = decomp_fingerprint(&self.decomps, names.iter().map(String::as_str));
+        let fp = decomp_fingerprint(&self.decomps, steps.iter().flat_map(ProgramStep::arrays));
         if let Some(d) = self
             .caches
             .with(|c, ns| c.dags.get(&(ns, sig, fp)).cloned())
@@ -1251,7 +1261,7 @@ impl DistSession {
         if from.is_replicated() || to.is_replicated() {
             return refuse("a replicated image has no redistribution plan".into());
         }
-        let settles = self.settle_involving(&[name.to_string()], tracer)?;
+        let settles = self.settle_involving(&[name], tracer)?;
         let (clause, dm, plan) = copy_clause(name, &from, &to)?;
         let prepared = Arc::new(prepare_run(plan, &clause, &dm)?);
         let copy = clause.lhs.array.clone();

@@ -19,7 +19,7 @@ use vcal_decomp::Decomp1;
 pub struct Candidate {
     /// The assignment.
     pub decomps: DecompMap,
-    /// FNV-1a fingerprint of the assignment (see
+    /// Structural fingerprint of the assignment (see
     /// [`crate::compiled::decomp_fingerprint`]) — the total-order
     /// tie-break when two assignments price identically, and the key
     /// the tuner's pricing cache uses.

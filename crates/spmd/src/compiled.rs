@@ -21,8 +21,8 @@
 //!
 //! The module also provides the plan-cache keys used by the machine's
 //! session layer: a [`clause_signature`] and a [`decomp_fingerprint`]
-//! (FNV-1a over the canonical debug rendering — stable within a
-//! process, which is all a session-lifetime cache needs).
+//! (structural hashes, a word at a time — stable within a process,
+//! which is all a session-lifetime cache needs).
 
 use crate::comm::{CommRun, PairComm};
 use crate::kernel::{CompiledKernel, FusedShape};
@@ -30,7 +30,7 @@ use crate::nest::{Nest, MAX_LEVELS};
 use crate::program::{DecompMap, NodePlan, SpmdPlan};
 use crate::schedule::Schedule;
 use crate::simd::{self, SimdCensus, SimdPolicy};
-use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Guard};
 use vcal_decomp::Decomp1;
@@ -1253,79 +1253,142 @@ fn cover(mut hulls: Vec<(i64, i64, u64)>, disjoint: bool) -> Option<Vec<(usize, 
         .collect()
 }
 
-/// FNV-1a over a formatted rendering, via `fmt::Write` — no
-/// intermediate `String`.
-struct FnvWriter(u64);
+/// The word stream behind every cache key: a [`Hasher`] that hands each
+/// word of a structural [`Hash`] to its sink, in order. [`key_of`] folds
+/// the words into a key; [`plan_words`] keeps them.
+struct Words<F: FnMut(u64)>(F);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+impl<F: FnMut(u64)> Hasher for Words<F> {
+    fn write_u64(&mut self, w: u64) {
+        (self.0)(w)
+    }
 
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+    /// Bytes (a name, a slice of integers): their length, then the
+    /// bytes eight to a word, the last word zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        for chunk in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(w));
         }
-        Ok(())
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(i.into());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    /// Unused: the sink holds what the words make.
+    fn finish(&self) -> u64 {
+        0
     }
 }
 
-/// A session-lifetime signature of a clause: FNV-1a over its canonical
-/// debug rendering (every field of the clause participates — iteration
-/// set, ordering, guard, lhs access, rhs expression). Two clauses with
-/// equal signatures plan identically for the same decompositions.
+/// The key of no words.
+const KEY_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold word `w` into key `s`: an xor-multiply-xorshift, a bijection of
+/// the key for a fixed word and of the word for a fixed key. So two
+/// inputs of one shape that differ in a single word never collide; but
+/// the last round inverts in its word, and whoever chooses a clause's
+/// last literal can give it another clause's key. Keys are the same on
+/// every run and never leave the process.
+fn round(s: u64, w: u64) -> u64 {
+    let h = (s ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^ (h >> 32)
+}
+
+/// The cache key of `x`: its structural [`Hash`], folded word by word.
+pub(crate) fn key_of(x: &(impl Hash + ?Sized)) -> u64 {
+    let mut s = KEY_SEED;
+    x.hash(&mut Words(|w| s = round(s, w)));
+    s
+}
+
+/// A session-lifetime signature of a clause: its structural hash (every
+/// field of the clause participates — iteration set, ordering, guard,
+/// lhs access, rhs expression; a literal or guard constant by its bits).
+/// Two clauses with equal signatures plan identically for the same
+/// decompositions, unless one was forged to the other's key.
 pub fn clause_signature(clause: &Clause) -> u64 {
-    let mut w = FnvWriter(FNV_OFFSET);
-    let _ = write!(w, "{clause:?}");
-    w.0
+    key_of(clause)
 }
 
 /// The arrays a clause touches (lhs first, then reads in reference
 /// order, deduplicated) — the set whose decompositions a plan depends
 /// on, and therefore the set a decomposition fingerprint must cover.
-pub fn clause_arrays(clause: &Clause) -> Vec<String> {
-    let mut names = vec![clause.lhs.array.clone()];
-    for r in clause.read_refs() {
-        if !names.contains(&r.array) {
-            names.push(r.array.clone());
+pub fn clause_arrays(clause: &Clause) -> Vec<&str> {
+    let mut names = vec![clause.lhs.array.as_str()];
+    clause.any_read(&mut |r| {
+        if !names.contains(&r.array.as_str()) {
+            names.push(&r.array);
         }
-    }
+        false
+    });
     names
 }
 
-/// Fingerprint the decompositions of `names` (order-insensitive: names
-/// are hashed sorted), of either rank: `D` is [`Decomp1`] or
-/// `DecompNd`, hashed by its debug rendering. A missing entry hashes as
-/// absent, so adding the decomposition later changes the fingerprint
-/// too. Redistribution or replacement of any covered array's
-/// decomposition changes the result — the plan-cache invalidation rule.
-pub fn decomp_fingerprint<'a, D: std::fmt::Debug>(
+/// Hash the decompositions of `names` into `h`, sorted and deduplicated
+/// by name, each with its name; a missing entry as absent.
+fn hash_decomps<'a, D: Hash>(
+    h: &mut impl Hasher,
     decomps: &std::collections::BTreeMap<String, D>,
     names: impl IntoIterator<Item = &'a str>,
-) -> u64 {
+) {
     let mut sorted: Vec<&str> = names.into_iter().collect();
     sorted.sort_unstable();
     sorted.dedup();
-    let mut w = FnvWriter(FNV_OFFSET);
     for name in sorted {
-        let _ = match decomps.get(name) {
-            Some(dec) => write!(w, "{name}={dec:?};"),
-            None => write!(w, "{name}=<none>;"),
-        };
+        (name, decomps.get(name)).hash(h);
     }
-    w.0
+}
+
+/// Fingerprint the decompositions of `names` (order-insensitive: names
+/// are hashed sorted and deduplicated), of either rank: `D` is
+/// [`Decomp1`] or `DecompNd`, hashed structurally with each name. A
+/// missing entry hashes as absent, so adding the decomposition later
+/// changes the fingerprint too. Redistribution or replacement of any
+/// covered array's decomposition changes the result — the plan-cache
+/// invalidation rule.
+pub fn decomp_fingerprint<'a, D: Hash>(
+    decomps: &std::collections::BTreeMap<String, D>,
+    names: impl IntoIterator<Item = &'a str>,
+) -> u64 {
+    let mut s = KEY_SEED;
+    hash_decomps(&mut Words(|w| s = round(s, w)), decomps, names);
+    s
 }
 
 /// The plan-cache key of `clause` over `decomps`, of either rank: its
 /// [`clause_signature`] and the [`decomp_fingerprint`] of the arrays it
 /// touches ([`clause_arrays`]).
-pub fn plan_key<D: std::fmt::Debug>(
+pub fn plan_key<D: Hash>(
     clause: &Clause,
     decomps: &std::collections::BTreeMap<String, D>,
 ) -> (u64, u64) {
-    let names = clause_arrays(clause);
-    let fp = decomp_fingerprint(decomps, names.iter().map(String::as_str));
-    (clause_signature(clause), fp)
+    (
+        clause_signature(clause),
+        decomp_fingerprint(decomps, clause_arrays(clause)),
+    )
+}
+
+/// Every word [`plan_key`] folds, in order: `clause` over `decomps`
+/// exactly, as far as their [`Hash`] tells them apart. A cache that
+/// parties who do not trust each other share keys its entries by this,
+/// since a [`plan_key`] can be forged.
+pub fn plan_words<D: Hash>(
+    clause: &Clause,
+    decomps: &std::collections::BTreeMap<String, D>,
+) -> Vec<u64> {
+    let mut words = Vec::new();
+    let mut h = Words(|w| words.push(w));
+    clause.hash(&mut h);
+    hash_decomps(&mut h, decomps, clause_arrays(clause));
+    words
 }
 
 /// Test oracle for [`CompiledNode::write_spans`], shared with the n-D
@@ -1386,6 +1449,7 @@ pub(crate) fn check_write_spans(cn: &CompiledNode, injective: bool, eligible: bo
 mod tests {
     use super::*;
     use crate::comm::PACKET_ELEMS;
+    use crate::dag::{program_signature, ProgramStep};
     use std::collections::BTreeMap;
     use vcal_core::{ArrayRef, Bounds, Clause, Expr, IndexSet, Ordering};
 
@@ -1960,9 +2024,56 @@ mod tests {
         let c2 = copy_clause(0, 63, Fn1::identity(), Fn1::shift(1));
         assert_ne!(clause_signature(&c1), clause_signature(&c2));
         assert_eq!(clause_signature(&c1), clause_signature(&c1.clone()));
-        assert_eq!(clause_arrays(&c1), vec!["A".to_string(), "B".to_string()]);
+        assert_eq!(clause_arrays(&c1), vec!["A", "B"]);
 
+        // a literal or guard constant by its bits: signed zeros and NaN
+        // payloads, which `==` or the debug text cannot tell apart
+        let with_lit = |v: f64| Clause {
+            rhs: Expr::add(c1.rhs.clone(), Expr::Lit(v)),
+            ..c1.clone()
+        };
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let guarded = |v: f64| Clause {
+            guard: Guard::Cmp {
+                lhs: ArrayRef::d1("B", Fn1::identity()),
+                op: vcal_core::CmpOp::Gt,
+                rhs: v,
+            },
+            ..c1.clone()
+        };
+        let pairs = [
+            (with_lit(0.0), with_lit(-0.0)),
+            (with_lit(nan(1)), with_lit(nan(2))),
+            (guarded(0.0), guarded(1.0)),
+            (guarded(0.0), guarded(-0.0)),
+            (guarded(0.0), c1.clone()),
+        ];
+        for (a, b) in &pairs {
+            assert_ne!(clause_signature(a), clause_signature(b), "{a:?} / {b:?}");
+        }
+        // one access function read from a 1-D and from a 2-D loop index
+        let id = vcal_core::DimFn {
+            src: 0,
+            f: Fn1::identity(),
+        };
+        let of_rank = |d_in: usize| Clause {
+            lhs: ArrayRef::new("A", vcal_core::IndexMap::new(d_in, vec![id.clone()])),
+            ..c1.clone()
+        };
+        assert_ne!(clause_signature(&of_rank(1)), clause_signature(&of_rank(2)));
+        // a redistribution's target is part of the program
         let e = Bounds::range(0, 63);
+        let redist = |to: Decomp1| {
+            let array = "B".to_string();
+            vec![
+                ProgramStep::Clause(c1.clone()),
+                ProgramStep::Redistribute { array, to },
+            ]
+        };
+        let (block, scatter) = (redist(Decomp1::block(4, e)), redist(Decomp1::scatter(4, e)));
+        assert_ne!(program_signature(&block), program_signature(&scatter));
+        assert_eq!(program_signature(&block), program_signature(&block.clone()));
+
         let dm1 = decomps(Decomp1::block(4, e), Decomp1::block(4, e));
         let dm2 = decomps(Decomp1::scatter(4, e), Decomp1::block(4, e));
         let names = ["A", "B"];
@@ -1982,8 +2093,16 @@ mod tests {
             decomp_fingerprint(&dm1, names),
             decomp_fingerprint(&dm1, ["A"])
         );
-        // generic over the rank, the 1-D prints keep their values
+        // names are hashed whole: "AB","C" is not "A","BC"
+        let of = |names: [&str; 2]| names.map(|n| (n.to_string(), Decomp1::block(4, e)));
+        assert_ne!(
+            decomp_fingerprint(&of(["AB", "C"]).into(), ["AB", "C"]),
+            decomp_fingerprint(&of(["A", "BC"]).into(), ["A", "BC"])
+        );
+        // the key format is pinned: a change to it is a deliberate one
         let dm4 = decomps(Decomp1::block(4, e), Decomp1::block_scatter(3, 4, e));
-        assert_eq!(decomp_fingerprint(&dm4, names), 0xcc55_27a6_95c7_2140);
+        assert_eq!(decomp_fingerprint(&dm4, names), 0x9a7b_fabc_f3fc_24b9);
+        assert_eq!(clause_signature(&c2), 0xaf05_3144_5e23_687a);
+        assert_eq!(program_signature(&block), 0xb862_0352_6e4f_545d);
     }
 }

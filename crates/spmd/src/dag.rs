@@ -31,7 +31,7 @@
 //! serialized into consecutive single-step waves, which is the only
 //! correct schedule for mutually dependent steps.
 
-use crate::compiled::clause_signature;
+use crate::compiled::key_of;
 use crate::nest::Nest;
 use crate::program::DecompMap;
 use vcal_core::func::Fn1;
@@ -44,7 +44,7 @@ use vcal_decomp::Decomp1;
 const ENUM_MAX: i64 = 1 << 16;
 
 /// One step of a multi-clause program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum ProgramStep {
     /// A `//` clause executed on the distributed machine.
     Clause(Clause),
@@ -59,10 +59,10 @@ pub enum ProgramStep {
 
 impl ProgramStep {
     /// Every array this step touches (reads or writes).
-    pub fn arrays(&self) -> Vec<String> {
+    pub fn arrays(&self) -> Vec<&str> {
         match self {
             ProgramStep::Clause(c) => crate::compiled::clause_arrays(c),
-            ProgramStep::Redistribute { array, .. } => vec![array.clone()],
+            ProgramStep::Redistribute { array, .. } => vec![array],
         }
     }
 }
@@ -117,8 +117,7 @@ pub struct ProgramDag {
     /// steps (program order within the wave) that may execute
     /// concurrently; waves execute in order.
     pub waves: Vec<Vec<usize>>,
-    /// FNV-1a signature of the program text (clause signatures plus
-    /// redistribution targets) — the DAG cache key, combined with the
+    /// The [`program_signature`] — the DAG cache key, combined with the
     /// decomposition fingerprint of the touched arrays.
     pub signature: u64,
 }
@@ -154,31 +153,12 @@ impl ProgramDag {
     }
 }
 
-/// FNV-1a over the program text: clause signatures and redistribution
-/// targets in step order. Two programs with equal signatures produce
-/// the same dependence analysis for the same decomposition fingerprint.
+/// The structural hash of the program: its steps in order, each clause
+/// as [`crate::clause_signature`] sees it and each redistribution by its
+/// array and target. Two programs with equal signatures produce the same
+/// dependence analysis for the same decomposition fingerprint.
 pub fn program_signature(steps: &[ProgramStep]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for step in steps {
-        match step {
-            ProgramStep::Clause(c) => {
-                eat(b"clause:");
-                eat(&clause_signature(c).to_le_bytes());
-            }
-            ProgramStep::Redistribute { array, to } => {
-                eat(b"redist:");
-                eat(array.as_bytes());
-                eat(format!("{to:?}").as_bytes());
-            }
-        }
-    }
-    h
+    key_of(steps)
 }
 
 /// An array-element footprint: the set of global indices a step reads

@@ -48,8 +48,9 @@ pub use advisor::{
 pub use cache::{BoundedLru, CacheBudget};
 pub use comm::{packetise, plan_comm, CommRun, NodeCommPlan, PairComm, PACKET_ELEMS};
 pub use compiled::{
-    clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, plan_key, AccessPattern,
-    CompiledNode, CompiledSchedule, ExecRun, OverlapCensus, SendPair, SendSeg, SlotAccess,
+    clause_arrays, clause_signature, decomp_fingerprint, flatten_schedule, plan_key, plan_words,
+    AccessPattern, CompiledNode, CompiledSchedule, ExecRun, OverlapCensus, SendPair, SendSeg,
+    SlotAccess,
 };
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;

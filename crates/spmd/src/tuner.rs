@@ -83,10 +83,10 @@ pub fn enumerate_candidates(
 /// The arrays a clause program touches, sorted and deduplicated — the
 /// tunable set whose extents [`enumerate_candidates`] needs.
 pub fn program_arrays(clauses: &[Clause]) -> Vec<String> {
-    let mut names: Vec<String> = clauses.iter().flat_map(clause_arrays).collect();
+    let mut names: Vec<&str> = clauses.iter().flat_map(clause_arrays).collect();
     names.sort();
     names.dedup();
-    names
+    names.into_iter().map(str::to_string).collect()
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@
 //! * the chunk path takes strided and table reads and writes, entries of
 //!   one-element reps, kernels that read their loop coordinate and
 //!   guarded clauses whose guard fails inside a chunk, cold and warm,
-//!   under both schedulers.
+//!   under both schedulers;
+//! * a clause signature (the plan-cache key) separates every two random
+//!   clauses that the clause's debug text separates.
 //!
 //! CI runs this suite in release too, where NaN results may differ from
 //! a debug build's.
@@ -40,7 +42,9 @@ use vcal_suite::machine::{
     replay_check, run_distributed, run_distributed_traced, CollectingTracer, DistArray,
     DistOptions, DistSession, FaultPlan, RetryPolicy, ScheduleMode, TransportKind, NULL_TRACER,
 };
-use vcal_suite::spmd::{CompiledKernel, CompiledSchedule, DecompMap, ProgramStep, SpmdPlan};
+use vcal_suite::spmd::{
+    clause_signature, CompiledKernel, CompiledSchedule, DecompMap, ProgramStep, SpmdPlan,
+};
 
 const N: i64 = 64;
 const PMAX: i64 = 4;
@@ -378,6 +382,35 @@ proptest! {
             .with_reorder(0.05);
         let got = run_dist(&cl, &dm, &env0, Some(fp)).map_err(TestCaseError::fail)?;
         prop_assert_eq!(&bits(&got), &want, "under faults: {}", cl);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A clause signature tells apart at least what the clause's debug
+    /// text does: of the clauses over a batch of random expressions,
+    /// guarded and not, every two whose texts differ have different
+    /// signatures, and a clone has an equal one. A batch makes pairs
+    /// that differ in one literal or one access likely.
+    #[test]
+    fn signatures_separate_what_debug_texts_separate(
+        es in prop::collection::vec(arb_expr(), 24..40),
+    ) {
+        let clauses = es.into_iter().flat_map(|e| {
+            [clause_of_n(e.clone(), false, N), clause_of_n(e, true, N)]
+        });
+        let keyed: Vec<(String, u64)> = clauses
+            .map(|c| {
+                assert_eq!(clause_signature(&c), clause_signature(&c.clone()));
+                (format!("{c:?}"), clause_signature(&c))
+            })
+            .collect();
+        for (k, (text_a, sig_a)) in keyed.iter().enumerate() {
+            for (text_b, sig_b) in &keyed[k + 1..] {
+                prop_assert!(text_a == text_b || sig_a != sig_b, "{} / {}", text_a, text_b);
+            }
+        }
     }
 }
 

@@ -26,7 +26,7 @@ use vcal_suite::machine::{
     CacheBudget, DistOptions, MachineError, ProgramStep, ScheduleMode, ServeClient, ServeConfig,
     ServeHandle, ServeRequest, TransportKind,
 };
-use vcal_suite::spmd::DecompMap;
+use vcal_suite::spmd::{clause_signature, plan_key, DecompMap};
 
 const N: i64 = 64;
 const PMAX: i64 = 4;
@@ -461,6 +461,74 @@ fn wire_pool_dag_schedule_and_tenant_cold_start() {
     );
     assert_eq!(r3.service.dag_misses, 1, "bob pays his own DAG build");
     assert_eq!(handle.sessions_served(), 3);
+    handle.stop();
+}
+
+/// Two tenants on one pool of UDS worker processes, whose clauses share
+/// one plan key: bob's literal is forged from alice's clause by undoing
+/// the last round of the key's hash. The workers' plan cache serves
+/// every tenant, so it must tell the two apart by more than their key:
+/// each tenant's result is its own clause's, bit for bit.
+#[test]
+fn forged_plan_keys_do_not_cross_tenants_on_a_worker_pool() {
+    init();
+    let (u, v) = (
+        ArrayRef::d1("U", Fn1::identity()),
+        ArrayRef::d1("V", Fn1::identity()),
+    );
+    let clause = |rhs| par(v.clone(), IndexSet::range(0, N - 1), rhs);
+    let victim = clause(Expr::mul(Expr::Ref(u.clone()), Expr::Lit(3.0)));
+    let with = |x: f64| clause(Expr::add(Expr::Ref(u.clone()), Expr::Lit(x)));
+    // a round maps key s and word w to g((s ^ w)·K), g(y) = y ^ (y >> 32)
+    // an involution; the literal's bits are the clause's last word
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let k_inv = (0..6).fold(K, |x, _| {
+        x.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(x)))
+    });
+    let unround = |h: u64| (h ^ (h >> 32)).wrapping_mul(k_inv);
+    let sig = |step: &ProgramStep| match step {
+        ProgramStep::Clause(c) => unround(clause_signature(c)),
+        _ => unreachable!(),
+    };
+    let forged = with(f64::from_bits(sig(&with(0.0)) ^ sig(&victim)));
+    let extent = Bounds::range(0, N - 1);
+    let decomps: DecompMap = ["U", "V"]
+        .map(|a| (a.to_string(), Decomp1::block(PMAX, extent)))
+        .into();
+    let key = |step: &ProgramStep| match step {
+        ProgramStep::Clause(c) => plan_key(c, &decomps),
+        _ => unreachable!(),
+    };
+    assert_eq!(
+        key(&forged),
+        key(&victim),
+        "the forged clause has the victim's key"
+    );
+
+    let handle = ServeHandle::start(ServeConfig {
+        opts: DistOptions {
+            transport: TransportKind::Uds,
+            ..ServeConfig::default().opts
+        },
+        ..ServeConfig::default()
+    })
+    .expect("service start");
+    for (tenant, step) in [("alice", victim), ("bob", forged)] {
+        let sh = Shape {
+            steps: vec![step],
+            names: vec!["U", "V"],
+            decomps: decomps.clone(),
+            globals: [("U", 1), ("V", 2)]
+                .map(|(a, salt)| (a.to_string(), (0..N).map(|i| seed_val(i, salt)).collect()))
+                .into(),
+        };
+        let mut req =
+            ServeRequest::new(sh.steps.clone(), sh.decomps.clone(), sh.globals.clone(), 1);
+        req.deadline = Some(Duration::from_secs(120));
+        let mut client = ServeClient::connect(handle.addr(), tenant).expect("connect");
+        let resp = client.request(&req).expect("request");
+        assert_bit_identical(&resp.globals, &oracle(&sh, N, 1), tenant);
+    }
     handle.stop();
 }
 

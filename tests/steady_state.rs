@@ -343,6 +343,42 @@ fn redistribute_invalidates_cache() {
     );
 }
 
+/// Two clauses that differ only in a NaN literal's payload are two
+/// plans: the second is a cache miss, and its kernel writes its own
+/// literal's bits, as the sequential reference does.
+#[test]
+fn nan_payloads_do_not_share_a_plan() {
+    let ext = Bounds::range(0, 63);
+    let mut env = Env::new();
+    env.insert("U", Array::from_fn(ext, |i| i.scalar() as f64 * 0.5));
+    env.insert("V", Array::zeros(ext));
+    let dm: DecompMap = [("U", 2), ("V", 2)]
+        .into_iter()
+        .map(|(name, p)| (name.to_string(), Decomp1::block(p, ext)))
+        .collect();
+    let mut session = DistSession::new(&env, dm)
+        .unwrap()
+        .with_options(opts_for(None));
+    for payload in [1, 2] {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let clause = Clause {
+            iter: IndexSet::range(0, 63),
+            ordering: Ordering::Par,
+            guard: Guard::Always,
+            lhs: ArrayRef::d1("V", Fn1::identity()),
+            rhs: Expr::add(
+                Expr::Ref(ArrayRef::d1("U", Fn1::identity())),
+                Expr::Lit(nan),
+            ),
+        };
+        let r = session.run(&clause).unwrap();
+        env.exec_clause(&clause);
+        let got = bits(&session.gather("V").unwrap());
+        assert_eq!(got, bits(env.get("V").unwrap()), "payload {payload}");
+        assert_eq!((r.cache_hits, r.cache_misses), (0, 1), "payload {payload}");
+    }
+}
+
 /// A crashed pooled worker surfaces as `NodePanicked{node}`, leaves the
 /// arrays untouched, and does NOT poison the session: after clearing
 /// the fault plan, the same session runs correctly again.
