@@ -32,11 +32,12 @@ use vcal_bench::{write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_decomp::Decomp1;
+use vcal_machine::perfmodel::fit;
 use vcal_machine::{
-    CalibratedModel, CalibrationSample, CollectingTracer, DistSession, ProgramStep, ScheduleMode,
-    TuneOptions, NULL_TRACER,
+    CalibrationSample, CollectingTracer, DistSession, ProgramStep, ScheduleMode, TuneOptions,
+    NULL_TRACER,
 };
-use vcal_spmd::{enumerate_candidates, Candidate, DecompMap, TuneSpaceOptions};
+use vcal_spmd::{advise, Candidate, CostModel, DecompMap};
 
 const N: i64 = 2048;
 const PMAX: i64 = 4;
@@ -104,7 +105,7 @@ fn initial_env(names: &[&str]) -> Env {
 
 /// Reproduce the tuner's calibration externally: one cold + one warm
 /// traced step on the incumbent layout, sample, fit.
-fn calibrate(steps: &[ProgramStep], dm: &DecompMap, env: &Env) -> CalibratedModel {
+fn calibrate(steps: &[ProgramStep], dm: &DecompMap, env: &Env) -> CostModel {
     let mut session = DistSession::new(env, dm.clone()).unwrap();
     session
         .run_program(steps, ScheduleMode::Seq, &NULL_TRACER)
@@ -113,24 +114,14 @@ fn calibrate(steps: &[ProgramStep], dm: &DecompMap, env: &Env) -> CalibratedMode
     let report = session
         .run_program(steps, ScheduleMode::Seq, &tracer)
         .unwrap();
-    let mut sample = CalibrationSample::of(&Default::default(), &tracer.finish());
-    for er in &report.steps {
-        let t = er.total();
-        sample.iterations += t.iterations;
-        sample.packets += t.packets_sent;
-        sample.bytes += t.bytes_sent;
-        sample.recv_elems += t.msgs_received;
-    }
-    CalibratedModel::fit(&[sample]).expect("warm profile must calibrate")
+    let sample = CalibrationSample::of(&report.steps, &tracer.finish());
+    fit(&[sample]).expect("warm profile must calibrate")
 }
 
-/// Price every enumerated candidate: program price = sum of per-clause
-/// critical paths, exactly the tuner's objective.
-fn priced_space(
-    steps: &[ProgramStep],
-    names: &[&str],
-    model: &CalibratedModel,
-) -> Vec<(f64, Candidate)> {
+/// Price the tuner's candidate space (the era ranking's top `budget`):
+/// program price = sum of per-clause critical paths, the tuner's
+/// objective (no bench program holds a copy that could rename).
+fn priced_space(steps: &[ProgramStep], names: &[&str], model: &CostModel) -> Vec<(f64, Candidate)> {
     let clauses: Vec<Clause> = steps
         .iter()
         .map(|s| match s {
@@ -142,20 +133,16 @@ fn priced_space(
         .iter()
         .map(|n| ((*n).to_string(), Bounds::range(0, N - 1)))
         .collect();
-    let space = enumerate_candidates(&clauses, &extents, PMAX, &TuneSpaceOptions::default())
-        .expect("bench candidate space");
+    let mut space = advise(&clauses, &extents, PMAX).expect("bench candidate space");
+    space.truncate(TuneOptions::default().budget);
     let mut priced: Vec<(f64, Candidate)> = space
-        .candidates
         .into_iter()
         .map(|c| {
-            let price: f64 = c.plans.iter().map(|p| model.price_plan(p).total_ns).sum();
+            let price: f64 = c.plans.iter().map(|p| model.price_plan(p).total).sum();
             (price, c)
         })
         .collect();
-    priced.sort_by(|a, b| {
-        a.0.total_cmp(&b.0)
-            .then(a.1.fingerprint.cmp(&b.1.fingerprint))
-    });
+    priced.sort_by(|a, b| a.0.total_cmp(&b.0));
     priced
 }
 
@@ -234,7 +221,7 @@ fn bench_autotune(_c: &mut Criterion) {
         let priced = priced_space(&steps, &names, &model);
         let (best_price, _) = &priced[0];
         let (worst_price, worst_cand) = priced.last().unwrap();
-        let default_priced = priced_space(&steps, &names, &CalibratedModel::default());
+        let default_priced = priced_space(&steps, &names, &CostModel::ERA);
         let (_, default_cand) = &default_priced[0];
 
         let mut worst = DistSession::new(&env, worst_cand.decomps.clone()).unwrap();

@@ -1,8 +1,8 @@
 //! Modeled speedup curves — the classic evaluation figure of the paper's
-//! era, regenerated from exact event counts priced by the analytic
-//! performance model (`vcal_machine::PerfModel`): closed-form vs naive
-//! plans on shared memory, and block vs scatter stencils on a
-//! message-passing hypercube.
+//! era, regenerated from exact event counts priced by the one cost model
+//! under its era constants (`vcal_spmd::CostModel::ERA`): closed-form vs
+//! naive plans on shared memory (a plan's census), and block vs scatter
+//! stencils on the message-passing machine (its executed report).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
@@ -11,11 +11,20 @@ use vcal_bench::{copy_clause, decomps_ab, stencil_clause, write_report, ReportRo
 use vcal_core::func::Fn1;
 use vcal_core::{Array, Bounds, Env};
 use vcal_decomp::Decomp1;
-use vcal_machine::{run_distributed, DistArray, DistOptions, PerfModel};
-use vcal_spmd::{DecompMap, SpmdPlan};
+use vcal_machine::perfmodel::price_report;
+use vcal_machine::{run_distributed, DistArray, DistOptions};
+use vcal_spmd::{CostModel, DecompMap, SpmdPlan};
+
+const MODEL: CostModel = CostModel::ERA;
+
+/// Modeled speedup of a plan against the one-processor time of its loop
+/// (no tests, no messages).
+fn plan_speedup(plan: &SpmdPlan) -> f64 {
+    let n = (plan.loop_bounds.1 - plan.loop_bounds.0 + 1).max(0) as f64;
+    n * MODEL.t_iter / MODEL.price_plan(plan).total
+}
 
 fn speedup_tables(c: &mut Criterion) {
-    let model = PerfModel::default();
     let mut rows = Vec::new();
 
     // ---- shared memory: naive vs closed form ----------------------------
@@ -28,8 +37,8 @@ fn speedup_tables(c: &mut Criterion) {
             Decomp1::block(pmax, Bounds::range(0, n - 1)),
             Decomp1::block(pmax, Bounds::range(0, n - 1)),
         );
-        let s_opt = model.speedup_of_plan(&SpmdPlan::build(&clause, &dm).unwrap());
-        let s_naive = model.speedup_of_plan(&SpmdPlan::build_naive(&clause, &dm).unwrap());
+        let s_opt = plan_speedup(&SpmdPlan::build(&clause, &dm).unwrap());
+        let s_naive = plan_speedup(&SpmdPlan::build_naive(&clause, &dm).unwrap());
         eprintln!("{pmax:>6} {s_opt:>14.2} {s_naive:>14.2}");
         rows.push(ReportRow::new(
             "speedup_shared",
@@ -40,7 +49,7 @@ fn speedup_tables(c: &mut Criterion) {
     }
     eprintln!("(naive saturates near t_iter/t_test = 4; closed form tracks pmax)");
 
-    // ---- distributed: block vs scatter stencil on a hypercube -----------
+    // ---- distributed: block vs scatter stencil ---------------------------
     let n: i64 = 1 << 12;
     let clause = stencil_clause(n);
     let mut env = Env::new();
@@ -49,7 +58,7 @@ fn speedup_tables(c: &mut Criterion) {
         Array::from_fn(Bounds::range(0, n - 1), |i| i.scalar() as f64),
     );
     env.insert("V", Array::zeros(Bounds::range(0, n - 1)));
-    eprintln!("\nmodeled distributed speedup, stencil of n = {n} (hypercube):");
+    eprintln!("\nmodeled distributed speedup, stencil of n = {n}:");
     eprintln!("{:>6} {:>10} {:>10}", "pmax", "block", "scatter");
     for pmax in [2i64, 4, 8, 16] {
         let mut line = format!("{pmax:>6}");
@@ -70,12 +79,12 @@ fn speedup_tables(c: &mut Criterion) {
             }
             let report =
                 run_distributed(&plan, &clause, &mut arrays, DistOptions::default()).unwrap();
-            let s = model.speedup_of_report(&report, (n - 2) as u64);
+            let s = (n - 2) as f64 * MODEL.t_iter / price_report(&MODEL, &report).total;
             line.push_str(&format!(" {s:>10.2}"));
         }
         eprintln!("{line}");
     }
-    eprintln!("(scatter's per-element messages price it below 1: slower than sequential)");
+    eprintln!("(scatter receives every read remotely: priced below 1, slower than sequential)");
     write_report("speedup", &rows);
 
     // keep Criterion busy with something tiny so the target registers
@@ -86,7 +95,7 @@ fn speedup_tables(c: &mut Criterion) {
         );
         let clause = copy_clause(Fn1::identity(), Fn1::identity(), 0, (1 << 16) - 1);
         let plan = SpmdPlan::build(&clause, &dm).unwrap();
-        b.iter(|| black_box(PerfModel::default().speedup_of_plan(&plan)))
+        b.iter(|| black_box(plan_speedup(&plan)))
     });
 }
 

@@ -10,7 +10,7 @@
 //!    collecting path buys the full event log for the reported ratio.
 //! 2. **Does the analytical model §4 predict reality?** One traced run
 //!    is replay-checked and its per-phase wall-clock totals are printed
-//!    next to the [`PerfModel`] prediction — the comparison recorded in
+//!    next to the era cost model's prediction — the comparison recorded in
 //!    EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -20,11 +20,12 @@ use vcal_bench::{copy_clause, env_ab, write_report, ReportRow};
 use vcal_core::func::Fn1;
 use vcal_core::{Bounds, Clause, Env};
 use vcal_decomp::Decomp1;
+use vcal_machine::perfmodel::price_report;
 use vcal_machine::{
-    replay_check, run_distributed_traced, CollectingTracer, DistArray, DistOptions, PerfModel,
-    Tracer, NULL_TRACER,
+    replay_check, run_distributed_traced, CollectingTracer, DistArray, DistOptions, Tracer,
+    NULL_TRACER,
 };
-use vcal_spmd::{DecompMap, SpmdPlan};
+use vcal_spmd::{CostModel, DecompMap, SpmdPlan};
 
 const N: i64 = 1024;
 const PMAX: i64 = 8;
@@ -88,7 +89,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let report = run_distributed_traced(&plan, &clause, &mut arrays, opts, &tracer).unwrap();
     let log = tracer.finish();
     let summary = replay_check(&log, &plan, opts.retry).expect("replay must validate");
-    let predicted = PerfModel::default().price_report(&report);
+    let predicted = price_report(&CostModel::ERA, &report);
     println!(
         "replay OK: {} det events, {} elems; perfmodel {:.1} units (bottleneck node {})",
         summary.det_events, summary.send_elems, predicted.total, predicted.bottleneck

@@ -60,7 +60,7 @@ use vcal_decomp::{Decomp1, Distribution};
 use vcal_spmd::{OptKind, ProgramStep};
 
 /// Version stamped into the handshake; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u32 = 5;
+pub(crate) const WIRE_VERSION: u32 = 6;
 
 /// A typed decode (or non-serializable-encode) failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -682,7 +682,7 @@ codec_table! {
         }
         ServiceStats {
             queue_wait_ns, sessions_served, plan_hits, plan_misses, dag_hits, dag_misses,
-            tune_hits, tune_misses, evictions,
+            evictions,
         }
         RespOk { globals as Images, service }
         RespMsg { req_id, res }

@@ -359,8 +359,6 @@ fn g_resp_ok() -> RespMsg {
                 plan_misses: 1,
                 dag_hits: 1,
                 dag_misses: 0,
-                tune_hits: 4,
-                tune_misses: 12,
                 evictions: 1,
             },
         }),

@@ -74,11 +74,8 @@ use vcal_core::{ArrayRef, Clause, CmpOp, Guard, Ix};
 use vcal_decomp::{Decomp1, DecompNd};
 use vcal_spmd::{
     kernel::CHUNK, simd, AccessPattern, CompiledKernel, CompiledNode, CompiledSchedule, ExecRun,
-    FusedShape, KernelOp, SlotAccess, SpmdPlan,
+    FusedShape, KernelOp, SlotAccess, SpmdPlan, PACK_HEADER_BYTES,
 };
-
-/// Modeled header cost of one packet (source + packet tag).
-pub(crate) const PACK_HEADER_BYTES: u64 = 16;
 
 /// The machine-level payload of a wire packet: all values of one
 /// planned packet, in run order. `run_ord` (the wire name) is the

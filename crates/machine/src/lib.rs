@@ -41,7 +41,6 @@ pub mod session;
 pub mod shared;
 pub mod shared_nd;
 pub mod stats;
-pub mod topology;
 pub mod transport;
 
 pub use darray::DistArray;
@@ -58,7 +57,7 @@ pub use obs::{
     replay_check, replay_check_dag, trace_plan, CollectingTracer, Event, EventKind, NullTracer,
     Phase, PhaseTiming, ReplayError, ReplaySummary, TraceLog, Tracer, HOST, NULL_TRACER,
 };
-pub use perfmodel::{CalibratedModel, CalibrationSample, PerfModel, PlanPrice, SimTime};
+pub use perfmodel::CalibrationSample;
 pub use proc::worker_entry;
 pub use reduce::{run_reduce_distributed, run_reduce_shared};
 pub use sequential::run_sequential;
@@ -67,6 +66,5 @@ pub use session::{DistSession, ProgramReport, ScheduleMode, TuneOptions, TuneRep
 pub use shared::run_shared;
 pub use shared_nd::run_shared_nd;
 pub use stats::{ExecReport, NodeStats, ServiceStats};
-pub use topology::{price_traffic, Topology, TrafficCost};
 pub use transport::{CrashFault, FaultPlan, ProtoTimeouts, RetryPolicy, TransportKind};
 pub use vcal_spmd::{build_dag, CacheBudget, ProgramDag, ProgramStep, SimdCensus};

@@ -20,7 +20,7 @@
 //!   log body** — that is byte-identical across runs of the same plan
 //!   and fault seed;
 //! * wall-clock *phase timings* recorded separately
-//!   ([`Tracer::timing`], [`PhaseTiming`]) so `perfmodel` predictions
+//!   ([`Tracer::timing`], [`PhaseTiming`]) so cost-model predictions
 //!   can be compared against measured phase costs without polluting
 //!   the deterministic log;
 //! * a replay checker ([`replay_check`]) that re-validates an
@@ -32,13 +32,12 @@
 //!
 //! See DESIGN.md §11 for the span taxonomy and the checker rules.
 
-use crate::distributed::PACK_HEADER_BYTES;
 use crate::transport::RetryPolicy;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
-use vcal_spmd::SpmdPlan;
+use vcal_spmd::{SpmdPlan, PACK_HEADER_BYTES};
 
 /// Pseudo-node id used for host-side (planning, commit) events.
 pub const HOST: i64 = -1;

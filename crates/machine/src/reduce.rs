@@ -82,7 +82,7 @@ pub fn run_reduce_shared(
 /// All arrays referenced by `expr` must share the same decomposition and
 /// be accessed through identity maps (the dot-product shape); each node
 /// folds its local elements, then the partials combine along a binary
-/// tree whose messages are counted (and priced by topology if desired).
+/// tree whose messages are counted.
 pub fn run_reduce_distributed(
     op: ReduceOp,
     expr: &Expr,

@@ -1,7 +1,7 @@
 //! `vcalc serve` — a resident multi-session service (DESIGN.md §18).
 //!
 //! One long-running process owns a single persistent execution pool and
-//! one shared, bounded cache hierarchy (plan / DAG / tune tiers, see
+//! one shared, bounded cache hierarchy (plan and DAG tiers, see
 //! [`crate::session`]); any number of concurrent client sessions
 //! multiplex onto them over the PR 7 framed stream protocol
 //! ([`TransportKind::Uds`] or [`TransportKind::Tcp`]). Requests carry a
@@ -41,8 +41,9 @@ use crate::net::{
     dial, lock, write_frame, FrameBuf, NetFail, NetListener, Sock, K_HEARTBEAT, K_SHELLO,
     K_SHELLO_OK, K_SHELLO_REJECT, K_SREQ, K_SRESP,
 };
-use crate::session::{DistSession, PoolState, ProgramReport, ScheduleMode, SessionCaches};
-use crate::session::{TuneOptions, TuneReport};
+use crate::session::{
+    DistSession, PoolState, ProgramReport, ScheduleMode, SessionCaches, TuneOptions,
+};
 use crate::stats::ServiceStats;
 use crate::transport::{ProtoTimeouts, TransportKind};
 use std::collections::BTreeMap;
@@ -393,8 +394,8 @@ fn serve_one(shared: &Arc<Shared>, ns: u64, req_id: u64, req: &ServeRequest) -> 
         let _slot = Slot(&shared.admission);
         run_request(shared, ns, req)
     };
-    let res = res.map(|(globals, reports, tune)| {
-        let mut service = service_stats(&reports, tune.as_ref());
+    let res = res.map(|(globals, reports)| {
+        let mut service = service_stats(&reports);
         service.queue_wait_ns = queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64;
         service.sessions_served = shared.served.fetch_add(1, AtomicOrd::Relaxed) + 1;
         RespOk { globals, service }
@@ -402,11 +403,7 @@ fn serve_one(shared: &Arc<Shared>, ns: u64, req_id: u64, req: &ServeRequest) -> 
     RespMsg { req_id, res }
 }
 
-type RunOutcome = (
-    BTreeMap<String, Vec<f64>>,
-    Vec<ProgramReport>,
-    Option<TuneReport>,
-);
+type RunOutcome = (BTreeMap<String, Vec<f64>>, Vec<ProgramReport>);
 
 /// Execute a request's program on a session over the shared (or, in
 /// cold mode, a private) cache/pool pair.
@@ -433,14 +430,13 @@ fn run_request(
         )
     };
     let mut reports = Vec::new();
-    let mut tune = None;
     if req.autotune {
         let topts = TuneOptions {
             budget: req.tune.budget.max(1),
             profile_steps: req.tune.profile_steps.max(1),
             ..req.tune
         };
-        let (report, tr) = session.run_program_tuned(
+        let (report, _) = session.run_program_tuned(
             &req.steps,
             req.n_steps,
             req.schedule,
@@ -448,7 +444,6 @@ fn run_request(
             &crate::obs::NULL_TRACER,
         )?;
         reports.push(report);
-        tune = Some(tr);
     } else {
         for _ in 0..req.n_steps {
             reports.push(session.run_program(
@@ -458,13 +453,13 @@ fn run_request(
             )?);
         }
     }
-    Ok((session.gather_images(), reports, tune))
+    Ok((session.gather_images(), reports))
 }
 
 /// Derive per-request service counters from the program reports — no
 /// shared mutable counters, so concurrent requests can never bleed
 /// statistics into each other.
-fn service_stats(reports: &[ProgramReport], tune: Option<&TuneReport>) -> ServiceStats {
+fn service_stats(reports: &[ProgramReport]) -> ServiceStats {
     let mut s = ServiceStats::default();
     for r in reports {
         for er in &r.steps {
@@ -474,12 +469,6 @@ fn service_stats(reports: &[ProgramReport], tune: Option<&TuneReport>) -> Servic
         s.dag_hits += r.dag_cache_hits;
         s.dag_misses += r.dag_cache_misses;
         s.evictions += r.evictions;
-    }
-    if let Some(t) = tune {
-        s.tune_hits = t.tune_cache_hits;
-        // every priced candidate is one tune-tier lookup per clause;
-        // the tune report already aggregates over retune rounds
-        s.tune_misses = t.candidates_priced.saturating_sub(t.tune_cache_hits);
     }
     s
 }

@@ -101,8 +101,7 @@ pub struct ExecReport {
     /// Barriers executed (shared-memory machine).
     pub barriers: u64,
     /// Traffic matrix `traffic[src][dst]` = elements sent per ordered
-    /// pair (distributed machine only; empty otherwise). Price it with
-    /// [`crate::topology::price_traffic`].
+    /// pair (distributed machine only; empty otherwise).
     pub traffic: Vec<Vec<u64>>,
     /// Runs served by the session plan cache (warm path). Zero for
     /// direct machine calls, which do not consult a cache.
@@ -187,10 +186,6 @@ pub struct ServiceStats {
     pub dag_hits: u64,
     /// Shared DAG-cache misses while serving this request.
     pub dag_misses: u64,
-    /// Shared tune-cache hits while serving this request.
-    pub tune_hits: u64,
-    /// Shared tune-cache misses while serving this request.
-    pub tune_misses: u64,
     /// Budget-pressure evictions across all shared tiers during this
     /// request.
     pub evictions: u64,

@@ -1,10 +1,10 @@
-//! Bounded LRU caches for plans, DAGs, and candidate prices.
+//! Bounded LRU caches for plans and DAGs.
 //!
-//! Every reuse tier the sessions and the serve loop maintain — prepared
-//! plans, program dependence DAGs, tuner candidate prices — shares one
-//! storage discipline: a small associative cache bounded by **both** an
-//! entry budget and a byte budget, evicting least-recently-used entries
-//! when either is exceeded. Capacity is deliberately modest (planning
+//! Both reuse tiers the sessions and the serve loop maintain — prepared
+//! plans and program dependence DAGs — share one storage discipline: a
+//! small associative cache bounded by **both** an entry budget and a
+//! byte budget, evicting least-recently-used entries when either is
+//! exceeded. Capacity is deliberately modest (planning
 //! is expensive but plans are few), so lookup is a linear scan over a
 //! `Vec` — no hashing, no allocation on the hot path, deterministic
 //! iteration order.

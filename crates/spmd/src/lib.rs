@@ -14,6 +14,8 @@
 //! * [`comm`] — plan-time communication schedules: per-ordered-pair
 //!   send/receive sets (`Reside_p ∩ Modify_q`) coalesced into strided
 //!   runs, enabling vectorized message aggregation in the machines;
+//! * [`cost`] — the one cost model: a plan's census priced per unit
+//!   (§4), which every layout decision uses;
 //! * [`nest`] — the one pattern algebra every strided table is built
 //!   on: a base plus up to three `(count, stride)` levels;
 //! * [`emit`] — pseudo-code rendering of the Section 2.9 / 2.10 templates
@@ -28,6 +30,7 @@ pub mod advisor;
 pub mod cache;
 pub mod comm;
 pub mod compiled;
+pub mod cost;
 pub mod dag;
 pub mod derivation;
 pub mod emit;
@@ -39,11 +42,10 @@ pub mod optimizer;
 pub mod program;
 pub mod schedule;
 pub mod simd;
-pub mod tuner;
 pub mod validate;
 
 pub use advisor::{
-    advise, candidate, candidates_for, describe_assignment, AdvisorOptions, Candidate,
+    advise, candidate, candidates_for, describe_assignment, program_arrays, Candidate,
 };
 pub use cache::{BoundedLru, CacheBudget};
 pub use comm::{packetise, plan_comm, CommRun, NodeCommPlan, PairComm, PACKET_ELEMS};
@@ -52,6 +54,7 @@ pub use compiled::{
     AccessPattern, CompiledNode, CompiledSchedule, ExecRun, OverlapCensus, SendPair, SendSeg,
     SlotAccess,
 };
+pub use cost::{CostModel, NodeCensus, Price, PACK_HEADER_BYTES};
 pub use dag::{build_dag, program_signature, DepEdge, DepKind, ProgramDag, ProgramStep};
 pub use derivation::derive;
 pub use kernel::{CompiledKernel, FusedShape, KernelOp};
@@ -62,4 +65,3 @@ pub use optimizer::{naive_schedule, optimize, optimize_with, OptKind, OptOptions
 pub use program::{CommStats, DecompMap, NodePlan, PlanError, ResidePlan, SpmdPlan};
 pub use schedule::{repeated_block_kmax, Schedule};
 pub use simd::{SimdCensus, SimdPolicy};
-pub use tuner::{enumerate_candidates, program_arrays, TuneSpace, TuneSpaceOptions};

@@ -4,8 +4,7 @@
 //!
 //! Each node folds its local elements (owner-computes), then the partials
 //! combine along a binary tree — `pmax - 1` messages in `ceil(log2 pmax)`
-//! rounds, the natural pattern of the paper's hypercube-era targets. The
-//! recorded traffic is priced under several interconnect topologies.
+//! rounds, the natural pattern of the paper's hypercube-era targets.
 //!
 //! Run with: `cargo run --example dot_product`
 
@@ -14,9 +13,7 @@ use vcal_suite::core::clause::{ReduceOp, Reduction};
 use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Env, Expr, IndexSet};
 use vcal_suite::decomp::Decomp1;
-use vcal_suite::machine::{
-    price_traffic, run_reduce_distributed, run_reduce_shared, DistArray, Topology,
-};
+use vcal_suite::machine::{run_reduce_distributed, run_reduce_shared, DistArray};
 
 fn main() {
     let n: i64 = 1 << 14;
@@ -74,22 +71,6 @@ fn main() {
         (v - reference).abs() / reference,
         report.total().msgs_sent
     );
-
-    println!("\ncombining-tree traffic priced by topology (pmax = {pmax}):");
-    for (name, topo) in [
-        ("crossbar", Topology::Crossbar),
-        ("ring", Topology::Ring),
-        ("mesh 2x4", Topology::Mesh2D { rows: 2, cols: 4 }),
-        ("hypercube", Topology::Hypercube),
-    ] {
-        let cost = price_traffic(topo, &report.traffic);
-        println!(
-            "  {name:<10} {} messages, {} total hops (diameter {})",
-            cost.messages,
-            cost.total_hops,
-            topo.diameter(pmax)
-        );
-    }
 
     // convergence-tested iteration: max-residual reduction drives the loop
     println!("\nconvergence-driven sweep (max-residual reduction as loop test):");

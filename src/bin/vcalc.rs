@@ -19,7 +19,7 @@
 //!
 //! `--trace` executes each clause under a collecting tracer: the
 //! enumeration-dispatch counts, per-phase wall-clock timings (next to
-//! the `perfmodel` prediction), and the replay-checker verdict are
+//! the cost model's prediction), and the replay-checker verdict are
 //! printed, and `--trace-out` writes the deterministic JSONL event log.
 //!
 //! `--steps <N>` executes the whole program as an `N`-iteration timestep
@@ -45,13 +45,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 use vcal_suite::core::{Array, Env};
 use vcal_suite::lang;
+use vcal_suite::machine::perfmodel::price_report;
 use vcal_suite::machine::{
     build_dag, replay_check, replay_check_dag, run_distributed, run_distributed_traced,
-    worker_entry, CollectingTracer, DistArray, DistOptions, DistSession, PerfModel, ProgramStep,
-    ScheduleMode, ServeClient, ServeConfig, ServeHandle, ServeRequest, TransportKind, TuneOptions,
-    NULL_TRACER,
+    worker_entry, CollectingTracer, DistArray, DistOptions, DistSession, ProgramStep, ScheduleMode,
+    ServeClient, ServeConfig, ServeHandle, ServeRequest, TransportKind, TuneOptions, NULL_TRACER,
 };
-use vcal_suite::spmd::{emit, NodeCommPlan, PlanSummary, SpmdPlan};
+use vcal_suite::spmd::{emit, CostModel, NodeCommPlan, PlanSummary, SpmdPlan};
 
 struct Options {
     program_path: String,
@@ -110,7 +110,7 @@ fn usage() -> &'static str {
                  [--cache-entries <N>] [--cache-bytes <N>] [--cold]\n\
      starts the resident multi-session service (DESIGN.md §18): prints the\n\
      dial address, then serves concurrent client sessions off one shared\n\
-     plan/DAG/tune cache hierarchy and one persistent worker pool.\n\
+     plan/DAG cache hierarchy and one persistent worker pool.\n\
      \n\
      vcalc request <program> <spec> --connect <addr> [--tenant <name>]\n\
                  [--steps <N>] [--schedule seq|dag] [--autotune]\n\
@@ -573,15 +573,13 @@ fn run_request_cmd(opts: &RequestOptions) -> Result<(), String> {
     );
     println!(
         "request: service counters: queue wait {} ns, session #{}, plan cache {}/{} \
-         hit/miss, dag cache {}/{}, tune cache {}/{}, {} eviction(s)",
+         hit/miss, dag cache {}/{}, {} eviction(s)",
         s.queue_wait_ns,
         s.sessions_served,
         s.plan_hits,
         s.plan_misses,
         s.dag_hits,
         s.dag_misses,
-        s.tune_hits,
-        s.tune_misses,
         s.evictions
     );
     Ok(())
@@ -607,12 +605,7 @@ fn drive(opts: &Options) -> Result<(), String> {
         for (name, dec) in &spec.decomps {
             extents.insert(name.clone(), dec.extent());
         }
-        let ranked = vcal_suite::spmd::advise(
-            &clauses,
-            &extents,
-            spec.pmax,
-            vcal_suite::spmd::AdvisorOptions::default(),
-        )?;
+        let ranked = vcal_suite::spmd::advise(&clauses, &extents, spec.pmax)?;
         println!("decomposition advisor (best first):");
         for c in ranked.iter().take(5) {
             println!("  {}", vcal_suite::spmd::advisor::describe(c));
@@ -719,10 +712,9 @@ fn run_autotune(
         .map_err(|e| e.to_string())?;
 
     println!(
-        "autotune: priced {} candidate(s) over {} round(s) ({} tune-cache hits), model {}",
+        "autotune: priced {} candidate(s) over {} round(s), model {}",
         tune.candidates_priced,
         tune.rounds,
-        tune.tune_cache_hits,
         if tune.calibrated {
             "calibrated from measured timings"
         } else {
@@ -1050,7 +1042,7 @@ fn run_and_verify(
 
 /// Print the trace digest: dispatch counts, the interior/boundary run
 /// census of the compiled kernel path, replay verdict, measured
-/// per-phase timings next to the analytical `perfmodel` prediction.
+/// per-phase timings next to the cost model's prediction.
 fn report_trace(
     tracer: &CollectingTracer,
     plan: &SpmdPlan,
@@ -1120,8 +1112,7 @@ fn report_trace(
         ran.vector_runs,
         ran.fallback_runs
     );
-    let model = PerfModel::default();
-    let predicted = model.price_report(report);
+    let predicted = price_report(&CostModel::ERA, report);
     println!(
         "trace: perfmodel predicts {:.1} time units (bottleneck node {})",
         predicted.total, predicted.bottleneck

@@ -1,6 +1,6 @@
 //! Invariants of the calibrated §4 performance model (DESIGN.md §17).
 //!
-//! The tuner trusts [`CalibratedModel::price_plan`] to rank candidate
+//! The tuner trusts [`CostModel::price_plan`] to rank candidate
 //! decompositions without executing them, so the model must be
 //! *monotone* in the things that cost money — more messages, more
 //! bytes, more iterations never get cheaper — and its calibrated
@@ -11,12 +11,12 @@
 use vcal_suite::core::func::Fn1;
 use vcal_suite::core::{Array, ArrayRef, Bounds, Clause, Env, Expr, Guard, IndexSet, Ordering};
 use vcal_suite::decomp::Decomp1;
+use vcal_suite::machine::perfmodel;
 use vcal_suite::machine::session::copy_clause;
 use vcal_suite::machine::{
-    CalibratedModel, CalibrationSample, CollectingTracer, DistSession, ScheduleMode, TuneOptions,
-    NULL_TRACER,
+    CalibrationSample, CollectingTracer, DistSession, ScheduleMode, TuneOptions, NULL_TRACER,
 };
-use vcal_suite::spmd::{DecompMap, ProgramStep, SpmdPlan};
+use vcal_suite::spmd::{CostModel, DecompMap, ProgramStep, SpmdPlan};
 
 const PMAX: i64 = 4;
 
@@ -48,15 +48,15 @@ fn plan_for(n: i64, dec: fn(i64, Bounds) -> Decomp1) -> SpmdPlan {
 /// stencil only the boundaries.
 #[test]
 fn price_is_monotone_in_message_count() {
-    let model = CalibratedModel::default();
+    let model = CostModel::ERA;
     for n in [64i64, 256, 1024] {
         let block = model.price_plan(&plan_for(n, Decomp1::block));
         let scatter = model.price_plan(&plan_for(n, Decomp1::scatter));
         assert!(
-            block.total_ns < scatter.total_ns,
+            block.total < scatter.total,
             "n={n}: block {} must undercut scatter {}",
-            block.total_ns,
-            scatter.total_ns
+            block.total,
+            scatter.total
         );
     }
 }
@@ -65,18 +65,18 @@ fn price_is_monotone_in_message_count() {
 /// aggregate must dominate the critical path.
 #[test]
 fn price_is_monotone_in_element_count() {
-    let model = CalibratedModel::default();
+    let model = CostModel::ERA;
     let mut last = 0.0f64;
     for n in [64i64, 256, 1024, 4096] {
         let p = model.price_plan(&plan_for(n, Decomp1::block));
         assert!(
-            p.total_ns > last,
+            p.total > last,
             "n={n}: price {} did not grow past {last}",
-            p.total_ns
+            p.total
         );
-        assert!(p.aggregate_ns >= p.total_ns);
+        assert!(p.aggregate >= p.total);
         assert!((0..PMAX).contains(&p.bottleneck));
-        last = p.total_ns;
+        last = p.total;
     }
 }
 
@@ -84,13 +84,13 @@ fn price_is_monotone_in_element_count() {
 /// a switch — grows with the volume moved.
 #[test]
 fn redist_price_is_monotone_in_moved_elements() {
-    let model = CalibratedModel::default();
+    let model = CostModel::ERA;
     let mut last = 0.0f64;
     for n in [64i64, 256, 1024] {
         let ext = Bounds::range(0, n - 1);
         let (from, to) = (Decomp1::block(PMAX, ext), Decomp1::scatter(PMAX, ext));
         let (_, _, plan) = copy_clause("U", &from, &to).unwrap();
-        let price = model.price_plan(&plan).aggregate_ns;
+        let price = model.price_plan(&plan).aggregate;
         assert!(
             price > last,
             "n={n}: redistribution price {price} did not grow past {last}"
@@ -104,23 +104,23 @@ fn redist_price_is_monotone_in_moved_elements() {
 /// candidates still rank sensibly against compute-only ones.
 #[test]
 fn comm_free_fit_preserves_default_ratios() {
-    let default = CalibratedModel::default();
+    let default = CostModel::ERA;
     let sample = CalibrationSample {
         iterations: 1000,
         update_ns: 250_000.0,
         ..CalibrationSample::default()
     };
-    let fit = CalibratedModel::fit(&[sample]).expect("update time is enough to calibrate");
-    assert_eq!(fit.iter_ns, 250.0);
-    let ratio = fit.packet_ns / fit.iter_ns;
-    let default_ratio = default.packet_ns / default.iter_ns;
+    let fit = perfmodel::fit(&[sample]).expect("update time is enough to calibrate");
+    assert_eq!(fit.t_iter, 250.0);
+    let ratio = fit.t_packet / fit.t_iter;
+    let default_ratio = default.t_packet / default.t_iter;
     assert!(
         (ratio - default_ratio).abs() < 1e-9,
         "startup/iteration ratio drifted: {ratio} vs {default_ratio}"
     );
     // nothing measured at all → nothing to calibrate
-    assert!(CalibratedModel::fit(&[CalibrationSample::default()]).is_none());
-    assert!(CalibratedModel::fit(&[]).is_none());
+    assert!(perfmodel::fit(&[CalibrationSample::default()]).is_none());
+    assert!(perfmodel::fit(&[]).is_none());
 }
 
 /// End to end: profile a warm step, fit the model, and check the
@@ -151,14 +151,14 @@ fn calibrated_prediction_tracks_measurement() {
     let t0 = std::time::Instant::now();
     let report = session.run_traced(&clause, &tracer).unwrap();
     let measured_ns = t0.elapsed().as_nanos() as f64;
-    let sample = CalibrationSample::of(&report, &tracer.finish());
+    let sample = CalibrationSample::of([&report], &tracer.finish());
     assert!(sample.iterations > 0, "profile saw no iterations");
     assert!(sample.update_ns > 0.0, "profile saw no update time");
-    let model = CalibratedModel::fit(&[sample]).expect("warm profile must calibrate");
-    assert!(model.iter_ns > 0.0);
+    let model = perfmodel::fit(&[sample]).expect("warm profile must calibrate");
+    assert!(model.t_iter > 0.0);
 
     let plan = SpmdPlan::build(&clause, &dm).unwrap();
-    let predicted_ns = model.price_plan(&plan).total_ns;
+    let predicted_ns = model.price_plan(&plan).total;
     assert!(
         predicted_ns > measured_ns / 50.0 && predicted_ns < measured_ns * 50.0,
         "calibrated prediction {predicted_ns} ns is not within 50x of \

@@ -168,29 +168,6 @@ proptest! {
     }
 
     #[test]
-    fn topology_hops_are_metric(
-        pmax in prop::sample::select(vec![2i64, 4, 8, 16]),
-        s in 0i64..16, d in 0i64..16, e in 0i64..16,
-    ) {
-        use vcal_suite::machine::Topology;
-        let (s, d, e) = (s % pmax, d % pmax, e % pmax);
-        for topo in [
-            Topology::Crossbar,
-            Topology::Ring,
-            Topology::Hypercube,
-            Topology::Mesh2D { rows: 2, cols: pmax / 2 },
-        ] {
-            let h = |a, b| topo.hops(pmax, a, b);
-            prop_assert_eq!(h(s, s), 0);
-            prop_assert_eq!(h(s, d), h(d, s), "symmetry {:?}", topo);
-            prop_assert!(h(s, e) <= h(s, d) + h(d, e), "triangle {:?}", topo);
-            if s != d {
-                prop_assert!(h(s, d) >= 1);
-            }
-        }
-    }
-
-    #[test]
     fn preimage_range_is_exact(
         f in arb_fn1(),
         y_lo in -60i64..60,
