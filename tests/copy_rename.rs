@@ -460,8 +460,46 @@ fn random_step(rng: &mut Rng) -> ProgramStep {
     ProgramStep::Clause(clause(&text))
 }
 
+/// Drive `steps` one at a time: clauses through `run` (every third
+/// clause through `run_plan` when `planned`), redistributions through
+/// `redistribute`, every array compared after every step. Returns each
+/// step's report.
+fn walk(
+    s: &mut DistSession,
+    reference: &mut Env,
+    steps: &[ProgramStep],
+    planned: bool,
+    what: &str,
+) -> Vec<ExecReport> {
+    let mut clauses = 0;
+    (steps.iter().enumerate())
+        .map(|(k, st)| {
+            let report = match st {
+                ProgramStep::Clause(c) => {
+                    clauses += 1;
+                    let report = if planned && clauses % 3 == 0 {
+                        let plan = s.plan(c).unwrap();
+                        s.run_plan(&plan, c).unwrap()
+                    } else {
+                        s.run(c).unwrap()
+                    };
+                    reference.exec_clause(c);
+                    report
+                }
+                ProgramStep::Redistribute { array, to } => {
+                    s.redistribute(array, to.clone()).unwrap()
+                }
+            };
+            assert_state(s, reference, &format!("{what} step {k}"));
+            report
+        })
+        .collect()
+}
+
 /// Seeded copy-heavy programs under `Seq` and `Dag`, every array
-/// compared (gathered mid-debt) after every run of the program.
+/// compared (gathered mid-debt) after every run of the program; the same
+/// steps driven one at a time, compared after every step, rename and
+/// settle exactly where the `Seq` program does.
 #[test]
 fn random_copy_heavy_programs_match_the_reference() {
     let mut rng = Rng(0x48_c0de);
@@ -473,11 +511,15 @@ fn random_copy_heavy_programs_match_the_reference() {
             .collect();
         let dm = decomps(&layouts);
         let steps: Vec<ProgramStep> = (0..8).map(|_| random_step(&mut rng)).collect();
+        let mut seq_reports = Vec::new();
         for mode in [ScheduleMode::Seq, ScheduleMode::Dag] {
             let (mut s, mut reference) = (session(&dm), env0());
             for round in 0..2 {
                 let report = s.run_program(&steps, mode, &NULL_TRACER).unwrap();
                 renamed += report.steps.iter().filter(|r| r.renamed).count();
+                if mode == ScheduleMode::Seq {
+                    seq_reports.push(report.steps);
+                }
                 for st in &steps {
                     if let ProgramStep::Clause(c) = st {
                         reference.exec_clause(c);
@@ -488,6 +530,19 @@ fn random_copy_heavy_programs_match_the_reference() {
                     &reference,
                     &format!("case {case} {mode:?} round {round}"),
                 );
+            }
+        }
+        let fate = |r: &ExecReport| (r.renamed, r.settled);
+        for planned in [false, true] {
+            let (mut s, mut reference) = (session(&dm), env0());
+            for (round, seq) in seq_reports.iter().enumerate() {
+                let what = format!("case {case} walk (planned {planned}) round {round}");
+                let reports = walk(&mut s, &mut reference, &steps, planned, &what);
+                if !planned {
+                    let got: Vec<_> = reports.iter().map(fate).collect();
+                    let want: Vec<_> = seq.iter().map(fate).collect();
+                    assert_eq!(got, want, "{what}: renamed, settled per step");
+                }
             }
         }
     }
