@@ -41,6 +41,7 @@
 //! Example files are under `examples/vcalc/`.
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 use vcal_suite::core::{Array, Env};
@@ -261,6 +262,35 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
+/// Why a command ended before its last report line: a failure, told on
+/// stderr, or a closed stdout — its reader stopped reading (`vcalc ... |
+/// head -1`), which ends the command quietly.
+enum Stop {
+    Fail(String),
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Fail(msg)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Stop {
+        Stop::Fail(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for Stop {
+    fn from(e: std::io::Error) -> Stop {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Fail(format!("cannot write the report: {e}")),
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // internal: `vcalc worker <addr> <node> <pmax> [hb_ms]` is the entry
@@ -276,35 +306,28 @@ fn main() -> ExitCode {
             }
         };
     }
-    if args.first().map(String::as_str) == Some("serve") {
-        return match serve_args(&args[1..]).and_then(run_serve) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("vcalc serve: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("request") {
-        return match request_args(&args[1..]).and_then(|o| run_request_cmd(&o)) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("vcalc request: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+    // every report goes through this one lock
+    let out = &mut std::io::stdout().lock();
+    let (prefix, ran) = match args.first().map(String::as_str) {
+        Some("serve") => (
+            "vcalc serve: ",
+            serve_args(&args[1..])
+                .map_err(Stop::from)
+                .and_then(|cfg| run_serve(cfg, out)),
+        ),
+        Some("request") => (
+            "vcalc request: ",
+            (request_args(&args[1..]).map_err(Stop::from)).and_then(|o| run_request_cmd(&o, out)),
+        ),
+        _ => match parse_args(&args) {
+            Ok(opts) => ("vcalc: ", drive(&opts, out)),
+            Err(msg) => ("", Err(Stop::Fail(msg))),
+        },
     };
-    match drive(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("vcalc: {msg}");
+    match ran {
+        Ok(()) | Err(Stop::Closed) => ExitCode::SUCCESS,
+        Err(Stop::Fail(msg)) => {
+            eprintln!("{prefix}{msg}");
             ExitCode::FAILURE
         }
     }
@@ -389,10 +412,11 @@ fn parse_pos(v: Option<&String>, flag: &str) -> Result<usize, String> {
 
 /// Start the resident service and block until killed. The address line
 /// is printed (and flushed) first so supervisors can scrape it.
-fn run_serve(cfg: ServeConfig) -> Result<(), String> {
+fn run_serve(cfg: ServeConfig, out: &mut dyn Write) -> Result<(), Stop> {
     let handle = ServeHandle::start(cfg).map_err(|e| e.to_string())?;
-    println!("serve: listening on {}", handle.addr());
-    println!(
+    writeln!(out, "serve: listening on {}", handle.addr())?;
+    writeln!(
+        out,
         "serve: concurrency {}, queue {}, deadline {:?}, cache budget {} entries / {} bytes{}",
         cfg.concurrency,
         cfg.queue_depth,
@@ -404,9 +428,8 @@ fn run_serve(cfg: ServeConfig) -> Result<(), String> {
         } else {
             ""
         }
-    );
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    )?;
+    out.flush()?;
     // resident: the accept loop runs on background threads; park until
     // the process is killed
     loop {
@@ -488,7 +511,7 @@ fn request_args(rest: &[String]) -> Result<RequestOptions, String> {
 /// Compile a program locally, submit it to a running service, verify
 /// the response bit-exactly against the local sequential reference, and
 /// print the service-side counters.
-fn run_request_cmd(opts: &RequestOptions) -> Result<(), String> {
+fn run_request_cmd(opts: &RequestOptions, out: &mut dyn Write) -> Result<(), Stop> {
     let program_src = std::fs::read_to_string(&opts.program_path)
         .map_err(|e| format!("cannot read {}: {e}", opts.program_path))?;
     let spec_src = std::fs::read_to_string(&opts.spec_path)
@@ -559,19 +582,22 @@ fn run_request_cmd(opts: &RequestOptions) -> Result<(), String> {
                 return Err(format!(
                     "VERIFICATION FAILED on `{name}`[{}]: service {v} != reference {w}",
                     lo + k as i64
-                ));
+                )
+                .into());
             }
         }
     }
     let s = resp.service;
-    println!(
+    writeln!(
+        out,
         "request: OK — {} step(s) x {} clause(s) as tenant `{}`; result identical \
          to the sequential reference",
         opts.steps,
         clauses.len(),
         opts.tenant
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "request: service counters: queue wait {} ns, session #{}, plan cache {}/{} \
          hit/miss, dag cache {}/{}, {} eviction(s)",
         s.queue_wait_ns,
@@ -581,11 +607,11 @@ fn run_request_cmd(opts: &RequestOptions) -> Result<(), String> {
         s.dag_hits,
         s.dag_misses,
         s.evictions
-    );
+    )?;
     Ok(())
 }
 
-fn drive(opts: &Options) -> Result<(), String> {
+fn drive(opts: &Options, out: &mut dyn Write) -> Result<(), Stop> {
     let program_src = std::fs::read_to_string(&opts.program_path)
         .map_err(|e| format!("cannot read {}: {e}", opts.program_path))?;
     let spec_src = std::fs::read_to_string(&opts.spec_path)
@@ -594,11 +620,12 @@ fn drive(opts: &Options) -> Result<(), String> {
     let clauses = lang::compile(&program_src).map_err(|e| e.to_string())?;
     let spec = lang::parse_spec(&spec_src).map_err(|e| e.to_string())?;
 
-    println!(
+    writeln!(
+        out,
         "compiled {} clause(s) for {} processors\n",
         clauses.len(),
         spec.pmax
-    );
+    )?;
 
     if opts.advise {
         let mut extents = BTreeMap::new();
@@ -606,15 +633,15 @@ fn drive(opts: &Options) -> Result<(), String> {
             extents.insert(name.clone(), dec.extent());
         }
         let ranked = vcal_suite::spmd::advise(&clauses, &extents, spec.pmax)?;
-        println!("decomposition advisor (best first):");
+        writeln!(out, "decomposition advisor (best first):")?;
         for c in ranked.iter().take(5) {
-            println!("  {}", vcal_suite::spmd::advisor::describe(c));
+            writeln!(out, "  {}", vcal_suite::spmd::advisor::describe(c))?;
         }
-        println!();
+        writeln!(out)?;
     }
 
     for (n, clause) in clauses.iter().enumerate() {
-        println!("--- clause {n} ---");
+        writeln!(out, "--- clause {n} ---")?;
         let plan = if opts.naive {
             SpmdPlan::build_naive(clause, &spec.decomps)
         } else {
@@ -624,34 +651,35 @@ fn drive(opts: &Options) -> Result<(), String> {
 
         for e in &opts.emits {
             match e.as_str() {
-                "vcal" => println!("{}\n", lang::to_vcal(clause)),
-                "plan" => println!("{}", emit::plan_report(&plan)),
-                "shared" => println!("{}", emit::emit_shared_node(&plan, opts.node)),
-                "dist" => println!("{}", emit::emit_distributed_node(&plan, opts.node)),
-                "dist-closed" => {
-                    println!("{}", emit::emit_distributed_node_closed(&plan, opts.node))
-                }
-                "derivation" => {
-                    println!(
-                        "{}",
-                        vcal_suite::spmd::derive(clause, &spec.decomps)
-                            .map_err(|e| format!("clause {n}: {e}"))?
-                    )
-                }
-                other => return Err(format!("unknown emit target `{other}`\n{}", usage())),
+                "vcal" => writeln!(out, "{}\n", lang::to_vcal(clause))?,
+                "plan" => writeln!(out, "{}", emit::plan_report(&plan))?,
+                "shared" => writeln!(out, "{}", emit::emit_shared_node(&plan, opts.node))?,
+                "dist" => writeln!(out, "{}", emit::emit_distributed_node(&plan, opts.node))?,
+                "dist-closed" => writeln!(
+                    out,
+                    "{}",
+                    emit::emit_distributed_node_closed(&plan, opts.node)
+                )?,
+                "derivation" => writeln!(
+                    out,
+                    "{}",
+                    vcal_suite::spmd::derive(clause, &spec.decomps)
+                        .map_err(|e| format!("clause {n}: {e}"))?
+                )?,
+                other => return Err(format!("unknown emit target `{other}`\n{}", usage()).into()),
             }
         }
 
         if opts.run && opts.steps == 1 && opts.schedule.is_none() && !opts.autotune {
-            run_and_verify(clause, &plan, &spec.decomps, opts)?;
+            run_and_verify(clause, &plan, &spec.decomps, opts, out)?;
         }
     }
     if opts.autotune {
-        run_autotune(&clauses, &spec.decomps, opts)?;
+        run_autotune(&clauses, &spec.decomps, opts, out)?;
     } else if let Some(mode) = opts.schedule {
-        run_program_schedule(&clauses, &spec.decomps, mode, opts)?;
+        run_program_schedule(&clauses, &spec.decomps, mode, opts, out)?;
     } else if opts.steps > 1 {
-        run_timestep_loop(&clauses, &spec.decomps, opts)?;
+        run_timestep_loop(&clauses, &spec.decomps, opts, out)?;
     }
     Ok(())
 }
@@ -665,16 +693,18 @@ fn run_autotune(
     clauses: &[vcal_suite::core::Clause],
     decomps: &vcal_suite::spmd::DecompMap,
     opts: &Options,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let mode = opts.schedule.unwrap_or_default();
     let mode_name = match mode {
         ScheduleMode::Seq => "seq",
         ScheduleMode::Dag => "dag",
     };
-    println!(
+    writeln!(
+        out,
         "--- autotune: {} step(s), schedule {mode_name}, budget {} ---",
         opts.steps, opts.tune_budget
-    );
+    )?;
     let steps: Vec<ProgramStep> = clauses.iter().cloned().map(ProgramStep::Clause).collect();
     let mut env = Env::new();
     for (name, dec) in decomps.iter() {
@@ -711,7 +741,8 @@ fn run_autotune(
         .run_program_tuned(&steps, opts.steps, mode, topts, &NULL_TRACER)
         .map_err(|e| e.to_string())?;
 
-    println!(
+    writeln!(
+        out,
         "autotune: priced {} candidate(s) over {} round(s), model {}",
         tune.candidates_priced,
         tune.rounds,
@@ -720,18 +751,23 @@ fn run_autotune(
         } else {
             "uncalibrated (era-default ratios)"
         }
-    );
-    println!("autotune: chosen layout: {}", tune.chosen);
+    )?;
+    writeln!(out, "autotune: chosen layout: {}", tune.chosen)?;
     if tune.switched {
-        println!(
+        writeln!(
+            out,
             "autotune: switched layout mid-loop — {} redistribution(s), \
              predicted switch cost {:.0} ns amortized over the remaining steps",
             tune.redistributions_inserted, tune.switch_cost_ns
-        );
+        )?;
     } else {
-        println!("autotune: kept the incumbent layout (no profitable switch)");
+        writeln!(
+            out,
+            "autotune: kept the incumbent layout (no profitable switch)"
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "autotune: predicted step {:.0} ns (baseline {:.0} ns, worst candidate {:.0} ns); \
          measured profile step {:.0} ns, model error {:.0}%",
         tune.predicted_step_ns,
@@ -739,7 +775,7 @@ fn run_autotune(
         tune.worst_step_ns,
         tune.measured_step_ns,
         tune.model_error * 100.0
-    );
+    )?;
 
     let got = session.gather_all();
     for name in decomps.keys() {
@@ -751,15 +787,17 @@ fn run_autotune(
             return Err(format!(
                 "VERIFICATION FAILED on `{name}` after {} steps: max |diff| = {diff}",
                 opts.steps
-            ));
+            )
+            .into());
         }
     }
-    println!(
+    writeln!(
+        out,
         "run: OK — autotuned {} step(s) x {} clause(s); result identical to the \
          iterated sequential reference\n",
         opts.steps,
         report.steps.len()
-    );
+    )?;
     Ok(())
 }
 
@@ -772,15 +810,17 @@ fn run_program_schedule(
     decomps: &vcal_suite::spmd::DecompMap,
     mode: ScheduleMode,
     opts: &Options,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let mode_name = match mode {
         ScheduleMode::Seq => "seq",
         ScheduleMode::Dag => "dag",
     };
-    println!(
+    writeln!(
+        out,
         "--- program schedule: {mode_name}, {} step(s) ---",
         opts.steps
-    );
+    )?;
     let steps: Vec<ProgramStep> = clauses.iter().cloned().map(ProgramStep::Clause).collect();
     let mut env = Env::new();
     for (name, dec) in decomps.iter() {
@@ -822,14 +862,15 @@ fn run_program_schedule(
             let log = tracer.finish();
             let summary = replay_check_dag(&log, &dag)
                 .map_err(|e| format!("step {step}: DAG replay check FAILED: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "trace: step {step} DAG replay OK — {} host scheduling events",
                 summary.det_events
-            );
+            )?;
             if let Some(path) = &opts.trace_out {
                 std::fs::write(path, log.to_jsonl())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("trace: deterministic event log written to {path}");
+                writeln!(out, "trace: deterministic event log written to {path}")?;
             }
         }
         last_report = Some(report);
@@ -845,18 +886,20 @@ fn run_program_schedule(
             return Err(format!(
                 "VERIFICATION FAILED on `{name}` after {} steps: max |diff| = {diff}",
                 opts.steps
-            ));
+            )
+            .into());
         }
     }
     let report = last_report.ok_or("no steps executed")?;
-    println!(
+    writeln!(
+        out,
         "run: OK — schedule {mode_name}: {} clause(s) in {} wave(s), {} dependence edge(s), \
          width {}; result identical to the iterated sequential reference\n",
         report.steps.len(),
         report.waves,
         report.dag_edges,
         report.dag_width
-    );
+    )?;
     Ok(())
 }
 
@@ -867,8 +910,9 @@ fn run_timestep_loop(
     clauses: &[vcal_suite::core::Clause],
     decomps: &vcal_suite::spmd::DecompMap,
     opts: &Options,
-) -> Result<(), String> {
-    println!("--- timestep loop: {} steps ---", opts.steps);
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
+    writeln!(out, "--- timestep loop: {} steps ---", opts.steps)?;
     let mut env = Env::new();
     for (name, dec) in decomps.iter() {
         // deterministic mixed-sign initial data so guards fire both ways
@@ -911,32 +955,35 @@ fn run_timestep_loop(
             settled += report.settled;
             if tracer.is_some() && report.settled > 0 {
                 // the settle's run is counted in the report, not logged
-                println!(
+                writeln!(
+                    out,
                     "trace: step {step} clause {n} first settled {} renamed copy(s); \
                      the log holds the clause's run only",
                     report.settled
-                );
+                )?;
             }
             if tracer.is_some() && report.renamed {
                 // no node ran: there is no node log to replay
-                println!(
+                writeln!(
+                    out,
                     "trace: step {step} clause {n} renamed — a copy on one layout, \
                      no node ran, nothing to replay"
-                );
+                )?;
             } else if let Some(tracer) = tracer {
                 let plan = session.plan(clause).map_err(|e| e.to_string())?;
                 let log = tracer.finish();
                 let summary = replay_check(&log, &plan, opts.dist_options().retry)
                     .map_err(|e| format!("clause {n}: warm replay check FAILED: {e}"))?;
-                println!(
+                writeln!(
+                    out,
                     "trace: step {step} clause {n} replay OK — {} deterministic events, \
                      {} elems sent / {} received",
                     summary.det_events, summary.send_elems, summary.recv_elems
-                );
+                )?;
                 if let Some(path) = &opts.trace_out {
                     std::fs::write(path, log.to_jsonl())
                         .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("trace: deterministic event log written to {path}");
+                    writeln!(out, "trace: deterministic event log written to {path}")?;
                 }
             }
         }
@@ -952,10 +999,12 @@ fn run_timestep_loop(
             return Err(format!(
                 "VERIFICATION FAILED on `{name}` after {} steps: max |diff| = {diff}",
                 opts.steps
-            ));
+            )
+            .into());
         }
     }
-    println!(
+    writeln!(
+        out,
         "run: OK — {} steps x {} clause(s); plan cache: {} hits / {} misses \
          (steady state after the first step); renamed copies: {}; settled: {}; \
          result identical to the iterated sequential reference\n",
@@ -965,7 +1014,7 @@ fn run_timestep_loop(
         misses,
         renamed,
         settled
-    );
+    )?;
     Ok(())
 }
 
@@ -976,7 +1025,8 @@ fn run_and_verify(
     plan: &SpmdPlan,
     decomps: &vcal_suite::spmd::DecompMap,
     opts: &Options,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let mut env = Env::new();
     let mut names: Vec<&str> = vec![clause.lhs.array.as_str()];
     for r in clause.read_refs() {
@@ -1023,19 +1073,20 @@ fn run_and_verify(
         .gather()
         .max_abs_diff(reference.get(&clause.lhs.array).unwrap());
     if diff != 0.0 {
-        return Err(format!("VERIFICATION FAILED: max |diff| = {diff}"));
+        return Err(format!("VERIFICATION FAILED: max |diff| = {diff}").into());
     }
     let t = report.total();
-    println!(
+    writeln!(
+        out,
         "run: OK — {} iterations over {} nodes, {} messages, {} local reads; \
          result identical to the sequential reference\n",
         t.iterations,
         report.nodes.len(),
         t.msgs_sent,
         t.local_reads
-    );
+    )?;
     if let Some(tracer) = tracer {
-        report_trace(&tracer, plan, clause, decomps, &report, opts)?;
+        report_trace(&tracer, plan, clause, decomps, &report, opts, out)?;
     }
     Ok(())
 }
@@ -1050,32 +1101,36 @@ fn report_trace(
     decomps: &vcal_suite::spmd::DecompMap,
     report: &vcal_suite::machine::ExecReport,
     opts: &Options,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let dist_opts = opts.dist_options();
     let log = tracer.finish();
     let summary = replay_check(&log, plan, dist_opts.retry)
         .map_err(|e| format!("replay check FAILED: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "trace: replay OK — {} deterministic events, {} elems sent / {} received, \
          {} retransmits",
         summary.det_events, summary.send_elems, summary.recv_elems, summary.retransmits
-    );
+    )?;
     let dispatch = PlanSummary::of(plan);
-    print!("trace: enumeration dispatch:");
+    write!(out, "trace: enumeration dispatch:")?;
     for (kind, n) in dispatch.dispatch_counts() {
-        print!(" {kind}×{n}");
+        write!(out, " {kind}×{n}")?;
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         if dispatch.is_fully_closed_form() {
             " (all closed-form)"
         } else {
             " (CONTAINS NAIVE FALLBACK)"
         }
-    );
+    )?;
     let compiled = vcal_suite::spmd::CompiledSchedule::compile_exec(plan, clause, decomps);
     let census = compiled.overlap_census();
-    println!(
+    writeln!(
+        out,
         "trace: kernel runs: {} interior ({} elems) / {} boundary \
          ({} elems, {} remote reads)",
         census.interior_runs,
@@ -1083,25 +1138,28 @@ fn report_trace(
         census.boundary_runs,
         census.boundary_elems,
         census.remote_elems
-    );
+    )?;
     let recvs = plan.nodes.iter().flat_map(|n| &n.comm.recvs);
-    println!(
+    writeln!(
+        out,
         "trace: comm runs: {} planned runs in {} packets ({} elems)",
         recvs.map(|pc| pc.runs.len()).sum::<usize>(),
         dispatch.send_packets,
         dispatch.send_elems
-    );
+    )?;
     let slots = |count: fn(&NodeCommPlan) -> u64| -> u64 {
         plan.nodes.iter().map(|n| count(&n.comm)).sum()
     };
-    println!(
+    writeln!(
+        out,
         "trace: comm sets: {} period-walked, {} element-walked slots",
         slots(|c| c.period_walked_slots),
         slots(|c| c.enumerated_slots)
-    );
+    )?;
     let planned = compiled.fused_census();
     let ran = report.simd_census();
-    println!(
+    writeln!(
+        out,
         "trace: simd census: {} lanes, {} vector runs ({} lane elems, \
          {} tail elems) / {} fallback runs [plan]; {} vector / {} fallback [ran]",
         planned.lanes,
@@ -1111,25 +1169,27 @@ fn report_trace(
         planned.fallback_runs,
         ran.vector_runs,
         ran.fallback_runs
-    );
+    )?;
     let predicted = price_report(&CostModel::ERA, report);
-    println!(
+    writeln!(
+        out,
         "trace: perfmodel predicts {:.1} time units (bottleneck node {})",
         predicted.total, predicted.bottleneck
-    );
+    )?;
     for (phase, total) in log.phase_totals() {
         let max = log.phase_bottlenecks()[&phase];
-        println!(
+        writeln!(
+            out,
             "trace:   phase {:<12} total {:>10.3?}  bottleneck {:>10.3?}",
             phase.name(),
             total,
             max
-        );
+        )?;
     }
     if let Some(path) = &opts.trace_out {
         std::fs::write(path, log.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("trace: deterministic event log written to {path}");
+        writeln!(out, "trace: deterministic event log written to {path}")?;
     }
-    println!();
+    writeln!(out)?;
     Ok(())
 }

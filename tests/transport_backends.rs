@@ -136,7 +136,14 @@ fn redistribute(
     tracer: Option<&CollectingTracer>,
 ) -> Result<ExecReport, MachineError> {
     match tracer {
-        Some(t) => session.redistribute_traced(name, to, t),
+        Some(t) => {
+            let step = ProgramStep::Redistribute {
+                array: name.to_string(),
+                to,
+            };
+            let mut report = session.run_program(&[step], ScheduleMode::Seq, t)?;
+            Ok(report.steps.pop().unwrap_or_default())
+        }
         None => session.redistribute(name, to),
     }
 }
@@ -600,6 +607,45 @@ fn killed_worker_is_typed_untouched_and_session_recovers() {
         0.0,
         "post-recovery run differs from the oracle"
     );
+}
+
+/// A planned step runs on the session's own workers: on a fresh session
+/// `run_plan` spawns them, one process per node, and a following `run`
+/// keeps the same processes.
+#[test]
+fn planned_step_runs_on_the_session_workers() {
+    init();
+    let (clauses, dm, env) = fixture();
+    let sweep = &clauses[0];
+    let mut session = DistSession::new(&env, dm)
+        .unwrap()
+        .with_options(DistOptions {
+            transport: TransportKind::Uds,
+            ..DistOptions::default()
+        });
+    let plan = session.plan(sweep).unwrap();
+    session
+        .run_plan(&plan, sweep)
+        .expect("planned step over uds");
+    let pids = session.worker_pids();
+    assert_eq!(pids.len(), PMAX as usize, "one worker per node");
+    session.run(sweep).expect("clause over uds");
+    assert_eq!(
+        session.worker_pids(),
+        pids,
+        "the next step kept the workers"
+    );
+    let mut reference = env.clone();
+    reference.exec_clause(sweep);
+    reference.exec_clause(sweep);
+    for name in ["U", "V"] {
+        let got = session.gather(name).unwrap();
+        assert_eq!(
+            got.max_abs_diff(reference.get(name).unwrap()),
+            0.0,
+            "`{name}`"
+        );
+    }
 }
 
 proptest! {

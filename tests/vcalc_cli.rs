@@ -606,3 +606,30 @@ fn timestep_loop_settles_before_a_read_of_the_source() {
     );
     assert!(stdout.contains("run: OK"), "{stdout}");
 }
+
+/// A reader that stops after one line ends `vcalc` quietly: the report
+/// (300 clauses' plans, more than a pipe holds) meets a closed stdout,
+/// and the command exits 0 with nothing on stderr.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let p = write_temp("closed_stdout.vc", &PROGRAM.repeat(300));
+    let s = write_temp("closed_stdout.dspec", SPEC);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vcalc"))
+        .args([p.to_str().unwrap(), s.to_str().unwrap()])
+        .args(["--advise", "--emit", "vcal", "--emit", "plan"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("vcalc binary runs");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout).read_line(&mut first).unwrap();
+    assert!(first.starts_with("compiled 300 clause(s)"), "{first}");
+    let out = child.wait_with_output().expect("vcalc ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
